@@ -6,13 +6,11 @@
 package sdt_test
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/projection"
@@ -153,56 +151,6 @@ func BenchmarkFlowTableUsage(b *testing.B) {
 		perSwitch = res.MergedPerSwitch[0]
 	}
 	b.ReportMetric(float64(perSwitch), "entries-per-switch")
-}
-
-// BenchmarkSharded runs one large open-loop cell — the shard-scale
-// fabric (k=8 fat-tree, 100G links, 500 ns lookahead) at reduced flow
-// count — through the conservative parallel executor at K ∈ {1, 2, 4}
-// shard engines. Allocation reporting feeds the BENCH_*.json perf
-// trajectory; the events metric pins that each K executes its full
-// deterministic schedule.
-func BenchmarkSharded(b *testing.B) {
-	g := topology.FatTree(8)
-	cfg := netsim.DefaultConfig()
-	cfg.LinkBps = 100e9
-	cfg.PropDelay = 500 * netsim.Nanosecond
-	need := g.SwitchPortCount() + g.HostFacingPorts()
-	var sw []projection.PhysicalSwitch
-	for i := 0; i < (need+87)/88+1; i++ {
-		sw = append(sw, projection.H3CS6861(fmt.Sprintf("s6861-%d", i)))
-	}
-	tb, err := core.NewTestbed(sw, []*topology.Graph{g})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs, err := loadgen.Spec{
-		Ranks: len(g.Hosts()), Pattern: loadgen.Uniform(),
-		Sizes: loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/16),
-		Load:  0.8, Flows: 600, Seed: 1, LinkBps: cfg.LinkBps,
-	}.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				sched := append([]netsim.Flow(nil), fs.Flows...)
-				res, err := core.Run(b.Context(), tb,
-					core.Scenario{Topo: g, Flows: sched, Mode: core.FullTestbed},
-					core.WithSimConfig(cfg), core.WithShards(k))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Shards != k {
-					b.Fatalf("effective shards = %d, want %d", res.Shards, k)
-				}
-				events = res.Events
-			}
-			b.ReportMetric(float64(events), "events")
-		})
-	}
 }
 
 // --- Ablations -------------------------------------------------------

@@ -15,13 +15,6 @@
 // regression-only: a faster machine passes, a >tolerance slowdown
 // fails.
 //
-// -min-speedup additionally gates the shard-scale metrics: when the
-// current report was produced on a host with at least 4 CPUs
-// (gomaxprocs >= 4), shard_scale_speedup_k4 must meet the floor.
-// Single-core hosts skip the gate — conservative-window parallelism
-// cannot manifest without cores to run on — but still record the
-// measured value in the trajectory.
-//
 // -min-flowsim-speedup gates loadgen-sweep-xl's flowsim_speedup metric
 // (flow-fidelity vs packet-fidelity wall clock on a common fabric)
 // whenever the current report carries it. That comparison is serial on
@@ -38,8 +31,7 @@ import (
 // report mirrors the subset of sdtbench's -json document benchguard
 // reads.
 type report struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	Results    []struct {
+	Results []struct {
 		Experiment string             `json:"experiment"`
 		WallMs     float64            `json:"wall_ms"`
 		Metrics    map[string]float64 `json:"metrics"`
@@ -81,7 +73,6 @@ func main() {
 	currentPath := flag.String("current", "", "fresh sdtbench -json report")
 	headline := flag.String("headline", "fig12", "experiment whose wall clock is gated")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed relative wall-clock regression")
-	minSpeedup := flag.Float64("min-speedup", 2.5, "shard_scale_speedup_k4 floor on hosts with >= 4 CPUs (0 disables)")
 	minFlowSpeedup := flag.Float64("min-flowsim-speedup", 1.0, "flowsim_speedup floor: flow fidelity must beat packet wall clock (0 disables)")
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -117,28 +108,10 @@ func main() {
 			*headline, cw, bw, limit)
 	}
 
-	if *minSpeedup > 0 {
-		if v, ok := cur.metric("shard_scale_speedup_k4"); ok {
-			if cur.GOMAXPROCS >= 4 {
-				if v < *minSpeedup {
-					fmt.Printf("FAIL shard_scale_speedup_k4: %.2fx < %.2fx floor (%d CPUs)\n",
-						v, *minSpeedup, cur.GOMAXPROCS)
-					failed = true
-				} else {
-					fmt.Printf("ok   shard_scale_speedup_k4: %.2fx (floor %.2fx, %d CPUs)\n",
-						v, *minSpeedup, cur.GOMAXPROCS)
-				}
-			} else {
-				fmt.Printf("skip shard_scale_speedup_k4 gate: %d CPU(s), measured %.2fx\n",
-					cur.GOMAXPROCS, v)
-			}
-		}
-	}
-
-	// The flowsim gate is serial (one engine, one core), so unlike the
-	// shard gate it applies regardless of CPU count: flow fidelity
-	// exists to be faster than packet fidelity, and a report that
-	// carries the metric but misses the floor is a regression.
+	// The flowsim gate is serial on both sides (one engine, one core),
+	// so it applies regardless of CPU count: flow fidelity exists to be
+	// faster than packet fidelity, and a report that carries the metric
+	// but misses the floor is a regression.
 	if *minFlowSpeedup > 0 {
 		if v, ok := cur.metric("flowsim_speedup"); ok {
 			if v < *minFlowSpeedup {

@@ -14,8 +14,6 @@
 //	sdtbench -exp table4 -ranks 16
 //	sdtbench -exp fig13 -bytes 524288 -reps 8
 //	sdtbench -exp loadgen-sweep -seed 7 -parallel 0
-//	sdtbench -exp loadgen-sweep -shards 4
-//	sdtbench -exp shard-scale
 //	sdtbench -exp reconfig-sweep
 //	sdtbench -exp reconfig-under-load -reconfig torus
 //	sdtbench -exp cc-shootout -cc timely
@@ -31,11 +29,6 @@
 // worker (0 = all cores). Simulated results are identical at any
 // worker count; only the wall-clock columns of fig13/table4 (the
 // simulator's own evaluation time) should be read from serial runs.
-//
-// -shards K splits each simulation across K conservative shard engines
-// (core.WithShards): deterministic per shard count, serial fallback
-// for runs the executor cannot shard (faults, reconfiguration,
-// SDT-mode jobs, hand-driven sets). Composes with -parallel.
 //
 // -reconfig selects reconfig-under-load's transition target topology:
 // dragonfly (the default) or torus. reconfig-sweep ignores it — its
@@ -73,7 +66,7 @@ type expResult struct {
 	Allocs     uint64  `json:"allocs"`
 	AllocBytes uint64  `json:"alloc_bytes"`
 	// Metrics carries named scalars the experiment recorded itself
-	// (experiments.RecordMetric) — e.g. shard-scale's speedup factors.
+	// (experiments.RecordMetric) — e.g. loadgen-sweep-xl's flowsim_speedup.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -98,7 +91,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "loadgen schedule seed (equal seeds rerun byte-identical)")
 	flows := flag.Int("flows", 0, "loadgen flows per grid cell (0 = experiment default)")
 	load := flag.Float64("load", 0, "loadgen-incast victim load factor (0 = 0.8)")
-	shards := flag.Int("shards", 0, "intra-run shard engines per simulation (0/1 = serial; ineligible runs fall back)")
 	nFaults := flag.Int("faults", 0, "faults-sweep link-failure count per cell (0 = the {1,2,4} grid)")
 	mtbf := flag.Float64("mtbf", 0, "faults-flap link MTBF in ms, MTTR = MTBF/4 (0 = the {1,2,4,8} ms grid)")
 	reconfigTarget := flag.String("reconfig", "", "reconfig-under-load transition target: dragonfly|torus (\"\" = dragonfly)")
@@ -144,14 +136,13 @@ func main() {
 		Seed:     *seed,
 		Flows:    *flows,
 		Load:     *load,
-		Shards:   *shards,
 		Faults:   *nFaults,
 		MTBF:     netsim.Time(*mtbf * float64(netsim.Millisecond)),
 		Reconfig: *reconfigTarget,
 		CC:       *cc,
 	}
 
-	// -exp takes a comma-separated list: fig12,shard-scale runs both;
+	// -exp takes a comma-separated list: fig12,table4 runs both;
 	// "all" expands to every set. Unknown names list the valid ones.
 	selected, err := experiments.Select(*exp)
 	if err != nil {

@@ -125,7 +125,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// Run a small alltoall in every mode.
 	tr := sdt.AlltoallTrace(4, 16<<10, 2)
 	for _, mode := range []sdt.Mode{sdt.ModeFullTestbed, sdt.ModeSDT, sdt.ModeSimulator} {
-		res, err := tb.RunTrace(ft, tr, ft.Hosts()[:4], mode)
+		res, err := sdt.Run(t.Context(), tb, sdt.Scenario{Topo: ft, Trace: tr, Hosts: ft.Hosts()[:4], Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

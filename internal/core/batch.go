@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-
 	"repro/internal/par"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // ParallelFor runs jobs 0..n-1 across `workers` goroutines, preserving
@@ -26,15 +23,6 @@ func ParallelFor(workers, n int, job func(i int) error) error {
 	return par.For(workers, n, job)
 }
 
-// TraceJob is one independent workload execution for RunBatch.
-type TraceJob struct {
-	Topo  *topology.Graph
-	Trace *workload.Trace
-	// Hosts places the trace's ranks (nil = deterministic spread).
-	Hosts []int
-	Mode  Mode
-}
-
 // EnsureDeployed primes the SDT deployment for g, deploying with the
 // topology's default routing strategy if absent — the one serial step
 // SDT-mode runs need before they can execute concurrently (deploying
@@ -42,18 +30,4 @@ type TraceJob struct {
 func (tb *Testbed) EnsureDeployed(g *topology.Graph) error {
 	_, err := tb.ensureDeployment(g, nil)
 	return err
-}
-
-// RunBatch executes independent trace jobs one simulation per worker.
-// Results are returned in job order.
-//
-// Deprecated: RunBatch is the pre-context batch API. Use Sweep, which
-// adds context cancellation threaded into the engine loop; RunBatch
-// remains as a thin wrapper and produces identical results.
-func (tb *Testbed) RunBatch(jobs []TraceJob, workers int) ([]*RunResult, error) {
-	sweep := make([]Job, len(jobs))
-	for i, j := range jobs {
-		sweep[i] = Job{TB: tb, Scenario: Scenario{Topo: j.Topo, Trace: j.Trace, Hosts: j.Hosts, Mode: j.Mode}}
-	}
-	return Sweep(context.Background(), sweep, WithWorkers(workers))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -43,13 +44,13 @@ func TestParallelForReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSerialRuns checks that the batch runner produces
-// the same deterministic results as direct serial RunTrace calls, at
-// several worker counts and across all three modes.
+// TestRunBatchMatchesSerialRuns checks that a Sweep batch produces the
+// same deterministic results as direct serial Run calls, at several
+// worker counts and across all three modes.
 func TestRunBatchMatchesSerialRuns(t *testing.T) {
 	g := topology.FatTree(4)
 	tr := workload.Alltoall(6, 32*1024, 2)
-	jobs := []TraceJob{
+	scs := []Scenario{
 		{Topo: g, Trace: tr, Mode: FullTestbed},
 		{Topo: g, Trace: tr, Mode: SDT},
 		{Topo: g, Trace: tr, Mode: Simulator},
@@ -64,15 +65,20 @@ func TestRunBatchMatchesSerialRuns(t *testing.T) {
 	}
 	var want []*RunResult
 	tbRef := mk()
-	for _, j := range jobs {
-		r, err := tbRef.RunTrace(j.Topo, j.Trace, j.Hosts, j.Mode)
+	for _, sc := range scs {
+		r, err := Run(context.Background(), tbRef, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, r)
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := mk().RunBatch(jobs, workers)
+		tb := mk()
+		jobs := make([]Job, len(scs))
+		for i, sc := range scs {
+			jobs[i] = Job{TB: tb, Scenario: sc}
+		}
+		got, err := Sweep(context.Background(), jobs, WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

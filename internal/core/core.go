@@ -16,7 +16,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/controller"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Mode selects the evaluation platform.
@@ -111,12 +109,6 @@ type RunResult struct {
 	// otherwise). FaultDrops and Incomplete above then count the drain
 	// windows' losses.
 	Reconfig *telemetry.ReconfigReport
-
-	// Shards is the effective intra-run shard count the simulation
-	// executed with: 1 for a serial run (including every automatic
-	// fallback), K for a conservative parallel run. Counters above are
-	// already merged across shards.
-	Shards int
 }
 
 // Network builds the netsim fabric for a topology in the given mode,
@@ -129,23 +121,6 @@ func (tb *Testbed) Network(g *topology.Graph, strat routing.Strategy, mode Mode)
 // network is Network with an explicit fabric configuration — the
 // WithSimConfig override path, which must not mutate tb.Cfg.
 func (tb *Testbed) network(g *topology.Graph, strat routing.Strategy, mode Mode, cfg netsim.Config) (*netsim.Network, *controller.Deployment, error) {
-	fwd, dep, crossbarOf, sdtExtra, err := tb.forwarder(g, strat, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	net, err := netsim.NewNetwork(g, fwd, cfg, crossbarOf, sdtExtra)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, dep, nil
-}
-
-// forwarder computes the compiled forwarding state for a run in the
-// given mode: the primed route forwarder, plus — for SDT — the live
-// deployment and its crossbar grouping. Both the serial and the
-// sharded execution paths build fabrics over this one route
-// computation, so route semantics cannot drift between them.
-func (tb *Testbed) forwarder(g *topology.Graph, strat routing.Strategy, mode Mode) (netsim.RouteForwarder, *controller.Deployment, func(int) int, bool, error) {
 	if strat == nil {
 		strat = routing.ForTopology(g)
 	}
@@ -158,7 +133,7 @@ func (tb *Testbed) forwarder(g *topology.Graph, strat routing.Strategy, mode Mod
 		// from strat here would be discarded work on the sweep hot path.
 		var err error
 		if dep, err = tb.ensureDeployment(g, strat); err != nil {
-			return netsim.RouteForwarder{}, nil, nil, false, err
+			return nil, nil, err
 		}
 		crossbarOf = dep.Plan.CrossbarOf
 		sdtExtra = true
@@ -166,38 +141,30 @@ func (tb *Testbed) forwarder(g *topology.Graph, strat routing.Strategy, mode Mod
 	} else {
 		var err error
 		if routes, err = strat.Compute(g); err != nil {
-			return netsim.RouteForwarder{}, nil, nil, false, err
+			return nil, nil, err
 		}
 	}
 	// The route set may be shared across concurrent simulations (sweep
-	// siblings, shard engines); make sure its lazy lookup index and
-	// compiled FIB exist before any fabric starts forwarding. (No-op
-	// for SDT: Deploy already primed.)
+	// siblings); make sure its lazy lookup index and compiled FIB exist
+	// before any fabric starts forwarding. (No-op for SDT: Deploy
+	// already primed.)
 	routes.Prime()
-	return netsim.NewRouteForwarder(routes), dep, crossbarOf, sdtExtra, nil
+	net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), cfg, crossbarOf, sdtExtra)
+	if err != nil {
+		return nil, nil, err
+	}
+	return net, dep, nil
 }
 
 // ensureDeployment returns the live SDT deployment for g, deploying it
 // first if needed. Deploying mutates the controller, so this must not
-// run concurrently — RunBatch primes deployments serially before its
+// run concurrently — Sweep primes deployments serially before its
 // fan-out.
 func (tb *Testbed) ensureDeployment(g *topology.Graph, strat routing.Strategy) (*controller.Deployment, error) {
 	if dep := tb.Ctl.Deployment(g.Name); dep != nil {
 		return dep, nil
 	}
 	return tb.Ctl.Deploy(g, controller.Options{Strategy: strat})
-}
-
-// RunTrace executes a workload trace on topology g in the given mode.
-// The trace's ranks are placed on the first len hosts (or the given
-// subset), mirroring the paper's "randomly select the nodes but keep
-// the same among all the evaluations".
-//
-// Deprecated: RunTrace is the positional, pre-context API. Use Run
-// with a Scenario (and options) instead; RunTrace remains as a thin
-// wrapper and produces identical results.
-func (tb *Testbed) RunTrace(g *topology.Graph, tr *workload.Trace, hosts []int, mode Mode) (*RunResult, error) {
-	return Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Hosts: hosts, Mode: mode})
 }
 
 // PickSpread deterministically selects n hosts spread across the list

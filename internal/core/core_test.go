@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func TestRunTraceAllModes(t *testing.T) {
 	tr := workload.Alltoall(8, 32*1024, 2)
 	var acts []netsim.Time
 	for _, mode := range []Mode{FullTestbed, SDT, Simulator} {
-		res, err := tb.RunTrace(g, tr, nil, mode)
+		res, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -75,11 +76,12 @@ func TestRunTraceSDTReusesDeployment(t *testing.T) {
 	}
 	tr := workload.Pingpong(1024, 5)
 	hosts := g.Hosts()[:2]
-	if _, err := tb.RunTrace(g, tr, hosts, SDT); err != nil {
+	sc := Scenario{Topo: g, Trace: tr, Hosts: hosts, Mode: SDT}
+	if _, err := Run(context.Background(), tb, sc); err != nil {
 		t.Fatal(err)
 	}
 	// Second run must reuse the deployment, not fail on "already deployed".
-	if _, err := tb.RunTrace(g, tr, hosts, SDT); err != nil {
+	if _, err := Run(context.Background(), tb, sc); err != nil {
 		t.Fatalf("second SDT run: %v", err)
 	}
 	if len(tb.Ctl.Deployments()) != 1 {
@@ -94,7 +96,7 @@ func TestRunTraceRejectsTooManyRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := workload.Alltoall(8, 1024, 1)
-	if _, err := tb.RunTrace(g, tr, nil, FullTestbed); err == nil {
+	if _, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed}); err == nil {
 		t.Error("8 ranks on 2 hosts accepted")
 	}
 }

@@ -32,23 +32,18 @@ func fidelityFixture(t *testing.T) (*topology.Graph, *Testbed, func() []netsim.F
 }
 
 // TestFlowFidelityRun: a Flow-fidelity scenario completes, writes every
-// flow's result fields, reports serial execution, and reruns
-// byte-identically.
+// flow's result fields, and reruns byte-identically.
 func TestFlowFidelityRun(t *testing.T) {
 	g, tb, gen := fidelityFixture(t)
 	flows := gen()
 	res, err := Run(context.Background(), tb, Scenario{
 		Topo: g, Flows: flows, Mode: FullTestbed, Fidelity: Flow,
-		Shards: 4, // must be ignored, not rejected
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ACT <= 0 {
 		t.Fatalf("ACT = %v", res.ACT)
-	}
-	if res.Shards != 1 {
-		t.Fatalf("flow fidelity reported Shards = %d, want 1", res.Shards)
 	}
 	if res.Events <= 0 {
 		t.Fatalf("Events (rate recomputes) = %d, want > 0", res.Events)

@@ -10,7 +10,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -21,28 +20,9 @@ import (
 )
 
 // runFlowScenario executes one Flow-fidelity scenario. hosts is the
-// resolved rank placement (hosts[i] = vertex of rank i). The fluid
-// model cannot honour packet-level machinery, and silently degrading
-// would corrupt comparisons, so everything it cannot express fails
-// loudly: closed-loop traces, fault schedules, live reconfiguration,
-// SDT projection, and observers. Shards are ignored (the fluid event
-// loop is inherently serial); the result reports Shards: 1.
-func runFlowScenario(ctx context.Context, sc Scenario, cfg *runConfig, hosts []int, simCfg netsim.Config) (*RunResult, error) {
-	if sc.Trace != nil {
-		return nil, errors.New("core: flow fidelity requires an open-loop Flows scenario, not a Trace (closed-loop replay has no fluid equivalent)")
-	}
-	if sc.Faults != nil {
-		return nil, errors.New("core: flow fidelity cannot inject faults (packet loss has no fluid equivalent); run at packet fidelity")
-	}
-	if sc.Reconfig != nil {
-		return nil, errors.New("core: flow fidelity cannot reconfigure topology mid-run; run at packet fidelity")
-	}
-	if sc.Mode == SDT {
-		return nil, errors.New("core: flow fidelity does not model SDT projection (crossbar sharing and per-hop overhead are packet-level); use FullTestbed or Simulator mode")
-	}
-	if len(cfg.observers) > 0 {
-		return nil, errors.New("core: flow fidelity supports no observers (there is no packet-level network to observe)")
-	}
+// resolved rank placement (hosts[i] = vertex of rank i). Everything
+// the fluid model cannot express was rejected by validateScenario.
+func runFlowScenario(ctx context.Context, sc Scenario, hosts []int, simCfg netsim.Config) (*RunResult, error) {
 	strat := sc.Strategy
 	if strat == nil {
 		strat = routing.ForTopology(sc.Topo)
@@ -62,7 +42,6 @@ func runFlowScenario(ctx context.Context, sc Scenario, cfg *runConfig, hosts []i
 		ACT:    res.ACT,
 		Wall:   wall,
 		Events: res.Recomputes,
-		Shards: 1,
 	}
 	switch sc.Mode {
 	case FullTestbed:

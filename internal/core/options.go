@@ -32,9 +32,9 @@ const (
 	// cross, with rates recomputed at arrivals and completions. Run
 	// cost scales with flows rather than bytes × hops, reaching fabric
 	// sizes packet simulation cannot (~10k–100k hosts). Requires an
-	// open-loop Flows scenario; Trace, Faults, Reconfig, and SDT mode
-	// are rejected loudly, Shards and observers do not apply (the run
-	// is serial and has no packet-level network to observe).
+	// open-loop Flows scenario; Trace, Faults, Reconfig, SDT mode, and
+	// observers (there is no packet-level network to observe) are
+	// rejected loudly.
 	Flow
 )
 
@@ -100,19 +100,6 @@ type Scenario struct {
 	// set mid-run). Packet loss inside transition windows is tolerated
 	// only for open-loop Flows scenarios, exactly as under Faults.
 	Reconfig *reconfig.Spec
-	// Shards splits this run across k parallel engines under the
-	// conservative executor (internal/shard): the topology is
-	// partitioned switch-wise and the shards advance in lock-step safe
-	// windows one link propagation delay wide. 0 or 1 runs serially.
-	// For a fixed shard count the output is byte-identical across
-	// reruns and worker counts, and Shards=1 is byte-identical to the
-	// serial engine; different shard counts are distinct deterministic
-	// schedules (K is part of the determinism key). Runs that need
-	// whole-fabric mutation or observation fall back to serial
-	// automatically: fault injection, SDT projection (shared
-	// crossbars), Tick observers (including WithTelemetry), and
-	// zero-propagation-delay fabrics. WithShards overrides this field.
-	Shards int
 	// Fidelity selects packet-level simulation (the zero value) or the
 	// flow-level fluid fast path — see the Fidelity constants for the
 	// contract. WithFidelity overrides this field.
@@ -147,7 +134,6 @@ type runConfig struct {
 	deadline    time.Time
 	hasDeadline bool
 	workers     int
-	shards      int
 	fidelity    Fidelity
 	hasFidelity bool
 }
@@ -216,15 +202,4 @@ func WithWorkers(n int) Option {
 // level for a scale sweep.
 func WithFidelity(f Fidelity) Option {
 	return func(c *runConfig) { c.fidelity, c.hasFidelity = f, true }
-}
-
-// WithShards runs each simulation of the invocation across k parallel
-// shard engines under the conservative executor (see Scenario.Shards
-// for the determinism contract and the serial-fallback conditions). 0
-// defers to the scenario's Shards field; 1 forces serial. The
-// effective shard count is capped at the topology's switch count.
-// Intra-run sharding composes with WithWorkers: a sweep fans out
-// simulations and each simulation may itself be sharded.
-func WithShards(k int) Option {
-	return func(c *runConfig) { c.shards = k }
 }

@@ -143,31 +143,6 @@ func TestReconfigSweepWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestReconfigShardSerialFallback: a scenario carrying a reconfig spec
-// falls back to the serial engine no matter the requested shard count,
-// and the result is byte-identical to an explicitly serial run — the
-// protocol swaps whole-fabric routes, which the conservative executor's
-// per-shard fabrics cannot express.
-func TestReconfigShardSerialFallback(t *testing.T) {
-	run := func(shards int) (*RunResult, string) {
-		tb, g, fs, spec := reconfigFixture(t, 3)
-		res, err := Run(context.Background(), tb,
-			Scenario{Topo: g, Flows: fs.Flows, Reconfig: spec, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, reconfigDigest(res)
-	}
-	serialRes, serial := run(1)
-	shardedRes, sharded := run(4)
-	if serialRes.Shards != 1 || shardedRes.Shards != 1 {
-		t.Fatalf("effective shards = %d / %d, want serial fallback", serialRes.Shards, shardedRes.Shards)
-	}
-	if sharded != serial {
-		t.Fatalf("Shards=4 diverged from serial:\n%s\nvs\n%s", sharded, serial)
-	}
-}
-
 // TestNoReconfigIdenticalToEmptySpec: a nil Reconfig field and an empty
 // spec produce the same simulation byte-for-byte — the "no transitions
 // => no behaviour change" contract.

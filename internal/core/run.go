@@ -18,7 +18,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/reconfig"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -49,14 +48,13 @@ type Job struct {
 }
 
 // Sweep executes independent jobs one simulation per worker
-// (WithWorkers) and returns results in job order. It subsumes
-// RunBatch: SDT deployments and the lazy topology caches are primed
-// serially up front (deploying mutates the controller; a live
-// deployment is read-only), after which the simulations share only
-// read-only state. Cancelling the context stops in-flight simulations
-// mid-run and prevents new jobs from starting; Sweep then returns
-// ctx.Err(). As with RunBatch, Simulator-mode Wall/Eval columns
-// measure contended wall clock when workers > 1.
+// (WithWorkers) and returns results in job order. SDT deployments and
+// the lazy topology caches are primed serially up front (deploying
+// mutates the controller; a live deployment is read-only), after which
+// the simulations share only read-only state. Cancelling the context
+// stops in-flight simulations mid-run and prevents new jobs from
+// starting; Sweep then returns ctx.Err(). Simulator-mode Wall/Eval
+// columns measure contended wall clock when workers > 1.
 //
 // Cancellation contract: when Sweep returns an error after jobs have
 // started — cancellation included — it returns the PARTIAL results
@@ -139,16 +137,6 @@ func WatchCancel(ctx context.Context, sim *netsim.Sim) (release func()) {
 	}
 	var flag atomic.Bool
 	sim.SetStop(&flag, 0)
-	stop := watchFlag(ctx, &flag)
-	return func() {
-		stop()
-		sim.SetStop(nil, 0)
-	}
-}
-
-// watchFlag raises flag when ctx ends; the returned func retires the
-// watcher goroutine.
-func watchFlag(ctx context.Context, flag *atomic.Bool) func() {
 	done := make(chan struct{})
 	go func() {
 		select {
@@ -157,46 +145,10 @@ func watchFlag(ctx context.Context, flag *atomic.Bool) func() {
 		case <-done:
 		}
 	}()
-	return func() { close(done) }
-}
-
-// effectiveShards resolves the shard count one run executes with: the
-// WithShards override, else the scenario's Shards field, clamped to
-// the topology's switch count, and forced to 1 (serial) whenever the
-// scenario needs whole-fabric mutation or mid-run observation that the
-// conservative executor cannot shard:
-//
-//   - fault injection (SetLinkDown/SetSwitchDown touch links across
-//     shards, and the rerouter patches shared forwarding state mid-run),
-//   - live reconfiguration (transitions drain links across shards and
-//     swap the shared route set mid-run, exactly like faults),
-//   - SDT projection (sub-switches share physical crossbars),
-//   - Tick observers, WithTelemetry included (they read cross-shard
-//     state at simulated times the other shards haven't reached),
-//   - zero propagation delay (no lookahead, no safe window).
-func effectiveShards(sc Scenario, cfg *runConfig, simCfg netsim.Config, g *topology.Graph) int {
-	k := cfg.shards
-	if k == 0 {
-		k = sc.Shards
+	return func() {
+		close(done)
+		sim.SetStop(nil, 0)
 	}
-	if k < 1 {
-		k = 1
-	}
-	if sw := len(g.Switches()); k > sw {
-		k = sw
-	}
-	if k == 1 {
-		return 1
-	}
-	if sc.Faults != nil || sc.Reconfig != nil || sc.Mode == SDT || simCfg.PropDelay <= 0 {
-		return 1
-	}
-	for _, h := range cfg.observers {
-		if h.Tick != nil {
-			return 1
-		}
-	}
-	return k
 }
 
 // scenarioWorkload names a scenario's workload and derives its rank
@@ -218,8 +170,45 @@ func scenarioWorkload(sc Scenario) (name string, ranks int) {
 	return fmt.Sprintf("flows[%d]", len(sc.Flows)), ranks
 }
 
-// runScenario is the one execution path under Run, Sweep, and the
-// deprecated RunTrace/RunBatch wrappers.
+// validateScenario is the one place feature compatibility is decided,
+// with one policy: reject loudly, never fall back. sc has every option
+// override already folded in.
+func validateScenario(sc Scenario, cfg *runConfig) error {
+	if sc.Topo == nil || (sc.Trace == nil && sc.Flows == nil) {
+		return errors.New("core: scenario needs a Topo and a Trace or Flows")
+	}
+	if sc.Trace != nil && sc.Flows != nil {
+		return errors.New("core: scenario cannot carry both a Trace and Flows")
+	}
+	if sc.Faults != nil && sc.Reconfig != nil {
+		// Both subsystems clone and swap the live route set mid-run;
+		// their patches would silently overwrite each other.
+		return errors.New("core: scenario cannot carry both Faults and Reconfig")
+	}
+	if sc.Fidelity != Flow {
+		return nil
+	}
+	// The fluid model cannot honour packet-level machinery, and
+	// silently degrading would corrupt comparisons.
+	if sc.Trace != nil {
+		return errors.New("core: flow fidelity requires an open-loop Flows scenario, not a Trace (closed-loop replay has no fluid equivalent)")
+	}
+	if sc.Faults != nil {
+		return errors.New("core: flow fidelity cannot inject faults (packet loss has no fluid equivalent); run at packet fidelity")
+	}
+	if sc.Reconfig != nil {
+		return errors.New("core: flow fidelity cannot reconfigure topology mid-run; run at packet fidelity")
+	}
+	if sc.Mode == SDT {
+		return errors.New("core: flow fidelity does not model SDT projection (crossbar sharing and per-hop overhead are packet-level); use FullTestbed or Simulator mode")
+	}
+	if len(cfg.observers) > 0 {
+		return errors.New("core: flow fidelity supports no observers (there is no packet-level network to observe)")
+	}
+	return nil
+}
+
+// runScenario is the one execution path under Run and Sweep.
 func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) (*RunResult, error) {
 	// Options override scenario fields.
 	if cfg.hosts != nil {
@@ -231,6 +220,9 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if cfg.simCfg != nil {
 		sc.SimConfig = cfg.simCfg
 	}
+	if cfg.hasFidelity {
+		sc.Fidelity = cfg.fidelity
+	}
 	if cfg.hasDeadline {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, cfg.deadline)
@@ -239,18 +231,10 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := validateScenario(sc, cfg); err != nil {
+		return nil, err
+	}
 	g, tr := sc.Topo, sc.Trace
-	if g == nil || (tr == nil && sc.Flows == nil) {
-		return nil, errors.New("core: scenario needs a Topo and a Trace or Flows")
-	}
-	if tr != nil && sc.Flows != nil {
-		return nil, errors.New("core: scenario cannot carry both a Trace and Flows")
-	}
-	if sc.Faults != nil && sc.Reconfig != nil {
-		// Both subsystems clone and swap the live route set mid-run;
-		// their patches would silently overwrite each other.
-		return nil, errors.New("core: scenario cannot carry both Faults and Reconfig")
-	}
 	name, ranks := scenarioWorkload(sc)
 	hosts := sc.Hosts
 	if hosts == nil {
@@ -267,32 +251,11 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if sc.SimConfig != nil {
 		simCfg = *sc.SimConfig
 	}
-	if cfg.hasFidelity {
-		sc.Fidelity = cfg.fidelity
-	}
 	if sc.Fidelity == Flow {
-		return runFlowScenario(ctx, sc, cfg, hosts[:ranks], simCfg)
+		return runFlowScenario(ctx, sc, hosts[:ranks], simCfg)
 	}
-	shards := effectiveShards(sc, cfg, simCfg, g)
-	var (
-		net *netsim.Network
-		dep *controller.Deployment
-		ex  *shard.Executor
-		err error
-	)
-	if shards > 1 {
-		// Conservative parallel path: one fabric, K engines. The
-		// forwarder comes from the same route computation the serial
-		// path uses, so both paths forward identically.
-		fwd, _, _, _, ferr := tb.forwarder(g, sc.Strategy, sc.Mode)
-		if ferr != nil {
-			return nil, ferr
-		}
-		if ex, err = shard.New(g, fwd, simCfg, shards, shard.Options{}); err != nil {
-			return nil, err
-		}
-		net = ex.Primary()
-	} else if net, dep, err = tb.network(g, sc.Strategy, sc.Mode, simCfg); err != nil {
+	net, dep, err := tb.network(g, sc.Strategy, sc.Mode, simCfg)
+	if err != nil {
 		return nil, err
 	}
 	var app interface {
@@ -318,42 +281,14 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		}
 	}
 	armTicks(net, app, cfg.observers)
-	var release func()
-	if ex != nil {
-		var flag atomic.Bool
-		ex.SetStop(&flag)
-		if ctx != nil && ctx.Done() != nil {
-			release = watchFlag(ctx, &flag)
-		} else {
-			release = func() {}
-		}
-	} else {
-		release = WatchCancel(ctx, net.Sim)
-	}
+	release := WatchCancel(ctx, net.Sim)
 	wallStart := time.Now()
 	app.Start()
-	if ex != nil {
-		ex.Run()
-	} else {
-		net.Sim.Run(0)
-	}
+	net.Sim.Run(0)
 	release()
 	wall := time.Since(wallStart)
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	// Merge fabric counters (a serial run is the K=1 merge).
-	var drops, pauses, ecn, faultDrops, events int64
-	nets := []*netsim.Network{net}
-	if ex != nil {
-		nets = ex.Nets
-	}
-	for _, sn := range nets {
-		drops += sn.TotalDrops
-		pauses += sn.PausesSent
-		ecn += sn.EcnMarks
-		faultDrops += sn.FaultDrops
-		events += sn.Sim.Events()
 	}
 	act := app.ACT()
 	incomplete := 0
@@ -361,7 +296,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		fa, isFlows := app.(*netsim.FlowApp)
 		if (sc.Faults == nil && sc.Reconfig == nil) || !isFlows {
 			return nil, fmt.Errorf("core: %s on %s (%s) did not complete: drops=%d faultdrops=%d",
-				name, g.Name, sc.Mode, drops, faultDrops)
+				name, g.Name, sc.Mode, net.TotalDrops, net.FaultDrops)
 		}
 		// Open-loop flows under faults or reconfiguration: packet loss
 		// is a result, not an error. ACT degrades to the last completed
@@ -371,9 +306,8 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	}
 	res := &RunResult{
 		Mode: sc.Mode, ACT: act, Wall: wall,
-		Drops: drops, Pauses: pauses, EcnMarks: ecn,
-		Events: events, FaultDrops: faultDrops, Incomplete: incomplete,
-		Shards: shards,
+		Drops: net.TotalDrops, Pauses: net.PausesSent, EcnMarks: net.EcnMarks,
+		Events: net.Sim.Events(), FaultDrops: net.FaultDrops, Incomplete: incomplete,
 	}
 	if tracker != nil {
 		res.Recovery = tracker.Report(incomplete)

@@ -13,36 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunMatchesRunTrace pins the compatibility contract: the
-// deprecated RunTrace wrapper and the Scenario-based Run produce
-// identical results in every mode.
-func TestRunMatchesRunTrace(t *testing.T) {
-	g := topology.FatTree(4)
-	tr := workload.Alltoall(6, 32*1024, 2)
-	mk := func() *Testbed {
-		tb, err := PaperTestbed([]*topology.Graph{g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb
-	}
-	tbA, tbB := mk(), mk()
-	for _, mode := range []Mode{FullTestbed, SDT, Simulator} {
-		old, err := tbA.RunTrace(g, tr, nil, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := Run(context.Background(), tbB, Scenario{Topo: g, Trace: tr, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old.ACT != now.ACT || old.Drops != now.Drops || old.Deploy != now.Deploy ||
-			old.Events != now.Events || old.EcnMarks != now.EcnMarks || old.Pauses != now.Pauses {
-			t.Errorf("%s: RunTrace %+v != Run %+v", mode, old, now)
-		}
-	}
-}
-
 // TestRunCancelledBeforeStart: a context that is already done yields
 // ctx.Err() without simulating anything.
 func TestRunCancelledBeforeStart(t *testing.T) {
@@ -135,42 +105,6 @@ func TestSweepCancelled(t *testing.T) {
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-	}
-}
-
-// TestSweepMatchesRunBatch pins that the deprecated batch API and
-// Sweep agree result for result.
-func TestSweepMatchesRunBatch(t *testing.T) {
-	g := topology.Torus2D(4, 4, 1)
-	tr := workload.Alltoall(4, 16*1024, 2)
-	mk := func() *Testbed {
-		tb, err := PaperTestbed([]*topology.Graph{g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb
-	}
-	batchTB, sweepTB := mk(), mk()
-	traceJobs := []TraceJob{
-		{Topo: g, Trace: tr, Mode: FullTestbed},
-		{Topo: g, Trace: tr, Mode: SDT},
-	}
-	old, err := batchTB.RunBatch(traceJobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []Job{
-		{TB: sweepTB, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}},
-		{TB: sweepTB, Scenario: Scenario{Topo: g, Trace: tr, Mode: SDT}},
-	}
-	now, err := Sweep(context.Background(), jobs, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range old {
-		if old[i].ACT != now[i].ACT || old[i].Events != now[i].Events || old[i].Deploy != now[i].Deploy {
-			t.Errorf("job %d: RunBatch %+v != Sweep %+v", i, old[i], now[i])
 		}
 	}
 }

@@ -132,16 +132,6 @@ func (e *Engine) Events() int64 { return e.fired }
 // Pending returns the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.heap) }
 
-// NextAt returns the timestamp of the earliest pending event. ok is
-// false when the queue is empty. Conservative parallel executors use
-// this to pick the next safe window start without firing anything.
-func (e *Engine) NextAt() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.recs[e.heap[0]].at, true
-}
-
 // Schedule arranges for h.OnEvent(ev) to run at absolute time t
 // (clamped to now). Equal-time events run in scheduling order.
 func (e *Engine) Schedule(t Time, h Handler, ev Event) Handle {

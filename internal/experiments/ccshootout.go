@@ -30,7 +30,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldCC, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldCC, FieldWorkers)
 }
 
 // ccConfig returns the fabric configuration for one policy: DCQCN
@@ -78,7 +78,7 @@ type CCShootoutResult struct {
 // reruns the identical seeded schedule, so the only difference between
 // two rows of a (pattern, load, faults) block is the policy. Params:
 // Seed (0 = 1), Flows (0 = 96 per cell), CC ("" = all three policies),
-// Workers, Shards.
+// Workers.
 func CCShootout(ctx context.Context, p Params) (*CCShootoutResult, error) {
 	seed := p.Seed
 	if seed == 0 {
@@ -151,7 +151,7 @@ func CCShootout(ctx context.Context, p Params) (*CCShootoutResult, error) {
 			}
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldFaults, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldFaults, FieldWorkers)
 	Register(130, "faults-flap", "faults: single-link MTBF/MTTR flapping under incast, recovery metrics per flap rate",
 		func(ctx context.Context, p Params, w io.Writer) error {
 			r, err := FaultFlap(ctx, p)
@@ -41,7 +41,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldMTBF, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldMTBF, FieldWorkers)
 }
 
 // Sweep fault geometry, relative to the flow schedule's injection
@@ -148,7 +148,7 @@ func FaultSweep(ctx context.Context, p Params) (*FaultSweepResult, error) {
 			}
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +322,7 @@ func FaultFlap(ctx context.Context, p Params) (*FaultFlapResult, error) {
 			Topo: g, Flows: fs.Flows, Mode: core.FullTestbed, Hosts: hosts, Faults: spec,
 		}})
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}

@@ -15,13 +15,13 @@ import (
 func init() {
 	Register(60, "fig13", "Fig. 13: evaluation-time scaling, full testbed vs simulator vs SDT",
 		func(ctx context.Context, p Params, w io.Writer) error {
-			r, err := Fig13(ctx, nil, p.Bytes, p.Reps, p.Workers, core.WithShards(p.Shards))
+			r, err := Fig13(ctx, nil, p.Bytes, p.Reps, p.Workers)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldBytes, FieldReps, FieldWorkers, FieldShards)
+		}, FieldBytes, FieldReps, FieldWorkers)
 }
 
 // Fig13Point is one node count of the evaluation-time scaling study.
@@ -54,9 +54,7 @@ type Fig13Result struct {
 // results are identical at any worker count; the simulator's
 // wall-clock column measures contended time when workers > 1, so use
 // workers == 1 for absolute Fig. 13 numbers.
-// Trailing opts (e.g. core.WithShards) apply to every job of the
-// sweep.
-func Fig13(ctx context.Context, nodeCounts []int, bytes, reps, workers int, opts ...core.Option) (*Fig13Result, error) {
+func Fig13(ctx context.Context, nodeCounts []int, bytes, reps, workers int) (*Fig13Result, error) {
 	if nodeCounts == nil {
 		nodeCounts = []int{2, 4, 8, 16, 32}
 	}
@@ -82,7 +80,7 @@ func Fig13(ctx context.Context, nodeCounts []int, bytes, reps, workers int, opts
 			}})
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, append([]core.Option{core.WithWorkers(workers)}, opts...)...)
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(workers))
 	if err != nil {
 		return nil, err
 	}

@@ -55,16 +55,6 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".txt")
 }
 
-// goldenShardPath is the committed reference for the sharded pass. It
-// lives in a sibling directory (not a subdirectory of golden/, which
-// the stale-file check walks) because shard counts are part of the
-// determinism key: a K=2 run is a different — but equally pinned —
-// deterministic schedule than a serial run, so it gets its own
-// recorded bytes.
-func goldenShardPath(name string) string {
-	return filepath.Join("testdata", "golden-shard2", name+".txt")
-}
-
 // runGolden executes one registered set at the golden parameter point
 // and returns its scrubbed output.
 func runGolden(t *testing.T, e Entry, p Params) string {
@@ -141,56 +131,6 @@ func TestGoldenOutputsParallel(t *testing.T) {
 					e.Name, firstDiff(string(want), got))
 			}
 		})
-	}
-}
-
-// TestGoldenShard2 re-runs every registered scenario set with two-way
-// intra-run sharding (Params.Shards = 2 → core.WithShards(2) on every
-// sweep job) and diffs the scrubbed output against its own committed
-// golden (testdata/golden-shard2). This is the fixed-K byte-identity
-// gate: for a fixed shard count the conservative executor must produce
-// the same bytes on every rerun, machine, and worker count. Sets that
-// hand-drive their networks or fall back to serial (faults, SDT-mode
-// jobs) simply pin that their output is unchanged by the option.
-func TestGoldenShard2(t *testing.T) {
-	p := goldenParams()
-	p.Shards = 2
-	seen := map[string]bool{}
-	for _, e := range All() {
-		e := e
-		seen[e.Name+".txt"] = true
-		t.Run(e.Name, func(t *testing.T) {
-			got := runGolden(t, e, p)
-			path := goldenShardPath(e.Name)
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("no shard-2 golden for %s (run with -update to record): %v", e.Name, err)
-			}
-			if got != string(want) {
-				t.Errorf("%s sharded output diverged from golden (re-record with -update if intended):\n%s",
-					e.Name, firstDiff(string(want), got))
-			}
-		})
-	}
-	if !*updateGolden {
-		entries, err := os.ReadDir(filepath.Join("testdata", "golden-shard2"))
-		if err != nil {
-			t.Fatalf("shard golden dir: %v", err)
-		}
-		for _, ent := range entries {
-			if !seen[ent.Name()] {
-				t.Errorf("stale shard golden %s: no experiment registers this name", ent.Name())
-			}
-		}
 	}
 }
 

@@ -28,7 +28,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldWorkers)
 	Register(110, "loadgen-incast", "loadgen: incast N:1 fan-in sweep on fat-tree, FCT tail at the victim under PFC",
 		func(ctx context.Context, p Params, w io.Writer) error {
 			r, err := LoadIncast(ctx, p)
@@ -37,7 +37,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldLoad, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldLoad, FieldWorkers)
 }
 
 // sweepBuckets are the FCT size-bucket boundaries of the loadgen
@@ -124,7 +124,7 @@ func LoadSweep(ctx context.Context, p Params) (*LoadSweepResult, error) {
 			}
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +222,7 @@ func LoadIncast(ctx context.Context, p Params) (*LoadIncastResult, error) {
 			Topo: g, Flows: fs.Flows, Mode: core.FullTestbed,
 		}})
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}

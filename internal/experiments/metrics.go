@@ -2,7 +2,7 @@ package experiments
 
 // A tiny named-metric side channel for scalar results that matter to
 // the perf trajectory but do not fit the wall/alloc columns sdtbench's
-// -json mode measures itself — e.g. shard-scale's speedup factors.
+// -json mode measures itself — e.g. loadgen-sweep-xl's flowsim_speedup.
 // Experiments record metrics as they run; the CLI drains them into the
 // JSON report after each experiment.
 

@@ -36,7 +36,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldWorkers)
 	Register(160, "reconfig-under-load", "reconfig: fat-tree transition under incast/permutation load, FCT before/during/after the disruption",
 		func(ctx context.Context, p Params, w io.Writer) error {
 			r, err := ReconfigUnderLoad(ctx, p)
@@ -45,7 +45,7 @@ func init() {
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldLoad, FieldReconfig, FieldWorkers, FieldShards)
+		}, FieldSeed, FieldFlows, FieldLoad, FieldReconfig, FieldWorkers)
 }
 
 // Transition geometry, relative to the flow schedule's injection window
@@ -173,7 +173,7 @@ func ReconfigSweep(ctx context.Context, p Params) (*ReconfigSweepResult, error) 
 			}})
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func ReconfigUnderLoad(ctx context.Context, p Params) (*ReconfigUnderLoadResult,
 			}})
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers), core.WithShards(p.Shards))
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}

@@ -53,11 +53,6 @@ type Params struct {
 	// Reconfig selects reconfig-under-load's transition target:
 	// "dragonfly" (the default) or "torus".
 	Reconfig string
-	// Shards runs each simulation across k parallel shard engines
-	// (core.WithShards; 0 or 1 = serial). Scenario sets that hand-drive
-	// their networks (fig11, fig12, table2) ignore it, and runs the
-	// executor cannot shard fall back to serial automatically.
-	Shards int
 	// CC restricts cc-shootout to one congestion-control policy
 	// (netsim.CCPolicies; "" = all policies).
 	CC string
@@ -97,7 +92,6 @@ var (
 	FieldFaults   = Field{"faults", "int", "0", "link-failure count per cell (0 = the {1,2,4} grid)"}
 	FieldMTBF     = Field{"mtbf_ms", "float64", "0", "link MTBF in ms, MTTR = MTBF/4 (0 = the {1,2,4,8} ms grid)"}
 	FieldReconfig = Field{"reconfig", "string", "dragonfly", "transition target topology: dragonfly|torus"}
-	FieldShards   = Field{"shards", "int", "0", "intra-run shard engines per simulation (0/1 = serial)"}
 	FieldCC       = Field{"cc", "string", "", "congestion-control policy: dcqcn|timely|pfabric (empty = all)"}
 )
 
@@ -143,7 +137,7 @@ func Lookup(name string) (Entry, bool) {
 }
 
 // Select resolves a comma-separated scenario-set list ("fig12,
-// shard-scale") to registry entries, in the order given. The literal
+// table4") to registry entries, in the order given. The literal
 // "all" (alone or inside a list) expands to every registered set in
 // presentation order; surrounding whitespace per name is ignored, and
 // empty elements ("fig12,,fig13", a trailing comma) are errors just

@@ -10,7 +10,7 @@ import (
 // TestRegistryOrder pins the presentation order sdtbench prints for
 // -exp all.
 func TestRegistryOrder(t *testing.T) {
-	want := []string{"table1", "fig11", "fig12", "table2", "table3", "table4", "fig13", "isolation", "active", "tables", "loadgen-sweep", "loadgen-incast", "loadgen-sweep-xl", "cc-shootout", "faults-sweep", "faults-flap", "shard-scale", "reconfig-sweep", "reconfig-under-load"}
+	want := []string{"table1", "fig11", "fig12", "table2", "table3", "table4", "fig13", "isolation", "active", "tables", "loadgen-sweep", "loadgen-incast", "loadgen-sweep-xl", "cc-shootout", "faults-sweep", "faults-flap", "reconfig-sweep", "reconfig-under-load"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registered %v, want %v", got, want)

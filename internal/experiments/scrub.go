@@ -5,7 +5,7 @@ package experiments
 // scenario set's formatted table is byte-stable *except* for
 // wall-clock-derived columns, which vary run to run. Scrub masks
 // exactly those columns, so two outputs of the same (scenario, params,
-// seed, shards) spec compare equal iff the simulated results match —
+// seed) spec compare equal iff the simulated results match —
 // the comparator behind both the committed goldens and the "a cache
 // hit is byte-identical to a fresh run" contract.
 
@@ -67,22 +67,7 @@ var outputScrub = map[string]func(string) string{
 		}, 8)(out)
 		return flowSpeedupRe.ReplaceAllString(out, "packet <wall> flow <wall> speedup <wall>")
 	},
-	// shard-scale data rows: K, shards, ACT, drops, events, wall,
-	// speedup — wall (5) and speedup (6) are wall-clock-derived; the
-	// header also reports the host's CPU count.
-	"shard-scale": func(out string) string {
-		out = maskColumns(func(f []string) bool {
-			if len(f) != 7 {
-				return false
-			}
-			_, err := strconv.Atoi(f[0])
-			return err == nil
-		}, 5, 6)(out)
-		return cpuCountRe.ReplaceAllString(out, "<cpus> CPUs")
-	},
 }
-
-var cpuCountRe = regexp.MustCompile(`\d+ CPUs`)
 
 var flowSpeedupRe = regexp.MustCompile(`packet \S+ flow \S+ speedup \S+`)
 

@@ -4,7 +4,7 @@ package experiments
 // execution — scenario name plus the Params knobs — with a stable
 // content hash. The hash is a sound cache key because PRs 4–5 made
 // every registered set's output a byte-stable pure function of
-// (scenario, params, seed, shards): equal hashes imply byte-identical
+// (scenario, params, seed): equal hashes imply byte-identical
 // simulated results (wall-clock columns excepted — see Scrub). Two
 // deliberate normalisations widen hit rates without weakening that
 // soundness:
@@ -47,7 +47,6 @@ type JobSpec struct {
 	Faults   int     `json:"faults,omitempty"`
 	MTBFMs   float64 `json:"mtbf_ms,omitempty"`
 	Reconfig string  `json:"reconfig,omitempty"`
-	Shards   int     `json:"shards,omitempty"`
 	CC       string  `json:"cc,omitempty"`
 }
 
@@ -66,7 +65,7 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("spec: unknown scenario %q", s.Scenario)
 	}
 	if s.Ranks < 0 || s.Reps < 0 || s.Bytes < 0 || s.Zoo < 0 || s.Flows < 0 ||
-		s.Faults < 0 || s.Shards < 0 || s.Workers < 0 {
+		s.Faults < 0 || s.Workers < 0 {
 		return fmt.Errorf("spec: negative counts are invalid")
 	}
 	if s.DurMs < 0 || s.MTBFMs < 0 || s.Load < 0 || s.Load > 1 {
@@ -101,7 +100,6 @@ func (s JobSpec) Params() Params {
 		Faults:   s.Faults,
 		MTBF:     netsim.Time(s.MTBFMs * float64(netsim.Millisecond)),
 		Reconfig: s.Reconfig,
-		Shards:   s.Shards,
 		CC:       s.CC,
 	}
 }
@@ -135,7 +133,7 @@ func (s JobSpec) Canonical() []byte {
 // domain-separated canonical encoding) — the service's cache key and
 // dedup identity. Stable across processes, machines, and field
 // reordering of the submitted JSON; distinct whenever any
-// result-relevant field (seed and shards included) differs.
+// result-relevant field (seed included) differs.
 func (s JobSpec) Hash() string {
 	h := sha256.New()
 	h.Write([]byte(specHashDomain))

@@ -11,8 +11,10 @@ import (
 // pins the canonical encoding across process restarts, Go versions,
 // and machines: if this test ever fails without a deliberate
 // specHashDomain bump, on-disk cache entries written by older builds
-// would be misattributed.
-const pinnedSpecHash = "e99eddac182c4365434a45282148e3403b1d4ef55dcb80ddcd8d1892cd150577"
+// would be misattributed. Removing an omitempty field from JobSpec
+// must leave it unchanged too: specs that never set the field keep
+// their cache keys.
+const pinnedSpecHash = "5bc40ffc2d7e3e11c7609474b123ae69b83272ee3d93a4786967347f426d3707"
 
 func pinnedSpec() JobSpec {
 	return JobSpec{
@@ -20,7 +22,6 @@ func pinnedSpec() JobSpec {
 		Seed:     7,
 		Flows:    48,
 		Workers:  3, // excluded from the hash
-		Shards:   2,
 	}
 }
 
@@ -54,9 +55,9 @@ func TestSpecHashFieldOrderIndependent(t *testing.T) {
 	// with explicit zeros for omitted fields) must hash identically:
 	// the hash covers the canonical re-serialization, not the input.
 	inputs := []string{
-		`{"scenario":"loadgen-sweep","seed":7,"flows":48,"shards":2}`,
-		`{"shards":2,"flows":48,"scenario":"loadgen-sweep","seed":7}`,
-		`{"seed":7,"scenario":"loadgen-sweep","ranks":0,"flows":48,"shards":2,"load":0}`,
+		`{"scenario":"loadgen-sweep","seed":7,"flows":48}`,
+		`{"flows":48,"scenario":"loadgen-sweep","seed":7}`,
+		`{"seed":7,"scenario":"loadgen-sweep","ranks":0,"flows":48,"load":0}`,
 	}
 	var want string
 	for i, in := range inputs {
@@ -78,7 +79,6 @@ func TestSpecHashDistinguishesResults(t *testing.T) {
 	seen := map[string]string{base.Hash(): "base"}
 	for name, mut := range map[string]func(*JobSpec){
 		"seed":     func(s *JobSpec) { s.Seed = 8 },
-		"shards":   func(s *JobSpec) { s.Shards = 4 },
 		"flows":    func(s *JobSpec) { s.Flows = 96 },
 		"scenario": func(s *JobSpec) { s.Scenario = "loadgen-incast" },
 		"load":     func(s *JobSpec) { s.Load = 0.5 },
@@ -147,7 +147,7 @@ func TestSchemaRegistered(t *testing.T) {
 	canon := map[string]Field{}
 	for _, f := range []Field{FieldRanks, FieldReps, FieldBytes, FieldZoo, FieldDur,
 		FieldWorkers, FieldSeed, FieldFlows, FieldLoad, FieldFaults, FieldMTBF,
-		FieldReconfig, FieldShards, FieldCC} {
+		FieldReconfig, FieldCC} {
 		canon[f.Name] = f
 	}
 	for _, e := range All() {

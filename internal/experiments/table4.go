@@ -16,13 +16,13 @@ import (
 func init() {
 	Register(50, "table4", "Table IV: application ACTs on SDT vs the simulator",
 		func(ctx context.Context, p Params, w io.Writer) error {
-			r, err := Table4(ctx, p.Ranks, nil, p.Workers, core.WithShards(p.Shards))
+			r, err := Table4(ctx, p.Ranks, nil, p.Workers)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldRanks, FieldWorkers, FieldShards)
+		}, FieldRanks, FieldWorkers)
 }
 
 // Table4Cell is one (application, topology) evaluation: ACT on SDT vs
@@ -69,9 +69,7 @@ func table4Topologies() []*topology.Graph {
 // mutates the controller; afterwards it is read-only) — so the
 // deterministic columns (ACTs, deviation, SDT evaluation time) are
 // identical at any worker count.
-// Trailing opts (e.g. core.WithShards) apply to every job of the
-// sweep.
-func Table4(ctx context.Context, ranks int, apps []string, workers int, opts ...core.Option) (*Table4Result, error) {
+func Table4(ctx context.Context, ranks int, apps []string, workers int) (*Table4Result, error) {
 	if ranks <= 0 {
 		ranks = 16
 	}
@@ -108,7 +106,7 @@ func Table4(ctx context.Context, ranks int, apps []string, workers int, opts ...
 			}
 		}
 	}
-	results, err := core.Sweep(ctx, jobs, append([]core.Option{core.WithWorkers(workers)}, opts...)...)
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(workers))
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,7 @@ package netsim
 // traces collected from running an HPC application on real computing
 // nodes").
 
-import (
-	"sync/atomic"
-
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // OpKind enumerates trace operations.
 type OpKind int
@@ -45,19 +41,13 @@ type Rank struct {
 }
 
 // App is a running distributed application: one rank per host.
-//
-// In a sharded fabric each rank executes on its host's shard engine:
-// all per-rank state stays shard-local, and the only cross-shard
-// fields (nDone) are atomic, so concurrent window execution is safe.
 type App struct {
 	net    *Network
 	Ranks  []*Rank
-	nDone  atomic.Int64
+	nDone  int
 	onDone func(act Time)
 	// OnOp, when set, observes every operation as it is issued
 	// (rank index, the op, issue time) — the trace-recording hook.
-	// Serial runs only: sharded executors run ranks concurrently, so a
-	// recording hook would race.
 	OnOp func(rank int, op Op, at Time)
 }
 
@@ -78,11 +68,10 @@ func NewApp(n *Network, hosts []int, programs [][]Op, onDone func(act Time)) *Ap
 	return app
 }
 
-// Start launches all ranks at the current simulation time, each on its
-// own host's engine (one shared engine in a serial fabric).
+// Start launches all ranks at the current simulation time.
 func (a *App) Start() {
 	for _, r := range a.Ranks {
-		r.host.net.Sim.ScheduleAfter(0, a, engine.Event{Kind: evAppStep, Ptr: r})
+		a.net.Sim.ScheduleAfter(0, a, engine.Event{Kind: evAppStep, Ptr: r})
 	}
 }
 
@@ -96,11 +85,9 @@ func (a *App) OnEvent(now Time, ev engine.Event) {
 // hostOf maps a rank index to its host vertex.
 func (a *App) hostOf(rank int) int { return a.Ranks[rank].host.vertex }
 
-// step runs ops until the rank blocks or finishes. All engine access
-// goes through the rank's host network, so a rank scheduled on shard i
-// never touches another shard's clock or queue.
+// step runs ops until the rank blocks or finishes.
 func (a *App) step(r *Rank) {
-	n := r.host.net
+	n := a.net
 	for r.pc < len(r.prog) {
 		op := r.prog[r.pc]
 		r.pc++
@@ -123,7 +110,8 @@ func (a *App) step(r *Rank) {
 	if !r.Done {
 		r.Done = true
 		r.FinishedAt = n.Sim.Now()
-		if a.nDone.Add(1) == int64(len(a.Ranks)) && a.onDone != nil {
+		a.nDone++
+		if a.nDone == len(a.Ranks) && a.onDone != nil {
 			a.onDone(n.Sim.Now())
 		}
 	}

@@ -10,7 +10,6 @@ package netsim
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/engine"
 )
@@ -47,33 +46,15 @@ func (f *Flow) FCT() Time {
 // records completions. It writes results into the caller's Flow slice,
 // so the schedule can be inspected (and bucketed into FCT statistics)
 // after the run.
-//
-// In a sharded fabric injections split into one chain per shard (each
-// flow injects on its source host's engine) and completions land on
-// the destination host's engine; per-flow result fields are only ever
-// written by the destination shard, and the shared completion tallies
-// (nDone, last) are atomic.
 type FlowApp struct {
 	net    *Network
 	hosts  []int
 	flows  []Flow
 	order  []int32 // flow indices sorted by start time
-	chains []*flowChain
-	nDone  atomic.Int64
-	last   atomic.Int64 // Time of the latest completion
+	next   int     // position in order of the next injection
+	nDone  int
+	last   Time // time of the latest completion
 	onDone func(last Time)
-}
-
-// flowChain is one shard's injection chain: the slice of the sorted
-// start order whose source hosts live on chain.net, injected by a
-// self-chaining event so each engine holds at most one pending
-// injection. A serial fabric has exactly one chain over the full
-// order, reproducing the pre-shard schedule event-for-event.
-type flowChain struct {
-	app   *FlowApp
-	net   *Network
-	order []int32
-	next  int
 }
 
 // NewFlowApp binds a flow schedule to hosts. hosts[i] is the vertex of
@@ -116,87 +97,61 @@ func NewFlowApp(n *Network, hosts []int, flows []Flow, onDone func(last Time)) *
 }
 
 // Start registers every flow's receive continuation and arms the first
-// injection of every chain. Only one injection event is pending per
-// engine at a time — each chain schedules its successor — so the event
-// heap stays O(1) in the flow count.
+// injection. Only one injection event is pending at a time — each
+// injection schedules its successor — so the event heap stays O(1) in
+// the flow count.
 func (a *FlowApp) Start() {
 	for i := range a.flows {
 		i := i
 		f := &a.flows[i]
-		dst := a.net.Host(a.hosts[f.Dst])
-		dst.Recv(a.hosts[f.Src], f.Tag, func() { a.complete(i, dst) })
+		a.net.Host(a.hosts[f.Dst]).Recv(a.hosts[f.Src], f.Tag, func() { a.complete(i) })
 	}
-	// Group the sorted order into per-engine chains (first-appearance
-	// order, deterministic). One shard => one chain over the whole
-	// order, identical to the pre-shard single-chain schedule.
-	for _, fi := range a.order {
-		src := a.net.Host(a.hosts[a.flows[fi].Src]).net
-		var c *flowChain
-		for _, cc := range a.chains {
-			if cc.net == src {
-				c = cc
-				break
-			}
-		}
-		if c == nil {
-			c = &flowChain{app: a, net: src}
-			a.chains = append(a.chains, c)
-		}
-		c.order = append(c.order, fi)
-	}
-	for _, c := range a.chains {
-		c.armNext()
-	}
+	a.armNext()
 }
 
-// armNext schedules the chain's next pending injection (flows already
-// due inject in order at the current time).
-func (c *flowChain) armNext() {
-	if c.next >= len(c.order) {
+// armNext schedules the next pending injection (flows already due
+// inject in order at the current time).
+func (a *FlowApp) armNext() {
+	if a.next >= len(a.order) {
 		return
 	}
-	f := &c.app.flows[c.order[c.next]]
-	at := f.Start
-	if now := c.net.Sim.Now(); at < now {
+	at := a.flows[a.order[a.next]].Start
+	if now := a.net.Sim.Now(); at < now {
 		at = now
 	}
-	c.net.Sim.Schedule(at, c, engine.Event{Kind: evFlowStart, A: int64(c.next)})
+	a.net.Sim.Schedule(at, a, engine.Event{Kind: evFlowStart, A: int64(a.next)})
 }
 
 // OnEvent injects the due flow and chains to the next one.
-func (c *flowChain) OnEvent(now Time, ev engine.Event) {
+func (a *FlowApp) OnEvent(now Time, ev engine.Event) {
 	if ev.Kind != evFlowStart {
 		return
 	}
-	a := c.app
-	f := &a.flows[c.order[ev.A]]
+	f := &a.flows[a.order[ev.A]]
 	a.net.Host(a.hosts[f.Src]).Send(a.hosts[f.Dst], f.Tag, f.Bytes)
-	c.next++
-	c.armNext()
+	a.next++
+	a.armNext()
 }
 
-// complete records one flow's delivery at its destination host (whose
-// engine's clock stamps the completion).
-func (a *FlowApp) complete(i int, dst *Host) {
+// complete records one flow's delivery at its destination host.
+func (a *FlowApp) complete(i int) {
 	f := &a.flows[i]
 	if f.Completed {
 		return
 	}
 	f.Completed = true
-	f.End = dst.net.Sim.Now()
-	for {
-		cur := a.last.Load()
-		if int64(f.End) <= cur || a.last.CompareAndSwap(cur, int64(f.End)) {
-			break
-		}
+	f.End = a.net.Sim.Now()
+	if f.End > a.last {
+		a.last = f.End
 	}
-	if a.nDone.Add(1) == int64(len(a.flows)) && a.onDone != nil {
-		a.onDone(Time(a.last.Load()))
+	a.nDone++
+	if a.nDone == len(a.flows) && a.onDone != nil {
+		a.onDone(a.last)
 	}
 }
 
 // Completed reports how many flows have finished.
-func (a *FlowApp) Completed() int { return int(a.nDone.Load()) }
+func (a *FlowApp) Completed() int { return a.nDone }
 
 // Outstanding reports how many flows have not finished.
 func (a *FlowApp) Outstanding() int { return len(a.flows) - a.Completed() }
@@ -205,7 +160,7 @@ func (a *FlowApp) Outstanding() int { return len(a.flows) - a.Completed() }
 // none completed) regardless of whether the whole schedule finished —
 // the partial-completion ACT a fault run reports when packet loss
 // leaves flows incomplete.
-func (a *FlowApp) LastCompletion() Time { return Time(a.last.Load()) }
+func (a *FlowApp) LastCompletion() Time { return a.last }
 
 // ACT returns the time the last flow completed, or -1 while any flow
 // is outstanding — the same contract as App.ACT, so the run loop
@@ -215,5 +170,5 @@ func (a *FlowApp) ACT() Time {
 	if a.Completed() < len(a.flows) {
 		return -1
 	}
-	return Time(a.last.Load())
+	return a.last
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -109,11 +108,6 @@ type DirLink struct {
 	// down marks a failed link: packets entering or traversing it are
 	// dropped into Network.FaultDrops.
 	down bool
-	// remote is the receiving device's shard network when this link is
-	// a cut edge of a sharded fabric (nil in serial fabrics and for
-	// shard-local links): wire arrivals on it travel through the
-	// shard hand-off instead of the local event queue.
-	remote *Network
 }
 
 type deviceRef struct {
@@ -209,11 +203,6 @@ type OutPort struct {
 	// ports); its QPs are kicked when the queue drains so DCQCN pacing
 	// is enforced at the wire, not just at enqueue.
 	hostOwner *Host
-	// net is the shard network owning this port's device. In a serial
-	// fabric it is the one Network; in a sharded fabric PFC pause and
-	// resume events addressed to this port must execute on this
-	// network's engine.
-	net *Network
 	// Drops counts tail drops (PFC off).
 	Drops int64
 }
@@ -375,59 +364,8 @@ type Network struct {
 	// Nil outside fault runs.
 	OnDeliver func(now Time)
 
-	// cc is the resolved congestion-control policy of this fabric
-	// (identical on every shard of a sharded fabric).
+	// cc is the resolved congestion-control policy of this fabric.
 	cc ccKind
-
-	// shard is this network's index within a sharded fabric (0 in a
-	// serial fabric). A sharded fabric is K Networks sharing the same
-	// device arrays: each device belongs to exactly one shard and all
-	// its events execute on that shard's engine.
-	shard int
-	// xfer, installed by a sharded executor (SetHandoff), transfers an
-	// event produced by this shard's handlers onto another shard's
-	// engine. Nil in serial fabrics, where every destination is local.
-	xfer func(dst *Network, at Time, ev engine.Event)
-}
-
-// Shard returns this network's shard index within its fabric (always 0
-// for a fabric built with NewNetwork).
-func (n *Network) Shard() int { return n.shard }
-
-// SetHandoff installs the cross-shard event transfer used by a sharded
-// executor. Events handed off are always dispatched to the destination
-// Network's OnEvent (the three cross-shard kinds — wire arrivals and
-// PFC pause/resume — are all Network-handled); the executor must
-// schedule them on dst.Sim with dst as the handler, after sorting by
-// (time, source shard, hand-off order) so injection is deterministic.
-func (n *Network) SetHandoff(f func(dst *Network, at Time, ev engine.Event)) { n.xfer = f }
-
-// schedTo schedules a Network-handled event on the shard owning dst,
-// routing through the shard hand-off when dst lives on a different
-// engine. In a serial fabric dst is always n itself.
-func (n *Network) schedTo(dst *Network, at Time, ev engine.Event) {
-	if dst == n {
-		n.Sim.Schedule(at, dst, ev)
-		return
-	}
-	n.xfer(dst, at, ev)
-}
-
-// shardSeed derives shard i's RNG seed from the fabric seed. Shard 0
-// keeps the seed unchanged, so a K=1 sharded fabric is bit-identical
-// to a serial NewNetwork fabric; higher shards get decorrelated
-// streams through a splitmix64 finalizer. This is one of the reasons
-// the shard count is part of the determinism key: the same seed under
-// different K yields different (each individually deterministic) ECN
-// sampling streams.
-func shardSeed(seed int64, shard int) int64 {
-	if shard == 0 {
-		return seed
-	}
-	z := uint64(seed) + uint64(shard)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // NewNetwork builds the fabric for a logical topology. crossbarOf maps
@@ -435,35 +373,6 @@ func shardSeed(seed int64, shard int) int64 {
 // the projection plan's physical switch for SDT. sdtExtra applies the
 // per-hop projection overhead to every switch in a shared group.
 func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v int) int, sdtExtra bool) (*Network, error) {
-	nets, err := newFabric(g, fwd, cfg, crossbarOf, sdtExtra, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	return nets[0], nil
-}
-
-// NewShardedFabric builds one logical fabric split across k shard
-// networks for conservative parallel execution (internal/shard).
-// assign maps every topology vertex to a shard in [0, k); each device
-// lives on — and fires all its events on — its shard's engine, while
-// the device, link, and port arrays are shared so whole-fabric views
-// (LinkLoads, Host/Switch accessors) work from any shard. Links whose
-// endpoints land in different shards are marked as hand-off points;
-// an executor must install the transfer with SetHandoff on every shard
-// before running. Shard 0's RNG stream equals a serial fabric's, so
-// k=1 (all-zero assign) is bit-identical to NewNetwork.
-//
-// Crossbar sharing (SDT projection) is incompatible with sharding: a
-// shared crossbar serialises sub-switches that may live on different
-// engines, so only serial fabrics may project.
-func NewShardedFabric(g *topology.Graph, fwd Forwarder, cfg Config, assign []int, k int) ([]*Network, error) {
-	return newFabric(g, fwd, cfg, nil, false, assign, k)
-}
-
-// newFabric is the shared fabric builder: k engines over one set of
-// devices. Serial construction (k=1, nil assign) takes the identical
-// code path with every device on shard 0.
-func newFabric(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v int) int, sdtExtra bool, assign []int, k int) ([]*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -471,43 +380,17 @@ func newFabric(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v i
 	if err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("netsim: fabric needs k >= 1 shards, got %d", k)
-	}
-	if k > 1 && crossbarOf != nil {
-		return nil, fmt.Errorf("netsim: crossbar sharing (SDT projection) cannot be sharded")
-	}
-	if k > 1 {
-		if len(assign) != len(g.Vertices) {
-			return nil, fmt.Errorf("netsim: shard assignment covers %d of %d vertices", len(assign), len(g.Vertices))
-		}
-		for v, s := range assign {
-			if s < 0 || s >= k {
-				return nil, fmt.Errorf("netsim: vertex %d assigned to shard %d, want [0,%d)", v, s, k)
-			}
-		}
-	}
 	switches := make([]*SimSwitch, len(g.Vertices))
 	hosts := make([]*Host, len(g.Vertices))
-	nets := make([]*Network, k)
-	for i := range nets {
-		nets[i] = &Network{
-			Sim:      NewSim(),
-			Topo:     g,
-			Cfg:      cfg,
-			Fwd:      fwd,
-			cc:       cc,
-			shard:    i,
-			rng:      rand.New(rand.NewSource(shardSeed(cfg.Seed, i))),
-			switches: switches,
-			hosts:    hosts,
-		}
-	}
-	netOf := func(v int) *Network {
-		if k == 1 {
-			return nets[0]
-		}
-		return nets[assign[v]]
+	n := &Network{
+		Sim:      NewSim(),
+		Topo:     g,
+		Cfg:      cfg,
+		Fwd:      fwd,
+		cc:       cc,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		switches: switches,
+		hosts:    hosts,
 	}
 
 	// Crossbars per group.
@@ -538,7 +421,7 @@ func newFabric(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v i
 		}
 		switches[v] = &SimSwitch{
 			vertex:       v,
-			net:          netOf(v),
+			net:          n,
 			crossbar:     getXbar(v),
 			outPorts:     make([]*OutPort, maxPort+1),
 			upstream:     make([]*OutPort, maxPort+1),
@@ -547,27 +430,20 @@ func newFabric(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v i
 		}
 	}
 	for _, v := range g.Hosts() {
-		hosts[v] = &Host{vertex: v, net: netOf(v), mailbox: newMailbox(), tcp: map[int64]*TCPConn{}}
+		hosts[v] = &Host{vertex: v, net: n, mailbox: newMailbox(), tcp: map[int64]*TCPConn{}}
 	}
 
-	// Links: two directed channels per edge. A link belongs to its
-	// transmitting device's shard; when the receiving device lives on a
-	// different shard the link records that remote network so arrivals
-	// are handed off rather than scheduled locally.
-	var links []*DirLink
+	// Links: two directed channels per edge.
 	for _, e := range g.Edges {
 		mk := func(from, fromPort, to, toPort int) *DirLink {
-			l := &DirLink{id: len(links), bps: cfg.LinkBps, prop: cfg.PropDelay, EdgeID: e.ID}
+			l := &DirLink{id: len(n.links), bps: cfg.LinkBps, prop: cfg.PropDelay, EdgeID: e.ID}
 			if h := hosts[to]; h != nil {
 				l.to = deviceRef{host: h, inPort: toPort}
 			} else {
 				l.to = deviceRef{sw: switches[to], inPort: toPort}
 			}
-			if dstNet := netOf(to); dstNet != netOf(from) {
-				l.remote = dstNet
-			}
-			links = append(links, l)
-			op := &OutPort{link: l, net: netOf(from)}
+			n.links = append(n.links, l)
+			op := &OutPort{link: l}
 			l.src = op
 			if h := hosts[from]; h != nil {
 				op.hostOwner = h
@@ -580,9 +456,6 @@ func newFabric(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v i
 		}
 		mk(e.A, e.APort, e.B, e.BPort)
 		mk(e.B, e.BPort, e.A, e.APort)
-	}
-	for _, nn := range nets {
-		nn.links = links
 	}
 	// Wire upstream references for PFC.
 	for _, e := range g.Edges {
@@ -607,23 +480,7 @@ func newFabric(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v i
 			h.roce = newRoceEngine(h)
 		}
 	}
-	return nets, nil
-}
-
-// CutLookahead returns the minimum propagation delay across this
-// fabric's cut links — the conservative executor's global lookahead —
-// and the number of directed cut links. A serial (or K=1) fabric has
-// no cut links and reports (0, 0).
-func (n *Network) CutLookahead() (lk Time, cut int) {
-	for _, l := range n.links {
-		if l.remote != nil {
-			if cut == 0 || l.prop < lk {
-				lk = l.prop
-			}
-			cut++
-		}
-	}
-	return lk, cut
+	return n, nil
 }
 
 // Host returns the host device for a topology host vertex (nil when v
@@ -733,19 +590,11 @@ func (n *Network) tryTransmit(o *OutPort) {
 		Kind: evTxDone, Ptr: o,
 		A: int64(pkt.inPort)<<4 | int64(pkt.arrClass), B: int64(pkt.Size),
 	})
-	// Receiver processing starts at header (cut-through) or tail. The
-	// arrival is always at least one propagation delay in the future
-	// (arr >= now + prop), which is what makes prop the safe lookahead
-	// of the sharded executor: a cut-edge arrival handed off here can
-	// never land inside the window that produced it.
+	// Receiver processing starts at header (cut-through) or tail.
 	arr := start + l.prop + ser
 	if n.Cfg.CutThrough {
 		hdr := serTime(minInt(pkt.Size, n.Cfg.HeaderBytes+64), l.bps)
 		arr = start + l.prop + hdr
-	}
-	if l.remote != nil {
-		n.xfer(l.remote, arr, engine.Event{Kind: evArrive, Ptr: pkt, A: int64(l.id)})
-		return
 	}
 	n.Sim.Schedule(arr, n, engine.Event{Kind: evArrive, Ptr: pkt, A: int64(l.id)})
 }
@@ -770,10 +619,8 @@ func (n *Network) onDequeued(o *OutPort, inPort, prio, size int) {
 		sw.pfcSent[inPort][prio] = false
 		up := sw.upstream[inPort]
 		if up != nil {
-			// Resume after control-frame propagation. The upstream port
-			// may live on another shard; the frame's >= PropDelay flight
-			// time keeps the hand-off outside the current safe window.
-			n.schedTo(up.net, n.Sim.Now()+n.Cfg.PropDelay+500*Nanosecond, engine.Event{
+			// Resume after control-frame propagation.
+			n.Sim.Schedule(n.Sim.Now()+n.Cfg.PropDelay+500*Nanosecond, n, engine.Event{
 				Kind: evPfcResume, Ptr: up, A: int64(prio),
 			})
 		}

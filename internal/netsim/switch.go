@@ -90,10 +90,7 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 			up := s.upstream[inPort]
 			if up != nil {
 				n.PausesSent++
-				// The pause frame flies >= PropDelay, so a cross-shard
-				// upstream port receives it via the hand-off outside the
-				// current safe window.
-				n.schedTo(up.net, n.Sim.Now()+n.Cfg.PropDelay+500*Nanosecond, engine.Event{
+				n.Sim.Schedule(n.Sim.Now()+n.Cfg.PropDelay+500*Nanosecond, n, engine.Event{
 					Kind: evPfcPause, Ptr: up, A: int64(arrCls),
 				})
 			}

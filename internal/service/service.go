@@ -57,8 +57,8 @@ func (s State) Terminal() bool {
 // Config sizes a Server.
 type Config struct {
 	// Workers is the number of simulations executed concurrently
-	// (<= 0: GOMAXPROCS). Each job may additionally fan out or shard
-	// internally via its spec's workers/shards knobs.
+	// (<= 0: GOMAXPROCS). Each job may additionally fan out internally
+	// via its spec's workers knob.
 	Workers int
 	// QueueCap bounds the admitted-but-not-running backlog (<= 0: 64).
 	// Submissions beyond it fail with ErrQueueFull rather than queueing
@@ -244,7 +244,7 @@ func (s *Server) run(j *job) {
 		// is a programming error, reported as a failed job.
 		err = fmt.Errorf("service: scenario %q vanished from the registry", j.spec.Scenario)
 	} else {
-		err = e.Run(j.ctx, j.spec.Params(), j.out)
+		err = runGuarded(e, j)
 	}
 
 	j.mu.Lock()
@@ -273,6 +273,18 @@ func (s *Server) run(j *job) {
 		s.mu.Unlock()
 	}
 	s.retire(j)
+}
+
+// runGuarded runs the job's scenario set, converting a runner panic
+// (netsim panics on malformed schedules) into an error: the one job
+// fails, the worker keeps draining the queue.
+func runGuarded(e experiments.Entry, j *job) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: runner panicked: %v", r)
+		}
+	}()
+	return e.Run(j.ctx, j.spec.Params(), j.out)
 }
 
 // retire removes a terminal job from the singleflight index.

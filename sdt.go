@@ -16,26 +16,9 @@
 // one simulation per worker with Sweep(ctx, jobs, ...Option). Options
 // attach the cross-cutting concerns — WithHosts, WithStrategy,
 // WithSimConfig, WithTelemetry, WithObserver, WithDeadline,
-// WithWorkers, WithShards — and the context cancels cooperatively
-// *inside* the event loop: the engine polls a stop flag on an
-// event-count stride, so a cancelled run or sweep stops
-// mid-simulation, not between jobs.
-//
-// Large fabrics can additionally be sharded *within* one run:
-// WithShards(k) partitions the topology switch-wise (the same
-// partitioner that projects topologies onto physical switches) and
-// executes it as k conservative parallel engines advancing in
-// lock-step lookahead windows —
-//
-//	res, err := sdt.Run(ctx, tb, sdt.Scenario{Topo: topo, Flows: fs.Flows},
-//		sdt.WithShards(4))
-//
-// For a fixed shard count results are byte-identical across reruns,
-// machines and worker counts (Shards=1 matches the serial engine
-// exactly; different counts are distinct deterministic schedules), and
-// runs the executor cannot shard — faults, reconfiguration, SDT mode,
-// Tick observers, zero propagation delay — silently fall back to
-// serial, reported via RunResult.Shards.
+// WithWorkers — and the context cancels cooperatively *inside* the
+// event loop: the engine polls a stop flag on an event-count stride,
+// so a cancelled run or sweep stops mid-simulation, not between jobs.
 //
 // Quickstart:
 //
@@ -111,10 +94,6 @@
 //		}},
 //	})
 //	res.Reconfig.Format(os.Stdout) // loss, churn, reconvergence, cost columns
-//
-// The older positional entry points (Testbed.RunTrace,
-// Testbed.RunBatch) remain as deprecated thin wrappers over Run/Sweep
-// and produce identical results.
 //
 // The full implementation lives in the internal packages; see DESIGN.md
 // for the system inventory, WORKLOADS.md for the workload catalogue,
@@ -249,13 +228,7 @@ var (
 	WithObserver  = core.WithObserver
 	WithDeadline  = core.WithDeadline
 	WithWorkers   = core.WithWorkers
-	WithShards    = core.WithShards
 )
-
-// TraceJob is one independent workload execution for Testbed.RunBatch.
-//
-// Deprecated: build Job values for Sweep instead.
-type TraceJob = core.TraceJob
 
 // ParallelFor is the worker-pool helper behind the parallel experiment
 // sweeps: it runs independent jobs 0..n-1 across workers (0 = all
@@ -284,7 +257,7 @@ const (
 // fair-share fluid approximation, whose cost scales with flow count
 // instead of bytes × hops. Flow fidelity covers open-loop flow
 // schedules on FullTestbed/Simulator runs; traces, faults,
-// reconfiguration, shards, and SDT mode reject it loudly.
+// reconfiguration, SDT mode, and observers reject it loudly.
 type Fidelity = core.Fidelity
 
 // Simulation fidelities.
