@@ -186,23 +186,66 @@ func (c *Controller) Teardown(name string) error {
 	if !ok {
 		return fmt.Errorf("controller: topology %q not deployed", name)
 	}
+	c.remove(d)
+	return nil
+}
+
+// remove uninstalls d: its entries, its links, its record.
+func (c *Controller) remove(d *Deployment) {
 	for _, sw := range c.Physical {
 		sw.Table.RemoveCookie(d.Cookie)
 	}
 	d.Plan.Release(c.alloc)
-	delete(c.deployments, name)
-	return nil
+	delete(c.deployments, d.Name)
 }
 
 // Reconfigure atomically replaces one deployed topology with another —
 // the headline operation of the paper ("the topology (re)configuration
 // can be finished in a short time", §I). The returned deployment's
 // DeployTime is the modelled reconfiguration latency.
+//
+// The new topology needs the ports the old one holds, so the old one is
+// torn down first; when the new one then cannot be deployed (it does
+// not fit the cabling, its routes are not deadlock-free, a flow table
+// overflows) the old deployment is put back as it was — same links,
+// same entries in the same relative order under the same cookie, same
+// record — and the deployment error is returned.
 func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*Deployment, error) {
-	if err := c.Teardown(old); err != nil {
-		return nil, err
+	prev, ok := c.deployments[old]
+	if !ok {
+		return nil, fmt.Errorf("controller: topology %q not deployed", old)
 	}
-	return c.Deploy(g, opt)
+	// Table order is match order, so re-adding a switch's entries in the
+	// order they are listed reproduces their relative order.
+	installed := make([][]*openflow.FlowEntry, len(c.Physical))
+	for i, sw := range c.Physical {
+		for _, e := range sw.Table.Entries() {
+			if e.Cookie == prev.Cookie {
+				installed[i] = append(installed[i], e)
+			}
+		}
+	}
+	c.remove(prev)
+	d, err := c.Deploy(g, opt)
+	if err == nil {
+		return d, nil
+	}
+	// Deploy left the allocation and the tables as Teardown did, which
+	// freed exactly what is re-acquired and re-installed here; a failure
+	// below means that invariant broke, and is reported, never masked.
+	if rerr := prev.Plan.Acquire(c.alloc); rerr != nil {
+		return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
+	}
+	for i, sw := range c.Physical {
+		for _, e := range installed[i] {
+			if rerr := sw.Table.Add(*e); rerr != nil {
+				return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
+			}
+		}
+		sw.Table.Prime()
+	}
+	c.deployments[old] = prev
+	return nil, err
 }
 
 // Deployments lists live deployments sorted by name.

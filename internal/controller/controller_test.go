@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/openflow"
 	"repro/internal/projection"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -215,5 +216,89 @@ func TestEntriesMatchDirectCompile(t *testing.T) {
 	}
 	if projection.EntryCount(switches) != d.Entries {
 		t.Errorf("controller entries %d != direct compile %d", d.Entries, projection.EntryCount(switches))
+	}
+}
+
+// tableDump renders every physical table, in match order, so two dumps
+// are equal only if the same entries sit in the same order.
+func tableDump(c *Controller) string {
+	var b strings.Builder
+	for _, sw := range c.Physical {
+		b.WriteString(sw.Dump())
+	}
+	return b.String()
+}
+
+// TestReconfigureFailureRestoresOldDeployment pins "atomically": when
+// the replacement cannot be deployed — it does not fit the cabling, its
+// routes can deadlock, a flow table overflows — Reconfigure returns the
+// error and the previous deployment is back exactly as it was.
+func TestReconfigureFailureRestoresOldDeployment(t *testing.T) {
+	ft := topology.FatTree(4)
+	ring := topology.Ring(6, 1)
+	cases := []struct {
+		name    string
+		planFor []*topology.Graph
+		target  *topology.Graph
+		opt     Options
+		// shrinkTables caps every table at the old deployment's size + 10
+		// so the target's entries overflow mid-install.
+		shrinkTables bool
+	}{
+		{name: "does not fit the cabling", planFor: []*topology.Graph{ft}, target: topology.FatTree(8)},
+		{name: "routes not deadlock-free", planFor: []*topology.Graph{ft, ring}, target: ring,
+			opt: Options{Strategy: routing.ShortestPath{}, RequireDeadlockFree: true}},
+		{name: "flow table overflows", planFor: []*topology.Graph{ft, topology.Dragonfly(4, 9, 2, 1)},
+			target: topology.Dragonfly(4, 9, 2, 1), shrinkTables: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testbed(t, tc.planFor...)
+			old, err := c.Deploy(ft, Options{RequireDeadlockFree: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.shrinkTables {
+				for _, sw := range c.Physical {
+					sw.Table.Capacity = sw.Table.Len() + 10
+				}
+			}
+			entries, dump := c.EntryCount(), tableDump(c)
+			self, inter, host := c.alloc.UsedCounts()
+
+			d, err := c.Reconfigure(ft.Name, tc.target, tc.opt)
+			if err == nil {
+				t.Fatalf("Reconfigure to %s succeeded (%d entries); the case is not a failure case", tc.target.Name, d.Entries)
+			}
+			if got := c.Deployment(ft.Name); got != old {
+				t.Fatalf("after failed Reconfigure (%v): Deployment(%q) = %v, want the old record", err, ft.Name, got)
+			}
+			if got := c.EntryCount(); got != entries {
+				t.Errorf("EntryCount = %d, want %d", got, entries)
+			}
+			if got := tableDump(c); got != dump {
+				t.Errorf("tables differ after rollback:\n%s\nwant:\n%s", got, dump)
+			}
+			if s, i, h := c.alloc.UsedCounts(); s != self || i != inter || h != host {
+				t.Errorf("allocation = %d self, %d inter, %d host; want %d, %d, %d", s, i, h, self, inter, host)
+			}
+			if err := old.Plan.Check(); err != nil {
+				t.Errorf("Plan.Check: %v", err)
+			}
+			// The restored deployment is a working one: it forwards…
+			h := ft.Hosts()
+			src, dst := h[0], h[len(h)-1]
+			at := old.Plan.HostAttach[src]
+			if fwd := c.Physical[at.Switch].Process(openflow.PacketMeta{InPort: at.Port, SrcHost: src, DstHost: dst}); !fwd.Matched || fwd.Dropped {
+				t.Errorf("restored tables drop %d→%d at its ingress switch: %+v", src, dst, fwd)
+			}
+			// …and can be torn down to nothing.
+			if err := c.Teardown(ft.Name); err != nil {
+				t.Fatalf("Teardown after rollback: %v", err)
+			}
+			if got := c.EntryCount(); got != 0 {
+				t.Errorf("entries after teardown = %d, want 0", got)
+			}
+		})
 	}
 }

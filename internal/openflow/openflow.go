@@ -12,6 +12,7 @@ package openflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -143,6 +144,11 @@ func (e *ErrTableFull) Error() string {
 
 // Table is a capacity-bounded, priority-ordered flow table.
 //
+// entries is kept in match order (see before) at all times: Add places
+// the new entry by binary search and one memmove — O(log n) compares,
+// no re-sort — and RemoveCookie compacts in place, so Entries() is a
+// plain read and never a write.
+//
 // Lookup runs on an exact-match index: entries with a concrete DstHost
 // live in per-destination buckets, fully dst-wildcarded entries in a
 // shared fallback list, both in match order. A lookup merge-scans its
@@ -175,19 +181,21 @@ func (t *Table) Free() int {
 	return t.Capacity - len(t.entries)
 }
 
-// Add installs an entry, keeping priority order. It fails with
+// Add installs an entry, keeping match order. It fails with
 // *ErrTableFull when capacity is exhausted.
+//
+// The new entry carries the largest seq, so it belongs after every
+// entry of priority >= its own: its slot is the first entry it sorts
+// before, found by binary search over the already-ordered slice.
 func (t *Table) Add(e FlowEntry) error {
 	if t.Capacity > 0 && len(t.entries) >= t.Capacity {
 		return &ErrTableFull{Switch: t.owner, Capacity: t.Capacity}
 	}
 	e.seq = t.nextSeq
 	t.nextSeq++
-	ne := e
-	t.entries = append(t.entries, &ne)
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		return before(t.entries[i], t.entries[j])
-	})
+	ne := &e
+	at := sort.Search(len(t.entries), func(i int) bool { return before(ne, t.entries[i]) })
+	t.entries = slices.Insert(t.entries, at, ne)
 	t.idxDirty = true
 	return nil
 }
@@ -205,6 +213,10 @@ func (t *Table) RemoveCookie(cookie uint64) int {
 			kept = append(kept, e)
 		}
 	}
+	// Drop the removed entries' pointers from the backing array's tail,
+	// or a torn-down topology's entries stay reachable until later Adds
+	// happen to overwrite them.
+	clear(t.entries[len(kept):])
 	t.entries = kept
 	t.idxDirty = true
 	return removed
@@ -247,8 +259,8 @@ func (t *Table) buildIndex() {
 }
 
 // before is THE match-order comparator — higher priority first, then
-// install order — shared by Add's sort and Lookup's bucket merge so
-// the two orderings cannot drift apart.
+// install order — shared by Add's insertion search and Lookup's bucket
+// merge so the two orderings cannot drift apart.
 func before(a, b *FlowEntry) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority

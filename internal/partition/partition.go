@@ -13,9 +13,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -79,7 +80,7 @@ type nbr struct {
 // independent of map iteration order.
 func (g *workGraph) sortAdj() {
 	for i := range g.xadj {
-		sort.Slice(g.xadj[i], func(a, b int) bool { return g.xadj[i][a].v < g.xadj[i][b].v })
+		slices.SortFunc(g.xadj[i], func(a, b nbr) int { return cmp.Compare(a.v, b.v) })
 	}
 }
 
@@ -117,36 +118,7 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 		seed = 12345
 	}
 
-	// Dense index over switches.
-	idx := make(map[int]int, len(switches))
-	for i, s := range switches {
-		idx[s] = i
-	}
-	wg := &workGraph{
-		vwgt: make([]int, len(switches)),
-		xadj: make([][]nbr, len(switches)),
-	}
-	for i, s := range switches {
-		wg.vwgt[i] = g.Degree(s) // all ports, incl. host-facing (paper balances ports)
-	}
-	type pairKey struct{ a, b int }
-	merged := map[pairKey]int{}
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
-		a, b := idx[e.A], idx[e.B]
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		merged[pairKey{a, b}]++
-	}
-	for pk, w := range merged {
-		wg.xadj[pk.a] = append(wg.xadj[pk.a], nbr{pk.b, w})
-		wg.xadj[pk.b] = append(wg.xadj[pk.b], nbr{pk.a, w})
-	}
-	wg.sortAdj() // map iteration order must not leak into results
+	wg := newWorkGraph(g, switches)
 
 	var part []int
 	if k == 1 {
@@ -157,8 +129,9 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 		// partition (α·cut + β·imbalance, the paper's objective).
 		const restarts = 8
 		bestScore := -1.0
+		rf := newRefiner(len(switches), k)
 		for r := 0; r < restarts; r++ {
-			cand := multilevel(wg, k, opt, rand.New(rand.NewSource(seed+int64(r)*7919)))
+			cand := multilevel(wg, k, opt, rand.New(rand.NewSource(seed+int64(r)*7919)), rf)
 			s := score(wg, cand, k, opt)
 			if bestScore < 0 || s < bestScore {
 				bestScore = s
@@ -207,8 +180,45 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// newWorkGraph builds the weighted switch-only graph Cut partitions:
+// one vertex per switch in ID order, weighted by its port count, with
+// parallel links merged into one weighted edge.
+func newWorkGraph(g *topology.Graph, switches []int) *workGraph {
+	// Dense index over switches.
+	idx := make(map[int]int, len(switches))
+	for i, s := range switches {
+		idx[s] = i
+	}
+	wg := &workGraph{
+		vwgt: make([]int, len(switches)),
+		xadj: make([][]nbr, len(switches)),
+	}
+	for i, s := range switches {
+		wg.vwgt[i] = g.Degree(s) // all ports, incl. host-facing (paper balances ports)
+	}
+	type pairKey struct{ a, b int }
+	merged := map[pairKey]int{}
+	for _, eid := range g.SwitchSwitchEdges() {
+		e := g.Edges[eid]
+		a, b := idx[e.A], idx[e.B]
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		merged[pairKey{a, b}]++
+	}
+	for pk, w := range merged {
+		wg.xadj[pk.a] = append(wg.xadj[pk.a], nbr{pk.b, w})
+		wg.xadj[pk.b] = append(wg.xadj[pk.b], nbr{pk.a, w})
+	}
+	wg.sortAdj() // map iteration order must not leak into results
+	return wg
+}
+
 // multilevel runs coarsen / initial-partition / refine.
-func multilevel(wg *workGraph, k int, opt Options, rng *rand.Rand) []int {
+func multilevel(wg *workGraph, k int, opt Options, rng *rand.Rand, rf *refiner) []int {
 	coarseLimit := 4 * k
 	if coarseLimit < 32 {
 		coarseLimit = 32
@@ -229,7 +239,7 @@ func multilevel(wg *workGraph, k int, opt Options, rng *rand.Rand) []int {
 
 	coarsest := graphs[len(graphs)-1]
 	part := initialPartition(coarsest, k, opt, rng)
-	refine(coarsest, part, k, opt, rng)
+	rf.refine(coarsest, part, opt)
 
 	// Project back up, refining at each level.
 	for lvl := len(maps) - 1; lvl >= 0; lvl-- {
@@ -240,7 +250,7 @@ func multilevel(wg *workGraph, k int, opt Options, rng *rand.Rand) []int {
 			finePart[v] = part[cmap[v]]
 		}
 		part = finePart
-		refine(fine, part, k, opt, rng)
+		rf.refine(fine, part, opt)
 	}
 	return part
 }
@@ -369,8 +379,8 @@ func initialPartition(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
 	for {
 		// Find lightest part with available frontier.
 		progress := false
-		sort.SliceStable(frontier, func(i, j int) bool {
-			return weight[frontier[i].p] < weight[frontier[j].p]
+		slices.SortStableFunc(frontier, func(a, b frontierItem) int {
+			return cmp.Compare(weight[a.p], weight[b.p])
 		})
 		var rest []frontierItem
 		for _, f := range frontier {
@@ -419,9 +429,8 @@ func bfsDist(g *workGraph, src int) []int {
 	}
 	dist[src] = 0
 	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, nb := range g.xadj[v] {
 			if dist[nb.v] > dist[v]+1 {
 				dist[nb.v] = dist[v] + 1
@@ -463,38 +472,117 @@ func score(g *workGraph, part []int, k int, opt Options) float64 {
 	return float64(cut) + imb*float64(total)*0.25
 }
 
-// connTo computes v's edge weight toward each part, returned as a dense
-// slice for deterministic iteration.
-func connTo(g *workGraph, part []int, v, k int, buf []int) []int {
-	if cap(buf) < k {
-		buf = make([]int, k)
-	}
-	buf = buf[:k]
-	for i := range buf {
-		buf[i] = 0
-	}
-	for _, nb := range g.xadj[v] {
-		buf[part[nb.v]] += nb.w
-	}
-	return buf
+// move records one vertex relocation of an FM pass, for roll-back.
+type move struct {
+	v, from, to int
 }
 
-// refine runs FM-style passes: move boundary vertices to the neighbour
-// part with the best gain, respecting balance for the Balanced
-// objective, then explicitly rebalances overweight parts.
-func refine(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
-	n := len(g.vwgt)
-	weight := make([]int, k)
-	total := 0
-	for v := 0; v < n; v++ {
-		weight[part[v]] += g.vwgt[v]
-		total += g.vwgt[v]
+// refiner holds the state refine and rebalance share and the scratch
+// they work in. It is allocated once per Cut, sized for the finest
+// graph, and reused by every restart and every uncoarsening level —
+// a level only re-slices and re-fills it.
+//
+// conn and ext are what make a move cost O(deg v) instead of a rescan
+// of every candidate's adjacency: conn[v*k+p] is v's edge weight toward
+// part p and ext[v] its edge weight toward every part but its own, both
+// kept current by apply on every move, roll-back and rebalance move.
+type refiner struct {
+	k         int
+	g         *workGraph
+	part      []int
+	conn      []int
+	ext       []int
+	weight    []int // vertex weight per part
+	partCount []int // vertices per part
+	locked    []bool
+	seq       []move
+}
+
+func newRefiner(n, k int) *refiner {
+	return &refiner{
+		k:         k,
+		conn:      make([]int, n*k),
+		ext:       make([]int, n),
+		weight:    make([]int, k),
+		partCount: make([]int, k),
+		locked:    make([]bool, n),
+		seq:       make([]move, 0, n),
 	}
+}
+
+// load points the refiner at one level's graph and partition and fills
+// the tables from scratch: O(n·k + edges).
+func (r *refiner) load(g *workGraph, part []int) {
+	n, k := len(g.vwgt), r.k
+	r.g, r.part = g, part
+	r.conn = r.conn[:n*k]
+	r.ext = r.ext[:n]
+	r.locked = r.locked[:n]
+	clear(r.conn)
+	clear(r.weight)
+	clear(r.partCount)
+	for v := 0; v < n; v++ {
+		home := part[v]
+		r.weight[home] += g.vwgt[v]
+		r.partCount[home]++
+		row := r.conn[v*k : v*k+k]
+		ext := 0
+		for _, nb := range g.xadj[v] {
+			row[part[nb.v]] += nb.w
+			if part[nb.v] != home {
+				ext += nb.w
+			}
+		}
+		r.ext[v] = ext
+	}
+}
+
+// apply moves v to part `to` and updates every table in O(deg v).
+func (r *refiner) apply(v, to int) {
+	k, from := r.k, r.part[v]
+	for _, nb := range r.g.xadj[v] {
+		r.conn[nb.v*k+from] -= nb.w
+		r.conn[nb.v*k+to] += nb.w
+		switch r.part[nb.v] {
+		case from:
+			r.ext[nb.v] += nb.w
+		case to:
+			r.ext[nb.v] -= nb.w
+		}
+	}
+	r.ext[v] += r.conn[v*k+from] - r.conn[v*k+to]
+	r.weight[from] -= r.g.vwgt[v]
+	r.weight[to] += r.g.vwgt[v]
+	r.partCount[from]--
+	r.partCount[to]++
+	r.part[v] = to
+}
+
+// refine runs FM-style passes over part in place: repeatedly apply the
+// best feasible move (even at a negative gain), lock the moved vertex,
+// then roll back to the prefix with the lowest cut; under the Balanced
+// objective each pass ends by draining overweight parts (rebalance).
+//
+// The move sequence is part of Cut's byte-identity contract and is
+// pinned by the differential oracle in oracle_test.go: the best move is
+// the maximum gain conn[p] − conn[home] over unlocked v (ascending) and
+// p ≠ home (ascending), first one found winning ties — lowest v, then
+// lowest p; feasibility (the destination stays within maxAllowed, the
+// home part keeps a vertex) is evaluated when the move is selected, not
+// when it was first seen. Under Balanced a vertex only moves to a part
+// it touches (isolated vertices may go anywhere), so interior vertices
+// — ext[v] == 0 — are skipped without looking at their row.
+func (r *refiner) refine(g *workGraph, part []int, opt Options) {
+	r.load(g, part)
+	n, k := len(g.vwgt), r.k
+	conn, weight, partCount, locked := r.conn, r.weight, r.partCount, r.locked
+
 	// The move limit must leave room for at least one vertex move above
 	// the mean, or a perfectly balanced partition could never be refined
 	// (every single move temporarily overweights the destination).
-	maxVwgt := 0
+	total, maxVwgt := 0, 0
 	for _, w := range g.vwgt {
+		total += w
 		if w > maxVwgt {
 			maxVwgt = w
 		}
@@ -507,28 +595,13 @@ func refine(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
 	if opt.Objective == MinCut {
 		maxAllowed = total // unconstrained
 	}
-	partCount := make([]int, k)
-	for v := 0; v < n; v++ {
-		partCount[part[v]]++
-	}
-	var conn []int
-
-	type move struct {
-		v, from, to int
-	}
-	locked := make([]bool, n)
+	contiguous := opt.Objective == Balanced // keep parts contiguous when possible
 
 	for pass := 0; pass < opt.Passes; pass++ {
-		// Classic FM sequence: repeatedly apply the best feasible move
-		// (even if its gain is negative), locking each vertex after it
-		// moves, then roll back to the prefix with the lowest cut.
-		for i := range locked {
-			locked[i] = false
-		}
-		var seq []move
+		clear(locked)
+		seq := r.seq[:0]
 		cumGain := 0
 		bestGainAt, bestGainVal := -1, 0
-		_ = rng
 		for step := 0; step < n; step++ {
 			bestV, bestDst := -1, -1
 			bestGain := -(1 << 30)
@@ -540,19 +613,19 @@ func refine(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
 				if partCount[home] <= 1 {
 					continue
 				}
-				conn = connTo(g, part, v, k, conn)
-				for p := 0; p < k; p++ {
-					if p == home {
+				touchOnly := contiguous && g.xadj[v] != nil
+				if touchOnly && r.ext[v] == 0 {
+					continue
+				}
+				row := conn[v*k : v*k+k]
+				for p, c := range row {
+					if p == home || (c == 0 && touchOnly) {
 						continue
-					}
-					if conn[p] == 0 && g.xadj[v] != nil && opt.Objective == Balanced {
-						continue // keep parts contiguous when possible
 					}
 					if weight[p]+g.vwgt[v] > maxAllowed {
 						continue
 					}
-					gain := conn[p] - conn[home]
-					if gain > bestGain {
+					if gain := c - row[home]; gain > bestGain {
 						bestGain, bestV, bestDst = gain, v, p
 					}
 				}
@@ -560,14 +633,9 @@ func refine(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
 			if bestV < 0 {
 				break
 			}
-			home := part[bestV]
-			weight[home] -= g.vwgt[bestV]
-			weight[bestDst] += g.vwgt[bestV]
-			partCount[home]--
-			partCount[bestDst]++
-			part[bestV] = bestDst
+			seq = append(seq, move{bestV, part[bestV], bestDst})
+			r.apply(bestV, bestDst)
 			locked[bestV] = true
-			seq = append(seq, move{bestV, home, bestDst})
 			cumGain += bestGain
 			if cumGain > bestGainVal {
 				bestGainVal = cumGain
@@ -579,18 +647,11 @@ func refine(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
 		}
 		// Roll back moves after the best prefix.
 		for i := len(seq) - 1; i > bestGainAt; i-- {
-			m := seq[i]
-			weight[m.to] -= g.vwgt[m.v]
-			weight[m.from] += g.vwgt[m.v]
-			partCount[m.to]--
-			partCount[m.from]++
-			part[m.v] = m.from
+			r.apply(seq[i].v, seq[i].from)
 		}
 		improved := bestGainAt >= 0
-		if opt.Objective == Balanced {
-			if rebalance(g, part, k, weight, partCount, maxAllowed, &conn) > 0 {
-				improved = true
-			}
+		if contiguous && r.rebalance(maxAllowed) > 0 {
+			improved = true
 		}
 		if !improved {
 			break
@@ -598,18 +659,11 @@ func refine(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
 	}
 }
 
-// degSum returns the total incident edge weight of v.
-func degSum(g *workGraph, v int) int {
-	s := 0
-	for _, nb := range g.xadj[v] {
-		s += nb.w
-	}
-	return s
-}
-
-// rebalance drains overweight parts by moving their cheapest boundary
-// vertices into the lightest adjacent part, even at a cut cost.
-func rebalance(g *workGraph, part []int, k int, weight, partCount []int, maxAllowed int, connBuf *[]int) int {
+// rebalance drains overweight parts by moving their cheapest vertices
+// (least cut damage; lowest v, then lowest p on ties) into a lighter
+// part, even at a cut cost.
+func (r *refiner) rebalance(maxAllowed int) int {
+	k, part, weight := r.k, r.part, r.weight
 	moved := 0
 	for iter := 0; iter < len(part); iter++ {
 		// Heaviest over-limit part.
@@ -619,26 +673,22 @@ func rebalance(g *workGraph, part []int, k int, weight, partCount []int, maxAllo
 				over = p
 			}
 		}
-		if over < 0 {
+		if over < 0 || r.partCount[over] <= 1 {
 			break
 		}
-		// Best vertex to evict: smallest cut damage, moved to the
-		// lightest part it touches (or the global lightest part).
 		bestV, bestDst, bestCost := -1, -1, 1<<30
-		for v := 0; v < len(part); v++ {
-			if part[v] != over || partCount[over] <= 1 {
+		for v := range part {
+			if part[v] != over {
 				continue
 			}
-			conn := connTo(g, part, v, k, *connBuf)
-			*connBuf = conn
-			for p := 0; p < k; p++ {
+			row := r.conn[v*k : v*k+k]
+			for p, c := range row {
 				// Only move toward parts currently lighter than the
 				// overweight source.
 				if p == over || weight[p] >= weight[over] {
 					continue
 				}
-				cost := conn[over] - conn[p]
-				if cost < bestCost {
+				if cost := row[over] - c; cost < bestCost {
 					bestV, bestDst, bestCost = v, p, cost
 				}
 			}
@@ -646,11 +696,7 @@ func rebalance(g *workGraph, part []int, k int, weight, partCount []int, maxAllo
 		if bestV < 0 {
 			break
 		}
-		weight[over] -= g.vwgt[bestV]
-		weight[bestDst] += g.vwgt[bestV]
-		partCount[over]--
-		partCount[bestDst]++
-		part[bestV] = bestDst
+		r.apply(bestV, bestDst)
 		moved++
 	}
 	return moved

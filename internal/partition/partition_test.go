@@ -243,21 +243,3 @@ func TestQuickBalance(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkCutFatTree8(b *testing.B) {
-	g := topology.FatTree(8)
-	for i := 0; i < b.N; i++ {
-		if _, err := Cut(g, 4, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCutTorus3D(b *testing.B) {
-	g := topology.Torus3D(8, 8, 8, 0)
-	for i := 0; i < b.N; i++ {
-		if _, err := Cut(g, 8, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -102,6 +102,10 @@ func minSwitches(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, 
 			specs[i] = spec
 			specs[i].ID = fmt.Sprintf("%s-%d", spec.ID, i)
 		}
+		if err := portShortfall(g, specs, k); err != nil {
+			lastErr = err
+			continue
+		}
 		parts, err := partition.Cut(g, k, partition.Options{})
 		if err != nil {
 			return 0, err

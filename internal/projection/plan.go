@@ -140,6 +140,10 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, opt partiti
 	}
 	var lastErr error
 	for k := 1; k <= maxK(g, cab.Switches); k++ {
+		if err := portShortfall(g, cab.Switches, k); err != nil {
+			lastErr = err
+			continue
+		}
 		md, err := mapDemands(g, cab.Switches, k, opt)
 		if err != nil {
 			lastErr = err

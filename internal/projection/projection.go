@@ -286,6 +286,34 @@ func fitParts(d *Demands, switches []PhysicalSwitch) error {
 	return nil
 }
 
+// portShortfall is the pigeonhole bound the three k-searches
+// (minSwitches, PlanCabling, ProjectInto) apply before paying for a
+// Cut: it returns a non-nil error when no k-way partition of g can pass
+// fitParts on switches. Σ_p Demands.PartPorts[p] does not depend on the
+// partition — every switch-switch edge costs two ports wherever its
+// endpoints land (2·Self inside a part, one port on each side of a
+// cut) and every attached host costs one — and fitParts pairs the k
+// parts with the k largest switches, so if that sum exceeds those
+// switches' ports some part must exceed its switch. Hosts are counted
+// the way demandsFor counts them (once per attached host), not with
+// Graph.HostFacingPorts, which counts a multi-homed host once per link.
+func portShortfall(g *topology.Graph, switches []PhysicalSwitch, k int) error {
+	need := g.SwitchPortCount() // two per switch-switch edge
+	for _, h := range g.Hosts() {
+		if g.HostSwitch(h) >= 0 {
+			need++
+		}
+	}
+	have := 0
+	for _, s := range switchOrder(switches)[:k] {
+		have += switches[s].Ports
+	}
+	if need > have {
+		return fmt.Errorf("needs %d ports, %d switch(es) have %d", need, k, have)
+	}
+	return nil
+}
+
 // partOrder returns part indices sorted by descending port demand
 // (stable on index).
 func partOrder(d *Demands) []int {
@@ -406,6 +434,10 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, opt partiti
 		var bestRes *reservation
 		var lastErr error
 		for k := 1; k <= maxK(g, switches); k++ {
+			if err := portShortfall(g, switches, k); err != nil {
+				lastErr = err
+				continue
+			}
 			md, err := mapDemands(g, switches, k, opt)
 			if err != nil {
 				lastErr = err
