@@ -42,6 +42,38 @@ import (
 	"repro/internal/service"
 )
 
+// Connection deadlines. Without them a client that opens a connection
+// and never finishes its request holds a goroutine and a descriptor for
+// the life of the daemon. They are not flags: nothing about a
+// deployment changes them.
+const (
+	// readHeaderTimeout bounds the request line and headers.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds the whole request; a submission body is capped
+	// at 1 MiB (service.maxSubmitBytes).
+	readTimeout = 30 * time.Second
+	// writeTimeout bounds handler plus response write. No handler waits
+	// on a job (clients poll), so this is the time to send one result
+	// body, and the largest — every experiment's tables — is well under
+	// a megabyte.
+	writeTimeout = 2 * time.Minute
+	// idleTimeout closes keep-alive connections between requests.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in a server with the
+// connection deadlines above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	os.Exit(run())
 }
@@ -66,7 +98,7 @@ func run() int {
 		return 1
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 

@@ -83,6 +83,16 @@ func Run(ctx context.Context, g *topology.Graph, routes *routing.Routes, cfg net
 	if g == nil || routes == nil {
 		return nil, errors.New("flowsim: nil topology or routes")
 	}
+	if routes.Topo != g {
+		// Rules name vertex IDs and ports of the graph they were computed
+		// for; walked over another graph's edges they resolve plausible
+		// wrong paths.
+		from := "<nil>"
+		if routes.Topo != nil {
+			from = routes.Topo.Name
+		}
+		return nil, fmt.Errorf("flowsim: routes were computed for another graph (%q) than the one being run (%q)", from, g.Name)
+	}
 	if cfg.LinkBps <= 0 || cfg.MTU <= 0 || cfg.HeaderBytes < 0 {
 		return nil, fmt.Errorf("flowsim: invalid fabric config (LinkBps=%g MTU=%d HeaderBytes=%d)",
 			cfg.LinkBps, cfg.MTU, cfg.HeaderBytes)

@@ -233,6 +233,22 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsForeignRoutes: a route set names the vertex IDs and
+// ports of the graph it was computed for. Walked over any other graph —
+// a stale one after a topology swap, even a second instance of the same
+// generator — it must be refused, not resolved into plausible paths.
+func TestRunRejectsForeignRoutes(t *testing.T) {
+	g, r, hosts := lineFixture(t, 3, 1)
+	cfg := netsim.DefaultConfig()
+	for _, other := range []*topology.Graph{topology.Line(3, 1), topology.Ring(3, 1)} {
+		flows := []netsim.Flow{{Src: 0, Dst: 2, Bytes: 1 << 10}}
+		_, err := Run(context.Background(), other, r, cfg, hosts, flows)
+		if err == nil || !strings.Contains(err.Error(), g.Name) || !strings.Contains(err.Error(), other.Name) {
+			t.Errorf("routes of %q run on another %q: err = %v, want an error naming both", g.Name, other.Name, err)
+		}
+	}
+}
+
 func TestRunCancellation(t *testing.T) {
 	g, r, hosts := lineFixture(t, 2, 1)
 	ctx, cancel := context.WithCancel(context.Background())

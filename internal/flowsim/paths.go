@@ -11,10 +11,11 @@ import (
 // maxFIBVertices caps the fabric size that compiles a dense FIB for
 // path walking. FIB memory grows as vertices² (one slot per
 // (switch, dst) pair over the full vertex range), which passes a
-// gigabyte somewhere above 10k hosts; larger fabrics walk the
-// map-indexed Routes.Lookup instead — the same rules, just without the
-// dense compilation, and path resolution is a one-time cost per
-// (src, dst) pair rather than a per-packet hot path.
+// gigabyte somewhere above 10k hosts; larger fabrics walk
+// Routes.Lookup instead — the same rules behind a binary search of the
+// switch's row rather than the dense compilation, and path resolution
+// is a one-time cost per (src, dst) pair rather than a per-packet hot
+// path.
 const maxFIBVertices = 4096
 
 // pathInfo is one resolved host-to-host route through the fabric.
@@ -37,8 +38,8 @@ type pathInfo struct {
 // disagree about which links a flow crosses.
 type walker struct {
 	g       *topology.Graph
+	csr     *topology.CSR
 	forward func(sw, inPort, dst, tag int) (outPort, newTag int, ok bool)
-	ports   map[int]map[int]int32 // switch → out port → edge id, built per visited switch
 	cache   map[[2]int]*pathInfo
 	hdrSer  float64 // header serialisation time in ps (cut-through per-hop cost)
 	hostLat float64
@@ -50,7 +51,7 @@ type walker struct {
 func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config) *walker {
 	w := &walker{
 		g:       g,
-		ports:   map[int]map[int]int32{},
+		csr:     g.CSR(),
 		cache:   map[[2]int]*pathInfo{},
 		hdrSer:  float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
 		hostLat: float64(cfg.HostLatency),
@@ -87,18 +88,15 @@ func (w *walker) dirLink(eid int32, from int) int32 {
 	return 2*eid + 1
 }
 
-// edgeAt finds the edge behind a switch's logical out port.
+// edgeAt finds the edge behind a switch's logical out port (ports are
+// unique per vertex, so the first half-edge of the row carrying it is
+// the only one).
 func (w *walker) edgeAt(sw, port int) int32 {
-	m, ok := w.ports[sw]
-	if !ok {
-		m = make(map[int]int32)
-		for _, eid := range w.g.IncidentEdges(sw) {
-			m[w.g.Edges[eid].PortAt(sw)] = int32(eid)
+	lo, hi := w.csr.Row(sw)
+	for e := lo; e < hi; e++ {
+		if int(w.csr.Port[e]) == port {
+			return w.csr.Edge[e]
 		}
-		w.ports[sw] = m
-	}
-	if eid, ok := m[port]; ok {
-		return eid
 	}
 	return -1
 }

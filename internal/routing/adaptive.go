@@ -1,8 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/openflow"
 	"repro/internal/topology"
@@ -146,38 +147,23 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 		}
 	}
 	dedupeRules(r)
-	sortRules(r)
 	return r, nil
 }
 
 // dedupeRules removes exact duplicates produced by overlapping group
-// roles (a switch can be intermediate for many destinations).
+// roles (a switch can be intermediate for many destinations) and leaves
+// the rules in canonical order: it sorts on compareRules refined by the
+// action fields, so equal rules are adjacent.
 func dedupeRules(r *Routes) {
-	sort.SliceStable(r.Rules, func(i, j int) bool {
-		a, b := r.Rules[i], r.Rules[j]
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
-		}
-		if a.InPort != b.InPort {
-			return a.InPort < b.InPort
+	slices.SortStableFunc(r.Rules, func(a, b Rule) int {
+		if c := compareRules(a, b); c != 0 {
+			return c
 		}
 		if a.OutPort != b.OutPort {
-			return a.OutPort < b.OutPort
+			return cmp.Compare(a.OutPort, b.OutPort)
 		}
-		return a.NewTag < b.NewTag
+		return cmp.Compare(a.NewTag, b.NewTag)
 	})
-	out := r.Rules[:0]
-	for i, rule := range r.Rules {
-		if i == 0 || rule != r.Rules[i-1] {
-			out = append(out, rule)
-		}
-	}
-	r.Rules = out
+	r.Rules = slices.Compact(r.Rules)
 	r.invalidate()
 }

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/openflow"
 )
@@ -10,7 +9,7 @@ import (
 // FIB is a compiled forwarding table: Routes flattened into one dense
 // per-(switch, destination) slot array so the per-hop forwarding
 // decision — the hottest operation in the whole simulator — is a single
-// array load instead of a map probe over rule indices.
+// array load instead of a binary search over rule indices.
 //
 // Layout: slot (sw, dst) lives at slots[sw*stride+dst], stride =
 // len(Topo.Vertices). The common case — a single fully wildcarded rule
@@ -81,6 +80,11 @@ func fibPack(r *Rule) uint32 {
 // current rules: adding rules afterwards requires recompiling (the
 // memoized accessor FIB invalidates automatically, exactly like the
 // lookup index).
+//
+// It walks the lookup index's (switch, dst) groups once — O(rules) plus
+// the n² slot memset. The index order is what keeps the FIB
+// reproducible: spill groups are numbered in (switch, dst) order, those
+// of the dense array first and those outside it after.
 func (r *Routes) Compile() *FIB {
 	r.buildIndex()
 	n := len(r.Topo.Vertices)
@@ -94,46 +98,34 @@ func (r *Routes) Compile() *FIB {
 	for i := range f.ruleIdx {
 		f.ruleIdx[i] = -1
 	}
-	// Deterministic slot order keeps the spill arrays (and therefore
-	// the whole FIB) reproducible independent of map iteration.
-	for sw := 0; sw < n; sw++ {
-		for dst := 0; dst < n; dst++ {
-			idx := r.index[[2]int{sw, dst}]
-			if len(idx) == 0 {
-				continue
-			}
-			slot := sw*n + dst
-			// Fast path only when every rule after the first can never
-			// win: the first rule is fully wildcarded (most specific
-			// first means the rest are too, so they are shadowed) and
-			// its action packs.
-			if first := &r.Rules[idx[0]]; fibPackable(first) {
-				f.slots[slot] = fibPack(first)
-				f.ruleIdx[slot] = int32(idx[0])
-				continue
-			}
-			f.slots[slot] = f.spillGroup(r, idx)
-		}
-	}
 	// Manual rule sets may reference switch/destination IDs beyond the
-	// vertex range; those slots go to the overflow map (sorted keys
-	// keep the spill arrays deterministic).
-	var oor [][2]int
-	for key := range r.index {
-		if uint(key[0]) >= uint(n) || uint(key[1]) >= uint(n) {
-			oor = append(oor, key)
+	// vertex range; those groups go to the overflow map.
+	var outside [][]int32
+	for lo, hi := 0, 0; lo < len(r.order); lo = hi {
+		hi = r.groupEnd(lo)
+		group := r.order[lo:hi]
+		first := &r.Rules[group[0]]
+		if uint(first.Switch) >= uint(n) || uint(first.Dst) >= uint(n) {
+			outside = append(outside, group)
+			continue
 		}
+		slot := first.Switch*n + first.Dst
+		// Fast path only when every rule after the first can never
+		// win: the first rule is fully wildcarded (most specific
+		// first means the rest are too, so they are shadowed) and
+		// its action packs.
+		if fibPackable(first) {
+			f.slots[slot] = fibPack(first)
+			f.ruleIdx[slot] = group[0]
+			continue
+		}
+		f.slots[slot] = f.spillGroup(r, group)
 	}
-	if len(oor) > 0 {
-		sort.Slice(oor, func(i, j int) bool {
-			if oor[i][0] != oor[j][0] {
-				return oor[i][0] < oor[j][0]
-			}
-			return oor[i][1] < oor[j][1]
-		})
-		f.extra = make(map[[2]int]uint32, len(oor))
-		for _, key := range oor {
-			f.extra[key] = f.spillGroup(r, r.index[key])
+	if len(outside) > 0 {
+		f.extra = make(map[[2]int]uint32, len(outside))
+		for _, group := range outside {
+			first := &r.Rules[group[0]]
+			f.extra[[2]int{first.Switch, first.Dst}] = f.spillGroup(r, group)
 		}
 	}
 	return f
@@ -141,7 +133,7 @@ func (r *Routes) Compile() *FIB {
 
 // spillGroup appends the indexed rules (already most-specific-first) as
 // a new spill group and returns its slot word.
-func (f *FIB) spillGroup(r *Routes, idx []int) uint32 {
+func (f *FIB) spillGroup(r *Routes, idx []int32) uint32 {
 	k := len(f.spillOff) - 1
 	for _, ri := range idx {
 		rule := &r.Rules[ri]
@@ -150,7 +142,7 @@ func (f *FIB) spillGroup(r *Routes, idx []int) uint32 {
 			tag:    int32(rule.Tag),
 			out:    int32(rule.OutPort),
 			newTag: int32(rule.NewTag),
-			rule:   int32(ri),
+			rule:   ri,
 		})
 	}
 	f.spillOff = append(f.spillOff, int32(len(f.spillRules)))

@@ -1,11 +1,14 @@
 package routing
 
 // FuzzFIBLookup: the compiled FIB must agree with the reference
-// Routes.Lookup on EVERY (switch, inPort, dst, tag) tuple — including
+// Routes.Lookup, and Lookup with its own reference — the map-backed
+// index of oracle_test.go, since FIB and Lookup are built from the same
+// flat index — on EVERY (switch, inPort, dst, tag) tuple — including
 // hostile ones (negative IDs, out-of-range vertices, absurd tags) —
 // across every Table III strategy and a manual rule set exercising the
-// spill and overflow paths. The differential tests in fib_test.go pin
-// the reachable tuples; the fuzzer hunts the unreachable corners.
+// spill and overflow paths. The differential tests in fib_test.go and
+// oracle_test.go pin the reachable tuples; the fuzzer hunts the
+// unreachable corners.
 // CI runs this as a smoke (`go test -fuzz=FuzzFIBLookup -fuzztime=10s`).
 
 import (
@@ -16,10 +19,12 @@ import (
 	"repro/internal/topology"
 )
 
-// fuzzCtx is one (topology, routes) pair with its FIB pre-compiled.
+// fuzzCtx is one (topology, routes) pair with its FIB pre-compiled and
+// the reference index over the same rules.
 type fuzzCtx struct {
 	name   string
 	routes *Routes
+	ref    mapIndex
 }
 
 var (
@@ -40,7 +45,7 @@ func fuzzContexts(f *testing.F) []fuzzCtx {
 				f.Fatal(err)
 			}
 			r.Prime()
-			fuzzCtxs = append(fuzzCtxs, fuzzCtx{name: g.Name, routes: r})
+			fuzzCtxs = append(fuzzCtxs, fuzzCtx{g.Name, r, buildIndexReference(r.Rules)})
 		}
 		// A manual set with qualified rules (spill path) and rules whose
 		// IDs fall outside the dense FIB array (overflow map).
@@ -53,7 +58,7 @@ func fuzzContexts(f *testing.F) []fuzzCtx {
 		m.AddRule(Rule{Switch: 99, Dst: 120, Tag: openflow.Any, OutPort: 7, NewTag: -1})
 		m.AddRule(Rule{Switch: -3, Dst: 2, Tag: openflow.Any, OutPort: 9, NewTag: -1})
 		m.Prime()
-		fuzzCtxs = append(fuzzCtxs, fuzzCtx{name: "manual", routes: m})
+		fuzzCtxs = append(fuzzCtxs, fuzzCtx{"manual", m, buildIndexReference(m.Rules)})
 	})
 	return fuzzCtxs
 }
@@ -70,6 +75,10 @@ func FuzzFIBLookup(f *testing.F) {
 		ctx := ctxs[int(sel)%len(ctxs)]
 		r := ctx.routes
 		rule := r.Lookup(sw, inPort, dst, tag)
+		if want := lookupReference(r.Rules, ctx.ref, sw, inPort, dst, tag); rule != want {
+			t.Fatalf("%s: Lookup(%d,%d,%d,%d) = %v, the map index gives %v",
+				ctx.name, sw, inPort, dst, tag, rule, want)
+		}
 		out, newTag, ok := r.FIB().Forward(sw, inPort, dst, tag)
 		if rule == nil {
 			if ok {

@@ -1,0 +1,443 @@
+package routing
+
+// Slow oracles for route set-up. The linear rule placement and the flat
+// (switch → dst) index replaced a reflective stable sort and a
+// map-backed index; both survive here, verbatim, as the references the
+// fast code is held to. The second matters more than usual: the FIB is
+// differential-tested against Routes.Lookup, and both are now built
+// from the same index, so without lookupReference that differential
+// would compare the index with itself.
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/openflow"
+	"repro/internal/topology"
+)
+
+// sortRulesReference is the stable sort placeRules replaced.
+func sortRulesReference(rules []Rule) {
+	sort.SliceStable(rules, func(i, j int) bool {
+		a, b := rules[i], rules[j]
+		if a.Switch != b.Switch {
+			return a.Switch < b.Switch
+		}
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		if a.Tag != b.Tag {
+			return a.Tag < b.Tag
+		}
+		return a.InPort < b.InPort
+	})
+}
+
+// dedupeRulesReference is DragonflyUGAL's former finalisation: the
+// six-key stable sort, the adjacent-duplicate filter, then the
+// canonical sort.
+func dedupeRulesReference(rules []Rule) []Rule {
+	sort.SliceStable(rules, func(i, j int) bool {
+		a, b := rules[i], rules[j]
+		if a.Switch != b.Switch {
+			return a.Switch < b.Switch
+		}
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		if a.Tag != b.Tag {
+			return a.Tag < b.Tag
+		}
+		if a.InPort != b.InPort {
+			return a.InPort < b.InPort
+		}
+		if a.OutPort != b.OutPort {
+			return a.OutPort < b.OutPort
+		}
+		return a.NewTag < b.NewTag
+	})
+	out := rules[:0]
+	for i, rule := range rules {
+		if i == 0 || rule != rules[i-1] {
+			out = append(out, rule)
+		}
+	}
+	sortRulesReference(out)
+	return out
+}
+
+// mapIndex is the lookup index Routes carried before the flat one:
+// (switch, dst) -> rule indices, most specific first.
+type mapIndex map[[2]int][]int
+
+func buildIndexReference(rules []Rule) mapIndex {
+	index := make(mapIndex)
+	for i := range rules {
+		key := [2]int{rules[i].Switch, rules[i].Dst}
+		index[key] = append(index[key], i)
+	}
+	spec := func(i int) int {
+		s := 0
+		if rules[i].InPort != 0 {
+			s += 2
+		}
+		if rules[i].Tag != openflow.Any {
+			s++
+		}
+		return s
+	}
+	for key := range index {
+		idx := index[key]
+		sort.SliceStable(idx, func(a, b int) bool { return spec(idx[a]) > spec(idx[b]) })
+	}
+	return index
+}
+
+// lookupReference is the former Routes.Lookup over a mapIndex. It
+// returns a pointer into rules, so it compares by identity with Lookup
+// on the same rule list.
+func lookupReference(rules []Rule, index mapIndex, sw, inPort, dst, tag int) *Rule {
+	for _, i := range index[[2]int{sw, dst}] {
+		rule := &rules[i]
+		if rule.InPort != 0 && rule.InPort != inPort {
+			continue
+		}
+		if rule.Tag != openflow.Any && rule.Tag != tag {
+			continue
+		}
+		return rule
+	}
+	return nil
+}
+
+// oracleCase is one strategy on one topology, with the per-destination
+// builder behind it so a test can reproduce the unsorted rule list.
+type oracleCase struct {
+	strategy DstComputer
+	graph    *topology.Graph
+	builder  dstBuilder
+}
+
+func (c oracleCase) String() string { return c.strategy.Name() + " on " + c.graph.Name }
+
+func dimensionOrderCase(s DstComputer, g *topology.Graph, dims int, torus bool) oracleCase {
+	return oracleCase{s, g, func(g *topology.Graph) (func(int, func(Rule)) error, error) {
+		return dimensionOrderBuilder(g, dims, torus)
+	}}
+}
+
+// oracleCases covers every strategy of strategies.go plus ShortestPath.
+// The large fat-tree is left out under -short.
+func oracleCases() []oracleCase {
+	cases := []oracleCase{
+		{FatTreeDFS{}, topology.FatTree(4), fatTreeBuilder},
+		{FatTreeDFS{}, topology.FatTree(8), fatTreeBuilder},
+		{DragonflyMinimal{}, topology.Dragonfly(4, 9, 2, 1), dragonflyBuilder},
+		dimensionOrderCase(TorusClue{Dims: 2}, topology.Torus2D(5, 4, 1), 2, true),
+		dimensionOrderCase(TorusClue{Dims: 3}, topology.Torus3D(3, 3, 3, 1), 3, true),
+		dimensionOrderCase(MeshXY{}, topology.Mesh2D(4, 3, 2), 2, false),
+		dimensionOrderCase(MeshXYZ{}, topology.Mesh3D(3, 2, 3, 1), 3, false),
+		{ShortestPath{}, topology.BCube(4, 1), shortestPathBuilder},
+		{ShortestPath{}, topology.Line(6, 2), shortestPathBuilder},
+		{ShortestPath{}, topology.FatTree(4), shortestPathBuilder},
+		{ShortestPath{}, topology.Torus2D(4, 4, 1), shortestPathBuilder},
+	}
+	if !testing.Short() {
+		cases = append(cases, oracleCase{FatTreeDFS{}, topology.FatTree(16), fatTreeBuilder})
+	}
+	return cases
+}
+
+// rawRules runs c's builder serially over dsts (ascending, distinct)
+// and returns the rules in emission order — what computeForDsts's
+// buckets hold, concatenated.
+func rawRules(t *testing.T, c oracleCase, dsts []int) []Rule {
+	t.Helper()
+	build, err := c.builder(c.graph)
+	if err != nil {
+		t.Fatalf("%s: %v", c, err)
+	}
+	var raw []Rule
+	for _, d := range dsts {
+		if err := build(d, func(r Rule) { raw = append(raw, r) }); err != nil {
+			t.Fatalf("%s: dst %d: %v", c, d, err)
+		}
+	}
+	return raw
+}
+
+// randomSubset draws a non-empty subset of hosts, ascending.
+func randomSubset(rng *rand.Rand, hosts []int) []int {
+	var sub []int
+	for _, h := range hosts {
+		if rng.Intn(3) == 0 {
+			sub = append(sub, h)
+		}
+	}
+	if len(sub) == 0 {
+		sub = append(sub, hosts[rng.Intn(len(hosts))])
+	}
+	return sub
+}
+
+// splitRuns cuts rules into consecutive runs at random points, some of
+// them empty.
+func splitRuns(rng *rand.Rand, rules []Rule) [][]Rule {
+	var runs [][]Rule
+	for lo := 0; lo < len(rules); {
+		hi := lo + rng.Intn(len(rules)-lo+1)
+		runs = append(runs, rules[lo:hi])
+		lo = hi
+	}
+	return append(runs, nil)
+}
+
+// checkPlacement holds placeRules to the reference sort on one rule
+// list, given whole and cut into runs.
+func checkPlacement(t *testing.T, rng *rand.Rand, what string, nv int, rules []Rule) {
+	t.Helper()
+	want := slices.Clone(rules)
+	sortRulesReference(want)
+	if got := placeRules(nv, [][]Rule{rules}); !slices.Equal(got, want) {
+		t.Errorf("%s: placeRules differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
+	}
+	if got := placeRules(nv, splitRuns(rng, rules)); !slices.Equal(got, want) {
+		t.Errorf("%s: placeRules over split runs differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
+	}
+}
+
+func firstDiff(a, b []Rule) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// ugalRoutes is the active-routing case: loads on the group 0 <-> 1
+// global links push DragonflyUGAL onto non-minimal paths, whose rules
+// carry four tags and come out of the strategy with tags out of order.
+func ugalRoutes(t testing.TB) *Routes {
+	t.Helper()
+	g := topology.Dragonfly(4, 9, 2, 1)
+	loads := map[int]float64{}
+	for _, eid := range g.SwitchSwitchEdges() {
+		e := g.Edges[eid]
+		if ga, gb := g.Vertices[e.A].Coord[0], g.Vertices[e.B].Coord[0]; ga+gb == 1 {
+			loads[eid] = 1e9
+		}
+	}
+	r, err := DragonflyUGAL{Loads: loads, Bias: 1}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSortRulesMatchesStableSort: the rule list every strategy returns
+// is element for element the one the reflective stable sort produced
+// from the same per-destination emissions, for full and subset
+// computes; and placeRules agrees with that sort on lists no strategy
+// produces.
+func TestSortRulesMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, c := range oracleCases() {
+		hosts := c.graph.Hosts()
+		subsets := [][]int{hosts, randomSubset(rng, hosts), randomSubset(rng, hosts), hosts[len(hosts)-1:]}
+		for si, dsts := range subsets {
+			raw := rawRules(t, c, dsts)
+			want := slices.Clone(raw)
+			sortRulesReference(want)
+			var (
+				r   *Routes
+				err error
+			)
+			if si == 0 {
+				r, err = c.strategy.Compute(c.graph)
+			} else {
+				// Reversed with a duplicate: canonicalDsts restores the order.
+				in := append(slices.Clone(dsts), dsts[0])
+				slices.Reverse(in)
+				r, err = c.strategy.ComputeFor(c.graph, in)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", c, err)
+			}
+			if !slices.Equal(r.Rules, want) {
+				t.Errorf("%s, %d dsts: Rules differ from the stable sort at rule %d of %d",
+					c, len(dsts), firstDiff(r.Rules, want), len(want))
+			}
+			if si > 1 || len(raw) > 1<<16 {
+				continue
+			}
+			// The same rules in an order no builder emits.
+			rng.Shuffle(len(raw), func(i, j int) { raw[i], raw[j] = raw[j], raw[i] })
+			checkPlacement(t, rng, c.String()+" shuffled", len(c.graph.Vertices), raw)
+		}
+	}
+
+	// UGAL finalises through dedupeRules alone. Its output must be in
+	// canonical order, and on its own rules — doubled and shuffled, so
+	// there is something to drop — dedupeRules must match the former
+	// sort + filter + sort.
+	ugal := ugalRoutes(t)
+	if !slices.IsSortedFunc(ugal.Rules, compareRules) {
+		t.Errorf("dragonfly-ugal: Rules are not in canonical order")
+	}
+	doubled := append(slices.Clone(ugal.Rules), ugal.Rules...)
+	rng.Shuffle(len(doubled), func(i, j int) { doubled[i], doubled[j] = doubled[j], doubled[i] })
+	checkPlacement(t, rng, "dragonfly-ugal doubled", len(ugal.Topo.Vertices), doubled)
+	scratch := &Routes{Topo: ugal.Topo, Rules: slices.Clone(doubled)}
+	dedupeRules(scratch)
+	if want := dedupeRulesReference(doubled); !slices.Equal(scratch.Rules, want) {
+		t.Errorf("dragonfly-ugal: dedupeRules differs from the reference at rule %d of %d",
+			firstDiff(scratch.Rules, want), len(want))
+	} else if !slices.Equal(want, ugal.Rules) {
+		t.Errorf("dragonfly-ugal: deduplicating the doubled rules does not give back Rules")
+	}
+
+	// Hand-built lists: reverse-ordered, duplicates, ties on every key
+	// prefix (stability is visible in OutPort), and switch IDs outside
+	// the vertex range, which send the whole list to the comparator.
+	const nv = 6
+	var hand []Rule
+	for sw := nv - 1; sw >= 0; sw-- {
+		for dst := 9; dst >= 7; dst-- {
+			for _, tag := range []int{2, openflow.Any, 0, 2} {
+				for _, in := range []int{3, 0, 1} {
+					hand = append(hand, Rule{Switch: sw, InPort: in, Dst: dst, Tag: tag, OutPort: len(hand) + 1, NewTag: -1})
+				}
+			}
+		}
+	}
+	checkPlacement(t, rng, "hand-built reversed", nv, hand)
+	checkPlacement(t, rng, "hand-built doubled", nv, append(slices.Clone(hand), hand...))
+	for _, sw := range []int{-1, -40, nv, nv + 100} {
+		outside := slices.Clone(hand)
+		outside[len(outside)/2].Switch = sw
+		outside = append(outside, Rule{Switch: sw, Dst: 8, Tag: openflow.Any, OutPort: 1, NewTag: -1})
+		checkPlacement(t, rng, fmt.Sprintf("hand-built with switch %d", sw), nv, outside)
+	}
+	checkPlacement(t, rng, "empty", nv, nil)
+	checkPlacement(t, rng, "empty graph", 0, nil)
+}
+
+// checkLookup holds r.Lookup to the map-backed reference on every
+// (switch, inPort, dst, tag) tuple over the given ID ranges.
+func checkLookup(t *testing.T, what string, r *Routes, switches, dsts []int, maxPort int) {
+	t.Helper()
+	index := buildIndexReference(r.Rules)
+	tags := []int{openflow.Any}
+	for tag := 0; tag <= r.NumVCs; tag++ {
+		tags = append(tags, tag)
+	}
+	for _, sw := range switches {
+		for _, dst := range dsts {
+			for inPort := 0; inPort <= maxPort; inPort++ {
+				for _, tag := range tags {
+					want := lookupReference(r.Rules, index, sw, inPort, dst, tag)
+					if got := r.Lookup(sw, inPort, dst, tag); got != want {
+						t.Fatalf("%s: Lookup(%d,%d,%d,%d) = %v, the map index gives %v", what, sw, inPort, dst, tag, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkLookupOnGraph probes every switch of r.Topo and every
+// destination r has a rule for, plus IDs on both sides of the vertex
+// range, a switch as destination and (on a subset compute) a host
+// without rules.
+func checkLookupOnGraph(t *testing.T, what string, r *Routes) {
+	t.Helper()
+	g := r.Topo
+	nv := len(g.Vertices)
+	switches := append(slices.Clone(g.Switches()), -1, nv, nv+7)
+	dsts := []int{-1, nv, g.Switches()[0], g.Hosts()[0]}
+	for _, rule := range r.Rules {
+		dsts = append(dsts, rule.Dst)
+	}
+	slices.Sort(dsts)
+	checkLookup(t, what, r, switches, slices.Compact(dsts), g.Radix()+1)
+}
+
+// TestLookupMatchesMapIndex: the flat index answers every tuple as the
+// map-backed one did, on strategy-built sets (full and subset), on
+// manual sets in random insertion order with several rules of mixed
+// specificity per group and IDs outside the vertex range, and after
+// each way a rule list can change under an index: AddRule,
+// ReplaceRules, Clone.
+func TestLookupMatchesMapIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, c := range oracleCases() {
+		var (
+			r   *Routes
+			err error
+		)
+		if len(c.graph.Hosts()) > 200 {
+			r, err = c.strategy.ComputeFor(c.graph, randomSubset(rng, c.graph.Hosts())[:40])
+		} else {
+			r, err = c.strategy.Compute(c.graph)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		checkLookupOnGraph(t, c.String(), r)
+
+		// A repair's output is the healthy rules followed by appended
+		// trees: no longer grouped by (switch, dst).
+		down := Outage{Edge: map[int]bool{c.graph.SwitchSwitchEdges()[0]: true}}
+		patched, _ := RepairAvoiding(r, down)
+		clone := r.Clone()
+		r.ReplaceRules(patched)
+		checkLookupOnGraph(t, c.String()+" repaired", r)
+		checkLookupOnGraph(t, c.String()+" clone", clone)
+	}
+	checkLookupOnGraph(t, "dragonfly-ugal", ugalRoutes(t))
+
+	// Manual sets. Every (switch, dst) of a small ID range, some outside
+	// the graph, gets a random handful of rules of every specificity,
+	// with repeats; the whole list is inserted in random order.
+	g := topology.Line(4, 1)
+	nv := len(g.Vertices)
+	ids := []int{-5, -1, 0, 1, 3, nv - 1, nv, nv + 3, 1000}
+	for round := 0; round < 20; round++ {
+		var rules []Rule
+		for _, sw := range ids {
+			for _, dst := range ids {
+				for n := rng.Intn(5); n > 0; n-- {
+					rules = append(rules, Rule{
+						Switch: sw, Dst: dst,
+						InPort:  rng.Intn(3),     // 0 = any
+						Tag:     rng.Intn(3) - 1, // -1 = openflow.Any
+						OutPort: len(rules) + 1,
+						NewTag:  rng.Intn(3) - 1,
+					})
+				}
+			}
+		}
+		rng.Shuffle(len(rules), func(i, j int) { rules[i], rules[j] = rules[j], rules[i] })
+		m := NewManualRoutes(g, "manual", 2)
+		half := len(rules) / 2
+		for _, rule := range rules[:half] {
+			m.AddRule(rule)
+		}
+		checkLookup(t, "manual", m, ids, ids, 3)
+		// AddRule on a built index must drop it.
+		for _, rule := range rules[half:] {
+			m.AddRule(rule)
+		}
+		checkLookup(t, "manual after AddRule", m, ids, ids, 3)
+		clone := m.Clone()
+		m.ReplaceRules(rules[half:])
+		checkLookup(t, "manual after ReplaceRules", m, ids, ids, 3)
+		checkLookup(t, "manual clone", clone, ids, ids, 3)
+	}
+	empty := NewManualRoutes(g, "empty", 1)
+	checkLookup(t, "empty", empty, ids, ids, 1)
+}

@@ -15,7 +15,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/openflow"
@@ -40,8 +42,18 @@ type Routes struct {
 	NumVCs   int // number of distinct VC tags used (>=1)
 	Rules    []Rule
 
-	index map[[2]int][]int // (switch, dst) -> rule indices, most specific first
-	fib   *FIB             // compiled fast path, memoized by FIB()
+	// The lookup index, built lazily by buildIndex (rowOff == nil means
+	// not built). order is a permutation of rule positions sorted by
+	// (Switch, Dst, specificity descending, position), so the rules of
+	// one (switch, dst) group are adjacent and most specific first;
+	// rowOff[s] counts the rules whose Switch is below s, for s in
+	// 0..len(Topo.Vertices), so switch vertex s owns
+	// order[rowOff[s]:rowOff[s+1]], rules on negative switch IDs sit
+	// before rowOff[0] and rules on IDs past the vertex range after
+	// rowOff[len(Topo.Vertices)].
+	order  []int32
+	rowOff []int32
+	fib    *FIB // compiled fast path, memoized by FIB()
 }
 
 // Strategy computes routes for a topology.
@@ -98,33 +110,93 @@ func (r *Routes) add(rule Rule) {
 
 // invalidate drops the derived lookup structures after a rule mutation.
 func (r *Routes) invalidate() {
-	r.index = nil
+	r.order = nil
+	r.rowOff = nil
 	r.fib = nil
 }
 
+// specificity ranks a rule among those of its (switch, dst) group: an
+// ingress-port match outranks a tag match, which outranks a wildcard.
+func specificity(r *Rule) int {
+	s := 0
+	if r.InPort != 0 {
+		s += 2
+	}
+	if r.Tag != openflow.Any {
+		s++
+	}
+	return s
+}
+
+// compareGroup orders rules by their (Switch, Dst) group.
+func compareGroup(a, b *Rule) int {
+	if a.Switch != b.Switch {
+		return cmp.Compare(a.Switch, b.Switch)
+	}
+	return cmp.Compare(a.Dst, b.Dst)
+}
+
+// buildIndex builds order and rowOff in O(rules) for any rule list that
+// is already grouped in (Switch, Dst) order — every strategy-built set,
+// where order comes out as the identity or, for the strategies with
+// several rules per group, the identity with each group put most
+// specific first. A list that is not (manual sets, a repair's appended
+// trees) pays one stable comparator sort of the permutation. Rule
+// positions are int32, as in the FIB.
 func (r *Routes) buildIndex() {
-	if r.index != nil {
+	if r.rowOff != nil {
 		return
 	}
-	r.index = make(map[[2]int][]int)
-	for i := range r.Rules {
-		key := [2]int{r.Rules[i].Switch, r.Rules[i].Dst}
-		r.index[key] = append(r.index[key], i)
-	}
-	spec := func(i int) int {
-		s := 0
-		if r.Rules[i].InPort != 0 {
-			s += 2
+	rules := r.Rules
+	order := make([]int32, len(rules))
+	grouped, ranked := true, true
+	for i := range order {
+		order[i] = int32(i)
+		if i == 0 {
+			continue
 		}
-		if r.Rules[i].Tag != openflow.Any {
-			s++
+		if c := compareGroup(&rules[i-1], &rules[i]); c > 0 {
+			grouped = false
+		} else if c == 0 && specificity(&rules[i-1]) < specificity(&rules[i]) {
+			ranked = false
 		}
-		return s
 	}
-	for key := range r.index {
-		idx := r.index[key]
-		sort.SliceStable(idx, func(a, b int) bool { return spec(idx[a]) > spec(idx[b]) })
+	if !grouped {
+		slices.SortStableFunc(order, func(a, b int32) int { return compareGroup(&rules[a], &rules[b]) })
 	}
+	r.order = order
+	if !grouped || !ranked {
+		bySpec := func(a, b int32) int { return specificity(&rules[b]) - specificity(&rules[a]) }
+		for lo, hi := 0, 0; lo < len(order); lo = hi {
+			if hi = r.groupEnd(lo); hi-lo > 1 {
+				slices.SortStableFunc(order[lo:hi], bySpec)
+			}
+		}
+	}
+	n := len(r.Topo.Vertices)
+	rowOff := make([]int32, n+1)
+	for i := range rules {
+		if sw := rules[i].Switch; sw < 0 {
+			rowOff[0]++
+		} else if sw < n {
+			rowOff[sw+1]++
+		}
+	}
+	for s := 1; s <= n; s++ {
+		rowOff[s] += rowOff[s-1]
+	}
+	r.rowOff = rowOff
+}
+
+// groupEnd returns the end of the (switch, dst) group that starts at
+// order[lo].
+func (r *Routes) groupEnd(lo int) int {
+	first := &r.Rules[r.order[lo]]
+	hi := lo + 1
+	for hi < len(r.order) && compareGroup(first, &r.Rules[r.order[hi]]) == 0 {
+		hi++
+	}
+	return hi
 }
 
 // Prime eagerly builds the lookup index and the compiled FIB so the
@@ -156,20 +228,44 @@ func (r *Routes) FIB() *FIB {
 // arriving on logical port inPort with the given destination and tag.
 // It returns nil when no rule applies.
 //
+// It takes the switch's row of the index (the span before or after the
+// rows for an ID outside the vertex range), binary-searches the row for
+// the first rule of the (sw, dst) group and scans the group, which is
+// stored most specific first.
+//
 // This is the reference implementation the compiled FIB is
-// differential-tested against; the forwarding hot paths use
-// FIB.Forward. The index nil-check is inlined here (rather than calling
-// buildIndex) so the already-built case — every call after the first on
-// a Primed route set — pays no function-call overhead in the fallback
-// paths that still probe rule granularity.
+// differential-tested against (and oracle_test.go holds the map-backed
+// index this one replaced, as Lookup's own reference); the forwarding
+// hot paths use FIB.Forward. The built-check is inlined here (rather
+// than left to buildIndex) so the already-built case — every call after
+// the first on a Primed route set — pays no function-call overhead in
+// the fallback paths that still probe rule granularity.
 func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
-	idx := r.index
-	if idx == nil {
+	if r.rowOff == nil {
 		r.buildIndex()
-		idx = r.index
 	}
-	for _, i := range idx[[2]int{sw, dst}] {
-		rule := &r.Rules[i]
+	rules, order := r.Rules, r.order
+	lo, end := 0, len(order)
+	if n := len(r.rowOff) - 1; sw < 0 {
+		end = int(r.rowOff[0])
+	} else if sw < n {
+		lo, end = int(r.rowOff[sw]), int(r.rowOff[sw+1])
+	} else {
+		lo = int(r.rowOff[n])
+	}
+	for hi := end; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if m := &rules[order[mid]]; m.Switch < sw || m.Switch == sw && m.Dst < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for ; lo < end; lo++ {
+		rule := &rules[order[lo]]
+		if rule.Switch != sw || rule.Dst != dst {
+			break
+		}
 		if rule.InPort != 0 && rule.InPort != inPort {
 			continue
 		}
@@ -191,65 +287,17 @@ func portTo(g *topology.Graph, from, to int) int {
 	return g.Edges[eid].PortAt(from)
 }
 
-// addPathRules installs dst-directed rules along a switch path
-// path[0..n-1] terminating at host dst attached to path[n-1]. vcAt
-// returns the VC tag a packet must carry when *leaving* hop i; pass nil
-// for single-VC routing. Rules are tag-matched so multi-VC strategies
-// stay consistent.
-func addPathRules(r *Routes, g *topology.Graph, path []int, dst int, vcAt func(i int) int) {
-	vc := func(i int) int {
-		if vcAt == nil {
-			return 0
-		}
-		return vcAt(i)
-	}
-	for i := 0; i < len(path); i++ {
-		var out int
-		if i == len(path)-1 {
-			out = portTo(g, path[i], dst) // deliver to host
-		} else {
-			out = portTo(g, path[i], path[i+1])
-		}
-		inTag := 0
-		if i > 0 {
-			inTag = vc(i - 1)
-		}
-		outTag := inTag
-		if i < len(path)-1 {
-			outTag = vc(i)
-		}
-		newTag := -1
-		if outTag != inTag {
-			newTag = outTag
-		}
-		rule := Rule{Switch: path[i], InPort: 0, Dst: dst, Tag: inTag, OutPort: out, NewTag: newTag}
-		// Avoid exact duplicates from overlapping dst trees.
-		dup := false
-		for _, ex := range r.Rules {
-			if ex == rule {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			r.add(rule)
-		}
-	}
-}
-
 // computeWorkers is the worker count for per-destination route builds
 // (0 = GOMAXPROCS, 1 = serial). The determinism test forces it above 1
 // so the fan-out is exercised under -race even on single-CPU machines.
 var computeWorkers = 0
 
 // computeForDsts fans a strategy's rule builds over an explicit
-// destination set: the per-destination builds run on the worker pool
-// and merge deterministically —
-// each destination gets its own rule bucket (built by `build` calling
-// emit), and the buckets are concatenated in dsts order, so the merged
-// rule list is independent of scheduling. Callers follow with
-// sortRules, which is stable, keeping the final route set byte-
-// identical to a serial build.
+// destination set and leaves r.Rules in canonical order. The
+// per-destination builds run on the worker pool, each filling its own
+// rule bucket (built by `build` calling emit), and placeRules reads the
+// buckets in dsts order, so the rule list is independent of scheduling
+// and byte-identical to a serial build.
 //
 // build runs concurrently and must only read shared state; the graph's
 // lazy caches (adjacency, CSR, host/switch lists) are primed here
@@ -257,24 +305,86 @@ var computeWorkers = 0
 func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int, emit func(Rule)) error) error {
 	g.CSR()
 	g.Hosts()
+	// Every strategy emits at least one rule per switch it routes from,
+	// so a bucket of that size spares the first dozen append doublings.
+	nsw := g.NumSwitches()
 	perDst := make([][]Rule, len(dsts))
 	err := par.For(computeWorkers, len(dsts), func(hi int) error {
 		// Each job owns exactly its destination's bucket element.
-		return build(dsts[hi], func(rule Rule) { perDst[hi] = append(perDst[hi], rule) })
+		bucket := make([]Rule, 0, nsw)
+		err := build(dsts[hi], func(rule Rule) { bucket = append(bucket, rule) })
+		perDst[hi] = bucket
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	n := 0
-	for _, rs := range perDst {
-		n += len(rs)
-	}
-	r.Rules = make([]Rule, 0, n)
-	for _, rs := range perDst {
-		r.Rules = append(r.Rules, rs...)
-	}
+	r.Rules = placeRules(len(g.Vertices), perDst)
 	r.invalidate()
 	return nil
+}
+
+// compareRules is the canonical rule order: (Switch, Dst, Tag, InPort).
+func compareRules(a, b Rule) int {
+	if c := compareGroup(&a, &b); c != 0 {
+		return c
+	}
+	if a.Tag != b.Tag {
+		return cmp.Compare(a.Tag, b.Tag)
+	}
+	return cmp.Compare(a.InPort, b.InPort)
+}
+
+// placeRules returns the concatenation of runs stably sorted by
+// compareRules, in time linear in the rules for the lists the
+// strategies produce. A stable sort whose leading key is a switch
+// vertex ID is a stable bucketing by switch — count, prefix-sum,
+// scatter in input order — followed by a stable sort of every switch's
+// segment on the remaining keys. computeForDsts's input is one run per
+// destination in ascending destination order, so a segment arrives
+// ordered by destination and is left alone unless the strategy emitted
+// one (switch, dst) group's rules out of (Tag, InPort) order, as the
+// torus strategies do; only such a segment pays a comparator sort, and
+// the scatter writes each rule once, straight into the final array.
+// A list naming a switch outside [0, nv) is comparator-sorted whole.
+func placeRules(nv int, runs [][]Rule) []Rule {
+	// next[s] counts switch s's rules, then is the position of its next
+	// rule, and after the scatter the end of its segment.
+	next := make([]int, nv)
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+		for i := range run {
+			sw := run[i].Switch
+			if uint(sw) >= uint(nv) {
+				out := slices.Concat(runs...)
+				slices.SortStableFunc(out, compareRules)
+				return out
+			}
+			next[sw]++
+		}
+	}
+	out := make([]Rule, total)
+	at := 0
+	for s, n := range next {
+		next[s] = at
+		at += n
+	}
+	for _, run := range runs {
+		for i := range run {
+			sw := run[i].Switch
+			out[next[sw]] = run[i]
+			next[sw]++
+		}
+	}
+	lo := 0
+	for _, hi := range next {
+		if seg := out[lo:hi]; !slices.IsSortedFunc(seg, compareRules) {
+			slices.SortStableFunc(seg, compareRules)
+		}
+		lo = hi
+	}
+	return out
 }
 
 // DstComputer is a Strategy whose route build is an independent pure
@@ -318,7 +428,6 @@ func computeStrategy(g *topology.Graph, name string, vcs int, dsts []int, mk dst
 	if err := computeForDsts(r, g, dsts, build); err != nil {
 		return nil, err
 	}
-	sortRules(r)
 	return r, nil
 }
 
@@ -411,23 +520,6 @@ func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) erro
 		}
 		return nil
 	}, nil
-}
-
-func sortRules(r *Routes) {
-	sort.SliceStable(r.Rules, func(i, j int) bool {
-		a, b := r.Rules[i], r.Rules[j]
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
-		}
-		return a.InPort < b.InPort
-	})
-	r.invalidate()
 }
 
 // CompileLogicalTables instantiates one OpenFlow switch per logical

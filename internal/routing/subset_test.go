@@ -138,3 +138,65 @@ func TestForTopologyStrategiesAreDstComputers(t *testing.T) {
 		}
 	}
 }
+
+// spreadHosts picks n hosts evenly across g's host list, as
+// core.PickSpread places ranks.
+func spreadHosts(g *topology.Graph, n int) []int {
+	hosts := g.Hosts()
+	out := make([]int, n)
+	for i := range out {
+		out[i] = hosts[i*len(hosts)/n]
+	}
+	return out
+}
+
+// TestComputeForAllocsBounded pins route set-up to O(1) allocations per
+// destination: a subset compute plus the first Lookup (which builds the
+// index) may allocate per destination — a bucket, two closures — and a
+// constant number of arrays, but nothing per rule. The map-backed index
+// this budget replaced allocated a slice per (switch, dst): ~20 000
+// objects here.
+func TestComputeForAllocsBounded(t *testing.T) {
+	g := topology.FatTree(16)
+	dsts := spreadHosts(g, 64)
+	g.CSR()
+	g.Hosts()
+	var rules int
+	allocs := testing.AllocsPerRun(5, func() {
+		r, err := FatTreeDFS{}.ComputeFor(g, dsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Lookup(g.Switches()[0], 1, dsts[0], 0) == nil {
+			t.Fatal("no rule toward a computed destination")
+		}
+		rules = len(r.Rules)
+	})
+	// Measured: 216 = 3 per destination + 24 (the fat-tree coordinate
+	// map, the worker pool, the rule array, order and rowOff).
+	if budget := float64(4*len(dsts) + 64); allocs > budget {
+		t.Errorf("ComputeFor + first Lookup: %.0f allocations for %d dsts and %d rules, budget %.0f",
+			allocs, len(dsts), rules, budget)
+	}
+}
+
+// BenchmarkComputeForXL is route set-up as the flow-xl benchmark cell
+// pays it: FatTree(48), 256 spread destinations, 737 280 rules, and the
+// first Lookup so the index build is inside the timed region.
+func BenchmarkComputeForXL(b *testing.B) {
+	g := topology.FatTree(48)
+	dsts := spreadHosts(g, 256)
+	g.CSR()
+	g.Hosts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := FatTreeDFS{}.ComputeFor(g, dsts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Lookup(g.Switches()[0], 1, dsts[0], 0) == nil {
+			b.Fatalf("no rule toward %d among %d", dsts[0], len(r.Rules))
+		}
+	}
+}
