@@ -39,9 +39,9 @@ func BenchmarkFig11(b *testing.B) {
 }
 
 // BenchmarkFig12 regenerates the incast bandwidth test (Fig. 12),
-// PFC-on panel on SDT. Allocation reporting feeds the BENCH_*.json
-// perf trajectory: the typed-event engine + packet pool cut this from
-// ~4.85M allocs/op (seed) to a few thousand.
+// PFC-on panel on SDT. Allocations are reported: the typed-event
+// engine + packet pool cut this from ~4.85M allocs/op (seed) to a few
+// thousand.
 func BenchmarkFig12(b *testing.B) {
 	b.ReportAllocs()
 	var agg float64
@@ -99,8 +99,7 @@ func BenchmarkTable4(b *testing.B) {
 }
 
 // BenchmarkFig13 regenerates the evaluation-time scaling study
-// (Fig. 13) at reduced message volume, with allocation reporting for
-// the perf trajectory.
+// (Fig. 13) at reduced message volume, with allocations reported.
 func BenchmarkFig13(b *testing.B) {
 	b.ReportAllocs()
 	var simFactor float64
@@ -213,10 +212,10 @@ func BenchmarkAblationDCQCN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(dcqcn bool) int64 {
+	run := func(cc string) int64 {
 		cfg := netsim.DefaultConfig()
 		cfg.ECN = true
-		cfg.DCQCN = dcqcn
+		cfg.CC = cc
 		net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), cfg, nil, false)
 		if err != nil {
 			b.Fatal(err)
@@ -233,7 +232,7 @@ func BenchmarkAblationDCQCN(b *testing.B) {
 	}
 	var on, off int64
 	for i := 0; i < b.N; i++ {
-		on, off = run(true), run(false)
+		on, off = run(netsim.CCDCQCN), run("")
 	}
 	b.ReportMetric(float64(on), "pauses-dcqcn-on")
 	b.ReportMetric(float64(off), "pauses-dcqcn-off")

@@ -17,7 +17,6 @@
 //	sdtbench -exp reconfig-sweep
 //	sdtbench -exp reconfig-under-load -reconfig torus
 //	sdtbench -exp cc-shootout -cc timely
-//	sdtbench -exp all -json > bench.json
 //
 // -list prints every registered scenario set with its one-line
 // description (the registry is the source of truth — see WORKLOADS.md
@@ -25,10 +24,16 @@
 // machine-readable registry instead — names, descriptions, and each
 // set's param schema — the same document sdtd serves at /v1/scenarios.
 //
+// Each set prints its simulated tables — the same bytes on every host
+// and at any worker count. fig13, table4 and loadgen-sweep-xl follow
+// theirs with a second table, titled "measured on this host,
+// workers=N", holding the wall-clock figures (the simulator's own
+// evaluation time and the speedups derived from it). To measure the
+// program's performance use the benchmark in bench/ (bench/README.md).
+//
 // -parallel N runs sweep experiments one independent simulation per
-// worker (0 = all cores). Simulated results are identical at any
-// worker count; only the wall-clock columns of fig13/table4 (the
-// simulator's own evaluation time) should be read from serial runs.
+// worker (0 = all cores). Read the measured tables from serial runs:
+// contended workers inflate them.
 //
 // -reconfig selects reconfig-under-load's transition target topology:
 // dragonfly (the default) or torus. reconfig-sweep ignores it — its
@@ -36,11 +41,6 @@
 //
 // -cc restricts cc-shootout to one congestion-control policy (dcqcn,
 // timely, or pfabric); empty races all three.
-//
-// -json suppresses the human-readable tables and instead emits one
-// machine-readable JSON document with per-experiment wall-clock and
-// allocation figures — the format the BENCH_*.json perf trajectory
-// tracks across PRs.
 package main
 
 import (
@@ -48,36 +48,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 )
-
-// expResult is one experiment's perf record in -json mode.
-type expResult struct {
-	Experiment string  `json:"experiment"`
-	WallMs     float64 `json:"wall_ms"`
-	Allocs     uint64  `json:"allocs"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	// Metrics carries named scalars the experiment recorded itself
-	// (experiments.RecordMetric) — e.g. loadgen-sweep-xl's flowsim_speedup.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// benchReport is the top-level -json document.
-type benchReport struct {
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	Parallel   int         `json:"parallel"`
-	Results    []expResult `json:"results"`
-}
 
 func main() {
 	names := experiments.Names()
@@ -95,10 +72,15 @@ func main() {
 	mtbf := flag.Float64("mtbf", 0, "faults-flap link MTBF in ms, MTTR = MTBF/4 (0 = the {1,2,4,8} ms grid)")
 	reconfigTarget := flag.String("reconfig", "", "reconfig-under-load transition target: dragonfly|torus (\"\" = dragonfly)")
 	cc := flag.String("cc", "", "cc-shootout congestion-control policy: "+strings.Join(netsim.CCPolicies(), "|")+" (\"\" = all)")
-	jsonOut := flag.Bool("json", false, "emit per-experiment timing/alloc results as JSON instead of tables")
+	jsonOut := flag.Bool("json", false, "with -list: emit the registry (names, descriptions, param schemas) as JSON")
 	list := flag.Bool("list", false, "list registered experiments with their descriptions and exit")
 	flag.Parse()
 
+	if *jsonOut && !*list {
+		fmt.Fprintln(os.Stderr, "sdtbench: -json only modifies -list (to measure performance, see bench/README.md)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *list {
 		if *jsonOut {
 			// Machine-readable listing: names, descriptions, and the
@@ -156,58 +138,11 @@ func main() {
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 
-	if *jsonOut {
-		report := benchReport{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Parallel:   *parallel,
-		}
-		for _, e := range selected {
-			res, err := measure(ctx, e, params)
-			if err != nil {
-				fatal(e.Name, err)
-			}
-			report.Results = append(report.Results, res)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal("json", err)
-		}
-		return
-	}
-
 	for _, e := range selected {
-		if err := e.Run(ctx, params, os.Stdout); err != nil {
+		if err := e.Run(ctx, params, os.Stdout, os.Stdout); err != nil {
 			fatal(e.Name, err)
 		}
 	}
-}
-
-// measure runs one experiment with its table output discarded and
-// returns its wall-clock and allocation figures. Allocation counts are
-// process-wide deltas (runtime.MemStats), so run experiments serially
-// — as this loop does — for attributable numbers.
-func measure(ctx context.Context, e experiments.Entry, p experiments.Params) (expResult, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	if err := e.Run(ctx, p, io.Discard); err != nil {
-		return expResult{}, err
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	res := expResult{
-		Experiment: e.Name,
-		WallMs:     float64(wall.Microseconds()) / 1000,
-		Allocs:     after.Mallocs - before.Mallocs,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-	}
-	if m := experiments.TakeMetrics(); len(m) > 0 {
-		res.Metrics = m
-	}
-	return res, nil
 }
 
 func fatal(name string, err error) {

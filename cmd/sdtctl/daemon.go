@@ -3,7 +3,9 @@ package main
 // The daemon client mode: -daemon ADDR turns sdtctl into a client of a
 // running sdtd, with one action flag per API call. Spec params ride in
 // -spec as the same JSON document the POST /v1/jobs body uses (the
-// scenario name comes from -submit).
+// scenario name comes from -submit). A result body is the set's
+// simulated tables only — the same bytes from any daemon; what the
+// host measured is the wall figure on the status line.
 //
 //	sdtctl -daemon :7390 -scenarios
 //	sdtctl -daemon :7390 -submit loadgen-sweep -spec '{"seed":7,"flows":48}'

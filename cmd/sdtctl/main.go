@@ -14,7 +14,7 @@
 // Every topology of a -check run is checked (a failing one does not
 // mask the rest); any check, deploy, or reconfigure failure exits
 // non-zero. -json replaces the human-readable lines with one
-// machine-readable JSON document (mirroring sdtbench -json).
+// machine-readable JSON document.
 //
 // With -daemon ADDR, sdtctl is instead a client of a running sdtd
 // simulation service — submit/status/result/cancel/scenarios/stats

@@ -23,7 +23,7 @@ import (
 
 func init() {
 	Register(117, "cc-shootout", "cc: DCQCN vs Timely vs pFabric, pattern x load x faults grid on fat-tree, FCT and pauses",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := CCShootout(ctx, p)
 			if err != nil {
 				return err
@@ -42,7 +42,6 @@ func ccConfig(policy string) netsim.Config {
 	cfg.CC = policy
 	if policy == netsim.CCDCQCN {
 		cfg.ECN = true
-		cfg.DCQCN = true
 	}
 	return cfg
 }
@@ -169,11 +168,6 @@ func CCShootout(ctx context.Context, p Params) (*CCShootoutResult, error) {
 		}
 		if r.Recovery != nil {
 			c.Reconv, c.ReconvN = r.Recovery.MeanReconvergence()
-		}
-		// Headline per-policy metric: the p99 tail on the hardest
-		// fault-free cell (incast at load 0.7).
-		if c.Pattern == "incast-8" && c.Load == 0.7 && c.Faults == 0 {
-			RecordMetric("cc_p99_"+c.CC, c.P99)
 		}
 	}
 	return res, nil

@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -98,4 +99,15 @@ func buildModeNet(g *topology.Graph, strat routing.Strategy) (full, sdt func() (
 // writeHeader prints a table title.
 func writeHeader(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
+}
+
+// writeMeasuredHeader titles a table of host wall-clock figures: what
+// a Runner sends to its measured sink, never to w. The worker count is
+// part of the title because contended runs inflate every figure under
+// it.
+func writeMeasuredHeader(w io.Writer, title string, workers int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	fmt.Fprintf(w, "\n== %s (measured on this host, workers=%d) ==\n", title, workers)
 }

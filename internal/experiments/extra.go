@@ -18,12 +18,12 @@ import (
 
 func init() {
 	Register(0, "table1", "Table I: qualitative comparison of network evaluation tools",
-		func(_ context.Context, _ Params, w io.Writer) error {
+		func(_ context.Context, _ Params, w, _ io.Writer) error {
 			Table1().Format(w)
 			return nil
 		})
 	Register(70, "isolation", "§VI-B: hardware isolation between co-hosted topologies",
-		func(_ context.Context, _ Params, w io.Writer) error {
+		func(_ context.Context, _ Params, w, _ io.Writer) error {
 			r, err := Isolation()
 			if err != nil {
 				return err
@@ -32,7 +32,7 @@ func init() {
 			return nil
 		})
 	Register(80, "active", "§VI-E: UGAL active routing vs minimal routing on Dragonfly",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := ActiveRouting(ctx, 8, p.Bytes)
 			if err != nil {
 				return err
@@ -41,7 +41,7 @@ func init() {
 			return nil
 		}, FieldBytes)
 	Register(90, "tables", "§VII-C: flow-table occupancy, merged vs naive encoding",
-		func(_ context.Context, _ Params, w io.Writer) error {
+		func(_ context.Context, _ Params, w, _ io.Writer) error {
 			r, err := FlowTableUsage()
 			if err != nil {
 				return err

@@ -25,7 +25,7 @@ import (
 
 func init() {
 	Register(120, "faults-sweep", "faults: link failures + controller reroute, topology x strategy x fault count, FCT and recovery",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := FaultSweep(ctx, p)
 			if err != nil {
 				return err
@@ -34,7 +34,7 @@ func init() {
 			return nil
 		}, FieldSeed, FieldFlows, FieldFaults, FieldWorkers)
 	Register(130, "faults-flap", "faults: single-link MTBF/MTTR flapping under incast, recovery metrics per flap rate",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := FaultFlap(ctx, p)
 			if err != nil {
 				return err

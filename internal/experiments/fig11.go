@@ -14,7 +14,7 @@ func init() {
 	// sdtbench historically scales its -reps flag by 5 for the pingpong
 	// count; the registered runner preserves that mapping.
 	Register(10, "fig11", "Fig. 11: SDT latency overhead across IMB Pingpong message lengths",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := Fig11(ctx, p.Reps*5, p.Workers)
 			if err != nil {
 				return err

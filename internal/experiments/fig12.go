@@ -13,7 +13,7 @@ import (
 
 func init() {
 	Register(20, "fig12", "Fig. 12: incast bandwidth, PFC on/off x SDT/full testbed",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			rs, err := Fig12Panels(ctx, p.Duration, p.Workers)
 			if err != nil {
 				return err

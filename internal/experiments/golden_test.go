@@ -1,22 +1,20 @@
 package experiments
 
 // The golden-output regression harness: every registered scenario set
-// re-runs at a fixed, fast parameter point and its formatted table is
-// diffed byte-for-byte against a committed golden
-// (testdata/golden/<name>.txt). This turns the "outputs byte-identical
-// to the previous PR" check — done by hand in PRs 1–4 — into an
-// enforced test: any change that perturbs simulation behaviour shows
-// up as a golden diff and must be either fixed or explicitly
-// re-recorded with
+// re-runs at a fixed, fast parameter point and the bytes it writes to
+// the Runner's first sink are compared, raw, against a committed golden
+// (testdata/golden/<name>.txt). Any change that perturbs simulation
+// behaviour shows up as a golden diff and must be either fixed or
+// explicitly re-recorded with
 //
 //	go test ./internal/experiments -run TestGolden -update
 //
-// Wall-clock-derived columns (fig13's sim eval / sim-vs-full factor,
-// table4's eval(sim) / speedup) are masked before comparison via Scrub
-// (scrub.go — shared with the service cache's hit-vs-fresh-run
-// verification); every other byte must match. The parallel pass
-// re-runs each set with worker fan-out and demands the same masked
-// output, pinning the any-worker-count determinism contract.
+// Nothing is masked: host wall clock goes to the Runner's second sink
+// (measured), which the harness checks only for shape — the columns
+// wallColumns names are there and nowhere in the golden bytes, and
+// every other set leaves it empty. The parallel pass re-runs each set
+// with worker fan-out and demands the same bytes, pinning the
+// any-worker-count determinism contract.
 
 import (
 	"bytes"
@@ -55,15 +53,37 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".txt")
 }
 
+// wallColumns names, per set, every column derived from this host's
+// wall clock. A wall value that leaked back into the simulated bytes
+// would make the golden, and sdtd's content address, host-dependent.
+var wallColumns = map[string][]string{
+	"fig13":            {"sim eval", "sim/full"},
+	"table4":           {"eval(sim)", "speedup"},
+	"loadgen-sweep-xl": {"wall(ms)", "packet", "speedup"},
+}
+
 // runGolden executes one registered set at the golden parameter point
-// and returns its scrubbed output.
+// and returns its simulated output, after checking the measured sink
+// against wallColumns.
 func runGolden(t *testing.T, e Entry, p Params) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := e.Run(context.Background(), p, &buf); err != nil {
+	var out, measured bytes.Buffer
+	if err := e.Run(context.Background(), p, &out, &measured); err != nil {
 		t.Fatalf("%s: %v", e.Name, err)
 	}
-	return Scrub(e.Name, buf.String())
+	cols := wallColumns[e.Name]
+	if len(cols) == 0 && measured.Len() > 0 {
+		t.Errorf("%s wrote to the measured sink but lists no wall columns:\n%s", e.Name, measured.String())
+	}
+	for _, col := range cols {
+		if !strings.Contains(measured.String(), col) {
+			t.Errorf("%s: wall column %q missing from the measured sink:\n%s", e.Name, col, measured.String())
+		}
+		if strings.Contains(out.String(), col) {
+			t.Errorf("%s: wall column %q leaked into the simulated output", e.Name, col)
+		}
+	}
+	return out.String()
 }
 
 func TestGoldenOutputs(t *testing.T) {
@@ -110,8 +130,8 @@ func TestGoldenOutputs(t *testing.T) {
 }
 
 // TestGoldenOutputsParallel re-runs every set with full worker fan-out
-// and demands the same scrubbed bytes: simulated results must not
-// depend on the worker count.
+// and demands the same bytes: simulated results must not depend on the
+// worker count.
 func TestGoldenOutputsParallel(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are recorded from the serial pass")

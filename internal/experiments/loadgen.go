@@ -21,7 +21,7 @@ import (
 
 func init() {
 	Register(100, "loadgen-sweep", "loadgen: seeded open-loop FCT sweep, pattern x load grid on fat-tree/dragonfly/torus",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := LoadSweep(ctx, p)
 			if err != nil {
 				return err
@@ -30,7 +30,7 @@ func init() {
 			return nil
 		}, FieldSeed, FieldFlows, FieldWorkers)
 	Register(110, "loadgen-incast", "loadgen: incast N:1 fan-in sweep on fat-tree, FCT tail at the victim under PFC",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := LoadIncast(ctx, p)
 			if err != nil {
 				return err

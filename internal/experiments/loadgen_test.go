@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 )
@@ -23,15 +24,15 @@ func TestLoadgenScenariosDeterministic(t *testing.T) {
 		}
 		var a, b, serial bytes.Buffer
 		p := smallLoadParams()
-		if err := e.Run(context.Background(), p, &a); err != nil {
+		if err := e.Run(context.Background(), p, &a, io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(context.Background(), p, &b); err != nil {
+		if err := e.Run(context.Background(), p, &b, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		ps := p
 		ps.Workers = 1
-		if err := e.Run(context.Background(), ps, &serial); err != nil {
+		if err := e.Run(context.Background(), ps, &serial, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -52,11 +53,11 @@ func TestLoadgenSeedMatters(t *testing.T) {
 	e, _ := Lookup("loadgen-sweep")
 	var a, b bytes.Buffer
 	p := smallLoadParams()
-	if err := e.Run(context.Background(), p, &a); err != nil {
+	if err := e.Run(context.Background(), p, &a, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	p.Seed = 10
-	if err := e.Run(context.Background(), p, &b); err != nil {
+	if err := e.Run(context.Background(), p, &b, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -6,9 +6,9 @@ package experiments
 // packet-level cell would need billions of events but the fluid model
 // finishes in ~flow-count work. The set also runs one packet-vs-flow
 // pair on a small common fabric (the k=8 fat-tree, 128 hosts) with the
-// same schedule, recording the wall-clock ratio as the flowsim_speedup
-// metric benchguard gates: flow fidelity exists to be faster, and the
-// trajectory enforces that it stays so.
+// same schedule and reports the wall-clock ratio on the measured sink:
+// flow fidelity exists to be faster, and the ratio says by how much on
+// this host.
 //
 // The XL testbed is built with no projected topologies on purpose: a
 // 65k-host fat-tree does not fit any physical cluster, and the flow
@@ -30,12 +30,13 @@ import (
 
 func init() {
 	Register(115, "loadgen-sweep-xl", "loadgen: flow-fidelity FCT sweep on XL fat-trees (1k-65k hosts), packet-vs-flow speedup on a 128-host reference",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, measured io.Writer) error {
 			r, err := LoadSweepXL(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
+			r.formatMeasured(measured, p.Workers)
 			return nil
 		}, FieldSeed, FieldFlows, FieldWorkers)
 }
@@ -55,7 +56,7 @@ type LoadSweepXLCell struct {
 	// Recomputes counts fair-share rate recomputations (the fluid
 	// engine's event count) — deterministic per seed.
 	Recomputes int64
-	// Wall is machine-dependent (masked in goldens).
+	// Wall is this host's wall clock for the cell.
 	Wall time.Duration
 	FCT  *telemetry.FCTReport
 }
@@ -67,8 +68,7 @@ type LoadSweepXLResult struct {
 	Cells []LoadSweepXLCell
 	// The common-fabric speedup pair: one schedule on SmallTopo run at
 	// both fidelities. PacketWall/FlowWall/Speedup are wall-clock-
-	// derived (masked in goldens, recorded as the flowsim_speedup
-	// metric).
+	// derived.
 	SmallTopo  string
 	SmallHosts int
 	PacketWall time.Duration
@@ -132,20 +132,10 @@ func LoadSweepXL(ctx context.Context, p Params) (*LoadSweepXLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	xlWall := -1.0
 	for i := range res.Cells {
 		res.Cells[i].Recomputes = results[i].Events
 		res.Cells[i].Wall = results[i].Wall
 		res.Cells[i].FCT = telemetry.MeasureFCT(jobs[i].Flows, cfg.LinkBps, idealBase(cfg), sweepBuckets())
-		if xlWall < 0 && res.Cells[i].Hosts >= 10000 && res.Cells[i].Pattern == loadgen.Uniform().Name() {
-			// The acceptance record: the smallest >=10k-host fabric (the
-			// k=36 fat-tree) at flow fidelity, to compare against the
-			// 128-host packet wall.
-			xlWall = float64(results[i].Wall.Microseconds()) / 1000
-		}
-	}
-	if xlWall >= 0 {
-		RecordMetric("flowsim_xl_wall_ms", xlWall)
 	}
 
 	// The speedup reference: the largest fabric both fidelities reach
@@ -153,7 +143,7 @@ func LoadSweepXL(ctx context.Context, p Params) (*LoadSweepXLResult, error) {
 	// UNSCALED web-search distribution (mean ~0.5 MB): packet-level cost
 	// grows with bytes × hops while fluid cost grows with flow count, so
 	// realistic datacenter flow sizes are exactly where the fidelity
-	// trade pays — and what the flowsim_speedup metric should price.
+	// trade pays — and what the speedup figure should price.
 	gen := func() ([]netsim.Flow, error) {
 		fs, err := loadgen.Spec{
 			Ranks: 16, Pattern: loadgen.Uniform(), Sizes: loadgen.WebSearch(),
@@ -189,21 +179,18 @@ func LoadSweepXL(ctx context.Context, p Params) (*LoadSweepXLResult, error) {
 	if flu.Wall > 0 {
 		res.Speedup = float64(pkt.Wall) / float64(flu.Wall)
 	}
-	RecordMetric("flowsim_speedup", res.Speedup)
-	RecordMetric("packet_small_wall_ms", float64(pkt.Wall.Microseconds())/1000)
 	return res, nil
 }
 
-// Format prints the XL grid — deterministic columns (hosts, flows,
-// recomputes, FCT slowdowns) plus the masked wall column — and the
-// packet-vs-flow speedup line.
+// Format prints the simulated half of the XL grid: hosts, flows,
+// recomputes and FCT slowdowns, the same bytes on every host.
 func (r *LoadSweepXLResult) Format(w io.Writer) {
 	writeHeader(w, fmt.Sprintf(
 		"loadgen: XL flow-fidelity sweep (scaled web-search sizes, 64 ranks, load %.1f, seed %d)",
 		xlLoad, r.Seed))
-	fmt.Fprintf(w, "%-14s %6s %-12s %6s %10s  %15s %15s %15s %9s\n",
+	fmt.Fprintf(w, "%-14s %6s %-12s %6s %10s  %15s %15s %15s\n",
 		"topology", "hosts", "pattern", "flows", "recomputes",
-		"<10K p50/p99", "10-100K p50/p99", ">=100K p50/p99", "wall(ms)")
+		"<10K p50/p99", "10-100K p50/p99", ">=100K p50/p99")
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		fmt.Fprintf(w, "%-14s %6d %-12s %6d %10d ", c.Topo, c.Hosts, c.Pattern, c.Flows, c.Recomputes)
@@ -214,7 +201,19 @@ func (r *LoadSweepXLResult) Format(w io.Writer) {
 			}
 			fmt.Fprintf(w, " %7.2f/%-7.2f", b.P50, b.P99)
 		}
-		fmt.Fprintf(w, " %9.1f\n", float64(c.Wall.Microseconds())/1000)
+		fmt.Fprintln(w)
+	}
+}
+
+// formatMeasured prints each XL cell's wall clock on this host and the
+// packet-vs-flow speedup line.
+func (r *LoadSweepXLResult) formatMeasured(w io.Writer, workers int) {
+	writeMeasuredHeader(w, "loadgen: XL flow-fidelity wall clock", workers)
+	fmt.Fprintf(w, "%-14s %6s %-12s %9s\n", "topology", "hosts", "pattern", "wall(ms)")
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		fmt.Fprintf(w, "%-14s %6d %-12s %9.1f\n",
+			c.Topo, c.Hosts, c.Pattern, float64(c.Wall.Microseconds())/1000)
 	}
 	fmt.Fprintf(w, "%s (%d hosts, same schedule both fidelities): packet %.1fms flow %.1fms speedup %.1fx\n",
 		r.SmallTopo, r.SmallHosts,

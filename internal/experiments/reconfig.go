@@ -29,7 +29,7 @@ import (
 
 func init() {
 	Register(150, "reconfig-sweep", "reconfig: live topology transitions (swap/growth/rollback) x strategy, degradation and cost columns",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := ReconfigSweep(ctx, p)
 			if err != nil {
 				return err
@@ -38,7 +38,7 @@ func init() {
 			return nil
 		}, FieldSeed, FieldFlows, FieldWorkers)
 	Register(160, "reconfig-under-load", "reconfig: fat-tree transition under incast/permutation load, FCT before/during/after the disruption",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := ReconfigUnderLoad(ctx, p)
 			if err != nil {
 				return err
@@ -253,6 +253,19 @@ type ReconfigLoadRow struct {
 	BeforeN, DuringN, AfterN int
 }
 
+// reconfigTarget resolves a Params.Reconfig name to the constructor of
+// the topology reconfig-under-load transitions to ("" = dragonfly).
+// JobSpec.Validate asks it too, so a bad name is refused at submit.
+func reconfigTarget(name string) (func() *topology.Graph, error) {
+	switch name {
+	case "", "dragonfly":
+		return func() *topology.Graph { return topology.Dragonfly(4, 9, 2, 1) }, nil
+	case "torus":
+		return func() *topology.Graph { return topology.Torus2D(4, 4, 1) }, nil
+	}
+	return nil, fmt.Errorf("unknown reconfig target %q (dragonfly|torus)", name)
+}
+
 // ReconfigUnderLoadResult is the §VI-C-style graceful-degradation study.
 type ReconfigUnderLoadResult struct {
 	Seed   int64
@@ -280,13 +293,9 @@ func ReconfigUnderLoad(ctx context.Context, p Params) (*ReconfigUnderLoadResult,
 	if load == 0 {
 		load = 0.8
 	}
-	newTarget := func() *topology.Graph { return topology.Dragonfly(4, 9, 2, 1) }
-	switch p.Reconfig {
-	case "", "dragonfly":
-	case "torus":
-		newTarget = func() *topology.Graph { return topology.Torus2D(4, 4, 1) }
-	default:
-		return nil, fmt.Errorf("reconfig-under-load: unknown target %q (dragonfly|torus)", p.Reconfig)
+	newTarget, err := reconfigTarget(p.Reconfig)
+	if err != nil {
+		return nil, fmt.Errorf("reconfig-under-load: %w", err)
 	}
 	const fanin = 8
 	patterns := []struct {

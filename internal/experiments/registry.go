@@ -58,10 +58,18 @@ type Params struct {
 	CC string
 }
 
-// Runner executes one registered scenario set, writing its formatted
-// table to w. Cancellation propagates into the engine loop of every
+// Runner executes one registered scenario set. It has two sinks, one
+// per kind of number the paper reports. w receives the simulated
+// tables: bytes that are a pure function of (scenario, params, seed),
+// identical on every host and at any worker count — what the goldens
+// pin and what sdtd caches under the spec hash. measured receives what
+// this host's clock measured (fig13's and table4's simulator
+// evaluation time, loadgen-sweep-xl's wall column and packet-vs-flow
+// speedup); most sets write nothing to it. sdtbench passes os.Stdout
+// for both; callers that only want the reproducible half pass
+// io.Discard. Cancellation propagates into the engine loop of every
 // simulation the runner starts.
-type Runner func(ctx context.Context, p Params, w io.Writer) error
+type Runner func(ctx context.Context, p Params, w, measured io.Writer) error
 
 // Field is one machine-readable parameter a scenario set reads: its
 // wire name (the JobSpec JSON key / sdtbench flag), its type, and the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 )
@@ -92,7 +93,7 @@ func TestRegistryRunnerWritesTable(t *testing.T) {
 		t.Fatal("table1 not registered")
 	}
 	var buf bytes.Buffer
-	if err := e.Run(t.Context(), Params{}, &buf); err != nil {
+	if err := e.Run(t.Context(), Params{}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Table I") {
@@ -110,7 +111,7 @@ func TestRegistryRunnerHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
 	var buf bytes.Buffer
-	err := e.Run(ctx, Params{Reps: 1, Workers: 1}, &buf)
+	err := e.Run(ctx, Params{Reps: 1, Workers: 1}, &buf, io.Discard)
 	if err == nil {
 		t.Fatal("cancelled registry run returned nil error")
 	}

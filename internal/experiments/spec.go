@@ -5,7 +5,8 @@ package experiments
 // content hash. The hash is a sound cache key because PRs 4–5 made
 // every registered set's output a byte-stable pure function of
 // (scenario, params, seed): equal hashes imply byte-identical
-// simulated results (wall-clock columns excepted — see Scrub). Two
+// simulated results, and a Runner writes nothing else to the sink the
+// service caches (host wall clock goes to its measured sink). Two
 // deliberate normalisations widen hit rates without weakening that
 // soundness:
 //
@@ -25,6 +26,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/netsim"
 )
@@ -55,13 +58,18 @@ type JobSpec struct {
 // can never be misread as current.
 const specHashDomain = "sdt-jobspec-v1\n"
 
-// Validate checks the spec names a registered scenario set and carries
-// sane knob values.
+// Validate checks the spec names a registered scenario set, carries
+// sane knob values, and sets no result field the set does not read: a
+// field outside the set's registered Schema would change the content
+// hash without changing a byte of the result, so it is refused by name
+// rather than ignored. Workers, an execution knob, is accepted on every
+// set.
 func (s JobSpec) Validate() error {
 	if s.Scenario == "" {
 		return fmt.Errorf("spec: missing scenario name")
 	}
-	if _, ok := Lookup(s.Scenario); !ok {
+	e, ok := Lookup(s.Scenario)
+	if !ok {
 		return fmt.Errorf("spec: unknown scenario %q", s.Scenario)
 	}
 	if s.Ranks < 0 || s.Reps < 0 || s.Bytes < 0 || s.Zoo < 0 || s.Flows < 0 ||
@@ -70,6 +78,26 @@ func (s JobSpec) Validate() error {
 	}
 	if s.DurMs < 0 || s.MTBFMs < 0 || s.Load < 0 || s.Load > 1 {
 		return fmt.Errorf("spec: dur_ms/mtbf_ms must be >= 0 and load in [0, 1]")
+	}
+	names := make([]string, len(e.Schema))
+	for i, f := range e.Schema {
+		names[i] = f.Name
+	}
+	for _, f := range []struct {
+		name string
+		zero bool
+	}{
+		{FieldRanks.Name, s.Ranks == 0}, {FieldReps.Name, s.Reps == 0},
+		{FieldBytes.Name, s.Bytes == 0}, {FieldZoo.Name, s.Zoo == 0},
+		{FieldDur.Name, s.DurMs == 0}, {FieldSeed.Name, s.Seed == 0},
+		{FieldFlows.Name, s.Flows == 0}, {FieldLoad.Name, s.Load == 0},
+		{FieldFaults.Name, s.Faults == 0}, {FieldMTBF.Name, s.MTBFMs == 0},
+		{FieldReconfig.Name, s.Reconfig == ""}, {FieldCC.Name, s.CC == ""},
+	} {
+		if !f.zero && !slices.Contains(names, f.name) {
+			return fmt.Errorf("spec: scenario %q does not read %q (its fields: %s)",
+				s.Scenario, f.name, strings.Join(names, ", "))
+		}
 	}
 	if s.CC != "" {
 		ok := false
@@ -81,6 +109,9 @@ func (s JobSpec) Validate() error {
 		if !ok {
 			return fmt.Errorf("spec: unknown cc policy %q", s.CC)
 		}
+	}
+	if _, err := reconfigTarget(s.Reconfig); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	return nil
 }

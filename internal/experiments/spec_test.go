@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -112,19 +113,38 @@ func TestSpecHashNormalization(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	ok := pinnedSpec()
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
 	for name, s := range map[string]JobSpec{
-		"empty":    {},
-		"unknown":  {Scenario: "no-such-set"},
-		"negative": {Scenario: "fig12", Reps: -1},
-		"load>1":   {Scenario: "loadgen-incast", Load: 1.5},
-		"bad cc":   {Scenario: "cc-shootout", CC: "bbr"},
+		"pinned":             pinnedSpec(),
+		"workers everywhere": {Scenario: "table1", Workers: 4},
+		"reconfig target":    {Scenario: "reconfig-under-load", Reconfig: "torus"},
 	} {
-		if err := s.Validate(); err == nil {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s spec rejected: %v", name, err)
+		}
+	}
+	// want is what the rejection must say: an unread field is named
+	// together with the fields the set does read.
+	for name, tc := range map[string]struct {
+		spec JobSpec
+		want []string
+	}{
+		"empty":        {spec: JobSpec{}},
+		"unknown":      {spec: JobSpec{Scenario: "no-such-set"}},
+		"negative":     {spec: JobSpec{Scenario: "fig12", Reps: -1}},
+		"load>1":       {spec: JobSpec{Scenario: "loadgen-incast", Load: 1.5}},
+		"bad cc":       {spec: JobSpec{Scenario: "cc-shootout", CC: "bbr"}},
+		"unread field": {spec: JobSpec{Scenario: "fig12", Ranks: 5}, want: []string{`"ranks"`, "dur_ms, workers"}},
+		"bad reconfig": {spec: JobSpec{Scenario: "reconfig-under-load", Reconfig: "ring"}, want: []string{`"ring"`, "dragonfly|torus"}},
+	} {
+		err := tc.spec.Validate()
+		if err == nil {
 			t.Errorf("%s spec accepted", name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: rejection %q does not mention %s", name, err, w)
+			}
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 func init() {
 	Register(30, "table2", "Table II: SDT vs other topology-projection methods",
-		func(ctx context.Context, p Params, w io.Writer) error {
+		func(ctx context.Context, p Params, w, _ io.Writer) error {
 			r, err := Table2(ctx, p.Zoo, p.Workers)
 			if err != nil {
 				return err

@@ -12,7 +12,7 @@ package netsim
 //     al., SIGCOMM'15): the receiver acks every data packet
 //     echoing its send timestamp, and the sender adjusts rate
 //     off the RTT gradient.
-//   - lineRateCC: no rate adaptation (legacy DCQCN-off behaviour, and
+//   - lineRateCC: no rate adaptation (Config.CC left empty, and
 //     the rate side of pFabric, whose congestion response is
 //     size-priority scheduling — see sizePrioClass).
 //
@@ -50,15 +50,10 @@ const (
 	ccPFabric
 )
 
-// ccKindOf resolves Config.CC, deferring to the legacy DCQCN flag when
-// the string knob is unset so existing configurations keep their exact
-// behaviour.
+// ccKindOf resolves Config.CC; the empty string is plain line rate.
 func ccKindOf(cfg *Config) (ccKind, error) {
 	switch cfg.CC {
 	case "":
-		if cfg.DCQCN {
-			return ccDCQCN, nil
-		}
 		return ccNone, nil
 	case CCDCQCN:
 		return ccDCQCN, nil

@@ -234,7 +234,7 @@ func TestFlowIDsDistinctAcross65kVertices(t *testing.T) {
 
 func TestCNPThrottledPerFlow(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DCQCN = true
+	cfg.CC = CCDCQCN
 	net, g := buildLine(t, 2, 1, cfg)
 	hosts := g.Hosts()
 	rx := net.Host(hosts[0])
@@ -272,7 +272,7 @@ func TestCNPThrottledPerFlow(t *testing.T) {
 
 func TestDCQCNIdleTimerDisarms(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DCQCN = true
+	cfg.CC = CCDCQCN
 	net, g := buildLine(t, 2, 1, cfg)
 	hosts := g.Hosts()
 	src := net.Host(hosts[0])

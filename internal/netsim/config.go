@@ -37,12 +37,9 @@ type Config struct {
 
 	// CC selects the RoCE congestion-control policy: CCDCQCN,
 	// CCTimely (delay-based), or CCPFabric (size-priority scheduling
-	// at line rate). Empty defers to the legacy DCQCN flag below, so
-	// existing configurations keep their exact behaviour.
+	// at line rate). Empty means none: flows send at line rate.
 	CC string
 
-	// DCQCN end-to-end congestion control for RoCE flows.
-	DCQCN bool
 	// DCQCNGain is the alpha EWMA gain g.
 	DCQCNGain float64
 	// DCQCNAIRate is the additive-increase step in bits/s.
@@ -102,7 +99,6 @@ func DefaultConfig() Config {
 		ECNKmax: 80 * 1024,
 		ECNPmax: 0.25,
 
-		DCQCN:       false,
 		DCQCNGain:   1.0 / 16,
 		DCQCNAIRate: 40e6,
 		DCQCNTimer:  55 * Microsecond,

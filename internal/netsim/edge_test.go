@@ -134,7 +134,7 @@ func TestConfigVariantsStillDeliver(t *testing.T) {
 	variants := []func(*Config){
 		func(c *Config) { c.CutThrough = false },
 		func(c *Config) { c.PFC = false },
-		func(c *Config) { c.ECN = true; c.DCQCN = true },
+		func(c *Config) { c.ECN = true; c.CC = CCDCQCN },
 		func(c *Config) { c.MTU = 1500 },
 		func(c *Config) { c.PropDelay = 5 * Microsecond },
 	}

@@ -205,11 +205,11 @@ func TestTCPFiniteFlowCompletes(t *testing.T) {
 func time500ms() Time { return 500 * Millisecond }
 
 func TestDCQCNReducesPauses(t *testing.T) {
-	run := func(dcqcn bool) int64 {
+	run := func(cc string) int64 {
 		cfg := DefaultConfig()
 		cfg.PFC = true
 		cfg.ECN = true
-		cfg.DCQCN = dcqcn
+		cfg.CC = cc
 		net, g := buildLine(t, 8, 1, cfg)
 		hosts := g.Hosts()
 		for i, h := range hosts {
@@ -224,8 +224,8 @@ func TestDCQCNReducesPauses(t *testing.T) {
 		}
 		return net.PausesSent
 	}
-	off := run(false)
-	on := run(true)
+	off := run("")
+	on := run(CCDCQCN)
 	if on >= off {
 		t.Errorf("DCQCN on: %d pauses, off: %d; DCQCN should delay PFC (paper §VI-E)", on, off)
 	}
@@ -420,7 +420,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (Time, int64) {
 		cfg := DefaultConfig()
 		cfg.ECN = true
-		cfg.DCQCN = true
+		cfg.CC = CCDCQCN
 		net, g := buildLine(t, 8, 1, cfg)
 		hosts := g.Hosts()
 		for i, h := range hosts {

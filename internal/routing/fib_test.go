@@ -246,7 +246,7 @@ func BenchmarkLookup(b *testing.B) {
 
 // BenchmarkRouteCompute measures a full strategy build at Fig. 13
 // scale (Dragonfly a=4 g=9 h=2 — the evaluation's largest routed
-// fabric), allocation-reported for the BENCH_*.json perf trajectory.
+// fabric), with allocations reported.
 func BenchmarkRouteCompute(b *testing.B) {
 	g := topology.Dragonfly(4, 9, 2, 1)
 	g.CSR()

@@ -1,9 +1,9 @@
 package service
 
 // The content-addressed result cache. Keys are JobSpec content hashes
-// (experiments.JobSpec.Hash) — sound cache keys because every
-// registered scenario set's output is a byte-stable pure function of
-// its spec (wall-clock columns excepted; see experiments.Scrub). The
+// (experiments.JobSpec.Hash) — sound cache keys because a cached body
+// is what a Runner writes to its simulated sink, a byte-stable pure
+// function of the spec (host wall clock goes to the other sink). The
 // cache is a byte-budgeted in-memory LRU, optionally backed by an
 // on-disk store so results survive daemon restarts: a memory miss
 // falls through to the directory, and a disk hit is re-admitted to

@@ -4,9 +4,13 @@
 // bounded, worker-pooled scheduler.
 //
 // A job is a canonical experiments.JobSpec — scenario name plus knobs
-// — whose content hash doubles as cache key and dedup identity (runs
-// are byte-stable pure functions of the spec, the contract PRs 4–5
-// enforce through the golden harness). Submission resolves in order:
+// — whose content hash doubles as cache key and dedup identity. That
+// is sound because a result body holds only what the Runner writes to
+// its simulated sink: bytes that are a pure function of the spec (the
+// contract the golden harness pins), so two daemons, or one daemon
+// twice, serve byte-equal bodies. The Runner's measured sink is
+// discarded; a job's measured number is JobStatus.WallMs. Submission
+// resolves in order:
 //
 //  1. cache hit — a completed job record is returned immediately, no
 //     simulation runs;
@@ -27,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -284,7 +289,7 @@ func runGuarded(e experiments.Entry, j *job) (err error) {
 			err = fmt.Errorf("service: runner panicked: %v", r)
 		}
 	}()
-	return e.Run(j.ctx, j.spec.Params(), j.out)
+	return e.Run(j.ctx, j.spec.Params(), j.out, io.Discard)
 }
 
 // retire removes a terminal job from the singleflight index.

@@ -306,8 +306,8 @@ const (
 // DefaultSimConfig is the paper-calibrated configuration.
 var DefaultSimConfig = netsim.DefaultConfig
 
-// Congestion-control policy names for SimConfig.CC (empty keeps the
-// legacy DCQCN-flag behaviour).
+// Congestion-control policy names for SimConfig.CC (empty means none:
+// flows send at line rate).
 const (
 	CCDCQCN   = netsim.CCDCQCN
 	CCTimely  = netsim.CCTimely
