@@ -43,7 +43,8 @@ func main() {
 	capture := sdt.RunHooks{Finish: func(_ *sdt.RunResult, net *sdt.Network) { lastNet = net }}
 
 	run := func(name string, routes *sdt.Routes, col *sdt.TelemetryCollector) sdt.SimTime {
-		opts := []sdt.Option{sdt.WithStrategy(sdt.FixedRoutes{Routes: routes}), sdt.WithObserver(capture)}
+		scenario.Strategy = sdt.FixedRoutes{Routes: routes}
+		opts := []sdt.Option{sdt.WithObserver(capture)}
 		if col != nil {
 			opts = append(opts, sdt.WithTelemetry(col))
 		}

@@ -33,7 +33,8 @@ func main() {
 	//    API: one Scenario, the mode varied per run. The context
 	//    cancels mid-simulation (here it just carries a generous
 	//    wall-clock deadline).
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	hosts := topo.Hosts()
 	scenario := sdt.Scenario{
 		Topo:  topo,
@@ -43,7 +44,7 @@ func main() {
 
 	for _, mode := range []sdt.Mode{sdt.ModeFullTestbed, sdt.ModeSDT, sdt.ModeSimulator} {
 		scenario.Mode = mode
-		res, err := sdt.Run(ctx, tb, scenario, sdt.WithDeadline(time.Now().Add(time.Minute)))
+		res, err := sdt.Run(ctx, tb, scenario)
 		if err != nil {
 			log.Fatal(err)
 		}

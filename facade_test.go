@@ -68,8 +68,7 @@ func TestFacadeRunAndSweep(t *testing.T) {
 
 // TestFacadeFlowFidelity runs one open-loop schedule at both
 // fidelities through the facade: the flow-level run completes every
-// flow, and the knob composes with WithFidelity as a sweep-wide
-// override.
+// flow, and the same Scenario field selects the engine per Sweep job.
 func TestFacadeFlowFidelity(t *testing.T) {
 	topo := sdt.FatTree(4)
 	tb, err := sdt.PaperTestbed([]*sdt.Topology{topo})
@@ -83,21 +82,22 @@ func TestFacadeFlowFidelity(t *testing.T) {
 			Seed: 3,
 		}.MustGenerate().Flows
 	}
-	flows := gen()
-	if _, err := sdt.Run(t.Context(), tb, sdt.Scenario{
-		Topo: topo, Flows: flows, Fidelity: sdt.FidelityFlow,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fct := sdt.MeasureFCT(flows, 10e9, 0, nil)
-	if fct.Completed != fct.Total || fct.Total != 64 {
-		t.Fatalf("flow-fidelity run completed %d/%d flows", fct.Completed, fct.Total)
+	for _, fid := range []sdt.Fidelity{sdt.FidelityPacket, sdt.FidelityFlow} {
+		flows := gen()
+		if _, err := sdt.Run(t.Context(), tb, sdt.Scenario{
+			Topo: topo, Flows: flows, Fidelity: fid,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fct := sdt.MeasureFCT(flows, 10e9, 0, nil)
+		if fct.Completed != fct.Total || fct.Total != 64 {
+			t.Fatalf("%s-fidelity run completed %d/%d flows", fid, fct.Completed, fct.Total)
+		}
 	}
 
-	// WithFidelity overrides a packet-fidelity scenario sweep-wide.
+	// A Sweep job carries its fidelity like any other result knob.
 	results, err := sdt.Sweep(t.Context(),
-		[]sdt.Job{{TB: tb, Scenario: sdt.Scenario{Topo: topo, Flows: gen()}}},
-		sdt.WithFidelity(sdt.FidelityFlow))
+		[]sdt.Job{{TB: tb, Scenario: sdt.Scenario{Topo: topo, Flows: gen(), Fidelity: sdt.FidelityFlow}}})
 	if err != nil {
 		t.Fatal(err)
 	}

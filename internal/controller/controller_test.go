@@ -197,10 +197,6 @@ func TestMonitorActiveRouting(t *testing.T) {
 	if err := routing.VerifyDeadlockFree(active); err != nil {
 		t.Errorf("active routing not deadlock-free: %v", err)
 	}
-	top := m.TopLoaded(g, 3)
-	if top == "" {
-		t.Error("TopLoaded empty")
-	}
 }
 
 func TestEntriesMatchDirectCompile(t *testing.T) {

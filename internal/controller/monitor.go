@@ -1,10 +1,6 @@
 package controller
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -39,32 +35,4 @@ func (m *Monitor) CollectSim(net *netsim.Network) {
 // Routing Strategy and Network Monitor modules.
 func (m *Monitor) ActiveRouting(g *topology.Graph, bias float64) (*routing.Routes, error) {
 	return routing.DragonflyUGAL{Loads: m.Loads, Bias: bias}.Compute(g)
-}
-
-// TopLoaded formats the k most loaded logical edges for operators.
-func (m *Monitor) TopLoaded(g *topology.Graph, k int) string {
-	type le struct {
-		eid  int
-		load float64
-	}
-	var all []le
-	for eid, l := range m.Loads {
-		all = append(all, le{eid, l})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].load != all[j].load {
-			return all[i].load > all[j].load
-		}
-		return all[i].eid < all[j].eid
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	var b strings.Builder
-	for _, x := range all[:k] {
-		e := g.Edges[x.eid]
-		fmt.Fprintf(&b, "%s<->%s: %.0f bytes\n",
-			g.Vertices[e.A].Label, g.Vertices[e.B].Label, x.load)
-	}
-	return b.String()
 }

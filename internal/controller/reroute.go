@@ -111,15 +111,6 @@ func (r *Rerouter) repair(net *netsim.Network, faultAt netsim.Time) {
 	}
 }
 
-// TotalChurn sums rule changes across every executed repair.
-func (r *Rerouter) TotalChurn() int {
-	n := 0
-	for _, rep := range r.Repairs {
-		n += rep.RulesChanged
-	}
-	return n
-}
-
 // ruleChurn counts the flow-mods moving the fabric from old to new
 // (routing.Churn; kept as a local name for the call sites above).
 func ruleChurn(old, new []routing.Rule) int {

@@ -89,9 +89,6 @@ func TestRerouterRepairsLiveRoutes(t *testing.T) {
 		t.Fatalf("restore churn %d != patch churn %d",
 			repairs[1].RulesChanged, repairs[0].RulesChanged)
 	}
-	if rr.TotalChurn() != repairs[0].RulesChanged*2 {
-		t.Fatalf("TotalChurn %d", rr.TotalChurn())
-	}
 	// The rerouter mutated only its private set, never the strategy's.
 	fresh, err := routing.ForTopology(g).Compute(g)
 	if err != nil {

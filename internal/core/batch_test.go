@@ -2,47 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
-
-func TestParallelForRunsEveryJob(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		var hits [40]int32
-		err := ParallelFor(workers, len(hits), func(i int) error {
-			atomic.AddInt32(&hits[i], 1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: job %d ran %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestParallelForReturnsLowestIndexError(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	err := ParallelFor(4, 20, func(i int) error {
-		switch i {
-		case 3:
-			return errA
-		case 17:
-			return errB
-		}
-		return nil
-	})
-	if !errors.Is(err, errA) {
-		t.Fatalf("got %v, want the lowest-index error", err)
-	}
-}
 
 // TestRunBatchMatchesSerialRuns checks that a Sweep batch produces the
 // same deterministic results as direct serial Run calls, at several

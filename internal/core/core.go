@@ -119,7 +119,7 @@ func (tb *Testbed) Network(g *topology.Graph, strat routing.Strategy, mode Mode)
 }
 
 // network is Network with an explicit fabric configuration — the
-// WithSimConfig override path, which must not mutate tb.Cfg.
+// Scenario.SimConfig override path, which must not mutate tb.Cfg.
 func (tb *Testbed) network(g *topology.Graph, strat routing.Strategy, mode Mode, cfg netsim.Config) (*netsim.Network, *controller.Deployment, error) {
 	if strat == nil {
 		strat = routing.ForTopology(g)

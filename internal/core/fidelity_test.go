@@ -75,28 +75,33 @@ func TestFlowFidelityRun(t *testing.T) {
 	}
 }
 
-// TestWithFidelityOverride: the option overrides the scenario field in
-// both directions.
-func TestWithFidelityOverride(t *testing.T) {
+// TestFidelityFieldSelectsEngine: Scenario.Fidelity alone decides which
+// engine runs a schedule. Flow on a trace is rejected by the flow path;
+// the same schedule at Packet and Flow completes on both engines, and
+// the packet engine fires far more events than the fluid one recomputes
+// rates.
+func TestFidelityFieldSelectsEngine(t *testing.T) {
 	g, tb, gen := fidelityFixture(t)
-	// Packet scenario forced to Flow: the Trace rejection proves the
-	// flow path ran.
 	tr := workload.Pingpong(1024, 1)
-	_, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr}, WithFidelity(Flow))
+	_, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Fidelity: Flow})
 	if err == nil || !strings.Contains(err.Error(), "flow fidelity requires an open-loop Flows scenario") {
-		t.Fatalf("WithFidelity(Flow) on a trace: err = %v", err)
+		t.Fatalf("Fidelity: Flow on a trace: err = %v", err)
 	}
-	// Flow scenario forced back to Packet runs the packet engine
-	// (drops/pauses counters exist only there; just assert success).
-	flows := gen()
-	res, err := Run(context.Background(), tb, Scenario{
-		Topo: g, Flows: flows, Mode: FullTestbed, Fidelity: Flow,
-	}, WithFidelity(Packet))
-	if err != nil {
-		t.Fatal(err)
+	events := map[Fidelity]int64{}
+	for _, f := range []Fidelity{Packet, Flow} {
+		res, err := Run(context.Background(), tb, Scenario{
+			Topo: g, Flows: gen(), Mode: FullTestbed, Fidelity: f,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ACT <= 0 {
+			t.Fatalf("%s run did not complete", f)
+		}
+		events[f] = res.Events
 	}
-	if res.ACT <= 0 {
-		t.Fatal("packet-override run did not complete")
+	if events[Packet] <= events[Flow] {
+		t.Errorf("packet run fired %d events, flow run %d; want packet > flow", events[Packet], events[Flow])
 	}
 }
 

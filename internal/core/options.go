@@ -1,15 +1,15 @@
 package core
 
-// Functional options for Run and Sweep. A Scenario carries the
-// experiment description (what to run, where, in which mode); options
-// carry the per-invocation knobs — host placement overrides, routing
-// strategy, sim-config overrides, observers, telemetry, deadlines, and
-// sweep parallelism — so every caller (figure sweeps, CLIs, examples,
-// downstream users) shares one composable execution surface.
+// Scenario and the functional options of Run and Sweep. The split is
+// the rule "Scenario = result knobs, Option = execution and
+// observation": everything that changes a simulated byte — topology,
+// workload, mode, host placement, routing strategy, sim-config,
+// faults, reconfiguration, fidelity — is a Scenario field, and an
+// Option only attaches an observer (WithObserver, WithTelemetry) or
+// sets Sweep's fan-out (WithWorkers). Wall-clock bounds travel on the
+// context (context.WithTimeout), like every other cancellation.
 
 import (
-	"time"
-
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/reconfig"
@@ -102,7 +102,7 @@ type Scenario struct {
 	Reconfig *reconfig.Spec
 	// Fidelity selects packet-level simulation (the zero value) or the
 	// flow-level fluid fast path — see the Fidelity constants for the
-	// contract. WithFidelity overrides this field.
+	// contract.
 	Fidelity Fidelity
 }
 
@@ -127,41 +127,18 @@ type Option func(*runConfig)
 
 // runConfig is the resolved option set.
 type runConfig struct {
-	hosts       []int
-	strategy    routing.Strategy
-	simCfg      *netsim.Config
-	observers   []Hooks
-	deadline    time.Time
-	hasDeadline bool
-	workers     int
-	fidelity    Fidelity
-	hasFidelity bool
+	observers []Hooks
+	workers   int
 }
 
 // newRunConfig applies opts over the defaults (serial sweep, no
-// overrides, no observers).
+// observers).
 func newRunConfig(opts []Option) *runConfig {
 	cfg := &runConfig{workers: 1}
 	for _, o := range opts {
 		o(cfg)
 	}
 	return cfg
-}
-
-// WithHosts overrides the scenario's rank placement.
-func WithHosts(hosts []int) Option {
-	return func(c *runConfig) { c.hosts = hosts }
-}
-
-// WithStrategy overrides the scenario's routing strategy.
-func WithStrategy(s routing.Strategy) Option {
-	return func(c *runConfig) { c.strategy = s }
-}
-
-// WithSimConfig overrides the fabric configuration for the run(s)
-// without mutating the testbed's default.
-func WithSimConfig(cfg netsim.Config) Option {
-	return func(c *runConfig) { c.simCfg = &cfg }
 }
 
 // WithObserver attaches lifecycle hooks to every run of the
@@ -172,8 +149,7 @@ func WithObserver(h Hooks) Option {
 
 // WithTelemetry attaches a telemetry collector as a run observer: the
 // collector samples the network's link counters every collector period
-// of simulated time while the workload runs — replacing the manual
-// Arm/Collect wiring. A collector is safe to share across the runs of
+// of simulated time while the workload runs. A collector is safe to share across the runs of
 // a Sweep (it keeps per-network counter baselines and is
 // mutex-guarded); its series are then a sweep-wide aggregate.
 func WithTelemetry(col *telemetry.Collector) Option {
@@ -184,22 +160,8 @@ func WithTelemetry(col *telemetry.Collector) Option {
 	})
 }
 
-// WithDeadline bounds the invocation in wall-clock time: past t the
-// run is cancelled exactly as if the caller's context had expired
-// (Run returns context.DeadlineExceeded).
-func WithDeadline(t time.Time) Option {
-	return func(c *runConfig) { c.deadline, c.hasDeadline = t, true }
-}
-
 // WithWorkers sets Sweep's fan-out: one simulation per worker.
 // 0 means all cores, 1 (the default) runs serially. Run ignores it.
 func WithWorkers(n int) Option {
 	return func(c *runConfig) { c.workers = n }
-}
-
-// WithFidelity overrides the scenario's simulation fidelity for the
-// run(s) — e.g. re-running a registered packet-level scenario at flow
-// level for a scale sweep.
-func WithFidelity(f Fidelity) Option {
-	return func(c *runConfig) { c.fidelity, c.hasFidelity = f, true }
 }

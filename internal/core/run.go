@@ -16,6 +16,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/reconfig"
 	"repro/internal/telemetry"
@@ -25,8 +26,8 @@ import (
 // Run executes one scenario on the testbed. The context cancels
 // cooperatively: the engine's run loop polls a stop flag every
 // engine.StopStride events, so cancellation lands mid-simulation and
-// Run returns ctx.Err(). Options override the corresponding scenario
-// fields.
+// Run returns ctx.Err(). The scenario carries every result knob;
+// options only attach observers and set Sweep's fan-out.
 //
 // Cancellation contract: a cancelled Run returns (nil, ctx.Err()) —
 // never a partial RunResult. A simulation stopped at an arbitrary
@@ -85,11 +86,7 @@ func Sweep(ctx context.Context, jobs []Job, opts ...Option) ([]*RunResult, error
 			j.Topo.Hosts() // build the lazy adjacency/kind caches
 		}
 		if j.Mode == SDT {
-			strat := j.Strategy
-			if cfg.strategy != nil {
-				strat = cfg.strategy
-			}
-			if _, err := j.TB.ensureDeployment(j.Topo, strat); err != nil {
+			if _, err := j.TB.ensureDeployment(j.Topo, j.Strategy); err != nil {
 				return nil, err
 			}
 		}
@@ -109,15 +106,15 @@ func Sweep(ctx context.Context, jobs []Job, opts ...Option) ([]*RunResult, error
 	return out, err
 }
 
-// ForEach is ParallelFor with cooperative cancellation: once ctx ends
-// no further job starts, and the context's error is returned. Jobs
+// ForEach is par.For with cooperative cancellation: once ctx ends no
+// further job starts, and the context's error is returned. Jobs
 // already running are responsible for observing ctx themselves (Run
 // does, via the engine stop flag).
 func ForEach(ctx context.Context, workers, n int, job func(i int) error) error {
 	if ctx == nil || ctx.Done() == nil {
-		return ParallelFor(workers, n, job)
+		return par.For(workers, n, job)
 	}
-	return ParallelFor(workers, n, func(i int) error {
+	return par.For(workers, n, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -171,8 +168,7 @@ func scenarioWorkload(sc Scenario) (name string, ranks int) {
 }
 
 // validateScenario is the one place feature compatibility is decided,
-// with one policy: reject loudly, never fall back. sc has every option
-// override already folded in.
+// with one policy: reject loudly, never fall back.
 func validateScenario(sc Scenario, cfg *runConfig) error {
 	if sc.Topo == nil || (sc.Trace == nil && sc.Flows == nil) {
 		return errors.New("core: scenario needs a Topo and a Trace or Flows")
@@ -210,24 +206,6 @@ func validateScenario(sc Scenario, cfg *runConfig) error {
 
 // runScenario is the one execution path under Run and Sweep.
 func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) (*RunResult, error) {
-	// Options override scenario fields.
-	if cfg.hosts != nil {
-		sc.Hosts = cfg.hosts
-	}
-	if cfg.strategy != nil {
-		sc.Strategy = cfg.strategy
-	}
-	if cfg.simCfg != nil {
-		sc.SimConfig = cfg.simCfg
-	}
-	if cfg.hasFidelity {
-		sc.Fidelity = cfg.fidelity
-	}
-	if cfg.hasDeadline {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, cfg.deadline)
-		defer cancel()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -109,8 +109,8 @@ func TestSweepCancelled(t *testing.T) {
 	}
 }
 
-// TestRunSimConfigOverride: WithSimConfig applies to one run without
-// mutating the testbed's default.
+// TestRunSimConfigOverride: Scenario.SimConfig applies to one run
+// without mutating the testbed's default.
 func TestRunSimConfigOverride(t *testing.T) {
 	g := topology.Line(8, 1)
 	tb, err := PaperTestbed([]*topology.Graph{g})
@@ -124,8 +124,7 @@ func TestRunSimConfigOverride(t *testing.T) {
 	}
 	slow := tb.Cfg
 	slow.CutThrough = false
-	over, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: Simulator},
-		WithSimConfig(slow))
+	over, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: Simulator, SimConfig: &slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestRunSimConfigOverride(t *testing.T) {
 		t.Errorf("store-and-forward ACT %v <= cut-through ACT %v", over.ACT, base.ACT)
 	}
 	if !tb.Cfg.CutThrough {
-		t.Error("WithSimConfig mutated the testbed default")
+		t.Error("Scenario.SimConfig mutated the testbed default")
 	}
 	again, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: Simulator})
 	if err != nil {

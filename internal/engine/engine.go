@@ -8,14 +8,13 @@
 //     steady state allocates nothing: records live in a slab recycled
 //     through a free list, and the indexed binary heap orders record
 //     indices, not records.
-//   - Every scheduled event returns a Handle with O(log n) Cancel and
-//     Reschedule. Producers that re-arm timers (TCP RTO, rate pacers)
-//     cancel the pending record instead of letting stale events fire
-//     as no-ops.
+//   - Every scheduled event returns a Handle with O(log n) Cancel.
+//     Producers that re-arm timers (TCP RTO, rate pacers) cancel the
+//     pending record and schedule a new one instead of letting stale
+//     events fire as no-ops.
 //   - Equal-time events fire in scheduling order (time, then a
 //     monotonic sequence number), so runs are bit-for-bit
-//     deterministic. Reschedule assigns a fresh sequence number,
-//     making it semantically identical to Cancel followed by Schedule.
+//     deterministic.
 //
 // A closure convenience API (At/After) remains for cold paths such as
 // measurement sampling; it rides the same typed machinery through an
@@ -36,7 +35,6 @@ type Time int64
 
 // Common durations.
 const (
-	Picosecond  Time = 1
 	Nanosecond  Time = 1000
 	Microsecond Time = 1000 * Nanosecond
 	Millisecond Time = 1000 * Microsecond
@@ -79,7 +77,7 @@ func (funcHandler) OnEvent(_ Time, ev Event) { ev.Ptr.(func())() }
 // FuncCB wraps a closure as a Callback.
 func FuncCB(fn func()) Callback { return Callback{H: funcHandler{}, Ev: Event{Ptr: fn}} }
 
-// Handle identifies a pending event for Cancel/Reschedule. The zero
+// Handle identifies a pending event for Cancel. The zero
 // Handle is never live, so uninitialised fields are safe to cancel.
 type Handle struct {
 	slot int32
@@ -182,24 +180,6 @@ func (e *Engine) Cancel(hd Handle) bool {
 	}
 	e.heapRemove(int(e.recs[hd.slot].pos))
 	e.release(hd.slot)
-	return true
-}
-
-// Reschedule moves a pending event to absolute time t with fresh
-// equal-time ordering, exactly as if it were cancelled and scheduled
-// anew (one sequence number is consumed either way). It reports false
-// when the handle is no longer live.
-func (e *Engine) Reschedule(hd Handle, t Time) bool {
-	if !e.live(hd) {
-		return false
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	r := &e.recs[hd.slot]
-	r.at, r.seq = t, e.seq
-	e.fix(int(r.pos))
 	return true
 }
 

@@ -81,25 +81,6 @@ func TestCancelHandleInvalidatedBySlotReuse(t *testing.T) {
 	}
 }
 
-func TestRescheduleMovesAndReorders(t *testing.T) {
-	e := New()
-	r := &recorder{}
-	h1 := e.Schedule(10, r, Event{A: 1})
-	e.Schedule(20, r, Event{A: 2})
-	if !e.Reschedule(h1, 20) {
-		t.Fatal("reschedule of pending event failed")
-	}
-	// Rescheduling consumes a fresh sequence number: the moved event
-	// now fires AFTER the one already at t=20.
-	e.Run(0)
-	if len(r.got) != 2 || r.got[0] != 2 || r.got[1] != 1 {
-		t.Fatalf("fired %v, want [2 1]", r.got)
-	}
-	if e.Reschedule(h1, 30) {
-		t.Error("reschedule of fired event returned true")
-	}
-}
-
 func TestRunLimitStopsBeforeFutureEvents(t *testing.T) {
 	e := New()
 	fired := false
@@ -192,7 +173,6 @@ func TestSteadyStateLoopAllocatesNothing(t *testing.T) {
 		e.Schedule(e.Now(), h, Event{A: 256})
 		e.Run(0)
 		hd := e.ScheduleAfter(5, h, Event{})
-		e.Reschedule(hd, e.Now()+9)
 		e.Cancel(hd)
 	})
 	if allocs > 0 {

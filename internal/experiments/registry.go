@@ -72,10 +72,12 @@ type Params struct {
 type Runner func(ctx context.Context, p Params, w, measured io.Writer) error
 
 // Field is one machine-readable parameter a scenario set reads: its
-// wire name (the JobSpec JSON key / sdtbench flag), its type, and the
-// default the experiment applies when the field is zero. Registered
-// schemas feed `sdtbench -list -json` and the service's /v1/scenarios
-// listing, so clients can discover a set's knobs without reading code.
+// wire name (the JobSpec JSON key; the sdtbench flag has the same name
+// except -dur, -mtbf and -parallel for dur_ms, mtbf_ms and workers),
+// its type, and the default the experiment applies when the field is
+// zero. Registered schemas feed `sdtbench -list -json` and the
+// service's /v1/scenarios listing, so clients can discover a set's
+// knobs without reading code.
 type Field struct {
 	Name    string `json:"name"`
 	Type    string `json:"type"`

@@ -79,6 +79,12 @@ func (s JobSpec) Validate() error {
 	if s.DurMs < 0 || s.MTBFMs < 0 || s.Load < 0 || s.Load > 1 {
 		return fmt.Errorf("spec: dur_ms/mtbf_ms must be >= 0 and load in [0, 1]")
 	}
+	if _, err := msToTime(FieldDur.Name, s.DurMs); err != nil {
+		return err
+	}
+	if _, err := msToTime(FieldMTBF.Name, s.MTBFMs); err != nil {
+		return err
+	}
 	names := make([]string, len(e.Schema))
 	for i, f := range e.Schema {
 		names[i] = f.Name
@@ -116,20 +122,43 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// Params converts the wire spec into the registry's Params.
+// msToTime converts a wire duration in fractional milliseconds to
+// simulated picoseconds. Zero stays zero ("the experiment's default");
+// any other value must land on a picosecond count in [1, MaxInt64].
+// Outside that range Go leaves the float→int64 conversion
+// implementation-defined (MinInt64 on amd64, 0 on 386, MaxInt64 on
+// arm64) and a sub-picosecond value truncates to the default, so both
+// are refused, naming the field, instead of running — and caching —
+// the default grid under a non-default spec hash.
+func msToTime(field string, ms float64) (netsim.Time, error) {
+	if ms == 0 {
+		return 0, nil
+	}
+	ps := ms * float64(netsim.Millisecond)
+	if !(ps >= 1 && ps < 1<<63) {
+		return 0, fmt.Errorf("spec: %s = %g ms is not a positive picosecond count that fits int64", field, ms)
+	}
+	return netsim.Time(ps), nil
+}
+
+// Params converts the wire spec into the registry's Params. It is
+// meant for specs Validate accepts; a duration Validate would refuse
+// converts to 0 here, the same on every architecture.
 func (s JobSpec) Params() Params {
+	dur, _ := msToTime(FieldDur.Name, s.DurMs)
+	mtbf, _ := msToTime(FieldMTBF.Name, s.MTBFMs)
 	return Params{
 		Ranks:    s.Ranks,
 		Reps:     s.Reps,
 		Bytes:    s.Bytes,
 		Zoo:      s.Zoo,
-		Duration: netsim.Time(s.DurMs * float64(netsim.Millisecond)),
+		Duration: dur,
 		Workers:  s.Workers,
 		Seed:     s.Seed,
 		Flows:    s.Flows,
 		Load:     s.Load,
 		Faults:   s.Faults,
-		MTBF:     netsim.Time(s.MTBFMs * float64(netsim.Millisecond)),
+		MTBF:     mtbf,
 		Reconfig: s.Reconfig,
 		CC:       s.CC,
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,6 +137,11 @@ func TestSpecValidate(t *testing.T) {
 		"bad cc":       {spec: JobSpec{Scenario: "cc-shootout", CC: "bbr"}},
 		"unread field": {spec: JobSpec{Scenario: "fig12", Ranks: 5}, want: []string{`"ranks"`, "dur_ms, workers"}},
 		"bad reconfig": {spec: JobSpec{Scenario: "reconfig-under-load", Reconfig: "ring"}, want: []string{`"ring"`, "dragonfly|torus"}},
+		// Durations that do not convert to a positive netsim.Time would
+		// run the default grid under a non-default hash.
+		"mtbf overflows": {spec: JobSpec{Scenario: "faults-flap", MTBFMs: 1e13}, want: []string{"mtbf_ms"}},
+		"mtbf sub-ps":    {spec: JobSpec{Scenario: "faults-flap", MTBFMs: 1e-12}, want: []string{"mtbf_ms"}},
+		"dur overflows":  {spec: JobSpec{Scenario: "fig12", DurMs: 1e13}, want: []string{"dur_ms"}},
 	} {
 		err := tc.spec.Validate()
 		if err == nil {
@@ -161,8 +168,12 @@ func TestSpecParamsUnits(t *testing.T) {
 }
 
 // TestSchemaRegistered pins that every registered scenario set carries
-// a schema naming only canonical field descriptors, and that seeded
-// sets declare their seed.
+// a schema naming only canonical field descriptors, and guards the
+// hand-kept knob lists until typed params land: the canonical Field*
+// names are exactly JobSpec's JSON tags minus "scenario", and a spec
+// that sets any one result field on a set whose Schema omits it is
+// rejected — so a knob added to JobSpec and Field* but forgotten in
+// Validate's name → is-zero table fails here.
 func TestSchemaRegistered(t *testing.T) {
 	canon := map[string]Field{}
 	for _, f := range []Field{FieldRanks, FieldReps, FieldBytes, FieldZoo, FieldDur,
@@ -185,6 +196,55 @@ func TestSchemaRegistered(t *testing.T) {
 				t.Errorf("%s: schema field %q repeated", e.Name, f.Name)
 			}
 			seen[f.Name] = true
+		}
+	}
+
+	// field maps each JSON tag of JobSpec to its struct field index.
+	field := map[string]int{}
+	st := reflect.TypeOf(JobSpec{})
+	for i := 0; i < st.NumField(); i++ {
+		tag, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
+		if tag != "scenario" {
+			field[tag] = i
+		}
+	}
+	for name := range canon {
+		if _, ok := field[name]; !ok {
+			t.Errorf("canonical field %q is not a JobSpec JSON tag", name)
+		}
+	}
+	for tag := range field {
+		if _, ok := canon[tag]; !ok {
+			t.Errorf("JobSpec field %q has no canonical Field descriptor", tag)
+		}
+	}
+
+	// table1 reads nothing, so every result field is foreign to it.
+	const bare = "table1"
+	if e, ok := Lookup(bare); !ok || len(e.Schema) != 0 {
+		t.Fatalf("%s must be registered with an empty schema", bare)
+	}
+	for name, i := range field {
+		if name == FieldWorkers.Name {
+			continue // an execution knob, accepted on every set
+		}
+		spec := JobSpec{Scenario: bare}
+		v := reflect.ValueOf(&spec).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.String:
+			// A value every value check accepts, so only the schema
+			// check can refuse it.
+			v.SetString(map[string]string{FieldReconfig.Name: "torus", FieldCC.Name: netsim.CCDCQCN}[name])
+		default:
+			t.Fatalf("JobSpec field %q has kind %s; teach this test to set it", name, v.Kind())
+		}
+		err := spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("%s with only %q set: err = %v, want a rejection naming the field", bare, name, err)
 		}
 	}
 }

@@ -91,11 +91,6 @@ func LinkFlap(edge int, mtbf, mttr netsim.Time) Flap {
 	return Flap{Link: edge, Switch: -1, MTBF: mtbf, MTTR: mttr}
 }
 
-// SwitchFlap builds a flap process on a switch vertex.
-func SwitchFlap(v int, mtbf, mttr netsim.Time) Flap {
-	return Flap{Link: -1, Switch: v, MTBF: mtbf, MTTR: mttr}
-}
-
 // Spec describes one fault workload. The zero Spec is valid and empty
 // (no faults). Equal specs expand to byte-identical schedules.
 type Spec struct {
@@ -241,17 +236,6 @@ func checkElem(g *topology.Graph, k Kind, elem int) error {
 		return fmt.Errorf("unknown fault kind %d", k)
 	}
 	return nil
-}
-
-// Digest renders a schedule one event per line — the byte-stable form
-// the determinism tests compare.
-func Digest(sched []Event) string {
-	var b []byte
-	for _, ev := range sched {
-		b = append(b, ev.String()...)
-		b = append(b, '\n')
-	}
-	return string(b)
 }
 
 // Observer is notified inside the engine thread immediately after a

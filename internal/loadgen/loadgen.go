@@ -119,14 +119,6 @@ func (s Spec) MustGenerate() *FlowSet {
 	return fs
 }
 
-// Span returns the arrival window: the start time of the last flow.
-func (fs *FlowSet) Span() netsim.Time {
-	if len(fs.Flows) == 0 {
-		return 0
-	}
-	return fs.Flows[len(fs.Flows)-1].Start
-}
-
 // TotalBytes sums the schedule's flow sizes.
 func (fs *FlowSet) TotalBytes() int64 {
 	var n int64
@@ -168,20 +160,4 @@ func (fs *FlowSet) Trace() *workload.Trace {
 		progs[r] = append(sends[r], recvs[r]...)
 	}
 	return &workload.Trace{Name: fs.Name, Ranks: fs.Spec.Ranks, Programs: progs}
-}
-
-// PairCounts tallies flows per (src, dst) pair — the balance view the
-// pattern invariants are tested against.
-func (fs *FlowSet) PairCounts() map[[2]int]int {
-	out := map[[2]int]int{}
-	for i := range fs.Flows {
-		out[[2]int{fs.Flows[i].Src, fs.Flows[i].Dst}]++
-	}
-	return out
-}
-
-// Catalogue returns the pattern names of the generator family in
-// documentation order (the WORKLOADS.md loadgen table).
-func Catalogue() []string {
-	return []string{"uniform", "permutation", "incast", "outcast", "hotspot", "rack-local"}
 }

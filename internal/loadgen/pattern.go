@@ -247,24 +247,3 @@ func (p rackLocalPat) Instantiate(r *RNG, n int) PairFn {
 		}
 	}
 }
-
-// PatternByName resolves a catalogue pattern by its WORKLOADS.md name,
-// with each family's default parameters.
-func PatternByName(name string) (Pattern, error) {
-	switch name {
-	case "uniform":
-		return Uniform(), nil
-	case "permutation":
-		return Permutation(), nil
-	case "incast":
-		return Incast(0), nil
-	case "outcast":
-		return Outcast(), nil
-	case "hotspot":
-		return Hotspot(0, 0), nil
-	case "rack-local":
-		return RackLocal(0, 0), nil
-	default:
-		return nil, fmt.Errorf("loadgen: unknown pattern %q (have uniform, permutation, incast, outcast, hotspot, rack-local)", name)
-	}
-}

@@ -102,17 +102,6 @@ func WebSearch() *CDF {
 	})
 }
 
-// DataMining is the VL2 data-mining distribution (Greenberg et al.,
-// SIGCOMM'09): over half the flows under 1 kB with a tail out to
-// 100 MB. Far heavier-tailed than WebSearch; analytic mean ≈ 2.2 MB.
-func DataMining() *CDF {
-	return NewCDF("data-mining", []CDFPoint{
-		{100, 0.5}, {1 * 1024, 0.6}, {10 * 1024, 0.7},
-		{100 * 1024, 0.8}, {1 << 20, 0.9}, {10 << 20, 0.97},
-		{100 << 20, 1},
-	})
-}
-
 // scaled shrinks/stretches another distribution by a constant factor.
 type scaled struct {
 	d SizeDist

@@ -46,9 +46,6 @@ type App struct {
 	Ranks  []*Rank
 	nDone  int
 	onDone func(act Time)
-	// OnOp, when set, observes every operation as it is issued
-	// (rank index, the op, issue time) — the trace-recording hook.
-	OnOp func(rank int, op Op, at Time)
 }
 
 // NewApp installs rank programs onto hosts. hosts[i] runs programs[i];
@@ -91,9 +88,6 @@ func (a *App) step(r *Rank) {
 	for r.pc < len(r.prog) {
 		op := r.prog[r.pc]
 		r.pc++
-		if a.OnOp != nil {
-			a.OnOp(r.Index, op, n.Sim.Now())
-		}
 		switch op.Kind {
 		case OpSend:
 			r.host.roce.Send(a.hostOf(op.Peer), op.MTag, op.Bytes)

@@ -204,9 +204,6 @@ func (h *Host) Recv(src, tag int, cont func()) {
 	h.mailbox.recv(h.net.Sim, src, tag, engine.FuncCB(cont))
 }
 
-// Vertex returns the topology vertex ID of this host.
-func (h *Host) Vertex() int { return h.vertex }
-
 // inject hands a packet to the host NIC egress queue. Under pFabric a
 // data packet keeps the size-priority class the QP stamped; every
 // other packet derives its class from its VC tag as usual.

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"repro/internal/engine"
-	"repro/internal/topology"
-)
+import "repro/internal/engine"
 
 // MeasurePingpong runs an IMB-style Pingpong between hosts a and b:
 // reps round trips of a message of the given payload size, returning
@@ -60,31 +57,6 @@ type GoodputSample struct {
 	Gbps float64
 }
 
-// SampleGoodput arranges periodic sampling of each listed host's
-// delivered bytes, returning a live map that fills as the simulation
-// runs. Call before Run; read after.
-func SampleGoodput(n *Network, hosts []int, interval, until Time) map[int][]GoodputSample {
-	out := map[int][]GoodputSample{}
-	last := map[int]int64{}
-	var tick func(at Time)
-	tick = func(at Time) {
-		n.Sim.At(at, func() {
-			for _, hv := range hosts {
-				h := n.Host(hv)
-				d := h.DeliveredBytes - last[hv]
-				last[hv] = h.DeliveredBytes
-				gbps := float64(d*8) / interval.Seconds() / 1e9
-				out[hv] = append(out[hv], GoodputSample{At: at, Gbps: gbps})
-			}
-			if at+interval <= until {
-				tick(at + interval)
-			}
-		})
-	}
-	tick(interval)
-	return out
-}
-
 // LinkLoads snapshots transmitted bytes per logical edge (both
 // directions summed) — the Network Monitor feed for adaptive routing.
 func (n *Network) LinkLoads() map[int]float64 {
@@ -101,6 +73,3 @@ func (n *Network) ResetLinkLoads() {
 		l.TxBytes = 0
 	}
 }
-
-// HostsOf is a convenience returning the topology's host vertex IDs.
-func HostsOf(g *topology.Graph) []int { return g.Hosts() }

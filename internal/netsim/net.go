@@ -678,12 +678,6 @@ func (n *Network) LinkIsDown(edge int) bool {
 	return false
 }
 
-// SwitchIsDown reports whether switch vertex v is currently failed.
-func (n *Network) SwitchIsDown(v int) bool {
-	sw := n.Switch(v)
-	return sw != nil && sw.down
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a

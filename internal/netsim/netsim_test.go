@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/routing"
@@ -391,28 +390,6 @@ func TestLinkLoadsTelemetry(t *testing.T) {
 		if v != 0 {
 			t.Errorf("edge %d load %v after reset", eid, v)
 		}
-	}
-}
-
-func TestGoodputSampling(t *testing.T) {
-	cfg := DefaultConfig()
-	net, g := buildLine(t, 2, 1, cfg)
-	hosts := g.Hosts()
-	net.Host(hosts[0]).roce.Send(hosts[1], 1, 8<<20)
-	samples := SampleGoodput(net, []int{hosts[1]}, 1*Millisecond, 20*Millisecond)
-	net.Sim.Run(21 * Millisecond)
-	ss := samples[hosts[1]]
-	if len(ss) < 5 {
-		t.Fatalf("only %d samples", len(ss))
-	}
-	peak := 0.0
-	for _, s := range ss {
-		if s.Gbps > peak {
-			peak = s.Gbps
-		}
-	}
-	if math.Abs(peak-9.8) > 1.5 {
-		t.Errorf("peak goodput = %.2f Gbps, want ~10", peak)
 	}
 }
 

@@ -31,7 +31,6 @@ type Time = engine.Time
 
 // Common durations.
 const (
-	Picosecond  = engine.Picosecond
 	Nanosecond  = engine.Nanosecond
 	Microsecond = engine.Microsecond
 	Millisecond = engine.Millisecond

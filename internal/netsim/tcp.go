@@ -26,7 +26,6 @@ type TCPConn struct {
 	rto            engine.Handle // pending RTO event; cancelled on progress
 	done           func(fct Time)
 	startAt        Time
-	stopped        bool
 
 	// Receiver state.
 	rcvNxt   int64
@@ -38,7 +37,7 @@ type TCPConn struct {
 const tcpRTO = 2 * Millisecond
 
 // StartTCP opens a TCP flow from src to dst sending `limit` bytes
-// (limit < 0 streams until StopTCP). done, if non-nil, fires at the
+// (limit < 0 streams until the run ends). done, if non-nil, fires at the
 // sender when the last byte is cumulatively acknowledged.
 func (n *Network) StartTCP(src, dst int, limit int64, done func(fct Time)) *TCPConn {
 	n.nextID++
@@ -56,14 +55,8 @@ func (n *Network) StartTCP(src, dst int, limit int64, done func(fct Time)) *TCPC
 	return c
 }
 
-// StopTCP ends an unlimited flow (no more new data).
-func (c *TCPConn) StopTCP() { c.stopped = true }
-
 func (c *TCPConn) remaining() int64 {
 	if c.limit < 0 {
-		if c.stopped {
-			return 0
-		}
 		return 1 << 60
 	}
 	return c.limit - c.sndNxt
@@ -177,9 +170,9 @@ func (c *TCPConn) onAck(pkt *Packet) {
 		}
 	}
 	c.trySend()
-	// Everything acknowledged and no more data coming (finite flow done
-	// or stopped stream drained): retire the timer instead of letting
-	// it fire one last no-op.
+	// Everything acknowledged and no more data coming (finite flow
+	// done): retire the timer instead of letting it fire one last
+	// no-op.
 	if c.sndUna >= c.sndNxt && c.remaining() == 0 {
 		c.net.Sim.Cancel(c.rto)
 		c.rto = engine.Handle{}

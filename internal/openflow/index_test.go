@@ -63,10 +63,6 @@ func TestIndexedLookupMatchesLinearScan(t *testing.T) {
 		// Mutate and re-probe: the index must follow RemoveCookie.
 		tab.RemoveCookie(uint64(rng.Intn(3)))
 		probe()
-		tab.Clear()
-		if got := tab.Lookup(PacketMeta{DstHost: 1}); got != nil {
-			t.Fatalf("lookup on cleared table = %v", got)
-		}
 	}
 }
 

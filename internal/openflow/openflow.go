@@ -173,14 +173,6 @@ type Table struct {
 // Len reports the number of installed entries.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Free reports remaining capacity (MaxInt if unlimited).
-func (t *Table) Free() int {
-	if t.Capacity == 0 {
-		return int(^uint(0) >> 1)
-	}
-	return t.Capacity - len(t.entries)
-}
-
 // Add installs an entry, keeping match order. It fails with
 // *ErrTableFull when capacity is exhausted.
 //
@@ -220,14 +212,6 @@ func (t *Table) RemoveCookie(cookie uint64) int {
 	t.entries = kept
 	t.idxDirty = true
 	return removed
-}
-
-// Clear removes all entries.
-func (t *Table) Clear() {
-	t.entries = nil
-	t.byDst = nil
-	t.wild = nil
-	t.idxDirty = false
 }
 
 // Prime eagerly (re)builds the lookup index. Lookup otherwise builds
@@ -381,16 +365,6 @@ func (s *Switch) Process(p PacketMeta) Forwarding {
 		fwd.Dropped = true
 	}
 	return fwd
-}
-
-// ResetCounters zeroes port and entry counters (telemetry epoch).
-func (s *Switch) ResetCounters() {
-	for i := range s.Ports {
-		s.Ports[i] = PortCounter{}
-	}
-	for _, e := range s.Table.Entries() {
-		e.Packets, e.Bytes = 0, 0
-	}
 }
 
 // Dump renders the flow table for debugging and the sdtctl CLI.

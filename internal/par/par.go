@@ -1,5 +1,5 @@
 // Package par is the leaf worker-pool primitive shared by the
-// experiment sweeps (via core.ParallelFor) and the routing strategies'
+// experiment sweeps (via core.ForEach) and the routing strategies'
 // per-destination route builds. It lives below every domain package so
 // that routing can fan out without importing core (which imports
 // controller, which imports routing).

@@ -701,16 +701,3 @@ func (r *refiner) rebalance(maxAllowed int) int {
 	}
 	return moved
 }
-
-// CutEdgeIDs returns the IDs of switch-switch edges cut by the result —
-// the logical links that must become inter-switch links.
-func (r *Result) CutEdgeIDs(g *topology.Graph) []int {
-	var out []int
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
-		if r.Assign[e.A] != r.Assign[e.B] {
-			out = append(out, eid)
-		}
-	}
-	return out
-}

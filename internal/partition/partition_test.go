@@ -159,18 +159,19 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestCutEdgeIDs(t *testing.T) {
+// TestCutEdgesMatchesAssign: Result.CutEdges is exactly the number of
+// switch-switch edges whose ends Assign puts on different parts.
+func TestCutEdgesMatchesAssign(t *testing.T) {
 	g := topology.Torus2D(4, 4, 0)
 	r := mustCut(t, g, 2, Options{})
-	ids := r.CutEdgeIDs(g)
-	if len(ids) != r.CutEdges {
-		t.Fatalf("CutEdgeIDs len = %d, want %d", len(ids), r.CutEdges)
-	}
-	for _, eid := range ids {
-		e := g.Edges[eid]
-		if r.Assign[e.A] == r.Assign[e.B] {
-			t.Errorf("edge %d reported cut but both ends sit on switch %d", eid, r.Assign[e.A])
+	cut := 0
+	for _, eid := range g.SwitchSwitchEdges() {
+		if e := g.Edges[eid]; r.Assign[e.A] != r.Assign[e.B] {
+			cut++
 		}
+	}
+	if cut != r.CutEdges {
+		t.Fatalf("Assign cuts %d edges, CutEdges = %d", cut, r.CutEdges)
 	}
 }
 

@@ -27,39 +27,6 @@ func NewAllocation(cab *Cabling) *Allocation {
 	}
 }
 
-// FreeSelf reports unused self-links on switch s.
-func (a *Allocation) FreeSelf(s int) int {
-	n := 0
-	for _, i := range a.cab.selfOn(s) {
-		if !a.selfUsed[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// FreeInter reports unused inter-links between switches s1 and s2.
-func (a *Allocation) FreeInter(s1, s2 int) int {
-	n := 0
-	for _, i := range a.cab.interBetween(s1, s2) {
-		if !a.interUsed[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// FreeHostPorts reports unused host ports on switch s.
-func (a *Allocation) FreeHostPorts(s int) int {
-	n := 0
-	for _, i := range a.cab.hostPortsOn(s) {
-		if !a.hostUsed[i] {
-			n++
-		}
-	}
-	return n
-}
-
 // PortKey names a logical port: vertex ID and 1-based port number.
 type PortKey struct {
 	Vertex int
@@ -92,9 +59,6 @@ type PhysLink struct {
 	SelfLink  int // index into Cabling.SelfLinks, or -1
 	InterLink int // index into Cabling.InterLinks, or -1
 }
-
-// IsInter reports whether the logical link crosses physical switches.
-func (p PhysLink) IsInter() bool { return p.InterLink >= 0 }
 
 // CrossbarOf returns the physical switch index hosting logical switch v
 // — the crossbar its sub-switch shares with co-projected sub-switches.

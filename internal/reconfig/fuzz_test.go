@@ -125,11 +125,11 @@ func FuzzReconfigPlan(f *testing.F) {
 		// The resident plan — whatever committed last, or the original —
 		// must be internally consistent and must be exactly what the
 		// allocation books.
-		plan := rc.Plan()
+		plan := rc.cur
 		if err := plan.Check(); err != nil {
 			t.Fatalf("resident plan fails check: %v", err)
 		}
-		self, inter, host := rc.Allocation().UsedCounts()
+		self, inter, host := rc.alloc.UsedCounts()
 		if self != plan.SelfUsed || inter != plan.InterUsed || host != len(plan.HostAttach) {
 			t.Fatalf("allocation books (%d, %d, %d), resident plan %q needs (%d, %d, %d)",
 				self, inter, host, plan.Topo.Name, plan.SelfUsed, plan.InterUsed, len(plan.HostAttach))

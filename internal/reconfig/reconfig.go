@@ -191,23 +191,6 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Stage, error) {
 	return out, nil
 }
 
-// Digest renders a stage schedule one line per stage — the byte-stable
-// form the determinism tests compare.
-func Digest(stages []Stage) string {
-	var b []byte
-	for i := range stages {
-		st := &stages[i]
-		line := fmt.Sprintf("%s drain=%d commit@%dus restore@%dus", st.Desc, len(st.Drained),
-			int64(st.CommitAt/netsim.Microsecond), int64(st.RestoreAt/netsim.Microsecond))
-		if st.Outcome != "" {
-			line += " " + st.Outcome
-		}
-		b = append(b, line...)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
 // Reconfigurer executes one spec's transitions against one running
 // fabric. Create with New, set the hooks, then Bind before the
 // simulation starts. All stage execution happens inside the engine
@@ -450,12 +433,3 @@ func (r *Reconfigurer) restore(net *netsim.Network, i int) {
 		r.OnRestore(net.Sim.Now(), i, churn)
 	}
 }
-
-// Plan returns the currently committed projection plan: the running
-// topology's until a transition commits, then the last committed
-// target's.
-func (r *Reconfigurer) Plan() *projection.Plan { return r.cur }
-
-// Allocation exposes the run-private allocation (the fuzz target checks
-// its leak invariants against the resident plan).
-func (r *Reconfigurer) Allocation() *projection.Allocation { return r.alloc }

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func fixture(t *testing.T, g, target *topology.Graph) (*projection.Cabling, *rou
 // resident plan's resources — no leaks, no double-booking.
 func allocCounts(t *testing.T, r *Reconfigurer, plan *projection.Plan) {
 	t.Helper()
-	self, inter, host := r.Allocation().UsedCounts()
+	self, inter, host := r.alloc.UsedCounts()
 	if self != plan.SelfUsed || inter != plan.InterUsed || host != len(plan.HostAttach) {
 		t.Fatalf("allocation books (self=%d inter=%d host=%d), resident plan %q needs (%d, %d, %d)",
 			self, inter, host, plan.Topo.Name, plan.SelfUsed, plan.InterUsed, len(plan.HostAttach))
@@ -89,9 +90,6 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if st.PatchAt != st.DrainAt+DefaultPatchLatency {
 		t.Fatalf("patch at %d, want drain+%d", st.PatchAt, DefaultPatchLatency)
-	}
-	if a, b := Digest(stages), Digest(stages); a != b || a == "" {
-		t.Fatalf("digest unstable: %q vs %q", a, b)
 	}
 
 	// Patch disabled by a negative latency or one at/past the drain
@@ -162,10 +160,10 @@ func TestCommitProtocol(t *testing.T) {
 	if st.Entries <= 0 || st.ReconfigTime <= 0 || st.HardwareCost <= 0 {
 		t.Fatalf("cost columns = %d entries, %v, $%v", st.Entries, st.ReconfigTime, st.HardwareCost)
 	}
-	if rc.Plan().Topo != target {
-		t.Fatalf("committed plan is for %q", rc.Plan().Topo.Name)
+	if rc.cur.Topo != target {
+		t.Fatalf("committed plan is for %q", rc.cur.Topo.Name)
 	}
-	allocCounts(t, rc, rc.Plan())
+	allocCounts(t, rc, rc.cur)
 	for _, e := range st.Drained {
 		if net.LinkIsDown(e) {
 			t.Fatalf("link %d still down after reconverge", e)
@@ -211,10 +209,10 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 	if !strings.HasPrefix(st.Outcome, OutcomeRolledBack) || !strings.Contains(rollbackReason, "injected") {
 		t.Fatalf("outcome = %q, reason = %q", st.Outcome, rollbackReason)
 	}
-	if rc.Plan().Topo != g {
-		t.Fatalf("plan after rollback is for %q, want the old topology", rc.Plan().Topo.Name)
+	if rc.cur.Topo != g {
+		t.Fatalf("plan after rollback is for %q, want the old topology", rc.cur.Topo.Name)
 	}
-	allocCounts(t, rc, rc.Plan())
+	allocCounts(t, rc, rc.cur)
 	for _, e := range st.Drained {
 		if net.LinkIsDown(e) {
 			t.Fatalf("link %d still down after rollback", e)
@@ -244,7 +242,7 @@ func TestStageTimeoutRollback(t *testing.T) {
 	if !strings.Contains(rc.Stages[0].Outcome, "stage timeout") {
 		t.Fatalf("outcome = %q", rc.Stages[0].Outcome)
 	}
-	allocCounts(t, rc, rc.Plan())
+	allocCounts(t, rc, rc.cur)
 }
 
 // TestRejectBeforeDrain: a target that cannot be projected at all is
@@ -273,7 +271,7 @@ func TestRejectBeforeDrain(t *testing.T) {
 			t.Fatalf("rejected transition drained link %d", eid)
 		}
 	}
-	allocCounts(t, rc, rc.Plan())
+	allocCounts(t, rc, rc.cur)
 }
 
 // TestDrainSetDeterministic: equal inputs give byte-identical schedules
@@ -289,7 +287,11 @@ func TestDrainSetDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		digests = append(digests, Digest(rc.Stages))
+		var d string
+		for _, st := range rc.Stages {
+			d += fmt.Sprintf("%s drain=%v commit@%d restore@%d %s\n", st.Desc, st.Drained, st.CommitAt, st.RestoreAt, st.Outcome)
+		}
+		digests = append(digests, d)
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("drain schedule diverged:\n%s\nvs\n%s", digests[0], digests[1])

@@ -199,9 +199,9 @@ func (f *FIB) spillMatch(v uint32, inPort, tag int) *spillRule {
 }
 
 // Rule returns the matched rule itself — the same *Rule Lookup would
-// return — for callers that need rule granularity (the reactive
-// controller keys installed flows by the rule's wildcard shape). nil on
-// a miss.
+// return — so the differential tests can compare the compiled table
+// against Routes.Lookup rule by rule, not just decision by decision.
+// nil on a miss.
 func (f *FIB) Rule(sw, inPort, dst, tag int) *Rule {
 	var v uint32
 	inRange := uint(sw) < uint(f.stride) && uint(dst) < uint(f.stride)
@@ -223,9 +223,6 @@ func (f *FIB) Rule(sw, inPort, dst, tag int) *Rule {
 	}
 	return nil
 }
-
-// Routes returns the rule set this FIB was compiled from.
-func (f *FIB) Routes() *Routes { return f.routes }
 
 // Stats summarises the compiled layout for dumps and DESIGN.md's
 // accounting: how many slots take the packed fast path vs a spill list.

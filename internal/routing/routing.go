@@ -522,62 +522,6 @@ func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) erro
 	}, nil
 }
 
-// CompileLogicalTables instantiates one OpenFlow switch per logical
-// switch and installs the routes as flow entries — the configuration of
-// a "full testbed" where every logical switch is a real switch. Port
-// numbering follows the logical topology's ports. tableCap of 0 means
-// unlimited.
-func CompileLogicalTables(r *Routes, tableCap int) (map[int]*openflow.Switch, error) {
-	g := r.Topo
-	out := make(map[int]*openflow.Switch, g.NumSwitches())
-	for _, s := range g.Switches() {
-		maxPort := 0
-		for _, eid := range g.IncidentEdges(s) {
-			if p := g.Edges[eid].PortAt(s); p > maxPort {
-				maxPort = p
-			}
-		}
-		out[s] = openflow.NewSwitch(g.Vertices[s].Label, maxPort, tableCap)
-	}
-	for _, rule := range r.Rules {
-		sw := out[rule.Switch]
-		if sw == nil {
-			return nil, fmt.Errorf("routing: rule references non-switch vertex %d", rule.Switch)
-		}
-		var actions []openflow.Action
-		if rule.NewTag >= 0 {
-			actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: rule.NewTag})
-		}
-		actions = append(actions, openflow.Action{Type: openflow.Output, Port: rule.OutPort})
-		prio := 10
-		if rule.InPort != 0 {
-			prio += 4
-		}
-		if rule.Tag != openflow.Any {
-			prio += 2
-		}
-		err := sw.Table.Add(openflow.FlowEntry{
-			Priority: prio,
-			Match: openflow.Match{
-				InPort:  rule.InPort,
-				SrcHost: openflow.Any,
-				DstHost: rule.Dst,
-				Tag:     rule.Tag,
-			},
-			Actions: actions,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Prime the lookup indices so the compiled tables can be probed
-	// concurrently (the lazy first build is a write).
-	for _, sw := range out {
-		sw.Table.Prime()
-	}
-	return out, nil
-}
-
 // TracePath walks the rules from src host to dst host and returns the
 // sequence of (switch, vc) hops, verifying termination. It is the
 // loop/completeness checker used by tests and the deadlock verifier.

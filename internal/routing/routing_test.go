@@ -362,66 +362,6 @@ func TestUGALDivertsUnderLoad(t *testing.T) {
 	}
 }
 
-func TestCompileLogicalTables(t *testing.T) {
-	g := topology.Line(4, 1)
-	r, err := ShortestPath{}.Compute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := CompileLogicalTables(r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 4 {
-		t.Fatalf("tables for %d switches, want 4", len(tables))
-	}
-	// Forward a packet along the line via the flow tables and verify it
-	// reaches the destination's host port.
-	hosts := g.Hosts()
-	src, dst := hosts[0], hosts[3]
-	cur := g.HostSwitch(src)
-	inPort := g.Edges[g.EdgeBetween(cur, src)].PortAt(cur)
-	tag := 0
-	for hop := 0; hop < 10; hop++ {
-		sw := tables[cur]
-		fwd := sw.Process(openflow.PacketMeta{InPort: inPort, SrcHost: src, DstHost: dst, Tag: tag, Bytes: 100})
-		if !fwd.Matched || fwd.Dropped {
-			t.Fatalf("hop %d: packet dropped at switch %d: %+v", hop, cur, fwd)
-		}
-		tag = fwd.Tag
-		// Resolve the out port.
-		found := false
-		for _, eid := range g.IncidentEdges(cur) {
-			e := g.Edges[eid]
-			if e.PortAt(cur) == fwd.OutPort {
-				nxt := e.Other(cur)
-				if nxt == dst {
-					return // delivered
-				}
-				inPort = e.PortAt(nxt)
-				cur = nxt
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("dangling out port %d at switch %d", fwd.OutPort, cur)
-		}
-	}
-	t.Fatal("packet looped")
-}
-
-func TestCompileRespectsCapacity(t *testing.T) {
-	g := topology.FatTree(4)
-	r, err := FatTreeDFS{}.Compute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompileLogicalTables(r, 1); err == nil {
-		t.Error("capacity 1 accepted a fat-tree route set")
-	}
-}
-
 func TestForTopology(t *testing.T) {
 	cases := []struct {
 		g    *topology.Graph

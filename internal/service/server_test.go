@@ -470,7 +470,9 @@ func TestHTTPSurface(t *testing.T) {
 	// parallelism knob is unknown like any other (spelled in two halves
 	// so the tree-wide grep that proves the knob is gone stays empty).
 	// Known fields the set does not read are named with the ones it
-	// does; a bad reconfig target is refused here, not queued and run.
+	// does; a bad reconfig target is refused here, not queued and run,
+	// and so is a duration that does not convert to a positive
+	// picosecond count (it would run the default grid).
 	retired := "sh" + "ards"
 	for _, tc := range []struct {
 		body string
@@ -480,6 +482,9 @@ func TestHTTPSurface(t *testing.T) {
 		{`{"scenario":"svc-test-echo","` + retired + `":2}`, []string{retired}},
 		{`{"scenario":"fig12","ranks":5}`, []string{"ranks", "dur_ms, workers"}},
 		{`{"scenario":"reconfig-under-load","reconfig":"ring"}`, []string{"ring", "dragonfly|torus"}},
+		{`{"scenario":"faults-flap","mtbf_ms":1e13}`, []string{"mtbf_ms"}},
+		{`{"scenario":"faults-flap","mtbf_ms":1e-12}`, []string{"mtbf_ms"}},
+		{`{"scenario":"fig12","dur_ms":1e13}`, []string{"dur_ms"}},
 	} {
 		resp, err = http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -9,8 +9,6 @@ package telemetry
 // transition awaits its first delivery.
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/netsim"
@@ -95,73 +93,6 @@ type ReconfigReport struct {
 	PacketsLost int64
 	// Incomplete counts workload flows that never finished.
 	Incomplete int
-}
-
-// Committed counts transitions whose switchover succeeded.
-func (r *ReconfigReport) Committed() int {
-	n := 0
-	for i := range r.Transitions {
-		if r.Transitions[i].Committed {
-			n++
-		}
-	}
-	return n
-}
-
-// TotalChurn sums rule churn over all transitions.
-func (r *ReconfigReport) TotalChurn() int {
-	n := 0
-	for i := range r.Transitions {
-		n += r.Transitions[i].TotalChurn()
-	}
-	return n
-}
-
-// MeanReconvergence averages drain→first-delivery over the transitions
-// that reconverged, also reporting how many did.
-func (r *ReconfigReport) MeanReconvergence() (mean netsim.Time, n int) {
-	var sum netsim.Time
-	for i := range r.Transitions {
-		if d := r.Transitions[i].Reconvergence(); d >= 0 {
-			sum += d
-			n++
-		}
-	}
-	if n == 0 {
-		return -1, 0
-	}
-	return sum / netsim.Time(n), n
-}
-
-// Format prints the per-transition protocol table.
-func (r *ReconfigReport) Format(w io.Writer) {
-	fmt.Fprintf(w, "%-32s %-10s %6s %5s %6s %10s %8s %10s %10s\n",
-		"transition", "outcome", "links", "lost", "churn", "reconv", "entries", "reconfig", "hw-cost")
-	for i := range r.Transitions {
-		e := &r.Transitions[i]
-		outcome := "committed"
-		if e.Rejected {
-			outcome = "rejected"
-		} else if !e.Committed {
-			outcome = "rolled-back"
-		}
-		reconv, entries, reconf, hw := "-", "-", "-", "-"
-		if d := e.Reconvergence(); d >= 0 {
-			reconv = fmt.Sprintf("%.0fus", float64(d)/float64(netsim.Microsecond))
-		}
-		if e.Committed {
-			entries = fmt.Sprintf("%d", e.Entries)
-			reconf = fmt.Sprintf("%.1fms", float64(e.ReconfigTime)/float64(time.Millisecond))
-			hw = fmt.Sprintf("$%.0f", e.HardwareCost)
-		}
-		lost := "-"
-		if n := e.PacketsLost(); n >= 0 {
-			lost = fmt.Sprintf("%d", n)
-		}
-		fmt.Fprintf(w, "%-32s %-10s %6d %5s %6d %10s %8s %10s %10s\n",
-			e.Desc, outcome, e.DrainedLinks, lost, e.TotalChurn(), reconv, entries, reconf, hw)
-	}
-	fmt.Fprintf(w, "packets lost to reconfiguration: %d, flows incomplete: %d\n", r.PacketsLost, r.Incomplete)
 }
 
 // TransitionDrain records a drain stage taking effect now and returns

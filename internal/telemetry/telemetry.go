@@ -7,14 +7,10 @@
 // A Collector samples per-logical-link byte counters on a fixed period
 // inside a running simulation, maintaining instantaneous rates, EWMA
 // smoothed rates, and peak tracking per link — the inputs adaptive
-// (UGAL) routing consumes — and exports the series as JSON for offline
-// analysis.
+// (UGAL) routing consumes.
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -24,16 +20,15 @@ import (
 
 // LinkSeries is the sampled history of one logical link.
 type LinkSeries struct {
-	EdgeID int `json:"edge"`
+	EdgeID int
 	// Labels of the link endpoints.
-	A string `json:"a_label,omitempty"`
-	B string `json:"b_label,omitempty"`
+	A, B string
 	// Samples of bytes transferred in each period (both directions).
-	Bytes []int64 `json:"bytes"`
+	Bytes []int64
 	// Peak period bytes seen.
-	Peak int64 `json:"peak"`
+	Peak int64
 	// EWMA of the per-period byte counts.
-	EWMA float64 `json:"ewma"`
+	EWMA float64
 }
 
 // Collector samples a simulation's link counters periodically. One
@@ -70,21 +65,6 @@ func NewCollector(g *topology.Graph, period netsim.Time, alpha float64) *Collect
 		Period: period, Alpha: alpha,
 		topo: g, series: map[int]*LinkSeries{}, last: map[*netsim.Network]map[int]float64{},
 	}
-}
-
-// Arm schedules periodic collection on the network until the given
-// horizon (0 = a single sample at one period). Call before Run.
-func (c *Collector) Arm(net *netsim.Network, until netsim.Time) {
-	var tick func(at netsim.Time)
-	tick = func(at netsim.Time) {
-		net.Sim.At(at, func() {
-			c.Collect(net)
-			if at+c.Period <= until {
-				tick(at + c.Period)
-			}
-		})
-	}
-	tick(c.Period)
 }
 
 // Collect takes one sample immediately (cumulative counters diffed
@@ -136,19 +116,6 @@ func (c *Collector) Epochs() int {
 	return c.epochs
 }
 
-// Rates returns the latest smoothed per-link load in bytes/second —
-// the map adaptive routing strategies consume.
-func (c *Collector) Rates() map[int]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]float64, len(c.series))
-	per := c.Period.Seconds()
-	for eid, s := range c.series {
-		out[eid] = s.EWMA / per
-	}
-	return out
-}
-
 // Series returns the recorded link series sorted by edge ID. The
 // returned values are the live series records; read them after the
 // runs feeding the collector have finished.
@@ -171,34 +138,4 @@ func (c *Collector) Hottest(n int) []*LinkSeries {
 		n = len(all)
 	}
 	return all[:n]
-}
-
-// export is the JSON document shape.
-type export struct {
-	Topology string        `json:"topology"`
-	PeriodNs int64         `json:"period_ns"`
-	Epochs   int           `json:"epochs"`
-	Links    []*LinkSeries `json:"links"`
-}
-
-// WriteJSON dumps the collected series.
-func (c *Collector) WriteJSON(w io.Writer) error {
-	doc := export{
-		Topology: c.topo.Name,
-		PeriodNs: int64(c.Period / netsim.Nanosecond),
-		Epochs:   c.Epochs(),
-		Links:    c.Series(),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// ReadJSON parses a dump written by WriteJSON.
-func ReadJSON(r io.Reader) ([]*LinkSeries, error) {
-	var doc export
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	return doc.Links, nil
 }

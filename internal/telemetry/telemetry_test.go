@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/netsim"
@@ -23,13 +22,21 @@ func lineNet(t *testing.T) (*netsim.Network, *topology.Graph) {
 	return net, g
 }
 
+// sample drives the collector the way core.WithTelemetry does: one
+// Collect per period of simulated time, for the given number of epochs.
+func sample(net *netsim.Network, col *Collector, epochs int) {
+	for i := 1; i <= epochs; i++ {
+		net.Sim.Run(netsim.Time(i) * col.Period)
+		col.Collect(net)
+	}
+}
+
 func TestCollectorSamplesPeriodically(t *testing.T) {
 	net, g := lineNet(t)
 	col := NewCollector(g, netsim.Millisecond, 0.5)
 	hosts := g.Hosts()
 	net.Host(hosts[0]).Send(hosts[3], 1, 8<<20) // ~6.7 ms at 10G
-	col.Arm(net, 10*netsim.Millisecond)
-	net.Sim.Run(11 * netsim.Millisecond)
+	sample(net, col, 10)
 	if col.Epochs() < 8 {
 		t.Fatalf("epochs = %d, want ~10", col.Epochs())
 	}
@@ -55,23 +62,16 @@ func TestCollectorSamplesPeriodically(t *testing.T) {
 	}
 }
 
-func TestCollectorRates(t *testing.T) {
+func TestCollectorPeakIsLineRate(t *testing.T) {
 	net, g := lineNet(t)
 	col := NewCollector(g, netsim.Millisecond, 1.0) // no smoothing
 	hosts := g.Hosts()
 	net.Host(hosts[0]).Send(hosts[3], 1, 4<<20)
-	col.Arm(net, 3*netsim.Millisecond)
-	net.Sim.Run(3500 * netsim.Microsecond)
-	rates := col.Rates()
-	peak := 0.0
-	for _, r := range rates {
-		if r > peak {
-			peak = r
-		}
-	}
-	// A saturated 10 Gbps link moves 1.25e9 bytes/s.
-	if peak < 0.9e9 || peak > 1.4e9 {
-		t.Errorf("peak rate = %.3g B/s, want ~1.25e9", peak)
+	sample(net, col, 3)
+	// A saturated 10 Gbps link moves 1.25e6 bytes per 1 ms epoch.
+	peak := col.Hottest(1)[0].Peak
+	if peak < 0.9e6 || peak > 1.4e6 {
+		t.Errorf("peak epoch = %d B, want ~1.25e6", peak)
 	}
 }
 
@@ -90,9 +90,12 @@ func TestCollectorFeedsUGAL(t *testing.T) {
 		net.Host(hosts[i]).Send(hosts[4+i], 1, 2<<20) // group 0 -> group 1
 	}
 	col := NewCollector(g, netsim.Millisecond, 0.5)
-	col.Arm(net, 5*netsim.Millisecond)
-	net.Sim.Run(0)
-	ugal := routing.DragonflyUGAL{Loads: col.Rates(), Bias: 1}
+	sample(net, col, 5)
+	loads := map[int]float64{}
+	for _, s := range col.Series() {
+		loads[s.EdgeID] = s.EWMA
+	}
+	ugal := routing.DragonflyUGAL{Loads: loads, Bias: 1}
 	r, err := ugal.Compute(g)
 	if err != nil {
 		t.Fatal(err)
@@ -102,38 +105,10 @@ func TestCollectorFeedsUGAL(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	net, g := lineNet(t)
-	col := NewCollector(g, netsim.Millisecond, 0.5)
-	hosts := g.Hosts()
-	net.Host(hosts[0]).Send(hosts[3], 1, 2<<20)
-	col.Arm(net, 3*netsim.Millisecond)
-	net.Sim.Run(0)
-	var buf bytes.Buffer
-	if err := col.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	links, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(links) != len(col.Series()) {
-		t.Errorf("round trip changed link count: %d vs %d", len(links), len(col.Series()))
-	}
-	for i, s := range col.Series() {
-		if links[i].EdgeID != s.EdgeID || links[i].Peak != s.Peak || len(links[i].Bytes) != len(s.Bytes) {
-			t.Errorf("link %d changed in round trip", i)
-		}
-	}
-}
-
 func TestCollectorDefaults(t *testing.T) {
 	g := topology.Line(2, 1)
 	c := NewCollector(g, 0, 0)
 	if c.Period != netsim.Millisecond || c.Alpha != 0.3 {
 		t.Errorf("defaults = %v/%v", c.Period, c.Alpha)
-	}
-	if _, err := ReadJSON(bytes.NewBufferString("not json")); err == nil {
-		t.Error("garbage accepted")
 	}
 }

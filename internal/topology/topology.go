@@ -172,24 +172,13 @@ func (g *Graph) IncidentEdges(v int) []int {
 	return g.adj[v]
 }
 
-// Neighbors returns the vertex IDs adjacent to v (with multiplicity for
-// parallel edges).
-func (g *Graph) Neighbors(v int) []int {
-	g.rebuild()
-	out := make([]int, 0, len(g.adj[v]))
-	for _, eid := range g.adj[v] {
-		out = append(out, g.Edges[eid].Other(v))
-	}
-	return out
-}
-
 // CSR is a compressed-sparse-row adjacency view of a Graph: for vertex
 // v, the incident half-edges occupy positions Start[v]..Start[v+1]-1 of
 // the parallel Nbr/Port/Edge arrays, pre-sorted by neighbour vertex ID
 // (ties broken by edge ID, so parallel edges stay deterministic). The
-// route-computation hot paths iterate it instead of Graph.Neighbors,
-// which clones (and would have to re-sort) the neighbour slice on every
-// call.
+// route-computation hot paths iterate it instead of
+// Graph.IncidentEdges, whose rows are in edge-insertion order and carry
+// no neighbour or port.
 //
 // A CSR is immutable once built; Graph.CSR memoizes it and any graph
 // mutation invalidates the cache.
@@ -373,16 +362,6 @@ func (g *Graph) EdgeBetween(a, b int) int {
 	return -1
 }
 
-// VertexByLabel returns the vertex with the given label, or -1.
-func (g *Graph) VertexByLabel(label string) int {
-	for _, v := range g.Vertices {
-		if v.Label == label {
-			return v.ID
-		}
-	}
-	return -1
-}
-
 // Validate checks structural invariants: endpoint ranges, port numbers
 // positive and unique per vertex, unique labels, and hosts having at
 // most one link. A nil return means the topology is projectable input.
@@ -433,76 +412,6 @@ func (g *Graph) HostSwitch(h int) int {
 	return -1
 }
 
-// AttachedHosts returns hosts directly connected to switch s, sorted.
-func (g *Graph) AttachedHosts(s int) []int {
-	var out []int
-	for _, eid := range g.IncidentEdges(s) {
-		o := g.Edges[eid].Other(s)
-		if g.Vertices[o].Kind == Host {
-			out = append(out, o)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ConnectedComponents returns one sorted vertex-ID slice per connected
-// component, considering all vertices.
-func (g *Graph) ConnectedComponents() [][]int {
-	g.rebuild()
-	seen := make([]bool, len(g.Vertices))
-	var comps [][]int
-	for start := range g.Vertices {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		queue := []int{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for _, eid := range g.adj[v] {
-				o := g.Edges[eid].Other(v)
-				if !seen[o] {
-					seen[o] = true
-					queue = append(queue, o)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// SwitchSubgraphConnected reports whether the switch-only subgraph is
-// connected (hosts ignored). The projection checker uses this to reject
-// accidentally split topologies unless the user asks for isolation.
-func (g *Graph) SwitchSubgraphConnected() bool {
-	sw := g.Switches()
-	if len(sw) <= 1 {
-		return true
-	}
-	seen := make(map[int]bool, len(sw))
-	queue := []int{sw[0]}
-	seen[sw[0]] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, eid := range g.IncidentEdges(v) {
-			o := g.Edges[eid].Other(v)
-			if g.Vertices[o].Kind != Switch || seen[o] {
-				continue
-			}
-			seen[o] = true
-			queue = append(queue, o)
-		}
-	}
-	return len(seen) == len(sw)
-}
-
 // ShortestPaths runs BFS over the switch subgraph from switch src and
 // returns hop distances indexed by vertex ID (-1 for unreachable or
 // host vertices).
@@ -543,21 +452,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return d
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := New(g.Name)
-	out.Vertices = make([]Vertex, len(g.Vertices))
-	for i, v := range g.Vertices {
-		cv := v
-		cv.Coord = append([]int(nil), v.Coord...)
-		out.Vertices[i] = cv
-	}
-	out.Edges = append([]Edge(nil), g.Edges...)
-	out.nextPort = append([]int(nil), g.nextPort...)
-	out.adjDirty = true
-	return out
 }
 
 // Stats is a compact structural summary used in reports and tests.

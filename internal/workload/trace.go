@@ -1,96 +1,10 @@
 package workload
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/netsim"
 )
-
-// traceHeader is the first JSON line of a trace file.
-type traceHeader struct {
-	Name  string `json:"name"`
-	Ranks int    `json:"ranks"`
-}
-
-// traceOp is one serialised operation line.
-type traceOp struct {
-	Rank  int    `json:"rank"`
-	Kind  string `json:"kind"`
-	Peer  int    `json:"peer,omitempty"`
-	Bytes int    `json:"bytes,omitempty"`
-	Tag   int    `json:"tag,omitempty"`
-	// DurNs is compute duration in nanoseconds.
-	DurNs int64 `json:"dur_ns,omitempty"`
-}
-
-// Write serialises the trace as JSON lines: a header followed by one
-// line per operation — the on-disk format for collected traces.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(traceHeader{Name: t.Name, Ranks: t.Ranks}); err != nil {
-		return err
-	}
-	for r, prog := range t.Programs {
-		for _, op := range prog {
-			to := traceOp{Rank: r, Peer: op.Peer, Bytes: op.Bytes, Tag: op.MTag}
-			switch op.Kind {
-			case netsim.OpSend:
-				to.Kind = "send"
-			case netsim.OpRecv:
-				to.Kind = "recv"
-			case netsim.OpCompute:
-				to.Kind = "compute"
-				to.DurNs = int64(op.Dur / netsim.Nanosecond)
-			}
-			if err := enc.Encode(to); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace parses a trace written by Write.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr traceHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("workload: reading trace header: %w", err)
-	}
-	if hdr.Ranks < 1 {
-		return nil, fmt.Errorf("workload: trace %q has %d ranks", hdr.Name, hdr.Ranks)
-	}
-	t := &Trace{Name: hdr.Name, Ranks: hdr.Ranks, Programs: make([][]netsim.Op, hdr.Ranks)}
-	for {
-		var to traceOp
-		if err := dec.Decode(&to); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("workload: reading trace op: %w", err)
-		}
-		if to.Rank < 0 || to.Rank >= hdr.Ranks {
-			return nil, fmt.Errorf("workload: op rank %d out of range", to.Rank)
-		}
-		op := netsim.Op{Peer: to.Peer, Bytes: to.Bytes, MTag: to.Tag}
-		switch to.Kind {
-		case "send":
-			op.Kind = netsim.OpSend
-		case "recv":
-			op.Kind = netsim.OpRecv
-		case "compute":
-			op.Kind = netsim.OpCompute
-			op.Dur = netsim.Time(to.DurNs) * netsim.Nanosecond
-		default:
-			return nil, fmt.Errorf("workload: unknown op kind %q", to.Kind)
-		}
-		t.Programs[to.Rank] = append(t.Programs[to.Rank], op)
-	}
-	return t, nil
-}
 
 // Validate checks structural sanity: peers in range, sends and recvs
 // pairwise balanced per (src, dst, tag) so replay cannot deadlock on a
@@ -138,13 +52,4 @@ func (t *Trace) TotalBytes() int64 {
 		}
 	}
 	return s
-}
-
-// Ops counts total operations.
-func (t *Trace) Ops() int {
-	n := 0
-	for _, prog := range t.Programs {
-		n += len(prog)
-	}
-	return n
 }

@@ -294,14 +294,5 @@ func ByName(name string, n int) (*Trace, error) {
 	}
 }
 
-// ByNameMust is ByName for tests/tools that prefer a panic.
-func ByNameMust(name string, n int) *Trace {
-	t, err := ByName(name, n)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // TableIVApps lists the applications of Table IV in paper order.
 func TableIVApps() []string { return []string{"HPCG", "HPL", "miniGhost", "miniFE", "IMB"} }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,7 +26,7 @@ func TestAllGeneratorsValidate(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Errorf("%s: %v", tr.Name, err)
 		}
-		if tr.Ops() == 0 {
+		if tr.TotalBytes() == 0 {
 			t.Errorf("%s: empty trace", tr.Name)
 		}
 	}
@@ -49,31 +48,6 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nosuch", 4); err == nil {
 		t.Error("unknown app accepted")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	orig := HPCG(9)
-	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || got.Ranks != orig.Ranks {
-		t.Fatalf("header changed: %s/%d", got.Name, got.Ranks)
-	}
-	if got.Ops() != orig.Ops() || got.TotalBytes() != orig.TotalBytes() {
-		t.Fatalf("ops/bytes changed: %d/%d vs %d/%d", got.Ops(), got.TotalBytes(), orig.Ops(), orig.TotalBytes())
-	}
-	for r := range orig.Programs {
-		for i := range orig.Programs[r] {
-			if got.Programs[r][i] != orig.Programs[r][i] {
-				t.Fatalf("rank %d op %d changed: %+v vs %+v", r, i, got.Programs[r][i], orig.Programs[r][i])
-			}
-		}
 	}
 }
 
@@ -172,40 +146,9 @@ func TestQuickAlltoallBalanced(t *testing.T) {
 	}
 }
 
-// Property: trace round-trip through the file format is lossless.
-func TestQuickTraceRoundTrip(t *testing.T) {
-	f := func(nRaw uint8) bool {
-		n := 2 + int(nRaw)%8
-		tr := HPL(n)
-		var buf bytes.Buffer
-		if tr.Write(&buf) != nil {
-			return false
-		}
-		got, err := ReadTrace(&buf)
-		if err != nil {
-			return false
-		}
-		return got.Ops() == tr.Ops() && got.TotalBytes() == tr.TotalBytes()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkHPCGGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		HPCG(32)
-	}
-}
-
-func BenchmarkTraceWrite(b *testing.B) {
-	tr := HPCG(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

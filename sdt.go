@@ -10,15 +10,16 @@
 // freedom, and running workloads on the packet-level engine in full-
 // testbed, SDT, or simulator mode.
 //
-// Execution goes through one composable surface: a Scenario (topology,
-// trace, mode, and optional host placement / strategy / sim-config
-// overrides) run with Run(ctx, tb, scenario, ...Option), or fanned out
-// one simulation per worker with Sweep(ctx, jobs, ...Option). Options
-// attach the cross-cutting concerns — WithHosts, WithStrategy,
-// WithSimConfig, WithTelemetry, WithObserver, WithDeadline,
-// WithWorkers — and the context cancels cooperatively *inside* the
-// event loop: the engine polls a stop flag on an event-count stride,
-// so a cancelled run or sweep stops mid-simulation, not between jobs.
+// Execution goes through one composable surface: a Scenario carries
+// every knob that changes a simulated byte (topology, workload, mode,
+// host placement, strategy, sim-config, faults, reconfiguration,
+// fidelity) and is run with Run(ctx, tb, scenario, ...Option), or
+// fanned out one simulation per worker with Sweep(ctx, jobs,
+// ...Option). Options only observe and schedule — WithObserver,
+// WithTelemetry, WithWorkers — and the context cancels cooperatively
+// *inside* the event loop: the engine polls a stop flag on an
+// event-count stride, so a cancelled or timed-out run or sweep stops
+// mid-simulation, not between jobs.
 //
 // Quickstart:
 //
@@ -93,7 +94,7 @@
 //			{At: sdt.Millisecond, Target: target},
 //		}},
 //	})
-//	res.Reconfig.Format(os.Stdout) // loss, churn, reconvergence, cost columns
+//	for _, tr := range res.Reconfig.Transitions { ... } // loss, churn, reconvergence, cost
 //
 // The full implementation lives in the internal packages; see DESIGN.md
 // for the system inventory, WORKLOADS.md for the workload catalogue,
@@ -217,29 +218,19 @@ type RunHooks = core.Hooks
 
 // The composable execution surface: Run executes one Scenario, Sweep a
 // batch of jobs one simulation per worker. Both stop mid-simulation on
-// context cancellation. Options attach overrides and observers.
+// context cancellation. Options attach observers and set the fan-out.
 var (
 	Run           = core.Run
 	Sweep         = core.Sweep
-	WithHosts     = core.WithHosts
-	WithStrategy  = core.WithStrategy
-	WithSimConfig = core.WithSimConfig
 	WithTelemetry = core.WithTelemetry
 	WithObserver  = core.WithObserver
-	WithDeadline  = core.WithDeadline
 	WithWorkers   = core.WithWorkers
 )
 
-// ParallelFor is the worker-pool helper behind the parallel experiment
+// ForEach is the worker-pool helper behind the parallel experiment
 // sweeps: it runs independent jobs 0..n-1 across workers (0 = all
-// cores, 1 = serial) and returns the lowest-index job error. For
-// cancellable fan-outs, pass a context to ForEach.
-func ParallelFor(workers, n int, job func(i int) error) error {
-	return core.ParallelFor(workers, n, job)
-}
-
-// ForEach is ParallelFor with cooperative cancellation: once ctx ends
-// no further job starts and the context's error is returned.
+// cores, 1 = serial) and returns the lowest-index job error. Once ctx
+// ends no further job starts and the context's error is returned.
 var ForEach = core.ForEach
 
 // Mode selects the evaluation platform.
@@ -265,10 +256,6 @@ const (
 	FidelityPacket = core.Packet
 	FidelityFlow   = core.Flow
 )
-
-// WithFidelity overrides the scenario's simulation fidelity for one
-// Run or every job of a Sweep.
-var WithFidelity = core.WithFidelity
 
 // Testbed constructors.
 var (
@@ -367,16 +354,14 @@ var (
 	PatternOutcast     = loadgen.Outcast
 	PatternHotspot     = loadgen.Hotspot
 	PatternRackLocal   = loadgen.RackLocal
-	PatternByName      = loadgen.PatternByName
 )
 
 // Flow-size distributions.
 var (
-	FixedSize       = loadgen.FixedSize
-	WebSearchSizes  = loadgen.WebSearch
-	DataMiningSizes = loadgen.DataMining
-	ScaleSizes      = loadgen.ScaleSizes
-	NewSizeCDF      = loadgen.NewCDF
+	FixedSize      = loadgen.FixedSize
+	WebSearchSizes = loadgen.WebSearch
+	ScaleSizes     = loadgen.ScaleSizes
+	NewSizeCDF     = loadgen.NewCDF
 )
 
 // FCTReport is the bucketed flow-completion-time summary of a finished
@@ -411,7 +396,6 @@ const (
 // selection (switch-switch edges only, so destinations stay attached).
 var (
 	NewLinkFlap   = faults.LinkFlap
-	NewSwitchFlap = faults.SwitchFlap
 	CoreEdges     = faults.CoreEdges
 	PickCoreEdges = faults.PickCoreEdges
 )
