@@ -6,15 +6,28 @@
 //   - Events are typed records (a Handler interface plus an inline
 //     payload), not heap-allocated closures. Scheduling an event in
 //     steady state allocates nothing: records live in a slab recycled
-//     through a free list, and the indexed binary heap orders record
-//     indices, not records.
-//   - Every scheduled event returns a Handle with O(log n) Cancel.
-//     Producers that re-arm timers (TCP RTO, rate pacers) cancel the
-//     pending record and schedule a new one instead of letting stale
-//     events fire as no-ops.
+//     through a free list, and the queue holds only keys.
+//   - The queue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and
+//     Tarjan, 1990). Simulated time never runs backwards, so every key
+//     is at or after the last one popped, `last`; an entry lives in
+//     bucket bits.Len64(at ^ last). Bucket 0 (keys equal to last) is a
+//     slice in scheduling order; buckets 1–64 are intrusive lists in
+//     one shared node pool, so queue memory follows the number of
+//     queued events, not the number of buckets. When bucket 0 runs dry,
+//     the lowest non-empty bucket is redistributed: last becomes its
+//     smallest key and every entry drops to a strictly lower bucket.
+//     Each entry carries its (at, seq) key inline, so ordering never
+//     reads the slab.
+//   - Every scheduled event returns a Handle with O(1) Cancel: the
+//     record's generation moves on and the queue entry goes stale,
+//     to be dropped when it reaches the front. A compaction pass runs
+//     whenever stale entries outnumber pending ones, so producers that
+//     re-arm timers (TCP RTO, rate pacers) keep the queue O(pending).
 //   - Equal-time events fire in scheduling order (time, then a
 //     monotonic sequence number), so runs are bit-for-bit
-//     deterministic.
+//     deterministic. Entries that land in bucket 0 by redistribution
+//     are sorted by sequence number, since a bucket is not kept in
+//     order.
 //
 // A closure convenience API (At/After) remains for cold paths such as
 // measurement sampling; it rides the same typed machinery through an
@@ -26,7 +39,12 @@
 // branch-cheap and a cancelled run halts within one stride.
 package engine
 
-import "sync/atomic"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+	"sync/atomic"
+)
 
 // Time is simulation time in picoseconds. Integer picoseconds make
 // 10 Gbps arithmetic exact (0.8 ns/byte = 800 ps/byte) and cover ~106
@@ -84,15 +102,29 @@ type Handle struct {
 	gen  uint32
 }
 
-// record is one slab entry. pos tracks the record's index in the heap
-// (-1 when free); gen increments on every release so stale Handles die.
+// record is one slab entry. gen increments on every release, so stale
+// Handles and the queue entries of cancelled events die; a free slot's
+// gen has never been handed out.
 type record struct {
-	at  Time
-	seq int64
 	h   Handler
 	ev  Event
 	gen uint32
-	pos int32
+}
+
+// entry is a queued event's key and slab reference. gen is the record's
+// generation at scheduling time: an entry whose record has moved on
+// was cancelled, and is stale.
+type entry struct {
+	at   Time
+	seq  int64
+	slot int32
+	gen  uint32
+}
+
+// node is a list cell of buckets 1–64; next indexes the pool, 0 ends.
+type node struct {
+	entry
+	next int32
 }
 
 // StopStride is the default number of events fired between checks of
@@ -109,7 +141,21 @@ type Engine struct {
 	fired int64
 	recs  []record
 	free  []int32
-	heap  []int32
+
+	// The radix queue. Every queued key is >= last. b0[head:] is
+	// bucket 0 in seq order; lists[b] heads bucket b+1 in nodes, whose
+	// element 0 is the nil cell, mins[b] is its smallest key, and bit
+	// b of mask says it is non-empty. spare links the free nodes.
+	last    Time
+	b0      []entry
+	head    int
+	lists   [64]int32
+	mins    [64]Time
+	mask    uint64
+	nodes   []node
+	spare   int32
+	pending int // live events
+	stale   int // cancelled entries still queued
 
 	// stop, when non-nil, is polled every stride fired events by Run;
 	// a true load makes Run return early (Stopped reports this).
@@ -128,7 +174,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() int64 { return e.fired }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Schedule arranges for h.OnEvent(ev) to run at absolute time t
 // (clamped to now). Equal-time events run in scheduling order.
@@ -142,12 +188,13 @@ func (e *Engine) Schedule(t Time, h Handler, ev Event) Handle {
 		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		e.recs = append(e.recs, record{gen: 1, pos: -1})
+		e.recs = append(e.recs, record{gen: 1})
 		slot = int32(len(e.recs) - 1)
 	}
 	r := &e.recs[slot]
-	r.at, r.seq, r.h, r.ev = t, e.seq, h, ev
-	e.heapPush(slot)
+	r.h, r.ev = h, ev
+	e.pending++
+	e.push(entry{at: t, seq: e.seq, slot: slot, gen: r.gen})
 	return Handle{slot: slot, gen: r.gen}
 }
 
@@ -167,8 +214,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // live reports whether hd names a still-pending event.
 func (e *Engine) live(hd Handle) bool {
-	return hd.gen != 0 && int(hd.slot) < len(e.recs) &&
-		e.recs[hd.slot].gen == hd.gen && e.recs[hd.slot].pos >= 0
+	return hd.gen != 0 && int(hd.slot) < len(e.recs) && e.recs[hd.slot].gen == hd.gen
 }
 
 // Cancel removes a pending event so it never fires. It reports whether
@@ -178,8 +224,12 @@ func (e *Engine) Cancel(hd Handle) bool {
 	if !e.live(hd) {
 		return false
 	}
-	e.heapRemove(int(e.recs[hd.slot].pos))
 	e.release(hd.slot)
+	e.pending--
+	e.stale++
+	if e.stale > e.pending {
+		e.compact()
+	}
 	return true
 }
 
@@ -187,24 +237,34 @@ func (e *Engine) Cancel(hd Handle) bool {
 // the GC can reclaim payloads, and invalidates outstanding handles.
 func (e *Engine) release(slot int32) {
 	r := &e.recs[slot]
-	r.h, r.ev, r.pos = nil, Event{}, -1
+	r.h, r.ev = nil, Event{}
 	r.gen++
 	e.free = append(e.free, slot)
 }
 
 // Step runs the next event; it reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if !e.front() {
 		return false
 	}
-	slot := e.heapRemove(0)
-	r := &e.recs[slot]
-	e.now = r.at
+	e.fire()
+	return true
+}
+
+// fire pops and runs the front event; front must have reported true.
+func (e *Engine) fire() {
+	en := e.b0[e.head]
+	e.head++
+	r := &e.recs[en.slot]
+	e.now = en.at
 	h, ev := r.h, r.ev
-	e.release(slot)
+	e.release(en.slot)
+	e.pending--
+	if e.stale > e.pending {
+		e.compact()
+	}
 	e.fired++
 	h.OnEvent(e.now, ev)
-	return true
 }
 
 // SetStop installs a cooperative cancellation flag: Run polls it every
@@ -237,12 +297,12 @@ func (e *Engine) Run(limit Time) Time {
 		return e.now
 	}
 	check := e.fired + e.stride
-	for len(e.heap) > 0 {
-		if limit > 0 && e.recs[e.heap[0]].at > limit {
+	for e.front() {
+		if limit > 0 && e.last > limit {
 			e.now = limit
 			break
 		}
-		e.Step()
+		e.fire()
 		if e.stop != nil && e.fired >= check {
 			if e.stop.Load() {
 				e.stopped = true
@@ -254,82 +314,162 @@ func (e *Engine) Run(limit Time) Time {
 	return e.now
 }
 
-// --- indexed binary heap over record slots --------------------------
+// --- monotone radix queue -------------------------------------------
 
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.recs[a], &e.recs[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
+func (e *Engine) isLive(en *entry) bool { return e.recs[en.slot].gen == en.gen }
+
+// bucket returns the list index of a key above last: bucket
+// bits.Len64(at^last) lives in lists[bucket-1].
+func (e *Engine) bucket(at Time) int { return bits.Len64(uint64(at^e.last)) - 1 }
+
+// push queues en. Into an empty queue it goes straight to bucket 0,
+// last moving up to its key. A key below last — possible once
+// Run(limit) has peeked past a limit and a caller then schedules at
+// now — first rebases the queue on that key.
+func (e *Engine) push(en entry) {
+	if e.mask == 0 && e.head == len(e.b0) {
+		e.b0, e.head, e.last = e.b0[:0], 0, en.at
+	} else if en.at < e.last {
+		e.rebase(en.at)
 	}
-	return ra.seq < rb.seq
-}
-
-func (e *Engine) swap(i, j int) {
-	h := e.heap
-	h[i], h[j] = h[j], h[i]
-	e.recs[h[i]].pos = int32(i)
-	e.recs[h[j]].pos = int32(j)
-}
-
-func (e *Engine) heapPush(slot int32) {
-	e.heap = append(e.heap, slot)
-	i := len(e.heap) - 1
-	e.recs[slot].pos = int32(i)
-	e.siftUp(i)
-}
-
-// heapRemove deletes the element at heap index i, returning its slot.
-func (e *Engine) heapRemove(i int) int32 {
-	h := e.heap
-	n := len(h) - 1
-	slot := h[i]
-	if i != n {
-		h[i] = h[n]
-		e.recs[h[i]].pos = int32(i)
+	if en.at == e.last {
+		e.b0 = append(e.b0, en) // the newest seq: order holds
+		return
 	}
-	h[n] = 0
-	e.heap = h[:n]
-	if i < n {
-		e.fix(i)
-	}
-	e.recs[slot].pos = -1
-	return slot
+	e.link(e.bucket(en.at), e.newNode(en))
 }
 
-// fix restores heap order for a changed element at index i.
-func (e *Engine) fix(i int) {
-	e.siftDown(i)
-	e.siftUp(i)
-}
-
-func (e *Engine) siftUp(i int) {
-	h := e.heap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.less(h[i], h[p]) {
-			break
+// newNode returns a pool node holding en, reusing a spare one.
+func (e *Engine) newNode(en entry) int32 {
+	i := e.spare
+	if i != 0 {
+		e.spare = e.nodes[i].next
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes = append(e.nodes, node{})
 		}
-		e.swap(i, p)
-		i = p
+		e.nodes = append(e.nodes, node{})
+		i = int32(len(e.nodes) - 1)
 	}
+	e.nodes[i].entry = en
+	return i
 }
 
-func (e *Engine) siftDown(i int) {
-	h := e.heap
-	n := len(h)
+// link puts node i at the head of list b.
+func (e *Engine) link(b int, i int32) {
+	n := &e.nodes[i]
+	if e.mask&(1<<b) == 0 || n.at < e.mins[b] {
+		e.mins[b] = n.at
+	}
+	n.next = e.lists[b]
+	e.lists[b] = i
+	e.mask |= 1 << b
+}
+
+// unlink frees node i onto the spare list.
+func (e *Engine) unlink(i int32) {
+	e.nodes[i].next = e.spare
+	e.spare = i
+}
+
+// detach empties list b and returns its former head.
+func (e *Engine) detach(b int) int32 {
+	i := e.lists[b]
+	e.lists[b] = 0
+	e.mask &^= 1 << b
+	return i
+}
+
+// front drops stale entries from the head of the queue, redistributing
+// buckets as bucket 0 runs dry, and reports whether a live event
+// remains; it is then b0[head], keyed last.
+func (e *Engine) front() bool {
 	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+		for ; e.head < len(e.b0); e.head++ {
+			if e.isLive(&e.b0[e.head]) {
+				return true
+			}
+			e.stale--
 		}
-		m := l
-		if r := l + 1; r < n && e.less(h[r], h[l]) {
-			m = r
+		e.b0, e.head = e.b0[:0], 0
+		if e.mask == 0 {
+			return false
 		}
-		if !e.less(h[m], h[i]) {
-			break
-		}
-		e.swap(i, m)
-		i = m
+		e.redistribute(bits.TrailingZeros64(e.mask))
 	}
+}
+
+// redistribute empties list b, the lowest non-empty bucket, into the
+// buckets below it: last becomes the list's smallest key, whose
+// entries go to bucket 0 sorted by seq, and every other entry drops to
+// a strictly lower list. It reads only the queue, never the slab:
+// stale entries move like live ones until front or compact drops them.
+func (e *Engine) redistribute(b int) {
+	e.last = e.mins[b]
+	for i := e.detach(b); i != 0; {
+		n := &e.nodes[i]
+		next := n.next
+		if n.at == e.last {
+			e.b0 = append(e.b0, n.entry)
+			e.unlink(i)
+		} else {
+			e.link(e.bucket(n.at), i)
+		}
+		i = next
+	}
+	if len(e.b0) > 1 {
+		slices.SortFunc(e.b0, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
+	}
+}
+
+// rebase lowers last to t, which is below every queued key, and
+// re-buckets the queue around it.
+func (e *Engine) rebase(t Time) {
+	old := e.b0[e.head:]
+	e.b0, e.head = e.b0[:0], 0
+	e.last = t
+	lists, mask := e.lists, e.mask
+	e.lists, e.mask = [64]int32{}, 0
+	for ; mask != 0; mask &= mask - 1 {
+		for i := lists[bits.TrailingZeros64(mask)]; i != 0; {
+			next := e.nodes[i].next
+			e.link(e.bucket(e.nodes[i].at), i)
+			i = next
+		}
+	}
+	for _, en := range old {
+		if e.isLive(&en) {
+			e.link(e.bucket(en.at), e.newNode(en))
+		} else {
+			e.stale--
+		}
+	}
+}
+
+// compact drops every stale entry, keeping bucket 0's order. Cancel
+// and fire call it whenever stale entries outnumber pending ones, so
+// the queue never holds more than twice the pending events, and each
+// call's cost is paid for by the stale entries it drops.
+func (e *Engine) compact() {
+	k := 0
+	for _, en := range e.b0[e.head:] {
+		if e.isLive(&en) {
+			e.b0[k] = en
+			k++
+		}
+	}
+	e.b0, e.head = e.b0[:k], 0
+	for mask := e.mask; mask != 0; mask &= mask - 1 {
+		b := bits.TrailingZeros64(mask)
+		for i := e.detach(b); i != 0; {
+			next := e.nodes[i].next
+			if e.isLive(&e.nodes[i].entry) {
+				e.link(b, i)
+			} else {
+				e.unlink(i)
+			}
+			i = next
+		}
+	}
+	e.stale = 0
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -106,48 +104,6 @@ func TestCallbacksAndClosures(t *testing.T) {
 	e.Run(0)
 	if len(order) != 2 || order[0] != "cb" || order[1] != "after" {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-// TestHeapAgainstReference drives the indexed heap with random
-// schedules and cancellations, checking the fired sequence against a
-// sorted reference.
-func TestHeapAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	e := New()
-	r := &recorder{}
-	type ref struct {
-		at  Time
-		seq int64
-		id  int64
-	}
-	var want []ref
-	handles := map[int64]Handle{}
-	var id int64
-	for i := 0; i < 2000; i++ {
-		if rng.Intn(4) == 0 && len(want) > 0 {
-			k := rng.Intn(len(want))
-			victim := want[k]
-			if e.Cancel(handles[victim.id]) {
-				want = append(want[:k], want[k+1:]...)
-			}
-			continue
-		}
-		id++
-		at := Time(rng.Intn(500))
-		hd := e.Schedule(at, r, Event{A: id})
-		handles[id] = hd
-		want = append(want, ref{at: at, seq: int64(i), id: id})
-	}
-	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
-	e.Run(0)
-	if len(r.got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(r.got), len(want))
-	}
-	for i := range want {
-		if r.got[i] != want[i].id {
-			t.Fatalf("position %d: fired %d, want %d", i, r.got[i], want[i].id)
-		}
 	}
 }
 

@@ -279,16 +279,16 @@ func TestBindDegradesFabric(t *testing.T) {
 // lookupFwd is a minimal shortest-path forwarder for the tiny fixture.
 type lookupFwd struct{ g *topology.Graph }
 
-func (f lookupFwd) Forward(sw, inPort int, pkt *netsim.Packet) (int, int, netsim.Time, bool) {
+func (f lookupFwd) Forward(sw, inPort int, pkt *netsim.Packet) (int, int, bool) {
 	csr := f.g.CSR()
 	// Destination attached here?
 	if p := csr.PortTo(sw, pkt.Dst); p != 0 {
-		return p, pkt.Tag, 0, true
+		return p, pkt.Tag, true
 	}
 	// One switch hop toward the destination's switch.
 	root := f.g.HostSwitch(pkt.Dst)
 	if p := csr.PortTo(sw, root); p != 0 {
-		return p, pkt.Tag, 0, true
+		return p, pkt.Tag, true
 	}
-	return 0, 0, 0, false
+	return 0, 0, false
 }

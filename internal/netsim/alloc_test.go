@@ -1,0 +1,118 @@
+package netsim
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/routing"
+	"repro/internal/topology"
+)
+
+// fatTreeNet builds a k=4 fat-tree (16 hosts) with DFS routes.
+func fatTreeNet(t testing.TB) (*Network, []int) {
+	t.Helper()
+	g := topology.FatTree(4)
+	routes, err := routing.FatTreeDFS{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(g, NewRouteForwarder(routes), DefaultConfig(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, g.Hosts()
+}
+
+// poolKeepsItems reports whether sync.Pool hands back what was just
+// put. Under the race detector it drops items at random, so pooled
+// packets are reallocated and allocation counts say nothing.
+func poolKeepsItems() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != x {
+			return false
+		}
+	}
+	return true
+}
+
+// marginalAllocs returns the allocations per unit that a run of hi
+// units makes beyond a run of lo units: the fabric build and the
+// warm-up of slices and maps cancel, what each message or flow costs
+// does not.
+func marginalAllocs(t *testing.T, lo, hi int, run func(n int)) float64 {
+	if !poolKeepsItems() {
+		t.Skip("sync.Pool drops items (race detector): packet allocations are not the code's")
+	}
+	a := testing.AllocsPerRun(3, func() { run(lo) })
+	b := testing.AllocsPerRun(3, func() { run(hi) })
+	return (b - a) / float64(hi-lo)
+}
+
+// TestMPIReplayAllocsBounded pins the message path of trace replay: a
+// ring exchange (send right, receive from the left, compute) moves
+// every message through Send, the QP queue, reassembly and the
+// mailbox, and none of them may allocate per message once the slices
+// and maps they reuse have grown.
+func TestMPIReplayAllocsBounded(t *testing.T) {
+	run := func(rounds int) {
+		net, hosts := fatTreeNet(t)
+		n := len(hosts)
+		programs := make([][]Op, n)
+		for r := range programs {
+			prog := make([]Op, 0, 3*rounds)
+			for i := 0; i < rounds; i++ {
+				prog = append(prog,
+					Op{Kind: OpSend, Peer: (r + 1) % n, Bytes: 4096, MTag: i},
+					Op{Kind: OpRecv, Peer: (r + n - 1) % n, MTag: i},
+					Op{Kind: OpCompute, Dur: Microsecond})
+			}
+			programs[r] = prog
+		}
+		app := NewApp(net, hosts, programs, nil)
+		app.Start()
+		net.Sim.Run(0)
+		if app.ACT() <= 0 {
+			t.Fatal("ring exchange did not complete")
+		}
+	}
+	const lo, hi = 20, 120
+	perMsg := marginalAllocs(t, lo, hi, run) / 16
+	if perMsg > 0.05 {
+		t.Errorf("trace replay allocates %.3f objects per message, want ~0", perMsg)
+	}
+}
+
+// TestOpenLoopAllocsBounded is the same bound for an open-loop flow
+// schedule on the fat-tree: packets are pooled, completions are typed
+// events registered as each flow is injected, and the event queue's
+// storage follows the pending count, so a longer schedule at the same
+// load allocates nothing more per flow. A flow is dozens of events, so
+// one allocation per event or packet would cost tens.
+func TestOpenLoopAllocsBounded(t *testing.T) {
+	run := func(nFlows int) {
+		net, hosts := fatTreeNet(t)
+		flows := make([]Flow, nFlows)
+		for i := range flows {
+			flows[i] = Flow{
+				Src: i % 16, Dst: (i*7 + 3) % 16, Bytes: 8 * 1024,
+				Start: Time(i) * 2 * Microsecond, Tag: i,
+			}
+			if flows[i].Src == flows[i].Dst {
+				flows[i].Dst = (flows[i].Dst + 1) % 16
+			}
+		}
+		app := NewFlowApp(net, hosts, flows, nil)
+		app.Start()
+		net.Sim.Run(0)
+		if app.Completed() != nFlows {
+			t.Fatalf("completed %d/%d flows", app.Completed(), nFlows)
+		}
+	}
+	const lo, hi = 200, 1200
+	if perFlow := marginalAllocs(t, lo, hi, run); perFlow > 0.05 {
+		t.Errorf("open-loop run allocates %.3f objects per flow, want ~0", perFlow)
+	}
+}

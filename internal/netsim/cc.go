@@ -218,7 +218,7 @@ func (c *dcqcnCC) Ack(*roceQP, Time, Time) {}
 
 func (c *dcqcnCC) Tick(q *roceQP, now Time) {
 	c.increase()
-	if len(q.msgs) == 0 {
+	if q.backlog() == 0 {
 		if c.recovered() {
 			c.timerOn = false
 			return

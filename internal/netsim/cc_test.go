@@ -181,11 +181,11 @@ func TestUnknownCCPolicyRejected(t *testing.T) {
 // host-plane tests that never need delivery.
 type dropForwarder struct{ seen map[int]int64 }
 
-func (d dropForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, Time, bool) {
+func (d dropForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
 	if d.seen != nil {
 		d.seen[pkt.Src] = pkt.Flow
 	}
-	return 0, 0, 0, false
+	return 0, 0, false
 }
 
 // --- Satellite: flow-ID packing across >= 65k vertices ---

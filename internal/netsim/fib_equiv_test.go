@@ -63,11 +63,11 @@ func TestRouteForwarderTracksRuleMutations(t *testing.T) {
 	addPath(hosts[0], hosts[1])
 	fwd := NewRouteForwarder(r)
 	pkt := &Packet{Dst: hosts[0]}
-	if _, _, _, ok := fwd.Forward(sws[1], 1, pkt); ok {
+	if _, _, ok := fwd.Forward(sws[1], 1, pkt); ok {
 		t.Fatal("reverse path routed before its rules exist")
 	}
 	addPath(hosts[1], hosts[0])
-	if _, _, _, ok := fwd.Forward(sws[1], 1, pkt); !ok {
+	if _, _, ok := fwd.Forward(sws[1], 1, pkt); !ok {
 		t.Fatal("rule added after NewRouteForwarder is invisible to Forward")
 	}
 }

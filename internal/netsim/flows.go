@@ -96,18 +96,10 @@ func NewFlowApp(n *Network, hosts []int, flows []Flow, onDone func(last Time)) *
 	return a
 }
 
-// Start registers every flow's receive continuation and arms the first
-// injection. Only one injection event is pending at a time — each
-// injection schedules its successor — so the event heap stays O(1) in
-// the flow count.
-func (a *FlowApp) Start() {
-	for i := range a.flows {
-		i := i
-		f := &a.flows[i]
-		a.net.Host(a.hosts[f.Dst]).Recv(a.hosts[f.Src], f.Tag, func() { a.complete(i) })
-	}
-	a.armNext()
-}
+// Start arms the first injection. Only one injection event is pending
+// at a time — each injection schedules its successor — so the event
+// queue stays O(1) in the flow count.
+func (a *FlowApp) Start() { a.armNext() }
 
 // armNext schedules the next pending injection (flows already due
 // inject in order at the current time).
@@ -122,15 +114,24 @@ func (a *FlowApp) armNext() {
 	a.net.Sim.Schedule(at, a, engine.Event{Kind: evFlowStart, A: int64(a.next)})
 }
 
-// OnEvent injects the due flow and chains to the next one.
+// OnEvent injects the due flow and chains to the next one, or records
+// a delivered flow.
 func (a *FlowApp) OnEvent(now Time, ev engine.Event) {
-	if ev.Kind != evFlowStart {
-		return
+	switch ev.Kind {
+	case evFlowStart:
+		// Register the completion, a typed event, as the flow is
+		// injected: no delivery can precede its send, and the
+		// receiver's mailbox then holds in-flight flows only.
+		i := a.order[ev.A]
+		f := &a.flows[i]
+		cont := engine.Callback{H: a, Ev: engine.Event{Kind: evFlowDone, A: int64(i)}}
+		a.net.Host(a.hosts[f.Dst]).mailbox.recv(a.net.Sim, a.hosts[f.Src], f.Tag, cont)
+		a.net.Host(a.hosts[f.Src]).Send(a.hosts[f.Dst], f.Tag, f.Bytes)
+		a.next++
+		a.armNext()
+	case evFlowDone:
+		a.complete(int(ev.A))
 	}
-	f := &a.flows[a.order[ev.A]]
-	a.net.Host(a.hosts[f.Src]).Send(a.hosts[f.Dst], f.Tag, f.Bytes)
-	a.next++
-	a.armNext()
 }
 
 // complete records one flow's delivery at its destination host.

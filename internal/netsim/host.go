@@ -5,9 +5,11 @@ import "repro/internal/engine"
 // mailbox matches arrived messages with posted receives, MPI-style
 // (exact source + tag matching, FIFO per key). Continuations are stored
 // as typed engine callbacks, so the app layer stays closure-free.
+// Traces tag every phase afresh, so keys are short-lived: a drained key
+// is deleted, and a key's first waiter is held inline in the map.
 type mailbox struct {
 	arrived map[msgKey]int
-	waiting map[msgKey][]engine.Callback
+	waiting map[msgKey]waiters
 }
 
 type msgKey struct {
@@ -15,15 +17,29 @@ type msgKey struct {
 	tag int
 }
 
+// waiters is one key's posted receives in order: first, then more.
+type waiters struct {
+	first engine.Callback
+	more  []engine.Callback
+}
+
 func newMailbox() *mailbox {
-	return &mailbox{arrived: map[msgKey]int{}, waiting: map[msgKey][]engine.Callback{}}
+	return &mailbox{arrived: map[msgKey]int{}, waiting: map[msgKey]waiters{}}
 }
 
 func (m *mailbox) deliver(sim *Sim, src, tag int) {
 	k := msgKey{src, tag}
-	if ws := m.waiting[k]; len(ws) > 0 {
-		cont := ws[0]
-		m.waiting[k] = ws[1:]
+	if w, ok := m.waiting[k]; ok {
+		cont := w.first
+		if len(w.more) == 0 {
+			delete(m.waiting, k)
+		} else {
+			w.first = w.more[0]
+			n := copy(w.more, w.more[1:])
+			w.more[n] = engine.Callback{}
+			w.more = w.more[:n]
+			m.waiting[k] = w
+		}
 		sim.Post(sim.Now(), cont)
 		return
 	}
@@ -32,12 +48,21 @@ func (m *mailbox) deliver(sim *Sim, src, tag int) {
 
 func (m *mailbox) recv(sim *Sim, src, tag int, cont engine.Callback) {
 	k := msgKey{src, tag}
-	if m.arrived[k] > 0 {
-		m.arrived[k]--
+	if c := m.arrived[k]; c > 0 {
+		if c == 1 {
+			delete(m.arrived, k)
+		} else {
+			m.arrived[k] = c - 1
+		}
 		sim.Post(sim.Now(), cont)
 		return
 	}
-	m.waiting[k] = append(m.waiting[k], cont)
+	if w, ok := m.waiting[k]; ok {
+		w.more = append(w.more, cont)
+		m.waiting[k] = w
+		return
+	}
+	m.waiting[k] = waiters{first: cont}
 }
 
 // roceMsg is one in-flight RDMA message.
@@ -55,7 +80,8 @@ type roceQP struct {
 	h          *Host
 	dst        int
 	cc         ccPolicy
-	msgs       []*roceMsg
+	msgs       []roceMsg // msgs[head:] wait to be sent, oldest first
+	head       int
 	pumping    bool
 	nextSendAt Time
 }
@@ -66,7 +92,7 @@ type roceEngine struct {
 	qps    map[int]*roceQP
 	qpList []*roceQP // creation order, for deterministic kicks
 	// reassembly: (src, msgID) -> bytes still missing.
-	rx map[rxKey]*rxState
+	rx map[rxKey]rxState
 	// np: last CNP time per flow (congestion notification point).
 	// Entries are dropped when the flow's message completes.
 	np map[int64]Time
@@ -86,7 +112,7 @@ type rxState struct {
 }
 
 func newRoceEngine(h *Host) *roceEngine {
-	return &roceEngine{h: h, qps: map[int]*roceQP{}, rx: map[rxKey]*rxState{}, np: map[int64]Time{}}
+	return &roceEngine{h: h, qps: map[int]*roceQP{}, rx: map[rxKey]rxState{}, np: map[int64]Time{}}
 }
 
 func (e *roceEngine) qp(dst int) *roceQP {
@@ -112,11 +138,18 @@ func roceFlowID(vertex int, msg int64) int64 {
 // preserved; completion is signalled at the receiver's mailbox.
 func (e *roceEngine) Send(dst, tag, bytes int) {
 	e.nextMsg++
-	m := &roceMsg{id: roceFlowID(e.h.vertex, e.nextMsg), dst: dst, tag: tag, bytes: bytes}
 	q := e.qp(dst)
-	q.msgs = append(q.msgs, m)
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
+		// Reuse the sent prefix before append would grow the queue.
+		n := copy(q.msgs, q.msgs[q.head:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, roceMsg{id: roceFlowID(e.h.vertex, e.nextMsg), dst: dst, tag: tag, bytes: bytes})
 	q.pump()
 }
+
+// backlog is the number of messages not yet fully sent.
+func (q *roceQP) backlog() int { return len(q.msgs) - q.head }
 
 // pump emits packets of the head message, paced by the CC policy's
 // rate and self-clocked against the NIC queue: while more than two
@@ -124,7 +157,7 @@ func (e *roceEngine) Send(dst, tag, bytes int) {
 // NIC drains (nicDrained kicks it). This enforces the rate at the
 // wire even across PFC pauses.
 func (q *roceQP) pump() {
-	if q.pumping || len(q.msgs) == 0 {
+	if q.pumping || q.backlog() == 0 {
 		return
 	}
 	n := q.h.net
@@ -138,7 +171,7 @@ func (q *roceQP) pump() {
 	if q.nextSendAt > at {
 		at = q.nextSendAt
 	}
-	m := q.msgs[0]
+	m := &q.msgs[q.head]
 	payload := n.Cfg.MTU
 	if rem := m.bytes - m.sent; rem < payload {
 		payload = rem
@@ -163,7 +196,9 @@ func (q *roceQP) pump() {
 	}
 	m.sent += payload
 	if last {
-		q.msgs = q.msgs[1:]
+		if q.head++; q.head == len(q.msgs) {
+			q.msgs, q.head = q.msgs[:0], 0
+		}
 	}
 	gap := serTime(size, q.cc.Rate())
 	n.Sim.Schedule(at, q, engine.Event{Kind: evQPSend, Ptr: pkt, A: int64(gap)})
@@ -292,8 +327,7 @@ func (h *Host) roceData(pkt *Packet) {
 	key := rxKey{pkt.Src, pkt.Flow}
 	st, ok := e.rx[key]
 	if !ok {
-		st = &rxState{total: -1}
-		e.rx[key] = st
+		st.total = -1
 	}
 	st.got += pkt.Len
 	st.tag = pkt.AppTag
@@ -307,5 +341,7 @@ func (h *Host) roceData(pkt *Packet) {
 		n.Sim.ScheduleAfter(n.Cfg.HostLatency, h, engine.Event{
 			Kind: evDeliver, A: int64(pkt.Src), B: int64(st.tag),
 		})
+		return
 	}
+	e.rx[key] = st
 }

@@ -1,7 +1,5 @@
 package netsim
 
-import "repro/internal/engine"
-
 // MeasurePingpong runs an IMB-style Pingpong between hosts a and b:
 // reps round trips of a message of the given payload size, returning
 // the RTT of each repetition (§VI-B1's latency methodology).
@@ -14,10 +12,10 @@ func MeasurePingpong(n *Network, a, b int, bytes, reps int) []Time {
 	// closure convenience API is fine here.)
 	var echo func()
 	echo = func() {
-		hb.mailbox.recv(n.Sim, a, tag, engine.FuncCB(func() {
-			hb.roce.Send(a, tag, bytes)
+		hb.Recv(a, tag, func() {
+			hb.Send(a, tag, bytes)
 			echo()
-		}))
+		})
 	}
 	echo()
 
@@ -28,11 +26,11 @@ func MeasurePingpong(n *Network, a, b int, bytes, reps int) []Time {
 			return
 		}
 		start = n.Sim.Now()
-		ha.roce.Send(b, tag, bytes)
-		ha.mailbox.recv(n.Sim, b, tag, engine.FuncCB(func() {
+		ha.Send(b, tag, bytes)
+		ha.Recv(b, tag, func() {
 			rtts = append(rtts, n.Sim.Now()-start)
 			ping(i + 1)
-		}))
+		})
 	}
 	n.Sim.After(0, func() { ping(0) })
 	n.Sim.Run(0)

@@ -272,11 +272,9 @@ type Host struct {
 // Forwarder decides forwarding at a logical switch.
 type Forwarder interface {
 	// Forward returns the logical egress port and new tag for a packet
-	// arriving at switch vertex sw on logical port inPort, plus an
-	// extra pipeline delay (0 for an installed entry; reactive
-	// controllers charge the flow-setup round trip here). ok=false
+	// arriving at switch vertex sw on logical port inPort. ok=false
 	// drops the packet (table miss).
-	Forward(sw, inPort int, pkt *Packet) (outPort, newTag int, delay Time, ok bool)
+	Forward(sw, inPort int, pkt *Packet) (outPort, newTag int, ok bool)
 }
 
 // RouteForwarder forwards using a routing rule set (control plane
@@ -306,9 +304,8 @@ func NewRouteForwarder(r *routing.Routes) RouteForwarder {
 }
 
 // Forward implements Forwarder.
-func (rf RouteForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, Time, bool) {
-	out, tag, ok := rf.Routes.FIB().Forward(sw, inPort, pkt.Dst, pkt.Tag)
-	return out, tag, 0, ok
+func (rf RouteForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
+	return rf.Routes.FIB().Forward(sw, inPort, pkt.Dst, pkt.Tag)
 }
 
 // LookupForwarder is the uncompiled reference Forwarder backed by
@@ -320,16 +317,16 @@ type LookupForwarder struct {
 }
 
 // Forward implements Forwarder.
-func (lf LookupForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, Time, bool) {
+func (lf LookupForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
 	rule := lf.Routes.Lookup(sw, inPort, pkt.Dst, pkt.Tag)
 	if rule == nil {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	tag := pkt.Tag
 	if rule.NewTag >= 0 {
 		tag = rule.NewTag
 	}
-	return rule.OutPort, tag, 0, true
+	return rule.OutPort, tag, true
 }
 
 // Network is a simulated fabric: the logical topology's switches and

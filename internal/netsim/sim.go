@@ -65,4 +65,5 @@ const (
 	evAppStep // Ptr=*Rank
 	// FlowApp events.
 	evFlowStart // A=index into the sorted start order
+	evFlowDone  // A=flow index
 )

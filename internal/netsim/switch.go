@@ -7,7 +7,7 @@ import "repro/internal/engine"
 // threshold checks.
 func (s *SimSwitch) receive(pkt *Packet) {
 	n := s.net
-	out, newTag, fwdDelay, ok := n.Fwd.Forward(s.vertex, pkt.inPort, pkt)
+	out, newTag, ok := n.Fwd.Forward(s.vertex, pkt.inPort, pkt)
 	if !ok || out <= 0 || out >= len(s.outPorts) || s.outPorts[out] == nil {
 		s.Drops++
 		n.TotalDrops++
@@ -22,7 +22,7 @@ func (s *SimSwitch) receive(pkt *Packet) {
 		arrCls = pkt.Prio
 	}
 	pkt.Tag = newTag
-	d := n.Cfg.SwitchLatency + fwdDelay + s.crossbar.delay(n.Sim.Now(), pkt.Size)
+	d := n.Cfg.SwitchLatency + s.crossbar.delay(n.Sim.Now(), pkt.Size)
 	n.Sim.ScheduleAfter(d, s, engine.Event{
 		Kind: evSwEnqueue, Ptr: pkt,
 		A: int64(out), B: int64(pkt.inPort)<<4 | int64(arrCls),

@@ -22,8 +22,8 @@ func fabricForRecovery(t *testing.T) *netsim.Network {
 
 type dropAll struct{}
 
-func (dropAll) Forward(sw, inPort int, pkt *netsim.Packet) (int, int, netsim.Time, bool) {
-	return 0, 0, 0, false
+func (dropAll) Forward(sw, inPort int, pkt *netsim.Packet) (int, int, bool) {
+	return 0, 0, false
 }
 
 func TestRecoveryTrackerLifecycle(t *testing.T) {
