@@ -28,7 +28,6 @@ import (
 // or has gained a caller fails the test, so the list can only shrink.
 var censusAllow = map[string]string{
 	"controller.Controller.Deployments":      "test seam: controller and core tests count live deployments after deploy/teardown/reconfigure",
-	"engine.Engine.Stopped":                  "test seam: proves a cancelled Run halted on the stop flag mid-simulation, not by draining",
 	"loadgen.FlowSet.Trace":                  "differential oracle: TestFlowsVsCompiledTrace replays the compiled trace against the live flow app",
 	"loadgen.Outcast":                        "WORKLOADS.md catalogue pattern (sdt.PatternOutcast); no registered set drives it — settle with the facade audit, ROADMAP item 5",
 	"loadgen.RackLocal":                      "WORKLOADS.md catalogue pattern (sdt.PatternRackLocal); no registered set drives it — settle with the facade audit, ROADMAP item 5",

@@ -32,7 +32,7 @@ func main() {
 	scenario := sdt.Scenario{
 		Topo:  g,
 		Trace: sdt.AlltoallTrace(nodes, 256*1024, 4),
-		Mode:  sdt.ModeSimulator,
+		Mode:  sdt.ModeFullTestbed,
 		Hosts: g.Hosts()[:nodes],
 	}
 

@@ -29,10 +29,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Run the same pingpong three ways through the composable Run
-	//    API: one Scenario, the mode varied per run. The context
-	//    cancels mid-simulation (here it just carries a generous
-	//    wall-clock deadline).
+	// 3. Run the same pingpong on the full testbed and on SDT through
+	//    the composable Run API: one Scenario, the mode varied per run.
+	//    The context cancels mid-simulation (here it just carries a
+	//    generous wall-clock deadline). A testbed evaluates in its ACT,
+	//    plus the deployment on SDT; a software simulator evaluates in
+	//    the wall clock the full-testbed run took on this machine.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	hosts := topo.Hosts()
@@ -42,14 +44,15 @@ func main() {
 		Hosts: []int{hosts[0], hosts[len(hosts)-1]},
 	}
 
-	for _, mode := range []sdt.Mode{sdt.ModeFullTestbed, sdt.ModeSDT, sdt.ModeSimulator} {
+	for _, mode := range []sdt.Mode{sdt.ModeFullTestbed, sdt.ModeSDT} {
 		scenario.Mode = mode
 		res, err := sdt.Run(ctx, tb, scenario)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-13s ACT %8.2f us   evaluation time %12v  (events %d)\n",
-			mode, float64(res.ACT)/float64(sdt.Microsecond), res.Eval, res.Events)
+		act := time.Duration(int64(res.ACT) / 1000) // ps -> ns
+		fmt.Printf("%-13s ACT %12v   ACT + deploy %12v   wall %10v  (events %d)\n",
+			mode, act, act+res.Deploy, res.Wall.Round(time.Microsecond), res.Events)
 	}
 
 	// 4. The SDT deployment details: how the topology landed on the

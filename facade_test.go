@@ -122,9 +122,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run a small alltoall in every mode.
+	// Run a small alltoall in both modes.
 	tr := sdt.AlltoallTrace(4, 16<<10, 2)
-	for _, mode := range []sdt.Mode{sdt.ModeFullTestbed, sdt.ModeSDT, sdt.ModeSimulator} {
+	for _, mode := range []sdt.Mode{sdt.ModeFullTestbed, sdt.ModeSDT} {
 		res, err := sdt.Run(t.Context(), tb, sdt.Scenario{Topo: ft, Trace: tr, Hosts: ft.Hosts()[:4], Mode: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)

@@ -17,7 +17,7 @@ func TestRunBatchMatchesSerialRuns(t *testing.T) {
 	scs := []Scenario{
 		{Topo: g, Trace: tr, Mode: FullTestbed},
 		{Topo: g, Trace: tr, Mode: SDT},
-		{Topo: g, Trace: tr, Mode: Simulator},
+		{Topo: g, Trace: tr, Mode: FullTestbed},
 		{Topo: g, Trace: tr, Mode: SDT},
 	}
 	mk := func() *Testbed {

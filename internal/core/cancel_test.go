@@ -29,7 +29,7 @@ func TestCancelContractRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := Run(ctx, tb, Scenario{Topo: g, Trace: workload.Alltoall(8, 256*1024, 8), Mode: Simulator},
+	res, err := Run(ctx, tb, Scenario{Topo: g, Trace: workload.Alltoall(8, 256*1024, 8), Mode: FullTestbed},
 		WithObserver(Hooks{
 			Period: 100 * netsim.Microsecond,
 			Tick: func(netsim.Time, *netsim.Network) {
@@ -59,7 +59,7 @@ func TestCancelContractSweep(t *testing.T) {
 	tr := workload.Alltoall(4, 16*1024, 2)
 	jobs := make([]Job, 6)
 	for i := range jobs {
-		jobs[i] = Job{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: Simulator}}
+		jobs[i] = Job{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -99,10 +99,10 @@ func TestCancelContractSweepError(t *testing.T) {
 	}
 	tr := workload.Alltoall(4, 16*1024, 2)
 	jobs := []Job{
-		{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: Simulator}},
-		{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: Simulator}},
-		{TB: tb, Scenario: Scenario{Topo: g, Mode: Simulator}}, // no workload: fails
-		{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: Simulator}},
+		{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}},
+		{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}},
+		{TB: tb, Scenario: Scenario{Topo: g, Mode: FullTestbed}}, // no workload: fails
+		{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}},
 	}
 	out, err := Sweep(context.Background(), jobs, WithWorkers(1))
 	if err == nil {

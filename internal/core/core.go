@@ -1,18 +1,19 @@
 // Package core orchestrates complete SDT experiments: it couples the
 // controller-managed projection pipeline with the packet-level engine
-// so the same workload can be evaluated the three ways the paper
-// compares (§VI): on a full testbed, on SDT, and on a (slow) software
-// simulator.
+// so the same workload can be evaluated on the two fabrics the paper
+// compares (§VI):
 //
 //   - FullTestbed: the logical topology simulated with one crossbar per
 //     logical switch — the reference the paper measures SDT against.
 //   - SDT: the logical topology projected onto physical switches; the
 //     sub-switches share their host's crossbar and pay the projected
 //     pipeline overhead; evaluation time additionally includes the
-//     controller's deployment time.
-//   - Simulator: identical network model, but the *evaluation time* is
-//     the real wall-clock the event-driven engine burns — the quantity
-//     Fig. 13 shows exploding with scale.
+//     controller's deployment time (RunResult.Deploy).
+//
+// The paper's third platform, the software simulator, is this package
+// itself: its evaluation time is the host wall clock a FullTestbed run
+// burns (RunResult.Wall), the quantity Fig. 13 shows exploding with
+// scale.
 package core
 
 import (
@@ -34,20 +35,20 @@ const (
 	FullTestbed Mode = iota
 	// SDT is the projected testbed.
 	SDT
-	// Simulator is the software-simulation baseline.
-	Simulator
 )
+
+// Simulator is FullTestbed under its former name: a software simulator
+// runs the full-testbed fabric, and only its wall clock differs. The
+// benchmark module (bench/flowxl.go) still names it; the alias goes
+// when that module next changes.
+const Simulator = FullTestbed
 
 // String names the mode as in the paper.
 func (m Mode) String() string {
-	switch m {
-	case FullTestbed:
-		return "Full Testbed"
-	case SDT:
+	if m == SDT {
 		return "SDT"
-	default:
-		return "Simulator"
 	}
+	return "Full Testbed"
 }
 
 // Testbed is an SDT deployment ready to run experiments.
@@ -82,13 +83,12 @@ type RunResult struct {
 	// ACT is the application completion time in simulated (i.e.
 	// physical) time.
 	ACT netsim.Time
-	// Wall is the wall-clock time the engine burned.
+	// Wall is the wall-clock time the engine burned — a software
+	// simulator's evaluation time.
 	Wall time.Duration
-	// Deploy is the modelled topology deployment time (SDT only).
+	// Deploy is the modelled topology deployment time (SDT only); an
+	// SDT evaluation takes Deploy + ACT.
 	Deploy time.Duration
-	// Eval is the full evaluation time on this platform: ACT for the
-	// full testbed, deploy+ACT for SDT, Wall for the simulator.
-	Eval time.Duration
 	// Fabric health counters.
 	Drops, Pauses, EcnMarks int64
 	Events                  int64

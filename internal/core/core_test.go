@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/topology"
@@ -11,7 +10,7 @@ import (
 )
 
 func TestModeString(t *testing.T) {
-	if FullTestbed.String() != "Full Testbed" || SDT.String() != "SDT" || Simulator.String() != "Simulator" {
+	if FullTestbed.String() != "Full Testbed" || SDT.String() != "SDT" {
 		t.Error("mode names")
 	}
 }
@@ -24,7 +23,7 @@ func TestRunTraceAllModes(t *testing.T) {
 	}
 	tr := workload.Alltoall(8, 32*1024, 2)
 	var acts []netsim.Time
-	for _, mode := range []Mode{FullTestbed, SDT, Simulator} {
+	for _, mode := range []Mode{FullTestbed, SDT} {
 		res, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: mode})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -35,30 +34,22 @@ func TestRunTraceAllModes(t *testing.T) {
 		if res.Drops != 0 {
 			t.Errorf("%s: %d drops on lossless fabric", mode, res.Drops)
 		}
+		if res.Wall <= 0 {
+			t.Errorf("%s: no wall clock recorded", mode)
+		}
 		acts = append(acts, res.ACT)
 		switch mode {
 		case FullTestbed:
-			if res.Eval != time.Duration(int64(res.ACT)/1000) {
-				t.Errorf("full-testbed eval %v != ACT %v", res.Eval, res.ACT)
+			if res.Deploy != 0 {
+				t.Errorf("full-testbed run carries deploy time %v", res.Deploy)
 			}
 		case SDT:
 			if res.Deploy <= 0 {
 				t.Error("SDT run has no deploy time")
 			}
-			if res.Eval <= time.Duration(int64(res.ACT)/1000) {
-				t.Error("SDT eval must exceed bare ACT")
-			}
-		case Simulator:
-			if res.Eval != res.Wall {
-				t.Errorf("simulator eval %v != wall %v", res.Eval, res.Wall)
-			}
 		}
 	}
-	// Full testbed and simulator model identical fabrics -> same ACT;
-	// SDT adds a small positive overhead.
-	if acts[0] != acts[2] {
-		t.Errorf("full %v != simulator %v ACT", acts[0], acts[2])
-	}
+	// SDT adds a small positive overhead over the full testbed.
 	if acts[1] <= acts[0] {
 		t.Errorf("SDT ACT %v <= full %v; projection overhead missing", acts[1], acts[0])
 	}

@@ -151,7 +151,7 @@ func TestFlowFidelitySweep(t *testing.T) {
 			flows := gen()
 			flowSets = append(flowSets, flows)
 			jobs = append(jobs, Job{TB: tb, Scenario: Scenario{
-				Topo: g, Flows: flows, Mode: Simulator, Fidelity: Flow,
+				Topo: g, Flows: flows, Mode: FullTestbed, Fidelity: Flow,
 			}})
 		}
 		return jobs, flowSets

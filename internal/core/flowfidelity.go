@@ -36,20 +36,12 @@ func runFlowScenario(ctx context.Context, sc Scenario, hosts []int, simCfg netsi
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(wallStart)
-	out := &RunResult{
+	return &RunResult{
 		Mode:   sc.Mode,
 		ACT:    res.ACT,
-		Wall:   wall,
+		Wall:   time.Since(wallStart),
 		Events: res.Recomputes,
-	}
-	switch sc.Mode {
-	case FullTestbed:
-		out.Eval = time.Duration(int64(res.ACT) / 1000) // ps -> ns
-	default: // Simulator
-		out.Eval = wall
-	}
-	return out, nil
+	}, nil
 }
 
 // flowRoutes computes the route set a flow-level run resolves paths

@@ -54,8 +54,8 @@ type Job struct {
 // mutates the controller; a live deployment is read-only), after which
 // the simulations share only read-only state. Cancelling the context
 // stops in-flight simulations mid-run and prevents new jobs from
-// starting; Sweep then returns ctx.Err(). Simulator-mode Wall/Eval
-// columns measure contended wall clock when workers > 1.
+// starting; Sweep then returns ctx.Err(). Wall measures contended
+// wall clock when workers > 1.
 //
 // Cancellation contract: when Sweep returns an error after jobs have
 // started — cancellation included — it returns the PARTIAL results
@@ -125,9 +125,10 @@ func ForEach(ctx context.Context, workers, n int, job func(i int) error) error {
 // WatchCancel arms cooperative cancellation of a simulation on ctx:
 // the engine's run loop stops within engine.StopStride events of the
 // context ending. The returned release func detaches the watcher and
-// must be called once the run returns (typically via defer). Callers
-// driving netsim directly (rather than through Run) use this to get
-// the same mid-simulation cancellation.
+// must be called once the run returns (typically via defer). Run uses
+// it, and so does the one caller driving netsim directly: the fig12
+// incast in internal/experiments, whose long-lived TCP flows run for a
+// fixed simulated window that no Scenario expresses.
 func WatchCancel(ctx context.Context, sim *netsim.Sim) (release func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -196,7 +197,7 @@ func validateScenario(sc Scenario, cfg *runConfig) error {
 		return errors.New("core: flow fidelity cannot reconfigure topology mid-run; run at packet fidelity")
 	}
 	if sc.Mode == SDT {
-		return errors.New("core: flow fidelity does not model SDT projection (crossbar sharing and per-hop overhead are packet-level); use FullTestbed or Simulator mode")
+		return errors.New("core: flow fidelity does not model SDT projection (crossbar sharing and per-hop overhead are packet-level); use FullTestbed mode")
 	}
 	if len(cfg.observers) > 0 {
 		return errors.New("core: flow fidelity supports no observers (there is no packet-level network to observe)")
@@ -293,16 +294,8 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if rcTracker != nil {
 		res.Reconfig = rcTracker.ReconfigReport(incomplete)
 	}
-	switch sc.Mode {
-	case FullTestbed:
-		res.Eval = time.Duration(int64(act) / 1000) // ps -> ns
-	case SDT:
-		if dep != nil {
-			res.Deploy = dep.DeployTime
-		}
-		res.Eval = time.Duration(int64(act)/1000) + res.Deploy
-	case Simulator:
-		res.Eval = wall
+	if dep != nil {
+		res.Deploy = dep.DeployTime
 	}
 	for _, h := range cfg.observers {
 		if h.Finish != nil {

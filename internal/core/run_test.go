@@ -23,7 +23,7 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = Run(ctx, tb, Scenario{Topo: g, Trace: workload.Pingpong(1024, 5), Mode: Simulator})
+	_, err = Run(ctx, tb, Scenario{Topo: g, Trace: workload.Pingpong(1024, 5), Mode: FullTestbed})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -31,7 +31,7 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 
 // TestRunCancelMidSimulation cancels deterministically from inside the
 // simulation (an observer tick) and checks that the run returns
-// ctx.Err() with the engine reporting a stopped (not drained) run —
+// ctx.Err() with events still queued (a stopped, not drained, run) —
 // i.e. cancellation landed mid-simulation. The precise
 // stops-within-one-stride bound is pinned deterministically in
 // internal/engine's TestRunStopsWithinStride; here the flag is raised
@@ -50,7 +50,7 @@ func TestRunCancelMidSimulation(t *testing.T) {
 	defer cancel()
 	var net *netsim.Network
 	cancelled := false
-	_, err = Run(ctx, tb, Scenario{Topo: g, Trace: tr, Mode: Simulator},
+	_, err = Run(ctx, tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed},
 		WithObserver(Hooks{
 			Start:  func(n *netsim.Network, _ Scenario) { net = n },
 			Period: 100 * netsim.Microsecond,
@@ -70,11 +70,11 @@ func TestRunCancelMidSimulation(t *testing.T) {
 	if !cancelled {
 		t.Fatal("observer tick never fired")
 	}
-	if !net.Sim.Stopped() {
-		t.Error("engine does not report a stopped run (cancellation did not land mid-simulation)")
+	if net.Sim.Events() == 0 {
+		t.Error("engine fired no events; the run never started")
 	}
 	if net.Sim.Pending() == 0 {
-		t.Error("event queue drained; the run completed instead of being cancelled")
+		t.Error("event queue drained; the run completed instead of being cancelled (cancellation did not land mid-simulation)")
 	}
 }
 
@@ -91,7 +91,7 @@ func TestSweepCancelled(t *testing.T) {
 		}
 		jobs := make([]Job, 16)
 		for i := range jobs {
-			jobs[i] = Job{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: Simulator}}
+			jobs[i] = Job{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}}
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		// The observer runs in every worker's simulation concurrently;
@@ -118,13 +118,13 @@ func TestRunSimConfigOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := workload.Pingpong(4096, 10)
-	base, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: Simulator})
+	base, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := tb.Cfg
 	slow.CutThrough = false
-	over, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: Simulator, SimConfig: &slow})
+	over, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed, SimConfig: &slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRunSimConfigOverride(t *testing.T) {
 	if !tb.Cfg.CutThrough {
 		t.Error("Scenario.SimConfig mutated the testbed default")
 	}
-	again, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: Simulator})
+	again, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRunTelemetryObserver(t *testing.T) {
 	}
 	col := telemetry.NewCollector(g, 50*netsim.Microsecond, 0)
 	res, err := Run(context.Background(), tb, Scenario{
-		Topo: g, Trace: workload.Alltoall(8, 64*1024, 4), Mode: Simulator,
+		Topo: g, Trace: workload.Alltoall(8, 64*1024, 4), Mode: FullTestbed,
 	}, WithTelemetry(col))
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestRunStuckWorkloadWithObserverStillErrors(t *testing.T) {
 	ticks := 0
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: stuck, Mode: Simulator},
+		_, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: stuck, Mode: FullTestbed},
 			WithObserver(Hooks{
 				Period: 10 * netsim.Microsecond,
 				Tick:   func(netsim.Time, *netsim.Network) { ticks++ },
@@ -230,7 +230,7 @@ func TestSweepSharedTelemetryCollector(t *testing.T) {
 		col := telemetry.NewCollector(g, 50*netsim.Microsecond, 0)
 		jobs := make([]Job, 4)
 		for i := range jobs {
-			jobs[i] = Job{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: Simulator}}
+			jobs[i] = Job{TB: tb, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}}
 		}
 		if _, err := Sweep(context.Background(), jobs, WithWorkers(workers), WithTelemetry(col)); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -86,14 +86,11 @@ type Callback struct {
 	Ev Event
 }
 
-// funcHandler invokes a stored closure; it backs the At/After/FuncCB
+// funcHandler invokes a stored closure; it backs the At/After
 // convenience API. The zero-size value boxes without allocating.
 type funcHandler struct{}
 
 func (funcHandler) OnEvent(_ Time, ev Event) { ev.Ptr.(func())() }
-
-// FuncCB wraps a closure as a Callback.
-func FuncCB(fn func()) Callback { return Callback{H: funcHandler{}, Ev: Event{Ptr: fn}} }
 
 // Handle identifies a pending event for Cancel. The zero
 // Handle is never live, so uninitialised fields are safe to cancel.
@@ -158,10 +155,9 @@ type Engine struct {
 	stale   int // cancelled entries still queued
 
 	// stop, when non-nil, is polled every stride fired events by Run;
-	// a true load makes Run return early (Stopped reports this).
-	stop    *atomic.Bool
-	stride  int64
-	stopped bool
+	// a true load makes Run return early, events still queued.
+	stop   *atomic.Bool
+	stride int64
 }
 
 // New returns a scheduler at time zero.
@@ -279,21 +275,13 @@ func (e *Engine) SetStop(flag *atomic.Bool, stride int64) {
 	e.stop, e.stride = flag, stride
 }
 
-// Stopped reports whether the last Run returned because the stop flag
-// was raised (as opposed to draining the queue or hitting its limit).
-// It keeps reporting the last run's outcome after the flag is
-// detached.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Run executes events until the queue drains or the time limit passes
 // (limit 0 = no limit). If a stop flag is installed (SetStop), it is
 // checked before the first event and then every stride events, so a
 // cancelled run halts within one stride. Run returns the final
 // simulation time.
 func (e *Engine) Run(limit Time) Time {
-	e.stopped = false
 	if e.stop != nil && e.stop.Load() {
-		e.stopped = true
 		return e.now
 	}
 	check := e.fired + e.stride
@@ -305,7 +293,6 @@ func (e *Engine) Run(limit Time) Time {
 		e.fire()
 		if e.stop != nil && e.fired >= check {
 			if e.stop.Load() {
-				e.stopped = true
 				break
 			}
 			check = e.fired + e.stride

@@ -98,7 +98,7 @@ func TestRunLimitStopsBeforeFutureEvents(t *testing.T) {
 func TestCallbacksAndClosures(t *testing.T) {
 	e := New()
 	var order []string
-	cb := FuncCB(func() { order = append(order, "cb") })
+	cb := Callback{H: funcHandler{}, Ev: Event{Ptr: func() { order = append(order, "cb") }}}
 	e.Post(5, cb)
 	e.After(10, func() { order = append(order, "after") })
 	e.Run(0)
@@ -182,15 +182,12 @@ func TestRunStopsWithinStride(t *testing.T) {
 	e.SetStop(&flag, stride)
 	e.Schedule(0, h, Event{})
 	e.Run(0)
-	if !e.Stopped() {
-		t.Fatal("engine does not report a stopped run")
+	if e.Pending() == 0 {
+		t.Fatal("queue drained; the workload should be infinite")
 	}
 	fired := e.Events() - h.raise
 	if fired > stride {
 		t.Errorf("fired %d events after the flag was raised, want <= %d", fired, stride)
-	}
-	if e.Pending() == 0 {
-		t.Error("queue drained; the workload should be infinite")
 	}
 }
 
@@ -207,8 +204,8 @@ func TestRunPresetStopFiresNothing(t *testing.T) {
 	if e.Events() != 0 {
 		t.Errorf("fired %d events with a pre-raised stop flag", e.Events())
 	}
-	if !e.Stopped() {
-		t.Error("engine does not report a stopped run")
+	if e.Pending() != 1 {
+		t.Errorf("pending = %d after a stopped run, want the 1 scheduled event", e.Pending())
 	}
 }
 
@@ -230,7 +227,7 @@ func TestRunAfterStopDetached(t *testing.T) {
 	if len(r.got) != 1 {
 		t.Fatalf("got %d events after detaching the stop flag, want 1", len(r.got))
 	}
-	if e.Stopped() {
-		t.Error("Stopped still true after a drained run")
+	if e.Pending() != 0 || e.Events() != 1 {
+		t.Errorf("pending = %d, events = %d after a drained run, want 0 and 1", e.Pending(), e.Events())
 	}
 }

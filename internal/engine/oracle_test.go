@@ -32,10 +32,9 @@ type oracle struct {
 	heap  []int32
 
 	// stop, when non-nil, is polled every stride fired events by Run;
-	// a true load makes Run return early (Stopped reports this).
-	stop    *atomic.Bool
-	stride  int64
-	stopped bool
+	// a true load makes Run return early, events still queued.
+	stop   *atomic.Bool
+	stride int64
 }
 
 func newOracle() *oracle { return &oracle{} }
@@ -124,21 +123,13 @@ func (e *oracle) SetStop(flag *atomic.Bool, stride int64) {
 	e.stop, e.stride = flag, stride
 }
 
-// Stopped reports whether the last Run returned because the stop flag
-// was raised (as opposed to draining the queue or hitting its limit).
-// It keeps reporting the last run's outcome after the flag is
-// detached.
-func (e *oracle) Stopped() bool { return e.stopped }
-
 // Run executes events until the queue drains or the time limit passes
 // (limit 0 = no limit). If a stop flag is installed (SetStop), it is
 // checked before the first event and then every stride events, so a
 // cancelled run halts within one stride. Run returns the final
 // simulation time.
 func (e *oracle) Run(limit Time) Time {
-	e.stopped = false
 	if e.stop != nil && e.stop.Load() {
-		e.stopped = true
 		return e.now
 	}
 	check := e.fired + e.stride
@@ -150,7 +141,6 @@ func (e *oracle) Run(limit Time) Time {
 		e.Step()
 		if e.stop != nil && e.fired >= check {
 			if e.stop.Load() {
-				e.stopped = true
 				break
 			}
 			check = e.fired + e.stride

@@ -1,15 +1,14 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§VI). Each experiment returns a structured
-// result with a Format method printing rows comparable to the paper's;
-// cmd/sdtbench exposes them on the command line and bench_test.go wraps
-// them in testing.B benchmarks.
+// result with a Format method printing rows comparable to the paper's,
+// and registers a Runner that cmd/sdtbench and the sdtd service expose.
 //
 // Scale note: the paper's runs last up to 16 real seconds on hardware;
 // packet-level simulation of that volume is exactly the cost Fig. 13
-// quantifies. The experiments therefore accept a Scale knob (1 = test
-// size, larger = closer to paper size). Shapes — who wins, relative
-// overheads, trends — are preserved at every scale; EXPERIMENTS.md
-// records the mapping.
+// quantifies. The experiments therefore take size parameters (Params:
+// bytes, reps, ranks, duration, ...) whose defaults run in seconds.
+// Shapes — who wins, relative overheads, trends — are preserved at
+// every size; EXPERIMENTS.md records the mapping.
 package experiments
 
 import (
@@ -22,7 +21,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/projection"
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -68,33 +66,6 @@ func pct(f float64) string { return fmt.Sprintf("%+.3f%%", f*100) }
 
 // simSeconds converts simulated Time to float seconds.
 func simSeconds(t netsim.Time) float64 { return t.Seconds() }
-
-// buildModeNet constructs full-testbed and SDT networks for one
-// topology, sharing a single controller deployment for the SDT side.
-func buildModeNet(g *topology.Graph, strat routing.Strategy) (full, sdt func() (*netsim.Network, error), deploy time.Duration, err error) {
-	tb, err := core.PaperTestbed([]*topology.Graph{g})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	full = func() (*netsim.Network, error) {
-		n, _, e := tb.Network(g, strat, core.FullTestbed)
-		return n, e
-	}
-	sdt = func() (*netsim.Network, error) {
-		n, _, e := tb.Network(g, strat, core.SDT)
-		return n, e
-	}
-	// Prime the deployment up front: the deploy time is then known, and
-	// later full()/sdt() calls — possibly concurrent under a parallel
-	// sweep — only read the controller and topology caches.
-	var dep time.Duration
-	if _, d, err := tb.Network(g, strat, core.SDT); err != nil {
-		return nil, nil, 0, err
-	} else if d != nil {
-		dep = d.DeployTime
-	}
-	return full, sdt, dep, nil
-}
 
 // writeHeader prints a table title.
 func writeHeader(w io.Writer, title string) {

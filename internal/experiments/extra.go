@@ -184,37 +184,21 @@ func ActiveRouting(ctx context.Context, nodes, bytes int) (*ActiveRoutingResult,
 	if len(hosts) < nodes {
 		return nil, fmt.Errorf("activerouting: only %d hosts", len(hosts))
 	}
-	tr := workload.Alltoall(nodes, bytes, 4)
-
-	run := func(routes *routing.Routes) (netsim.Time, *netsim.Network, error) {
-		net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), netsim.DefaultConfig(), nil, false)
-		if err != nil {
-			return 0, nil, err
-		}
-		app := netsim.NewApp(net, hosts, tr.Programs, nil)
-		release := core.WatchCancel(ctx, net.Sim)
-		app.Start()
-		net.Sim.Run(0)
-		release()
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		if app.ACT() < 0 {
-			return 0, nil, fmt.Errorf("activerouting: run did not complete (drops=%d)", net.TotalDrops)
-		}
-		return app.ACT(), net, nil
-	}
+	tb := &core.Testbed{Cfg: netsim.DefaultConfig()}
+	sc := core.Scenario{Topo: g, Trace: workload.Alltoall(nodes, bytes, 4), Hosts: hosts, Mode: core.FullTestbed}
 
 	minRoutes, err := routing.DragonflyMinimal{}.Compute(g)
 	if err != nil {
 		return nil, err
 	}
-	actMin, net1, err := run(minRoutes)
+	sc.Strategy = routing.Fixed{Routes: minRoutes}
+	// The Network Monitor reads the minimal run's finished fabric.
+	mon := controller.NewMonitor()
+	collect := core.Hooks{Finish: func(_ *core.RunResult, net *netsim.Network) { mon.CollectSim(net) }}
+	minRes, err := core.Run(ctx, tb, sc, core.WithObserver(collect))
 	if err != nil {
 		return nil, err
 	}
-	mon := controller.NewMonitor()
-	mon.CollectSim(net1)
 	active, err := mon.ActiveRouting(g, 1)
 	if err != nil {
 		return nil, err
@@ -222,10 +206,12 @@ func ActiveRouting(ctx context.Context, nodes, bytes int) (*ActiveRoutingResult,
 	if err := routing.VerifyDeadlockFree(active); err != nil {
 		return nil, err
 	}
-	actUGAL, _, err := run(active)
+	sc.Strategy = routing.Fixed{Routes: active}
+	ugalRes, err := core.Run(ctx, tb, sc)
 	if err != nil {
 		return nil, err
 	}
+	actMin, actUGAL := minRes.ACT, ugalRes.ACT
 	return &ActiveRoutingResult{
 		Nodes: nodes, ACTMinimal: actMin, ACTActive: actUGAL,
 		Reduction: float64(actMin-actUGAL) / float64(actMin),

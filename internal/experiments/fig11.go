@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/routing"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 func init() {
@@ -51,53 +53,45 @@ func Fig11MsgLens() []int {
 
 // Fig11 runs the latency comparison with `reps` round trips per
 // message length (the paper uses 10k; 50 is enough for a deterministic
-// simulator), the message-length sweep fanned out one simulation per
-// worker (results are identical at any worker count; 1 = serial).
-// Cancelling the context stops in-flight pingpong runs mid-simulation.
+// simulator). Every message length contributes an IMB Pingpong trace
+// on the full testbed and on SDT to one core.Sweep, one simulation per
+// worker (results are identical at any worker count; 1 = serial); the
+// mean RTT is a run's ACT over reps. Cancelling the context stops
+// in-flight runs mid-simulation.
 func Fig11(ctx context.Context, reps, workers int) (*Fig11Result, error) {
 	if reps <= 0 {
 		reps = 50
 	}
 	g := fig10Topology()
-	full, sdt, _, err := buildModeNet(g, routing.ShortestPath{})
+	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {
 		return nil, err
 	}
-	hosts := g.Hosts()
-	a, b := hosts[0], hosts[7]
+	all := g.Hosts()
+	hosts := []int{all[0], all[7]}
 	lens := Fig11MsgLens()
-	points := make([]Fig11Point, len(lens))
-	err = core.ForEach(ctx, workers, len(lens), func(i int) error {
-		bytes := lens[i]
-		measure := func(mk func() (*netsim.Network, error)) (netsim.Time, error) {
-			n, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			release := core.WatchCancel(ctx, n.Sim)
-			rtt := netsim.MeanRTT(netsim.MeasurePingpong(n, a, b, bytes, reps))
-			release()
-			return rtt, ctx.Err()
+	var jobs []core.Job
+	for _, bytes := range lens {
+		tr := workload.Pingpong(bytes, reps)
+		for _, mode := range []core.Mode{core.FullTestbed, core.SDT} {
+			jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
+				Topo: g, Trace: tr, Hosts: hosts, Mode: mode, Strategy: routing.ShortestPath{},
+			}})
 		}
-		fullRTT, err := measure(full)
-		if err != nil {
-			return err
-		}
-		sdtRTT, err := measure(sdt)
-		if err != nil {
-			return err
-		}
-		points[i] = Fig11Point{
+	}
+	results, err := core.Sweep(ctx, jobs, core.WithWorkers(workers))
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig11Result{Points: make([]Fig11Point, len(lens))}
+	for i, bytes := range lens {
+		fullRTT := results[2*i].ACT / netsim.Time(reps)
+		sdtRTT := results[2*i+1].ACT / netsim.Time(reps)
+		p := Fig11Point{
 			Bytes: bytes, FullRTT: fullRTT, SDTRTT: sdtRTT,
 			Overhead: float64(sdtRTT-fullRTT) / float64(fullRTT),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig11Result{Points: points}
-	for _, p := range points {
+		res.Points[i] = p
 		if p.Overhead > res.MaxOverhead {
 			res.MaxOverhead = p.Overhead
 		}

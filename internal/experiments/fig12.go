@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/routing"
+	"repro/internal/topology"
 )
 
 func init() {
@@ -82,22 +83,19 @@ func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) ([]*Fig
 // to node 4 on the Fig. 10 chain, with PFC on or off, on the full
 // testbed or SDT. duration is simulated time (the paper plots an ~8 s
 // window; 1–2 s gives the same steady state). Fig12 drives the fabric
-// directly (fixed-duration TCP, not a replayable trace), so it arms
-// engine-loop cancellation itself via core.WatchCancel.
+// directly — long-lived TCP bounded by a simulated-time window has no
+// Scenario form — so it arms engine-loop cancellation itself via
+// core.WatchCancel.
 func Fig12(ctx context.Context, mode core.Mode, pfc bool, duration netsim.Time) (*Fig12Result, error) {
 	if duration <= 0 {
 		duration = 1 * netsim.Second
 	}
 	g := fig10Topology()
-	full, sdtN, _, err := buildModeNet(g, routing.ShortestPath{})
+	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {
 		return nil, err
 	}
-	mk := full
-	if mode == core.SDT {
-		mk = sdtN
-	}
-	net, err := mk()
+	net, _, err := tb.Network(g, routing.ShortestPath{}, mode)
 	if err != nil {
 		return nil, err
 	}

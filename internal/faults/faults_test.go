@@ -204,11 +204,19 @@ func TestBindDegradesFabric(t *testing.T) {
 		return net
 	}
 
+	// send arms a 32 KiB message h1 -> h2 that sets done on delivery.
+	var done bool
+	send := func(net *netsim.Network) *netsim.App {
+		done = false
+		return netsim.NewApp(net, []int{h1, h2}, [][]netsim.Op{
+			{{Kind: netsim.OpSend, Peer: 1, Bytes: 32 << 10, MTag: 1}},
+			{{Kind: netsim.OpRecv, Peer: 0, MTag: 1}},
+		}, func(netsim.Time) { done = true })
+	}
+
 	// Healthy run: the message arrives.
 	net := build()
-	done := false
-	net.Host(h2).Recv(h1, 1, func() { done = true })
-	net.Host(h1).Send(h2, 1, 32<<10)
+	send(net).Start()
 	net.Sim.Run(0)
 	if !done || net.FaultDrops != 0 {
 		t.Fatalf("healthy: done=%v faultdrops=%d", done, net.FaultDrops)
@@ -227,9 +235,7 @@ func TestBindDegradesFabric(t *testing.T) {
 			t.Error("observer ran before the state flip")
 		}
 	}))
-	done = false
-	net.Host(h2).Recv(h1, 1, func() { done = true })
-	net.Host(h1).Send(h2, 1, 32<<10)
+	send(net).Start()
 	net.Sim.Run(0)
 	if done {
 		t.Fatal("message delivered across a dead link")
@@ -252,9 +258,7 @@ func TestBindDegradesFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	Bind(net, sched)
-	done = false
-	net.Host(h2).Recv(h1, 1, func() { done = true })
-	net.Sim.At(2*netsim.Microsecond, func() { net.Host(h1).Send(h2, 1, 32<<10) })
+	net.Sim.At(2*netsim.Microsecond, send(net).Start)
 	net.Sim.Run(0)
 	if !done || net.FaultDrops != 0 {
 		t.Fatalf("after recovery: done=%v faultdrops=%d", done, net.FaultDrops)
@@ -267,9 +271,7 @@ func TestBindDegradesFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	Bind(net, sched)
-	done = false
-	net.Host(h2).Recv(h1, 1, func() { done = true })
-	net.Host(h1).Send(h2, 1, 32<<10)
+	send(net).Start()
 	net.Sim.Run(0)
 	if done {
 		t.Fatal("message delivered through a dead switch")

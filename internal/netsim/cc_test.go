@@ -277,7 +277,7 @@ func TestDCQCNIdleTimerDisarms(t *testing.T) {
 	hosts := g.Hosts()
 	src := net.Host(hosts[0])
 	var delivered Time
-	net.Host(hosts[1]).Recv(hosts[0], 1, func() { delivered = net.Sim.Now() })
+	recvThen(net.Host(hosts[1]), hosts[0], 1, func() { delivered = net.Sim.Now() })
 	src.Send(hosts[1], 1, 8*1024)
 	// Collapse the rate so recovery needs many timer periods.
 	q := src.roce.qp(hosts[1])
@@ -385,7 +385,7 @@ func TestPFabricPrioritizesShortFlows(t *testing.T) {
 		net, g := buildLine(t, 2, 2, cfg)
 		hosts := g.Hosts() // h0,h1 on switch 0; h2,h3 on switch 1
 		var mouseAt Time
-		net.Host(hosts[3]).Recv(hosts[1], 2, func() { mouseAt = net.Sim.Now() })
+		recvThen(net.Host(hosts[3]), hosts[1], 2, func() { mouseAt = net.Sim.Now() })
 		// Elephant first so the shared link is already backlogged.
 		net.Host(hosts[0]).Send(hosts[3], 1, 8<<20)
 		net.Sim.At(100*Microsecond, func() {

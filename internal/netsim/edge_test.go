@@ -13,7 +13,7 @@ func TestZeroByteMessageDelivers(t *testing.T) {
 	hosts := g.Hosts()
 	done := false
 	net.Host(hosts[0]).Send(hosts[1], 42, 0)
-	net.Host(hosts[1]).Recv(hosts[0], 42, func() { done = true })
+	recvThen(net.Host(hosts[1]), hosts[0], 42, func() { done = true })
 	net.Sim.Run(0)
 	if !done {
 		t.Fatal("zero-byte message never delivered")
@@ -32,7 +32,7 @@ func TestMessagesOrderedPerQP(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tag := 100 + i
 		idx := i
-		net.Host(hosts[1]).Recv(hosts[0], tag, func() { order = append(order, idx) })
+		recvThen(net.Host(hosts[1]), hosts[0], tag, func() { order = append(order, idx) })
 	}
 	net.Sim.Run(0)
 	if len(order) != 5 {
@@ -54,8 +54,8 @@ func TestBidirectionalFullDuplex(t *testing.T) {
 	var doneA, doneB Time
 	net.Host(hosts[0]).Send(hosts[1], 1, bytes)
 	net.Host(hosts[1]).Send(hosts[0], 2, bytes)
-	net.Host(hosts[1]).Recv(hosts[0], 1, func() { doneA = net.Sim.Now() })
-	net.Host(hosts[0]).Recv(hosts[1], 2, func() { doneB = net.Sim.Now() })
+	recvThen(net.Host(hosts[1]), hosts[0], 1, func() { doneA = net.Sim.Now() })
+	recvThen(net.Host(hosts[0]), hosts[1], 2, func() { doneB = net.Sim.Now() })
 	net.Sim.Run(0)
 	if doneA == 0 || doneB == 0 {
 		t.Fatal("transfers incomplete")
@@ -187,7 +187,7 @@ func TestQuickRTTMonotoneInSize(t *testing.T) {
 			return -1
 		}
 		hosts := g.Hosts()
-		return MeanRTT(MeasurePingpong(net, hosts[0], hosts[3], bytes, 3))
+		return pingpongRTT(t, net, hosts[0], hosts[3], bytes, 3)
 	}
 	prev := Time(-1)
 	for _, b := range []int{0, 64, 1024, 16 << 10, 256 << 10} {

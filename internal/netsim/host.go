@@ -233,12 +233,6 @@ func (q *roceQP) onAck(pkt *Packet) {
 // with an application tag — the public messaging entry point.
 func (h *Host) Send(dst, tag, bytes int) { h.roce.Send(dst, tag, bytes) }
 
-// Recv registers cont to run when a message with (src, tag) completes
-// delivery at this host (matching is MPI-style, counted per key).
-func (h *Host) Recv(src, tag int, cont func()) {
-	h.mailbox.recv(h.net.Sim, src, tag, engine.FuncCB(cont))
-}
-
 // inject hands a packet to the host NIC egress queue. Under pFabric a
 // data packet keeps the size-priority class the QP stamped; every
 // other packet derives its class from its VC tag as usual.

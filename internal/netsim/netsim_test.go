@@ -3,9 +3,63 @@ package netsim
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
+
+// closure runs a func as an engine handler.
+type closure func()
+
+func (f closure) OnEvent(Time, engine.Event) { f() }
+
+// recvThen registers cont to run when a message with (src, tag)
+// completes delivery at h (matching is MPI-style, counted per key).
+func recvThen(h *Host, src, tag int, cont func()) {
+	h.mailbox.recv(h.net.Sim, src, tag, engine.Callback{H: closure(cont)})
+}
+
+// pingpongRTT runs an IMB-style Pingpong between hosts a and b — reps
+// round trips of a message of the given payload size (§VI-B1's latency
+// methodology) — and returns the mean RTT, failing tb unless every
+// round trip completed.
+func pingpongRTT(tb testing.TB, n *Network, a, b int, bytes, reps int) Time {
+	tb.Helper()
+	ha, hb := n.Host(a), n.Host(b)
+	const tag = 7001
+
+	// Responder: echo forever.
+	var echo func()
+	echo = func() {
+		recvThen(hb, a, tag, func() {
+			hb.Send(a, tag, bytes)
+			echo()
+		})
+	}
+	echo()
+
+	var start, sum Time
+	done := 0
+	var ping func()
+	ping = func() {
+		if done >= reps {
+			return
+		}
+		start = n.Sim.Now()
+		ha.Send(b, tag, bytes)
+		recvThen(ha, b, tag, func() {
+			sum += n.Sim.Now() - start
+			done++
+			ping()
+		})
+	}
+	n.Sim.After(0, ping)
+	n.Sim.Run(0)
+	if done != reps {
+		tb.Fatalf("pingpong completed %d of %d round trips", done, reps)
+	}
+	return sum / Time(reps)
+}
 
 func TestSimEventOrdering(t *testing.T) {
 	s := NewSim()
@@ -59,11 +113,7 @@ func TestPingpongLatencyScalesWithHops(t *testing.T) {
 	rtt := func(switches int) Time {
 		net, g := buildLine(t, switches, 1, cfg)
 		hosts := g.Hosts()
-		rtts := MeasurePingpong(net, hosts[0], hosts[switches-1], 64, 20)
-		if len(rtts) != 20 {
-			t.Fatalf("got %d rtts", len(rtts))
-		}
-		return MeanRTT(rtts)
+		return pingpongRTT(t, net, hosts[0], hosts[switches-1], 64, 20)
 	}
 	r2, r8 := rtt(2), rtt(8)
 	if r8 <= r2 {
@@ -83,10 +133,10 @@ func TestPingpongLatencyGrowsWithSize(t *testing.T) {
 	cfg := DefaultConfig()
 	net, g := buildLine(t, 8, 1, cfg)
 	hosts := g.Hosts()
-	small := MeanRTT(MeasurePingpong(net, hosts[0], hosts[7], 64, 10))
+	small := pingpongRTT(t, net, hosts[0], hosts[7], 64, 10)
 	net2, g2 := buildLine(t, 8, 1, cfg)
 	hosts2 := g2.Hosts()
-	big := MeanRTT(MeasurePingpong(net2, hosts2[0], hosts2[7], 1<<20, 5))
+	big := pingpongRTT(t, net2, hosts2[0], hosts2[7], 1<<20, 5)
 	if big <= small {
 		t.Fatalf("1MB RTT %v <= 64B RTT %v", big, small)
 	}
@@ -104,7 +154,7 @@ func TestSingleFlowSaturatesLink(t *testing.T) {
 	start := net.Sim.Now()
 	net.Host(hosts[0]).roce.Send(hosts[1], 1, bytes)
 	var done Time
-	net.Host(hosts[1]).Recv(hosts[0], 1, func() { done = net.Sim.Now() })
+	recvThen(net.Host(hosts[1]), hosts[0], 1, func() { done = net.Sim.Now() })
 	net.Sim.Run(0)
 	if done == 0 {
 		t.Fatal("message never delivered")
@@ -311,7 +361,7 @@ func TestSDTSharedCrossbarOverheadSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 		hosts := g.Hosts()
-		return MeanRTT(MeasurePingpong(net, hosts[0], hosts[7], bytes, 10))
+		return pingpongRTT(t, net, hosts[0], hosts[7], bytes, 10)
 	}
 	for _, bytes := range []int{64, 4096, 1 << 20} {
 		full := rtt(false, bytes)
@@ -343,7 +393,7 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		hosts := g.Hosts()
-		return MeanRTT(MeasurePingpong(net, hosts[0], hosts[7], 4096, 10))
+		return pingpongRTT(t, net, hosts[0], hosts[7], 4096, 10)
 	}
 	ctRTT, sfRTT := rtt(true), rtt(false)
 	if ctRTT >= sfRTT {
@@ -424,7 +474,7 @@ func BenchmarkPingpong64B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net, _ := NewNetwork(g, NewRouteForwarder(routes), cfg, nil, false)
 		hosts := g.Hosts()
-		MeasurePingpong(net, hosts[0], hosts[7], 64, 10)
+		pingpongRTT(b, net, hosts[0], hosts[7], 64, 10)
 	}
 }
 

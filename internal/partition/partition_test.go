@@ -121,6 +121,21 @@ func TestBalancedVsMinCut(t *testing.T) {
 	if mc.CutEdges != 1 {
 		t.Errorf("min-cut line cut = %d, want 1", mc.CutEdges)
 	}
+
+	// A 4x4x4 torus cut into 3 shows the trade-off: min-cut severs far
+	// fewer edges (11 vs 62) but leaves one part holding most of the
+	// ports (190.6% vs 7.8% imbalance).
+	g = topology.Torus3D(4, 4, 4, 1)
+	bal = mustCut(t, g, 3, Options{Objective: Balanced})
+	checkWellFormed(t, g, bal)
+	mc = mustCut(t, g, 3, Options{Objective: MinCut})
+	checkWellFormed(t, g, mc)
+	if mc.CutEdges >= bal.CutEdges {
+		t.Errorf("torus min-cut cut = %d, want < balanced %d", mc.CutEdges, bal.CutEdges)
+	}
+	if bal.Imbalance >= mc.Imbalance {
+		t.Errorf("torus balanced imbalance = %.3f, want < min-cut %.3f", bal.Imbalance, mc.Imbalance)
+	}
 }
 
 func TestBalancedKeepsEpsilon(t *testing.T) {

@@ -240,15 +240,14 @@ type Mode = core.Mode
 const (
 	ModeFullTestbed = core.FullTestbed
 	ModeSDT         = core.SDT
-	ModeSimulator   = core.Simulator
 )
 
 // Fidelity selects how faithfully a run simulates the fabric: the
 // packet-level engine (the zero value) or the flow-level max-min
 // fair-share fluid approximation, whose cost scales with flow count
 // instead of bytes × hops. Flow fidelity covers open-loop flow
-// schedules on FullTestbed/Simulator runs; traces, faults,
-// reconfiguration, SDT mode, and observers reject it loudly.
+// schedules on FullTestbed runs; traces, faults, reconfiguration,
+// SDT mode, and observers reject it loudly.
 type Fidelity = core.Fidelity
 
 // Simulation fidelities.
