@@ -27,21 +27,17 @@ import (
 // production caller, each with the reason. An entry whose name is gone
 // or has gained a caller fails the test, so the list can only shrink.
 var censusAllow = map[string]string{
-	"controller.Controller.Deployments":      "test seam: controller and core tests count live deployments after deploy/teardown/reconfigure",
-	"loadgen.FlowSet.Trace":                  "differential oracle: TestFlowsVsCompiledTrace replays the compiled trace against the live flow app",
-	"loadgen.Outcast":                        "WORKLOADS.md catalogue pattern (sdt.PatternOutcast); no registered set drives it — settle with the facade audit, ROADMAP item 5",
-	"loadgen.RackLocal":                      "WORKLOADS.md catalogue pattern (sdt.PatternRackLocal); no registered set drives it — settle with the facade audit, ROADMAP item 5",
-	"netsim.Network.LinkIsDown":              "test seam: faults, reconfig and core tests assert every drained link is restored",
-	"openflow.MatchAll":                      "test fixture: the wildcard match the flow-table tests and the linear-scan oracle build entries from",
-	"projection.Allocation.UsedCounts":       "test seam: the leak/double-book invariant of the reconfiguration fuzzer and the controller rollback tests",
-	"routing.FIB.Rule":                       "differential oracle's probe: FIB vs Routes.Lookup compared rule by rule (fib_test, FuzzFIBLookup)",
-	"telemetry.TransitionRecord.PacketsLost": "per-transition loss window over the exported LostBefore/LostAfter stamps; read by core and telemetry tests only since ReconfigReport.Format left",
-	"workload.Trace.TotalBytes":              "test oracle: generator volume checks (alltoall n(n-1)b, compiled FlowSet conserves bytes)",
-	"workload.Trace.Validate":                "test oracle: every generator's trace has in-range peers and balanced sends/recvs",
+	"controller.Controller.Deployments": "test seam: controller and core tests count live deployments after deploy/teardown/reconfigure",
+	"loadgen.FlowSet.Trace":             "differential oracle: TestFlowsVsCompiledTrace replays the compiled trace against the live flow app",
+	"netsim.Network.LinkIsDown":         "test seam: faults, reconfig and core tests assert every drained link is restored",
+	"openflow.MatchAll":                 "test fixture: the wildcard match the flow-table tests and the linear-scan oracle build entries from",
+	"projection.Allocation.UsedCounts":  "test seam: the leak/double-book invariant of the reconfiguration fuzzer and the controller rollback tests",
+	"routing.FIB.Rule":                  "differential oracle's probe: FIB vs Routes.Lookup compared rule by rule (fib_test, FuzzFIBLookup)",
+	"workload.Trace.Validate":           "test oracle: every generator's trace has in-range peers and balanced sends/recvs",
 }
 
 // censusAllowMax caps the allowlist: past it, delete code instead.
-const censusAllowMax = 15
+const censusAllowMax = 8
 
 const censusModule = "repro"
 

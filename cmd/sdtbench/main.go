@@ -1,9 +1,10 @@
 // Command sdtbench regenerates the paper's tables and figures
 // (EXPERIMENTS.md records the outputs). The experiments come from the
 // scenario registry (internal/experiments Register/Lookup), so the CLI
-// is a thin shell: flags become experiments.Params, names resolve
-// through the registry, and Ctrl-C cancels in-flight simulations
-// mid-run via context cancellation threaded into the engine loop.
+// is a thin shell: its flags are experiments.JobSpec's knobs, names
+// resolve through the registry, and Ctrl-C cancels in-flight
+// simulations mid-run via context cancellation threaded into the engine
+// loop.
 //
 // Usage:
 //
@@ -24,6 +25,14 @@
 // machine-readable registry instead — names, descriptions, and each
 // set's param schema — the same document sdtd serves at /v1/scenarios.
 //
+// Every knob flag is the JobSpec field of the same name — the job spec
+// sdtd accepts — except -dur, -mtbf and -parallel for dur_ms, mtbf_ms
+// and workers. Each selected set reads only the knobs its schema lists,
+// and a knob left unset takes that set's default as the schema states
+// it (-list -json), so `sdtbench -exp fig13` and the sdtd job
+// {"scenario":"fig13"} run the same spec. Values are checked as sdtd
+// checks a submission.
+//
 // Each set prints its simulated tables — the same bytes on every host
 // and at any worker count. fig13, table4 and loadgen-sweep-xl follow
 // theirs with a second table, titled "measured on this host,
@@ -32,8 +41,9 @@
 // program's performance use the benchmark in bench/ (bench/README.md).
 //
 // -parallel N runs sweep experiments one independent simulation per
-// worker (0 = all cores). Read the measured tables from serial runs:
-// contended workers inflate them.
+// worker (0 = all cores). sdtbench runs serially unless told otherwise:
+// read the measured tables from serial runs, contended workers inflate
+// them.
 //
 // -reconfig selects reconfig-under-load's transition target topology:
 // dragonfly (the default) or torus. reconfig-sweep ignores it — its
@@ -53,25 +63,25 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/netsim"
 )
+
+// flagNames keeps the CLI's shorter spelling of three knobs.
+var flagNames = map[string]string{"dur_ms": "dur", "mtbf_ms": "mtbf", "workers": "parallel"}
 
 func main() {
 	names := experiments.Names()
 	exp := flag.String("exp", "all", "experiment (comma-separated): "+strings.Join(names, "|")+"|all")
-	ranks := flag.Int("ranks", 16, "MPI ranks for table4")
-	reps := flag.Int("reps", 8, "repetitions (fig11 pingpongs / fig13 alltoall rounds)")
-	bytes := flag.Int("bytes", 256*1024, "message bytes for fig13 / active routing")
-	zoo := flag.Int("zoo", 0, "zoo subset size for table2 (0 = all 261)")
-	durMs := flag.Int("dur", 1000, "fig12 window in simulated ms")
-	parallel := flag.Int("parallel", 1, "workers for sweep experiments (0 = all cores, 1 = serial)")
-	seed := flag.Int64("seed", 1, "loadgen schedule seed (equal seeds rerun byte-identical)")
-	flows := flag.Int("flows", 0, "loadgen flows per grid cell (0 = experiment default)")
-	load := flag.Float64("load", 0, "loadgen-incast victim load factor (0 = 0.8)")
-	nFaults := flag.Int("faults", 0, "faults-sweep link-failure count per cell (0 = the {1,2,4} grid)")
-	mtbf := flag.Float64("mtbf", 0, "faults-flap link MTBF in ms, MTTR = MTBF/4 (0 = the {1,2,4,8} ms grid)")
-	reconfigTarget := flag.String("reconfig", "", "reconfig-under-load transition target: dragonfly|torus (\"\" = dragonfly)")
-	cc := flag.String("cc", "", "cc-shootout congestion-control policy: "+strings.Join(netsim.CCPolicies(), "|")+" (\"\" = all)")
+	spec := experiments.JobSpec{Workers: 1} // serial unless -parallel says otherwise
+	for _, k := range experiments.Knobs() {
+		name, usage := k.Name, k.Desc+" ("+k.Type+"; unset = each set's default, see -list -json)"
+		if short, ok := flagNames[k.Name]; ok {
+			name = short
+		}
+		if k.Name == "workers" {
+			usage = k.Desc + " (int; default 1, serial)"
+		}
+		flag.Func(name, usage, func(v string) error { return spec.Set(k.Name, v) })
+	}
 	jsonOut := flag.Bool("json", false, "with -list: emit the registry (names, descriptions, param schemas) as JSON")
 	list := flag.Bool("list", false, "list registered experiments with their descriptions and exit")
 	flag.Parse()
@@ -108,22 +118,6 @@ func main() {
 		return
 	}
 
-	params := experiments.Params{
-		Ranks:    *ranks,
-		Reps:     *reps,
-		Bytes:    *bytes,
-		Zoo:      *zoo,
-		Duration: netsim.Time(*durMs) * netsim.Millisecond,
-		Workers:  *parallel,
-		Seed:     *seed,
-		Flows:    *flows,
-		Load:     *load,
-		Faults:   *nFaults,
-		MTBF:     netsim.Time(*mtbf * float64(netsim.Millisecond)),
-		Reconfig: *reconfigTarget,
-		CC:       *cc,
-	}
-
 	// -exp takes a comma-separated list: fig12,table4 runs both;
 	// "all" expands to every set. Unknown names list the valid ones.
 	selected, err := experiments.Select(*exp)
@@ -139,7 +133,7 @@ func main() {
 	defer stop()
 
 	for _, e := range selected {
-		if err := e.Run(ctx, params, os.Stdout, os.Stdout); err != nil {
+		if err := e.Run(ctx, spec, os.Stdout, os.Stdout); err != nil {
 			fatal(e.Name, err)
 		}
 	}

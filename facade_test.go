@@ -201,3 +201,31 @@ func TestFacadeZooAndConfig(t *testing.T) {
 		t.Errorf("switches = %d", g.NumSwitches())
 	}
 }
+
+// TestFacadeReconfig transitions a loaded fat-tree to a torus mid-run
+// through the facade: the transition commits and the run reports it.
+func TestFacadeReconfig(t *testing.T) {
+	ft, torus := sdt.FatTree(4), sdt.Torus2D(4, 4, 1)
+	tb, err := sdt.PaperTestbed([]*sdt.Topology{ft, torus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := sdt.LoadSpec{
+		Ranks: 16, Load: 0.5, Flows: 200,
+		Pattern: sdt.PatternUniform(), Sizes: sdt.FixedSize(64 << 10),
+		Seed: 7,
+	}.MustGenerate()
+	window := fs.Flows[len(fs.Flows)-1].Start
+	res, err := sdt.Run(t.Context(), tb, sdt.Scenario{
+		Topo: ft, Flows: fs.Flows,
+		Reconfig: &sdt.ReconfigSpec{Transitions: []sdt.ReconfigTransition{{
+			At: window / 2, Target: torus, Drain: window / 8, Install: window / 8,
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reconfig == nil || len(res.Reconfig.Transitions) != 1 || !res.Reconfig.Transitions[0].Committed {
+		t.Fatalf("reconfig report = %+v", res.Reconfig)
+	}
+}

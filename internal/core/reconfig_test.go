@@ -55,7 +55,7 @@ func reconfigDigest(res *RunResult) string {
 			e := &res.Reconfig.Transitions[i]
 			s += fmt.Sprintf("%s rej=%t com=%t drain=%d links=%d patch=%d pchurn=%d decide=%d restore=%d rchurn=%d deliv=%d lost=%d entries=%d rt=%d hw=%.0f\n",
 				e.Desc, e.Rejected, e.Committed, e.DrainAt, e.DrainedLinks, e.PatchAt, e.PatchChurn,
-				e.DecisionAt, e.RestoreAt, e.RestoreChurn, e.FirstDeliveryAfter, e.PacketsLost(),
+				e.DecisionAt, e.RestoreAt, e.RestoreChurn, e.FirstDeliveryAfter, e.LostAfter-e.LostBefore,
 				e.Entries, int64(e.ReconfigTime), e.HardwareCost)
 		}
 	}
@@ -84,8 +84,8 @@ func TestReconfigRunDeterministic(t *testing.T) {
 		if !e.Committed || e.Rejected {
 			t.Fatalf("transition did not commit: %+v", e)
 		}
-		if e.PacketsLost() <= 0 || e.TotalChurn() == 0 {
-			t.Fatalf("degradation not measured: lost=%d churn=%d", e.PacketsLost(), e.TotalChurn())
+		if lost := e.LostAfter - e.LostBefore; lost <= 0 || e.TotalChurn() == 0 {
+			t.Fatalf("degradation not measured: lost=%d churn=%d", lost, e.TotalChurn())
 		}
 		if e.Reconvergence() <= 0 {
 			t.Fatalf("no reconvergence measured: %d", e.Reconvergence())

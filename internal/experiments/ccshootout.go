@@ -23,14 +23,14 @@ import (
 
 func init() {
 	Register(117, "cc-shootout", "cc: DCQCN vs Timely vs pFabric, pattern x load x faults grid on fat-tree, FCT and pauses",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := CCShootout(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldCC, FieldWorkers)
+		}, seedField, Knob("flows", "96"), Knob("cc", ""), workersField)
 }
 
 // ccConfig returns the fabric configuration for one policy: DCQCN
@@ -75,29 +75,12 @@ type CCShootoutResult struct {
 // fat-tree at loads {0.3, 0.7}, each cell with zero and one seeded
 // core-link fault (same one-shot geometry as faults-sweep). Every cell
 // reruns the identical seeded schedule, so the only difference between
-// two rows of a (pattern, load, faults) block is the policy. Params:
-// Seed (0 = 1), Flows (0 = 96 per cell), CC ("" = all three policies),
-// Workers.
-func CCShootout(ctx context.Context, p Params) (*CCShootoutResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 96
-	}
+// two rows of a (pattern, load, faults) block is the policy. Knobs:
+// seed, flows (per cell), cc ("" = all three policies), workers.
+func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
+	seed, flows := p.Seed, p.Flows
 	policies := netsim.CCPolicies()
 	if p.CC != "" {
-		ok := false
-		for _, pol := range policies {
-			if pol == p.CC {
-				ok = true
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("cc-shootout: unknown policy %q (valid: %v)", p.CC, policies)
-		}
 		policies = []string{p.CC}
 	}
 	patterns := []loadgen.Pattern{loadgen.Uniform(), loadgen.Permutation(), loadgen.Incast(8)}

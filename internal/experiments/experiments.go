@@ -5,8 +5,8 @@
 //
 // Scale note: the paper's runs last up to 16 real seconds on hardware;
 // packet-level simulation of that volume is exactly the cost Fig. 13
-// quantifies. The experiments therefore take size parameters (Params:
-// bytes, reps, ranks, duration, ...) whose defaults run in seconds.
+// quantifies. The experiments therefore take size parameters (JobSpec
+// knobs: bytes, reps, ranks, dur_ms, ...) whose defaults run in seconds.
 // Shapes — who wins, relative overheads, trends — are preserved at
 // every size; EXPERIMENTS.md records the mapping.
 package experiments

@@ -18,12 +18,12 @@ import (
 
 func init() {
 	Register(0, "table1", "Table I: qualitative comparison of network evaluation tools",
-		func(_ context.Context, _ Params, w, _ io.Writer) error {
+		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
 			Table1().Format(w)
 			return nil
 		})
 	Register(70, "isolation", "§VI-B: hardware isolation between co-hosted topologies",
-		func(_ context.Context, _ Params, w, _ io.Writer) error {
+		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
 			r, err := Isolation()
 			if err != nil {
 				return err
@@ -32,16 +32,16 @@ func init() {
 			return nil
 		})
 	Register(80, "active", "§VI-E: UGAL active routing vs minimal routing on Dragonfly",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := ActiveRouting(ctx, 8, p.Bytes)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldBytes)
+		}, Knob("bytes", "262144"))
 	Register(90, "tables", "§VII-C: flow-table occupancy, merged vs naive encoding",
-		func(_ context.Context, _ Params, w, _ io.Writer) error {
+		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
 			r, err := FlowTableUsage()
 			if err != nil {
 				return err
@@ -167,12 +167,6 @@ type ActiveRoutingResult struct {
 // Dragonfly groups (stressing few global links), first with minimal
 // routing, then with UGAL fed by the Network Monitor's measured loads.
 func ActiveRouting(ctx context.Context, nodes, bytes int) (*ActiveRoutingResult, error) {
-	if nodes <= 0 {
-		nodes = 8
-	}
-	if bytes <= 0 {
-		bytes = 256 * 1024
-	}
 	g := topology.Dragonfly(4, 9, 2, 1)
 	// Hosts from the first groups only: adversarial for minimal routing.
 	var hosts []int

@@ -25,23 +25,23 @@ import (
 
 func init() {
 	Register(120, "faults-sweep", "faults: link failures + controller reroute, topology x strategy x fault count, FCT and recovery",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := FaultSweep(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldFaults, FieldWorkers)
+		}, seedField, Knob("flows", "96"), Knob("faults", "0"), workersField)
 	Register(130, "faults-flap", "faults: single-link MTBF/MTTR flapping under incast, recovery metrics per flap rate",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := FaultFlap(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldMTBF, FieldWorkers)
+		}, seedField, Knob("flows", "96"), Knob("mtbf_ms", "0"), workersField)
 }
 
 // Sweep fault geometry, relative to the flow schedule's injection
@@ -86,17 +86,10 @@ type FaultSweepResult struct {
 // topology's Table III strategy and under generic shortest-path, while
 // {1, 2, 4} seeded core links fail one-shot for 1 ms each, spread
 // across the flow window; the reactive controller repairs after the
-// default detection latency. Params: Seed (0 = 1), Flows (0 = 96 per
-// cell), Faults (> 0 replaces the fault-count axis), Workers.
-func FaultSweep(ctx context.Context, p Params) (*FaultSweepResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 96
-	}
+// default detection latency. Knobs: seed, flows (per cell), faults
+// (> 0 replaces the fault-count axis), workers.
+func FaultSweep(ctx context.Context, p JobSpec) (*FaultSweepResult, error) {
+	seed, flows := p.Seed, p.Flows
 	faultCounts := []int{1, 2, 4}
 	if p.Faults > 0 {
 		faultCounts = []int{p.Faults}
@@ -248,20 +241,13 @@ type FaultFlapResult struct {
 // FaultFlap runs incast 8:1 (64 kB flows, PFC, load 0.8) on the k=4
 // fat-tree while one uplink of the victim's ToR flaps with exponential
 // MTBF/MTTR (MTTR = MTBF/4), the reactive controller repairing after
-// each transition. Rows sweep MTBF over {1, 2, 4, 8} ms. Params: Seed
-// (0 = 1), Flows (0 = 96), MTBF (> 0 replaces the MTBF axis), Workers.
-func FaultFlap(ctx context.Context, p Params) (*FaultFlapResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 96
-	}
+// each transition. Rows sweep MTBF over {1, 2, 4, 8} ms. Knobs: seed,
+// flows, mtbf_ms (> 0 replaces the MTBF axis), workers.
+func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
+	seed, flows := p.Seed, p.Flows
 	mtbfs := []netsim.Time{netsim.Millisecond, 2 * netsim.Millisecond, 4 * netsim.Millisecond, 8 * netsim.Millisecond}
-	if p.MTBF > 0 {
-		mtbfs = []netsim.Time{p.MTBF}
+	if p.MTBFMs > 0 {
+		mtbfs = []netsim.Time{p.mtbf()}
 	}
 	const fanin = 8
 	g := topology.FatTree(4)

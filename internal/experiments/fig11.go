@@ -13,17 +13,17 @@ import (
 )
 
 func init() {
-	// sdtbench historically scales its -reps flag by 5 for the pingpong
-	// count; the registered runner preserves that mapping.
+	// The reps knob counts pingpongs in fives, so one reps default (8)
+	// serves fig11 and fig13's alltoall rounds alike.
 	Register(10, "fig11", "Fig. 11: SDT latency overhead across IMB Pingpong message lengths",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := Fig11(ctx, p.Reps*5, p.Workers)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldReps, FieldWorkers)
+		}, Knob("reps", "8"), workersField)
 }
 
 // Fig11Point is one message length of the latency-overhead sweep.
@@ -52,16 +52,13 @@ func Fig11MsgLens() []int {
 }
 
 // Fig11 runs the latency comparison with `reps` round trips per
-// message length (the paper uses 10k; 50 is enough for a deterministic
-// simulator). Every message length contributes an IMB Pingpong trace
+// message length (the paper uses 10k; the registered set runs 40 by
+// default, plenty for a deterministic simulator). Every message length contributes an IMB Pingpong trace
 // on the full testbed and on SDT to one core.Sweep, one simulation per
 // worker (results are identical at any worker count; 1 = serial); the
 // mean RTT is a run's ACT over reps. Cancelling the context stops
 // in-flight runs mid-simulation.
 func Fig11(ctx context.Context, reps, workers int) (*Fig11Result, error) {
-	if reps <= 0 {
-		reps = 50
-	}
 	g := fig10Topology()
 	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 
 func init() {
 	Register(20, "fig12", "Fig. 12: incast bandwidth, PFC on/off x SDT/full testbed",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
-			rs, err := Fig12Panels(ctx, p.Duration, p.Workers)
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
+			rs, err := Fig12Panels(ctx, p.dur(), p.Workers)
 			if err != nil {
 				return err
 			}
@@ -23,7 +23,7 @@ func init() {
 				r.Format(w)
 			}
 			return nil
-		}, FieldDur, FieldWorkers)
+		}, Knob("dur_ms", "1000"), workersField)
 }
 
 // Fig12Flow is one sender's bandwidth series in the incast test.
@@ -87,9 +87,6 @@ func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) ([]*Fig
 // Scenario form — so it arms engine-loop cancellation itself via
 // core.WatchCancel.
 func Fig12(ctx context.Context, mode core.Mode, pfc bool, duration netsim.Time) (*Fig12Result, error) {
-	if duration <= 0 {
-		duration = 1 * netsim.Second
-	}
 	g := fig10Topology()
 	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 func init() {
 	Register(60, "fig13", "Fig. 13: evaluation-time scaling, full testbed vs simulator vs SDT",
-		func(ctx context.Context, p Params, w, measured io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, measured io.Writer) error {
 			r, err := Fig13(ctx, nil, p.Bytes, p.Reps, p.Workers)
 			if err != nil {
 				return err
@@ -22,7 +22,7 @@ func init() {
 			r.Format(w)
 			r.formatMeasured(measured, p.Workers)
 			return nil
-		}, FieldBytes, FieldReps, FieldWorkers)
+		}, Knob("bytes", "262144"), Knob("reps", "8"), workersField)
 }
 
 // Fig13Point is one node count of the evaluation-time scaling study.
@@ -48,9 +48,9 @@ type Fig13Result struct {
 }
 
 // Fig13 sweeps node counts (paper: 1–32; node counts below 2 exchange
-// no traffic, so the sweep starts at 2). bytes/reps scale the alltoall;
-// zero means Table IV scale. The full-testbed and SDT runs of every
-// node count are jobs of one core.Sweep (one simulation per worker;
+// no traffic, so the sweep starts at 2). bytes/reps scale the
+// alltoall. The full-testbed and SDT runs of every node count are jobs
+// of one core.Sweep (one simulation per worker;
 // each point owns its testbed so SDT deployments never contend). The
 // full testbed evaluates in its ACT, SDT in deploy + ACT, and the
 // simulator in the wall clock the full-testbed job burned. Simulated
@@ -60,12 +60,6 @@ type Fig13Result struct {
 func Fig13(ctx context.Context, nodeCounts []int, bytes, reps, workers int) (*Fig13Result, error) {
 	if nodeCounts == nil {
 		nodeCounts = []int{2, 4, 8, 16, 32}
-	}
-	if bytes <= 0 {
-		bytes = 128 * 1024
-	}
-	if reps <= 0 {
-		reps = 8
 	}
 	g := topology.Dragonfly(4, 9, 2, 1)
 	modes := []core.Mode{core.FullTestbed, core.SDT}

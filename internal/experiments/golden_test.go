@@ -25,27 +25,25 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files from this run")
 
-// goldenParams is the fixed parameter point the goldens are recorded
+// goldenSpec is the fixed knob point the goldens are recorded
 // at — small enough to run in seconds, large enough that every code
 // path (sweeps, SDT deployments, loadgen schedules, fault repairs)
 // executes.
-func goldenParams() Params {
-	return Params{
-		Ranks:    8,
-		Reps:     2,
-		Bytes:    64 << 10,
-		Zoo:      12,
-		Duration: 50 * netsim.Millisecond,
-		Workers:  1,
-		Seed:     1,
-		Flows:    48,
-		Load:     0.8,
+func goldenSpec() JobSpec {
+	return JobSpec{
+		Ranks:   8,
+		Reps:    2,
+		Bytes:   64 << 10,
+		Zoo:     12,
+		DurMs:   50,
+		Workers: 1,
+		Seed:    1,
+		Flows:   48,
+		Load:    0.8,
 	}
 }
 
@@ -65,7 +63,7 @@ var wallColumns = map[string][]string{
 // runGolden executes one registered set at the golden parameter point
 // and returns its simulated output, after checking the measured sink
 // against wallColumns.
-func runGolden(t *testing.T, e Entry, p Params) string {
+func runGolden(t *testing.T, e Entry, p JobSpec) string {
 	t.Helper()
 	var out, measured bytes.Buffer
 	if err := e.Run(context.Background(), p, &out, &measured); err != nil {
@@ -87,7 +85,7 @@ func runGolden(t *testing.T, e Entry, p Params) string {
 }
 
 func TestGoldenOutputs(t *testing.T) {
-	p := goldenParams()
+	p := goldenSpec()
 	seen := map[string]bool{}
 	for _, e := range All() {
 		e := e
@@ -136,7 +134,7 @@ func TestGoldenOutputsParallel(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are recorded from the serial pass")
 	}
-	p := goldenParams()
+	p := goldenSpec()
 	p.Workers = 0 // all cores
 	for _, e := range All() {
 		e := e

@@ -21,23 +21,23 @@ import (
 
 func init() {
 	Register(100, "loadgen-sweep", "loadgen: seeded open-loop FCT sweep, pattern x load grid on fat-tree/dragonfly/torus",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := LoadSweep(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldWorkers)
+		}, seedField, Knob("flows", "160"), workersField)
 	Register(110, "loadgen-incast", "loadgen: incast N:1 fan-in sweep on fat-tree, FCT tail at the victim under PFC",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := LoadIncast(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldLoad, FieldWorkers)
+		}, seedField, Knob("flows", "96"), Knob("load", "0.8"), workersField)
 }
 
 // sweepBuckets are the FCT size-bucket boundaries of the loadgen
@@ -74,18 +74,11 @@ type LoadSweepResult struct {
 // patterns (uniform, permutation, incast 8:1) on fat-tree, dragonfly
 // and 2D torus — every cell an independent seeded schedule of
 // heavy-tailed (scaled web-search) flows run through core.Sweep, with
-// per-size-bucket FCT slowdown percentiles. Params: Seed (0 = 1)
-// offsets every cell's schedule seed, Flows (0 = 160) sets the flow
-// count per cell, Workers fans the grid out one simulation per worker.
-func LoadSweep(ctx context.Context, p Params) (*LoadSweepResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 160
-	}
+// per-size-bucket FCT slowdown percentiles. Knobs: seed offsets every
+// cell's schedule seed, flows sets the flow count per cell, workers
+// fans the grid out one simulation per worker.
+func LoadSweep(ctx context.Context, p JobSpec) (*LoadSweepResult, error) {
+	seed, flows := p.Seed, p.Flows
 	topos := []*topology.Graph{
 		topology.FatTree(4),
 		topology.Dragonfly(4, 9, 2, 1),
@@ -179,25 +172,11 @@ type LoadIncastResult struct {
 
 // LoadIncast sweeps incast fan-in N:1 ∈ {4, 8, 15} on the k=4
 // fat-tree: fixed 64 kB flows arriving open-loop at the victim's link
-// (Load, 0 = 0.8 of line rate), PFC on — the pattern whose pause
+// (load, a fraction of line rate), PFC on — the pattern whose pause
 // cascades Fig. 12 measures, now with an FCT tail instead of aggregate
-// bandwidth. Params: Seed, Flows (0 = 96 per fan-in), Load, Workers.
-func LoadIncast(ctx context.Context, p Params) (*LoadIncastResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 96
-	}
-	load := p.Load
-	if load == 0 {
-		load = 0.8
-	}
-	if load < 0 || load > 1 {
-		return nil, fmt.Errorf("loadgen-incast: load %g outside (0, 1]", load)
-	}
+// bandwidth. Knobs: seed, flows (per fan-in), load, workers.
+func LoadIncast(ctx context.Context, p JobSpec) (*LoadIncastResult, error) {
+	seed, flows, load := p.Seed, p.Flows, p.Load
 	fanins := []int{4, 8, 15}
 	g := topology.FatTree(4)
 	cfg := netsim.DefaultConfig()

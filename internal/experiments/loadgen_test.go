@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// smallLoadParams shrinks the loadgen grids for test runtime.
-func smallLoadParams() Params {
-	return Params{Seed: 9, Flows: 24, Workers: 0}
+// smallLoadSpec shrinks the loadgen grids for test runtime.
+func smallLoadSpec() JobSpec {
+	return JobSpec{Seed: 9, Flows: 24, Workers: 0}
 }
 
 // Both loadgen scenario sets must be registered and rerun
@@ -23,7 +23,7 @@ func TestLoadgenScenariosDeterministic(t *testing.T) {
 			t.Fatalf("%s not registered", name)
 		}
 		var a, b, serial bytes.Buffer
-		p := smallLoadParams()
+		p := smallLoadSpec()
 		if err := e.Run(context.Background(), p, &a, io.Discard); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestLoadgenScenariosDeterministic(t *testing.T) {
 func TestLoadgenSeedMatters(t *testing.T) {
 	e, _ := Lookup("loadgen-sweep")
 	var a, b bytes.Buffer
-	p := smallLoadParams()
+	p := smallLoadSpec()
 	if err := e.Run(context.Background(), p, &a, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLoadgenSeedMatters(t *testing.T) {
 // The sweep must cover the advertised grid: 3 patterns x 5 loads x 3
 // topologies, every cell fully completed.
 func TestLoadSweepGrid(t *testing.T) {
-	r, err := LoadSweep(context.Background(), smallLoadParams())
+	r, err := LoadSweep(context.Background(), smallLoadSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,10 @@ func TestRegistryListing(t *testing.T) {
 
 // An out-of-range -load must error, not silently fall back.
 func TestLoadIncastRejectsBadLoad(t *testing.T) {
-	p := smallLoadParams()
+	e, _ := Lookup("loadgen-incast")
+	p := smallLoadSpec()
 	p.Load = 1.5
-	if _, err := LoadIncast(context.Background(), p); err == nil {
+	if err := e.Run(context.Background(), p, io.Discard, io.Discard); err == nil {
 		t.Fatal("load 1.5 accepted")
 	}
 }

@@ -30,7 +30,7 @@ import (
 
 func init() {
 	Register(115, "loadgen-sweep-xl", "loadgen: flow-fidelity FCT sweep on XL fat-trees (1k-65k hosts), packet-vs-flow speedup on a 128-host reference",
-		func(ctx context.Context, p Params, w, measured io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, measured io.Writer) error {
 			r, err := LoadSweepXL(ctx, p)
 			if err != nil {
 				return err
@@ -38,7 +38,7 @@ func init() {
 			r.Format(w)
 			r.formatMeasured(measured, p.Workers)
 			return nil
-		}, FieldSeed, FieldFlows, FieldWorkers)
+		}, seedField, Knob("flows", "2048"), workersField)
 }
 
 // xlLoad is the fixed offered load of every XL cell: high enough that
@@ -78,19 +78,12 @@ type LoadSweepXLResult struct {
 
 // LoadSweepXL sweeps uniform and permutation schedules over fat-trees
 // k ∈ {16, 36, 64} (1024, 11664 and 65536 hosts) at flow fidelity,
-// then times one packet-vs-flow pair on the k=8 fat-tree. Params: Seed
-// (0 = 1), Flows (0 = 2048) per cell, Workers fans the XL cells out
-// one run per worker. The speedup pair always runs serially so its
+// then times one packet-vs-flow pair on the k=8 fat-tree. Knobs: seed,
+// flows per cell, and workers, which fans the XL cells out one run per
+// worker. The speedup pair always runs serially so its
 // wall-clock ratio is clean.
-func LoadSweepXL(ctx context.Context, p Params) (*LoadSweepXLResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 2048
-	}
+func LoadSweepXL(ctx context.Context, p JobSpec) (*LoadSweepXLResult, error) {
+	seed, flows := p.Seed, p.Flows
 	cfg := netsim.DefaultConfig()
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	patterns := []loadgen.Pattern{loadgen.Uniform(), loadgen.Permutation()}

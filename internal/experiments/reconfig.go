@@ -29,23 +29,23 @@ import (
 
 func init() {
 	Register(150, "reconfig-sweep", "reconfig: live topology transitions (swap/growth/rollback) x strategy, degradation and cost columns",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := ReconfigSweep(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldWorkers)
+		}, seedField, Knob("flows", "96"), workersField)
 	Register(160, "reconfig-under-load", "reconfig: fat-tree transition under incast/permutation load, FCT before/during/after the disruption",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := ReconfigUnderLoad(ctx, p)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldSeed, FieldFlows, FieldLoad, FieldReconfig, FieldWorkers)
+		}, seedField, Knob("flows", "96"), Knob("load", "0.8"), Knob("reconfig", "dragonfly"), workersField)
 }
 
 // Transition geometry, relative to the flow schedule's injection window
@@ -112,17 +112,9 @@ type ReconfigSweepResult struct {
 // fat-tree→dragonfly and back (the swap), 4x4→4x6 torus (growth), and
 // fat-tree→torus with an injected validation failure (rollback), each
 // under the source topology's Table III strategy and under generic
-// shortest-path. Params: Seed (0 = 1), Flows (0 = 96 per cell),
-// Workers.
-func ReconfigSweep(ctx context.Context, p Params) (*ReconfigSweepResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 96
-	}
+// shortest-path. Knobs: seed, flows (per cell), workers.
+func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error) {
+	seed, flows := p.Seed, p.Flows
 	// Graph constructors, not instances: every cell gets fresh graphs so
 	// no lazy topology cache is shared across the sweep's workers.
 	pairs := []struct {
@@ -253,12 +245,12 @@ type ReconfigLoadRow struct {
 	BeforeN, DuringN, AfterN int
 }
 
-// reconfigTarget resolves a Params.Reconfig name to the constructor of
-// the topology reconfig-under-load transitions to ("" = dragonfly).
+// reconfigTarget resolves a reconfig knob value to the constructor of
+// the topology reconfig-under-load transitions to.
 // JobSpec.Validate asks it too, so a bad name is refused at submit.
 func reconfigTarget(name string) (func() *topology.Graph, error) {
 	switch name {
-	case "", "dragonfly":
+	case "dragonfly":
 		return func() *topology.Graph { return topology.Dragonfly(4, 9, 2, 1) }, nil
 	case "torus":
 		return func() *topology.Graph { return topology.Torus2D(4, 4, 1) }, nil
@@ -278,21 +270,10 @@ type ReconfigUnderLoadResult struct {
 // -reconfig target (dragonfly by default, or a 4x4 torus) mid-window —
 // once committing, once with an injected validation failure forcing a
 // rollback — and buckets FCT p99 slowdowns by whether the flow started
-// before, during, or after the disruption window. Params: Seed (0 = 1),
-// Flows (0 = 96), Load (0 = 0.8), Reconfig ("" = dragonfly), Workers.
-func ReconfigUnderLoad(ctx context.Context, p Params) (*ReconfigUnderLoadResult, error) {
-	seed := p.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	flows := p.Flows
-	if flows <= 0 {
-		flows = 96
-	}
-	load := p.Load
-	if load == 0 {
-		load = 0.8
-	}
+// before, during, or after the disruption window. Knobs: seed, flows,
+// load, reconfig, workers.
+func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult, error) {
+	seed, flows, load := p.Seed, p.Flows, p.Load
 	newTarget, err := reconfigTarget(p.Reconfig)
 	if err != nil {
 		return nil, fmt.Errorf("reconfig-under-load: %w", err)

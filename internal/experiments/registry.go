@@ -11,73 +11,34 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
-
-	"repro/internal/netsim"
 )
 
-// Params carries the CLI-level knobs a registered scenario set
-// understands. Zero values mean each experiment's default; every
-// experiment reads only the fields that apply to it (mirroring the
-// sdtbench flags).
-type Params struct {
-	// Ranks is the MPI rank count (table4).
-	Ranks int
-	// Reps is the repetition count (fig11 pingpongs, fig13 rounds).
-	Reps int
-	// Bytes is the message size (fig13, active routing).
-	Bytes int
-	// Zoo limits the Topology-Zoo subset (table2; 0 = all 261).
-	Zoo int
-	// Duration is the simulated measurement window (fig12).
-	Duration netsim.Time
-	// Workers fans sweep experiments out one simulation per worker
-	// (0 = all cores, 1 = serial).
-	Workers int
-	// Seed drives the loadgen schedules (0 = 1). Equal seeds rerun
-	// byte-identical sweeps.
-	Seed int64
-	// Flows is the loadgen flow count per grid cell (0 = each
-	// experiment's default).
-	Flows int
-	// Load is the loadgen-incast victim load factor in (0, 1]
-	// (0 = 0.8).
-	Load float64
-	// Faults overrides faults-sweep's fault-count axis (0 = the
-	// default {1, 2, 4} grid).
-	Faults int
-	// MTBF overrides faults-flap's MTBF axis (0 = the default
-	// {1, 2, 4, 8} ms grid; MTTR follows as MTBF/4).
-	MTBF netsim.Time
-	// Reconfig selects reconfig-under-load's transition target:
-	// "dragonfly" (the default) or "torus".
-	Reconfig string
-	// CC restricts cc-shootout to one congestion-control policy
-	// (netsim.CCPolicies; "" = all policies).
-	CC string
-}
+// Runner executes one registered scenario set. s arrives resolved (see
+// Entry.Run): Scenario is the set's name, every knob its schema lists
+// carries a value, every other knob is zero, and s has passed Validate.
+// It has two sinks, one per kind of number the paper reports. w
+// receives the simulated tables: bytes that are a pure function of the
+// spec, identical on every host and at any worker count — what the
+// goldens pin and what sdtd caches under the spec hash. measured
+// receives what this host's clock measured (fig13's and table4's
+// simulator evaluation time, loadgen-sweep-xl's wall column and
+// packet-vs-flow speedup); most sets write nothing to it. sdtbench
+// passes os.Stdout for both; callers that only want the reproducible
+// half pass io.Discard. Cancellation propagates into the engine loop of
+// every simulation the runner starts.
+type Runner func(ctx context.Context, s JobSpec, w, measured io.Writer) error
 
-// Runner executes one registered scenario set. It has two sinks, one
-// per kind of number the paper reports. w receives the simulated
-// tables: bytes that are a pure function of (scenario, params, seed),
-// identical on every host and at any worker count — what the goldens
-// pin and what sdtd caches under the spec hash. measured receives what
-// this host's clock measured (fig13's and table4's simulator
-// evaluation time, loadgen-sweep-xl's wall column and packet-vs-flow
-// speedup); most sets write nothing to it. sdtbench passes os.Stdout
-// for both; callers that only want the reproducible half pass
-// io.Discard. Cancellation propagates into the engine loop of every
-// simulation the runner starts.
-type Runner func(ctx context.Context, p Params, w, measured io.Writer) error
-
-// Field is one machine-readable parameter a scenario set reads: its
-// wire name (the JobSpec JSON key; the sdtbench flag has the same name
-// except -dur, -mtbf and -parallel for dur_ms, mtbf_ms and workers),
-// its type, and the default the experiment applies when the field is
-// zero. Registered schemas feed `sdtbench -list -json` and the
-// service's /v1/scenarios listing, so clients can discover a set's
-// knobs without reading code.
+// Field is one knob in a set's schema: its wire name (the JobSpec JSON
+// key; the sdtbench flag has the same name except -dur, -mtbf and
+// -parallel for dur_ms, mtbf_ms and workers), its Go type, the set's
+// default written as on the command line, and a description. Default is
+// the only place a set's default lives: a zero knob takes it before the
+// runner sees the spec and before the spec is hashed, and `sdtbench
+// -list -json` and sdtd's /v1/scenarios publish it, so what a client
+// reads is what runs.
 type Field struct {
 	Name    string `json:"name"`
 	Type    string `json:"type"`
@@ -85,24 +46,24 @@ type Field struct {
 	Desc    string `json:"desc,omitempty"`
 }
 
-// The canonical field descriptors: every registration reuses these so
-// the same knob carries the same name/type everywhere. Defaults mirror
-// the Params documentation (and the sdtbench flag defaults where the
-// experiment defers to the CLI).
+// Knob returns the schema field for JobSpec knob name with the set's
+// default def. A name JobSpec lacks or a default that does not parse as
+// the knob's type panics: schemas are built at init, so either is a
+// programming error.
+func Knob(name, def string) Field {
+	var s JobSpec
+	if err := s.Set(name, def); err != nil {
+		panic("experiments: " + err.Error())
+	}
+	f := knobs[slices.IndexFunc(knobs, func(f Field) bool { return f.Name == name })]
+	f.Default = def
+	return f
+}
+
+// The two knobs most sets read, with the default every set gives them.
 var (
-	FieldRanks    = Field{"ranks", "int", "16", "MPI rank count"}
-	FieldReps     = Field{"reps", "int", "8", "repetitions (pingpongs / alltoall rounds)"}
-	FieldBytes    = Field{"bytes", "int", "262144", "message size in bytes"}
-	FieldZoo      = Field{"zoo", "int", "0", "Topology-Zoo subset size (0 = all 261)"}
-	FieldDur      = Field{"dur_ms", "float64", "1000", "simulated measurement window in ms"}
-	FieldWorkers  = Field{"workers", "int", "1", "sweep fan-out, one simulation per worker (0 = all cores)"}
-	FieldSeed     = Field{"seed", "int64", "1", "loadgen schedule seed (equal seeds rerun byte-identical)"}
-	FieldFlows    = Field{"flows", "int", "0", "loadgen flows per grid cell (0 = experiment default)"}
-	FieldLoad     = Field{"load", "float64", "0.8", "loadgen victim load factor in (0, 1]"}
-	FieldFaults   = Field{"faults", "int", "0", "link-failure count per cell (0 = the {1,2,4} grid)"}
-	FieldMTBF     = Field{"mtbf_ms", "float64", "0", "link MTBF in ms, MTTR = MTBF/4 (0 = the {1,2,4,8} ms grid)"}
-	FieldReconfig = Field{"reconfig", "string", "dragonfly", "transition target topology: dragonfly|torus"}
-	FieldCC       = Field{"cc", "string", "", "congestion-control policy: dcqcn|timely|pfabric (empty = all)"}
+	seedField    = Knob("seed", "1")
+	workersField = Knob(knobWorkers, "0")
 )
 
 // Entry is one registered scenario set.
@@ -111,29 +72,56 @@ type Entry struct {
 	Name string
 	// Desc is a one-line description for CLI listings.
 	Desc string
-	// Run executes the scenario set.
-	Run Runner
-	// Schema lists the parameters this set reads (empty = the set is
-	// parameter-free; Workers-style execution knobs are listed too, even
-	// though they never change simulated results).
+	// Schema lists the knobs this set reads, each with the set's default
+	// (empty = the set is parameter-free). workers is listed where the
+	// set fans out, though it never changes a simulated byte.
 	Schema []Field
 
+	run   Runner
 	order int
+}
+
+// Run executes the set with the knobs of s as the set reads them: the
+// scenario name is the set's, knobs outside its schema are dropped
+// (sdtbench hands every set the same flags), and zero knobs take their
+// schema default. The resolved spec must pass the checks Validate
+// applies before the runner sees it.
+func (e Entry) Run(ctx context.Context, s JobSpec, w, measured io.Writer) error {
+	in := s
+	s = JobSpec{Scenario: e.Name}
+	for _, f := range e.Schema {
+		s.knob(f.Name).Set(in.knob(f.Name))
+	}
+	s = e.withDefaults(s)
+	if err := e.validate(s); err != nil {
+		return err
+	}
+	return e.run(ctx, s, w, measured)
+}
+
+// withDefaults gives every zero knob e's schema lists its default.
+func (e Entry) withDefaults(s JobSpec) JobSpec {
+	for _, f := range e.Schema {
+		if s.knob(f.Name).IsZero() {
+			s.Set(f.Name, f.Default) // Knob checked that it parses
+		}
+	}
+	return s
 }
 
 var registry []Entry
 
 // Register adds a scenario set under a presentation-order index, with
-// the machine-readable schema of the Params fields the set reads.
-// Duplicate names panic: the registry is wired at init time and a
-// collision is a programming error.
+// the schema of the knobs the set reads (built with Knob). Duplicate
+// names panic: the registry is wired at init time and a collision is a
+// programming error.
 func Register(order int, name, desc string, run Runner, schema ...Field) {
 	for _, e := range registry {
 		if e.Name == name {
 			panic("experiments: duplicate registration of " + name)
 		}
 	}
-	registry = append(registry, Entry{Name: name, Desc: desc, Run: run, Schema: schema, order: order})
+	registry = append(registry, Entry{Name: name, Desc: desc, Schema: schema, run: run, order: order})
 }
 
 // Lookup finds a scenario set by name.

@@ -28,7 +28,7 @@ func TestRegistryLookup(t *testing.T) {
 	if !ok {
 		t.Fatal("table3 not registered")
 	}
-	if e.Desc == "" || e.Run == nil {
+	if e.Desc == "" || e.run == nil {
 		t.Fatalf("incomplete entry: %+v", e)
 	}
 	if _, ok := Lookup("nope"); ok {
@@ -93,7 +93,7 @@ func TestRegistryRunnerWritesTable(t *testing.T) {
 		t.Fatal("table1 not registered")
 	}
 	var buf bytes.Buffer
-	if err := e.Run(t.Context(), Params{}, &buf, io.Discard); err != nil {
+	if err := e.Run(t.Context(), JobSpec{}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Table I") {
@@ -111,7 +111,7 @@ func TestRegistryRunnerHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
 	var buf bytes.Buffer
-	err := e.Run(ctx, Params{Reps: 1, Workers: 1}, &buf, io.Discard)
+	err := e.Run(ctx, JobSpec{Reps: 1, Workers: 1}, &buf, io.Discard)
 	if err == nil {
 		t.Fatal("cancelled registry run returned nil error")
 	}

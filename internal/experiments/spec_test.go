@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
-	"reflect"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,95 +157,119 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestSpecParamsUnits(t *testing.T) {
+func TestSpecDurationUnits(t *testing.T) {
 	s := JobSpec{Scenario: "fig12", DurMs: 50, MTBFMs: 2.5}
-	p := s.Params()
-	if p.Duration != 50*netsim.Millisecond {
-		t.Errorf("dur_ms 50 -> %v", p.Duration)
+	if got := s.dur(); got != 50*netsim.Millisecond {
+		t.Errorf("dur_ms 50 -> %v", got)
 	}
-	if want := netsim.Time(2.5 * float64(netsim.Millisecond)); p.MTBF != want {
-		t.Errorf("mtbf_ms 2.5 -> %v want %v", p.MTBF, want)
+	if want := netsim.Time(2.5 * float64(netsim.Millisecond)); s.mtbf() != want {
+		t.Errorf("mtbf_ms 2.5 -> %v want %v", s.mtbf(), want)
 	}
 }
 
-// TestSchemaRegistered pins that every registered scenario set carries
-// a schema naming only canonical field descriptors, and guards the
-// hand-kept knob lists until typed params land: the canonical Field*
-// names are exactly JobSpec's JSON tags minus "scenario", and a spec
-// that sets any one result field on a set whose Schema omits it is
-// rejected — so a knob added to JobSpec and Field* but forgotten in
-// Validate's name → is-zero table fails here.
+// TestSchemaRegistered pins that every registered schema lists JobSpec
+// knobs, each once, with the knob's type and description and defaults
+// the set itself accepts; and that a spec setting any one result knob
+// on a set whose schema omits it is rejected by name.
 func TestSchemaRegistered(t *testing.T) {
-	canon := map[string]Field{}
-	for _, f := range []Field{FieldRanks, FieldReps, FieldBytes, FieldZoo, FieldDur,
-		FieldWorkers, FieldSeed, FieldFlows, FieldLoad, FieldFaults, FieldMTBF,
-		FieldReconfig, FieldCC} {
-		canon[f.Name] = f
+	byName := map[string]Field{}
+	for _, k := range Knobs() {
+		byName[k.Name] = k
 	}
 	for _, e := range All() {
 		seen := map[string]bool{}
 		for _, f := range e.Schema {
-			c, ok := canon[f.Name]
-			if !ok {
-				t.Errorf("%s: schema field %q is not a canonical descriptor", e.Name, f.Name)
-				continue
-			}
-			if f != c {
-				t.Errorf("%s: schema field %q diverges from the canonical descriptor", e.Name, f.Name)
-			}
-			if seen[f.Name] {
+			k, ok := byName[f.Name]
+			switch {
+			case !ok:
+				t.Errorf("%s: schema field %q is not a JobSpec knob", e.Name, f.Name)
+			case f.Type != k.Type || f.Desc != k.Desc:
+				t.Errorf("%s: schema field %+v diverges from the knob %+v", e.Name, f, k)
+			case seen[f.Name]:
 				t.Errorf("%s: schema field %q repeated", e.Name, f.Name)
 			}
 			seen[f.Name] = true
 		}
-	}
-
-	// field maps each JSON tag of JobSpec to its struct field index.
-	field := map[string]int{}
-	st := reflect.TypeOf(JobSpec{})
-	for i := 0; i < st.NumField(); i++ {
-		tag, _, _ := strings.Cut(st.Field(i).Tag.Get("json"), ",")
-		if tag != "scenario" {
-			field[tag] = i
-		}
-	}
-	for name := range canon {
-		if _, ok := field[name]; !ok {
-			t.Errorf("canonical field %q is not a JobSpec JSON tag", name)
-		}
-	}
-	for tag := range field {
-		if _, ok := canon[tag]; !ok {
-			t.Errorf("JobSpec field %q has no canonical Field descriptor", tag)
+		if err := e.validate(e.withDefaults(JobSpec{Scenario: e.Name})); err != nil {
+			t.Errorf("%s: its own defaults fail validation: %v", e.Name, err)
 		}
 	}
 
-	// table1 reads nothing, so every result field is foreign to it.
+	// table1 reads nothing, so every result knob is foreign to it.
 	const bare = "table1"
 	if e, ok := Lookup(bare); !ok || len(e.Schema) != 0 {
 		t.Fatalf("%s must be registered with an empty schema", bare)
 	}
-	for name, i := range field {
-		if name == FieldWorkers.Name {
+	for _, k := range Knobs() {
+		if k.Name == knobWorkers {
 			continue // an execution knob, accepted on every set
 		}
+		// A value every value check accepts, so only the schema check
+		// can refuse it.
+		val := map[string]string{"load": "0.5", "reconfig": "torus", "cc": netsim.CCDCQCN}[k.Name]
+		if val == "" {
+			val = "1"
+		}
 		spec := JobSpec{Scenario: bare}
-		v := reflect.ValueOf(&spec).Elem().Field(i)
-		switch v.Kind() {
-		case reflect.Int, reflect.Int64:
-			v.SetInt(1)
-		case reflect.Float64:
-			v.SetFloat(0.5)
-		case reflect.String:
-			// A value every value check accepts, so only the schema
-			// check can refuse it.
-			v.SetString(map[string]string{FieldReconfig.Name: "torus", FieldCC.Name: netsim.CCDCQCN}[name])
-		default:
-			t.Fatalf("JobSpec field %q has kind %s; teach this test to set it", name, v.Kind())
+		if err := spec.Set(k.Name, val); err != nil {
+			t.Fatal(err)
 		}
 		err := spec.Validate()
-		if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
-			t.Errorf("%s with only %q set: err = %v, want a rejection naming the field", bare, name, err)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(k.Name)) {
+			t.Errorf("%s with only %q set: err = %v, want a rejection naming the knob", bare, k.Name, err)
 		}
+	}
+}
+
+// TestZeroKnobsTakeSchemaDefaults pins that a set's schema holds its
+// only defaults: leaving a knob zero and spelling out the schema default
+// are the same job — one resolved spec, one cache key. fig13 is the set
+// whose runner used to apply a default of its own (128 KiB messages)
+// that its published schema (262144) did not state.
+func TestZeroKnobsTakeSchemaDefaults(t *testing.T) {
+	for _, e := range All() {
+		explicit := JobSpec{Scenario: e.Name}
+		for _, f := range e.Schema {
+			if err := explicit.Set(f.Name, f.Default); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+		}
+		zero := JobSpec{Scenario: e.Name}
+		if got := e.withDefaults(zero); got != explicit {
+			t.Errorf("%s: zero knobs resolve to %+v, the schema says %+v", e.Name, got, explicit)
+		}
+		if zero.Hash() != explicit.Hash() {
+			t.Errorf("%s: an omitted knob and its spelled-out default hash apart", e.Name)
+		}
+	}
+	fig13, _ := Lookup("fig13")
+	if got := fig13.withDefaults(JobSpec{Scenario: "fig13"}); got.Bytes != 256<<10 || got.Reps != 8 {
+		t.Errorf("fig13 defaults: bytes %d reps %d, want 262144 and 8", got.Bytes, got.Reps)
+	}
+}
+
+// TestEntryRunResolvesSpec pins what a runner receives: the set's name,
+// its schema knobs with zero ones at their defaults, no other knob — and
+// no call at all when the resolved spec fails validation.
+func TestEntryRunResolvesSpec(t *testing.T) {
+	var got *JobSpec
+	e := Entry{
+		Name:   "probe",
+		Schema: []Field{seedField, Knob("flows", "96"), workersField},
+		run: func(_ context.Context, s JobSpec, _, _ io.Writer) error {
+			got = &s
+			return nil
+		},
+	}
+	in := JobSpec{Scenario: "other", Flows: 10, Ranks: 5, Workers: 3}
+	if err := e.Run(t.Context(), in, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := (JobSpec{Scenario: "probe", Seed: 1, Flows: 10, Workers: 3}); got == nil || *got != want {
+		t.Fatalf("runner got %+v, want %+v", got, want)
+	}
+	got = nil
+	if err := e.Run(t.Context(), JobSpec{Flows: -1}, io.Discard, io.Discard); err == nil || got != nil {
+		t.Fatalf("negative flows: err %v, runner called %v", err, got != nil)
 	}
 }

@@ -15,14 +15,14 @@ import (
 
 func init() {
 	Register(30, "table2", "Table II: SDT vs other topology-projection methods",
-		func(ctx context.Context, p Params, w, _ io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
 			r, err := Table2(ctx, p.Zoo, p.Workers)
 			if err != nil {
 				return err
 			}
 			r.Format(w)
 			return nil
-		}, FieldZoo, FieldWorkers)
+		}, Knob("zoo", "0"), workersField)
 }
 
 // Table2Row compares one TP method across the paper's workload set:

@@ -11,7 +11,7 @@ import (
 
 func init() {
 	Register(40, "table3", "Table III: routing strategies with machine-checked deadlock freedom",
-		func(_ context.Context, _ Params, w, _ io.Writer) error {
+		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
 			r, err := Table3()
 			if err != nil {
 				return err

@@ -15,7 +15,7 @@ import (
 
 func init() {
 	Register(50, "table4", "Table IV: application ACTs on SDT vs the simulator",
-		func(ctx context.Context, p Params, w, measured io.Writer) error {
+		func(ctx context.Context, p JobSpec, w, measured io.Writer) error {
 			r, err := Table4(ctx, p.Ranks, nil, p.Workers)
 			if err != nil {
 				return err
@@ -23,7 +23,7 @@ func init() {
 			r.Format(w)
 			r.formatMeasured(measured, p.Workers)
 			return nil
-		}, FieldRanks, FieldWorkers)
+		}, Knob("ranks", "16"), workersField)
 }
 
 // Table4Cell is one (application, topology) evaluation: ACT on SDT vs
@@ -74,9 +74,6 @@ func table4Topologies() []*topology.Graph {
 // simulator: same fabric, and its wall clock is the simulator's
 // evaluation time.
 func Table4(ctx context.Context, ranks int, apps []string, workers int) (*Table4Result, error) {
-	if ranks <= 0 {
-		ranks = 16
-	}
 	if apps == nil {
 		apps = workload.TableIVApps()
 	}

@@ -87,15 +87,6 @@ func FuzzPattern(f *testing.F) {
 			t.Fatal("incast: the victim sends to itself")
 		}
 
-		// Outcast mirrors incast: one source fanning out.
-		out := check("outcast", Outcast().Instantiate(NewRNG(seed), ranks))
-		src0 := out[0][0]
-		for _, p := range out {
-			if p[0] != src0 {
-				t.Fatalf("outcast: second source %d (first %d)", p[0], src0)
-			}
-		}
-
 		// A generated schedule over these patterns must satisfy the
 		// FlowApp's constructor invariants (unique (src,dst,tag), ranks
 		// in range) — Generate panicking or emitting an invalid flow

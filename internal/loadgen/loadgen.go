@@ -1,9 +1,9 @@
 // Package loadgen synthesizes open-loop datacenter-style traffic: flow
 // arrivals drawn from a seeded Poisson process at a target load factor,
 // communicating pairs chosen by a pluggable pattern (uniform-random,
-// permutation, incast N:1, outcast, hotspot, rack-local), and flow
-// sizes drawn from a configurable distribution (fixed, or the
-// web-search / data-mining heavy-tailed CDFs).
+// permutation, incast N:1, hotspot), and flow sizes drawn from a
+// configurable distribution (fixed, the web-search heavy-tailed CDF, or
+// a custom one).
 //
 // This is the non-MPI half of the workload catalogue (WORKLOADS.md):
 // where package workload replays closed-loop rank programs, loadgen

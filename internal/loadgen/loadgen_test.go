@@ -56,8 +56,8 @@ func TestArrivalProcess(t *testing.T) {
 // positive sizes.
 func TestPatternInvariants(t *testing.T) {
 	pats := []Pattern{
-		Uniform(), Permutation(), Incast(0), Incast(5), Outcast(),
-		Hotspot(0, 0), Hotspot(3, 0.9), RackLocal(0, 0), RackLocal(4, 0.5),
+		Uniform(), Permutation(), Incast(0), Incast(5),
+		Hotspot(0, 0), Hotspot(3, 0.9),
 	}
 	for _, p := range pats {
 		fs := spec(p).MustGenerate()
@@ -127,35 +127,6 @@ func TestIncastFanIn(t *testing.T) {
 	}
 }
 
-// Outcast is the mirror: one source.
-func TestOutcastFanOut(t *testing.T) {
-	fs := spec(Outcast()).MustGenerate()
-	srcs := map[int]bool{}
-	for i := range fs.Flows {
-		srcs[fs.Flows[i].Src] = true
-	}
-	if len(srcs) != 1 {
-		t.Fatalf("outcast has %d sources, want 1", len(srcs))
-	}
-}
-
-// Rack-local traffic must stay in-rack at roughly the configured rate.
-func TestRackLocality(t *testing.T) {
-	s := spec(RackLocal(4, 0.8))
-	s.Flows = 4000
-	fs := s.MustGenerate()
-	local := 0
-	for i := range fs.Flows {
-		if fs.Flows[i].Src/4 == fs.Flows[i].Dst/4 {
-			local++
-		}
-	}
-	frac := float64(local) / float64(len(fs.Flows))
-	if frac < 0.7 || frac > 0.9 {
-		t.Fatalf("rack-local fraction %.3f, want ~0.8", frac)
-	}
-}
-
 // Hotspot traffic must concentrate on the hot set.
 func TestHotspotSkew(t *testing.T) {
 	s := spec(Hotspot(2, 0.7))
@@ -182,12 +153,20 @@ func TestHotspotSkew(t *testing.T) {
 
 // The compiled trace must validate and preserve volume and timing.
 func TestTraceCompile(t *testing.T) {
-	fs := spec(RackLocal(0, 0)).MustGenerate()
+	fs := spec(Hotspot(0, 0)).MustGenerate()
 	tr := fs.Trace()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tr.TotalBytes(), fs.TotalBytes(); got != want {
+	var got int64
+	for _, prog := range tr.Programs {
+		for _, op := range prog {
+			if op.Kind == netsim.OpSend {
+				got += int64(op.Bytes)
+			}
+		}
+	}
+	if want := fs.TotalBytes(); got != want {
 		t.Fatalf("trace carries %d bytes, schedule %d", got, want)
 	}
 	// Per source, compute gaps must reconstruct each send's start time.

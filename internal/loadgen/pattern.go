@@ -18,9 +18,8 @@ type Pattern interface {
 	Instantiate(r *RNG, n int) PairFn
 	// Bottlenecks reports how many host links the pattern loads in
 	// aggregate — the unit count the load factor multiplies. Spreading
-	// patterns (uniform, permutation, hotspot, rack-local) inject on
-	// all n host links; funnel patterns (incast, outcast) are limited
-	// by a single link, the victim's or the sender's.
+	// patterns (uniform, permutation, hotspot) inject on all n host
+	// links; incast is limited by a single link, the victim's.
 	Bottlenecks(n int) int
 }
 
@@ -109,30 +108,6 @@ func (p incastPat) Instantiate(r *RNG, n int) PairFn {
 	}
 }
 
-// outcastPat fans one source out to everyone else.
-type outcastPat struct{}
-
-// Outcast is the 1:N mirror of incast: one fixed source scatters to
-// uniform destinations. The load factor is measured at the source's
-// link.
-func Outcast() Pattern { return outcastPat{} }
-
-func (outcastPat) Name() string        { return "outcast" }
-func (outcastPat) Bottlenecks(int) int { return 1 }
-func (outcastPat) Instantiate(r *RNG, n int) PairFn {
-	if n < 2 {
-		panic("loadgen: outcast needs >= 2 ranks")
-	}
-	src := r.Intn(n)
-	return func(int) (int, int) {
-		dst := r.Intn(n - 1)
-		if dst >= src {
-			dst++
-		}
-		return src, dst
-	}
-}
-
 // hotspotPat skews a uniform mix toward a small hot destination set.
 type hotspotPat struct {
 	hotRanks int
@@ -182,65 +157,6 @@ func (p hotspotPat) Instantiate(r *RNG, n int) PairFn {
 			} else {
 				dst = r.Intn(n)
 			}
-			if dst != src {
-				return src, dst
-			}
-		}
-	}
-}
-
-// rackLocalPat keeps a fraction of traffic inside the source's rack.
-type rackLocalPat struct {
-	rackSize int
-	locality float64
-}
-
-// RackLocal groups ranks into racks of `rackSize` consecutive ranks;
-// each flow stays inside its source's rack with probability `locality`
-// and otherwise picks a uniform remote destination — the skewed
-// rack-local mix of datacenter traffic studies. rackSize <= 1 defaults
-// to 4; locality <= 0 defaults to 0.8.
-func RackLocal(rackSize int, locality float64) Pattern {
-	return rackLocalPat{rackSize: rackSize, locality: locality}
-}
-
-func (p rackLocalPat) Name() string {
-	if p.rackSize <= 1 && p.locality <= 0 {
-		return "rack-local"
-	}
-	return fmt.Sprintf("rack-local-r%d-p%g", p.rackSize, p.locality)
-}
-func (rackLocalPat) Bottlenecks(n int) int { return n }
-func (p rackLocalPat) Instantiate(r *RNG, n int) PairFn {
-	if n < 2 {
-		panic("loadgen: rack-local needs >= 2 ranks")
-	}
-	size := p.rackSize
-	if size <= 1 {
-		size = 4
-	}
-	loc := p.locality
-	if loc <= 0 || loc > 1 {
-		loc = 0.8
-	}
-	return func(int) (int, int) {
-		src := r.Intn(n)
-		rack := src / size
-		lo := rack * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		if r.Float64() < loc && hi-lo > 1 {
-			// Stay in the rack.
-			dst := lo + r.Intn(hi-lo-1)
-			if dst >= src {
-				dst++
-			}
-			return src, dst
-		}
-		for {
-			dst := r.Intn(n)
 			if dst != src {
 				return src, dst
 			}

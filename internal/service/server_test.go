@@ -30,12 +30,12 @@ var (
 
 func init() {
 	experiments.Register(9000, "svc-test-echo", "test-only: instant deterministic echo",
-		func(ctx context.Context, p experiments.Params, w, _ io.Writer) error {
+		func(ctx context.Context, p experiments.JobSpec, w, _ io.Writer) error {
 			fmt.Fprintf(w, "echo seed=%d flows=%d\n", p.Seed, p.Flows)
 			return nil
-		}, experiments.FieldSeed, experiments.FieldFlows)
+		}, experiments.Knob("seed", "1"), experiments.Knob("flows", "0"))
 	experiments.Register(9001, "svc-test-slow", "test-only: blocks until released or cancelled",
-		func(ctx context.Context, p experiments.Params, w, _ io.Writer) error {
+		func(ctx context.Context, p experiments.JobSpec, w, _ io.Writer) error {
 			slowRuns.Add(1)
 			fmt.Fprintf(w, "slow started seed=%d\n", p.Seed)
 			select {
@@ -45,11 +45,11 @@ func init() {
 				fmt.Fprintf(w, "slow done seed=%d\n", p.Seed)
 				return nil
 			}
-		}, experiments.FieldSeed)
+		}, experiments.Knob("seed", "1"))
 	experiments.Register(9002, "svc-test-panic", "test-only: panics like netsim does on a bad schedule",
-		func(ctx context.Context, p experiments.Params, w, _ io.Writer) error {
+		func(ctx context.Context, p experiments.JobSpec, w, _ io.Writer) error {
 			panic("netsim: flow rank out of range")
-		}, experiments.FieldSeed)
+		}, experiments.Knob("seed", "1"))
 }
 
 // newTestServer builds a server + loopback HTTP client and tears both
@@ -157,7 +157,7 @@ func TestE2ESecondSubmitIsCacheHit(t *testing.T) {
 
 	e, _ := experiments.Lookup(spec.Scenario)
 	var fresh bytes.Buffer
-	if err := e.Run(ctx, spec.Params(), &fresh, io.Discard); err != nil {
+	if err := e.Run(ctx, spec, &fresh, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body2, fresh.Bytes()) {

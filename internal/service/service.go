@@ -289,7 +289,7 @@ func runGuarded(e experiments.Entry, j *job) (err error) {
 			err = fmt.Errorf("service: runner panicked: %v", r)
 		}
 	}()
-	return e.Run(j.ctx, j.spec.Params(), j.out, io.Discard)
+	return e.Run(j.ctx, j.spec, j.out, io.Discard)
 }
 
 // retire removes a terminal job from the singleflight index.

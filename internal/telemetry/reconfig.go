@@ -68,19 +68,6 @@ func (e *TransitionRecord) Reconvergence() netsim.Time {
 	return e.FirstDeliveryAfter - e.DrainAt
 }
 
-// PacketsLost counts the packets dropped inside this transition's
-// disruption window (drain → restore), or -1 if the window never
-// closed.
-func (e *TransitionRecord) PacketsLost() int64 {
-	if e.Rejected {
-		return 0
-	}
-	if e.RestoreAt < 0 {
-		return -1
-	}
-	return e.LostAfter - e.LostBefore
-}
-
 // TotalChurn is the transition's full rule churn: the degraded patch
 // plus the restore swap.
 func (e *TransitionRecord) TotalChurn() int { return e.PatchChurn + e.RestoreChurn }

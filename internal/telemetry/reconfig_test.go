@@ -6,24 +6,23 @@ import (
 )
 
 // TestTransitionRecordSemantics pins the sentinel arithmetic: rejected
-// transitions lose nothing, unclosed windows report -1, and closed ones
-// difference the drop snapshots.
+// transitions and unclosed windows report no reconvergence, and closed
+// ones measure drain → first delivery and sum both churns.
 func TestTransitionRecordSemantics(t *testing.T) {
 	rejected := TransitionRecord{Rejected: true, RestoreAt: -1, FirstDeliveryAfter: -1}
-	if rejected.PacketsLost() != 0 || rejected.Reconvergence() != -1 {
-		t.Fatalf("rejected: lost=%d reconv=%d", rejected.PacketsLost(), rejected.Reconvergence())
+	if rejected.Reconvergence() != -1 {
+		t.Fatalf("rejected: reconv=%d", rejected.Reconvergence())
 	}
 	open := TransitionRecord{DrainAt: 100, RestoreAt: -1, FirstDeliveryAfter: -1, LostBefore: 3}
-	if open.PacketsLost() != -1 || open.Reconvergence() != -1 {
-		t.Fatalf("open window: lost=%d reconv=%d", open.PacketsLost(), open.Reconvergence())
+	if open.Reconvergence() != -1 {
+		t.Fatalf("open window: reconv=%d", open.Reconvergence())
 	}
 	closed := TransitionRecord{
 		DrainAt: 100, RestoreAt: 300, FirstDeliveryAfter: 450,
 		LostBefore: 3, LostAfter: 10, PatchChurn: 4, RestoreChurn: 6,
 	}
-	if closed.PacketsLost() != 7 || closed.Reconvergence() != 350 || closed.TotalChurn() != 10 {
-		t.Fatalf("closed window: lost=%d reconv=%d churn=%d",
-			closed.PacketsLost(), closed.Reconvergence(), closed.TotalChurn())
+	if closed.Reconvergence() != 350 || closed.TotalChurn() != 10 {
+		t.Fatalf("closed window: reconv=%d churn=%d", closed.Reconvergence(), closed.TotalChurn())
 	}
 }
 

@@ -39,17 +39,3 @@ func (t *Trace) Validate() error {
 	}
 	return nil
 }
-
-// TotalBytes sums payload bytes sent by all ranks — the traffic volume
-// driving Fig. 13's simulation-time blowup.
-func (t *Trace) TotalBytes() int64 {
-	var s int64
-	for _, prog := range t.Programs {
-		for _, op := range prog {
-			if op.Kind == netsim.OpSend {
-				s += int64(op.Bytes)
-			}
-		}
-	}
-	return s
-}

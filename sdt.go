@@ -3,12 +3,12 @@
 // Low-cost and Topology-reconfigurable Testbed for Network Research"
 // (IEEE CLUSTER 2023).
 //
-// The facade re-exports the entry points a downstream user needs:
-// building logical topologies, planning a physical cabling, projecting
-// topologies onto commodity OpenFlow switches via Link Projection,
-// computing Table III routing strategies with verified deadlock
-// freedom, and running workloads on the packet-level engine in full-
-// testbed, SDT, or simulator mode.
+// The facade re-exports the entry points the examples and the facade
+// tests use: building logical topologies, planning a physical cabling,
+// projecting topologies onto commodity OpenFlow switches via Link
+// Projection, computing Table III routing strategies with verified
+// deadlock freedom, and running workloads on the packet-level engine
+// on the full testbed or on SDT.
 //
 // Execution goes through one composable surface: a Scenario carries
 // every knob that changes a simulated byte (topology, workload, mode,
@@ -17,11 +17,8 @@
 // fanned out one simulation per worker with Sweep(ctx, jobs,
 // ...Option). Options only observe and schedule — WithObserver,
 // WithTelemetry, WithWorkers — and the context cancels cooperatively
-// *inside* the event loop: the engine polls a stop flag on an
-// event-count stride, so a cancelled or timed-out run or sweep stops
-// mid-simulation, not between jobs.
-//
-// Quickstart:
+// inside the event loop, so a cancelled run or sweep stops
+// mid-simulation, not between jobs:
 //
 //	topo := sdt.FatTree(4)
 //	tb, err := sdt.PaperTestbed([]*sdt.Topology{topo})
@@ -32,69 +29,27 @@
 //		Mode:  sdt.ModeSDT,
 //	})
 //
-// and a batch, one simulation per core, telemetry sampled during each
-// run:
-//
-//	col := sdt.NewTelemetryCollector(topo, sdt.Millisecond, 0)
-//	results, err := sdt.Sweep(ctx, jobs, sdt.WithWorkers(0), sdt.WithTelemetry(col))
-//
 // Workloads come in two families (WORKLOADS.md is the catalogue):
-// closed-loop MPI trace replay (PingpongTrace, AlltoallTrace, HPCG,
-// HPL, ...) via Scenario.Trace, and open-loop synthetic traffic via
-// Scenario.Flows — seeded Poisson flow arrivals at a target load
-// factor under a pluggable pattern (uniform, permutation, incast,
-// outcast, hotspot, rack-local) with configurable size distributions:
+// closed-loop MPI trace replay via Scenario.Trace, and open-loop
+// synthetic traffic via Scenario.Flows — seeded Poisson flow arrivals
+// at a target load factor under a traffic pattern and a flow-size
+// distribution:
 //
 //	fs := sdt.LoadSpec{
 //		Ranks: 16, Load: 0.5, Flows: 10_000,
-//		Pattern: sdt.PatternIncast(8), Sizes: sdt.WebSearchSizes(),
+//		Pattern: sdt.PatternUniform(), Sizes: sdt.WebSearchSizes(),
 //		Seed: 7,
 //	}.MustGenerate()
 //	res, err := sdt.Run(ctx, tb, sdt.Scenario{Topo: topo, Flows: fs.Flows})
 //	fct := sdt.MeasureFCT(fs.Flows, 10e9, 0, nil) // per-bucket p50/p95/p99
 //
-// Open-loop schedules can trade per-packet fidelity for scale:
-// Scenario{..., Fidelity: sdt.FidelityFlow} runs the same schedule
+// Scenario{..., Fidelity: sdt.FidelityFlow} runs an open-loop schedule
 // through a max-min fair-share fluid approximation whose cost grows
-// with the number of flows instead of bytes × hops, reaching fabrics
-// (a 65k-host fat-tree) the packet engine cannot touch. MeasureFCT
-// consumes the completions identically; the packet-vs-flow agreement
-// envelope is pinned by internal/flowsim's differential harness.
-//
-// A Scenario can also carry a FaultSpec — seeded, deterministic link
-// and switch failures (one-shot events or MTBF/MTTR flaps). Dead
-// elements drop traversing packets; the controller reroute notices
-// after the spec's repair latency and patches the live FIB around the
-// outage (healthy destinations keep their strategy routes, broken ones
-// move to shortest paths on the surviving fabric, and recovery
-// restores the originals). The result reports packets lost,
-// reconvergence time per fault, and route churn:
-//
-//	link := sdt.PickCoreEdges(topo, 1, 7)[0]
-//	res, err := sdt.Run(ctx, tb, sdt.Scenario{
-//		Topo: topo, Flows: fs.Flows,
-//		Faults: &sdt.FaultSpec{Events: []sdt.FaultEvent{
-//			{At: sdt.Millisecond, Kind: sdt.FaultLinkDown, Elem: link},
-//		}},
-//	})
-//	res.Recovery.Format(os.Stdout) // repair + reconvergence per fault
-//
-// Or a ReconfigSpec — live topology transitions mid-run. Each executes
-// the staged drain→transition→reconverge protocol: the links the target
-// topology claims drain first, the target is projected, checked, and
-// compiled at the control plane (any failure aborts to a rollback onto
-// the old topology), and the fabric then reconverges. The testbed must
-// be cabled for both topologies:
-//
-//	tb, err := sdt.PaperTestbed([]*sdt.Topology{topo, target})
-//	...
-//	res, err := sdt.Run(ctx, tb, sdt.Scenario{
-//		Topo: topo, Flows: fs.Flows,
-//		Reconfig: &sdt.ReconfigSpec{Transitions: []sdt.ReconfigTransition{
-//			{At: sdt.Millisecond, Target: target},
-//		}},
-//	})
-//	for _, tr := range res.Reconfig.Transitions { ... } // loss, churn, reconvergence, cost
+// with the number of flows instead of bytes × hops. A Scenario can also
+// carry a FaultSpec (seeded link failures, repaired by the controller's
+// reroute; RunResult.Recovery reports them) or a ReconfigSpec (live
+// topology transitions by the staged drain→transition→reconverge
+// protocol; RunResult.Reconfig reports them).
 //
 // The full implementation lives in the internal packages; see DESIGN.md
 // for the system inventory, WORKLOADS.md for the workload catalogue,
@@ -122,39 +77,22 @@ type Topology = topology.Graph
 // TopologyConfig is the JSON topology description format.
 type TopologyConfig = topology.Config
 
-// Topology generators (the paper's Fig. 1 set and helpers).
+// Topology generators; TopologyConfig builds the rest of the paper's
+// Fig. 1 set by generator name.
 var (
-	NewTopology = topology.New
 	FatTree     = topology.FatTree
 	Dragonfly   = topology.Dragonfly
-	Mesh2D      = topology.Mesh2D
-	Mesh3D      = topology.Mesh3D
 	Torus2D     = topology.Torus2D
-	Torus3D     = topology.Torus3D
-	BCube       = topology.BCube
-	HyperBCube  = topology.HyperBCube
 	Line        = topology.Line
-	Ring        = topology.Ring
-	Star        = topology.Star
-	FullMesh    = topology.FullMesh
-	RandomWAN   = topology.RandomWAN
 	TopologyZoo = topology.Zoo
-	LoadConfig  = topology.LoadConfig
 )
 
 // PhysicalSwitch describes one commodity OpenFlow switch.
 type PhysicalSwitch = projection.PhysicalSwitch
 
-// Cabling is the fixed physical wiring of an SDT deployment.
-type Cabling = projection.Cabling
-
-// Plan is a Link Projection result: the logical→physical port mapping.
-type Plan = projection.Plan
-
 // Projection entry points.
 var (
 	H3CS6861    = projection.H3CS6861
-	Commodity64 = projection.Commodity64
 	PlanCabling = projection.PlanCabling
 	Project     = projection.Project
 )
@@ -162,18 +100,9 @@ var (
 // PartitionOptions tunes the multilevel topology partitioner (§IV-C).
 type PartitionOptions = partition.Options
 
-// Routing strategies (Table III) and deadlock verification.
-type (
-	// Routes is a computed forwarding rule set.
-	Routes = routing.Routes
-	// Strategy computes Routes for a topology.
-	Strategy = routing.Strategy
-	// FIB is a compiled forwarding table: Routes flattened into dense
-	// per-switch arrays so the per-hop decision is one array load.
-	// Obtain one with Routes.Compile (or the memoized Routes.FIB); the
-	// packet engine's forwarders run on it automatically.
-	FIB = routing.FIB
-)
+// Routes is a computed forwarding rule set (a Table III strategy's
+// output).
+type Routes = routing.Routes
 
 // FixedRoutes adapts an already-computed route set into a Strategy,
 // so a Scenario can carry routes produced outside a strategy (e.g.
@@ -186,17 +115,8 @@ var (
 	VerifyDeadlockFree = routing.VerifyDeadlockFree
 )
 
-// Controller is the SDT controller (§V): check, deploy, reconfigure.
-type Controller = controller.Controller
-
 // ControllerOptions tunes one deployment.
 type ControllerOptions = controller.Options
-
-// NewController builds a controller over switches able to host topos.
-var NewController = controller.NewFromTopologies
-
-// Testbed couples the controller with the packet-level engine.
-type Testbed = core.Testbed
 
 // RunResult reports one workload execution.
 type RunResult = core.RunResult
@@ -227,12 +147,6 @@ var (
 	WithWorkers   = core.WithWorkers
 )
 
-// ForEach is the worker-pool helper behind the parallel experiment
-// sweeps: it runs independent jobs 0..n-1 across workers (0 = all
-// cores, 1 = serial) and returns the lowest-index job error. Once ctx
-// ends no further job starts and the context's error is returned.
-var ForEach = core.ForEach
-
 // Mode selects the evaluation platform.
 type Mode = core.Mode
 
@@ -256,14 +170,9 @@ const (
 	FidelityFlow   = core.Flow
 )
 
-// Testbed constructors.
-var (
-	NewTestbed   = core.NewTestbed
-	PaperTestbed = core.PaperTestbed
-)
-
-// SimConfig sets fabric and protocol parameters for the engine.
-type SimConfig = netsim.Config
+// PaperTestbed builds the paper's testbed (§VI-A1: three H3C S6861
+// switches) cabled for topos.
+var PaperTestbed = core.PaperTestbed
 
 // Network is the packet-level fabric one run simulates; observers
 // (RunHooks, telemetry) receive it to read counters mid-run.
@@ -283,38 +192,17 @@ type SimTime = netsim.Time
 
 // Simulated-time units.
 const (
-	Nanosecond  = netsim.Nanosecond
 	Microsecond = netsim.Microsecond
 	Millisecond = netsim.Millisecond
-	Second      = netsim.Second
 )
 
 // DefaultSimConfig is the paper-calibrated configuration.
 var DefaultSimConfig = netsim.DefaultConfig
 
-// Congestion-control policy names for SimConfig.CC (empty means none:
-// flows send at line rate).
-const (
-	CCDCQCN   = netsim.CCDCQCN
-	CCTimely  = netsim.CCTimely
-	CCPFabric = netsim.CCPFabric
-)
-
-// CCPolicies lists the selectable congestion-control policies.
-var CCPolicies = netsim.CCPolicies
-
-// Trace is a replayable MPI-style application.
-type Trace = workload.Trace
-
-// Workload generators (§VI-D applications).
+// Workload generators; WorkloadByName builds the §VI-D applications.
 var (
 	PingpongTrace  = workload.Pingpong
 	AlltoallTrace  = workload.Alltoall
-	AllreduceTrace = workload.AllreduceRing
-	HPCGTrace      = workload.HPCG
-	HPLTrace       = workload.HPL
-	MiniGhostTrace = workload.MiniGhost
-	MiniFETrace    = workload.MiniFE
 	WorkloadByName = workload.ByName
 )
 
@@ -322,45 +210,19 @@ var (
 // absolute start time, and — after a run — its completion result.
 type Flow = netsim.Flow
 
-// NewFlowApp drives a flow schedule through a network directly; most
-// callers run flows through a Scenario instead (Scenario.Flows).
-var NewFlowApp = netsim.NewFlowApp
-
 // LoadSpec describes one synthetic open-loop workload: ranks, target
 // load factor, pattern, size distribution, flow count, and seed.
 // Equal specs generate byte-identical schedules.
 type LoadSpec = loadgen.Spec
 
-// LoadFlowSet is a generated schedule: run it live via Scenario.Flows
-// or compile it with Trace() into a replayable workload trace.
-type LoadFlowSet = loadgen.FlowSet
-
-// TrafficPattern chooses communicating pairs for a LoadSpec.
-type TrafficPattern = loadgen.Pattern
-
-// SizeDist draws flow sizes for a LoadSpec.
-type SizeDist = loadgen.SizeDist
-
-// CDFPoint is one point of an empirical flow-size CDF for NewSizeCDF:
-// a fraction Frac of flows are of size <= Bytes.
-type CDFPoint = loadgen.CDFPoint
-
-// Traffic patterns (the loadgen catalogue; see WORKLOADS.md).
+// Traffic patterns and flow-size distributions (the loadgen catalogue;
+// see WORKLOADS.md).
 var (
-	PatternUniform     = loadgen.Uniform
-	PatternPermutation = loadgen.Permutation
-	PatternIncast      = loadgen.Incast
-	PatternOutcast     = loadgen.Outcast
-	PatternHotspot     = loadgen.Hotspot
-	PatternRackLocal   = loadgen.RackLocal
-)
-
-// Flow-size distributions.
-var (
+	PatternUniform = loadgen.Uniform
+	PatternHotspot = loadgen.Hotspot
 	FixedSize      = loadgen.FixedSize
 	WebSearchSizes = loadgen.WebSearch
 	ScaleSizes     = loadgen.ScaleSizes
-	NewSizeCDF     = loadgen.NewCDF
 )
 
 // FCTReport is the bucketed flow-completion-time summary of a finished
@@ -380,32 +242,15 @@ type FaultSpec = faults.Spec
 // simulated time.
 type FaultEvent = faults.Event
 
-// FaultFlap is a repeating MTBF/MTTR failure process on one element.
-type FaultFlap = faults.Flap
-
-// Fault event kinds.
+// Link fault kinds.
 const (
-	FaultLinkDown   = faults.LinkDown
-	FaultLinkUp     = faults.LinkUp
-	FaultSwitchDown = faults.SwitchDown
-	FaultSwitchUp   = faults.SwitchUp
+	FaultLinkDown = faults.LinkDown
+	FaultLinkUp   = faults.LinkUp
 )
 
-// Fault helpers: flap constructors and deterministic failed-link
-// selection (switch-switch edges only, so destinations stay attached).
-var (
-	NewLinkFlap   = faults.LinkFlap
-	CoreEdges     = faults.CoreEdges
-	PickCoreEdges = faults.PickCoreEdges
-)
-
-// Recovery summarises a fault run: per-fault repair and reconvergence
-// times, route churn, packets lost, and incomplete flows (available as
-// RunResult.Recovery).
-type Recovery = telemetry.Recovery
-
-// RecoveryEvent is the lifecycle of one fault in a Recovery.
-type RecoveryEvent = telemetry.RecoveryEvent
+// PickCoreEdges deterministically selects failable links (switch-switch
+// edges only, so destinations stay attached).
+var PickCoreEdges = faults.PickCoreEdges
 
 // ReconfigSpec schedules live topology transitions during a run.
 // Attach one via Scenario.Reconfig — each transition executes the
@@ -424,14 +269,6 @@ type ReconfigSpec = reconfig.Spec
 // stage-window overrides, and an optional validation hook that can veto
 // the commit (forcing a rollback).
 type ReconfigTransition = reconfig.Transition
-
-// ReconfigReport summarises a reconfiguration run (available as
-// RunResult.Reconfig).
-type ReconfigReport = telemetry.ReconfigReport
-
-// TransitionRecord is the lifecycle of one topology transition in a
-// ReconfigReport.
-type TransitionRecord = telemetry.TransitionRecord
 
 // MeasureFCT buckets a finished flow schedule into FCT/slowdown
 // percentiles per flow-size bucket.
