@@ -18,6 +18,20 @@
 //     smallest key and every entry drops to a strictly lower bucket.
 //     Each entry carries its (at, seq) key inline, so ordering never
 //     reads the slab.
+//   - In front of the radix queue sit a few FIFO lanes, one per
+//     recurring delay at − now. A packet fabric repeats a handful of
+//     delays — serialisation of a full frame, the wire up to the
+//     header, a crossbar, PFC, pacing. On the 128-host fat-tree, whose
+//     events are 33 % tx-done, 33 % wire arrival and 27 % crossbar,
+//     95 % of events take a lane. Now never decreases and seq always
+//     increases, so a lane is in (at, seq) order by construction and
+//     costs one list append and one pop. A delay claims an empty lane
+//     when it is the last delay that missed in its slot of a small
+//     hash table; random delays almost never repeat exactly, so they
+//     bypass the lanes for the radix queue and pay only the lookup. A
+//     pop takes the smallest (at, seq) among the lane heads and the
+//     radix front, and a radix bucket is redistributed only when its
+//     minimum is at or below the best lane head.
 //   - Every scheduled event returns a Handle with O(1) Cancel: the
 //     record's generation moves on and the queue entry goes stale,
 //     to be dropped when it reaches the front. A compaction pass runs
@@ -118,11 +132,28 @@ type entry struct {
 	gen  uint32
 }
 
-// node is a list cell of buckets 1–64; next indexes the pool, 0 ends.
+// node is a list cell of buckets 1–64 and of the lanes; next indexes
+// the pool, 0 ends.
 type node struct {
 	entry
 	next int32
 }
+
+// lane is a FIFO of queued entries that were pushed with one delay d =
+// at − now. Now never decreases and seq always increases, so appending
+// keeps a lane in (at, seq) order. head and tail index the node pool,
+// 0 when the lane is empty; at and seq are the head's key.
+type lane struct {
+	d, at      Time
+	seq        int64
+	head, tail int32
+}
+
+// numLanes is the number of lanes. Four take 95 % of a fat-tree's
+// events and 83 % of an SDT trace replay's; eight take more off the
+// radix queue, but every pop scans them, and the cells mostly ran
+// slower.
+const numLanes = 4
 
 // StopStride is the default number of events fired between checks of
 // the cooperative stop flag during Run. Large enough that the check is
@@ -153,6 +184,15 @@ type Engine struct {
 	spare   int32
 	pending int // live events
 	stale   int // cancelled entries still queued
+
+	// The lanes. Bit i of lmask says lanes[i] is non-empty. seen holds
+	// the last delay that missed every lane, per hash slot: a delay
+	// that misses twice in its slot claims an empty lane. from is
+	// where front found the next event: a lane, or -1 for b0[head].
+	lanes [numLanes]lane
+	lmask uint32
+	seen  [16]Time
+	from  int
 
 	// stop, when non-nil, is polled every stride fired events by Run;
 	// a true load makes Run return early, events still queued.
@@ -249,8 +289,13 @@ func (e *Engine) Step() bool {
 
 // fire pops and runs the front event; front must have reported true.
 func (e *Engine) fire() {
-	en := e.b0[e.head]
-	e.head++
+	var en entry
+	if e.from < 0 {
+		en = e.b0[e.head]
+		e.head++
+	} else {
+		en = e.popLane(e.from)
+	}
 	r := &e.recs[en.slot]
 	e.now = en.at
 	h, ev := r.h, r.ev
@@ -276,7 +321,8 @@ func (e *Engine) SetStop(flag *atomic.Bool, stride int64) {
 }
 
 // Run executes events until the queue drains or the time limit passes
-// (limit 0 = no limit). If a stop flag is installed (SetStop), it is
+// (limit 0 = no limit); stopping at the limit moves the clock up to
+// it, never back. If a stop flag is installed (SetStop), it is
 // checked before the first event and then every stride events, so a
 // cancelled run halts within one stride. Run returns the final
 // simulation time.
@@ -286,8 +332,8 @@ func (e *Engine) Run(limit Time) Time {
 	}
 	check := e.fired + e.stride
 	for e.front() {
-		if limit > 0 && e.last > limit {
-			e.now = limit
+		if limit > 0 && e.frontAt() > limit {
+			e.now = max(e.now, limit)
 			break
 		}
 		e.fire()
@@ -301,7 +347,7 @@ func (e *Engine) Run(limit Time) Time {
 	return e.now
 }
 
-// --- monotone radix queue -------------------------------------------
+// --- lanes and the monotone radix queue -----------------------------
 
 func (e *Engine) isLive(en *entry) bool { return e.recs[en.slot].gen == en.gen }
 
@@ -309,13 +355,70 @@ func (e *Engine) isLive(en *entry) bool { return e.recs[en.slot].gen == en.gen }
 // bits.Len64(at^last) lives in lists[bucket-1].
 func (e *Engine) bucket(at Time) int { return bits.Len64(uint64(at^e.last)) - 1 }
 
-// push queues en. Into an empty queue it goes straight to bucket 0,
-// last moving up to its key. A key below last — possible once
-// Run(limit) has peeked past a limit and a caller then schedules at
-// now — first rebases the queue on that key.
+// push queues en: on the lane of its delay if one serves it, else in
+// the radix queue. A delay that no lane serves claims an empty lane
+// when it is the last delay that missed in its seen slot, so random
+// delays stay in the radix queue and leave the lanes empty.
 func (e *Engine) push(en entry) {
+	d := en.at - e.now
+	for i := range e.lanes {
+		if e.lanes[i].d == d {
+			e.enqueue(i, e.newNode(en))
+			return
+		}
+	}
+	if h := uint64(d) * 0x9e3779b97f4a7c15 >> 60; e.seen[h] != d {
+		e.seen[h] = d
+	} else if free := ^e.lmask & (1<<numLanes - 1); free != 0 {
+		i := bits.TrailingZeros32(free)
+		e.lanes[i].d = d
+		e.enqueue(i, e.newNode(en))
+		return
+	}
+	e.pushRadix(en)
+}
+
+// enqueue links node k at the tail of lane i. Its key sorts after
+// every entry there: it was pushed later, so its seq is larger, and
+// with the lane's delay at a now that is no earlier.
+func (e *Engine) enqueue(i int, k int32) {
+	l := &e.lanes[i]
+	e.nodes[k].next = 0
+	if l.head == 0 {
+		l.head, l.at, l.seq = k, e.nodes[k].at, e.nodes[k].seq
+		e.lmask |= 1 << i
+	} else {
+		e.nodes[l.tail].next = k
+	}
+	l.tail = k
+}
+
+// popLane removes and returns the head of non-empty lane i.
+func (e *Engine) popLane(i int) entry {
+	l := &e.lanes[i]
+	k := l.head
+	en := e.nodes[k].entry
+	if l.head = e.nodes[k].next; l.head == 0 {
+		e.lmask &^= 1 << i
+	} else {
+		l.at, l.seq = e.nodes[l.head].at, e.nodes[l.head].seq
+	}
+	e.unlink(k)
+	return en
+}
+
+// pushRadix queues en in the radix queue. Into an empty radix queue it
+// goes straight to bucket 0, last moving up to its key — or, while the
+// lanes hold earlier events, up to now only, so that the radix pushes
+// their handlers make do not land below last. A key below last —
+// possible once Run(limit) has peeked past a limit and a caller then
+// schedules at now — first rebases the queue on that key.
+func (e *Engine) pushRadix(en entry) {
 	if e.mask == 0 && e.head == len(e.b0) {
 		e.b0, e.head, e.last = e.b0[:0], 0, en.at
+		if e.lmask != 0 {
+			e.last = e.now
+		}
 	} else if en.at < e.last {
 		e.rebase(en.at)
 	}
@@ -367,23 +470,56 @@ func (e *Engine) detach(b int) int32 {
 	return i
 }
 
-// front drops stale entries from the head of the queue, redistributing
-// buckets as bucket 0 runs dry, and reports whether a live event
-// remains; it is then b0[head], keyed last.
+// front finds the smallest (at, seq) among the lane heads and the
+// radix queue's front, dropping stale entries on the way, and reports
+// whether a live event remains; e.from then says where it is. When
+// bucket 0 has run dry, the lowest non-empty bucket is redistributed
+// only if its minimum is at or below the best lane head: otherwise a
+// lane event comes first anyway.
 func (e *Engine) front() bool {
 	for {
-		for ; e.head < len(e.b0); e.head++ {
-			if e.isLive(&e.b0[e.head]) {
-				return true
+		li, at, seq := -1, Time(0), int64(0)
+		for m := e.lmask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if l := &e.lanes[i]; li < 0 || l.at < at || l.at == at && l.seq < seq {
+				li, at, seq = i, l.at, l.seq
 			}
-			e.stale--
 		}
-		e.b0, e.head = e.b0[:0], 0
-		if e.mask == 0 {
+		if e.head == len(e.b0) {
+			e.b0, e.head = e.b0[:0], 0
+			if b := bits.TrailingZeros64(e.mask); e.mask != 0 && (li < 0 || e.mins[b] <= at) {
+				e.redistribute(b)
+			}
+		}
+		if e.head < len(e.b0) {
+			if en := &e.b0[e.head]; li < 0 || e.last < at || e.last == at && en.seq < seq {
+				if e.isLive(en) {
+					e.from = -1
+					return true
+				}
+				e.head++
+				e.stale--
+				continue
+			}
+		}
+		if li < 0 {
 			return false
 		}
-		e.redistribute(bits.TrailingZeros64(e.mask))
+		if e.isLive(&e.nodes[e.lanes[li].head].entry) {
+			e.from = li
+			return true
+		}
+		e.popLane(li)
+		e.stale--
 	}
+}
+
+// frontAt is the key of the event front found.
+func (e *Engine) frontAt() Time {
+	if e.from < 0 {
+		return e.last
+	}
+	return e.lanes[e.from].at
 }
 
 // redistribute empties list b, the lowest non-empty bucket, into the
@@ -433,10 +569,11 @@ func (e *Engine) rebase(t Time) {
 	}
 }
 
-// compact drops every stale entry, keeping bucket 0's order. Cancel
-// and fire call it whenever stale entries outnumber pending ones, so
-// the queue never holds more than twice the pending events, and each
-// call's cost is paid for by the stale entries it drops.
+// compact drops every stale entry, keeping the order of bucket 0 and
+// of every lane. Cancel and fire call it whenever stale entries
+// outnumber pending ones, so the queue never holds more than twice the
+// pending events, and each call's cost is paid for by the stale
+// entries it drops.
 func (e *Engine) compact() {
 	k := 0
 	for _, en := range e.b0[e.head:] {
@@ -452,6 +589,21 @@ func (e *Engine) compact() {
 			next := e.nodes[i].next
 			if e.isLive(&e.nodes[i].entry) {
 				e.link(b, i)
+			} else {
+				e.unlink(i)
+			}
+			i = next
+		}
+	}
+	for m := e.lmask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros32(m)
+		i := e.lanes[b].head
+		e.lanes[b].head = 0
+		e.lmask &^= 1 << b
+		for i != 0 {
+			next := e.nodes[i].next
+			if e.isLive(&e.nodes[i].entry) {
+				e.enqueue(b, i)
 			} else {
 				e.unlink(i)
 			}

@@ -95,6 +95,23 @@ func TestRunLimitStopsBeforeFutureEvents(t *testing.T) {
 	}
 }
 
+// TestRunLimitInPastKeepsClock: a Run whose limit is already behind
+// the clock fires nothing and leaves the clock where it was.
+func TestRunLimitInPastKeepsClock(t *testing.T) {
+	e := New()
+	r := &recorder{}
+	e.Schedule(100, r, Event{A: 1})
+	e.Schedule(200, r, Event{A: 2})
+	e.Run(150)
+	if got := e.Run(50); got != 150 || e.Now() != 150 {
+		t.Fatalf("Run(50) at now 150 returned %d, now %d; want 150", got, e.Now())
+	}
+	e.Run(0)
+	if len(r.got) != 2 || e.Now() != 200 {
+		t.Fatalf("fired %v, now %d; want [1 2] and 200", r.got, e.Now())
+	}
+}
+
 func TestCallbacksAndClosures(t *testing.T) {
 	e := New()
 	var order []string
@@ -153,6 +170,59 @@ func BenchmarkCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hd := e.ScheduleAfter(1000, h, Event{})
 		e.Cancel(hd)
+	}
+}
+
+// holdHandler re-schedules itself each time it fires, the hold model
+// of a pending-event set: with recurring set, one of four fixed delays
+// shaped like a packet fabric's (serialisation of a full frame, the
+// wire up to the header, a crossbar, a PFC frame); otherwise a delay
+// drawn uniformly from [0, 2 µs), which no lane serves.
+type holdHandler struct {
+	e         *Engine
+	rng       uint64
+	recurring bool
+}
+
+var fabricDelays = [4]Time{3330 * Nanosecond, 204 * Nanosecond, 452 * Nanosecond, 600 * Nanosecond}
+
+func (h *holdHandler) delay() Time {
+	h.rng ^= h.rng << 13
+	h.rng ^= h.rng >> 7
+	h.rng ^= h.rng << 17
+	if h.recurring {
+		return fabricDelays[h.rng>>62]
+	}
+	return Time(h.rng % 2000000)
+}
+
+func (h *holdHandler) OnEvent(now Time, ev Event) { h.e.Schedule(now+h.delay(), h, ev) }
+
+// BenchmarkHold times one Step — fire an event, schedule its
+// successor — with 285 events pending, pkt-fabric's mean queue depth,
+// for recurring delays (the lanes) and random ones (the radix queue).
+func BenchmarkHold(b *testing.B) {
+	const depth = 285
+	for _, recurring := range []bool{true, false} {
+		name := "random"
+		if recurring {
+			name = "recurring"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := New()
+			h := &holdHandler{e: e, rng: 0x9e3779b97f4a7c15, recurring: recurring}
+			for range depth {
+				e.Schedule(h.delay(), h, Event{})
+			}
+			for range 16 * depth {
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				e.Step()
+			}
+		})
 	}
 }
 

@@ -135,7 +135,7 @@ func (e *oracle) Run(limit Time) Time {
 	check := e.fired + e.stride
 	for len(e.heap) > 0 {
 		if limit > 0 && e.recs[e.heap[0]].at > limit {
-			e.now = limit
+			e.now = max(e.now, limit)
 			break
 		}
 		e.Step()
@@ -362,8 +362,8 @@ func (d *fuzzDriver) replay(data []byte, check func()) {
 	check()
 }
 
-// checkStorage verifies the radix queue's bookkeeping against a walk of
-// its buckets, and that it holds O(pending) entries: stale ones never
+// checkStorage verifies the queue's bookkeeping against a walk of its
+// buckets and lanes, and that it holds O(pending) entries: stale ones never
 // outnumber pending ones, and the node pool never outgrows twice the
 // peak pending count.
 func checkStorage(t testing.TB, e *Engine, peak int) {
@@ -378,6 +378,25 @@ func checkStorage(t testing.TB, e *Engine, peak int) {
 		}
 		if (k > 0) != (e.mask&(1<<b) != 0) {
 			t.Fatalf("list %d holds %d entries, mask bit %v", b, k, e.mask&(1<<b) != 0)
+		}
+		n += k
+	}
+	for b := range e.lanes {
+		l, k := &e.lanes[b], 0
+		for i := l.head; i != 0; i = e.nodes[i].next {
+			if k == 0 && (e.nodes[i].at != l.at || e.nodes[i].seq != l.seq) {
+				t.Fatalf("lane %d caches head key (%d, %d), holds (%d, %d)", b, l.at, l.seq, e.nodes[i].at, e.nodes[i].seq)
+			}
+			if e.nodes[i].next == 0 && i != l.tail {
+				t.Fatalf("lane %d ends at node %d, tail %d", b, i, l.tail)
+			}
+			if next := e.nodes[i].next; next != 0 && e.nodes[next].at < e.nodes[i].at {
+				t.Fatalf("lane %d out of order: %d before %d", b, e.nodes[i].at, e.nodes[next].at)
+			}
+			k++
+		}
+		if (k > 0) != (e.lmask&(1<<b) != 0) {
+			t.Fatalf("lane %d holds %d entries, mask bit %v", b, k, e.lmask&(1<<b) != 0)
 		}
 		n += k
 	}
@@ -407,6 +426,34 @@ func FuzzEngineOracle(f *testing.F) {
 	// Far keys, redistributions with stale entries, zero and stale handles.
 	f.Add([]byte{opSchedule, 0x85, 0, 1, opSchedule, 0x81, 1, 2, opSchedule, 3, 0, 0, opCancel, 1,
 		opCancel, 1, opCancel, 9, opStep, opRunLimit, 0x82, opSchedule, 0, 1, 0, opStep, opCancel, 0})
+	// Recurring delays: the second 300 ps and the second 500 ps each
+	// claim a lane; the first 300 ps, in the radix queue, ties with the
+	// lane's head and fires first on seq.
+	f.Add([]byte{opSchedule, 3, 0, 0, opSchedule, 3, 1, 0, opSchedule, 3, 0, 0, opSchedule, 5, 1, 0,
+		opSchedule, 5, 0, 0, opStep, opSchedule, 3, 1, 0, opSchedule, 5, 0, 2, opStep, opStep, opStep, opPending})
+	// Four delays fill the four lanes and a fifth stays in the radix
+	// queue; Run(150) drains the 100 ps lane, the fifth delay then
+	// takes it over, and once that drains 0 ps reuses it.
+	f.Add([]byte{opSchedule, 1, 0, 0, opSchedule, 1, 1, 0, opSchedule, 2, 0, 0, opSchedule, 2, 1, 0,
+		opSchedule, 3, 0, 0, opSchedule, 3, 1, 0, opSchedule, 4, 0, 0, opSchedule, 4, 1, 0,
+		opSchedule, 5, 0, 0, opSchedule, 5, 1, 0, opRunLimit, 3, opStep, opSchedule, 5, 0, 0,
+		opSchedule, 5, 1, 1, opPending, opRunLimit, 0})
+	// A stale lane head dropped at the front, then a compaction across
+	// lanes: two lanes and the radix queue hold cancelled entries when
+	// stale passes pending.
+	f.Add([]byte{opSchedule, 1, 0, 0, opSchedule, 1, 1, 0, opSchedule, 1, 0, 0, opSchedule, 2, 1, 0,
+		opSchedule, 2, 0, 0, opSchedule, 2, 1, 0, opSchedule, 3, 0, 0, opSchedule, 3, 1, 0,
+		opSchedule, 3, 0, 0, opCancel, 1, opStep, opStep, opCancel, 4, opCancel, 7, opCancel, 3,
+		opCancel, 6, opPending, opStep, opStep, opPending})
+	// Equal-time ties decided by seq: a radix entry before a lane head
+	// at 100 ps, then at 300 ps a lane head between two radix entries.
+	f.Add([]byte{opSchedule, 3, 0, 0, opSchedule, 3, 1, 0, opSchedule, 1, 0, 0, opSchedule, 1, 1, 0,
+		opStep, opStep, opSchedule, 2, 0, 0, opStep, opStep, opStep, opPending})
+	// Run(limit) stops with the next event in a lane: first with the
+	// limit behind the clock (Run(250) at 300), then at 550 with the
+	// lane's head at 600.
+	f.Add([]byte{opSchedule, 3, 0, 0, opSchedule, 3, 1, 0, opStep, opSchedule, 3, 0, 0, opStep,
+		opRunLimit, 1, opPending, opRunLimit, 4, opPending, opStep, opStep})
 	// A long random stream.
 	seed := make([]byte, 1000)
 	rand.New(rand.NewSource(7)).Read(seed)

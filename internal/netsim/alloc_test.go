@@ -3,6 +3,7 @@ package netsim
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -114,5 +115,14 @@ func TestOpenLoopAllocsBounded(t *testing.T) {
 	const lo, hi = 200, 1200
 	if perFlow := marginalAllocs(t, lo, hi, run); perFlow > 0.05 {
 		t.Errorf("open-loop run allocates %.3f objects per flow, want ~0", perFlow)
+	}
+}
+
+// TestRoceQPFitsItsSizeClass keeps a queue pair in the 80-byte size
+// class: a host opens one per peer, so a bigger QP shows in the bytes
+// every packet cell allocates.
+func TestRoceQPFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(roceQP{}); n > 80 {
+		t.Errorf("roceQP is %d bytes, want <= 80", n)
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -196,5 +197,81 @@ func TestQuickRTTMonotoneInSize(t *testing.T) {
 			t.Fatalf("RTT decreased from %v to %v at %dB", prev, r, b)
 		}
 		prev = r
+	}
+}
+
+// wireLog is a Forwarder that records, in wire order, the data packets
+// one host puts on its link: the first switch a packet meets is where
+// it is first seen.
+type wireLog struct {
+	RouteForwarder
+	src  int
+	seen map[int64]bool
+	pkts [][3]int64 // (dst, flow, seq)
+}
+
+func (w *wireLog) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
+	if pkt.Src == w.src && pkt.Kind == Data && !w.seen[pkt.ID] {
+		w.seen[pkt.ID] = true
+		w.pkts = append(w.pkts, [3]int64{int64(pkt.Dst), pkt.Flow, pkt.Seq})
+	}
+	return w.RouteForwarder.Forward(sw, inPort, pkt)
+}
+
+// TestNICDrainKicksInCreationOrder pins the stalled-QP bitset against
+// the scan it replaced. One host sends to 96 peers at once, so its NIC
+// stays backlogged and its QPs stall over and over. The test takes the
+// drains over — the NIC port reports none — and runs one after every
+// event: nicDrained in one run, a pump of every QP in qpList in the
+// other. The host must inject the same packets in the same order. The
+// peers are opened in an order unlike their vertex order, so creation
+// order is what the drain has to keep.
+func TestNICDrainKicksInCreationOrder(t *testing.T) {
+	const peers = 96
+	run := func(drain func(h *Host)) (*wireLog, int) {
+		g := topology.FatTree(8)
+		routes, err := routing.FatTreeDFS{}.Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts := g.Hosts()
+		w := &wireLog{RouteForwarder: NewRouteForwarder(routes), src: hosts[0], seen: map[int64]bool{}}
+		net, err := NewNetwork(g, w, DefaultConfig(), nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := net.Host(hosts[0])
+		h.out.hostOwner = nil
+		for i := 0; i < peers; i++ {
+			h.Send(hosts[1+i*37%(len(hosts)-1)], i, 3*4096+100)
+		}
+		stalls := 0
+		for net.Sim.Step() {
+			for _, word := range h.roce.stalled {
+				stalls += bits.OnesCount64(word)
+			}
+			drain(h)
+		}
+		if len(h.roce.qpList) != peers {
+			t.Fatalf("%d QPs, want %d", len(h.roce.qpList), peers)
+		}
+		if want := peers * 4; len(w.pkts) != want {
+			t.Fatalf("host injected %d data packets, want %d", len(w.pkts), want)
+		}
+		return w, stalls
+	}
+	got, stalls := run((*Host).nicDrained)
+	want, _ := run(func(h *Host) {
+		for _, q := range h.roce.qpList {
+			q.pump()
+		}
+	})
+	if stalls < peers {
+		t.Fatalf("QPs stalled %d times in all; the test drives too little backlog", stalls)
+	}
+	for i := range want.pkts {
+		if got.pkts[i] != want.pkts[i] {
+			t.Fatalf("injection %d: (dst, flow, seq) = %v, a full scan gives %v", i, got.pkts[i], want.pkts[i])
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package netsim
 
-import "repro/internal/engine"
+import (
+	"math/bits"
+
+	"repro/internal/engine"
+)
 
 // mailbox matches arrived messages with posted receives, MPI-style
 // (exact source + tag matching, FIFO per key). Continuations are stored
@@ -75,7 +79,8 @@ type roceMsg struct {
 }
 
 // roceQP is a per-destination queue pair; its ccPolicy paces emission
-// (DCQCN, Timely, line rate — see cc.go).
+// (DCQCN, Timely, line rate — see cc.go). idx is its creation index on
+// the host; it shares a word with pumping, so a QP stays 80 bytes.
 type roceQP struct {
 	h          *Host
 	dst        int
@@ -83,14 +88,21 @@ type roceQP struct {
 	msgs       []roceMsg // msgs[head:] wait to be sent, oldest first
 	head       int
 	pumping    bool
+	idx        int32
 	nextSendAt Time
 }
 
-// roceEngine manages QPs and message reassembly for one host.
+// roceEngine manages QPs and message reassembly for one host. It lives
+// inside its Host rather than in an allocation of its own.
 type roceEngine struct {
 	h      *Host
 	qps    map[int]*roceQP
 	qpList []*roceQP // creation order, for deterministic kicks
+	// stalled is a bitset over qpList: bit i is set when qpList[i]'s
+	// pump stopped on NIC backlog, so a drain kicks only those. It
+	// starts in words, so a host's first 128 QPs allocate no bitset.
+	stalled []uint64
+	words   [2]uint64
 	// reassembly: (src, msgID) -> bytes still missing.
 	rx map[rxKey]rxState
 	// np: last CNP time per flow (congestion notification point).
@@ -111,17 +123,22 @@ type rxState struct {
 	tag   int
 }
 
-func newRoceEngine(h *Host) *roceEngine {
-	return &roceEngine{h: h, qps: map[int]*roceQP{}, rx: map[rxKey]rxState{}, np: map[int64]Time{}}
+// init readies the engine of host h in place.
+func (e *roceEngine) init(h *Host) {
+	*e = roceEngine{h: h, qps: map[int]*roceQP{}, rx: map[rxKey]rxState{}, np: map[int64]Time{}}
+	e.stalled = e.words[:0]
 }
 
 func (e *roceEngine) qp(dst int) *roceQP {
 	if q, ok := e.qps[dst]; ok {
 		return q
 	}
-	q := &roceQP{h: e.h, dst: dst, cc: e.h.net.newQPCC()}
+	q := &roceQP{h: e.h, dst: dst, cc: e.h.net.newQPCC(), idx: int32(len(e.qpList))}
 	e.qps[dst] = q
 	e.qpList = append(e.qpList, q)
+	if len(e.qpList) > 64*len(e.stalled) {
+		e.stalled = append(e.stalled, 0)
+	}
 	return q
 }
 
@@ -161,8 +178,9 @@ func (q *roceQP) pump() {
 		return
 	}
 	n := q.h.net
-	if q.h.out.queuedDataBytes() > 2*(n.Cfg.MTU+n.Cfg.HeaderBytes) {
-		return // NIC backlogged; resume on drain
+	if q.h.nicBacklogged() {
+		q.h.roce.stalled[q.idx>>6] |= 1 << (q.idx & 63) // resume on drain
+		return
 	}
 	q.pumping = true
 	now := n.Sim.Now()
@@ -245,11 +263,26 @@ func (h *Host) inject(pkt *Packet) {
 	h.net.tryTransmit(h.out)
 }
 
+// nicBacklogged reports whether more than two packets wait on the
+// NIC's data queues, which holds back every QP pump.
+func (h *Host) nicBacklogged() bool {
+	return h.out.queuedDataBytes() > 2*(h.net.Cfg.MTU+h.net.Cfg.HeaderBytes)
+}
+
 // nicDrained is called when a packet leaves the NIC wire queue; it
-// resumes any QP pump that deferred on backlog.
+// resumes, in creation order, the QP pumps that stopped on backlog.
+// Every other QP is pumping or has nothing to send, so pumping it
+// would do nothing.
 func (h *Host) nicDrained() {
-	for _, q := range h.roce.qpList {
-		q.pump()
+	if h.nicBacklogged() {
+		return
+	}
+	e := &h.roce
+	for w, word := range e.stalled {
+		e.stalled[w] = 0
+		for ; word != 0; word &= word - 1 {
+			e.qpList[w<<6|bits.TrailingZeros64(word)].pump()
+		}
 	}
 }
 
@@ -288,7 +321,7 @@ func (h *Host) receive(pkt *Packet) {
 // per data packet carrying the send stamp back to the source).
 func (h *Host) roceData(pkt *Packet) {
 	n := h.net
-	e := h.roce
+	e := &h.roce
 	h.DeliveredBytes += int64(pkt.Len)
 	n.DeliveredPkt++
 	if n.OnDeliver != nil {

@@ -260,7 +260,7 @@ type Host struct {
 	// from host; hosts also honour pause on their own out port).
 	upstream *OutPort
 
-	roce *roceEngine
+	roce roceEngine
 	tcp  map[int64]*TCPConn // by flow ID (receiver and sender side)
 
 	// DeliveredBytes counts payload bytes received (goodput).
@@ -474,7 +474,7 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 	}
 	for _, h := range hosts {
 		if h != nil {
-			h.roce = newRoceEngine(h)
+			h.roce.init(h)
 		}
 	}
 	return n, nil
@@ -604,7 +604,7 @@ func (n *Network) onDequeued(o *OutPort, inPort, prio, size int) {
 		o.hostOwner.nicDrained()
 		return
 	}
-	sw := n.ownerOf(o)
+	sw := o.ownerCache
 	if sw == nil {
 		return
 	}
@@ -623,9 +623,6 @@ func (n *Network) onDequeued(o *OutPort, inPort, prio, size int) {
 		}
 	}
 }
-
-// ownerOf returns the switch owning an out port (nil for host NICs).
-func (n *Network) ownerOf(o *OutPort) *SimSwitch { return o.ownerCache }
 
 // SetLinkDown fails (or restores) both directions of a logical edge.
 // Cutting a link flushes the queues feeding it — every queued packet
