@@ -225,7 +225,7 @@ func TestFacadeReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reconfig == nil || len(res.Reconfig.Transitions) != 1 || !res.Reconfig.Transitions[0].Committed {
-		t.Fatalf("reconfig report = %+v", res.Reconfig)
+	if len(res.Reconfig) != 1 || res.Reconfig[0].Outcome != "committed" {
+		t.Fatalf("reconfig stages = %+v", res.Reconfig)
 	}
 }

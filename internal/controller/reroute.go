@@ -56,8 +56,6 @@ type Rerouter struct {
 	live *routing.Routes // mutated in place; private to the run
 	orig []routing.Rule  // the strategy's rules, the repair baseline
 	down routing.Outage
-	// repairs executed, in order.
-	Repairs []Repair
 }
 
 // NewRerouter builds a repair loop over a run-private route set.
@@ -101,18 +99,11 @@ func (r *Rerouter) repair(net *netsim.Network, faultAt netsim.Time) {
 	rep := Repair{
 		FaultAt:      faultAt,
 		At:           net.Sim.Now(),
-		RulesChanged: ruleChurn(r.live.Rules, rules),
+		RulesChanged: routing.Churn(r.live.Rules, rules),
 		PatchedDsts:  len(patched),
 	}
 	r.live.ReplaceRules(append([]routing.Rule(nil), rules...))
-	r.Repairs = append(r.Repairs, rep)
 	if r.OnRepair != nil {
 		r.OnRepair(rep)
 	}
-}
-
-// ruleChurn counts the flow-mods moving the fabric from old to new
-// (routing.Churn; kept as a local name for the call sites above).
-func ruleChurn(old, new []routing.Rule) int {
-	return routing.Churn(old, new)
 }

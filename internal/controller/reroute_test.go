@@ -121,7 +121,7 @@ func TestRuleChurn(t *testing.T) {
 		{[]routing.Rule{a, a}, []routing.Rule{a}, 1}, // duplicates count
 	}
 	for i, cse := range cases {
-		if got := ruleChurn(cse.old, cse.new); got != cse.want {
+		if got := routing.Churn(cse.old, cse.new); got != cse.want {
 			t.Errorf("case %d: churn %d, want %d", i, got, cse.want)
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/netsim"
 	"repro/internal/projection"
+	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
@@ -104,11 +105,11 @@ type RunResult struct {
 	Incomplete int
 	// Recovery carries the per-fault repair and reconvergence metrics.
 	Recovery *telemetry.Recovery
-	// Reconfig carries the per-transition protocol telemetry for runs
-	// whose scenario scheduled live topology transitions (nil
-	// otherwise). FaultDrops and Incomplete above then count the drain
-	// windows' losses.
-	Reconfig *telemetry.ReconfigReport
+	// Reconfig is the record of each transition a scenario's
+	// reconfig.Spec scheduled, in spec order (empty otherwise).
+	// FaultDrops and Incomplete above then count the drain windows'
+	// losses.
+	Reconfig []reconfig.Stage
 }
 
 // Network builds the netsim fabric for a topology in the given mode,

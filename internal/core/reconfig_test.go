@@ -50,14 +50,12 @@ func reconfigFixture(t *testing.T, seed int64) (*Testbed, *topology.Graph, *load
 func reconfigDigest(res *RunResult) string {
 	s := fmt.Sprintf("act=%d drops=%d faultdrops=%d incomplete=%d pauses=%d events=%d\n",
 		res.ACT, res.Drops, res.FaultDrops, res.Incomplete, res.Pauses, res.Events)
-	if res.Reconfig != nil {
-		for i := range res.Reconfig.Transitions {
-			e := &res.Reconfig.Transitions[i]
-			s += fmt.Sprintf("%s rej=%t com=%t drain=%d links=%d patch=%d pchurn=%d decide=%d restore=%d rchurn=%d deliv=%d lost=%d entries=%d rt=%d hw=%.0f\n",
-				e.Desc, e.Rejected, e.Committed, e.DrainAt, e.DrainedLinks, e.PatchAt, e.PatchChurn,
-				e.DecisionAt, e.RestoreAt, e.RestoreChurn, e.FirstDeliveryAfter, e.LostAfter-e.LostBefore,
-				e.Entries, int64(e.ReconfigTime), e.HardwareCost)
-		}
+	for i := range res.Reconfig {
+		st := &res.Reconfig[i]
+		s += fmt.Sprintf("%s outcome=%q drain=%d links=%d patch=%d pchurn=%d decide=%d restore=%d rchurn=%d deliv=%d lost=%d entries=%d rt=%d hw=%.0f\n",
+			st.Desc, st.Outcome, st.DrainAt, len(st.Drained), st.PatchAt, st.PatchChurn,
+			st.CommitAt, st.RestoreAt, st.RestoreChurn, st.FirstDeliveryAfter, st.Lost,
+			st.Entries, int64(st.ReconfigTime), st.HardwareCost)
 	}
 	return s
 }
@@ -77,21 +75,21 @@ func TestReconfigRunDeterministic(t *testing.T) {
 		if res.FaultDrops == 0 {
 			t.Fatal("drain dropped nothing; the transition missed the traffic")
 		}
-		if res.Reconfig == nil || len(res.Reconfig.Transitions) != 1 {
-			t.Fatalf("reconfig report = %+v", res.Reconfig)
+		if len(res.Reconfig) != 1 {
+			t.Fatalf("reconfig stages = %+v", res.Reconfig)
 		}
-		e := &res.Reconfig.Transitions[0]
-		if !e.Committed || e.Rejected {
-			t.Fatalf("transition did not commit: %+v", e)
+		st := &res.Reconfig[0]
+		if st.Outcome != reconfig.OutcomeCommitted {
+			t.Fatalf("transition did not commit: %+v", st)
 		}
-		if lost := e.LostAfter - e.LostBefore; lost <= 0 || e.TotalChurn() == 0 {
-			t.Fatalf("degradation not measured: lost=%d churn=%d", lost, e.TotalChurn())
+		if st.Lost <= 0 || st.TotalChurn() == 0 {
+			t.Fatalf("degradation not measured: lost=%d churn=%d", st.Lost, st.TotalChurn())
 		}
-		if e.Reconvergence() <= 0 {
-			t.Fatalf("no reconvergence measured: %d", e.Reconvergence())
+		if st.Reconvergence() <= 0 {
+			t.Fatalf("no reconvergence measured: %d", st.Reconvergence())
 		}
-		if e.Entries <= 0 || e.ReconfigTime <= 0 || e.HardwareCost <= 0 {
-			t.Fatalf("cost columns missing: %+v", e)
+		if st.Entries <= 0 || st.ReconfigTime <= 0 || st.HardwareCost <= 0 {
+			t.Fatalf("cost columns missing: %+v", st)
 		}
 		digests = append(digests, reconfigDigest(res))
 		ends := make([]netsim.Time, len(fs.Flows))
@@ -169,11 +167,8 @@ func TestNoReconfigIdenticalToEmptySpec(t *testing.T) {
 			t.Fatalf("flow %d completion changed under an empty spec", i)
 		}
 	}
-	if plain.Reconfig != nil {
-		t.Fatal("nil spec grew a reconfig report")
-	}
-	if empty.Reconfig == nil || len(empty.Reconfig.Transitions) != 0 {
-		t.Fatalf("empty spec report = %+v", empty.Reconfig)
+	if len(plain.Reconfig) != 0 || len(empty.Reconfig) != 0 {
+		t.Fatalf("transition-free runs recorded stages: %+v, %+v", plain.Reconfig, empty.Reconfig)
 	}
 	if plain.FaultDrops != 0 || empty.FaultDrops != 0 {
 		t.Fatal("transition-free runs counted drain drops")
@@ -201,14 +196,17 @@ func TestReconfigRollbackUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reconfig == nil || len(res.Reconfig.Transitions) != 1 {
-		t.Fatalf("reconfig report = %+v", res.Reconfig)
+	if len(res.Reconfig) != 1 {
+		t.Fatalf("reconfig stages = %+v", res.Reconfig)
 	}
-	e := &res.Reconfig.Transitions[0]
-	if e.Committed || e.Rejected || !strings.Contains(e.Reason, "injected") {
-		t.Fatalf("rollback not recorded: %+v", e)
+	st := &res.Reconfig[0]
+	if !strings.HasPrefix(st.Outcome, reconfig.OutcomeRolledBack) || !strings.Contains(st.Outcome, "injected") {
+		t.Fatalf("rollback not recorded: %+v", st)
 	}
-	if e.DrainedLinks == 0 || res.FaultDrops == 0 {
+	if st.RestoreAt != st.CommitAt {
+		t.Fatalf("rollback restored at %d, decided at %d", st.RestoreAt, st.CommitAt)
+	}
+	if len(st.Drained) == 0 || res.FaultDrops == 0 {
 		t.Fatal("rollback fixture drained nothing")
 	}
 	if downAfter != 0 {
@@ -220,8 +218,46 @@ func TestReconfigRollbackUnderTraffic(t *testing.T) {
 	if res.ACT <= 0 || res.Incomplete >= len(fs.Flows) {
 		t.Fatalf("run did not recover: act=%d incomplete=%d/%d", res.ACT, res.Incomplete, len(fs.Flows))
 	}
-	if res.Reconfig.Incomplete != res.Incomplete {
-		t.Fatalf("report incomplete %d != run incomplete %d", res.Reconfig.Incomplete, res.Incomplete)
+	// The drain window is the only place a fault drop can happen.
+	if st.Lost != res.FaultDrops {
+		t.Fatalf("stage lost %d, the run %d", st.Lost, res.FaultDrops)
+	}
+}
+
+// TestReconfigRejectedThenCommitted: a transition whose target the
+// cabling cannot host is rejected at New and leaves an empty record,
+// while the ones after it in the same spec commit and measure their own
+// disruption — stage records stay indexed by spec order, and each
+// counts only its own window's losses.
+func TestReconfigRejectedThenCommitted(t *testing.T) {
+	tb, g, fs, spec := reconfigFixture(t, 7)
+	committing := spec.Transitions[0]
+	again := committing
+	again.At = committing.At + committing.Drain + committing.Install + 1
+	spec.Transitions = []reconfig.Transition{
+		{At: committing.At / 4, Target: topology.Dragonfly(4, 9, 2, 1), Drain: committing.Drain, Install: committing.Install},
+		committing,
+		again,
+	}
+	res, err := Run(context.Background(), tb, Scenario{Topo: g, Flows: fs.Flows, Reconfig: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Reconfig) != 3 {
+		t.Fatalf("reconfig stages = %+v", res.Reconfig)
+	}
+	rej := &res.Reconfig[0]
+	if !strings.HasPrefix(rej.Outcome, reconfig.OutcomeRejected) || len(rej.Drained) != 0 ||
+		rej.TotalChurn() != 0 || rej.Lost != 0 || rej.Reconvergence() != -1 {
+		t.Fatalf("rejected stage = %+v", rej)
+	}
+	for _, com := range res.Reconfig[1:] {
+		if com.Outcome != reconfig.OutcomeCommitted || com.Lost <= 0 || com.TotalChurn() <= 0 || com.Reconvergence() <= 0 {
+			t.Fatalf("committed stage = %+v", com)
+		}
+	}
+	if lost := res.Reconfig[1].Lost + res.Reconfig[2].Lost; lost != res.FaultDrops {
+		t.Fatalf("stages lost %d in all, the run %d", lost, res.FaultDrops)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/reconfig"
+	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
@@ -250,7 +251,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if err != nil {
 		return nil, err
 	}
-	rcTracker, err := armReconfig(net, sc, g, tb)
+	rc, err := armReconfig(net, sc, g, tb)
 	if err != nil {
 		return nil, err
 	}
@@ -291,8 +292,8 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if tracker != nil {
 		res.Recovery = tracker.Report(incomplete)
 	}
-	if rcTracker != nil {
-		res.Reconfig = rcTracker.ReconfigReport(incomplete)
+	if rc != nil {
+		res.Reconfig = rc.Stages
 	}
 	if dep != nil {
 		res.Deploy = dep.DeployTime
@@ -323,17 +324,9 @@ func armFaults(net *netsim.Network, sc Scenario, g *topology.Graph) (*telemetry.
 		tracker.Fault(n.Sim.Now(), ev.String())
 	})}
 	if lat := sc.Faults.Repair(); lat >= 0 {
-		if rf, ok := net.Fwd.(netsim.RouteForwarder); ok {
-			// Repairs mutate the route set mid-run; give this run its
-			// own copy so SDT deployments and sweep siblings sharing
-			// the original stay untouched.
-			live := rf.Routes.Clone()
-			live.Prime()
-			net.Fwd = netsim.NewRouteForwarder(live)
-			rr := controller.NewRerouter(g, live, lat)
-			rr.OnRepair = func(rep controller.Repair) { tracker.Repaired(rep.At, rep.RulesChanged) }
-			obs = append(obs, rr)
-		}
+		rr := controller.NewRerouter(g, privateRoutes(net), lat)
+		rr.OnRepair = func(rep controller.Repair) { tracker.Repaired(rep.At, rep.RulesChanged) }
+		obs = append(obs, rr)
 	}
 	faults.Bind(net, sched, obs...)
 	return tracker, nil
@@ -342,52 +335,30 @@ func armFaults(net *netsim.Network, sc Scenario, g *topology.Graph) (*telemetry.
 // armReconfig builds and binds the scenario's reconfiguration
 // schedule, if any: a Reconfigurer over a run-private projection
 // allocation (drawn from the testbed controller's cabling) and a
-// run-private clone of the route set, with a RecoveryTracker wired to
-// every stage hook so the run result carries the per-transition
-// protocol telemetry. Returns nil when the scenario schedules no
-// transitions.
-func armReconfig(net *netsim.Network, sc Scenario, g *topology.Graph, tb *Testbed) (*telemetry.RecoveryTracker, error) {
+// run-private route set. Its stages are the run's transition records.
+// Returns nil when the scenario carries no reconfig.Spec.
+func armReconfig(net *netsim.Network, sc Scenario, g *topology.Graph, tb *Testbed) (*reconfig.Reconfigurer, error) {
 	if sc.Reconfig == nil {
 		return nil, nil
 	}
-	rf, ok := net.Fwd.(netsim.RouteForwarder)
-	if !ok {
-		return nil, errors.New("core: reconfiguration needs a route-forwarded fabric")
-	}
-	// Patch and restore mutate the route set mid-run; give this run its
-	// own copy so SDT deployments and sweep siblings sharing the
-	// original stay untouched (same contract as armFaults).
-	live := rf.Routes.Clone()
-	live.Prime()
-	net.Fwd = netsim.NewRouteForwarder(live)
-	rc, err := reconfig.New(g, tb.Ctl.Cabling, live, sc.Reconfig, partition.Options{})
+	rc, err := reconfig.New(g, tb.Ctl.Cabling, privateRoutes(net), sc.Reconfig, partition.Options{})
 	if err != nil {
 		return nil, err
 	}
-	tracker := telemetry.NewRecoveryTracker(net)
-	// rec maps the reconfigurer's stage index to the tracker's record
-	// index (rejected stages record out of band, so they differ).
-	rec := make([]int, len(rc.Stages))
-	rc.OnDrain = func(now netsim.Time, i int, drained []int) {
-		rec[i] = tracker.TransitionDrain(now, rc.Stages[i].Desc, len(drained))
-	}
-	rc.OnReject = func(now netsim.Time, i int, reason string) {
-		tracker.TransitionReject(now, rc.Stages[i].Desc, reason)
-	}
-	rc.OnPatch = func(now netsim.Time, i int, churn int) {
-		tracker.TransitionPatch(rec[i], now, churn)
-	}
-	rc.OnCommit = func(now netsim.Time, i int, entries int, reconfigTime time.Duration, hwCost float64) {
-		tracker.TransitionCommit(rec[i], now, entries, reconfigTime, hwCost)
-	}
-	rc.OnRollback = func(now netsim.Time, i int, reason string) {
-		tracker.TransitionRollback(rec[i], now, reason)
-	}
-	rc.OnRestore = func(now netsim.Time, i int, churn int) {
-		tracker.TransitionRestore(rec[i], now, churn)
-	}
 	rc.Bind(net)
-	return tracker, nil
+	return rc, nil
+}
+
+// privateRoutes gives a run its own primed copy of the fabric's route
+// set and forwards on it. Fault repair and reconfiguration mutate the
+// rules mid-run; SDT deployments and sweep siblings sharing the
+// original must stay untouched. Testbed.network always builds a
+// RouteForwarder.
+func privateRoutes(net *netsim.Network) *routing.Routes {
+	live := net.Fwd.(netsim.RouteForwarder).Routes.Clone()
+	live.Prime()
+	net.Fwd = netsim.NewRouteForwarder(live)
+	return live
 }
 
 // armTicks schedules each observer's periodic Tick inside the

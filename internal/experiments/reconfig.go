@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/loadgen"
@@ -183,25 +184,25 @@ func fillReconfigCell(c *ReconfigSweepCell, r *core.RunResult, fs *loadgen.FlowS
 	}
 	c.Incomplete = r.Incomplete
 	c.Reconv = -1
-	if r.Reconfig == nil || len(r.Reconfig.Transitions) == 0 {
+	if len(r.Reconfig) == 0 {
 		return
 	}
-	e := &r.Reconfig.Transitions[0]
-	switch {
-	case e.Rejected:
-		c.Outcome = "rejected"
-	case e.Committed:
-		c.Outcome = "committed"
-	default:
-		c.Outcome = "rolled-back"
-	}
-	c.Links = e.DrainedLinks
-	c.Lost = r.Reconfig.PacketsLost
-	c.Churn = e.TotalChurn()
-	c.Reconv = e.Reconvergence()
-	c.Entries = e.Entries
-	c.ReconfigMs = e.ReconfigTime.Seconds() * 1e3
-	c.HWCost = e.HardwareCost
+	st := &r.Reconfig[0]
+	c.Outcome = outcomeName(st)
+	c.Links = len(st.Drained)
+	c.Lost = r.FaultDrops
+	c.Churn = st.TotalChurn()
+	c.Reconv = st.Reconvergence()
+	c.Entries = st.Entries
+	c.ReconfigMs = st.ReconfigTime.Seconds() * 1e3
+	c.HWCost = st.HardwareCost
+}
+
+// outcomeName is a stage's outcome without its reason: "committed",
+// "rolled-back" or "rejected".
+func outcomeName(st *reconfig.Stage) string {
+	name, _, _ := strings.Cut(st.Outcome, ":")
+	return name
 }
 
 // Format prints the reconfiguration sweep grid.
@@ -330,22 +331,15 @@ func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult
 		// Phase boundaries from the actual protocol timestamps, not the
 		// spec: a rejected transition would leave the whole run "before".
 		drainAt, restoreAt := netsim.Time(-1), netsim.Time(-1)
-		if r.Reconfig != nil && len(r.Reconfig.Transitions) > 0 {
-			e := &r.Reconfig.Transitions[0]
-			switch {
-			case e.Rejected:
-				row.Outcome = "rejected"
-			case e.Committed:
-				row.Outcome = "committed"
-			default:
-				row.Outcome = "rolled-back"
-			}
-			row.Lost = r.Reconfig.PacketsLost
-			row.Reconv = e.Reconvergence()
-			row.Entries = e.Entries
-			row.ReconfigMs = e.ReconfigTime.Seconds() * 1e3
-			if !e.Rejected {
-				drainAt, restoreAt = e.DrainAt, e.RestoreAt
+		if len(r.Reconfig) > 0 {
+			st := &r.Reconfig[0]
+			row.Outcome = outcomeName(st)
+			row.Lost = r.FaultDrops
+			row.Reconv = st.Reconvergence()
+			row.Entries = st.Entries
+			row.ReconfigMs = st.ReconfigTime.Seconds() * 1e3
+			if row.Outcome != reconfig.OutcomeRejected {
+				drainAt, restoreAt = st.DrainAt, st.RestoreAt
 			}
 		}
 		var before, during, after []netsim.Flow

@@ -6,7 +6,8 @@ package reconfig
 // leaving the system consistent — the resident plan passes Plan.Check,
 // and the run-private allocation books exactly that plan's resources:
 // nothing leaked by a Release, nothing double-booked by a rollback
-// re-Acquire. CI runs this as a smoke
+// re-Acquire. Every stage record must agree with its outcome. CI runs
+// this as a smoke
 // (`go test -fuzz=FuzzReconfigPlan -fuzztime=10s`).
 
 import (
@@ -118,8 +119,23 @@ func FuzzReconfigPlan(f *testing.F) {
 			default:
 				t.Fatalf("stage %d has unknown outcome %q", i, st.Outcome)
 			}
-			if strings.HasPrefix(st.Outcome, OutcomeRejected) && len(st.Drained) != 0 {
-				t.Fatalf("stage %d rejected but drained %v", i, st.Drained)
+			// The stage record must agree with its outcome.
+			switch {
+			case strings.HasPrefix(st.Outcome, OutcomeRejected):
+				if len(st.Drained) != 0 || st.TotalChurn() != 0 || st.Lost != 0 || st.Reconvergence() != -1 {
+					t.Fatalf("stage %d rejected but touched the fabric: %+v", i, st)
+				}
+			case strings.HasPrefix(st.Outcome, OutcomeRolledBack):
+				if st.RestoreAt != st.CommitAt {
+					t.Fatalf("stage %d rolled back at %d but restored at %d", i, st.CommitAt, st.RestoreAt)
+				}
+			default:
+				if st.DrainAt > st.CommitAt || st.CommitAt > st.RestoreAt {
+					t.Fatalf("stage %d committed out of order: drain %d, commit %d, restore %d", i, st.DrainAt, st.CommitAt, st.RestoreAt)
+				}
+			}
+			if st.Lost < 0 {
+				t.Fatalf("stage %d lost %d packets", i, st.Lost)
 			}
 		}
 		// The resident plan — whatever committed last, or the original —

@@ -22,9 +22,12 @@
 //     plan is re-Acquired, drained links restored, and the original
 //     rules swapped back, so the run completes on the old topology;
 //  3. reconverge: after the install window the drained links come back
-//     up and the full original rules are restored; the caller's hooks
-//     (wired to telemetry.RecoveryTracker by the core run loop) stamp
-//     packets lost, reconvergence time, and rule churn.
+//     up and the full original rules are restored; the stage records
+//     the packets lost since drain, its rule churn, and the first
+//     payload delivery after the restore (reconvergence time).
+//
+// The Stage is the whole record of a transition: the core run loop
+// returns the reconfigurer's stages as the run's result.
 //
 // The evaluation fabric keeps executing the running topology's workload
 // throughout — the measured quantity is the *disruption* a transition
@@ -117,14 +120,17 @@ const (
 	OutcomeRejected   = "rejected"
 )
 
-// Stage is one transition resolved against a topology and cabling:
-// absolute stage times, the drained link set, and — after the run — the
-// outcome and the committed target's cost columns.
+// Stage is one transition resolved against a topology and cabling —
+// absolute stage times and the drained link set — and, after the run,
+// its whole record: outcome, churn, losses, reconvergence and the
+// committed target's cost columns.
 type Stage struct {
 	Transition
 	// Desc names the transition (e.g. "fat-tree-4->dragonfly @500us").
 	Desc string
-	// DrainAt/CommitAt/RestoreAt are the resolved stage boundaries.
+	// DrainAt/CommitAt/RestoreAt are the resolved stage boundaries. A
+	// rollback restores at the decision, so it moves RestoreAt to
+	// CommitAt.
 	DrainAt, CommitAt, RestoreAt netsim.Time
 	// PatchAt is when the degraded routes go live (-1 = patch disabled).
 	PatchAt netsim.Time
@@ -137,6 +143,15 @@ type Stage struct {
 	// stage whose target cannot be projected at all is rejected before
 	// drain and never touches the fabric.
 	Outcome string
+	// PatchChurn and RestoreChurn are the rule churn of the degraded
+	// swap and of the restore swap.
+	PatchChurn, RestoreChurn int
+	// Lost counts the packets the fabric dropped between drain and
+	// restore (the netsim.Network.FaultDrops delta).
+	Lost int64
+	// FirstDeliveryAfter is the first payload delivery at or after the
+	// restore (-1 if none landed).
+	FirstDeliveryAfter netsim.Time
 	// Entries, ReconfigTime, HardwareCost are the committed target's
 	// flow-table entry count and costmodel-derived downtime and
 	// hardware price (zero unless committed).
@@ -144,6 +159,20 @@ type Stage struct {
 	ReconfigTime time.Duration
 	HardwareCost float64
 }
+
+// Reconvergence returns the drain→first-restored-delivery time, or -1
+// when the fabric never delivered after the restore (a rejected stage
+// never restores).
+func (s *Stage) Reconvergence() netsim.Time {
+	if s.FirstDeliveryAfter < 0 {
+		return -1
+	}
+	return s.FirstDeliveryAfter - s.DrainAt
+}
+
+// TotalChurn is the transition's full rule churn: the degraded patch
+// plus the restore swap.
+func (s *Stage) TotalChurn() int { return s.PatchChurn + s.RestoreChurn }
 
 // Schedule validates the spec's shape against the running topology and
 // resolves the stage times. It is the pure-time half of New: no cabling
@@ -175,12 +204,13 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Stage, error) {
 			return nil, fmt.Errorf("reconfig: transition %d: starts at %d inside the previous transition's window (ends %d)", i, t.At, prevEnd)
 		}
 		st := Stage{
-			Transition: t,
-			Desc:       fmt.Sprintf("%s->%s @%dus", g.Name, t.Target.Name, int64(t.At/netsim.Microsecond)),
-			DrainAt:    t.At,
-			CommitAt:   t.At + drain,
-			RestoreAt:  t.At + drain + install,
-			PatchAt:    -1,
+			Transition:         t,
+			Desc:               fmt.Sprintf("%s->%s @%dus", g.Name, t.Target.Name, int64(t.At/netsim.Microsecond)),
+			DrainAt:            t.At,
+			CommitAt:           t.At + drain,
+			RestoreAt:          t.At + drain + install,
+			PatchAt:            -1,
+			FirstDeliveryAfter: -1,
 		}
 		if p := s.Patch(); p >= 0 && p < drain {
 			st.PatchAt = t.At + p
@@ -192,16 +222,16 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Stage, error) {
 }
 
 // Reconfigurer executes one spec's transitions against one running
-// fabric. Create with New, set the hooks, then Bind before the
-// simulation starts. All stage execution happens inside the engine
-// thread; the Reconfigurer owns a run-private Allocation over the
-// testbed's cabling, so concurrent sweep siblings never contend.
+// fabric. Create with New, then Bind before the simulation starts. All
+// stage execution happens inside the engine thread; the Reconfigurer
+// owns a run-private Allocation over the testbed's cabling, so
+// concurrent sweep siblings never contend.
 type Reconfigurer struct {
 	// Spec is the validated input.
 	Spec *Spec
-	// Stages is the resolved schedule; outcomes and cost columns fill
-	// in as the run executes. Stages rejected at New time (target does
-	// not project onto the cabling) carry their Outcome up front.
+	// Stages is the resolved schedule; each stage's record fills in as
+	// the run executes. Stages rejected at New time (target does not
+	// project onto the cabling) are complete up front.
 	Stages []Stage
 
 	g     *topology.Graph
@@ -213,14 +243,9 @@ type Reconfigurer struct {
 	live  *routing.Routes  // run-private; mutated by patch/restore
 	orig  []routing.Rule   // the strategy's full rules, the restore baseline
 
-	// Lifecycle hooks, all optional, called inside the engine thread.
-	// i indexes Stages.
-	OnDrain    func(now netsim.Time, i int, drained []int)
-	OnPatch    func(now netsim.Time, i int, churn int)
-	OnCommit   func(now netsim.Time, i int, entries int, reconfigTime time.Duration, hwCost float64)
-	OnRollback func(now netsim.Time, i int, reason string)
-	OnRestore  func(now netsim.Time, i int, churn int)
-	OnReject   func(now netsim.Time, i int, reason string)
+	net      *netsim.Network // the bound fabric
+	drops    int64           // FaultDrops at the open stage's drain (windows never overlap)
+	awaiting []*Stage        // restored stages awaiting their first delivery
 }
 
 // New resolves a spec against the running topology g, the testbed's
@@ -288,44 +313,35 @@ func drainSet(base, probe *projection.Plan) []int {
 }
 
 // Bind arms the stage schedule on a network. Call before the simulation
-// runs. Rejected stages only notify OnReject at their drain time.
+// runs. Rejected stages schedule nothing: their record is complete.
 func (r *Reconfigurer) Bind(net *netsim.Network) {
+	r.net = net
 	for i := range r.Stages {
-		i := i
 		st := &r.Stages[i]
 		if st.Outcome != "" {
-			net.Sim.At(st.DrainAt, func() {
-				if r.OnReject != nil {
-					r.OnReject(net.Sim.Now(), i, r.Stages[i].Outcome)
-				}
-			})
 			continue
 		}
-		net.Sim.At(st.DrainAt, func() { r.drain(net, i) })
+		net.Sim.At(st.DrainAt, func() { r.drain(st) })
 		if st.PatchAt >= 0 {
-			net.Sim.At(st.PatchAt, func() { r.patch(net, i) })
+			net.Sim.At(st.PatchAt, func() { r.patch(st) })
 		}
-		net.Sim.At(st.CommitAt, func() { r.commit(net, i) })
+		net.Sim.At(st.CommitAt, func() { r.commit(st) })
 	}
 }
 
 // drain takes the stage's link set down; in-flight packets on those
 // links account as fault drops with PFC unwind.
-func (r *Reconfigurer) drain(net *netsim.Network, i int) {
-	st := &r.Stages[i]
+func (r *Reconfigurer) drain(st *Stage) {
+	r.drops = r.net.FaultDrops
 	for _, e := range st.Drained {
-		net.SetLinkDown(e, true)
-	}
-	if r.OnDrain != nil {
-		r.OnDrain(net.Sim.Now(), i, st.Drained)
+		r.net.SetLinkDown(e, true)
 	}
 }
 
 // patch swaps degraded routes around the drained set: destinations
 // whose trees ride drained links move to shortest paths on the
 // surviving subgraph, everything else keeps its strategy rules.
-func (r *Reconfigurer) patch(net *netsim.Network, i int) {
-	st := &r.Stages[i]
+func (r *Reconfigurer) patch(st *Stage) {
 	if len(st.Drained) == 0 {
 		return // disjoint physical resources: nothing to route around
 	}
@@ -335,35 +351,25 @@ func (r *Reconfigurer) patch(net *netsim.Network, i int) {
 	}
 	base := &routing.Routes{Topo: r.g, Strategy: r.live.Strategy, NumVCs: r.live.NumVCs, Rules: r.orig}
 	rules, _ := routing.RepairAvoiding(base, down)
-	churn := routing.Churn(r.live.Rules, rules)
+	st.PatchChurn = routing.Churn(r.live.Rules, rules)
 	r.live.ReplaceRules(append([]routing.Rule(nil), rules...))
-	if r.OnPatch != nil {
-		r.OnPatch(net.Sim.Now(), i, churn)
-	}
 }
 
 // commit runs the control-plane switchover and either schedules the
 // reconverge stage (success) or rolls back immediately (failure): the
 // previous plan re-acquired, links restored, original rules swapped
 // back — the run completes on the old topology.
-func (r *Reconfigurer) commit(net *netsim.Network, i int) {
-	st := &r.Stages[i]
-	now := net.Sim.Now()
+func (r *Reconfigurer) commit(st *Stage) {
 	entries, rt, hw, err := r.switchover(st)
 	if err != nil {
 		st.Outcome = OutcomeRolledBack + ": " + err.Error()
-		if r.OnRollback != nil {
-			r.OnRollback(now, i, err.Error())
-		}
-		r.restore(net, i)
+		st.RestoreAt = r.net.Sim.Now()
+		r.restore(st)
 		return
 	}
 	st.Outcome = OutcomeCommitted
 	st.Entries, st.ReconfigTime, st.HardwareCost = entries, rt, hw
-	if r.OnCommit != nil {
-		r.OnCommit(now, i, entries, rt, hw)
-	}
-	net.Sim.At(st.RestoreAt, func() { r.restore(net, i) })
+	r.net.Sim.At(st.RestoreAt, func() { r.restore(st) })
 }
 
 // switchover is the control-plane half of commit: release the current
@@ -419,17 +425,28 @@ func (r *Reconfigurer) switchover(st *Stage) (entries int, rt time.Duration, hw 
 
 // restore is the reconverge stage (and the fabric half of rollback):
 // drained links come back up and the original full rules are swapped
-// in, invalidating the memoized FIB.
-func (r *Reconfigurer) restore(net *netsim.Network, i int) {
-	st := &r.Stages[i]
+// in, invalidating the memoized FIB. The stage's losses close here, and
+// the delivery hook stays armed until its first delivery lands.
+func (r *Reconfigurer) restore(st *Stage) {
 	for _, e := range st.Drained {
-		net.SetLinkDown(e, false)
+		r.net.SetLinkDown(e, false)
 	}
-	churn := routing.Churn(r.live.Rules, r.orig)
-	if churn != 0 {
+	st.RestoreChurn = routing.Churn(r.live.Rules, r.orig)
+	if st.RestoreChurn != 0 {
 		r.live.ReplaceRules(append([]routing.Rule(nil), r.orig...))
 	}
-	if r.OnRestore != nil {
-		r.OnRestore(net.Sim.Now(), i, churn)
+	st.Lost = r.net.FaultDrops - r.drops
+	r.awaiting = append(r.awaiting, st)
+	r.net.OnDeliver = r.onDeliver
+}
+
+// onDeliver stamps the first payload delivery on every restored stage
+// awaiting one (each was restored at or before now), then detaches so
+// the hook costs nothing until the next restore.
+func (r *Reconfigurer) onDeliver(now netsim.Time) {
+	for _, st := range r.awaiting {
+		st.FirstDeliveryAfter = now
 	}
+	r.awaiting = r.awaiting[:0]
+	r.net.OnDeliver = nil
 }

@@ -135,27 +135,21 @@ func TestCommitProtocol(t *testing.T) {
 		t.Fatal("no drained links: the target claims none of the running topology's cables")
 	}
 
-	var drainedDown, patchChurn, restoreChurn int
-	rc.OnDrain = func(_ netsim.Time, _ int, drained []int) {
-		for _, e := range drained {
-			if net.LinkIsDown(e) {
-				drainedDown++
-			}
-		}
-	}
-	rc.OnPatch = func(_ netsim.Time, _ int, churn int) { patchChurn = churn }
-	rc.OnRestore = func(_ netsim.Time, _ int, churn int) { restoreChurn = churn }
 	rc.Bind(net)
+	drainedDown := probeDrained(net, st)
 	net.Sim.Run(0)
 
-	if drainedDown != len(st.Drained) {
-		t.Fatalf("%d/%d drained links down", drainedDown, len(st.Drained))
+	if *drainedDown != len(st.Drained) {
+		t.Fatalf("%d/%d drained links down", *drainedDown, len(st.Drained))
 	}
-	if patchChurn == 0 || restoreChurn == 0 {
-		t.Fatalf("no rule churn: patch=%d restore=%d", patchChurn, restoreChurn)
+	if st.PatchChurn == 0 || st.RestoreChurn == 0 {
+		t.Fatalf("no rule churn: patch=%d restore=%d", st.PatchChurn, st.RestoreChurn)
 	}
 	if st.Outcome != OutcomeCommitted {
 		t.Fatalf("outcome = %q", st.Outcome)
+	}
+	if st.Lost != 0 || st.Reconvergence() != -1 {
+		t.Fatalf("a fabric without traffic lost %d, reconverged in %d", st.Lost, st.Reconvergence())
 	}
 	if st.Entries <= 0 || st.ReconfigTime <= 0 || st.HardwareCost <= 0 {
 		t.Fatalf("cost columns = %d entries, %v, $%v", st.Entries, st.ReconfigTime, st.HardwareCost)
@@ -171,6 +165,73 @@ func TestCommitProtocol(t *testing.T) {
 	}
 	if churn := routing.Churn(live.Rules, freshRules(t, g)); churn != 0 {
 		t.Fatalf("live rules differ from the strategy's after restore: churn=%d", churn)
+	}
+}
+
+// probeDrained schedules a check halfway between the stage's drain and
+// commit; the count it returns is how many drained links it found down.
+func probeDrained(net *netsim.Network, st *Stage) *int {
+	down := new(int)
+	net.Sim.At((st.DrainAt+st.CommitAt)/2, func() {
+		for _, e := range st.Drained {
+			if net.LinkIsDown(e) {
+				*down++
+			}
+		}
+	})
+	return down
+}
+
+// TestStageRecordSemantics pins the sentinel arithmetic: rejected
+// stages and unclosed windows report no reconvergence, and closed ones
+// measure drain → first delivery and sum both churns.
+func TestStageRecordSemantics(t *testing.T) {
+	rejected := Stage{Outcome: OutcomeRejected + ": no fit", DrainAt: 100, RestoreAt: 300, FirstDeliveryAfter: -1}
+	if rejected.Reconvergence() != -1 || rejected.TotalChurn() != 0 {
+		t.Fatalf("rejected: reconv=%d churn=%d", rejected.Reconvergence(), rejected.TotalChurn())
+	}
+	open := Stage{Outcome: OutcomeCommitted, DrainAt: 100, RestoreAt: 300, FirstDeliveryAfter: -1, Lost: 3}
+	if open.Reconvergence() != -1 {
+		t.Fatalf("open window: reconv=%d", open.Reconvergence())
+	}
+	closed := Stage{
+		Outcome: OutcomeCommitted, DrainAt: 100, RestoreAt: 300, FirstDeliveryAfter: 450,
+		Lost: 7, PatchChurn: 4, RestoreChurn: 6,
+	}
+	if closed.Reconvergence() != 350 || closed.TotalChurn() != 10 {
+		t.Fatalf("closed window: reconv=%d churn=%d", closed.Reconvergence(), closed.TotalChurn())
+	}
+}
+
+// TestStageDeliveryLifecycle: the restore arms the delivery hook, the
+// first delivery after it stamps the stage, and the hook then detaches.
+func TestStageDeliveryLifecycle(t *testing.T) {
+	g := topology.FatTree(4)
+	target := topology.Torus2D(4, 4, 1)
+	cab, live, net := fixture(t, g, target)
+	spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: target}}}
+	rc, err := New(g, cab, live, spec, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &rc.Stages[0]
+	rc.Bind(net)
+	armed := false
+	net.Sim.At(st.RestoreAt+1, func() {
+		armed = net.OnDeliver != nil && st.FirstDeliveryAfter == -1
+		hosts := g.Hosts()
+		net.Host(hosts[0]).Send(hosts[len(hosts)-1], 1, 1<<10)
+	})
+	net.Sim.Run(0)
+	if !armed {
+		t.Fatal("restore did not arm delivery capture")
+	}
+	if st.Outcome != OutcomeCommitted || st.FirstDeliveryAfter <= st.RestoreAt ||
+		st.Reconvergence() != st.FirstDeliveryAfter-st.DrainAt {
+		t.Fatalf("stage record = %+v", st)
+	}
+	if net.OnDeliver != nil {
+		t.Fatal("delivery hook still attached after capture")
 	}
 }
 
@@ -200,14 +261,19 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rollbackReason string
-	rc.OnRollback = func(_ netsim.Time, _ int, reason string) { rollbackReason = reason }
+	st := &rc.Stages[0]
 	rc.Bind(net)
+	drainedDown := probeDrained(net, st)
 	net.Sim.Run(0)
 
-	st := &rc.Stages[0]
-	if !strings.HasPrefix(st.Outcome, OutcomeRolledBack) || !strings.Contains(rollbackReason, "injected") {
-		t.Fatalf("outcome = %q, reason = %q", st.Outcome, rollbackReason)
+	if !strings.HasPrefix(st.Outcome, OutcomeRolledBack) || !strings.Contains(st.Outcome, "injected") {
+		t.Fatalf("outcome = %q", st.Outcome)
+	}
+	if len(st.Drained) == 0 || *drainedDown != len(st.Drained) {
+		t.Fatalf("%d/%d drained links down", *drainedDown, len(st.Drained))
+	}
+	if st.RestoreAt != st.CommitAt || st.Entries != 0 || st.RestoreChurn != st.PatchChurn {
+		t.Fatalf("rollback record = %+v", st)
 	}
 	if rc.cur.Topo != g {
 		t.Fatalf("plan after rollback is for %q, want the old topology", rc.cur.Topo.Name)
@@ -259,12 +325,13 @@ func TestRejectBeforeDrain(t *testing.T) {
 	if !strings.HasPrefix(st.Outcome, OutcomeRejected) || len(st.Drained) != 0 {
 		t.Fatalf("outcome = %q, drained = %v", st.Outcome, st.Drained)
 	}
-	rejected := false
-	rc.OnReject = func(_ netsim.Time, _ int, _ string) { rejected = true }
 	rc.Bind(net)
 	net.Sim.Run(0)
-	if !rejected {
-		t.Fatal("OnReject never fired")
+	if n := net.Sim.Events(); n != 0 {
+		t.Fatalf("a rejected stage scheduled %d events", n)
+	}
+	if st.TotalChurn() != 0 || st.Lost != 0 || st.Reconvergence() != -1 {
+		t.Fatalf("rejected record = %+v", st)
 	}
 	for eid := range g.Edges {
 		if net.LinkIsDown(eid) {

@@ -11,6 +11,9 @@ package telemetry
 // repair awaits its first delivery, so the hook costs nothing once the
 // fabric has reconverged). Everything runs inside the engine thread of
 // one simulation; a tracker is per-run and needs no locking.
+//
+// Reconfiguration runs do not use a tracker: each transition's record,
+// its own first-delivery capture included, is its reconfig.Stage.
 
 import (
 	"fmt"
@@ -98,15 +101,11 @@ func (r *Recovery) Format(w io.Writer) {
 	fmt.Fprintf(w, "packets lost to faults: %d, flows incomplete: %d\n", r.PacketsLost, r.Incomplete)
 }
 
-// RecoveryTracker accumulates recovery metrics during one fault or
-// reconfiguration run (the Transition* methods in reconfig.go record
-// the latter; both share the first-delivery capture below).
+// RecoveryTracker accumulates recovery metrics during one fault run.
 type RecoveryTracker struct {
-	rec          Recovery
-	trans        []TransitionRecord
-	net          *netsim.Network
-	pending      int // repairs awaiting their first delivery
-	transPending int // restored transitions awaiting their first delivery
+	rec     Recovery
+	net     *netsim.Network
+	pending int // repairs awaiting their first delivery
 }
 
 // NewRecoveryTracker builds a tracker for one network.
@@ -138,9 +137,8 @@ func (t *RecoveryTracker) Repaired(now netsim.Time, rulesChanged int) {
 	}
 }
 
-// onDeliver stamps every repaired-but-unconfirmed fault and every
-// restored-but-unconfirmed transition whose repair/restore time has
-// passed, then detaches once nothing is pending.
+// onDeliver stamps every repaired-but-unconfirmed fault whose repair
+// time has passed, then detaches once nothing is pending.
 func (t *RecoveryTracker) onDeliver(now netsim.Time) {
 	for i := range t.rec.Events {
 		e := &t.rec.Events[i]
@@ -149,14 +147,7 @@ func (t *RecoveryTracker) onDeliver(now netsim.Time) {
 			t.pending--
 		}
 	}
-	for i := range t.trans {
-		e := &t.trans[i]
-		if e.RestoreAt >= 0 && e.FirstDeliveryAfter < 0 && now >= e.RestoreAt {
-			e.FirstDeliveryAfter = now
-			t.transPending--
-		}
-	}
-	if t.pending == 0 && t.transPending == 0 {
+	if t.pending == 0 {
 		t.net.OnDeliver = nil
 	}
 }

@@ -258,7 +258,7 @@ var PickCoreEdges = faults.PickCoreEdges
 // target claims drain first (in-flight packets drop, PFC trees unwind),
 // the target is then projected, checked, and compiled at the control
 // plane with abort-to-rollback on any failure, and finally the fabric
-// reconverges while the run result's Reconfig report records packets
+// reconverges while the run result's Reconfig stages record packets
 // lost, reconvergence time, rule churn, and the cost-model downtime and
 // price columns. Equal specs expand to byte-identical schedules.
 // Mutually exclusive with Scenario.Faults.
