@@ -217,6 +217,7 @@ var stdInterfaces = [][2]string{
 	{"fmt", "Stringer"},
 	{"sort", "Interface"},
 	{"io", "Writer"},
+	{"math/rand", "Source"},
 }
 
 func TestExportedSurfaceCensus(t *testing.T) {

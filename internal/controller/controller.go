@@ -215,8 +215,8 @@ func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*D
 	if !ok {
 		return nil, fmt.Errorf("controller: topology %q not deployed", old)
 	}
-	// Table order is match order, so re-adding a switch's entries in the
-	// order they are listed reproduces their relative order.
+	// Table order is match order, so re-installing a switch's entries in
+	// the order they are listed reproduces their relative order.
 	installed := make([][]*openflow.FlowEntry, len(c.Physical))
 	for i, sw := range c.Physical {
 		for _, e := range sw.Table.Entries() {
@@ -237,10 +237,8 @@ func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*D
 		return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 	}
 	for i, sw := range c.Physical {
-		for _, e := range installed[i] {
-			if rerr := sw.Table.Add(*e); rerr != nil {
-				return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
-			}
+		if rerr := sw.Table.Install(installed[i]); rerr != nil {
+			return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 		}
 		sw.Table.Prime()
 	}

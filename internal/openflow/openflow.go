@@ -144,10 +144,12 @@ func (e *ErrTableFull) Error() string {
 
 // Table is a capacity-bounded, priority-ordered flow table.
 //
-// entries is kept in match order (see before) at all times: Add places
-// the new entry by binary search and one memmove — O(log n) compares,
-// no re-sort — and RemoveCookie compacts in place, so Entries() is a
-// plain read and never a write.
+// entries is kept in match order (see before) at all times: Install
+// orders a batch of new entries with a counting sort by priority and
+// merges it in from the back — a binary search and one memmove per new
+// entry, every installed entry moved at most once, no re-sort of the
+// table — and RemoveCookie compacts in place, so Entries() is a plain
+// read and never a write.
 //
 // Lookup runs on an exact-match index: entries with a concrete DstHost
 // live in per-destination buckets, fully dst-wildcarded entries in a
@@ -173,23 +175,47 @@ type Table struct {
 // Len reports the number of installed entries.
 func (t *Table) Len() int { return len(t.entries) }
 
-// Add installs an entry, keeping match order. It fails with
+// Add installs a copy of e, keeping match order. It fails with
 // *ErrTableFull when capacity is exhausted.
-//
-// The new entry carries the largest seq, so it belongs after every
-// entry of priority >= its own: its slot is the first entry it sorts
-// before, found by binary search over the already-ordered slice.
 func (t *Table) Add(e FlowEntry) error {
-	if t.Capacity > 0 && len(t.entries) >= t.Capacity {
-		return &ErrTableFull{Switch: t.owner, Capacity: t.Capacity}
+	return t.Install([]*FlowEntry{&e})
+}
+
+// Install installs es as one Add per entry in slice order would — the
+// same install order, the same table, and when capacity runs out the
+// same prefix installed and the same *ErrTableFull — with one merge
+// instead of one memmove per entry. The table takes the entries
+// themselves, not copies, so the caller must not touch them afterwards;
+// es itself is neither kept nor reordered.
+func (t *Table) Install(es []*FlowEntry) error {
+	var full error
+	if t.Capacity > 0 && len(t.entries)+len(es) > t.Capacity {
+		es = es[:max(t.Capacity-len(t.entries), 0)]
+		full = &ErrTableFull{Switch: t.owner, Capacity: t.Capacity}
 	}
-	e.seq = t.nextSeq
-	t.nextSeq++
-	ne := &e
-	at := sort.Search(len(t.entries), func(i int) bool { return before(ne, t.entries[i]) })
-	t.entries = slices.Insert(t.entries, at, ne)
+	if len(es) == 0 {
+		return full
+	}
+	for _, e := range es {
+		e.seq = t.nextSeq
+		t.nextSeq++
+	}
+	es = matchOrdered(es)
+	// Every new entry carries a larger seq than every installed one, so
+	// it belongs after every installed entry of priority >= its own:
+	// from the batch's last entry back, find that slot by binary search
+	// and move the installed entries after it up past the new entries
+	// still to place, with one copy per new entry.
+	hi := len(t.entries) // installed entries [0, hi) are not yet moved
+	t.entries = slices.Grow(t.entries, len(es))[:hi+len(es)]
+	for j := len(es) - 1; j >= 0; j-- {
+		lo := sort.Search(hi, func(i int) bool { return before(es[j], t.entries[i]) })
+		copy(t.entries[lo+j+1:], t.entries[lo:hi])
+		t.entries[lo+j] = es[j]
+		hi = lo
+	}
 	t.idxDirty = true
-	return nil
+	return full
 }
 
 // RemoveCookie deletes all entries with the given cookie and returns
@@ -243,13 +269,51 @@ func (t *Table) buildIndex() {
 }
 
 // before is THE match-order comparator — higher priority first, then
-// install order — shared by Add's insertion search and Lookup's bucket
-// merge so the two orderings cannot drift apart.
+// install order — shared by Install's merge and Lookup's bucket merge
+// so the two orderings cannot drift apart.
 func before(a, b *FlowEntry) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
 	return a.seq < b.seq
+}
+
+// matchOrdered returns es in match order. The seqs ascend along es, so
+// that is a stable sort by descending priority, done as a counting sort
+// over the batch's distinct priorities: O(len(es) · distinct), and a
+// batch carries few (CompileFlowTables emits at most four). A batch of one
+// priority is already in order and is returned as it is.
+func matchOrdered(es []*FlowEntry) []*FlowEntry {
+	var buf [2][8]int
+	prios, next := buf[0][:0], buf[1][:0] // distinct priorities, descending; entries of each
+	for _, e := range es {
+		i := 0
+		for i < len(prios) && prios[i] > e.Priority {
+			i++
+		}
+		if i < len(prios) && prios[i] == e.Priority {
+			next[i]++
+			continue
+		}
+		prios = slices.Insert(prios, i, e.Priority)
+		next = slices.Insert(next, i, 1)
+	}
+	if len(prios) == 1 {
+		return es
+	}
+	for i, at := 0, 0; i < len(next); i++ { // counts -> first slots
+		next[i], at = at, at+next[i]
+	}
+	out := make([]*FlowEntry, len(es))
+	for _, e := range es {
+		i := 0
+		for prios[i] != e.Priority {
+			i++
+		}
+		out[next[i]] = e
+		next[i]++
+	}
+	return out
 }
 
 // Lookup returns the highest-priority entry covering p, or nil. Only

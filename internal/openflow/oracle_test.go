@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -177,6 +178,113 @@ func BenchmarkTableAdd(b *testing.B) {
 		for j := range entries {
 			if err := tab.Add(entries[j]); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// FuzzTableInstall drives rounds of random batches — mixed priorities,
+// concrete and wildcard destinations, entries of three co-hosted
+// cookies — through Install, through one Add per entry, and through the
+// re-sorting oracle, under a capacity limit (0 = unlimited), with a
+// RemoveCookie between rounds. After every step the three must list the
+// same entries in the same order with the same install numbers, answer
+// every Lookup alike, and fail an overflowing batch with the same error
+// after installing the same prefix.
+func FuzzTableInstall(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(0))
+	f.Add(int64(2), uint8(200), uint8(37))
+	f.Add(int64(3), uint8(90), uint8(8))
+	f.Add(int64(4), uint8(1), uint8(1))
+	f.Add(int64(-18), uint8(40), uint8(73)) // a two-priority batch out of match order
+	f.Fuzz(func(t *testing.T, seed int64, size, capacity uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		batch := &Table{Capacity: int(capacity), owner: "s1"}
+		seq := &Table{Capacity: int(capacity), owner: "s1"}
+		ref := &refTable{}
+		id := 0
+		for round := 0; round < 5; round++ {
+			es := make([]FlowEntry, 1+rng.Intn(1+int(size)))
+			for i := range es {
+				m := Match{SrcHost: Any, DstHost: Any, Tag: Any}
+				if rng.Intn(3) > 0 {
+					m.DstHost = rng.Intn(6)
+				}
+				if rng.Intn(3) == 0 {
+					m.InPort = 1 + rng.Intn(2)
+				}
+				if rng.Intn(3) == 0 {
+					m.Tag = rng.Intn(2)
+				}
+				es[i] = FlowEntry{
+					Priority: []int{10, 14, 20, rng.Intn(30)}[rng.Intn(4)],
+					Match:    m,
+					Actions:  []Action{{Type: Output, Port: id}},
+					Cookie:   uint64(rng.Intn(3)),
+				}
+				id++
+			}
+			fresh := make([]*FlowEntry, len(es)) // Install takes the entries themselves
+			for i := range es {
+				e := es[i]
+				fresh[i] = &e
+			}
+			errBatch := batch.Install(fresh)
+			var errSeq error
+			for _, e := range es {
+				if errSeq = seq.Add(e); errSeq != nil {
+					break
+				}
+			}
+			wantFull := false
+			for _, e := range es {
+				if capacity > 0 && len(ref.entries) >= int(capacity) {
+					wantFull = true
+					break
+				}
+				ref.add(e)
+			}
+			for _, err := range []error{errBatch, errSeq} {
+				var full *ErrTableFull
+				if (err != nil) != wantFull || (err != nil && (!errors.As(err, &full) || *full != ErrTableFull{Switch: "s1", Capacity: int(capacity)})) {
+					t.Fatalf("round %d: Install = %v, Add = %v, oracle full = %v", round, errBatch, errSeq, wantFull)
+				}
+			}
+			sameAsOracle(t, batch, ref, "Install")
+			sameAsOracle(t, seq, ref, "Add")
+			cookie := uint64(rng.Intn(3))
+			batch.RemoveCookie(cookie)
+			seq.RemoveCookie(cookie)
+			ref.removeCookie(cookie)
+			sameAsOracle(t, batch, ref, "Install+RemoveCookie")
+			sameAsOracle(t, seq, ref, "Add+RemoveCookie")
+		}
+	})
+}
+
+// sameAsOracle requires tab to hold ref's entries in ref's order, with
+// the same install numbers, and to answer every Lookup as a linear scan
+// of ref does.
+func sameAsOracle(t *testing.T, tab *Table, ref *refTable, how string) {
+	t.Helper()
+	got := tab.Entries()
+	if len(got) != len(ref.entries) {
+		t.Fatalf("%s: %d entries, oracle has %d", how, len(got), len(ref.entries))
+	}
+	for i, e := range got {
+		w := ref.entries[i]
+		if entryID(e) != entryID(w) || e.Priority != w.Priority || e.Cookie != w.Cookie || e.seq != w.seq {
+			t.Fatalf("%s: Entries()[%d] = #%d prio %d seq %d, oracle #%d prio %d seq %d",
+				how, i, entryID(e), e.Priority, e.seq, entryID(w), w.Priority, w.seq)
+		}
+	}
+	for dst := -1; dst < 7; dst++ {
+		for inPort := 0; inPort <= 2; inPort++ {
+			for tag := 0; tag < 2; tag++ {
+				p := PacketMeta{InPort: inPort, DstHost: dst, Tag: tag}
+				if g, w := entryID(tab.Lookup(p)), entryID(ref.lookup(p)); g != w {
+					t.Fatalf("%s: Lookup(%+v) = #%d, oracle #%d", how, p, g, w)
+				}
 			}
 		}
 	}

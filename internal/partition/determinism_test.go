@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/topology"
@@ -65,5 +67,72 @@ func TestCutZeroSeedIsFixedDefault(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Seed 0 does not behave as the documented fixed default (12345)")
+	}
+}
+
+// TestStreamReplaysSeededSource pins the recorded restart streams to
+// math/rand: for every default restart seed, and for a seed with no
+// recording, the replayed Int63 values equal rand.NewSource(seed)'s for
+// twice the recorded length, so the fallback past the recording's end
+// is covered too.
+func TestStreamReplaysSeededSource(t *testing.T) {
+	seeds := []int64{99}
+	for r := 0; r < restarts; r++ {
+		seeds = append(seeds, restartSeed(defaultSeed, r))
+	}
+	for _, seed := range seeds {
+		var s stream
+		s.Seed(seed)
+		ref := rand.NewSource(seed)
+		for i := 0; i < 2*recordLen; i++ {
+			if got, want := s.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d: draw %d = %d, rand.NewSource gives %d", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCutConcurrentMatchesSerial runs Cut from 8 goroutines at once —
+// the first of them may be the one that records the restart streams —
+// and requires every Result to equal the serial one. Run it under -race.
+func TestCutConcurrentMatchesSerial(t *testing.T) {
+	type job struct {
+		g   *topology.Graph
+		k   int
+		opt Options
+	}
+	jobs := []job{
+		{topology.FatTree(4), 3, Options{}},
+		{topology.Torus2D(6, 6, 1), 4, Options{}},
+		{topology.Dragonfly(4, 9, 2, 1), 2, Options{Seed: 99}},
+		{wan190(), 3, Options{}},
+	}
+	got := make([][]*Result, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, j := range jobs {
+				r, err := Cut(j.g, j.k, j.opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], r)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		want, err := Cut(j.g, j.k, j.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range got {
+			if i < len(got[w]) && !reflect.DeepEqual(got[w][i], want) {
+				t.Fatalf("goroutine %d: Cut(%s, %d, %+v) differs from the serial Result", w, j.g.Name, j.k, j.opt)
+			}
+		}
 	}
 }

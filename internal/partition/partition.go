@@ -15,8 +15,10 @@ package partition
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/topology"
 )
@@ -76,8 +78,9 @@ type nbr struct {
 	w int
 }
 
-// sortAdj orders every adjacency list by neighbour ID so results are
-// independent of map iteration order.
+// sortAdj orders every adjacency list by neighbour ID: the order
+// coarsening's heavy-edge matching breaks ties in, whatever order the
+// rows were built in.
 func (g *workGraph) sortAdj() {
 	for i := range g.xadj {
 		slices.SortFunc(g.xadj[i], func(a, b nbr) int { return cmp.Compare(a.v, b.v) })
@@ -115,7 +118,7 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	}
 	seed := opt.Seed
 	if seed == 0 {
-		seed = 12345
+		seed = defaultSeed
 	}
 
 	wg := newWorkGraph(g, switches)
@@ -127,11 +130,13 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 		// Multistart: the multilevel heuristic is cheap, so run it
 		// several times with derived seeds and keep the best-scoring
 		// partition (α·cut + β·imbalance, the paper's objective).
-		const restarts = 8
 		bestScore := -1.0
 		rf := newRefiner(len(switches), k)
+		var src stream
+		rng := rand.New(&src)
 		for r := 0; r < restarts; r++ {
-			cand := multilevel(wg, k, opt, rand.New(rand.NewSource(seed+int64(r)*7919)), rf)
+			src.Seed(restartSeed(seed, r))
+			cand := multilevel(wg, k, opt, rng, rf)
 			s := score(wg, cand, k, opt)
 			if bestScore < 0 || s < bestScore {
 				bestScore = s
@@ -180,41 +185,156 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// defaultSeed is the seed Options.Seed 0 stands for.
+const defaultSeed = 12345
+
+// restarts is the number of multilevel runs Cut keeps the best of.
+const restarts = 8
+
+// restartSeed is the seed of restart r of a Cut seeded with seed.
+func restartSeed(seed int64, r int) int64 { return seed + int64(r)*7919 }
+
+// recordLen is how many Int63 draws of each default restart stream are
+// recorded. A restart draws about two per switch (one Perm per
+// coarsening level, each level half the last), so this covers graphs
+// up to ~1000 switches; a longer run falls back to a fresh source (see
+// stream.Int63).
+const recordLen = 2048
+
+// The Int63 streams of the default restart seeds, recorded on first use
+// and read-only afterwards. Every production caller passes Options{},
+// so seeding math/rand's 607-word source for each of a Cut's restarts
+// becomes one recording per process, and the memory is bounded:
+// restarts × recordLen values. The values are the seeded source's own,
+// so no partition changes.
+var (
+	recordOnce sync.Once
+	recorded   [restarts][]int64
+)
+
+// recording returns the recorded head of rand.NewSource(seed)'s Int63
+// stream, or nil when seed is not a default restart seed.
+func recording(seed int64) []int64 {
+	for r := 0; r < restarts; r++ {
+		if seed != restartSeed(defaultSeed, r) {
+			continue
+		}
+		recordOnce.Do(func() {
+			buf := make([]int64, restarts*recordLen)
+			for i := range recorded {
+				src := rand.NewSource(restartSeed(defaultSeed, i))
+				rec := buf[i*recordLen : (i+1)*recordLen : (i+1)*recordLen]
+				for j := range rec {
+					rec[j] = src.Int63()
+				}
+				recorded[i] = rec
+			}
+		})
+		return recorded[r]
+	}
+	return nil
+}
+
+// stream is the rand.Source of one restart. It yields exactly
+// rand.NewSource(seed)'s Int63 sequence: the recorded head first, then,
+// past its end (or for a seed with no recording), a fresh source
+// advanced past the values already replayed. Only Int63 is replayed, so
+// the partitioner must draw through Int63-based methods (Intn, Perm),
+// never Uint64.
+type stream struct {
+	seed int64
+	rec  []int64
+	pos  int
+	tail rand.Source // nil until rec runs out
+}
+
+// Seed restarts the stream at the head of seed's sequence.
+func (s *stream) Seed(seed int64) { *s = stream{seed: seed, rec: recording(seed)} }
+
+// Int63 returns the next value of the sequence.
+func (s *stream) Int63() int64 {
+	if s.pos < len(s.rec) {
+		s.pos++
+		return s.rec[s.pos-1]
+	}
+	if s.tail == nil {
+		s.tail = rand.NewSource(s.seed)
+		for range s.pos {
+			s.tail.Int63()
+		}
+	}
+	return s.tail.Int63()
+}
+
 // newWorkGraph builds the weighted switch-only graph Cut partitions:
 // one vertex per switch in ID order, weighted by its port count, with
 // parallel links merged into one weighted edge.
 func newWorkGraph(g *topology.Graph, switches []int) *workGraph {
-	// Dense index over switches.
-	idx := make(map[int]int, len(switches))
-	for i, s := range switches {
-		idx[s] = i
+	n := len(switches)
+	idx := make([]int, len(g.Vertices)) // vertex ID -> switch index, -1 for hosts
+	for i := range idx {
+		idx[i] = -1
 	}
 	wg := &workGraph{
-		vwgt: make([]int, len(switches)),
-		xadj: make([][]nbr, len(switches)),
+		vwgt: make([]int, n),
+		xadj: make([][]nbr, n),
 	}
+	half := 0
 	for i, s := range switches {
+		idx[s] = i
 		wg.vwgt[i] = g.Degree(s) // all ports, incl. host-facing (paper balances ports)
+		half += wg.vwgt[i]
 	}
-	type pairKey struct{ a, b int }
-	merged := map[pairKey]int{}
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
-		a, b := idx[e.A], idx[e.B]
-		if a == b {
-			continue
+	rows := newAdjRows(n, half)
+	for i, s := range switches {
+		for _, eid := range g.IncidentEdges(s) {
+			if j := idx[g.Edges[eid].Other(s)]; j >= 0 && j != i {
+				rows.add(j, 1)
+			}
 		}
-		if a > b {
-			a, b = b, a
-		}
-		merged[pairKey{a, b}]++
+		wg.xadj[i] = rows.end()
 	}
-	for pk, w := range merged {
-		wg.xadj[pk.a] = append(wg.xadj[pk.a], nbr{pk.b, w})
-		wg.xadj[pk.b] = append(wg.xadj[pk.b], nbr{pk.a, w})
-	}
-	wg.sortAdj() // map iteration order must not leak into results
+	wg.sortAdj()
 	return wg
+}
+
+// adjRows lays adjacency rows out back to back in one backing array,
+// merging parallel edges with a dense marker instead of a map: at[j] is
+// the index of neighbour j's entry if j is already in the row being
+// built (any index of an earlier row is below start).
+type adjRows struct {
+	flat  []nbr
+	at    []int
+	start int
+}
+
+func newAdjRows(n, halfEdges int) *adjRows {
+	b := &adjRows{flat: make([]nbr, 0, halfEdges), at: make([]int, n)}
+	for i := range b.at {
+		b.at[i] = -1
+	}
+	return b
+}
+
+// add adds weight w toward neighbour j to the current row.
+func (b *adjRows) add(j, w int) {
+	if b.at[j] >= b.start {
+		b.flat[b.at[j]].w += w
+		return
+	}
+	b.at[j] = len(b.flat)
+	b.flat = append(b.flat, nbr{j, w})
+}
+
+// end closes the current row and returns it (nil when empty, as a
+// vertex with no neighbours has always had).
+func (b *adjRows) end() []nbr {
+	lo, hi := b.start, len(b.flat)
+	b.start = hi
+	if lo == hi {
+		return nil
+	}
+	return b.flat[lo:hi:hi]
 }
 
 // multilevel runs coarsen / initial-partition / refine.
@@ -299,26 +419,30 @@ func coarsen(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
 		vwgt: make([]int, nc),
 		xadj: make([][]nbr, nc),
 	}
-	type pairKey struct{ a, b int }
-	acc := map[pairKey]int{}
+	half := 0
 	for v := 0; v < n; v++ {
 		coarse.vwgt[cmap[v]] += g.vwgt[v]
-		for _, nb := range g.xadj[v] {
-			ca, cb := cmap[v], cmap[nb.v]
-			if ca == cb {
-				continue
-			}
-			if ca > cb {
-				continue // count each direction once (v<nb side handles it)
-			}
-			acc[pairKey{ca, cb}] += nb.w
-		}
+		half += len(g.xadj[v])
 	}
-	for pk, w := range acc {
-		// Exactly one direction of each fine edge passes the ca<cb
-		// filter, so w is the true merged weight.
-		coarse.xadj[pk.a] = append(coarse.xadj[pk.a], nbr{pk.b, w})
-		coarse.xadj[pk.b] = append(coarse.xadj[pk.b], nbr{pk.a, w})
+	// Each coarse row is its members' fine rows mapped through cmap,
+	// with the edges inside the pair dropped and parallel ones merged.
+	rows := newAdjRows(nc, half)
+	for v := 0; v < n; v++ {
+		if match[v] < v {
+			continue // not a representative
+		}
+		c := cmap[v]
+		for _, u := range [2]int{v, match[v]} {
+			for _, nb := range g.xadj[u] {
+				if d := cmap[nb.v]; d != c {
+					rows.add(d, nb.w)
+				}
+			}
+			if match[v] == v {
+				break
+			}
+		}
+		coarse.xadj[c] = rows.end()
 	}
 	coarse.sortAdj()
 	return coarse, cmap, true
@@ -482,31 +606,48 @@ type move struct {
 // graph, and reused by every restart and every uncoarsening level —
 // a level only re-slices and re-fills it.
 //
-// conn and ext are what make a move cost O(deg v) instead of a rescan
-// of every candidate's adjacency: conn[v*k+p] is v's edge weight toward
-// part p and ext[v] its edge weight toward every part but its own, both
+// conn is what makes a move cost O(deg v) instead of a rescan of every
+// candidate's adjacency: conn[v*k+p] is v's edge weight toward part p,
 // kept current by apply on every move, roll-back and rebalance move.
+//
+// The gain buckets make choosing a move cost a walk down the gain
+// levels instead of a scan of every vertex and part. Candidate (v, p) —
+// move v to part p — has index v*k+p, so ascending index order is the
+// scan's tie-break order: lowest v, then lowest p. bits holds one
+// bitset over candidate indices per gain level (level = gain + span,
+// span being the level's largest weighted degree, which bounds every
+// gain); at[i] is candidate i's level, or -1 while it is not one;
+// count[l] is the number of candidates at level l, and no level above
+// top holds any. They are filled at the start of a pass and kept
+// current in O(deg v · k) per move; roll-back and rebalance leave them
+// stale, as the next pass refills them.
 type refiner struct {
-	k         int
-	g         *workGraph
-	part      []int
-	conn      []int
-	ext       []int
-	weight    []int // vertex weight per part
-	partCount []int // vertices per part
-	locked    []bool
-	seq       []move
+	k          int
+	g          *workGraph
+	part       []int
+	conn       []int
+	weight     []int // vertex weight per part
+	partCount  []int // vertices per part
+	locked     []bool
+	seq        []move
+	contiguous bool // Balanced: a vertex only moves to a part it touches
+
+	span, words int
+	bits        []uint64
+	count       []int
+	at          []int32
+	top         int
 }
 
 func newRefiner(n, k int) *refiner {
 	return &refiner{
 		k:         k,
 		conn:      make([]int, n*k),
-		ext:       make([]int, n),
 		weight:    make([]int, k),
 		partCount: make([]int, k),
 		locked:    make([]bool, n),
 		seq:       make([]move, 0, n),
+		at:        make([]int32, n*k),
 	}
 }
 
@@ -516,46 +657,120 @@ func (r *refiner) load(g *workGraph, part []int) {
 	n, k := len(g.vwgt), r.k
 	r.g, r.part = g, part
 	r.conn = r.conn[:n*k]
-	r.ext = r.ext[:n]
 	r.locked = r.locked[:n]
+	r.at = r.at[:n*k]
 	clear(r.conn)
 	clear(r.weight)
 	clear(r.partCount)
+	r.span = 0
 	for v := 0; v < n; v++ {
-		home := part[v]
-		r.weight[home] += g.vwgt[v]
-		r.partCount[home]++
+		r.weight[part[v]] += g.vwgt[v]
+		r.partCount[part[v]]++
 		row := r.conn[v*k : v*k+k]
-		ext := 0
+		deg := 0
 		for _, nb := range g.xadj[v] {
 			row[part[nb.v]] += nb.w
-			if part[nb.v] != home {
-				ext += nb.w
-			}
+			deg += nb.w
 		}
-		r.ext[v] = ext
+		r.span = max(r.span, deg)
 	}
+	r.words = (n*k + 63) / 64
+	levels := 2*r.span + 1
+	if need := levels * r.words; cap(r.bits) < need {
+		r.bits = make([]uint64, need)
+	}
+	r.bits = r.bits[:levels*r.words]
+	if cap(r.count) < levels {
+		r.count = make([]int, levels)
+	}
+	r.count = r.count[:levels]
 }
 
-// apply moves v to part `to` and updates every table in O(deg v).
+// apply moves v to part `to` and updates conn, weight and partCount in
+// O(deg v).
 func (r *refiner) apply(v, to int) {
 	k, from := r.k, r.part[v]
 	for _, nb := range r.g.xadj[v] {
 		r.conn[nb.v*k+from] -= nb.w
 		r.conn[nb.v*k+to] += nb.w
-		switch r.part[nb.v] {
-		case from:
-			r.ext[nb.v] += nb.w
-		case to:
-			r.ext[nb.v] -= nb.w
-		}
 	}
-	r.ext[v] += r.conn[v*k+from] - r.conn[v*k+to]
 	r.weight[from] -= r.g.vwgt[v]
 	r.weight[to] += r.g.vwgt[v]
 	r.partCount[from]--
 	r.partCount[to]++
 	r.part[v] = to
+}
+
+// rebucket files each of v's candidates at the level its gain now
+// gives.
+func (r *refiner) rebucket(v int) {
+	for p := 0; p < r.k; p++ {
+		r.refile(v, p)
+	}
+}
+
+// refile files candidate (v, p) at level conn[p] − conn[home] + span,
+// or takes it out when it is not a candidate: v is locked, p is its
+// home, or v has neighbours, the objective is Balanced and v does not
+// touch p.
+func (r *refiner) refile(v, p int) {
+	i, home := v*r.k+p, r.part[v]
+	l := int32(-1)
+	if c := r.conn[i]; !r.locked[v] && p != home && (c != 0 || !r.contiguous || len(r.g.xadj[v]) == 0) {
+		l = int32(c - r.conn[v*r.k+home] + r.span)
+	}
+	old := r.at[i]
+	if l == old {
+		return
+	}
+	if old >= 0 {
+		r.bits[int(old)*r.words+i>>6] &^= 1 << (i & 63)
+		r.count[old]--
+	}
+	if l >= 0 {
+		r.bits[int(l)*r.words+i>>6] |= 1 << (i & 63)
+		r.count[l]++
+		r.top = max(r.top, int(l))
+	}
+	r.at[i] = l
+}
+
+// fillBuckets empties the buckets and files every candidate.
+func (r *refiner) fillBuckets() {
+	clear(r.bits)
+	clear(r.count)
+	for i := range r.at {
+		r.at[i] = -1
+	}
+	r.top = -1
+	for v := range r.g.vwgt {
+		r.rebucket(v)
+	}
+}
+
+// pick returns the best feasible move and its gain, or v = -1 when no
+// candidate is feasible: the highest level holding one, and in it the
+// lowest candidate index. A candidate is feasible when the destination
+// stays within maxAllowed and the home part keeps a vertex.
+func (r *refiner) pick(maxAllowed int) (v, p, gain int) {
+	for r.top >= 0 && r.count[r.top] == 0 {
+		r.top--
+	}
+	for l := r.top; l >= 0; l-- {
+		if r.count[l] == 0 {
+			continue
+		}
+		for w, word := range r.bits[l*r.words : (l+1)*r.words] {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				v, p := i/r.k, i%r.k
+				if r.partCount[r.part[v]] > 1 && r.weight[p]+r.g.vwgt[v] <= maxAllowed {
+					return v, p, l - r.span
+				}
+			}
+		}
+	}
+	return -1, -1, 0
 }
 
 // refine runs FM-style passes over part in place: repeatedly apply the
@@ -565,17 +780,15 @@ func (r *refiner) apply(v, to int) {
 //
 // The move sequence is part of Cut's byte-identity contract and is
 // pinned by the differential oracle in oracle_test.go: the best move is
-// the maximum gain conn[p] − conn[home] over unlocked v (ascending) and
-// p ≠ home (ascending), first one found winning ties — lowest v, then
-// lowest p; feasibility (the destination stays within maxAllowed, the
-// home part keeps a vertex) is evaluated when the move is selected, not
-// when it was first seen. Under Balanced a vertex only moves to a part
-// it touches (isolated vertices may go anywhere), so interior vertices
-// — ext[v] == 0 — are skipped without looking at their row.
+// the maximum gain conn[p] − conn[home] over unlocked v and p ≠ home,
+// ties going to the lowest v, then the lowest p; feasibility (the
+// destination stays within maxAllowed, the home part keeps a vertex) is
+// evaluated when the move is selected, not when it was first seen.
+// Under Balanced a vertex only moves to a part it touches (isolated
+// vertices may go anywhere).
 func (r *refiner) refine(g *workGraph, part []int, opt Options) {
 	r.load(g, part)
 	n, k := len(g.vwgt), r.k
-	conn, weight, partCount, locked := r.conn, r.weight, r.partCount, r.locked
 
 	// The move limit must leave room for at least one vertex move above
 	// the mean, or a perfectly balanced partition could never be refined
@@ -595,47 +808,34 @@ func (r *refiner) refine(g *workGraph, part []int, opt Options) {
 	if opt.Objective == MinCut {
 		maxAllowed = total // unconstrained
 	}
-	contiguous := opt.Objective == Balanced // keep parts contiguous when possible
+	r.contiguous = opt.Objective == Balanced // keep parts contiguous when possible
 
 	for pass := 0; pass < opt.Passes; pass++ {
-		clear(locked)
+		clear(r.locked)
+		r.fillBuckets()
 		seq := r.seq[:0]
 		cumGain := 0
 		bestGainAt, bestGainVal := -1, 0
 		for step := 0; step < n; step++ {
-			bestV, bestDst := -1, -1
-			bestGain := -(1 << 30)
-			for v := 0; v < n; v++ {
-				if locked[v] {
-					continue
-				}
-				home := part[v]
-				if partCount[home] <= 1 {
-					continue
-				}
-				touchOnly := contiguous && g.xadj[v] != nil
-				if touchOnly && r.ext[v] == 0 {
-					continue
-				}
-				row := conn[v*k : v*k+k]
-				for p, c := range row {
-					if p == home || (c == 0 && touchOnly) {
-						continue
-					}
-					if weight[p]+g.vwgt[v] > maxAllowed {
-						continue
-					}
-					if gain := c - row[home]; gain > bestGain {
-						bestGain, bestV, bestDst = gain, v, p
-					}
-				}
-			}
+			bestV, bestDst, bestGain := r.pick(maxAllowed)
 			if bestV < 0 {
 				break
 			}
-			seq = append(seq, move{bestV, part[bestV], bestDst})
+			from := part[bestV]
+			seq = append(seq, move{bestV, from, bestDst})
 			r.apply(bestV, bestDst)
-			locked[bestV] = true
+			r.locked[bestV] = true
+			r.rebucket(bestV)
+			for _, nb := range g.xadj[bestV] {
+				switch u := nb.v; {
+				case r.locked[u]: // filed nowhere
+				case part[u] == from || part[u] == bestDst:
+					r.rebucket(u) // conn toward its home changed: every gain did
+				default:
+					r.refile(u, from)
+					r.refile(u, bestDst)
+				}
+			}
 			cumGain += bestGain
 			if cumGain > bestGainVal {
 				bestGainVal = cumGain
@@ -650,7 +850,7 @@ func (r *refiner) refine(g *workGraph, part []int, opt Options) {
 			r.apply(seq[i].v, seq[i].from)
 		}
 		improved := bestGainAt >= 0
-		if contiguous && r.rebalance(maxAllowed) > 0 {
+		if r.contiguous && r.rebalance(maxAllowed) > 0 {
 			improved = true
 		}
 		if !improved {

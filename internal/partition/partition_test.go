@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -257,5 +259,75 @@ func TestQuickBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mergedRows is the map-based merge newWorkGraph and coarsen used to
+// do: the weight between two distinct (mapped) vertices summed over
+// every fine half-edge, as sorted rows.
+func mergedRows(n int, halfEdges func(yield func(a, b, w int))) [][]nbr {
+	acc := map[[2]int]int{}
+	halfEdges(func(a, b, w int) {
+		if a != b {
+			acc[[2]int{a, b}] += w
+		}
+	})
+	rows := make([][]nbr, n)
+	for k, w := range acc {
+		rows[k[0]] = append(rows[k[0]], nbr{k[1], w})
+	}
+	for _, row := range rows {
+		slices.SortFunc(row, func(x, y nbr) int { return x.v - y.v })
+	}
+	return rows
+}
+
+// TestRowMergeMatchesMap checks the marker-array merge in newWorkGraph
+// and coarsen against mergedRows, on graphs with parallel links, self
+// loops and hosts.
+func TestRowMergeMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		g := topology.New("merge")
+		ns := 2 + rng.Intn(30)
+		for i := 0; i < ns; i++ {
+			g.AddSwitch("")
+		}
+		for i := rng.Intn(10); i > 0; i-- {
+			g.Connect(g.AddHost(""), rng.Intn(ns))
+		}
+		for i := rng.Intn(4 * ns); i > 0; i-- {
+			g.Connect(rng.Intn(ns), rng.Intn(ns)) // parallel links and self loops too
+		}
+		sw := g.Switches()
+		wg := newWorkGraph(g, sw)
+		want := mergedRows(ns, func(yield func(a, b, w int)) {
+			for _, eid := range g.SwitchSwitchEdges() {
+				e := g.Edges[eid]
+				yield(e.A, e.B, 1)
+				yield(e.B, e.A, 1)
+			}
+		})
+		for v := range wg.xadj {
+			if !slices.Equal(wg.xadj[v], want[v]) {
+				t.Fatalf("trial %d: newWorkGraph row %d = %v, want %v", trial, v, wg.xadj[v], want[v])
+			}
+		}
+		coarse, cmap, shrunk := coarsen(wg, rng)
+		if !shrunk {
+			continue
+		}
+		want = mergedRows(len(coarse.vwgt), func(yield func(a, b, w int)) {
+			for v, row := range wg.xadj {
+				for _, nb := range row {
+					yield(cmap[v], cmap[nb.v], nb.w)
+				}
+			}
+		})
+		for c := range coarse.xadj {
+			if !slices.Equal(coarse.xadj[c], want[c]) {
+				t.Fatalf("trial %d: coarse row %d = %v, want %v", trial, c, coarse.xadj[c], want[c])
+			}
+		}
 	}
 }

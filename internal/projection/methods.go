@@ -96,12 +96,13 @@ func minSwitches(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, 
 		maxSwitches = 1
 	}
 	var lastErr error
-	for k := 1; k <= maxSwitches && k <= g.NumSwitches(); k++ {
-		specs := make([]PhysicalSwitch, k)
-		for i := range specs {
-			specs[i] = spec
-			specs[i].ID = fmt.Sprintf("%s-%d", spec.ID, i)
-		}
+	all := make([]PhysicalSwitch, min(maxSwitches, g.NumSwitches()))
+	for i := range all {
+		all[i] = spec
+		all[i].ID = fmt.Sprintf("%s-%d", spec.ID, i)
+	}
+	for k := 1; k <= len(all); k++ {
+		specs := all[:k]
 		if err := portShortfall(g, specs, k); err != nil {
 			lastErr = err
 			continue

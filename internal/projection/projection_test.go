@@ -1,6 +1,8 @@
 package projection
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -349,6 +351,103 @@ func TestTableCapacityEnforced(t *testing.T) {
 	var full *openflow.ErrTableFull
 	if !strings.Contains(err.Error(), "full") && !errorsAs(err, &full) {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestCompileOverflowStopsWhereAddWould pins CompileFlowTables' batched
+// install to sequential-Add semantics on overflow. The test models the
+// emission order — each rule's entries (one per VC it matches) on its
+// egress switch, then the injection entries on each host's switch —
+// and, with one switch's table limited to C entries (every C at which
+// it fills), replays one Add per entry: the compile must fail with
+// that switch's *ErrTableFull, and every switch must hold, for each
+// priority (where match order is emission order), exactly the prefix
+// the replay had installed by then.
+func TestCompileOverflowStopsWhereAddWould(t *testing.T) {
+	g := topology.FatTree(4)
+	plan, cab := mustPlan(t, g, []PhysicalSwitch{ // 40 ports: the fat-tree spans all three
+		{ID: "a", Ports: 40}, {ID: "b", Ports: 40}, {ID: "c", Ports: 40},
+	})
+	routes, err := routing.FatTreeDFS{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type emit struct{ sw, prio int }
+	var order []emit
+	for _, rule := range routes.Rules {
+		e := emit{plan.Ports[PortKey{rule.Switch, rule.OutPort}].Switch, 10}
+		if rule.InPort != 0 {
+			e.prio = 14
+		}
+		n := 1
+		if rule.Tag == openflow.Any {
+			n = max(routes.NumVCs, 1)
+		}
+		for range n {
+			order = append(order, e)
+		}
+	}
+	for _, h := range g.Hosts() {
+		for range g.NumHosts() - 1 {
+			order = append(order, emit{plan.HostAttach[h].Switch, 20})
+		}
+	}
+	fresh := func(caps []int) []*openflow.Switch {
+		sw := make([]*openflow.Switch, len(cab.Switches))
+		for i, spec := range cab.Switches {
+			sw[i] = openflow.NewSwitch(spec.ID, spec.Ports, caps[i])
+		}
+		return sw
+	}
+	byPrio := func(sw *openflow.Switch) map[int][]string {
+		m := map[int][]string{}
+		for _, e := range sw.Table.Entries() {
+			m[e.Priority] = append(m[e.Priority], e.String())
+		}
+		return m
+	}
+	all, err := CompileFlowTables(plan, routes, CompileOptions{Into: fresh(make([]int, len(cab.Switches)))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != EntryCount(all) {
+		t.Fatalf("emission model has %d entries, the compile %d", len(order), EntryCount(all))
+	}
+	for small := range all { // one switch limited, the others not: its neighbours' batches are pending when it fills
+		for capacity := 1; capacity < all[small].Table.Len(); capacity++ {
+			caps := make([]int, len(all))
+			caps[small] = capacity
+			want := make([]map[int]int, len(all)) // per switch: priority -> entries installed
+			for i := range want {
+				want[i] = map[int]int{}
+			}
+			lens := make([]int, len(all))
+			for _, e := range order {
+				if caps[e.sw] > 0 && lens[e.sw] == caps[e.sw] {
+					break
+				}
+				lens[e.sw]++
+				want[e.sw][e.prio]++
+			}
+			sw := fresh(caps)
+			_, err := CompileFlowTables(plan, routes, CompileOptions{Into: sw})
+			var full *openflow.ErrTableFull
+			if !errors.As(err, &full) || *full != (openflow.ErrTableFull{Switch: sw[small].ID, Capacity: capacity}) {
+				t.Fatalf("capacity %d on %s: err = %v", capacity, sw[small].ID, err)
+			}
+			for i, s := range sw {
+				got, unlimited := byPrio(s), byPrio(all[i])
+				for prio, n := range want[i] {
+					if len(got[prio]) != n || !slices.Equal(got[prio], unlimited[prio][:n]) {
+						t.Fatalf("capacity %d on %s: switch %s holds %d priority-%d entries, want the first %d emitted",
+							capacity, sw[small].ID, s.ID, len(got[prio]), prio, n)
+					}
+				}
+				if s.Table.Len() != lens[i] {
+					t.Fatalf("capacity %d on %s: switch %s holds %d entries, want %d", capacity, sw[small].ID, s.ID, s.Table.Len(), lens[i])
+				}
+			}
+		}
 	}
 }
 

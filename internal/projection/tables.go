@@ -71,7 +71,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 	}
 
 	vcs := maxInt(r.NumVCs, 1)
-	subIdx := map[int]int{}
+	subIdx := make([]int, len(g.Vertices)) // logical switch -> index among switches
 	for i, s := range g.Switches() {
 		subIdx[s] = i
 	}
@@ -108,9 +108,34 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		return ref, false, 0, fmt.Errorf("projection: rule egress port %d.%d dangling", rule.Switch, rule.OutPort)
 	}
 
+	// Each switch's entries are collected in emission order and
+	// installed with one merge (Table.Install) at the end. An entry that
+	// would overflow its table fails where one Add per entry would: what
+	// was emitted before it is installed first, then Add reports the
+	// same *ErrTableFull, so Deploy's roll-back starts from the same
+	// tables.
+	pending := make([][]*openflow.FlowEntry, len(switches))
+	flush := func() error {
+		for i, es := range pending {
+			if err := switches[i].Table.Install(es); err != nil {
+				return err
+			}
+			pending[i] = nil
+		}
+		return nil
+	}
+	var slab entrySlab
 	add := func(sw int, e openflow.FlowEntry) error {
 		e.Cookie = opt.Cookie
-		return switches[sw].Table.Add(e)
+		t := &switches[sw].Table
+		if t.Capacity > 0 && t.Len()+len(pending[sw]) >= t.Capacity {
+			if err := flush(); err != nil {
+				return err
+			}
+			return t.Add(e)
+		}
+		pending[sw] = append(pending[sw], slab.entry(e))
+		return nil
 	}
 
 	for _, rule := range r.Rules {
@@ -126,15 +151,11 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		}
 		switch opt.Encoding {
 		case TagEncoded:
-			vcIn := []int{}
-			if rule.Tag == openflow.Any {
-				for v := 0; v < vcs; v++ {
-					vcIn = append(vcIn, v)
-				}
-			} else {
-				vcIn = append(vcIn, rule.Tag)
+			vcLo, vcHi := 0, vcs // a wildcard rule covers every VC
+			if rule.Tag != openflow.Any {
+				vcLo, vcHi = rule.Tag, rule.Tag+1
 			}
-			for _, vc := range vcIn {
+			for vc := vcLo; vc < vcHi; vc++ {
 				m := openflow.Match{
 					InPort:  0,
 					SrcHost: openflow.Any,
@@ -152,12 +173,12 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 				}
 				var actions []openflow.Action
 				if toHost {
-					actions = []openflow.Action{{Type: openflow.SetTag, Tag: 0}, {Type: openflow.Output, Port: ref.Port}}
+					actions = slab.actions(openflow.Action{Type: openflow.SetTag, Tag: 0}, openflow.Action{Type: openflow.Output, Port: ref.Port})
 				} else {
-					actions = []openflow.Action{
-						{Type: openflow.SetTag, Tag: enc(peer, outVC(vc))},
-						{Type: openflow.Output, Port: ref.Port},
-					}
+					actions = slab.actions(
+						openflow.Action{Type: openflow.SetTag, Tag: enc(peer, outVC(vc))},
+						openflow.Action{Type: openflow.Output, Port: ref.Port},
+					)
 				}
 				if err := add(ref.Switch, openflow.FlowEntry{Priority: prio, Match: m, Actions: actions}); err != nil {
 					return nil, err
@@ -191,7 +212,8 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 				if rule.Tag != openflow.Any {
 					prio += 2
 				}
-				var actions []openflow.Action
+				var buf [3]openflow.Action
+				actions := buf[:0]
 				if rule.NewTag >= 0 {
 					actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: rule.NewTag})
 				}
@@ -199,7 +221,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 					actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: 0})
 				}
 				actions = append(actions, openflow.Action{Type: openflow.Output, Port: ref.Port})
-				if err := add(ref.Switch, openflow.FlowEntry{Priority: prio, Match: m, Actions: actions}); err != nil {
+				if err := add(ref.Switch, openflow.FlowEntry{Priority: prio, Match: m, Actions: slab.actions(actions...)}); err != nil {
 					return nil, err
 				}
 			}
@@ -236,12 +258,12 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 				}
 				var actions []openflow.Action
 				if toHost {
-					actions = []openflow.Action{{Type: openflow.Output, Port: ref.Port}}
+					actions = slab.actions(openflow.Action{Type: openflow.Output, Port: ref.Port})
 				} else {
-					actions = []openflow.Action{
-						{Type: openflow.SetTag, Tag: enc(peer, vcOut)},
-						{Type: openflow.Output, Port: ref.Port},
-					}
+					actions = slab.actions(
+						openflow.Action{Type: openflow.SetTag, Tag: enc(peer, vcOut)},
+						openflow.Action{Type: openflow.Output, Port: ref.Port},
+					)
 				}
 				err = add(attach.Switch, openflow.FlowEntry{
 					Priority: 20,
@@ -259,7 +281,44 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 			}
 		}
 	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
 	return switches, nil
+}
+
+// entrySlab carves a compile's entries and action lists out of chunks
+// instead of two allocations per entry. Chunks double from a small
+// first one up to slabChunk entries (and twice as many actions), so a
+// small compile allocates little, a large one leaves at most part of
+// one chunk unused, and every chunk stays below the runtime's 32 KB
+// large-object size. Every entry of a compile carries its cookie, so a
+// teardown frees the chunks whole.
+type entrySlab struct {
+	entries []openflow.FlowEntry
+	acts    []openflow.Action
+}
+
+const slabChunk = 256
+
+// entry returns a pointer to a slab copy of e.
+func (s *entrySlab) entry(e openflow.FlowEntry) *openflow.FlowEntry {
+	if len(s.entries) == cap(s.entries) {
+		s.entries = make([]openflow.FlowEntry, 0, min(slabChunk, max(16, 2*cap(s.entries))))
+	}
+	s.entries = append(s.entries, e)
+	return &s.entries[len(s.entries)-1]
+}
+
+// actions returns a slab copy of a, capped so that an append to it
+// cannot reach a neighbour's actions.
+func (s *entrySlab) actions(a ...openflow.Action) []openflow.Action {
+	if cap(s.acts)-len(s.acts) < len(a) {
+		s.acts = make([]openflow.Action, 0, min(2*slabChunk, max(32, 2*cap(s.acts))))
+	}
+	lo := len(s.acts)
+	s.acts = append(s.acts, a...)
+	return s.acts[lo:len(s.acts):len(s.acts)]
 }
 
 // EntryCount sums installed entries across switches — the §VII-C

@@ -15,6 +15,8 @@ func FatTree(k int) *Graph {
 	}
 	g := New(fmt.Sprintf("fattree-k%d", k))
 	half := k / 2
+	// 5k²/4 switches, k³/4 hosts; k³/2 switch links and k³/4 host links.
+	g.reserve(half*half+k*k, k*k*half/2, k*k*half+k*half*half)
 
 	core := make([][]int, half)
 	for i := 0; i < half; i++ {

@@ -12,6 +12,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -77,9 +78,11 @@ type Graph struct {
 	Vertices []Vertex
 	Edges    []Edge
 
-	adj       [][]int // vertex -> incident edge IDs
+	// adj, switchIDs and hostIDs are kept current by every mutation
+	// (AddSwitch, AddHost, ConnectPorts append to them), so every read
+	// accessor is a plain read.
+	adj       [][]int // vertex -> incident edge IDs, in edge-ID order
 	nextPort  []int   // next free port per vertex
-	adjDirty  bool
 	switchIDs []int
 	hostIDs   []int
 	csr       atomic.Pointer[CSR]
@@ -107,9 +110,29 @@ func (g *Graph) addVertex(k Kind, label string, coord []int) int {
 	}
 	g.Vertices = append(g.Vertices, Vertex{ID: id, Kind: k, Label: label, Coord: coord})
 	g.nextPort = append(g.nextPort, 1)
-	g.adjDirty = true
+	g.adj = append(g.adj, nil)
+	if k == Switch {
+		g.switchIDs = append(g.switchIDs, id)
+	} else {
+		g.hostIDs = append(g.hostIDs, id)
+	}
 	g.csr.Store(nil)
 	return id
+}
+
+// reserve sizes the storage of a graph about to receive the given
+// numbers of switches, hosts and edges, so that a generator which knows
+// its size builds without regrowing its per-vertex and per-edge slices
+// (append's 1.25× steps past 256 elements allocate several times the
+// final size along the way).
+func (g *Graph) reserve(switches, hosts, edges int) {
+	nv := switches + hosts
+	g.Vertices = slices.Grow(g.Vertices, nv)
+	g.nextPort = slices.Grow(g.nextPort, nv)
+	g.adj = slices.Grow(g.adj, nv)
+	g.switchIDs = slices.Grow(g.switchIDs, switches)
+	g.hostIDs = slices.Grow(g.hostIDs, hosts)
+	g.Edges = slices.Grow(g.Edges, edges)
 }
 
 // Connect adds an undirected edge between vertices a and b, assigning the
@@ -138,37 +161,17 @@ func (g *Graph) ConnectPorts(a, aPort, b, bPort int) int {
 	if bPort >= g.nextPort[b] {
 		g.nextPort[b] = bPort + 1
 	}
-	g.adjDirty = true
+	g.adj[a] = append(g.adj[a], id)
+	if b != a {
+		g.adj[b] = append(g.adj[b], id)
+	}
 	g.csr.Store(nil)
 	return id
 }
 
-func (g *Graph) rebuild() {
-	if !g.adjDirty {
-		return
-	}
-	g.adj = make([][]int, len(g.Vertices))
-	for _, e := range g.Edges {
-		g.adj[e.A] = append(g.adj[e.A], e.ID)
-		if e.B != e.A {
-			g.adj[e.B] = append(g.adj[e.B], e.ID)
-		}
-	}
-	g.switchIDs = g.switchIDs[:0]
-	g.hostIDs = g.hostIDs[:0]
-	for _, v := range g.Vertices {
-		if v.Kind == Switch {
-			g.switchIDs = append(g.switchIDs, v.ID)
-		} else {
-			g.hostIDs = append(g.hostIDs, v.ID)
-		}
-	}
-	g.adjDirty = false
-}
-
-// IncidentEdges returns the IDs of edges incident to vertex v.
+// IncidentEdges returns the IDs of edges incident to vertex v, in
+// ascending edge-ID order (a self loop appears once).
 func (g *Graph) IncidentEdges(v int) []int {
-	g.rebuild()
 	return g.adj[v]
 }
 
@@ -278,19 +281,16 @@ func (r csrRow) Swap(i, j int) {
 
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int {
-	g.rebuild()
 	return len(g.adj[v])
 }
 
 // Switches returns the IDs of all switch vertices in ascending order.
 func (g *Graph) Switches() []int {
-	g.rebuild()
 	return g.switchIDs
 }
 
 // Hosts returns the IDs of all host vertices in ascending order.
 func (g *Graph) Hosts() []int {
-	g.rebuild()
 	return g.hostIDs
 }
 
@@ -353,7 +353,6 @@ func (g *Graph) Radix() int {
 
 // EdgeBetween returns the ID of an edge joining a and b, or -1.
 func (g *Graph) EdgeBetween(a, b int) int {
-	g.rebuild()
 	for _, eid := range g.adj[a] {
 		if g.Edges[eid].Other(a) == b {
 			return eid

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -490,6 +491,73 @@ func TestEdgeBetween(t *testing.T) {
 	}
 	if g.EdgeBetween(sw[0], sw[2]) >= 0 {
 		t.Error("non-adjacent ring switches reported connected")
+	}
+}
+
+// TestIncrementalAdjacencyMatchesRebuild drives random mutation
+// sequences — switches, hosts, Connect, ConnectPorts, self loops and
+// parallel edges — and after every step compares the adjacency the
+// mutators keep current with one rebuilt from Vertices and Edges.
+func TestIncrementalAdjacencyMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		g := New(fmt.Sprintf("mut-%d", trial))
+		for step := 0; step < 60; step++ {
+			n := len(g.Vertices)
+			switch op := rng.Intn(5); {
+			case n < 2 || op == 0:
+				g.AddSwitch("")
+			case op == 1:
+				g.AddHost("")
+			case op == 2:
+				a, b := rng.Intn(n), rng.Intn(n)
+				g.ConnectPorts(a, 1+rng.Intn(6), b, 1+rng.Intn(6))
+			default:
+				g.Connect(rng.Intn(n), rng.Intn(n))
+			}
+			checkAgainstRebuild(t, g)
+		}
+	}
+}
+
+// checkAgainstRebuild compares IncidentEdges, Degree, Switches, Hosts
+// and EdgeBetween with their definitions over Vertices and Edges.
+func checkAgainstRebuild(t *testing.T, g *Graph) {
+	t.Helper()
+	adj := make([][]int, len(g.Vertices))
+	for _, e := range g.Edges {
+		adj[e.A] = append(adj[e.A], e.ID)
+		if e.B != e.A {
+			adj[e.B] = append(adj[e.B], e.ID)
+		}
+	}
+	var sw, hosts []int
+	for _, v := range g.Vertices {
+		if v.Kind == Switch {
+			sw = append(sw, v.ID)
+		} else {
+			hosts = append(hosts, v.ID)
+		}
+	}
+	if !slices.Equal(g.Switches(), sw) || !slices.Equal(g.Hosts(), hosts) {
+		t.Fatalf("%s: Switches/Hosts = %v/%v, rebuild %v/%v", g.Name, g.Switches(), g.Hosts(), sw, hosts)
+	}
+	for v := range g.Vertices {
+		if !slices.Equal(g.IncidentEdges(v), adj[v]) || g.Degree(v) != len(adj[v]) {
+			t.Fatalf("%s: IncidentEdges(%d) = %v, rebuild %v", g.Name, v, g.IncidentEdges(v), adj[v])
+		}
+		for o := range g.Vertices {
+			want := -1
+			for _, eid := range adj[v] {
+				if g.Edges[eid].Other(v) == o {
+					want = eid
+					break
+				}
+			}
+			if got := g.EdgeBetween(v, o); got != want {
+				t.Fatalf("%s: EdgeBetween(%d,%d) = %d, rebuild %d", g.Name, v, o, got, want)
+			}
+		}
 	}
 }
 
