@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
 
 	sdt "repro"
 )
@@ -67,7 +66,24 @@ func main() {
 	fmt.Printf("flows: %d total, %d completed; ACT %.3f ms; lost to the outage: %d packets\n\n",
 		len(fs.Flows), len(fs.Flows)-res.Incomplete,
 		float64(res.ACT)/float64(sdt.Millisecond), res.FaultDrops)
-	res.Recovery.Format(os.Stdout)
+
+	// One record per scheduled fault: when the repaired routes went
+	// live, the fault→first-repaired-delivery time, the repair's churn.
+	us := func(t sdt.SimTime) string { return fmt.Sprintf("%.0fus", float64(t)/float64(sdt.Microsecond)) }
+	fmt.Printf("%-24s %10s %10s %10s %6s\n", "fault", "at", "repair", "reconv", "churn")
+	for i := range res.Faults {
+		f := &res.Faults[i]
+		repair, reconv := "-", "-"
+		if f.RepairAt >= 0 {
+			repair = us(f.RepairAt)
+		}
+		if d := f.Reconvergence(); d >= 0 {
+			reconv = us(d)
+		}
+		fmt.Printf("%-24s %9.0fus %10s %10s %6d\n",
+			f, float64(f.At)/float64(sdt.Microsecond), repair, reconv, f.RulesChanged)
+	}
+	fmt.Printf("packets lost to faults: %d, flows incomplete: %d\n", res.FaultDrops, res.Incomplete)
 
 	// The same schedule on a healthy fabric, for the FCT penalty.
 	healthy := sdt.LoadSpec{

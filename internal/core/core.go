@@ -20,11 +20,11 @@ import (
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/projection"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -103,8 +103,10 @@ type RunResult struct {
 	// loss is non-fatal for Flows scenarios under faults; ACT then
 	// reports the last completed flow).
 	Incomplete int
-	// Recovery carries the per-fault repair and reconvergence metrics.
-	Recovery *telemetry.Recovery
+	// Faults is the record of each event a scenario's faults.Spec
+	// scheduled — repair time, churn, reconvergence — in schedule
+	// order (nil without a spec).
+	Faults []faults.Record
 	// Reconfig is the record of each transition a scenario's
 	// reconfig.Spec scheduled, in spec order (empty otherwise).
 	// FaultDrops and Incomplete above then count the drain windows'

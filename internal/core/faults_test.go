@@ -49,11 +49,9 @@ func faultFixture(t *testing.T, seed int64) (*Testbed, *topology.Graph, *loadgen
 func recoveryDigest(res *RunResult) string {
 	s := fmt.Sprintf("act=%d drops=%d faultdrops=%d incomplete=%d pauses=%d events=%d\n",
 		res.ACT, res.Drops, res.FaultDrops, res.Incomplete, res.Pauses, res.Events)
-	if res.Recovery != nil {
-		for _, e := range res.Recovery.Events {
-			s += fmt.Sprintf("%s repair=%d deliv=%d churn=%d\n",
-				e.Desc, e.RepairAt, e.FirstDeliveryAfter, e.RulesChanged)
-		}
+	for _, f := range res.Faults {
+		s += fmt.Sprintf("%s repair=%d deliv=%d churn=%d\n",
+			f.Event, f.RepairAt, f.FirstDeliveryAfter, f.RulesChanged)
 	}
 	return s
 }
@@ -73,13 +71,20 @@ func TestFaultRunDeterministic(t *testing.T) {
 		if res.FaultDrops == 0 {
 			t.Fatal("fixture produced no fault drops; the outage missed the traffic")
 		}
-		if res.Recovery == nil || len(res.Recovery.Events) != len(spec.Events) {
-			t.Fatalf("recovery = %+v", res.Recovery)
+		if len(res.Faults) != len(spec.Events) {
+			t.Fatalf("fault records = %+v", res.Faults)
 		}
-		if mean, n := res.Recovery.MeanReconvergence(); n == 0 || mean <= 0 {
-			t.Fatalf("no reconvergence measured: mean=%v n=%d", mean, n)
+		churn, reconverged := 0, 0
+		for i := range res.Faults {
+			churn += res.Faults[i].RulesChanged
+			if res.Faults[i].Reconvergence() > 0 {
+				reconverged++
+			}
 		}
-		if res.Recovery.TotalChurn() == 0 {
+		if reconverged == 0 {
+			t.Fatal("no reconvergence measured")
+		}
+		if churn == 0 {
 			t.Fatal("repair churned no rules")
 		}
 		digests = append(digests, recoveryDigest(res))
@@ -161,11 +166,11 @@ func TestNoFaultsIdenticalToEmptySpec(t *testing.T) {
 			t.Fatalf("flow %d completion changed under an empty spec", i)
 		}
 	}
-	if plain.Recovery != nil {
-		t.Fatal("nil spec grew a recovery report")
+	if plain.Faults != nil {
+		t.Fatal("nil spec grew fault records")
 	}
-	if empty.Recovery == nil || len(empty.Recovery.Events) != 0 {
-		t.Fatalf("empty spec recovery = %+v", empty.Recovery)
+	if empty.Faults == nil || len(empty.Faults) != 0 {
+		t.Fatalf("empty spec fault records = %+v", empty.Faults)
 	}
 	if plain.FaultDrops != 0 || empty.FaultDrops != 0 {
 		t.Fatal("healthy runs counted fault drops")

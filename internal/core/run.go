@@ -13,14 +13,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/controller"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -247,7 +245,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	} else {
 		app = netsim.NewFlowApp(net, hosts[:ranks], sc.Flows, nil)
 	}
-	tracker, err := armFaults(net, sc, g)
+	records, err := armFaults(net, sc, g)
 	if err != nil {
 		return nil, err
 	}
@@ -288,9 +286,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		Mode: sc.Mode, ACT: act, Wall: wall,
 		Drops: net.TotalDrops, Pauses: net.PausesSent, EcnMarks: net.EcnMarks,
 		Events: net.Sim.Events(), FaultDrops: net.FaultDrops, Incomplete: incomplete,
-	}
-	if tracker != nil {
-		res.Recovery = tracker.Report(incomplete)
+		Faults: records,
 	}
 	if rc != nil {
 		res.Reconfig = rc.Stages
@@ -306,12 +302,11 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	return res, nil
 }
 
-// armFaults expands and binds the scenario's fault schedule, if any:
-// the fabric degrades at each event, a Rerouter patches a run-private
-// clone of the route set after the spec's repair latency, and a
-// RecoveryTracker stamps fault/repair/reconvergence times. Returns nil
-// when the scenario carries no faults.
-func armFaults(net *netsim.Network, sc Scenario, g *topology.Graph) (*telemetry.RecoveryTracker, error) {
+// armFaults expands and binds the scenario's fault schedule, if any,
+// repairing a run-private clone of the route set after the spec's
+// repair latency (none when repair is disabled). The records are the
+// run's per-fault results; nil when the scenario carries no faults.
+func armFaults(net *netsim.Network, sc Scenario, g *topology.Graph) ([]faults.Record, error) {
 	if sc.Faults == nil {
 		return nil, nil
 	}
@@ -319,17 +314,12 @@ func armFaults(net *netsim.Network, sc Scenario, g *topology.Graph) (*telemetry.
 	if err != nil {
 		return nil, err
 	}
-	tracker := telemetry.NewRecoveryTracker(net)
-	obs := []faults.Observer{faults.ObserverFunc(func(n *netsim.Network, ev faults.Event) {
-		tracker.Fault(n.Sim.Now(), ev.String())
-	})}
-	if lat := sc.Faults.Repair(); lat >= 0 {
-		rr := controller.NewRerouter(g, privateRoutes(net), lat)
-		rr.OnRepair = func(rep controller.Repair) { tracker.Repaired(rep.At, rep.RulesChanged) }
-		obs = append(obs, rr)
+	var live *routing.Routes
+	lat := sc.Faults.Repair()
+	if lat >= 0 {
+		live = privateRoutes(net)
 	}
-	faults.Bind(net, sched, obs...)
-	return tracker, nil
+	return faults.Bind(net, sched, live, lat), nil
 }
 
 // armReconfig builds and binds the scenario's reconfiguration

@@ -149,9 +149,7 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 		if len(rep.Buckets) > 0 && rep.Buckets[0].Count > 0 {
 			c.P50, c.P99 = rep.Buckets[0].P50, rep.Buckets[0].P99
 		}
-		if r.Recovery != nil {
-			c.Reconv, c.ReconvN = r.Recovery.MeanReconvergence()
-		}
+		_, c.Reconv, c.ReconvN = faultStats(r.Faults)
 	}
 	return res, nil
 }
@@ -163,13 +161,9 @@ func (r *CCShootoutResult) Format(w io.Writer) {
 		"cc", "pattern", "load", "faults", "flows", "completed", "lost", "drops", "pauses", "reconv", "p50", "p99")
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		reconv := "-"
-		if c.ReconvN > 0 {
-			reconv = fmt.Sprintf("%.0fus", float64(c.Reconv)/float64(netsim.Microsecond))
-		}
 		fmt.Fprintf(w, "%-8s %-12s %5.1f %6d %6d %9d %6d %6d %8d %10s %7.2fx %7.2fx\n",
 			c.CC, c.Pattern, c.Load, c.Faults, c.Flows, c.Completed,
-			c.Lost, c.Drops, c.Pauses, reconv, c.P50, c.P99)
+			c.Lost, c.Drops, c.Pauses, reconvColumn(c.Reconv, c.ReconvN), c.P50, c.P99)
 		if c.Incomplete > 0 {
 			fmt.Fprintf(w, "%-8s   (%d flows incomplete)\n", "", c.Incomplete)
 		}

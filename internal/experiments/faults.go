@@ -191,10 +191,32 @@ func fillFaultCell(c *FaultSweepCell, r *core.RunResult, fs *loadgen.FlowSet, cf
 	if len(rep.Buckets) > 0 && rep.Buckets[0].Count > 0 {
 		c.P50, c.P99 = rep.Buckets[0].P50, rep.Buckets[0].P99
 	}
-	if r.Recovery != nil {
-		c.Churn = r.Recovery.TotalChurn()
-		c.Reconv, c.ReconvN = r.Recovery.MeanReconvergence()
+	c.Churn, c.Reconv, c.ReconvN = faultStats(r.Faults)
+}
+
+// faultStats sums a run's repair churn and averages reconvergence over
+// the n faults that reconverged (mean is 0 when none did).
+func faultStats(recs []faults.Record) (churn int, mean netsim.Time, n int) {
+	for i := range recs {
+		churn += recs[i].RulesChanged
+		if d := recs[i].Reconvergence(); d >= 0 {
+			mean += d
+			n++
+		}
 	}
+	if n > 0 {
+		mean /= netsim.Time(n)
+	}
+	return churn, mean, n
+}
+
+// reconvColumn renders a mean reconvergence over n faults, "-" when
+// none reconverged.
+func reconvColumn(mean netsim.Time, n int) string {
+	if n == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0fus", float64(mean)/float64(netsim.Microsecond))
 }
 
 // Format prints the fault sweep grid.
@@ -204,13 +226,9 @@ func (r *FaultSweepResult) Format(w io.Writer) {
 		"topology", "strategy", "faults", "flows", "completed", "lost", "drops", "churn", "reconv", "p50", "p99")
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		reconv := "-"
-		if c.ReconvN > 0 {
-			reconv = fmt.Sprintf("%.0fus", float64(c.Reconv)/float64(netsim.Microsecond))
-		}
 		fmt.Fprintf(w, "%-16s %-16s %6d %6d %9d %6d %6d %6d %10s %7.2fx %7.2fx\n",
 			c.Topo, c.Strategy, c.Faults, c.Flows, c.Completed,
-			c.Lost, c.Drops, c.Churn, reconv, c.P50, c.P99)
+			c.Lost, c.Drops, c.Churn, reconvColumn(c.Reconv, c.ReconvN), c.P50, c.P99)
 	}
 }
 
@@ -220,7 +238,7 @@ type FaultFlapRow struct {
 	// Edge is the flapping uplink (the victim is seeded per row, so
 	// each row flaps its own victim's ToR uplink).
 	Edge      int
-	Downs     int // link-down events in the schedule
+	Downs     int // link-down events in the run's fault records
 	Flows     int
 	Completed int
 	Lost      int64
@@ -264,7 +282,6 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 	res := &FaultFlapResult{Seed: seed}
 	var jobs []core.Job
 	var flowSets []*loadgen.FlowSet
-	var scheds [][]faults.Event
 	for i, mtbf := range mtbfs {
 		fs, err := loadgen.Spec{
 			Ranks: fanin + 1, Pattern: loadgen.Incast(fanin),
@@ -297,13 +314,8 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 			Horizon: fs.Flows[len(fs.Flows)-1].Start,
 			Seed:    seed + int64(i),
 		}
-		sched, err := spec.Schedule(g)
-		if err != nil {
-			return nil, err
-		}
 		res.Rows = append(res.Rows, FaultFlapRow{MTBF: mtbf, MTTR: mtbf / 4, Edge: edge, Flows: flows})
 		flowSets = append(flowSets, fs)
-		scheds = append(scheds, sched)
 		jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 			Topo: g, Flows: fs.Flows, Mode: core.FullTestbed, Hosts: hosts, Faults: spec,
 		}})
@@ -314,8 +326,8 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 	}
 	for i := range res.Rows {
 		row := &res.Rows[i]
-		for _, ev := range scheds[i] {
-			if ev.Kind == faults.LinkDown {
+		for _, rec := range results[i].Faults {
+			if rec.Kind == faults.LinkDown {
 				row.Downs++
 			}
 		}
@@ -326,10 +338,7 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 		}
 		row.Lost = results[i].FaultDrops
 		row.Pauses = results[i].Pauses
-		if results[i].Recovery != nil {
-			row.Churn = results[i].Recovery.TotalChurn()
-			row.Reconv, row.ReconvN = results[i].Recovery.MeanReconvergence()
-		}
+		row.Churn, row.Reconv, row.ReconvN = faultStats(results[i].Faults)
 	}
 	return res, nil
 }
@@ -341,14 +350,10 @@ func (r *FaultFlapResult) Format(w io.Writer) {
 		"MTBF", "MTTR", "edge", "downs", "flows", "completed", "lost", "churn", "reconv", "p99 slow", "pauses")
 	for i := range r.Rows {
 		row := &r.Rows[i]
-		reconv := "-"
-		if row.ReconvN > 0 {
-			reconv = fmt.Sprintf("%.0fus", float64(row.Reconv)/float64(netsim.Microsecond))
-		}
 		fmt.Fprintf(w, "%6.1fms %6.2fms %5d %6d %6d %9d %6d %6d %10s %8.2fx %8d\n",
 			float64(row.MTBF)/float64(netsim.Millisecond),
 			float64(row.MTTR)/float64(netsim.Millisecond),
 			row.Edge, row.Downs, row.Flows, row.Completed, row.Lost, row.Churn,
-			reconv, row.P99, row.Pauses)
+			reconvColumn(row.Reconv, row.ReconvN), row.P99, row.Pauses)
 	}
 }

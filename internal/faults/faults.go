@@ -10,13 +10,14 @@
 // runs, platforms, and Go versions — the property the golden-output
 // regression harness and the any-worker-count determinism tests pin.
 //
-// Bind arms a schedule on a network: at each event's simulated time the
-// fabric state flips (netsim.Network.SetLinkDown/SetSwitchDown — dead
-// elements drop traversing packets into Network.FaultDrops), then every
-// registered Observer is notified inside the engine thread. The
-// reactive repair path (controller.Rerouter) and the recovery metrics
-// (telemetry.RecoveryTracker) are both observers; a spec with no
-// observers still degrades the fabric.
+// Bind executes a schedule on a network and is the whole fault run: at
+// each event's simulated time the fabric state flips
+// (netsim.Network.SetLinkDown/SetSwitchDown — dead elements drop
+// traversing packets into Network.FaultDrops), and the reactive
+// controller's repair (§V-2's reactive flow setup applied to failures)
+// patches the run's live routes after the spec's latency. Each event's
+// Record — repair time, route churn, first delivery after the repair —
+// is the run's only per-fault result.
 package faults
 
 import (
@@ -25,6 +26,7 @@ import (
 
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -238,44 +240,85 @@ func checkElem(g *topology.Graph, k Kind, elem int) error {
 	return nil
 }
 
-// Observer is notified inside the engine thread immediately after a
-// fault event has taken effect on the fabric.
-type Observer interface {
-	OnFault(net *netsim.Network, ev Event)
+// Record is one scheduled fault's whole lifecycle: the event and, as
+// the run executes it, its repair and reconvergence.
+type Record struct {
+	Event
+	// RepairAt is when this fault's repaired routes went live (-1 when
+	// repair is disabled or the run ended first).
+	RepairAt netsim.Time
+	// FirstDeliveryAfter is the first payload delivery at or after
+	// RepairAt (-1 if none landed).
+	FirstDeliveryAfter netsim.Time
+	// RulesChanged is the repair's route churn: rules added plus rules
+	// removed versus the rules live before it.
+	RulesChanged int
 }
 
-// ObserverFunc adapts a function to Observer.
-type ObserverFunc func(net *netsim.Network, ev Event)
+// Reconvergence returns the fault→first-repaired-delivery time, or -1
+// when the fabric never delivered after the repair.
+func (r *Record) Reconvergence() netsim.Time {
+	if r.RepairAt < 0 || r.FirstDeliveryAfter < 0 {
+		return -1
+	}
+	return r.FirstDeliveryAfter - r.At
+}
 
-// OnFault implements Observer.
-func (f ObserverFunc) OnFault(net *netsim.Network, ev Event) { f(net, ev) }
-
-// Bind arms a schedule on a network: each event flips the fabric state
-// at its simulated time and then notifies the observers in order. Call
+// Bind arms a schedule on a network and returns its records, one per
+// event in schedule order, which fill in as the simulation runs. Call
 // before the simulation runs.
-func Bind(net *netsim.Network, sched []Event, obs ...Observer) {
-	for _, ev := range sched {
-		ev := ev
+//
+// Each event flips the fabric state at its simulated time, then updates
+// the controller's outage view (the port-status notification). latency
+// later — detection, recompute, install — the repair patches live
+// around the outage as of then (routing.Routes.Reroute: a later fault
+// already folded in is re-confirmed with zero churn), stamps this
+// event's record and awaits the first delivery after it. A nil live
+// disables repair: routes stay stale and traffic toward dead elements
+// keeps dropping. live must be private to the run, since repairs
+// mutate it mid-simulation; the fabric's RouteForwarder re-fetches the
+// memoized FIB, so a repair that changes rules recompiles it once.
+func Bind(net *netsim.Network, sched []Event, live *routing.Routes, latency netsim.Time) []Record {
+	recs := make([]Record, len(sched))
+	var orig []routing.Rule // the strategy's rules, the repair baseline
+	if live != nil {
+		orig = append([]routing.Rule(nil), live.Rules...)
+	}
+	down := routing.Outage{Edge: map[int]bool{}, Switch: map[int]bool{}}
+	for i, ev := range sched {
+		rec := &recs[i]
+		*rec = Record{Event: ev, RepairAt: -1, FirstDeliveryAfter: -1}
 		net.Sim.At(ev.At, func() {
-			apply(net, ev)
-			for _, o := range obs {
-				o.OnFault(net, ev)
+			apply(net, down, ev)
+			if live == nil {
+				return
 			}
+			net.Sim.After(latency, func() {
+				rec.RepairAt = net.Sim.Now()
+				rec.RulesChanged = live.Reroute(orig, down)
+				net.AwaitDelivery(func(now netsim.Time) { rec.FirstDeliveryAfter = now })
+			})
 		})
 	}
+	return recs
 }
 
-// apply flips one element's state.
-func apply(net *netsim.Network, ev Event) {
+// apply flips one element's state on the fabric, then in the outage
+// view.
+func apply(net *netsim.Network, down routing.Outage, ev Event) {
 	switch ev.Kind {
 	case LinkDown:
 		net.SetLinkDown(ev.Elem, true)
+		down.Edge[ev.Elem] = true
 	case LinkUp:
 		net.SetLinkDown(ev.Elem, false)
+		delete(down.Edge, ev.Elem)
 	case SwitchDown:
 		net.SetSwitchDown(ev.Elem, true)
+		down.Switch[ev.Elem] = true
 	case SwitchUp:
 		net.SetSwitchDown(ev.Elem, false)
+		delete(down.Switch, ev.Elem)
 	}
 }
 

@@ -183,7 +183,8 @@ func TestPickCoreEdges(t *testing.T) {
 }
 
 // TestBindDegradesFabric runs a tiny fabric with a cut link and checks
-// the fault drops land and observers fire at the fault instant.
+// the fault drops land and, with repair disabled, the records stay
+// unrepaired.
 func TestBindDegradesFabric(t *testing.T) {
 	g := topology.New("pair")
 	s1 := g.AddSwitch("s1")
@@ -224,17 +225,11 @@ func TestBindDegradesFabric(t *testing.T) {
 
 	// Cut the core link before any packet: everything fault-drops.
 	net = build()
-	var observed []Event
 	sched, err := (&Spec{Events: []Event{{At: 0, Kind: LinkDown, Elem: core}}}).Schedule(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Bind(net, sched, ObserverFunc(func(n *netsim.Network, ev Event) {
-		observed = append(observed, ev)
-		if !n.LinkIsDown(core) {
-			t.Error("observer ran before the state flip")
-		}
-	}))
+	recs := Bind(net, sched, nil, DefaultRepairLatency)
 	send(net).Start()
 	net.Sim.Run(0)
 	if done {
@@ -243,8 +238,8 @@ func TestBindDegradesFabric(t *testing.T) {
 	if net.FaultDrops == 0 {
 		t.Fatal("no fault drops counted")
 	}
-	if len(observed) != 1 || observed[0].Kind != LinkDown {
-		t.Fatalf("observer saw %v", observed)
+	if len(recs) != 1 || recs[0].Event != sched[0] || recs[0].RepairAt != -1 || recs[0].Reconvergence() != -1 {
+		t.Fatalf("records %+v", recs)
 	}
 
 	// Down then up before traffic: delivery works and the counters stay
@@ -257,7 +252,7 @@ func TestBindDegradesFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Bind(net, sched)
+	Bind(net, sched, nil, 0)
 	net.Sim.At(2*netsim.Microsecond, send(net).Start)
 	net.Sim.Run(0)
 	if !done || net.FaultDrops != 0 {
@@ -270,7 +265,7 @@ func TestBindDegradesFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Bind(net, sched)
+	Bind(net, sched, nil, 0)
 	send(net).Start()
 	net.Sim.Run(0)
 	if done {

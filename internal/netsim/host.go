@@ -324,8 +324,8 @@ func (h *Host) roceData(pkt *Packet) {
 	e := &h.roce
 	h.DeliveredBytes += int64(pkt.Len)
 	n.DeliveredPkt++
-	if n.OnDeliver != nil {
-		n.OnDeliver(n.Sim.Now())
+	if len(n.awaiting) != 0 {
+		n.deliverAwaited()
 	}
 	switch n.cc {
 	case ccDCQCN:

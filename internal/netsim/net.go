@@ -355,11 +355,9 @@ type Network struct {
 	// count).
 	FaultDrops int64
 
-	// OnDeliver, when set, observes every RoCE payload delivery (the
-	// flow-application data path) at its simulated time — the recovery
-	// tracker uses it to timestamp the first delivery after a repair.
-	// Nil outside fault runs.
-	OnDeliver func(now Time)
+	// awaiting holds the AwaitDelivery callbacks for the next RoCE
+	// payload delivery; empty outside fault and reconfiguration runs.
+	awaiting []func(now Time)
 
 	// cc is the resolved congestion-control policy of this fabric.
 	cc ccKind
@@ -621,6 +619,25 @@ func (n *Network) onDequeued(o *OutPort, inPort, prio, size int) {
 				Kind: evPfcResume, Ptr: up, A: int64(prio),
 			})
 		}
+	}
+}
+
+// AwaitDelivery arms fn to run once, at the next RoCE payload delivery
+// (the flow-application data path), with that delivery's simulated
+// time. Fault repair and reconfiguration restore use it to stamp
+// reconvergence; with nothing armed the delivery path pays one length
+// test.
+func (n *Network) AwaitDelivery(fn func(now Time)) {
+	n.awaiting = append(n.awaiting, fn)
+}
+
+// deliverAwaited runs and clears the armed delivery callbacks. A
+// callback that arms another waits for the delivery after this one.
+func (n *Network) deliverAwaited() {
+	now, fns := n.Sim.Now(), n.awaiting
+	n.awaiting = nil
+	for _, fn := range fns {
+		fn(now)
 	}
 }
 

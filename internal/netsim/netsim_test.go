@@ -495,3 +495,53 @@ func BenchmarkIncastPFC(b *testing.B) {
 		net.Sim.Run(0)
 	}
 }
+
+// TestAwaitDelivery: armed waiters fire once, together, at the next
+// payload delivery and the list empties; a waiter armed afterwards — or
+// by a waiter while it runs — fires at a later delivery only.
+func TestAwaitDelivery(t *testing.T) {
+	g := topology.Line(2, 1)
+	routes, _ := routing.ShortestPath{}.Compute(g)
+	net, err := NewNetwork(g, NewRouteForwarder(routes), DefaultConfig(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	type fire struct {
+		at  Time
+		pkt int64 // DeliveredPkt when the waiter ran
+	}
+	var a, b, c, d []fire
+	waiter := func(into *[]fire) func(Time) {
+		return func(now Time) { *into = append(*into, fire{now, net.DeliveredPkt}) }
+	}
+	net.AwaitDelivery(func(now Time) {
+		waiter(&a)(now)
+		net.AwaitDelivery(waiter(&d))
+	})
+	net.AwaitDelivery(waiter(&b))
+	net.Host(hosts[0]).Send(hosts[1], 1, 8<<10)
+	var armedAt int64
+	net.Sim.At(Millisecond, func() {
+		if len(net.awaiting) != 0 {
+			t.Errorf("%d waiters left after the deliveries", len(net.awaiting))
+		}
+		armedAt = net.DeliveredPkt
+		net.AwaitDelivery(waiter(&c))
+		net.Host(hosts[0]).Send(hosts[1], 1, 8<<10)
+	})
+	net.Sim.Run(0)
+
+	if len(a) != 1 || len(b) != 1 || a[0] != b[0] || a[0].pkt != 1 {
+		t.Fatalf("first waiters fired %v and %v, want once each at delivery 1", a, b)
+	}
+	if len(d) != 1 || d[0].pkt != 2 || d[0].at <= a[0].at {
+		t.Fatalf("waiter armed while firing ran %v, want once at delivery 2", d)
+	}
+	if armedAt < 2 || len(c) != 1 || c[0].pkt != armedAt+1 || c[0].at <= Millisecond {
+		t.Fatalf("late waiter ran %v (armed after %d deliveries), want once at the next", c, armedAt)
+	}
+	if len(net.awaiting) != 0 {
+		t.Fatalf("%d waiters left at the end", len(net.awaiting))
+	}
+}

@@ -9,8 +9,7 @@
 //     (netsim.Network.SetLinkDown — in-flight packets account as fault
 //     drops with PFC unwind), and after the spec's patch latency the
 //     controller swaps degraded routes around the drained set
-//     (routing.RepairAvoiding + ReplaceRules, invalidating the memoized
-//     FIB);
+//     (routing.Routes.Reroute, invalidating the memoized FIB);
 //  2. transition: the current plan is Released from the run's
 //     projection Allocation, the target is projected with
 //     projection.ProjectInto, verified with Plan.Check plus the
@@ -234,7 +233,6 @@ type Reconfigurer struct {
 	// project onto the cabling) are complete up front.
 	Stages []Stage
 
-	g     *topology.Graph
 	cab   *projection.Cabling
 	opt   partition.Options
 	alloc *projection.Allocation
@@ -243,9 +241,8 @@ type Reconfigurer struct {
 	live  *routing.Routes  // run-private; mutated by patch/restore
 	orig  []routing.Rule   // the strategy's full rules, the restore baseline
 
-	net      *netsim.Network // the bound fabric
-	drops    int64           // FaultDrops at the open stage's drain (windows never overlap)
-	awaiting []*Stage        // restored stages awaiting their first delivery
+	net   *netsim.Network // the bound fabric
+	drops int64           // FaultDrops at the open stage's drain (windows never overlap)
 }
 
 // New resolves a spec against the running topology g, the testbed's
@@ -272,7 +269,7 @@ func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec 
 	}
 	r := &Reconfigurer{
 		Spec: spec, Stages: stages,
-		g: g, cab: cab, opt: opt,
+		cab: cab, opt: opt,
 		alloc: alloc, base: base, cur: base,
 		live: live, orig: append([]routing.Rule(nil), live.Rules...),
 	}
@@ -349,10 +346,7 @@ func (r *Reconfigurer) patch(st *Stage) {
 	for _, e := range st.Drained {
 		down.Edge[e] = true
 	}
-	base := &routing.Routes{Topo: r.g, Strategy: r.live.Strategy, NumVCs: r.live.NumVCs, Rules: r.orig}
-	rules, _ := routing.RepairAvoiding(base, down)
-	st.PatchChurn = routing.Churn(r.live.Rules, rules)
-	r.live.ReplaceRules(append([]routing.Rule(nil), rules...))
+	st.PatchChurn = r.live.Reroute(r.orig, down)
 }
 
 // commit runs the control-plane switchover and either schedules the
@@ -426,27 +420,12 @@ func (r *Reconfigurer) switchover(st *Stage) (entries int, rt time.Duration, hw 
 // restore is the reconverge stage (and the fabric half of rollback):
 // drained links come back up and the original full rules are swapped
 // in, invalidating the memoized FIB. The stage's losses close here, and
-// the delivery hook stays armed until its first delivery lands.
+// its record awaits the first delivery after the restore.
 func (r *Reconfigurer) restore(st *Stage) {
 	for _, e := range st.Drained {
 		r.net.SetLinkDown(e, false)
 	}
-	st.RestoreChurn = routing.Churn(r.live.Rules, r.orig)
-	if st.RestoreChurn != 0 {
-		r.live.ReplaceRules(append([]routing.Rule(nil), r.orig...))
-	}
+	st.RestoreChurn = r.live.Reroute(r.orig, routing.Outage{})
 	st.Lost = r.net.FaultDrops - r.drops
-	r.awaiting = append(r.awaiting, st)
-	r.net.OnDeliver = r.onDeliver
-}
-
-// onDeliver stamps the first payload delivery on every restored stage
-// awaiting one (each was restored at or before now), then detaches so
-// the hook costs nothing until the next restore.
-func (r *Reconfigurer) onDeliver(now netsim.Time) {
-	for _, st := range r.awaiting {
-		st.FirstDeliveryAfter = now
-	}
-	r.awaiting = r.awaiting[:0]
-	r.net.OnDeliver = nil
+	r.net.AwaitDelivery(func(now netsim.Time) { st.FirstDeliveryAfter = now })
 }

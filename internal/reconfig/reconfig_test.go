@@ -203,8 +203,9 @@ func TestStageRecordSemantics(t *testing.T) {
 	}
 }
 
-// TestStageDeliveryLifecycle: the restore arms the delivery hook, the
-// first delivery after it stamps the stage, and the hook then detaches.
+// TestStageDeliveryLifecycle: the restore arms delivery capture, the
+// first delivery after it stamps the stage, and later deliveries leave
+// the stamp alone.
 func TestStageDeliveryLifecycle(t *testing.T) {
 	g := topology.FatTree(4)
 	target := topology.Torus2D(4, 4, 1)
@@ -216,22 +217,27 @@ func TestStageDeliveryLifecycle(t *testing.T) {
 	}
 	st := &rc.Stages[0]
 	rc.Bind(net)
-	armed := false
+	hosts := g.Hosts()
+	send := func() { net.Host(hosts[0]).Send(hosts[len(hosts)-1], 1, 1<<10) }
+	stampedEarly := true
+	first := netsim.Time(-1)
 	net.Sim.At(st.RestoreAt+1, func() {
-		armed = net.OnDeliver != nil && st.FirstDeliveryAfter == -1
-		hosts := g.Hosts()
-		net.Host(hosts[0]).Send(hosts[len(hosts)-1], 1, 1<<10)
+		stampedEarly = st.FirstDeliveryAfter != -1
+		net.AwaitDelivery(func(now netsim.Time) {
+			if first < 0 {
+				first = now
+			}
+		})
+		send()
 	})
+	net.Sim.At(st.RestoreAt+netsim.Millisecond, send)
 	net.Sim.Run(0)
-	if !armed {
-		t.Fatal("restore did not arm delivery capture")
+	if stampedEarly {
+		t.Fatal("stage stamped before any delivery")
 	}
-	if st.Outcome != OutcomeCommitted || st.FirstDeliveryAfter <= st.RestoreAt ||
+	if st.Outcome != OutcomeCommitted || first <= st.RestoreAt || st.FirstDeliveryAfter != first ||
 		st.Reconvergence() != st.FirstDeliveryAfter-st.DrainAt {
-		t.Fatalf("stage record = %+v", st)
-	}
-	if net.OnDeliver != nil {
-		t.Fatal("delivery hook still attached after capture")
+		t.Fatalf("stage record = %+v, first delivery after restore at %d", st, first)
 	}
 }
 

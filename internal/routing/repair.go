@@ -2,12 +2,14 @@ package routing
 
 // Fault repair: recompute forwarding around dead links and switches.
 //
-// RepairAvoiding is the route-computation half of the reactive
-// controller's failure handling (controller.Rerouter): given the
-// original strategy's rule set and the currently-down elements, it
-// returns a patched rule list in which only the *broken* destinations
-// — those whose original tree traverses a dead element — are rerouted,
-// via per-destination BFS on the surviving subgraph. Healthy
+// RepairAvoiding is the route computation behind every mid-run route
+// patch — the reactive controller's fault repair (faults.Bind) and the
+// reconfiguration drain and restore (reconfig.Reconfigurer) — which all
+// apply it through one step, Routes.Reroute: given the original
+// strategy's rule set and the currently-down elements, it returns a
+// patched rule list in which only the *broken* destinations — those
+// whose original tree traverses a dead element — are rerouted, via
+// per-destination BFS on the surviving subgraph. Healthy
 // destinations keep their strategy rules verbatim (including VC
 // transitions), so repair churn stays proportional to the blast radius
 // of the fault, and an element coming back up restores the original
@@ -187,8 +189,8 @@ func alivePortTo(csr *topology.CSR, from, to int, down Outage) (port, edge int) 
 
 // Churn counts the symmetric difference between two rule sets — the
 // number of flow-mods (adds + removals) a controller would push to move
-// the fabric from old to new. Both the reactive fault rerouter and the
-// reconfiguration protocol report it as their rule-churn column.
+// the fabric from old to new: the rule-churn column of fault repairs
+// and reconfiguration stages.
 func Churn(old, new []Rule) int {
 	seen := make(map[Rule]int, len(old))
 	for _, r := range old {
@@ -220,6 +222,21 @@ func (r *Routes) Clone() *Routes {
 		Rules:    append([]Rule(nil), r.Rules...),
 	}
 	return c
+}
+
+// Reroute is the one mid-run route-patch step: it swaps in the repair
+// of the original rules orig (this set's strategy on its topology)
+// under the outage — orig itself when nothing is down — and returns the
+// churn versus the rules live before. A patch that changes nothing
+// leaves the rules, and so the compiled FIB, untouched. orig is never
+// aliased.
+func (r *Routes) Reroute(orig []Rule, down Outage) (churn int) {
+	base := &Routes{Topo: r.Topo, Strategy: r.Strategy, NumVCs: r.NumVCs, Rules: orig}
+	rules, _ := RepairAvoiding(base, down)
+	if churn = Churn(r.Rules, rules); churn != 0 {
+		r.ReplaceRules(append([]Rule(nil), rules...))
+	}
+	return churn
 }
 
 // ReplaceRules swaps the whole rule set and invalidates the derived

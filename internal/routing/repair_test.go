@@ -281,3 +281,26 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone shares the compiled FIB")
 	}
 }
+
+// TestRuleChurn pins the symmetric-difference accounting.
+func TestRuleChurn(t *testing.T) {
+	a := Rule{Switch: 1, Dst: 2, OutPort: 3, NewTag: -1}
+	b := Rule{Switch: 1, Dst: 2, OutPort: 4, NewTag: -1}
+	c := Rule{Switch: 2, Dst: 2, OutPort: 1, NewTag: -1}
+	cases := []struct {
+		old, new []Rule
+		want     int
+	}{
+		{nil, nil, 0},
+		{[]Rule{a}, []Rule{a}, 0},
+		{[]Rule{a}, []Rule{b}, 2},
+		{[]Rule{a, c}, []Rule{a}, 1},
+		{[]Rule{a}, []Rule{a, b, c}, 2},
+		{[]Rule{a, a}, []Rule{a}, 1}, // duplicates count
+	}
+	for i, cse := range cases {
+		if got := Churn(cse.old, cse.new); got != cse.want {
+			t.Errorf("case %d: churn %d, want %d", i, got, cse.want)
+		}
+	}
+}

@@ -47,7 +47,7 @@
 // through a max-min fair-share fluid approximation whose cost grows
 // with the number of flows instead of bytes × hops. A Scenario can also
 // carry a FaultSpec (seeded link failures, repaired by the controller's
-// reroute; RunResult.Recovery reports them) or a ReconfigSpec (live
+// reroute; RunResult.Faults records them) or a ReconfigSpec (live
 // topology transitions by the staged drain→transition→reconverge
 // protocol; RunResult.Reconfig reports them).
 //
@@ -233,8 +233,9 @@ type FCTReport = telemetry.FCTReport
 // timed events plus seeded MTBF/MTTR flap processes. Attach one via
 // Scenario.Faults — dead elements drop traversing packets, the
 // controller reroute patches the live FIB after the spec's repair
-// latency, and the RunResult carries FaultDrops, Incomplete, and
-// Recovery. Equal specs expand to byte-identical schedules.
+// latency, and the RunResult carries FaultDrops, Incomplete, and one
+// Faults record per event. Equal specs expand to byte-identical
+// schedules.
 type FaultSpec = faults.Spec
 
 // FaultEvent is one scheduled fault: a kind, an element (edge ID for
