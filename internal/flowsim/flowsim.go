@@ -241,10 +241,11 @@ func (e *engine) run(ctx context.Context) error {
 			}
 		}
 		te := math.Min(nextArr, nextDone)
-		// Drain transmitted bytes up to te.
+		// Drain transmitted bytes up to te. The explicit float64 rounds
+		// the product, so no architecture fuses it into the subtraction.
 		for _, fi := range e.active {
 			s := &e.st[fi]
-			s.remaining -= s.rate * (te - e.t)
+			s.remaining -= float64(s.rate * (te - e.t))
 		}
 		e.t = te
 		changed := false

@@ -164,6 +164,57 @@ func TestFairShareZeroCapacityLink(t *testing.T) {
 	}
 }
 
+// fairShareTraps are the inputs on which a grouped filling can go wrong
+// while every ungrouped one is right. Each must come out bit-identical
+// to the oracle and at the hand-computed rates; FuzzFairShareOracle
+// starts from them.
+var fairShareTraps = []struct {
+	name  string
+	caps  []float64
+	links [][]int32
+	want  []float64
+}{{
+	// Links 2 and 3 group (count 2, capacity just above 1) and saturate
+	// in round 1 with a residual just above 0, the round link 1 freezes
+	// flow 0: link 2 leaves its group in the round the group saturates
+	// and must still freeze flow 1.
+	name:  "leave a group as it saturates",
+	caps:  []float64{5, 0.5, 1 + 2e-12, 1 + 2e-12},
+	links: [][]int32{{1, 2}, {2}, {3}, {3}, {0}},
+	want:  []float64{0.5, 0.5, 0.5, 0.5, 5},
+}, {
+	// Link 0's group (count 2) empties in round 1, when link 1 freezes
+	// both its flows; its stale residual must not set round 2's
+	// increment for flow 2.
+	name:  "group empties before it saturates",
+	caps:  []float64{0.3, 0.2, 5},
+	links: [][]int32{{1, 0}, {1, 0}, {2}},
+	want:  []float64{0.1, 0.1, 5},
+}, {
+	// Flow 0 crosses links 0 and 1, both in the count-2 group, and
+	// freezes on link 2: both links leave the group with one flow each.
+	name:  "one flow on two links of a group",
+	caps:  []float64{1, 1, 0.2},
+	links: [][]int32{{0, 1, 2}, {0}, {1}},
+	want:  []float64{0.2, 0.8, 0.8},
+}}
+
+func TestFairShareGroupTraps(t *testing.T) {
+	for _, tc := range fairShareTraps {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make([]float64, len(tc.links))
+			fairShare(tc.caps, tc.links, got)
+			want := make([]float64, len(tc.links))
+			(&oracleScratch{}).run(tc.caps, tc.links, want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Abs(got[i]-tc.want[i]) > 1e-9 {
+					t.Errorf("rate[%d] = %v, oracle %v, want %v", i, got[i], want[i], tc.want[i])
+				}
+			}
+		})
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	g, r, hosts := lineFixture(t, 4, 2)
 	cfg := netsim.DefaultConfig()

@@ -145,11 +145,13 @@ func (w *walker) path(src, dst int) (*pathInfo, error) {
 		inPort = e.PortAt(nxt)
 		cur = nxt
 	}
-	base := 2*w.hostLat + float64(nsw)*w.swLat + float64(len(links))*w.propLat
+	// Products are rounded explicitly (float64(x*y)) so that no
+	// architecture fuses them into the sums.
+	base := 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(len(links))*w.propLat)
 	if w.cut {
 		// Cut-through forwards once the header has arrived: each switch
 		// hop re-serialises only the header.
-		base += float64(nsw) * w.hdrSer
+		base += float64(float64(nsw) * w.hdrSer)
 	}
 	p := &pathInfo{links: links, base: base}
 	w.cache[[2]int{src, dst}] = p
