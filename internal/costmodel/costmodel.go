@@ -53,9 +53,11 @@ func HardwareCost(req projection.Requirement) float64 {
 	case projection.MethodTurboNet:
 		return float64(req.Switches) * PriceP4Switch
 	case projection.MethodSPOS:
-		return float64(req.Switches)*PriceOpenFlowSwitch +
-			float64(req.OpticalPorts)*PriceOpticalPort +
-			float64(req.OpticalPorts)*PriceCable // patch fibres
+		// Products are rounded explicitly (float64(x*y)) so that no
+		// architecture fuses them into the sum.
+		return float64(float64(req.Switches)*PriceOpenFlowSwitch) +
+			float64(float64(req.OpticalPorts)*PriceOpticalPort) +
+			float64(float64(req.OpticalPorts)*PriceCable) // patch fibres
 	default: // SDT, SP
 		return float64(req.Switches) * PriceOpenFlowSwitch
 	}

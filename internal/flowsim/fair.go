@@ -1,7 +1,5 @@
 package flowsim
 
-import "slices"
-
 // Max-min fair-share allocation by progressive filling (water-filling):
 // every unfrozen flow's rate rises uniformly until some link saturates,
 // the flows crossing a saturated link freeze at their current rate, and
@@ -9,61 +7,225 @@ import "slices"
 // result is the unique max-min allocation: no flow's rate can be
 // increased without decreasing the rate of a flow that is no faster.
 //
-// caps[l] is link l's capacity, links[f] lists the links flow f
-// crosses, and rates[f] receives f's allocation. Units are whatever the
-// caller uses (the engine passes payload bytes per picosecond). A flow
-// crossing a zero-capacity link is frozen at rate 0. The computation is
-// deterministic — identical inputs produce identical outputs;
-// FuzzFairShare pins the invariants (no link over capacity,
-// non-negative rates, max-min).
+// Capacities are whatever units the caller uses (the engine passes
+// payload bytes per picosecond). A flow crossing a zero-capacity link
+// is frozen at rate 0. The computation is deterministic — identical
+// inputs produce identical outputs; FuzzFairShare pins the invariants
+// (no link over capacity, non-negative rates, max-min).
 //
-// The contract needs caps[l] >= 0. A link that still carries unfrozen
-// flows then always has a residual above relEps·cap >= 0, so every
-// candidate increment is non-negative and the round's minimum is the
-// same value whatever order the candidates are visited in — which is
-// what lets run visit groups and links in an order of its own and
-// still return the bits of the plain per-link filling loop
-// (oracle_test.go, FuzzFairShareOracle).
+// The contract needs capacities >= 0. A link that still carries
+// unfrozen flows then always has a residual above relEps·cap >= 0, so
+// every candidate increment is non-negative and the round's minimum is
+// the same value whatever order the candidates are visited in. Every
+// value the fill computes depends only on each link's initial flow
+// count and capacity and on each flow's set of links:
+//
+//   - the round's increment is a minimum over non-negative candidates;
+//   - each residual follows its own recurrence rem ← rem − s·count;
+//   - every flow frozen in a round takes the same level.
+//
+// So neither the local index a link holds nor the order in which a
+// link's flows are chained changes a bit, which is what lets the engine
+// keep the table between recomputes, and lets fill visit groups and
+// links in an order of its own, and still return the bits of the plain
+// per-link filling loop (oracle_test.go, FuzzFairShareOracle,
+// FuzzRecomputeIncremental).
 
-// fairScratch reuses the filling loop's working set across recomputes:
-// the allocation runs once per arrival/completion event, so per-call
-// allocation would dominate the fluid engine's profile.
-type fairScratch struct {
-	rem     []float64 // link → residual, kept only once the link is individual
-	cnt     []int32   // link → unfrozen flows crossing it
-	grp     []int32   // link → its group while untouched, -1 once individual
-	off     []int32   // link → first entry of its flows in inc (CSR)
-	inc     []int32   // the flows crossing each link, link by link
-	frozen  []bool
-	groups  []fairGroup
-	byCount []int32 // initial count → group index + 1, 0 = none yet
-	gOff    []int32 // group → first entry of its links in members (CSR)
+// fairTable is the fair-share working set the engine keeps for a whole
+// run. add and remove update it in O(path length) as flows arrive and
+// complete, so a recompute runs only the filling rounds: nothing is
+// remapped or rebuilt per call.
+//
+// Storage is flat. Every (flow, hop) has a slot in one array, laid out
+// once per table, and each link chains the slots crossing it. A link
+// holds a local index while some active flow crosses it, and released
+// indices are reused through a free list. Each link also sits in the
+// bucket of its slot count, so fill starts one group per non-empty
+// bucket without visiting the links.
+type fairTable struct {
+	st      []flowState // flow → its slots; fill writes its rate
+	frozen  []bool      // fill: flow → its rate is final for this call
+	linkCap func(gl int32) float64
+	gcap    float64      // the capacity grouped links share: the first link's
+	local   []int32      // global link → local index + 1, 0 while no flow crosses it
+	links   []fairLink   // local index → link; n == 0 marks a free index
+	free    []int32      // released local indices
+	slots   []fairSlot   // flow f's hops are slots st[f].slot … st[f].slot+st[f].hops-1
+	buckets []fairBucket // slot count → the links of capacity gcap with that count; 0 → every link of another capacity
+	epoch   uint64       // fill calls so far
+
+	// fill's scratch, reused across calls.
+	groups []fairGroup
+	live   []int32 // groups that still have members
+	indiv  []int32 // individual links that still carry unfrozen flows
+	sat    []int32 // links saturated in the current round
+}
+
+// fairLink is one directed link while active flows cross it.
+type fairLink struct {
+	cap  float64
+	rem  float64 // fill: residual, once the link is individual
+	gl   int32   // global link id
+	n    int32   // slots chained on the link
+	head int32   // first slot of the chain, -1 = none
+	pos  int32   // index in its bucket's members
+	c    int32   // fill: unfrozen flows crossing it, once the link is individual
+	left uint64  // fill: the epoch in which the link became individual
+}
+
+// fairSlot is one hop of one flow: the local link it crosses and its
+// neighbours in that link's chain.
+type fairSlot struct {
+	link, prev, next, flow int32
+}
+
+// fairBucket holds the local indices of its links, in no order.
+type fairBucket struct {
 	members []int32
-	live    []int32 // groups that still have members
-	indiv   []int32 // individual links that still carry unfrozen flows
-	sat     []int32 // links saturated in the current round
+	group   int32 // fill: the group the bucket's links start in
 }
 
-// fairGroup stands for every link that started with the same flow count
-// and capacity and has had none of its flows frozen yet: such links
-// follow the identical recurrence rem ← rem − s·count, so one residual
-// serves them all.
+// fairGroup stands for every link of the group capacity that started
+// with the same flow count and has had none of its flows frozen yet:
+// such links follow the identical recurrence rem ← rem − s·count, so one
+// residual serves them all.
 type fairGroup struct {
-	rem, cap float64
-	c        float64 // the members' flow count
-	n        int32   // members still in the group
+	rem    float64
+	c      float64 // the members' flow count
+	n      int32   // members still in the group
+	bucket int32   // the bucket whose links the group starts with
 }
 
-// run computes the allocation with the operations of the plain filling
+// newFairTable lays out one slot per hop of every flow in st over a
+// fabric of nLinks directed links; linkCap gives a link's capacity.
+func newFairTable(st []flowState, nLinks int, linkCap func(gl int32) float64) fairTable {
+	total := int32(0)
+	for f := range st {
+		st[f].slot = total
+		st[f].hops = int32(len(st[f].path.links))
+		total += st[f].hops
+	}
+	return fairTable{
+		st:      st,
+		linkCap: linkCap,
+		local:   make([]int32, nLinks),
+		slots:   make([]fairSlot, total),
+		frozen:  make([]bool, len(st)),
+		buckets: make([]fairBucket, 1),
+	}
+}
+
+// add chains active flow f onto the links of its path, taking a local
+// index for each link no other active flow crosses.
+func (t *fairTable) add(f int32) {
+	fs := &t.st[f]
+	for h, gl := range fs.path.links {
+		l := t.local[gl] - 1
+		if l < 0 {
+			l = t.acquire(gl)
+		}
+		lk := &t.links[l]
+		s := fs.slot + int32(h)
+		t.slots[s] = fairSlot{link: l, prev: -1, next: lk.head, flow: f}
+		if lk.head >= 0 {
+			t.slots[lk.head].prev = s
+		}
+		lk.head = s
+		t.recount(l, +1)
+	}
+}
+
+// acquire gives global link gl a local index, reusing a released one
+// when there is one. The first link sets the capacity groups share;
+// in the engine every link has it.
+func (t *fairTable) acquire(gl int32) int32 {
+	lk := fairLink{cap: t.linkCap(gl), gl: gl, head: -1}
+	var l int32
+	if n := len(t.free); n > 0 {
+		l = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.links[l] = lk
+	} else {
+		if len(t.links) == 0 {
+			t.gcap = lk.cap
+		}
+		l = int32(len(t.links))
+		t.links = append(t.links, lk)
+	}
+	t.local[gl] = l + 1
+	return l
+}
+
+// remove unchains flow f from its links and releases every link no
+// active flow crosses any more.
+func (t *fairTable) remove(f int32) {
+	fs := &t.st[f]
+	for s := fs.slot; s < fs.slot+fs.hops; s++ {
+		sl := t.slots[s]
+		lk := &t.links[sl.link]
+		if sl.prev >= 0 {
+			t.slots[sl.prev].next = sl.next
+		} else {
+			lk.head = sl.next
+		}
+		if sl.next >= 0 {
+			t.slots[sl.next].prev = sl.prev
+		}
+		t.recount(sl.link, -1)
+		if lk.n == 0 {
+			t.local[lk.gl] = 0
+			t.free = append(t.free, sl.link)
+		}
+	}
+}
+
+// recount changes link l's slot count by d and moves the link to the
+// bucket of its new count; a link whose count falls to 0 leaves every
+// bucket.
+func (t *fairTable) recount(l, d int32) {
+	lk := &t.links[l]
+	from := t.bucketOf(lk)
+	was := lk.n
+	lk.n += d
+	to := t.bucketOf(lk)
+	if was > 0 && (lk.n == 0 || to != from) {
+		b := &t.buckets[from]
+		last := b.members[len(b.members)-1]
+		b.members[lk.pos] = last
+		t.links[last].pos = lk.pos
+		b.members = b.members[:len(b.members)-1]
+	}
+	if lk.n > 0 && (was == 0 || to != from) {
+		for int(to) >= len(t.buckets) {
+			t.buckets = append(t.buckets, fairBucket{})
+		}
+		b := &t.buckets[to]
+		lk.pos = int32(len(b.members))
+		b.members = append(b.members, l)
+	}
+}
+
+// bucketOf is the bucket link lk belongs in: its slot count if it has
+// the group capacity, 0 otherwise.
+func (t *fairTable) bucketOf(lk *fairLink) int32 {
+	if lk.cap != t.gcap {
+		return 0
+	}
+	return lk.n
+}
+
+// fill computes the allocation of the active flows, which must be
+// exactly the flows added and not removed, and writes each one's rate
+// into its flowState. It performs the operations of the plain filling
 // loop — one residual per link, rem[l] −= s·cnt[l] each round, every
-// unfrozen flow's rate += s each round — performed on fewer values:
+// unfrozen flow's rate += s each round — on fewer values:
 //
 //   - Every unfrozen flow's rate is the running level s₁+…+s_r, summed
 //     in the same order, so a flow takes the level when it freezes and
 //     no round touches the unfrozen flows.
-//   - Saturation is found by link: a saturated link freezes its
-//     unfrozen flows through a link→flow incidence, so each flow is
-//     frozen once instead of being rescanned every round.
+//   - Saturation is found by link: a saturated link freezes the
+//     unfrozen flows on its chain, so each flow is frozen once instead
+//     of being rescanned every round.
 //   - Links of one group share one residual until one of their flows
 //     freezes; the link then takes the group's residual and, if flows
 //     remain on it, continues as an individual link.
@@ -71,93 +233,40 @@ type fairGroup struct {
 // A round therefore costs the live groups plus the live individual
 // links, not every used link. At least the arg-min link saturates per
 // round, so the loop terminates.
-func (fs *fairScratch) run(caps []float64, links [][]int32, rates []float64) {
+func (t *fairTable) fill(active []int32) {
 	const relEps = 1e-9
-	nl, nf := len(caps), len(links)
+	links, slots, st, frozen, buckets, gcap := t.links, t.slots, t.st, t.frozen, t.buckets, t.gcap
 
-	// Link→flow incidence: count, turn counts into running ends, then
-	// fill backwards so each end moves down to its link's start.
-	fs.cnt = resize(fs.cnt, nl)
-	fs.off = resize(fs.off, nl+1)
-	cnt, off := fs.cnt, fs.off
-	clear(cnt)
-	for _, ls := range links {
-		for _, l := range ls {
-			cnt[l]++
-		}
-	}
-	total, maxCnt := int32(0), int32(0)
-	for l, c := range cnt {
-		total += c
-		off[l] = total
-		maxCnt = max(maxCnt, c)
-	}
-	off[nl] = total
-	fs.inc = resize(fs.inc, int(total))
-	inc := fs.inc
-	for f := nf - 1; f >= 0; f-- {
-		for _, l := range links[f] {
-			off[l]--
-			inc[off[l]] = int32(f)
-		}
-	}
-
-	// Groups, keyed by initial count; the first link with a count sets
-	// the group's capacity and a link with another capacity is
-	// individual from the start.
-	fs.rem = resize(fs.rem, nl)
-	fs.grp = resize(fs.grp, nl)
-	fs.byCount = resize(fs.byCount, int(maxCnt)+1)
-	rem, grp, byCount := fs.rem, fs.grp, fs.byCount
-	clear(byCount)
-	groups := fs.groups[:0]
-	indiv := fs.indiv[:0]
-	for l, c := range cnt {
-		grp[l] = -1
-		if c == 0 {
+	// One group per non-empty bucket; links of another capacity start
+	// individual.
+	t.epoch++
+	epoch := t.epoch
+	groups := t.groups[:0]
+	live := t.live[:0]
+	for n := 1; n < len(buckets); n++ {
+		b := &buckets[n]
+		if len(b.members) == 0 {
 			continue
 		}
-		g := byCount[c] - 1
-		if g < 0 {
-			g = int32(len(groups))
-			byCount[c] = g + 1
-			groups = append(groups, fairGroup{rem: caps[l], cap: caps[l], c: float64(c)})
-		}
-		if caps[l] != groups[g].cap {
-			rem[l] = caps[l]
-			indiv = append(indiv, int32(l))
-			continue
-		}
-		grp[l] = g
-		groups[g].n++
+		b.group = int32(len(groups))
+		live = append(live, b.group)
+		groups = append(groups, fairGroup{rem: gcap, c: float64(n), n: int32(len(b.members)), bucket: int32(n)})
 	}
-	fs.gOff = resize(fs.gOff, len(groups)+1)
-	gOff := fs.gOff
-	live := fs.live[:0]
-	end := int32(0)
-	for g := range groups {
-		end += groups[g].n
-		gOff[g] = end
-		if groups[g].n > 0 {
-			live = append(live, int32(g))
-		}
-	}
-	gOff[len(groups)] = end
-	fs.members = resize(fs.members, int(end))
-	members := fs.members
-	for l := nl - 1; l >= 0; l-- {
-		if g := grp[l]; g >= 0 {
-			gOff[g]--
-			members[gOff[g]] = int32(l)
-		}
+	indiv := t.indiv[:0]
+	for _, l := range buckets[0].members {
+		lk := &links[l]
+		lk.left = epoch
+		lk.c = lk.n
+		lk.rem = lk.cap
+		indiv = append(indiv, l)
 	}
 
-	fs.frozen = resize(fs.frozen, nf)
-	frozen := fs.frozen
-	clear(frozen)
-	unfrozen := nf
+	for _, f := range active {
+		frozen[f] = false
+	}
+	unfrozen := len(active)
 	level := 0.0
-	sat := fs.sat[:0]
+	sat := t.sat[:0]
 	for unfrozen > 0 {
 		// The uniform rate increment every unfrozen flow can still take:
 		// the tightest link's residual capacity split across its flows.
@@ -178,19 +287,19 @@ func (fs *fairScratch) run(caps []float64, links [][]int32, rates []float64) {
 		live = out
 		out = indiv[:0]
 		for _, l := range indiv {
-			if cnt[l] == 0 {
+			lk := &links[l]
+			if lk.c == 0 {
 				continue
 			}
 			out = append(out, l)
-			if v := rem[l] / float64(cnt[l]); s < 0 || v < s {
+			if v := lk.rem / float64(lk.c); s < 0 || v < s {
 				s = v
 			}
 		}
 		indiv = out
 		if s < 0 {
-			// No unfrozen flow crosses any link (defensive; links[f] is
-			// validated non-empty by the engine) — the rest take the
-			// level below.
+			// No unfrozen flow crosses any link (defensive; paths are
+			// never empty in the engine) — the rest take the level below.
 			break
 		}
 		level += s
@@ -202,60 +311,56 @@ func (fs *fairScratch) run(caps []float64, links [][]int32, rates []float64) {
 		for _, g := range live {
 			gr := &groups[g]
 			gr.rem -= float64(s * gr.c)
-			if gr.rem <= relEps*gr.cap {
-				for _, l := range members[gOff[g]:gOff[g+1]] {
-					if grp[l] == g {
+			if gr.rem <= relEps*gcap {
+				for _, l := range buckets[gr.bucket].members {
+					if links[l].left != epoch {
 						sat = append(sat, l)
 					}
 				}
 			}
 		}
 		for _, l := range indiv {
-			rem[l] -= float64(s * float64(cnt[l]))
-			if rem[l] <= relEps*caps[l] {
+			lk := &links[l]
+			lk.rem -= float64(s * float64(lk.c))
+			if lk.rem <= relEps*lk.cap {
 				sat = append(sat, l)
 			}
 		}
 
 		for _, sl := range sat {
-			for _, f := range inc[off[sl]:off[sl+1]] {
+			for sp := links[sl].head; sp >= 0; sp = slots[sp].next {
+				f := slots[sp].flow
 				if frozen[f] {
 					continue
 				}
 				frozen[f] = true
-				rates[f] = level
+				fs := &st[f]
+				fs.rate = level
 				unfrozen--
-				for _, l := range links[f] {
-					cnt[l]--
-					if g := grp[l]; g >= 0 {
-						grp[l] = -1
-						groups[g].n--
-						if cnt[l] > 0 {
-							rem[l] = groups[g].rem
-							indiv = append(indiv, l)
-						}
+				for _, hop := range slots[fs.slot : fs.slot+fs.hops] {
+					lk := &links[hop.link]
+					if lk.left == epoch {
+						lk.c--
+						continue
+					}
+					gr := &groups[buckets[lk.n].group]
+					lk.left = epoch
+					lk.c = lk.n - 1
+					gr.n--
+					if lk.c > 0 {
+						lk.rem = gr.rem
+						indiv = append(indiv, hop.link)
 					}
 				}
 			}
 		}
 	}
-	for f := range frozen {
-		if !frozen[f] {
-			rates[f] = level
+	if unfrozen > 0 {
+		for _, f := range active {
+			if !frozen[f] {
+				st[f].rate = level
+			}
 		}
 	}
-	fs.groups, fs.live, fs.indiv, fs.sat = groups, live, indiv, sat
-}
-
-// resize returns s with length n, reusing its array when it is large
-// enough and growing it as append does otherwise, so a slowly growing
-// active set reallocates rarely; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	return slices.Grow(s[:0], n)[:n]
-}
-
-// fairShare is the scratch-free entry point tests and the fuzz target
-// exercise; the engine holds its own fairScratch instead.
-func fairShare(caps []float64, links [][]int32, rates []float64) {
-	(&fairScratch{}).run(caps, links, rates)
+	t.groups, t.live, t.indiv, t.sat = groups, live, indiv, sat
 }

@@ -2,13 +2,45 @@ package flowsim
 
 import "testing"
 
-// xlShapedInput builds a fair-share input shaped like one flow-xl
-// recompute: 175 flows of six links — a private first and last link
-// (the hosts' NIC links) and four fabric links drawn without repeats
-// from a pool of 512 — which uses ≈ 730 links, ≈ 70 % of them by a
-// single flow, all at one capacity.
-func xlShapedInput() ([]float64, [][]int32) {
-	const nf, pool = 175, 512
+// fairShare is the slice-based entry point tests and the fuzz targets
+// exercise: caps[l] is link l's capacity, links[f] lists the links flow
+// f crosses, and rates[f] receives f's allocation. It lays out a table
+// holding every flow, as the engine's holds its active ones, and runs
+// the engine's fill on it.
+func fairShare(caps []float64, links [][]int32, rates []float64) {
+	t, active := sliceTable(caps, links)
+	for _, f := range active {
+		t.add(f)
+	}
+	t.fill(active)
+	for f := range rates {
+		rates[f] = t.st[f].rate
+	}
+}
+
+// sliceTable lays out a fair-share table for the flows of links over
+// links with capacities caps, and returns it with every flow's index;
+// no flow is added yet.
+func sliceTable(caps []float64, links [][]int32) (*fairTable, []int32) {
+	paths := make([]pathInfo, len(links))
+	st := make([]flowState, len(links))
+	all := make([]int32, len(links))
+	for f := range links {
+		paths[f].links = links[f]
+		st[f].path = &paths[f]
+		all[f] = int32(f)
+	}
+	t := newFairTable(st, len(caps), func(gl int32) float64 { return caps[gl] })
+	return &t, all
+}
+
+// xlShapedInput builds a fair-share input shaped like flow-xl's flows:
+// nf flows of six links — a private first and last link (the hosts'
+// NIC links) and four fabric links drawn without repeats from a pool of
+// 512 — all at one capacity. At 175 flows, one recompute's active set,
+// it uses ≈ 730 links, ≈ 70 % of them by a single flow.
+func xlShapedInput(nf int) ([]float64, [][]int32) {
+	const pool = 512
 	s := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		s ^= s << 13
@@ -38,15 +70,42 @@ func xlShapedInput() ([]float64, [][]int32) {
 	return caps, links
 }
 
-// BenchmarkFairShare times one allocation on a flow-xl-shaped input
-// with the engine's reused scratch; steady state allocates nothing.
+// BenchmarkFairShare times one fill of a flow-xl-shaped active set of
+// 175 flows on a kept table; steady state allocates nothing.
 func BenchmarkFairShare(b *testing.B) {
-	caps, links := xlShapedInput()
-	rates := make([]float64, len(links))
-	var fs fairScratch
-	fs.run(caps, links, rates)
+	t, active := sliceTable(xlShapedInput(175))
+	for _, f := range active {
+		t.add(f)
+	}
+	t.fill(active)
 	b.ReportAllocs()
 	for b.Loop() {
-		fs.run(caps, links, rates)
+		t.fill(active)
+	}
+}
+
+// BenchmarkRecompute times the engine's cycle on a flow-xl-shaped
+// active set: one flow completes, the next arrives, and the allocation
+// is recomputed. 175 flows are active out of a ring of 350, so links
+// empty and fill up again and local indices are recycled; steady state
+// allocates nothing.
+func BenchmarkRecompute(b *testing.B) {
+	const nActive = 175
+	t, ring := sliceTable(xlShapedInput(2 * nActive))
+	active := make([]int32, nActive)
+	copy(active, ring)
+	for _, f := range active {
+		t.add(f)
+	}
+	t.fill(active)
+	next := nActive
+	b.ReportAllocs()
+	for b.Loop() {
+		i := next % nActive
+		t.remove(active[i])
+		active[i] = ring[next%len(ring)]
+		t.add(active[i])
+		t.fill(active)
+		next++
 	}
 }

@@ -57,6 +57,8 @@ type flowState struct {
 	remaining float64 // payload bytes left to transmit
 	rate      float64 // current allocation, payload bytes per ps
 	pair      int32   // serialisation queue id
+	slot      int32   // the flow's first slot in the fair-share table
+	hops      int32   // len(path.links)
 }
 
 // pendEntry is one pair queue's next injection, ready at `ready` ps.
@@ -80,6 +82,24 @@ type pendEntry struct {
 // per-flow results in an unspecified partial state, matching core.Run's
 // cancellation contract.
 func Run(ctx context.Context, g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hosts []int, flows []netsim.Flow) (*Result, error) {
+	e, err := newEngine(g, routes, cfg, hosts, flows)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.run(ctx); err != nil {
+		return nil, err
+	}
+	return &Result{
+		ACT:        e.last,
+		Completed:  e.completed,
+		Recomputes: e.recomputes,
+		Pairs:      len(e.pairQ),
+	}, nil
+}
+
+// newEngine validates Run's inputs, resolves every flow's path and
+// serialisation queue, and arms each queue's first injection.
+func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hosts []int, flows []netsim.Flow) (*engine, error) {
 	if g == nil || routes == nil {
 		return nil, errors.New("flowsim: nil topology or routes")
 	}
@@ -151,23 +171,14 @@ func Run(ctx context.Context, g *topology.Graph, routes *routing.Routes, cfg net
 		st:       st,
 		pairQ:    pairQ,
 		pairNext: make([]int32, len(pairQ)),
-		capacity: capacity,
-		nLinks:   2 * len(g.Edges),
+		fair:     newFairTable(st, 2*len(g.Edges), func(int32) float64 { return capacity }),
 	}
 	// Arm each pair queue's first injection at its start time.
 	for pid := range pairQ {
 		fi := pairQ[pid][0]
 		e.pushPending(pendEntry{ready: math.Max(0, float64(flows[fi].Start)), fi: fi})
 	}
-	if err := e.run(ctx); err != nil {
-		return nil, err
-	}
-	return &Result{
-		ACT:        e.last,
-		Completed:  e.completed,
-		Recomputes: e.recomputes,
-		Pairs:      len(pairQ),
-	}, nil
+	return e, nil
 }
 
 // injectionOrder sorts flow indices by start time, ties by index — the
@@ -198,21 +209,12 @@ type engine struct {
 	pairNext []int32 // pair id → next index into pairQ (head already pending/active)
 	pending  []pendEntry
 	active   []int32
-	capacity float64
-	nLinks   int
+	fair     fairTable // the active flows' links, kept across recomputes
 
 	t          float64
 	last       netsim.Time
 	completed  int
 	recomputes int64
-
-	// fair-share scratch, reused across recomputes.
-	linkLocal []int32 // directed link id → local index + 1, 0 = unused
-	usedLinks []int32
-	caps      []float64
-	linkLists [][]int32
-	rates     []float64
-	fair      fairScratch
 }
 
 func (e *engine) run(ctx context.Context) error {
@@ -277,6 +279,7 @@ func (e *engine) completeDue() bool {
 			out = append(out, fi)
 			continue
 		}
+		e.fair.remove(fi)
 		e.finish(fi)
 		done = true
 	}
@@ -310,48 +313,17 @@ func (e *engine) admit(p pendEntry) bool {
 		return false
 	}
 	e.active = append(e.active, p.fi)
+	e.fair.add(p.fi)
 	return true
 }
 
-// recompute rebuilds the max-min allocation over the active set. Only
-// links some active flow crosses participate; the dense directed-link
-// table maps them to a compact index so fairShare scans stay
-// proportional to the congested region, not the fabric.
+// recompute computes the max-min allocation over the active set. The
+// fair-share table already holds the active flows' links — admit and
+// completeDue keep it current — so only the filling rounds run here,
+// over the links some active flow crosses, not the fabric.
 func (e *engine) recompute() {
 	e.recomputes++
-	if e.linkLocal == nil {
-		e.linkLocal = make([]int32, e.nLinks)
-	}
-	e.usedLinks = e.usedLinks[:0]
-	e.caps = e.caps[:0]
-	if cap(e.linkLists) < len(e.active) {
-		e.linkLists = make([][]int32, 0, len(e.active))
-	}
-	e.linkLists = e.linkLists[:len(e.active)]
-	if cap(e.rates) < len(e.active) {
-		e.rates = make([]float64, len(e.active))
-	}
-	e.rates = e.rates[:len(e.active)]
-	for ai, fi := range e.active {
-		path := e.st[fi].path.links
-		local := e.linkLists[ai][:0]
-		for _, gl := range path {
-			if e.linkLocal[gl] == 0 {
-				e.usedLinks = append(e.usedLinks, gl)
-				e.caps = append(e.caps, e.capacity)
-				e.linkLocal[gl] = int32(len(e.usedLinks))
-			}
-			local = append(local, e.linkLocal[gl]-1)
-		}
-		e.linkLists[ai] = local
-	}
-	e.fair.run(e.caps, e.linkLists, e.rates)
-	for ai, fi := range e.active {
-		e.st[fi].rate = e.rates[ai]
-	}
-	for _, gl := range e.usedLinks {
-		e.linkLocal[gl] = 0
-	}
+	e.fair.fill(e.active)
 }
 
 // pushPending / popPending: a binary min-heap on (ready, flow index) —

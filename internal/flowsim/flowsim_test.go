@@ -3,9 +3,11 @@ package flowsim
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -367,5 +369,63 @@ func TestSubsetRoutesSufficient(t *testing.T) {
 		if fullFlows[i].End != subFlows[i].End {
 			t.Errorf("flow %d: full %d vs subset %d", i, fullFlows[i].End, subFlows[i].End)
 		}
+	}
+}
+
+// TestRunAllocsBounded is the allocation budget of a flow-level run: a
+// permutation schedule on a k=8 fat-tree, so the pair queues and their
+// paths are the same 128 whatever the schedule's length. Set-up
+// (validation, paths, pair queues, the fair-share table's layout)
+// allocates per flow; the event loop must not: a flow costs more than
+// one recompute, and the table is laid out once per run while its
+// scratch follows the active set, so a longer schedule adds ~0 loop
+// allocations per flow.
+func TestRunAllocsBounded(t *testing.T) {
+	g := topology.FatTree(8)
+	routes, err := routing.FatTreeDFS{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	cfg := netsim.DefaultConfig()
+	// measure returns the allocations of a whole Run and of its event
+	// loop alone, and the loop's recomputes.
+	measure := func(n int) (run, loop float64, recomputes int64) {
+		flows := loadgen.Spec{
+			Ranks: len(hosts), Pattern: loadgen.Permutation(),
+			Sizes: loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64),
+			Load:  0.5, Flows: n, Seed: 1, LinkBps: cfg.LinkBps,
+		}.MustGenerate().Flows
+		sched := make([]netsim.Flow, n)
+		run = testing.AllocsPerRun(3, func() {
+			copy(sched, flows)
+			if _, err := Run(context.Background(), g, routes, cfg, hosts, sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+		copy(sched, flows)
+		e, err := newEngine(g, routes, cfg, hosts, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return run, float64(after.Mallocs - before.Mallocs), e.recomputes
+	}
+	const lo, hi = 500, 2500
+	runLo, loopLo, recLo := measure(lo)
+	runHi, loopHi, recHi := measure(hi)
+	t.Logf("%d flows: Run %.0f allocations, loop %.0f over %d recomputes; %d flows: Run %.0f, loop %.0f over %d",
+		lo, runLo, loopLo, recLo, hi, runHi, loopHi, recHi)
+	perRecompute := float64(recHi-recLo) / (hi - lo)
+	if perRecompute < 1 {
+		t.Fatalf("%.2f recomputes per flow: the schedule no longer exercises the recompute path", perRecompute)
+	}
+	if perFlow := (loopHi - loopLo) / (hi - lo); perFlow > 0.05 {
+		t.Errorf("the event loop allocates %.3f objects per flow (%.2f recomputes per flow), want ~0", perFlow, perRecompute)
 	}
 }

@@ -3,15 +3,17 @@ package flowsim
 import (
 	"math"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
-// oracleScratch is the plain progressive-filling loop the grouped
-// fairScratch.run must reproduce bit for bit: one residual per link
+// oracleScratch is the plain progressive-filling loop the engine's
+// fairTable.fill must reproduce bit for bit: one residual per link
 // updated every round, every unfrozen flow's rate raised every round,
-// and a per-flow saturation scan. Its run is fairScratch.run as it was
-// before links were grouped, apart from the explicit float64(s*c)
-// rounding that keeps both sides free of fused multiply-adds on every
-// architecture.
+// and a per-flow saturation scan. Its run is the fill as it was before
+// links were grouped and the table was kept between recomputes, apart
+// from the explicit float64(s*c) rounding that keeps both sides free
+// of fused multiply-adds on every architecture.
 type oracleScratch struct {
 	rem      []float64
 	cnt      []int32
@@ -193,19 +195,193 @@ func FuzzFairShareOracle(f *testing.F) {
 	f.Add(c, p)
 	f.Fuzz(func(t *testing.T, capBytes, pathBytes []byte) {
 		caps, links := decodeOracleInput(capBytes, pathBytes)
-		var fs fairScratch
 		var oracle oracleScratch
-		// Half the flows first, then all of them through the same
-		// scratch: the second call starts from the first one's leftovers.
+		// Half the flows, then all of them; the oracle's second call
+		// starts from the first one's leftovers.
 		for _, ls := range [][][]int32{links[:len(links)/2], links} {
 			want := make([]float64, len(ls))
 			oracle.run(caps, ls, want)
 			got := make([]float64, len(ls))
-			fs.run(caps, ls, got)
+			fairShare(caps, ls, got)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("flow %d of %d: rate %v (%#x), oracle %v (%#x)\ncaps=%v\nlinks=%v",
 						i, len(ls), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), caps, ls)
+				}
+			}
+		}
+	})
+}
+
+// incrementalEngine builds an engine over links of one capacity whose
+// flows cross paths, each flow its own pair queue with a byte left to
+// send, and nothing admitted yet.
+func incrementalEngine(capacity float64, nLinks int, paths [][]int32) *engine {
+	n := len(paths)
+	infos := make([]pathInfo, n)
+	st := make([]flowState, n)
+	pairQ := make([][]int32, n)
+	for f := range paths {
+		infos[f].links = paths[f]
+		st[f] = flowState{path: &infos[f], remaining: 1, pair: int32(f)}
+		pairQ[f] = []int32{int32(f)}
+	}
+	return &engine{
+		flows:    make([]netsim.Flow, n),
+		st:       st,
+		pairQ:    pairQ,
+		pairNext: make([]int32, n),
+		fair:     newFairTable(st, nLinks, func(int32) float64 { return capacity }),
+	}
+}
+
+// checkTable fails unless the table holds exactly the active flows:
+// each link that an active flow crosses has a local index, chains one
+// slot per crossing and sits in the bucket of its count, no other link
+// is live or mapped, and every other local index is free.
+func checkTable(t *testing.T, ft *fairTable, active []int32) {
+	t.Helper()
+	crossings := map[int32]int32{} // global link → active slots on it
+	for _, f := range active {
+		fs := &ft.st[f]
+		for h, gl := range fs.path.links {
+			crossings[gl]++
+			if sl := ft.slots[fs.slot+int32(h)]; sl.flow != f || ft.local[gl] != sl.link+1 {
+				t.Fatalf("flow %d hop %d: slot %+v, link %d maps to local %d", f, h, sl, gl, ft.local[gl]-1)
+			}
+		}
+	}
+	live := 0
+	for l := range ft.links {
+		lk := &ft.links[l]
+		if lk.n == 0 {
+			continue
+		}
+		live++
+		chained := int32(0)
+		for sp := lk.head; sp >= 0; sp = ft.slots[sp].next {
+			if ft.slots[sp].link != int32(l) || chained > lk.n {
+				t.Fatalf("link %d: chain of %d slots broken at slot %d (%+v)", l, lk.n, sp, ft.slots[sp])
+			}
+			chained++
+		}
+		b := ft.buckets[ft.bucketOf(lk)].members
+		if chained != lk.n || crossings[lk.gl] != lk.n || ft.local[lk.gl] != int32(l)+1 ||
+			int(lk.pos) >= len(b) || b[lk.pos] != int32(l) {
+			t.Fatalf("link %d (global %d): n=%d, chained %d, crossed %d times, local %d, bucket position %d",
+				l, lk.gl, lk.n, chained, crossings[lk.gl], ft.local[lk.gl]-1, lk.pos)
+		}
+	}
+	mapped := 0
+	for _, l := range ft.local {
+		if l != 0 {
+			mapped++
+		}
+	}
+	for _, l := range ft.free {
+		if ft.links[l].n != 0 {
+			t.Fatalf("local index %d is free and carries %d slots", l, ft.links[l].n)
+		}
+	}
+	if live != len(crossings) || mapped != live || live+len(ft.free) != len(ft.links) {
+		t.Fatalf("%d live links, %d mapped, %d free of %d; active flows cross %d",
+			live, mapped, len(ft.free), len(ft.links), len(crossings))
+	}
+}
+
+// incrementalSeed generates ops for FuzzRecomputeIncremental: bursts of
+// arrivals, partial completions, and now and then a completion of every
+// active flow.
+func incrementalSeed(nOps int, seed uint64) []byte {
+	s := seed*2654435761 + 1
+	ops := make([]byte, nOps)
+	for i := range ops {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		switch s % 8 {
+		case 0:
+			ops[i] = 0xff // complete every active flow
+		case 1, 2, 3:
+			ops[i] = 0x80 | byte(s>>8)&0x7f
+		default:
+			ops[i] = byte(s>>8) & 0x1f
+		}
+	}
+	return ops
+}
+
+// FuzzRecomputeIncremental drives the engine's admit, completeDue and
+// recompute through random sequences and requires, after every
+// recompute, the rates the kept table produced to be Float64bits-equal
+// to a table built from nothing (fairShare) and to the plain filling
+// loop, both over the same active set. Paths come from
+// decodeOracleInput over at most 32 links of one capacity, so links are
+// shared and may repeat within a path. Of at most 256 ops, a byte below
+// 0x80 admits the next 1–32 flows; 0xff completes every active flow; any other byte
+// with the high bit set completes the active flows at positions i with
+// (i+b&3) % (1+b>>2&3) == 0. Bursts empty links and fill them again, so
+// local indices are recycled, and the active set falls to zero and grows
+// again. After every op, checkTable holds the table to the active set.
+func FuzzRecomputeIncremental(f *testing.F) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		_, p := oracleSeed(24, 200, seed)
+		f.Add(uint8(24), uint8(seed), p, incrementalSeed(64, seed))
+	}
+	_, p := oracleSeed(6, 60, 5)
+	f.Add(uint8(6), uint8(0), p, incrementalSeed(40, 5))
+	f.Fuzz(func(t *testing.T, nLinks, capIdx uint8, pathBytes, ops []byte) {
+		nl := 1 + int(nLinks)%32
+		capBytes := make([]byte, nl)
+		for l := range capBytes {
+			capBytes[l] = capIdx
+		}
+		caps, paths := decodeOracleInput(capBytes, pathBytes)
+		if len(paths) == 0 {
+			return
+		}
+		if len(ops) > 256 {
+			ops = ops[:256]
+		}
+		e := incrementalEngine(caps[0], nl, paths)
+		var oracle oracleScratch
+		admitted := 0
+		for _, op := range ops {
+			changed := false
+			switch {
+			case op < 0x80:
+				for k := 0; k <= int(op&0x1f) && admitted < len(paths); k++ {
+					changed = e.admit(pendEntry{fi: int32(admitted)}) || changed
+					admitted++
+				}
+			default:
+				off, div := int(op&3), 1+int(op>>2&3)
+				for i, fi := range e.active {
+					if op == 0xff || (i+off)%div == 0 {
+						e.st[fi].remaining = 0
+					}
+				}
+				changed = e.completeDue()
+			}
+			checkTable(t, &e.fair, e.active)
+			if !changed || len(e.active) == 0 {
+				continue
+			}
+			e.recompute()
+			ls := make([][]int32, len(e.active))
+			for i, fi := range e.active {
+				ls[i] = paths[fi]
+			}
+			want := make([]float64, len(ls))
+			oracle.run(caps, ls, want)
+			fresh := make([]float64, len(ls))
+			fairShare(caps, ls, fresh)
+			for i, fi := range e.active {
+				got := e.st[fi].rate
+				if math.Float64bits(got) != math.Float64bits(fresh[i]) || math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("recompute %d, flow %d: kept table %v (%#x), fresh table %v (%#x), oracle %v (%#x)\ncap=%v active=%v\npaths=%v",
+						e.recomputes, fi, got, math.Float64bits(got), fresh[i], math.Float64bits(fresh[i]),
+						want[i], math.Float64bits(want[i]), caps[0], e.active, ls)
 				}
 			}
 		}

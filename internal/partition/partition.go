@@ -592,8 +592,10 @@ func score(g *workGraph, part []int, k int, opt Options) float64 {
 	mean := float64(total) / float64(k)
 	imb := float64(maxW)/mean - 1
 	// β chosen so a 10% imbalance costs about one cut edge on small
-	// graphs and scales with graph size on larger ones.
-	return float64(cut) + imb*float64(total)*0.25
+	// graphs and scales with graph size on larger ones. The explicit
+	// float64 rounds the product, so no architecture fuses it into the
+	// sum.
+	return float64(cut) + float64(imb*float64(total)*0.25)
 }
 
 // move records one vertex relocation of an FM pass, for roll-back.

@@ -97,7 +97,8 @@ func MeasureFCT(flows []netsim.Flow, linkBps float64, base netsim.Time, bounds [
 // rank maps a percentile to a nearest-rank index in a sorted sample of
 // n (the ceil(p·n) convention, clamped to the sample).
 func rank(n int, p float64) int {
-	i := int(p*float64(n)+0.999999) - 1
+	// float64(x*y) keeps the product out of a fused multiply-add.
+	i := int(float64(p*float64(n))+0.999999) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -96,7 +96,9 @@ func (c *Collector) Collect(net *netsim.Network) {
 		if delta > s.Peak {
 			s.Peak = delta
 		}
-		s.EWMA = c.Alpha*float64(delta) + (1-c.Alpha)*s.EWMA
+		// Products are rounded explicitly (float64(x*y)) so that no
+		// architecture fuses them into the sum.
+		s.EWMA = float64(c.Alpha*float64(delta)) + float64((1-c.Alpha)*s.EWMA)
 	}
 }
 

@@ -25,7 +25,8 @@ func Zoo(seed int64) []*Graph {
 	out := make([]*Graph, 0, ZooSize)
 	for i := 0; i < ZooSize; i++ {
 		n := zooNodeCount(rng)
-		extra := int(float64(n) * (0.15 + 0.35*rng.Float64()))
+		// float64(x*y) keeps the product out of a fused multiply-add.
+		extra := int(float64(n) * (0.15 + float64(0.35*rng.Float64())))
 		out = append(out, RandomWAN(fmt.Sprintf("zoo-%03d", i), n, extra, rng.Int63()))
 	}
 	return out
