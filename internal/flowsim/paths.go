@@ -8,16 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// maxFIBVertices caps the fabric size that compiles a dense FIB for
-// path walking. FIB memory grows as vertices² (one slot per
-// (switch, dst) pair over the full vertex range), which passes a
-// gigabyte somewhere above 10k hosts; larger fabrics walk
-// Routes.Lookup instead — the same rules behind a binary search of the
-// switch's row rather than the dense compilation, and path resolution
-// is a one-time cost per (src, dst) pair rather than a per-packet hot
-// path.
-const maxFIBVertices = 4096
-
 // pathInfo is one resolved host-to-host route through the fabric.
 type pathInfo struct {
 	// links are the directed links the flow occupies, source host NIC
@@ -39,7 +29,7 @@ type pathInfo struct {
 type walker struct {
 	g       *topology.Graph
 	csr     *topology.CSR
-	forward func(sw, inPort, dst, tag int) (outPort, newTag int, ok bool)
+	fib     *routing.FIB
 	cache   map[[2]int]*pathInfo
 	hdrSer  float64 // header serialisation time in ps (cut-through per-hop cost)
 	hostLat float64
@@ -49,9 +39,10 @@ type walker struct {
 }
 
 func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config) *walker {
-	w := &walker{
+	return &walker{
 		g:       g,
 		csr:     g.CSR(),
+		fib:     routes.FIB(),
 		cache:   map[[2]int]*pathInfo{},
 		hdrSer:  float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
 		hostLat: float64(cfg.HostLatency),
@@ -59,24 +50,6 @@ func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config) *w
 		propLat: float64(cfg.PropDelay),
 		cut:     cfg.CutThrough,
 	}
-	if len(g.Vertices) <= maxFIBVertices {
-		fib := routes.FIB()
-		w.forward = fib.Forward
-	} else {
-		// Lookup builds its rule index lazily on first use; the engine
-		// runs serially, so the lazy build is safe here.
-		w.forward = func(sw, inPort, dst, tag int) (int, int, bool) {
-			r := routes.Lookup(sw, inPort, dst, tag)
-			if r == nil {
-				return 0, 0, false
-			}
-			if r.NewTag >= 0 {
-				tag = r.NewTag
-			}
-			return r.OutPort, tag, true
-		}
-	}
-	return w
 }
 
 // dirLink is the directed-link id for traversing edge eid out of vertex
@@ -124,7 +97,7 @@ func (w *walker) path(src, dst int) (*pathInfo, error) {
 			return nil, fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
 		}
 		nsw++
-		out, newTag, ok := w.forward(cur, inPort, dst, tag)
+		out, newTag, ok := w.fib.Forward(cur, inPort, dst, tag)
 		if !ok {
 			return nil, fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
 		}

@@ -57,8 +57,10 @@ func NewCDF(name string, pts []CDFPoint) *CDF {
 			panic(fmt.Sprintf("loadgen: CDF %s not strictly increasing at %+v", name, p))
 		}
 		// Sizes are uniform within a segment, so the segment contributes
-		// its midpoint weighted by its probability mass.
-		mean += (p.Frac - prev.Frac) * float64(p.Bytes+prev.Bytes) / 2
+		// its midpoint weighted by its probability mass. Products are
+		// rounded explicitly (float64(x*y)) so that no architecture
+		// fuses them into the sums, here and in Sample.
+		mean += float64((p.Frac - prev.Frac) * float64(p.Bytes+prev.Bytes) / 2)
 		prev = p
 	}
 	if prev.Frac != 1 {
@@ -72,13 +74,13 @@ func (c *CDF) Mean() float64 { return c.mean }
 
 // Sample inverts the CDF at a uniform variate.
 func (c *CDF) Sample(r *RNG) int {
-	u := r.Float64()
+	u := float64(r.Float64()) // or Float64's scaling fuses into u - prev.Frac
 	prev := CDFPoint{Bytes: 0, Frac: 0}
 	for _, p := range c.pts {
 		if u <= p.Frac {
 			span := p.Frac - prev.Frac
 			t := (u - prev.Frac) / span
-			b := float64(prev.Bytes) + t*float64(p.Bytes-prev.Bytes)
+			b := float64(prev.Bytes) + float64(t*float64(p.Bytes-prev.Bytes))
 			if b < 1 {
 				b = 1
 			}

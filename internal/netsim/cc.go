@@ -130,11 +130,13 @@ func newDCQCNState(cfg *Config) dcqcnState {
 
 // decrease applies the CNP reaction: bump alpha toward 1, remember the
 // pre-cut rate as the recovery target, cut multiplicatively, and floor
-// at 1% of line so a flow can always probe its way back.
+// at 1% of line so a flow can always probe its way back. Products are
+// rounded explicitly (float64(x*y)) so that no architecture fuses them
+// into the sums.
 func (s *dcqcnState) decrease() {
-	s.alpha = (1-s.gain)*s.alpha + s.gain
+	s.alpha = float64((1-s.gain)*s.alpha) + s.gain
 	s.target = s.rate
-	s.rate *= 1 - s.alpha/2
+	s.rate *= 1 - float64(s.alpha/2)
 	if min := s.line / 100; s.rate < min {
 		s.rate = min
 	}
@@ -265,7 +267,8 @@ func newTimelyCC(cfg *Config) *timelyCC {
 
 // sample applies the gradient law to one RTT measurement. Pure (no
 // engine access): the boundary tests and FuzzCCPolicy drive it with
-// arbitrary RTT sequences.
+// arbitrary RTT sequences. Products are rounded explicitly, as in
+// dcqcnState.decrease.
 func (c *timelyCC) sample(rtt Time) {
 	if rtt <= 0 {
 		return
@@ -276,7 +279,7 @@ func (c *timelyCC) sample(rtt Time) {
 	}
 	diff := float64(rtt - c.prevRTT)
 	c.prevRTT = rtt
-	c.rttDiff = (1-c.ewma)*c.rttDiff + c.ewma*diff
+	c.rttDiff = float64((1-c.ewma)*c.rttDiff) + float64(c.ewma*diff)
 	grad := c.rttDiff / float64(c.minRTT)
 	switch {
 	case rtt < c.tLow:
@@ -284,7 +287,7 @@ func (c *timelyCC) sample(rtt Time) {
 		c.rate += c.add
 	case rtt > c.tHigh:
 		c.negRun = 0
-		c.rate *= 1 - c.beta*(1-float64(c.tHigh)/float64(rtt))
+		c.rate *= 1 - float64(c.beta*(1-float64(c.tHigh)/float64(rtt)))
 	case grad <= 0:
 		c.negRun++
 		step := c.add
@@ -297,7 +300,7 @@ func (c *timelyCC) sample(rtt Time) {
 		if grad > 1 {
 			grad = 1
 		}
-		c.rate *= 1 - c.beta*grad
+		c.rate *= 1 - float64(c.beta*grad)
 	}
 	if c.rate > c.line {
 		c.rate = c.line

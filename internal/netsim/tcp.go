@@ -155,7 +155,7 @@ func (c *TCPConn) onAck(pkt *Packet) {
 			if c.ssthresh < mss {
 				c.ssthresh = mss
 			}
-			c.cwnd = c.ssthresh + 3*mss
+			c.cwnd = c.ssthresh + float64(3*mss) // rounded: no fused multiply-add
 			c.inRecovery = true
 			c.recoverSeq = c.sndNxt
 			l := int64(c.mss)

@@ -2,19 +2,27 @@ package routing
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/openflow"
 )
 
 // FIB is a compiled forwarding table: Routes flattened into one dense
 // per-(switch, destination) slot array so the per-hop forwarding
-// decision — the hottest operation in the whole simulator — is a single
-// array load instead of a binary search over rule indices.
+// decision — the hottest operation in the whole simulator — is a few
+// array loads instead of a binary search over rule indices.
 //
-// Layout: slot (sw, dst) lives at slots[sw*stride+dst], stride =
-// len(Topo.Vertices). The common case — a single fully wildcarded rule
-// (InPort: any, Tag: any), which is what every Table III strategy
-// installs for most (switch, dst) pairs — packs into one uint32:
+// Layout: the array is sized by what is routed. Its rows are the
+// switches that own a rule and its columns the destinations some rule
+// routes to, both numbered in ascending vertex ID from 1; row 0 and
+// column 0 are empty sentinels. rowBase[sw] is switch sw's row times
+// the column count and col[dst] destination dst's column, both 0 for a
+// vertex with no row or column, so slot (sw, dst) is
+// slots[rowBase[sw]+col[dst]] — two independent loads, then the slot —
+// and a pair with no rule reads the empty slot without a branch. The
+// common case — a single fully wildcarded rule (InPort: any, Tag: any),
+// which is what every Table III strategy installs for most
+// (switch, dst) pairs — packs into one uint32:
 //
 //	bits  0..15  out port (0 = empty slot / table miss)
 //	bits 16..30  new tag + 1 (0 = keep the packet's tag)
@@ -32,9 +40,10 @@ import (
 // tuple — Lookup stays as the reference implementation and the
 // differential tests in fib_test.go enforce the equivalence.
 type FIB struct {
-	routes *Routes
-	stride int
-	slots  []uint32
+	routes  *Routes
+	rowBase []int32 // per vertex: row × columns, 0 = the sentinel row
+	col     []int32 // per vertex: column, 0 = the sentinel column
+	slots   []uint32
 	// ruleIdx mirrors slots for fast entries: the index into
 	// routes.Rules of the packed rule (-1 when empty or spilled). The
 	// reactive controller needs the matched *Rule, not just the action.
@@ -44,8 +53,8 @@ type FIB struct {
 	spillOff   []int32
 	spillRules []spillRule
 	// extra holds slots whose switch or destination ID falls outside
-	// the dense array — only manual rule sets referencing IDs beyond
-	// the vertex range produce these. Always compiled as spill groups.
+	// the vertex range — only manual rule sets referencing such IDs
+	// produce these. Always compiled as spill groups.
 	extra map[[2]int]uint32
 }
 
@@ -81,20 +90,36 @@ func fibPack(r *Rule) uint32 {
 // memoized accessor FIB invalidates automatically, exactly like the
 // lookup index).
 //
-// It walks the lookup index's (switch, dst) groups once — O(rules) plus
-// the n² slot memset. The index order is what keeps the FIB
+// It numbers the rows and columns in one pass over the rules, then
+// walks the lookup index's (switch, dst) groups once — O(rules) plus
+// the rows × columns slot array. The index order is what keeps the FIB
 // reproducible: spill groups are numbered in (switch, dst) order, those
-// of the dense array first and those outside it after.
+// of the slot array first and those outside the vertex range after.
 func (r *Routes) Compile() *FIB {
 	r.buildIndex()
 	n := len(r.Topo.Vertices)
 	f := &FIB{
 		routes:   r,
-		stride:   n,
-		slots:    make([]uint32, n*n),
-		ruleIdx:  make([]int32, n*n),
+		rowBase:  make([]int32, n),
+		col:      make([]int32, n),
 		spillOff: []int32{0},
 	}
+	inRange := func(rule *Rule) bool { return uint(rule.Switch) < uint(n) && uint(rule.Dst) < uint(n) }
+	for i := range r.Rules {
+		if rule := &r.Rules[i]; inRange(rule) {
+			f.rowBase[rule.Switch] = 1
+			f.col[rule.Dst] = 1
+		}
+	}
+	rows, cols := number(f.rowBase), number(f.col)
+	if int64(rows)*int64(cols) > math.MaxInt32 {
+		panic(fmt.Sprintf("routing: a FIB of %d × %d slots", rows, cols))
+	}
+	for s := range f.rowBase {
+		f.rowBase[s] *= cols
+	}
+	f.slots = make([]uint32, rows*cols)
+	f.ruleIdx = make([]int32, rows*cols)
 	for i := range f.ruleIdx {
 		f.ruleIdx[i] = -1
 	}
@@ -105,11 +130,11 @@ func (r *Routes) Compile() *FIB {
 		hi = r.groupEnd(lo)
 		group := r.order[lo:hi]
 		first := &r.Rules[group[0]]
-		if uint(first.Switch) >= uint(n) || uint(first.Dst) >= uint(n) {
+		if !inRange(first) {
 			outside = append(outside, group)
 			continue
 		}
-		slot := first.Switch*n + first.Dst
+		slot := f.rowBase[first.Switch] + f.col[first.Dst]
 		// Fast path only when every rule after the first can never
 		// win: the first rule is fully wildcarded (most specific
 		// first means the rest are too, so they are shadowed) and
@@ -131,6 +156,20 @@ func (r *Routes) Compile() *FIB {
 	return f
 }
 
+// number replaces every mark (non-zero entry) of marks with its rank
+// among them, from 1 in index order, and returns the count of marks
+// plus one: the rows or columns of a FIB, sentinel included.
+func number(marks []int32) int32 {
+	k := int32(1)
+	for i, m := range marks {
+		if m != 0 {
+			marks[i] = k
+			k++
+		}
+	}
+	return k
+}
+
 // spillGroup appends the indexed rules (already most-specific-first) as
 // a new spill group and returns its slot word.
 func (f *FIB) spillGroup(r *Routes, idx []int32) uint32 {
@@ -149,17 +188,25 @@ func (f *FIB) spillGroup(r *Routes, idx []int32) uint32 {
 	return fibSpill | uint32(k)
 }
 
+// slot returns the slot word of (sw, dst) and its index in slots, -1
+// for a pair outside the vertex range.
+func (f *FIB) slot(sw, dst int) (v uint32, at int) {
+	if uint(sw) < uint(len(f.rowBase)) && uint(dst) < uint(len(f.col)) {
+		at = int(f.rowBase[sw] + f.col[dst])
+		return f.slots[at], at
+	}
+	if f.extra != nil {
+		v = f.extra[[2]int{sw, dst}]
+	}
+	return v, -1
+}
+
 // Forward returns the egress port and the packet's resulting tag for a
 // packet on switch sw arriving on inPort with the given destination and
 // current tag. ok is false on a table miss. It performs no allocation
-// and, on the fast path, a single array load.
+// and, on the fast path, three array loads.
 func (f *FIB) Forward(sw, inPort, dst, tag int) (outPort, newTag int, ok bool) {
-	var v uint32
-	if uint(sw) < uint(f.stride) && uint(dst) < uint(f.stride) {
-		v = f.slots[sw*f.stride+dst]
-	} else if f.extra != nil {
-		v = f.extra[[2]int{sw, dst}]
-	}
+	v, _ := f.slot(sw, dst)
 	if v == 0 {
 		return 0, 0, false
 	}
@@ -203,20 +250,14 @@ func (f *FIB) spillMatch(v uint32, inPort, tag int) *spillRule {
 // against Routes.Lookup rule by rule, not just decision by decision.
 // nil on a miss.
 func (f *FIB) Rule(sw, inPort, dst, tag int) *Rule {
-	var v uint32
-	inRange := uint(sw) < uint(f.stride) && uint(dst) < uint(f.stride)
-	if inRange {
-		v = f.slots[sw*f.stride+dst]
-	} else if f.extra != nil {
-		v = f.extra[[2]int{sw, dst}]
-	}
+	v, at := f.slot(sw, dst)
 	if v == 0 {
 		return nil
 	}
 	if v&fibSpill == 0 {
-		// Fast-packed slots only exist in the dense array (overflow
+		// Fast-packed slots only exist in the slot array (overflow
 		// slots always spill), so ruleIdx is addressable here.
-		return &f.routes.Rules[f.ruleIdx[sw*f.stride+dst]]
+		return &f.routes.Rules[f.ruleIdx[at]]
 	}
 	if sr := f.spillMatch(v, inPort, tag); sr != nil {
 		return &f.routes.Rules[sr.rule]

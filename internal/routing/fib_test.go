@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/openflow"
@@ -88,6 +89,45 @@ func TestFIBMatchesLookupExhaustive(t *testing.T) {
 	}
 }
 
+// TestFIBMatchesLookupOnSubset: a FatTreeDFS subset of FatTree(28) —
+// 6 468 vertices, more than the dense vertex-by-vertex FIB served —
+// compiles one row per switch but columns for the 48 routed hosts only,
+// and must agree with Lookup from every switch toward every host,
+// routed or not (an absent column), a switch, and IDs outside the
+// vertex range.
+func TestFIBMatchesLookupOnSubset(t *testing.T) {
+	g := topology.FatTree(28)
+	routed := spreadHosts(g, 48)
+	r, err := FatTreeDFS{}.ComputeFor(g, routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib := r.FIB()
+	if want := (g.NumSwitches() + 1) * (len(routed) + 1); len(fib.slots) != want {
+		t.Errorf("%d slots, want %d: (switches + 1) × (routed hosts + 1)", len(fib.slots), want)
+	}
+	if fast, spilled, _ := fib.Stats(); fast != len(r.Rules) || spilled != 0 {
+		t.Errorf("Stats = %d fast, %d spilled; want all %d rules fast", fast, spilled, len(r.Rules))
+	}
+	dsts := append(slices.Clone(g.Hosts()), -1, len(g.Vertices), g.Switches()[0])
+	for _, sw := range g.Switches() {
+		for _, dst := range dsts {
+			want := r.Lookup(sw, 1, dst, 0)
+			if got := fib.Rule(sw, 1, dst, 0); got != want {
+				t.Fatalf("Rule(%d, 1, %d, 0) = %+v, Lookup = %+v", sw, dst, got, want)
+			}
+			out, newTag, ok := fib.Forward(sw, 1, dst, 0)
+			if want == nil {
+				if ok {
+					t.Fatalf("Forward(%d, 1, %d, 0) hit port %d, Lookup missed", sw, dst, out)
+				}
+			} else if !ok || out != want.OutPort || newTag != 0 {
+				t.Fatalf("Forward(%d, 1, %d, 0) = (%d, %d, %v), Lookup %+v", sw, dst, out, newTag, ok, want)
+			}
+		}
+	}
+}
+
 // TestFIBManualRoutesSpecificity exercises the spill path directly:
 // overlapping wildcard shapes on one (switch, dst) slot must resolve in
 // Lookup's most-specific-first order, and out-of-encoding-range fields
@@ -156,7 +196,7 @@ func TestFIBStats(t *testing.T) {
 
 // TestComputeParallelDeterminism recomputes every differential case
 // serially and with a forced 4-worker fan-out: the rule slices must be
-// deeply identical (the per-destination buckets merge in destination
+// deeply identical (the per-destination runs merge in destination
 // order, so scheduling must not leak into the output). Run under -race
 // this also proves the builds only read shared graph state.
 func TestComputeParallelDeterminism(t *testing.T) {

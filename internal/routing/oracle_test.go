@@ -19,7 +19,7 @@ import (
 	"repro/internal/topology"
 )
 
-// sortRulesReference is the stable sort placeRules replaced.
+// sortRulesReference is the stable sort placeRuns replaced.
 func sortRulesReference(rules []Rule) {
 	sort.SliceStable(rules, func(i, j int) bool {
 		a, b := rules[i], rules[j]
@@ -153,7 +153,7 @@ func oracleCases() []oracleCase {
 
 // rawRules runs c's builder serially over dsts (ascending, distinct)
 // and returns the rules in emission order — what computeForDsts's
-// buckets hold, concatenated.
+// runs hold, concatenated.
 func rawRules(t *testing.T, c oracleCase, dsts []int) []Rule {
 	t.Helper()
 	build, err := c.builder(c.graph)
@@ -183,29 +183,47 @@ func randomSubset(rng *rand.Rand, hosts []int) []int {
 	return sub
 }
 
-// splitRuns cuts rules into consecutive runs at random points, some of
-// them empty.
-func splitRuns(rng *rand.Rand, rules []Rule) [][]Rule {
-	var runs [][]Rule
+// dstRuns cuts rules into consecutive per-destination runs: at every
+// change of destination and, with split, at random points too, leaving
+// some runs empty.
+func dstRuns(rng *rand.Rand, rules []Rule, split bool) []dstRun {
+	var runs []dstRun
 	for lo := 0; lo < len(rules); {
-		hi := lo + rng.Intn(len(rules)-lo+1)
-		runs = append(runs, rules[lo:hi])
+		hi := lo + 1
+		for hi < len(rules) && rules[hi].Dst == rules[lo].Dst {
+			hi++
+		}
+		if split {
+			hi = lo + rng.Intn(hi-lo+1)
+		}
+		run := dstRun{dst: rules[lo].Dst}
+		for _, r := range rules[lo:hi] {
+			run.emit(r)
+		}
+		if run.err != nil {
+			panic(run.err)
+		}
+		runs = append(runs, run)
 		lo = hi
 	}
-	return append(runs, nil)
+	if split {
+		runs = append(runs, dstRun{dst: 1})
+	}
+	return runs
 }
 
-// checkPlacement holds placeRules to the reference sort on one rule
-// list, given whole and cut into runs.
+// checkPlacement holds placeRuns to the reference sort on one rule
+// list, cut into per-destination runs as they come and at random
+// points besides.
 func checkPlacement(t *testing.T, rng *rand.Rand, what string, nv int, rules []Rule) {
 	t.Helper()
 	want := slices.Clone(rules)
 	sortRulesReference(want)
-	if got := placeRules(nv, [][]Rule{rules}); !slices.Equal(got, want) {
-		t.Errorf("%s: placeRules differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
+	if got := placeRuns(nv, dstRuns(rng, rules, false)); !slices.Equal(got, want) {
+		t.Errorf("%s: placeRuns differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
 	}
-	if got := placeRules(nv, splitRuns(rng, rules)); !slices.Equal(got, want) {
-		t.Errorf("%s: placeRules over split runs differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
+	if got := placeRuns(nv, dstRuns(rng, rules, true)); !slices.Equal(got, want) {
+		t.Errorf("%s: placeRuns over split runs differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
 	}
 }
 
@@ -241,7 +259,7 @@ func ugalRoutes(t testing.TB) *Routes {
 // TestSortRulesMatchesStableSort: the rule list every strategy returns
 // is element for element the one the reflective stable sort produced
 // from the same per-destination emissions, for full and subset
-// computes; and placeRules agrees with that sort on lists no strategy
+// computes; and placeRuns agrees with that sort on lists no strategy
 // produces.
 func TestSortRulesMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))

@@ -295,9 +295,9 @@ var computeWorkers = 0
 // computeForDsts fans a strategy's rule builds over an explicit
 // destination set and leaves r.Rules in canonical order. The
 // per-destination builds run on the worker pool, each filling its own
-// rule bucket (built by `build` calling emit), and placeRules reads the
-// buckets in dsts order, so the rule list is independent of scheduling
-// and byte-identical to a serial build.
+// run (built by `build` calling emit), and placeRuns reads the runs in
+// dsts order, so the rule list is independent of scheduling and
+// byte-identical to a serial build.
 //
 // build runs concurrently and must only read shared state; the graph's
 // lazy caches (adjacency, CSR, host/switch lists) are primed here
@@ -306,23 +306,69 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	g.CSR()
 	g.Hosts()
 	// Every strategy emits at least one rule per switch it routes from,
-	// so a bucket of that size spares the first dozen append doublings.
+	// so a run of that size spares the first dozen append doublings.
 	nsw := g.NumSwitches()
-	perDst := make([][]Rule, len(dsts))
+	runs := make([]dstRun, len(dsts))
 	err := par.For(computeWorkers, len(dsts), func(hi int) error {
-		// Each job owns exactly its destination's bucket element.
-		bucket := make([]Rule, 0, nsw)
-		err := build(dsts[hi], func(rule Rule) { bucket = append(bucket, rule) })
-		perDst[hi] = bucket
-		return err
+		// Each job owns exactly its destination's run.
+		run := &runs[hi]
+		run.dst = dsts[hi]
+		run.rules = make([]runRule, 0, nsw)
+		if err := build(run.dst, run.emit); err != nil {
+			return err
+		}
+		return run.err
 	})
 	if err != nil {
 		return err
 	}
-	r.Rules = placeRules(len(g.Vertices), perDst)
+	r.Rules = placeRuns(len(g.Vertices), runs)
 	r.invalidate()
 	return nil
 }
+
+// runRule is one rule of a destination's run: a Rule less its Dst,
+// which the run implies, with int32 fields — 20 bytes to a Rule's 48.
+type runRule struct {
+	sw, inPort, tag, out, newTag int32
+}
+
+// dstRun is the rules one strategy build emitted toward dst, in
+// emission order. err records the first rule that has no runRule form.
+type dstRun struct {
+	dst   int
+	rules []runRule
+	err   error
+}
+
+// widen returns the Rule rr stands for in dst's run.
+func (rr runRule) widen(dst int) Rule {
+	return Rule{Switch: int(rr.sw), InPort: int(rr.inPort), Dst: dst,
+		Tag: int(rr.tag), OutPort: int(rr.out), NewTag: int(rr.newTag)}
+}
+
+// emit appends a rule to the run. A rule toward another destination,
+// or with a field int32 cannot hold, is an error rather than a
+// truncation: the first is recorded, and such rules are dropped.
+func (d *dstRun) emit(rule Rule) {
+	if (rule.Dst^d.dst)|narrowLoss(rule.Switch)|narrowLoss(rule.InPort)|narrowLoss(rule.Tag)|
+		narrowLoss(rule.OutPort)|narrowLoss(rule.NewTag) == 0 {
+		d.rules = append(d.rules, runRule{int32(rule.Switch), int32(rule.InPort),
+			int32(rule.Tag), int32(rule.OutPort), int32(rule.NewTag)})
+		return
+	}
+	if d.err != nil {
+		return
+	}
+	if rule.Dst != d.dst {
+		d.err = fmt.Errorf("routing: rule %+v emitted while routing toward host %d", rule, d.dst)
+	} else {
+		d.err = fmt.Errorf("routing: rule %+v has a field outside the int32 range", rule)
+	}
+}
+
+// narrowLoss returns the bits v loses as an int32: 0 iff it fits.
+func narrowLoss(v int) int { return v ^ int(int32(v)) }
 
 // compareRules is the canonical rule order: (Switch, Dst, Tag, InPort).
 func compareRules(a, b Rule) int {
@@ -335,46 +381,56 @@ func compareRules(a, b Rule) int {
 	return cmp.Compare(a.InPort, b.InPort)
 }
 
-// placeRules returns the concatenation of runs stably sorted by
-// compareRules, in time linear in the rules for the lists the
-// strategies produce. A stable sort whose leading key is a switch
-// vertex ID is a stable bucketing by switch — count, prefix-sum,
+// placeRuns returns the rules of the runs, concatenated in order and
+// stably sorted by compareRules, in time linear in the rules for the
+// runs the strategies produce. A stable sort whose leading key is a
+// switch vertex ID is a stable bucketing by switch — count, prefix-sum,
 // scatter in input order — followed by a stable sort of every switch's
-// segment on the remaining keys. computeForDsts's input is one run per
-// destination in ascending destination order, so a segment arrives
-// ordered by destination and is left alone unless the strategy emitted
-// one (switch, dst) group's rules out of (Tag, InPort) order, as the
-// torus strategies do; only such a segment pays a comparator sort, and
-// the scatter writes each rule once, straight into the final array.
-// A list naming a switch outside [0, nv) is comparator-sorted whole.
-func placeRules(nv int, runs [][]Rule) []Rule {
+// segment on the remaining keys. computeForDsts's runs come in
+// ascending destination order, so a segment arrives ordered by
+// destination and is left alone unless the strategy emitted one
+// (switch, dst) group's rules out of (Tag, InPort) order, as the torus
+// strategies do; only such a segment pays a comparator sort, and the
+// scatter widens each rule once, straight into the final array. Runs
+// naming a switch outside [0, nv) are concatenated and comparator-sorted
+// whole.
+func placeRuns(nv int, runs []dstRun) []Rule {
 	// next[s] counts switch s's rules, then is the position of its next
 	// rule, and after the scatter the end of its segment.
 	next := make([]int, nv)
 	total := 0
+	inRange := true
 	for _, run := range runs {
-		total += len(run)
-		for i := range run {
-			sw := run[i].Switch
-			if uint(sw) >= uint(nv) {
-				out := slices.Concat(runs...)
-				slices.SortStableFunc(out, compareRules)
-				return out
+		total += len(run.rules)
+		for _, rr := range run.rules {
+			if sw := int(rr.sw); uint(sw) < uint(nv) {
+				next[sw]++
+			} else {
+				inRange = false
 			}
-			next[sw]++
 		}
 	}
 	out := make([]Rule, total)
+	if !inRange {
+		at := 0
+		for _, run := range runs {
+			for _, rr := range run.rules {
+				out[at] = rr.widen(run.dst)
+				at++
+			}
+		}
+		slices.SortStableFunc(out, compareRules)
+		return out
+	}
 	at := 0
 	for s, n := range next {
 		next[s] = at
 		at += n
 	}
 	for _, run := range runs {
-		for i := range run {
-			sw := run[i].Switch
-			out[next[sw]] = run[i]
-			next[sw]++
+		for _, rr := range run.rules {
+			out[next[rr.sw]] = rr.widen(run.dst)
+			next[rr.sw]++
 		}
 	}
 	lo := 0

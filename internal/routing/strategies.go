@@ -32,19 +32,25 @@ func (FatTreeDFS) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
 // fatTreeBuilder validates fat-tree coordinates once and returns the
 // per-destination up-down rule build.
 func fatTreeBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, error) {
-	// Index vertices by coordinates set by topology.FatTree.
-	type key struct{ layer, a, b int }
-	byCoord := map[key]int{}
+	// Index switches by the coordinates topology.FatTree sets.
+	var byCoord fatTreeCoords
 	k := 0
 	for _, s := range g.Switches() {
 		c := g.Vertices[s].Coord
 		if len(c) != 3 {
 			return nil, fmt.Errorf("routing: %s: switch %d lacks fat-tree coords", g.Name, s)
 		}
-		byCoord[key{c[0], c[1], c[2]}] = s
+		if c[0] < 0 || c[1] < 0 || c[2] < 0 {
+			return nil, fmt.Errorf("routing: %s: switch %d has negative fat-tree coords", g.Name, s)
+		}
+		byCoord.grow(c[0], c[1], c[2])
 		if c[0] == 1 && c[2]+1 > k/2 { // agg index range gives k/2
 			k = (c[2] + 1) * 2
 		}
+	}
+	for _, s := range g.Switches() {
+		c := g.Vertices[s].Coord
+		byCoord.set(c[0], c[1], c[2], s)
 	}
 	half := k / 2
 	if half == 0 {
@@ -58,7 +64,7 @@ func fatTreeBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, er
 		}
 		dPod, dEdge := hc[1], hc[2]
 		spread := dst // deterministic hash: spread by destination ID
-		dstEdgeSw := byCoord[key{2, dPod, dEdge}]
+		dstEdgeSw := byCoord.at(2, dPod, dEdge)
 		for _, s := range g.Switches() {
 			c := g.Vertices[s].Coord
 			var nxt int
@@ -70,16 +76,16 @@ func fatTreeBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, er
 					continue
 				}
 				// Up to aggregation chosen by destination hash.
-				nxt = byCoord[key{1, c[1], spread % half}]
+				nxt = byCoord.at(1, c[1], spread%half)
 			case 1: // aggregation switch
 				if c[1] == dPod {
 					nxt = dstEdgeSw // down
 				} else {
 					// Up to core row c[2], column by hash.
-					nxt = byCoord[key{0, c[2], (spread / half) % half}]
+					nxt = byCoord.at(0, c[2], (spread/half)%half)
 				}
 			case 0: // core switch: down to the destination pod's agg in this row
-				nxt = byCoord[key{1, dPod, c[1]}]
+				nxt = byCoord.at(1, dPod, c[1])
 			default:
 				return fmt.Errorf("routing: unknown fat-tree layer %d", c[0])
 			}
@@ -91,6 +97,40 @@ func fatTreeBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, er
 		}
 		return nil
 	}, nil
+}
+
+// fatTreeCoords maps the (layer, a, b) coordinates of a fat-tree's
+// core (0), aggregation (1) and edge (2) switches to their vertex IDs,
+// one dense a-by-b table per layer. Coordinates no switch holds read 0,
+// as a miss in the map this replaced did; no lookup reads other layers.
+type fatTreeCoords [3]struct {
+	ids        []int32 // a*cols + b -> switch
+	rows, cols int
+}
+
+// grow sizes the layer's table to hold (a, b); set stores into it.
+func (t *fatTreeCoords) grow(layer, a, b int) {
+	if layer < len(t) {
+		l := &t[layer]
+		l.rows, l.cols = max(l.rows, a+1), max(l.cols, b+1)
+	}
+}
+
+func (t *fatTreeCoords) set(layer, a, b, id int) {
+	if layer < len(t) {
+		l := &t[layer]
+		if l.ids == nil {
+			l.ids = make([]int32, l.rows*l.cols)
+		}
+		l.ids[a*l.cols+b] = int32(id)
+	}
+}
+
+func (t *fatTreeCoords) at(layer, a, b int) int {
+	if l := &t[layer]; uint(a) < uint(l.rows) && uint(b) < uint(l.cols) {
+		return int(l.ids[a*l.cols+b])
+	}
+	return 0
 }
 
 // DragonflyMinimal is Table III's Dragonfly routing: minimal paths

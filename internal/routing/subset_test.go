@@ -1,9 +1,13 @@
 package routing
 
 import (
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/openflow"
 	"repro/internal/topology"
 )
 
@@ -103,6 +107,46 @@ func TestComputeForRejectsNonHosts(t *testing.T) {
 	}
 }
 
+// TestComputeRejectsRulesRunsCannotHold: a destination's run keeps its
+// rules as int32 fields under the run's destination, so a build that
+// emits a rule toward another host, or one with a field int32 cannot
+// hold, fails the compute instead of yielding a truncated rule.
+func TestComputeRejectsRulesRunsCannotHold(t *testing.T) {
+	g := topology.FatTree(4)
+	dsts := g.Hosts()[:3]
+	wide := int64(math.MaxInt32) + 1
+	cases := []struct {
+		name string
+		bad  func(dst int) Rule
+	}{
+		{"foreign destination", func(dst int) Rule {
+			return Rule{Switch: 0, Dst: dst + 1, Tag: openflow.Any, OutPort: 1, NewTag: -1}
+		}},
+		{"wide out port", func(dst int) Rule {
+			return Rule{Switch: 0, Dst: dst, Tag: openflow.Any, OutPort: int(wide), NewTag: -1}
+		}},
+		{"wide negative switch", func(dst int) Rule {
+			return Rule{Switch: -int(wide) - 1, Dst: dst, Tag: openflow.Any, OutPort: 1, NewTag: -1}
+		}},
+	}
+	for _, c := range cases {
+		if c.name != "foreign destination" && strconv.IntSize == 32 {
+			continue // every int fits int32
+		}
+		r := newRoutes(g, "test", 1)
+		err := computeForDsts(r, g, dsts, func(dst int, emit func(Rule)) error {
+			emit(Rule{Switch: 0, Dst: dst, Tag: openflow.Any, OutPort: 1, NewTag: -1})
+			if dst == dsts[1] {
+				emit(c.bad(dst))
+			}
+			return nil
+		})
+		if err == nil || r.Rules != nil {
+			t.Errorf("%s: err %v and %d rules, want an error and no rules", c.name, err, len(r.Rules))
+		}
+	}
+}
+
 // TestComputeForNilIsFull pins the nil-destinations convenience: a nil
 // subset computes the full route set.
 func TestComputeForNilIsFull(t *testing.T) {
@@ -172,11 +216,56 @@ func TestComputeForAllocsBounded(t *testing.T) {
 		}
 		rules = len(r.Rules)
 	})
-	// Measured: 216 = 3 per destination + 24 (the fat-tree coordinate
-	// map, the worker pool, the rule array, order and rowOff).
+	// Measured: 141 = 2 per destination (a run and its emit closure) +
+	// 13 (the fat-tree coordinate tables, the worker pool, the runs, the
+	// rule array, order and rowOff).
 	if budget := float64(4*len(dsts) + 64); allocs > budget {
 		t.Errorf("ComputeFor + first Lookup: %.0f allocations for %d dsts and %d rules, budget %.0f",
 			allocs, len(dsts), rules, budget)
+	}
+}
+
+// setupBytesPerRule returns the bytes a FatTreeDFS subset compute plus
+// the first Lookup allocates per rule it keeps, on FatTree(16) toward 64
+// spread destinations (20 480 rules), averaged over five warm runs.
+func setupBytesPerRule(t *testing.T) float64 {
+	g := topology.FatTree(16)
+	dsts := spreadHosts(g, 64)
+	g.CSR()
+	g.Hosts()
+	var rules int
+	run := func() {
+		r, err := FatTreeDFS{}.ComputeFor(g, dsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Lookup(g.Switches()[0], 1, dsts[0], 0) == nil {
+			t.Fatal("no rule toward a computed destination")
+		}
+		rules = len(r.Rules)
+	}
+	run()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(rules)
+}
+
+// TestComputeForBytesBounded is the bytes budget beside the allocation
+// one: route set-up allocates the rules it returns (a Rule each), their
+// index (an int32 each), and on the way one 20-byte run entry per rule,
+// plus per-switch and per-vertex arrays. Measured: 73.6 bytes per rule
+// on amd64 (less where int is 32 bits); the budget adds 8.7 %. Holding a
+// second 48-byte copy of every rule, as per-destination Rule buckets
+// did (106 bytes per rule), fails it.
+func TestComputeForBytesBounded(t *testing.T) {
+	const budget = 80.0
+	if got := setupBytesPerRule(t); got > budget {
+		t.Errorf("ComputeFor + first Lookup: %.1f bytes per rule, budget %.1f", got, budget)
 	}
 }
 

@@ -11,9 +11,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -224,10 +224,17 @@ func (g *Graph) CSR() *CSR {
 	if c := g.csr.Load(); c != nil {
 		return c
 	}
-	n := len(g.Vertices)
+	c := newCSR(len(g.Vertices), g.Edges)
+	g.csr.Store(c)
+	return c
+}
+
+// newCSR builds the compressed-sparse-row view of the given edges over
+// n vertices; every endpoint must be in [0, n).
+func newCSR(n int, edges []Edge) *CSR {
 	c := &CSR{Start: make([]int32, n+1)}
 	deg := make([]int32, n)
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		deg[e.A]++
 		if e.B != e.A {
 			deg[e.B]++
@@ -242,41 +249,65 @@ func (g *Graph) CSR() *CSR {
 	c.Nbr = make([]int32, total)
 	c.Port = make([]int32, total)
 	c.Edge = make([]int32, total)
-	fill := append([]int32(nil), c.Start[:n]...)
+	fill := deg // reused: fill[v] is the position of v's next half-edge
+	copy(fill, c.Start[:n])
 	put := func(at, other, port, eid int) {
 		i := fill[at]
 		fill[at]++
 		c.Nbr[i], c.Port[i], c.Edge[i] = int32(other), int32(port), int32(eid)
 	}
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		put(e.A, e.B, e.APort, e.ID)
 		if e.B != e.A {
 			put(e.B, e.A, e.BPort, e.ID)
 		}
 	}
+	// Rows come out in edge-ID order, so only a row whose neighbours do
+	// not ascend with it needs sorting.
+	var scratch []halfEdge
 	for v := 0; v < n; v++ {
-		lo, hi := c.Start[v], c.Start[v+1]
-		row := struct{ nbr, port, edge []int32 }{c.Nbr[lo:hi], c.Port[lo:hi], c.Edge[lo:hi]}
-		sort.Sort(csrRow(row))
+		if lo, hi := c.Start[v], c.Start[v+1]; !c.rowSorted(lo, hi) {
+			scratch = c.sortRow(lo, hi, scratch)
+		}
 	}
-	g.csr.Store(c)
 	return c
 }
 
-// csrRow sorts one CSR row's parallel slices by (neighbour, edge ID).
-type csrRow struct{ nbr, port, edge []int32 }
+// halfEdge is one CSR entry, gathered for sorting a row.
+type halfEdge struct{ nbr, edge, port int32 }
 
-func (r csrRow) Len() int { return len(r.nbr) }
-func (r csrRow) Less(i, j int) bool {
-	if r.nbr[i] != r.nbr[j] {
-		return r.nbr[i] < r.nbr[j]
+func compareHalfEdges(a, b halfEdge) int {
+	if a.nbr != b.nbr {
+		return cmp.Compare(a.nbr, b.nbr)
 	}
-	return r.edge[i] < r.edge[j]
+	return cmp.Compare(a.edge, b.edge)
 }
-func (r csrRow) Swap(i, j int) {
-	r.nbr[i], r.nbr[j] = r.nbr[j], r.nbr[i]
-	r.port[i], r.port[j] = r.port[j], r.port[i]
-	r.edge[i], r.edge[j] = r.edge[j], r.edge[i]
+
+// rowSorted reports whether half-edges [lo, hi) ascend by (neighbour,
+// edge ID).
+func (c *CSR) rowSorted(lo, hi int32) bool {
+	for i := lo + 1; i < hi; i++ {
+		if c.Nbr[i-1] > c.Nbr[i] || c.Nbr[i-1] == c.Nbr[i] && c.Edge[i-1] > c.Edge[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortRow sorts half-edges [lo, hi) by (neighbour, edge ID) through
+// scratch, which it returns for reuse. Edge IDs are distinct within a
+// row, so the order is total and the sort need not be stable.
+func (c *CSR) sortRow(lo, hi int32, scratch []halfEdge) []halfEdge {
+	scratch = scratch[:0]
+	for i := lo; i < hi; i++ {
+		scratch = append(scratch, halfEdge{c.Nbr[i], c.Edge[i], c.Port[i]})
+	}
+	slices.SortFunc(scratch, compareHalfEdges)
+	for k, h := range scratch {
+		i := lo + int32(k)
+		c.Nbr[i], c.Edge[i], c.Port[i] = h.nbr, h.edge, h.port
+	}
+	return scratch
 }
 
 // Degree returns the number of edges incident to v.
@@ -364,6 +395,11 @@ func (g *Graph) EdgeBetween(a, b int) int {
 // Validate checks structural invariants: endpoint ranges, port numbers
 // positive and unique per vertex, unique labels, and hosts having at
 // most one link. A nil return means the topology is projectable input.
+//
+// Of several violations it reports a duplicate label first, then the
+// first offending edge in edge order — its range, its port signs, a
+// same-port self loop, then a port its A side and then its B side
+// shares with an earlier edge — and last a multi-homed host.
 func (g *Graph) Validate() error {
 	labels := make(map[string]int, len(g.Vertices))
 	for _, v := range g.Vertices {
@@ -372,24 +408,37 @@ func (g *Graph) Validate() error {
 		}
 		labels[v.Label] = v.ID
 	}
-	ports := make(map[[2]int]int)
-	for _, e := range g.Edges {
-		if e.A < 0 || e.A >= len(g.Vertices) || e.B < 0 || e.B >= len(g.Vertices) {
-			return fmt.Errorf("topology %q: edge %d endpoint out of range", g.Name, e.ID)
+	// The first edge that is wrong on its own ends the prefix of edges
+	// that can be reported for sharing a port.
+	sound := len(g.Edges)
+	var edgeErr error
+	for i, e := range g.Edges {
+		switch {
+		case e.A < 0 || e.A >= len(g.Vertices) || e.B < 0 || e.B >= len(g.Vertices):
+			edgeErr = fmt.Errorf("topology %q: edge %d endpoint out of range", g.Name, e.ID)
+		case e.APort < 1 || e.BPort < 1:
+			edgeErr = fmt.Errorf("topology %q: edge %d has non-positive port", g.Name, e.ID)
+		case e.A == e.B && e.APort == e.BPort:
+			edgeErr = fmt.Errorf("topology %q: edge %d is a same-port self loop", g.Name, e.ID)
+		default:
+			continue
 		}
-		if e.APort < 1 || e.BPort < 1 {
-			return fmt.Errorf("topology %q: edge %d has non-positive port", g.Name, e.ID)
-		}
-		for _, pp := range [][2]int{{e.A, e.APort}, {e.B, e.BPort}} {
-			if e.A == e.B && pp[1] == e.APort && pp[0] == e.B && e.APort == e.BPort {
-				return fmt.Errorf("topology %q: edge %d is a same-port self loop", g.Name, e.ID)
-			}
-			if prev, dup := ports[pp]; dup && prev != e.ID {
-				return fmt.Errorf("topology %q: port %d on vertex %d used by edges %d and %d",
-					g.Name, pp[1], pp[0], prev, e.ID)
-			}
-			ports[pp] = e.ID
-		}
+		sound = i
+		break
+	}
+	// When every edge is sound the port check reads the graph's own
+	// CSR, which the routing that follows reuses.
+	var c *CSR
+	if edgeErr == nil {
+		c = g.CSR()
+	} else {
+		c = newCSR(len(g.Vertices), g.Edges[:sound])
+	}
+	if err := g.portClash(c); err != nil {
+		return err
+	}
+	if edgeErr != nil {
+		return edgeErr
 	}
 	for _, h := range g.Hosts() {
 		if g.Degree(h) > 1 {
@@ -397,6 +446,69 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
+}
+
+// portUse is one port occupied on a vertex: by edge, on its A (side 0)
+// or B (side 1) end.
+type portUse struct{ port, edge, side int }
+
+func comparePortUses(a, b portUse) int {
+	if a.port != b.port {
+		return cmp.Compare(a.port, b.port)
+	}
+	if a.edge != b.edge {
+		return cmp.Compare(a.edge, b.edge)
+	}
+	return cmp.Compare(a.side, b.side)
+}
+
+// portClash returns the first port in (edge, side) order that a vertex
+// has already given to an earlier edge, as an error naming that edge,
+// or nil. It sorts every CSR row's port uses; a self loop sits once in
+// its row but occupies two ports there, so its edge's B port is added
+// as a use of its own.
+func (g *Graph) portClash(c *CSR) error {
+	var (
+		uses         []portUse
+		first, clash portUse
+		clashV       = -1
+	)
+	for v := 0; v+1 < len(c.Start); v++ {
+		lo, hi := c.Row(v)
+		uses = uses[:0]
+		for i := lo; i < hi; i++ {
+			e := &g.Edges[c.Edge[i]]
+			if e.A == v {
+				uses = append(uses, portUse{e.APort, e.ID, 0})
+			}
+			if e.B == v {
+				uses = append(uses, portUse{e.BPort, e.ID, 1})
+			}
+		}
+		if len(uses) < 2 {
+			continue
+		}
+		slices.SortFunc(uses, comparePortUses)
+		for i := 1; i < len(uses); i++ {
+			u := uses[i]
+			if u.port != uses[i-1].port {
+				continue
+			}
+			// The port's first use is its lowest edge, and u the first
+			// reuse: one edge never holds a port twice here.
+			if clashV < 0 || u.edge < clash.edge || u.edge == clash.edge && u.side < clash.side {
+				first, clash, clashV = uses[i-1], u, v
+			}
+			for i+1 < len(uses) && uses[i+1].port == u.port {
+				i++
+			}
+		}
+	}
+	if clashV < 0 {
+		return nil
+	}
+	return fmt.Errorf("topology %q: port %d on vertex %d used by edges %d and %d",
+		g.Name, clash.port, clashV, first.edge, clash.edge)
 }
 
 // HostSwitch returns the switch a host is attached to, or -1 for an
