@@ -13,52 +13,60 @@ package flowsim
 // inputs produce identical outputs; FuzzFairShare pins the invariants
 // (no link over capacity, non-negative rates, max-min).
 //
+// The allocation decomposes over link-connected components: flows that
+// share no link, directly or through other flows, never meet in a
+// filling round. So the table fills each component on its own, and a
+// recompute refills only the components that hold a link an arrival or
+// completion touched; every other rate is still exact.
+//
 // The contract needs capacities >= 0. A link that still carries
 // unfrozen flows then always has a residual above relEps·cap >= 0, so
 // every candidate increment is non-negative and the round's minimum is
 // the same value whatever order the candidates are visited in. Every
-// value the fill computes depends only on each link's initial flow
-// count and capacity and on each flow's set of links:
+// value a component's fill computes depends only on its links' flow
+// counts and capacities and on its flows' sets of links:
 //
 //   - the round's increment is a minimum over non-negative candidates;
 //   - each residual follows its own recurrence rem ← rem − s·count;
 //   - every flow frozen in a round takes the same level.
 //
-// So neither the local index a link holds nor the order in which a
-// link's flows are chained changes a bit, which is what lets the engine
-// keep the table between recomputes, and lets fill visit groups and
-// links in an order of its own, and still return the bits of the plain
-// per-link filling loop (oracle_test.go, FuzzFairShareOracle,
-// FuzzRecomputeIncremental).
+// So neither the local index a link holds, nor the order in which a
+// link's flows are chained or the walk reaches its links, nor the
+// history of arrivals and completions changes a bit: the rates are those
+// of the plain per-link filling loop run on each component alone
+// (oracle_test.go, FuzzFairShareOracle, FuzzRecomputeIncremental). They
+// can differ from that loop run on every flow at once in the last ulps,
+// because there a component's running level also sums the increments of
+// rounds in which other components saturate.
 
 // fairTable is the fair-share working set the engine keeps for a whole
 // run. add and remove update it in O(path length) as flows arrive and
-// complete, so a recompute runs only the filling rounds: nothing is
-// remapped or rebuilt per call.
+// complete and note the links they touch, so a recompute runs only the
+// walk and the filling rounds of the components those links belong to.
 //
 // Storage is flat. Every (flow, hop) has a slot in one array, laid out
 // once per table, and each link chains the slots crossing it. A link
 // holds a local index while some active flow crosses it, and released
-// indices are reused through a free list. Each link also sits in the
-// bucket of its slot count, so fill starts one group per non-empty
-// bucket without visiting the links.
+// indices are reused through a free list.
 type fairTable struct {
-	st      []flowState // flow → its slots; fill writes its rate
-	frozen  []bool      // fill: flow → its rate is final for this call
+	st      []flowState // flow → its slots; refill writes its rate
+	thawed  []bool      // flow → reached by the running fill and not frozen yet
 	linkCap func(gl int32) float64
-	gcap    float64      // the capacity grouped links share: the first link's
-	local   []int32      // global link → local index + 1, 0 while no flow crosses it
-	links   []fairLink   // local index → link; n == 0 marks a free index
-	free    []int32      // released local indices
-	slots   []fairSlot   // flow f's hops are slots st[f].slot … st[f].slot+st[f].hops-1
-	buckets []fairBucket // slot count → the links of capacity gcap with that count; 0 → every link of another capacity
-	epoch   uint64       // fill calls so far
+	gcap    float64    // the capacity grouped links share: the first link's
+	local   []int32    // global link → local index + 1, 0 while no flow crosses it
+	links   []fairLink // local index → link; n == 0 marks a free index
+	free    []int32    // released local indices
+	slots   []fairSlot // flow f's hops are slots st[f].slot … st[f].slot+st[f].hops-1
+	touched []int32    // local links add and remove changed since the last refill
+	epoch   uint64     // components filled so far
 
 	// fill's scratch, reused across calls.
-	groups []fairGroup
-	live   []int32 // groups that still have members
-	indiv  []int32 // individual links that still carry unfrozen flows
-	sat    []int32 // links saturated in the current round
+	byCount []int32 // flow count → its group's index + 1 while a component fills
+	walk    []int32 // the flows of the component being filled, in the order reached
+	groups  []fairGroup
+	live    []int32 // groups that still have members
+	indiv   []int32 // individual links that still carry unfrozen flows
+	sat     []int32 // links saturated in the current round
 }
 
 // fairLink is one directed link while active flows cross it.
@@ -68,9 +76,9 @@ type fairLink struct {
 	gl   int32   // global link id
 	n    int32   // slots chained on the link
 	head int32   // first slot of the chain, -1 = none
-	pos  int32   // index in its bucket's members
+	next int32   // fill: the next member of the link's group, -1 = none
 	c    int32   // fill: unfrozen flows crossing it, once the link is individual
-	left uint64  // fill: the epoch in which the link became individual
+	mark uint64  // fill: 2·epoch once reached in a group, 2·epoch+1 once individual
 }
 
 // fairSlot is one hop of one flow: the local link it crosses and its
@@ -79,21 +87,15 @@ type fairSlot struct {
 	link, prev, next, flow int32
 }
 
-// fairBucket holds the local indices of its links, in no order.
-type fairBucket struct {
-	members []int32
-	group   int32 // fill: the group the bucket's links start in
-}
-
-// fairGroup stands for every link of the group capacity that started
-// with the same flow count and has had none of its flows frozen yet:
-// such links follow the identical recurrence rem ← rem − s·count, so one
-// residual serves them all.
+// fairGroup stands for every link of the component with the group
+// capacity that started with the same flow count and has had none of
+// its flows frozen yet: such links follow the identical recurrence
+// rem ← rem − s·count, so one residual serves them all.
 type fairGroup struct {
-	rem    float64
-	c      float64 // the members' flow count
-	n      int32   // members still in the group
-	bucket int32   // the bucket whose links the group starts with
+	rem  float64
+	c    float64 // the members' flow count
+	n    int32   // members still in the group
+	head int32   // first member link; members chain through fairLink.next
 }
 
 // newFairTable lays out one slot per hop of every flow in st over a
@@ -110,8 +112,7 @@ func newFairTable(st []flowState, nLinks int, linkCap func(gl int32) float64) fa
 		linkCap: linkCap,
 		local:   make([]int32, nLinks),
 		slots:   make([]fairSlot, total),
-		frozen:  make([]bool, len(st)),
-		buckets: make([]fairBucket, 1),
+		thawed:  make([]bool, len(st)),
 	}
 }
 
@@ -131,7 +132,8 @@ func (t *fairTable) add(f int32) {
 			t.slots[lk.head].prev = s
 		}
 		lk.head = s
-		t.recount(l, +1)
+		lk.n++
+		t.touched = append(t.touched, l)
 	}
 }
 
@@ -171,54 +173,40 @@ func (t *fairTable) remove(f int32) {
 		if sl.next >= 0 {
 			t.slots[sl.next].prev = sl.prev
 		}
-		t.recount(sl.link, -1)
+		lk.n--
 		if lk.n == 0 {
 			t.local[lk.gl] = 0
 			t.free = append(t.free, sl.link)
 		}
+		t.touched = append(t.touched, sl.link)
 	}
 }
 
-// recount changes link l's slot count by d and moves the link to the
-// bucket of its new count; a link whose count falls to 0 leaves every
-// bucket.
-func (t *fairTable) recount(l, d int32) {
-	lk := &t.links[l]
-	from := t.bucketOf(lk)
-	was := lk.n
-	lk.n += d
-	to := t.bucketOf(lk)
-	if was > 0 && (lk.n == 0 || to != from) {
-		b := &t.buckets[from]
-		last := b.members[len(b.members)-1]
-		b.members[lk.pos] = last
-		t.links[last].pos = lk.pos
-		b.members = b.members[:len(b.members)-1]
-	}
-	if lk.n > 0 && (was == 0 || to != from) {
-		for int(to) >= len(t.buckets) {
-			t.buckets = append(t.buckets, fairBucket{})
+// refill recomputes the allocation of every component that holds a
+// link add or remove touched since the last refill, and writes each of
+// its flows' rates into their flowState. A removal can split its
+// component, but every part keeps one of the removed flow's links, so
+// walking out from each touched link that is still live reaches them
+// all; a released link (n == 0) has no flows left to refill. The rates
+// of the other components cannot have changed, and they are left as
+// they are.
+func (t *fairTable) refill() {
+	first := 2 * (t.epoch + 1) // the lowest mark this refill's walks set
+	for _, l := range t.touched {
+		if lk := &t.links[l]; lk.n > 0 && lk.mark < first {
+			t.fill(t.slots[lk.head].flow)
 		}
-		b := &t.buckets[to]
-		lk.pos = int32(len(b.members))
-		b.members = append(b.members, l)
 	}
+	t.touched = t.touched[:0]
 }
 
-// bucketOf is the bucket link lk belongs in: its slot count if it has
-// the group capacity, 0 otherwise.
-func (t *fairTable) bucketOf(lk *fairLink) int32 {
-	if lk.cap != t.gcap {
-		return 0
-	}
-	return lk.n
-}
-
-// fill computes the allocation of the active flows, which must be
-// exactly the flows added and not removed, and writes each one's rate
-// into its flowState. It performs the operations of the plain filling
-// loop — one residual per link, rem[l] −= s·cnt[l] each round, every
-// unfrozen flow's rate += s each round — on fewer values:
+// fill computes the allocation of the component holding active flow
+// f0. It first walks the component, from each flow to its links and on
+// to the flows chained on them, putting every link into the group of
+// its flow count (or, at another capacity, on its own) as it is
+// reached. It then performs the operations of the plain filling loop on
+// the component — one residual per link, rem[l] −= s·cnt[l] each round,
+// every unfrozen flow's rate += s each round — on fewer values:
 //
 //   - Every unfrozen flow's rate is the running level s₁+…+s_r, summed
 //     in the same order, so a flow takes the level when it freezes and
@@ -231,40 +219,55 @@ func (t *fairTable) bucketOf(lk *fairLink) int32 {
 //     remain on it, continues as an individual link.
 //
 // A round therefore costs the live groups plus the live individual
-// links, not every used link. At least the arg-min link saturates per
-// round, so the loop terminates.
-func (t *fairTable) fill(active []int32) {
+// links, not every link of the component. Every unfrozen flow crosses a
+// live group member or an individual link with flows left, so each
+// round has an increment, and at least the arg-min link saturates: the
+// loop terminates.
+func (t *fairTable) fill(f0 int32) {
 	const relEps = 1e-9
-	links, slots, st, frozen, buckets, gcap := t.links, t.slots, t.st, t.frozen, t.buckets, t.gcap
-
-	// One group per non-empty bucket; links of another capacity start
-	// individual.
+	links, slots, st, thawed, gcap := t.links, t.slots, t.st, t.thawed, t.gcap
 	t.epoch++
-	epoch := t.epoch
-	groups := t.groups[:0]
-	live := t.live[:0]
-	for n := 1; n < len(buckets); n++ {
-		b := &buckets[n]
-		if len(b.members) == 0 {
-			continue
-		}
-		b.group = int32(len(groups))
-		live = append(live, b.group)
-		groups = append(groups, fairGroup{rem: gcap, c: float64(n), n: int32(len(b.members)), bucket: int32(n)})
-	}
-	indiv := t.indiv[:0]
-	for _, l := range buckets[0].members {
-		lk := &links[l]
-		lk.left = epoch
-		lk.c = lk.n
-		lk.rem = lk.cap
-		indiv = append(indiv, l)
-	}
+	in, out := 2*t.epoch, 2*t.epoch+1 // a reached link's mark in its group, and once individual
 
-	for _, f := range active {
-		frozen[f] = false
+	groups, live, indiv, byCount := t.groups[:0], t.live[:0], t.indiv[:0], t.byCount
+	thawed[f0] = true
+	walk := append(t.walk[:0], f0)
+	for i := 0; i < len(walk); i++ {
+		fs := &st[walk[i]]
+		for _, hop := range slots[fs.slot : fs.slot+fs.hops] {
+			lk := &links[hop.link]
+			if lk.mark >= in {
+				continue
+			}
+			for sp := lk.head; sp >= 0; sp = slots[sp].next {
+				if f := slots[sp].flow; !thawed[f] {
+					thawed[f] = true
+					walk = append(walk, f)
+				}
+			}
+			if lk.cap != gcap {
+				lk.mark, lk.c, lk.rem = out, lk.n, lk.cap
+				indiv = append(indiv, hop.link)
+				continue
+			}
+			lk.mark = in
+			for int(lk.n) >= len(byCount) {
+				byCount = append(byCount, 0)
+			}
+			g := byCount[lk.n] - 1
+			if g < 0 {
+				g = int32(len(groups))
+				byCount[lk.n] = g + 1
+				groups = append(groups, fairGroup{rem: gcap, c: float64(lk.n), head: -1})
+				live = append(live, g)
+			}
+			lk.next = groups[g].head
+			groups[g].head = hop.link
+			groups[g].n++
+		}
 	}
-	unfrozen := len(active)
+	unfrozen := len(walk)
+
 	level := 0.0
 	sat := t.sat[:0]
 	for unfrozen > 0 {
@@ -273,35 +276,30 @@ func (t *fairTable) fill(active []int32) {
 		// Groups whose members have all left and links whose flows have
 		// all frozen drop out here.
 		s := -1.0
-		out := live[:0]
+		keep := live[:0]
 		for _, g := range live {
 			gr := &groups[g]
 			if gr.n == 0 {
 				continue
 			}
-			out = append(out, g)
+			keep = append(keep, g)
 			if v := gr.rem / gr.c; s < 0 || v < s {
 				s = v
 			}
 		}
-		live = out
-		out = indiv[:0]
+		live = keep
+		keep = indiv[:0]
 		for _, l := range indiv {
 			lk := &links[l]
 			if lk.c == 0 {
 				continue
 			}
-			out = append(out, l)
+			keep = append(keep, l)
 			if v := lk.rem / float64(lk.c); s < 0 || v < s {
 				s = v
 			}
 		}
-		indiv = out
-		if s < 0 {
-			// No unfrozen flow crosses any link (defensive; paths are
-			// never empty in the engine) — the rest take the level below.
-			break
-		}
+		indiv = keep
 		level += s
 
 		// Update every live residual and collect the saturated links
@@ -312,8 +310,8 @@ func (t *fairTable) fill(active []int32) {
 			gr := &groups[g]
 			gr.rem -= float64(s * gr.c)
 			if gr.rem <= relEps*gcap {
-				for _, l := range buckets[gr.bucket].members {
-					if links[l].left != epoch {
+				for l := gr.head; l >= 0; l = links[l].next {
+					if links[l].mark == in {
 						sat = append(sat, l)
 					}
 				}
@@ -330,21 +328,21 @@ func (t *fairTable) fill(active []int32) {
 		for _, sl := range sat {
 			for sp := links[sl].head; sp >= 0; sp = slots[sp].next {
 				f := slots[sp].flow
-				if frozen[f] {
+				if !thawed[f] {
 					continue
 				}
-				frozen[f] = true
+				thawed[f] = false
 				fs := &st[f]
 				fs.rate = level
 				unfrozen--
 				for _, hop := range slots[fs.slot : fs.slot+fs.hops] {
 					lk := &links[hop.link]
-					if lk.left == epoch {
+					if lk.mark == out {
 						lk.c--
 						continue
 					}
-					gr := &groups[buckets[lk.n].group]
-					lk.left = epoch
+					gr := &groups[byCount[lk.n]-1]
+					lk.mark = out
 					lk.c = lk.n - 1
 					gr.n--
 					if lk.c > 0 {
@@ -355,12 +353,8 @@ func (t *fairTable) fill(active []int32) {
 			}
 		}
 	}
-	if unfrozen > 0 {
-		for _, f := range active {
-			if !frozen[f] {
-				st[f].rate = level
-			}
-		}
+	for _, gr := range groups {
+		byCount[int(gr.c)] = 0
 	}
-	t.groups, t.live, t.indiv, t.sat = groups, live, indiv, sat
+	t.groups, t.live, t.indiv, t.sat, t.walk, t.byCount = groups, live, indiv, sat, walk, byCount
 }

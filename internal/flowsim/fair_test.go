@@ -4,15 +4,14 @@ import "testing"
 
 // fairShare is the slice-based entry point tests and the fuzz targets
 // exercise: caps[l] is link l's capacity, links[f] lists the links flow
-// f crosses, and rates[f] receives f's allocation. It lays out a table
-// holding every flow, as the engine's holds its active ones, and runs
-// the engine's fill on it.
+// f crosses, and rates[f] receives f's allocation. It lays out a table,
+// adds every flow as the engine adds its active ones, and refills.
 func fairShare(caps []float64, links [][]int32, rates []float64) {
 	t, active := sliceTable(caps, links)
 	for _, f := range active {
 		t.add(f)
 	}
-	t.fill(active)
+	t.refill()
 	for f := range rates {
 		rates[f] = t.st[f].rate
 	}
@@ -35,12 +34,17 @@ func sliceTable(caps []float64, links [][]int32) (*fairTable, []int32) {
 }
 
 // xlShapedInput builds a fair-share input shaped like flow-xl's flows:
-// nf flows of six links — a private first and last link (the hosts'
-// NIC links) and four fabric links drawn without repeats from a pool of
-// 512 — all at one capacity. At 175 flows, one recompute's active set,
-// it uses ≈ 730 links, ≈ 70 % of them by a single flow.
+// nf flows of six links, all at one capacity — a private first and last
+// link (the hosts' NIC links) and four fabric links drawn without
+// repeats from the pool of one of 48 pods, 24 links each. One flow in
+// four, as a flow between pods does, draws its last two fabric links
+// from a core pool of 128 that every pod shares. At 175 flows, one
+// recompute's active set, the flows fall into 41 link-disjoint
+// components, the largest holding 93 flows (flow-xl: ≈ 43 per
+// recompute, the largest ≈ 92).
 func xlShapedInput(nf int) ([]float64, [][]int32) {
-	const pool = 512
+	const pods, podLinks, core = 48, 24, 128
+	const fabric = pods*podLinks + core
 	s := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		s ^= s << 13
@@ -50,9 +54,14 @@ func xlShapedInput(nf int) ([]float64, [][]int32) {
 	}
 	links := make([][]int32, nf)
 	for f := range links {
-		ls := []int32{int32(pool + 2*f)}
+		pod := next() % pods
+		cross := next()%4 == 0
+		ls := []int32{int32(fabric + 2*f)}
 		for len(ls) < 5 {
-			l := int32(next() % pool)
+			l := int32(pod*podLinks + next()%podLinks)
+			if cross && len(ls) >= 3 {
+				l = int32(pods*podLinks + next()%core)
+			}
 			dup := false
 			for _, m := range ls[1:] {
 				dup = dup || m == l
@@ -61,34 +70,38 @@ func xlShapedInput(nf int) ([]float64, [][]int32) {
 				ls = append(ls, l)
 			}
 		}
-		links[f] = append(ls, int32(pool+2*f+1))
+		links[f] = append(ls, int32(fabric+2*f+1))
 	}
-	caps := make([]float64, pool+2*nf)
+	caps := make([]float64, fabric+2*nf)
 	for l := range caps {
 		caps[l] = 1.0 / 64
 	}
 	return caps, links
 }
 
-// BenchmarkFairShare times one fill of a flow-xl-shaped active set of
-// 175 flows on a kept table; steady state allocates nothing.
+// BenchmarkFairShare times a refill of every component of a
+// flow-xl-shaped active set of 175 flows on a kept table; steady state
+// allocates nothing.
 func BenchmarkFairShare(b *testing.B) {
 	t, active := sliceTable(xlShapedInput(175))
 	for _, f := range active {
 		t.add(f)
 	}
-	t.fill(active)
+	t.refill()
 	b.ReportAllocs()
 	for b.Loop() {
-		t.fill(active)
+		for l := range t.links {
+			t.touched = append(t.touched, int32(l))
+		}
+		t.refill()
 	}
 }
 
 // BenchmarkRecompute times the engine's cycle on a flow-xl-shaped
-// active set: one flow completes, the next arrives, and the allocation
-// is recomputed. 175 flows are active out of a ring of 350, so links
-// empty and fill up again and local indices are recycled; steady state
-// allocates nothing.
+// active set: one flow completes, the next arrives, and the components
+// they touch are refilled. 175 flows are active out of a ring of 350,
+// so links empty and fill up again and local indices are recycled;
+// steady state allocates nothing.
 func BenchmarkRecompute(b *testing.B) {
 	const nActive = 175
 	t, ring := sliceTable(xlShapedInput(2 * nActive))
@@ -97,7 +110,7 @@ func BenchmarkRecompute(b *testing.B) {
 	for _, f := range active {
 		t.add(f)
 	}
-	t.fill(active)
+	t.refill()
 	next := nActive
 	b.ReportAllocs()
 	for b.Loop() {
@@ -105,7 +118,7 @@ func BenchmarkRecompute(b *testing.B) {
 		t.remove(active[i])
 		active[i] = ring[next%len(ring)]
 		t.add(active[i])
-		t.fill(active)
+		t.refill()
 		next++
 	}
 }

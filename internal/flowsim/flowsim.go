@@ -4,12 +4,12 @@
 // recomputes the allocation only when the set of active flows changes —
 // at flow arrivals and completions. A run's cost therefore scales with
 // the number of flows (and their path lengths), not with bytes × hops
-// the way packet simulation does, which is what lets loadgen sweeps
-// reach 10k–100k-host fabrics (ROADMAP item 2).
+// the way packet simulation does, which is what lets the
+// loadgen-sweep-xl experiment reach 65k-host fat-trees.
 //
 // Fidelity contract: flows follow the exact compiled routes the packet
-// engine forwards with (the walker resolves paths through the same
-// FIB/Lookup rules), link capacity is the packet engine's effective
+// engine forwards with (the walker resolves paths hop by hop through the
+// same compiled FIB), link capacity is the packet engine's effective
 // payload goodput (LinkBps derated by the MTU/(MTU+header) framing
 // overhead), concurrent flows between one (src, dst) pair serialise in
 // schedule order exactly like the RoCE per-destination queue pair, and
@@ -317,13 +317,13 @@ func (e *engine) admit(p pendEntry) bool {
 	return true
 }
 
-// recompute computes the max-min allocation over the active set. The
-// fair-share table already holds the active flows' links — admit and
-// completeDue keep it current — so only the filling rounds run here,
-// over the links some active flow crosses, not the fabric.
+// recompute brings the max-min allocation of the active set up to date.
+// The fair-share table already holds the active flows' links — admit
+// and completeDue keep it current and note the links they touch — so
+// only the components holding a touched link are walked and refilled.
 func (e *engine) recompute() {
 	e.recomputes++
-	e.fair.fill(e.active)
+	e.fair.refill()
 }
 
 // pushPending / popPending: a binary min-heap on (ready, flow index) —

@@ -168,7 +168,7 @@ func TestFairShareZeroCapacityLink(t *testing.T) {
 
 // fairShareTraps are the inputs on which a grouped filling can go wrong
 // while every ungrouped one is right. Each must come out bit-identical
-// to the oracle and at the hand-computed rates; FuzzFairShareOracle
+// to the oracle run on each component and at the hand-computed rates; FuzzFairShareOracle
 // starts from them.
 var fairShareTraps = []struct {
 	name  string
@@ -207,7 +207,7 @@ func TestFairShareGroupTraps(t *testing.T) {
 			got := make([]float64, len(tc.links))
 			fairShare(tc.caps, tc.links, got)
 			want := make([]float64, len(tc.links))
-			(&oracleScratch{}).run(tc.caps, tc.links, want)
+			(&oracleScratch{}).runComponents(tc.caps, tc.links, want)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Abs(got[i]-tc.want[i]) > 1e-9 {
 					t.Errorf("rate[%d] = %v, oracle %v, want %v", i, got[i], want[i], tc.want[i])

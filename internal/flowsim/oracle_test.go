@@ -7,13 +7,16 @@ import (
 	"repro/internal/netsim"
 )
 
-// oracleScratch is the plain progressive-filling loop the engine's
-// fairTable.fill must reproduce bit for bit: one residual per link
-// updated every round, every unfrozen flow's rate raised every round,
-// and a per-flow saturation scan. Its run is the fill as it was before
-// links were grouped and the table was kept between recomputes, apart
-// from the explicit float64(s*c) rounding that keeps both sides free
-// of fused multiply-adds on every architecture.
+// oracleScratch is the plain progressive-filling loop: one residual per
+// link updated every round, every unfrozen flow's rate raised every
+// round, and a per-flow saturation scan. Run on each link-connected
+// component alone (runComponents), it is what the engine's
+// fairTable.refill must reproduce bit for bit; run on every flow at
+// once, it is the fill as it was before links were grouped, the table
+// was kept between recomputes and components were filled apart, and
+// refill must stay within 1e-9·cap of it (checkOracles). Both sides
+// round every product explicitly, float64(s*c), so no architecture
+// fuses a multiply-add.
 type oracleScratch struct {
 	rem      []float64
 	cnt      []int32
@@ -82,6 +85,84 @@ func (fs *oracleScratch) run(caps []float64, links [][]int32, rates []float64) {
 			}
 		}
 		unfrozen = out
+	}
+}
+
+// runComponents runs the plain loop on each link-connected component of
+// links alone and writes every flow's rate into rates.
+func (fs *oracleScratch) runComponents(caps []float64, links [][]int32, rates []float64) {
+	for _, comp := range components(links) {
+		ls := make([][]int32, len(comp))
+		for i, f := range comp {
+			ls[i] = links[f]
+		}
+		rs := make([]float64, len(comp))
+		fs.run(caps, ls, rs)
+		for i, f := range comp {
+			rates[f] = rs[i]
+		}
+	}
+}
+
+// components splits the flows of links by shared links: two flows are
+// in one component when a chain of flows, each sharing a link with the
+// next, joins them. Each component lists its flows in increasing order.
+func components(links [][]int32) [][]int32 {
+	parent := make([]int32, len(links)) // union-find over flows
+	for f := range parent {
+		parent[f] = int32(f)
+	}
+	find := func(f int32) int32 {
+		for parent[f] != f {
+			parent[f] = parent[parent[f]]
+			f = parent[f]
+		}
+		return f
+	}
+	first := map[int32]int32{} // link → the first flow crossing it
+	for f, ls := range links {
+		for _, l := range ls {
+			if g, ok := first[l]; ok {
+				parent[find(int32(f))] = find(g)
+			} else {
+				first[l] = int32(f)
+			}
+		}
+	}
+	index := map[int32]int{} // root → its component
+	var comps [][]int32
+	for f := range links {
+		r := find(int32(f))
+		i, ok := index[r]
+		if !ok {
+			i = len(comps)
+			index[r] = i
+			comps = append(comps, nil)
+		}
+		comps[i] = append(comps[i], int32(f))
+	}
+	return comps
+}
+
+// checkOracles fails unless got, the rates refill produced for the
+// flows of links, are Float64bits-equal to the plain loop run on each
+// component alone and within 1e-9 of the largest capacity of the plain
+// loop run on every flow at once.
+func checkOracles(t *testing.T, fs *oracleScratch, caps []float64, links [][]int32, got []float64) {
+	t.Helper()
+	comp := make([]float64, len(links))
+	fs.runComponents(caps, links, comp)
+	global := make([]float64, len(links))
+	fs.run(caps, links, global)
+	maxCap := 0.0
+	for _, c := range caps {
+		maxCap = max(maxCap, c)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(comp[i]) || math.Abs(got[i]-global[i]) > 1e-9*maxCap {
+			t.Fatalf("flow %d of %d: rate %v (%#x), per-component oracle %v (%#x), global oracle %v\ncaps=%v\nlinks=%v",
+				i, len(links), got[i], math.Float64bits(got[i]), comp[i], math.Float64bits(comp[i]), global[i], caps, links)
+		}
 	}
 }
 
@@ -177,11 +258,13 @@ func oracleSeed(nl, nf int, seed uint64) ([]byte, []byte) {
 	return capBytes, path
 }
 
-// FuzzFairShareOracle requires the grouped allocation to return exactly
-// the oracle's bits, on inputs where links share capacities and counts
-// (so groups form), differ in capacity (so some start individual), are
-// dead, or are crossed twice by one flow. The hand-built traps of
-// TestFairShareGroupTraps seed it.
+// FuzzFairShareOracle requires the grouped, componentwise allocation to
+// return exactly the bits of the plain loop run on each component, and
+// to stay within 1e-9·cap of the plain loop run on every flow at once,
+// on inputs where links share capacities and counts (so groups form),
+// differ in capacity (so some start individual), are dead, or are
+// crossed twice by one flow. The hand-built traps of
+// TestFairShareGroupTraps and the input of TestRefillLastUlp seed it.
 func FuzzFairShareOracle(f *testing.F) {
 	for _, tc := range fairShareTraps {
 		c, p := encodeOracleInput(tc.caps, tc.links)
@@ -193,22 +276,17 @@ func FuzzFairShareOracle(f *testing.F) {
 	}
 	c, p := oracleSeed(16, 40, 5)
 	f.Add(c, p)
+	c, p = encodeOracleInput(lastUlpInput())
+	f.Add(c, p)
 	f.Fuzz(func(t *testing.T, capBytes, pathBytes []byte) {
 		caps, links := decodeOracleInput(capBytes, pathBytes)
 		var oracle oracleScratch
 		// Half the flows, then all of them; the oracle's second call
 		// starts from the first one's leftovers.
 		for _, ls := range [][][]int32{links[:len(links)/2], links} {
-			want := make([]float64, len(ls))
-			oracle.run(caps, ls, want)
 			got := make([]float64, len(ls))
 			fairShare(caps, ls, got)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("flow %d of %d: rate %v (%#x), oracle %v (%#x)\ncaps=%v\nlinks=%v",
-						i, len(ls), got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), caps, ls)
-				}
-			}
+			checkOracles(t, &oracle, caps, ls, got)
 		}
 	})
 }
@@ -236,9 +314,9 @@ func incrementalEngine(capacity float64, nLinks int, paths [][]int32) *engine {
 }
 
 // checkTable fails unless the table holds exactly the active flows:
-// each link that an active flow crosses has a local index, chains one
-// slot per crossing and sits in the bucket of its count, no other link
-// is live or mapped, and every other local index is free.
+// each link that an active flow crosses has a local index and chains
+// one slot per crossing, no other link is live or mapped, and every
+// other local index is free.
 func checkTable(t *testing.T, ft *fairTable, active []int32) {
 	t.Helper()
 	crossings := map[int32]int32{} // global link → active slots on it
@@ -265,11 +343,9 @@ func checkTable(t *testing.T, ft *fairTable, active []int32) {
 			}
 			chained++
 		}
-		b := ft.buckets[ft.bucketOf(lk)].members
-		if chained != lk.n || crossings[lk.gl] != lk.n || ft.local[lk.gl] != int32(l)+1 ||
-			int(lk.pos) >= len(b) || b[lk.pos] != int32(l) {
-			t.Fatalf("link %d (global %d): n=%d, chained %d, crossed %d times, local %d, bucket position %d",
-				l, lk.gl, lk.n, chained, crossings[lk.gl], ft.local[lk.gl]-1, lk.pos)
+		if chained != lk.n || crossings[lk.gl] != lk.n || ft.local[lk.gl] != int32(l)+1 {
+			t.Fatalf("link %d (global %d): n=%d, chained %d, crossed %d times, local %d",
+				l, lk.gl, lk.n, chained, crossings[lk.gl], ft.local[lk.gl]-1)
 		}
 	}
 	mapped := 0
@@ -313,9 +389,11 @@ func incrementalSeed(nOps int, seed uint64) []byte {
 
 // FuzzRecomputeIncremental drives the engine's admit, completeDue and
 // recompute through random sequences and requires, after every
-// recompute, the rates the kept table produced to be Float64bits-equal
-// to a table built from nothing (fairShare) and to the plain filling
-// loop, both over the same active set. Paths come from
+// recompute, the rates the kept table produced — some refilled now, the
+// rest left from earlier recomputes — to be Float64bits-equal to a
+// table built from nothing (fairShare) and to the plain filling loop
+// run on each component, and within 1e-9·cap of the plain loop run on
+// every flow at once, all over the same active set. Paths come from
 // decodeOracleInput over at most 32 links of one capacity, so links are
 // shared and may repeat within a path. Of at most 256 ops, a byte below
 // 0x80 admits the next 1–32 flows; 0xff completes every active flow; any other byte
@@ -330,6 +408,9 @@ func FuzzRecomputeIncremental(f *testing.F) {
 	}
 	_, p := oracleSeed(6, 60, 5)
 	f.Add(uint8(6), uint8(0), p, incrementalSeed(40, 5))
+	caps, paths := lastUlpInput()
+	_, p = encodeOracleInput(caps, paths)
+	f.Add(uint8(len(caps)-1), uint8(0), p, []byte{byte(len(paths) - 1)})
 	f.Fuzz(func(t *testing.T, nLinks, capIdx uint8, pathBytes, ops []byte) {
 		nl := 1 + int(nLinks)%32
 		capBytes := make([]byte, nl)
@@ -372,18 +453,123 @@ func FuzzRecomputeIncremental(f *testing.F) {
 			for i, fi := range e.active {
 				ls[i] = paths[fi]
 			}
-			want := make([]float64, len(ls))
-			oracle.run(caps, ls, want)
+			got := make([]float64, len(ls))
+			for i, fi := range e.active {
+				got[i] = e.st[fi].rate
+			}
 			fresh := make([]float64, len(ls))
 			fairShare(caps, ls, fresh)
 			for i, fi := range e.active {
-				got := e.st[fi].rate
-				if math.Float64bits(got) != math.Float64bits(fresh[i]) || math.Float64bits(got) != math.Float64bits(want[i]) {
-					t.Fatalf("recompute %d, flow %d: kept table %v (%#x), fresh table %v (%#x), oracle %v (%#x)\ncap=%v active=%v\npaths=%v",
-						e.recomputes, fi, got, math.Float64bits(got), fresh[i], math.Float64bits(fresh[i]),
-						want[i], math.Float64bits(want[i]), caps[0], e.active, ls)
+				if math.Float64bits(got[i]) != math.Float64bits(fresh[i]) {
+					t.Fatalf("recompute %d, flow %d: kept table %v (%#x), fresh table %v (%#x)\ncap=%v active=%v\npaths=%v",
+						e.recomputes, fi, got[i], math.Float64bits(got[i]), fresh[i], math.Float64bits(fresh[i]), caps[0], e.active, ls)
 				}
 			}
+			checkOracles(t, &oracle, caps, ls, got)
 		}
 	})
+}
+
+// lastUlpInput is an input on which filling each component alone and
+// filling every flow at once differ in the last ulp: flows 0, 3 and 7
+// saturate link 6 at 1/3, and flow 2 then takes the rest of link 21.
+// Alone, its component reaches flow 2's level as 1/3 + 1/3; at once,
+// the other component's saturation of link 2 at 0.2 splits the same
+// level into 0.2 + 2/15 + 4/15 + 1/15.
+func lastUlpInput() ([]float64, [][]int32) {
+	caps := make([]float64, 24)
+	for l := range caps {
+		caps[l] = 1
+	}
+	return caps, [][]int32{{6, 15}, {2}, {21}, {6, 7}, {2}, {23}, {2, 23, 2}, {6, 21}, {23, 2}}
+}
+
+func TestRefillLastUlp(t *testing.T) {
+	caps, links := lastUlpInput()
+	got := make([]float64, len(links))
+	fairShare(caps, links, got)
+	var oracle oracleScratch
+	comp := make([]float64, len(links))
+	oracle.runComponents(caps, links, comp)
+	global := make([]float64, len(links))
+	oracle.run(caps, links, global)
+	const alone, atOnce uint64 = 0x3fe5555555555556, 0x3fe5555555555555
+	if g, c, a := math.Float64bits(got[2]), math.Float64bits(comp[2]), math.Float64bits(global[2]); g != alone || c != alone || a != atOnce {
+		t.Fatalf("flow 2: refill %#x, per-component oracle %#x, global oracle %#x; want %#x, %#x, %#x", g, c, a, alone, alone, atOnce)
+	}
+	checkOracles(t, &oracle, caps, links, got)
+}
+
+// TestRefillHistoryIndependent reaches one active set through two
+// different orders of arrivals, completions and recomputes, and
+// requires the kept tables to hold the bits of a table built from
+// nothing: a component's rates depend on its flows, not on when its
+// neighbours were last refilled.
+func TestRefillHistoryIndependent(t *testing.T) {
+	caps, paths := xlShapedInput(120)
+	keep := func(f int) bool { return f%3 != 0 }
+	// step admits the flows of in, completes those of out, and
+	// recomputes, as the engine's loop does.
+	step := func(e *engine, in, out []int32) {
+		changed := false
+		for _, f := range in {
+			changed = e.admit(pendEntry{fi: f}) || changed
+		}
+		for _, f := range out {
+			e.st[f].remaining = 0
+		}
+		if len(out) > 0 {
+			changed = e.completeDue() || changed
+		}
+		if changed && len(e.active) > 0 {
+			e.recompute()
+		}
+	}
+
+	// Every flow in order, one per recompute, then the unkept ones.
+	a := incrementalEngine(caps[0], len(caps), paths)
+	for f := range paths {
+		step(a, []int32{int32(f)}, nil)
+	}
+	for f := range paths {
+		if !keep(f) {
+			step(a, nil, []int32{int32(f)})
+		}
+	}
+	// Batches of seven from the back, each batch's unkept flows
+	// completing one recompute after it arrives.
+	b := incrementalEngine(caps[0], len(caps), paths)
+	for hi := len(paths); hi > 0; hi -= 7 {
+		var in, out []int32
+		for f := hi - 1; f >= max(0, hi-7); f-- {
+			in = append(in, int32(f))
+			if !keep(f) {
+				out = append(out, int32(f))
+			}
+		}
+		step(b, in, nil)
+		step(b, nil, out)
+	}
+
+	var ls [][]int32
+	for f := range paths {
+		if keep(f) {
+			ls = append(ls, paths[f])
+		}
+	}
+	fresh := make([]float64, len(ls))
+	fairShare(caps, ls, fresh)
+	for _, e := range []*engine{a, b} {
+		checkTable(t, &e.fair, e.active)
+		i := 0
+		for f := range paths {
+			if !keep(f) {
+				continue
+			}
+			if got := e.st[f].rate; math.Float64bits(got) != math.Float64bits(fresh[i]) {
+				t.Fatalf("flow %d: kept table %v (%#x), fresh table %v (%#x)", f, got, math.Float64bits(got), fresh[i], math.Float64bits(fresh[i]))
+			}
+			i++
+		}
+	}
 }
