@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -132,6 +133,70 @@ func TestCutConcurrentMatchesSerial(t *testing.T) {
 		for w := range got {
 			if i < len(got[w]) && !reflect.DeepEqual(got[w][i], want) {
 				t.Fatalf("goroutine %d: Cut(%s, %d, %+v) differs from the serial Result", w, j.g.Name, j.k, j.opt)
+			}
+		}
+	}
+}
+
+// TestCutWorkersMatchSerial runs Cut over referenceGraphs, k = 2…8 and
+// both objectives at GOMAXPROCS 1, 2 and 8 — the inline single-worker
+// path, two workers, and one worker per restart — and requires the
+// three Results to be identical. Run it under -race.
+func TestCutWorkersMatchSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range referenceGraphs() {
+		for k := 2; k <= 8 && k <= g.NumSwitches(); k++ {
+			for _, obj := range []Objective{Balanced, MinCut} {
+				var want *Result
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					got, err := Cut(g, k, Options{Objective: obj})
+					if err != nil {
+						t.Fatalf("%s k=%d: %v", g.Name, k, err)
+					}
+					if want == nil {
+						want = got
+					} else if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s k=%d objective=%d: GOMAXPROCS=%d gives a different Result than GOMAXPROCS=1", g.Name, k, obj, procs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// serialMultistart is multistart as one loop: the restarts in order on
+// fresh scratch, keeping the first of the lowest scores.
+func serialMultistart(wg *workGraph, k int, opt Options, seed int64) []int {
+	var part []int
+	bestScore := -1.0
+	for r := 0; r < restarts; r++ {
+		var rf refiner
+		rf.reset(len(wg.vwgt), k)
+		var src stream
+		src.Seed(restartSeed(seed, r))
+		cand := multilevel(wg, k, opt, rand.New(&src), &rf)
+		if s := score(wg, cand, k, opt); bestScore < 0 || s < bestScore {
+			bestScore, part = s, cand
+		}
+	}
+	return part
+}
+
+// TestMultistartMatchesSerialLoop holds the worker pool's pick — per-restart
+// slots, reduced in restart order — to serialMultistart's on the short
+// reference list, including which restart wins a tie.
+func TestMultistartMatchesSerialLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, g := range referenceGraphs()[:40] {
+		wg := newWorkGraph(g, g.Switches())
+		for k := 2; k <= 8 && k <= len(wg.vwgt); k++ {
+			for _, obj := range []Objective{Balanced, MinCut} {
+				opt := testOptions(obj)
+				got, want := multistart(wg, k, opt, defaultSeed), serialMultistart(wg, k, opt, defaultSeed)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d objective=%d: multistart picked %v, the serial loop %v", g.Name, k, obj, got, want)
+				}
 			}
 		}
 	}

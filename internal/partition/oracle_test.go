@@ -242,10 +242,10 @@ func diffMultilevel(t testing.TB, name string, wg *workGraph, k int, opt Options
 	}
 }
 
-// TestRefineMatchesReference is the differential suite the incremental
-// refine lives under: every topology generator, the 261-graph zoo and
-// 50 more random WANs, k = 2…8, both objectives, three restart seeds.
-func TestRefineMatchesReference(t *testing.T) {
+// referenceGraphs is the differential suites' graph list: every
+// topology generator, the 261-graph zoo and 50 more random WANs; with
+// -short, its first 40.
+func referenceGraphs() []*topology.Graph {
 	topos := []*topology.Graph{
 		topology.FatTree(4), topology.FatTree(6), topology.FatTree(8),
 		topology.Dragonfly(4, 9, 2, 1),
@@ -261,16 +261,128 @@ func TestRefineMatchesReference(t *testing.T) {
 	if testing.Short() {
 		topos = topos[:40]
 	}
-	for _, g := range topos {
+	return topos
+}
+
+// TestRefineMatchesReference is the differential suite the incremental
+// refine lives under: referenceGraphs, k = 2…8, both objectives, three
+// restart seeds.
+func TestRefineMatchesReference(t *testing.T) {
+	for _, g := range referenceGraphs() {
 		wg := newWorkGraph(g, g.Switches())
 		for k := 2; k <= 8 && k <= len(wg.vwgt); k++ {
-			rf := newRefiner(len(wg.vwgt), k)
+			var rf refiner
+			rf.reset(len(wg.vwgt), k)
 			for _, obj := range []Objective{Balanced, MinCut} {
 				for _, seed := range []int64{12345, 12345 + 7919, 3} {
-					diffMultilevel(t, g.Name, wg, k, testOptions(obj), seed, rf)
+					diffMultilevel(t, g.Name, wg, k, testOptions(obj), seed, &rf)
 				}
 			}
 		}
+	}
+}
+
+// randomWorkGraph draws a graph of n vertices weighing 1–8, up to ne
+// distinct edges weighing 1–3 (some vertices isolated), and a random
+// k-way partition of it (some parts empty or singletons).
+func randomWorkGraph(rng *rand.Rand, n, ne, k int) (*workGraph, []int) {
+	g := &workGraph{vwgt: make([]int, n), xadj: make([][]nbr, n)}
+	for v := range g.vwgt {
+		g.vwgt[v] = 1 + rng.Intn(8)
+	}
+	seen := map[[2]int]bool{}
+	for i := 0; i < ne; i++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a > b {
+			a, b = b, a
+		}
+		if a == b || seen[[2]int{a, b}] {
+			continue
+		}
+		seen[[2]int{a, b}] = true
+		w := 1 + rng.Intn(3)
+		g.xadj[a] = append(g.xadj[a], nbr{b, w})
+		g.xadj[b] = append(g.xadj[b], nbr{a, w})
+	}
+	g.sortAdj()
+	part := make([]int, n)
+	for v := range part {
+		part[v] = rng.Intn(k)
+	}
+	return g, part
+}
+
+// checkRebalance runs rebalance on a copy of part and rebalanceReference,
+// which makes every move, on another, and requires the same partition,
+// part weights, connectivity table and move count. It reports whether
+// the n-move cap ended the run.
+func checkRebalance(t *testing.T, g *workGraph, part []int, k, maxAllowed int) bool {
+	t.Helper()
+	n := len(part)
+	got, want := slices.Clone(part), slices.Clone(part)
+	var rf refiner
+	rf.reset(n, k)
+	rf.load(g, got)
+	moved := rf.rebalance(maxAllowed)
+
+	weight, partCount := make([]int, k), make([]int, k)
+	for v, p := range want {
+		weight[p] += g.vwgt[v]
+		partCount[p]++
+	}
+	var buf []int
+	wantMoved := rebalanceReference(g, want, k, weight, partCount, maxAllowed, &buf)
+	if !slices.Equal(got, want) || moved != wantMoved {
+		t.Fatalf("n=%d k=%d maxAllowed=%d: rebalance made %d moves to %v, the oracle %d to %v\nfrom %v",
+			n, k, maxAllowed, moved, got, wantMoved, want, part)
+	}
+	var fresh refiner
+	fresh.reset(n, k)
+	fresh.load(g, slices.Clone(want))
+	if !slices.Equal(rf.weight, weight) || !slices.Equal(rf.partCount, partCount) || !slices.Equal(rf.conn[:n*k], fresh.conn[:n*k]) {
+		t.Fatalf("n=%d k=%d maxAllowed=%d: rebalance left weight %v, partCount %v or conn stale (want %v, %v)",
+			n, k, maxAllowed, rf.weight, rf.partCount, weight, partCount)
+	}
+	return moved == n
+}
+
+// TestRebalanceCycleMatchesReference drives rebalance into move cycles
+// that only the n-move cap ends, which rebalance skips over, and holds
+// it to the oracle. A limit below every part's weight makes each move
+// merely hand "heaviest" to another part. The first case is a two-move
+// cycle by construction: two weight-3 vertices, 0 and 1, in parts 0 and
+// 1, and 100 unit vertices in each part but one short in part 1; vertex
+// 0 has the lowest index, so it is the one evicted, back and forth, 201
+// times. The random cases find cycles of other periods.
+func TestRebalanceCycleMatchesReference(t *testing.T) {
+	const light = 100
+	n := 2 + 2*light - 1
+	g := &workGraph{vwgt: make([]int, n), xadj: make([][]nbr, n)}
+	part := make([]int, n)
+	for v := range g.vwgt {
+		g.vwgt[v], part[v] = 1, v%2
+	}
+	g.vwgt[0], g.vwgt[1] = 3, 3
+	if !checkRebalance(t, g, part, 2, 1) {
+		t.Fatal("the constructed two-move cycle did not run to the n-move cap")
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	capped := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + rng.Intn(60)
+		k := 2 + rng.Intn(min(7, n-1))
+		g, part := randomWorkGraph(rng, n, rng.Intn(3*n), k)
+		total := 0
+		for _, w := range g.vwgt {
+			total += w
+		}
+		if checkRebalance(t, g, part, k, rng.Intn(total/k+1)) {
+			capped++
+		}
+	}
+	if capped < 100 {
+		t.Fatalf("only %d of 3000 random cases ran to the n-move cap; the test no longer reaches cycles", capped)
 	}
 }
 
@@ -283,6 +395,11 @@ func FuzzRefineDifferential(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(90), uint8(8), true)
 	f.Add(int64(3), uint8(5), uint8(0), uint8(5), false)
 	f.Add(int64(4), uint8(64), uint8(255), uint8(2), false)
+	// Each pass of these three ends in a rebalance cycle that only the
+	// n-move cap stops (n = 32, 62, 80; k = 7, 4, 8).
+	f.Add(int64(7), uint8(30), uint8(238), uint8(173), false)
+	f.Add(int64(80), uint8(252), uint8(8), uint8(205), false)
+	f.Add(int64(122), uint8(78), uint8(10), uint8(6), false)
 	f.Fuzz(func(t *testing.T, seed int64, nv, ne, kk uint8, minCut bool) {
 		n := 2 + int(nv)%96
 		k := 2 + int(kk)%7
@@ -290,35 +407,14 @@ func FuzzRefineDifferential(f *testing.F) {
 			k = n
 		}
 		rng := rand.New(rand.NewSource(seed))
-		g := &workGraph{vwgt: make([]int, n), xadj: make([][]nbr, n)}
-		for v := range g.vwgt {
-			g.vwgt[v] = 1 + rng.Intn(8)
-		}
-		seen := map[[2]int]bool{}
-		for i := 0; i < int(ne); i++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a > b {
-				a, b = b, a
-			}
-			if a == b || seen[[2]int{a, b}] {
-				continue
-			}
-			seen[[2]int{a, b}] = true
-			w := 1 + rng.Intn(3)
-			g.xadj[a] = append(g.xadj[a], nbr{b, w})
-			g.xadj[b] = append(g.xadj[b], nbr{a, w})
-		}
-		g.sortAdj()
-		part := make([]int, n)
-		for v := range part {
-			part[v] = rng.Intn(k)
-		}
+		g, part := randomWorkGraph(rng, n, int(ne), k)
 		opt := testOptions(Balanced)
 		if minCut {
 			opt.Objective = MinCut
 		}
 		got, want := slices.Clone(part), slices.Clone(part)
-		rf := newRefiner(n+rng.Intn(4), k) // scratch may be larger than the level
+		var rf refiner
+		rf.reset(n+rng.Intn(4), k) // scratch may be larger than the level
 		rf.refine(g, got, opt)
 		refineReference(g, want, k, opt, nil)
 		if !slices.Equal(got, want) {
@@ -357,14 +453,15 @@ func BenchmarkCut(b *testing.B) {
 	}
 }
 
-// TestCutAllocsBounded keeps refine's scratch per-Cut. One Cut of the
-// 190-switch WAN allocated 15 033 objects before the refiner, 7 588
-// with it, and 781 once the coarsening's pair maps became marker
-// arrays and the restarts stopped seeding a math/rand source each —
-// the graph build, 8 coarsening chains and initial partitions — and
-// refine itself, on a refiner that already exists, allocates nothing
-// at all, which is the half of the bound that a per-level or per-pass
-// make cannot slip under.
+// TestCutAllocsBounded keeps refine's scratch out of the per-level
+// path. One Cut of the 190-switch WAN allocated 15 033 objects before
+// the refiner, 7 588 with it, 781 once the coarsening's pair maps
+// became marker arrays and the restarts stopped seeding a math/rand
+// source each — the graph build, 8 coarsening chains and initial
+// partitions — and about 770 since the workers' refiners come from a
+// pool. refine itself, on pooled scratch, allocates nothing at all,
+// which is the half of the bound that a per-level or per-pass make
+// cannot slip under.
 func TestCutAllocsBounded(t *testing.T) {
 	g := wan190()
 	perCut := testing.AllocsPerRun(5, func() {
@@ -381,12 +478,14 @@ func TestCutAllocsBounded(t *testing.T) {
 	opt := testOptions(Balanced)
 	start := initialPartition(wg, 3, opt, rand.New(rand.NewSource(1)))
 	part := make([]int, len(start))
-	rf := newRefiner(len(start), 3)
+	w := workers.Get().(*worker)
+	defer workers.Put(w)
+	w.rf.reset(len(start), 3)
 	perRefine := testing.AllocsPerRun(5, func() {
 		copy(part, start)
-		rf.refine(wg, part, opt)
+		w.rf.refine(wg, part, opt)
 	})
 	if perRefine != 0 {
-		t.Errorf("refine on an existing refiner allocates %.0f objects, want 0", perRefine)
+		t.Errorf("refine on pooled scratch allocates %.0f objects, want 0", perRefine)
 	}
 }

@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -93,12 +95,14 @@ func (g *workGraph) sortAdj() {
 //
 // Cut is deterministic: all randomness flows from Options.Seed (0 maps
 // to a fixed default), adjacency lists are sorted so the result is
-// independent of map iteration order, and no goroutines are spawned —
-// the same (g, k, opt) always yields a byte-identical Result,
-// regardless of GOMAXPROCS or rerun count. Downstream consumers rely
-// on this: projection plans and live reconfiguration derive their
-// sub-switch placement from the Result, so a nondeterministic Cut
-// would break the golden-pinned byte-identity of every SDT-mode run.
+// independent of map iteration order, and the restarts, which run on up
+// to min(GOMAXPROCS, 8) workers, each write their own slot and are
+// reduced serially in restart order — the same (g, k, opt) always
+// yields a byte-identical Result, regardless of GOMAXPROCS, scheduling
+// or rerun count. Downstream consumers rely on this: projection plans
+// and live reconfiguration derive their sub-switch placement from the
+// Result, so a nondeterministic Cut would break the golden-pinned
+// byte-identity of every SDT-mode run.
 func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d must be >= 1", k)
@@ -127,22 +131,7 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	if k == 1 {
 		part = make([]int, len(switches))
 	} else {
-		// Multistart: the multilevel heuristic is cheap, so run it
-		// several times with derived seeds and keep the best-scoring
-		// partition (α·cut + β·imbalance, the paper's objective).
-		bestScore := -1.0
-		rf := newRefiner(len(switches), k)
-		var src stream
-		rng := rand.New(&src)
-		for r := 0; r < restarts; r++ {
-			src.Seed(restartSeed(seed, r))
-			cand := multilevel(wg, k, opt, rng, rf)
-			s := score(wg, cand, k, opt)
-			if bestScore < 0 || s < bestScore {
-				bestScore = s
-				part = cand
-			}
-		}
+		part = multistart(wg, k, opt, seed)
 	}
 
 	res := &Result{
@@ -190,6 +179,71 @@ const defaultSeed = 12345
 
 // restarts is the number of multilevel runs Cut keeps the best of.
 const restarts = 8
+
+// multistart runs the multilevel heuristic once per restart seed and
+// returns the best-scoring partition (α·cut + β·imbalance, the paper's
+// objective). The restarts are independent, so they run on
+// min(GOMAXPROCS, restarts) workers, the calling goroutine being one of
+// them, each claiming the next restart index. Every restart writes its
+// own candidate and score slot, and the reduction runs serially in
+// restart order with a strict <, ties going to the lowest restart, so
+// the winner is the serial loop's whatever the worker count or
+// schedule.
+func multistart(wg *workGraph, k int, opt Options, seed int64) []int {
+	var (
+		cands  [restarts][]int
+		scores [restarts]float64
+		next   atomic.Int32
+		done   sync.WaitGroup
+	)
+	work := func() {
+		r := int(next.Add(1)) - 1
+		if r >= restarts {
+			return // the other workers took every restart
+		}
+		w := workers.Get().(*worker)
+		w.rf.reset(len(wg.vwgt), k)
+		for ; r < restarts; r = int(next.Add(1)) - 1 {
+			w.src.Seed(restartSeed(seed, r))
+			cands[r] = multilevel(wg, k, opt, w.rng, &w.rf)
+			scores[r] = score(wg, cands[r], k, opt)
+		}
+		w.rf.g, w.rf.part = nil, nil // pin no graph while pooled
+		workers.Put(w)
+	}
+	for range min(runtime.GOMAXPROCS(0), restarts) - 1 {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			work()
+		}()
+	}
+	work()
+	done.Wait()
+	best := 0
+	for r := 1; r < restarts; r++ {
+		if scores[r] < scores[best] {
+			best = r
+		}
+	}
+	return cands[best]
+}
+
+// worker is one restart worker's scratch: a refiner, the restart's
+// random stream and the rand.Rand drawing from it. Cut takes one from
+// workers per worker and returns it, so consecutive Cuts reuse the
+// refiner's tables instead of allocating them.
+type worker struct {
+	rf  refiner
+	src stream
+	rng *rand.Rand
+}
+
+var workers = sync.Pool{New: func() any {
+	w := &worker{}
+	w.rng = rand.New(&w.src)
+	return w
+}}
 
 // restartSeed is the seed of restart r of a Cut seeded with seed.
 func restartSeed(seed int64, r int) int64 { return seed + int64(r)*7919 }
@@ -604,9 +658,9 @@ type move struct {
 }
 
 // refiner holds the state refine and rebalance share and the scratch
-// they work in. It is allocated once per Cut, sized for the finest
-// graph, and reused by every restart and every uncoarsening level —
-// a level only re-slices and re-fills it.
+// they work in. reset sizes it for a Cut's finest graph, reusing the
+// storage it already has; every restart a worker runs and every
+// uncoarsening level then only re-slices and re-fills it.
 //
 // conn is what makes a move cost O(deg v) instead of a rescan of every
 // candidate's adjacency: conn[v*k+p] is v's edge weight toward part p,
@@ -639,18 +693,30 @@ type refiner struct {
 	count       []int
 	at          []int32
 	top         int
+
+	ckpt []int // rebalance's cycle checkpoint: a copy of part
 }
 
-func newRefiner(n, k int) *refiner {
-	return &refiner{
-		k:         k,
-		conn:      make([]int, n*k),
-		weight:    make([]int, k),
-		partCount: make([]int, k),
-		locked:    make([]bool, n),
-		seq:       make([]move, 0, n),
-		at:        make([]int32, n*k),
+// reset sizes the refiner for graphs of up to n vertices cut k ways,
+// keeping whatever storage is already large enough.
+func (r *refiner) reset(n, k int) {
+	r.k = k
+	r.conn = resize(r.conn, n*k)
+	r.weight = resize(r.weight, k)
+	r.partCount = resize(r.partCount, k)
+	r.locked = resize(r.locked, n)
+	r.seq = resize(r.seq, n)[:0]
+	r.at = resize(r.at, n*k)
+	r.ckpt = resize(r.ckpt, n)
+}
+
+// resize returns s with length n, reallocated only when its capacity
+// is short; callers refill the contents.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // load points the refiner at one level's graph and partition and fills
@@ -678,14 +744,8 @@ func (r *refiner) load(g *workGraph, part []int) {
 	}
 	r.words = (n*k + 63) / 64
 	levels := 2*r.span + 1
-	if need := levels * r.words; cap(r.bits) < need {
-		r.bits = make([]uint64, need)
-	}
-	r.bits = r.bits[:levels*r.words]
-	if cap(r.count) < levels {
-		r.count = make([]int, levels)
-	}
-	r.count = r.count[:levels]
+	r.bits = resize(r.bits, levels*r.words)
+	r.count = resize(r.count, levels)
 }
 
 // apply moves v to part `to` and updates conn, weight and partCount in
@@ -863,11 +923,28 @@ func (r *refiner) refine(g *workGraph, part []int, opt Options) {
 
 // rebalance drains overweight parts by moving their cheapest vertices
 // (least cut damage; lowest v, then lowest p on ties) into a lighter
-// part, even at a cut cost.
+// part, even at a cut cost, for at most n moves. It returns the number
+// of moves made.
+//
+// Each move is chosen from part alone — weight, partCount and conn all
+// derive from it — so once a state repeats, the moves cycle until the
+// n-move cap ends them. rebalance finds the cycle with Brent's method
+// (BIT 1980): a checkpoint copy of part is taken after 0, 1, 2, 4, …
+// moves, and each later state is compared with it, first by a Zobrist
+// hash of part kept with one XOR pair per move, then, on a hash match,
+// element by element. When the state after m moves equals the
+// checkpoint taken after c, the period is m − c; rebalance counts the
+// whole periods that fit in the remaining budget as made and runs only
+// the remainder, ending in the state, and with the count, that making
+// every move would have.
 func (r *refiner) rebalance(maxAllowed int) int {
 	k, part, weight := r.k, r.part, r.weight
+	n := len(part)
+	ckpt := r.ckpt[:n]
+	var hash, ckHash uint64 // hashes relative to the state on entry
+	ckAt, power, seeking := 0, 1, true
 	moved := 0
-	for iter := 0; iter < len(part); iter++ {
+	for iter := 0; iter < n; iter++ {
 		// Heaviest over-limit part.
 		over := -1
 		for p := 0; p < k; p++ {
@@ -898,8 +975,37 @@ func (r *refiner) rebalance(maxAllowed int) int {
 		if bestV < 0 {
 			break
 		}
+		if moved == 0 {
+			copy(ckpt, part)
+		}
+		hash ^= zobrist(bestV*k+part[bestV]) ^ zobrist(bestV*k+bestDst)
 		r.apply(bestV, bestDst)
 		moved++
+		if !seeking {
+			continue
+		}
+		if hash == ckHash && slices.Equal(part, ckpt) {
+			period := moved - ckAt
+			skip := (n - 1 - iter) / period * period
+			iter += skip
+			moved += skip
+			seeking = false // fewer than period iterations remain
+			continue
+		}
+		if moved-ckAt == power {
+			copy(ckpt, part)
+			ckHash, ckAt, power = hash, moved, 2*power
+		}
 	}
 	return moved
+}
+
+// zobrist is the hash key of vertex v in part p, for i = v·k + p: the
+// SplitMix64 finaliser of i+1, so every key is a fixed, well-mixed
+// function of (v, p).
+func zobrist(i int) uint64 {
+	z := uint64(i+1) * 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }

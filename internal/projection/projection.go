@@ -121,50 +121,75 @@ func (c *Cabling) hostPortsOn(s int) []int {
 // Validate checks that the cabling uses each port at most once and
 // stays within each switch's port count.
 func (c *Cabling) Validate() error {
-	used := map[PortRef]string{}
-	claim := func(r PortRef, what string) error {
+	// used[base[s]+port-1] is the cable holding that port of switch s;
+	// names are formatted only for an error.
+	base := make([]int, len(c.Switches)+1)
+	for s, sw := range c.Switches {
+		base[s+1] = base[s] + max(sw.Ports, 0)
+	}
+	used := make([]claimant, base[len(c.Switches)])
+	claim := func(r PortRef, what claimant) error {
 		if r.Switch < 0 || r.Switch >= len(c.Switches) {
-			return fmt.Errorf("projection: %s references switch %d out of range", what, r.Switch)
+			return fmt.Errorf("projection: %v references switch %d out of range", what, r.Switch)
 		}
 		if r.Port < 1 || r.Port > c.Switches[r.Switch].Ports {
-			return fmt.Errorf("projection: %s references port %v out of range", what, r)
+			return fmt.Errorf("projection: %v references port %v out of range", what, r)
 		}
-		if prev, dup := used[r]; dup {
-			return fmt.Errorf("projection: port %v used by both %s and %s", r, prev, what)
+		at := &used[base[r.Switch]+r.Port-1]
+		if at.kind != unclaimed {
+			return fmt.Errorf("projection: port %v used by both %v and %v", r, *at, what)
 		}
-		used[r] = what
+		*at = what
 		return nil
 	}
 	for i, sl := range c.SelfLinks {
-		what := fmt.Sprintf("self-link %d", i)
 		if sl.PortA == sl.PortB {
 			return fmt.Errorf("projection: self-link %d joins a port to itself", i)
 		}
-		if err := claim(PortRef{sl.Switch, sl.PortA}, what); err != nil {
+		if err := claim(PortRef{sl.Switch, sl.PortA}, claimant{selfLinkClaim, i}); err != nil {
 			return err
 		}
-		if err := claim(PortRef{sl.Switch, sl.PortB}, what); err != nil {
+		if err := claim(PortRef{sl.Switch, sl.PortB}, claimant{selfLinkClaim, i}); err != nil {
 			return err
 		}
 	}
 	for i, il := range c.InterLinks {
-		what := fmt.Sprintf("inter-link %d", i)
 		if il.A.Switch == il.B.Switch {
 			return fmt.Errorf("projection: inter-link %d stays on one switch", i)
 		}
-		if err := claim(il.A, what); err != nil {
+		if err := claim(il.A, claimant{interLinkClaim, i}); err != nil {
 			return err
 		}
-		if err := claim(il.B, what); err != nil {
+		if err := claim(il.B, claimant{interLinkClaim, i}); err != nil {
 			return err
 		}
 	}
 	for i, hp := range c.HostPorts {
-		if err := claim(hp.Ref, fmt.Sprintf("host port %d", i)); err != nil {
+		if err := claim(hp.Ref, claimant{hostPortClaim, i}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// claimant names the cable holding a port for Validate: which list it
+// is in and its index there.
+type claimant struct {
+	kind claimKind
+	i    int
+}
+
+type claimKind uint8
+
+const (
+	unclaimed claimKind = iota
+	selfLinkClaim
+	interLinkClaim
+	hostPortClaim
+)
+
+func (c claimant) String() string {
+	return fmt.Sprintf("%s %d", [...]string{"", "self-link", "inter-link", "host port"}[c.kind], c.i)
 }
 
 // Demands summarises what one topology requires of a cabling after

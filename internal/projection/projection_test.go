@@ -94,27 +94,69 @@ func TestProjectTorus4x4MatchesFig7(t *testing.T) {
 	}
 }
 
+// TestCablingValidate pins each of Validate's five error messages byte
+// for byte, for every kind of cable that can hold a port, and accepts a
+// well-formed cabling.
 func TestCablingValidate(t *testing.T) {
-	bad := &Cabling{
-		Switches:  []PhysicalSwitch{{ID: "a", Ports: 4}},
-		SelfLinks: []SelfLink{{Switch: 0, PortA: 1, PortB: 2}, {Switch: 0, PortA: 2, PortB: 3}},
-	}
-	if err := bad.Validate(); err == nil {
-		t.Error("double-used port accepted")
-	}
-	bad2 := &Cabling{
-		Switches:  []PhysicalSwitch{{ID: "a", Ports: 4}},
-		SelfLinks: []SelfLink{{Switch: 0, PortA: 1, PortB: 9}},
-	}
-	if err := bad2.Validate(); err == nil {
-		t.Error("out-of-range port accepted")
-	}
-	bad3 := &Cabling{
-		Switches:   []PhysicalSwitch{{ID: "a", Ports: 8}, {ID: "b", Ports: 8}},
-		InterLinks: []InterLink{{A: PortRef{0, 1}, B: PortRef{0, 2}}},
-	}
-	if err := bad3.Validate(); err == nil {
-		t.Error("same-switch inter-link accepted")
+	two := []PhysicalSwitch{{ID: "a", Ports: 4}, {ID: "b", Ports: 4}}
+	for _, tc := range []struct {
+		name string
+		c    Cabling
+		want string
+	}{
+		{"well-formed", Cabling{
+			Switches:   two,
+			SelfLinks:  []SelfLink{{Switch: 0, PortA: 1, PortB: 2}},
+			InterLinks: []InterLink{{A: PortRef{0, 3}, B: PortRef{1, 1}}},
+			HostPorts:  []HostPort{{PortRef{0, 4}}, {PortRef{1, 4}}},
+		}, ""},
+		{"self-link to itself", Cabling{
+			Switches:  two,
+			SelfLinks: []SelfLink{{Switch: 0, PortA: 1, PortB: 2}, {Switch: 1, PortA: 3, PortB: 3}},
+		}, "projection: self-link 1 joins a port to itself"},
+		{"inter-link on one switch", Cabling{
+			Switches:   two,
+			InterLinks: []InterLink{{A: PortRef{0, 1}, B: PortRef{0, 2}}},
+		}, "projection: inter-link 0 stays on one switch"},
+		{"switch out of range", Cabling{
+			Switches:   two,
+			InterLinks: []InterLink{{A: PortRef{0, 1}, B: PortRef{1, 1}}, {A: PortRef{0, 2}, B: PortRef{2, 1}}},
+		}, "projection: inter-link 1 references switch 2 out of range"},
+		{"negative switch", Cabling{
+			Switches:  two,
+			HostPorts: []HostPort{{PortRef{-1, 1}}},
+		}, "projection: host port 0 references switch -1 out of range"},
+		{"port out of range", Cabling{
+			Switches:  two,
+			SelfLinks: []SelfLink{{Switch: 0, PortA: 1, PortB: 5}},
+		}, "projection: self-link 0 references port sw0.p5 out of range"},
+		{"port zero", Cabling{
+			Switches:  two,
+			HostPorts: []HostPort{{PortRef{1, 2}}, {PortRef{1, 0}}},
+		}, "projection: host port 1 references port sw1.p0 out of range"},
+		{"two self-links", Cabling{
+			Switches:  two,
+			SelfLinks: []SelfLink{{Switch: 0, PortA: 1, PortB: 2}, {Switch: 0, PortA: 2, PortB: 3}},
+		}, "projection: port sw0.p2 used by both self-link 0 and self-link 1"},
+		{"inter-link and host port", Cabling{
+			Switches:   two,
+			SelfLinks:  []SelfLink{{Switch: 1, PortA: 1, PortB: 2}},
+			InterLinks: []InterLink{{A: PortRef{0, 1}, B: PortRef{1, 3}}},
+			HostPorts:  []HostPort{{PortRef{0, 4}}, {PortRef{1, 3}}},
+		}, "projection: port sw1.p3 used by both inter-link 0 and host port 1"},
+		{"self-link and inter-link", Cabling{
+			Switches:   two,
+			SelfLinks:  []SelfLink{{Switch: 1, PortA: 1, PortB: 2}},
+			InterLinks: []InterLink{{A: PortRef{0, 1}, B: PortRef{1, 2}}},
+		}, "projection: port sw1.p2 used by both self-link 0 and inter-link 0"},
+	} {
+		got := ""
+		if err := tc.c.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: Validate() = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

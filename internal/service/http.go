@@ -113,7 +113,8 @@ type Stats struct {
 	QueueCap   int        `json:"queue_cap"`
 	Workers    int        `json:"workers"`
 	Running    int        `json:"running"`
-	// Jobs counts tracked job records by state.
+	// Jobs counts tracked job records by state: every queued and running
+	// job, and the newest retainedTerminal terminal ones.
 	Jobs map[State]int `json:"jobs"`
 	// RunsByScenario counts completed executions per scenario set —
 	// cache hits and deduped submissions do NOT increment it, which is

@@ -11,11 +11,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -560,5 +562,74 @@ func TestOversizedSubmitRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after oversized submit: HTTP %d", resp.StatusCode)
+	}
+}
+
+// TestTerminalRecordsBounded: every cache hit mints a terminal record,
+// and the server keeps only the newest retainedTerminal of them. Four
+// goroutines submit 10⁴ cache hits between them while a fifth polls
+// Stats; afterwards the job table holds exactly the bound, the first
+// hit's id answers ErrUnknownJob, and one more hit is served.
+func TestTerminalRecordsBounded(t *testing.T) {
+	srv, c := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	ctx := testCtx(t)
+	spec := JobSpec{Scenario: "svc-test-echo", Seed: 3}
+	cold, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, cold.ID, StateDone)
+	first, err := srv.Submit(spec)
+	if err != nil || !first.Cached {
+		t.Fatalf("second submit must be a cache hit: %+v, %v", first, err)
+	}
+
+	const submitters, each = 4, 2500
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.Stats()
+			}
+		}
+	}()
+	for range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				st, err := srv.Submit(spec)
+				if err != nil || !st.Cached {
+					t.Errorf("submit %d: %+v, %v", i, st, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	last, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv.mu.Lock()
+	n := len(srv.jobs)
+	srv.mu.Unlock()
+	if n != retainedTerminal {
+		t.Fatalf("%d cache hits left %d job records, want the bound %d", submitters*each+2, n, retainedTerminal)
+	}
+	if _, err := srv.Job(first.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("the oldest hit %s was not evicted: %v", first.ID, err)
+	}
+	if _, _, err := c.Result(ctx, first.ID); err == nil {
+		t.Fatalf("GET result of evicted job %s succeeded", first.ID)
+	}
+	if body, _, err := srv.Result(last.ID); err != nil || string(body) != "echo seed=3 flows=0\n" {
+		t.Fatalf("newest record %s: %q, %v", last.ID, body, err)
 	}
 }

@@ -85,6 +85,12 @@ var (
 	ErrUnknownJob = errors.New("service: unknown job id")
 )
 
+// retainedTerminal bounds the terminal (done, failed or cancelled) job
+// records a Server keeps for Job and Result lookups. Past it the oldest
+// is evicted first, and its id answers ErrUnknownJob; a cache hit's
+// body stays in the cache. Queued and running jobs are never evicted.
+const retainedTerminal = 1024
+
 // Server owns the cache, the queue, and the worker pool. Create with
 // New, expose over HTTP via Handler, stop with Drain.
 type Server struct {
@@ -98,6 +104,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job // by id
 	inflight map[string]*job // by spec hash: queued or running
+	terminal []string        // ids of the terminal records in jobs, oldest first
 	queue    chan *job
 	draining bool
 	seq      int64
@@ -125,6 +132,7 @@ type job struct {
 	err        string
 	cached     bool
 	waiters    int
+	settled    bool // counted in Server.terminal; guarded by Server.mu
 	queuedAt   time.Time
 	startedAt  time.Time
 	finishedAt time.Time
@@ -193,6 +201,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		j.state, j.cached, j.result = StateDone, true, body
 		j.startedAt, j.finishedAt = now, now
 		j.cancel()
+		s.settleLocked(j)
 		return j.status(), nil
 	}
 	j := s.newJobLocked(spec, key)
@@ -292,13 +301,33 @@ func runGuarded(e experiments.Entry, j *job) (err error) {
 	return e.Run(j.ctx, j.spec, j.out, io.Discard)
 }
 
-// retire removes a terminal job from the singleflight index.
+// retire removes a job from the singleflight index and, once it is
+// terminal, settles it.
 func (s *Server) retire(j *job) {
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
+	s.settleLocked(j)
 	s.mu.Unlock()
+}
+
+// settleLocked counts a terminal job among the retained records, once,
+// and evicts the oldest record past retainedTerminal. A job that is not
+// terminal yet is left for a later call. Requires s.mu.
+func (s *Server) settleLocked(j *job) {
+	j.mu.Lock()
+	terminal := j.state.Terminal()
+	j.mu.Unlock()
+	if j.settled || !terminal {
+		return
+	}
+	j.settled = true
+	s.terminal = append(s.terminal, j.id)
+	if len(s.terminal) > retainedTerminal {
+		delete(s.jobs, s.terminal[0])
+		s.terminal = s.terminal[1:]
+	}
 }
 
 // Job returns a job's current status snapshot.
@@ -381,6 +410,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			if s.inflight[j.key] == j {
 				delete(s.inflight, j.key)
 			}
+			s.settleLocked(j)
 			continue
 		default:
 		}
