@@ -19,23 +19,6 @@ import (
 	"repro/internal/topology"
 )
 
-var generators = []struct {
-	name, params, desc string
-}{
-	{"fattree", "k", "k-ary fat-tree (k even)"},
-	{"dragonfly", "a,g,h,p", "Dragonfly: a routers/group, g groups, h global links/router, p hosts/router"},
-	{"mesh2d", "w,h,hosts", "2D mesh"},
-	{"mesh3d", "x,y,z,hosts", "3D mesh"},
-	{"torus2d", "w,h,hosts", "2D torus"},
-	{"torus3d", "x,y,z,hosts", "3D torus"},
-	{"bcube", "n,k", "BCube(n,k) with host switches"},
-	{"hyperbcube", "n,l", "Hyper-BCube-style 2D server-centric"},
-	{"line", "n,hosts", "chain of n switches"},
-	{"ring", "n,hosts", "cycle of n switches"},
-	{"star", "n,hosts", "hub + n leaves"},
-	{"fullmesh", "n,hosts", "complete graph"},
-}
-
 func main() {
 	gen := flag.String("gen", "", "generator name (see -list)")
 	params := flag.String("params", "", "comma-separated integer parameters")
@@ -46,8 +29,9 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, g := range generators {
-			fmt.Printf("%-12s params: %-14s %s\n", g.name, g.params, g.desc)
+		for _, g := range topology.Generators {
+			example := strings.ReplaceAll(strings.Trim(fmt.Sprint(g.Example), "[]"), " ", ",")
+			fmt.Printf("%-12s params: %-14s e.g. %-10s %s\n", g.Name, strings.Join(g.Params, ","), example, g.Doc)
 		}
 		return
 	}

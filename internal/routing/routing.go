@@ -476,6 +476,13 @@ func computeStrategy(g *topology.Graph, name string, vcs int, dsts []int, mk dst
 			return nil, fmt.Errorf("routing: %s: %w", name, err)
 		}
 	}
+	// A configuration file may hold a host with no link; no strategy
+	// can route to it.
+	for _, d := range dsts {
+		if g.HostSwitch(d) < 0 {
+			return nil, fmt.Errorf("routing: %s: host %d has no switch", name, d)
+		}
+	}
 	build, err := mk(g)
 	if err != nil {
 		return nil, err
@@ -533,9 +540,6 @@ func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) erro
 	nv := len(g.Vertices)
 	return func(dst int, emit func(Rule)) error {
 		root := g.HostSwitch(dst)
-		if root < 0 {
-			return fmt.Errorf("routing: host %d has no switch", dst)
-		}
 		// BFS from root over switches on the CSR view; next[v] = the
 		// neighbour of v one hop closer to root. CSR rows are pre-
 		// sorted by vertex ID, preserving the deterministic tie-break

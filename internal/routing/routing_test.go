@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -378,6 +379,96 @@ func TestForTopology(t *testing.T) {
 	for _, c := range cases {
 		if got := ForTopology(c.g).Name(); got != c.want {
 			t.Errorf("ForTopology(%s) = %s, want %s", c.g.Name, got, c.want)
+		}
+	}
+}
+
+// TestForTopologyFollowsFamily renames every generator config: the
+// strategy follows the generator, not the name. An explicit file keeps
+// reading its family from its name.
+func TestForTopologyFollowsFamily(t *testing.T) {
+	for _, gen := range topology.Generators {
+		var got [2]Strategy
+		for i, name := range []string{"", "lab"} {
+			c := topology.Config{Name: name, Generator: gen.Name, Params: gen.Example}
+			g, err := c.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = ForTopology(g)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: renamed config routes with %s, unnamed with %s", gen.Name, got[1].Name(), got[0].Name())
+		}
+	}
+	g, err := (&topology.Config{Name: "torus2d-lab", Switches: []string{"a"}}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ForTopology(g).Name(); got != "torus-clue-2d" {
+		t.Errorf("explicit torus2d-lab routes with %s", got)
+	}
+}
+
+// TestStrategiesRejectBadCoords: a configuration file sets the switch
+// coordinates the Table III strategies index by, so they check them.
+// Negative coordinates, ones too large for the switch count, and two
+// grid switches at one position are an error, not an index out of
+// range or a table allocated for positions no switch holds.
+func TestStrategiesRejectBadCoords(t *testing.T) {
+	cases := []struct {
+		family string
+		a, b   []int
+	}{
+		{"fattree", []int{1, 0, 0}, []int{1, 1 << 30, 1 << 30}},
+		{"fattree", []int{1, 0, 0}, []int{2, -1, 0}},
+		{"fattree", []int{1, 0, 0}, []int{1, 1, 1}},
+		{"dragonfly", []int{0, 0}, []int{-1, 0}},
+		{"dragonfly", []int{0, 0}, []int{1 << 30, 0}},
+	}
+	for _, fam := range []string{"mesh2d", "torus2d", "mesh3d", "torus3d"} {
+		for _, b := range [][]int{{-7, 1000000, 3}, {0, -1, 0}, {1 << 30, 1 << 30, 1 << 30}, {2, 0, 0}, {0, 0, 0}} {
+			cases = append(cases, struct {
+				family string
+				a, b   []int
+			}{fam, []int{0, 0, 0}, b})
+		}
+	}
+	for _, c := range cases {
+		cfg := topology.Config{
+			Name:     c.family + "-file",
+			Switches: []string{"a", "b"},
+			Hosts:    []string{"ha", "hb"},
+			Links:    []topology.LinkConfig{{A: "a", B: "b"}, {A: "a", B: "ha"}, {A: "b", B: "hb"}},
+			Coords:   map[string][]int{"a": c.a, "b": c.b},
+		}
+		g, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ForTopology(g).Compute(g); err == nil {
+			t.Errorf("%s with switches at %v and %v: routes computed", c.family, c.a, c.b)
+		}
+	}
+}
+
+// TestHostWithoutSwitchIsAnError: a host a configuration file links to
+// nothing is an error for every strategy, not an index out of range.
+func TestHostWithoutSwitchIsAnError(t *testing.T) {
+	for _, gen := range topology.Generators {
+		g, err := (&topology.Config{Generator: gen.Name, Params: gen.Example}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := g.ToConfig()
+		c.Hosts = append(c.Hosts, "orphan")
+		if g, err = c.Build(); err != nil {
+			t.Fatal(err)
+		}
+		strat := ForTopology(g)
+		want := fmt.Sprintf("routing: %s: host %d has no switch", strat.Name(), len(g.Vertices)-1)
+		if _, err := strat.Compute(g); err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %s", gen.Name, err, want)
 		}
 	}
 }

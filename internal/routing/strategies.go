@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/openflow"
 	"repro/internal/topology"
@@ -35,17 +34,26 @@ func fatTreeBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, er
 	// Index switches by the coordinates topology.FatTree sets.
 	var byCoord fatTreeCoords
 	k := 0
+	n := len(g.Switches())
 	for _, s := range g.Switches() {
 		c := g.Vertices[s].Coord
 		if len(c) != 3 {
 			return nil, fmt.Errorf("routing: %s: switch %d lacks fat-tree coords", g.Name, s)
 		}
-		if c[0] < 0 || c[1] < 0 || c[2] < 0 {
-			return nil, fmt.Errorf("routing: %s: switch %d has negative fat-tree coords", g.Name, s)
+		if min(c[0], c[1], c[2]) < 0 || max(c[1], c[2]) >= n {
+			return nil, fmt.Errorf("routing: %s: switch %d has fat-tree coords %v outside [0, %d)", g.Name, s, c, n)
 		}
 		byCoord.grow(c[0], c[1], c[2])
 		if c[0] == 1 && c[2]+1 > k/2 { // agg index range gives k/2
 			k = (c[2] + 1) * 2
+		}
+	}
+	// A fat-tree's switches fill each layer's table, so a table larger
+	// than the switch count holds positions no switch takes; refusing
+	// it keeps a configuration file's coordinates from sizing byCoord.
+	for _, l := range byCoord {
+		if l.cols > 0 && l.rows > n/l.cols {
+			return nil, fmt.Errorf("routing: %s: fat-tree coords span a %dx%d layer, more than its %d switches", g.Name, l.rows, l.cols, n)
 		}
 	}
 	for _, s := range g.Switches() {
@@ -212,6 +220,9 @@ func indexDragonfly(g *topology.Graph) (*dragonflyIndex, error) {
 		if len(c) != 2 {
 			return nil, fmt.Errorf("routing: %s: switch %d lacks dragonfly coords", g.Name, s)
 		}
+		if c[0] < 0 || c[0] >= len(g.Switches()) {
+			return nil, fmt.Errorf("routing: %s: switch %d has dragonfly group %d outside [0, %d)", g.Name, s, c[0], len(g.Switches()))
+		}
 		if c[0] > maxGroup {
 			maxGroup = c[0]
 		}
@@ -329,6 +340,10 @@ func dimensionOrder(g *topology.Graph, dims int, torus bool, name string, dsts [
 // coordinate index and per-dimension port lists once, returning the
 // per-destination rule build.
 func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst int, emit func(Rule)) error, error) {
+	// A grid the switches cannot fill has a hole that dimension-order
+	// routes run into. Refusing it before byCoord is sized keeps a
+	// configuration file's coordinates from sizing it.
+	n := len(g.Switches())
 	size := make([]int, dims)
 	for _, s := range g.Switches() {
 		c := g.Vertices[s].Coord
@@ -336,10 +351,18 @@ func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst in
 			return nil, fmt.Errorf("routing: %s: switch %d lacks %dD coords", g.Name, s, dims)
 		}
 		for d := 0; d < dims; d++ {
-			if c[d]+1 > size[d] {
-				size[d] = c[d] + 1
+			if c[d] < 0 || c[d] >= n {
+				return nil, fmt.Errorf("routing: %s: switch %d has coords %v, outside a grid of %d switches", g.Name, s, c[:dims], n)
 			}
+			size[d] = max(size[d], c[d]+1)
 		}
+	}
+	span := 1
+	for d := 0; d < dims; d++ {
+		if size[d] == 0 || span > n/size[d] {
+			return nil, fmt.Errorf("routing: %s: switch coords span a %v grid, more than its %d switches", g.Name, size, n)
+		}
+		span *= size[d]
 	}
 	// Dense integer coordinate index (replaces a per-lookup fmt.Sprint
 	// string key): lin(c) = (c[0]*size[1] + c[1])*size[2] + c[2].
@@ -350,16 +373,16 @@ func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst in
 		}
 		return k
 	}
-	span := 1
-	for d := 0; d < dims; d++ {
-		span *= size[d]
-	}
 	byCoord := make([]int32, span)
 	for i := range byCoord {
 		byCoord[i] = -1
 	}
 	for _, s := range g.Switches() {
-		byCoord[lin(g.Vertices[s].Coord)] = int32(s)
+		c := g.Vertices[s].Coord
+		if prev := byCoord[lin(c)]; prev >= 0 {
+			return nil, fmt.Errorf("routing: %s: switches %d and %d share coords %v", g.Name, prev, s, c[:dims])
+		}
+		byCoord[lin(c)] = int32(s)
 	}
 	// Hoist the per-dimension port lists out of the destination loop:
 	// they depend only on (switch, dimension), and recomputing them per
@@ -493,23 +516,24 @@ func dimensionPorts(g *topology.Graph, s, dim, dims int) []int {
 	return ports
 }
 
-// ForTopology returns the Table III strategy for a generated topology,
-// recognised by its generator name prefix; anything unrecognised falls
-// back to shortest-path.
+// ForTopology returns the Table III strategy for a topology by its
+// generator family (topology.Graph.Family: set by the generator, kept
+// when a configuration file renames the graph, and read from the name's
+// prefix for an explicit file); any other family, zoo graphs included,
+// falls back to shortest-path.
 func ForTopology(g *topology.Graph) Strategy {
-	name := g.Name
-	switch {
-	case strings.HasPrefix(name, "fattree"):
+	switch g.Family {
+	case "fattree":
 		return FatTreeDFS{}
-	case strings.HasPrefix(name, "dragonfly"):
+	case "dragonfly":
 		return DragonflyMinimal{}
-	case strings.HasPrefix(name, "mesh2d"):
+	case "mesh2d":
 		return MeshXY{}
-	case strings.HasPrefix(name, "mesh3d"):
+	case "mesh3d":
 		return MeshXYZ{}
-	case strings.HasPrefix(name, "torus2d"):
+	case "torus2d":
 		return TorusClue{Dims: 2}
-	case strings.HasPrefix(name, "torus3d"):
+	case "torus3d":
 		return TorusClue{Dims: 3}
 	default:
 		return ShortestPath{}

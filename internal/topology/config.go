@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // Config is the JSON topology description accepted by the SDT
 // controller ("simply using different topology configuration files at
 // the controller", §I). Vertices are named; links reference names and
 // may pin explicit port numbers. Generator configs ({"generator":
-// "fattree", "params": [4]}) are also accepted so users do not have to
-// enumerate large standard topologies by hand.
+// "fattree", "params": [4]}) name a row of the generator table
+// (Generators), so users do not have to enumerate large standard
+// topologies by hand.
 type Config struct {
 	Name      string       `json:"name"`
 	Generator string       `json:"generator,omitempty"`
@@ -36,42 +36,30 @@ type LinkConfig struct {
 	BPort int    `json:"bport,omitempty"`
 }
 
-// Build materialises the configuration into a Graph. Explicit vertices
-// and links are applied only when no generator is named.
+// Build materialises the configuration into a Graph and validates it.
+// A generator config is checked against its row of the generator table
+// before anything is allocated, and its name, if set, replaces the
+// generated one; the graph keeps the generator's Family. Explicit
+// vertices and links are applied only when no generator is named, and
+// the family of such a graph is the one its name declares (familyOf).
 func (c *Config) Build() (*Graph, error) {
+	var g *Graph
 	if c.Generator != "" {
-		return buildGenerator(c)
-	}
-	g := New(c.Name)
-	ids := make(map[string]int, len(c.Switches)+len(c.Hosts))
-	for _, s := range c.Switches {
-		if _, dup := ids[s]; dup {
-			return nil, fmt.Errorf("topology config %q: duplicate vertex %q", c.Name, s)
+		gen := generatorNamed(c.Generator)
+		if gen == nil {
+			return nil, c.errorf("unknown generator %q", c.Generator)
 		}
-		ids[s] = g.AddSwitch(s, c.Coords[s]...)
-	}
-	for _, h := range c.Hosts {
-		if _, dup := ids[h]; dup {
-			return nil, fmt.Errorf("topology config %q: duplicate vertex %q", c.Name, h)
+		if err := gen.Check(c.Params); err != nil {
+			return nil, c.errorf("%w", err)
 		}
-		ids[h] = g.AddHost(h, c.Coords[h]...)
-	}
-	for i, l := range c.Links {
-		a, ok := ids[l.A]
-		if !ok {
-			return nil, fmt.Errorf("topology config %q: link %d references unknown vertex %q", c.Name, i, l.A)
+		g = gen.build(c.Params)
+		if c.Name != "" {
+			g.Name = c.Name
 		}
-		b, ok := ids[l.B]
-		if !ok {
-			return nil, fmt.Errorf("topology config %q: link %d references unknown vertex %q", c.Name, i, l.B)
-		}
-		switch {
-		case l.APort > 0 && l.BPort > 0:
-			g.ConnectPorts(a, l.APort, b, l.BPort)
-		case l.APort == 0 && l.BPort == 0:
-			g.Connect(a, b)
-		default:
-			return nil, fmt.Errorf("topology config %q: link %d must pin both ports or neither", c.Name, i)
+	} else {
+		var err error
+		if g, err = c.explicit(); err != nil {
+			return nil, err
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -80,76 +68,54 @@ func (c *Config) Build() (*Graph, error) {
 	return g, nil
 }
 
-func buildGenerator(c *Config) (*Graph, error) {
-	need := func(n int) error {
-		if len(c.Params) != n {
-			return fmt.Errorf("topology config %q: generator %q needs %d params, got %d",
-				c.Name, c.Generator, n, len(c.Params))
+// explicit builds a config's listed vertices and links.
+func (c *Config) explicit() (*Graph, error) {
+	g := New(c.Name)
+	g.Family = familyOf(c.Name)
+	ids := make(map[string]int, len(c.Switches)+len(c.Hosts))
+	for _, s := range c.Switches {
+		if _, dup := ids[s]; dup {
+			return nil, c.errorf("duplicate vertex %q", s)
 		}
-		return nil
+		ids[s] = g.AddSwitch(s, c.Coords[s]...)
 	}
-	p := c.Params
-	var g *Graph
-	var err error
-	switch strings.ToLower(c.Generator) {
-	case "fattree":
-		if err = need(1); err == nil {
-			g = FatTree(p[0])
+	for _, h := range c.Hosts {
+		if _, dup := ids[h]; dup {
+			return nil, c.errorf("duplicate vertex %q", h)
 		}
-	case "dragonfly":
-		if err = need(4); err == nil {
-			g = Dragonfly(p[0], p[1], p[2], p[3])
-		}
-	case "mesh2d":
-		if err = need(3); err == nil {
-			g = Mesh2D(p[0], p[1], p[2])
-		}
-	case "mesh3d":
-		if err = need(4); err == nil {
-			g = Mesh3D(p[0], p[1], p[2], p[3])
-		}
-	case "torus2d":
-		if err = need(3); err == nil {
-			g = Torus2D(p[0], p[1], p[2])
-		}
-	case "torus3d":
-		if err = need(4); err == nil {
-			g = Torus3D(p[0], p[1], p[2], p[3])
-		}
-	case "bcube":
-		if err = need(2); err == nil {
-			g = BCube(p[0], p[1])
-		}
-	case "hyperbcube":
-		if err = need(2); err == nil {
-			g = HyperBCube(p[0], p[1])
-		}
-	case "line":
-		if err = need(2); err == nil {
-			g = Line(p[0], p[1])
-		}
-	case "ring":
-		if err = need(2); err == nil {
-			g = Ring(p[0], p[1])
-		}
-	case "star":
-		if err = need(2); err == nil {
-			g = Star(p[0], p[1])
-		}
-	case "fullmesh":
-		if err = need(2); err == nil {
-			g = FullMesh(p[0], p[1])
-		}
-	default:
-		return nil, fmt.Errorf("topology config %q: unknown generator %q", c.Name, c.Generator)
+		ids[h] = g.AddHost(h, c.Coords[h]...)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if c.Name != "" {
-		g.Name = c.Name
+	for i, l := range c.Links {
+		a, ok := ids[l.A]
+		if !ok {
+			return nil, c.errorf("link %d references unknown vertex %q", i, l.A)
+		}
+		b, ok := ids[l.B]
+		if !ok {
+			return nil, c.errorf("link %d references unknown vertex %q", i, l.B)
+		}
+		switch {
+		case a == b:
+			return nil, c.errorf("link %d joins %q to itself", i, l.A)
+		case l.APort < 0 || l.BPort < 0:
+			return nil, c.errorf("link %d pins ports %d and %d; ports must be positive", i, l.APort, l.BPort)
+		case l.APort > 0 && l.BPort > 0:
+			g.ConnectPorts(a, l.APort, b, l.BPort)
+		case l.APort == 0 && l.BPort == 0:
+			g.Connect(a, b)
+		default:
+			return nil, c.errorf("link %d must pin both ports or neither", i)
+		}
 	}
 	return g, nil
+}
+
+// errorf reports a fault of the configuration, named by its name.
+func (c *Config) errorf(format string, args ...any) error {
+	if c.Name == "" {
+		return fmt.Errorf("topology config: "+format, args...)
+	}
+	return fmt.Errorf("topology config %q: "+format, append([]any{c.Name}, args...)...)
 }
 
 // ToConfig converts a Graph back into an explicit (non-generator)

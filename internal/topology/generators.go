@@ -1,6 +1,96 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
+
+// Generator is one row of the generator table: what a topology
+// configuration file, topogen and the routing layer know of one
+// standard topology.
+type Generator struct {
+	Name    string   // the config's "generator" value and the graph's Family
+	Params  []string // parameter names, in order
+	Doc     string   // one-line description
+	Example []int    // a small parameter list the generator accepts
+	check   func(p []int) error
+	build   func(p []int) *Graph
+}
+
+// Generators is the generator table, in topogen -list order. A row's
+// check is its generator function's precondition (check.go).
+var Generators = []Generator{
+	{"fattree", []string{"k"}, "k-ary fat-tree (k even)", []int{4},
+		func(p []int) error { return checkFatTree(p[0]) },
+		func(p []int) *Graph { return FatTree(p[0]) }},
+	{"dragonfly", []string{"a", "g", "h", "p"}, "Dragonfly: a routers/group, g groups, h global links/router, p hosts/router", []int{4, 9, 2, 1},
+		func(p []int) error { return checkDragonfly(p[0], p[1], p[2], p[3]) },
+		func(p []int) *Graph { return Dragonfly(p[0], p[1], p[2], p[3]) }},
+	{"mesh2d", []string{"w", "h", "hosts"}, "2D mesh", []int{4, 4, 1},
+		func(p []int) error { return checkGrid2D("mesh2d", false, p[0], p[1], p[2]) },
+		func(p []int) *Graph { return Mesh2D(p[0], p[1], p[2]) }},
+	{"mesh3d", []string{"x", "y", "z", "hosts"}, "3D mesh", []int{3, 3, 3, 1},
+		func(p []int) error { return checkGrid3D("mesh3d", false, p[0], p[1], p[2], p[3]) },
+		func(p []int) *Graph { return Mesh3D(p[0], p[1], p[2], p[3]) }},
+	{"torus2d", []string{"w", "h", "hosts"}, "2D torus", []int{4, 4, 1},
+		func(p []int) error { return checkGrid2D("torus2d", true, p[0], p[1], p[2]) },
+		func(p []int) *Graph { return Torus2D(p[0], p[1], p[2]) }},
+	{"torus3d", []string{"x", "y", "z", "hosts"}, "3D torus", []int{3, 3, 3, 1},
+		func(p []int) error { return checkGrid3D("torus3d", true, p[0], p[1], p[2], p[3]) },
+		func(p []int) *Graph { return Torus3D(p[0], p[1], p[2], p[3]) }},
+	{"bcube", []string{"n", "k"}, "BCube(n,k) with host switches", []int{4, 1},
+		func(p []int) error { return checkBCube(p[0], p[1]) },
+		func(p []int) *Graph { return BCube(p[0], p[1]) }},
+	{"hyperbcube", []string{"n", "l"}, "Hyper-BCube-style 2D server-centric", []int{2, 2},
+		func(p []int) error { return checkHyperBCube(p[0], p[1]) },
+		func(p []int) *Graph { return HyperBCube(p[0], p[1]) }},
+	{"line", []string{"n", "hosts"}, "chain of n switches", []int{8, 1},
+		func(p []int) error { return checkLine(p[0], p[1]) },
+		func(p []int) *Graph { return Line(p[0], p[1]) }},
+	{"ring", []string{"n", "hosts"}, "cycle of n switches", []int{6, 1},
+		func(p []int) error { return checkRing(p[0], p[1]) },
+		func(p []int) *Graph { return Ring(p[0], p[1]) }},
+	{"star", []string{"n", "hosts"}, "hub + n leaves", []int{5, 1},
+		func(p []int) error { return checkStar(p[0], p[1]) },
+		func(p []int) *Graph { return Star(p[0], p[1]) }},
+	{"fullmesh", []string{"n", "hosts"}, "complete graph", []int{5, 1},
+		func(p []int) error { return checkFullMesh(p[0], p[1]) },
+		func(p []int) *Graph { return FullMesh(p[0], p[1]) }},
+}
+
+// Check reports whether p is a parameter list the generator accepts:
+// one value per parameter, inside the generator's domain, for a graph
+// of at most maxGeneratedSize vertices and edges.
+func (gen *Generator) Check(p []int) error {
+	if len(p) != len(gen.Params) {
+		return fmt.Errorf("generator %q needs %d params (%s), got %d",
+			gen.Name, len(gen.Params), strings.Join(gen.Params, ","), len(p))
+	}
+	return gen.check(p)
+}
+
+// generatorNamed returns the row named name, ignoring case, or nil.
+func generatorNamed(name string) *Generator {
+	for i := range Generators {
+		if strings.EqualFold(Generators[i].Name, name) {
+			return &Generators[i]
+		}
+	}
+	return nil
+}
+
+// familyOf returns the family an explicit configuration's name
+// declares: the row whose name prefixes it, or "". A generated graph's
+// default name starts with its family, so a file written from one
+// reads back as the same family.
+func familyOf(name string) string {
+	for i := range Generators {
+		if strings.HasPrefix(name, Generators[i].Name) {
+			return Generators[i].Name
+		}
+	}
+	return ""
+}
 
 // FatTree builds a standard k-ary fat-tree (Al-Fares et al., SIGCOMM'08):
 // k pods, each with k/2 edge and k/2 aggregation switches, (k/2)^2 core
@@ -10,10 +100,8 @@ import "fmt"
 // switches carry {layer, pod, index} with layer 1 = aggregation and
 // layer 2 = edge; hosts carry {3, pod, edge, slot}.
 func FatTree(k int) *Graph {
-	if k < 2 || k%2 != 0 {
-		panic(fmt.Sprintf("topology: FatTree(%d): k must be even and >= 2", k))
-	}
-	g := New(fmt.Sprintf("fattree-k%d", k))
+	must(checkFatTree(k))
+	g := generated("fattree", "fattree-k%d", k)
 	half := k / 2
 	// 5k²/4 switches, k³/4 hosts; k³/2 switch links and k³/4 host links.
 	g.reserve(half*half+k*k, k*k*half/2, k*k*half+k*half*half)
@@ -67,13 +155,8 @@ func FatTree(k int) *Graph {
 // Coordinates: switches carry {group, router}; hosts carry
 // {group, router, slot}.
 func Dragonfly(a, g, h, p int) *Graph {
-	if a < 1 || g < 2 || h < 1 || p < 0 {
-		panic(fmt.Sprintf("topology: Dragonfly(%d,%d,%d,%d): invalid parameters", a, g, h, p))
-	}
-	if g > a*h+1 {
-		panic(fmt.Sprintf("topology: Dragonfly: g=%d exceeds a*h+1=%d", g, a*h+1))
-	}
-	gr := New(fmt.Sprintf("dragonfly-a%d-g%d-h%d", a, g, h))
+	must(checkDragonfly(a, g, h, p))
+	gr := generated("dragonfly", "dragonfly-a%d-g%d-h%d", a, g, h)
 	routers := make([][]int, g)
 	for grp := 0; grp < g; grp++ {
 		routers[grp] = make([]int, a)
@@ -119,89 +202,29 @@ func Dragonfly(a, g, h, p int) *Graph {
 // Mesh2D builds a w x h 2D mesh with hostsPer hosts attached to each
 // switch. Switch coordinates are {x, y}; hosts carry {x, y, slot}.
 func Mesh2D(w, h, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("mesh2d-%dx%d", w, h))
-	grid := gridSwitches(g, w, h)
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			if x+1 < w {
-				g.Connect(grid[x][y], grid[x+1][y])
-			}
-			if y+1 < h {
-				g.Connect(grid[x][y], grid[x][y+1])
-			}
-		}
-	}
-	attachGridHosts(g, grid, hostsPer)
-	return g
+	must(checkGrid2D("mesh2d", false, w, h, hostsPer))
+	return grid2D(generated("mesh2d", "mesh2d-%dx%d", w, h), w, h, hostsPer, false)
 }
 
-// Torus2D builds a w x h 2D torus (wrap-around mesh). For w or h equal
-// to 2 the wrap link would duplicate the mesh link, so it is skipped,
-// matching common practice.
+// Torus2D builds a w x h 2D torus (wrap-around mesh), laid out as
+// Mesh2D. For w or h equal to 2 the wrap link would duplicate the mesh
+// link, so it is skipped, matching common practice.
 func Torus2D(w, h, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("torus2d-%dx%d", w, h))
-	grid := gridSwitches(g, w, h)
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			nx := (x + 1) % w
-			ny := (y + 1) % h
-			if w > 1 && (x+1 < w || w > 2) {
-				g.Connect(grid[x][y], grid[nx][y])
-			}
-			if h > 1 && (y+1 < h || h > 2) {
-				g.Connect(grid[x][y], grid[x][ny])
-			}
-		}
-	}
-	attachGridHosts(g, grid, hostsPer)
-	return g
+	must(checkGrid2D("torus2d", true, w, h, hostsPer))
+	return grid2D(generated("torus2d", "torus2d-%dx%d", w, h), w, h, hostsPer, true)
 }
 
 // Mesh3D builds an x*y*z 3D mesh. Switch coordinates are {i, j, k}.
 func Mesh3D(x, y, z, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("mesh3d-%dx%dx%d", x, y, z))
-	grid := grid3D(g, x, y, z)
-	for i := 0; i < x; i++ {
-		for j := 0; j < y; j++ {
-			for k := 0; k < z; k++ {
-				if i+1 < x {
-					g.Connect(grid[i][j][k], grid[i+1][j][k])
-				}
-				if j+1 < y {
-					g.Connect(grid[i][j][k], grid[i][j+1][k])
-				}
-				if k+1 < z {
-					g.Connect(grid[i][j][k], grid[i][j][k+1])
-				}
-			}
-		}
-	}
-	attach3DHosts(g, grid, hostsPer)
-	return g
+	must(checkGrid3D("mesh3d", false, x, y, z, hostsPer))
+	return grid3D(generated("mesh3d", "mesh3d-%dx%dx%d", x, y, z), x, y, z, hostsPer, false)
 }
 
 // Torus3D builds an x*y*z 3D torus (wrap-around in all dimensions, wrap
-// skipped on dimensions of size <= 2 as in Torus2D).
+// skipped on dimensions of size <= 2 as in Torus2D), laid out as Mesh3D.
 func Torus3D(x, y, z, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("torus3d-%dx%dx%d", x, y, z))
-	grid := grid3D(g, x, y, z)
-	for i := 0; i < x; i++ {
-		for j := 0; j < y; j++ {
-			for k := 0; k < z; k++ {
-				if x > 1 && (i+1 < x || x > 2) {
-					g.Connect(grid[i][j][k], grid[(i+1)%x][j][k])
-				}
-				if y > 1 && (j+1 < y || y > 2) {
-					g.Connect(grid[i][j][k], grid[i][(j+1)%y][k])
-				}
-				if z > 1 && (k+1 < z || z > 2) {
-					g.Connect(grid[i][j][k], grid[i][j][(k+1)%z])
-				}
-			}
-		}
-	}
-	attach3DHosts(g, grid, hostsPer)
-	return g
+	must(checkGrid3D("torus3d", true, x, y, z, hostsPer))
+	return grid3D(generated("torus3d", "torus3d-%dx%dx%d", x, y, z), x, y, z, hostsPer, true)
 }
 
 // BCube builds a BCube(n, k) (Guo et al., SIGCOMM'09): a server-centric
@@ -212,10 +235,8 @@ func Torus3D(x, y, z, hostsPer int) *Graph {
 // host switch. Level-l switch coordinates are {l, index}; host switches
 // carry {k+1, serverIndex}.
 func BCube(n, k int) *Graph {
-	if n < 2 || k < 0 {
-		panic(fmt.Sprintf("topology: BCube(%d,%d): need n>=2, k>=0", n, k))
-	}
-	g := New(fmt.Sprintf("bcube-n%d-k%d", n, k))
+	must(checkBCube(n, k))
+	g := generated("bcube", "bcube-n%d-k%d", n, k)
 	nHosts := pow(n, k+1)
 	hostSw := make([]int, nHosts)
 	for i := 0; i < nHosts; i++ {
@@ -250,10 +271,8 @@ func BCube(n, k int) *Graph {
 // simplified but structurally faithful variant of the published
 // wiring). Host switches front each server as in BCube.
 func HyperBCube(n, l int) *Graph {
-	if n < 2 || l < 1 {
-		panic(fmt.Sprintf("topology: HyperBCube(%d,%d): need n>=2, l>=1", n, l))
-	}
-	g := New(fmt.Sprintf("hyperbcube-n%d-l%d", n, l))
+	must(checkHyperBCube(n, l))
+	g := generated("hyperbcube", "hyperbcube-n%d-l%d", n, l)
 	rows := n
 	cols := n * l
 	hostSw := make([][]int, rows)
@@ -292,7 +311,8 @@ func HyperBCube(n, l int) *Graph {
 // Line builds n switches in a path, hostsPer hosts each. The paper's
 // Fig. 10 latency topology is Line(8, 1).
 func Line(n, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("line-%d", n))
+	must(checkLine(n, hostsPer))
+	g := generated("line", "line-%d", n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		s := g.AddSwitch(fmt.Sprintf("s%d", i), i)
@@ -310,13 +330,14 @@ func Line(n, hostsPer int) *Graph {
 
 // Ring builds n switches in a cycle with hostsPer hosts each.
 func Ring(n, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("ring-%d", n))
+	must(checkRing(n, hostsPer))
+	g := generated("ring", "ring-%d", n)
 	sw := make([]int, n)
 	for i := 0; i < n; i++ {
 		sw[i] = g.AddSwitch(fmt.Sprintf("s%d", i), i)
 	}
 	for i := 0; i < n; i++ {
-		if n > 1 && (i+1 < n || n > 2) {
+		if linked(i, n, true) {
 			g.Connect(sw[i], sw[(i+1)%n])
 		}
 	}
@@ -331,7 +352,8 @@ func Ring(n, hostsPer int) *Graph {
 
 // Star builds one hub switch with n leaf switches, hostsPer hosts per leaf.
 func Star(n, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("star-%d", n))
+	must(checkStar(n, hostsPer))
+	g := generated("star", "star-%d", n)
 	hub := g.AddSwitch("hub", 0)
 	for i := 0; i < n; i++ {
 		leaf := g.AddSwitch(fmt.Sprintf("leaf%d", i), i+1)
@@ -346,7 +368,8 @@ func Star(n, hostsPer int) *Graph {
 
 // FullMesh builds n switches, each pair directly linked, hostsPer hosts each.
 func FullMesh(n, hostsPer int) *Graph {
-	g := New(fmt.Sprintf("fullmesh-%d", n))
+	must(checkFullMesh(n, hostsPer))
+	g := generated("fullmesh", "fullmesh-%d", n)
 	sw := make([]int, n)
 	for i := 0; i < n; i++ {
 		sw[i] = g.AddSwitch(fmt.Sprintf("s%d", i), i)
@@ -362,6 +385,61 @@ func FullMesh(n, hostsPer int) *Graph {
 			g.Connect(sw[i], hv)
 		}
 	}
+	return g
+}
+
+// grid2D lays a w x h grid of switches out on g, links each switch to
+// its successor along x and then along y where linked says so, and
+// attaches hostsPer hosts to each switch.
+func grid2D(g *Graph, w, h, hostsPer int, wrap bool) *Graph {
+	grid := gridSwitches(g, w, h)
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			if linked(x, w, wrap) {
+				g.Connect(grid[x][y], grid[(x+1)%w][y])
+			}
+			if linked(y, h, wrap) {
+				g.Connect(grid[x][y], grid[x][(y+1)%h])
+			}
+		}
+	}
+	attachGridHosts(g, grid, hostsPer)
+	return g
+}
+
+// grid3D is grid2D in three dimensions.
+func grid3D(g *Graph, x, y, z, hostsPer int, wrap bool) *Graph {
+	grid := gridSwitches3D(g, x, y, z)
+	for i := 0; i < x; i++ {
+		for j := 0; j < y; j++ {
+			for k := 0; k < z; k++ {
+				if linked(i, x, wrap) {
+					g.Connect(grid[i][j][k], grid[(i+1)%x][j][k])
+				}
+				if linked(j, y, wrap) {
+					g.Connect(grid[i][j][k], grid[i][(j+1)%y][k])
+				}
+				if linked(k, z, wrap) {
+					g.Connect(grid[i][j][k], grid[i][j][(k+1)%z])
+				}
+			}
+		}
+	}
+	attach3DHosts(g, grid, hostsPer)
+	return g
+}
+
+// linked reports whether switch i of a row of n links to switch
+// (i+1) mod n: every switch but the last does, and the last does when
+// the row wraps and is longer than 2 (on 2 switches the wrap link would
+// repeat the row's one link). along counts these links.
+func linked(i, n int, wrap bool) bool { return i+1 < n || wrap && n > 2 }
+
+// generated returns an empty graph of a generator family, named by
+// format and args.
+func generated(family, format string, args ...any) *Graph {
+	g := New(fmt.Sprintf(format, args...))
+	g.Family = family
 	return g
 }
 
@@ -387,7 +465,7 @@ func attachGridHosts(g *Graph, grid [][]int, hostsPer int) {
 	}
 }
 
-func grid3D(g *Graph, x, y, z int) [][][]int {
+func gridSwitches3D(g *Graph, x, y, z int) [][][]int {
 	grid := make([][][]int, x)
 	for i := 0; i < x; i++ {
 		grid[i] = make([][]int, y)

@@ -74,7 +74,12 @@ func (e Edge) PortAt(v int) int {
 
 // Graph is a logical topology: the input to Topology Projection.
 type Graph struct {
-	Name     string
+	Name string
+	// Family is the generator-table row the graph's shape comes from
+	// ("fattree", "torus2d", ...; see Generators), or "" for any other
+	// shape. Routing picks a topology's Table III strategy by it, so
+	// renaming a graph does not change how it is routed.
+	Family   string
 	Vertices []Vertex
 	Edges    []Edge
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -324,47 +325,45 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigGenerators builds every row's example through a config:
+// the graph validates and carries the row's name as its Family, its
+// default name declares that family, and a config name replaces the
+// name but not the family. The generator name is matched ignoring case.
 func TestConfigGenerators(t *testing.T) {
-	cases := []Config{
-		{Name: "ft", Generator: "fattree", Params: []int{4}},
-		{Name: "df", Generator: "dragonfly", Params: []int{4, 9, 2, 1}},
-		{Name: "t2", Generator: "torus2d", Params: []int{5, 5, 1}},
-		{Name: "t3", Generator: "torus3d", Params: []int{4, 4, 4, 1}},
-		{Name: "m2", Generator: "mesh2d", Params: []int{3, 3, 1}},
-		{Name: "m3", Generator: "mesh3d", Params: []int{2, 2, 2, 1}},
-		{Name: "bc", Generator: "bcube", Params: []int{4, 1}},
-		{Name: "hb", Generator: "hyperbcube", Params: []int{2, 2}},
-		{Name: "ln", Generator: "line", Params: []int{8, 1}},
-		{Name: "rg", Generator: "ring", Params: []int{6, 1}},
-		{Name: "st", Generator: "star", Params: []int{4, 1}},
-		{Name: "fm", Generator: "fullmesh", Params: []int{4, 1}},
-	}
-	for _, c := range cases {
-		g, err := c.Build()
-		if err != nil {
-			t.Errorf("%s: %v", c.Name, err)
-			continue
-		}
-		if g.Name != c.Name {
-			t.Errorf("generator %s: name = %q, want %q", c.Generator, g.Name, c.Name)
-		}
-		if err := g.Validate(); err != nil {
-			t.Errorf("%s: %v", c.Name, err)
+	for _, gen := range Generators {
+		for _, name := range []string{"", "lab"} {
+			c := Config{Name: name, Generator: strings.ToUpper(gen.Name), Params: gen.Example}
+			g, err := c.Build()
+			if err != nil {
+				t.Fatalf("%s%v: %v", gen.Name, gen.Example, err)
+			}
+			if g.Family != gen.Name {
+				t.Errorf("%s (name %q): Family = %q", gen.Name, name, g.Family)
+			}
+			if name == "" && familyOf(g.Name) != gen.Name {
+				t.Errorf("%s: default name %q declares family %q", gen.Name, g.Name, familyOf(g.Name))
+			}
+			if name != "" && g.Name != name {
+				t.Errorf("%s: Name = %q, want %q", gen.Name, g.Name, name)
+			}
 		}
 	}
 }
 
+// TestConfigErrors pins the message of every fault in badConfigs.
 func TestConfigErrors(t *testing.T) {
-	bad := []Config{
-		{Name: "x", Generator: "nope"},
-		{Name: "x", Generator: "fattree", Params: []int{1, 2}},
-		{Name: "x", Switches: []string{"a", "a"}},
-		{Name: "x", Switches: []string{"a"}, Links: []LinkConfig{{A: "a", B: "zz"}}},
-		{Name: "x", Switches: []string{"a", "b"}, Links: []LinkConfig{{A: "a", B: "b", APort: 1}}},
-	}
-	for i, c := range bad {
-		if _, err := c.Build(); err == nil {
-			t.Errorf("case %d: Build accepted invalid config", i)
+	for _, c := range badConfigs {
+		cfg, err := ReadConfig(strings.NewReader(c.json))
+		if err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		g, err := cfg.Build()
+		if err == nil {
+			t.Errorf("%s: built %v", c.json, g)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.json, err, c.want)
 		}
 	}
 }
