@@ -171,21 +171,44 @@ func TestReconfigureTranscript(t *testing.T) {
 
 // TestRenamedDragonflyDeploys: naming a generator config does not
 // change its routing, so a renamed Dragonfly still gets its
-// deadlock-free minimal routes and the same flow entries.
+// deadlock-free minimal routes and the same flow entries — from the
+// generator config, and from the explicit file topogen writes for it,
+// which carries the family in its "family" field.
 func TestRenamedDragonflyDeploys(t *testing.T) {
 	dir := t.TempDir()
+	lab := filepath.Join(dir, "lab-topogen.json")
+	if _, errOut, code := exe(t, "topogen", "-gen", "dragonfly", "-params", "4,9,2,1", "-name", "lab", "-o", lab); code != 0 {
+		t.Fatalf("topogen: exit %d: %s", code, errOut)
+	}
 	var entries []int
-	for _, name := range []string{"", "lab"} {
-		path := write(t, dir, "df"+name+".json",
-			fmt.Sprintf(`{"name":%q,"generator":"dragonfly","params":[4,9,2,1]}`, name))
+	for _, path := range []string{
+		write(t, dir, "df.json", `{"generator":"dragonfly","params":[4,9,2,1]}`),
+		write(t, dir, "dflab.json", `{"name":"lab","generator":"dragonfly","params":[4,9,2,1]}`),
+		lab,
+	} {
 		out, errOut, code := exe(t, "sdtctl", "-deploy", path, "-json")
 		var rep ctlReport
 		if err := json.Unmarshal([]byte(out), &rep); err != nil || code != 0 || len(rep.Results) != 1 {
-			t.Fatalf("name %q: exit %d, %v\nstdout:\n%s\nstderr:\n%s", name, code, err, out, errOut)
+			t.Fatalf("%s: exit %d, %v\nstdout:\n%s\nstderr:\n%s", filepath.Base(path), code, err, out, errOut)
 		}
 		entries = append(entries, rep.Results[0].Entries)
 	}
-	if entries[0] != entries[1] || entries[0] == 0 {
-		t.Errorf("entries: unnamed %d, renamed %d", entries[0], entries[1])
+	if entries[0] != entries[1] || entries[0] != entries[2] || entries[0] == 0 {
+		t.Errorf("entries: unnamed %d, renamed %d, renamed topogen file %d", entries[0], entries[1], entries[2])
+	}
+}
+
+// TestNoSwitchesSaysSo: a topology with no switches fails -check and
+// -deploy with the reason.
+func TestNoSwitchesSaysSo(t *testing.T) {
+	x := write(t, t.TempDir(), "x.json", `{"name":"x"}`)
+	for _, c := range []struct{ action, want string }{
+		{"-check", "sdtctl: check x: projection: topology \"x\" has no switches to project\n"},
+		{"-deploy", "sdtctl: plan " + x + ": projection: topology \"x\" has no switches to project\n"},
+	} {
+		out, errOut, code := exe(t, "sdtctl", c.action, x)
+		if code != 1 || out != "" || errOut != c.want {
+			t.Errorf("%s: exit %d\nstdout:\n%s\nstderr:\n%s\nwant stderr:\n%s", c.action, code, out, errOut, c.want)
+		}
 	}
 }

@@ -44,8 +44,8 @@
 //     order.
 //
 // A closure convenience API (At/After) remains for cold paths such as
-// measurement sampling; it rides the same typed machinery through an
-// internal function-calling handler.
+// measurement sampling; it rides the same typed machinery: the closure
+// waits in an engine-side table, and its event names the slot by Ref.
 //
 // Cancellation: Run can be stopped from outside the event loop via a
 // cooperative stop flag (SetStop). The flag is checked every
@@ -77,13 +77,15 @@ const (
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Event is the inline payload of a scheduled occurrence. Kind
-// discriminates event types within one handler; A and B carry integer
-// arguments and Ptr a single reference — enough for every event in the
-// simulator without a per-event allocation.
+// discriminates event types within one handler; Ref names an object in
+// the handler's own storage (a packet, a port, a rank) by index, and A
+// and B carry integer arguments — enough for every event in the
+// simulator without a per-event allocation. It holds no pointer, so a
+// record's only pointer is its Handler.
 type Event struct {
 	Kind int32
+	Ref  int32
 	A, B int64
-	Ptr  any
 }
 
 // Handler consumes fired events. Implementations are long-lived
@@ -100,11 +102,20 @@ type Callback struct {
 	Ev Event
 }
 
-// funcHandler invokes a stored closure; it backs the At/After
-// convenience API. The zero-size value boxes without allocating.
-type funcHandler struct{}
+// closures backs the At/After convenience API: a closure waits in fns
+// until its event, which names the slot by Ref, fires; free lists the
+// empty slots.
+type closures struct {
+	fns  []func()
+	free []int32
+}
 
-func (funcHandler) OnEvent(_ Time, ev Event) { ev.Ptr.(func())() }
+func (c *closures) OnEvent(_ Time, ev Event) {
+	fn := c.fns[ev.Ref]
+	c.fns[ev.Ref] = nil
+	c.free = append(c.free, ev.Ref)
+	fn()
+}
 
 // Handle identifies a pending event for Cancel. The zero
 // Handle is never live, so uninitialised fields are safe to cancel.
@@ -113,9 +124,10 @@ type Handle struct {
 	gen  uint32
 }
 
-// record is one slab entry. gen increments on every release, so stale
-// Handles and the queue entries of cancelled events die; a free slot's
-// gen has never been handed out.
+// record is one slab entry, 48 bytes with the Handler its only
+// pointer. gen increments on every release, so stale Handles and the
+// queue entries of cancelled events die; a free slot's gen has never
+// been handed out.
 type record struct {
 	h   Handler
 	ev  Event
@@ -198,6 +210,8 @@ type Engine struct {
 	// a true load makes Run return early, events still queued.
 	stop   *atomic.Bool
 	stride int64
+
+	fns closures // At/After's closures
 }
 
 // New returns a scheduler at time zero.
@@ -243,7 +257,19 @@ func (e *Engine) ScheduleAfter(d Time, h Handler, ev Event) Handle {
 func (e *Engine) Post(t Time, cb Callback) Handle { return e.Schedule(t, cb.H, cb.Ev) }
 
 // At schedules fn at absolute time t (closure convenience; cold paths).
-func (e *Engine) At(t Time, fn func()) { e.Schedule(t, funcHandler{}, Event{Ptr: fn}) }
+func (e *Engine) At(t Time, fn func()) {
+	c := &e.fns
+	var i int32
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		c.fns = append(c.fns, nil)
+		i = int32(len(c.fns) - 1)
+	}
+	c.fns[i] = fn
+	e.Schedule(t, c, Event{Ref: i})
+}
 
 // After schedules fn d after now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
@@ -269,12 +295,11 @@ func (e *Engine) Cancel(hd Handle) bool {
 	return true
 }
 
-// release recycles a slot onto the free list, clearing references so
-// the GC can reclaim payloads, and invalidates outstanding handles.
+// release recycles a slot onto the free list and invalidates
+// outstanding handles. Events hold no pointer and handlers are
+// long-lived, so nothing needs clearing for the GC.
 func (e *Engine) release(slot int32) {
-	r := &e.recs[slot]
-	r.h, r.ev = nil, Event{}
-	r.gen++
+	e.recs[slot].gen++
 	e.free = append(e.free, slot)
 }
 

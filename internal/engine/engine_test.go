@@ -3,6 +3,7 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // recorder collects fired event identifiers.
@@ -112,15 +113,44 @@ func TestRunLimitInPastKeepsClock(t *testing.T) {
 	}
 }
 
+// refRecorder collects fired events' Ref.
+type refRecorder struct{ got []int32 }
+
+func (r *refRecorder) OnEvent(_ Time, ev Event) { r.got = append(r.got, ev.Ref) }
+
+// TestCallbacksAndClosures: a posted Callback delivers its Ref, and
+// closures fire in time order, including one that a closure schedules
+// into the slot it has just vacated.
 func TestCallbacksAndClosures(t *testing.T) {
 	e := New()
 	var order []string
-	cb := Callback{H: funcHandler{}, Ev: Event{Ptr: func() { order = append(order, "cb") }}}
-	e.Post(5, cb)
-	e.After(10, func() { order = append(order, "after") })
+	r := &refRecorder{}
+	e.Post(5, Callback{H: r, Ev: Event{Ref: 7}})
+	e.After(10, func() {
+		order = append(order, "after")
+		e.After(1, func() { order = append(order, "nested") })
+	})
+	e.At(20, func() { order = append(order, "at") })
 	e.Run(0)
-	if len(order) != 2 || order[0] != "cb" || order[1] != "after" {
+	if len(r.got) != 1 || r.got[0] != 7 {
+		t.Fatalf("callback got refs %v, want [7]", r.got)
+	}
+	if len(order) != 3 || order[0] != "after" || order[1] != "nested" || order[2] != "at" {
 		t.Fatalf("order = %v", order)
+	}
+	if len(e.fns.fns) != 2 || len(e.fns.free) != 2 {
+		t.Errorf("closure table holds %d slots, %d free; want 2 and 2", len(e.fns.fns), len(e.fns.free))
+	}
+}
+
+// TestRecordSize pins the slab layout: an Event is three words and no
+// pointer, and a record (Handler, Event, generation) fits 48 bytes.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 24 {
+		t.Errorf("Event is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(record{}); n > 48 {
+		t.Errorf("record is %d bytes, want <= 48", n)
 	}
 }
 

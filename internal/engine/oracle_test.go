@@ -241,7 +241,7 @@ type queue interface {
 }
 
 // fuzzDriver replays one op stream on one engine and writes everything
-// observable — fired (time, handler, payload), Cancel and Step results,
+// observable — fired (time, handler, A and Ref), Cancel and Step results,
 // Run's return, Pending — to a transcript.
 type fuzzDriver struct {
 	q       queue
@@ -259,7 +259,7 @@ type fuzzHandler struct {
 }
 
 func (h *fuzzHandler) OnEvent(now Time, ev Event) {
-	h.d.out = append(h.d.out, int64(now), h.id, ev.A)
+	h.d.out = append(h.d.out, int64(now), h.id, ev.A, int64(ev.Ref))
 	if ev.B > 0 {
 		h.d.schedule(now+Time(ev.B-1)*100, int(h.id), ev.B-1)
 	}
@@ -273,7 +273,7 @@ func newFuzzDriver(q queue) *fuzzDriver {
 
 func (d *fuzzDriver) schedule(t Time, h int, chain int64) {
 	d.next++
-	d.handles = append(d.handles, d.q.Schedule(t, d.hs[h&1], Event{A: d.next, B: chain}))
+	d.handles = append(d.handles, d.q.Schedule(t, d.hs[h&1], Event{Ref: int32(d.next * 0x9e3779b1), A: d.next, B: chain}))
 }
 
 func b2i(b bool) int64 {
@@ -413,7 +413,7 @@ func checkStorage(t testing.TB, e *Engine, peak int) {
 
 // FuzzEngineOracle drives the radix queue and the binary-heap oracle
 // with the same operation stream and requires identical transcripts:
-// fired (time, handler, payload) order, Cancel and Step results,
+// fired (time, handler, A and Ref) order, Cancel and Step results,
 // Run's return and Pending after every operation.
 func FuzzEngineOracle(f *testing.F) {
 	// Run(limit) peeks a key past the limit (last = 700 > now = 150),

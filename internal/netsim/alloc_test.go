@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -24,29 +23,11 @@ func fatTreeNet(t testing.TB) (*Network, []int) {
 	return net, g.Hosts()
 }
 
-// poolKeepsItems reports whether sync.Pool hands back what was just
-// put. Under the race detector it drops items at random, so pooled
-// packets are reallocated and allocation counts say nothing.
-func poolKeepsItems() bool {
-	var p sync.Pool
-	for i := 0; i < 64; i++ {
-		x := new(int)
-		p.Put(x)
-		if p.Get() != x {
-			return false
-		}
-	}
-	return true
-}
-
 // marginalAllocs returns the allocations per unit that a run of hi
 // units makes beyond a run of lo units: the fabric build and the
 // warm-up of slices and maps cancel, what each message or flow costs
 // does not.
 func marginalAllocs(t *testing.T, lo, hi int, run func(n int)) float64 {
-	if !poolKeepsItems() {
-		t.Skip("sync.Pool drops items (race detector): packet allocations are not the code's")
-	}
 	a := testing.AllocsPerRun(3, func() { run(lo) })
 	b := testing.AllocsPerRun(3, func() { run(hi) })
 	return (b - a) / float64(hi-lo)
@@ -118,11 +99,57 @@ func TestOpenLoopAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestRoceQPFitsItsSizeClass keeps a queue pair in the 80-byte size
-// class: a host opens one per peer, so a bigger QP shows in the bytes
-// every packet cell allocates.
+// TestRoceQPFitsItsSizeClass keeps a queue pair at 32 bytes: a host
+// opens one per peer and the qps slab holds them inline, so a bigger
+// QP shows in the bytes every packet cell allocates.
 func TestRoceQPFitsItsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(roceQP{}); n > 80 {
-		t.Errorf("roceQP is %d bytes, want <= 80", n)
+	if n := unsafe.Sizeof(roceQP{}); n > 32 {
+		t.Errorf("roceQP is %d bytes, want <= 32", n)
+	}
+}
+
+// TestNewPairAllocsBounded opens a new (source, destination) pair with
+// every flow on a k=8 fat-tree (128 hosts), where
+// TestOpenLoopAllocsBounded reuses 16 hosts' pairs: queue pairs and
+// their rate state live in per-fabric slabs, so a new pair costs no
+// allocation of its own, only its share of a slab's or its host's
+// sorted peer list's doubling. Between 32 and 127 peers per host (every
+// pair) that share is at most 1/32.
+func TestNewPairAllocsBounded(t *testing.T) {
+	g := topology.FatTree(8)
+	routes, err := routing.FatTreeDFS{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := NewRouteForwarder(routes)
+	hosts := g.Hosts()
+	n := len(hosts)
+	for _, cc := range []string{"", CCDCQCN, CCTimely} {
+		run := func(nFlows int) {
+			cfg := DefaultConfig()
+			cfg.CC = cc
+			net, err := NewNetwork(g, fwd, cfg, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows := make([]Flow, nFlows)
+			for i := range flows {
+				src := i % n
+				flows[i] = Flow{
+					Src: src, Dst: (src + 1 + i/n) % n, Bytes: 4 * 1024,
+					Start: Time(i) * 200 * Nanosecond, Tag: i,
+				}
+			}
+			app := NewFlowApp(net, hosts, flows, nil)
+			app.Start()
+			net.Sim.Run(0)
+			if app.Completed() != nFlows || len(net.qps) != nFlows {
+				t.Fatalf("completed %d/%d flows over %d QPs", app.Completed(), nFlows, len(net.qps))
+			}
+		}
+		const lo, hi = 32 * 128, 127 * 128
+		if perPair := marginalAllocs(t, lo, hi, run); perPair > 0.05 {
+			t.Errorf("cc %q: a new pair costs %.3f allocations, want <= 0.05", cc, perPair)
+		}
 	}
 }

@@ -68,14 +68,14 @@ func NewApp(n *Network, hosts []int, programs [][]Op, onDone func(act Time)) *Ap
 // Start launches all ranks at the current simulation time.
 func (a *App) Start() {
 	for _, r := range a.Ranks {
-		a.net.Sim.ScheduleAfter(0, a, engine.Event{Kind: evAppStep, Ptr: r})
+		a.net.Sim.ScheduleAfter(0, a, engine.Event{Kind: evAppStep, Ref: int32(r.Index)})
 	}
 }
 
 // OnEvent resumes a rank's program (trace replay is closure-free).
 func (a *App) OnEvent(now Time, ev engine.Event) {
 	if ev.Kind == evAppStep {
-		a.step(ev.Ptr.(*Rank))
+		a.step(a.Ranks[ev.Ref])
 	}
 }
 
@@ -90,14 +90,14 @@ func (a *App) step(r *Rank) {
 		r.pc++
 		switch op.Kind {
 		case OpSend:
-			r.host.roce.Send(a.hostOf(op.Peer), op.MTag, op.Bytes)
+			r.host.Send(a.hostOf(op.Peer), op.MTag, op.Bytes)
 		case OpRecv:
 			src := a.hostOf(op.Peer)
-			cont := engine.Callback{H: a, Ev: engine.Event{Kind: evAppStep, Ptr: r}}
+			cont := engine.Callback{H: a, Ev: engine.Event{Kind: evAppStep, Ref: int32(r.Index)}}
 			r.host.mailbox.recv(n.Sim, src, op.MTag, cont)
 			return
 		case OpCompute:
-			n.Sim.ScheduleAfter(op.Dur, a, engine.Event{Kind: evAppStep, Ptr: r})
+			n.Sim.ScheduleAfter(op.Dur, a, engine.Event{Kind: evAppStep, Ref: int32(r.Index)})
 			return
 		}
 	}

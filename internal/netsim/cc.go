@@ -1,20 +1,22 @@
 package netsim
 
-// Pluggable congestion control for the RoCE host plane. Each queue
-// pair owns one ccPolicy instance that decides the pacing rate from
+// Congestion control for the RoCE host plane. A fabric runs one
+// policy (Config.CC), which decides each queue pair's pacing rate from
 // the signals the fabric feeds back — ECN echoes (CNPs), delay echoes
-// (acks carrying the send stamp), and timer ticks. The policies:
+// (acks carrying the send stamp), and timer ticks. A policy with state
+// keeps it in a per-Network slab at the QP's index, and the QP path
+// dispatches on the fabric's ccKind. The policies:
 //
-//   - dcqcnCC:    the DCQCN rate law (Zhu et al., SIGCOMM'15) that used
-//     to be hard-coded in roceQP — alpha-EWMA multiplicative
-//     decrease on CNP, timed additive increase toward line rate.
-//   - timelyCC:   delay-based control in the style of TIMELY (Mittal et
+//   - dcqcnCC:  the DCQCN rate law (Zhu et al., SIGCOMM'15) —
+//     alpha-EWMA multiplicative decrease on CNP, timed additive
+//     increase toward line rate.
+//   - timelyCC: delay-based control in the style of TIMELY (Mittal et
 //     al., SIGCOMM'15): the receiver acks every data packet
 //     echoing its send timestamp, and the sender adjusts rate
 //     off the RTT gradient.
-//   - lineRateCC: no rate adaptation (Config.CC left empty, and
-//     the rate side of pFabric, whose congestion response is
-//     size-priority scheduling — see sizePrioClass).
+//   - line rate: no rate adaptation and no state (Config.CC left
+//     empty, and the rate side of pFabric, whose congestion
+//     response is size-priority scheduling — see sizePrioClass).
 //
 // The rate laws proper (dcqcnState.increase/decrease, timelyCC.sample)
 // are pure state-machine steps with no engine access, so unit tests
@@ -66,49 +68,16 @@ func ccKindOf(cfg *Config) (ccKind, error) {
 		cfg.CC, strings.Join(CCPolicies(), ", "))
 }
 
-// ccPolicy is the per-QP congestion-control seam. The QP calls Wake
-// before reading Rate for an emission (so parked timer state can catch
-// up), Sent after scheduling one, and routes fabric signals to CNP /
-// Ack / Tick. Implementations may schedule evQPTick events on q.
-type ccPolicy interface {
-	// Wake runs when the QP is about to emit after possible idleness.
-	Wake(q *roceQP, now Time)
-	// Rate returns the current pacing rate in bits/s.
-	Rate() float64
-	// Sent runs after each data-packet emission is scheduled.
-	Sent(q *roceQP, now Time)
-	// CNP handles an ECN congestion-notification packet.
-	CNP(q *roceQP, now Time)
-	// Ack handles a delay echo; rtt is the measured send→ack latency.
-	Ack(q *roceQP, now Time, rtt Time)
-	// Tick handles the policy's evQPTick timer event.
-	Tick(q *roceQP, now Time)
-}
-
-// newQPCC builds the fabric's configured policy for one QP.
-func (n *Network) newQPCC() ccPolicy {
-	cfg := &n.Cfg
+// ccRate returns QP qi's current pacing rate in bits/s.
+func (n *Network) ccRate(qi int32) float64 {
 	switch n.cc {
 	case ccDCQCN:
-		return &dcqcnCC{dcqcnState: newDCQCNState(cfg), period: cfg.DCQCNTimer}
+		return n.dcqcn[qi].rate
 	case ccTimely:
-		return newTimelyCC(cfg)
-	default:
-		return lineRateCC{line: cfg.LinkBps}
+		return n.timely[qi].rate
 	}
+	return n.Cfg.LinkBps
 }
-
-// lineRateCC paces at line rate and ignores every signal: the policy
-// for CC off, and for pFabric (rate stays at line; the congestion
-// response is the strict-priority scheduling of size-stamped classes).
-type lineRateCC struct{ line float64 }
-
-func (c lineRateCC) Wake(*roceQP, Time)      {}
-func (c lineRateCC) Rate() float64           { return c.line }
-func (c lineRateCC) Sent(*roceQP, Time)      {}
-func (c lineRateCC) CNP(*roceQP, Time)       {}
-func (c lineRateCC) Ack(*roceQP, Time, Time) {}
-func (c lineRateCC) Tick(*roceQP, Time)      {}
 
 // dcqcnState is the pure DCQCN rate law: current rate, the target the
 // increase steps recover toward, and the alpha congestion estimate.
@@ -157,13 +126,13 @@ func (s *dcqcnState) increase() {
 // back within 1% of line.
 func (s *dcqcnState) recovered() bool { return s.rate >= s.line*0.99 }
 
-// dcqcnCC runs the DCQCN law on the engine's evQPTick timer, with the
-// idle fix: when the QP has nothing to send, the timer parks instead
-// of self-rescheduling every period until recovery (which burned one
-// event per 55µs per idle QP). Parked state records the absolute next
-// tick time; Wake replays the elided ticks on the next emission or
-// CNP, so the rate trajectory is exactly what the real events would
-// have produced.
+// dcqcnCC runs the DCQCN law on the engine's evQPTick timer (an event
+// on the Network naming the QP by Ref), with the idle fix: when the QP
+// has nothing to send, the timer parks instead of self-rescheduling
+// every period until recovery (which burned one event per 55µs per
+// idle QP). Parked state records the absolute next tick time; catchUp
+// replays the elided ticks on the next emission or CNP, so the rate
+// trajectory is exactly what the real events would have produced.
 type dcqcnCC struct {
 	dcqcnState
 	period  Time
@@ -174,16 +143,13 @@ type dcqcnCC struct {
 	nextTick Time
 }
 
-func (c *dcqcnCC) Rate() float64 { return c.rate }
-
-func (c *dcqcnCC) Wake(q *roceQP, now Time) { c.catchUp(q, now) }
-
-// catchUp replays ticks elided while parked. Ticks strictly before now
-// apply immediately (a tick at exactly now would, as a real event,
-// fire after the currently executing handler, so it stays pending); if
-// the QP is still below recovery the real timer re-arms at the
-// original phase, otherwise it disarms just as a real tick would have.
-func (c *dcqcnCC) catchUp(q *roceQP, now Time) {
+// catchUp replays ticks elided while parked, when QP qi is about to
+// emit or take a CNP. Ticks strictly before now apply immediately (a
+// tick at exactly now would, as a real event, fire after the currently
+// executing handler, so it stays pending); if the QP is still below
+// recovery the real timer re-arms at the original phase, otherwise it
+// disarms just as a real tick would have.
+func (c *dcqcnCC) catchUp(n *Network, qi int32, now Time) {
 	if !c.parked {
 		return
 	}
@@ -197,41 +163,38 @@ func (c *dcqcnCC) catchUp(q *roceQP, now Time) {
 		c.nextTick += c.period
 	}
 	c.parked = false
-	q.h.net.Sim.Schedule(c.nextTick, q, engine.Event{Kind: evQPTick})
+	n.Sim.Schedule(c.nextTick, n, engine.Event{Kind: evQPTick, Ref: qi})
 }
 
-func (c *dcqcnCC) Sent(q *roceQP, now Time) { c.arm(q) }
-
-func (c *dcqcnCC) arm(q *roceQP) {
+// arm starts the timer after an emission or a CNP.
+func (c *dcqcnCC) arm(n *Network, qi int32) {
 	if c.timerOn {
 		return
 	}
 	c.timerOn = true
-	q.h.net.Sim.ScheduleAfter(c.period, q, engine.Event{Kind: evQPTick})
+	n.Sim.ScheduleAfter(c.period, n, engine.Event{Kind: evQPTick, Ref: qi})
 }
 
-func (c *dcqcnCC) CNP(q *roceQP, now Time) {
-	c.catchUp(q, now)
+func (c *dcqcnCC) cnp(n *Network, qi int32, now Time) {
+	c.catchUp(n, qi, now)
 	c.decrease()
-	c.arm(q)
+	c.arm(n, qi)
 }
 
-func (c *dcqcnCC) Ack(*roceQP, Time, Time) {}
-
-func (c *dcqcnCC) Tick(q *roceQP, now Time) {
+func (c *dcqcnCC) tick(n *Network, qi int32, now Time) {
 	c.increase()
-	if q.backlog() == 0 {
+	if n.qps[qi].head == 0 { // nothing left to send
 		if c.recovered() {
 			c.timerOn = false
 			return
 		}
 		// Idle but still below line: park instead of rescheduling —
-		// Wake replays the ticks the engine never has to run.
+		// catchUp replays the ticks the engine never has to run.
 		c.parked = true
 		c.nextTick = now + c.period
 		return
 	}
-	q.h.net.Sim.ScheduleAfter(c.period, q, engine.Event{Kind: evQPTick})
+	n.Sim.ScheduleAfter(c.period, n, engine.Event{Kind: evQPTick, Ref: qi})
 }
 
 // timelyCC is delay-based congestion control in the style of TIMELY:
@@ -255,8 +218,8 @@ type timelyCC struct {
 	negRun  int // consecutive non-positive gradients (HAI trigger)
 }
 
-func newTimelyCC(cfg *Config) *timelyCC {
-	return &timelyCC{
+func newTimelyCC(cfg *Config) timelyCC {
+	return timelyCC{
 		line: cfg.LinkBps,
 		tLow: cfg.TimelyTLow, tHigh: cfg.TimelyTHigh,
 		add: cfg.TimelyAddBps, beta: cfg.TimelyBeta,
@@ -309,15 +272,6 @@ func (c *timelyCC) sample(rtt Time) {
 		c.rate = min
 	}
 }
-
-func (c *timelyCC) Wake(*roceQP, Time) {}
-func (c *timelyCC) Rate() float64      { return c.rate }
-func (c *timelyCC) Sent(*roceQP, Time) {}
-func (c *timelyCC) CNP(*roceQP, Time)  {}
-func (c *timelyCC) Ack(q *roceQP, now Time, rtt Time) {
-	c.sample(rtt)
-}
-func (c *timelyCC) Tick(*roceQP, Time) {}
 
 // sizePrioClass maps a message's remaining bytes (current packet
 // included) to a PFC data class, pFabric-style: the less left to

@@ -77,7 +77,7 @@ func TestTimelyGradientLaw(t *testing.T) {
 		c := newTimelyCC(&cfg)
 		c.rate = rate
 		c.sample(cfg.TimelyMinRTT) // prime prevRTT
-		return c
+		return &c
 	}
 
 	// Below TLow: additive increase regardless of gradient.
@@ -239,15 +239,17 @@ func TestCNPThrottledPerFlow(t *testing.T) {
 	hosts := g.Hosts()
 	rx := net.Host(hosts[0])
 	src := hosts[1]
-	mk := func(flow int64) *Packet {
-		pkt := allocPacket()
-		*pkt = Packet{Kind: Data, Src: src, Dst: hosts[0], Size: 1000, Len: 934, Flow: flow, ECN: true}
-		return pkt
-	}
+	qi := net.qpTo(net.Host(src), hosts[0])
+	msgs := map[int64]int32{}
 	feed := func(flow int64) {
-		pkt := mk(flow)
+		mi, ok := msgs[flow]
+		if !ok {
+			mi = net.newMsg(roceMsg{id: flow, bytes: 1 << 20})
+			msgs[flow] = mi
+		}
+		pkt := net.pkts.alloc(Packet{Kind: Data, Src: src, Dst: hosts[0], Size: 1000, Len: 934, Flow: flow, ECN: true, msg: mi, conn: qi})
 		rx.receive(pkt)
-		pkt.release()
+		net.pkts.release(pkt)
 	}
 
 	// Two concurrent flows from ONE source, both ECN-marked: each must
@@ -280,11 +282,11 @@ func TestDCQCNIdleTimerDisarms(t *testing.T) {
 	recvThen(net.Host(hosts[1]), hosts[0], 1, func() { delivered = net.Sim.Now() })
 	src.Send(hosts[1], 1, 8*1024)
 	// Collapse the rate so recovery needs many timer periods.
-	q := src.roce.qp(hosts[1])
+	qi := net.qpTo(src, hosts[1])
+	cc := &net.dcqcn[qi]
 	for i := 0; i < 8; i++ {
-		q.onCNP()
+		cc.cnp(net, qi, net.Sim.Now())
 	}
-	cc := q.cc.(*dcqcnCC)
 	if cc.recovered() {
 		t.Fatal("rate did not collapse")
 	}
@@ -331,7 +333,7 @@ func ccIncast(t *testing.T, cfg Config, bytes int) (int64, Time) {
 		if i == 3 {
 			continue
 		}
-		net.Host(h).roce.Send(hosts[3], 1, bytes)
+		net.Host(h).Send(hosts[3], 1, bytes)
 	}
 	end := net.Sim.Run(0)
 	if net.TotalDrops != 0 {
@@ -362,7 +364,7 @@ func TestCCDeterminism(t *testing.T) {
 				if i == 3 {
 					continue
 				}
-				net.Host(h).roce.Send(hosts[3], 1, 1<<20)
+				net.Host(h).Send(hosts[3], 1, 1<<20)
 			}
 			end := net.Sim.Run(0)
 			return end, net.Sim.Events()

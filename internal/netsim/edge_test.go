@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -218,12 +217,12 @@ func (w *wireLog) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
 	return w.RouteForwarder.Forward(sw, inPort, pkt)
 }
 
-// TestNICDrainKicksInCreationOrder pins the stalled-QP bitset against
+// TestNICDrainKicksInCreationOrder pins the stalled-QP set against
 // the scan it replaced. One host sends to 96 peers at once, so its NIC
 // stays backlogged and its QPs stall over and over. The test takes the
 // drains over — the NIC port reports none — and runs one after every
-// event: nicDrained in one run, a pump of every QP in qpList in the
-// other. The host must inject the same packets in the same order. The
+// event: nicDrained in one run, a pump of every one of the host's QPs,
+// in creation order, in the other. The host must inject the same packets in the same order. The
 // peers are opened in an order unlike their vertex order, so creation
 // order is what the drain has to keep.
 func TestNICDrainKicksInCreationOrder(t *testing.T) {
@@ -247,13 +246,11 @@ func TestNICDrainKicksInCreationOrder(t *testing.T) {
 		}
 		stalls := 0
 		for net.Sim.Step() {
-			for _, word := range h.roce.stalled {
-				stalls += bits.OnesCount64(word)
-			}
+			stalls += len(h.roce.stalled)
 			drain(h)
 		}
-		if len(h.roce.qpList) != peers {
-			t.Fatalf("%d QPs, want %d", len(h.roce.qpList), peers)
+		if len(h.roce.peers) != peers || len(net.qps) != peers {
+			t.Fatalf("%d QPs on the host, %d in the fabric; want %d", len(h.roce.peers), len(net.qps), peers)
 		}
 		if want := peers * 4; len(w.pkts) != want {
 			t.Fatalf("host injected %d data packets, want %d", len(w.pkts), want)
@@ -262,8 +259,8 @@ func TestNICDrainKicksInCreationOrder(t *testing.T) {
 	}
 	got, stalls := run((*Host).nicDrained)
 	want, _ := run(func(h *Host) {
-		for _, q := range h.roce.qpList {
-			q.pump()
+		for qi := range h.net.qps {
+			h.net.pump(int32(qi))
 		}
 	})
 	if stalls < peers {

@@ -2,11 +2,7 @@ package netsim
 
 import "testing"
 
-func fifoTestPacket(size int) *Packet {
-	p := allocPacket()
-	*p = Packet{Size: size}
-	return p
-}
+func fifoTestPacket(size int) *Packet { return &Packet{Size: size} }
 
 func TestFifoOrderAndByteAccountingAcrossWrap(t *testing.T) {
 	var q fifo
@@ -52,7 +48,7 @@ func TestFifoPopReleasesSlots(t *testing.T) {
 		q.push(fifoTestPacket(64))
 	}
 	for !q.empty() {
-		q.pop().release()
+		q.pop()
 	}
 	for i, p := range q.ring {
 		if p != nil {

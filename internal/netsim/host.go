@@ -1,7 +1,8 @@
 package netsim
 
 import (
-	"math/bits"
+	"cmp"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -27,8 +28,8 @@ type waiters struct {
 	more  []engine.Callback
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{arrived: map[msgKey]int{}, waiting: map[msgKey]waiters{}}
+func newMailbox() mailbox {
+	return mailbox{arrived: map[msgKey]int{}, waiting: map[msgKey]waiters{}}
 }
 
 func (m *mailbox) deliver(sim *Sim, src, tag int) {
@@ -69,77 +70,77 @@ func (m *mailbox) recv(sim *Sim, src, tag int, cont engine.Callback) {
 	m.waiting[k] = waiters{first: cont}
 }
 
-// roceMsg is one in-flight RDMA message.
+// roceMsg is one RDMA message from Send to reassembly, in its
+// Network's msgs slab. The sender's QP queues it through next, the
+// receiver counts its bytes into got and throttles its CNPs at cnpAt,
+// and the receiver frees it on completion, when no packet of it is
+// left in flight. A free slot's next links the free list.
 type roceMsg struct {
-	id    int64
-	dst   int
+	id    int64 // flow ID on the wire
+	bytes int   // payload size
+	sent  int   // payload bytes emitted
+	got   int   // payload bytes reassembled
 	tag   int
-	bytes int
-	sent  int
+	cnpAt Time  // time of the last CNP, when cnp is set
+	next  int32 // next message in the QP's queue, 0 ends
+	cnp   bool
 }
 
-// roceQP is a per-destination queue pair; its ccPolicy paces emission
-// (DCQCN, Timely, line rate — see cc.go). idx is its creation index on
-// the host; it shares a word with pumping, so a QP stays 80 bytes.
+// roceQP is a (source host, destination) queue pair in its Network's
+// qps slab; its messages wait from head to tail, and its rate state is
+// at the same index in the policy's slab (see cc.go).
 type roceQP struct {
-	h          *Host
-	dst        int
-	cc         ccPolicy
-	msgs       []roceMsg // msgs[head:] wait to be sent, oldest first
-	head       int
-	pumping    bool
-	idx        int32
 	nextSendAt Time
+	src, dst   int32 // source host and destination vertices
+	head, tail int32 // message queue, 0 when empty
+	pumping    bool
+	stalled    bool // listed in its host's stalled set
 }
 
-// roceEngine manages QPs and message reassembly for one host. It lives
-// inside its Host rather than in an allocation of its own.
+// roceEngine is one host's share of the RoCE state: its QPs by
+// destination and the ones waiting on NIC backlog. It lives inside
+// its Host rather than in an allocation of its own.
 type roceEngine struct {
-	h      *Host
-	qps    map[int]*roceQP
-	qpList []*roceQP // creation order, for deterministic kicks
-	// stalled is a bitset over qpList: bit i is set when qpList[i]'s
-	// pump stopped on NIC backlog, so a drain kicks only those. It
-	// starts in words, so a host's first 128 QPs allocate no bitset.
-	stalled []uint64
-	words   [2]uint64
-	// reassembly: (src, msgID) -> bytes still missing.
-	rx map[rxKey]rxState
-	// np: last CNP time per flow (congestion notification point).
-	// Entries are dropped when the flow's message completes.
-	np map[int64]Time
+	// peers holds the host's QPs sorted by destination; Send
+	// binary-searches it once per message.
+	peers []int32
+	// stalled lists the QPs whose pump stopped on NIC backlog, so a
+	// drain kicks only those; spare is the other buffer of the pair.
+	stalled, spare []int32
 	// nextMsg allocates message IDs.
 	nextMsg int64
 }
 
-type rxKey struct {
-	src int
-	msg int64
-}
-
-type rxState struct {
-	got   int
-	total int // -1 until the final packet announces it
-	tag   int
-}
-
-// init readies the engine of host h in place.
-func (e *roceEngine) init(h *Host) {
-	*e = roceEngine{h: h, qps: map[int]*roceQP{}, rx: map[rxKey]rxState{}, np: map[int64]Time{}}
-	e.stalled = e.words[:0]
-}
-
-func (e *roceEngine) qp(dst int) *roceQP {
-	if q, ok := e.qps[dst]; ok {
-		return q
+// qpTo returns host h's queue pair toward dst, creating it on first
+// use. Creation appends to the qps slab.
+func (n *Network) qpTo(h *Host, dst int) int32 {
+	e := &h.roce
+	i, found := slices.BinarySearchFunc(e.peers, int32(dst), func(qi, d int32) int { return cmp.Compare(n.qps[qi].dst, d) })
+	if found {
+		return e.peers[i]
 	}
-	q := &roceQP{h: e.h, dst: dst, cc: e.h.net.newQPCC(), idx: int32(len(e.qpList))}
-	e.qps[dst] = q
-	e.qpList = append(e.qpList, q)
-	if len(e.qpList) > 64*len(e.stalled) {
-		e.stalled = append(e.stalled, 0)
+	qi := int32(len(n.qps))
+	e.peers = slices.Insert(e.peers, i, qi)
+	n.qps = append(n.qps, roceQP{src: int32(h.vertex), dst: int32(dst)})
+	switch n.cc {
+	case ccDCQCN:
+		n.dcqcn = append(n.dcqcn, dcqcnCC{dcqcnState: newDCQCNState(&n.Cfg), period: n.Cfg.DCQCNTimer})
+	case ccTimely:
+		n.timely = append(n.timely, newTimelyCC(&n.Cfg))
 	}
-	return q
+	return qi
+}
+
+// newMsg stores m in a free message slot.
+func (n *Network) newMsg(m roceMsg) int32 {
+	i := n.freeMsg
+	if i == 0 {
+		n.msgs = append(n.msgs, m)
+		return int32(len(n.msgs) - 1)
+	}
+	n.freeMsg = n.msgs[i].next
+	n.msgs[i] = m
+	return i
 }
 
 // roceFlowID packs (source vertex, per-host message counter) into one
@@ -151,45 +152,54 @@ func roceFlowID(vertex int, msg int64) int64 {
 	return msg<<32 | int64(uint32(vertex))
 }
 
-// Send queues an RDMA message toward dst. Message boundaries are
-// preserved; completion is signalled at the receiver's mailbox.
-func (e *roceEngine) Send(dst, tag, bytes int) {
-	e.nextMsg++
-	q := e.qp(dst)
-	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
-		// Reuse the sent prefix before append would grow the queue.
-		n := copy(q.msgs, q.msgs[q.head:])
-		q.msgs, q.head = q.msgs[:n], 0
+// Send posts an RDMA message from this host toward host vertex dst
+// with an application tag — the public messaging entry point. Message
+// boundaries are preserved; completion is signalled at the receiver's
+// mailbox.
+func (h *Host) Send(dst, tag, bytes int) {
+	n := h.net
+	h.roce.nextMsg++
+	qi := n.qpTo(h, dst)
+	mi := n.newMsg(roceMsg{id: roceFlowID(h.vertex, h.roce.nextMsg), tag: tag, bytes: bytes})
+	q := &n.qps[qi]
+	if q.tail == 0 {
+		q.head = mi
+	} else {
+		n.msgs[q.tail].next = mi
 	}
-	q.msgs = append(q.msgs, roceMsg{id: roceFlowID(e.h.vertex, e.nextMsg), dst: dst, tag: tag, bytes: bytes})
-	q.pump()
+	q.tail = mi
+	n.pump(qi)
 }
 
-// backlog is the number of messages not yet fully sent.
-func (q *roceQP) backlog() int { return len(q.msgs) - q.head }
-
-// pump emits packets of the head message, paced by the CC policy's
-// rate and self-clocked against the NIC queue: while more than two
-// packets wait on the wire's data queues, emission pauses until the
-// NIC drains (nicDrained kicks it). This enforces the rate at the
-// wire even across PFC pauses.
-func (q *roceQP) pump() {
-	if q.pumping || q.backlog() == 0 {
+// pump emits a packet of QP qi's head message, paced by the CC
+// policy's rate and self-clocked against the NIC queue: while more
+// than two packets wait on the wire's data queues, emission pauses
+// until the NIC drains (nicDrained kicks it). This enforces the rate
+// at the wire even across PFC pauses.
+func (n *Network) pump(qi int32) {
+	q := &n.qps[qi]
+	if q.pumping || q.head == 0 {
 		return
 	}
-	n := q.h.net
-	if q.h.nicBacklogged() {
-		q.h.roce.stalled[q.idx>>6] |= 1 << (q.idx & 63) // resume on drain
+	h := n.hosts[q.src]
+	if h.nicBacklogged() {
+		if !q.stalled { // resume on drain
+			q.stalled = true
+			h.roce.stalled = append(h.roce.stalled, qi)
+		}
 		return
 	}
 	q.pumping = true
 	now := n.Sim.Now()
-	q.cc.Wake(q, now)
+	if n.cc == ccDCQCN {
+		n.dcqcn[qi].catchUp(n, qi, now)
+	}
 	at := now + n.Cfg.HostLatency
 	if q.nextSendAt > at {
 		at = q.nextSendAt
 	}
-	m := &q.msgs[q.head]
+	mi := q.head
+	m := &n.msgs[mi]
 	payload := n.Cfg.MTU
 	if rem := m.bytes - m.sent; rem < payload {
 		payload = rem
@@ -198,14 +208,11 @@ func (q *roceQP) pump() {
 		payload = 0
 	}
 	size := payload + n.Cfg.HeaderBytes
-	last := m.sent+payload >= m.bytes
-	pkt := allocPacket()
-	*pkt = Packet{
-		ID: n.pktID(), Kind: Data, Src: q.h.vertex, Dst: m.dst,
+	pkt := n.pkts.alloc(Packet{
+		ID: n.pktID(), Kind: Data, Src: h.vertex, Dst: int(q.dst),
 		Size: size, Len: payload, Flow: m.id, Seq: int64(m.sent),
-		Tag: 0, Prio: 0, AppTag: m.tag, Last: last, MsgBytes: m.bytes,
-		TS: at,
-	}
+		TS: at, msg: mi, conn: qi,
+	})
 	if n.cc == ccPFabric {
 		// pFabric: stamp the wire class from the bytes still unsent
 		// (this packet included) — the less left, the higher the
@@ -213,43 +220,17 @@ func (q *roceQP) pump() {
 		pkt.Prio = sizePrioClass(m.bytes-m.sent, n.Cfg.MTU)
 	}
 	m.sent += payload
-	if last {
-		if q.head++; q.head == len(q.msgs) {
-			q.msgs, q.head = q.msgs[:0], 0
+	if m.sent >= m.bytes {
+		if q.head = m.next; q.head == 0 {
+			q.tail = 0
 		}
 	}
-	gap := serTime(size, q.cc.Rate())
-	n.Sim.Schedule(at, q, engine.Event{Kind: evQPSend, Ptr: pkt, A: int64(gap)})
-	q.cc.Sent(q, now)
-}
-
-// OnEvent dispatches QP events: paced packet injection and the CC
-// policy's timer.
-func (q *roceQP) OnEvent(now Time, ev engine.Event) {
-	switch ev.Kind {
-	case evQPSend:
-		q.h.inject(ev.Ptr.(*Packet))
-		q.nextSendAt = now + Time(ev.A)
-		q.pumping = false
-		q.pump()
-	case evQPTick:
-		q.cc.Tick(q, now)
+	gap := serTime(size, n.ccRate(qi))
+	n.Sim.Schedule(at, n, engine.Event{Kind: evQPSend, Ref: qi, A: int64(gap), B: int64(pkt.idx)})
+	if n.cc == ccDCQCN {
+		n.dcqcn[qi].arm(n, qi)
 	}
 }
-
-// onCNP routes a congestion notification to the CC policy.
-func (q *roceQP) onCNP() { q.cc.CNP(q, q.h.net.Sim.Now()) }
-
-// onAck routes a delay echo to the CC policy: the ack carries the data
-// packet's send stamp, so now minus the stamp is the RTT sample.
-func (q *roceQP) onAck(pkt *Packet) {
-	now := q.h.net.Sim.Now()
-	q.cc.Ack(q, now, now-pkt.TS)
-}
-
-// Send posts an RDMA message from this host toward host vertex dst
-// with an application tag — the public messaging entry point.
-func (h *Host) Send(dst, tag, bytes int) { h.roce.Send(dst, tag, bytes) }
 
 // inject hands a packet to the host NIC egress queue. Under pFabric a
 // data packet keeps the size-priority class the QP stamped; every
@@ -272,18 +253,24 @@ func (h *Host) nicBacklogged() bool {
 // nicDrained is called when a packet leaves the NIC wire queue; it
 // resumes, in creation order, the QP pumps that stopped on backlog.
 // Every other QP is pumping or has nothing to send, so pumping it
-// would do nothing.
+// would do nothing. A pump that stalls again lists its QP for the
+// next drain.
 func (h *Host) nicDrained() {
-	if h.nicBacklogged() {
+	e := &h.roce
+	if len(e.stalled) == 0 || h.nicBacklogged() {
 		return
 	}
-	e := &h.roce
-	for w, word := range e.stalled {
-		e.stalled[w] = 0
-		for ; word != 0; word &= word - 1 {
-			e.qpList[w<<6|bits.TrailingZeros64(word)].pump()
-		}
+	n := h.net
+	kick := e.stalled
+	e.stalled = e.spare[:0]
+	slices.Sort(kick) // slab order is creation order
+	for _, qi := range kick {
+		n.qps[qi].stalled = false
 	}
+	for _, qi := range kick {
+		n.pump(qi)
+	}
+	e.spare = kick[:0]
 }
 
 // OnEvent dispatches host events (delayed application delivery).
@@ -295,80 +282,68 @@ func (h *Host) OnEvent(now Time, ev engine.Event) {
 
 // receive handles a packet arriving at the host NIC. The caller owns
 // the packet and releases it afterwards; nothing here may retain it.
+// A TCP packet names its connection, a RoCE ack or CNP its QP.
 func (h *Host) receive(pkt *Packet) {
+	n := h.net
+	if pkt.Flow&tcpFlow != 0 {
+		if c := n.tcps[pkt.conn]; pkt.Kind == Data {
+			c.onData(pkt)
+		} else {
+			c.onAck(pkt)
+		}
+		return
+	}
 	switch pkt.Kind {
 	case Data:
-		if tc, ok := h.tcp[pkt.Flow]; ok {
-			tc.onData(pkt)
-			return
-		}
 		h.roceData(pkt)
-	case Ack:
-		if tc, ok := h.tcp[pkt.Flow]; ok {
-			tc.onAck(pkt)
-			return
-		}
-		// RoCE delay-CC ack: the echoed stamp yields the RTT sample.
-		h.roce.qp(pkt.Src).onAck(pkt)
-	case Cnp:
-		h.roce.qp(pkt.Src).onCNP()
+	case Ack: // only Timely acks RoCE data
+		// The echoed stamp yields the RTT sample.
+		n.timely[pkt.conn].sample(n.Sim.Now() - pkt.TS)
+	case Cnp: // only DCQCN sends CNPs
+		n.dcqcn[pkt.conn].cnp(n, pkt.conn, n.Sim.Now())
 	}
 }
 
 // roceData reassembles RDMA messages and runs the receiver half of
 // the CC policy: the DCQCN notification point (CNP on ECN-marked
-// arrivals, rate-limited per flow) or the Timely delay echo (an ack
-// per data packet carrying the send stamp back to the source).
+// arrivals, rate-limited per message) or the Timely delay echo (an
+// ack per data packet carrying the send stamp back to the source).
 func (h *Host) roceData(pkt *Packet) {
 	n := h.net
-	e := &h.roce
 	h.DeliveredBytes += int64(pkt.Len)
 	n.DeliveredPkt++
 	if len(n.awaiting) != 0 {
 		n.deliverAwaited()
 	}
+	m := &n.msgs[pkt.msg]
 	switch n.cc {
 	case ccDCQCN:
 		if pkt.ECN {
-			// Throttle per flow (CNPInterval documents exactly this),
-			// so concurrent flows from one source each keep their own
-			// congestion signal instead of starving each other's.
-			if last, ok := e.np[pkt.Flow]; !ok || n.Sim.Now()-last >= n.Cfg.CNPInterval {
-				e.np[pkt.Flow] = n.Sim.Now()
-				cnp := allocPacket()
-				*cnp = Packet{
+			// Throttle per message (CNPInterval documents exactly
+			// this), so concurrent flows from one source each keep
+			// their own congestion signal instead of starving each
+			// other's.
+			if !m.cnp || n.Sim.Now()-m.cnpAt >= n.Cfg.CNPInterval {
+				m.cnp, m.cnpAt = true, n.Sim.Now()
+				h.inject(n.pkts.alloc(Packet{
 					ID: n.pktID(), Kind: Cnp, Src: h.vertex, Dst: pkt.Src,
-					Size: 64, Prio: 1,
-				}
-				h.inject(cnp)
+					Size: 64, Prio: 1, conn: pkt.conn,
+				}))
 			}
 		}
 	case ccTimely:
-		ack := allocPacket()
-		*ack = Packet{
+		h.inject(n.pkts.alloc(Packet{
 			ID: n.pktID(), Kind: Ack, Src: h.vertex, Dst: pkt.Src,
-			Size: 64, Flow: pkt.Flow, TS: pkt.TS,
-		}
-		h.inject(ack)
+			Size: 64, Flow: pkt.Flow, TS: pkt.TS, conn: pkt.conn,
+		}))
 	}
-	key := rxKey{pkt.Src, pkt.Flow}
-	st, ok := e.rx[key]
-	if !ok {
-		st.total = -1
-	}
-	st.got += pkt.Len
-	st.tag = pkt.AppTag
-	if pkt.Last {
-		st.total = pkt.MsgBytes
-	}
-	if st.total >= 0 && st.got >= st.total {
-		delete(e.rx, key)
-		delete(e.np, pkt.Flow) // release the per-flow CNP throttle slot
+	if m.got += pkt.Len; m.got >= m.bytes {
+		// Every packet has arrived: none still names the slot.
+		tag := m.tag
+		m.next, n.freeMsg = n.freeMsg, pkt.msg
 		// NIC/driver delivery latency before the application sees it.
 		n.Sim.ScheduleAfter(n.Cfg.HostLatency, h, engine.Event{
-			Kind: evDeliver, A: int64(pkt.Src), B: int64(st.tag),
+			Kind: evDeliver, A: int64(pkt.Src), B: int64(tag),
 		})
-		return
 	}
-	e.rx[key] = st
 }

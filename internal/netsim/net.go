@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/routing"
@@ -25,24 +24,15 @@ const (
 type Packet struct {
 	ID   int64
 	Kind PktKind
-	Src  int // source host vertex ID
-	Dst  int // destination host vertex ID
-	Size int // bytes on the wire (payload + header)
-	Tag  int // virtual-channel tag, rewritten by rules
-	Prio int // PFC priority class: 0 = lossless data, 1 = control
-	ECN  bool
+	Src  int   // source host vertex ID
+	Dst  int   // destination host vertex ID
+	Size int   // bytes on the wire (payload + header)
+	Tag  int   // virtual-channel tag, rewritten by rules
+	Prio int   // PFC priority class: 0 = lossless data, 1 = control
 	Flow int64 // flow / message identifier
 	Seq  int64 // byte offset within the flow
 
 	Len int // payload bytes
-
-	// AppTag is the application (MPI) tag for message matching; unlike
-	// Tag it is never rewritten in flight.
-	AppTag int
-	// Last marks the final packet of a message; MsgBytes carries the
-	// message's total payload size for reassembly.
-	Last     bool
-	MsgBytes int
 
 	// TS is the send timestamp stamped at QP emission and echoed back
 	// on delay-CC acks; the sender derives its RTT sample from it.
@@ -51,20 +41,54 @@ type Packet struct {
 	inPort   int // bookkeeping: ingress port at current switch
 	arrClass int // bookkeeping: wire class the packet arrived with
 	AckSeq   int64
-	AckECN   bool
+
+	// idx is the packet's slot in its Network's slab. msg is the RoCE
+	// message a data packet carries (0 otherwise); conn is the sending
+	// queue pair of a RoCE packet, or the TCP connection of a TCP one,
+	// so an ack or CNP finds its QP without a lookup.
+	idx, msg, conn int32
+
+	ECN    bool
+	AckECN bool
 }
 
-// packetPool recycles Packet records across the whole process —
-// simulations running in parallel workers share it safely.
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+// pktChunk is the number of packets in one slab chunk.
+const pktChunk = 64
 
-// allocPacket returns a pooled Packet. Every creation site fully
-// reassigns the struct (`*p = Packet{...}`), so no stale field leaks.
-func allocPacket() *Packet { return packetPool.Get().(*Packet) }
+// packets is a Network's packet slab: fixed-size chunks that never
+// move, so a handler may hold a *Packet while it allocates another,
+// and a free list of slot indices. No slot index reaches a result:
+// every creation site writes the whole packet.
+type packets struct {
+	chunks []*[pktChunk]Packet
+	free   []int32
+}
 
-// release returns a packet to the pool. Only terminal owners call it:
-// the arrival handler after host delivery, and the two drop sites.
-func (p *Packet) release() { packetPool.Put(p) }
+// at returns the packet in slot i.
+func (s *packets) at(i int32) *Packet { return &s.chunks[i/pktChunk][i%pktChunk] }
+
+// alloc copies v into a free slot and returns it.
+func (s *packets) alloc(v Packet) *Packet {
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = int32(len(s.chunks) * pktChunk)
+		s.chunks = append(s.chunks, new([pktChunk]Packet))
+		for j := i + pktChunk - 1; j > i; j-- {
+			s.free = append(s.free, j)
+		}
+	}
+	p := s.at(i)
+	*p = v
+	p.idx = i
+	return p
+}
+
+// release returns p's slot. Only terminal owners call it: the arrival
+// handler after host delivery, and the drop sites.
+func (s *packets) release(p *Packet) { s.free = append(s.free, p.idx) }
 
 // Crossbar models the internal switching fabric of one physical switch.
 // Under SDT several sub-switches share one crossbar, so its (slight)
@@ -261,12 +285,11 @@ type Host struct {
 	upstream *OutPort
 
 	roce roceEngine
-	tcp  map[int64]*TCPConn // by flow ID (receiver and sender side)
 
 	// DeliveredBytes counts payload bytes received (goodput).
 	DeliveredBytes int64
 	// deliver hooks message completions into the app layer.
-	mailbox *mailbox
+	mailbox mailbox
 }
 
 // Forwarder decides forwarding at a logical switch.
@@ -361,6 +384,21 @@ type Network struct {
 
 	// cc is the resolved congestion-control policy of this fabric.
 	cc ccKind
+
+	// The transport state, named by int32 indices that packets and
+	// events carry. qps holds every queue pair in creation order, and
+	// dcqcn or timely (whichever policy cc names) its rate state at
+	// the same index; msgs holds the RoCE messages, slot 0 the nil
+	// message and freeMsg the head of the free slots; tcps holds the
+	// TCP connections. Only Send appends to qps and msgs, so no
+	// handler holds a pointer into them across an append.
+	pkts    packets
+	qps     []roceQP
+	dcqcn   []dcqcnCC
+	timely  []timelyCC
+	msgs    []roceMsg
+	freeMsg int32
+	tcps    []*TCPConn
 }
 
 // NewNetwork builds the fabric for a logical topology. crossbarOf maps
@@ -386,6 +424,7 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		switches: switches,
 		hosts:    hosts,
+		msgs:     make([]roceMsg, 1),
 	}
 
 	// Crossbars per group.
@@ -425,7 +464,7 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 		}
 	}
 	for _, v := range g.Hosts() {
-		hosts[v] = &Host{vertex: v, net: n, mailbox: newMailbox(), tcp: map[int64]*TCPConn{}}
+		hosts[v] = &Host{vertex: v, net: n, mailbox: newMailbox()}
 	}
 
 	// Links: two directed channels per edge.
@@ -470,11 +509,6 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 		setUp(e.A, e.APort, e.B, e.BPort)
 		setUp(e.B, e.BPort, e.A, e.APort)
 	}
-	for _, h := range hosts {
-		if h != nil {
-			h.roce.init(h)
-		}
-	}
 	return n, nil
 }
 
@@ -499,23 +533,24 @@ func (n *Network) Switch(v int) *SimSwitch {
 func (n *Network) pktID() int64 { n.nextID++; return n.nextID }
 
 // OnEvent dispatches fabric-level events: transmit completions, wire
-// arrivals, and PFC pause/resume.
+// arrivals, PFC pause/resume, and the queue pairs' paced sends and
+// rate timers.
 func (n *Network) OnEvent(now Time, ev engine.Event) {
 	switch ev.Kind {
 	case evTxDone:
-		o := ev.Ptr.(*OutPort)
+		o := n.links[ev.Ref].src
 		o.sending = false
 		n.onDequeued(o, int(ev.A>>4), int(ev.A&0xf), int(ev.B))
 		n.tryTransmit(o)
 	case evArrive:
-		pkt := ev.Ptr.(*Packet)
+		pkt := n.pkts.at(ev.Ref)
 		l := n.links[ev.A]
 		to := l.to
 		if l.down || (to.sw != nil && to.sw.down) {
 			// The wire was cut (or the far switch died) while the
 			// packet was in flight.
 			n.FaultDrops++
-			pkt.release()
+			n.pkts.release(pkt)
 			return
 		}
 		pkt.inPort = to.inPort
@@ -523,14 +558,22 @@ func (n *Network) OnEvent(now Time, ev engine.Event) {
 			to.sw.receive(pkt)
 		} else {
 			to.host.receive(pkt)
-			pkt.release() // terminal: host consumed it synchronously
+			n.pkts.release(pkt) // terminal: host consumed it synchronously
 		}
 	case evPfcPause:
-		ev.Ptr.(*OutPort).paused[ev.A] = true
+		n.links[ev.Ref].src.paused[ev.A] = true
 	case evPfcResume:
-		o := ev.Ptr.(*OutPort)
+		o := n.links[ev.Ref].src
 		o.paused[ev.A] = false
 		n.tryTransmit(o)
+	case evQPSend:
+		q := &n.qps[ev.Ref]
+		n.hosts[q.src].inject(n.pkts.at(int32(ev.B)))
+		q.nextSendAt = now + Time(ev.A)
+		q.pumping = false
+		n.pump(ev.Ref)
+	case evQPTick: // only DCQCN arms the timer
+		n.dcqcn[ev.Ref].tick(n, ev.Ref, now)
 	}
 }
 
@@ -560,7 +603,7 @@ func (n *Network) tryTransmit(o *OutPort) {
 		if o.link.down || (o.ownerCache != nil && o.ownerCache.down) {
 			n.FaultDrops++
 			n.onDequeued(o, pkt.inPort, pkt.arrClass, pkt.Size)
-			pkt.release()
+			n.pkts.release(pkt)
 			continue
 		}
 		break
@@ -582,16 +625,16 @@ func (n *Network) tryTransmit(o *OutPort) {
 	// wedge VC-based deadlock avoidance.
 	// Sender frees after serialisation.
 	n.Sim.Schedule(start+ser, n, engine.Event{
-		Kind: evTxDone, Ptr: o,
+		Kind: evTxDone, Ref: int32(l.id),
 		A: int64(pkt.inPort)<<4 | int64(pkt.arrClass), B: int64(pkt.Size),
 	})
 	// Receiver processing starts at header (cut-through) or tail.
 	arr := start + l.prop + ser
 	if n.Cfg.CutThrough {
-		hdr := serTime(minInt(pkt.Size, n.Cfg.HeaderBytes+64), l.bps)
+		hdr := serTime(min(pkt.Size, n.Cfg.HeaderBytes+64), l.bps)
 		arr = start + l.prop + hdr
 	}
-	n.Sim.Schedule(arr, n, engine.Event{Kind: evArrive, Ptr: pkt, A: int64(l.id)})
+	n.Sim.Schedule(arr, n, engine.Event{Kind: evArrive, Ref: pkt.idx, A: int64(l.id)})
 }
 
 // onDequeued updates PFC ingress accounting at the switch that owned
@@ -616,7 +659,7 @@ func (n *Network) onDequeued(o *OutPort, inPort, prio, size int) {
 		if up != nil {
 			// Resume after control-frame propagation.
 			n.Sim.Schedule(n.Sim.Now()+n.Cfg.PropDelay+500*Nanosecond, n, engine.Event{
-				Kind: evPfcResume, Ptr: up, A: int64(prio),
+				Kind: evPfcResume, Ref: int32(up.link.id), A: int64(prio),
 			})
 		}
 	}
@@ -687,11 +730,4 @@ func (n *Network) LinkIsDown(edge int) bool {
 		}
 	}
 	return false
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -152,7 +152,7 @@ func TestSingleFlowSaturatesLink(t *testing.T) {
 	hosts := g.Hosts()
 	const bytes = 10 << 20 // 10 MiB
 	start := net.Sim.Now()
-	net.Host(hosts[0]).roce.Send(hosts[1], 1, bytes)
+	net.Host(hosts[0]).Send(hosts[1], 1, bytes)
 	var done Time
 	recvThen(net.Host(hosts[1]), hosts[0], 1, func() { done = net.Sim.Now() })
 	net.Sim.Run(0)
@@ -175,7 +175,7 @@ func TestPFCPreventsDropsInIncast(t *testing.T) {
 		if i == 3 {
 			continue
 		}
-		net.Host(h).roce.Send(hosts[3], 1, 2<<20)
+		net.Host(h).Send(hosts[3], 1, 2<<20)
 	}
 	net.Sim.Run(0)
 	if net.TotalDrops != 0 {
@@ -199,7 +199,7 @@ func TestLossyIncastDrops(t *testing.T) {
 		if i == 3 {
 			continue
 		}
-		net.Host(h).roce.Send(hosts[3], 1, 2<<20)
+		net.Host(h).Send(hosts[3], 1, 2<<20)
 	}
 	net.Sim.Run(0)
 	if net.TotalDrops == 0 {
@@ -265,7 +265,7 @@ func TestDCQCNReducesPauses(t *testing.T) {
 			if i == 3 {
 				continue
 			}
-			net.Host(h).roce.Send(hosts[3], 1, 4<<20)
+			net.Host(h).Send(hosts[3], 1, 4<<20)
 		}
 		net.Sim.Run(0)
 		if net.TotalDrops != 0 {
@@ -411,7 +411,7 @@ func TestTableMissDrops(t *testing.T) {
 	}
 	hosts := g.Hosts()
 	// Destination 9999 has no rules anywhere.
-	net.Host(hosts[0]).roce.Send(9999, 1, 100)
+	net.Host(hosts[0]).Send(9999, 1, 100)
 	// Sending to an unknown host: the injection switch misses.
 	net.Sim.Run(0)
 	if net.TotalDrops == 0 {
@@ -423,7 +423,7 @@ func TestLinkLoadsTelemetry(t *testing.T) {
 	cfg := DefaultConfig()
 	net, g := buildLine(t, 3, 1, cfg)
 	hosts := g.Hosts()
-	net.Host(hosts[0]).roce.Send(hosts[2], 1, 1<<20)
+	net.Host(hosts[0]).Send(hosts[2], 1, 1<<20)
 	net.Sim.Run(0)
 	loads := net.LinkLoads()
 	nonzero := 0
@@ -454,7 +454,7 @@ func TestDeterminism(t *testing.T) {
 			if i == 3 {
 				continue
 			}
-			net.Host(h).roce.Send(hosts[3], 1, 1<<20)
+			net.Host(h).Send(hosts[3], 1, 1<<20)
 		}
 		end := net.Sim.Run(0)
 		return end, net.Sim.Events()
@@ -490,7 +490,7 @@ func BenchmarkIncastPFC(b *testing.B) {
 			if j == 3 {
 				continue
 			}
-			net.Host(h).roce.Send(hosts[3], 1, 1<<20)
+			net.Host(h).Send(hosts[3], 1, 1<<20)
 		}
 		net.Sim.Run(0)
 	}

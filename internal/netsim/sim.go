@@ -48,21 +48,20 @@ func NewSim() *Sim { return engine.New() }
 // payload conventions are documented at the scheduling sites.
 const (
 	// Network events.
-	evTxDone    int32 = iota // Ptr=*OutPort, A=inPort<<4|prio, B=size
-	evArrive                 // Ptr=*Packet, A=link index
-	evPfcPause               // Ptr=*OutPort, A=priority class
-	evPfcResume              // Ptr=*OutPort, A=priority class
+	evTxDone    int32 = iota // Ref=link of the port, A=inPort<<4|prio, B=size
+	evArrive                 // Ref=packet, A=link index
+	evPfcPause               // Ref=link of the paused port, A=priority class
+	evPfcResume              // Ref=link of the paused port, A=priority class
+	evQPSend                 // Ref=queue pair, A=pacing gap (Time), B=packet
+	evQPTick                 // Ref=queue pair: CC policy timer (DCQCN rate increase)
 	// SimSwitch events.
-	evSwEnqueue // Ptr=*Packet, A=out port, B=inPort<<4|arrival class
-	// roceQP events.
-	evQPSend // Ptr=*Packet, A=pacing gap (Time)
-	evQPTick // CC policy timer (DCQCN rate increase)
+	evSwEnqueue // Ref=packet, A=out port, B=inPort<<4|arrival class
 	// Host events.
 	evDeliver // A=src vertex, B=app tag
 	// TCPConn events.
 	evRTO // retransmission timeout (cancellable handle)
 	// App events.
-	evAppStep // Ptr=*Rank
+	evAppStep // Ref=rank index
 	// FlowApp events.
 	evFlowStart // A=index into the sorted start order
 	evFlowDone  // A=flow index

@@ -11,7 +11,7 @@ func (s *SimSwitch) receive(pkt *Packet) {
 	if !ok || out <= 0 || out >= len(s.outPorts) || s.outPorts[out] == nil {
 		s.Drops++
 		n.TotalDrops++
-		pkt.release()
+		n.pkts.release(pkt)
 		return
 	}
 	// The PFC class the packet arrived with (before any VC rewrite):
@@ -24,7 +24,7 @@ func (s *SimSwitch) receive(pkt *Packet) {
 	pkt.Tag = newTag
 	d := n.Cfg.SwitchLatency + s.crossbar.delay(n.Sim.Now(), pkt.Size)
 	n.Sim.ScheduleAfter(d, s, engine.Event{
-		Kind: evSwEnqueue, Ptr: pkt,
+		Kind: evSwEnqueue, Ref: pkt.idx,
 		A: int64(out), B: int64(pkt.inPort)<<4 | int64(arrCls),
 	})
 }
@@ -32,13 +32,14 @@ func (s *SimSwitch) receive(pkt *Packet) {
 // OnEvent dispatches switch events (crossbar-traversal completions).
 func (s *SimSwitch) OnEvent(now Time, ev engine.Event) {
 	if ev.Kind == evSwEnqueue {
+		pkt := s.net.pkts.at(ev.Ref)
 		if s.down {
 			// The switch died while the packet crossed its crossbar.
 			s.net.FaultDrops++
-			ev.Ptr.(*Packet).release()
+			s.net.pkts.release(pkt)
 			return
 		}
-		s.enqueue(s.outPorts[ev.A], int(ev.B>>4), int(ev.B&0xf), ev.Ptr.(*Packet))
+		s.enqueue(s.outPorts[ev.A], int(ev.B>>4), int(ev.B&0xf), pkt)
 	}
 }
 
@@ -61,7 +62,7 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 	if !n.Cfg.PFC && isData(pkt.Prio) && o.queuedBytes()+pkt.Size > n.Cfg.QueueCap {
 		o.Drops++
 		n.TotalDrops++
-		pkt.release()
+		n.pkts.release(pkt)
 		return
 	}
 	// ECN marking (RED-style ramp on egress occupancy), data class only.
@@ -91,7 +92,7 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 			if up != nil {
 				n.PausesSent++
 				n.Sim.Schedule(n.Sim.Now()+n.Cfg.PropDelay+500*Nanosecond, n, engine.Event{
-					Kind: evPfcPause, Ptr: up, A: int64(arrCls),
+					Kind: evPfcPause, Ref: int32(up.link.id), A: int64(arrCls),
 				})
 			}
 		}

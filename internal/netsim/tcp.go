@@ -10,6 +10,7 @@ import "repro/internal/engine"
 type TCPConn struct {
 	net  *Network
 	flow int64
+	idx  int32 // index in the Network's tcps, carried by its packets
 	src  int
 	dst  int
 	mss  int
@@ -36,20 +37,22 @@ type TCPConn struct {
 // tcpRTO is the coarse retransmission timeout.
 const tcpRTO = 2 * Millisecond
 
+// tcpFlow marks TCP flow IDs, which no RoCE flow ID reaches.
+const tcpFlow = 1 << 62
+
 // StartTCP opens a TCP flow from src to dst sending `limit` bytes
 // (limit < 0 streams until the run ends). done, if non-nil, fires at the
 // sender when the last byte is cumulatively acknowledged.
 func (n *Network) StartTCP(src, dst int, limit int64, done func(fct Time)) *TCPConn {
 	n.nextID++
 	c := &TCPConn{
-		net: n, flow: n.nextID | 1<<62, src: src, dst: dst,
+		net: n, flow: n.nextID | tcpFlow, idx: int32(len(n.tcps)), src: src, dst: dst,
 		mss:  n.Cfg.MTU,
 		cwnd: float64(n.Cfg.MTU) * 10, ssthresh: 1 << 20, maxCwnd: 1 << 20,
 		limit: limit, ooo: map[int64]int{}, done: done,
 		startAt: n.Sim.Now(),
 	}
-	n.hosts[src].tcp[c.flow] = c
-	n.hosts[dst].tcp[c.flow] = c
+	n.tcps = append(n.tcps, c)
 	c.trySend()
 	c.armRTO()
 	return c
@@ -76,12 +79,10 @@ func (c *TCPConn) trySend() {
 
 func (c *TCPConn) emit(seq int64, l int) {
 	n := c.net
-	pkt := allocPacket()
-	*pkt = Packet{
+	n.hosts[c.src].inject(n.pkts.alloc(Packet{
 		ID: n.pktID(), Kind: Data, Src: c.src, Dst: c.dst,
-		Size: l + n.Cfg.HeaderBytes, Len: l, Flow: c.flow, Seq: seq, Prio: 0,
-	}
-	n.hosts[c.src].inject(pkt)
+		Size: l + n.Cfg.HeaderBytes, Len: l, Flow: c.flow, Seq: seq, Prio: 0, conn: c.idx,
+	}))
 }
 
 // onData runs at the receiver: cumulative reassembly plus an immediate
@@ -103,13 +104,11 @@ func (c *TCPConn) onData(pkt *Packet) {
 	}
 	c.RcvBytes = c.rcvNxt
 	n.hosts[c.dst].DeliveredBytes += int64(pkt.Len)
-	ack := allocPacket()
-	*ack = Packet{
+	n.hosts[c.dst].inject(n.pkts.alloc(Packet{
 		ID: n.pktID(), Kind: Ack, Src: c.dst, Dst: c.src,
-		Size: 64, Flow: c.flow, Prio: 1,
+		Size: 64, Flow: c.flow, Prio: 1, conn: c.idx,
 		AckSeq: c.rcvNxt, AckECN: pkt.ECN,
-	}
-	n.hosts[c.dst].inject(ack)
+	}))
 }
 
 // onAck runs at the sender: window evolution per Reno.

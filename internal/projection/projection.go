@@ -455,6 +455,9 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, opt partiti
 	res := newReservation(n)
 	for _, ti := range order {
 		g := topos[ti]
+		if g.NumSwitches() == 0 {
+			return nil, fmt.Errorf("projection: topology %q has no switches to project", g.Name)
+		}
 		bestCost := -1
 		var bestRes *reservation
 		var lastErr error

@@ -171,6 +171,25 @@ func TestProjectFailsWhenTooBig(t *testing.T) {
 	}
 }
 
+// TestPlanCablingNoSwitches: a topology with no switches fails with
+// the reason, not with the error of a search that never ran.
+func TestPlanCablingNoSwitches(t *testing.T) {
+	for _, g := range []*topology.Graph{topology.New("x"), hostsOnly()} {
+		_, err := PlanCabling(threeSwitches(), []*topology.Graph{topology.FatTree(4), g}, partition.Options{})
+		if want := `projection: topology "` + g.Name + `" has no switches to project`; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", g.Name, err, want)
+		}
+	}
+}
+
+// hostsOnly is a topology of two unconnected hosts.
+func hostsOnly() *topology.Graph {
+	g := topology.New("hosts")
+	g.AddHost("h0")
+	g.AddHost("h1")
+	return g
+}
+
 func TestMultiTopologyCablingReservesMax(t *testing.T) {
 	topos := []*topology.Graph{
 		topology.Torus2D(4, 4, 1),

@@ -13,9 +13,11 @@ import (
 // may pin explicit port numbers. Generator configs ({"generator":
 // "fattree", "params": [4]}) name a row of the generator table
 // (Generators), so users do not have to enumerate large standard
-// topologies by hand.
+// topologies by hand. Family, also a row of that table, names the
+// family of an explicit configuration whose name does not declare it.
 type Config struct {
 	Name      string       `json:"name"`
+	Family    string       `json:"family,omitempty"`
 	Generator string       `json:"generator,omitempty"`
 	Params    []int        `json:"params,omitempty"`
 	Switches  []string     `json:"switches,omitempty"`
@@ -41,13 +43,23 @@ type LinkConfig struct {
 // before anything is allocated, and its name, if set, replaces the
 // generated one; the graph keeps the generator's Family. Explicit
 // vertices and links are applied only when no generator is named, and
-// the family of such a graph is the one its name declares (familyOf).
+// the family of such a graph is its "family" field, or else the one
+// its name declares (familyOf).
 func (c *Config) Build() (*Graph, error) {
+	var fam *Generator
+	if c.Family != "" {
+		if fam = generatorNamed(c.Family); fam == nil {
+			return nil, c.errorf("unknown family %q", c.Family)
+		}
+	}
 	var g *Graph
 	if c.Generator != "" {
 		gen := generatorNamed(c.Generator)
 		if gen == nil {
 			return nil, c.errorf("unknown generator %q", c.Generator)
+		}
+		if fam != nil && fam != gen {
+			return nil, c.errorf("family %q contradicts generator %q", c.Family, c.Generator)
 		}
 		if err := gen.Check(c.Params); err != nil {
 			return nil, c.errorf("%w", err)
@@ -60,6 +72,9 @@ func (c *Config) Build() (*Graph, error) {
 		var err error
 		if g, err = c.explicit(); err != nil {
 			return nil, err
+		}
+		if fam != nil {
+			g.Family = fam.Name
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -119,9 +134,14 @@ func (c *Config) errorf(format string, args ...any) error {
 }
 
 // ToConfig converts a Graph back into an explicit (non-generator)
-// Config, suitable for round-tripping through JSON.
+// Config, suitable for round-tripping through JSON. It names the
+// family when the graph's name does not declare it, as for a
+// generated graph given another name.
 func (g *Graph) ToConfig() *Config {
 	c := &Config{Name: g.Name}
+	if familyOf(g.Name) != g.Family {
+		c.Family = g.Family
+	}
 	for _, v := range g.Vertices {
 		if v.Kind == Switch {
 			c.Switches = append(c.Switches, v.Label)

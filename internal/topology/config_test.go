@@ -138,12 +138,46 @@ func sameGraph(a, b *Graph) string {
 	return ""
 }
 
+// TestConfigFamilyField: a renamed generated graph keeps its family
+// through a file, and a family that is not a generator row, or that
+// contradicts the config's generator, is refused.
+func TestConfigFamilyField(t *testing.T) {
+	g, err := (&Config{Name: "lab", Generator: "dragonfly", Params: []int{4, 9, 2, 1}}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.ToConfig()
+	if c.Family != "dragonfly" {
+		t.Fatalf("ToConfig family %q, want dragonfly", c.Family)
+	}
+	back, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Family != "dragonfly" {
+		t.Fatalf("round trip: family %q, want dragonfly", back.Family)
+	}
+	if c := FatTree(4).ToConfig(); c.Family != "" {
+		t.Errorf("fattree-k4 writes family %q; its name declares it", c.Family)
+	}
+	for _, c := range []struct{ json, want string }{
+		{`{"name":"x","family":"nope","switches":["a"]}`, `topology config "x": unknown family "nope"`},
+		{`{"generator":"fattree","params":[4],"family":"dragonfly"}`, `topology config: family "dragonfly" contradicts generator "fattree"`},
+	} {
+		cfg, err := ReadConfig(strings.NewReader(c.json))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cfg.Build(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.json, err, c.want)
+		}
+	}
+}
+
 // FuzzConfig feeds arbitrary bytes through ReadConfig and Build, which
 // must not panic. A graph that builds is within the size bound, and
-// its ToConfig builds back to an equal graph. The family comes back
-// too, read from the name, except where a generator config renamed
-// its graph to a name that does not declare the family: a file has
-// nowhere else to carry it.
+// its ToConfig builds back to an equal graph, family included: the
+// name declares it, or the file's "family" field carries it.
 func FuzzConfig(f *testing.F) {
 	for _, c := range badConfigs {
 		f.Add([]byte(c.json))
@@ -152,6 +186,8 @@ func FuzzConfig(f *testing.F) {
 		f.Add([]byte(fmt.Sprintf(`{"generator":%q,"params":%s}`, gen.Name, strings.Join(strings.Fields(fmt.Sprint(gen.Example)), ","))))
 	}
 	f.Add([]byte(`{"name":"lab","generator":"dragonfly","params":[4,9,2,1]}`))
+	f.Add([]byte(`{"name":"fattree-lab","generator":"ring","params":[3,1]}`))
+	f.Add([]byte(`{"name":"lab","family":"torus2d","switches":["a","b"],"links":[{"a":"a","b":"b"}]}`))
 	f.Add([]byte(`{"name":"torus2d-x","switches":["a","b","c"],"hosts":["h"],"links":[{"a":"a","b":"b"},{"a":"b","b":"c","aport":4,"bport":2},{"a":"h","b":"c"}],"coords":{"a":[0,0],"b":[1,0]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadConfig(bytes.NewReader(data))
@@ -168,9 +204,6 @@ func FuzzConfig(f *testing.F) {
 		back, err := g.ToConfig().Build()
 		if err != nil {
 			t.Fatalf("ToConfig of a built graph does not build: %v", err)
-		}
-		if c.Generator != "" && c.Name != "" && back.Family == familyOf(g.Name) {
-			back.Family = g.Family
 		}
 		if d := sameGraph(g, back); d != "" {
 			t.Fatalf("round trip differs: %s", d)

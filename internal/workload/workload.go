@@ -55,61 +55,64 @@ func Pingpong(bytes, reps int) *Trace {
 	return &Trace{Name: fmt.Sprintf("imb-pingpong-%dB", bytes), Ranks: 2, Programs: [][]netsim.Op{p0, p1}}
 }
 
+// presize returns n rank programs with room for ops(r) operations
+// each. A rank with none stays nil, as appending nothing leaves it.
+func presize(n int, ops func(r int) int) [][]netsim.Op {
+	progs := make([][]netsim.Op, n)
+	for r := range progs {
+		if k := ops(r); k > 0 {
+			progs[r] = make([]netsim.Op, 0, k)
+		}
+	}
+	return progs
+}
+
 // Alltoall is the IMB Alltoall: reps rounds in which every rank sends
 // `bytes` to every other rank (the pure-traffic benchmark of Fig. 13).
+// Each round, a rank sends to every other rank, then receives from
+// each.
 func Alltoall(n, bytes, reps int) *Trace {
 	var tg tagger
-	progs := make([][]netsim.Op, n)
+	progs := presize(n, func(int) int { return reps * 2 * (n - 1) })
 	for rep := 0; rep < reps; rep++ {
 		base := tg.phase()
-		for r := 0; r < n; r++ {
+		for r := range progs {
 			for p := 0; p < n; p++ {
-				if p == r {
-					continue
+				if p != r {
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: p, Bytes: bytes, MTag: base + r})
 				}
-				progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: p, Bytes: bytes, MTag: base + r})
 			}
-		}
-		for r := 0; r < n; r++ {
 			for p := 0; p < n; p++ {
-				if p == r {
-					continue
+				if p != r {
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: p, MTag: base + p})
 				}
-				progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: p, MTag: base + p})
 			}
 		}
 	}
 	return &Trace{Name: fmt.Sprintf("imb-alltoall-%d", n), Ranks: n, Programs: progs}
 }
 
-// AllreduceRing is a ring allreduce of `bytes` (reduce-scatter +
-// allgather), the collective underlying HPCG's dot products.
-func AllreduceRing(n, bytes, reps int, tg *tagger) *Trace {
-	if tg == nil {
-		tg = &tagger{}
-	}
-	progs := make([][]netsim.Op, n)
-	if n == 1 {
-		return &Trace{Name: "allreduce", Ranks: 1, Programs: progs}
-	}
-	chunk := bytes / n
-	if chunk < 1 {
-		chunk = 1
-	}
-	for rep := 0; rep < reps; rep++ {
-		for phase := 0; phase < 2*(n-1); phase++ {
-			base := tg.phase()
-			for r := 0; r < n; r++ {
-				nxt := (r + 1) % n
-				prv := (r - 1 + n) % n
-				progs[r] = append(progs[r],
-					netsim.Op{Kind: netsim.OpSend, Peer: nxt, Bytes: chunk, MTag: base + r},
-					netsim.Op{Kind: netsim.OpRecv, Peer: prv, MTag: base + prv},
-				)
-			}
+// allreduceOps is the number of ops one ring allreduce adds to every
+// rank's program.
+func allreduceOps(n int) int { return 4 * (n - 1) }
+
+// allreduce appends one ring allreduce (reduce-scatter + allgather,
+// the collective under HPCG's and miniFE's dot products) of chunk-byte
+// steps to every rank's program: 2(n-1) phases, each tagged afresh
+// from tg, of a send to the next rank and a receive from the previous
+// one.
+func allreduce(progs [][]netsim.Op, chunk int, tg *tagger) {
+	n := len(progs)
+	for phase := 0; phase < 2*(n-1); phase++ {
+		base := tg.phase()
+		for r := range progs {
+			prv := (r - 1 + n) % n
+			progs[r] = append(progs[r],
+				netsim.Op{Kind: netsim.OpSend, Peer: (r + 1) % n, Bytes: chunk, MTag: base + r},
+				netsim.Op{Kind: netsim.OpRecv, Peer: prv, MTag: base + prv},
+			)
 		}
 	}
-	return &Trace{Name: fmt.Sprintf("allreduce-%dB", bytes), Ranks: n, Programs: progs}
 }
 
 // grid2D arranges n ranks into the most square (px, py) grid.
@@ -123,46 +126,67 @@ func grid2D(n int) (int, int) {
 	return px, n / px
 }
 
+// halo is one rank's neighbours on a non-periodic 2D grid, in send
+// order, with the direction toward each: 0 and 1 along x, 2 and 3
+// along y. A neighbour's send toward the rank has the mirrored
+// direction (dir ^ 1).
+type halo struct {
+	peer, dir [4]int
+	k         int
+}
+
+// haloOf returns rank r's neighbours on a px × py grid.
+func haloOf(r, px, py int) halo {
+	var h halo
+	x, y := r%px, r/px
+	for dir, c := range [4]struct {
+		ok   bool
+		peer int
+	}{{x > 0, r - 1}, {x < px-1, r + 1}, {y > 0, r - px}, {y < py-1, r + px}} {
+		if c.ok {
+			h.peer[h.k], h.dir[h.k] = c.peer, dir
+			h.k++
+		}
+	}
+	return h
+}
+
+// haloOps is the number of ops one halo sweep adds to rank r's program.
+func haloOps(r, px, py int, compute netsim.Time) int {
+	k := 2 * haloOf(r, px, py).k
+	if compute > 0 {
+		k++
+	}
+	return k
+}
+
+// haloSweep appends one halo exchange, tagged from base, to every
+// rank's program: sends to each neighbour, receives from each, then
+// the compute phase if there is one.
+func haloSweep(progs [][]netsim.Op, px, py, bytes, base int, compute netsim.Time) {
+	for r := range progs {
+		h := haloOf(r, px, py)
+		for i := range h.k {
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: h.peer[i], Bytes: bytes, MTag: base + r*8 + h.dir[i]})
+		}
+		for i := range h.k {
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: h.peer[i], MTag: base + h.peer[i]*8 + (h.dir[i] ^ 1)})
+		}
+		if compute > 0 {
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: compute})
+		}
+	}
+}
+
 // HaloExchange2D is miniGhost's communication skeleton: iters sweeps of
 // 2D nearest-neighbour halo exchange (non-periodic) with a compute
 // phase per sweep.
 func HaloExchange2D(n, haloBytes, iters int, compute netsim.Time) *Trace {
 	px, py := grid2D(n)
 	var tg tagger
-	progs := make([][]netsim.Op, n)
-	rankAt := func(x, y int) int { return y*px + x }
+	progs := presize(n, func(r int) int { return iters * haloOps(r, px, py, compute) })
 	for it := 0; it < iters; it++ {
-		base := tg.phase()
-		for y := 0; y < py; y++ {
-			for x := 0; x < px; x++ {
-				r := rankAt(x, y)
-				type nb struct{ peer, dir int }
-				var nbs []nb
-				if x > 0 {
-					nbs = append(nbs, nb{rankAt(x-1, y), 0})
-				}
-				if x < px-1 {
-					nbs = append(nbs, nb{rankAt(x+1, y), 1})
-				}
-				if y > 0 {
-					nbs = append(nbs, nb{rankAt(x, y-1), 2})
-				}
-				if y < py-1 {
-					nbs = append(nbs, nb{rankAt(x, y+1), 3})
-				}
-				for _, v := range nbs {
-					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: v.peer, Bytes: haloBytes, MTag: base + r*8 + v.dir})
-				}
-				for _, v := range nbs {
-					// The matching tag is the neighbour's send toward us:
-					// direction is mirrored (0<->1, 2<->3).
-					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: v.peer, MTag: base + v.peer*8 + (v.dir ^ 1)})
-				}
-				if compute > 0 {
-					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: compute})
-				}
-			}
-		}
+		haloSweep(progs, px, py, haloBytes, tg.phase(), compute)
 	}
 	return &Trace{Name: fmt.Sprintf("minighost-%d", n), Ranks: n, Programs: progs}
 }
@@ -175,33 +199,34 @@ func MiniGhost(n int) *Trace {
 	return t
 }
 
+// cgSolve is the shape of a conjugate-gradient proxy: per iteration a
+// sparse-matrix halo exchange, a compute phase and dot-product
+// allreduces of 64 bytes.
+func cgSolve(n, iters, haloBytes int, compute netsim.Time, dots int) [][]netsim.Op {
+	px, py := grid2D(n)
+	var tg tagger
+	progs := presize(n, func(r int) int {
+		return iters * (haloOps(r, px, py, 0) + 1 + dots*allreduceOps(n))
+	})
+	for it := 0; it < iters; it++ {
+		// The halo exchange takes the tags of a fresh one-sweep trace,
+		// shifted clear of every other phase's.
+		haloSweep(progs, px, py, haloBytes, 1<<12+tg.phase()*16, 0)
+		for r := range progs {
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: compute})
+		}
+		for d := 0; d < dots; d++ {
+			allreduce(progs, max(64/n, 1), &tg)
+		}
+	}
+	return progs
+}
+
 // HPCG models the High Performance Conjugate Gradient benchmark: per
 // iteration a sparse-matrix halo exchange plus two small allreduces
 // (dot products) and a compute phase.
 func HPCG(n int) *Trace {
-	var tg tagger
-	progs := make([][]netsim.Op, n)
-	const iters = 30
-	for it := 0; it < iters; it++ {
-		// Halo exchange (SpMV): re-generate with fresh tags.
-		sweep := HaloExchange2D(n, 64*1024, 1, 0)
-		shift := tg.phase() * 16
-		for r := 0; r < n; r++ {
-			for _, op := range sweep.Programs[r] {
-				op.MTag += shift
-				progs[r] = append(progs[r], op)
-			}
-			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: 3 * netsim.Millisecond})
-		}
-		// Two dot-product allreduces.
-		for d := 0; d < 2; d++ {
-			ar := AllreduceRing(n, 64, 1, &tg)
-			for r := 0; r < n; r++ {
-				progs[r] = append(progs[r], ar.Programs[r]...)
-			}
-		}
-	}
-	return &Trace{Name: fmt.Sprintf("HPCG-%d", n), Ranks: n, Programs: progs}
+	return &Trace{Name: fmt.Sprintf("HPCG-%d", n), Ranks: n, Programs: cgSolve(n, 30, 64*1024, 3*netsim.Millisecond, 2)}
 }
 
 // HPL models High Performance Linpack: steps of panel factorisation
@@ -209,9 +234,9 @@ func HPCG(n int) *Trace {
 // updates (compute proportional to remaining matrix).
 func HPL(n int) *Trace {
 	var tg tagger
-	progs := make([][]netsim.Op, n)
 	const steps = 24
 	const panel0 = 2 << 20
+	progs := presize(n, func(int) int { return 3 * steps })
 	for k := 0; k < steps; k++ {
 		root := k % n
 		frac := float64(steps-k) / float64(steps)
@@ -245,27 +270,7 @@ func HPL(n int) *Trace {
 // MiniFE models the miniFE finite-element proxy: a CG solve — like
 // HPCG but with a heavier halo and three allreduces per iteration.
 func MiniFE(n int) *Trace {
-	var tg tagger
-	progs := make([][]netsim.Op, n)
-	const iters = 20
-	for it := 0; it < iters; it++ {
-		sweep := HaloExchange2D(n, 128*1024, 1, 0)
-		shift := tg.phase() * 16
-		for r := 0; r < n; r++ {
-			for _, op := range sweep.Programs[r] {
-				op.MTag += shift
-				progs[r] = append(progs[r], op)
-			}
-			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: 4 * netsim.Millisecond})
-		}
-		for d := 0; d < 3; d++ {
-			ar := AllreduceRing(n, 64, 1, &tg)
-			for r := 0; r < n; r++ {
-				progs[r] = append(progs[r], ar.Programs[r]...)
-			}
-		}
-	}
-	return &Trace{Name: fmt.Sprintf("miniFE-%d", n), Ranks: n, Programs: progs}
+	return &Trace{Name: fmt.Sprintf("miniFE-%d", n), Ranks: n, Programs: cgSolve(n, 20, 128*1024, 4*netsim.Millisecond, 3)}
 }
 
 // IMBAlltoall is the Fig. 13 benchmark at Table IV scale.

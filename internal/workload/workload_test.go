@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,7 +16,6 @@ func TestAllGeneratorsValidate(t *testing.T) {
 	traces := []*Trace{
 		Pingpong(1024, 5),
 		Alltoall(8, 4096, 2),
-		AllreduceRing(8, 64*1024, 2, nil),
 		HaloExchange2D(16, 8192, 3, netsim.Millisecond),
 		MiniGhost(16),
 		HPCG(16),
@@ -160,6 +161,7 @@ func TestQuickAlltoallBalanced(t *testing.T) {
 }
 
 func BenchmarkHPCGGen(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		HPCG(32)
 	}
@@ -177,4 +179,245 @@ func TestByNameUnknownListsCandidates(t *testing.T) {
 			t.Fatalf("error %q does not list %q", err, want)
 		}
 	}
+}
+
+// TestGeneratorsMatchReference holds every Table IV application, and
+// the collectives they are built from, to the reference generators:
+// the same ops, tags and order for every rank, nil where the reference
+// leaves a rank's program nil.
+func TestGeneratorsMatchReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 32, 64} {
+		pairs := []struct {
+			name      string
+			got, want *Trace
+		}{
+			{"HPCG", HPCG(n), refHPCG(n)},
+			{"HPL", HPL(n), refHPL(n)},
+			{"miniGhost", MiniGhost(n), refMiniGhost(n)},
+			{"miniFE", MiniFE(n), refMiniFE(n)},
+			{"IMB", IMBAlltoall(n), refIMBAlltoall(n)},
+			{"Alltoall", Alltoall(n, 100, 3), refAlltoall(n, 100, 3)},
+			{"HaloExchange2D", HaloExchange2D(n, 100, 2, 0), refHaloExchange2D(n, 100, 2, 0)},
+		}
+		for _, p := range pairs {
+			if !reflect.DeepEqual(p.got, p.want) {
+				t.Errorf("%s(%d) differs from the reference:\n%s", p.name, n, traceDiff(p.got, p.want))
+			}
+		}
+	}
+}
+
+// traceDiff names the first difference between two traces.
+func traceDiff(got, want *Trace) string {
+	if got.Name != want.Name || got.Ranks != want.Ranks || len(got.Programs) != len(want.Programs) {
+		return fmt.Sprintf("header %q/%d/%d, want %q/%d/%d", got.Name, got.Ranks, len(got.Programs), want.Name, want.Ranks, len(want.Programs))
+	}
+	for r := range want.Programs {
+		g, w := got.Programs[r], want.Programs[r]
+		if (g == nil) != (w == nil) || len(g) != len(w) {
+			return fmt.Sprintf("rank %d: %d ops (nil %v), want %d (nil %v)", r, len(g), g == nil, len(w), w == nil)
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				return fmt.Sprintf("rank %d op %d: %+v, want %+v", r, i, g[i], w[i])
+			}
+		}
+	}
+	return "no difference found"
+}
+
+// The generators as they were before they wrote ops in place: each
+// HPCG or miniFE iteration built whole HaloExchange2D and AllreduceRing
+// traces and copied them rank by rank. They are the reference the
+// in-place generators must equal op for op.
+
+func refAlltoall(n, bytes, reps int) *Trace {
+	var tg tagger
+	progs := make([][]netsim.Op, n)
+	for rep := 0; rep < reps; rep++ {
+		base := tg.phase()
+		for r := 0; r < n; r++ {
+			for p := 0; p < n; p++ {
+				if p == r {
+					continue
+				}
+				progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: p, Bytes: bytes, MTag: base + r})
+			}
+		}
+		for r := 0; r < n; r++ {
+			for p := 0; p < n; p++ {
+				if p == r {
+					continue
+				}
+				progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: p, MTag: base + p})
+			}
+		}
+	}
+	return &Trace{Name: fmt.Sprintf("imb-alltoall-%d", n), Ranks: n, Programs: progs}
+}
+
+func refAllreduceRing(n, bytes, reps int, tg *tagger) *Trace {
+	if tg == nil {
+		tg = &tagger{}
+	}
+	progs := make([][]netsim.Op, n)
+	if n == 1 {
+		return &Trace{Name: "allreduce", Ranks: 1, Programs: progs}
+	}
+	chunk := bytes / n
+	if chunk < 1 {
+		chunk = 1
+	}
+	for rep := 0; rep < reps; rep++ {
+		for phase := 0; phase < 2*(n-1); phase++ {
+			base := tg.phase()
+			for r := 0; r < n; r++ {
+				nxt := (r + 1) % n
+				prv := (r - 1 + n) % n
+				progs[r] = append(progs[r],
+					netsim.Op{Kind: netsim.OpSend, Peer: nxt, Bytes: chunk, MTag: base + r},
+					netsim.Op{Kind: netsim.OpRecv, Peer: prv, MTag: base + prv},
+				)
+			}
+		}
+	}
+	return &Trace{Name: fmt.Sprintf("allreduce-%dB", bytes), Ranks: n, Programs: progs}
+}
+
+func refHaloExchange2D(n, haloBytes, iters int, compute netsim.Time) *Trace {
+	px, py := grid2D(n)
+	var tg tagger
+	progs := make([][]netsim.Op, n)
+	rankAt := func(x, y int) int { return y*px + x }
+	for it := 0; it < iters; it++ {
+		base := tg.phase()
+		for y := 0; y < py; y++ {
+			for x := 0; x < px; x++ {
+				r := rankAt(x, y)
+				type nb struct{ peer, dir int }
+				var nbs []nb
+				if x > 0 {
+					nbs = append(nbs, nb{rankAt(x-1, y), 0})
+				}
+				if x < px-1 {
+					nbs = append(nbs, nb{rankAt(x+1, y), 1})
+				}
+				if y > 0 {
+					nbs = append(nbs, nb{rankAt(x, y-1), 2})
+				}
+				if y < py-1 {
+					nbs = append(nbs, nb{rankAt(x, y+1), 3})
+				}
+				for _, v := range nbs {
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: v.peer, Bytes: haloBytes, MTag: base + r*8 + v.dir})
+				}
+				for _, v := range nbs {
+					// The matching tag is the neighbour's send toward us:
+					// direction is mirrored (0<->1, 2<->3).
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: v.peer, MTag: base + v.peer*8 + (v.dir ^ 1)})
+				}
+				if compute > 0 {
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: compute})
+				}
+			}
+		}
+	}
+	return &Trace{Name: fmt.Sprintf("minighost-%d", n), Ranks: n, Programs: progs}
+}
+
+func refMiniGhost(n int) *Trace {
+	t := refHaloExchange2D(n, 256*1024, 40, 2*netsim.Millisecond)
+	t.Name = fmt.Sprintf("miniGhost-%d", n)
+	return t
+}
+
+func refHPCG(n int) *Trace {
+	var tg tagger
+	progs := make([][]netsim.Op, n)
+	const iters = 30
+	for it := 0; it < iters; it++ {
+		// Halo exchange (SpMV): re-generate with fresh tags.
+		sweep := refHaloExchange2D(n, 64*1024, 1, 0)
+		shift := tg.phase() * 16
+		for r := 0; r < n; r++ {
+			for _, op := range sweep.Programs[r] {
+				op.MTag += shift
+				progs[r] = append(progs[r], op)
+			}
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: 3 * netsim.Millisecond})
+		}
+		// Two dot-product allreduces.
+		for d := 0; d < 2; d++ {
+			ar := refAllreduceRing(n, 64, 1, &tg)
+			for r := 0; r < n; r++ {
+				progs[r] = append(progs[r], ar.Programs[r]...)
+			}
+		}
+	}
+	return &Trace{Name: fmt.Sprintf("HPCG-%d", n), Ranks: n, Programs: progs}
+}
+
+func refHPL(n int) *Trace {
+	var tg tagger
+	progs := make([][]netsim.Op, n)
+	const steps = 24
+	const panel0 = 2 << 20
+	for k := 0; k < steps; k++ {
+		root := k % n
+		frac := float64(steps-k) / float64(steps)
+		bytes := int(float64(panel0) * frac * frac)
+		if bytes < 1024 {
+			bytes = 1024
+		}
+		base := tg.phase()
+		// Ring broadcast from root: receive from the previous rank,
+		// then forward to the next.
+		if n > 1 {
+			for off := 0; off < n; off++ {
+				r := (root + off) % n
+				if off > 0 {
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpRecv, Peer: (root + off - 1) % n, MTag: base + off - 1})
+				}
+				if off < n-1 {
+					progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpSend, Peer: (root + off + 1) % n, Bytes: bytes, MTag: base + off})
+				}
+			}
+		}
+		// Trailing update compute scales with remaining matrix.
+		dur := netsim.Time(float64(6*netsim.Millisecond) * frac * frac)
+		for r := 0; r < n; r++ {
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: dur})
+		}
+	}
+	return &Trace{Name: fmt.Sprintf("HPL-%d", n), Ranks: n, Programs: progs}
+}
+
+func refMiniFE(n int) *Trace {
+	var tg tagger
+	progs := make([][]netsim.Op, n)
+	const iters = 20
+	for it := 0; it < iters; it++ {
+		sweep := refHaloExchange2D(n, 128*1024, 1, 0)
+		shift := tg.phase() * 16
+		for r := 0; r < n; r++ {
+			for _, op := range sweep.Programs[r] {
+				op.MTag += shift
+				progs[r] = append(progs[r], op)
+			}
+			progs[r] = append(progs[r], netsim.Op{Kind: netsim.OpCompute, Dur: 4 * netsim.Millisecond})
+		}
+		for d := 0; d < 3; d++ {
+			ar := refAllreduceRing(n, 64, 1, &tg)
+			for r := 0; r < n; r++ {
+				progs[r] = append(progs[r], ar.Programs[r]...)
+			}
+		}
+	}
+	return &Trace{Name: fmt.Sprintf("miniFE-%d", n), Ranks: n, Programs: progs}
+}
+
+func refIMBAlltoall(n int) *Trace {
+	t := refAlltoall(n, 128*1024, 12)
+	t.Name = fmt.Sprintf("IMB-Alltoall-%d", n)
+	return t
 }
