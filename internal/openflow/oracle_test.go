@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -287,5 +288,103 @@ func sameAsOracle(t *testing.T, tab *Table, ref *refTable, how string) {
 				}
 			}
 		}
+	}
+}
+
+// bucketsReference is the map index the flat one replaced, kept as its
+// reference: per destination, the entries with that concrete DstHost
+// in match order.
+func bucketsReference(t *Table) map[int][]*FlowEntry {
+	byDst := make(map[int][]*FlowEntry)
+	for _, e := range t.entries {
+		if e.Match.DstHost != Any {
+			byDst[e.Match.DstHost] = append(byDst[e.Match.DstHost], e)
+		}
+	}
+	return byDst
+}
+
+// TestDstIndexMatchesBucketMap rebuilds one table's index through
+// rounds of installs and removals, so every rebuild reuses the last
+// one's storage, and requires each destination's run to be the map
+// reference's bucket, no entry to be indexed that the map lacks, and no
+// slot past the index's end, or in the sort buffer, to keep an entry
+// reachable. Destinations are spread from a few apart to the whole int
+// range, so the radix sort runs from zero passes to all of them.
+func TestDstIndexMatchesBucketMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tab := &Table{}
+	for round := 0; round < 60; round++ {
+		spread := []int{0, 1, 5000, math.MaxInt / 11}[round%4]
+		for i := rng.Intn(60); i > 0; i-- {
+			m := Match{SrcHost: Any, DstHost: Any, Tag: Any}
+			if rng.Intn(4) > 0 {
+				m.DstHost = (rng.Intn(12) - 2) * spread // a few negative destinations too
+				switch {
+				case m.DstHost == Any:
+					m.DstHost = 11
+				case rng.Intn(20) == 0:
+					m.DstHost = math.MaxInt
+				case rng.Intn(20) == 0:
+					m.DstHost = math.MinInt
+				}
+			}
+			if err := tab.Add(FlowEntry{Priority: rng.Intn(4), Match: m, Cookie: uint64(rng.Intn(3))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			tab.RemoveCookie(uint64(rng.Intn(3)))
+		}
+		tab.Prime()
+		want := bucketsReference(tab)
+		indexed := 0
+		for dst, bucket := range want {
+			run := tab.dstRun(dst)
+			if len(run) != len(bucket) {
+				t.Fatalf("round %d dst %d: run of %d entries, bucket of %d", round, dst, len(run), len(bucket))
+			}
+			for i, d := range run {
+				if d.e != bucket[i] || d.dst != dst {
+					t.Fatalf("round %d dst %d: run[%d] differs from the bucket", round, dst, i)
+				}
+			}
+			indexed += len(run)
+		}
+		if indexed != len(tab.byDst) || len(tab.dstRun(Any)) != 0 {
+			t.Fatalf("round %d: index holds %d entries, the buckets %d", round, len(tab.byDst), indexed)
+		}
+		for i, d := range tab.byDst[len(tab.byDst):cap(tab.byDst)] {
+			if d.e != nil {
+				t.Fatalf("round %d: index slot len+%d still points at an entry", round, i)
+			}
+		}
+		for i, d := range tab.idxTmp[:cap(tab.idxTmp)] {
+			if d.e != nil {
+				t.Fatalf("round %d: sort buffer slot %d still points at an entry", round, i)
+			}
+		}
+	}
+}
+
+// TestPrimeAllocates0 holds the index to its reused storage: once a
+// table has been primed, rebuilding its index allocates nothing.
+func TestPrimeAllocates0(t *testing.T) {
+	var tab Table
+	for i := 0; i < 512; i++ {
+		m := Match{SrcHost: Any, DstHost: i % 40, Tag: Any}
+		if i%7 == 0 {
+			m.DstHost = Any
+		}
+		if err := tab.Add(FlowEntry{Priority: 10 + i%3, Match: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Prime()
+	if n := testing.AllocsPerRun(5, func() {
+		tab.idxDirty = true // as every Install and RemoveCookie leaves it
+		tab.Prime()
+	}); n != 0 {
+		t.Errorf("rebuilding the index allocates %.0f objects, want 0", n)
 	}
 }

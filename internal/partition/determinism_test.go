@@ -165,8 +165,18 @@ func TestCutWorkersMatchSerial(t *testing.T) {
 	}
 }
 
+// multistart runs worker.multistart on a pooled worker, as Cut does,
+// and returns a copy of the winning candidate, which lives in the
+// worker's storage.
+func multistart(wg *workGraph, k int, opt Options, seed int64) []int {
+	w := workers.Get().(*worker)
+	defer workers.Put(w)
+	return slices.Clone(w.multistart(wg, k, opt, seed))
+}
+
 // serialMultistart is multistart as one loop: the restarts in order on
-// fresh scratch, keeping the first of the lowest scores.
+// fresh scratch and the allocating multilevelReference, keeping the
+// first of the lowest scores.
 func serialMultistart(wg *workGraph, k int, opt Options, seed int64) []int {
 	var part []int
 	bestScore := -1.0
@@ -175,8 +185,8 @@ func serialMultistart(wg *workGraph, k int, opt Options, seed int64) []int {
 		rf.reset(len(wg.vwgt), k)
 		var src stream
 		src.Seed(restartSeed(seed, r))
-		cand := multilevel(wg, k, opt, rand.New(&src), &rf)
-		if s := score(wg, cand, k, opt); bestScore < 0 || s < bestScore {
+		cand := multilevelReference(wg, k, opt, rand.New(&src), &rf)
+		if s := score(wg, cand, k, opt, make([]int, k)); bestScore < 0 || s < bestScore {
 			bestScore, part = s, cand
 		}
 	}

@@ -126,13 +126,9 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	}
 
 	wg := newWorkGraph(g, switches)
-
-	var part []int
-	if k == 1 {
-		part = make([]int, len(switches))
-	} else {
-		part = multistart(wg, k, opt, seed)
-	}
+	w := workers.Get().(*worker)
+	defer workers.Put(w)
+	part := w.multistart(wg, k, opt, seed)
 
 	res := &Result{
 		K:            k,
@@ -153,9 +149,8 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 			res.Assign[h] = res.Assign[s]
 		}
 	}
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
-		if res.Assign[e.A] != res.Assign[e.B] {
+	for _, e := range g.Edges {
+		if g.IsSwitchSwitch(e) && res.Assign[e.A] != res.Assign[e.B] {
 			res.CutEdges++
 		}
 	}
@@ -182,61 +177,127 @@ const restarts = 8
 
 // multistart runs the multilevel heuristic once per restart seed and
 // returns the best-scoring partition (α·cut + β·imbalance, the paper's
-// objective). The restarts are independent, so they run on
-// min(GOMAXPROCS, restarts) workers, the calling goroutine being one of
-// them, each claiming the next restart index. Every restart writes its
-// own candidate and score slot, and the reduction runs serially in
-// restart order with a strict <, ties going to the lowest restart, so
-// the winner is the serial loop's whatever the worker count or
-// schedule.
-func multistart(wg *workGraph, k int, opt Options, seed int64) []int {
-	var (
-		cands  [restarts][]int
-		scores [restarts]float64
-		next   atomic.Int32
-		done   sync.WaitGroup
-	)
-	work := func() {
-		r := int(next.Add(1)) - 1
-		if r >= restarts {
-			return // the other workers took every restart
-		}
-		w := workers.Get().(*worker)
-		w.rf.reset(len(wg.vwgt), k)
-		for ; r < restarts; r = int(next.Add(1)) - 1 {
-			w.src.Seed(restartSeed(seed, r))
-			cands[r] = multilevel(wg, k, opt, w.rng, &w.rf)
-			scores[r] = score(wg, cands[r], k, opt)
-		}
-		w.rf.g, w.rf.part = nil, nil // pin no graph while pooled
-		workers.Put(w)
+// objective); with k = 1 there is only the all-zero one. The restarts
+// are independent, so they run on min(GOMAXPROCS, restarts) workers, w
+// (the calling goroutine's) being one of them, each claiming the next
+// restart index. Every restart writes its own candidate and score slot,
+// and the reduction runs serially in restart order with a strict <, ties
+// going to the lowest restart, so the winner is the serial loop's
+// whatever the worker count or schedule. The returned slice is the
+// winner's slot of w's candidate buffer: it is valid until w goes back
+// to the pool.
+func (w *worker) multistart(wg *workGraph, k int, opt Options, seed int64) []int {
+	n := len(wg.vwgt)
+	f := &w.fan
+	f.cands = resize(f.cands, restarts*n)
+	if k == 1 {
+		clear(f.cands[:n])
+		return f.cands[:n]
 	}
+	f.wg, f.k, f.opt, f.seed = wg, k, opt, seed
+	f.next.Store(0)
 	for range min(runtime.GOMAXPROCS(0), restarts) - 1 {
-		done.Add(1)
+		f.done.Add(1)
 		go func() {
-			defer done.Done()
-			work()
+			defer f.done.Done()
+			if r := f.claim(); r >= 0 { // else the other workers took every restart
+				h := workers.Get().(*worker)
+				f.run(h, r)
+				workers.Put(h)
+			}
 		}()
 	}
-	work()
-	done.Wait()
+	if r := f.claim(); r >= 0 {
+		f.run(w, r)
+	}
+	f.done.Wait()
+	f.wg = nil // pin no graph while pooled
 	best := 0
 	for r := 1; r < restarts; r++ {
-		if scores[r] < scores[best] {
+		if f.scores[r] < f.scores[best] {
 			best = r
 		}
 	}
-	return cands[best]
+	return f.cands[best*n : (best+1)*n]
 }
 
-// worker is one restart worker's scratch: a refiner, the restart's
-// random stream and the rand.Rand drawing from it. Cut takes one from
-// workers per worker and returns it, so consecutive Cuts reuse the
-// refiner's tables instead of allocating them.
+// fanout is one Cut's restarts as its workers share them: the inputs,
+// the next restart to claim, the candidates — one flat restarts × n
+// buffer, restart r's partition in cands[r·n : (r+1)·n] — and one score
+// per restart. It lives in the calling goroutine's worker, so the
+// fan-out itself allocates only its helper goroutines.
+type fanout struct {
+	wg     *workGraph
+	k      int
+	opt    Options
+	seed   int64
+	cands  []int
+	scores [restarts]float64
+	next   atomic.Int32
+	done   sync.WaitGroup
+}
+
+// claim returns the next unclaimed restart, or -1 when none is left.
+func (f *fanout) claim() int {
+	if r := int(f.next.Add(1)) - 1; r < restarts {
+		return r
+	}
+	return -1
+}
+
+// run runs restart r and then every restart it can claim on w's
+// scratch.
+func (f *fanout) run(w *worker, r int) {
+	n := len(f.wg.vwgt)
+	w.rf.reset(n, f.k)
+	for ; r >= 0; r = f.claim() {
+		w.src.Seed(restartSeed(f.seed, r))
+		cand := f.cands[r*n : (r+1)*n]
+		w.multilevel(f.wg, f.k, f.opt, cand)
+		w.weight = resize(w.weight, f.k)
+		f.scores[r] = score(f.wg, cand, f.k, f.opt, w.weight)
+	}
+	w.rf.g, w.rf.part = nil, nil // pin no graph while pooled
+}
+
+// worker is one restart worker's storage: everything a restart works
+// in, sized by the largest graph it has seen and reused by every later
+// restart, level and Cut, in the manner of METIS's per-call workspace.
+// Cut's calling goroutine and each of its helpers take one from workers
+// and put it back, so a Cut allocates only its work graph, its Result
+// and its helper goroutines. Nothing in a pooled
+// worker points at a caller's graph: the coarse levels are its own, and
+// fanout.run and multistart drop the rest.
 type worker struct {
 	rf  refiner
 	src stream
 	rng *rand.Rand
+	fan fanout // the Cut whose calling goroutine holds this worker
+
+	// The coarsening chain below the work graph: levels[i] is level
+	// i+1, built into the same storage by every restart. perm and match
+	// are coarsen's, rows is its row builder.
+	levels      []*level
+	perm, match []int
+	rows        adjRows
+	// part holds the coarse levels' partitions, alternating by level
+	// parity so a level's and the next coarser one's never share; level
+	// 0's is the restart's candidate slot.
+	part [2][]int
+
+	// initialPartition's seeds, distances and BFS queue, and its
+	// frontier, double-buffered with rest; weight is also score's.
+	seeds, dist, d2, queue, weight []int
+	frontier, rest                 []frontierItem
+}
+
+// level is one coarsening level a worker owns: the coarse graph, the
+// backing array its rows are laid out in, and the map from the finer
+// level's vertices to its own.
+type level struct {
+	g    workGraph
+	flat []nbr
+	cmap []int
 }
 
 var workers = sync.Pool{New: func() any {
@@ -339,7 +400,8 @@ func newWorkGraph(g *topology.Graph, switches []int) *workGraph {
 		wg.vwgt[i] = g.Degree(s) // all ports, incl. host-facing (paper balances ports)
 		half += wg.vwgt[i]
 	}
-	rows := newAdjRows(n, half)
+	var rows adjRows
+	rows.reset(nil, n, half)
 	for i, s := range switches {
 		for _, eid := range g.IncidentEdges(s) {
 			if j := idx[g.Edges[eid].Other(s)]; j >= 0 && j != i {
@@ -362,12 +424,16 @@ type adjRows struct {
 	start int
 }
 
-func newAdjRows(n, halfEdges int) *adjRows {
-	b := &adjRows{flat: make([]nbr, 0, halfEdges), at: make([]int, n)}
+// reset starts an empty set of rows over n vertices, laid out in
+// flat's storage grown to hold halfEdges entries, so no row built within
+// that bound moves an earlier one.
+func (b *adjRows) reset(flat []nbr, n, halfEdges int) {
+	b.flat = slices.Grow(flat[:0], halfEdges)
+	b.at = resize(b.at, n)
 	for i := range b.at {
 		b.at[i] = -1
 	}
-	return b
+	b.start = 0
 }
 
 // add adds weight w toward neighbour j to the current row.
@@ -391,54 +457,81 @@ func (b *adjRows) end() []nbr {
 	return b.flat[lo:hi:hi]
 }
 
-// multilevel runs coarsen / initial-partition / refine.
-func multilevel(wg *workGraph, k int, opt Options, rng *rand.Rand, rf *refiner) []int {
+// multilevel runs coarsen / initial-partition / refine on w's scratch,
+// drawing from w.rng, and writes the partition of wg into out.
+func (w *worker) multilevel(wg *workGraph, k int, opt Options, out []int) {
 	coarseLimit := 4 * k
 	if coarseLimit < 32 {
 		coarseLimit = 32
 	}
 
-	// Coarsening chain.
-	graphs := []*workGraph{wg}
-	maps := [][]int{} // maps[i]: vertex of graphs[i] -> vertex of graphs[i+1]
-	for len(graphs[len(graphs)-1].vwgt) > coarseLimit {
-		cur := graphs[len(graphs)-1]
-		next, cmap, shrunk := coarsen(cur, rng)
-		if !shrunk {
+	// Coarsening chain: wg, then levels[0 : depth].
+	g, depth := wg, 0
+	for len(g.vwgt) > coarseLimit {
+		if depth == len(w.levels) {
+			w.levels = append(w.levels, new(level))
+		}
+		if !w.coarsen(g, w.levels[depth]) {
 			break
 		}
-		graphs = append(graphs, next)
-		maps = append(maps, cmap)
+		g = &w.levels[depth].g
+		depth++
 	}
 
-	coarsest := graphs[len(graphs)-1]
-	part := initialPartition(coarsest, k, opt, rng)
-	rf.refine(coarsest, part, opt)
+	part := w.levelPart(depth, len(g.vwgt), out)
+	w.initialPartition(g, k, opt, part)
+	w.rf.refine(g, part, opt)
 
 	// Project back up, refining at each level.
-	for lvl := len(maps) - 1; lvl >= 0; lvl-- {
-		fine := graphs[lvl]
-		cmap := maps[lvl]
-		finePart := make([]int, len(fine.vwgt))
+	for lvl := depth - 1; lvl >= 0; lvl-- {
+		fine := wg
+		if lvl > 0 {
+			fine = &w.levels[lvl-1].g
+		}
+		cmap := w.levels[lvl].cmap
+		finePart := w.levelPart(lvl, len(fine.vwgt), out)
 		for v := range finePart {
 			finePart[v] = part[cmap[v]]
 		}
 		part = finePart
-		rf.refine(fine, part, opt)
+		w.rf.refine(fine, part, opt)
 	}
-	return part
 }
 
-// coarsen contracts a heavy-edge matching. Returns the coarse graph, the
-// fine→coarse map, and whether the graph actually shrank.
-func coarsen(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
+// levelPart returns the n-long partition buffer of chain level lvl:
+// out for the work graph, else the buffer of lvl's parity.
+func (w *worker) levelPart(lvl, n int, out []int) []int {
+	if lvl == 0 {
+		return out
+	}
+	w.part[lvl&1] = resize(w.part[lvl&1], n)
+	return w.part[lvl&1]
+}
+
+// perm fills p with a random permutation of [0, len(p)), drawing from
+// rng exactly as rng.Perm(len(p)) does, so the same stream yields the
+// same permutation without a fresh slice.
+func perm(rng *rand.Rand, p []int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+}
+
+// coarsen contracts a heavy-edge matching of g into c: the coarse
+// graph and the fine→coarse map. It reports whether the graph actually
+// shrank; when it did not, c is left half-built and unused.
+func (w *worker) coarsen(g *workGraph, c *level) bool {
 	n := len(g.vwgt)
-	order := rng.Perm(n)
-	match := make([]int, n)
+	w.perm = resize(w.perm, n)
+	perm(w.rng, w.perm)
+	match := resize(w.match, n)
+	w.match = match
 	for i := range match {
 		match[i] = -1
 	}
-	for _, v := range order {
+	for _, v := range w.perm {
 		if match[v] >= 0 {
 			continue
 		}
@@ -455,7 +548,8 @@ func coarsen(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
 			match[v] = v
 		}
 	}
-	cmap := make([]int, n)
+	cmap := resize(c.cmap, n)
+	c.cmap = cmap
 	nc := 0
 	for v := 0; v < n; v++ {
 		if match[v] >= v { // representative
@@ -467,12 +561,12 @@ func coarsen(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
 		}
 	}
 	if nc >= n {
-		return nil, nil, false
+		return false
 	}
-	coarse := &workGraph{
-		vwgt: make([]int, nc),
-		xadj: make([][]nbr, nc),
-	}
+	coarse := &c.g
+	coarse.vwgt = resize(coarse.vwgt, nc)
+	coarse.xadj = resize(coarse.xadj, nc)
+	clear(coarse.vwgt)
 	half := 0
 	for v := 0; v < n; v++ {
 		coarse.vwgt[cmap[v]] += g.vwgt[v]
@@ -480,15 +574,16 @@ func coarsen(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
 	}
 	// Each coarse row is its members' fine rows mapped through cmap,
 	// with the edges inside the pair dropped and parallel ones merged.
-	rows := newAdjRows(nc, half)
+	rows := &w.rows
+	rows.reset(c.flat, nc, half)
 	for v := 0; v < n; v++ {
 		if match[v] < v {
 			continue // not a representative
 		}
-		c := cmap[v]
+		cv := cmap[v]
 		for _, u := range [2]int{v, match[v]} {
 			for _, nb := range g.xadj[u] {
-				if d := cmap[nb.v]; d != c {
+				if d := cmap[nb.v]; d != cv {
 					rows.add(d, nb.w)
 				}
 			}
@@ -496,31 +591,38 @@ func coarsen(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
 				break
 			}
 		}
-		coarse.xadj[c] = rows.end()
+		coarse.xadj[cv] = rows.end()
 	}
+	c.flat = rows.flat
 	coarse.sortAdj()
-	return coarse, cmap, true
+	return true
 }
 
-// initialPartition grows k regions greedily from spread-out seeds,
-// balancing vertex weight.
-func initialPartition(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
+// frontierItem is a vertex a part may claim next in initialPartition.
+type frontierItem struct{ v, p int }
+
+// initialPartition grows k regions of g greedily from spread-out seeds,
+// balancing vertex weight, and writes the partition into part.
+func (w *worker) initialPartition(g *workGraph, k int, opt Options, part []int) {
 	n := len(g.vwgt)
-	part := make([]int, n)
 	for i := range part {
 		part[i] = -1
 	}
 	total := 0
-	for _, w := range g.vwgt {
-		total += w
+	for _, wt := range g.vwgt {
+		total += wt
 	}
 	target := float64(total) / float64(k)
 
 	// Seeds: BFS-farthest spreading.
-	seeds := make([]int, 0, k)
-	first := rng.Intn(n)
+	w.queue = resize(w.queue, n)
+	dist := resize(w.dist, n)
+	d2 := resize(w.d2, n)
+	w.dist, w.d2 = dist, d2
+	seeds := resize(w.seeds, k)[:0]
+	first := w.rng.Intn(n)
 	seeds = append(seeds, first)
-	dist := bfsDist(g, first)
+	bfsDist(g, first, dist, w.queue)
 	for len(seeds) < k {
 		far, farD := -1, -1
 		for v := 0; v < n; v++ {
@@ -529,20 +631,22 @@ func initialPartition(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
 			}
 		}
 		if far < 0 {
-			far = rng.Intn(n)
+			far = w.rng.Intn(n)
 		}
 		seeds = append(seeds, far)
-		d2 := bfsDist(g, far)
+		bfsDist(g, far, d2, w.queue)
 		for v := range dist {
 			if d2[v] < dist[v] {
 				dist[v] = d2[v]
 			}
 		}
 	}
+	w.seeds = seeds
 
-	weight := make([]int, k)
-	type frontierItem struct{ v, p int }
-	var frontier []frontierItem
+	weight := resize(w.weight, k)
+	w.weight = weight
+	clear(weight)
+	frontier, rest := w.frontier[:0], w.rest[:0]
 	for p, s := range seeds {
 		if part[s] == -1 {
 			part[s] = p
@@ -560,7 +664,7 @@ func initialPartition(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
 		slices.SortStableFunc(frontier, func(a, b frontierItem) int {
 			return cmp.Compare(weight[a.p], weight[b.p])
 		})
-		var rest []frontierItem
+		rest = rest[:0]
 		for _, f := range frontier {
 			if part[f.v] != -1 {
 				continue
@@ -578,11 +682,12 @@ func initialPartition(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
 				}
 			}
 		}
-		frontier = rest
+		frontier, rest = rest, frontier
 		if !progress {
 			break
 		}
 	}
+	w.frontier, w.rest = frontier, rest
 	// Orphans (disconnected or squeezed out): assign to lightest part.
 	for v := 0; v < n; v++ {
 		if part[v] == -1 {
@@ -596,35 +701,37 @@ func initialPartition(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
 			weight[light] += g.vwgt[v]
 		}
 	}
-	return part
 }
 
-func bfsDist(g *workGraph, src int) []int {
+// bfsDist fills dist with every vertex's hop distance from src (n+1
+// when unreachable). queue holds n vertices: BFS enqueues a vertex only
+// when it first reaches it, so n is enough.
+func bfsDist(g *workGraph, src int, dist, queue []int) {
 	n := len(g.vwgt)
-	dist := make([]int, n)
 	for i := range dist {
 		dist[i] = n + 1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for head := 0; head < len(queue); head++ {
+	queue[0] = src
+	for head, tail := 0, 1; head < tail; head++ {
 		v := queue[head]
 		for _, nb := range g.xadj[v] {
 			if dist[nb.v] > dist[v]+1 {
 				dist[nb.v] = dist[v] + 1
-				queue = append(queue, nb.v)
+				queue[tail] = nb.v
+				tail++
 			}
 		}
 	}
-	return dist
 }
 
 // score evaluates a partition under the paper's composite objective:
-// cut weight plus a balance penalty (zero for MinCut).
-func score(g *workGraph, part []int, k int, opt Options) float64 {
+// cut weight plus a balance penalty (zero for MinCut). weight is k-long
+// scratch.
+func score(g *workGraph, part []int, k int, opt Options, weight []int) float64 {
 	cut := 0
 	total := 0
-	weight := make([]int, k)
+	clear(weight)
 	for v := range g.vwgt {
 		weight[part[v]] += g.vwgt[v]
 		total += g.vwgt[v]

@@ -283,10 +283,13 @@ func mergedRows(n int, halfEdges func(yield func(a, b, w int))) [][]nbr {
 }
 
 // TestRowMergeMatchesMap checks the marker-array merge in newWorkGraph
-// and coarsen against mergedRows, on graphs with parallel links, self
-// loops and hosts.
+// and worker.coarsen against mergedRows, on graphs with parallel links,
+// self loops and hosts.
 func TestRowMergeMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	w := newTestWorker() // one worker for every trial: its level is reused dirty
+	w.src.Seed(9)
+	var lvl level
 	for trial := 0; trial < 200; trial++ {
 		g := topology.New("merge")
 		ns := 2 + rng.Intn(30)
@@ -313,10 +316,10 @@ func TestRowMergeMatchesMap(t *testing.T) {
 				t.Fatalf("trial %d: newWorkGraph row %d = %v, want %v", trial, v, wg.xadj[v], want[v])
 			}
 		}
-		coarse, cmap, shrunk := coarsen(wg, rng)
-		if !shrunk {
+		if !w.coarsen(wg, &lvl) {
 			continue
 		}
+		coarse, cmap := &lvl.g, lvl.cmap
 		want = mergedRows(len(coarse.vwgt), func(yield func(a, b, w int)) {
 			for v, row := range wg.xadj {
 				for _, nb := range row {

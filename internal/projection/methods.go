@@ -84,7 +84,7 @@ func Requirements(g *topology.Graph, spec PhysicalSwitch, m Method, maxSwitches 
 	case MethodSP:
 		// Every switch-switch logical link plus every host link is a
 		// manual cable to move on reconfiguration.
-		req.ManualCables = len(g.SwitchSwitchEdges()) + g.HostFacingPorts()
+		req.ManualCables = g.NumSwitchSwitchEdges() + g.HostFacingPorts()
 	}
 	return req, nil
 }

@@ -2,6 +2,8 @@ package projection
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/topology"
@@ -9,12 +11,17 @@ import (
 
 // Allocation tracks which physical links and ports of a cabling are in
 // use, so several logical topologies can be co-hosted on one testbed
-// (the hardware-isolation scenario of §VI-B).
+// (the hardware-isolation scenario of §VI-B). It also indexes the
+// cabling's cables by where they run, once, for the link pickers and
+// for Release and Acquire. The index lives here rather than on the
+// Cabling, a plain value type: an allocation's cabling is fixed for its
+// life.
 type Allocation struct {
 	cab       *Cabling
 	selfUsed  []bool
 	interUsed []bool
 	hostUsed  []bool
+	idx       cableIndex
 }
 
 // NewAllocation returns an empty allocation over cab.
@@ -24,6 +31,146 @@ func NewAllocation(cab *Cabling) *Allocation {
 		selfUsed:  make([]bool, len(cab.SelfLinks)),
 		interUsed: make([]bool, len(cab.InterLinks)),
 		hostUsed:  make([]bool, len(cab.HostPorts)),
+		idx:       newCableIndex(cab),
+	}
+}
+
+// cableIndex lists a cabling's cables by where they run, as indices
+// into the cabling's lists, each list in cable order and all of them
+// back to back in at: list l is at[start[l]:start[l+1]]. Lists 0…n−1
+// hold the self-links on each switch, n…2n−1 the host ports on each
+// switch and 2n + a·n + b the inter-links between switches a < b, n
+// being the switch count (see selfList, hostList, interList). A cable
+// naming a switch out of range, or an inter-link with both ends on one
+// switch, is in no list. hostAt finds a host port by its port:
+// hostAt[portBase[s]+port−1] is the index of the host port at that port
+// of switch s, or −1.
+//
+// cursor is projectMapped's scratch: one position per list.
+type cableIndex struct {
+	n        int
+	start    []int32
+	at       []int32
+	portBase []int32
+	hostAt   []int32
+	cursor   []int32
+}
+
+func newCableIndex(cab *Cabling) cableIndex {
+	n := len(cab.Switches)
+	ix := cableIndex{n: n}
+	inRange := func(s int) bool { return s >= 0 && s < n }
+	each := func(visit func(l, i int)) {
+		for i, sl := range cab.SelfLinks {
+			if inRange(sl.Switch) {
+				visit(ix.selfList(sl.Switch), i)
+			}
+		}
+		for i, hp := range cab.HostPorts {
+			if inRange(hp.Ref.Switch) {
+				visit(ix.hostList(hp.Ref.Switch), i)
+			}
+		}
+		for i, il := range cab.InterLinks {
+			if a, b := il.A.Switch, il.B.Switch; inRange(a) && inRange(b) && a != b {
+				visit(ix.interList(a, b), i)
+			}
+		}
+	}
+	lists := 2*n + n*n
+	count := make([]int32, lists+1)
+	each(func(l, _ int) { count[l+1]++ })
+	for l := 0; l < lists; l++ {
+		count[l+1] += count[l]
+	}
+	ix.start = slices.Clone(count)
+	ix.at = make([]int32, count[lists])
+	each(func(l, i int) {
+		ix.at[count[l]] = int32(i)
+		count[l]++
+	})
+	ix.cursor = make([]int32, lists)
+
+	ix.portBase = make([]int32, n+1)
+	for _, hp := range cab.HostPorts {
+		if r := hp.Ref; inRange(r.Switch) && r.Port > int(ix.portBase[r.Switch+1]) {
+			ix.portBase[r.Switch+1] = int32(r.Port)
+		}
+	}
+	for s := 0; s < n; s++ {
+		ix.portBase[s+1] += ix.portBase[s]
+	}
+	ix.hostAt = make([]int32, ix.portBase[n])
+	for i := range ix.hostAt {
+		ix.hostAt[i] = -1
+	}
+	for i, hp := range cab.HostPorts {
+		if at, ok := ix.hostSlot(hp.Ref); ok && ix.hostAt[at] < 0 {
+			ix.hostAt[at] = int32(i)
+		}
+	}
+	return ix
+}
+
+// hostSlot returns ref's slot in hostAt, if it has one.
+func (ix *cableIndex) hostSlot(ref PortRef) (int, bool) {
+	if ref.Switch < 0 || ref.Switch >= ix.n || ref.Port < 1 {
+		return 0, false
+	}
+	at := int(ix.portBase[ref.Switch]) + ref.Port - 1
+	return at, at < int(ix.portBase[ref.Switch+1])
+}
+
+// hostPort returns the index of the host port at ref, if there is one.
+func (ix *cableIndex) hostPort(ref PortRef) (int, bool) {
+	at, ok := ix.hostSlot(ref)
+	if !ok || ix.hostAt[at] < 0 {
+		return 0, false
+	}
+	return int(ix.hostAt[at]), true
+}
+
+// selfList, hostList and interList name the lists of the self-links
+// and host ports on switch s and of the inter-links between switches
+// a ≠ b.
+func (ix *cableIndex) selfList(s int) int { return s }
+
+func (ix *cableIndex) hostList(s int) int { return ix.n + s }
+
+func (ix *cableIndex) interList(a, b int) int {
+	return 2*ix.n + min(a, b)*ix.n + max(a, b)
+}
+
+// rewind puts every list's cursor at the list's head.
+func (ix *cableIndex) rewind() { copy(ix.cursor, ix.start) }
+
+// next returns the first cable of list l at or after its cursor that
+// used does not hold, and moves the cursor past it.
+func (ix *cableIndex) next(l int, used []bool) (int, bool) {
+	for end := ix.start[l+1]; ix.cursor[l] < end; {
+		i := ix.at[ix.cursor[l]]
+		ix.cursor[l]++
+		if !used[i] {
+			return int(i), true
+		}
+	}
+	return 0, false
+}
+
+// commit marks every cable before a cursor used: each was held already
+// or has been taken.
+func (ix *cableIndex) commit(a *Allocation) {
+	for l, end := range ix.cursor {
+		used := a.interUsed
+		switch {
+		case l < ix.n:
+			used = a.selfUsed
+		case l < 2*ix.n:
+			used = a.hostUsed
+		}
+		for _, i := range ix.at[ix.start[l]:end] {
+			used[i] = true
+		}
 	}
 }
 
@@ -125,59 +272,43 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, opt partiti
 
 // projectMapped assigns physical links for one concrete part mapping,
 // committing to alloc only on success.
+//
+// Each logical link takes the first cable of its kind and place, in
+// cable order, that alloc does not hold and this call has not taken.
+// The pickers find it with a cursor per list of alloc's cable index:
+// alloc does not change during the call and a cable once taken stays
+// taken, so every cable before a cursor is held or taken, and a picker
+// resumes where it stopped instead of rescanning the cabling.
 func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappedDemands) (*Plan, error) {
 	parts := md.parts
 	partToSwitch := md.partToSwitch
+	links, hosts := g.NumSwitchSwitchEdges(), g.NumHosts()
 
 	plan := &Plan{
 		Topo:         g,
 		Cabling:      cab,
 		Parts:        parts,
 		PartToSwitch: partToSwitch,
-		Ports:        map[PortKey]PortRef{},
-		HostAttach:   map[int]PortRef{},
-		EdgeLink:     map[int]PhysLink{},
+		Ports:        make(map[PortKey]PortRef, 2*links+hosts),
+		HostAttach:   make(map[int]PortRef, hosts),
+		EdgeLink:     make(map[int]PhysLink, links),
 	}
 
-	// Stage the allocation so failures leave alloc untouched.
-	selfTaken := map[int]bool{}
-	interTaken := map[int]bool{}
-	hostTaken := map[int]bool{}
-	nextSelf := func(s int) (int, bool) {
-		for _, i := range cab.selfOn(s) {
-			if !alloc.selfUsed[i] && !selfTaken[i] {
-				selfTaken[i] = true
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	nextInter := func(s1, s2 int) (int, bool) {
-		for _, i := range cab.interBetween(s1, s2) {
-			if !alloc.interUsed[i] && !interTaken[i] {
-				interTaken[i] = true
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	nextHost := func(s int) (int, bool) {
-		for _, i := range cab.hostPortsOn(s) {
-			if !alloc.hostUsed[i] && !hostTaken[i] {
-				hostTaken[i] = true
-				return i, true
-			}
-		}
-		return 0, false
-	}
+	// Stage the allocation in the cursors so failures leave alloc
+	// untouched.
+	ix := &alloc.idx
+	ix.rewind()
 
 	// Project links (the LP step): logical switch-switch edges first.
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
+	for _, e := range g.Edges {
+		if !g.IsSwitchSwitch(e) {
+			continue
+		}
+		eid := e.ID
 		sa := partToSwitch[parts.Assign[e.A]]
 		sb := partToSwitch[parts.Assign[e.B]]
 		if sa == sb {
-			idx, ok := nextSelf(sa)
+			idx, ok := ix.next(ix.selfList(sa), alloc.selfUsed)
 			if !ok {
 				return nil, fmt.Errorf("projection: %s: out of self-links on switch %s (edge %d); add cables or re-plan cabling",
 					g.Name, cab.Switches[sa].ID, eid)
@@ -188,7 +319,7 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 			plan.EdgeLink[eid] = PhysLink{SelfLink: idx, InterLink: -1}
 			plan.SelfUsed++
 		} else {
-			idx, ok := nextInter(sa, sb)
+			idx, ok := ix.next(ix.interList(sa, sb), alloc.interUsed)
 			if !ok {
 				return nil, fmt.Errorf("projection: %s: out of inter-switch links between %s and %s (edge %d); reserve more (§VII-A)",
 					g.Name, cab.Switches[sa].ID, cab.Switches[sb].ID, eid)
@@ -211,7 +342,7 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 			continue
 		}
 		s := partToSwitch[parts.Assign[sw]]
-		idx, ok := nextHost(s)
+		idx, ok := ix.next(ix.hostList(s), alloc.hostUsed)
 		if !ok {
 			return nil, fmt.Errorf("projection: %s: out of host ports on switch %s for host %q",
 				g.Name, cab.Switches[s].ID, g.Vertices[h].Label)
@@ -222,16 +353,7 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 		plan.Ports[PortKey{sw, g.Edges[eid].PortAt(sw)}] = ref
 	}
 
-	// Commit.
-	for i := range selfTaken {
-		alloc.selfUsed[i] = true
-	}
-	for i := range interTaken {
-		alloc.interUsed[i] = true
-	}
-	for i := range hostTaken {
-		alloc.hostUsed[i] = true
-	}
+	ix.commit(alloc)
 	return plan, nil
 }
 
@@ -246,12 +368,9 @@ func (p *Plan) Release(alloc *Allocation) {
 			alloc.interUsed[pl.InterLink] = false
 		}
 	}
-	for h := range p.HostAttach {
-		ref := p.HostAttach[h]
-		for i, hp := range p.Cabling.HostPorts {
-			if hp.Ref == ref {
-				alloc.hostUsed[i] = false
-			}
+	for _, ref := range p.HostAttach {
+		if i, ok := alloc.idx.hostPort(ref); ok {
+			alloc.hostUsed[i] = false
 		}
 	}
 }
@@ -260,41 +379,39 @@ func (p *Plan) Release(alloc *Allocation) {
 // — the exact inverse of Release, used to restore a previously released
 // deployment during reconfiguration rollback. It fails without mutating
 // alloc if any of the plan's resources is already booked, so a rollback
-// can never double-book ports.
+// can never double-book ports; the error names the booked resource of
+// the lowest edge ID, else of the lowest host ID, whatever the map
+// order.
 func (p *Plan) Acquire(alloc *Allocation) error {
-	var selfIdx, interIdx, hostIdx []int
-	for eid, pl := range p.EdgeLink {
+	edges := slices.Sorted(maps.Keys(p.EdgeLink))
+	hosts := slices.Sorted(maps.Keys(p.HostAttach))
+	for _, eid := range edges {
+		pl := p.EdgeLink[eid]
+		if pl.SelfLink >= 0 && alloc.selfUsed[pl.SelfLink] {
+			return fmt.Errorf("projection: %s: self-link %d (edge %d) already in use", p.Topo.Name, pl.SelfLink, eid)
+		}
+		if pl.InterLink >= 0 && alloc.interUsed[pl.InterLink] {
+			return fmt.Errorf("projection: %s: inter-link %d (edge %d) already in use", p.Topo.Name, pl.InterLink, eid)
+		}
+	}
+	for _, h := range hosts {
+		ref := p.HostAttach[h]
+		if i, ok := alloc.idx.hostPort(ref); ok && alloc.hostUsed[i] {
+			return fmt.Errorf("projection: %s: host port %v (host %d) already in use", p.Topo.Name, ref, h)
+		}
+	}
+	for _, pl := range p.EdgeLink {
 		if pl.SelfLink >= 0 {
-			if alloc.selfUsed[pl.SelfLink] {
-				return fmt.Errorf("projection: %s: self-link %d (edge %d) already in use", p.Topo.Name, pl.SelfLink, eid)
-			}
-			selfIdx = append(selfIdx, pl.SelfLink)
+			alloc.selfUsed[pl.SelfLink] = true
 		}
 		if pl.InterLink >= 0 {
-			if alloc.interUsed[pl.InterLink] {
-				return fmt.Errorf("projection: %s: inter-link %d (edge %d) already in use", p.Topo.Name, pl.InterLink, eid)
-			}
-			interIdx = append(interIdx, pl.InterLink)
+			alloc.interUsed[pl.InterLink] = true
 		}
 	}
-	for h, ref := range p.HostAttach {
-		for i, hp := range p.Cabling.HostPorts {
-			if hp.Ref == ref {
-				if alloc.hostUsed[i] {
-					return fmt.Errorf("projection: %s: host port %v (host %d) already in use", p.Topo.Name, ref, h)
-				}
-				hostIdx = append(hostIdx, i)
-			}
+	for _, ref := range p.HostAttach {
+		if i, ok := alloc.idx.hostPort(ref); ok {
+			alloc.hostUsed[i] = true
 		}
-	}
-	for _, i := range selfIdx {
-		alloc.selfUsed[i] = true
-	}
-	for _, i := range interIdx {
-		alloc.interUsed[i] = true
-	}
-	for _, i := range hostIdx {
-		alloc.hostUsed[i] = true
 	}
 	return nil
 }
@@ -335,8 +452,11 @@ func (p *Plan) Check() error {
 		}
 		seen[ref] = key
 	}
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
+	for _, e := range g.Edges {
+		if !g.IsSwitchSwitch(e) {
+			continue
+		}
+		eid := e.ID
 		pl, ok := p.EdgeLink[eid]
 		if !ok {
 			return fmt.Errorf("projection: edge %d not realised", eid)

@@ -85,39 +85,6 @@ type Cabling struct {
 	HostPorts  []HostPort
 }
 
-// selfOn returns indices of self-links on physical switch s.
-func (c *Cabling) selfOn(s int) []int {
-	var out []int
-	for i, sl := range c.SelfLinks {
-		if sl.Switch == s {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// interBetween returns indices of inter-links joining switches a and b.
-func (c *Cabling) interBetween(a, b int) []int {
-	var out []int
-	for i, il := range c.InterLinks {
-		if (il.A.Switch == a && il.B.Switch == b) || (il.A.Switch == b && il.B.Switch == a) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// hostPortsOn returns indices of host ports on switch s.
-func (c *Cabling) hostPortsOn(s int) []int {
-	var out []int
-	for i, hp := range c.HostPorts {
-		if hp.Ref.Switch == s {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Validate checks that the cabling uses each port at most once and
 // stays within each switch's port count.
 func (c *Cabling) Validate() error {
@@ -211,8 +178,10 @@ func demandsFor(g *topology.Graph, parts *partition.Result) *Demands {
 		Host:  make([]int, parts.K),
 		Inter: map[[2]int]int{},
 	}
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
+	for _, e := range g.Edges {
+		if !g.IsSwitchSwitch(e) {
+			continue
+		}
 		pa, pb := parts.Assign[e.A], parts.Assign[e.B]
 		if pa == pb {
 			d.Self[pa]++

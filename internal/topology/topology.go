@@ -365,15 +365,34 @@ func (g *Graph) HostFacingPorts() int {
 }
 
 // SwitchSwitchEdges returns the IDs of edges whose both endpoints are
-// switches (the links projection must realise).
+// switches (the links projection must realise). It builds a slice on
+// every call; a caller that only walks or counts them ranges over Edges
+// with IsSwitchSwitch, or calls NumSwitchSwitchEdges.
 func (g *Graph) SwitchSwitchEdges() []int {
 	var out []int
 	for _, e := range g.Edges {
-		if g.Vertices[e.A].Kind == Switch && g.Vertices[e.B].Kind == Switch {
+		if g.IsSwitchSwitch(e) {
 			out = append(out, e.ID)
 		}
 	}
 	return out
+}
+
+// IsSwitchSwitch reports whether both endpoints of e are switches.
+func (g *Graph) IsSwitchSwitch(e Edge) bool {
+	return g.Vertices[e.A].Kind == Switch && g.Vertices[e.B].Kind == Switch
+}
+
+// NumSwitchSwitchEdges returns the number of edges whose both endpoints
+// are switches.
+func (g *Graph) NumSwitchSwitchEdges() int {
+	n := 0
+	for _, e := range g.Edges {
+		if g.IsSwitchSwitch(e) {
+			n++
+		}
+	}
+	return n
 }
 
 // Radix returns the maximum switch degree (ports per logical switch).
@@ -584,7 +603,7 @@ func (g *Graph) Summary() Stats {
 		Switches:        g.NumSwitches(),
 		Hosts:           g.NumHosts(),
 		Links:           len(g.Edges),
-		SwitchLinks:     len(g.SwitchSwitchEdges()),
+		SwitchLinks:     g.NumSwitchSwitchEdges(),
 		HostLinks:       g.HostFacingPorts(),
 		Radix:           g.Radix(),
 		Diameter:        g.Diameter(),
