@@ -3,10 +3,12 @@ package sdt_test
 // The exported-surface census: an exported identifier declared under
 // internal/ must be referenced from non-test Go in internal/, cmd/,
 // examples/ or bench/, or through an sdt.go re-export that an example
-// or a root sdt_test file actually uses. Code whose only callers are
-// its own tests is a design debt (ROADMAP, "quality of design"); this
-// test keeps the count at zero. DESIGN.md, "Exported-surface census",
-// states the rule and how to add an allowlist entry.
+// or a root sdt_test file actually uses; and an unexported top-level
+// func of the module's non-test Go must be referenced from non-test Go
+// of its own package. Code whose only callers are its own tests is a
+// design debt (ROADMAP, "quality of design"); this test keeps the count
+// at zero. DESIGN.md, "Exported-surface census", states the rule and
+// how to add an allowlist entry.
 
 import (
 	"go/ast"
@@ -158,9 +160,9 @@ func underInternal(obj types.Object) bool {
 		strings.HasPrefix(obj.Pkg().Path(), censusModule+"/internal/")
 }
 
-// usesIn walks one top-level declaration and reports every internal
-// exported object it references, except the declaration's own name
-// (recursion is not a caller).
+// usesIn walks one top-level declaration and reports every object it
+// references, except the declaration's own name (recursion is not a
+// caller).
 func usesIn(info *types.Info, decl ast.Node, self types.Object, visit func(types.Object)) {
 	ast.Inspect(decl, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
@@ -168,7 +170,7 @@ func usesIn(info *types.Info, decl ast.Node, self types.Object, visit func(types
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin() // an instantiated generic counts for its declaration
 			}
-			if underInternal(obj) && obj != self {
+			if obj != nil && obj != self {
 				visit(obj)
 			}
 		}
@@ -247,7 +249,11 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	}
 
 	used := map[types.Object]bool{}
-	mark := func(obj types.Object) { used[obj] = true }
+	mark := func(obj types.Object) {
+		if underInternal(obj) {
+			used[obj] = true
+		}
+	}
 
 	// Production references: any non-test file outside the facade.
 	for _, path := range paths {
@@ -390,6 +396,37 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	}
 	if len(offenders) > 0 {
 		t.Logf("%d offenders", len(offenders))
+	}
+
+	// Unexported top-level funcs: a reference can only come from the
+	// func's own package, so each package is checked alone. bench/ is
+	// left out: it is a consumer, not edited for a deletion.
+	for _, path := range append(paths, censusModule) {
+		if strings.HasPrefix(path, censusModule+"/bench") {
+			continue
+		}
+		p := c.pkgs[path]
+		called := map[types.Object]bool{}
+		var funcs []types.Object
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				var self types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = p.info.Defs[fd.Name]
+					if fd.Recv == nil {
+						funcs = append(funcs, self)
+					}
+				}
+				usesIn(p.info, decl, self, func(obj types.Object) { called[obj] = true })
+			}
+		}
+		for _, fn := range funcs {
+			if name := fn.Name(); !fn.Exported() && name != "init" && name != "main" && !called[fn] {
+				pos := c.fset.Position(fn.Pos())
+				t.Errorf("%s:%d %s.%s: unexported func referenced from no non-test Go (delete it, or move it into a _test.go file)",
+					pos.Filename, pos.Line, p.pkg.Name(), name)
+			}
+		}
 	}
 
 	if len(censusAllow) > censusAllowMax {

@@ -38,7 +38,6 @@ type Controller struct {
 	deployments map[string]*Deployment
 	nextCookie  uint64
 	nextTagBase int
-	partOpts    partition.Options
 }
 
 // Deployment is one live logical topology on the testbed.
@@ -85,8 +84,6 @@ type Options struct {
 	// RequireDeadlockFree rejects route sets whose channel dependency
 	// graph is cyclic (mandatory for lossless/PFC operation).
 	RequireDeadlockFree bool
-	// Encoding selects the flow-table encoding (default TagEncoded).
-	Encoding projection.Encoding
 }
 
 // Check is the Topology Customization module's checking function: it
@@ -100,12 +97,12 @@ func (c *Controller) Check(g *topology.Graph) error {
 	// Copy current usage so the check reflects co-hosted topologies.
 	for name := range c.deployments {
 		d := c.deployments[name]
-		if _, err := projection.ProjectInto(d.Topo, c.Cabling, probe, c.partOpts); err != nil {
+		if _, err := projection.ProjectInto(d.Topo, c.Cabling, probe, partition.Options{}); err != nil {
 			// Should not happen (it deployed before), but stay honest.
 			return fmt.Errorf("controller: internal allocation drift: %v", err)
 		}
 	}
-	if _, err := projection.ProjectInto(g, c.Cabling, probe, c.partOpts); err != nil {
+	if _, err := projection.ProjectInto(g, c.Cabling, probe, partition.Options{}); err != nil {
 		return err
 	}
 	return nil
@@ -117,7 +114,7 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 	if _, dup := c.deployments[g.Name]; dup {
 		return nil, fmt.Errorf("controller: topology %q already deployed", g.Name)
 	}
-	plan, err := projection.ProjectInto(g, c.Cabling, c.alloc, c.partOpts)
+	plan, err := projection.ProjectInto(g, c.Cabling, c.alloc, partition.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +136,7 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 	cookie := c.nextCookie + 1
 	tagBase := c.nextTagBase
 	switches, err := projection.CompileFlowTables(plan, routes, projection.CompileOptions{
-		Encoding: opt.Encoding,
+		Encoding: projection.TagEncoded,
 		Cookie:   cookie,
 		TagBase:  tagBase,
 		Into:     c.Physical,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/par"
-	"repro/internal/partition"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -133,7 +132,7 @@ func WatchCancel(ctx context.Context, sim *netsim.Sim) (release func()) {
 		return func() {}
 	}
 	var flag atomic.Bool
-	sim.SetStop(&flag, 0)
+	sim.SetStop(&flag)
 	done := make(chan struct{})
 	go func() {
 		select {
@@ -144,7 +143,7 @@ func WatchCancel(ctx context.Context, sim *netsim.Sim) (release func()) {
 	}()
 	return func() {
 		close(done)
-		sim.SetStop(nil, 0)
+		sim.SetStop(nil)
 	}
 }
 
@@ -331,7 +330,7 @@ func armReconfig(net *netsim.Network, sc Scenario, g *topology.Graph, tb *Testbe
 	if sc.Reconfig == nil {
 		return nil, nil
 	}
-	rc, err := reconfig.New(g, tb.Ctl.Cabling, privateRoutes(net), sc.Reconfig, partition.Options{})
+	rc, err := reconfig.New(g, tb.Ctl.Cabling, privateRoutes(net), sc.Reconfig)
 	if err != nil {
 		return nil, err
 	}

@@ -167,7 +167,7 @@ type lane struct {
 // slower.
 const numLanes = 4
 
-// StopStride is the default number of events fired between checks of
+// StopStride is the number of events fired between checks of
 // the cooperative stop flag during Run. Large enough that the check is
 // free relative to event dispatch, small enough that cancellation
 // lands in microseconds of wall clock.
@@ -206,10 +206,9 @@ type Engine struct {
 	seen  [16]Time
 	from  int
 
-	// stop, when non-nil, is polled every stride fired events by Run;
-	// a true load makes Run return early, events still queued.
-	stop   *atomic.Bool
-	stride int64
+	// stop, when non-nil, is polled every StopStride fired events by
+	// Run; a true load makes Run return early, events still queued.
+	stop *atomic.Bool
 
 	fns closures // At/After's closures
 }
@@ -334,28 +333,23 @@ func (e *Engine) fire() {
 }
 
 // SetStop installs a cooperative cancellation flag: Run polls it every
-// stride fired events (stride <= 0 means StopStride) and returns early
-// once it loads true. A nil flag detaches cancellation. The flag is
-// the only engine state ever touched from another goroutine, which is
-// what makes an atomic sufficient.
-func (e *Engine) SetStop(flag *atomic.Bool, stride int64) {
-	if stride <= 0 {
-		stride = StopStride
-	}
-	e.stop, e.stride = flag, stride
-}
+// StopStride fired events and returns early once it loads true. A nil
+// flag detaches cancellation. The flag is the only engine state ever
+// touched from another goroutine, which is what makes an atomic
+// sufficient.
+func (e *Engine) SetStop(flag *atomic.Bool) { e.stop = flag }
 
 // Run executes events until the queue drains or the time limit passes
 // (limit 0 = no limit); stopping at the limit moves the clock up to
 // it, never back. If a stop flag is installed (SetStop), it is
-// checked before the first event and then every stride events, so a
-// cancelled run halts within one stride. Run returns the final
+// checked before the first event and then every StopStride events, so
+// a cancelled run halts within one stride. Run returns the final
 // simulation time.
 func (e *Engine) Run(limit Time) Time {
 	if e.stop != nil && e.stop.Load() {
 		return e.now
 	}
-	check := e.fired + e.stride
+	check := e.fired + StopStride
 	for e.front() {
 		if limit > 0 && e.frontAt() > limit {
 			e.now = max(e.now, limit)
@@ -366,7 +360,7 @@ func (e *Engine) Run(limit Time) Time {
 			if e.stop.Load() {
 				break
 			}
-			check = e.fired + e.stride
+			check = e.fired + StopStride
 		}
 	}
 	return e.now

@@ -272,22 +272,21 @@ func (s *selfArming) OnEvent(now Time, ev Event) {
 }
 
 // TestRunStopsWithinStride pins the cancellation contract: once the
-// stop flag is raised, Run fires at most one stride of further events
+// stop flag is raised, Run fires at most StopStride further events
 // before returning.
 func TestRunStopsWithinStride(t *testing.T) {
-	const stride = 64
 	e := New()
 	var flag atomic.Bool
 	h := &selfArming{e: e, flag: &flag, raise: 10}
-	e.SetStop(&flag, stride)
+	e.SetStop(&flag)
 	e.Schedule(0, h, Event{})
 	e.Run(0)
 	if e.Pending() == 0 {
 		t.Fatal("queue drained; the workload should be infinite")
 	}
 	fired := e.Events() - h.raise
-	if fired > stride {
-		t.Errorf("fired %d events after the flag was raised, want <= %d", fired, stride)
+	if fired > StopStride {
+		t.Errorf("fired %d events after the flag was raised, want <= %d", fired, StopStride)
 	}
 }
 
@@ -298,7 +297,7 @@ func TestRunPresetStopFiresNothing(t *testing.T) {
 	var flag atomic.Bool
 	flag.Store(true)
 	h := &selfArming{e: e, flag: &flag}
-	e.SetStop(&flag, 0)
+	e.SetStop(&flag)
 	e.Schedule(0, h, Event{})
 	e.Run(0)
 	if e.Events() != 0 {
@@ -309,20 +308,20 @@ func TestRunPresetStopFiresNothing(t *testing.T) {
 	}
 }
 
-// TestRunAfterStopDetached: detaching the flag (SetStop(nil, 0))
+// TestRunAfterStopDetached: detaching the flag (SetStop(nil))
 // restores plain Run semantics.
 func TestRunAfterStopDetached(t *testing.T) {
 	e := New()
 	var flag atomic.Bool
 	flag.Store(true)
-	e.SetStop(&flag, 1)
+	e.SetStop(&flag)
 	r := &recorder{}
 	e.Schedule(5, r, Event{A: 1})
 	e.Run(0)
 	if len(r.got) != 0 {
 		t.Fatal("event fired under a raised flag")
 	}
-	e.SetStop(nil, 0)
+	e.SetStop(nil)
 	e.Run(0)
 	if len(r.got) != 1 {
 		t.Fatalf("got %d events after detaching the stop flag, want 1", len(r.got))

@@ -31,10 +31,9 @@ type oracle struct {
 	free  []int32
 	heap  []int32
 
-	// stop, when non-nil, is polled every stride fired events by Run;
-	// a true load makes Run return early, events still queued.
-	stop   *atomic.Bool
-	stride int64
+	// stop, when non-nil, is polled every StopStride fired events by
+	// Run; a true load makes Run return early, events still queued.
+	stop *atomic.Bool
 }
 
 func newOracle() *oracle { return &oracle{} }
@@ -112,27 +111,22 @@ func (e *oracle) Step() bool {
 }
 
 // SetStop installs a cooperative cancellation flag: Run polls it every
-// stride fired events (stride <= 0 means StopStride) and returns early
-// once it loads true. A nil flag detaches cancellation. The flag is
-// the only engine state ever touched from another goroutine, which is
-// what makes an atomic sufficient.
-func (e *oracle) SetStop(flag *atomic.Bool, stride int64) {
-	if stride <= 0 {
-		stride = StopStride
-	}
-	e.stop, e.stride = flag, stride
-}
+// StopStride fired events and returns early once it loads true. A nil
+// flag detaches cancellation. The flag is the only engine state ever
+// touched from another goroutine, which is what makes an atomic
+// sufficient.
+func (e *oracle) SetStop(flag *atomic.Bool) { e.stop = flag }
 
 // Run executes events until the queue drains or the time limit passes
 // (limit 0 = no limit). If a stop flag is installed (SetStop), it is
-// checked before the first event and then every stride events, so a
-// cancelled run halts within one stride. Run returns the final
+// checked before the first event and then every StopStride events, so
+// a cancelled run halts within one stride. Run returns the final
 // simulation time.
 func (e *oracle) Run(limit Time) Time {
 	if e.stop != nil && e.stop.Load() {
 		return e.now
 	}
-	check := e.fired + e.stride
+	check := e.fired + StopStride
 	for len(e.heap) > 0 {
 		if limit > 0 && e.recs[e.heap[0]].at > limit {
 			e.now = max(e.now, limit)
@@ -143,7 +137,7 @@ func (e *oracle) Run(limit Time) Time {
 			if e.stop.Load() {
 				break
 			}
-			check = e.fired + e.stride
+			check = e.fired + StopStride
 		}
 	}
 	return e.now

@@ -15,27 +15,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/partition"
 	"repro/internal/projection"
 	"repro/internal/topology"
 )
-
-// partitionOpts is the shared partitioner configuration for
-// experiments (deterministic defaults).
-func partitionOpts() partition.Options { return partition.Options{} }
-
-// paperSwitches is the 3x H3C S6861 cluster of §VI-A1.
-func paperSwitches() []projection.PhysicalSwitch {
-	return []projection.PhysicalSwitch{
-		projection.H3CS6861("s6861-a"),
-		projection.H3CS6861("s6861-b"),
-		projection.H3CS6861("s6861-c"),
-	}
-}
 
 // fig10Topology is the 8-switch chain with one node per switch used
 // for the latency and bandwidth tests (Fig. 10).
@@ -58,14 +42,8 @@ func testbedSizedFor(g *topology.Graph) (*core.Testbed, error) {
 	return core.NewTestbed(sw, []*topology.Graph{g})
 }
 
-// ms renders a duration rounded for tables.
-func ms(d time.Duration) string { return d.Round(time.Microsecond).String() }
-
 // pct renders a fraction as a signed percentage.
 func pct(f float64) string { return fmt.Sprintf("%+.3f%%", f*100) }
-
-// simSeconds converts simulated Time to float seconds.
-func simSeconds(t netsim.Time) float64 { return t.Seconds() }
 
 // writeHeader prints a table title.
 func writeHeader(w io.Writer, title string) {

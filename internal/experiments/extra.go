@@ -10,6 +10,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/netsim"
 	"repro/internal/openflow"
+	"repro/internal/partition"
 	"repro/internal/projection"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -237,11 +238,11 @@ func FlowTableUsage() (*FlowTableUsageResult, error) {
 	switches := []projection.PhysicalSwitch{
 		projection.Commodity64("a"), projection.Commodity64("b"), projection.Commodity64("c"),
 	}
-	cab, err := projection.PlanCabling(switches, []*topology.Graph{g}, partitionOpts())
+	cab, err := projection.PlanCabling(switches, []*topology.Graph{g}, partition.Options{})
 	if err != nil {
 		return nil, err
 	}
-	plan, err := projection.Project(g, cab, partitionOpts())
+	plan, err := projection.Project(g, cab, partition.Options{})
 	if err != nil {
 		return nil, err
 	}

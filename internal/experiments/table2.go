@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/partition"
 	"repro/internal/projection"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -142,11 +143,11 @@ func fatTreeEntries() (int, error) {
 	switches := []projection.PhysicalSwitch{
 		projection.Commodity64("a"), projection.Commodity64("b"), projection.Commodity64("c"),
 	}
-	cab, err := projection.PlanCabling(switches, []*topology.Graph{g}, partitionOpts())
+	cab, err := projection.PlanCabling(switches, []*topology.Graph{g}, partition.Options{})
 	if err != nil {
 		return 0, err
 	}
-	plan, err := projection.Project(g, cab, partitionOpts())
+	plan, err := projection.Project(g, cab, partition.Options{})
 	if err != nil {
 		return 0, err
 	}

@@ -12,8 +12,7 @@ import (
 )
 
 // TestCutDeterministic pins the seeded-RNG contract projection and
-// reconfiguration build on: for a fixed (topology, k, seed) the full
-// Result — assignment vector included — is byte-identical across
+// reconfiguration build on: for a fixed (topology, k) the full Result — assignment vector included — is byte-identical across
 // reruns and across GOMAXPROCS settings.
 func TestCutDeterministic(t *testing.T) {
 	topos := []*topology.Graph{
@@ -24,62 +23,60 @@ func TestCutDeterministic(t *testing.T) {
 	}
 	for _, g := range topos {
 		for _, k := range []int{2, 3, 4} {
-			for _, opt := range []Options{{}, {Seed: 99}, {Objective: MinCut, Seed: 7}} {
-				ref, err := Cut(g, k, opt)
-				if err != nil {
-					t.Fatalf("%s k=%d: %v", g.Name, k, err)
-				}
-				for rerun := 0; rerun < 3; rerun++ {
-					got, err := Cut(g, k, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref, got) {
-						t.Fatalf("%s k=%d opt=%+v: rerun %d produced a different Result", g.Name, k, opt, rerun)
-					}
-				}
-				prev := runtime.GOMAXPROCS(1)
-				got, err := Cut(g, k, opt)
-				runtime.GOMAXPROCS(prev)
+			ref, err := Cut(g, k, Options{})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", g.Name, k, err)
+			}
+			for rerun := 0; rerun < 3; rerun++ {
+				got, err := Cut(g, k, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("%s k=%d opt=%+v: GOMAXPROCS=1 produced a different Result", g.Name, k, opt)
+					t.Fatalf("%s k=%d: rerun %d produced a different Result", g.Name, k, rerun)
 				}
+			}
+			prev := runtime.GOMAXPROCS(1)
+			got, err := Cut(g, k, Options{})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("%s k=%d: GOMAXPROCS=1 produced a different Result", g.Name, k)
 			}
 		}
 	}
 }
 
-// TestCutZeroSeedIsFixedDefault pins that Seed 0 means "a fixed
-// default", not "random": it must equal some specific non-zero seed's
-// behaviour run-to-run (covered above) and, observably, always yield
-// the same assignment on a given build.
-func TestCutZeroSeedIsFixedDefault(t *testing.T) {
+// TestCutSeedIsFixed pins the seed Cut's restarts derive from to 12345,
+// the value every golden and bench digest was recorded under: Cut must
+// pick serialMultistart's partition with the restart streams of that
+// literal seed.
+func TestCutSeedIsFixed(t *testing.T) {
 	g := topology.FatTree(4)
-	a, err := Cut(g, 4, Options{})
+	r, err := Cut(g, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cut(g, 4, Options{Seed: 12345})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Seed 0 does not behave as the documented fixed default (12345)")
+	sw := g.Switches()
+	want := serialMultistart(newWorkGraph(g, sw), 4, 12345)
+	for i, s := range sw {
+		if r.Assign[s] != want[i] {
+			t.Fatalf("switch %d in part %d, the serial loop seeded with 12345 puts it in %d", s, r.Assign[s], want[i])
+		}
 	}
 }
 
 // TestStreamReplaysSeededSource pins the recorded restart streams to
-// math/rand: for every default restart seed, and for a seed with no
+// math/rand: for every restart seed, and for a seed with no
 // recording, the replayed Int63 values equal rand.NewSource(seed)'s for
 // twice the recorded length, so the fallback past the recording's end
 // is covered too.
 func TestStreamReplaysSeededSource(t *testing.T) {
 	seeds := []int64{99}
 	for r := 0; r < restarts; r++ {
-		seeds = append(seeds, restartSeed(defaultSeed, r))
+		seeds = append(seeds, restartSeed(r))
 	}
 	for _, seed := range seeds {
 		var s stream
@@ -98,15 +95,14 @@ func TestStreamReplaysSeededSource(t *testing.T) {
 // and requires every Result to equal the serial one. Run it under -race.
 func TestCutConcurrentMatchesSerial(t *testing.T) {
 	type job struct {
-		g   *topology.Graph
-		k   int
-		opt Options
+		g *topology.Graph
+		k int
 	}
 	jobs := []job{
-		{topology.FatTree(4), 3, Options{}},
-		{topology.Torus2D(6, 6, 1), 4, Options{}},
-		{topology.Dragonfly(4, 9, 2, 1), 2, Options{Seed: 99}},
-		{wan190(), 3, Options{}},
+		{topology.FatTree(4), 3},
+		{topology.Torus2D(6, 6, 1), 4},
+		{topology.Dragonfly(4, 9, 2, 1), 2},
+		{wan190(), 3},
 	}
 	got := make([][]*Result, 8)
 	var wg sync.WaitGroup
@@ -115,7 +111,7 @@ func TestCutConcurrentMatchesSerial(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, j := range jobs {
-				r, err := Cut(j.g, j.k, j.opt)
+				r, err := Cut(j.g, j.k, Options{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -126,39 +122,37 @@ func TestCutConcurrentMatchesSerial(t *testing.T) {
 	}
 	wg.Wait()
 	for i, j := range jobs {
-		want, err := Cut(j.g, j.k, j.opt)
+		want, err := Cut(j.g, j.k, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for w := range got {
 			if i < len(got[w]) && !reflect.DeepEqual(got[w][i], want) {
-				t.Fatalf("goroutine %d: Cut(%s, %d, %+v) differs from the serial Result", w, j.g.Name, j.k, j.opt)
+				t.Fatalf("goroutine %d: Cut(%s, %d) differs from the serial Result", w, j.g.Name, j.k)
 			}
 		}
 	}
 }
 
-// TestCutWorkersMatchSerial runs Cut over referenceGraphs, k = 2…8 and
-// both objectives at GOMAXPROCS 1, 2 and 8 — the inline single-worker
+// TestCutWorkersMatchSerial runs Cut over referenceGraphs and k = 2…8
+// at GOMAXPROCS 1, 2 and 8 — the inline single-worker
 // path, two workers, and one worker per restart — and requires the
 // three Results to be identical. Run it under -race.
 func TestCutWorkersMatchSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, g := range referenceGraphs() {
 		for k := 2; k <= 8 && k <= g.NumSwitches(); k++ {
-			for _, obj := range []Objective{Balanced, MinCut} {
-				var want *Result
-				for _, procs := range []int{1, 2, 8} {
-					runtime.GOMAXPROCS(procs)
-					got, err := Cut(g, k, Options{Objective: obj})
-					if err != nil {
-						t.Fatalf("%s k=%d: %v", g.Name, k, err)
-					}
-					if want == nil {
-						want = got
-					} else if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s k=%d objective=%d: GOMAXPROCS=%d gives a different Result than GOMAXPROCS=1", g.Name, k, obj, procs)
-					}
+			var want *Result
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				got, err := Cut(g, k, Options{})
+				if err != nil {
+					t.Fatalf("%s k=%d: %v", g.Name, k, err)
+				}
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s k=%d: GOMAXPROCS=%d gives a different Result than GOMAXPROCS=1", g.Name, k, procs)
 				}
 			}
 		}
@@ -168,25 +162,25 @@ func TestCutWorkersMatchSerial(t *testing.T) {
 // multistart runs worker.multistart on a pooled worker, as Cut does,
 // and returns a copy of the winning candidate, which lives in the
 // worker's storage.
-func multistart(wg *workGraph, k int, opt Options, seed int64) []int {
+func multistart(wg *workGraph, k int) []int {
 	w := workers.Get().(*worker)
 	defer workers.Put(w)
-	return slices.Clone(w.multistart(wg, k, opt, seed))
+	return slices.Clone(w.multistart(wg, k))
 }
 
 // serialMultistart is multistart as one loop: the restarts in order on
 // fresh scratch and the allocating multilevelReference, keeping the
-// first of the lowest scores.
-func serialMultistart(wg *workGraph, k int, opt Options, seed int64) []int {
+// first of the lowest scores. The restart seeds are seed + 7919·r.
+func serialMultistart(wg *workGraph, k int, seed int64) []int {
 	var part []int
 	bestScore := -1.0
 	for r := 0; r < restarts; r++ {
 		var rf refiner
 		rf.reset(len(wg.vwgt), k)
 		var src stream
-		src.Seed(restartSeed(seed, r))
-		cand := multilevelReference(wg, k, opt, rand.New(&src), &rf)
-		if s := score(wg, cand, k, opt, make([]int, k)); bestScore < 0 || s < bestScore {
+		src.Seed(seed + int64(r)*7919)
+		cand := multilevelReference(wg, k, rand.New(&src), &rf)
+		if s := score(wg, cand, k, make([]int, k)); bestScore < 0 || s < bestScore {
 			bestScore, part = s, cand
 		}
 	}
@@ -201,12 +195,9 @@ func TestMultistartMatchesSerialLoop(t *testing.T) {
 	for _, g := range referenceGraphs()[:40] {
 		wg := newWorkGraph(g, g.Switches())
 		for k := 2; k <= 8 && k <= len(wg.vwgt); k++ {
-			for _, obj := range []Objective{Balanced, MinCut} {
-				opt := testOptions(obj)
-				got, want := multistart(wg, k, opt, defaultSeed), serialMultistart(wg, k, opt, defaultSeed)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s k=%d objective=%d: multistart picked %v, the serial loop %v", g.Name, k, obj, got, want)
-				}
+			got, want := multistart(wg, k), serialMultistart(wg, k, cutSeed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s k=%d: multistart picked %v, the serial loop %v", g.Name, k, got, want)
 			}
 		}
 	}

@@ -33,9 +33,9 @@ func connToReference(g *workGraph, part []int, v, k int, buf []int) []int {
 }
 
 // refineReference runs FM-style passes: move boundary vertices to the neighbour
-// part with the best gain, respecting balance for the Balanced
-// objective, then explicitly rebalances overweight parts.
-func refineReference(g *workGraph, part []int, k int, opt Options, rng *rand.Rand) {
+// part with the best gain, respecting balance, then explicitly
+// rebalances overweight parts.
+func refineReference(g *workGraph, part []int, k int, rng *rand.Rand) {
 	n := len(g.vwgt)
 	weight := make([]int, k)
 	total := 0
@@ -53,12 +53,9 @@ func refineReference(g *workGraph, part []int, k int, opt Options, rng *rand.Ran
 		}
 	}
 	mean := float64(total) / float64(k)
-	maxAllowed := int(mean * (1 + opt.Epsilon))
+	maxAllowed := int(mean * (1 + epsilon))
 	if min := int(mean) + maxVwgt; maxAllowed < min {
 		maxAllowed = min
-	}
-	if opt.Objective == MinCut {
-		maxAllowed = total // unconstrained
 	}
 	partCount := make([]int, k)
 	for v := 0; v < n; v++ {
@@ -71,7 +68,7 @@ func refineReference(g *workGraph, part []int, k int, opt Options, rng *rand.Ran
 	}
 	locked := make([]bool, n)
 
-	for pass := 0; pass < opt.Passes; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		// Classic FM sequence: repeatedly apply the best feasible move
 		// (even if its gain is negative), locking each vertex after it
 		// moves, then roll back to the prefix with the lowest cut.
@@ -98,7 +95,7 @@ func refineReference(g *workGraph, part []int, k int, opt Options, rng *rand.Ran
 					if p == home {
 						continue
 					}
-					if conn[p] == 0 && g.xadj[v] != nil && opt.Objective == Balanced {
+					if conn[p] == 0 && g.xadj[v] != nil {
 						continue // keep parts contiguous when possible
 					}
 					if weight[p]+g.vwgt[v] > maxAllowed {
@@ -140,10 +137,8 @@ func refineReference(g *workGraph, part []int, k int, opt Options, rng *rand.Ran
 			part[m.v] = m.from
 		}
 		improved := bestGainAt >= 0
-		if opt.Objective == Balanced {
-			if rebalanceReference(g, part, k, weight, partCount, maxAllowed, &conn) > 0 {
-				improved = true
-			}
+		if rebalanceReference(g, part, k, weight, partCount, maxAllowed, &conn) > 0 {
+			improved = true
 		}
 		if !improved {
 			break
@@ -207,7 +202,7 @@ func rebalanceReference(g *workGraph, part []int, k int, weight, partCount []int
 // multilevelReference, and serialMultistart runs Cut's restarts on it.
 
 // multilevelReference runs coarsen / initial-partition / refine.
-func multilevelReference(wg *workGraph, k int, opt Options, rng *rand.Rand, rf *refiner) []int {
+func multilevelReference(wg *workGraph, k int, rng *rand.Rand, rf *refiner) []int {
 	coarseLimit := 4 * k
 	if coarseLimit < 32 {
 		coarseLimit = 32
@@ -227,8 +222,8 @@ func multilevelReference(wg *workGraph, k int, opt Options, rng *rand.Rand, rf *
 	}
 
 	coarsest := graphs[len(graphs)-1]
-	part := initialPartitionReference(coarsest, k, opt, rng)
-	rf.refine(coarsest, part, opt)
+	part := initialPartitionReference(coarsest, k, rng)
+	rf.refine(coarsest, part)
 
 	// Project back up, refining at each level.
 	for lvl := len(maps) - 1; lvl >= 0; lvl-- {
@@ -239,7 +234,7 @@ func multilevelReference(wg *workGraph, k int, opt Options, rng *rand.Rand, rf *
 			finePart[v] = part[cmap[v]]
 		}
 		part = finePart
-		rf.refine(fine, part, opt)
+		rf.refine(fine, part)
 	}
 	return part
 }
@@ -320,7 +315,7 @@ func coarsenReference(g *workGraph, rng *rand.Rand) (*workGraph, []int, bool) {
 
 // initialPartitionReference grows k regions greedily from spread-out seeds,
 // balancing vertex weight.
-func initialPartitionReference(g *workGraph, k int, opt Options, rng *rand.Rand) []int {
+func initialPartitionReference(g *workGraph, k int, rng *rand.Rand) []int {
 	n := len(g.vwgt)
 	part := make([]int, n)
 	for i := range part {
@@ -381,7 +376,7 @@ func initialPartitionReference(g *workGraph, k int, opt Options, rng *rand.Rand)
 			if part[f.v] != -1 {
 				continue
 			}
-			if float64(weight[f.p]) > target*1.5 && opt.Objective == Balanced {
+			if float64(weight[f.p]) > target*1.5 {
 				rest = append(rest, f)
 				continue
 			}
@@ -442,17 +437,17 @@ func newTestWorker() *worker {
 	return w
 }
 
-// FuzzMultilevelScratch runs random work graphs of changing size, k and
-// objective through one worker, its storage reused dirty from graph to
+// FuzzMultilevelScratch runs random work graphs of changing size and k
+// through one worker, its storage reused dirty from graph to
 // graph, and requires each partition to equal multilevelReference's
 // from the same restart seed, and the in-place perm to draw rand.Perm's
 // permutation from the same stream.
 func FuzzMultilevelScratch(f *testing.F) {
-	f.Add(int64(1), uint8(200), uint8(3), false)
-	f.Add(int64(2), uint8(40), uint8(8), true)
-	f.Add(int64(3), uint8(255), uint8(2), false)
-	f.Add(int64(4), uint8(90), uint8(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, maxN, kk uint8, minCut bool) {
+	f.Add(int64(1), uint8(200), uint8(3))
+	f.Add(int64(2), uint8(40), uint8(8))
+	f.Add(int64(3), uint8(255), uint8(2))
+	f.Add(int64(4), uint8(90), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, maxN, kk uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		w := newTestWorker()
 		out := make([]int, 0, 8)
@@ -460,10 +455,6 @@ func FuzzMultilevelScratch(f *testing.F) {
 			n := 2 + rng.Intn(1+int(maxN))
 			k := min(2+rng.Intn(1+int(kk)%8), n)
 			g, _ := randomWorkGraph(rng, n, rng.Intn(4*n), k)
-			opt := testOptions(Balanced)
-			if minCut != (round%2 == 1) {
-				opt.Objective = MinCut
-			}
 			rseed := rng.Int63()
 
 			w.src.Seed(rseed)
@@ -476,21 +467,16 @@ func FuzzMultilevelScratch(f *testing.F) {
 			w.src.Seed(rseed)
 			w.rf.reset(n, k)
 			out = resize(out, n) // dirty from the last round
-			w.multilevel(g, k, opt, out)
+			w.multilevel(g, k, out)
 			var rf refiner
 			rf.reset(n, k)
-			want := multilevelReference(g, k, opt, rand.New(rand.NewSource(rseed)), &rf)
+			want := multilevelReference(g, k, rand.New(rand.NewSource(rseed)), &rf)
 			if !slices.Equal(out, want) {
-				t.Fatalf("round %d n=%d k=%d objective=%d: worker.multilevel diverged from the reference\n got %v\nwant %v",
-					round, n, k, opt.Objective, out, want)
+				t.Fatalf("round %d n=%d k=%d: worker.multilevel diverged from the reference\n got %v\nwant %v",
+					round, n, k, out, want)
 			}
 		}
 	})
-}
-
-// testOptions are Options as Cut hands them to refine: defaults filled.
-func testOptions(obj Objective) Options {
-	return Options{Objective: obj, Epsilon: 0.10, Passes: 4}
 }
 
 // diffMultilevel replays multilevel's coarsen / initial-partition /
@@ -498,8 +484,8 @@ func testOptions(obj Objective) Options {
 // copy of the incoming partition with rf and another with the oracle.
 // The two must agree element for element; the chain continues from the
 // oracle's result. rf is deliberately shared between calls so state
-// left over from another level, seed or objective would show.
-func diffMultilevel(t testing.TB, name string, wg *workGraph, k int, opt Options, seed int64, rf *refiner) {
+// left over from another level or seed would show.
+func diffMultilevel(t testing.TB, name string, wg *workGraph, k int, seed int64, rf *refiner) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	graphs := []*workGraph{wg}
@@ -514,15 +500,15 @@ func diffMultilevel(t testing.TB, name string, wg *workGraph, k int, opt Options
 	}
 	both := func(lvl int, part []int) []int {
 		got, want := slices.Clone(part), slices.Clone(part)
-		rf.refine(graphs[lvl], got, opt)
-		refineReference(graphs[lvl], want, k, opt, nil)
+		rf.refine(graphs[lvl], got)
+		refineReference(graphs[lvl], want, k, nil)
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s k=%d objective=%d seed=%d level %d (n=%d): refine diverged from the oracle\n got %v\nwant %v",
-				name, k, opt.Objective, seed, lvl, len(want), got, want)
+			t.Fatalf("%s k=%d seed=%d level %d (n=%d): refine diverged from the oracle\n got %v\nwant %v",
+				name, k, seed, lvl, len(want), got, want)
 		}
 		return want
 	}
-	part := both(len(graphs)-1, initialPartitionReference(graphs[len(graphs)-1], k, opt, rng))
+	part := both(len(graphs)-1, initialPartitionReference(graphs[len(graphs)-1], k, rng))
 	for lvl := len(maps) - 1; lvl >= 0; lvl-- {
 		fine := make([]int, len(graphs[lvl].vwgt))
 		for v := range fine {
@@ -555,18 +541,15 @@ func referenceGraphs() []*topology.Graph {
 }
 
 // TestRefineMatchesReference is the differential suite the incremental
-// refine lives under: referenceGraphs, k = 2…8, both objectives, three
-// restart seeds.
+// refine lives under: referenceGraphs, k = 2…8, three restart seeds.
 func TestRefineMatchesReference(t *testing.T) {
 	for _, g := range referenceGraphs() {
 		wg := newWorkGraph(g, g.Switches())
 		for k := 2; k <= 8 && k <= len(wg.vwgt); k++ {
 			var rf refiner
 			rf.reset(len(wg.vwgt), k)
-			for _, obj := range []Objective{Balanced, MinCut} {
-				for _, seed := range []int64{12345, 12345 + 7919, 3} {
-					diffMultilevel(t, g.Name, wg, k, testOptions(obj), seed, &rf)
-				}
+			for _, seed := range []int64{12345, 12345 + 7919, 3} {
+				diffMultilevel(t, g.Name, wg, k, seed, &rf)
 			}
 		}
 	}
@@ -681,16 +664,16 @@ func TestRebalanceCycleMatchesReference(t *testing.T) {
 // vertices isolated, some parts empty or singletons) under a random
 // initial partition.
 func FuzzRefineDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(12), uint8(20), uint8(3), false)
-	f.Add(int64(2), uint8(40), uint8(90), uint8(8), true)
-	f.Add(int64(3), uint8(5), uint8(0), uint8(5), false)
-	f.Add(int64(4), uint8(64), uint8(255), uint8(2), false)
+	f.Add(int64(1), uint8(12), uint8(20), uint8(3))
+	f.Add(int64(2), uint8(40), uint8(90), uint8(8))
+	f.Add(int64(3), uint8(5), uint8(0), uint8(5))
+	f.Add(int64(4), uint8(64), uint8(255), uint8(2))
 	// Each pass of these three ends in a rebalance cycle that only the
 	// n-move cap stops (n = 32, 62, 80; k = 7, 4, 8).
-	f.Add(int64(7), uint8(30), uint8(238), uint8(173), false)
-	f.Add(int64(80), uint8(252), uint8(8), uint8(205), false)
-	f.Add(int64(122), uint8(78), uint8(10), uint8(6), false)
-	f.Fuzz(func(t *testing.T, seed int64, nv, ne, kk uint8, minCut bool) {
+	f.Add(int64(7), uint8(30), uint8(238), uint8(173))
+	f.Add(int64(80), uint8(252), uint8(8), uint8(205))
+	f.Add(int64(122), uint8(78), uint8(10), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, nv, ne, kk uint8) {
 		n := 2 + int(nv)%96
 		k := 2 + int(kk)%7
 		if k > n {
@@ -698,22 +681,18 @@ func FuzzRefineDifferential(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		g, part := randomWorkGraph(rng, n, int(ne), k)
-		opt := testOptions(Balanced)
-		if minCut {
-			opt.Objective = MinCut
-		}
 		got, want := slices.Clone(part), slices.Clone(part)
 		var rf refiner
 		rf.reset(n+rng.Intn(4), k) // scratch may be larger than the level
-		rf.refine(g, got, opt)
-		refineReference(g, want, k, opt, nil)
+		rf.refine(g, got)
+		refineReference(g, want, k, nil)
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d k=%d minCut=%v: refine diverged from the oracle\nfrom %v\n got %v\nwant %v", n, k, minCut, part, got, want)
+			t.Fatalf("n=%d k=%d: refine diverged from the oracle\nfrom %v\n got %v\nwant %v", n, k, part, got, want)
 		}
-		rf.refine(g, got, opt) // a second call on the same scratch starts clean
-		refineReference(g, want, k, opt, nil)
+		rf.refine(g, got) // a second call on the same scratch starts clean
+		refineReference(g, want, k, nil)
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d k=%d minCut=%v: second refine on reused scratch diverged", n, k, minCut)
+			t.Fatalf("n=%d k=%d: second refine on reused scratch diverged", n, k)
 		}
 	})
 }
@@ -790,15 +769,14 @@ func TestCutAllocsBounded(t *testing.T) {
 	}
 
 	wg := newWorkGraph(g, g.Switches())
-	opt := testOptions(Balanced)
-	start := initialPartitionReference(wg, 3, opt, rand.New(rand.NewSource(1)))
+	start := initialPartitionReference(wg, 3, rand.New(rand.NewSource(1)))
 	part := make([]int, len(start))
 	w := workers.Get().(*worker)
 	defer workers.Put(w)
 	w.rf.reset(len(start), 3)
 	perRefine := testing.AllocsPerRun(5, func() {
 		copy(part, start)
-		w.rf.refine(wg, part, opt)
+		w.rf.refine(wg, part)
 	})
 	if perRefine != 0 {
 		t.Errorf("refine on pooled scratch allocates %.0f objects, want 0", perRefine)

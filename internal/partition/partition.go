@@ -8,8 +8,7 @@
 // a from-scratch multilevel k-way partitioner in the METIS style:
 // heavy-edge-matching coarsening, greedy region-growing initial
 // partitioning, and Fiduccia–Mattheyses-style boundary refinement during
-// uncoarsening. A pure min-cut mode (no balance constraint) is provided
-// for the Fig. 8 ablation.
+// uncoarsening.
 package partition
 
 import (
@@ -25,30 +24,21 @@ import (
 	"repro/internal/topology"
 )
 
-// Objective selects the optimisation target.
-type Objective int
+// Options has no fields. Cut has one objective — the paper's
+// α·Cut + β·balance (§IV-C): fewest cut links, with every part's port
+// weight within epsilon of the mean — and a fixed seed, so there is
+// nothing to tune. The type remains because Cut and the projection
+// entry points take it.
+type Options struct{}
 
 const (
-	// Balanced minimises cut subject to a port-balance constraint —
-	// the paper's production objective (α·Cut + β·balance, §IV-C).
-	Balanced Objective = iota
-	// MinCut ignores balance entirely (the "initial idea" the paper
-	// shows misbehaving in Fig. 8).
-	MinCut
+	// epsilon is the allowed relative port-weight imbalance of a part.
+	epsilon = 0.10
+	// passes is the number of refinement passes per uncoarsening level.
+	passes = 4
+	// cutSeed is the seed every Cut's restart seeds derive from.
+	cutSeed = 12345
 )
-
-// Options tunes the partitioner. The zero value is usable: Balanced
-// objective, 10% imbalance tolerance, deterministic seed.
-type Options struct {
-	Objective Objective
-	// Epsilon is the allowed relative port-weight imbalance for the
-	// Balanced objective (0 means the 0.10 default).
-	Epsilon float64
-	// Seed makes tie-breaking deterministic; 0 means a fixed default.
-	Seed int64
-	// Refinement passes per uncoarsening level (0 means 4).
-	Passes int
-}
 
 // Result describes a k-way partition of the switch graph.
 type Result struct {
@@ -93,17 +83,16 @@ func (g *workGraph) sortAdj() {
 // paper's Cut(G(E,V), params...) function: input logical topology plus
 // switch count, output a partitioning that satisfies the objective.
 //
-// Cut is deterministic: all randomness flows from Options.Seed (0 maps
-// to a fixed default), adjacency lists are sorted so the result is
-// independent of map iteration order, and the restarts, which run on up
-// to min(GOMAXPROCS, 8) workers, each write their own slot and are
-// reduced serially in restart order — the same (g, k, opt) always
-// yields a byte-identical Result, regardless of GOMAXPROCS, scheduling
-// or rerun count. Downstream consumers rely on this: projection plans
-// and live reconfiguration derive their sub-switch placement from the
-// Result, so a nondeterministic Cut would break the golden-pinned
-// byte-identity of every SDT-mode run.
-func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
+// Cut is deterministic: all randomness flows from cutSeed, adjacency
+// lists are sorted so the result is independent of map iteration order,
+// and the restarts, which run on up to min(GOMAXPROCS, 8) workers, each
+// write their own slot and are reduced serially in restart order — the
+// same (g, k) always yields a byte-identical Result, regardless of
+// GOMAXPROCS, scheduling or rerun count. Downstream consumers rely on
+// this: projection plans and live reconfiguration derive their
+// sub-switch placement from the Result, so a nondeterministic Cut would
+// break the golden-pinned byte-identity of every SDT-mode run.
+func Cut(g *topology.Graph, k int, _ Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d must be >= 1", k)
 	}
@@ -114,21 +103,11 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	if k > len(switches) {
 		return nil, fmt.Errorf("partition: k = %d exceeds switch count %d", k, len(switches))
 	}
-	if opt.Epsilon <= 0 {
-		opt.Epsilon = 0.10
-	}
-	if opt.Passes <= 0 {
-		opt.Passes = 4
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
 
 	wg := newWorkGraph(g, switches)
 	w := workers.Get().(*worker)
 	defer workers.Put(w)
-	part := w.multistart(wg, k, opt, seed)
+	part := w.multistart(wg, k)
 
 	res := &Result{
 		K:            k,
@@ -169,9 +148,6 @@ func Cut(g *topology.Graph, k int, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// defaultSeed is the seed Options.Seed 0 stands for.
-const defaultSeed = 12345
-
 // restarts is the number of multilevel runs Cut keeps the best of.
 const restarts = 8
 
@@ -186,7 +162,7 @@ const restarts = 8
 // whatever the worker count or schedule. The returned slice is the
 // winner's slot of w's candidate buffer: it is valid until w goes back
 // to the pool.
-func (w *worker) multistart(wg *workGraph, k int, opt Options, seed int64) []int {
+func (w *worker) multistart(wg *workGraph, k int) []int {
 	n := len(wg.vwgt)
 	f := &w.fan
 	f.cands = resize(f.cands, restarts*n)
@@ -194,7 +170,7 @@ func (w *worker) multistart(wg *workGraph, k int, opt Options, seed int64) []int
 		clear(f.cands[:n])
 		return f.cands[:n]
 	}
-	f.wg, f.k, f.opt, f.seed = wg, k, opt, seed
+	f.wg, f.k = wg, k
 	f.next.Store(0)
 	for range min(runtime.GOMAXPROCS(0), restarts) - 1 {
 		f.done.Add(1)
@@ -229,8 +205,6 @@ func (w *worker) multistart(wg *workGraph, k int, opt Options, seed int64) []int
 type fanout struct {
 	wg     *workGraph
 	k      int
-	opt    Options
-	seed   int64
 	cands  []int
 	scores [restarts]float64
 	next   atomic.Int32
@@ -251,11 +225,11 @@ func (f *fanout) run(w *worker, r int) {
 	n := len(f.wg.vwgt)
 	w.rf.reset(n, f.k)
 	for ; r >= 0; r = f.claim() {
-		w.src.Seed(restartSeed(f.seed, r))
+		w.src.Seed(restartSeed(r))
 		cand := f.cands[r*n : (r+1)*n]
-		w.multilevel(f.wg, f.k, f.opt, cand)
+		w.multilevel(f.wg, f.k, cand)
 		w.weight = resize(w.weight, f.k)
-		f.scores[r] = score(f.wg, cand, f.k, f.opt, w.weight)
+		f.scores[r] = score(f.wg, cand, f.k, w.weight)
 	}
 	w.rf.g, w.rf.part = nil, nil // pin no graph while pooled
 }
@@ -306,19 +280,19 @@ var workers = sync.Pool{New: func() any {
 	return w
 }}
 
-// restartSeed is the seed of restart r of a Cut seeded with seed.
-func restartSeed(seed int64, r int) int64 { return seed + int64(r)*7919 }
+// restartSeed is the seed of a Cut's restart r.
+func restartSeed(r int) int64 { return cutSeed + int64(r)*7919 }
 
-// recordLen is how many Int63 draws of each default restart stream are
+// recordLen is how many Int63 draws of each restart stream are
 // recorded. A restart draws about two per switch (one Perm per
 // coarsening level, each level half the last), so this covers graphs
 // up to ~1000 switches; a longer run falls back to a fresh source (see
 // stream.Int63).
 const recordLen = 2048
 
-// The Int63 streams of the default restart seeds, recorded on first use
-// and read-only afterwards. Every production caller passes Options{},
-// so seeding math/rand's 607-word source for each of a Cut's restarts
+// The Int63 streams of the restart seeds, recorded on first use and
+// read-only afterwards. Every Cut uses the same restart seeds, so
+// seeding math/rand's 607-word source for each of a Cut's restarts
 // becomes one recording per process, and the memory is bounded:
 // restarts × recordLen values. The values are the seeded source's own,
 // so no partition changes.
@@ -328,16 +302,16 @@ var (
 )
 
 // recording returns the recorded head of rand.NewSource(seed)'s Int63
-// stream, or nil when seed is not a default restart seed.
+// stream, or nil when seed is not a restart seed.
 func recording(seed int64) []int64 {
 	for r := 0; r < restarts; r++ {
-		if seed != restartSeed(defaultSeed, r) {
+		if seed != restartSeed(r) {
 			continue
 		}
 		recordOnce.Do(func() {
 			buf := make([]int64, restarts*recordLen)
 			for i := range recorded {
-				src := rand.NewSource(restartSeed(defaultSeed, i))
+				src := rand.NewSource(restartSeed(i))
 				rec := buf[i*recordLen : (i+1)*recordLen : (i+1)*recordLen]
 				for j := range rec {
 					rec[j] = src.Int63()
@@ -459,7 +433,7 @@ func (b *adjRows) end() []nbr {
 
 // multilevel runs coarsen / initial-partition / refine on w's scratch,
 // drawing from w.rng, and writes the partition of wg into out.
-func (w *worker) multilevel(wg *workGraph, k int, opt Options, out []int) {
+func (w *worker) multilevel(wg *workGraph, k int, out []int) {
 	coarseLimit := 4 * k
 	if coarseLimit < 32 {
 		coarseLimit = 32
@@ -479,8 +453,8 @@ func (w *worker) multilevel(wg *workGraph, k int, opt Options, out []int) {
 	}
 
 	part := w.levelPart(depth, len(g.vwgt), out)
-	w.initialPartition(g, k, opt, part)
-	w.rf.refine(g, part, opt)
+	w.initialPartition(g, k, part)
+	w.rf.refine(g, part)
 
 	// Project back up, refining at each level.
 	for lvl := depth - 1; lvl >= 0; lvl-- {
@@ -494,7 +468,7 @@ func (w *worker) multilevel(wg *workGraph, k int, opt Options, out []int) {
 			finePart[v] = part[cmap[v]]
 		}
 		part = finePart
-		w.rf.refine(fine, part, opt)
+		w.rf.refine(fine, part)
 	}
 }
 
@@ -603,7 +577,7 @@ type frontierItem struct{ v, p int }
 
 // initialPartition grows k regions of g greedily from spread-out seeds,
 // balancing vertex weight, and writes the partition into part.
-func (w *worker) initialPartition(g *workGraph, k int, opt Options, part []int) {
+func (w *worker) initialPartition(g *workGraph, k int, part []int) {
 	n := len(g.vwgt)
 	for i := range part {
 		part[i] = -1
@@ -669,7 +643,7 @@ func (w *worker) initialPartition(g *workGraph, k int, opt Options, part []int) 
 			if part[f.v] != -1 {
 				continue
 			}
-			if float64(weight[f.p]) > target*1.5 && opt.Objective == Balanced {
+			if float64(weight[f.p]) > target*1.5 {
 				rest = append(rest, f)
 				continue
 			}
@@ -726,9 +700,8 @@ func bfsDist(g *workGraph, src int, dist, queue []int) {
 }
 
 // score evaluates a partition under the paper's composite objective:
-// cut weight plus a balance penalty (zero for MinCut). weight is k-long
-// scratch.
-func score(g *workGraph, part []int, k int, opt Options, weight []int) float64 {
+// cut weight plus a balance penalty. weight is k-long scratch.
+func score(g *workGraph, part []int, k int, weight []int) float64 {
 	cut := 0
 	total := 0
 	clear(weight)
@@ -740,9 +713,6 @@ func score(g *workGraph, part []int, k int, opt Options, weight []int) float64 {
 				cut += nb.w
 			}
 		}
-	}
-	if opt.Objective == MinCut {
-		return float64(cut)
 	}
 	maxW := 0
 	for _, w := range weight {
@@ -785,15 +755,14 @@ type move struct {
 // current in O(deg v · k) per move; roll-back and rebalance leave them
 // stale, as the next pass refills them.
 type refiner struct {
-	k          int
-	g          *workGraph
-	part       []int
-	conn       []int
-	weight     []int // vertex weight per part
-	partCount  []int // vertices per part
-	locked     []bool
-	seq        []move
-	contiguous bool // Balanced: a vertex only moves to a part it touches
+	k         int
+	g         *workGraph
+	part      []int
+	conn      []int
+	weight    []int // vertex weight per part
+	partCount []int // vertices per part
+	locked    []bool
+	seq       []move
 
 	span, words int
 	bits        []uint64
@@ -880,12 +849,11 @@ func (r *refiner) rebucket(v int) {
 
 // refile files candidate (v, p) at level conn[p] − conn[home] + span,
 // or takes it out when it is not a candidate: v is locked, p is its
-// home, or v has neighbours, the objective is Balanced and v does not
-// touch p.
+// home, or v has neighbours and does not touch p.
 func (r *refiner) refile(v, p int) {
 	i, home := v*r.k+p, r.part[v]
 	l := int32(-1)
-	if c := r.conn[i]; !r.locked[v] && p != home && (c != 0 || !r.contiguous || len(r.g.xadj[v]) == 0) {
+	if c := r.conn[i]; !r.locked[v] && p != home && (c != 0 || len(r.g.xadj[v]) == 0) {
 		l = int32(c - r.conn[v*r.k+home] + r.span)
 	}
 	old := r.at[i]
@@ -944,8 +912,8 @@ func (r *refiner) pick(maxAllowed int) (v, p, gain int) {
 
 // refine runs FM-style passes over part in place: repeatedly apply the
 // best feasible move (even at a negative gain), lock the moved vertex,
-// then roll back to the prefix with the lowest cut; under the Balanced
-// objective each pass ends by draining overweight parts (rebalance).
+// then roll back to the prefix with the lowest cut; each pass ends by
+// draining overweight parts (rebalance).
 //
 // The move sequence is part of Cut's byte-identity contract and is
 // pinned by the differential oracle in oracle_test.go: the best move is
@@ -953,9 +921,9 @@ func (r *refiner) pick(maxAllowed int) (v, p, gain int) {
 // ties going to the lowest v, then the lowest p; feasibility (the
 // destination stays within maxAllowed, the home part keeps a vertex) is
 // evaluated when the move is selected, not when it was first seen.
-// Under Balanced a vertex only moves to a part it touches (isolated
-// vertices may go anywhere).
-func (r *refiner) refine(g *workGraph, part []int, opt Options) {
+// A vertex only moves to a part it touches (isolated vertices may go
+// anywhere).
+func (r *refiner) refine(g *workGraph, part []int) {
 	r.load(g, part)
 	n, k := len(g.vwgt), r.k
 
@@ -970,16 +938,12 @@ func (r *refiner) refine(g *workGraph, part []int, opt Options) {
 		}
 	}
 	mean := float64(total) / float64(k)
-	maxAllowed := int(mean * (1 + opt.Epsilon))
+	maxAllowed := int(mean * (1 + epsilon))
 	if min := int(mean) + maxVwgt; maxAllowed < min {
 		maxAllowed = min
 	}
-	if opt.Objective == MinCut {
-		maxAllowed = total // unconstrained
-	}
-	r.contiguous = opt.Objective == Balanced // keep parts contiguous when possible
 
-	for pass := 0; pass < opt.Passes; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		clear(r.locked)
 		r.fillBuckets()
 		seq := r.seq[:0]
@@ -1019,7 +983,7 @@ func (r *refiner) refine(g *workGraph, part []int, opt Options) {
 			r.apply(seq[i].v, seq[i].from)
 		}
 		improved := bestGainAt >= 0
-		if r.contiguous && r.rebalance(maxAllowed) > 0 {
+		if r.rebalance(maxAllowed) > 0 {
 			improved = true
 		}
 		if !improved {

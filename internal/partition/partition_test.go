@@ -9,9 +9,9 @@ import (
 	"repro/internal/topology"
 )
 
-func mustCut(t *testing.T, g *topology.Graph, k int, opt Options) *Result {
+func mustCut(t *testing.T, g *topology.Graph, k int) *Result {
 	t.Helper()
-	r, err := Cut(g, k, opt)
+	r, err := Cut(g, k, Options{})
 	if err != nil {
 		t.Fatalf("Cut(%s, %d): %v", g.Name, k, err)
 	}
@@ -56,7 +56,7 @@ func checkWellFormed(t *testing.T, g *topology.Graph, r *Result) {
 
 func TestCutK1(t *testing.T) {
 	g := topology.FatTree(4)
-	r := mustCut(t, g, 1, Options{})
+	r := mustCut(t, g, 1)
 	checkWellFormed(t, g, r)
 	if r.CutEdges != 0 {
 		t.Errorf("k=1 cut = %d, want 0", r.CutEdges)
@@ -68,7 +68,7 @@ func TestTorus4x4TwoWay(t *testing.T) {
 	// inter-switch links (the optimal bisection cuts two torus rings,
 	// each contributing 4 wrap+cross links).
 	g := topology.Torus2D(4, 4, 0)
-	r := mustCut(t, g, 2, Options{})
+	r := mustCut(t, g, 2)
 	checkWellFormed(t, g, r)
 	if r.CutEdges != 8 {
 		t.Errorf("Torus2D(4,4) 2-way cut = %d, want 8", r.CutEdges)
@@ -83,7 +83,7 @@ func TestTorus4x4FourWay(t *testing.T) {
 	// self-links... each 2x2 block of a 4x4 torus has 4 internal links,
 	// and 8 links leave each block. Total cut = 4 blocks * 8 / 2 = 16.
 	g := topology.Torus2D(4, 4, 0)
-	r := mustCut(t, g, 4, Options{})
+	r := mustCut(t, g, 4)
 	checkWellFormed(t, g, r)
 	if r.CutEdges > 20 { // optimal grid blocking gives 16
 		t.Errorf("Torus2D(4,4) 4-way cut = %d, want <= 20 (optimal 16)", r.CutEdges)
@@ -96,7 +96,7 @@ func TestTorus4x4FourWay(t *testing.T) {
 func TestFatTreeTwoWay(t *testing.T) {
 	// §VII-C: fat-tree k=4 projected onto 2 switches.
 	g := topology.FatTree(4)
-	r := mustCut(t, g, 2, Options{})
+	r := mustCut(t, g, 2)
 	checkWellFormed(t, g, r)
 	if r.CutEdges >= len(g.SwitchSwitchEdges()) {
 		t.Errorf("cut %d not better than trivial %d", r.CutEdges, len(g.SwitchSwitchEdges()))
@@ -106,44 +106,24 @@ func TestFatTreeTwoWay(t *testing.T) {
 	}
 }
 
-func TestBalancedVsMinCut(t *testing.T) {
-	// Fig. 8: a line graph cut into 2. Min-cut alone may produce wildly
-	// unbalanced parts; the Balanced objective must keep ports even.
+func TestLineTwoWay(t *testing.T) {
+	// A line graph cut into 2 must be cut once, in the middle, so the
+	// ports stay even.
 	g := topology.Line(16, 1)
-	bal := mustCut(t, g, 2, Options{Objective: Balanced})
-	checkWellFormed(t, g, bal)
-	if bal.CutEdges != 1 {
-		t.Errorf("balanced line cut = %d, want 1", bal.CutEdges)
+	r := mustCut(t, g, 2)
+	checkWellFormed(t, g, r)
+	if r.CutEdges != 1 {
+		t.Errorf("line cut = %d, want 1", r.CutEdges)
 	}
-	if bal.Imbalance > 0.15 {
-		t.Errorf("balanced imbalance = %.3f, want <= 0.15", bal.Imbalance)
-	}
-	mc := mustCut(t, g, 2, Options{Objective: MinCut})
-	checkWellFormed(t, g, mc)
-	if mc.CutEdges != 1 {
-		t.Errorf("min-cut line cut = %d, want 1", mc.CutEdges)
-	}
-
-	// A 4x4x4 torus cut into 3 shows the trade-off: min-cut severs far
-	// fewer edges (11 vs 62) but leaves one part holding most of the
-	// ports (190.6% vs 7.8% imbalance).
-	g = topology.Torus3D(4, 4, 4, 1)
-	bal = mustCut(t, g, 3, Options{Objective: Balanced})
-	checkWellFormed(t, g, bal)
-	mc = mustCut(t, g, 3, Options{Objective: MinCut})
-	checkWellFormed(t, g, mc)
-	if mc.CutEdges >= bal.CutEdges {
-		t.Errorf("torus min-cut cut = %d, want < balanced %d", mc.CutEdges, bal.CutEdges)
-	}
-	if bal.Imbalance >= mc.Imbalance {
-		t.Errorf("torus balanced imbalance = %.3f, want < min-cut %.3f", bal.Imbalance, mc.Imbalance)
+	if r.Imbalance > 0.15 {
+		t.Errorf("imbalance = %.3f, want <= 0.15", r.Imbalance)
 	}
 }
 
 func TestBalancedKeepsEpsilon(t *testing.T) {
 	g := topology.Dragonfly(4, 9, 2, 1)
 	for _, k := range []int{2, 3, 4} {
-		r := mustCut(t, g, k, Options{Objective: Balanced, Epsilon: 0.10})
+		r := mustCut(t, g, k)
 		checkWellFormed(t, g, r)
 		if r.Imbalance > 0.35 {
 			t.Errorf("k=%d imbalance = %.3f exceeds slack", k, r.Imbalance)
@@ -167,8 +147,8 @@ func TestCutErrors(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := topology.FatTree(6)
-	a := mustCut(t, g, 3, Options{Seed: 7})
-	b := mustCut(t, g, 3, Options{Seed: 7})
+	a := mustCut(t, g, 3)
+	b := mustCut(t, g, 3)
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatalf("non-deterministic assignment at vertex %d", i)
@@ -180,7 +160,7 @@ func TestDeterminism(t *testing.T) {
 // switch-switch edges whose ends Assign puts on different parts.
 func TestCutEdgesMatchesAssign(t *testing.T) {
 	g := topology.Torus2D(4, 4, 0)
-	r := mustCut(t, g, 2, Options{})
+	r := mustCut(t, g, 2)
 	cut := 0
 	for _, eid := range g.SwitchSwitchEdges() {
 		if e := g.Edges[eid]; r.Assign[e.A] != r.Assign[e.B] {
@@ -202,7 +182,7 @@ func TestLargerTopologies(t *testing.T) {
 		{topology.Dragonfly(4, 9, 2, 1), 3},
 		{topology.BCube(4, 1), 2},
 	} {
-		r := mustCut(t, tc.g, tc.k, Options{})
+		r := mustCut(t, tc.g, tc.k)
 		checkWellFormed(t, tc.g, r)
 		trivialCut := len(tc.g.SwitchSwitchEdges())
 		if r.CutEdges >= trivialCut {
@@ -218,7 +198,7 @@ func TestQuickPartitionInvariants(t *testing.T) {
 		n := 6 + int(nRaw)%40
 		k := 2 + int(kRaw)%2
 		g := topology.RandomWAN("q", n, n/4, seed)
-		r, err := Cut(g, k, Options{Seed: seed})
+		r, err := Cut(g, k, Options{})
 		if err != nil {
 			return false
 		}
@@ -244,14 +224,14 @@ func TestQuickPartitionInvariants(t *testing.T) {
 	}
 }
 
-// Property: Balanced objective imbalance stays within a loose global
+// Property: the imbalance stays within a loose global
 // bound on arbitrary random graphs (heavy vertices can force slack, so
 // the bound is generous but finite).
 func TestQuickBalance(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := 10 + int(nRaw)%40
 		g := topology.RandomWAN("q", n, n/3, seed)
-		r, err := Cut(g, 2, Options{Objective: Balanced, Seed: seed})
+		r, err := Cut(g, 2, Options{})
 		if err != nil {
 			return false
 		}

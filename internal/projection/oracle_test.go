@@ -101,7 +101,7 @@ func TestPortShortfallNeverChangesAnAnswer(t *testing.T) {
 					if fitParts(d, sw) == nil {
 						t.Fatalf("%s k=%d on %d switches: bound says %q but the partition fits", g.Name, k, len(sw), bound)
 					}
-					if _, err := mapDemands(g, sw, k, partition.Options{}); err == nil {
+					if _, err := mapDemands(g, sw, k); err == nil {
 						t.Fatalf("%s k=%d on %d switches: bound says %q but mapDemands succeeds", g.Name, k, len(sw), bound)
 					}
 				}
@@ -417,7 +417,7 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 			got, want := NewAllocation(cab), NewAllocation(cab)
 			project := func(g *topology.Graph) (gotPlan, wantPlan *Plan) {
 				for k := 1; k <= maxK(g, cab.Switches); k++ {
-					md, err := mapDemands(g, cab.Switches, k, partition.Options{})
+					md, err := mapDemands(g, cab.Switches, k)
 					if err != nil {
 						continue
 					}

@@ -244,8 +244,9 @@ func Project(g *topology.Graph, cab *Cabling, opt partition.Options) (*Plan, err
 // so multiple topologies can share one cabling. It prefers the fewest
 // physical switches, retrying with more parts when the cabling's
 // reserved links for a smaller split are exhausted. On success the
-// consumed links are marked used in alloc.
-func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, opt partition.Options) (*Plan, error) {
+// consumed links are marked used in alloc. The partition.Options
+// argument has no fields and is ignored.
+func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, _ partition.Options) (*Plan, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("projection: invalid topology: %w", err)
 	}
@@ -255,7 +256,7 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, opt partiti
 			lastErr = err
 			continue
 		}
-		md, err := mapDemands(g, cab.Switches, k, opt)
+		md, err := mapDemands(g, cab.Switches, k)
 		if err != nil {
 			lastErr = err
 			continue

@@ -218,8 +218,8 @@ type mappedDemands struct {
 	inter        map[[2]int]int // unordered physical switch pair
 }
 
-func mapDemands(g *topology.Graph, switches []PhysicalSwitch, k int, opt partition.Options) (*mappedDemands, error) {
-	parts, err := partition.Cut(g, k, opt)
+func mapDemands(g *topology.Graph, switches []PhysicalSwitch, k int) (*mappedDemands, error) {
+	parts, err := partition.Cut(g, k, partition.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -404,8 +404,9 @@ func (r *reservation) totalPorts(n int) int {
 // whose demands add the fewest new ports to the reservation, which
 // keeps inter-switch links "about the same" across switch pairs as the
 // paper recommends. Port layout per switch: host ports first, then
-// self-link pairs on adjacent ports, then inter-link ports.
-func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, opt partition.Options) (*Cabling, error) {
+// self-link pairs on adjacent ports, then inter-link ports. The
+// partition.Options argument has no fields and is ignored.
+func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, _ partition.Options) (*Cabling, error) {
 	if len(topos) == 0 {
 		return nil, fmt.Errorf("projection: no topologies to plan for")
 	}
@@ -435,7 +436,7 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, opt partiti
 				lastErr = err
 				continue
 			}
-			md, err := mapDemands(g, switches, k, opt)
+			md, err := mapDemands(g, switches, k)
 			if err != nil {
 				lastErr = err
 				continue

@@ -645,11 +645,11 @@ func TestQuickProjectionSound(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := 4 + int(nRaw)%20
 		g := topology.RandomWAN("q", n, n/4, seed)
-		cab, err := PlanCabling(switches, []*topology.Graph{g}, partition.Options{Seed: seed})
+		cab, err := PlanCabling(switches, []*topology.Graph{g}, partition.Options{})
 		if err != nil {
 			return true // legitimately too big — skip
 		}
-		plan, err := Project(g, cab, partition.Options{Seed: seed})
+		plan, err := Project(g, cab, partition.Options{})
 		if err != nil {
 			return false
 		}

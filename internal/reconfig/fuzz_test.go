@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/partition"
@@ -54,12 +53,12 @@ func fuzzCabling(f *testing.F) *projection.Cabling {
 
 func FuzzReconfigPlan(f *testing.F) {
 	fuzzCabling(f)
-	f.Add(uint8(0), int64(netsim.Millisecond), int64(5*netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), false)
-	f.Add(uint8(1), int64(netsim.Millisecond), int64(0), int64(netsim.Microsecond), int64(netsim.Microsecond), int64(-1), int64(0), false)
-	f.Add(uint8(2), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), int64(0), true)
-	f.Add(uint8(0), int64(0), int64(-5), int64(-1), int64(7), int64(1<<40), int64(1), false)
-	f.Add(uint8(3), int64(netsim.Millisecond), int64(2*netsim.Millisecond), int64(0), int64(0), int64(0), int64(time.Millisecond), true)
-	f.Fuzz(func(t *testing.T, targetSel uint8, at1, at2, drain, install, patch, timeout int64, inject bool) {
+	f.Add(uint8(0), int64(netsim.Millisecond), int64(5*netsim.Millisecond), int64(0), int64(0), int64(0), false)
+	f.Add(uint8(1), int64(netsim.Millisecond), int64(0), int64(netsim.Microsecond), int64(netsim.Microsecond), int64(-1), false)
+	f.Add(uint8(2), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), true)
+	f.Add(uint8(0), int64(0), int64(-5), int64(-1), int64(7), int64(1<<40), false)
+	f.Add(uint8(3), int64(netsim.Millisecond), int64(2*netsim.Millisecond), int64(0), int64(0), int64(0), true)
+	f.Fuzz(func(t *testing.T, targetSel uint8, at1, at2, drain, install, patch int64, inject bool) {
 		g := topology.FatTree(4)
 		newTarget := func() *topology.Graph {
 			switch targetSel % 4 {
@@ -76,7 +75,6 @@ func FuzzReconfigPlan(f *testing.F) {
 		spec := &Spec{
 			Transitions:  []Transition{{At: netsim.Time(at1), Target: newTarget(), Drain: netsim.Time(drain), Install: netsim.Time(install)}},
 			PatchLatency: netsim.Time(patch),
-			StageTimeout: time.Duration(timeout),
 		}
 		if at2 != 0 {
 			spec.Transitions = append(spec.Transitions,
@@ -98,7 +96,7 @@ func FuzzReconfigPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := New(g, fuzzCab, live, spec, partition.Options{})
+		rc, err := New(g, fuzzCab, live, spec)
 		if err != nil {
 			// Rejected before drain: the spec never touched anything.
 			return

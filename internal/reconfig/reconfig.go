@@ -16,10 +16,10 @@
 //     transition's optional Validate hook, its routes compiled into
 //     flow tables for the entry count, and the costmodel's
 //     reconfiguration downtime and hardware cost derived; any failure —
-//     projection, check, compile, or the modelled install time
-//     exceeding Spec.StageTimeout — aborts to rollback: the previous
-//     plan is re-Acquired, drained links restored, and the original
-//     rules swapped back, so the run completes on the old topology;
+//     projection, check, validation or compile — aborts to rollback:
+//     the previous plan is re-Acquired, drained links restored, and the
+//     original rules swapped back, so the run completes on the old
+//     topology;
 //  3. reconverge: after the install window the drained links come back
 //     up and the full original rules are restored; the stage records
 //     the packets lost since drain, its rule churn, and the first
@@ -97,10 +97,6 @@ type Spec struct {
 	// A latency at or beyond the drain window also disables it (the
 	// degraded rules would go live after the commit already decided).
 	PatchLatency netsim.Time
-	// StageTimeout, when positive, bounds the modelled controller
-	// install time (costmodel.ReconfigTime) of a committing target:
-	// exceeding it aborts the transition to rollback.
-	StageTimeout time.Duration
 }
 
 // Patch resolves the spec's effective patch latency (< 0 = disabled).
@@ -234,7 +230,6 @@ type Reconfigurer struct {
 	Stages []Stage
 
 	cab   *projection.Cabling
-	opt   partition.Options
 	alloc *projection.Allocation
 	base  *projection.Plan // the running topology's plan: drain mapping + rollback target
 	cur   *projection.Plan // currently committed plan (base, or a committed target's)
@@ -257,25 +252,24 @@ type Reconfigurer struct {
 // restore mutate it mid-simulation. Target graphs must not be shared
 // with concurrent runs either — projection and route compilation build
 // their lazy caches.
-func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec *Spec, opt partition.Options) (*Reconfigurer, error) {
+func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec *Spec) (*Reconfigurer, error) {
 	stages, err := spec.Schedule(g)
 	if err != nil {
 		return nil, err
 	}
 	alloc := projection.NewAllocation(cab)
-	base, err := projection.ProjectInto(g, cab, alloc, opt)
+	base, err := projection.ProjectInto(g, cab, alloc, partition.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("reconfig: running topology: %w", err)
 	}
 	r := &Reconfigurer{
-		Spec: spec, Stages: stages,
-		cab: cab, opt: opt,
+		Spec: spec, Stages: stages, cab: cab,
 		alloc: alloc, base: base, cur: base,
 		live: live, orig: append([]routing.Rule(nil), live.Rules...),
 	}
 	for i := range r.Stages {
 		st := &r.Stages[i]
-		probe, perr := projection.Project(st.Target, cab, opt)
+		probe, perr := projection.Project(st.Target, cab, partition.Options{})
 		if perr != nil {
 			st.Outcome = OutcomeRejected + ": " + perr.Error()
 			continue
@@ -382,7 +376,7 @@ func (r *Reconfigurer) switchover(st *Stage) (entries int, rt time.Duration, hw 
 		}
 		return 0, 0, 0, cause
 	}
-	plan, perr := projection.ProjectInto(st.Target, r.cab, r.alloc, r.opt)
+	plan, perr := projection.ProjectInto(st.Target, r.cab, r.alloc, partition.Options{})
 	if perr != nil {
 		return rollback(perr)
 	}
@@ -410,9 +404,6 @@ func (r *Reconfigurer) switchover(st *Stage) (entries int, rt time.Duration, hw 
 	req := projection.Requirement{Method: projection.MethodSDT, Switches: plan.Stats().PhysicalSwitches, BandwidthFactor: 1}
 	rt = costmodel.ReconfigTime(req, entries)
 	hw = costmodel.HardwareCost(req)
-	if r.Spec.StageTimeout > 0 && rt > r.Spec.StageTimeout {
-		return fail(fmt.Errorf("reconfig: modelled install %v exceeds stage timeout %v", rt, r.Spec.StageTimeout))
-	}
 	r.cur = plan
 	return entries, rt, hw, nil
 }

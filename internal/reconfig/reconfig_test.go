@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/partition"
@@ -123,7 +122,7 @@ func TestCommitProtocol(t *testing.T) {
 	target := topology.Torus2D(4, 4, 1)
 	cab, live, net := fixture(t, g, target)
 	spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: target}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, live, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,7 @@ func TestStageDeliveryLifecycle(t *testing.T) {
 	target := topology.Torus2D(4, 4, 1)
 	cab, live, net := fixture(t, g, target)
 	spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: target}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, live, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 		At: netsim.Millisecond, Target: target,
 		Validate: func(*projection.Plan) error { return injected },
 	}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, live, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,35 +294,13 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 	}
 }
 
-// TestStageTimeoutRollback: a modelled install time beyond the spec's
-// stage timeout aborts to rollback.
-func TestStageTimeoutRollback(t *testing.T) {
-	g := topology.FatTree(4)
-	target := topology.Torus2D(4, 4, 1)
-	cab, live, net := fixture(t, g, target)
-	spec := &Spec{
-		Transitions:  []Transition{{At: netsim.Millisecond, Target: target}},
-		StageTimeout: time.Nanosecond,
-	}
-	rc, err := New(g, cab, live, spec, partition.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.Bind(net)
-	net.Sim.Run(0)
-	if !strings.Contains(rc.Stages[0].Outcome, "stage timeout") {
-		t.Fatalf("outcome = %q", rc.Stages[0].Outcome)
-	}
-	allocCounts(t, rc, rc.cur)
-}
-
 // TestRejectBeforeDrain: a target that cannot be projected at all is
 // rejected at New time and never touches the fabric.
 func TestRejectBeforeDrain(t *testing.T) {
 	g := topology.FatTree(4)
 	cab, live, net := fixture(t, g, nil) // cabling planned for g only
 	spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: topology.FatTree(8)}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, live, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +333,7 @@ func TestDrainSetDeterministic(t *testing.T) {
 	for rep := 0; rep < 2; rep++ {
 		cab, live, _ := fixture(t, g, target)
 		spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: target}}}
-		rc, err := New(g, cab, live, spec, partition.Options{})
+		rc, err := New(g, cab, live, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

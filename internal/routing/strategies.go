@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/openflow"
@@ -447,12 +448,14 @@ func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst in
 			if nxtCoord[dim] >= 0 && nxtCoord[dim] < n {
 				nxt = byCoord[lin(nxtCoord)]
 			}
+			// The errors format a copy of nxtCoord: formatting coordBuf's
+			// own slice would move it to the heap on every iteration.
 			if nxt < 0 {
-				return fmt.Errorf("routing: %s: no switch at %v", g.Name, nxtCoord)
+				return fmt.Errorf("routing: %s: no switch at %v", g.Name, slices.Clone(nxtCoord))
 			}
 			out := csr.PortTo(s, int(nxt))
 			if out == 0 {
-				return fmt.Errorf("routing: %s: missing link %v->%v", g.Name, sc, nxtCoord)
+				return fmt.Errorf("routing: %s: missing link %v->%v", g.Name, sc, slices.Clone(nxtCoord))
 			}
 			if !torus {
 				emit(Rule{Switch: s, Dst: dst, Tag: openflow.Any, OutPort: out, NewTag: -1})

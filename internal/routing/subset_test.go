@@ -197,31 +197,45 @@ func spreadHosts(g *topology.Graph, n int) []int {
 // TestComputeForAllocsBounded pins route set-up to O(1) allocations per
 // destination: a subset compute plus the first Lookup (which builds the
 // index) may allocate per destination — a bucket, two closures — and a
-// constant number of arrays, but nothing per rule. The map-backed index
+// constant number of arrays, plus, for the torus, each switch's
+// per-dimension port lists, but nothing per rule. The map-backed index
 // this budget replaced allocated a slice per (switch, dst): ~20 000
-// objects here.
+// objects on the fat-tree. The torus case catches a rule build that
+// moves a per-(switch, dst) buffer to the heap: 64 × 63 objects here.
 func TestComputeForAllocsBounded(t *testing.T) {
-	g := topology.FatTree(16)
-	dsts := spreadHosts(g, 64)
-	g.CSR()
-	g.Hosts()
-	var rules int
-	allocs := testing.AllocsPerRun(5, func() {
-		r, err := FatTreeDFS{}.ComputeFor(g, dsts)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		strat     DstComputer
+		g         *topology.Graph
+		perSwitch int
+	}{
+		{FatTreeDFS{}, topology.FatTree(16), 0},
+		{TorusClue{Dims: 3}, topology.Torus3D(4, 4, 4, 1), 8},
+	} {
+		g := c.g
+		dsts := spreadHosts(g, 64)
+		g.CSR()
+		g.Hosts()
+		var rules int
+		allocs := testing.AllocsPerRun(5, func() {
+			r, err := c.strat.ComputeFor(g, dsts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Lookup(g.Switches()[0], 1, dsts[0], 0) == nil {
+				t.Fatal("no rule toward a computed destination")
+			}
+			rules = len(r.Rules)
+		})
+		// Measured on the fat-tree: 141 = 2 per destination (a run and
+		// its emit closure) + 13 (the fat-tree coordinate tables, the
+		// worker pool, the runs, the rule array, order and rowOff). On
+		// the torus: 719, of which about 7 per switch are its port
+		// lists (one per dimension, grown by append, and their row).
+		budget := float64(4*len(dsts) + 64 + c.perSwitch*g.NumSwitches())
+		if allocs > budget {
+			t.Errorf("%s on %s: ComputeFor + first Lookup: %.0f allocations for %d dsts and %d rules, budget %.0f",
+				c.strat.Name(), g.Name, allocs, len(dsts), rules, budget)
 		}
-		if r.Lookup(g.Switches()[0], 1, dsts[0], 0) == nil {
-			t.Fatal("no rule toward a computed destination")
-		}
-		rules = len(r.Rules)
-	})
-	// Measured: 141 = 2 per destination (a run and its emit closure) +
-	// 13 (the fat-tree coordinate tables, the worker pool, the runs, the
-	// rule array, order and rowOff).
-	if budget := float64(4*len(dsts) + 64); allocs > budget {
-		t.Errorf("ComputeFor + first Lookup: %.0f allocations for %d dsts and %d rules, budget %.0f",
-			allocs, len(dsts), rules, budget)
 	}
 }
 

@@ -97,7 +97,9 @@ var (
 	Project     = projection.Project
 )
 
-// PartitionOptions tunes the multilevel topology partitioner (§IV-C).
+// PartitionOptions is the multilevel topology partitioner's (§IV-C)
+// options argument. It has no fields: the partitioner has one objective
+// (fewest cut links, ports balanced within 10 %) and a fixed seed.
 type PartitionOptions = partition.Options
 
 // Routes is a computed forwarding rule set (a Table III strategy's
