@@ -104,45 +104,46 @@ func FatTree(k int) *Graph {
 	g := generated("fattree", "fattree-k%d", k)
 	half := k / 2
 	// 5k²/4 switches, k³/4 hosts; k³/2 switch links and k³/4 host links.
-	g.reserve(half*half+k*k, k*k*half/2, k*k*half+k*half*half)
+	hosts := k * half * half
+	g.reserve(half*half+k*k, hosts, k*k*half+hosts, 3*(half*half+k*k)+4*hosts,
+		half*half*labelLen("core-", half-1, half-1)+
+			k*half*(labelLen("agg-", k-1, half-1)+labelLen("edge-", k-1, half-1))+
+			hosts*labelLen("h-", k-1, half-1, half-1))
 
-	core := make([][]int, half)
+	core := make([]int, half*half) // core[i*half+j]
 	for i := 0; i < half; i++ {
-		core[i] = make([]int, half)
 		for j := 0; j < half; j++ {
-			core[i][j] = g.AddSwitch(fmt.Sprintf("core-%d-%d", i, j), 0, i, j)
+			core[i*half+j] = g.add(Switch, []int{0, i, j}, "core-", i, j)
 		}
 	}
-	agg := make([][]int, k)
-	edge := make([][]int, k)
+	agg := make([]int, k*half) // agg[p*half+i], and edge alike
+	edge := make([]int, k*half)
 	for p := 0; p < k; p++ {
-		agg[p] = make([]int, half)
-		edge[p] = make([]int, half)
 		for i := 0; i < half; i++ {
-			agg[p][i] = g.AddSwitch(fmt.Sprintf("agg-%d-%d", p, i), 1, p, i)
-			edge[p][i] = g.AddSwitch(fmt.Sprintf("edge-%d-%d", p, i), 2, p, i)
+			agg[p*half+i] = g.add(Switch, []int{1, p, i}, "agg-", p, i)
+			edge[p*half+i] = g.add(Switch, []int{2, p, i}, "edge-", p, i)
 		}
 	}
 	// Aggregation i in each pod connects to core row i.
 	for p := 0; p < k; p++ {
 		for i := 0; i < half; i++ {
 			for j := 0; j < half; j++ {
-				g.Connect(agg[p][i], core[i][j])
+				g.Connect(agg[p*half+i], core[i*half+j])
 			}
 			for e := 0; e < half; e++ {
-				g.Connect(agg[p][i], edge[p][e])
+				g.Connect(agg[p*half+i], edge[p*half+e])
 			}
 		}
 	}
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for s := 0; s < half; s++ {
-				h := g.AddHost(fmt.Sprintf("h-%d-%d-%d", p, e, s), 3, p, e, s)
-				g.Connect(edge[p][e], h)
+				h := g.add(Host, []int{3, p, e, s}, "h-", p, e, s)
+				g.Connect(edge[p*half+e], h)
 			}
 		}
 	}
-	return g
+	return g.seal()
 }
 
 // Dragonfly builds a Dragonfly (Kim et al., ISCA'08) with a routers per
@@ -157,18 +158,20 @@ func FatTree(k int) *Graph {
 func Dragonfly(a, g, h, p int) *Graph {
 	must(checkDragonfly(a, g, h, p))
 	gr := generated("dragonfly", "dragonfly-a%d-g%d-h%d", a, g, h)
-	routers := make([][]int, g)
+	hosts := a * g * p
+	gr.reserve(a*g, hosts, g*pairs(a)+pairs(g)+hosts, 2*a*g+3*hosts,
+		a*g*labelLen("r-", g-1, a-1)+hosts*labelLen("h-", g-1, a-1, p-1))
+	routers := make([]int, g*a) // routers[grp*a+r]
 	for grp := 0; grp < g; grp++ {
-		routers[grp] = make([]int, a)
 		for r := 0; r < a; r++ {
-			routers[grp][r] = gr.AddSwitch(fmt.Sprintf("r-%d-%d", grp, r), grp, r)
+			routers[grp*a+r] = gr.add(Switch, []int{grp, r}, "r-", grp, r)
 		}
 	}
 	// Intra-group complete graph.
 	for grp := 0; grp < g; grp++ {
 		for i := 0; i < a; i++ {
 			for j := i + 1; j < a; j++ {
-				gr.Connect(routers[grp][i], routers[grp][j])
+				gr.Connect(routers[grp*a+i], routers[grp*a+j])
 			}
 		}
 	}
@@ -185,18 +188,18 @@ func Dragonfly(a, g, h, p int) *Graph {
 			rj := slot[gj] / h
 			slot[gi]++
 			slot[gj]++
-			gr.Connect(routers[gi][ri], routers[gj][rj])
+			gr.Connect(routers[gi*a+ri], routers[gj*a+rj])
 		}
 	}
 	for grp := 0; grp < g; grp++ {
 		for r := 0; r < a; r++ {
 			for k := 0; k < p; k++ {
-				hn := gr.AddHost(fmt.Sprintf("h-%d-%d-%d", grp, r, k), grp, r, k)
-				gr.Connect(routers[grp][r], hn)
+				hn := gr.add(Host, []int{grp, r, k}, "h-", grp, r, k)
+				gr.Connect(routers[grp*a+r], hn)
 			}
 		}
 	}
-	return gr
+	return gr.seal()
 }
 
 // Mesh2D builds a w x h 2D mesh with hostsPer hosts attached to each
@@ -238,14 +241,17 @@ func BCube(n, k int) *Graph {
 	must(checkBCube(n, k))
 	g := generated("bcube", "bcube-n%d-k%d", n, k)
 	nHosts := pow(n, k+1)
+	numSw := pow(n, k)
+	levelSw := (k + 1) * numSw
+	g.reserve(nHosts+levelSw, nHosts, levelSw*n+nHosts, 2*nHosts+2*levelSw+nHosts,
+		nHosts*(labelLen("hsw-", nHosts-1)+labelLen("h-", nHosts-1))+levelSw*labelLen("sw-", k, numSw-1))
 	hostSw := make([]int, nHosts)
 	for i := 0; i < nHosts; i++ {
-		hostSw[i] = g.AddSwitch(fmt.Sprintf("hsw-%d", i), k+1, i)
+		hostSw[i] = g.add(Switch, []int{k + 1, i}, "hsw-", i)
 	}
 	for l := 0; l <= k; l++ {
-		numSw := pow(n, k)
 		for s := 0; s < numSw; s++ {
-			sw := g.AddSwitch(fmt.Sprintf("sw-%d-%d", l, s), l, s)
+			sw := g.add(Switch, []int{l, s}, "sw-", l, s)
 			// Switch s at level l connects servers whose digit l varies.
 			low := s % pow(n, l)
 			high := s / pow(n, l)
@@ -256,10 +262,10 @@ func BCube(n, k int) *Graph {
 		}
 	}
 	for i := 0; i < nHosts; i++ {
-		h := g.AddHost(fmt.Sprintf("h-%d", i), i)
+		h := g.add(Host, []int{i}, "h-", i)
 		g.Connect(hostSw[i], h)
 	}
-	return g
+	return g.seal()
 }
 
 // HyperBCube builds a Hyper-BCube-style two-dimensional server-centric
@@ -275,37 +281,40 @@ func HyperBCube(n, l int) *Graph {
 	g := generated("hyperbcube", "hyperbcube-n%d-l%d", n, l)
 	rows := n
 	cols := n * l
-	hostSw := make([][]int, rows)
+	servers := rows * cols
+	g.reserve(servers+rows*l+cols, servers, rows*l*n+cols*rows+servers, 4*servers+3*rows*l+2*cols,
+		servers*(labelLen("hsw-", rows-1, cols-1)+labelLen("h-", rows-1, cols-1))+
+			rows*l*labelLen("sw0-", rows-1, l-1)+cols*labelLen("sw1-", cols-1))
+	hostSw := make([]int, servers) // hostSw[r*cols+c]
 	for r := 0; r < rows; r++ {
-		hostSw[r] = make([]int, cols)
 		for c := 0; c < cols; c++ {
-			hostSw[r][c] = g.AddSwitch(fmt.Sprintf("hsw-%d-%d", r, c), r, c)
+			hostSw[r*cols+c] = g.add(Switch, []int{r, c}, "hsw-", r, c)
 		}
 	}
 	// Level-0: row r is split into l cells of n consecutive columns,
 	// rotated by r so cells in adjacent rows overlap via the columns.
 	for r := 0; r < rows; r++ {
 		for cell := 0; cell < l; cell++ {
-			sw := g.AddSwitch(fmt.Sprintf("sw0-%d-%d", r, cell), 100, r, cell)
+			sw := g.add(Switch, []int{100, r, cell}, "sw0-", r, cell)
 			for i := 0; i < n; i++ {
-				g.Connect(sw, hostSw[r][(cell*n+i+r)%cols])
+				g.Connect(sw, hostSw[r*cols+(cell*n+i+r)%cols])
 			}
 		}
 	}
 	// Level-1: each column is joined by a switch across rows.
 	for c := 0; c < cols; c++ {
-		sw := g.AddSwitch(fmt.Sprintf("sw1-%d", c), 101, c)
+		sw := g.add(Switch, []int{101, c}, "sw1-", c)
 		for r := 0; r < rows; r++ {
-			g.Connect(sw, hostSw[r][c])
+			g.Connect(sw, hostSw[r*cols+c])
 		}
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			h := g.AddHost(fmt.Sprintf("h-%d-%d", r, c), r, c)
-			g.Connect(hostSw[r][c], h)
+			h := g.add(Host, []int{r, c}, "h-", r, c)
+			g.Connect(hostSw[r*cols+c], h)
 		}
 	}
-	return g
+	return g.seal()
 }
 
 // Line builds n switches in a path, hostsPer hosts each. The paper's
@@ -313,120 +322,173 @@ func HyperBCube(n, l int) *Graph {
 func Line(n, hostsPer int) *Graph {
 	must(checkLine(n, hostsPer))
 	g := generated("line", "line-%d", n)
+	reserveSwitchRow(g, n, along(n, false), hostsPer)
 	prev := -1
 	for i := 0; i < n; i++ {
-		s := g.AddSwitch(fmt.Sprintf("s%d", i), i)
+		s := g.add(Switch, []int{i}, "s", i)
 		if prev >= 0 {
 			g.Connect(prev, s)
 		}
 		for h := 0; h < hostsPer; h++ {
-			hv := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i, h)
+			hv := g.add(Host, []int{i, h}, "h", i, h)
 			g.Connect(s, hv)
 		}
 		prev = s
 	}
-	return g
+	return g.seal()
 }
 
 // Ring builds n switches in a cycle with hostsPer hosts each.
 func Ring(n, hostsPer int) *Graph {
 	must(checkRing(n, hostsPer))
 	g := generated("ring", "ring-%d", n)
-	sw := make([]int, n)
-	for i := 0; i < n; i++ {
-		sw[i] = g.AddSwitch(fmt.Sprintf("s%d", i), i)
-	}
+	reserveSwitchRow(g, n, along(n, true), hostsPer)
+	sw := rowSwitches(g, n)
 	for i := 0; i < n; i++ {
 		if linked(i, n, true) {
 			g.Connect(sw[i], sw[(i+1)%n])
 		}
 	}
-	for i := 0; i < n; i++ {
-		for h := 0; h < hostsPer; h++ {
-			hv := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i, h)
-			g.Connect(sw[i], hv)
-		}
-	}
-	return g
+	attachRowHosts(g, sw, hostsPer)
+	return g.seal()
 }
 
 // Star builds one hub switch with n leaf switches, hostsPer hosts per leaf.
 func Star(n, hostsPer int) *Graph {
 	must(checkStar(n, hostsPer))
 	g := generated("star", "star-%d", n)
-	hub := g.AddSwitch("hub", 0)
+	g.reserve(1+n, n*hostsPer, n+n*hostsPer, 1+n+2*n*hostsPer,
+		len("hub")+n*labelLen("leaf", n-1)+n*hostsPer*labelLen("h", n-1, hostsPer-1))
+	hub := g.add(Switch, []int{0}, "hub")
 	for i := 0; i < n; i++ {
-		leaf := g.AddSwitch(fmt.Sprintf("leaf%d", i), i+1)
+		leaf := g.add(Switch, []int{i + 1}, "leaf", i)
 		g.Connect(hub, leaf)
 		for h := 0; h < hostsPer; h++ {
-			hv := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i, h)
+			hv := g.add(Host, []int{i, h}, "h", i, h)
 			g.Connect(leaf, hv)
 		}
 	}
-	return g
+	return g.seal()
 }
 
 // FullMesh builds n switches, each pair directly linked, hostsPer hosts each.
 func FullMesh(n, hostsPer int) *Graph {
 	must(checkFullMesh(n, hostsPer))
 	g := generated("fullmesh", "fullmesh-%d", n)
-	sw := make([]int, n)
-	for i := 0; i < n; i++ {
-		sw[i] = g.AddSwitch(fmt.Sprintf("s%d", i), i)
-	}
+	reserveSwitchRow(g, n, pairs(n), hostsPer)
+	sw := rowSwitches(g, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			g.Connect(sw[i], sw[j])
 		}
 	}
-	for i := 0; i < n; i++ {
+	attachRowHosts(g, sw, hostsPer)
+	return g.seal()
+}
+
+// reserveSwitchRow reserves a graph of n switches labelled "s<i>" with
+// coordinates {i}, switchLinks links among them, and hostsPer hosts on
+// each labelled "h<i>-<slot>" with coordinates {i, slot}.
+func reserveSwitchRow(g *Graph, n, switchLinks, hostsPer int) {
+	hosts := n * hostsPer
+	g.reserve(n, hosts, switchLinks+hosts, n+2*hosts,
+		n*labelLen("s", n-1)+hosts*labelLen("h", n-1, hostsPer-1))
+}
+
+// rowSwitches adds n switches labelled "s<i>" with coordinates {i}.
+func rowSwitches(g *Graph, n int) []int {
+	sw := make([]int, n)
+	for i := range sw {
+		sw[i] = g.add(Switch, []int{i}, "s", i)
+	}
+	return sw
+}
+
+// attachRowHosts attaches hostsPer hosts to each switch of sw, switch
+// by switch, labelled "h<i>-<slot>" with coordinates {i, slot}.
+func attachRowHosts(g *Graph, sw []int, hostsPer int) {
+	for i, s := range sw {
 		for h := 0; h < hostsPer; h++ {
-			hv := g.AddHost(fmt.Sprintf("h%d-%d", i, h), i, h)
-			g.Connect(sw[i], hv)
+			hv := g.add(Host, []int{i, h}, "h", i, h)
+			g.Connect(s, hv)
 		}
 	}
-	return g
 }
 
 // grid2D lays a w x h grid of switches out on g, links each switch to
 // its successor along x and then along y where linked says so, and
 // attaches hostsPer hosts to each switch.
 func grid2D(g *Graph, w, h, hostsPer int, wrap bool) *Graph {
-	grid := gridSwitches(g, w, h)
+	switches, hosts := w*h, w*h*hostsPer
+	g.reserve(switches, hosts, along(w, wrap)*h+along(h, wrap)*w+hosts, 2*switches+3*hosts,
+		switches*labelLen("s-", w-1, h-1)+hosts*labelLen("h-", w-1, h-1, hostsPer-1))
+	grid := make([]int, switches) // grid[x*h+y]
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			grid[x*h+y] = g.add(Switch, []int{x, y}, "s-", x, y)
+		}
+	}
 	for x := 0; x < w; x++ {
 		for y := 0; y < h; y++ {
 			if linked(x, w, wrap) {
-				g.Connect(grid[x][y], grid[(x+1)%w][y])
+				g.Connect(grid[x*h+y], grid[(x+1)%w*h+y])
 			}
 			if linked(y, h, wrap) {
-				g.Connect(grid[x][y], grid[x][(y+1)%h])
+				g.Connect(grid[x*h+y], grid[x*h+(y+1)%h])
 			}
 		}
 	}
-	attachGridHosts(g, grid, hostsPer)
-	return g
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			for k := 0; k < hostsPer; k++ {
+				hv := g.add(Host, []int{x, y, k}, "h-", x, y, k)
+				g.Connect(grid[x*h+y], hv)
+			}
+		}
+	}
+	return g.seal()
 }
 
 // grid3D is grid2D in three dimensions.
 func grid3D(g *Graph, x, y, z, hostsPer int, wrap bool) *Graph {
-	grid := gridSwitches3D(g, x, y, z)
+	switches, hosts := x*y*z, x*y*z*hostsPer
+	g.reserve(switches, hosts, (along(x, wrap)*y*z+along(y, wrap)*x*z+along(z, wrap)*x*y)+hosts, 3*switches+4*hosts,
+		switches*labelLen("s-", x-1, y-1, z-1)+hosts*labelLen("h-", x-1, y-1, z-1, hostsPer-1))
+	at := func(i, j, k int) int { return (i*y+j)*z + k }
+	grid := make([]int, switches) // grid[at(i, j, k)]
+	for i := 0; i < x; i++ {
+		for j := 0; j < y; j++ {
+			for k := 0; k < z; k++ {
+				grid[at(i, j, k)] = g.add(Switch, []int{i, j, k}, "s-", i, j, k)
+			}
+		}
+	}
 	for i := 0; i < x; i++ {
 		for j := 0; j < y; j++ {
 			for k := 0; k < z; k++ {
 				if linked(i, x, wrap) {
-					g.Connect(grid[i][j][k], grid[(i+1)%x][j][k])
+					g.Connect(grid[at(i, j, k)], grid[at((i+1)%x, j, k)])
 				}
 				if linked(j, y, wrap) {
-					g.Connect(grid[i][j][k], grid[i][(j+1)%y][k])
+					g.Connect(grid[at(i, j, k)], grid[at(i, (j+1)%y, k)])
 				}
 				if linked(k, z, wrap) {
-					g.Connect(grid[i][j][k], grid[i][j][(k+1)%z])
+					g.Connect(grid[at(i, j, k)], grid[at(i, j, (k+1)%z)])
 				}
 			}
 		}
 	}
-	attach3DHosts(g, grid, hostsPer)
-	return g
+	for i := 0; i < x; i++ {
+		for j := 0; j < y; j++ {
+			for k := 0; k < z; k++ {
+				for n := 0; n < hostsPer; n++ {
+					hv := g.add(Host, []int{i, j, k, n}, "h-", i, j, k, n)
+					g.Connect(grid[at(i, j, k)], hv)
+				}
+			}
+		}
+	}
+	return g.seal()
 }
 
 // linked reports whether switch i of a row of n links to switch
@@ -441,55 +503,6 @@ func generated(family, format string, args ...any) *Graph {
 	g := New(fmt.Sprintf(format, args...))
 	g.Family = family
 	return g
-}
-
-func gridSwitches(g *Graph, w, h int) [][]int {
-	grid := make([][]int, w)
-	for x := 0; x < w; x++ {
-		grid[x] = make([]int, h)
-		for y := 0; y < h; y++ {
-			grid[x][y] = g.AddSwitch(fmt.Sprintf("s-%d-%d", x, y), x, y)
-		}
-	}
-	return grid
-}
-
-func attachGridHosts(g *Graph, grid [][]int, hostsPer int) {
-	for x := range grid {
-		for y := range grid[x] {
-			for k := 0; k < hostsPer; k++ {
-				h := g.AddHost(fmt.Sprintf("h-%d-%d-%d", x, y, k), x, y, k)
-				g.Connect(grid[x][y], h)
-			}
-		}
-	}
-}
-
-func gridSwitches3D(g *Graph, x, y, z int) [][][]int {
-	grid := make([][][]int, x)
-	for i := 0; i < x; i++ {
-		grid[i] = make([][]int, y)
-		for j := 0; j < y; j++ {
-			grid[i][j] = make([]int, z)
-			for k := 0; k < z; k++ {
-				grid[i][j][k] = g.AddSwitch(fmt.Sprintf("s-%d-%d-%d", i, j, k), i, j, k)
-			}
-		}
-	}
-	return grid
-}
-
-func attach3DHosts(g *Graph, grid [][][]int, hostsPer int) {
-	for i := range grid {
-		for j := range grid[i] {
-			for k := range grid[i][j] {
-				for n := 0; n < hostsPer; n++ {
-					h := g.AddHost(fmt.Sprintf("h-%d-%d-%d-%d", i, j, k, n), i, j, k, n)
-					g.Connect(grid[i][j][k], h)
-				}
-			}
-		}
-	}
 }
 
 func pow(b, e int) int {

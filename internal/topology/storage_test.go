@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -130,4 +132,61 @@ var generatorDigests = map[string]string{
 	"hand-built":          "97960b7834299470fda877562315295d5316cbd840a45bd73a82b15509974da7",
 	"torus3d-4x4x4":       "8b7264614698426b0ebf6c57164bfa44d885647696ebc88282e8b37f1963f295",
 	"zoo-0":               "be5e90b0d673455fa95dad7e7e587ab8b623f7efebec94cb9144535fd8e0c6f7",
+}
+
+// TestGeneratorAllocsBounded holds a generated fabric to a constant
+// number of allocations: labels, coordinates, vertices and edges each
+// live in one array sized up front, so FatTree(48), with 30 528
+// vertices, allocates no more objects than FatTree(16).
+func TestGeneratorAllocsBounded(t *testing.T) {
+	const budget = 32
+	for _, k := range []int{16, 48} {
+		if n := testing.AllocsPerRun(3, func() { FatTree(k) }); n > budget {
+			t.Errorf("FatTree(%d) allocates %.0f objects, want at most %d", k, n, budget)
+		}
+	}
+}
+
+// TestConcurrentFirstIncidence has goroutines make the first incidence
+// reads of one shared graph at once: under -race the lazy build must be
+// race-free, and every reader must see the incidence Edges defines.
+func TestConcurrentFirstIncidence(t *testing.T) {
+	g := FatTree(8)
+	ref := FatTree(8)
+	want := make([][]int, len(ref.Vertices))
+	for v := range want {
+		want[v] = ref.IncidentEdges(v)
+	}
+	const readers = 8
+	errs := make(chan string, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each reader starts on another accessor and another vertex.
+			for i := range g.Vertices {
+				v := (i + r*len(g.Vertices)/readers) % len(g.Vertices)
+				var ok bool
+				switch (i + r) % 3 {
+				case 0:
+					ok = slices.Equal(g.IncidentEdges(v), want[v])
+				case 1:
+					ok = g.Degree(v) == len(want[v])
+				default:
+					e := g.Edges[want[v][0]]
+					ok = g.EdgeBetween(v, e.Other(v)) == ref.EdgeBetween(v, e.Other(v))
+				}
+				if !ok {
+					errs <- fmt.Sprintf("reader %d: vertex %d reads differently from a serial build", r, v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -83,14 +84,21 @@ type Graph struct {
 	Vertices []Vertex
 	Edges    []Edge
 
-	// adj, switchIDs and hostIDs are kept current by every mutation
-	// (AddSwitch, AddHost, ConnectPorts append to them), so every read
-	// accessor is a plain read.
-	adj       [][]int // vertex -> incident edge IDs, in edge-ID order
-	nextPort  []int   // next free port per vertex
+	// nextPort, switchIDs and hostIDs are kept current by every mutation
+	// (AddSwitch, AddHost, ConnectPorts append to them), so their
+	// accessors are plain reads. Every vertex's Coord is a window of
+	// coords. The incidence index and the CSR are built from Edges on
+	// first use, and every mutation drops them.
+	nextPort  []int // next free port per vertex
 	switchIDs []int
 	hostIDs   []int
-	csr       atomic.Pointer[CSR]
+	coords    []int
+	// labels and labelEnd hold the labels of a graph a generator is
+	// building, until seal hands them to the vertices.
+	labels   []byte
+	labelEnd []int32
+	inc      atomic.Pointer[incidence]
+	csr      atomic.Pointer[CSR]
 }
 
 // New returns an empty topology with the given name.
@@ -98,46 +106,110 @@ func New(name string) *Graph {
 	return &Graph{Name: name}
 }
 
-// AddSwitch appends a switch vertex and returns its ID.
+// AddSwitch appends a switch vertex and returns its ID. An empty label
+// becomes "switch" followed by the ID.
 func (g *Graph) AddSwitch(label string, coord ...int) int {
-	return g.addVertex(Switch, label, coord)
+	return g.addVertex(Switch, defaultLabel(label, Switch, len(g.Vertices)), coord)
 }
 
-// AddHost appends a host vertex and returns its ID.
+// AddHost appends a host vertex and returns its ID. An empty label
+// becomes "host" followed by the ID.
 func (g *Graph) AddHost(label string, coord ...int) int {
-	return g.addVertex(Host, label, coord)
+	return g.addVertex(Host, defaultLabel(label, Host, len(g.Vertices)), coord)
 }
 
+func defaultLabel(label string, k Kind, id int) string {
+	if label != "" {
+		return label
+	}
+	return k.String() + strconv.Itoa(id)
+}
+
+// addVertex appends a vertex whose Coord is a copy of coord, held in
+// the graph's coordinate array with its capacity clipped, so that no
+// vertex's coordinates can grow into the next one's.
 func (g *Graph) addVertex(k Kind, label string, coord []int) int {
 	id := len(g.Vertices)
-	if label == "" {
-		label = fmt.Sprintf("%s%d", k, id)
+	var c []int
+	if len(coord) > 0 {
+		lo := len(g.coords)
+		g.coords = append(g.coords, coord...)
+		c = g.coords[lo:len(g.coords):len(g.coords)]
 	}
-	g.Vertices = append(g.Vertices, Vertex{ID: id, Kind: k, Label: label, Coord: coord})
+	g.Vertices = append(g.Vertices, Vertex{ID: id, Kind: k, Label: label, Coord: c})
 	g.nextPort = append(g.nextPort, 1)
-	g.adj = append(g.adj, nil)
 	if k == Switch {
 		g.switchIDs = append(g.switchIDs, id)
 	} else {
 		g.hostIDs = append(g.hostIDs, id)
 	}
-	g.csr.Store(nil)
+	g.dropIndexes()
 	return id
 }
 
+// add appends a vertex of a generated graph, labelled prefix followed
+// by nums joined by '-' — the label fmt.Sprintf(prefix+"%d-%d...",
+// nums...) would write — and returns its ID. The label is written into
+// the graph's label buffer; seal gives it to the vertex. A generator
+// adds every vertex with add and returns its graph sealed.
+func (g *Graph) add(k Kind, coord []int, prefix string, nums ...int) int {
+	g.labels = append(g.labels, prefix...)
+	for i, n := range nums {
+		if i > 0 {
+			g.labels = append(g.labels, '-')
+		}
+		g.labels = strconv.AppendInt(g.labels, int64(n), 10)
+	}
+	g.labelEnd = append(g.labelEnd, int32(len(g.labels)))
+	return g.addVertex(k, "", coord)
+}
+
+// labelLen is the length of the label add writes for prefix and nums;
+// called with a generator's largest nums, it bounds every label's.
+func labelLen(prefix string, nums ...int) int {
+	n := len(prefix) + max(len(nums)-1, 0)
+	var digits [20]byte
+	for _, x := range nums {
+		n += len(strconv.AppendInt(digits[:0], int64(x), 10))
+	}
+	return n
+}
+
+// seal converts the label buffer to one string and gives each vertex
+// its label, a substring of it.
+func (g *Graph) seal() *Graph {
+	all := string(g.labels)
+	lo := int32(0)
+	for v, hi := range g.labelEnd {
+		g.Vertices[v].Label = all[lo:hi]
+		lo = hi
+	}
+	g.labels, g.labelEnd = nil, nil
+	return g
+}
+
 // reserve sizes the storage of a graph about to receive the given
-// numbers of switches, hosts and edges, so that a generator which knows
-// its size builds without regrowing its per-vertex and per-edge slices
-// (append's 1.25× steps past 256 elements allocate several times the
-// final size along the way).
-func (g *Graph) reserve(switches, hosts, edges int) {
+// numbers of switches, hosts and edges, coordinate values over all
+// vertices and (at most) label bytes, so that a generator which knows
+// its size builds without regrowing any of it (append's 1.25× steps
+// past 256 elements allocate several times the final size along the
+// way).
+func (g *Graph) reserve(switches, hosts, edges, coords, labelBytes int) {
 	nv := switches + hosts
 	g.Vertices = slices.Grow(g.Vertices, nv)
 	g.nextPort = slices.Grow(g.nextPort, nv)
-	g.adj = slices.Grow(g.adj, nv)
 	g.switchIDs = slices.Grow(g.switchIDs, switches)
 	g.hostIDs = slices.Grow(g.hostIDs, hosts)
 	g.Edges = slices.Grow(g.Edges, edges)
+	g.coords = slices.Grow(g.coords, coords)
+	g.labels = slices.Grow(g.labels, labelBytes)
+	g.labelEnd = slices.Grow(g.labelEnd, nv)
+}
+
+// dropIndexes forgets the incidence index and the CSR after a mutation.
+func (g *Graph) dropIndexes() {
+	g.inc.Store(nil)
+	g.csr.Store(nil)
 }
 
 // Connect adds an undirected edge between vertices a and b, assigning the
@@ -166,18 +238,64 @@ func (g *Graph) ConnectPorts(a, aPort, b, bPort int) int {
 	if bPort >= g.nextPort[b] {
 		g.nextPort[b] = bPort + 1
 	}
-	g.adj[a] = append(g.adj[a], id)
-	if b != a {
-		g.adj[b] = append(g.adj[b], id)
-	}
-	g.csr.Store(nil)
+	g.dropIndexes()
 	return id
 }
 
 // IncidentEdges returns the IDs of edges incident to vertex v, in
-// ascending edge-ID order (a self loop appears once).
+// ascending edge-ID order (a self loop appears once). The slice is
+// shared; callers must not modify it.
 func (g *Graph) IncidentEdges(v int) []int {
-	return g.adj[v]
+	x := g.incidence()
+	lo, hi := x.start[v], x.start[v+1]
+	return x.edge[lo:hi:hi]
+}
+
+// incidence is the vertex → incident edge IDs index: vertex v's edges
+// are edge[start[v]:start[v+1]], in edge-ID order. Like a CSR it is
+// immutable once built.
+type incidence struct {
+	start []int32
+	edge  []int
+}
+
+// incidence returns the memoized incidence index, building it on first
+// use; concurrent first calls race exactly as CSR's do, harmlessly.
+func (g *Graph) incidence() *incidence {
+	if x := g.inc.Load(); x != nil {
+		return x
+	}
+	x := newIncidence(len(g.Vertices), g.Edges)
+	g.inc.Store(x)
+	return x
+}
+
+// newIncidence indexes the given edges over n vertices in one counting
+// pass; every endpoint must be in [0, n). It counts vertex v's edges at
+// start[v+2], so that after the prefix sum start[v+1] is where row v
+// begins; placing each edge there and advancing start[v+1] leaves it
+// where row v ends, that is, where row v+1 begins.
+func newIncidence(n int, edges []Edge) *incidence {
+	start := make([]int32, n+2)
+	for _, e := range edges {
+		start[e.A+2]++
+		if e.B != e.A {
+			start[e.B+2]++
+		}
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	edge := make([]int, start[n+1])
+	for _, e := range edges {
+		edge[start[e.A+1]] = e.ID
+		start[e.A+1]++
+		if e.B != e.A {
+			edge[start[e.B+1]] = e.ID
+			start[e.B+1]++
+		}
+	}
+	return &incidence{start: start[:n+1], edge: edge}
 }
 
 // CSR is a compressed-sparse-row adjacency view of a Graph: for vertex
@@ -317,7 +435,8 @@ func (c *CSR) sortRow(lo, hi int32, scratch []halfEdge) []halfEdge {
 
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int {
-	return len(g.adj[v])
+	x := g.incidence()
+	return int(x.start[v+1] - x.start[v])
 }
 
 // Switches returns the IDs of all switch vertices in ascending order.
@@ -408,7 +527,7 @@ func (g *Graph) Radix() int {
 
 // EdgeBetween returns the ID of an edge joining a and b, or -1.
 func (g *Graph) EdgeBetween(a, b int) int {
-	for _, eid := range g.adj[a] {
+	for _, eid := range g.IncidentEdges(a) {
 		if g.Edges[eid].Other(a) == b {
 			return eid
 		}

@@ -56,28 +56,42 @@ func zooNodeCount(rng *rand.Rand) int {
 func RandomWAN(name string, n, extra int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := New(name)
-	sw := make([]int, n)
+	g.reserve(n, n, max(0, 2*n-1+min(extra, pairs(n)-n+1)), 2*n, n*(labelLen("s", n-1)+labelLen("h", n-1)))
+	// Switch i is vertex i.
 	for i := 0; i < n; i++ {
-		sw[i] = g.AddSwitch(fmt.Sprintf("s%d", i), i)
+		g.add(Switch, []int{i}, "s", i)
+	}
+	// The switch pairs already linked, bit min*n+max of the pair. The
+	// graph's own EdgeBetween would rebuild its incidence index for
+	// every candidate, as each Connect drops it.
+	linked := make([]uint64, (n*n+63)/64)
+	bit := func(a, b int) (int, uint64) {
+		k := min(a, b)*n + max(a, b)
+		return k / 64, 1 << (k % 64)
+	}
+	connect := func(a, b int) {
+		w, m := bit(a, b)
+		linked[w] |= m
+		g.Connect(a, b)
 	}
 	// Random spanning tree: attach vertex i to a uniformly random
 	// earlier vertex (random recursive tree).
 	for i := 1; i < n; i++ {
-		g.Connect(sw[i], sw[rng.Intn(i)])
+		connect(i, rng.Intn(i))
 	}
 	// Extra links between distinct, not-yet-adjacent switch pairs.
 	for added, tries := 0, 0; added < extra && tries < extra*20+100; tries++ {
 		a := rng.Intn(n)
 		b := rng.Intn(n)
-		if a == b || g.EdgeBetween(sw[a], sw[b]) >= 0 {
+		if w, m := bit(a, b); a == b || linked[w]&m != 0 {
 			continue
 		}
-		g.Connect(sw[a], sw[b])
+		connect(a, b)
 		added++
 	}
 	for i := 0; i < n; i++ {
-		h := g.AddHost(fmt.Sprintf("h%d", i), i)
-		g.Connect(sw[i], h)
+		h := g.add(Host, []int{i}, "h", i)
+		g.Connect(i, h)
 	}
-	return g
+	return g.seal()
 }
