@@ -56,7 +56,6 @@ type flowState struct {
 	path      *pathInfo
 	remaining float64 // payload bytes left to transmit
 	rate      float64 // current allocation, payload bytes per ps
-	pair      int32   // serialisation queue id
 	slot      int32   // the flow's first slot in the fair-share table
 	hops      int32   // len(path.links)
 }
@@ -93,7 +92,7 @@ func Run(ctx context.Context, g *topology.Graph, routes *routing.Routes, cfg net
 		ACT:        e.last,
 		Completed:  e.completed,
 		Recomputes: e.recomputes,
-		Pairs:      len(e.pairQ),
+		Pairs:      e.pairs,
 	}, nil
 }
 
@@ -142,40 +141,45 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 		f.End, f.Completed = 0, false
 	}
 
-	// Resolve every flow's path and serialisation queue up front.
-	w := newWalker(g, routes, &cfg)
-	st := make([]flowState, len(flows))
-	pairOf := map[[2]int]int32{}
-	var pairQ [][]int32 // pair id → flow indices in injection order
+	// Resolve every flow's path up front. A path's slab index is its
+	// pair's serialisation queue id, and nextInPair holds each flow's
+	// until the queues are chained.
+	w := newWalker(g, routes, &cfg, len(flows))
+	nextInPair := make([]int32, len(flows))
 	order := injectionOrder(flows)
 	for _, fi := range order {
 		f := &flows[fi]
-		src, dst := hosts[f.Src], hosts[f.Dst]
-		p, err := w.path(src, dst)
+		pid, err := w.path(hosts[f.Src], hosts[f.Dst])
 		if err != nil {
 			return nil, err
 		}
-		key := [2]int{src, dst}
-		pid, ok := pairOf[key]
-		if !ok {
-			pid = int32(len(pairQ))
-			pairOf[key] = pid
-			pairQ = append(pairQ, nil)
-		}
-		pairQ[pid] = append(pairQ[pid], fi)
-		st[fi] = flowState{path: p, pair: pid, remaining: float64(f.Bytes)}
+		nextInPair[fi] = pid
+	}
+	paths := w.final()
+	// Chain each pair's flows in injection order, walking it backwards:
+	// head[pid] ends up the pair's first flow.
+	head := make([]int32, len(paths))
+	for i := range head {
+		head[i] = -1
+	}
+	st := make([]flowState, len(flows))
+	for i := len(order) - 1; i >= 0; i-- {
+		fi := order[i]
+		pid := nextInPair[fi]
+		st[fi] = flowState{path: &paths[pid], remaining: float64(flows[fi].Bytes)}
+		nextInPair[fi], head[pid] = head[pid], fi
 	}
 
 	e := &engine{
-		flows:    flows,
-		st:       st,
-		pairQ:    pairQ,
-		pairNext: make([]int32, len(pairQ)),
-		fair:     newFairTable(st, 2*len(g.Edges), func(int32) float64 { return capacity }),
+		flows:      flows,
+		st:         st,
+		nextInPair: nextInPair,
+		pairs:      len(paths),
+		pending:    make([]pendEntry, 0, len(head)), // one entry per pair queue at most
+		fair:       newFairTable(st, 2*len(g.Edges), func(int32) float64 { return capacity }),
 	}
 	// Arm each pair queue's first injection at its start time.
-	for pid := range pairQ {
-		fi := pairQ[pid][0]
+	for _, fi := range head {
 		e.pushPending(pendEntry{ready: math.Max(0, float64(flows[fi].Start)), fi: fi})
 	}
 	return e, nil
@@ -203,13 +207,13 @@ func injectionOrder(flows []netsim.Flow) []int32 {
 // rates, and the max-min allocation is recomputed whenever the active
 // set changes.
 type engine struct {
-	flows    []netsim.Flow
-	st       []flowState
-	pairQ    [][]int32
-	pairNext []int32 // pair id → next index into pairQ (head already pending/active)
-	pending  []pendEntry
-	active   []int32
-	fair     fairTable // the active flows' links, kept across recomputes
+	flows      []netsim.Flow
+	st         []flowState
+	nextInPair []int32 // flow → the next flow of its pair queue, or -1
+	pairs      int     // distinct (src, dst) pair queues
+	pending    []pendEntry
+	active     []int32
+	fair       fairTable // the active flows' links, kept across recomputes
 
 	t          float64
 	last       netsim.Time
@@ -297,10 +301,7 @@ func (e *engine) finish(fi int32) {
 		e.last = f.End
 	}
 	e.completed++
-	pid := e.st[fi].pair
-	e.pairNext[pid]++
-	if int(e.pairNext[pid]) < len(e.pairQ[pid]) {
-		nxt := e.pairQ[pid][e.pairNext[pid]]
+	if nxt := e.nextInPair[fi]; nxt >= 0 {
 		e.pushPending(pendEntry{ready: math.Max(e.t, float64(e.flows[nxt].Start)), fi: nxt})
 	}
 }

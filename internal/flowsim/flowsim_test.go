@@ -428,4 +428,26 @@ func TestRunAllocsBounded(t *testing.T) {
 	if perFlow := (loopHi - loopLo) / (hi - lo); perFlow > 0.05 {
 		t.Errorf("the event loop allocates %.3f objects per flow (%.2f recomputes per flow), want ~0", perFlow, perRecompute)
 	}
+
+	// Set-up resolves one path per distinct (src, dst) pair into one
+	// slab and lays the pair queues out flat, so for a fixed number of
+	// flows its allocations do not depend on how many pairs they span.
+	setup := func(pairs int) float64 {
+		const n = 1024
+		sched := make([]netsim.Flow, n)
+		return testing.AllocsPerRun(3, func() {
+			for i := range sched {
+				p := i % pairs
+				sched[i] = netsim.Flow{Src: p % len(hosts), Dst: (p/len(hosts) + p + 1) % len(hosts), Bytes: 1000, Tag: i}
+			}
+			if _, err := newEngine(g, routes, cfg, hosts, sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := setup(4), setup(1024)
+	t.Logf("newEngine over 1024 flows: %.0f allocations on 4 pairs, %.0f on 1024", few, many)
+	if many > few {
+		t.Errorf("newEngine allocates %.0f objects for 1024 flows on 1024 pairs but %.0f on 4: set-up grows with the pairs", many, few)
+	}
 }

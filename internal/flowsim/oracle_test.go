@@ -298,18 +298,18 @@ func incrementalEngine(capacity float64, nLinks int, paths [][]int32) *engine {
 	n := len(paths)
 	infos := make([]pathInfo, n)
 	st := make([]flowState, n)
-	pairQ := make([][]int32, n)
+	nextInPair := make([]int32, n)
 	for f := range paths {
 		infos[f].links = paths[f]
-		st[f] = flowState{path: &infos[f], remaining: 1, pair: int32(f)}
-		pairQ[f] = []int32{int32(f)}
+		st[f] = flowState{path: &infos[f], remaining: 1}
+		nextInPair[f] = -1
 	}
 	return &engine{
-		flows:    make([]netsim.Flow, n),
-		st:       st,
-		pairQ:    pairQ,
-		pairNext: make([]int32, n),
-		fair:     newFairTable(st, nLinks, func(int32) float64 { return capacity }),
+		flows:      make([]netsim.Flow, n),
+		st:         st,
+		nextInPair: nextInPair,
+		pairs:      n,
+		fair:       newFairTable(st, nLinks, func(int32) float64 { return capacity }),
 	}
 }
 

@@ -26,11 +26,19 @@ type pathInfo struct {
 // compiled forwarding state hop by hop — the exact rules the packet
 // engine forwards with, so flow-level and packet-level runs cannot
 // disagree about which links a flow crosses.
+//
+// Resolved paths live in one slab: path i's links are
+// links[ends[i-1]:ends[i]] and its latency paths[i].base, and index
+// maps a (src, dst) pair to its i. Appending may move links, so the
+// paths' links slices are taken by final, once every path is resolved.
 type walker struct {
 	g       *topology.Graph
 	csr     *topology.CSR
 	fib     *routing.FIB
-	cache   map[[2]int]*pathInfo
+	index   map[[2]int]int32
+	paths   []pathInfo
+	ends    []int32
+	links   []int32
 	hdrSer  float64 // header serialisation time in ps (cut-through per-hop cost)
 	hostLat float64
 	swLat   float64
@@ -38,12 +46,21 @@ type walker struct {
 	cut     bool
 }
 
-func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config) *walker {
+// linksPerPath sizes the link array: a fat-tree path crosses at most 6
+// links, and a longer path only regrows the array.
+const linksPerPath = 8
+
+// newWalker returns a walker for at most maxPaths distinct pairs, its
+// slab sized for them so that resolving them allocates nothing more.
+func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, maxPaths int) *walker {
 	return &walker{
 		g:       g,
 		csr:     g.CSR(),
 		fib:     routes.FIB(),
-		cache:   map[[2]int]*pathInfo{},
+		index:   make(map[[2]int]int32, maxPaths),
+		paths:   make([]pathInfo, 0, maxPaths),
+		ends:    make([]int32, 0, maxPaths),
+		links:   make([]int32, 0, linksPerPath*maxPaths),
 		hdrSer:  float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
 		hostLat: float64(cfg.HostLatency),
 		swLat:   float64(cfg.SwitchLatency),
@@ -74,59 +91,75 @@ func (w *walker) edgeAt(sw, port int) int32 {
 	return -1
 }
 
-// path resolves (and caches) the route from host src to host dst.
-func (w *walker) path(src, dst int) (*pathInfo, error) {
-	if p, ok := w.cache[[2]int{src, dst}]; ok {
-		return p, nil
+// path resolves (and caches) the route from host src to host dst and
+// returns its slab index.
+func (w *walker) path(src, dst int) (int32, error) {
+	if i, ok := w.index[[2]int{src, dst}]; ok {
+		return i, nil
 	}
 	g := w.g
 	cur := g.HostSwitch(src)
 	if cur < 0 {
-		return nil, fmt.Errorf("flowsim: host %d has no switch", src)
+		return 0, fmt.Errorf("flowsim: host %d has no switch", src)
 	}
 	up := g.EdgeBetween(src, cur)
 	if up < 0 {
-		return nil, fmt.Errorf("flowsim: host %d detached from switch %d", src, cur)
+		return 0, fmt.Errorf("flowsim: host %d detached from switch %d", src, cur)
 	}
-	links := []int32{w.dirLink(int32(up), src)}
+	start := len(w.links)
+	w.links = append(w.links, w.dirLink(int32(up), src))
 	inPort := g.Edges[up].PortAt(cur)
 	tag := 0
 	nsw := 0
 	for {
 		if nsw > len(g.Vertices) {
-			return nil, fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
+			return 0, fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
 		}
 		nsw++
 		out, newTag, ok := w.fib.Forward(cur, inPort, dst, tag)
 		if !ok {
-			return nil, fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
+			return 0, fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
 		}
 		tag = newTag
 		eid := w.edgeAt(cur, out)
 		if eid < 0 {
-			return nil, fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)
+			return 0, fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)
 		}
 		e := g.Edges[eid]
 		nxt := e.Other(cur)
-		links = append(links, w.dirLink(eid, cur))
+		w.links = append(w.links, w.dirLink(eid, cur))
 		if nxt == dst {
 			break
 		}
 		if g.Vertices[nxt].Kind != topology.Switch {
-			return nil, fmt.Errorf("flowsim: path %d->%d delivered to wrong host %d", src, dst, nxt)
+			return 0, fmt.Errorf("flowsim: path %d->%d delivered to wrong host %d", src, dst, nxt)
 		}
 		inPort = e.PortAt(nxt)
 		cur = nxt
 	}
+	hops := len(w.links) - start
 	// Products are rounded explicitly (float64(x*y)) so that no
 	// architecture fuses them into the sums.
-	base := 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(len(links))*w.propLat)
+	base := 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(hops)*w.propLat)
 	if w.cut {
 		// Cut-through forwards once the header has arrived: each switch
 		// hop re-serialises only the header.
 		base += float64(float64(nsw) * w.hdrSer)
 	}
-	p := &pathInfo{links: links, base: base}
-	w.cache[[2]int{src, dst}] = p
-	return p, nil
+	i := int32(len(w.paths))
+	w.paths = append(w.paths, pathInfo{base: base})
+	w.ends = append(w.ends, int32(len(w.links)))
+	w.index[[2]int{src, dst}] = i
+	return i, nil
+}
+
+// final returns the resolved paths with their links set; the walker
+// resolves no more paths after it.
+func (w *walker) final() []pathInfo {
+	lo := int32(0)
+	for i, hi := range w.ends {
+		w.paths[i].links = w.links[lo:hi:hi]
+		lo = hi
+	}
+	return w.paths
 }
