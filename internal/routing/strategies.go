@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/openflow"
 	"repro/internal/topology"
@@ -388,16 +387,9 @@ func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst in
 	// Hoist the per-dimension port lists out of the destination loop:
 	// they depend only on (switch, dimension), and recomputing them per
 	// (destination, switch) was the torus strategies' dominant cost.
-	var dimPorts [][][]int
+	var along dimensionPorts
 	if torus {
-		dimPorts = make([][][]int, len(g.Vertices))
-		for _, s := range g.Switches() {
-			dp := make([][]int, dims)
-			for d := 0; d < dims; d++ {
-				dp[d] = dimensionPorts(g, s, d, dims)
-			}
-			dimPorts[s] = dp
-		}
+		along = newDimensionPorts(g, dims)
 	}
 	csr := g.CSR()
 
@@ -475,8 +467,8 @@ func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst in
 				newTagCont = 1
 			}
 			// Continuation rules (specific in-ports, keep/flip tag).
-			for _, p := range dimPorts[s][dim] {
-				emit(Rule{Switch: s, InPort: p, Dst: dst, Tag: openflow.Any,
+			for _, p := range along.of(s, dim) {
+				emit(Rule{Switch: s, InPort: int(p), Dst: dst, Tag: openflow.Any,
 					OutPort: out, NewTag: newTagCont})
 			}
 			// Entry rule (any other ingress: host injection or a
@@ -488,35 +480,75 @@ func dimensionOrderBuilder(g *topology.Graph, dims int, torus bool) (func(dst in
 	}, nil
 }
 
-// dimensionPorts returns s's logical ports whose links travel along
-// dimension dim (neighbour differs only in coordinate dim).
-func dimensionPorts(g *topology.Graph, s, dim, dims int) []int {
-	var ports []int
-	sc := g.Vertices[s].Coord
-	for _, eid := range g.IncidentEdges(s) {
-		e := g.Edges[eid]
-		o := e.Other(s)
-		if g.Vertices[o].Kind != topology.Switch {
-			continue
-		}
-		oc := g.Vertices[o].Coord
-		diff := -1
-		same := true
-		for d := 0; d < dims; d++ {
-			if oc[d] != sc[d] {
-				if diff >= 0 {
-					same = false
-					break
-				}
-				diff = d
+// dimensionPorts lists every switch's logical ports whose links travel
+// along one dimension (the neighbour differs only in that coordinate):
+// those of switch s along dimension d are
+// ports[start[s*dims+d]:start[s*dims+d+1]], ascending.
+type dimensionPorts struct {
+	dims  int
+	start []int32
+	ports []int32
+}
+
+// newDimensionPorts indexes g's switch ports by dimension in two passes
+// over the switches' incident edges: one counts each (switch,
+// dimension) row at start[row+2], so that after the prefix sum
+// start[row+1] is where the row begins, and one places the ports,
+// advancing start[row+1] to where the row ends.
+func newDimensionPorts(g *topology.Graph, dims int) dimensionPorts {
+	dp := dimensionPorts{dims: dims, start: make([]int32, len(g.Vertices)*dims+2)}
+	for _, s := range g.Switches() {
+		for _, eid := range g.IncidentEdges(s) {
+			if d := dimensionOf(g, s, eid, dims); d >= 0 {
+				dp.start[s*dims+d+2]++
 			}
 		}
-		if same && diff == dim {
-			ports = append(ports, e.PortAt(s))
+	}
+	for i := 2; i < len(dp.start); i++ {
+		dp.start[i] += dp.start[i-1]
+	}
+	dp.ports = make([]int32, dp.start[len(dp.start)-1])
+	for _, s := range g.Switches() {
+		for _, eid := range g.IncidentEdges(s) {
+			if d := dimensionOf(g, s, eid, dims); d >= 0 {
+				row := s*dims + d
+				dp.ports[dp.start[row+1]] = int32(g.Edges[eid].PortAt(s))
+				dp.start[row+1]++
+			}
 		}
 	}
-	sort.Ints(ports)
-	return ports
+	dp.start = dp.start[:len(dp.start)-1]
+	for row := 0; row+1 < len(dp.start); row++ {
+		slices.Sort(dp.ports[dp.start[row]:dp.start[row+1]])
+	}
+	return dp
+}
+
+// of returns switch s's ports along dimension d.
+func (dp dimensionPorts) of(s, d int) []int32 {
+	row := s*dp.dims + d
+	return dp.ports[dp.start[row]:dp.start[row+1]]
+}
+
+// dimensionOf returns the dimension along which edge eid leaves switch
+// s — the one coordinate in which the far switch differs — or -1 if the
+// far end is a host or differs in no or several coordinates.
+func dimensionOf(g *topology.Graph, s, eid, dims int) int {
+	o := g.Edges[eid].Other(s)
+	if g.Vertices[o].Kind != topology.Switch {
+		return -1
+	}
+	sc, oc := g.Vertices[s].Coord, g.Vertices[o].Coord
+	diff := -1
+	for d := 0; d < dims; d++ {
+		if oc[d] != sc[d] {
+			if diff >= 0 {
+				return -1
+			}
+			diff = d
+		}
+	}
+	return diff
 }
 
 // ForTopology returns the Table III strategy for a topology by its
