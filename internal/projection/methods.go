@@ -95,16 +95,18 @@ func minSwitches(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, 
 	if maxSwitches < 1 {
 		maxSwitches = 1
 	}
-	var lastErr error
 	all := make([]PhysicalSwitch, min(maxSwitches, g.NumSwitches()))
 	for i := range all {
 		all[i] = spec
 		all[i].ID = fmt.Sprintf("%s-%d", spec.ID, i)
 	}
+	// The switches are alike, so the k largest are the first k.
+	var lastErr error
+	var short shortfall
+	need, swOrder := portsNeeded(g), switchOrder(all)
 	for k := 1; k <= len(all); k++ {
-		specs := all[:k]
-		if err := portShortfall(g, specs, k); err != nil {
-			lastErr = err
+		if s := portShortfall(need, all, swOrder, k); s.short() {
+			short, lastErr = s, &short
 			continue
 		}
 		parts, err := partition.Cut(g, k, partition.Options{})
@@ -112,7 +114,7 @@ func minSwitches(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, 
 			return 0, err
 		}
 		d := demandsFor(g, parts)
-		if err := fitParts(d, specs); err != nil {
+		if err := fitParts(d, all, swOrder[:k], partOrder(d)); err != nil {
 			lastErr = err
 			continue
 		}

@@ -1,6 +1,8 @@
 package projection
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -24,7 +26,7 @@ func minSwitchesReference(g *topology.Graph, spec PhysicalSwitch, maxSwitches in
 		if err != nil {
 			return 0, false
 		}
-		if fitParts(demandsFor(g, parts), specs) == nil {
+		if d := demandsFor(g, parts); fitParts(d, specs, switchOrder(specs), partOrder(d)) == nil {
 			return k, true
 		}
 	}
@@ -92,16 +94,17 @@ func TestPortShortfallNeverChangesAnAnswer(t *testing.T) {
 					if len(sw) < k {
 						continue
 					}
-					bound := portShortfall(g, sw, k)
-					if bound == nil {
+					swOrder := switchOrder(sw)
+					bound := portShortfall(portsNeeded(g), sw, swOrder, k)
+					if !bound.short() {
 						paid++
 						continue
 					}
 					skipped++
-					if fitParts(d, sw) == nil {
+					if fitParts(d, sw, swOrder, partOrder(d)) == nil {
 						t.Fatalf("%s k=%d on %d switches: bound says %q but the partition fits", g.Name, k, len(sw), bound)
 					}
-					if _, err := mapDemands(g, sw, k); err == nil {
+					if _, err := mapDemands(g, sw, swOrder, k); err == nil {
 						t.Fatalf("%s k=%d on %d switches: bound says %q but mapDemands succeeds", g.Name, k, len(sw), bound)
 					}
 				}
@@ -146,14 +149,14 @@ func TestPortShortfallCountsHostsLikeDemandsFor(t *testing.T) {
 	if got := g.HostFacingPorts(); got != 80 {
 		t.Fatalf("HostFacingPorts = %d, want 80 (the test's premise)", got)
 	}
-	if err := portShortfall(g, []PhysicalSwitch{spec}, 1); err != nil {
-		t.Fatalf("bound skips k=1: %v", err)
+	if s := portShortfall(portsNeeded(g), []PhysicalSwitch{spec}, []int{0}, 1); s.short() {
+		t.Fatalf("bound skips k=1: %v", s)
 	}
 	if !Projectable(g, spec, MethodSDT, 1) {
 		t.Fatal("42-port switch should host 2 switches + 40 attached hosts")
 	}
 	spec.Ports = 41
-	if err := portShortfall(g, []PhysicalSwitch{spec}, 1); err == nil {
+	if !portShortfall(portsNeeded(g), []PhysicalSwitch{spec}, []int{0}, 1).short() {
 		t.Fatal("bound admits k=1 on 41 ports for a 42-port demand")
 	}
 }
@@ -417,7 +420,7 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 			got, want := NewAllocation(cab), NewAllocation(cab)
 			project := func(g *topology.Graph) (gotPlan, wantPlan *Plan) {
 				for k := 1; k <= maxK(g, cab.Switches); k++ {
-					md, err := mapDemands(g, cab.Switches, k)
+					md, err := mapDemands(g, cab.Switches, switchOrder(cab.Switches), k)
 					if err != nil {
 						continue
 					}
@@ -523,5 +526,27 @@ func TestAcquireReportsLowestConflict(t *testing.T) {
 	}
 	if _, i, h := alloc.UsedCounts(); i != len(inter) || h != len(hosts) {
 		t.Fatalf("Acquire booked %d inter-links and %d host ports, want %d and %d", i, h, len(inter), len(hosts))
+	}
+}
+
+// TestRequirementsUnchanged pins every answer and error the k-searches
+// give through Requirements — Projectable's verdicts and the messages a
+// user reads — to a SHA-256 taken before the searches stopped
+// formatting a shortfall per k and sorting per k.
+func TestRequirementsUnchanged(t *testing.T) {
+	h := sha256.New()
+	for _, spec := range []PhysicalSwitch{H3CS6861("s"), Commodity64("c"), {ID: "tiny", Ports: 16}} {
+		for _, g := range append(topology.Zoo(41), topology.BCube(4, 1), topology.FatTree(8), topology.Torus3D(4, 4, 4, 1), dualHomed(40)) {
+			for _, m := range []Method{MethodSDT, MethodTurboNet, MethodSPOS, MethodSP} {
+				for _, maxSw := range []int{1, 3} {
+					req, err := Requirements(g, spec, m, maxSw)
+					fmt.Fprintf(h, "%s %s %d: %+v %v\n", g.Name, spec.ID, maxSw, req, err)
+				}
+			}
+		}
+	}
+	const want = "58f45b5effd460b9bbb6f999d588cfc67f5ab0e893114edd95e5e5cbee6ec06e"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Requirements digest %s, want %s", got, want)
 	}
 }

@@ -251,12 +251,14 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, _ partition
 		return nil, fmt.Errorf("projection: invalid topology: %w", err)
 	}
 	var lastErr error
+	var short shortfall
+	need, swOrder := portsNeeded(g), switchOrder(cab.Switches)
 	for k := 1; k <= maxK(g, cab.Switches); k++ {
-		if err := portShortfall(g, cab.Switches, k); err != nil {
-			lastErr = err
+		if s := portShortfall(need, cab.Switches, swOrder, k); s.short() {
+			short, lastErr = s, &short
 			continue
 		}
-		md, err := mapDemands(g, cab.Switches, k)
+		md, err := mapDemands(g, cab.Switches, swOrder, k)
 		if err != nil {
 			lastErr = err
 			continue

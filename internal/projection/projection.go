@@ -17,7 +17,9 @@
 package projection
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/partition"
@@ -218,17 +220,16 @@ type mappedDemands struct {
 	inter        map[[2]int]int // unordered physical switch pair
 }
 
-func mapDemands(g *topology.Graph, switches []PhysicalSwitch, k int) (*mappedDemands, error) {
+func mapDemands(g *topology.Graph, switches []PhysicalSwitch, swOrder []int, k int) (*mappedDemands, error) {
 	parts, err := partition.Cut(g, k, partition.Options{})
 	if err != nil {
 		return nil, err
 	}
 	d := demandsFor(g, parts)
-	if err := fitParts(d, switches); err != nil {
+	order := partOrder(d)
+	if err := fitParts(d, switches, swOrder, order); err != nil {
 		return nil, err
 	}
-	order := partOrder(d)
-	swOrder := switchOrder(switches)
 	md := &mappedDemands{
 		parts:        parts,
 		partToSwitch: make([]int, d.K),
@@ -264,10 +265,9 @@ func maxK(g *topology.Graph, switches []PhysicalSwitch) int {
 }
 
 // fitParts checks the per-part port demand against switch port counts,
-// assigning the heaviest parts to the largest switches.
-func fitParts(d *Demands, switches []PhysicalSwitch) error {
-	order := partOrder(d)
-	swOrder := switchOrder(switches)
+// pairing the parts in order (partOrder's, heaviest first) with the
+// switches in swOrder (switchOrder's, largest first).
+func fitParts(d *Demands, switches []PhysicalSwitch, swOrder, order []int) error {
 	for i, p := range order {
 		if i >= len(swOrder) {
 			return fmt.Errorf("more parts than switches")
@@ -280,32 +280,49 @@ func fitParts(d *Demands, switches []PhysicalSwitch) error {
 	return nil
 }
 
-// portShortfall is the pigeonhole bound the three k-searches
-// (minSwitches, PlanCabling, ProjectInto) apply before paying for a
-// Cut: it returns a non-nil error when no k-way partition of g can pass
-// fitParts on switches. Σ_p Demands.PartPorts[p] does not depend on the
-// partition — every switch-switch edge costs two ports wherever its
-// endpoints land (2·Self inside a part, one port on each side of a
-// cut) and every attached host costs one — and fitParts pairs the k
-// parts with the k largest switches, so if that sum exceeds those
-// switches' ports some part must exceed its switch. Hosts are counted
-// the way demandsFor counts them (once per attached host), not with
-// Graph.HostFacingPorts, which counts a multi-homed host once per link.
-func portShortfall(g *topology.Graph, switches []PhysicalSwitch, k int) error {
+// portsNeeded is the total port demand of every partition of g, the
+// pigeonhole bound the three k-searches (minSwitches, PlanCabling,
+// ProjectInto) apply before paying for a Cut: Σ_p Demands.PartPorts[p]
+// does not depend on the partition — every switch-switch edge costs two
+// ports wherever its endpoints land (2·Self inside a part, one port on
+// each side of a cut) and every attached host costs one — and fitParts
+// pairs the k parts with the k largest switches, so if that sum exceeds
+// those switches' ports some part must exceed its switch. Hosts are
+// counted the way demandsFor counts them (once per attached host), not
+// with Graph.HostFacingPorts, which counts a multi-homed host once per
+// link.
+func portsNeeded(g *topology.Graph) int {
 	need := g.SwitchPortCount() // two per switch-switch edge
 	for _, h := range g.Hosts() {
 		if g.HostSwitch(h) >= 0 {
 			need++
 		}
 	}
+	return need
+}
+
+// shortfall is the bound's verdict on one k: the k largest switches
+// have have ports where the graph needs need.
+type shortfall struct{ need, have, k int }
+
+// short reports whether no k-way partition can pass fitParts.
+func (s shortfall) short() bool { return s.need > s.have }
+
+// Error describes a shortfall. A k-search keeps a pointer to its last
+// one as the reason a k failed, so the text is formatted only for the
+// k the search reports, if it reports one.
+func (s shortfall) Error() string {
+	return fmt.Sprintf("needs %d ports, %d switch(es) have %d", s.need, s.k, s.have)
+}
+
+// portShortfall compares need (portsNeeded) with the ports of the k
+// largest switches, the first k of swOrder (switchOrder's).
+func portShortfall(need int, switches []PhysicalSwitch, swOrder []int, k int) shortfall {
 	have := 0
-	for _, s := range switchOrder(switches)[:k] {
+	for _, s := range swOrder[:k] {
 		have += switches[s].Ports
 	}
-	if need > have {
-		return fmt.Errorf("needs %d ports, %d switch(es) have %d", need, k, have)
-	}
-	return nil
+	return shortfall{need: need, have: have, k: k}
 }
 
 // partOrder returns part indices sorted by descending port demand
@@ -315,7 +332,7 @@ func partOrder(d *Demands) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return d.PartPorts[order[a]] > d.PartPorts[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(d.PartPorts[b], d.PartPorts[a]) })
 	return order
 }
 
@@ -326,7 +343,7 @@ func switchOrder(switches []PhysicalSwitch) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return switches[order[a]].Ports > switches[order[b]].Ports })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(switches[b].Ports, switches[a].Ports) })
 	return order
 }
 
@@ -423,6 +440,7 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, _ partition
 		return topos[order[a]].SwitchPortCount() > topos[order[b]].SwitchPortCount()
 	})
 	res := newReservation(n)
+	swOrder := switchOrder(switches)
 	for _, ti := range order {
 		g := topos[ti]
 		if g.NumSwitches() == 0 {
@@ -431,12 +449,14 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, _ partition
 		bestCost := -1
 		var bestRes *reservation
 		var lastErr error
+		var short shortfall
+		need := portsNeeded(g)
 		for k := 1; k <= maxK(g, switches); k++ {
-			if err := portShortfall(g, switches, k); err != nil {
-				lastErr = err
+			if s := portShortfall(need, switches, swOrder, k); s.short() {
+				short, lastErr = s, &short
 				continue
 			}
-			md, err := mapDemands(g, switches, k)
+			md, err := mapDemands(g, switches, swOrder, k)
 			if err != nil {
 				lastErr = err
 				continue
