@@ -148,8 +148,9 @@ func TestGeneratorAllocsBounded(t *testing.T) {
 }
 
 // TestConcurrentFirstIncidence has goroutines make the first incidence
-// reads of one shared graph at once: under -race the lazy build must be
-// race-free, and every reader must see the incidence Edges defines.
+// and CSR reads of one shared graph at once: under -race the lazy
+// builds must be race-free, and every reader must see the incidence
+// Edges defines.
 func TestConcurrentFirstIncidence(t *testing.T) {
 	g := FatTree(8)
 	ref := FatTree(8)
@@ -168,11 +169,14 @@ func TestConcurrentFirstIncidence(t *testing.T) {
 			for i := range g.Vertices {
 				v := (i + r*len(g.Vertices)/readers) % len(g.Vertices)
 				var ok bool
-				switch (i + r) % 3 {
+				switch (i + r) % 4 {
 				case 0:
 					ok = slices.Equal(g.IncidentEdges(v), want[v])
 				case 1:
 					ok = g.Degree(v) == len(want[v])
+				case 2:
+					lo, hi := g.CSR().Row(v)
+					ok = int(hi-lo) == len(want[v])
 				default:
 					e := g.Edges[want[v][0]]
 					ok = g.EdgeBetween(v, e.Other(v)) == ref.EdgeBetween(v, e.Other(v))

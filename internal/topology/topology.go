@@ -347,46 +347,30 @@ func (g *Graph) CSR() *CSR {
 	if c := g.csr.Load(); c != nil {
 		return c
 	}
-	c := newCSR(len(g.Vertices), g.Edges)
+	c := newCSR(g.incidence(), g.Edges)
 	g.csr.Store(c)
 	return c
 }
 
-// newCSR builds the compressed-sparse-row view of the given edges over
-// n vertices; every endpoint must be in [0, n).
-func newCSR(n int, edges []Edge) *CSR {
-	c := &CSR{Start: make([]int32, n+1)}
-	deg := make([]int32, n)
-	for _, e := range edges {
-		deg[e.A]++
-		if e.B != e.A {
-			deg[e.B]++
-		}
+// newCSR lays the compressed-sparse-row view out over x, an incidence
+// index of edges: it shares x's row offsets, fills each row in x's
+// edge-ID order and then sorts the rows whose neighbours do not
+// already ascend.
+func newCSR(x *incidence, edges []Edge) *CSR {
+	n := len(x.start) - 1
+	total := x.start[n]
+	c := &CSR{
+		Start: x.start,
+		Nbr:   make([]int32, total),
+		Port:  make([]int32, total),
+		Edge:  make([]int32, total),
 	}
-	total := int32(0)
 	for v := 0; v < n; v++ {
-		c.Start[v] = total
-		total += deg[v]
-	}
-	c.Start[n] = total
-	c.Nbr = make([]int32, total)
-	c.Port = make([]int32, total)
-	c.Edge = make([]int32, total)
-	fill := deg // reused: fill[v] is the position of v's next half-edge
-	copy(fill, c.Start[:n])
-	put := func(at, other, port, eid int) {
-		i := fill[at]
-		fill[at]++
-		c.Nbr[i], c.Port[i], c.Edge[i] = int32(other), int32(port), int32(eid)
-	}
-	for _, e := range edges {
-		put(e.A, e.B, e.APort, e.ID)
-		if e.B != e.A {
-			put(e.B, e.A, e.BPort, e.ID)
+		for i := x.start[v]; i < x.start[v+1]; i++ {
+			e := &edges[x.edge[i]]
+			c.Nbr[i], c.Port[i], c.Edge[i] = int32(e.Other(v)), int32(e.PortAt(v)), int32(e.ID)
 		}
 	}
-	// Rows come out in edge-ID order, so only a row whose neighbours do
-	// not ascend with it needs sorting.
 	var scratch []halfEdge
 	for v := 0; v < n; v++ {
 		if lo, hi := c.Start[v], c.Start[v+1]; !c.rowSorted(lo, hi) {
@@ -575,7 +559,7 @@ func (g *Graph) Validate() error {
 	if edgeErr == nil {
 		c = g.CSR()
 	} else {
-		c = newCSR(len(g.Vertices), g.Edges[:sound])
+		c = newCSR(newIncidence(len(g.Vertices), g.Edges[:sound]), g.Edges)
 	}
 	if err := g.portClash(c); err != nil {
 		return err
