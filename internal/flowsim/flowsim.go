@@ -24,11 +24,12 @@
 package flowsim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/routing"
@@ -141,41 +142,61 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 		f.End, f.Completed = 0, false
 	}
 
-	// Resolve every flow's path up front. A path's slab index is its
-	// pair's serialisation queue id, and nextInPair holds each flow's
-	// until the queues are chained.
-	w := newWalker(g, routes, &cfg, len(flows))
+	// Group the flows into their (src, dst) serialisation queues:
+	// sorted by host pair and then in injection order, each pair's
+	// flows are one run, which nextInPair chains.
+	samePair := func(x, y int32) bool {
+		return hosts[flows[x].Src] == hosts[flows[y].Src] && hosts[flows[x].Dst] == hosts[flows[y].Dst]
+	}
+	byPair := make([]int32, len(flows))
+	for i := range byPair {
+		byPair[i] = int32(i)
+	}
+	slices.SortFunc(byPair, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(hosts[flows[x].Src], hosts[flows[y].Src]),
+			cmp.Compare(hosts[flows[x].Dst], hosts[flows[y].Dst]), injectionCmp(flows, x, y))
+	})
 	nextInPair := make([]int32, len(flows))
-	order := injectionOrder(flows)
-	for _, fi := range order {
-		f := &flows[fi]
-		pid, err := w.path(hosts[f.Src], hosts[f.Dst])
-		if err != nil {
+	pairs := 0
+	for i, fi := range byPair {
+		nextInPair[fi] = -1
+		if i+1 < len(byPair) && samePair(fi, byPair[i+1]) {
+			nextInPair[fi] = byPair[i+1]
+		}
+		if i == 0 || !samePair(byPair[i-1], fi) {
+			pairs++
+		}
+	}
+	// head[pid] is pair pid's first flow. Pair ids, and the order the
+	// paths are resolved in, follow the pairs' first injections, so an
+	// unroutable schedule reports the first flow that would fail.
+	head := make([]int32, 0, pairs)
+	for i, fi := range byPair {
+		if i == 0 || !samePair(byPair[i-1], fi) {
+			head = append(head, fi)
+		}
+	}
+	slices.SortFunc(head, func(x, y int32) int { return injectionCmp(flows, x, y) })
+	w := newWalker(g, routes, &cfg, pairs)
+	for _, fi := range head {
+		if err := w.path(hosts[flows[fi].Src], hosts[flows[fi].Dst]); err != nil {
 			return nil, err
 		}
-		nextInPair[fi] = pid
 	}
 	paths := w.final()
-	// Chain each pair's flows in injection order, walking it backwards:
-	// head[pid] ends up the pair's first flow.
-	head := make([]int32, len(paths))
-	for i := range head {
-		head[i] = -1
-	}
 	st := make([]flowState, len(flows))
-	for i := len(order) - 1; i >= 0; i-- {
-		fi := order[i]
-		pid := nextInPair[fi]
-		st[fi] = flowState{path: &paths[pid], remaining: float64(flows[fi].Bytes)}
-		nextInPair[fi], head[pid] = head[pid], fi
+	for pid, fi := range head {
+		for ; fi >= 0; fi = nextInPair[fi] {
+			st[fi] = flowState{path: &paths[pid], remaining: float64(flows[fi].Bytes)}
+		}
 	}
 
 	e := &engine{
 		flows:      flows,
 		st:         st,
 		nextInPair: nextInPair,
-		pairs:      len(paths),
-		pending:    make([]pendEntry, 0, len(head)), // one entry per pair queue at most
+		pairs:      pairs,
+		pending:    make([]pendEntry, 0, pairs), // one entry per pair queue at most
 		fair:       newFairTable(st, 2*len(g.Edges), func(int32) float64 { return capacity }),
 	}
 	// Arm each pair queue's first injection at its start time.
@@ -185,21 +206,10 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 	return e, nil
 }
 
-// injectionOrder sorts flow indices by start time, ties by index — the
-// same deterministic schedule order NewFlowApp injects with.
-func injectionOrder(flows []netsim.Flow) []int32 {
-	order := make([]int32, len(flows))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		x, y := order[i], order[j]
-		if flows[x].Start != flows[y].Start {
-			return flows[x].Start < flows[y].Start
-		}
-		return x < y
-	})
-	return order
+// injectionCmp orders flows by start time, ties by index — the same
+// deterministic schedule order NewFlowApp injects with.
+func injectionCmp(flows []netsim.Flow, x, y int32) int {
+	return cmp.Or(cmp.Compare(flows[x].Start, flows[y].Start), cmp.Compare(x, y))
 }
 
 // engine is the event loop state: time advances to the earlier of the

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
@@ -429,25 +430,47 @@ func TestRunAllocsBounded(t *testing.T) {
 		t.Errorf("the event loop allocates %.3f objects per flow (%.2f recomputes per flow), want ~0", perFlow, perRecompute)
 	}
 
-	// Set-up resolves one path per distinct (src, dst) pair into one
-	// slab and lays the pair queues out flat, so for a fixed number of
-	// flows its allocations do not depend on how many pairs they span.
-	setup := func(pairs int) float64 {
-		const n = 1024
+	// Set-up resolves one path per distinct (src, dst) pair into a slab
+	// sized for the pairs and lays the pair queues out flat. For a fixed
+	// number of flows its allocations do not depend on how many pairs
+	// they span, and its bytes grow by at least a slab entry (a pathInfo
+	// and its reserved links) per pair: a slab sized by the flows would
+	// cost as much on 4 pairs as on 384. Every pair joins two hosts of
+	// one edge switch, so all paths are equally long.
+	setup := func(pairs int) (allocs, bytes float64) {
+		const n, runs = 1024, 3
 		sched := make([]netsim.Flow, n)
-		return testing.AllocsPerRun(3, func() {
+		build := func() {
 			for i := range sched {
 				p := i % pairs
-				sched[i] = netsim.Flow{Src: p % len(hosts), Dst: (p/len(hosts) + p + 1) % len(hosts), Bytes: 1000, Tag: i}
+				src := p % len(hosts)
+				dst := src/4*4 + (src%4+1+p/len(hosts))%4
+				sched[i] = netsim.Flow{Src: src, Dst: dst, Bytes: 1000, Tag: i}
 			}
 			if _, err := newEngine(g, routes, cfg, hosts, sched); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs = testing.AllocsPerRun(runs, build)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	few, many := setup(4), setup(1024)
-	t.Logf("newEngine over 1024 flows: %.0f allocations on 4 pairs, %.0f on 1024", few, many)
-	if many > few {
-		t.Errorf("newEngine allocates %.0f objects for 1024 flows on 1024 pairs but %.0f on 4: set-up grows with the pairs", many, few)
+	const few, many = 4, 3 * 128 // every same-edge pair of the 128 hosts
+	fewA, fewB := setup(few)
+	manyA, manyB := setup(many)
+	t.Logf("newEngine over 1024 flows: %.0f allocations and %.0f bytes on %d pairs, %.0f and %.0f on %d",
+		fewA, fewB, few, manyA, manyB, many)
+	if manyA > fewA {
+		t.Errorf("newEngine allocates %.0f objects for 1024 flows on %d pairs but %.0f on %d: set-up grows with the pairs", manyA, many, fewA, few)
+	}
+	entry := float64(unsafe.Sizeof(pathInfo{}) + linksPerPath*unsafe.Sizeof(int32(0)))
+	if perPair := (manyB - fewB) / (many - few); perPair < entry {
+		t.Errorf("newEngine takes %.0f bytes for 1024 flows on %d pairs and %.0f on %d, %.0f per extra pair, less than a %.0f-byte slab entry: the slab is sized by the flows",
+			fewB, few, manyB, many, perPair, entry)
 	}
 }

@@ -22,20 +22,19 @@ type pathInfo struct {
 	base float64
 }
 
-// walker resolves and caches host-to-host paths by walking the
+// walker resolves host-to-host paths by walking the
 // compiled forwarding state hop by hop — the exact rules the packet
 // engine forwards with, so flow-level and packet-level runs cannot
 // disagree about which links a flow crosses.
 //
 // Resolved paths live in one slab: path i's links are
-// links[ends[i-1]:ends[i]] and its latency paths[i].base, and index
-// maps a (src, dst) pair to its i. Appending may move links, so the
-// paths' links slices are taken by final, once every path is resolved.
+// links[ends[i-1]:ends[i]] and its latency paths[i].base. Appending may
+// move links, so the paths' links slices are taken by final, once every
+// path is resolved.
 type walker struct {
 	g       *topology.Graph
 	csr     *topology.CSR
 	fib     *routing.FIB
-	index   map[[2]int]int32
 	paths   []pathInfo
 	ends    []int32
 	links   []int32
@@ -50,14 +49,13 @@ type walker struct {
 // links, and a longer path only regrows the array.
 const linksPerPath = 8
 
-// newWalker returns a walker for at most maxPaths distinct pairs, its
-// slab sized for them so that resolving them allocates nothing more.
+// newWalker returns a walker for maxPaths paths, its slab sized for
+// them so that resolving them allocates nothing more.
 func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, maxPaths int) *walker {
 	return &walker{
 		g:       g,
 		csr:     g.CSR(),
 		fib:     routes.FIB(),
-		index:   make(map[[2]int]int32, maxPaths),
 		paths:   make([]pathInfo, 0, maxPaths),
 		ends:    make([]int32, 0, maxPaths),
 		links:   make([]int32, 0, linksPerPath*maxPaths),
@@ -91,20 +89,17 @@ func (w *walker) edgeAt(sw, port int) int32 {
 	return -1
 }
 
-// path resolves (and caches) the route from host src to host dst and
-// returns its slab index.
-func (w *walker) path(src, dst int) (int32, error) {
-	if i, ok := w.index[[2]int{src, dst}]; ok {
-		return i, nil
-	}
+// path resolves the route from host src to host dst into the slab's
+// next index.
+func (w *walker) path(src, dst int) error {
 	g := w.g
 	cur := g.HostSwitch(src)
 	if cur < 0 {
-		return 0, fmt.Errorf("flowsim: host %d has no switch", src)
+		return fmt.Errorf("flowsim: host %d has no switch", src)
 	}
 	up := g.EdgeBetween(src, cur)
 	if up < 0 {
-		return 0, fmt.Errorf("flowsim: host %d detached from switch %d", src, cur)
+		return fmt.Errorf("flowsim: host %d detached from switch %d", src, cur)
 	}
 	start := len(w.links)
 	w.links = append(w.links, w.dirLink(int32(up), src))
@@ -113,17 +108,17 @@ func (w *walker) path(src, dst int) (int32, error) {
 	nsw := 0
 	for {
 		if nsw > len(g.Vertices) {
-			return 0, fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
+			return fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
 		}
 		nsw++
 		out, newTag, ok := w.fib.Forward(cur, inPort, dst, tag)
 		if !ok {
-			return 0, fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
+			return fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
 		}
 		tag = newTag
 		eid := w.edgeAt(cur, out)
 		if eid < 0 {
-			return 0, fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)
+			return fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)
 		}
 		e := g.Edges[eid]
 		nxt := e.Other(cur)
@@ -132,7 +127,7 @@ func (w *walker) path(src, dst int) (int32, error) {
 			break
 		}
 		if g.Vertices[nxt].Kind != topology.Switch {
-			return 0, fmt.Errorf("flowsim: path %d->%d delivered to wrong host %d", src, dst, nxt)
+			return fmt.Errorf("flowsim: path %d->%d delivered to wrong host %d", src, dst, nxt)
 		}
 		inPort = e.PortAt(nxt)
 		cur = nxt
@@ -146,11 +141,9 @@ func (w *walker) path(src, dst int) (int32, error) {
 		// hop re-serialises only the header.
 		base += float64(float64(nsw) * w.hdrSer)
 	}
-	i := int32(len(w.paths))
 	w.paths = append(w.paths, pathInfo{base: base})
 	w.ends = append(w.ends, int32(len(w.links)))
-	w.index[[2]int{src, dst}] = i
-	return i, nil
+	return nil
 }
 
 // final returns the resolved paths with their links set; the walker

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -134,17 +136,48 @@ var generatorDigests = map[string]string{
 	"zoo-0":               "be5e90b0d673455fa95dad7e7e587ab8b623f7efebec94cb9144535fd8e0c6f7",
 }
 
-// TestGeneratorAllocsBounded holds a generated fabric to a constant
-// number of allocations: labels, coordinates, vertices and edges each
-// live in one array sized up front, so FatTree(48), with 30 528
-// vertices, allocates no more objects than FatTree(16).
+// TestGeneratorAllocsBounded holds every generated fabric to a
+// constant number of allocations: labels, coordinates, vertices and
+// edges each live in one array its generator reserves up front, so
+// FatTree(48), with 30 528 vertices, allocates no more objects than
+// FatTree(16). Each generator is built at two sizes whose labels have
+// different digit counts, and both must allocate the same number of
+// objects: a reserve formula that undercounts one size's labels or
+// coordinates shows as a regrowth there. The collector is off while
+// counting, so that its own allocations do not blur the counts; under
+// -race only the budget is checked, as the detector's runtime
+// allocates too.
 func TestGeneratorAllocsBounded(t *testing.T) {
 	const budget = 32
-	for _, k := range []int{16, 48} {
-		if n := testing.AllocsPerRun(3, func() { FatTree(k) }); n > budget {
-			t.Errorf("FatTree(%d) allocates %.0f objects, want at most %d", k, n, budget)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	check := func(name string, small, large func()) {
+		t.Helper()
+		runtime.GC()
+		a := testing.AllocsPerRun(3, small)
+		runtime.GC()
+		b := testing.AllocsPerRun(3, large)
+		if a > budget || b > budget || (a != b && !raceEnabled) {
+			t.Errorf("%s allocates %.0f objects at the smaller size and %.0f at the larger, want the same at most %d", name, a, b, budget)
 		}
 	}
+	check("FatTree(16) and FatTree(48)", func() { FatTree(16) }, func() { FatTree(48) })
+	larger := map[string][]int{
+		"fattree": {24}, "dragonfly": {8, 33, 4, 2}, "mesh2d": {40, 30, 3}, "mesh3d": {12, 10, 9, 2},
+		"torus2d": {40, 30, 3}, "torus3d": {12, 10, 9, 2}, "bcube": {5, 3}, "hyperbcube": {12, 10},
+		"line": {150, 12}, "ring": {150, 12}, "star": {150, 12}, "fullmesh": {120, 11},
+	}
+	for _, gen := range Generators {
+		p, ok := larger[gen.Name]
+		if !ok {
+			t.Errorf("generator %q has no larger size to be checked at", gen.Name)
+			continue
+		}
+		if err := gen.Check(p); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%s %v and %v", gen.Name, gen.Example, p), func() { gen.build(gen.Example) }, func() { gen.build(p) })
+	}
+	check("RandomWAN(8) and RandomWAN(400)", func() { RandomWAN("w", 8, 4, 1) }, func() { RandomWAN("w", 400, 200, 1) })
 }
 
 // TestConcurrentFirstIncidence has goroutines make the first incidence

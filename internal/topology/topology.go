@@ -176,8 +176,12 @@ func labelLen(prefix string, nums ...int) int {
 }
 
 // seal converts the label buffer to one string and gives each vertex
-// its label, a substring of it.
+// its label, a substring of it. Every vertex must have been added with
+// add, as labelEnd is indexed by vertex ID.
 func (g *Graph) seal() *Graph {
+	if len(g.labelEnd) != len(g.Vertices) {
+		panic(fmt.Sprintf("topology: %s has %d labels for %d vertices: a generator added a vertex without add", g.Name, len(g.labelEnd), len(g.Vertices)))
+	}
 	all := string(g.labels)
 	lo := int32(0)
 	for v, hi := range g.labelEnd {
