@@ -162,9 +162,17 @@ func underInternal(obj types.Object) bool {
 
 // usesIn walks one top-level declaration and reports every object it
 // references, except the declaration's own name (recursion is not a
-// caller).
+// caller) and, for a method, its receiver's type: declaring a method
+// on a type does not use the type.
 func usesIn(info *types.Info, decl ast.Node, self types.Object, visit func(types.Object)) {
+	var recv *ast.FieldList
+	if fd, ok := decl.(*ast.FuncDecl); ok {
+		recv = fd.Recv
+	}
 	ast.Inspect(decl, func(n ast.Node) bool {
+		if fl, ok := n.(*ast.FieldList); ok && fl == recv {
+			return false
+		}
 		if id, ok := n.(*ast.Ident); ok {
 			obj := info.Uses[id]
 			if fn, ok := obj.(*types.Func); ok {
@@ -176,6 +184,52 @@ func usesIn(info *types.Info, decl ast.Node, self types.Object, visit func(types
 		}
 		return true
 	})
+}
+
+// TestCensusSkipsReceivers holds usesIn to its receiver rule: an
+// exported type whose only mentions are its own methods' receivers —
+// a String method's included — is used by nothing, so the census
+// flags it; any other mention uses it.
+func TestCensusSkipsReceivers(t *testing.T) {
+	const src = `package p
+
+type Unused struct{}
+
+func (u Unused) String() string { return "u" }
+
+func (u *Unused) Touch() {}
+
+type Used struct{}
+
+func (Used) String() string { return "used" }
+
+func NewUsed() Used { return Used{} }
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := map[types.Object][]string{}
+	for _, decl := range f.Decls {
+		var self types.Object
+		name := "type"
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			self, name = info.Defs[fd.Name], fd.Name.Name
+		}
+		usesIn(info, decl, self, func(obj types.Object) { uses[obj] = append(uses[obj], name) })
+	}
+	if by := uses[pkg.Scope().Lookup("Unused")]; len(by) > 0 {
+		t.Errorf("Unused is referenced by %v, want by nothing: its receivers are not uses", by)
+	}
+	if by := uses[pkg.Scope().Lookup("Used")]; !slices.Equal(by, []string{"NewUsed", "NewUsed"}) {
+		t.Errorf("Used is referenced by %v, want by NewUsed's result and body, not by String's receiver", by)
+	}
 }
 
 // censusName renders obj as pkg.Name or pkg.Type.Method.

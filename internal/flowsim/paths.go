@@ -22,10 +22,14 @@ type pathInfo struct {
 	base float64
 }
 
-// walker resolves host-to-host paths by walking the
-// compiled forwarding state hop by hop — the exact rules the packet
-// engine forwards with, so flow-level and packet-level runs cannot
-// disagree about which links a flow crosses.
+// walker resolves host-to-host paths by walking the route set's rules
+// hop by hop — the rules the packet engine forwards with, so flow-level
+// and packet-level runs cannot disagree about which links a flow
+// crosses. It looks each hop up with Routes.Lookup, which
+// FuzzFIBLookup holds equal to the packet engine's FIB.Forward on every
+// tuple. A run resolves each (src, dst) pair once — a few lookups per
+// pair — so compiling the FIB's switches × destinations slots would
+// cost more than the lookups it spares.
 //
 // Resolved paths live in one slab: path i's links are
 // links[ends[i-1]:ends[i]] and its latency paths[i].base. Appending may
@@ -34,7 +38,7 @@ type pathInfo struct {
 type walker struct {
 	g       *topology.Graph
 	csr     *topology.CSR
-	fib     *routing.FIB
+	routes  *routing.Routes
 	paths   []pathInfo
 	ends    []int32
 	links   []int32
@@ -55,7 +59,7 @@ func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, ma
 	return &walker{
 		g:       g,
 		csr:     g.CSR(),
-		fib:     routes.FIB(),
+		routes:  routes,
 		paths:   make([]pathInfo, 0, maxPaths),
 		ends:    make([]int32, 0, maxPaths),
 		links:   make([]int32, 0, linksPerPath*maxPaths),
@@ -111,14 +115,16 @@ func (w *walker) path(src, dst int) error {
 			return fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
 		}
 		nsw++
-		out, newTag, ok := w.fib.Forward(cur, inPort, dst, tag)
-		if !ok {
+		rule := w.routes.Lookup(cur, inPort, dst, tag)
+		if rule == nil {
 			return fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
 		}
-		tag = newTag
-		eid := w.edgeAt(cur, out)
+		if rule.NewTag >= 0 {
+			tag = rule.NewTag
+		}
+		eid := w.edgeAt(cur, rule.OutPort)
 		if eid < 0 {
-			return fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)
+			return fmt.Errorf("flowsim: switch %d out port %d dangling", cur, rule.OutPort)
 		}
 		e := g.Edges[eid]
 		nxt := e.Other(cur)

@@ -8,6 +8,27 @@ import (
 	"repro/internal/topology"
 )
 
+// lookupForwarder is the uncompiled reference Forwarder backed by
+// Routes.Lookup: the oracle the FIB fast path of RouteForwarder is
+// verified against (TestFIBForwarderMatchesLookup runs full
+// simulations both ways and demands identical outputs).
+type lookupForwarder struct {
+	routes *routing.Routes
+}
+
+// Forward implements Forwarder.
+func (lf lookupForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
+	rule := lf.routes.Lookup(sw, inPort, pkt.Dst, pkt.Tag)
+	if rule == nil {
+		return 0, 0, false
+	}
+	tag := pkt.Tag
+	if rule.NewTag >= 0 {
+		tag = rule.NewTag
+	}
+	return rule.OutPort, tag, true
+}
+
 // fibEquivDigest runs an all-to-one RoCE incast plus a TCP flow on the
 // given forwarder and returns a byte-exact digest of everything the
 // experiments derive their outputs from: delivery counters, drop/
@@ -94,7 +115,7 @@ func TestFIBForwarderMatchesLookup(t *testing.T) {
 		}
 		routes.Prime()
 		for _, pfc := range []bool{true, false} {
-			ref := fibEquivDigest(t, c.g, LookupForwarder{Routes: routes}, pfc)
+			ref := fibEquivDigest(t, c.g, lookupForwarder{routes: routes}, pfc)
 			fib := fibEquivDigest(t, c.g, NewRouteForwarder(routes), pfc)
 			if ref != fib {
 				t.Errorf("%s (pfc=%v): FIB simulation diverged from Lookup reference:\n--- lookup ---\n%s--- fib ---\n%s",

@@ -331,27 +331,6 @@ func (rf RouteForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
 	return rf.Routes.FIB().Forward(sw, inPort, pkt.Dst, pkt.Tag)
 }
 
-// LookupForwarder is the uncompiled reference Forwarder backed by
-// Routes.Lookup. It exists as the oracle the FIB fast path is verified
-// against (equivalence tests run full simulations both ways and demand
-// identical outputs); simulations should use RouteForwarder.
-type LookupForwarder struct {
-	Routes *routing.Routes
-}
-
-// Forward implements Forwarder.
-func (lf LookupForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
-	rule := lf.Routes.Lookup(sw, inPort, pkt.Dst, pkt.Tag)
-	if rule == nil {
-		return 0, 0, false
-	}
-	tag := pkt.Tag
-	if rule.NewTag >= 0 {
-		tag = rule.NewTag
-	}
-	return rule.OutPort, tag, true
-}
-
 // Network is a simulated fabric: the logical topology's switches and
 // hosts joined by directed links.
 type Network struct {

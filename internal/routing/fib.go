@@ -45,8 +45,9 @@ type FIB struct {
 	col     []int32 // per vertex: column, 0 = the sentinel column
 	slots   []uint32
 	// ruleIdx mirrors slots for fast entries: the index into
-	// routes.Rules of the packed rule (-1 when empty or spilled). The
-	// reactive controller needs the matched *Rule, not just the action.
+	// routes.Rules of the packed rule (-1 when empty or spilled), so
+	// Rule can return the matched *Rule, not just the action, for the
+	// differential tests against Routes.Lookup.
 	ruleIdx []int32
 	// Spill storage in CSR form: spill group k holds
 	// spillRules[spillOff[k]:spillOff[k+1]].
@@ -125,13 +126,12 @@ func (r *Routes) Compile() *FIB {
 	}
 	// Manual rule sets may reference switch/destination IDs beyond the
 	// vertex range; those groups go to the overflow map.
-	var outside [][]int32
-	for lo, hi := 0, 0; lo < len(r.order); lo = hi {
+	var outside [][2]int // index spans of the groups outside the range
+	for lo, hi := 0, 0; lo < len(r.Rules); lo = hi {
 		hi = r.groupEnd(lo)
-		group := r.order[lo:hi]
-		first := &r.Rules[group[0]]
+		first := &r.Rules[r.indexed(lo)]
 		if !inRange(first) {
-			outside = append(outside, group)
+			outside = append(outside, [2]int{lo, hi})
 			continue
 		}
 		slot := f.rowBase[first.Switch] + f.col[first.Dst]
@@ -141,16 +141,16 @@ func (r *Routes) Compile() *FIB {
 		// its action packs.
 		if fibPackable(first) {
 			f.slots[slot] = fibPack(first)
-			f.ruleIdx[slot] = group[0]
+			f.ruleIdx[slot] = r.indexed(lo)
 			continue
 		}
-		f.slots[slot] = f.spillGroup(r, group)
+		f.slots[slot] = f.spillGroup(r, lo, hi)
 	}
 	if len(outside) > 0 {
 		f.extra = make(map[[2]int]uint32, len(outside))
-		for _, group := range outside {
-			first := &r.Rules[group[0]]
-			f.extra[[2]int{first.Switch, first.Dst}] = f.spillGroup(r, group)
+		for _, span := range outside {
+			first := &r.Rules[r.indexed(span[0])]
+			f.extra[[2]int{first.Switch, first.Dst}] = f.spillGroup(r, span[0], span[1])
 		}
 	}
 	return f
@@ -170,11 +170,13 @@ func number(marks []int32) int32 {
 	return k
 }
 
-// spillGroup appends the indexed rules (already most-specific-first) as
-// a new spill group and returns its slot word.
-func (f *FIB) spillGroup(r *Routes, idx []int32) uint32 {
+// spillGroup appends the rules at index positions lo..hi (one group,
+// already most-specific-first) as a new spill group and returns its
+// slot word.
+func (f *FIB) spillGroup(r *Routes, lo, hi int) uint32 {
 	k := len(f.spillOff) - 1
-	for _, ri := range idx {
+	for i := lo; i < hi; i++ {
+		ri := r.indexed(i)
 		rule := &r.Rules[ri]
 		f.spillRules = append(f.spillRules, spillRule{
 			inPort: int32(rule.InPort),

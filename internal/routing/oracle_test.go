@@ -9,6 +9,7 @@ package routing
 // would compare the index with itself.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -227,6 +228,80 @@ func checkPlacement(t *testing.T, rng *rand.Rand, what string, nv int, rules []R
 	}
 }
 
+// fuzzRuns decodes per-destination runs from data, one byte per choice
+// (0 once data runs out): a vertex count of 0..7, then up to 7 runs,
+// each toward a destination of 0..5 — so destinations repeat and
+// descend — with up to 7 rules. A rule's switch is in the vertex range
+// but for one byte value in 16 each for -1 and nv, so a switch often
+// appears several times in a run; its ingress port is 0..2 and its tag
+// any, 0 or 1. OutPort numbers the rules, so an unstable placement
+// shows.
+func fuzzRuns(data []byte) (nv int, runs []dstRun) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	nv = next() % 8
+	out := 0
+	for n := next() % 8; n > 0; n-- {
+		run := dstRun{dst: next() % 6}
+		for k := next() % 8; k > 0; k-- {
+			c := next() % 16
+			sw := c % max(nv, 1)
+			switch c {
+			case 14:
+				sw = -1
+			case 15:
+				sw = nv
+			}
+			out++
+			run.emit(Rule{Switch: sw, InPort: next() % 3, Dst: run.dst, Tag: next()%3 - 1, OutPort: out, NewTag: -1})
+		}
+		runs = append(runs, run)
+	}
+	return nv, runs
+}
+
+// FuzzPlaceRuns holds placeRuns to the reference stable sort on random
+// runs, including the ones no strategy emits: destinations repeated or
+// descending, a switch several times in one run, switch IDs outside the
+// vertex range. The segments the count pass proves sorted skip the
+// check; a proof that admits an unsorted segment fails here.
+// CI runs this as a smoke (`go test -fuzz=FuzzPlaceRuns -fuzztime=10s`).
+func FuzzPlaceRuns(f *testing.F) {
+	// Layout: nv; runs; per run dst, rules; per rule switch, in port,
+	// tag+1.
+	for _, seed := range [][]byte{
+		{},
+		{3, 2, 2, 2, 0, 0, 0, 1, 0, 0, 4, 2, 0, 0, 0, 1, 0, 0},   // canonical: ascending, one rule per group
+		{3, 2, 4, 1, 1, 0, 0, 2, 1, 1, 0, 0},                     // a descending destination
+		{3, 2, 4, 1, 1, 0, 0, 4, 1, 1, 0, 2},                     // a repeated destination
+		{3, 1, 2, 2, 1, 0, 2, 1, 0, 1},                           // a switch twice in a run, tags descending
+		{3, 1, 2, 3, 1, 2, 0, 1, 1, 0, 1, 0, 0},                  // a switch three times, ports descending
+		{3, 2, 1, 2, 14, 0, 0, 1, 0, 0, 0, 2, 15, 0, 0, 2, 0, 0}, // switches outside the range
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nv, runs := fuzzRuns(data)
+		var want []Rule
+		for _, run := range runs {
+			for _, rr := range run.rules {
+				want = append(want, rr.widen(run.dst))
+			}
+		}
+		sortRulesReference(want)
+		if got := placeRuns(nv, runs); !slices.Equal(got, want) {
+			t.Fatalf("placeRuns(%d, %d runs) differs from the stable sort at rule %d of %d:\n got %v\nwant %v",
+				nv, len(runs), firstDiff(got, want), len(want), got, want)
+		}
+	})
+}
+
 func firstDiff(a, b []Rule) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
@@ -384,6 +459,19 @@ func checkLookupOnGraph(t *testing.T, what string, r *Routes) {
 	checkLookup(t, what, r, switches, slices.Compact(dsts), g.Radix()+1)
 }
 
+// checkIndexInPlace: once r's index is built, it holds a permutation
+// of the rules exactly when Rules is not already in index order.
+func checkIndexInPlace(t *testing.T, what string, r *Routes) {
+	t.Helper()
+	r.buildIndex()
+	inPlace := slices.IsSortedFunc(r.Rules, func(a, b Rule) int {
+		return cmp.Or(compareGroup(&a, &b), specificity(&b)-specificity(&a))
+	})
+	if (r.order == nil) != inPlace {
+		t.Errorf("%s: rules in index order %v, but the index holds a permutation %v", what, inPlace, r.order != nil)
+	}
+}
+
 // TestLookupMatchesMapIndex: the flat index answers every tuple as the
 // map-backed one did, on strategy-built sets (full and subset), on
 // manual sets in random insertion order with several rules of mixed
@@ -406,6 +494,14 @@ func TestLookupMatchesMapIndex(t *testing.T) {
 			t.Fatalf("%s: %v", c, err)
 		}
 		checkLookupOnGraph(t, c.String(), r)
+		checkIndexInPlace(t, c.String(), r)
+		switch c.strategy.(type) {
+		case FatTreeDFS, ShortestPath:
+			// One rule per (switch, dst) group, emitted in order.
+			if r.order != nil {
+				t.Errorf("%s: the index of a canonical set holds a permutation", c)
+			}
+		}
 
 		// A repair's output is the healthy rules followed by appended
 		// trees: no longer grouped by (switch, dst).
@@ -414,6 +510,7 @@ func TestLookupMatchesMapIndex(t *testing.T) {
 		clone := r.Clone()
 		r.ReplaceRules(patched)
 		checkLookupOnGraph(t, c.String()+" repaired", r)
+		checkIndexInPlace(t, c.String()+" repaired", r)
 		checkLookupOnGraph(t, c.String()+" clone", clone)
 	}
 	checkLookupOnGraph(t, "dragonfly-ugal", ugalRoutes(t))

@@ -17,6 +17,7 @@ package routing
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -43,13 +44,16 @@ type Routes struct {
 	Rules    []Rule
 
 	// The lookup index, built lazily by buildIndex (rowOff == nil means
-	// not built). order is a permutation of rule positions sorted by
-	// (Switch, Dst, specificity descending, position), so the rules of
-	// one (switch, dst) group are adjacent and most specific first;
-	// rowOff[s] counts the rules whose Switch is below s, for s in
-	// 0..len(Topo.Vertices), so switch vertex s owns
-	// order[rowOff[s]:rowOff[s+1]], rules on negative switch IDs sit
-	// before rowOff[0] and rules on IDs past the vertex range after
+	// not built). It puts the rules in index order, (Switch, Dst,
+	// specificity descending, position), so the rules of one
+	// (switch, dst) group are adjacent and most specific first: index
+	// position i holds Rules[r.indexed(i)]. order is that permutation of
+	// rule positions, or nil when Rules is already in index order, as
+	// every strategy-built set with one rule per group is. rowOff[s]
+	// counts the rules whose Switch is below s, for s in
+	// 0..len(Topo.Vertices), so switch vertex s owns index positions
+	// rowOff[s]:rowOff[s+1], rules on negative switch IDs sit before
+	// rowOff[0] and rules on IDs past the vertex range after
 	// rowOff[len(Topo.Vertices)].
 	order  []int32
 	rowOff []int32
@@ -137,35 +141,38 @@ func compareGroup(a, b *Rule) int {
 }
 
 // buildIndex builds order and rowOff in O(rules) for any rule list that
-// is already grouped in (Switch, Dst) order — every strategy-built set,
-// where order comes out as the identity or, for the strategies with
-// several rules per group, the identity with each group put most
-// specific first. A list that is not (manual sets, a repair's appended
-// trees) pays one stable comparator sort of the permutation. Rule
-// positions are int32, as in the FIB.
+// is already grouped in (Switch, Dst) order — every strategy-built set.
+// It first checks the rules in place: a list that is grouped and has
+// each group most specific first, as every set with one rule per group
+// is, is its own index order and gets no permutation at all. A grouped
+// list that is not ranked (the strategies with several rules per group)
+// gets the identity with each group put most specific first, and a list
+// that is not grouped (manual sets, a repair's appended trees) pays one
+// stable comparator sort of the permutation. Rule positions are int32,
+// as in the FIB.
 func (r *Routes) buildIndex() {
 	if r.rowOff != nil {
 		return
 	}
 	rules := r.Rules
-	order := make([]int32, len(rules))
 	grouped, ranked := true, true
-	for i := range order {
-		order[i] = int32(i)
-		if i == 0 {
-			continue
-		}
+	for i := 1; i < len(rules) && grouped; i++ {
 		if c := compareGroup(&rules[i-1], &rules[i]); c > 0 {
 			grouped = false
 		} else if c == 0 && specificity(&rules[i-1]) < specificity(&rules[i]) {
 			ranked = false
 		}
 	}
-	if !grouped {
-		slices.SortStableFunc(order, func(a, b int32) int { return compareGroup(&rules[a], &rules[b]) })
-	}
-	r.order = order
+	r.order = nil
 	if !grouped || !ranked {
+		order := make([]int32, len(rules))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		if !grouped {
+			slices.SortStableFunc(order, func(a, b int32) int { return compareGroup(&rules[a], &rules[b]) })
+		}
+		r.order = order
 		bySpec := func(a, b int32) int { return specificity(&rules[b]) - specificity(&rules[a]) }
 		for lo, hi := 0, 0; lo < len(order); lo = hi {
 			if hi = r.groupEnd(lo); hi-lo > 1 {
@@ -188,12 +195,20 @@ func (r *Routes) buildIndex() {
 	r.rowOff = rowOff
 }
 
+// indexed returns the position in Rules of the rule at index position i.
+func (r *Routes) indexed(i int) int32 {
+	if r.order == nil {
+		return int32(i)
+	}
+	return r.order[i]
+}
+
 // groupEnd returns the end of the (switch, dst) group that starts at
-// order[lo].
+// index position lo.
 func (r *Routes) groupEnd(lo int) int {
-	first := &r.Rules[r.order[lo]]
+	first := &r.Rules[r.indexed(lo)]
 	hi := lo + 1
-	for hi < len(r.order) && compareGroup(first, &r.Rules[r.order[hi]]) == 0 {
+	for hi < len(r.Rules) && compareGroup(first, &r.Rules[r.indexed(hi)]) == 0 {
 		hi++
 	}
 	return hi
@@ -235,17 +250,18 @@ func (r *Routes) FIB() *FIB {
 //
 // This is the reference implementation the compiled FIB is
 // differential-tested against (and oracle_test.go holds the map-backed
-// index this one replaced, as Lookup's own reference); the forwarding
-// hot paths use FIB.Forward. The built-check is inlined here (rather
-// than left to buildIndex) so the already-built case — every call after
-// the first on a Primed route set — pays no function-call overhead in
-// the fallback paths that still probe rule granularity.
+// index this one replaced, as Lookup's own reference). The per-packet
+// forwarding path uses FIB.Forward; a caller that resolves each path
+// once, like flowsim's walker, uses Lookup and compiles no FIB. The
+// built-check is inlined here (rather than left to buildIndex) so the
+// already-built case — every call after the first — pays no
+// function-call overhead.
 func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
 	if r.rowOff == nil {
 		r.buildIndex()
 	}
-	rules, order := r.Rules, r.order
-	lo, end := 0, len(order)
+	rules := r.Rules
+	lo, end := 0, len(rules)
 	if n := len(r.rowOff) - 1; sw < 0 {
 		end = int(r.rowOff[0])
 	} else if sw < n {
@@ -255,14 +271,14 @@ func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
 	}
 	for hi := end; lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
-		if m := &rules[order[mid]]; m.Switch < sw || m.Switch == sw && m.Dst < dst {
+		if m := &rules[r.indexed(mid)]; m.Switch < sw || m.Switch == sw && m.Dst < dst {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	for ; lo < end; lo++ {
-		rule := &rules[order[lo]]
+		rule := &rules[r.indexed(lo)]
 		if rule.Switch != sw || rule.Dst != dst {
 			break
 		}
@@ -386,28 +402,43 @@ func compareRules(a, b Rule) int {
 // runs the strategies produce. A stable sort whose leading key is a
 // switch vertex ID is a stable bucketing by switch — count, prefix-sum,
 // scatter in input order — followed by a stable sort of every switch's
-// segment on the remaining keys. computeForDsts's runs come in
-// ascending destination order, so a segment arrives ordered by
-// destination and is left alone unless the strategy emitted one
-// (switch, dst) group's rules out of (Tag, InPort) order, as the torus
-// strategies do; only such a segment pays a comparator sort, and the
-// scatter widens each rule once, straight into the final array. Runs
-// naming a switch outside [0, nv) are concatenated and comparator-sorted
-// whole.
+// segment on the remaining keys. The count pass also proves segments
+// sorted: a switch whose rules arrive in strictly ascending destination
+// order has one rule per (switch, dst) group, already in order. That
+// is every segment of a set computeForDsts builds from canonical
+// destinations with one rule per group, so such a set checks no
+// segment. Only the other segments — a strategy that emits several
+// rules per group, as the torus strategies do, or runs out of
+// destination order — pay a check, and a sort when the group's rules
+// came out of (Tag, InPort) order. The scatter widens each rule once,
+// straight into the final array. Runs naming a switch outside [0, nv)
+// are concatenated and comparator-sorted whole.
 func placeRuns(nv int, runs []dstRun) []Rule {
 	// next[s] counts switch s's rules, then is the position of its next
-	// rule, and after the scatter the end of its segment.
-	next := make([]int, nv)
+	// rule, and after the scatter the end of its segment. last[s] is the
+	// destination of switch s's latest rule, or math.MaxInt once a
+	// destination failed to exceed its predecessor's: no later
+	// destination exceeds it, so the segment stays unproven. (A real
+	// destination of math.MaxInt reads as unproven too, which only costs
+	// its segment a check.)
+	buf := make([]int, 2*nv)
+	next, last := buf[:nv], buf[nv:]
 	total := 0
 	inRange := true
 	for _, run := range runs {
 		total += len(run.rules)
 		for _, rr := range run.rules {
-			if sw := int(rr.sw); uint(sw) < uint(nv) {
-				next[sw]++
-			} else {
+			sw := int(rr.sw)
+			if uint(sw) >= uint(nv) {
 				inRange = false
+				continue
 			}
+			if next[sw] > 0 && run.dst <= last[sw] {
+				last[sw] = math.MaxInt
+			} else {
+				last[sw] = run.dst
+			}
+			next[sw]++
 		}
 	}
 	out := make([]Rule, total)
@@ -434,8 +465,8 @@ func placeRuns(nv int, runs []dstRun) []Rule {
 		}
 	}
 	lo := 0
-	for _, hi := range next {
-		if seg := out[lo:hi]; !slices.IsSortedFunc(seg, compareRules) {
+	for s, hi := range next {
+		if seg := out[lo:hi]; last[s] == math.MaxInt && !slices.IsSortedFunc(seg, compareRules) {
 			slices.SortStableFunc(seg, compareRules)
 		}
 		lo = hi

@@ -269,15 +269,19 @@ func setupBytesPerRule(t *testing.T) float64 {
 }
 
 // TestComputeForBytesBounded is the bytes budget beside the allocation
-// one: route set-up allocates the rules it returns (a Rule each), their
-// index (an int32 each), and on the way one 20-byte run entry per rule,
-// plus per-switch and per-vertex arrays. Measured: 73.6 bytes per rule
-// on amd64 (less where int is 32 bits); the budget adds 8.7 %. Holding a
-// second 48-byte copy of every rule, as per-destination Rule buckets
-// did (106 bytes per rule), fails it.
+// one: route set-up allocates the rules it returns (a Rule each) and on
+// the way one 20-byte run entry per rule, plus per-switch and
+// per-vertex arrays; a fat-tree set is its own index order, so its
+// index holds no per-rule permutation. Measured: 70.1 bytes per rule
+// on amd64 (less where int is 32 bits; 73.6 with the identity
+// permutation); the budget adds 8.7 %. Holding a second 48-byte copy
+// of every rule, as per-destination Rule buckets did (106 bytes per
+// rule), fails it.
 func TestComputeForBytesBounded(t *testing.T) {
-	const budget = 80.0
-	if got := setupBytesPerRule(t); got > budget {
+	const budget = 76.0
+	got := setupBytesPerRule(t)
+	t.Logf("ComputeFor + first Lookup: %.1f bytes per rule", got)
+	if got > budget {
 		t.Errorf("ComputeFor + first Lookup: %.1f bytes per rule, budget %.1f", got, budget)
 	}
 }

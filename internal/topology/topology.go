@@ -13,6 +13,7 @@ package topology
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -532,12 +533,9 @@ func (g *Graph) EdgeBetween(a, b int) int {
 // same-port self loop, then a port its A side and then its B side
 // shares with an earlier edge — and last a multi-homed host.
 func (g *Graph) Validate() error {
-	labels := make(map[string]int, len(g.Vertices))
-	for _, v := range g.Vertices {
-		if prev, dup := labels[v.Label]; dup {
-			return fmt.Errorf("topology %q: duplicate label %q on vertices %d and %d", g.Name, v.Label, prev, v.ID)
-		}
-		labels[v.Label] = v.ID
+	if first, dup := g.duplicateLabel(); dup >= 0 {
+		v := &g.Vertices[dup]
+		return fmt.Errorf("topology %q: duplicate label %q on vertices %d and %d", g.Name, v.Label, g.Vertices[first].ID, v.ID)
 	}
 	// The first edge that is wrong on its own ends the prefix of edges
 	// that can be reported for sharing a port.
@@ -577,6 +575,40 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
+}
+
+// labelSeed seeds the label hash of duplicateLabel.
+var labelSeed = maphash.MakeSeed()
+
+// duplicateLabel returns the first vertex, in vertex order, whose label
+// an earlier vertex carries, and the first vertex that carries it, as
+// indices into Vertices; dup is -1 when every label is unique. The
+// labels go into one open-addressed table of vertex indices, at least
+// twice the vertices in size and probed linearly from the label's
+// hash, so the check allocates one []int32 and no per-label entry.
+// Every label seen so far sits in the table once, as its first vertex,
+// so the probe order cannot change which pair is reported.
+func (g *Graph) duplicateLabel() (first, dup int) {
+	size := 1
+	for size < 2*len(g.Vertices) {
+		size <<= 1
+	}
+	table := make([]int32, size) // a vertex index + 1; 0 = empty
+	mask := uint64(size - 1)
+	for i := range g.Vertices {
+		label := g.Vertices[i].Label
+		for h := maphash.String(labelSeed, label) & mask; ; h = (h + 1) & mask {
+			j := int(table[h]) - 1
+			if j < 0 {
+				table[h] = int32(i + 1)
+				break
+			}
+			if g.Vertices[j].Label == label {
+				return j, i
+			}
+		}
+	}
+	return -1, -1
 }
 
 // portUse is one port occupied on a vertex: by edge, on its A (side 0)

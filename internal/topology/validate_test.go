@@ -124,3 +124,20 @@ func FuzzValidate(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkValidate is Validate on the flow-xl fabric, FatTree(48)
+// (30 528 vertices), with its CSR already built, so what it times is
+// the label, port and host checks.
+func BenchmarkValidate(b *testing.B) {
+	g := FatTree(48)
+	if err := g.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
