@@ -497,3 +497,48 @@ func TestExportedSurfaceCensus(t *testing.T) {
 		}
 	}
 }
+
+// TestOneExecutionPath holds the module to one driver of the event
+// loop: outside bench/ and tests, core.runScenario is the only caller
+// of (*engine.Engine).Run (which netsim.Sim aliases), so every
+// validation rule, observer and cancellation reaches every simulation.
+func TestOneExecutionPath(t *testing.T) {
+	c := newCensus()
+	eng, err := c.Import(censusModule + "/internal/engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _, _ := types.LookupFieldOrMethod(types.NewPointer(eng.Scope().Lookup("Engine").Type()), false, eng, "Run")
+	if run == nil {
+		t.Fatal("engine.Engine has no Run method")
+	}
+	paths := []string{censusModule}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		for _, dir := range goDirs(t, root) {
+			paths = append(paths, censusModule+"/"+filepath.ToSlash(dir))
+		}
+	}
+	var callers []string
+	for _, path := range paths {
+		if _, err := c.Import(path); err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+		p := c.pkgs[path]
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				name := "a package-level declaration"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					name = fd.Name.Name
+				}
+				usesIn(p.info, decl, nil, func(obj types.Object) {
+					if obj == run {
+						callers = append(callers, p.pkg.Name()+"."+name)
+					}
+				})
+			}
+		}
+	}
+	if want := []string{"core.runScenario"}; !slices.Equal(callers, want) {
+		t.Errorf("(*engine.Engine).Run is called from %v, want only from %v: drive a simulation through core.Run or core.Sweep", callers, want)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/netsim"
@@ -56,6 +57,46 @@ func TestRunTraceAllModes(t *testing.T) {
 	over := float64(acts[1]-acts[0]) / float64(acts[0])
 	if over > 0.03 {
 		t.Errorf("SDT ACT overhead %.4f too large", over)
+	}
+}
+
+// TestCrossbarModelPinned pins the two SDT-only terms of the fabric
+// model on a fattree-k4 all-to-all over every host: the crossbar one
+// physical switch's sub-switches share (Config.CrossbarBps, one FIFO
+// server) and the per-hop pipeline extra (Config.SDTPerHopExtra).
+// With both on, SDT is 10.44 % slower than the full testbed; with both
+// neutralised the two modes give one ACT, so nothing else about
+// projection changes the physics here. A change to the crossbar model
+// moves these numbers and has to be made on purpose (DESIGN.md,
+// "Evaluation modes").
+func TestCrossbarModelPinned(t *testing.T) {
+	g := topology.FatTree(4)
+	tb, err := PaperTestbed([]*topology.Graph{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := workload.Alltoall(16, 32*1024, 2)
+	neutral := tb.Cfg
+	neutral.CrossbarBps = math.Inf(1)
+	neutral.SDTPerHopExtra = 0
+	for _, c := range []struct {
+		name string
+		mode Mode
+		cfg  *netsim.Config
+		want netsim.Time
+	}{
+		{"full testbed", FullTestbed, nil, 884_897_075},
+		{"SDT", SDT, nil, 977_317_750},
+		{"full testbed, terms neutralised", FullTestbed, &neutral, 884_324_800},
+		{"SDT, terms neutralised", SDT, &neutral, 884_324_800},
+	} {
+		res, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: c.mode, SimConfig: c.cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.ACT != c.want {
+			t.Errorf("%s: ACT = %d ps, want %d", c.name, res.ACT, c.want)
+		}
 	}
 }
 

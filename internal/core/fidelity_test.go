@@ -118,6 +118,8 @@ func TestFlowFidelityValidation(t *testing.T) {
 	}{
 		{"trace", Scenario{Topo: g, Trace: tr, Fidelity: Flow}, nil,
 			"flow fidelity requires an open-loop Flows scenario"},
+		{"streams", Scenario{Topo: g, Streams: []Stream{{Src: 0, Dst: 1}}, Until: netsim.Millisecond, Fidelity: Flow}, nil,
+			"flow fidelity requires an open-loop Flows scenario"},
 		{"faults", Scenario{Topo: g, Flows: gen(), Fidelity: Flow,
 			Faults: &faults.Spec{}}, nil,
 			"flow fidelity cannot inject faults"},

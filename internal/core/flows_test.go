@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/loadgen"
@@ -105,8 +106,53 @@ func TestScenarioExclusivity(t *testing.T) {
 	}
 	tr := workload.Pingpong(1024, 1)
 	fl := []netsim.Flow{{Src: 0, Dst: 1, Bytes: 64, Tag: 0}}
-	if _, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Flows: fl}); err == nil {
-		t.Fatal("scenario with both Trace and Flows ran")
+	st := func() []Stream { return []Stream{{Src: 0, Dst: 1}} }
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"trace and flows", Scenario{Topo: g, Trace: tr, Flows: fl}, "only one of"},
+		{"streams and trace", Scenario{Topo: g, Trace: tr, Streams: st(), Until: netsim.Millisecond}, "only one of"},
+		{"streams and flows", Scenario{Topo: g, Flows: fl, Streams: st(), Until: netsim.Millisecond}, "only one of"},
+		{"streams without until", Scenario{Topo: g, Streams: st()}, "needs a stream and an Until"},
+		{"empty streams", Scenario{Topo: g, Streams: []Stream{}, Until: netsim.Millisecond}, "needs a stream and an Until"},
+		{"until without streams", Scenario{Topo: g, Flows: fl, Until: netsim.Millisecond}, "only Streams take an Until"},
+		{"stream to itself", Scenario{Topo: g, Streams: []Stream{{Src: 1, Dst: 1}}, Until: netsim.Millisecond}, "two distinct ranks"},
+		{"negative stream rank", Scenario{Topo: g, Streams: []Stream{{Src: -1, Dst: 1}}, Until: netsim.Millisecond}, "two distinct ranks"},
+	} {
+		if _, err := Run(context.Background(), tb, c.sc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestStreamsRun: a Streams scenario runs to its Until bound, reports
+// it as the ACT, and hands the caller each stream's live connection.
+func TestStreamsRun(t *testing.T) {
+	g := topology.Line(3, 1)
+	tb, err := PaperTestbed([]*topology.Graph{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []Stream{{Src: 0, Dst: 2}, {Src: 1, Dst: 2}}
+	until := 5 * netsim.Millisecond
+	ticks := 0
+	res, err := Run(context.Background(), tb, Scenario{Topo: g, Streams: streams, Until: until, Mode: FullTestbed},
+		WithObserver(Hooks{Period: netsim.Millisecond, Tick: func(netsim.Time, *netsim.Network) { ticks++ }}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ACT != until {
+		t.Errorf("ACT = %v, want the Until bound %v", res.ACT, until)
+	}
+	if ticks != 5 {
+		t.Errorf("%d ticks, want 5: one per period up to and including Until", ticks)
+	}
+	for i, s := range streams {
+		if s.Conn == nil || s.Conn.RcvBytes <= 0 {
+			t.Errorf("stream %d: connection %v delivered nothing", i, s.Conn)
+		}
 	}
 }
 

@@ -60,8 +60,16 @@ type Scenario struct {
 	// netsim flow-application layer instead of rank programs. Flow
 	// Src/Dst are rank indices mapped onto Hosts exactly like trace
 	// ranks; per-flow completion results are written back into this
-	// slice. Exactly one of Trace and Flows must be set.
+	// slice. Exactly one of Trace, Flows and Streams must be set.
 	Flows []netsim.Flow
+	// Streams is the third workload form: long-lived TCP streams
+	// between ranks that send until the run stops at Until. The run
+	// writes each stream's live connection into the caller's slice, so
+	// an observer can read its receiver-side bytes mid-run.
+	Streams []Stream
+	// Until is the simulated time a Streams run stops at, and its ACT;
+	// it is required with Streams and rejected without them.
+	Until netsim.Time
 	Mode  Mode
 	// Hosts places the trace's ranks (nil = deterministic spread over
 	// the topology's hosts, the paper's "randomly select the nodes but
@@ -106,11 +114,19 @@ type Scenario struct {
 	Fidelity Fidelity
 }
 
+// Stream is one long-lived TCP stream of a Streams scenario: Src and
+// Dst are rank indices, and the run sets Conn to the live connection.
+type Stream struct {
+	Src, Dst int
+	Conn     *netsim.TCPConn
+}
+
 // Hooks observes one run's lifecycle. Any field may be nil. Tick fires
 // every Period of simulated time while the workload is still running
 // (Period <= 0 defaults to 1 ms); the final tick after the last rank
 // finishes is delivered and then the ticker disarms so the event queue
-// can drain.
+// can drain. A Streams run never finishes early: it ticks up to and
+// including its Until bound.
 type Hooks struct {
 	// Start runs after the network is built, before traffic starts.
 	Start func(net *netsim.Network, sc Scenario)

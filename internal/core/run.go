@@ -120,48 +120,21 @@ func ForEach(ctx context.Context, workers, n int, job func(i int) error) error {
 	})
 }
 
-// WatchCancel arms cooperative cancellation of a simulation on ctx:
-// the engine's run loop stops within engine.StopStride events of the
-// context ending. The returned release func detaches the watcher and
-// must be called once the run returns (typically via defer). Run uses
-// it, and so does the one caller driving netsim directly: the fig12
-// incast in internal/experiments, whose long-lived TCP flows run for a
-// fixed simulated window that no Scenario expresses.
-func WatchCancel(ctx context.Context, sim *netsim.Sim) (release func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	var flag atomic.Bool
-	sim.SetStop(&flag)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			flag.Store(true)
-		case <-done:
-		}
-	}()
-	return func() {
-		close(done)
-		sim.SetStop(nil)
-	}
-}
-
 // scenarioWorkload names a scenario's workload and derives its rank
 // count: the trace's declared Ranks, or one past the highest rank a
-// flow schedule references.
+// flow schedule or a stream set references.
 func scenarioWorkload(sc Scenario) (name string, ranks int) {
 	if sc.Trace != nil {
 		return sc.Trace.Name, sc.Trace.Ranks
 	}
 	for i := range sc.Flows {
-		f := &sc.Flows[i]
-		if f.Src >= ranks {
-			ranks = f.Src + 1
-		}
-		if f.Dst >= ranks {
-			ranks = f.Dst + 1
-		}
+		ranks = max(ranks, sc.Flows[i].Src+1, sc.Flows[i].Dst+1)
+	}
+	for _, s := range sc.Streams {
+		ranks = max(ranks, s.Src+1, s.Dst+1)
+	}
+	if sc.Streams != nil {
+		return fmt.Sprintf("streams[%d]", len(sc.Streams)), ranks
 	}
 	return fmt.Sprintf("flows[%d]", len(sc.Flows)), ranks
 }
@@ -169,11 +142,19 @@ func scenarioWorkload(sc Scenario) (name string, ranks int) {
 // validateScenario is the one place feature compatibility is decided,
 // with one policy: reject loudly, never fall back.
 func validateScenario(sc Scenario, cfg *runConfig) error {
-	if sc.Topo == nil || (sc.Trace == nil && sc.Flows == nil) {
-		return errors.New("core: scenario needs a Topo and a Trace or Flows")
+	if sc.Topo == nil || (sc.Trace == nil && sc.Flows == nil && sc.Streams == nil) {
+		return errors.New("core: scenario needs a Topo and a Trace, Flows or Streams")
 	}
-	if sc.Trace != nil && sc.Flows != nil {
-		return errors.New("core: scenario cannot carry both a Trace and Flows")
+	if sc.Trace != nil && sc.Flows != nil || sc.Streams != nil && (sc.Trace != nil || sc.Flows != nil) {
+		return errors.New("core: scenario can carry only one of Trace, Flows and Streams")
+	}
+	if (sc.Streams != nil && (len(sc.Streams) == 0 || sc.Until <= 0)) || (sc.Streams == nil && sc.Until != 0) {
+		return errors.New("core: a Streams scenario needs a stream and an Until > 0, and only Streams take an Until")
+	}
+	for _, s := range sc.Streams {
+		if s.Src < 0 || s.Dst < 0 || s.Src == s.Dst {
+			return fmt.Errorf("core: stream %d->%d needs two distinct ranks", s.Src, s.Dst)
+		}
 	}
 	if sc.Faults != nil && sc.Reconfig != nil {
 		// Both subsystems clone and swap the live route set mid-run;
@@ -185,8 +166,8 @@ func validateScenario(sc Scenario, cfg *runConfig) error {
 	}
 	// The fluid model cannot honour packet-level machinery, and
 	// silently degrading would corrupt comparisons.
-	if sc.Trace != nil {
-		return errors.New("core: flow fidelity requires an open-loop Flows scenario, not a Trace (closed-loop replay has no fluid equivalent)")
+	if sc.Flows == nil {
+		return errors.New("core: flow fidelity requires an open-loop Flows scenario, not a Trace or Streams (closed-loop replay and TCP have no fluid equivalent)")
 	}
 	if sc.Faults != nil {
 		return errors.New("core: flow fidelity cannot inject faults (packet loss has no fluid equivalent); run at packet fidelity")
@@ -235,13 +216,13 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if err != nil {
 		return nil, err
 	}
-	var app interface {
-		Start()
-		ACT() netsim.Time
-	}
-	if tr != nil {
+	var app workloadApp
+	switch {
+	case tr != nil:
 		app = netsim.NewApp(net, hosts, tr.Programs, nil)
-	} else {
+	case sc.Streams != nil:
+		app = &streamApp{net: net, hosts: hosts, streams: sc.Streams, until: sc.Until}
+	default:
 		app = netsim.NewFlowApp(net, hosts[:ranks], sc.Flows, nil)
 	}
 	records, err := armFaults(net, sc, g)
@@ -258,10 +239,12 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		}
 	}
 	armTicks(net, app, cfg.observers)
-	release := WatchCancel(ctx, net.Sim)
+	var halt atomic.Bool // polled every engine.StopStride events
+	net.Sim.SetStop(&halt)
+	release := context.AfterFunc(ctx, func() { halt.Store(true) })
 	wallStart := time.Now()
 	app.Start()
-	net.Sim.Run(0)
+	net.Sim.Run(sc.Until)
 	release()
 	wall := time.Since(wallStart)
 	if err := ctx.Err(); err != nil {
@@ -299,6 +282,38 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		}
 	}
 	return res, nil
+}
+
+// workloadApp is the workload a packet-level run drives: a trace replay
+// (netsim.App), a flow schedule (netsim.FlowApp) or a stream set.
+// ACT is -1 while the workload runs.
+type workloadApp interface {
+	Start()
+	ACT() netsim.Time
+}
+
+// streamApp starts a Streams scenario's unlimited TCP streams and
+// writes each live connection back into the caller's slice. Streams
+// never finish, so the workload completes at its Until bound.
+type streamApp struct {
+	net     *netsim.Network
+	hosts   []int
+	streams []Stream
+	until   netsim.Time
+}
+
+func (a *streamApp) Start() {
+	for i := range a.streams {
+		s := &a.streams[i]
+		s.Conn = a.net.StartTCP(a.hosts[s.Src], a.hosts[s.Dst], -1, nil)
+	}
+}
+
+func (a *streamApp) ACT() netsim.Time {
+	if a.net.Sim.Now() < a.until {
+		return -1
+	}
+	return a.until
 }
 
 // armFaults expands and binds the scenario's fault schedule, if any,
@@ -357,8 +372,9 @@ func privateRoutes(net *netsim.Network) *routing.Routes {
 // quiescent with the workload stuck (drops with nothing left to
 // retransmit) — the chains disarm, the queue drains, and Run(0)
 // returns, so observers never mask the did-not-complete error with an
-// infinite self-rescheduling timer.
-func armTicks(net *netsim.Network, app interface{ ACT() netsim.Time }, observers []Hooks) {
+// infinite self-rescheduling timer. A Streams workload is incomplete
+// until its Until bound, so its chains tick up to Until.
+func armTicks(net *netsim.Network, app workloadApp, observers []Hooks) {
 	type ticker struct {
 		fn     func(now netsim.Time, net *netsim.Network)
 		period netsim.Time

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -101,6 +105,53 @@ func TestFig12PFCOffHasDrops(t *testing.T) {
 	}
 	if res.AggregateGbps < 4 {
 		t.Errorf("TCP collapsed: %.2f Gbps aggregate", res.AggregateGbps)
+	}
+}
+
+// TestFig12Sampler holds the goodput observer to its byte counts: in
+// every panel each flow gets one sample per interval up to duration,
+// and the samples' bytes add up to the bytes its mean divides, within
+// one MTU.
+func TestFig12Sampler(t *testing.T) {
+	const dur = 50 * netsim.Millisecond
+	interval := dur / 10
+	panels, err := Fig12Panels(t.Context(), dur, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtu := float64(netsim.DefaultConfig().MTU)
+	for _, res := range panels {
+		for _, f := range res.Flows {
+			if len(f.Samples) != 10 {
+				t.Fatalf("%s PFC %v n%d: %d samples, want 10", res.Mode, res.PFC, f.Node, len(f.Samples))
+			}
+			sum := 0.0
+			for k, s := range f.Samples {
+				if s.At != netsim.Time(k+1)*interval {
+					t.Errorf("%s PFC %v n%d: sample %d at %v, want %v", res.Mode, res.PFC, f.Node, k, s.At, netsim.Time(k+1)*interval)
+				}
+				sum += s.Gbps * interval.Seconds() * 1e9 / 8
+			}
+			if bytes := f.MeanGbps * dur.Seconds() * 1e9 / 8; math.Abs(sum-bytes) > mtu {
+				t.Errorf("%s PFC %v n%d: samples sum to %.0f bytes, %.0f at duration", res.Mode, res.PFC, f.Node, sum, bytes)
+			}
+		}
+	}
+}
+
+// TestFig12Cancel: a context cancelled mid-run stops the incast inside
+// the event loop, and Fig12 returns the context's error.
+func TestFig12Cancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	// Uncancelled, ten simulated seconds take several wall seconds.
+	if _, err := Fig12(ctx, core.SDT, false, 10*netsim.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("cancelled incast returned after %v", wall)
 	}
 }
 

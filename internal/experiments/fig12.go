@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -82,100 +81,83 @@ func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) ([]*Fig
 // Fig12 runs the iperf3 incast of §VI-B2: every node sends TCP traffic
 // to node 4 on the Fig. 10 chain, with PFC on or off, on the full
 // testbed or SDT. duration is simulated time (the paper plots an ~8 s
-// window; 1–2 s gives the same steady state). Fig12 drives the fabric
-// directly — long-lived TCP bounded by a simulated-time window has no
-// Scenario form — so it arms engine-loop cancellation itself via
-// core.WatchCancel.
+// window; 1–2 s gives the same steady state). The incast is one
+// core.Run of a Streams scenario bounded at duration plus one sampling
+// interval; an observer samples each flow's goodput every interval and
+// snapshots its bytes at exactly duration, which the means divide.
 func Fig12(ctx context.Context, mode core.Mode, pfc bool, duration netsim.Time) (*Fig12Result, error) {
 	g := fig10Topology()
 	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {
 		return nil, err
 	}
-	net, _, err := tb.Network(g, routing.ShortestPath{}, mode)
-	if err != nil {
-		return nil, err
-	}
-	net.Cfg.PFC = pfc
 	// TCP needs lossy queues when PFC is off; with PFC on the switch
 	// pauses instead of dropping (lossless iperf as in Fig. 12a/b).
+	cfg := tb.Cfg
+	cfg.PFC = pfc
+	const target = 3 // node 4
+	res := &Fig12Result{Mode: mode, PFC: pfc}
+	var streams []core.Stream
 	hosts := g.Hosts()
-	target := hosts[3] // node 4
-	conns := map[int]*netsim.TCPConn{}
-	for i, h := range hosts {
-		if h == target {
-			continue
+	for i := range hosts {
+		if i != target {
+			streams = append(streams, core.Stream{Src: i, Dst: target})
+			res.Flows = append(res.Flows, Fig12Flow{Node: i + 1})
 		}
-		conns[i+1] = net.StartTCP(h, target, -1, nil)
 	}
 	// Sample each flow's receiver-side bytes every 100 ms.
 	interval := duration / 10
 	if interval <= 0 {
 		interval = 100 * netsim.Millisecond
 	}
-	samples := map[int][]netsim.GoodputSample{}
-	last := map[int]int64{}
-	var tick func(at netsim.Time)
-	tick = func(at netsim.Time) {
-		net.Sim.At(at, func() {
-			for node, c := range conns {
-				d := c.RcvBytes - last[node]
-				last[node] = c.RcvBytes
-				samples[node] = append(samples[node], netsim.GoodputSample{
+	last := make([]int64, len(streams))
+	var routes *routing.Routes
+	sampler := core.Hooks{
+		Period: interval,
+		Start: func(net *netsim.Network, _ core.Scenario) {
+			routes = net.Fwd.(netsim.RouteForwarder).Routes
+			// Snapshot per-flow byte counts exactly at the measurement
+			// window's end so means divide the right interval.
+			net.Sim.At(duration, func() {
+				for i, s := range streams {
+					res.Flows[i].MeanGbps = float64(s.Conn.RcvBytes*8) / duration.Seconds() / 1e9
+					res.AggregateGbps += res.Flows[i].MeanGbps
+				}
+			})
+		},
+		Tick: func(at netsim.Time, _ *netsim.Network) {
+			if at > duration {
+				return // past the window; the run goes on to Until for the drop count only
+			}
+			for i, s := range streams {
+				d := s.Conn.RcvBytes - last[i]
+				last[i] = s.Conn.RcvBytes
+				res.Flows[i].Samples = append(res.Flows[i].Samples, netsim.GoodputSample{
 					At:   at,
 					Gbps: float64(d*8) / interval.Seconds() / 1e9,
 				})
 			}
-			if at+interval <= duration {
-				tick(at + interval)
-			}
-		})
+		},
 	}
-	tick(interval)
-	// Snapshot per-flow byte counts exactly at the measurement window's
-	// end so means divide the right interval.
-	final := map[int]int64{}
-	net.Sim.At(duration, func() {
-		for node, c := range conns {
-			final[node] = c.RcvBytes
-		}
-	})
-	release := core.WatchCancel(ctx, net.Sim)
-	net.Sim.Run(duration + interval)
-	release()
-	if err := ctx.Err(); err != nil {
+	run, err := core.Run(ctx, tb, core.Scenario{
+		Topo: g, Streams: streams, Until: duration + interval, Mode: mode,
+		Hosts: hosts, Strategy: routing.ShortestPath{}, SimConfig: &cfg,
+	}, core.WithObserver(sampler))
+	if err != nil {
 		return nil, err
 	}
-
-	res := &Fig12Result{Mode: mode, PFC: pfc, Drops: net.TotalDrops}
-	routes, _ := routing.ShortestPath{}.Compute(g)
-	// Paths for hop/cp labelling.
+	res.Drops = run.Drops
+	// Label hops and congestion points from the route set the run used.
 	paths := map[int][]int{}
-	for i, h := range hosts {
-		if h == target {
-			continue
-		}
-		p, err := routes.TracePath(h, target)
-		if err != nil {
+	for _, s := range streams {
+		if paths[s.Src+1], err = routes.TracePath(hosts[s.Src], hosts[target]); err != nil {
 			return nil, err
 		}
-		paths[i+1] = p
 	}
-	var nodes []int
-	for node := range conns {
-		nodes = append(nodes, node)
-	}
-	sort.Ints(nodes)
-	for _, node := range nodes {
-		mean := float64(final[node]*8) / duration.Seconds() / 1e9
-		res.Flows = append(res.Flows, Fig12Flow{
-			Node:     node,
-			Hops:     len(paths[node]) + 1, // switch hops + 2 host links - 1
-			CongPts:  congPoints(paths, node),
-			MeanGbps: mean,
-			Samples:  samples[node],
-		})
-		res.AggregateGbps += mean
+	for i := range res.Flows {
+		f := &res.Flows[i]
+		f.Hops = len(paths[f.Node]) + 1 // switch hops + 2 host links - 1
+		f.CongPts = congPoints(paths, f.Node)
 	}
 	return res, nil
 }
