@@ -542,3 +542,98 @@ func TestOneExecutionPath(t *testing.T) {
 		t.Errorf("(*engine.Engine).Run is called from %v, want only from %v: drive a simulation through core.Run or core.Sweep", callers, want)
 	}
 }
+
+// simConfigAllow lists the netsim.Config fields that may stay with no
+// setter and no benchmark reader, each with its reason. An entry whose
+// field is gone or has gained a setter fails the test.
+var simConfigAllow = map[string]string{
+	"CrossbarBps":    "SDT-only model term: ROADMAP 13(a) neutralises it, and TestCrossbarModelPinned sets it",
+	"SDTPerHopExtra": "SDT-only model term: ROADMAP 13(b) neutralises it, and TestCrossbarModelPinned sets it",
+}
+
+// TestSimConfigKnobs holds netsim.Config to the knobs someone turns:
+// each field must be set by non-test Go outside internal/netsim (the
+// left side of an assignment or a composite-literal key), read by
+// bench/, or allowlisted above. A field nothing sets is a constant.
+func TestSimConfigKnobs(t *testing.T) {
+	c := newCensus()
+	netsim, err := c.Import(censusModule + "/internal/netsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := netsim.Scope().Lookup("Config").Type().Underlying().(*types.Struct)
+	fields := map[types.Object]bool{}
+	for i := 0; i < st.NumFields(); i++ {
+		fields[st.Field(i)] = true
+	}
+	set := map[types.Object]bool{}
+	paths := []string{censusModule}
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		for _, dir := range goDirs(t, root) {
+			paths = append(paths, censusModule+"/"+filepath.ToSlash(dir))
+		}
+	}
+	for _, path := range paths {
+		if path == netsim.Path() {
+			continue
+		}
+		if _, err := c.Import(path); err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+		p := c.pkgs[path]
+		if strings.HasPrefix(path, censusModule+"/bench") {
+			for _, obj := range p.info.Uses {
+				if fields[obj] {
+					set[obj] = true
+				}
+			}
+			continue
+		}
+		// field reports the Config field an assigned-to or keyed
+		// expression names, if any.
+		field := func(e ast.Expr) {
+			var id *ast.Ident
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				id = x.Sel
+			case *ast.Ident:
+				id = x
+			}
+			if obj := p.info.Uses[id]; id != nil && fields[obj] {
+				set[obj] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						field(lhs)
+					}
+				case *ast.IncDecStmt:
+					field(x.X)
+				case *ast.KeyValueExpr:
+					field(x.Key)
+				}
+				return true
+			})
+		}
+	}
+	declared := map[string]bool{}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		declared[f.Name()] = true
+		_, allowed := simConfigAllow[f.Name()]
+		switch {
+		case set[f] && allowed:
+			t.Errorf("stale allowlist entry %s: something sets it or the benchmark reads it now", f.Name())
+		case !set[f] && !allowed:
+			t.Errorf("netsim.Config.%s: set by no non-test Go outside internal/netsim and read by no benchmark; make it a constant", f.Name())
+		}
+	}
+	for name := range simConfigAllow {
+		if !declared[name] {
+			t.Errorf("stale allowlist entry %s: netsim.Config has no such field", name)
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	sdt "repro"
-	"repro/internal/controller"
 	"repro/internal/routing"
 )
 
@@ -69,11 +68,9 @@ func main() {
 		fmt.Printf("  %s <-> %s: peak %d B/epoch, EWMA %.0f B/epoch\n", s.A, s.B, s.Peak, s.EWMA)
 	}
 
-	// Feed the Network Monitor from the finished fabric and derive UGAL
-	// active routes.
-	mon := controller.NewMonitor()
-	mon.CollectSim(lastNet)
-	active, err := mon.ActiveRouting(g, 1)
+	// Derive UGAL active routes from the finished fabric's measured
+	// link loads, the Network Monitor's feed.
+	active, err := routing.DragonflyUGAL{Loads: lastNet.LinkLoads(), Bias: 1}.Compute(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,11 @@
 //     user-supplied strategy.
 //   - Deadlock Avoidance: verifies lossless route sets against channel
 //     dependency cycles before deployment.
-//   - Network Monitor: collects per-port statistics and feeds adaptive
-//     (active) routing.
+//
+// The fourth, the Network Monitor, collects per-port statistics for
+// adaptive (active) routing. It lives with the data plane it reads:
+// telemetry.Collector samples a running fabric, and a finished one's
+// Network.LinkLoads feeds routing.DragonflyUGAL directly.
 //
 // The controller drives reconfiguration entirely through flow-table
 // updates: deploying a new topology config never touches a cable.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/openflow"
 	"repro/internal/projection"
 	"repro/internal/routing"
@@ -157,45 +156,6 @@ func TestCoHostedDeployments(t *testing.T) {
 	// B must survive A's teardown.
 	if c.Deployment(b.Name) == nil || c.EntryCount() == 0 {
 		t.Error("B disturbed by A teardown")
-	}
-}
-
-func TestMonitorActiveRouting(t *testing.T) {
-	g := topology.Dragonfly(4, 9, 2, 1)
-	routes, err := routing.DragonflyMinimal{}.Compute(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), netsim.DefaultConfig(), nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drive traffic between groups 0 and 1 to load their global link.
-	hosts := g.Hosts()
-	var g0, g1 []int
-	for _, h := range hosts {
-		switch g.Vertices[g.HostSwitch(h)].Coord[0] {
-		case 0:
-			g0 = append(g0, h)
-		case 1:
-			g1 = append(g1, h)
-		}
-	}
-	for i := range g0 {
-		net.Host(g0[i]).Send(g1[i%len(g1)], 5, 1<<20)
-	}
-	net.Sim.Run(0)
-	m := NewMonitor()
-	m.CollectSim(net)
-	if m.Epochs != 1 || len(m.Loads) == 0 {
-		t.Fatalf("monitor collected nothing: %+v", m)
-	}
-	active, err := m.ActiveRouting(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := routing.VerifyDeadlockFree(active); err != nil {
-		t.Errorf("active routing not deadlock-free: %v", err)
 	}
 }
 

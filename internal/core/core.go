@@ -54,9 +54,8 @@ func (m Mode) String() string {
 
 // Testbed is an SDT deployment ready to run experiments.
 type Testbed struct {
-	Switches []projection.PhysicalSwitch
-	Ctl      *controller.Controller
-	Cfg      netsim.Config
+	Ctl *controller.Controller
+	Cfg netsim.Config
 }
 
 // NewTestbed plans cabling for the given topologies over the switches
@@ -66,7 +65,7 @@ func NewTestbed(switches []projection.PhysicalSwitch, topos []*topology.Graph) (
 	if err != nil {
 		return nil, err
 	}
-	return &Testbed{Switches: switches, Ctl: ctl, Cfg: netsim.DefaultConfig()}, nil
+	return &Testbed{Ctl: ctl, Cfg: netsim.DefaultConfig()}, nil
 }
 
 // PaperTestbed builds the paper's cluster: 3 H3C S6861 switches.

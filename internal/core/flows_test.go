@@ -125,6 +125,24 @@ func TestScenarioExclusivity(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
 	}
+	// A bad flow schedule is an error at both fidelities, never a panic
+	// in the packet fabric's flow app.
+	for _, c := range []struct {
+		name string
+		f    netsim.Flow
+	}{
+		{"flow to itself", netsim.Flow{Src: 1, Dst: 1, Bytes: 64}},
+		{"negative flow source", netsim.Flow{Src: -1, Dst: 1, Bytes: 64}},
+		{"negative flow destination", netsim.Flow{Src: 0, Dst: -2, Bytes: 64}},
+		{"negative flow size", netsim.Flow{Src: 0, Dst: 1, Bytes: -1}},
+	} {
+		for _, fid := range []Fidelity{Packet, Flow} {
+			sc := Scenario{Topo: g, Flows: []netsim.Flow{{Src: 2, Dst: 3, Bytes: 64}, c.f}, Fidelity: fid}
+			if _, err := Run(context.Background(), tb, sc); err == nil || !strings.Contains(err.Error(), "core: flow 1") {
+				t.Errorf("%s at fidelity %v: err = %v, want core's flow 1 rejected", c.name, fid, err)
+			}
+		}
+	}
 }
 
 // TestStreamsRun: a Streams scenario runs to its Until bound, reports

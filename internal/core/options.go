@@ -78,7 +78,9 @@ type Scenario struct {
 	// Strategy computes the routes (nil = routing.ForTopology).
 	Strategy routing.Strategy
 	// SimConfig overrides the testbed's fabric configuration for this
-	// run only (nil = use Testbed.Cfg).
+	// run only (nil = use Testbed.Cfg): PFC, the CC policy (which
+	// decides ECN marking), link and latency figures, and the SDT model
+	// terms. Everything else about the fabric is a netsim constant.
 	SimConfig *netsim.Config
 	// Faults schedules link/switch failures (and recoveries) during
 	// the run: the spec expands into a deterministic timed event list,

@@ -156,6 +156,11 @@ func validateScenario(sc Scenario, cfg *runConfig) error {
 			return fmt.Errorf("core: stream %d->%d needs two distinct ranks", s.Src, s.Dst)
 		}
 	}
+	for i := range sc.Flows {
+		if f := &sc.Flows[i]; f.Src < 0 || f.Dst < 0 || f.Src == f.Dst || f.Bytes < 0 {
+			return fmt.Errorf("core: flow %d (%d->%d, %d bytes) needs two distinct ranks and a size >= 0", i, f.Src, f.Dst, f.Bytes)
+		}
+	}
 	if sc.Faults != nil && sc.Reconfig != nil {
 		// Both subsystems clone and swap the live route set mid-run;
 		// their patches would silently overwrite each other.

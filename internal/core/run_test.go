@@ -123,15 +123,15 @@ func TestRunSimConfigOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := tb.Cfg
-	slow.CutThrough = false
+	slow.PropDelay *= 10
 	over, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed, SimConfig: &slow})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if over.ACT <= base.ACT {
-		t.Errorf("store-and-forward ACT %v <= cut-through ACT %v", over.ACT, base.ACT)
+		t.Errorf("10x propagation ACT %v <= default ACT %v", over.ACT, base.ACT)
 	}
-	if !tb.Cfg.CutThrough {
+	if tb.Cfg.PropDelay == slow.PropDelay {
 		t.Error("Scenario.SimConfig mutated the testbed default")
 	}
 	again, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed})

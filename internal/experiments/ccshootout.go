@@ -33,19 +33,6 @@ func init() {
 		}, seedField, Knob("flows", "96"), Knob("cc", ""), workersField)
 }
 
-// ccConfig returns the fabric configuration for one policy: DCQCN
-// needs ECN marking switched on to receive its signal; Timely and
-// pFabric run on the default lossless fabric with only the CC knob
-// set.
-func ccConfig(policy string) netsim.Config {
-	cfg := netsim.DefaultConfig()
-	cfg.CC = policy
-	if policy == netsim.CCDCQCN {
-		cfg.ECN = true
-	}
-	return cfg
-}
-
 // CCShootoutCell is one (policy, pattern, load, faults) grid point.
 type CCShootoutCell struct {
 	CC      string
@@ -120,7 +107,10 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 							return nil, err
 						}
 					}
-					cfg := ccConfig(policy)
+					// The default lossless fabric; DCQCN's ECN marking
+					// follows from the policy.
+					cfg := netsim.DefaultConfig()
+					cfg.CC = policy
 					res.Cells = append(res.Cells, CCShootoutCell{
 						CC: policy, Pattern: pat.Name(), Load: load, Faults: nf, Flows: flows,
 					})

@@ -161,7 +161,6 @@ type ActiveRoutingResult struct {
 	// Reduction is (min-active)/min; positive means active routing
 	// reduced the ACT, as the paper reports.
 	Reduction float64
-	Epochs    int
 }
 
 // ActiveRouting runs an alltoall over nodes concentrated in a few
@@ -188,13 +187,13 @@ func ActiveRouting(ctx context.Context, nodes, bytes int) (*ActiveRoutingResult,
 	}
 	sc.Strategy = routing.Fixed{Routes: minRoutes}
 	// The Network Monitor reads the minimal run's finished fabric.
-	mon := controller.NewMonitor()
-	collect := core.Hooks{Finish: func(_ *core.RunResult, net *netsim.Network) { mon.CollectSim(net) }}
+	var loads map[int]float64
+	collect := core.Hooks{Finish: func(_ *core.RunResult, net *netsim.Network) { loads = net.LinkLoads() }}
 	minRes, err := core.Run(ctx, tb, sc, core.WithObserver(collect))
 	if err != nil {
 		return nil, err
 	}
-	active, err := mon.ActiveRouting(g, 1)
+	active, err := routing.DragonflyUGAL{Loads: loads, Bias: 1}.Compute(g)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +209,6 @@ func ActiveRouting(ctx context.Context, nodes, bytes int) (*ActiveRoutingResult,
 	return &ActiveRoutingResult{
 		Nodes: nodes, ACTMinimal: actMin, ACTActive: actUGAL,
 		Reduction: float64(actMin-actUGAL) / float64(actMin),
-		Epochs:    mon.Epochs,
 	}, nil
 }
 

@@ -114,13 +114,12 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 		}
 		return nil, fmt.Errorf("flowsim: routes were computed for another graph (%q) than the one being run (%q)", from, g.Name)
 	}
-	if cfg.LinkBps <= 0 || cfg.MTU <= 0 || cfg.HeaderBytes < 0 {
-		return nil, fmt.Errorf("flowsim: invalid fabric config (LinkBps=%g MTU=%d HeaderBytes=%d)",
-			cfg.LinkBps, cfg.MTU, cfg.HeaderBytes)
+	if cfg.LinkBps <= 0 || cfg.MTU <= 0 {
+		return nil, fmt.Errorf("flowsim: invalid fabric config (LinkBps=%g MTU=%d)", cfg.LinkBps, cfg.MTU)
 	}
 	// Effective payload capacity of one directed link: line rate derated
 	// by framing overhead, in payload bytes per picosecond.
-	capacity := cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+cfg.HeaderBytes)
+	capacity := cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+netsim.HeaderBytes)
 
 	type matchKey struct{ src, dst, tag int }
 	seen := make(map[matchKey]struct{}, len(flows))

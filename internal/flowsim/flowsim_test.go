@@ -28,17 +28,14 @@ func lineFixture(t *testing.T, n, hostsPer int) (*topology.Graph, *routing.Route
 // payloadCap returns the engine's effective payload capacity in bytes
 // per picosecond for cfg.
 func payloadCap(cfg netsim.Config) float64 {
-	return cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+cfg.HeaderBytes)
+	return cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+netsim.HeaderBytes)
 }
 
 // lineBase replicates the walker's zero-load latency for a Line path
 // crossing nsw switches and nLinks links.
 func lineBase(cfg netsim.Config, nsw, nLinks int) float64 {
 	base := 2*float64(cfg.HostLatency) + float64(nsw)*float64(cfg.SwitchLatency) + float64(nLinks)*float64(cfg.PropDelay)
-	if cfg.CutThrough {
-		base += float64(nsw) * float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second)
-	}
-	return base
+	return base + float64(nsw)*float64(netsim.HeaderBytes*8)/cfg.LinkBps*float64(netsim.Second)
 }
 
 func wantTime(t *testing.T, got netsim.Time, want float64, what string) {

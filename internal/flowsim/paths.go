@@ -46,7 +46,6 @@ type walker struct {
 	hostLat float64
 	swLat   float64
 	propLat float64
-	cut     bool
 }
 
 // linksPerPath sizes the link array: a fat-tree path crosses at most 6
@@ -63,11 +62,10 @@ func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, ma
 		paths:   make([]pathInfo, 0, maxPaths),
 		ends:    make([]int32, 0, maxPaths),
 		links:   make([]int32, 0, linksPerPath*maxPaths),
-		hdrSer:  float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
+		hdrSer:  float64(netsim.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
 		hostLat: float64(cfg.HostLatency),
 		swLat:   float64(cfg.SwitchLatency),
 		propLat: float64(cfg.PropDelay),
-		cut:     cfg.CutThrough,
 	}
 }
 
@@ -139,14 +137,11 @@ func (w *walker) path(src, dst int) error {
 		cur = nxt
 	}
 	hops := len(w.links) - start
-	// Products are rounded explicitly (float64(x*y)) so that no
-	// architecture fuses them into the sums.
-	base := 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(hops)*w.propLat)
-	if w.cut {
-		// Cut-through forwards once the header has arrived: each switch
-		// hop re-serialises only the header.
-		base += float64(float64(nsw) * w.hdrSer)
-	}
+	// Cut-through forwards once the header has arrived: each switch hop
+	// re-serialises only the header. Products are rounded explicitly
+	// (float64(x*y)) so that no architecture fuses them into the sums.
+	base := 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(hops)*w.propLat) +
+		float64(float64(nsw)*w.hdrSer)
 	w.paths = append(w.paths, pathInfo{base: base})
 	w.ends = append(w.ends, int32(len(w.links)))
 	return nil

@@ -68,12 +68,9 @@ func fibPath(g *topology.Graph, fib *routing.FIB, cfg *netsim.Config, src, dst i
 		inPort = e.PortAt(nxt)
 		cur = nxt
 	}
+	hdrSer := float64(netsim.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second)
 	base = 2*float64(cfg.HostLatency) + float64(float64(nsw)*float64(cfg.SwitchLatency)) +
-		float64(float64(len(links))*float64(cfg.PropDelay))
-	if cfg.CutThrough {
-		hdrSer := float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second)
-		base += float64(float64(nsw) * hdrSer)
-	}
+		float64(float64(len(links))*float64(cfg.PropDelay)) + float64(float64(nsw)*hdrSer)
 	return links, base, nil
 }
 

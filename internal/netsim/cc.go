@@ -31,7 +31,7 @@ import (
 
 // Selectable congestion-control policy names (Config.CC).
 const (
-	// CCDCQCN is ECN-driven DCQCN (requires ECN marking to act).
+	// CCDCQCN is ECN-driven DCQCN (switches ECN marking on).
 	CCDCQCN = "dcqcn"
 	// CCTimely is delay-based CC off per-packet RTT echoes.
 	CCTimely = "timely"
@@ -83,18 +83,13 @@ func (n *Network) ccRate(qi int32) float64 {
 // increase steps recover toward, and the alpha congestion estimate.
 type dcqcnState struct {
 	line   float64 // link rate, the cap
-	gain   float64 // alpha EWMA gain g
-	ai     float64 // additive-increase step, bits/s
 	rate   float64
 	target float64
 	alpha  float64
 }
 
 func newDCQCNState(cfg *Config) dcqcnState {
-	return dcqcnState{
-		line: cfg.LinkBps, gain: cfg.DCQCNGain, ai: cfg.DCQCNAIRate,
-		rate: cfg.LinkBps, target: cfg.LinkBps, alpha: 1,
-	}
+	return dcqcnState{line: cfg.LinkBps, rate: cfg.LinkBps, target: cfg.LinkBps, alpha: 1}
 }
 
 // decrease applies the CNP reaction: bump alpha toward 1, remember the
@@ -103,7 +98,7 @@ func newDCQCNState(cfg *Config) dcqcnState {
 // rounded explicitly (float64(x*y)) so that no architecture fuses them
 // into the sums.
 func (s *dcqcnState) decrease() {
-	s.alpha = float64((1-s.gain)*s.alpha) + s.gain
+	s.alpha = float64((1-dcqcnGain)*s.alpha) + dcqcnGain
 	s.target = s.rate
 	s.rate *= 1 - float64(s.alpha/2)
 	if min := s.line / 100; s.rate < min {
@@ -114,12 +109,12 @@ func (s *dcqcnState) decrease() {
 // increase applies one rate-increase tick: additive target growth
 // clamped at line, rate averaged halfway toward it, alpha decayed.
 func (s *dcqcnState) increase() {
-	s.target += s.ai
+	s.target += dcqcnAIRate
 	if s.target > s.line {
 		s.target = s.line
 	}
 	s.rate = (s.rate + s.target) / 2
-	s.alpha *= 1 - s.gain
+	s.alpha *= 1 - dcqcnGain
 }
 
 // recovered reports whether an idle QP's timer may disarm: rate is
@@ -135,7 +130,6 @@ func (s *dcqcnState) recovered() bool { return s.rate >= s.line*0.99 }
 // trajectory is exactly what the real events would have produced.
 type dcqcnCC struct {
 	dcqcnState
-	period  Time
 	timerOn bool
 	// parked: timerOn is logically true but no event is scheduled;
 	// nextTick is the absolute time the next virtual tick fires.
@@ -160,7 +154,7 @@ func (c *dcqcnCC) catchUp(n *Network, qi int32, now Time) {
 			c.timerOn = false
 			return
 		}
-		c.nextTick += c.period
+		c.nextTick += dcqcnTimer
 	}
 	c.parked = false
 	n.Sim.Schedule(c.nextTick, n, engine.Event{Kind: evQPTick, Ref: qi})
@@ -172,7 +166,7 @@ func (c *dcqcnCC) arm(n *Network, qi int32) {
 		return
 	}
 	c.timerOn = true
-	n.Sim.ScheduleAfter(c.period, n, engine.Event{Kind: evQPTick, Ref: qi})
+	n.Sim.ScheduleAfter(dcqcnTimer, n, engine.Event{Kind: evQPTick, Ref: qi})
 }
 
 func (c *dcqcnCC) cnp(n *Network, qi int32, now Time) {
@@ -191,10 +185,10 @@ func (c *dcqcnCC) tick(n *Network, qi int32, now Time) {
 		// Idle but still below line: park instead of rescheduling —
 		// catchUp replays the ticks the engine never has to run.
 		c.parked = true
-		c.nextTick = now + c.period
+		c.nextTick = now + dcqcnTimer
 		return
 	}
-	n.Sim.ScheduleAfter(c.period, n, engine.Event{Kind: evQPTick, Ref: qi})
+	n.Sim.ScheduleAfter(dcqcnTimer, n, engine.Event{Kind: evQPTick, Ref: qi})
 }
 
 // timelyCC is delay-based congestion control in the style of TIMELY:
@@ -204,14 +198,7 @@ func (c *dcqcnCC) tick(n *Network, qi int32, now Time) {
 // and gradient-proportional decrease (or hyperactive increase after a
 // run of negative gradients) in between.
 type timelyCC struct {
-	line   float64
-	tLow   Time
-	tHigh  Time
-	add    float64 // additive step, bits/s
-	beta   float64 // multiplicative decrease factor
-	ewma   float64 // RTT-gradient EWMA weight
-	minRTT Time    // gradient normalisation denominator
-
+	line    float64
 	rate    float64
 	prevRTT Time
 	rttDiff float64
@@ -219,13 +206,7 @@ type timelyCC struct {
 }
 
 func newTimelyCC(cfg *Config) timelyCC {
-	return timelyCC{
-		line: cfg.LinkBps,
-		tLow: cfg.TimelyTLow, tHigh: cfg.TimelyTHigh,
-		add: cfg.TimelyAddBps, beta: cfg.TimelyBeta,
-		ewma: cfg.TimelyAlpha, minRTT: cfg.TimelyMinRTT,
-		rate: cfg.LinkBps,
-	}
+	return timelyCC{line: cfg.LinkBps, rate: cfg.LinkBps}
 }
 
 // sample applies the gradient law to one RTT measurement. Pure (no
@@ -242,20 +223,20 @@ func (c *timelyCC) sample(rtt Time) {
 	}
 	diff := float64(rtt - c.prevRTT)
 	c.prevRTT = rtt
-	c.rttDiff = float64((1-c.ewma)*c.rttDiff) + float64(c.ewma*diff)
-	grad := c.rttDiff / float64(c.minRTT)
+	c.rttDiff = float64((1-timelyAlpha)*c.rttDiff) + float64(timelyAlpha*diff)
+	grad := c.rttDiff / float64(timelyMinRTT)
 	switch {
-	case rtt < c.tLow:
+	case rtt < timelyTLow:
 		c.negRun = 0
-		c.rate += c.add
-	case rtt > c.tHigh:
+		c.rate += timelyAddBps
+	case rtt > timelyTHigh:
 		c.negRun = 0
-		c.rate *= 1 - float64(c.beta*(1-float64(c.tHigh)/float64(rtt)))
+		c.rate *= 1 - float64(timelyBeta*(1-float64(timelyTHigh)/float64(rtt)))
 	case grad <= 0:
 		c.negRun++
-		step := c.add
+		step := timelyAddBps
 		if c.negRun >= 5 {
-			step = 5 * c.add // hyperactive increase
+			step = 5 * timelyAddBps // hyperactive increase
 		}
 		c.rate += step
 	default:
@@ -263,7 +244,7 @@ func (c *timelyCC) sample(rtt Time) {
 		if grad > 1 {
 			grad = 1
 		}
-		c.rate *= 1 - float64(c.beta*grad)
+		c.rate *= 1 - float64(timelyBeta*grad)
 	}
 	if c.rate > c.line {
 		c.rate = c.line

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -76,29 +77,29 @@ func TestTimelyGradientLaw(t *testing.T) {
 	fresh := func(rate float64) *timelyCC {
 		c := newTimelyCC(&cfg)
 		c.rate = rate
-		c.sample(cfg.TimelyMinRTT) // prime prevRTT
+		c.sample(timelyMinRTT) // prime prevRTT
 		return &c
 	}
 
 	// Below TLow: additive increase regardless of gradient.
 	c := fresh(line / 2)
 	before := c.rate
-	c.sample(cfg.TimelyTLow / 2)
-	if c.rate != before+cfg.TimelyAddBps {
-		t.Errorf("low RTT: rate %.6g, want additive step to %.6g", c.rate, before+cfg.TimelyAddBps)
+	c.sample(timelyTLow / 2)
+	if c.rate != before+timelyAddBps {
+		t.Errorf("low RTT: rate %.6g, want additive step to %.6g", c.rate, before+timelyAddBps)
 	}
 
 	// Above THigh: multiplicative decrease.
 	c = fresh(line)
 	before = c.rate
-	c.sample(2 * cfg.TimelyTHigh)
+	c.sample(2 * timelyTHigh)
 	if c.rate >= before {
 		t.Errorf("high RTT: rate %.6g did not decrease from %.6g", c.rate, before)
 	}
 
 	// Gradient zone, rising RTTs: decrease proportional to the gradient.
 	c = fresh(line)
-	mid := (cfg.TimelyTLow + cfg.TimelyTHigh) / 2
+	mid := (timelyTLow + timelyTHigh) / 2
 	c.sample(mid)
 	before = c.rate
 	c.sample(mid + 20*Microsecond)
@@ -119,13 +120,13 @@ func TestTimelyGradientLaw(t *testing.T) {
 	// never drops below the floor.
 	c = fresh(line)
 	for i := 0; i < 1000; i++ {
-		c.sample(cfg.TimelyTLow / 4)
+		c.sample(timelyTLow / 4)
 		if c.rate > line {
 			t.Fatalf("sample %d: rate %.6g above line", i, c.rate)
 		}
 	}
 	for i := 0; i < 1000; i++ {
-		c.sample(10 * cfg.TimelyTHigh)
+		c.sample(10 * timelyTHigh)
 		if c.rate < line/100 {
 			t.Fatalf("sample %d: rate %.6g below the floor", i, c.rate)
 		}
@@ -261,12 +262,12 @@ func TestCNPThrottledPerFlow(t *testing.T) {
 		t.Fatalf("two marked flows from one source produced %d CNPs, want 2", got)
 	}
 
-	// The same flow twice inside CNPInterval: still throttled to one.
+	// The same flow twice inside cnpInterval: still throttled to one.
 	before = net.nextID
 	feed(roceFlowID(src, 3))
 	feed(roceFlowID(src, 3))
 	if got := net.nextID - before; got != 1 {
-		t.Fatalf("same flow twice inside CNPInterval produced %d CNPs, want 1", got)
+		t.Fatalf("same flow twice inside cnpInterval produced %d CNPs, want 1", got)
 	}
 }
 
@@ -296,12 +297,12 @@ func TestDCQCNIdleTimerDisarms(t *testing.T) {
 		t.Fatal("message not delivered")
 	}
 	// The engine must go quiescent within a couple of timer periods of
-	// the delivery: the old code self-rescheduled every DCQCNTimer on
+	// the delivery: the old code self-rescheduled every dcqcnTimer on
 	// the idle QP until the rate crawled back to 99% of line (~10 ms of
 	// pure timer events here).
-	if idle := end - delivered; idle > 3*cfg.DCQCNTimer {
+	if idle := end - delivered; idle > 3*dcqcnTimer {
 		t.Errorf("engine ran %v past the last delivery, want <= %v (idle timer not disarmed)",
-			idle, 3*cfg.DCQCNTimer)
+			idle, 3*dcqcnTimer)
 	}
 
 	// Event-count pin: a long idle gap fires no QP events at all.
@@ -340,6 +341,54 @@ func ccIncast(t *testing.T, cfg Config, bytes int) (int64, Time) {
 		t.Fatalf("lossless run dropped %d", net.TotalDrops)
 	}
 	return net.PausesSent, end
+}
+
+// cnpCounter forwards as its inner forwarder does and counts the CNPs
+// it forwards.
+type cnpCounter struct {
+	Forwarder
+	cnps int
+}
+
+func (c *cnpCounter) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
+	if pkt.Kind == Cnp {
+		c.cnps++
+	}
+	return c.Forwarder.Forward(sw, inPort, pkt)
+}
+
+// TestECNFollowsCC: marking is on exactly when the fabric runs DCQCN,
+// the one policy that reacts to it, with no other setting — a 7:1
+// incast marks and draws CNPs under dcqcn and marks nothing otherwise.
+func TestECNFollowsCC(t *testing.T) {
+	g := topology.Line(8, 1)
+	routes, err := routing.ShortestPath{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range []string{"", CCDCQCN, CCTimely, CCPFabric} {
+		cfg := DefaultConfig()
+		cfg.CC = cc
+		fwd := &cnpCounter{Forwarder: NewRouteForwarder(routes)}
+		net, err := NewNetwork(g, fwd, cfg, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts := g.Hosts()
+		for i, h := range hosts {
+			if i != 3 {
+				net.Host(h).Send(hosts[3], 1, 1<<20)
+			}
+		}
+		net.Sim.Run(0)
+		if cc == CCDCQCN {
+			if net.EcnMarks == 0 || fwd.cnps == 0 {
+				t.Errorf("dcqcn: %d ECN marks, %d CNPs forwarded; want both > 0", net.EcnMarks, fwd.cnps)
+			}
+		} else if net.EcnMarks != 0 || fwd.cnps != 0 {
+			t.Errorf("cc %q: %d ECN marks, %d CNPs forwarded; want none", cc, net.EcnMarks, fwd.cnps)
+		}
+	}
 }
 
 func TestTimelyReducesPauses(t *testing.T) {

@@ -1,8 +1,10 @@
 package netsim
 
-// Config sets fabric and protocol parameters. DefaultConfig matches the
-// paper's testbed: 10 Gbps links, RoCEv2-class latencies, PFC and
-// DCQCN available, cut-through switching.
+// Config sets the fabric parameters a caller varies. DefaultConfig
+// matches the paper's testbed: 10 Gbps links, RoCEv2-class latencies,
+// PFC on and no congestion control. Everything the testbed's hardware
+// and the published rate laws fix is a constant below; switches are
+// always cut-through.
 type Config struct {
 	// LinkBps is link bandwidth in bits/s.
 	LinkBps float64
@@ -15,52 +17,17 @@ type Config struct {
 	HostLatency Time
 	// MTU is the maximum payload bytes per packet.
 	MTU int
-	// HeaderBytes is per-packet header overhead.
-	HeaderBytes int
-	// CutThrough lets a switch begin forwarding after the header
-	// arrives instead of the full packet.
-	CutThrough bool
 
-	// PFC (priority flow control / lossless ethernet).
-	PFC     bool
-	PFCXoff int // ingress bytes that trigger PAUSE
-	PFCXon  int // ingress bytes that trigger RESUME
-
-	// QueueCap bounds each egress queue when PFC is off; overflow drops.
-	QueueCap int
-
-	// ECN marking at egress queues (RED-like ramp).
-	ECN     bool
-	ECNKmin int
-	ECNKmax int
-	ECNPmax float64
+	// PFC turns on priority flow control (lossless ethernet); with it
+	// off, an egress queue drops past queueCap.
+	PFC bool
 
 	// CC selects the RoCE congestion-control policy: CCDCQCN,
 	// CCTimely (delay-based), or CCPFabric (size-priority scheduling
-	// at line rate). Empty means none: flows send at line rate.
+	// at line rate). Empty means none: flows send at line rate. ECN
+	// marking is on exactly when CC is CCDCQCN, the one policy that
+	// reacts to it.
 	CC string
-
-	// DCQCNGain is the alpha EWMA gain g.
-	DCQCNGain float64
-	// DCQCNAIRate is the additive-increase step in bits/s.
-	DCQCNAIRate float64
-	// DCQCNTimer is the rate-increase period.
-	DCQCNTimer Time
-	// CNPInterval is the minimum gap between CNPs per flow at the
-	// notification point.
-	CNPInterval Time
-
-	// Timely (CC = CCTimely) delay-based control parameters: below
-	// TimelyTLow RTT the rate grows additively by TimelyAddBps, above
-	// TimelyTHigh it decreases multiplicatively by TimelyBeta, and in
-	// between the normalised RTT gradient (EWMA weight TimelyAlpha,
-	// denominator TimelyMinRTT) steers it.
-	TimelyTLow   Time
-	TimelyTHigh  Time
-	TimelyAddBps float64
-	TimelyBeta   float64
-	TimelyAlpha  float64
-	TimelyMinRTT Time
 
 	// CrossbarBps is the internal crossbar bandwidth of one physical
 	// switch (shared by all sub-switches under SDT).
@@ -69,10 +36,53 @@ type Config struct {
 	// (longer flow tables, tag rewriting) — the source of the paper's
 	// 0.03–2 % deviation (Fig. 11).
 	SDTPerHopExtra Time
-
-	// Seed drives ECN probabilistic marking and any tie-breaking.
-	Seed int64
 }
+
+// HeaderBytes is the per-packet header overhead.
+const HeaderBytes = 66
+
+// Fixed fabric parameters.
+const (
+	// PFC thresholds: ingress bytes that trigger PAUSE and RESUME.
+	pfcXoff = 80 * 1024
+	pfcXon  = 60 * 1024
+
+	// queueCap bounds each egress queue when PFC is off; overflow drops.
+	queueCap = 512 * 1024
+
+	// ECN marking at egress queues (RED-like ramp). The thresholds sit
+	// well below pfcXoff so DCQCN reacts before pauses trigger — the
+	// whole point of running DCQCN on lossless fabrics (Zhu et al.,
+	// SIGCOMM'15).
+	ecnKmin = 16 * 1024
+	ecnKmax = 80 * 1024
+	ecnPmax = 0.25
+	// ecnSeed seeds the marking ramp's random draws.
+	ecnSeed = 1
+
+	// DCQCN: the alpha EWMA gain g, the additive-increase step in
+	// bits/s, the rate-increase period, and the minimum gap between
+	// CNPs per flow at the notification point.
+	dcqcnGain   = 1.0 / 16
+	dcqcnAIRate = 40e6
+	dcqcnTimer  = 55 * Microsecond
+	cnpInterval = 50 * Microsecond
+
+	// Timely delay-based control: below timelyTLow RTT the rate grows
+	// additively by timelyAddBps, above timelyTHigh it decreases
+	// multiplicatively by timelyBeta, and in between the normalised
+	// RTT gradient (EWMA weight timelyAlpha, denominator timelyMinRTT)
+	// steers it. The thresholds sit just above the fabric's unloaded
+	// RTT (a few µs) and below the RTT a full PFC-Xoff queue adds
+	// (~64 µs at 10 Gbps), so the gradient zone covers the operating
+	// range PFC would otherwise police.
+	timelyTLow   = 25 * Microsecond
+	timelyTHigh  = 250 * Microsecond
+	timelyAddBps = 50e6
+	timelyBeta   = 0.8
+	timelyAlpha  = 0.875
+	timelyMinRTT = 10 * Microsecond
+)
 
 // DefaultConfig returns the testbed-calibrated configuration.
 func DefaultConfig() Config {
@@ -82,43 +92,11 @@ func DefaultConfig() Config {
 		SwitchLatency: 400 * Nanosecond,
 		HostLatency:   850 * Nanosecond,
 		MTU:           4096,
-		HeaderBytes:   66,
-		CutThrough:    true,
 
-		PFC:     true,
-		PFCXoff: 80 * 1024,
-		PFCXon:  60 * 1024,
-
-		QueueCap: 512 * 1024,
-
-		// ECN thresholds sit well below the PFC Xoff so DCQCN reacts
-		// before pauses trigger — the whole point of running DCQCN on
-		// lossless fabrics (Zhu et al., SIGCOMM'15).
-		ECN:     false,
-		ECNKmin: 16 * 1024,
-		ECNKmax: 80 * 1024,
-		ECNPmax: 0.25,
-
-		DCQCNGain:   1.0 / 16,
-		DCQCNAIRate: 40e6,
-		DCQCNTimer:  55 * Microsecond,
-		CNPInterval: 50 * Microsecond,
-
-		// Timely thresholds sit just above the fabric's unloaded RTT
-		// (a few µs) and below the RTT a full PFC-Xoff queue adds
-		// (~64 µs at 10 Gbps), so the gradient zone covers the
-		// operating range PFC would otherwise police.
-		TimelyTLow:   25 * Microsecond,
-		TimelyTHigh:  250 * Microsecond,
-		TimelyAddBps: 50e6,
-		TimelyBeta:   0.8,
-		TimelyAlpha:  0.875,
-		TimelyMinRTT: 10 * Microsecond,
+		PFC: true,
 
 		CrossbarBps:    640e9,
 		SDTPerHopExtra: 8 * Nanosecond,
-
-		Seed: 1,
 	}
 }
 

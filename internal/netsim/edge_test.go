@@ -93,10 +93,10 @@ func TestManyQPFanOut(t *testing.T) {
 func TestPFCHysteresis(t *testing.T) {
 	// Xoff must exceed Xon or the fabric flaps; with defaults the
 	// incast must pause and then fully resume (all bytes delivered).
-	cfg := DefaultConfig()
-	if cfg.PFCXoff <= cfg.PFCXon {
-		t.Fatal("default thresholds not hysteretic")
+	if pfcXoff <= pfcXon {
+		t.Fatal("thresholds not hysteretic")
 	}
+	cfg := DefaultConfig()
 	net, g := buildLine(t, 4, 2, cfg)
 	hosts := g.Hosts()
 	target := hosts[0]
@@ -132,9 +132,8 @@ func TestCrossbarTransitsCounted(t *testing.T) {
 func TestConfigVariantsStillDeliver(t *testing.T) {
 	base := DefaultConfig()
 	variants := []func(*Config){
-		func(c *Config) { c.CutThrough = false },
 		func(c *Config) { c.PFC = false },
-		func(c *Config) { c.ECN = true; c.CC = CCDCQCN },
+		func(c *Config) { c.CC = CCDCQCN },
 		func(c *Config) { c.MTU = 1500 },
 		func(c *Config) { c.PropDelay = 5 * Microsecond },
 	}

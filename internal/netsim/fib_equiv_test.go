@@ -38,7 +38,7 @@ func fibEquivDigest(t *testing.T, g *topology.Graph, fwd Forwarder, pfc bool) st
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.PFC = pfc
-	cfg.ECN = true
+	cfg.CC = CCDCQCN
 	net, err := NewNetwork(g, fwd, cfg, nil, false)
 	if err != nil {
 		t.Fatal(err)

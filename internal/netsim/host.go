@@ -124,7 +124,7 @@ func (n *Network) qpTo(h *Host, dst int) int32 {
 	n.qps = append(n.qps, roceQP{src: int32(h.vertex), dst: int32(dst)})
 	switch n.cc {
 	case ccDCQCN:
-		n.dcqcn = append(n.dcqcn, dcqcnCC{dcqcnState: newDCQCNState(&n.Cfg), period: n.Cfg.DCQCNTimer})
+		n.dcqcn = append(n.dcqcn, dcqcnCC{dcqcnState: newDCQCNState(&n.Cfg)})
 	case ccTimely:
 		n.timely = append(n.timely, newTimelyCC(&n.Cfg))
 	}
@@ -207,7 +207,7 @@ func (n *Network) pump(qi int32) {
 	if payload < 0 {
 		payload = 0
 	}
-	size := payload + n.Cfg.HeaderBytes
+	size := payload + HeaderBytes
 	pkt := n.pkts.alloc(Packet{
 		ID: n.pktID(), Kind: Data, Src: h.vertex, Dst: int(q.dst),
 		Size: size, Len: payload, Flow: m.id, Seq: int64(m.sent),
@@ -247,7 +247,7 @@ func (h *Host) inject(pkt *Packet) {
 // nicBacklogged reports whether more than two packets wait on the
 // NIC's data queues, which holds back every QP pump.
 func (h *Host) nicBacklogged() bool {
-	return h.out.queuedDataBytes() > 2*(h.net.Cfg.MTU+h.net.Cfg.HeaderBytes)
+	return h.out.queuedDataBytes() > 2*(h.net.Cfg.MTU+HeaderBytes)
 }
 
 // nicDrained is called when a packet leaves the NIC wire queue; it
@@ -319,11 +319,11 @@ func (h *Host) roceData(pkt *Packet) {
 	switch n.cc {
 	case ccDCQCN:
 		if pkt.ECN {
-			// Throttle per message (CNPInterval documents exactly
+			// Throttle per message (cnpInterval documents exactly
 			// this), so concurrent flows from one source each keep
 			// their own congestion signal instead of starving each
 			// other's.
-			if !m.cnp || n.Sim.Now()-m.cnpAt >= n.Cfg.CNPInterval {
+			if !m.cnp || n.Sim.Now()-m.cnpAt >= cnpInterval {
 				m.cnp, m.cnpAt = true, n.Sim.Now()
 				h.inject(n.pkts.alloc(Packet{
 					ID: n.pktID(), Kind: Cnp, Src: h.vertex, Dst: pkt.Src,

@@ -15,10 +15,3 @@ func (n *Network) LinkLoads() map[int]float64 {
 	}
 	return out
 }
-
-// ResetLinkLoads zeroes the per-link byte counters (telemetry epoch).
-func (n *Network) ResetLinkLoads() {
-	for _, l := range n.links {
-		l.TxBytes = 0
-	}
-}

@@ -400,7 +400,7 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 		Cfg:      cfg,
 		Fwd:      fwd,
 		cc:       cc,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(rand.NewSource(ecnSeed)),
 		switches: switches,
 		hosts:    hosts,
 		msgs:     make([]roceMsg, 1),
@@ -607,12 +607,8 @@ func (n *Network) tryTransmit(o *OutPort) {
 		Kind: evTxDone, Ref: int32(l.id),
 		A: int64(pkt.inPort)<<4 | int64(pkt.arrClass), B: int64(pkt.Size),
 	})
-	// Receiver processing starts at header (cut-through) or tail.
-	arr := start + l.prop + ser
-	if n.Cfg.CutThrough {
-		hdr := serTime(min(pkt.Size, n.Cfg.HeaderBytes+64), l.bps)
-		arr = start + l.prop + hdr
-	}
+	// Receiver processing starts once the header is in (cut-through).
+	arr := start + l.prop + serTime(min(pkt.Size, HeaderBytes+64), l.bps)
 	n.Sim.Schedule(arr, n, engine.Event{Kind: evArrive, Ref: pkt.idx, A: int64(l.id)})
 }
 
@@ -632,7 +628,7 @@ func (n *Network) onDequeued(o *OutPort, inPort, prio, size int) {
 		return
 	}
 	sw.ingressBytes[inPort][prio] -= size
-	if n.Cfg.PFC && sw.pfcSent[inPort][prio] && sw.ingressBytes[inPort][prio] <= n.Cfg.PFCXon {
+	if n.Cfg.PFC && sw.pfcSent[inPort][prio] && sw.ingressBytes[inPort][prio] <= pfcXon {
 		sw.pfcSent[inPort][prio] = false
 		up := sw.upstream[inPort]
 		if up != nil {

@@ -192,7 +192,6 @@ func TestPFCPreventsDropsInIncast(t *testing.T) {
 func TestLossyIncastDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PFC = false
-	cfg.QueueCap = 64 * 1024
 	net, g := buildLine(t, 8, 1, cfg)
 	hosts := g.Hosts()
 	for i, h := range hosts {
@@ -210,7 +209,6 @@ func TestLossyIncastDrops(t *testing.T) {
 func TestTCPIncastSharesBandwidth(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PFC = false
-	cfg.QueueCap = 256 * 1024
 	net, g := buildLine(t, 8, 1, cfg)
 	hosts := g.Hosts()
 	var conns []*TCPConn
@@ -257,7 +255,6 @@ func TestDCQCNReducesPauses(t *testing.T) {
 	run := func(cc string) int64 {
 		cfg := DefaultConfig()
 		cfg.PFC = true
-		cfg.ECN = true
 		cfg.CC = cc
 		net, g := buildLine(t, 8, 1, cfg)
 		hosts := g.Hosts()
@@ -382,25 +379,6 @@ func TestSDTSharedCrossbarOverheadSmall(t *testing.T) {
 	}
 }
 
-func TestCutThroughBeatsStoreAndForward(t *testing.T) {
-	g := topology.Line(8, 1)
-	routes, _ := routing.ShortestPath{}.Compute(g)
-	rtt := func(ct bool) Time {
-		cfg := DefaultConfig()
-		cfg.CutThrough = ct
-		net, err := NewNetwork(g, NewRouteForwarder(routes), cfg, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts := g.Hosts()
-		return pingpongRTT(t, net, hosts[0], hosts[7], 4096, 10)
-	}
-	ctRTT, sfRTT := rtt(true), rtt(false)
-	if ctRTT >= sfRTT {
-		t.Errorf("cut-through RTT %v >= store-and-forward %v", ctRTT, sfRTT)
-	}
-}
-
 func TestTableMissDrops(t *testing.T) {
 	g := topology.Line(2, 1)
 	routes, _ := routing.ShortestPath{}.Compute(g)
@@ -435,18 +413,55 @@ func TestLinkLoadsTelemetry(t *testing.T) {
 	if nonzero < 4 { // 2 host links + 2 switch links on the path
 		t.Errorf("only %d loaded edges, want >= 4", nonzero)
 	}
-	net.ResetLinkLoads()
-	for eid, v := range net.LinkLoads() {
-		if v != 0 {
-			t.Errorf("edge %d load %v after reset", eid, v)
+}
+
+// TestUGALOnMeasuredLoads feeds a finished Dragonfly run's measured
+// link loads to UGAL active routing, as the §VI-E experiment does: the
+// routes it derives must stay deadlock-free.
+func TestUGALOnMeasuredLoads(t *testing.T) {
+	g := topology.Dragonfly(4, 9, 2, 1)
+	routes, err := routing.DragonflyMinimal{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(g, NewRouteForwarder(routes), DefaultConfig(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drive traffic between groups 0 and 1 to load their global link.
+	var g0, g1 []int
+	for _, h := range g.Hosts() {
+		switch g.Vertices[g.HostSwitch(h)].Coord[0] {
+		case 0:
+			g0 = append(g0, h)
+		case 1:
+			g1 = append(g1, h)
 		}
+	}
+	for i := range g0 {
+		net.Host(g0[i]).Send(g1[i%len(g1)], 5, 1<<20)
+	}
+	net.Sim.Run(0)
+	loads := net.LinkLoads()
+	var total float64
+	for _, v := range loads {
+		total += v
+	}
+	if total == 0 {
+		t.Fatal("the run measured no link load")
+	}
+	active, err := routing.DragonflyUGAL{Loads: loads, Bias: 1}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := routing.VerifyDeadlockFree(active); err != nil {
+		t.Errorf("active routing on measured loads not deadlock-free: %v", err)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	run := func() (Time, int64) {
 		cfg := DefaultConfig()
-		cfg.ECN = true
 		cfg.CC = CCDCQCN
 		net, g := buildLine(t, 8, 1, cfg)
 		hosts := g.Hosts()

@@ -59,20 +59,21 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 		pkt.Prio = pfcClass(pkt)
 	}
 	pkt.arrClass = arrCls
-	if !n.Cfg.PFC && isData(pkt.Prio) && o.queuedBytes()+pkt.Size > n.Cfg.QueueCap {
+	if !n.Cfg.PFC && isData(pkt.Prio) && o.queuedBytes()+pkt.Size > queueCap {
 		o.Drops++
 		n.TotalDrops++
 		n.pkts.release(pkt)
 		return
 	}
-	// ECN marking (RED-style ramp on egress occupancy), data class only.
-	if n.Cfg.ECN && isData(pkt.Prio) {
+	// ECN marking (RED-style ramp on egress occupancy), data class
+	// only, for the one policy that reacts to it.
+	if n.cc == ccDCQCN && isData(pkt.Prio) {
 		q := o.queuedBytes()
-		if q > n.Cfg.ECNKmax {
+		if q > ecnKmax {
 			pkt.ECN = true
 			n.EcnMarks++
-		} else if q > n.Cfg.ECNKmin {
-			p := n.Cfg.ECNPmax * float64(q-n.Cfg.ECNKmin) / float64(n.Cfg.ECNKmax-n.Cfg.ECNKmin)
+		} else if q > ecnKmin {
+			p := ecnPmax * float64(q-ecnKmin) / float64(ecnKmax-ecnKmin)
 			if n.rng.Float64() < p {
 				pkt.ECN = true
 				n.EcnMarks++
@@ -86,7 +87,7 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 	if inPort > 0 && inPort < len(s.ingressBytes) {
 		s.ingressBytes[inPort][arrCls] += pkt.Size
 		if n.Cfg.PFC && isData(arrCls) && !s.pfcSent[inPort][arrCls] &&
-			s.ingressBytes[inPort][arrCls] > n.Cfg.PFCXoff {
+			s.ingressBytes[inPort][arrCls] > pfcXoff {
 			s.pfcSent[inPort][arrCls] = true
 			up := s.upstream[inPort]
 			if up != nil {

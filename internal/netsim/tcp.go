@@ -81,7 +81,7 @@ func (c *TCPConn) emit(seq int64, l int) {
 	n := c.net
 	n.hosts[c.src].inject(n.pkts.alloc(Packet{
 		ID: n.pktID(), Kind: Data, Src: c.src, Dst: c.dst,
-		Size: l + n.Cfg.HeaderBytes, Len: l, Flow: c.flow, Seq: seq, Prio: 0, conn: c.idx,
+		Size: l + HeaderBytes, Len: l, Flow: c.flow, Seq: seq, Prio: 0, conn: c.idx,
 	}))
 }
 

@@ -42,14 +42,7 @@ type CompileOptions struct {
 // TagEncoded — the next topology's TagBase should advance by this.
 // (+1 because tag 0 is reserved for untagged host traffic.)
 func TagSpace(p *Plan, r *routing.Routes) int {
-	return p.Topo.NumSwitches()*maxInt(r.NumVCs, 1) + 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return p.Topo.NumSwitches()*max(r.NumVCs, 1) + 1
 }
 
 // CompileFlowTables converts a route set into flow entries on the
@@ -70,7 +63,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		return nil, fmt.Errorf("projection: Into has %d switches, cabling has %d", len(switches), len(p.Cabling.Switches))
 	}
 
-	vcs := maxInt(r.NumVCs, 1)
+	vcs := max(r.NumVCs, 1)
 	subIdx := make([]int, len(g.Vertices)) // logical switch -> index among switches
 	for i, s := range g.Switches() {
 		subIdx[s] = i

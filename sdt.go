@@ -198,7 +198,9 @@ const (
 	Millisecond = netsim.Millisecond
 )
 
-// DefaultSimConfig is the paper-calibrated configuration.
+// DefaultSimConfig is the paper-calibrated configuration: PFC on, no
+// congestion control. A caller sets PFC and CC (ECN marking follows
+// CC is "dcqcn"); the rest models the paper's fixed hardware.
 var DefaultSimConfig = netsim.DefaultConfig
 
 // Workload generators; WorkloadByName builds the §VI-D applications.
