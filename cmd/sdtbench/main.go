@@ -93,21 +93,11 @@ func main() {
 	}
 	if *list {
 		if *jsonOut {
-			// Machine-readable listing: names, descriptions, and the
-			// registered param schemas (the same document the daemon's
-			// /v1/scenarios serves).
-			type listEntry struct {
-				Name   string              `json:"name"`
-				Desc   string              `json:"desc"`
-				Params []experiments.Field `json:"params,omitempty"`
-			}
-			var out []listEntry
-			for _, e := range experiments.All() {
-				out = append(out, listEntry{Name: e.Name, Desc: e.Desc, Params: e.Schema})
-			}
+			// The registry entries are the listing document the daemon's
+			// /v1/scenarios serves too.
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(out); err != nil {
+			if err := enc.Encode(experiments.All()); err != nil {
 				fatal("json", err)
 			}
 			return

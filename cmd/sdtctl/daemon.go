@@ -153,7 +153,7 @@ func runDaemonAction(ctx context.Context, c *service.Client, jsonOut bool) error
 		}
 		for _, s := range scens {
 			fmt.Printf("%-20s %s\n", s.Name, s.Desc)
-			for _, p := range s.Params {
+			for _, p := range s.Schema {
 				fmt.Printf("    %-10s %-8s default %-8s %s\n", p.Name, p.Type, p.Default, p.Desc)
 			}
 		}

@@ -143,6 +143,25 @@ func TestScenarioExclusivity(t *testing.T) {
 			}
 		}
 	}
+	// A rank placed on a vertex that is not a host is an error for every
+	// workload kind at both fidelities, never a panic in the fabric.
+	sw := g.HostSwitch(g.Hosts()[0])
+	for _, v := range []int{sw, len(g.Vertices), -1} {
+		hosts := []int{v, g.Hosts()[1]}
+		for _, c := range []struct {
+			name string
+			sc   Scenario
+		}{
+			{"trace", Scenario{Topo: g, Trace: tr, Hosts: hosts}},
+			{"streams", Scenario{Topo: g, Streams: st(), Until: netsim.Millisecond, Hosts: hosts}},
+			{"flows", Scenario{Topo: g, Flows: fl, Hosts: hosts}},
+			{"flows at flow fidelity", Scenario{Topo: g, Flows: fl, Hosts: hosts, Fidelity: Flow}},
+		} {
+			if _, err := Run(context.Background(), tb, c.sc); err == nil || !strings.Contains(err.Error(), "rank 0 is placed on vertex") {
+				t.Errorf("%s with rank 0 on vertex %d: err = %v, want the placement rejected", c.name, v, err)
+			}
+		}
+	}
 }
 
 // TestStreamsRun: a Streams scenario runs to its Until bound, reports

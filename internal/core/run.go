@@ -210,6 +210,11 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	if len(hosts) < ranks {
 		return nil, fmt.Errorf("core: %d hosts for %d ranks", len(hosts), ranks)
 	}
+	for r, v := range hosts[:ranks] {
+		if v < 0 || v >= len(g.Vertices) || g.Vertices[v].Kind != topology.Host {
+			return nil, fmt.Errorf("core: rank %d is placed on vertex %d, which is not a host of %q", r, v, g.Name)
+		}
+	}
 	simCfg := tb.Cfg
 	if sc.SimConfig != nil {
 		simCfg = *sc.SimConfig

@@ -17,20 +17,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
 func init() {
 	Register(117, "cc-shootout", "cc: DCQCN vs Timely vs pFabric, pattern x load x faults grid on fat-tree, FCT and pauses",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := CCShootout(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "96"), Knob("cc", ""), workersField)
+		tableSet(CCShootout), seedField, Knob("flows", "96"), Knob("cc", ""), workersField)
 }
 
 // CCShootoutCell is one (policy, pattern, load, faults) grid point.
@@ -41,14 +33,9 @@ type CCShootoutCell struct {
 	Faults  int
 	Flows   int
 	// Results.
-	Completed  int
-	Incomplete int
-	Lost       int64
-	Drops      int64
-	Pauses     int64
-	Reconv     netsim.Time
-	ReconvN    int
-	P50, P99   float64 // FCT slowdown percentiles over completed flows
+	flowOutcome
+	Reconv  netsim.Time
+	ReconvN int
 }
 
 // CCShootoutResult is the full grid.
@@ -74,7 +61,6 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 	loads := []float64{0.3, 0.7}
 	faultCounts := []int{0, 1}
 	g := topology.FatTree(4)
-	base := netsim.DefaultConfig()
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	const ranks = 16
 
@@ -84,7 +70,6 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 	}
 	res := &CCShootoutResult{Seed: seed}
 	var jobs []core.Job
-	var flowSets []*loadgen.FlowSet
 	for _, pat := range patterns {
 		for _, load := range loads {
 			for _, nf := range faultCounts {
@@ -96,7 +81,6 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 					fs, err := loadgen.Spec{
 						Ranks: ranks, Pattern: pat, Sizes: sizes,
 						Load: load, Flows: flows, Seed: blockSeed,
-						LinkBps: base.LinkBps,
 					}.Generate()
 					if err != nil {
 						return nil, err
@@ -114,7 +98,6 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 					res.Cells = append(res.Cells, CCShootoutCell{
 						CC: policy, Pattern: pat.Name(), Load: load, Faults: nf, Flows: flows,
 					})
-					flowSets = append(flowSets, fs)
 					jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 						Topo: g, Flows: fs.Flows, Mode: core.FullTestbed,
 						SimConfig: &cfg, Faults: spec,
@@ -129,17 +112,8 @@ func CCShootout(ctx context.Context, p JobSpec) (*CCShootoutResult, error) {
 	}
 	for i := range res.Cells {
 		c := &res.Cells[i]
-		r := results[i]
-		rep := telemetry.MeasureFCT(flowSets[i].Flows, base.LinkBps, idealBase(base), []int{})
-		c.Completed = rep.Completed
-		c.Incomplete = r.Incomplete
-		c.Lost = r.FaultDrops
-		c.Drops = r.Drops
-		c.Pauses = r.Pauses
-		if len(rep.Buckets) > 0 && rep.Buckets[0].Count > 0 {
-			c.P50, c.P99 = rep.Buckets[0].P50, rep.Buckets[0].P99
-		}
-		_, c.Reconv, c.ReconvN = faultStats(r.Faults)
+		c.flowOutcome = outcomeOf(results[i], jobs[i].Flows)
+		_, c.Reconv, c.ReconvN = faultStats(results[i].Faults)
 	}
 	return res, nil
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§VI). Each experiment returns a structured
 // result with a Format method printing rows comparable to the paper's,
-// and registers a Runner that cmd/sdtbench and the sdtd service expose.
+// and registers its entry point through tableSet as the scenario set
+// cmd/sdtbench and the sdtd service expose.
 //
 // Scale note: the paper's runs last up to 16 real seconds on hardware;
 // packet-level simulation of that volume is exactly the cost Fig. 13

@@ -19,37 +19,16 @@ import (
 
 func init() {
 	Register(0, "table1", "Table I: qualitative comparison of network evaluation tools",
-		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
-			Table1().Format(w)
-			return nil
-		})
+		tableSet(func(context.Context, JobSpec) (*Table1Result, error) { return Table1(), nil }))
 	Register(70, "isolation", "§VI-B: hardware isolation between co-hosted topologies",
-		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
-			r, err := Isolation()
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		})
+		tableSet(func(context.Context, JobSpec) (*IsolationResult, error) { return Isolation() }))
 	Register(80, "active", "§VI-E: UGAL active routing vs minimal routing on Dragonfly",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := ActiveRouting(ctx, 8, p.Bytes)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, Knob("bytes", "262144"))
+		tableSet(func(ctx context.Context, p JobSpec) (*ActiveRoutingResult, error) {
+			return ActiveRouting(ctx, 8, p.Bytes)
+		}),
+		Knob("bytes", "262144"))
 	Register(90, "tables", "§VII-C: flow-table occupancy, merged vs naive encoding",
-		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
-			r, err := FlowTableUsage()
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		})
+		tableSet(func(context.Context, JobSpec) (*FlowTableUsageResult, error) { return FlowTableUsage() }))
 }
 
 // Table1Result wraps the qualitative rubric of Table I.
@@ -109,7 +88,7 @@ func Isolation() (*IsolationResult, error) {
 	// host ID. Any delivery is an isolation violation.
 	ref := da.Plan.HostAttach[a.Hosts()[0]]
 	fwd := ctl.Physical[ref.Switch].Process(openflow.PacketMeta{
-		InPort: ref.Port, SrcHost: a.Hosts()[0], DstHost: b.Hosts()[2] + 1_000_000, Tag: 0, Bytes: 100,
+		InPort: ref.Port, SrcHost: a.Hosts()[0], DstHost: b.Hosts()[2] + 1_000_000, Tag: 0,
 	})
 	res.CrossDelivered = fwd.Matched && !fwd.Dropped
 	return res, nil
@@ -125,7 +104,7 @@ func walkTables(switches []*openflow.Switch, plan *projection.Plan, src, dst int
 	tag := 0
 	for hops := 1; hops <= 64; hops++ {
 		fwd := switches[ref.Switch].Process(openflow.PacketMeta{
-			InPort: ref.Port, SrcHost: src, DstHost: dst, Tag: tag, Bytes: 512,
+			InPort: ref.Port, SrcHost: src, DstHost: dst, Tag: tag,
 		})
 		if !fwd.Matched || fwd.Dropped {
 			return -1

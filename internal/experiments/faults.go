@@ -19,29 +19,14 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/routing"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
 func init() {
 	Register(120, "faults-sweep", "faults: link failures + controller reroute, topology x strategy x fault count, FCT and recovery",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := FaultSweep(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "96"), Knob("faults", "0"), workersField)
+		tableSet(FaultSweep), seedField, Knob("flows", "96"), Knob("faults", "0"), workersField)
 	Register(130, "faults-flap", "faults: single-link MTBF/MTTR flapping under incast, recovery metrics per flap rate",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := FaultFlap(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "96"), Knob("mtbf_ms", "0"), workersField)
+		tableSet(FaultFlap), seedField, Knob("flows", "96"), Knob("mtbf_ms", "0"), workersField)
 }
 
 // Sweep fault geometry, relative to the flow schedule's injection
@@ -65,14 +50,10 @@ type FaultSweepCell struct {
 	Faults   int
 	Flows    int
 	// Results.
-	Completed  int
-	Lost       int64 // packets dropped by dead elements
-	Drops      int64 // congestion / table-miss drops (post-repair blackholes)
-	Churn      int   // rules added+removed across all repairs
-	Reconv     netsim.Time
-	ReconvN    int
-	P50, P99   float64 // FCT slowdown percentiles over completed flows
-	Incomplete int
+	flowOutcome
+	Churn   int // rules added+removed across all repairs
+	Reconv  netsim.Time
+	ReconvN int
 }
 
 // FaultSweepResult is the full grid.
@@ -99,14 +80,12 @@ func FaultSweep(ctx context.Context, p JobSpec) (*FaultSweepResult, error) {
 		topology.Dragonfly(4, 9, 2, 1),
 		topology.Torus2D(4, 4, 1),
 	}
-	cfg := netsim.DefaultConfig()
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	const ranks = 16
 	const load = 0.3
 
 	res := &FaultSweepResult{Seed: seed}
 	var jobs []core.Job
-	var flowSets []*loadgen.FlowSet
 	for _, g := range topos {
 		tb, err := core.PaperTestbed([]*topology.Graph{g})
 		if err != nil {
@@ -121,7 +100,7 @@ func FaultSweep(ctx context.Context, p JobSpec) (*FaultSweepResult, error) {
 				cellSeed := seed + int64(len(res.Cells))
 				fs, err := loadgen.Spec{
 					Ranks: ranks, Pattern: loadgen.Uniform(), Sizes: sizes,
-					Load: load, Flows: flows, Seed: cellSeed, LinkBps: cfg.LinkBps,
+					Load: load, Flows: flows, Seed: cellSeed,
 				}.Generate()
 				if err != nil {
 					return nil, err
@@ -133,7 +112,6 @@ func FaultSweep(ctx context.Context, p JobSpec) (*FaultSweepResult, error) {
 				res.Cells = append(res.Cells, FaultSweepCell{
 					Topo: g.Name, Strategy: name, Faults: nf, Flows: flows,
 				})
-				flowSets = append(flowSets, fs)
 				jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 					Topo: g, Flows: fs.Flows, Mode: core.FullTestbed,
 					Strategy: strat, Faults: spec,
@@ -147,7 +125,8 @@ func FaultSweep(ctx context.Context, p JobSpec) (*FaultSweepResult, error) {
 	}
 	for i := range res.Cells {
 		c := &res.Cells[i]
-		fillFaultCell(c, results[i], flowSets[i], cfg)
+		c.flowOutcome = outcomeOf(results[i], jobs[i].Flows)
+		c.Churn, c.Reconv, c.ReconvN = faultStats(results[i].Faults)
 	}
 	return res, nil
 }
@@ -179,19 +158,6 @@ func oneShotLinkFaults(g *topology.Graph, nf int, seed int64, fs *loadgen.FlowSe
 		)
 	}
 	return spec, nil
-}
-
-// fillFaultCell reads one run's fault + FCT results into a cell.
-func fillFaultCell(c *FaultSweepCell, r *core.RunResult, fs *loadgen.FlowSet, cfg netsim.Config) {
-	rep := telemetry.MeasureFCT(fs.Flows, cfg.LinkBps, idealBase(cfg), []int{})
-	c.Completed = rep.Completed
-	c.Lost = r.FaultDrops
-	c.Drops = r.Drops
-	c.Incomplete = r.Incomplete
-	if len(rep.Buckets) > 0 && rep.Buckets[0].Count > 0 {
-		c.P50, c.P99 = rep.Buckets[0].P50, rep.Buckets[0].P99
-	}
-	c.Churn, c.Reconv, c.ReconvN = faultStats(r.Faults)
 }
 
 // faultStats sums a run's repair churn and averages reconvergence over
@@ -237,16 +203,13 @@ type FaultFlapRow struct {
 	MTBF, MTTR netsim.Time
 	// Edge is the flapping uplink (the victim is seeded per row, so
 	// each row flaps its own victim's ToR uplink).
-	Edge      int
-	Downs     int // link-down events in the run's fault records
-	Flows     int
-	Completed int
-	Lost      int64
-	Churn     int
-	Reconv    netsim.Time
-	ReconvN   int
-	P99       float64
-	Pauses    int64
+	Edge  int
+	Downs int // link-down events in the run's fault records
+	Flows int
+	flowOutcome
+	Churn   int
+	Reconv  netsim.Time
+	ReconvN int
 }
 
 // FaultFlapResult is the §VI-C-style incast study under a flapping
@@ -269,7 +232,6 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 	}
 	const fanin = 8
 	g := topology.FatTree(4)
-	cfg := netsim.DefaultConfig()
 	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {
 		return nil, err
@@ -281,13 +243,11 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 
 	res := &FaultFlapResult{Seed: seed}
 	var jobs []core.Job
-	var flowSets []*loadgen.FlowSet
 	for i, mtbf := range mtbfs {
 		fs, err := loadgen.Spec{
 			Ranks: fanin + 1, Pattern: loadgen.Incast(fanin),
 			Sizes: loadgen.FixedSize(64 * 1024),
 			Load:  0.8, Flows: flows, Seed: seed + int64(i),
-			LinkBps: cfg.LinkBps,
 		}.Generate()
 		if err != nil {
 			return nil, err
@@ -315,7 +275,6 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 			Seed:    seed + int64(i),
 		}
 		res.Rows = append(res.Rows, FaultFlapRow{MTBF: mtbf, MTTR: mtbf / 4, Edge: edge, Flows: flows})
-		flowSets = append(flowSets, fs)
 		jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 			Topo: g, Flows: fs.Flows, Mode: core.FullTestbed, Hosts: hosts, Faults: spec,
 		}})
@@ -331,13 +290,7 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 				row.Downs++
 			}
 		}
-		rep := telemetry.MeasureFCT(flowSets[i].Flows, cfg.LinkBps, idealBase(cfg), []int{})
-		row.Completed = rep.Completed
-		if len(rep.Buckets) > 0 && rep.Buckets[0].Count > 0 {
-			row.P99 = rep.Buckets[0].P99
-		}
-		row.Lost = results[i].FaultDrops
-		row.Pauses = results[i].Pauses
+		row.flowOutcome = outcomeOf(results[i], jobs[i].Flows)
 		row.Churn, row.Reconv, row.ReconvN = faultStats(results[i].Faults)
 	}
 	return res, nil

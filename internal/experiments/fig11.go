@@ -16,14 +16,8 @@ func init() {
 	// The reps knob counts pingpongs in fives, so one reps default (8)
 	// serves fig11 and fig13's alltoall rounds alike.
 	Register(10, "fig11", "Fig. 11: SDT latency overhead across IMB Pingpong message lengths",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := Fig11(ctx, p.Reps*5, p.Workers)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, Knob("reps", "8"), workersField)
+		tableSet(func(ctx context.Context, p JobSpec) (*Fig11Result, error) { return Fig11(ctx, p.Reps*5, p.Workers) }),
+		Knob("reps", "8"), workersField)
 }
 
 // Fig11Point is one message length of the latency-overhead sweep.

@@ -13,16 +13,10 @@ import (
 
 func init() {
 	Register(20, "fig12", "Fig. 12: incast bandwidth, PFC on/off x SDT/full testbed",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			rs, err := Fig12Panels(ctx, p.dur(), p.Workers)
-			if err != nil {
-				return err
-			}
-			for _, r := range rs {
-				r.Format(w)
-			}
-			return nil
-		}, Knob("dur_ms", "1000"), workersField)
+		tableSet(func(ctx context.Context, p JobSpec) (Fig12Results, error) {
+			return Fig12Panels(ctx, p.dur(), p.Workers)
+		}),
+		Knob("dur_ms", "1000"), workersField)
 }
 
 // Fig12Flow is one sender's bandwidth series in the incast test.
@@ -58,12 +52,22 @@ func fig12Panels() []struct {
 	}
 }
 
+// Fig12Results is the figure's four panels in sdtbench's print order.
+type Fig12Results []*Fig12Result
+
+// Format prints every panel.
+func (rs Fig12Results) Format(w io.Writer) {
+	for _, r := range rs {
+		r.Format(w)
+	}
+}
+
 // Fig12Panels runs the four incast panels (PFC on/off x SDT/full
 // testbed), one per worker, in the order sdtbench prints them
 // (results are identical at any worker count).
-func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) ([]*Fig12Result, error) {
+func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) (Fig12Results, error) {
 	panels := fig12Panels()
-	out := make([]*Fig12Result, len(panels))
+	out := make(Fig12Results, len(panels))
 	err := core.ForEach(ctx, workers, len(panels), func(i int) error {
 		r, err := Fig12(ctx, panels[i].Mode, panels[i].PFC, duration)
 		if err != nil {
@@ -82,9 +86,10 @@ func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) ([]*Fig
 // to node 4 on the Fig. 10 chain, with PFC on or off, on the full
 // testbed or SDT. duration is simulated time (the paper plots an ~8 s
 // window; 1–2 s gives the same steady state). The incast is one
-// core.Run of a Streams scenario bounded at duration plus one sampling
-// interval; an observer samples each flow's goodput every interval and
-// snapshots its bytes at exactly duration, which the means divide.
+// core.Run of a Streams scenario bounded at duration; an observer
+// samples each flow's goodput every interval, the means divide each
+// flow's received bytes by duration, and the drop count covers the
+// same window.
 func Fig12(ctx context.Context, mode core.Mode, pfc bool, duration netsim.Time) (*Fig12Result, error) {
 	g := fig10Topology()
 	tb, err := core.PaperTestbed([]*topology.Graph{g})
@@ -116,19 +121,8 @@ func Fig12(ctx context.Context, mode core.Mode, pfc bool, duration netsim.Time) 
 		Period: interval,
 		Start: func(net *netsim.Network, _ core.Scenario) {
 			routes = net.Fwd.(netsim.RouteForwarder).Routes
-			// Snapshot per-flow byte counts exactly at the measurement
-			// window's end so means divide the right interval.
-			net.Sim.At(duration, func() {
-				for i, s := range streams {
-					res.Flows[i].MeanGbps = float64(s.Conn.RcvBytes*8) / duration.Seconds() / 1e9
-					res.AggregateGbps += res.Flows[i].MeanGbps
-				}
-			})
 		},
 		Tick: func(at netsim.Time, _ *netsim.Network) {
-			if at > duration {
-				return // past the window; the run goes on to Until for the drop count only
-			}
 			for i, s := range streams {
 				d := s.Conn.RcvBytes - last[i]
 				last[i] = s.Conn.RcvBytes
@@ -140,13 +134,17 @@ func Fig12(ctx context.Context, mode core.Mode, pfc bool, duration netsim.Time) 
 		},
 	}
 	run, err := core.Run(ctx, tb, core.Scenario{
-		Topo: g, Streams: streams, Until: duration + interval, Mode: mode,
+		Topo: g, Streams: streams, Until: duration, Mode: mode,
 		Hosts: hosts, Strategy: routing.ShortestPath{}, SimConfig: &cfg,
 	}, core.WithObserver(sampler))
 	if err != nil {
 		return nil, err
 	}
 	res.Drops = run.Drops
+	for i, s := range streams {
+		res.Flows[i].MeanGbps = float64(s.Conn.RcvBytes*8) / duration.Seconds() / 1e9
+		res.AggregateGbps += res.Flows[i].MeanGbps
+	}
 	// Label hops and congestion points from the route set the run used.
 	paths := map[int][]int{}
 	for _, s := range streams {

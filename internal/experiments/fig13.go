@@ -14,15 +14,10 @@ import (
 
 func init() {
 	Register(60, "fig13", "Fig. 13: evaluation-time scaling, full testbed vs simulator vs SDT",
-		func(ctx context.Context, p JobSpec, w, measured io.Writer) error {
-			r, err := Fig13(ctx, nil, p.Bytes, p.Reps, p.Workers)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			r.formatMeasured(measured, p.Workers)
-			return nil
-		}, Knob("bytes", "262144"), Knob("reps", "8"), workersField)
+		tableSet(func(ctx context.Context, p JobSpec) (*Fig13Result, error) {
+			return Fig13(ctx, nil, p.Bytes, p.Reps, p.Workers)
+		}),
+		Knob("bytes", "262144"), Knob("reps", "8"), workersField)
 }
 
 // Fig13Point is one node count of the evaluation-time scaling study.

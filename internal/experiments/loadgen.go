@@ -21,23 +21,9 @@ import (
 
 func init() {
 	Register(100, "loadgen-sweep", "loadgen: seeded open-loop FCT sweep, pattern x load grid on fat-tree/dragonfly/torus",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := LoadSweep(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "160"), workersField)
+		tableSet(LoadSweep), seedField, Knob("flows", "160"), workersField)
 	Register(110, "loadgen-incast", "loadgen: incast N:1 fan-in sweep on fat-tree, FCT tail at the victim under PFC",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := LoadIncast(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "96"), Knob("load", "0.8"), workersField)
+		tableSet(LoadIncast), seedField, Knob("flows", "96"), Knob("load", "0.8"), workersField)
 }
 
 // sweepBuckets are the FCT size-bucket boundaries of the loadgen
@@ -45,13 +31,42 @@ func init() {
 // to the scaled web-search distribution the sweep offers.
 func sweepBuckets() []int { return []int{10 * 1024, 100 * 1024} }
 
-// idealBase is the zero-load latency floor the slowdown normalises
-// against: NIC latency at both ends plus the shortest possible path
-// (one switch, two links). Slowdown is measured against the minimum
-// achievable FCT, so the base must not exceed any real path — longer
-// routes simply show up as slowdown, as they should.
-func idealBase(cfg netsim.Config) netsim.Time {
-	return 2*cfg.HostLatency + cfg.SwitchLatency + 2*cfg.PropDelay
+// measureFCT buckets a finished schedule by size (nil bounds =
+// telemetry's default buckets) on the default fabric. Slowdown
+// normalises against the zero-load latency floor: NIC latency at both
+// ends plus the shortest possible path (one switch, two links). It is
+// measured against the minimum achievable FCT, so the base must not
+// exceed any real path — longer routes simply show up as slowdown, as
+// they should.
+func measureFCT(flows []netsim.Flow, bounds []int) *telemetry.FCTReport {
+	cfg := netsim.DefaultConfig()
+	base := 2*cfg.HostLatency + cfg.SwitchLatency + 2*cfg.PropDelay
+	return telemetry.MeasureFCT(flows, cfg.LinkBps, base, bounds)
+}
+
+// slowdowns reads the FCT slowdown p50 and p99 over a schedule's
+// completed flows (0 when none completed) and how many completed.
+func slowdowns(flows []netsim.Flow) (p50, p99 float64, completed int) {
+	rep := measureFCT(flows, []int{}) // one bucket: every size
+	return rep.Buckets[0].P50, rep.Buckets[0].P99, rep.Completed
+}
+
+// flowOutcome is what the open-loop sets read from one run of a
+// schedule.
+type flowOutcome struct {
+	Completed  int
+	Incomplete int
+	Lost       int64 // packets dropped by dead or drained elements
+	Drops      int64 // congestion / table-miss drops (post-repair blackholes)
+	Pauses     int64
+	P50, P99   float64 // FCT slowdown percentiles over completed flows
+}
+
+// outcomeOf reads run r of the schedule flows.
+func outcomeOf(r *core.RunResult, flows []netsim.Flow) flowOutcome {
+	o := flowOutcome{Incomplete: r.Incomplete, Lost: r.FaultDrops, Drops: r.Drops, Pauses: r.Pauses}
+	o.P50, o.P99, o.Completed = slowdowns(flows)
+	return o
 }
 
 // LoadSweepCell is one (topology, pattern, load) grid point.
@@ -86,7 +101,6 @@ func LoadSweep(ctx context.Context, p JobSpec) (*LoadSweepResult, error) {
 	}
 	patterns := []loadgen.Pattern{loadgen.Uniform(), loadgen.Permutation(), loadgen.Incast(8)}
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	cfg := netsim.DefaultConfig()
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	const ranks = 16
 
@@ -101,9 +115,7 @@ func LoadSweep(ctx context.Context, p JobSpec) (*LoadSweepResult, error) {
 			for _, load := range loads {
 				fs, err := loadgen.Spec{
 					Ranks: ranks, Pattern: pat, Sizes: sizes,
-					Load: load, Flows: flows,
-					Seed:    seed + int64(len(res.Cells)),
-					LinkBps: cfg.LinkBps,
+					Load: load, Flows: flows, Seed: seed + int64(len(res.Cells)),
 				}.Generate()
 				if err != nil {
 					return nil, err
@@ -123,7 +135,7 @@ func LoadSweep(ctx context.Context, p JobSpec) (*LoadSweepResult, error) {
 	}
 	for i := range res.Cells {
 		res.Cells[i].Drops = results[i].Drops
-		res.Cells[i].FCT = telemetry.MeasureFCT(jobs[i].Flows, cfg.LinkBps, idealBase(cfg), sweepBuckets())
+		res.Cells[i].FCT = measureFCT(jobs[i].Flows, sweepBuckets())
 	}
 	return res, nil
 }
@@ -179,24 +191,20 @@ func LoadIncast(ctx context.Context, p JobSpec) (*LoadIncastResult, error) {
 	seed, flows, load := p.Seed, p.Flows, p.Load
 	fanins := []int{4, 8, 15}
 	g := topology.FatTree(4)
-	cfg := netsim.DefaultConfig()
 	tb, err := core.PaperTestbed([]*topology.Graph{g})
 	if err != nil {
 		return nil, err
 	}
 	var jobs []core.Job
-	var sets []*loadgen.FlowSet
 	for i, fanin := range fanins {
 		fs, err := loadgen.Spec{
 			Ranks: fanin + 1, Pattern: loadgen.Incast(fanin),
 			Sizes: loadgen.FixedSize(64 * 1024),
 			Load:  load, Flows: flows, Seed: seed + int64(i),
-			LinkBps: cfg.LinkBps,
 		}.Generate()
 		if err != nil {
 			return nil, err
 		}
-		sets = append(sets, fs)
 		jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 			Topo: g, Flows: fs.Flows, Mode: core.FullTestbed,
 		}})
@@ -207,7 +215,7 @@ func LoadIncast(ctx context.Context, p JobSpec) (*LoadIncastResult, error) {
 	}
 	res := &LoadIncastResult{Seed: seed, Load: load}
 	for i, fanin := range fanins {
-		rep := telemetry.MeasureFCT(sets[i].Flows, cfg.LinkBps, idealBase(cfg), nil)
+		rep := measureFCT(jobs[i].Flows, nil)
 		var row LoadIncastRow
 		row.Fanin = fanin
 		row.Flows = flows

@@ -30,15 +30,7 @@ import (
 
 func init() {
 	Register(115, "loadgen-sweep-xl", "loadgen: flow-fidelity FCT sweep on XL fat-trees (1k-65k hosts), packet-vs-flow speedup on a 128-host reference",
-		func(ctx context.Context, p JobSpec, w, measured io.Writer) error {
-			r, err := LoadSweepXL(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			r.formatMeasured(measured, p.Workers)
-			return nil
-		}, seedField, Knob("flows", "2048"), workersField)
+		tableSet(LoadSweepXL), seedField, Knob("flows", "2048"), workersField)
 }
 
 // xlLoad is the fixed offered load of every XL cell: high enough that
@@ -84,7 +76,6 @@ type LoadSweepXLResult struct {
 // wall-clock ratio is clean.
 func LoadSweepXL(ctx context.Context, p JobSpec) (*LoadSweepXLResult, error) {
 	seed, flows := p.Seed, p.Flows
-	cfg := netsim.DefaultConfig()
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	patterns := []loadgen.Pattern{loadgen.Uniform(), loadgen.Permutation()}
 	const ranks = 64
@@ -106,9 +97,7 @@ func LoadSweepXL(ctx context.Context, p JobSpec) (*LoadSweepXLResult, error) {
 		for _, pat := range patterns {
 			fs, err := loadgen.Spec{
 				Ranks: ranks, Pattern: pat, Sizes: sizes,
-				Load: xlLoad, Flows: flows,
-				Seed:    seed + int64(len(res.Cells)),
-				LinkBps: cfg.LinkBps,
+				Load: xlLoad, Flows: flows, Seed: seed + int64(len(res.Cells)),
 			}.Generate()
 			if err != nil {
 				return nil, err
@@ -128,7 +117,7 @@ func LoadSweepXL(ctx context.Context, p JobSpec) (*LoadSweepXLResult, error) {
 	for i := range res.Cells {
 		res.Cells[i].Recomputes = results[i].Events
 		res.Cells[i].Wall = results[i].Wall
-		res.Cells[i].FCT = telemetry.MeasureFCT(jobs[i].Flows, cfg.LinkBps, idealBase(cfg), sweepBuckets())
+		res.Cells[i].FCT = measureFCT(jobs[i].Flows, sweepBuckets())
 	}
 
 	// The speedup reference: the largest fabric both fidelities reach
@@ -140,7 +129,7 @@ func LoadSweepXL(ctx context.Context, p JobSpec) (*LoadSweepXLResult, error) {
 	gen := func() ([]netsim.Flow, error) {
 		fs, err := loadgen.Spec{
 			Ranks: 16, Pattern: loadgen.Uniform(), Sizes: loadgen.WebSearch(),
-			Load: xlLoad, Flows: flows, Seed: seed, LinkBps: cfg.LinkBps,
+			Load: xlLoad, Flows: flows, Seed: seed,
 		}.Generate()
 		if err != nil {
 			return nil, err

@@ -24,29 +24,14 @@ import (
 	"repro/internal/projection"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
 func init() {
 	Register(150, "reconfig-sweep", "reconfig: live topology transitions (swap/growth/rollback) x strategy, degradation and cost columns",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := ReconfigSweep(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "96"), workersField)
+		tableSet(ReconfigSweep), seedField, Knob("flows", "96"), workersField)
 	Register(160, "reconfig-under-load", "reconfig: fat-tree transition under incast/permutation load, FCT before/during/after the disruption",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := ReconfigUnderLoad(ctx, p)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, seedField, Knob("flows", "96"), Knob("load", "0.8"), Knob("reconfig", "dragonfly"), workersField)
+		tableSet(ReconfigUnderLoad), seedField, Knob("flows", "96"), Knob("load", "0.8"), Knob("reconfig", "dragonfly"), workersField)
 }
 
 // Transition geometry, relative to the flow schedule's injection window
@@ -90,16 +75,14 @@ type ReconfigSweepCell struct {
 	Inject   bool
 	Flows    int
 	// Results.
+	flowOutcome
 	Outcome    string
 	Links      int
-	Lost       int64
 	Churn      int
 	Reconv     netsim.Time // -1 if never reconverged
 	Entries    int
 	ReconfigMs float64 // modelled controller downtime, ms
 	HWCost     float64
-	P99        float64 // FCT slowdown over completed flows
-	Incomplete int
 }
 
 // ReconfigSweepResult is the full grid.
@@ -127,14 +110,12 @@ func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error)
 		{func() *topology.Graph { return topology.Torus2D(4, 4, 1) }, func() *topology.Graph { return topology.Torus2D(4, 6, 1) }, false},
 		{func() *topology.Graph { return topology.FatTree(4) }, func() *topology.Graph { return topology.Torus2D(4, 4, 1) }, true},
 	}
-	cfg := netsim.DefaultConfig()
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	const ranks = 16
 	const load = 0.3
 
 	res := &ReconfigSweepResult{Seed: seed}
 	var jobs []core.Job
-	var flowSets []*loadgen.FlowSet
 	for _, pair := range pairs {
 		for _, generic := range []bool{false, true} {
 			g, target := pair.src(), pair.dst()
@@ -151,7 +132,7 @@ func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error)
 			cellSeed := seed + int64(len(res.Cells))
 			fs, err := loadgen.Spec{
 				Ranks: ranks, Pattern: loadgen.Uniform(), Sizes: sizes,
-				Load: load, Flows: flows, Seed: cellSeed, LinkBps: cfg.LinkBps,
+				Load: load, Flows: flows, Seed: cellSeed,
 			}.Generate()
 			if err != nil {
 				return nil, err
@@ -159,7 +140,6 @@ func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error)
 			res.Cells = append(res.Cells, ReconfigSweepCell{
 				Src: g.Name, Dst: target.Name, Strategy: name, Inject: pair.inject, Flows: flows,
 			})
-			flowSets = append(flowSets, fs)
 			jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 				Topo: g, Flows: fs.Flows, Mode: core.FullTestbed,
 				Strategy: strat, Reconfig: midWindowSpec(target, fs, pair.inject),
@@ -171,18 +151,14 @@ func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error)
 		return nil, err
 	}
 	for i := range res.Cells {
-		fillReconfigCell(&res.Cells[i], results[i], flowSets[i], cfg)
+		fillReconfigCell(&res.Cells[i], results[i], jobs[i].Flows)
 	}
 	return res, nil
 }
 
 // fillReconfigCell reads one run's transition + FCT results into a cell.
-func fillReconfigCell(c *ReconfigSweepCell, r *core.RunResult, fs *loadgen.FlowSet, cfg netsim.Config) {
-	rep := telemetry.MeasureFCT(fs.Flows, cfg.LinkBps, idealBase(cfg), []int{})
-	if len(rep.Buckets) > 0 && rep.Buckets[0].Count > 0 {
-		c.P99 = rep.Buckets[0].P99
-	}
-	c.Incomplete = r.Incomplete
+func fillReconfigCell(c *ReconfigSweepCell, r *core.RunResult, flows []netsim.Flow) {
+	c.flowOutcome = outcomeOf(r, flows)
 	c.Reconv = -1
 	if len(r.Reconfig) == 0 {
 		return
@@ -190,7 +166,6 @@ func fillReconfigCell(c *ReconfigSweepCell, r *core.RunResult, fs *loadgen.FlowS
 	st := &r.Reconfig[0]
 	c.Outcome = outcomeName(st)
 	c.Links = len(st.Drained)
-	c.Lost = r.FaultDrops
 	c.Churn = st.TotalChurn()
 	c.Reconv = st.Reconvergence()
 	c.Entries = st.Entries
@@ -288,12 +263,9 @@ func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult
 		{"incast-8:1", loadgen.Incast(fanin), fanin + 1},
 		{"permutation", loadgen.Permutation(), 16},
 	}
-	cfg := netsim.DefaultConfig()
 
 	res := &ReconfigUnderLoadResult{Seed: seed}
 	var jobs []core.Job
-	var flowSets []*loadgen.FlowSet
-	var specs []*reconfig.Spec
 	for _, pt := range patterns {
 		for _, inject := range []bool{false, true} {
 			g, target := topology.FatTree(4), newTarget()
@@ -305,17 +277,14 @@ func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult
 			rowSeed := seed + int64(len(res.Rows))
 			fs, err := loadgen.Spec{
 				Ranks: pt.ranks, Pattern: pt.pat, Sizes: loadgen.FixedSize(64 * 1024),
-				Load: load, Flows: flows, Seed: rowSeed, LinkBps: cfg.LinkBps,
+				Load: load, Flows: flows, Seed: rowSeed,
 			}.Generate()
 			if err != nil {
 				return nil, err
 			}
-			spec := midWindowSpec(target, fs, inject)
 			res.Rows = append(res.Rows, ReconfigLoadRow{Pattern: pt.name, Inject: inject, Flows: flows})
-			flowSets = append(flowSets, fs)
-			specs = append(specs, spec)
 			jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
-				Topo: g, Flows: fs.Flows, Mode: core.FullTestbed, Reconfig: spec,
+				Topo: g, Flows: fs.Flows, Mode: core.FullTestbed, Reconfig: midWindowSpec(target, fs, inject),
 			}})
 		}
 	}
@@ -343,7 +312,7 @@ func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult
 			}
 		}
 		var before, during, after []netsim.Flow
-		for _, f := range flowSets[i].Flows {
+		for _, f := range jobs[i].Flows {
 			switch {
 			case drainAt < 0 || f.Start < drainAt:
 				before = append(before, f)
@@ -353,24 +322,11 @@ func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult
 				after = append(after, f)
 			}
 		}
-		row.Before, row.BeforeN = phaseP99(before, cfg)
-		row.During, row.DuringN = phaseP99(during, cfg)
-		row.After, row.AfterN = phaseP99(after, cfg)
+		_, row.Before, row.BeforeN = slowdowns(before)
+		_, row.During, row.DuringN = slowdowns(during)
+		_, row.After, row.AfterN = slowdowns(after)
 	}
 	return res, nil
-}
-
-// phaseP99 measures the p99 FCT slowdown over one phase's flows,
-// reporting how many completed.
-func phaseP99(flows []netsim.Flow, cfg netsim.Config) (float64, int) {
-	if len(flows) == 0 {
-		return 0, 0
-	}
-	rep := telemetry.MeasureFCT(flows, cfg.LinkBps, idealBase(cfg), []int{})
-	if len(rep.Buckets) == 0 || rep.Buckets[0].Count == 0 {
-		return 0, rep.Completed
-	}
-	return rep.Buckets[0].P99, rep.Completed
 }
 
 // Format prints the under-load degradation table.

@@ -66,16 +66,18 @@ var (
 	workersField = Knob(knobWorkers, "0")
 )
 
-// Entry is one registered scenario set.
+// Entry is one registered scenario set. Its JSON encoding is the
+// listing document: `sdtbench -list -json` and sdtd's /v1/scenarios
+// both encode All().
 type Entry struct {
 	// Name is the lookup key (the sdtbench -exp value).
-	Name string
+	Name string `json:"name"`
 	// Desc is a one-line description for CLI listings.
-	Desc string
+	Desc string `json:"desc"`
 	// Schema lists the knobs this set reads, each with the set's default
 	// (empty = the set is parameter-free). workers is listed where the
 	// set fans out, though it never changes a simulated byte.
-	Schema []Field
+	Schema []Field `json:"params,omitempty"`
 
 	run   Runner
 	order int
@@ -111,8 +113,29 @@ func (e Entry) withDefaults(s JobSpec) JobSpec {
 
 var registry []Entry
 
+// table is a scenario set's result: it prints its simulated tables.
+type table interface{ Format(io.Writer) }
+
+// tableSet adapts a set's entry point to a Runner: the result's Format
+// goes to w and, when the result also measured this host's clock, its
+// formatMeasured goes to the measured sink.
+func tableSet[R table](run func(context.Context, JobSpec) (R, error)) Runner {
+	return func(ctx context.Context, s JobSpec, w, measured io.Writer) error {
+		r, err := run(ctx, s)
+		if err != nil {
+			return err
+		}
+		r.Format(w)
+		if m, ok := any(r).(interface{ formatMeasured(io.Writer, int) }); ok {
+			m.formatMeasured(measured, s.Workers)
+		}
+		return nil
+	}
+}
+
 // Register adds a scenario set under a presentation-order index, with
-// the schema of the knobs the set reads (built with Knob). Duplicate
+// the schema of the knobs the set reads (built with Knob). Every set in
+// this package passes its entry point through tableSet. Duplicate
 // names panic: the registry is wired at init time and a collision is a
 // programming error.
 func Register(order int, name, desc string, run Runner, schema ...Field) {

@@ -16,14 +16,8 @@ import (
 
 func init() {
 	Register(30, "table2", "Table II: SDT vs other topology-projection methods",
-		func(ctx context.Context, p JobSpec, w, _ io.Writer) error {
-			r, err := Table2(ctx, p.Zoo, p.Workers)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		}, Knob("zoo", "0"), workersField)
+		tableSet(func(ctx context.Context, p JobSpec) (*Table2Result, error) { return Table2(ctx, p.Zoo, p.Workers) }),
+		Knob("zoo", "0"), workersField)
 }
 
 // Table2Row compares one TP method across the paper's workload set:

@@ -11,14 +11,7 @@ import (
 
 func init() {
 	Register(40, "table3", "Table III: routing strategies with machine-checked deadlock freedom",
-		func(_ context.Context, _ JobSpec, w, _ io.Writer) error {
-			r, err := Table3()
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			return nil
-		})
+		tableSet(func(context.Context, JobSpec) (*Table3Result, error) { return Table3() }))
 }
 
 // Table3Row is one topology's routing strategy and deadlock-avoidance

@@ -15,15 +15,10 @@ import (
 
 func init() {
 	Register(50, "table4", "Table IV: application ACTs on SDT vs the simulator",
-		func(ctx context.Context, p JobSpec, w, measured io.Writer) error {
-			r, err := Table4(ctx, p.Ranks, nil, p.Workers)
-			if err != nil {
-				return err
-			}
-			r.Format(w)
-			r.formatMeasured(measured, p.Workers)
-			return nil
-		}, Knob("ranks", "16"), workersField)
+		tableSet(func(ctx context.Context, p JobSpec) (*Table4Result, error) {
+			return Table4(ctx, p.Ranks, nil, p.Workers)
+		}),
+		Knob("ranks", "16"), workersField)
 }
 
 // Table4Cell is one (application, topology) evaluation: ACT on SDT vs

@@ -49,7 +49,7 @@ type Spec struct {
 	// schedules.
 	Seed int64
 	// LinkBps is the host link rate the load is offered against
-	// (0 = 10 Gb/s, the testbed default).
+	// (0 = netsim.DefaultConfig's link rate).
 	LinkBps float64
 }
 
@@ -80,7 +80,7 @@ func (s Spec) Generate() (*FlowSet, error) {
 		s.Sizes = WebSearch()
 	}
 	if s.LinkBps == 0 {
-		s.LinkBps = 10e9
+		s.LinkBps = netsim.DefaultConfig().LinkBps
 	}
 	if s.LinkBps < 0 {
 		return nil, fmt.Errorf("loadgen: negative link rate %g", s.LinkBps)

@@ -4,8 +4,8 @@
 // It models exactly the switch features the paper's prototype depends
 // on (§V, §VII-B): priority-ordered flow tables with wildcardable
 // matches on ingress port and packet header fields, output/set-tag/drop
-// actions, a bounded table capacity (§VII-C's key resource), and
-// per-port counters for the Network Monitor module. The flow tables
+// actions, and a bounded table capacity (§VII-C's key resource). The
+// flow tables
 // both restrict forwarding to sub-switch domains (the essence of SDT's
 // Link Projection) and realise routing strategies.
 package openflow
@@ -117,10 +117,6 @@ type FlowEntry struct {
 	Match    Match
 	Actions  []Action
 	Cookie   uint64 // controller-assigned grouping ID (per logical topology)
-
-	// Counters, maintained by Switch.Process.
-	Packets uint64
-	Bytes   uint64
 
 	seq int // install order for stable tie-breaking
 }
@@ -415,14 +411,6 @@ type PacketMeta struct {
 	DstHost int
 	Tag     int
 	Proto   int
-	Bytes   int
-}
-
-// PortCounter accumulates per-port statistics for the Network Monitor.
-type PortCounter struct {
-	RxPackets, TxPackets uint64
-	RxBytes, TxBytes     uint64
-	Drops                uint64
 }
 
 // Forwarding is the result of processing a packet.
@@ -433,43 +421,32 @@ type Forwarding struct {
 	Tag     int // possibly rewritten
 }
 
-// Switch is an OpenFlow switch: numbered ports 1..NumPorts, one flow
-// table, per-port counters.
+// Switch is an OpenFlow switch: numbered ports 1..NumPorts and one flow
+// table.
 type Switch struct {
 	ID       string
 	NumPorts int
 	Table    Table
-	Ports    []PortCounter // index 0 unused; 1..NumPorts
 }
 
 // NewSwitch builds a switch with the given port count and flow table
 // capacity (0 = unlimited).
 func NewSwitch(id string, ports, tableCap int) *Switch {
-	s := &Switch{ID: id, NumPorts: ports, Ports: make([]PortCounter, ports+1)}
+	s := &Switch{ID: id, NumPorts: ports}
 	s.Table.Capacity = tableCap
 	s.Table.owner = id
 	return s
 }
 
-// Process runs the table pipeline on one packet: counts it on the
-// ingress port, finds the matching entry, applies SetTag actions, and
-// returns the forwarding decision. Unmatched packets are dropped (the
+// Process runs the table pipeline on one packet: finds the matching
+// entry, applies SetTag actions, and returns the forwarding decision. Unmatched packets are dropped (the
 // default table-miss behaviour the SDT prototype installs, preserving
 // hardware isolation between co-hosted topologies).
 func (s *Switch) Process(p PacketMeta) Forwarding {
-	if p.InPort >= 1 && p.InPort <= s.NumPorts {
-		s.Ports[p.InPort].RxPackets++
-		s.Ports[p.InPort].RxBytes += uint64(p.Bytes)
-	}
 	e := s.Table.Lookup(p)
 	if e == nil {
-		if p.InPort >= 1 && p.InPort <= s.NumPorts {
-			s.Ports[p.InPort].Drops++
-		}
 		return Forwarding{}
 	}
-	e.Packets++
-	e.Bytes += uint64(p.Bytes)
 	fwd := Forwarding{Matched: true, Tag: p.Tag, OutPort: 0}
 	for _, a := range e.Actions {
 		switch a.Type {
@@ -480,10 +457,6 @@ func (s *Switch) Process(p PacketMeta) Forwarding {
 		case Drop:
 			fwd.Dropped = true
 		}
-	}
-	if fwd.OutPort >= 1 && fwd.OutPort <= s.NumPorts && !fwd.Dropped {
-		s.Ports[fwd.OutPort].TxPackets++
-		s.Ports[fwd.OutPort].TxBytes += uint64(p.Bytes)
 	}
 	if fwd.OutPort == 0 {
 		fwd.Dropped = true

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMatchCovers(t *testing.T) {
@@ -111,30 +112,29 @@ func TestSwitchProcessForwardAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := sw.Process(PacketMeta{InPort: 1, DstHost: 42, Tag: 0, Bytes: 1500})
+	fwd := sw.Process(PacketMeta{InPort: 1, DstHost: 42, Tag: 0})
 	if !fwd.Matched || fwd.Dropped || fwd.OutPort != 5 {
 		t.Fatalf("fwd = %+v, want output 5", fwd)
 	}
-	if sw.Ports[1].RxPackets != 1 || sw.Ports[1].RxBytes != 1500 {
-		t.Errorf("rx counters = %+v", sw.Ports[1])
+}
+
+// TestFlowEntrySize pins FlowEntry at 88 bytes on 64-bit targets: a
+// table keeps one per installed rule, so a field added to every entry
+// shows up in every deployment's footprint.
+func TestFlowEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit targets")
 	}
-	if sw.Ports[5].TxPackets != 1 || sw.Ports[5].TxBytes != 1500 {
-		t.Errorf("tx counters = %+v", sw.Ports[5])
-	}
-	entry := sw.Table.Entries()[0]
-	if entry.Packets != 1 || entry.Bytes != 1500 {
-		t.Errorf("entry counters = %d/%d", entry.Packets, entry.Bytes)
+	if got := unsafe.Sizeof(FlowEntry{}); got != 88 {
+		t.Errorf("FlowEntry is %d bytes, want 88", got)
 	}
 }
 
 func TestSwitchTableMissDrops(t *testing.T) {
 	sw := NewSwitch("s1", 4, 0)
-	fwd := sw.Process(PacketMeta{InPort: 2, DstHost: 9, Bytes: 100})
+	fwd := sw.Process(PacketMeta{InPort: 2, DstHost: 9})
 	if fwd.Matched || fwd.OutPort != 0 {
 		t.Fatalf("miss produced forwarding %+v", fwd)
-	}
-	if sw.Ports[2].Drops != 1 {
-		t.Errorf("drop counter = %d, want 1", sw.Ports[2].Drops)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestSetTagAction(t *testing.T) {
 		Match:    Match{InPort: 1, SrcHost: Any, DstHost: Any, Tag: 0},
 		Actions:  []Action{{Type: SetTag, Tag: 1}, {Type: Output, Port: 3}},
 	})
-	fwd := sw.Process(PacketMeta{InPort: 1, Tag: 0, Bytes: 64})
+	fwd := sw.Process(PacketMeta{InPort: 1, Tag: 0})
 	if fwd.Tag != 1 || fwd.OutPort != 3 {
 		t.Fatalf("fwd = %+v, want tag 1 out 3", fwd)
 	}
@@ -154,12 +154,9 @@ func TestSetTagAction(t *testing.T) {
 func TestDropAction(t *testing.T) {
 	sw := NewSwitch("s1", 4, 0)
 	_ = sw.Table.Add(FlowEntry{Priority: 5, Match: MatchAll, Actions: []Action{{Type: Drop}}})
-	fwd := sw.Process(PacketMeta{InPort: 1, Bytes: 64})
+	fwd := sw.Process(PacketMeta{InPort: 1})
 	if !fwd.Matched || !fwd.Dropped {
 		t.Fatalf("fwd = %+v, want matched drop", fwd)
-	}
-	if sw.Ports[1].TxPackets != 0 {
-		t.Error("dropped packet counted as transmitted")
 	}
 }
 
@@ -260,7 +257,7 @@ func BenchmarkLookup(b *testing.B) {
 		})
 	}
 	// Query an installed (in-port, dst) combination.
-	pkt := PacketMeta{InPort: 250%32 + 1, DstHost: 250, Bytes: 1500}
+	pkt := PacketMeta{InPort: 250%32 + 1, DstHost: 250}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if tbl.Lookup(pkt) == nil {

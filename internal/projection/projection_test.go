@@ -274,7 +274,7 @@ func walkPhysical(t *testing.T, plan *Plan, switches []*openflow.Switch, src, ds
 	for ; hops < 100; hops++ {
 		sw := switches[ref.Switch]
 		fwd := sw.Process(openflow.PacketMeta{
-			InPort: ref.Port, SrcHost: src, DstHost: dst, Tag: tag, Bytes: 1000,
+			InPort: ref.Port, SrcHost: src, DstHost: dst, Tag: tag,
 		})
 		if !fwd.Matched || fwd.Dropped {
 			return -1
@@ -566,7 +566,7 @@ func TestIsolationBetweenCoHostedTopologies(t *testing.T) {
 	// inject from an A host toward a B host ID.
 	refA := planA.HostAttach[a.Hosts()[0]]
 	fwd := switches[refA.Switch].Process(openflow.PacketMeta{
-		InPort: refA.Port, SrcHost: a.Hosts()[0], DstHost: b.Hosts()[2] + 1000, Tag: 0, Bytes: 100,
+		InPort: refA.Port, SrcHost: a.Hosts()[0], DstHost: b.Hosts()[2] + 1000, Tag: 0,
 	})
 	if fwd.Matched && !fwd.Dropped {
 		t.Error("cross-topology packet was forwarded; isolation violated")

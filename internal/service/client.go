@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // Client talks to one daemon.
@@ -163,8 +165,8 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobSt
 }
 
 // Scenarios lists the daemon's registry with param schemas.
-func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
-	var out []ScenarioInfo
+func (c *Client) Scenarios(ctx context.Context) ([]experiments.Entry, error) {
+	var out []experiments.Entry
 	err := c.do(ctx, http.MethodGet, "/v1/scenarios", nil, &out)
 	return out, err
 }

@@ -6,7 +6,7 @@ package service
 //	GET    /v1/jobs/{id}    status + telemetry      → JobStatus
 //	GET    /v1/jobs/{id}/result   result body       → text/plain
 //	DELETE /v1/jobs/{id}    cancel                  → JobStatus
-//	GET    /v1/scenarios    registry + param schema → []ScenarioInfo
+//	GET    /v1/scenarios    registry + param schema → []experiments.Entry
 //	GET    /v1/healthz      liveness                → 200 "ok"
 //	GET    /v1/statsz       cache/queue/run stats   → Stats
 //
@@ -89,23 +89,6 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
-// ScenarioInfo is one registry entry in the /v1/scenarios listing.
-type ScenarioInfo struct {
-	Name   string              `json:"name"`
-	Desc   string              `json:"desc"`
-	Params []experiments.Field `json:"params,omitempty"`
-}
-
-// Scenarios lists the registry with its machine-readable param
-// schemas.
-func Scenarios() []ScenarioInfo {
-	var out []ScenarioInfo
-	for _, e := range experiments.All() {
-		out = append(out, ScenarioInfo{Name: e.Name, Desc: e.Desc, Params: e.Schema})
-	}
-	return out
-}
-
 // Stats is the /v1/statsz document.
 type Stats struct {
 	Cache      CacheStats `json:"cache"`
@@ -165,7 +148,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/scenarios", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Scenarios())
+		writeJSON(w, http.StatusOK, experiments.All())
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -445,8 +445,8 @@ func TestHTTPSurface(t *testing.T) {
 	for _, s := range scens {
 		if s.Name == "fig12" {
 			found = true
-			if len(s.Params) == 0 || s.Params[0].Name != "dur_ms" {
-				t.Fatalf("fig12 schema: %+v", s.Params)
+			if len(s.Schema) == 0 || s.Schema[0].Name != "dur_ms" {
+				t.Fatalf("fig12 schema: %+v", s.Schema)
 			}
 		}
 	}

@@ -42,11 +42,12 @@ type FCTReport struct {
 // the ideal-FCT model: ideal = base + bytes×8/linkBps, i.e. one
 // unloaded store-and-forward traversal with fixed per-path latency
 // `base` (use the fabric's end-to-end zero-load latency; 0 picks a
-// conservative 2 µs). bounds are ascending size-bucket boundaries
+// conservative 2 µs). A linkBps <= 0 takes netsim.DefaultConfig's link
+// rate. bounds are ascending size-bucket boundaries
 // (nil = DefaultFCTBuckets).
 func MeasureFCT(flows []netsim.Flow, linkBps float64, base netsim.Time, bounds []int) *FCTReport {
 	if linkBps <= 0 {
-		linkBps = 10e9
+		linkBps = netsim.DefaultConfig().LinkBps
 	}
 	if base <= 0 {
 		base = 2 * netsim.Microsecond
