@@ -29,11 +29,11 @@ import (
 // production caller, each with the reason. An entry whose name is gone
 // or has gained a caller fails the test, so the list can only shrink.
 var censusAllow = map[string]string{
-	"controller.Controller.Deployments": "test seam: controller and core tests count live deployments after deploy/teardown/reconfigure",
+	"controller.Controller.Deployments": "test seam: controller, core and reconfig tests count live deployments after deploy/teardown/reconfigure",
 	"loadgen.FlowSet.Trace":             "differential oracle: TestFlowsVsCompiledTrace replays the compiled trace against the live flow app",
 	"netsim.Network.LinkIsDown":         "test seam: faults, reconfig and core tests assert every drained link is restored",
 	"openflow.MatchAll":                 "test fixture: the wildcard match the flow-table tests and the linear-scan oracle build entries from",
-	"projection.Allocation.UsedCounts":  "test seam: the leak/double-book invariant of the reconfiguration fuzzer and the controller rollback tests",
+	"projection.Allocation.UsedCounts":  "test seam: the controller's tests read the port ledger after a rollback or a Check",
 	"routing.FIB.Rule":                  "differential oracle's probe: FIB vs Routes.Lookup compared rule by rule (fib_test, FuzzFIBLookup)",
 	"workload.Trace.Validate":           "test oracle: every generator's trace has in-range peers and balanced sends/recvs",
 }
@@ -498,20 +498,11 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	}
 }
 
-// TestOneExecutionPath holds the module to one driver of the event
-// loop: outside bench/ and tests, core.runScenario is the only caller
-// of (*engine.Engine).Run (which netsim.Sim aliases), so every
-// validation rule, observer and cancellation reaches every simulation.
-func TestOneExecutionPath(t *testing.T) {
-	c := newCensus()
-	eng, err := c.Import(censusModule + "/internal/engine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, _, _ := types.LookupFieldOrMethod(types.NewPointer(eng.Scope().Lookup("Engine").Type()), false, eng, "Run")
-	if run == nil {
-		t.Fatal("engine.Engine has no Run method")
-	}
+// declsUsing type-checks the module's non-test Go outside bench/ and
+// returns, sorted and without repeats, the top-level declarations
+// ("pkg.Func") that reference any of targets.
+func declsUsing(t *testing.T, c *census, targets ...types.Object) []string {
+	t.Helper()
 	paths := []string{censusModule}
 	for _, root := range []string{"internal", "cmd", "examples"} {
 		for _, dir := range goDirs(t, root) {
@@ -531,15 +522,79 @@ func TestOneExecutionPath(t *testing.T) {
 					name = fd.Name.Name
 				}
 				usesIn(p.info, decl, nil, func(obj types.Object) {
-					if obj == run {
+					if slices.Contains(targets, obj) {
 						callers = append(callers, p.pkg.Name()+"."+name)
 					}
 				})
 			}
 		}
 	}
-	if want := []string{"core.runScenario"}; !slices.Equal(callers, want) {
+	slices.Sort(callers)
+	return slices.Compact(callers)
+}
+
+// TestOneExecutionPath holds the module to one driver of the event
+// loop: outside bench/ and tests, core.runScenario is the only caller
+// of (*engine.Engine).Run (which netsim.Sim aliases), so every
+// validation rule, observer and cancellation reaches every simulation.
+func TestOneExecutionPath(t *testing.T) {
+	c := newCensus()
+	eng, err := c.Import(censusModule + "/internal/engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, _, _ := types.LookupFieldOrMethod(types.NewPointer(eng.Scope().Lookup("Engine").Type()), false, eng, "Run")
+	if run == nil {
+		t.Fatal("engine.Engine has no Run method")
+	}
+	if callers, want := declsUsing(t, c, run), []string{"core.runScenario"}; !slices.Equal(callers, want) {
 		t.Errorf("(*engine.Engine).Run is called from %v, want only from %v: drive a simulation through core.Run or core.Sweep", callers, want)
+	}
+}
+
+// TestOneDeployPath holds the module to one deployer: outside
+// internal/projection, bench/ and tests, only package controller books
+// physical ports — calls projection.NewAllocation,
+// projection.ProjectInto, (*projection.Plan).Acquire or Release — so
+// every topology installed on the testbed, a mid-run reconfiguration's
+// included, goes through controller.Deploy and controller.Reconfigure.
+func TestOneDeployPath(t *testing.T) {
+	c := newCensus()
+	proj, err := c.Import(censusModule + "/internal/projection")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := types.NewPointer(proj.Scope().Lookup("Plan").Type())
+	var booking []types.Object
+	for _, name := range []string{"NewAllocation", "ProjectInto"} {
+		obj := proj.Scope().Lookup(name)
+		if obj == nil {
+			t.Fatalf("projection has no %s", name)
+		}
+		booking = append(booking, obj)
+	}
+	for _, name := range []string{"Acquire", "Release"} {
+		obj, _, _ := types.LookupFieldOrMethod(plan, false, proj, name)
+		if obj == nil {
+			t.Fatalf("projection.Plan has no %s method", name)
+		}
+		booking = append(booking, obj)
+	}
+	var deployer, others []string
+	for _, caller := range declsUsing(t, c, booking...) {
+		switch pkg, _, _ := strings.Cut(caller, "."); pkg {
+		case "projection":
+		case "controller":
+			deployer = append(deployer, caller)
+		default:
+			others = append(others, caller)
+		}
+	}
+	if len(deployer) == 0 {
+		t.Error("package controller books no ports: the census no longer sees the deployer")
+	}
+	if len(others) > 0 {
+		t.Errorf("%v book physical ports, want only package controller: deploy and reconfigure through a controller.Controller", others)
 	}
 }
 

@@ -96,19 +96,20 @@ func (c *Controller) Check(g *topology.Graph) error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("controller: topology rejected: %w", err)
 	}
+	if _, dup := c.deployments[g.Name]; dup {
+		return fmt.Errorf("controller: topology %q already deployed", g.Name)
+	}
+	// The probe books exactly what the live deployments book, so the
+	// check reflects co-hosted topologies.
 	probe := projection.NewAllocation(c.Cabling)
-	// Copy current usage so the check reflects co-hosted topologies.
-	for name := range c.deployments {
-		d := c.deployments[name]
-		if _, err := projection.ProjectInto(d.Topo, c.Cabling, probe, partition.Options{}); err != nil {
-			// Should not happen (it deployed before), but stay honest.
+	for _, d := range c.deployments {
+		if err := d.Plan.Acquire(probe); err != nil {
+			// Should not happen (the live plans are disjoint), but stay honest.
 			return fmt.Errorf("controller: internal allocation drift: %v", err)
 		}
 	}
-	if _, err := projection.ProjectInto(g, c.Cabling, probe, partition.Options{}); err != nil {
-		return err
-	}
-	return nil
+	_, err := projection.ProjectInto(g, c.Cabling, probe, partition.Options{})
+	return err
 }
 
 // Deploy projects and installs a topology, returning the deployment

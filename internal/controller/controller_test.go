@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -256,5 +257,49 @@ func TestReconfigureFailureRestoresOldDeployment(t *testing.T) {
 				t.Errorf("entries after teardown = %d, want 0", got)
 			}
 		})
+	}
+}
+
+// TestCheckAgreesWithDeploy: with two co-hosted deployments live, Check
+// accepts a third topology exactly when Deploy would install it — it
+// fits beside them and its name is free — and leaves the controller's
+// allocation, tables and deployments as they were.
+func TestCheckAgreesWithDeploy(t *testing.T) {
+	c := testbed(t, topology.Line(10, 4))
+	for _, g := range []*topology.Graph{topology.Line(3, 1), topology.Ring(4, 1)} {
+		if _, err := c.Deploy(g, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	accepted, rejected := 0, 0
+	for _, g := range []*topology.Graph{
+		topology.Line(2, 1), topology.Line(4, 1), topology.Ring(3, 1),
+		topology.Line(5, 1), topology.Ring(5, 1), topology.Line(6, 2), topology.FatTree(4),
+		topology.Line(3, 3), // fits beside the live two, but its name "line-3" is taken
+	} {
+		live, dump := c.Deployments(), tableDump(c)
+		self, inter, host := c.alloc.UsedCounts()
+		checkErr := c.Check(g)
+		if s, i, h := c.alloc.UsedCounts(); s != self || i != inter || h != host {
+			t.Fatalf("Check(%s) moved the allocation: %d/%d/%d, was %d/%d/%d", g.Name, s, i, h, self, inter, host)
+		}
+		if got := c.Deployments(); !slices.Equal(got, live) || tableDump(c) != dump {
+			t.Fatalf("Check(%s) changed the deployments or the tables", g.Name)
+		}
+		_, deployErr := c.Deploy(g, Options{})
+		if (checkErr == nil) != (deployErr == nil) {
+			t.Fatalf("%s: Check says %v, Deploy says %v", g.Name, checkErr, deployErr)
+		}
+		if deployErr != nil {
+			rejected++
+			continue
+		}
+		accepted++
+		if err := c.Teardown(g.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("fixture: %d candidates accepted, %d rejected; want some of each", accepted, rejected)
 	}
 }

@@ -96,7 +96,7 @@ type RunResult struct {
 	// Fault-run results (zero / nil unless the scenario carried a
 	// faults.Spec).
 	//
-	// FaultDrops counts packets lost to dead links and switches.
+	// FaultDrops counts packets lost to dead links.
 	FaultDrops int64
 	// Incomplete counts open-loop flows that never finished (packet
 	// loss is non-fatal for Flows scenarios under faults; ACT then

@@ -201,7 +201,7 @@ func TestFaultStormCancellation(t *testing.T) {
 	}
 	for _, e := range faults.PickCoreEdges(g, 8, 2) {
 		spec.Flaps = append(spec.Flaps,
-			faults.LinkFlap(e, 100*netsim.Microsecond, 50*netsim.Microsecond))
+			faults.Flap{Link: e, MTBF: 100 * netsim.Microsecond, MTTR: 50 * netsim.Microsecond})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

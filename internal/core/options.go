@@ -82,9 +82,9 @@ type Scenario struct {
 	// decides ECN marking), link and latency figures, and the SDT model
 	// terms. Everything else about the fabric is a netsim constant.
 	SimConfig *netsim.Config
-	// Faults schedules link/switch failures (and recoveries) during
-	// the run: the spec expands into a deterministic timed event list,
-	// dead elements drop traversing packets, and — unless the spec
+	// Faults schedules link failures (and recoveries) during the run:
+	// the spec expands into a deterministic timed event list, dead
+	// links drop traversing packets, and — unless the spec
 	// disables repair — a controller reroute patches the live FIB
 	// around each outage after the modelled detection latency. The run
 	// result then carries FaultDrops, Incomplete, and Recovery. Nil

@@ -1,11 +1,11 @@
 package experiments
 
 // The fault-injection scenario sets: open-loop traffic over fabrics
-// that lose links and switches mid-run, with the reactive controller
+// that lose links mid-run, with the reactive controller
 // repairing routes around each outage. faults-sweep crosses topology ×
 // routing strategy × fault count; faults-flap stresses a single
 // MTBF/MTTR-flapping link under incast. Everything — flow schedules,
-// fault times, failed-element choices — derives from the seed, so
+// fault times, failed-link choices — derives from the seed, so
 // rerunning with equal seeds is byte-identical at any -parallel worker
 // count (the golden harness and the determinism tests pin this).
 
@@ -270,7 +270,7 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 			return nil, fmt.Errorf("faults-flap: victim ToR %d has no uplink", tor)
 		}
 		spec := &faults.Spec{
-			Flaps:   []faults.Flap{faults.LinkFlap(edge, mtbf, mtbf/4)},
+			Flaps:   []faults.Flap{{Link: edge, MTBF: mtbf, MTTR: mtbf / 4}},
 			Horizon: fs.Flows[len(fs.Flows)-1].Start,
 			Seed:    seed + int64(i),
 		}

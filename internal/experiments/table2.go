@@ -6,11 +6,10 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/partition"
 	"repro/internal/projection"
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -130,30 +129,22 @@ func Table2(ctx context.Context, zooSubset, workers int) (*Table2Result, error) 
 	return res, nil
 }
 
-// fatTreeEntries compiles the k=4 fat-tree once and returns the total
-// entry count (the §VII-C figure).
+// fatTreeEntries deploys the k=4 fat-tree once on a testbed planned
+// for it and returns the deployment's entry count (the §VII-C figure).
 func fatTreeEntries() (int, error) {
 	g := topology.FatTree(4)
 	switches := []projection.PhysicalSwitch{
 		projection.Commodity64("a"), projection.Commodity64("b"), projection.Commodity64("c"),
 	}
-	cab, err := projection.PlanCabling(switches, []*topology.Graph{g}, partition.Options{})
+	ctl, err := controller.NewFromTopologies(switches, []*topology.Graph{g})
 	if err != nil {
 		return 0, err
 	}
-	plan, err := projection.Project(g, cab, partition.Options{})
+	d, err := ctl.Deploy(g, controller.Options{})
 	if err != nil {
 		return 0, err
 	}
-	routes, err := routing.FatTreeDFS{}.Compute(g)
-	if err != nil {
-		return 0, err
-	}
-	tables, err := projection.CompileFlowTables(plan, routes, projection.CompileOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return projection.EntryCount(tables), nil
+	return d.Entries, nil
 }
 
 // Format prints Table II.

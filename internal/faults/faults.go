@@ -1,6 +1,6 @@
 // Package faults synthesizes deterministic fault schedules — timed
-// link and switch failures and recoveries — and executes them against
-// a running netsim fabric.
+// link failures and recoveries — and executes them against a running
+// netsim fabric.
 //
 // A Spec is a pure description: one-shot events at absolute simulated
 // times plus MTBF/MTTR flap generators whose up/down intervals are
@@ -12,8 +12,8 @@
 //
 // Bind executes a schedule on a network and is the whole fault run: at
 // each event's simulated time the fabric state flips
-// (netsim.Network.SetLinkDown/SetSwitchDown — dead elements drop
-// traversing packets into Network.FaultDrops), and the reactive
+// (netsim.Network.SetLinkDown — a dead link drops the packets queued
+// for it and in flight on it into Network.FaultDrops), and the reactive
 // controller's repair (§V-2's reactive flow setup applied to failures)
 // patches the run's live routes after the spec's latency. Each event's
 // Record — repair time, route churn, first delivery after the repair —
@@ -33,14 +33,11 @@ import (
 // Kind is the fault event type.
 type Kind uint8
 
-// Fault event kinds. Down events disable an element; Up events restore
-// it. Elem is a logical edge ID for link events and a switch vertex ID
-// for switch events.
+// Fault event kinds. LinkDown disables a logical edge; LinkUp restores
+// it.
 const (
 	LinkDown Kind = iota
 	LinkUp
-	SwitchDown
-	SwitchUp
 )
 
 // String names the kind.
@@ -50,18 +47,13 @@ func (k Kind) String() string {
 		return "link-down"
 	case LinkUp:
 		return "link-up"
-	case SwitchDown:
-		return "switch-down"
-	case SwitchUp:
-		return "switch-up"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
 
-// Event is one scheduled fault: at simulated time At, element Elem
-// (edge ID for link kinds, switch vertex ID for switch kinds) changes
-// state.
+// Event is one scheduled fault: at simulated time At, logical edge Elem
+// changes state.
 type Event struct {
 	At   netsim.Time
 	Kind Kind
@@ -70,27 +62,15 @@ type Event struct {
 
 // String renders the event for logs and digests.
 func (e Event) String() string {
-	unit := "e"
-	if e.Kind == SwitchDown || e.Kind == SwitchUp {
-		unit = "v"
-	}
-	return fmt.Sprintf("%s %s%d @%dus", e.Kind, unit, e.Elem,
-		int64(e.At/netsim.Microsecond))
+	return fmt.Sprintf("%s e%d @%dus", e.Kind, e.Elem, int64(e.At/netsim.Microsecond))
 }
 
-// Flap is a repeating failure process on one element: up-times are
-// exponential with mean MTBF, outages exponential with mean MTTR.
-// Exactly one of Link (edge ID) and Switch (vertex ID) is >= 0.
+// Flap is a repeating failure process on one logical edge: up-times
+// are exponential with mean MTBF, outages exponential with mean MTTR.
 type Flap struct {
-	Link   int
-	Switch int
-	MTBF   netsim.Time
-	MTTR   netsim.Time
-}
-
-// LinkFlap builds a flap process on a logical edge.
-func LinkFlap(edge int, mtbf, mttr netsim.Time) Flap {
-	return Flap{Link: edge, Switch: -1, MTBF: mtbf, MTTR: mttr}
+	Link int
+	MTBF netsim.Time
+	MTTR netsim.Time
 }
 
 // Spec describes one fault workload. The zero Spec is valid and empty
@@ -102,8 +82,8 @@ type Spec struct {
 	// Horizon.
 	Flaps []Flap
 	// Horizon bounds flap expansion (required when Flaps is non-empty;
-	// events past the horizon are not generated, so an element may end
-	// the run down).
+	// events past the horizon are not generated, so a link may end the
+	// run down).
 	Horizon netsim.Time
 	// Seed drives the flap interval draws. Equal seeds reproduce equal
 	// schedules.
@@ -111,8 +91,8 @@ type Spec struct {
 	// RepairLatency is the controller's detection + recompute + install
 	// delay between a fault taking effect and the repaired routes going
 	// live (0 = 500 µs, the reactive flow-setup round trip). Negative
-	// disables repair: routes stay stale and traffic toward dead
-	// elements keeps dropping.
+	// disables repair: routes stay stale and traffic toward dead links
+	// keeps dropping.
 	RepairLatency netsim.Time
 }
 
@@ -153,39 +133,23 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Event, error) {
 	if len(s.Flaps) > 0 && s.Horizon <= 0 {
 		return nil, fmt.Errorf("faults: flaps need a positive Horizon")
 	}
-	// An element's up/down state is a plain boolean, not a reference
-	// count: two independent sources driving the same element would let
-	// the earliest Up restore it while the other source still holds it
-	// down. One-shot sequences on one element are fine (they are a
-	// single ordered script); a flap must own its element exclusively.
-	type target struct {
-		link bool
-		elem int
-	}
-	owned := map[target]bool{}
+	// A link's up/down state is a plain boolean, not a reference count:
+	// two independent sources driving the same link would let the
+	// earliest Up restore it while the other source still holds it down.
+	// One-shot sequences on one link are fine (they are a single ordered
+	// script); a flap must own its link exclusively.
+	owned := map[int]bool{}
 	for _, ev := range s.Events {
-		owned[target{ev.Kind == LinkDown || ev.Kind == LinkUp, ev.Elem}] = true
+		owned[ev.Elem] = true
 	}
 	for i, fl := range s.Flaps {
-		tg := target{fl.Link >= 0, fl.Link}
-		if !tg.link {
-			tg.elem = fl.Switch
+		if owned[fl.Link] {
+			return nil, fmt.Errorf("faults: flap %d targets a link already driven by another event source", i)
 		}
-		if owned[tg] {
-			return nil, fmt.Errorf("faults: flap %d targets an element already driven by another event source", i)
-		}
-		owned[tg] = true
+		owned[fl.Link] = true
 	}
 	for i, fl := range s.Flaps {
-		down, up := SwitchDown, SwitchUp
-		elem := fl.Switch
-		if fl.Link >= 0 && fl.Switch >= 0 {
-			return nil, fmt.Errorf("faults: flap %d names both a link and a switch", i)
-		}
-		if fl.Link >= 0 {
-			down, up, elem = LinkDown, LinkUp, fl.Link
-		}
-		if err := checkElem(g, down, elem); err != nil {
+		if err := checkElem(g, LinkDown, fl.Link); err != nil {
 			return nil, fmt.Errorf("faults: flap %d: %w", i, err)
 		}
 		if fl.MTBF <= 0 || fl.MTTR <= 0 {
@@ -198,12 +162,12 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Event, error) {
 			if t > s.Horizon {
 				break
 			}
-			out = append(out, Event{At: t, Kind: down, Elem: elem})
+			out = append(out, Event{At: t, Kind: LinkDown, Elem: fl.Link})
 			t += expDraw(rng, fl.MTTR)
 			if t > s.Horizon {
 				break
 			}
-			out = append(out, Event{At: t, Kind: up, Elem: elem})
+			out = append(out, Event{At: t, Kind: LinkUp, Elem: fl.Link})
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].At < out[b].At })
@@ -222,20 +186,11 @@ func expDraw(rng *loadgen.RNG, mean netsim.Time) netsim.Time {
 
 // checkElem validates an event target against the topology.
 func checkElem(g *topology.Graph, k Kind, elem int) error {
-	switch k {
-	case LinkDown, LinkUp:
-		if elem < 0 || elem >= len(g.Edges) {
-			return fmt.Errorf("no edge %d in topology %q", elem, g.Name)
-		}
-	case SwitchDown, SwitchUp:
-		if elem < 0 || elem >= len(g.Vertices) {
-			return fmt.Errorf("no vertex %d in topology %q", elem, g.Name)
-		}
-		if g.Vertices[elem].Kind != topology.Switch {
-			return fmt.Errorf("vertex %d in topology %q is not a switch", elem, g.Name)
-		}
-	default:
+	if k != LinkDown && k != LinkUp {
 		return fmt.Errorf("unknown fault kind %d", k)
+	}
+	if elem < 0 || elem >= len(g.Edges) {
+		return fmt.Errorf("no edge %d in topology %q", elem, g.Name)
 	}
 	return nil
 }
@@ -274,7 +229,7 @@ func (r *Record) Reconvergence() netsim.Time {
 // around the outage as of then (routing.Routes.Reroute: a later fault
 // already folded in is re-confirmed with zero churn), stamps this
 // event's record and awaits the first delivery after it. A nil live
-// disables repair: routes stay stale and traffic toward dead elements
+// disables repair: routes stay stale and traffic toward dead links
 // keeps dropping. live must be private to the run, since repairs
 // mutate it mid-simulation; the fabric's RouteForwarder re-fetches the
 // memoized FIB, so a repair that changes rules recompiles it once.
@@ -284,7 +239,7 @@ func Bind(net *netsim.Network, sched []Event, live *routing.Routes, latency nets
 	if live != nil {
 		orig = append([]routing.Rule(nil), live.Rules...)
 	}
-	down := routing.Outage{Edge: map[int]bool{}, Switch: map[int]bool{}}
+	down := routing.Outage{Edge: map[int]bool{}}
 	for i, ev := range sched {
 		rec := &recs[i]
 		*rec = Record{Event: ev, RepairAt: -1, FirstDeliveryAfter: -1}
@@ -303,22 +258,13 @@ func Bind(net *netsim.Network, sched []Event, live *routing.Routes, latency nets
 	return recs
 }
 
-// apply flips one element's state on the fabric, then in the outage
-// view.
+// apply flips one link's state on the fabric, then in the outage view.
 func apply(net *netsim.Network, down routing.Outage, ev Event) {
-	switch ev.Kind {
-	case LinkDown:
-		net.SetLinkDown(ev.Elem, true)
+	net.SetLinkDown(ev.Elem, ev.Kind == LinkDown)
+	if ev.Kind == LinkDown {
 		down.Edge[ev.Elem] = true
-	case LinkUp:
-		net.SetLinkDown(ev.Elem, false)
+	} else {
 		delete(down.Edge, ev.Elem)
-	case SwitchDown:
-		net.SetSwitchDown(ev.Elem, true)
-		down.Switch[ev.Elem] = true
-	case SwitchUp:
-		net.SetSwitchDown(ev.Elem, false)
-		delete(down.Switch, ev.Elem)
 	}
 }
 

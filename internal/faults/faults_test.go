@@ -2,7 +2,6 @@ package faults
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -13,11 +12,11 @@ func TestScheduleDeterminism(t *testing.T) {
 	g := topology.FatTree(4)
 	edges := CoreEdges(g)
 	spec := &Spec{
-		Events: []Event{{At: 5 * netsim.Microsecond, Kind: SwitchDown, Elem: g.Switches()[0]}},
+		Events: []Event{{At: 5 * netsim.Microsecond, Kind: LinkDown, Elem: edges[3]}},
 		Flaps: []Flap{
-			LinkFlap(edges[0], 200*netsim.Microsecond, 50*netsim.Microsecond),
-			LinkFlap(edges[1], 300*netsim.Microsecond, 20*netsim.Microsecond),
-			{Link: -1, Switch: g.Switches()[1], MTBF: netsim.Millisecond, MTTR: 100 * netsim.Microsecond},
+			{Link: edges[0], MTBF: 200 * netsim.Microsecond, MTTR: 50 * netsim.Microsecond},
+			{Link: edges[1], MTBF: 300 * netsim.Microsecond, MTTR: 20 * netsim.Microsecond},
+			{Link: edges[2], MTBF: netsim.Millisecond, MTTR: 100 * netsim.Microsecond},
 		},
 		Horizon: 5 * netsim.Millisecond,
 		Seed:    42,
@@ -42,23 +41,21 @@ func TestScheduleDeterminism(t *testing.T) {
 			t.Fatalf("schedule out of order at %d: %v after %v", i, a[i], a[i-1])
 		}
 	}
-	// Per element, events alternate down/up starting with down.
-	state := map[string]Kind{}
+	// Per link, events alternate down/up starting with down.
+	state := map[int]Kind{}
 	for _, ev := range a {
-		key := ev.String()[strings.Index(ev.String(), " ")+1:]
-		key = key[:strings.Index(key, " ")] // "e12" / "v3"
-		prev, seen := state[key]
+		prev, seen := state[ev.Elem]
 		switch ev.Kind {
-		case LinkDown, SwitchDown:
-			if seen && (prev == LinkDown || prev == SwitchDown) {
-				t.Fatalf("double down for %s", key)
+		case LinkDown:
+			if seen && prev == LinkDown {
+				t.Fatalf("double down for %v", ev)
 			}
-		case LinkUp, SwitchUp:
-			if !seen || (prev != LinkDown && prev != SwitchDown) {
-				t.Fatalf("up without down for %s", key)
+		case LinkUp:
+			if !seen || prev != LinkDown {
+				t.Fatalf("up without down for %v", ev)
 			}
 		}
-		state[key] = ev.Kind
+		state[ev.Elem] = ev.Kind
 	}
 	// A different seed must produce a different flap schedule.
 	spec2 := *spec
@@ -80,15 +77,14 @@ func TestScheduleDeterminism(t *testing.T) {
 
 func TestScheduleValidation(t *testing.T) {
 	g := topology.FatTree(4)
-	host := g.Hosts()[0]
 	cases := []Spec{
 		{Events: []Event{{At: 1, Kind: LinkDown, Elem: len(g.Edges)}}},
-		{Events: []Event{{At: 1, Kind: SwitchDown, Elem: host}}},
+		{Events: []Event{{At: 1, Kind: LinkUp, Elem: -1}}},
 		{Events: []Event{{At: -1, Kind: LinkDown, Elem: 0}}},
 		{Events: []Event{{At: 1, Kind: Kind(99), Elem: 0}}},
-		{Flaps: []Flap{LinkFlap(0, netsim.Millisecond, netsim.Microsecond)}}, // no horizon
-		{Flaps: []Flap{LinkFlap(0, 0, netsim.Microsecond)}, Horizon: netsim.Millisecond},
-		{Flaps: []Flap{{Link: 0, Switch: 0, MTBF: 1, MTTR: 1}}, Horizon: netsim.Millisecond},
+		{Flaps: []Flap{{Link: 0, MTBF: netsim.Millisecond, MTTR: netsim.Microsecond}}}, // no horizon
+		{Flaps: []Flap{{Link: 0, MTBF: 0, MTTR: netsim.Microsecond}}, Horizon: netsim.Millisecond},
+		{Flaps: []Flap{{Link: len(g.Edges), MTBF: 1, MTTR: 1}}, Horizon: netsim.Millisecond},
 	}
 	for i, s := range cases {
 		if _, err := s.Schedule(g); err == nil {
@@ -103,54 +99,44 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleRejectsSharedElements: element state is a boolean, not a
-// reference count, so a flap may not share its element with another
-// flap or with one-shot events — the earliest Up would restore an
-// element another source still holds down.
+// TestScheduleRejectsSharedElements: link state is a boolean, not a
+// reference count, so a flap may not share its link with another flap
+// or with one-shot events — the earliest Up would restore a link
+// another source still holds down.
 func TestScheduleRejectsSharedElements(t *testing.T) {
 	g := topology.FatTree(4)
-	sw := g.Switches()[0]
 	horizon := 10 * netsim.Millisecond
+	flap := func(link int, mtbf netsim.Time) Flap {
+		return Flap{Link: link, MTBF: mtbf, MTTR: netsim.Microsecond}
+	}
 	conflicting := []Spec{
 		{ // flap + one-shot on the same link
 			Events:  []Event{{At: netsim.Millisecond, Kind: LinkDown, Elem: 0}},
-			Flaps:   []Flap{LinkFlap(0, netsim.Millisecond, netsim.Microsecond)},
+			Flaps:   []Flap{flap(0, netsim.Millisecond)},
 			Horizon: horizon,
 		},
 		{ // two flaps on the same link
-			Flaps: []Flap{
-				LinkFlap(1, netsim.Millisecond, netsim.Microsecond),
-				LinkFlap(1, 2*netsim.Millisecond, netsim.Microsecond),
-			},
-			Horizon: horizon,
-		},
-		{ // flap + one-shot on the same switch
-			Events:  []Event{{At: netsim.Millisecond, Kind: SwitchUp, Elem: sw}},
-			Flaps:   []Flap{{Link: -1, Switch: sw, MTBF: netsim.Millisecond, MTTR: netsim.Microsecond}},
+			Flaps:   []Flap{flap(1, netsim.Millisecond), flap(1, 2*netsim.Millisecond)},
 			Horizon: horizon,
 		},
 	}
 	for i, s := range conflicting {
 		if _, err := s.Schedule(g); err == nil {
-			t.Errorf("case %d: shared-element spec accepted", i)
+			t.Errorf("case %d: shared-link spec accepted", i)
 		}
 	}
-	// Same ID across kinds is NOT a conflict (edge 0 and switch-vertex
-	// 0 are different elements), nor are one-shot sequences on one
-	// element, nor flaps on distinct elements.
+	// One-shot sequences on one link are not a conflict, nor are flaps
+	// on distinct links.
 	ok := Spec{
 		Events: []Event{
 			{At: netsim.Millisecond, Kind: LinkDown, Elem: 0},
 			{At: 2 * netsim.Millisecond, Kind: LinkUp, Elem: 0},
 		},
-		Flaps: []Flap{
-			{Link: -1, Switch: sw, MTBF: netsim.Millisecond, MTTR: netsim.Microsecond},
-			LinkFlap(1, netsim.Millisecond, netsim.Microsecond),
-		},
+		Flaps:   []Flap{flap(1, netsim.Millisecond), flap(2, netsim.Millisecond)},
 		Horizon: horizon,
 	}
 	if _, err := ok.Schedule(g); err != nil {
-		t.Fatalf("distinct-element spec rejected: %v", err)
+		t.Fatalf("distinct-link spec rejected: %v", err)
 	}
 }
 
@@ -257,19 +243,6 @@ func TestBindDegradesFabric(t *testing.T) {
 	net.Sim.Run(0)
 	if !done || net.FaultDrops != 0 {
 		t.Fatalf("after recovery: done=%v faultdrops=%d", done, net.FaultDrops)
-	}
-
-	// Switch death drops everything too.
-	net = build()
-	sched, err = (&Spec{Events: []Event{{At: 0, Kind: SwitchDown, Elem: s2}}}).Schedule(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Bind(net, sched, nil, 0)
-	send(net).Start()
-	net.Sim.Run(0)
-	if done {
-		t.Fatal("message delivered through a dead switch")
 	}
 }
 

@@ -121,8 +121,8 @@ func TestRecordLifecycle(t *testing.T) {
 func TestRecordUnrepairedFault(t *testing.T) {
 	us := netsim.Microsecond
 	g, _, _, net := liveFabric(t)
-	sw := g.Switches()[0]
-	recs := Bind(net, schedule(t, g, Event{At: 100 * us, Kind: SwitchDown, Elem: sw}), nil, 50*us)
+	dead := PickCoreEdges(g, 1, 5)[0]
+	recs := Bind(net, schedule(t, g, Event{At: 100 * us, Kind: LinkDown, Elem: dead}), nil, 50*us)
 	hosts := g.Hosts()
 	net.Sim.At(300*us, func() { net.Host(hosts[0]).Send(hosts[len(hosts)-1], 1, 1<<10) })
 	net.Sim.Run(0)
@@ -131,7 +131,7 @@ func TestRecordUnrepairedFault(t *testing.T) {
 	}
 
 	g, _, live, net := liveFabric(t)
-	recs = Bind(net, schedule(t, g, Event{At: 100 * us, Kind: SwitchDown, Elem: sw}), live, 50*us)
+	recs = Bind(net, schedule(t, g, Event{At: 100 * us, Kind: LinkDown, Elem: dead}), live, 50*us)
 	net.Sim.Run(0)
 	if r := &recs[0]; r.RepairAt != 150*us || r.RulesChanged == 0 || r.FirstDeliveryAfter != -1 || r.Reconvergence() != -1 {
 		t.Fatalf("no traffic: record %+v", r)

@@ -121,7 +121,7 @@ func TestCrossbarTransitsCounted(t *testing.T) {
 	net.Sim.Run(0)
 	total := int64(0)
 	for _, v := range g.Switches() {
-		total += net.Switch(v).crossbar.Transits
+		total += net.switches[v].crossbar.Transits
 	}
 	// 2 packets x 3 switches.
 	if total != 6 {

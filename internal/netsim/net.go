@@ -266,11 +266,6 @@ type SimSwitch struct {
 	// pfcPaused remembers which upstream ports we paused.
 	pfcSent [][nPrio]bool
 
-	// down marks a failed switch: packets arriving at it, inside its
-	// crossbar, or queued on its egress ports are dropped into
-	// Network.FaultDrops.
-	down bool
-
 	// Drops counts table-miss drops.
 	Drops int64
 }
@@ -352,7 +347,8 @@ type Network struct {
 	PausesSent   int64
 	EcnMarks     int64
 	DeliveredPkt int64
-	// FaultDrops counts packets lost to dead links and switches
+	// FaultDrops counts packets lost to dead links: drained from the
+	// queue feeding a cut link, or in flight on it when it was cut
 	// (separate from TotalDrops, which stays the congestion/table-miss
 	// count).
 	FaultDrops int64
@@ -500,15 +496,6 @@ func (n *Network) Host(v int) *Host {
 	return n.hosts[v]
 }
 
-// Switch returns the switch device for a topology switch vertex (nil
-// when v is out of range or a host).
-func (n *Network) Switch(v int) *SimSwitch {
-	if v < 0 || v >= len(n.switches) {
-		return nil
-	}
-	return n.switches[v]
-}
-
 func (n *Network) pktID() int64 { n.nextID++; return n.nextID }
 
 // OnEvent dispatches fabric-level events: transmit completions, wire
@@ -525,9 +512,8 @@ func (n *Network) OnEvent(now Time, ev engine.Event) {
 		pkt := n.pkts.at(ev.Ref)
 		l := n.links[ev.A]
 		to := l.to
-		if l.down || (to.sw != nil && to.sw.down) {
-			// The wire was cut (or the far switch died) while the
-			// packet was in flight.
+		if l.down {
+			// The wire was cut while the packet was in flight.
 			n.FaultDrops++
 			n.pkts.release(pkt)
 			return
@@ -558,10 +544,10 @@ func (n *Network) OnEvent(now Time, ev engine.Event) {
 
 // tryTransmit starts transmission on an output port if idle, honouring
 // PFC pause state per priority (highest priority first). A dead link
-// (or a dead owning switch) transmits nothing: queued packets drain as
-// fault drops, with the same dequeue accounting a completed
-// transmission would have performed, so PFC state unwinds and the
-// fabric recovers cleanly when the element comes back.
+// transmits nothing: queued packets drain as fault drops, with the same
+// dequeue accounting a completed transmission would have performed, so
+// PFC state unwinds and the fabric recovers cleanly when the link comes
+// back.
 func (n *Network) tryTransmit(o *OutPort) {
 	if o.sending {
 		return
@@ -579,7 +565,7 @@ func (n *Network) tryTransmit(o *OutPort) {
 			return
 		}
 		pkt = q.pop()
-		if o.link.down || (o.ownerCache != nil && o.ownerCache.down) {
+		if o.link.down {
 			n.FaultDrops++
 			n.onDequeued(o, pkt.inPort, pkt.arrClass, pkt.Size)
 			n.pkts.release(pkt)
@@ -677,23 +663,6 @@ func (n *Network) SetLinkDown(edge int, down bool) bool {
 		n.tryTransmit(l.src)
 	}
 	return found
-}
-
-// SetSwitchDown fails (or restores) a switch: packets arriving at it,
-// traversing its crossbar, or queued on its egress ports are dropped
-// into FaultDrops. It reports whether v is a switch in this fabric.
-func (n *Network) SetSwitchDown(v int, down bool) bool {
-	sw := n.Switch(v)
-	if sw == nil {
-		return false
-	}
-	sw.down = down
-	for _, o := range sw.outPorts {
-		if o != nil {
-			n.tryTransmit(o)
-		}
-	}
-	return true
 }
 
 // LinkIsDown reports whether any direction of a logical edge is

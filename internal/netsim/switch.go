@@ -32,14 +32,7 @@ func (s *SimSwitch) receive(pkt *Packet) {
 // OnEvent dispatches switch events (crossbar-traversal completions).
 func (s *SimSwitch) OnEvent(now Time, ev engine.Event) {
 	if ev.Kind == evSwEnqueue {
-		pkt := s.net.pkts.at(ev.Ref)
-		if s.down {
-			// The switch died while the packet crossed its crossbar.
-			s.net.FaultDrops++
-			s.net.pkts.release(pkt)
-			return
-		}
-		s.enqueue(s.outPorts[ev.A], int(ev.B>>4), int(ev.B&0xf), pkt)
+		s.enqueue(s.outPorts[ev.A], int(ev.B>>4), int(ev.B&0xf), s.net.pkts.at(ev.Ref))
 	}
 }
 

@@ -3,11 +3,11 @@ package reconfig
 // FuzzReconfigPlan: an arbitrary transition spec must either be
 // rejected before any link drains (Schedule/New validation, or a
 // per-stage pre-drain rejection) or execute the full staged protocol
-// leaving the system consistent — the resident plan passes Plan.Check,
-// and the run-private allocation books exactly that plan's resources:
-// nothing leaked by a Release, nothing double-booked by a rollback
-// re-Acquire. Every stage record must agree with its outcome. CI runs
-// this as a smoke
+// leaving the system consistent — the run's controller holds exactly
+// the resident deployment, its plan passes Plan.Check, and after a
+// teardown its topology redeploys onto the ports a fresh controller
+// gives it: no port leaked by a switchover or a rollback. Every stage
+// record must agree with its outcome. CI runs this as a smoke
 // (`go test -fuzz=FuzzReconfigPlan -fuzztime=10s`).
 
 import (
@@ -58,6 +58,7 @@ func FuzzReconfigPlan(f *testing.F) {
 	f.Add(uint8(2), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), true)
 	f.Add(uint8(0), int64(0), int64(-5), int64(-1), int64(7), int64(1<<40), false)
 	f.Add(uint8(3), int64(netsim.Millisecond), int64(2*netsim.Millisecond), int64(0), int64(0), int64(0), true)
+	f.Add(uint8(0), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), true) // a fitting target, rolled back
 	f.Fuzz(func(t *testing.T, targetSel uint8, at1, at2, drain, install, patch int64, inject bool) {
 		g := topology.FatTree(4)
 		newTarget := func() *topology.Graph {
@@ -136,18 +137,17 @@ func FuzzReconfigPlan(f *testing.F) {
 				t.Fatalf("stage %d lost %d packets", i, st.Lost)
 			}
 		}
-		// The resident plan — whatever committed last, or the original —
-		// must be internally consistent and must be exactly what the
-		// allocation books.
-		plan := rc.cur
-		if err := plan.Check(); err != nil {
-			t.Fatalf("resident plan fails check: %v", err)
+		// The resident deployment — whatever committed last, or the
+		// original — must be the controller's only one, consistent, and
+		// booked on exactly its own ports.
+		want := g
+		for i := range rc.Stages {
+			if rc.Stages[i].Outcome == OutcomeCommitted {
+				want = rc.Stages[i].Target
+			}
 		}
-		self, inter, host := rc.alloc.UsedCounts()
-		if self != plan.SelfUsed || inter != plan.InterUsed || host != len(plan.HostAttach) {
-			t.Fatalf("allocation books (%d, %d, %d), resident plan %q needs (%d, %d, %d)",
-				self, inter, host, plan.Topo.Name, plan.SelfUsed, plan.InterUsed, len(plan.HostAttach))
-		}
+		resident(t, rc, want)
+		noLeak(t, rc)
 		// Every link must be back up: the protocol restores the fabric
 		// whatever the outcome.
 		for eid := range g.Edges {

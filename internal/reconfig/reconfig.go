@@ -10,14 +10,15 @@
 //     drops with PFC unwind), and after the spec's patch latency the
 //     controller swaps degraded routes around the drained set
 //     (routing.Routes.Reroute, invalidating the memoized FIB);
-//  2. transition: the current plan is Released from the run's
-//     projection Allocation, the target is projected with
-//     projection.ProjectInto, verified with Plan.Check plus the
-//     transition's optional Validate hook, its routes compiled into
-//     flow tables for the entry count, and the costmodel's
-//     reconfiguration downtime and hardware cost derived; any failure —
-//     projection, check, validation or compile — aborts to rollback:
-//     the previous plan is re-Acquired, drained links restored, and the
+//  2. transition: the run's controller (a run-private
+//     controller.Controller over the testbed's cabling) swaps the
+//     current deployment for the target's with controller.Reconfigure —
+//     projection, routes, flow tables and the costmodel's downtime —
+//     and the new plan must pass Plan.Check plus the transition's
+//     optional Validate hook; any failure aborts to rollback: the
+//     controller is reconfigured back to the previous deployment with
+//     its own routes (Reconfigure already does so itself when the
+//     target cannot be deployed), drained links restored, and the
 //     original rules swapped back, so the run completes on the old
 //     topology;
 //  3. reconverge: after the install window the drained links come back
@@ -44,6 +45,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/costmodel"
 	"repro/internal/netsim"
 	"repro/internal/partition"
@@ -219,7 +221,7 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Stage, error) {
 // Reconfigurer executes one spec's transitions against one running
 // fabric. Create with New, then Bind before the simulation starts. All
 // stage execution happens inside the engine thread; the Reconfigurer
-// owns a run-private Allocation over the testbed's cabling, so
+// owns a run-private controller over the testbed's cabling, so
 // concurrent sweep siblings never contend.
 type Reconfigurer struct {
 	// Spec is the validated input.
@@ -229,24 +231,23 @@ type Reconfigurer struct {
 	// project onto the cabling) are complete up front.
 	Stages []Stage
 
-	cab   *projection.Cabling
-	alloc *projection.Allocation
-	base  *projection.Plan // the running topology's plan: drain mapping + rollback target
-	cur   *projection.Plan // currently committed plan (base, or a committed target's)
-	live  *routing.Routes  // run-private; mutated by patch/restore
-	orig  []routing.Rule   // the strategy's full rules, the restore baseline
+	ctl  *controller.Controller // run-private: the modelled testbed
+	cur  *controller.Deployment // the running topology's deployment, or a committed target's
+	live *routing.Routes        // run-private; mutated by patch/restore
+	orig []routing.Rule         // the strategy's full rules, the restore baseline
 
 	net   *netsim.Network // the bound fabric
 	drops int64           // FaultDrops at the open stage's drain (windows never overlap)
 }
 
 // New resolves a spec against the running topology g, the testbed's
-// cabling, and the run-private live route set. It projects g into a
-// fresh allocation (the modelled current deployment), probes every
-// target's projection to compute the drained link sets, and rejects —
-// without error — transitions whose target cannot be projected at all:
-// those stages never touch the fabric. Schedule-shape problems (nil or
-// invalid targets, overlapping windows) are errors.
+// cabling, and the run-private live route set. It deploys g with the
+// routes the run forwards on onto a fresh controller over the cabling
+// (the modelled current deployment), probes every target's projection
+// to compute the drained link sets, and rejects — without error —
+// transitions whose target cannot be projected at all: those stages
+// never touch the fabric. Schedule-shape problems (nil or invalid
+// targets, overlapping windows) are errors.
 //
 // live must be private to the run (routing.Routes.Clone): patch and
 // restore mutate it mid-simulation. Target graphs must not be shared
@@ -257,14 +258,13 @@ func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec 
 	if err != nil {
 		return nil, err
 	}
-	alloc := projection.NewAllocation(cab)
-	base, err := projection.ProjectInto(g, cab, alloc, partition.Options{})
+	ctl := controller.New(cab)
+	cur, err := ctl.Deploy(g, controller.Options{Strategy: routing.Fixed{Routes: live.Clone()}})
 	if err != nil {
 		return nil, fmt.Errorf("reconfig: running topology: %w", err)
 	}
 	r := &Reconfigurer{
-		Spec: spec, Stages: stages, cab: cab,
-		alloc: alloc, base: base, cur: base,
+		Spec: spec, Stages: stages, ctl: ctl, cur: cur,
 		live: live, orig: append([]routing.Rule(nil), live.Rules...),
 	}
 	for i := range r.Stages {
@@ -274,7 +274,7 @@ func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec 
 			st.Outcome = OutcomeRejected + ": " + perr.Error()
 			continue
 		}
-		st.Drained = drainSet(base, probe)
+		st.Drained = drainSet(cur.Plan, probe)
 	}
 	return r, nil
 }
@@ -345,67 +345,51 @@ func (r *Reconfigurer) patch(st *Stage) {
 
 // commit runs the control-plane switchover and either schedules the
 // reconverge stage (success) or rolls back immediately (failure): the
-// previous plan re-acquired, links restored, original rules swapped
+// previous deployment restored, links restored, original rules swapped
 // back — the run completes on the old topology.
 func (r *Reconfigurer) commit(st *Stage) {
-	entries, rt, hw, err := r.switchover(st)
-	if err != nil {
+	if err := r.switchover(st); err != nil {
 		st.Outcome = OutcomeRolledBack + ": " + err.Error()
 		st.RestoreAt = r.net.Sim.Now()
 		r.restore(st)
 		return
 	}
+	d := r.cur
+	req := projection.Requirement{Method: projection.MethodSDT, Switches: d.Plan.Stats().PhysicalSwitches, BandwidthFactor: 1}
 	st.Outcome = OutcomeCommitted
-	st.Entries, st.ReconfigTime, st.HardwareCost = entries, rt, hw
+	st.Entries, st.ReconfigTime, st.HardwareCost = d.Entries, d.DeployTime, costmodel.HardwareCost(req)
 	r.net.Sim.At(st.RestoreAt, func() { r.restore(st) })
 }
 
-// switchover is the control-plane half of commit: release the current
-// plan, project and verify the target, compile its flow tables for the
-// entry count, and derive the costmodel columns. On any failure the
-// previous plan is re-acquired before returning, so the allocation is
-// never left with leaked or double-booked ports.
-func (r *Reconfigurer) switchover(st *Stage) (entries int, rt time.Duration, hw float64, err error) {
+// switchover is the control-plane half of commit: the controller
+// replaces the current deployment with the target's, and the new plan
+// must pass Plan.Check and the transition's Validate. When either
+// fails, the controller is reconfigured back to the previous topology
+// with the previous deployment's routes; when the target cannot be
+// deployed at all, Reconfigure has already put the previous deployment
+// back.
+func (r *Reconfigurer) switchover(st *Stage) error {
 	prev := r.cur
-	prev.Release(r.alloc)
-	rollback := func(cause error) (int, time.Duration, float64, error) {
-		if aerr := prev.Acquire(r.alloc); aerr != nil {
-			// Cannot happen while the run owns its allocation (Release
-			// just freed exactly these ports), but never mask it.
-			return 0, 0, 0, fmt.Errorf("%v (rollback failed: %v)", cause, aerr)
+	d, err := r.ctl.Reconfigure(prev.Name, st.Target, controller.Options{})
+	if err != nil {
+		return err
+	}
+	if err = d.Plan.Check(); err == nil && st.Validate != nil {
+		err = st.Validate(d.Plan)
+	}
+	if err != nil {
+		back, rerr := r.ctl.Reconfigure(d.Name, prev.Topo, controller.Options{Strategy: routing.Fixed{Routes: prev.Routes}})
+		if rerr != nil {
+			// Cannot happen while the run owns its controller (tearing
+			// the target down leaves the cabling as empty as when the
+			// previous topology was deployed on it), but never mask it.
+			return fmt.Errorf("%v (rollback failed: %v)", err, rerr)
 		}
-		return 0, 0, 0, cause
+		r.cur = back
+		return err
 	}
-	plan, perr := projection.ProjectInto(st.Target, r.cab, r.alloc, partition.Options{})
-	if perr != nil {
-		return rollback(perr)
-	}
-	fail := func(cause error) (int, time.Duration, float64, error) {
-		plan.Release(r.alloc)
-		return rollback(cause)
-	}
-	if cerr := plan.Check(); cerr != nil {
-		return fail(cerr)
-	}
-	if st.Validate != nil {
-		if verr := st.Validate(plan); verr != nil {
-			return fail(verr)
-		}
-	}
-	routes, rerr := routing.ForTopology(st.Target).Compute(st.Target)
-	if rerr != nil {
-		return fail(rerr)
-	}
-	switches, serr := projection.CompileFlowTables(plan, routes, projection.CompileOptions{Cookie: 1})
-	if serr != nil {
-		return fail(serr)
-	}
-	entries = projection.EntryCount(switches)
-	req := projection.Requirement{Method: projection.MethodSDT, Switches: plan.Stats().PhysicalSwitches, BandwidthFactor: 1}
-	rt = costmodel.ReconfigTime(req, entries)
-	hw = costmodel.HardwareCost(req)
-	r.cur = plan
-	return entries, rt, hw, nil
+	r.cur = d
+	return nil
 }
 
 // restore is the reconverge stage (and the fabric half of rollback):

@@ -3,9 +3,11 @@ package reconfig
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/projection"
@@ -44,14 +46,46 @@ func fixture(t *testing.T, g, target *topology.Graph) (*projection.Cabling, *rou
 	return cab, live, net
 }
 
-// allocCounts asserts the run-private allocation books exactly the
-// resident plan's resources — no leaks, no double-booking.
-func allocCounts(t *testing.T, r *Reconfigurer, plan *projection.Plan) {
+// resident asserts the run's controller holds exactly one deployment,
+// the Reconfigurer's current one, of topology want, and that its plan
+// passes Plan.Check.
+func resident(t testing.TB, r *Reconfigurer, want *topology.Graph) *controller.Deployment {
 	t.Helper()
-	self, inter, host := r.alloc.UsedCounts()
-	if self != plan.SelfUsed || inter != plan.InterUsed || host != len(plan.HostAttach) {
-		t.Fatalf("allocation books (self=%d inter=%d host=%d), resident plan %q needs (%d, %d, %d)",
-			self, inter, host, plan.Topo.Name, plan.SelfUsed, plan.InterUsed, len(plan.HostAttach))
+	ds := r.ctl.Deployments()
+	if len(ds) != 1 || ds[0] != r.cur || ds[0].Topo != want {
+		names := make([]string, len(ds))
+		for i, d := range ds {
+			names[i] = d.Name
+		}
+		t.Fatalf("controller holds %v, want exactly the resident %q", names, want.Name)
+	}
+	if err := ds[0].Plan.Check(); err != nil {
+		t.Fatalf("resident plan fails check: %v", err)
+	}
+	return ds[0]
+}
+
+// noLeak tears the resident deployment down and deploys its topology
+// again: the plan must take the same physical ports as a deploy on a
+// fresh controller over the same cabling, which a port the run leaked
+// would move.
+func noLeak(t testing.TB, r *Reconfigurer) {
+	t.Helper()
+	d := r.cur
+	opt := controller.Options{Strategy: routing.Fixed{Routes: d.Routes}}
+	if err := r.ctl.Teardown(d.Name); err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.ctl.Deploy(d.Topo, opt)
+	if err != nil {
+		t.Fatalf("redeploy after teardown: %v", err)
+	}
+	fresh, err := controller.New(r.ctl.Cabling).Deploy(d.Topo, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Plan.Ports, fresh.Plan.Ports) {
+		t.Fatalf("redeploying %q after teardown takes other ports than a fresh controller: the run leaked ports", d.Name)
 	}
 }
 
@@ -115,8 +149,8 @@ func TestScheduleValidation(t *testing.T) {
 // TestCommitProtocol drives a fat-tree → torus transition through the
 // engine and checks every stage effect: links drained then restored,
 // degraded rules swapped then the originals back, the target committed
-// with cost columns, and the allocation left booking exactly the
-// target's plan.
+// with cost columns, and the controller left holding exactly the
+// target's deployment.
 func TestCommitProtocol(t *testing.T) {
 	g := topology.FatTree(4)
 	target := topology.Torus2D(4, 4, 1)
@@ -153,10 +187,10 @@ func TestCommitProtocol(t *testing.T) {
 	if st.Entries <= 0 || st.ReconfigTime <= 0 || st.HardwareCost <= 0 {
 		t.Fatalf("cost columns = %d entries, %v, $%v", st.Entries, st.ReconfigTime, st.HardwareCost)
 	}
-	if rc.cur.Topo != target {
-		t.Fatalf("committed plan is for %q", rc.cur.Topo.Name)
+	if d := resident(t, rc, target); st.Entries != d.Entries || st.ReconfigTime != d.DeployTime {
+		t.Fatalf("stage records %d entries in %v, the deployment %d in %v", st.Entries, st.ReconfigTime, d.Entries, d.DeployTime)
 	}
-	allocCounts(t, rc, rc.cur)
+	noLeak(t, rc)
 	for _, e := range st.Drained {
 		if net.LinkIsDown(e) {
 			t.Fatalf("link %d still down after reconverge", e)
@@ -251,8 +285,9 @@ func freshRules(t *testing.T, g *topology.Graph) []routing.Rule {
 }
 
 // TestRollbackOnValidateFailure: an injected Plan.Check-stage failure
-// aborts the transition; the fabric and allocation return to the old
-// topology and the run completes.
+// aborts the transition; the fabric and the controller return to the
+// old topology — the same ports and entry count as before — and the run
+// completes.
 func TestRollbackOnValidateFailure(t *testing.T) {
 	g := topology.FatTree(4)
 	target := topology.Torus2D(4, 4, 1)
@@ -267,6 +302,7 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &rc.Stages[0]
+	before := rc.cur
 	rc.Bind(net)
 	drainedDown := probeDrained(net, st)
 	net.Sim.Run(0)
@@ -280,10 +316,11 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 	if st.RestoreAt != st.CommitAt || st.Entries != 0 || st.RestoreChurn != st.PatchChurn {
 		t.Fatalf("rollback record = %+v", st)
 	}
-	if rc.cur.Topo != g {
-		t.Fatalf("plan after rollback is for %q, want the old topology", rc.cur.Topo.Name)
+	d := resident(t, rc, g)
+	if !reflect.DeepEqual(d.Plan.Ports, before.Plan.Ports) || d.Entries != before.Entries {
+		t.Fatalf("restored deployment has %d entries on other ports than before the transition (%d entries)", d.Entries, before.Entries)
 	}
-	allocCounts(t, rc, rc.cur)
+	noLeak(t, rc)
 	for _, e := range st.Drained {
 		if net.LinkIsDown(e) {
 			t.Fatalf("link %d still down after rollback", e)
@@ -321,7 +358,8 @@ func TestRejectBeforeDrain(t *testing.T) {
 			t.Fatalf("rejected transition drained link %d", eid)
 		}
 	}
-	allocCounts(t, rc, rc.cur)
+	resident(t, rc, g)
+	noLeak(t, rc)
 }
 
 // TestDrainSetDeterministic: equal inputs give byte-identical schedules

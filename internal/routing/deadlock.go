@@ -145,7 +145,7 @@ func traceChannels(r *Routes, src, dst int) ([]Channel, error) {
 	tag := 0
 	inPort := portTo(g, cur, src)
 	var chans []Channel
-	limit := len(g.Vertices)*maxInt(r.NumVCs, 1) + 2
+	limit := len(g.Vertices)*max(r.NumVCs, 1) + 2
 	for steps := 0; ; steps++ {
 		if steps > limit {
 			return nil, fmt.Errorf("routing: %s: loop tracing %d->%d", r.Strategy, src, dst)
@@ -193,11 +193,4 @@ func VerifyDeadlockFree(r *Routes) error {
 		return fmt.Errorf("routing: %s: channel dependency cycle: %v", r.Strategy, cyc)
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

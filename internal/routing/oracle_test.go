@@ -505,7 +505,8 @@ func TestLookupMatchesMapIndex(t *testing.T) {
 
 		// A repair's output is the healthy rules followed by appended
 		// trees: no longer grouped by (switch, dst).
-		down := Outage{Edge: map[int]bool{c.graph.SwitchSwitchEdges()[0]: true}}
+		dead := c.graph.SwitchSwitchEdges()[0]
+		down := Outage{Edge: map[int]bool{dead: true}}
 		patched, _ := RepairAvoiding(r, down)
 		clone := r.Clone()
 		r.ReplaceRules(patched)

@@ -1,18 +1,18 @@
 package routing
 
-// Fault repair: recompute forwarding around dead links and switches.
+// Fault repair: recompute forwarding around dead links.
 //
 // RepairAvoiding is the route computation behind every mid-run route
 // patch — the reactive controller's fault repair (faults.Bind) and the
 // reconfiguration drain and restore (reconfig.Reconfigurer) — which all
 // apply it through one step, Routes.Reroute: given the original
-// strategy's rule set and the currently-down elements, it returns a
+// strategy's rule set and the currently-down links, it returns a
 // patched rule list in which only the *broken* destinations — those
-// whose original tree traverses a dead element — are rerouted, via
+// whose original tree traverses a dead link — are rerouted, via
 // per-destination BFS on the surviving subgraph. Healthy
 // destinations keep their strategy rules verbatim (including VC
 // transitions), so repair churn stays proportional to the blast radius
-// of the fault, and an element coming back up restores the original
+// of the fault, and a link coming back up restores the original
 // strategy rules for the destinations it had broken.
 //
 // Repaired destinations run on single-VC shortest paths: the original
@@ -32,40 +32,25 @@ import (
 	"repro/internal/topology"
 )
 
-// Outage is the set of currently-failed elements.
+// Outage is the set of currently-failed links.
 type Outage struct {
 	// Edge marks down logical edge IDs.
 	Edge map[int]bool
-	// Switch marks down switch vertex IDs.
-	Switch map[int]bool
 }
 
 // Empty reports whether nothing is down.
-func (o Outage) Empty() bool { return len(o.Edge) == 0 && len(o.Switch) == 0 }
+func (o Outage) Empty() bool { return len(o.Edge) == 0 }
 
-// ruleBroken reports whether a rule forwards into a down element: its
-// egress edge is cut, or the device at the far end of that edge is a
-// dead switch. A rule merely *hosted* on a dead switch is not breakage
-// by itself — every destination has rules at every switch, and the
-// paths that actually reach the dead switch are caught by the
-// incoming-edge rules of its live neighbours.
+// ruleBroken reports whether a rule's egress edge is cut.
 func ruleBroken(g *topology.Graph, csr *topology.CSR, r *Rule, down Outage) bool {
 	if r.Switch < 0 || r.Switch >= len(g.Vertices) {
 		return false // manual out-of-range rule; nothing to check
 	}
 	lo, hi := csr.Row(r.Switch)
 	for e := lo; e < hi; e++ {
-		if int(csr.Port[e]) != r.OutPort {
-			continue
+		if int(csr.Port[e]) == r.OutPort {
+			return down.Edge[int(csr.Edge[e])]
 		}
-		if down.Edge[int(csr.Edge[e])] {
-			return true
-		}
-		far := int(csr.Nbr[e])
-		if g.Vertices[far].Kind == topology.Switch && down.Switch[far] {
-			return true
-		}
-		return false
 	}
 	return false
 }
@@ -108,12 +93,11 @@ func RepairAvoiding(orig *Routes, down Outage) (rules []Rule, patched []int) {
 
 // appendDegradedTree emits single-VC shortest-path rules toward dst on
 // the surviving subgraph (BFS rooted at dst's switch, skipping down
-// elements; ties break by vertex ID as in ShortestPath). An
-// unreachable destination — dead root switch or cut host link — emits
-// nothing.
+// links; ties break by vertex ID as in ShortestPath). An unreachable
+// destination — its host link cut — emits nothing.
 func appendDegradedTree(rules []Rule, g *topology.Graph, csr *topology.CSR, dst int, down Outage) []Rule {
 	root := g.HostSwitch(dst)
-	if root < 0 || down.Switch[root] {
+	if root < 0 {
 		return rules
 	}
 	// The host needs a surviving attachment edge (a multi-homed host
@@ -138,7 +122,7 @@ func appendDegradedTree(rules []Rule, g *topology.Graph, csr *topology.CSR, dst 
 			if g.Vertices[o].Kind != topology.Switch || next[o] >= 0 {
 				continue
 			}
-			if down.Edge[int(csr.Edge[e])] || down.Switch[int(o)] {
+			if down.Edge[int(csr.Edge[e])] {
 				continue
 			}
 			next[o] = int32(v)

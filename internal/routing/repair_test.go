@@ -48,7 +48,7 @@ func TestRepairAvoidingReroutesAroundDeadEdge(t *testing.T) {
 		if dead < 0 {
 			t.Fatalf("%s: no core edge in use", g.Name)
 		}
-		out := Outage{Edge: map[int]bool{dead: true}, Switch: map[int]bool{}}
+		out := Outage{Edge: map[int]bool{dead: true}}
 		rules, patched := RepairAvoiding(orig, out)
 		if len(patched) == 0 {
 			t.Fatalf("%s: nothing patched for a used edge", g.Name)
@@ -107,16 +107,13 @@ func TestRepairAvoidingReroutesAroundDeadEdge(t *testing.T) {
 
 // walkDelivers follows the rule set hop by hop from src's switch and
 // reports whether the packet reaches dst without loops, table misses,
-// or traversing a dead element.
+// or traversing a dead link.
 func walkDelivers(t *testing.T, g *topology.Graph, csr *topology.CSR, r *Routes, src, dst int, down Outage) bool {
 	t.Helper()
 	sw := g.HostSwitch(src)
 	tag := 0
 	inPort := 0
 	for hops := 0; hops < len(g.Vertices)+1; hops++ {
-		if down.Switch[sw] {
-			return false
-		}
 		rule := r.Lookup(sw, inPort, dst, tag)
 		if rule == nil {
 			return false
@@ -148,71 +145,52 @@ func walkDelivers(t *testing.T, g *topology.Graph, csr *topology.CSR, r *Routes,
 	return false // loop
 }
 
-func TestRepairAvoidingDeadSwitchAndUnreachable(t *testing.T) {
+// TestRepairAvoidingIsolatedToRUnreachable: cutting every uplink of an
+// edge (ToR) switch leaves its hosts unreachable from the rest of the
+// fabric, and cutting one host's own link leaves that host unreachable
+// from everywhere; every other pair still delivers.
+func TestRepairAvoidingIsolatedToRUnreachable(t *testing.T) {
 	g := topology.FatTree(4)
 	orig, err := ForTopology(g).Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csr := g.CSR()
-	// Kill an edge (ToR) switch: its hosts become unreachable, every
-	// other destination stays reachable.
-	var tor int = -1
-	for _, sw := range g.Switches() {
-		for _, h := range g.Hosts() {
-			if g.HostSwitch(h) == sw {
-				tor = sw
-				break
-			}
-		}
-		if tor >= 0 {
-			break
+	hosts := g.Hosts()
+	tor := g.HostSwitch(hosts[0])
+	out := Outage{Edge: map[int]bool{}}
+	for _, eid := range g.IncidentEdges(tor) {
+		if e := g.Edges[eid]; g.Vertices[e.Other(tor)].Kind == topology.Switch {
+			out.Edge[eid] = true
 		}
 	}
-	var attached []int
-	for _, h := range g.Hosts() {
+	behindToR := map[int]bool{}
+	for _, h := range hosts {
 		if g.HostSwitch(h) == tor {
-			attached = append(attached, h)
+			behindToR[h] = true
 		}
 	}
-	if tor < 0 || len(attached) == 0 {
-		t.Fatal("no ToR with hosts found")
+	// A host on another ToR loses its own link.
+	cutHost := hosts[len(hosts)-1]
+	if behindToR[cutHost] {
+		t.Fatal("fixture: the last host sits behind the isolated ToR")
 	}
-	out := Outage{Edge: map[int]bool{}, Switch: map[int]bool{tor: true}}
+	out.Edge[g.EdgeBetween(g.HostSwitch(cutHost), cutHost)] = true
+
 	rules, patched := RepairAvoiding(orig, out)
 	if len(patched) == 0 {
-		t.Fatal("dead ToR patched nothing")
+		t.Fatal("isolated ToR patched nothing")
 	}
 	repaired := orig.Clone()
 	repaired.ReplaceRules(rules)
-	isAttached := map[int]bool{}
-	for _, h := range attached {
-		isAttached[h] = true
-	}
-	// Hosts behind the dead ToR have no rules at live switches pointing
-	// anywhere useful: no rule for them may remain at any live switch
-	// that would reach the dead ToR... simply: they are unreachable.
-	for _, dst := range attached {
-		for _, src := range g.Hosts() {
-			if src == dst || isAttached[src] {
+	for _, dst := range hosts {
+		for _, src := range hosts {
+			if src == dst || src == cutHost || (behindToR[src] && behindToR[dst]) {
 				continue
 			}
-			if walkDelivers(t, g, csr, repaired, src, dst, out) {
-				t.Fatalf("host %d behind dead ToR still reachable from %d", dst, src)
-			}
-		}
-	}
-	// Every other pair still delivers.
-	for _, dst := range g.Hosts() {
-		if isAttached[dst] {
-			continue
-		}
-		for _, src := range g.Hosts() {
-			if src == dst || isAttached[src] {
-				continue
-			}
-			if !walkDelivers(t, g, csr, repaired, src, dst, out) {
-				t.Fatalf("%d -> %d broken by unrelated ToR death", src, dst)
+			want := dst != cutHost && !behindToR[src] && !behindToR[dst]
+			if got := walkDelivers(t, g, csr, repaired, src, dst, out); got != want {
+				t.Fatalf("%d -> %d delivers = %v, want %v", src, dst, got, want)
 			}
 		}
 	}
@@ -237,7 +215,7 @@ func TestRepairAvoidingParallelEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr := g.CSR()
-	out := Outage{Edge: map[int]bool{eLow: true}, Switch: map[int]bool{}}
+	out := Outage{Edge: map[int]bool{eLow: true}}
 	rules, patched := RepairAvoiding(orig, out)
 	if len(patched) == 0 {
 		t.Fatal("cutting the in-use parallel edge patched nothing")

@@ -233,18 +233,17 @@ var (
 // open-loop run: per size bucket, FCT and slowdown percentiles.
 type FCTReport = telemetry.FCTReport
 
-// FaultSpec schedules link/switch failures during a run: one-shot
-// timed events plus seeded MTBF/MTTR flap processes. Attach one via
-// Scenario.Faults — dead elements drop traversing packets, the
-// controller reroute patches the live FIB after the spec's repair
-// latency, and the RunResult carries FaultDrops, Incomplete, and one
-// Faults record per event. Equal specs expand to byte-identical
-// schedules.
+// FaultSpec schedules link failures during a run: one-shot timed
+// events plus seeded MTBF/MTTR flap processes. Attach one via
+// Scenario.Faults — dead links drop the packets queued for them and in
+// flight on them, the controller reroute patches the live FIB after
+// the spec's repair latency, and the RunResult carries FaultDrops,
+// Incomplete, and one Faults record per event. Equal specs expand to
+// byte-identical schedules.
 type FaultSpec = faults.Spec
 
-// FaultEvent is one scheduled fault: a kind, an element (edge ID for
-// link kinds, switch vertex ID for switch kinds), and an absolute
-// simulated time.
+// FaultEvent is one scheduled fault: a kind, a logical edge ID, and an
+// absolute simulated time.
 type FaultEvent = faults.Event
 
 // Link fault kinds.
