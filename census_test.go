@@ -11,6 +11,7 @@ package sdt_test
 // how to add an allowlist entry.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -22,6 +23,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,6 +61,62 @@ type census struct {
 	std  types.Importer
 	pkgs map[string]*censusPkg // import path -> package
 	errs []string
+
+	// What load checked: the non-test packages under internal/, cmd/,
+	// examples/ and bench/, in directory order, and the root sdt_test
+	// files.
+	paths  []string
+	facade *censusPkg
+}
+
+var (
+	censusOnce    sync.Once
+	censusShared  *census
+	censusLoadErr error
+)
+
+// loadCensus returns the census every census test reads, type-checked
+// once per test binary: checking the standard library from source is
+// most of a census's cost, and the tests only read what it holds.
+func loadCensus(t *testing.T) *census {
+	t.Helper()
+	censusOnce.Do(func() {
+		censusShared = newCensus()
+		censusLoadErr = censusShared.load()
+	})
+	if censusLoadErr != nil {
+		t.Fatal(censusLoadErr)
+	}
+	return censusShared
+}
+
+// load type-checks every non-test package of the module and of the
+// benchmark module, which is read as a consumer, the root package, and
+// the root sdt_test files, the facade's other consumer.
+func (c *census) load() error {
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		dirs, err := goDirs(root)
+		if err != nil {
+			return err
+		}
+		for _, dir := range dirs {
+			c.paths = append(c.paths, censusModule+"/"+filepath.ToSlash(dir))
+		}
+	}
+	for _, path := range append(c.paths, censusModule) {
+		if _, err := c.Import(path); err != nil {
+			return fmt.Errorf("type-check %s: %v", path, err)
+		}
+	}
+	rootTests, err := c.parse(".", true)
+	if err != nil {
+		return err
+	}
+	c.facade = c.check(censusModule+"_test", rootTests)
+	if len(c.errs) > 0 {
+		return fmt.Errorf("type errors (a deletion broke a consumer?):\n%s", strings.Join(c.errs, "\n"))
+	}
+	return nil
 }
 
 func newCensus() *census {
@@ -131,8 +189,7 @@ func (c *census) Import(path string) (*types.Package, error) {
 }
 
 // goDirs lists the directories under root that hold non-test Go files.
-func goDirs(t *testing.T, root string) []string {
-	t.Helper()
+func goDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -147,10 +204,7 @@ func goDirs(t *testing.T, root string) []string {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dirs
+	return dirs, err
 }
 
 // underInternal reports whether obj is an exported name declared in
@@ -277,30 +331,10 @@ var stdInterfaces = [][2]string{
 }
 
 func TestExportedSurfaceCensus(t *testing.T) {
-	c := newCensus()
-
 	// Every non-test package of the module plus the benchmark module,
 	// which is read as a consumer and never edited for a deletion.
-	var paths []string
-	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		for _, dir := range goDirs(t, root) {
-			paths = append(paths, censusModule+"/"+filepath.ToSlash(dir))
-		}
-	}
-	for _, path := range append(paths, censusModule) {
-		if _, err := c.Import(path); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
-		}
-	}
-	// The root sdt_test files are the facade's other consumer.
-	rootTests, err := c.parse(".", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	facadeTests := c.check(censusModule+"_test", rootTests)
-	if len(c.errs) > 0 {
-		t.Fatalf("type errors (a deletion broke a consumer?):\n%s", strings.Join(c.errs, "\n"))
-	}
+	c := loadCensus(t)
+	paths := c.paths
 
 	used := map[types.Object]bool{}
 	mark := func(obj types.Object) {
@@ -327,7 +361,7 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	// only when an example or a root test uses the re-exported name.
 	facade := c.pkgs[censusModule]
 	facadeUsed := map[types.Object]bool{}
-	consumers := []*censusPkg{facadeTests}
+	consumers := []*censusPkg{c.facade}
 	for _, path := range paths {
 		if strings.HasPrefix(path, censusModule+"/examples/") {
 			consumers = append(consumers, c.pkgs[path])
@@ -498,21 +532,14 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	}
 }
 
-// declsUsing type-checks the module's non-test Go outside bench/ and
-// returns, sorted and without repeats, the top-level declarations
-// ("pkg.Func") that reference any of targets.
-func declsUsing(t *testing.T, c *census, targets ...types.Object) []string {
-	t.Helper()
-	paths := []string{censusModule}
-	for _, root := range []string{"internal", "cmd", "examples"} {
-		for _, dir := range goDirs(t, root) {
-			paths = append(paths, censusModule+"/"+filepath.ToSlash(dir))
-		}
-	}
+// declsUsing returns, sorted and without repeats, the top-level
+// declarations ("pkg.Func") of the module's non-test Go outside bench/
+// that reference any of targets.
+func declsUsing(c *census, targets ...types.Object) []string {
 	var callers []string
-	for _, path := range paths {
-		if _, err := c.Import(path); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
+	for _, path := range append([]string{censusModule}, c.paths...) {
+		if strings.HasPrefix(path, censusModule+"/bench") {
+			continue
 		}
 		p := c.pkgs[path]
 		for _, f := range p.files {
@@ -538,7 +565,7 @@ func declsUsing(t *testing.T, c *census, targets ...types.Object) []string {
 // of (*engine.Engine).Run (which netsim.Sim aliases), so every
 // validation rule, observer and cancellation reaches every simulation.
 func TestOneExecutionPath(t *testing.T) {
-	c := newCensus()
+	c := loadCensus(t)
 	eng, err := c.Import(censusModule + "/internal/engine")
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +574,7 @@ func TestOneExecutionPath(t *testing.T) {
 	if run == nil {
 		t.Fatal("engine.Engine has no Run method")
 	}
-	if callers, want := declsUsing(t, c, run), []string{"core.runScenario"}; !slices.Equal(callers, want) {
+	if callers, want := declsUsing(c, run), []string{"core.runScenario"}; !slices.Equal(callers, want) {
 		t.Errorf("(*engine.Engine).Run is called from %v, want only from %v: drive a simulation through core.Run or core.Sweep", callers, want)
 	}
 }
@@ -559,7 +586,7 @@ func TestOneExecutionPath(t *testing.T) {
 // every topology installed on the testbed, a mid-run reconfiguration's
 // included, goes through controller.Deploy and controller.Reconfigure.
 func TestOneDeployPath(t *testing.T) {
-	c := newCensus()
+	c := loadCensus(t)
 	proj, err := c.Import(censusModule + "/internal/projection")
 	if err != nil {
 		t.Fatal(err)
@@ -581,7 +608,7 @@ func TestOneDeployPath(t *testing.T) {
 		booking = append(booking, obj)
 	}
 	var deployer, others []string
-	for _, caller := range declsUsing(t, c, booking...) {
+	for _, caller := range declsUsing(c, booking...) {
 		switch pkg, _, _ := strings.Cut(caller, "."); pkg {
 		case "projection":
 		case "controller":
@@ -611,7 +638,7 @@ var simConfigAllow = map[string]string{
 // left side of an assignment or a composite-literal key), read by
 // bench/, or allowlisted above. A field nothing sets is a constant.
 func TestSimConfigKnobs(t *testing.T) {
-	c := newCensus()
+	c := loadCensus(t)
 	netsim, err := c.Import(censusModule + "/internal/netsim")
 	if err != nil {
 		t.Fatal(err)
@@ -622,18 +649,9 @@ func TestSimConfigKnobs(t *testing.T) {
 		fields[st.Field(i)] = true
 	}
 	set := map[types.Object]bool{}
-	paths := []string{censusModule}
-	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		for _, dir := range goDirs(t, root) {
-			paths = append(paths, censusModule+"/"+filepath.ToSlash(dir))
-		}
-	}
-	for _, path := range paths {
+	for _, path := range append([]string{censusModule}, c.paths...) {
 		if path == netsim.Path() {
 			continue
-		}
-		if _, err := c.Import(path); err != nil {
-			t.Fatalf("type-check %s: %v", path, err)
 		}
 		p := c.pkgs[path]
 		if strings.HasPrefix(path, censusModule+"/bench") {

@@ -40,7 +40,6 @@ type Controller struct {
 	alloc       *projection.Allocation
 	deployments map[string]*Deployment
 	nextCookie  uint64
-	nextTagBase int
 }
 
 // Deployment is one live logical topology on the testbed.
@@ -138,7 +137,7 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 		}
 	}
 	cookie := c.nextCookie + 1
-	tagBase := c.nextTagBase
+	tagBase := c.tagBase(projection.TagSpace(plan, routes))
 	switches, err := projection.CompileFlowTables(plan, routes, projection.CompileOptions{
 		Encoding: projection.TagEncoded,
 		Cookie:   cookie,
@@ -154,7 +153,6 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 		return nil, err
 	}
 	c.nextCookie = cookie
-	c.nextTagBase = tagBase + projection.TagSpace(plan, routes)
 	// The deployment's routes and the physical flow tables are shared
 	// read-only by every simulation of this topology; build the lookup
 	// index + FIB and the tables' dst indices before any of them race.
@@ -178,6 +176,25 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 	}
 	c.deployments[g.Name] = d
 	return d, nil
+}
+
+// tagBase returns the lowest base at which a range of n tags overlaps
+// no live deployment's [TagBase, TagBase+TagSpace): a torn-down
+// deployment's range is free again, as its ports are. From 0, the
+// search jumps past every live range the candidate overlaps; each base
+// it skips overlaps that range too, so the first base that overlaps
+// none is the lowest, whatever the map order.
+func (c *Controller) tagBase(n int) int {
+	base := 0
+	for moved := true; moved; {
+		moved = false
+		for _, d := range c.deployments {
+			if lo, hi := d.TagBase, d.TagBase+projection.TagSpace(d.Plan, d.Routes); base < hi && lo < base+n {
+				base, moved = hi, true
+			}
+		}
+	}
+	return base
 }
 
 // Teardown removes a deployed topology: its flow entries (by cookie)

@@ -303,3 +303,51 @@ func TestCheckAgreesWithDeploy(t *testing.T) {
 		t.Fatalf("fixture: %d candidates accepted, %d rejected; want some of each", accepted, rejected)
 	}
 }
+
+// TestTagRangesReleased: a torn-down deployment's tag range is free
+// again, as its ports are. Forty reconfigurations alternating a
+// fat-tree and a torus keep every TagBase within one topology's
+// TagSpace, and a deployment beside live ones takes the lowest gap
+// that fits.
+func TestTagRangesReleased(t *testing.T) {
+	ft, tor := topology.FatTree(4), topology.Torus2D(4, 4, 1)
+	c := testbed(t, ft, tor)
+	cur, err := c.Deploy(ft, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		next := tor
+		if cur.Topo == tor {
+			next = ft
+		}
+		if cur, err = c.Reconfigure(cur.Name, next, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if space := projection.TagSpace(cur.Plan, cur.Routes); cur.TagBase > space {
+			t.Fatalf("reconfiguration %d: %s at TagBase %d, past its TagSpace %d", i+1, cur.Name, cur.TagBase, space)
+		}
+	}
+
+	c = testbed(t, topology.Line(10, 4))
+	base := func(g *topology.Graph) int {
+		t.Helper()
+		d, err := c.Deploy(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.TagBase
+	}
+	// line-3 takes [0, 4), ring-4 [4, 9); line-3's teardown frees [0, 4).
+	if a, b := base(topology.Line(3, 1)), base(topology.Ring(4, 1)); a != 0 || b != 4 {
+		t.Fatalf("TagBases %d and %d, want 0 and 4", a, b)
+	}
+	if err := c.Teardown("line-3"); err != nil {
+		t.Fatal(err)
+	}
+	// line-2 needs 3 tags and fits the freed gap; line-4 needs 5 and
+	// goes past ring-4.
+	if a, b := base(topology.Line(2, 1)), base(topology.Line(4, 1)); a != 0 || b != 9 {
+		t.Errorf("TagBases %d and %d, want 0 (the freed gap) and 9 (past ring-4)", a, b)
+	}
+}

@@ -196,15 +196,36 @@ func TestFIBStats(t *testing.T) {
 
 // TestComputeParallelDeterminism recomputes every differential case
 // serially and with a forced 4-worker fan-out: the rule slices must be
-// deeply identical (the per-destination runs merge in destination
-// order, so scheduling must not leak into the output). Run under -race
-// this also proves the builds only read shared graph state.
+// deeply identical (rules are placed by destination order, so
+// scheduling must not leak into the output). Two cases span many
+// blocks of destinations, one of each kind: a fat-tree, whose runs have
+// one shape, so every worker writes blocks straight into place; and
+// TorusClue, whose runs do not, so the general path builds a run per
+// destination past the first block. Run under -race this also proves
+// the builds only read shared graph state.
 func TestComputeParallelDeterminism(t *testing.T) {
 	defer func() { computeWorkers = 0 }()
+	cases := func() []*Routes {
+		rs := fibCases(t)
+		for _, c := range []struct {
+			strat Strategy
+			g     *topology.Graph
+		}{
+			{FatTreeDFS{}, topology.FatTree(8)},
+			{TorusClue{Dims: 2}, topology.Torus2D(8, 8, 1)},
+		} {
+			r, err := c.strat.Compute(c.g)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.strat.Name(), c.g.Name, err)
+			}
+			rs = append(rs, r)
+		}
+		return rs
+	}
 	computeWorkers = 1
-	serial := fibCases(t)
+	serial := cases()
 	computeWorkers = 4
-	parallel := fibCases(t)
+	parallel := cases()
 	for i := range serial {
 		s, p := serial[i], parallel[i]
 		if len(s.Rules) != len(p.Rules) {

@@ -302,6 +302,120 @@ func FuzzPlaceRuns(f *testing.F) {
 	})
 }
 
+// fuzzBuilds decodes a per-destination rule build from data, one byte
+// per choice (0 once data runs out): a graph (2, 4 or 8 vertices); up
+// to 47 destinations, ascending, descending, or one byte each of 0..15
+// (so they repeat and descend); a shape of up to 7 switches, a switch
+// often several times in it; a seed for the in ports and tags, which
+// vary with the destination so a group's tags come out of order; and a
+// break of the shape — none, another switch, a switch outside the
+// vertex range, a rule dropped or a rule repeated — at one destination
+// (every run toward it) and one rule. OutPort numbers a run's rules, so
+// an unstable placement shows.
+func fuzzBuilds(graphs []*topology.Graph, data []byte) (*topology.Graph, []int, func(dst int, emit func(Rule)) error) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	g := graphs[next()%len(graphs)]
+	nv := len(g.Vertices)
+	dsts := make([]int, next()%48)
+	order := next() % 3
+	shape := make([]int, next()%8)
+	for i := range shape {
+		shape[i] = next() % nv
+	}
+	seed := next()
+	kind, at, rule := next()%5, next(), next()
+	for j := range dsts {
+		switch order {
+		case 0:
+			dsts[j] = j
+		case 1:
+			dsts[j] = len(dsts) - j
+		default:
+			dsts[j] = next() % 16
+		}
+	}
+	broken := -1
+	if kind > 0 && len(dsts) > 0 && len(shape) > 0 {
+		broken, rule = dsts[at%len(dsts)], rule%len(shape)
+	}
+	return g, dsts, func(dst int, emit func(Rule)) error {
+		for i, sw := range shape {
+			r := Rule{Switch: sw, InPort: (dst + i*seed) % 3, Dst: dst,
+				Tag: (dst*seed+5*i)%3 - 1, OutPort: i + 1, NewTag: -1}
+			if dst == broken && i == rule {
+				switch kind {
+				case 1:
+					r.Switch = (sw + 1) % nv
+				case 2:
+					r.Switch = nv
+				case 3:
+					continue
+				case 4:
+					emit(r)
+				}
+			}
+			emit(r)
+		}
+		return nil
+	}
+}
+
+// FuzzComputeForDsts holds computeForDsts, whose one-shape path writes
+// the rules straight into place, to placeRuns over the runs a serial
+// loop builds, at 1 and 4 workers: on builds of one shape, with several
+// rules per switch and destinations out of order, and on builds whose
+// shape breaks in the first block (the general path from the start) or
+// in a later one (the one-shape path discarded).
+// CI runs this as a smoke (`go test -fuzz=FuzzComputeForDsts -fuzztime=10s`).
+func FuzzComputeForDsts(f *testing.F) {
+	graphs := []*topology.Graph{topology.Line(1, 1), topology.Line(2, 1), topology.Line(4, 1)}
+	// Layout: graph; destinations; order; shape length, switches; seed;
+	// break kind, destination, rule; with order 2, the destinations.
+	for _, seed := range [][]byte{
+		{},
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 0, 0, 0},    // one shape, five blocks
+		{2, 40, 0, 5, 3, 1, 3, 1, 3, 7, 0, 0, 0}, // several rules per switch, tags out of order
+		{2, 30, 1, 3, 2, 0, 1, 1, 0, 0, 0},       // descending destinations
+		{1, 20, 2, 2, 1, 3, 2, 0, 0, 0, 5, 5, 1, 9, 3, 3, 0, 12, 7, 7, 2, 1, 4, 8, 8, 6, 15, 2, 2, 0},
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 1, 20, 2}, // another switch in a later block
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 2, 1, 0},  // a switch outside the range in the first block
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 3, 33, 1}, // a rule dropped in the last block
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 4, 17, 3}, // a rule repeated
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, dsts, build := fuzzBuilds(graphs, data)
+		runs := make([]dstRun, len(dsts))
+		for j, d := range dsts {
+			runs[j].dst = d
+			if err := build(d, runs[j].emit); err != nil || runs[j].err != nil {
+				t.Fatalf("build toward %d: %v %v", d, err, runs[j].err)
+			}
+		}
+		want := placeRuns(len(g.Vertices), runs)
+		defer func() { computeWorkers = 0 }()
+		for _, workers := range []int{1, 4} {
+			computeWorkers = workers
+			r := newRoutes(g, "fuzz", 2)
+			if err := computeForDsts(r, g, dsts, build); err != nil {
+				t.Fatalf("%d workers: %v", workers, err)
+			}
+			if !slices.Equal(r.Rules, want) {
+				t.Fatalf("%d workers, %d destinations: computeForDsts differs from placeRuns at rule %d of %d:\n got %v\nwant %v",
+					workers, len(dsts), firstDiff(r.Rules, want), len(want), r.Rules, want)
+			}
+		}
+	})
+}
+
 func firstDiff(a, b []Rule) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {

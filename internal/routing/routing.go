@@ -18,8 +18,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/openflow"
 	"repro/internal/par"
@@ -304,16 +306,37 @@ func portTo(g *topology.Graph, from, to int) int {
 }
 
 // computeWorkers is the worker count for per-destination route builds
-// (0 = GOMAXPROCS, 1 = serial). The determinism test forces it above 1
-// so the fan-out is exercised under -race even on single-CPU machines.
+// (0 = GOMAXPROCS, 1 = serial): on the one-shape path, the number of
+// block builders, each taking every computeWorkers-th block; on the
+// general path, par.For's workers, one job per destination. The
+// determinism test forces it above 1 so the fan-out is exercised under
+// -race even on single-CPU machines.
 var computeWorkers = 0
 
+// shapeBlock is how many destinations a block builder builds into its
+// buffer before writing their rules into place. The first block of a
+// compute also decides whether its runs have one shape.
+const shapeBlock = 8
+
 // computeForDsts fans a strategy's rule builds over an explicit
-// destination set and leaves r.Rules in canonical order. The
-// per-destination builds run on the worker pool, each filling its own
-// run (built by `build` calling emit), and placeRuns reads the runs in
-// dsts order, so the rule list is independent of scheduling and
+// destination set and leaves r.Rules as placeRuns places the
+// destinations' runs in dsts order: independent of scheduling and
 // byte-identical to a serial build.
+//
+// The first block of destinations is built serially, and it decides
+// the path. When its runs have one shape — every run names the same
+// switches in the same order, as fat-tree, dragonfly, mesh and
+// shortest-path runs do — every rule has a fixed place (runLayout), and
+// the rules are written straight into the final array: the first
+// block's, then the other blocks', which the workers build into buffers
+// they reuse and write contiguously into each switch's segment. No
+// destination keeps a run. A later run of another shape, or a failed
+// build, discards that work, and the general path builds every run
+// again (the builds are pure). Runs of several shapes — TorusClue's:
+// the destination's own switch emits one rule, every other switch
+// several — take the general path from the first block on: its runs and
+// a run per remaining destination go through placeRuns, which stays the
+// oracle for both paths (FuzzComputeForDsts).
 //
 // build runs concurrently and must only read shared state; the graph's
 // lazy caches (adjacency, CSR, host/switch lists) are primed here
@@ -324,11 +347,29 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	// Every strategy emits at least one rule per switch it routes from,
 	// so a run of that size spares the first dozen append doublings.
 	nsw := g.NumSwitches()
+	nv := len(g.Vertices)
+	n := min(len(dsts), shapeBlock)
+	first := newBlockBuilder(n * nsw)
+	head, err := first.build(dsts[:n], build)
+	if err != nil {
+		return err
+	}
+	done := 0
+	if lay, ok := newRunLayout(nv, head, dsts); ok {
+		if out, ok := lay.fill(first, head, build); ok {
+			r.Rules = out
+			r.invalidate()
+			return nil
+		}
+	} else {
+		done = len(head)
+	}
 	runs := make([]dstRun, len(dsts))
-	err := par.For(computeWorkers, len(dsts), func(hi int) error {
+	copy(runs, head[:done])
+	err = par.For(computeWorkers, len(dsts)-done, func(i int) error {
 		// Each job owns exactly its destination's run.
-		run := &runs[hi]
-		run.dst = dsts[hi]
+		run := &runs[done+i]
+		run.dst = dsts[done+i]
 		run.rules = make([]runRule, 0, nsw)
 		if err := build(run.dst, run.emit); err != nil {
 			return err
@@ -338,9 +379,176 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	if err != nil {
 		return err
 	}
-	r.Rules = placeRuns(len(g.Vertices), runs)
+	r.Rules = placeRuns(nv, runs)
 	r.invalidate()
 	return nil
+}
+
+// blockBuilder builds the runs of a block of destinations one after
+// another into one buffer, which it reuses from block to block; its
+// emit closure is made once.
+type blockBuilder struct {
+	buf  dstRun // the block's rules, run after run; dst is the one being built
+	emit func(Rule)
+	runs []dstRun // the block's runs, views of buf.rules
+}
+
+func newBlockBuilder(rules int) *blockBuilder {
+	b := &blockBuilder{buf: dstRun{rules: make([]runRule, 0, rules)}, runs: make([]dstRun, 0, shapeBlock)}
+	b.emit = b.buf.emit
+	return b
+}
+
+// build builds the runs of dsts, in order, and returns them; they hold
+// until the next call. The first failed build's error is returned, as
+// the general path's par.For returns the lowest-index one.
+func (b *blockBuilder) build(dsts []int, build func(dst int, emit func(Rule)) error) ([]dstRun, error) {
+	b.buf.rules, b.buf.err = b.buf.rules[:0], nil
+	b.runs = b.runs[:0]
+	for _, d := range dsts {
+		start := len(b.buf.rules)
+		b.buf.dst = d
+		if err := build(d, b.emit); err != nil {
+			return nil, err
+		}
+		if b.buf.err != nil {
+			return nil, b.buf.err
+		}
+		// A later append that outgrows the buffer leaves this view on
+		// the old array, which keeps its rules.
+		b.runs = append(b.runs, dstRun{dst: d, rules: b.buf.rules[start:]})
+	}
+	return b.runs, nil
+}
+
+// runLayout places runs of one shape. placeRuns' scatter fills each
+// switch's segment destination after destination, each with its rules
+// on that switch in emission order; so when every run names the same
+// switches in the same order, rule i of the j-th destination's run
+// lands at at[i] + j*step[i], where step[i] is the run's rule count on
+// that switch.
+type runLayout struct {
+	dsts      []int
+	ascending bool      // dsts strictly ascend
+	shape     []runRule // a run of the shape, whose switches every run names
+	at, step  []int     // per rule of the shape: its place for dsts[0], and its switch's rules per run
+	start     []int     // per vertex: where its segment begins
+}
+
+// newRunLayout returns the layout of the runs toward dsts when head,
+// the runs of its first destinations, have one shape naming switches
+// in [0, nv) only; otherwise it reports false, having allocated
+// nothing.
+func newRunLayout(nv int, head []dstRun, dsts []int) (runLayout, bool) {
+	if len(head) == 0 || !oneShape(head[1:], head[0].rules) {
+		return runLayout{}, false
+	}
+	for _, rr := range head[0].rules {
+		if uint(rr.sw) >= uint(nv) {
+			return runLayout{}, false
+		}
+	}
+	// The shape outlives head, whose buffer the first block builder
+	// reuses.
+	shape := slices.Clone(head[0].rules)
+	buf := make([]int, nv+2*len(shape))
+	l := runLayout{dsts: dsts, ascending: true, shape: shape,
+		start: buf[:nv], at: buf[nv : nv+len(shape)], step: buf[nv+len(shape):]}
+	for i := 1; i < len(dsts); i++ {
+		l.ascending = l.ascending && dsts[i-1] < dsts[i]
+	}
+	for i, rr := range shape {
+		l.at[i] = l.start[rr.sw] // its rank among the run's rules on the switch
+		l.start[rr.sw]++
+	}
+	for i, rr := range shape {
+		l.step[i] = l.start[rr.sw]
+	}
+	pos := 0
+	for s, c := range l.start {
+		l.start[s] = pos
+		pos += c * len(dsts)
+	}
+	for i, rr := range shape {
+		l.at[i] += l.start[rr.sw]
+	}
+	return l, true
+}
+
+// oneShape reports whether every run names the switches of shape, in
+// its order.
+func oneShape(runs []dstRun, shape []runRule) bool {
+	for _, run := range runs {
+		if len(run.rules) != len(shape) {
+			return false
+		}
+		for i, rr := range run.rules {
+			if rr.sw != shape[i].sw {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fill returns the rule array with every run in place: head, the first
+// block's runs, which b built, then the other blocks, which one block
+// builder per worker (b among them) builds, each taking every
+// workers-th block. It reports false, and the array is dropped, when a
+// build fails or a run has another shape. A segment with several rules
+// per run, or every segment when dsts do not strictly ascend, gets
+// placeRuns' is-sorted check, and a stable sort if that fails.
+func (l *runLayout) fill(b *blockBuilder, head []dstRun, build func(dst int, emit func(Rule)) error) ([]Rule, bool) {
+	out := make([]Rule, len(l.shape)*len(l.dsts))
+	l.put(out, 0, head)
+	blocks := (len(l.dsts) - len(head) + shapeBlock - 1) / shapeBlock
+	workers := computeWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(min(workers, blocks), 1)
+	var broken atomic.Bool
+	par.For(workers, workers, func(w int) error {
+		wb := b
+		if w > 0 {
+			wb = newBlockBuilder(shapeBlock * len(l.shape))
+		}
+		for k := w; k < blocks && !broken.Load(); k += workers {
+			lo := len(head) + k*shapeBlock
+			runs, err := wb.build(l.dsts[lo:min(lo+shapeBlock, len(l.dsts))], build)
+			if err != nil || !oneShape(runs, l.shape) {
+				broken.Store(true)
+				return nil
+			}
+			l.put(out, lo, runs)
+		}
+		return nil
+	})
+	if broken.Load() {
+		return nil, false
+	}
+	for i, rr := range l.shape {
+		if lo := l.at[i]; lo == l.start[rr.sw] && (l.step[i] > 1 || !l.ascending) {
+			if seg := out[lo : lo+l.step[i]*len(l.dsts)]; !slices.IsSortedFunc(seg, compareRules) {
+				slices.SortStableFunc(seg, compareRules)
+			}
+		}
+	}
+	return out, true
+}
+
+// put writes runs, those toward dsts[j0:], into place: switch segment
+// by switch segment, so a block's rules on one switch land side by
+// side.
+func (l *runLayout) put(out []Rule, j0 int, runs []dstRun) {
+	for i, at := range l.at {
+		step := l.step[i]
+		p := at + j0*step
+		for _, run := range runs {
+			out[p] = run.rules[i].widen(run.dst)
+			p += step
+		}
+	}
 }
 
 // runRule is one rule of a destination's run: a Rule less its Dst,
