@@ -34,7 +34,7 @@ var censusAllow = map[string]string{
 	"controller.Controller.Deployments": "test seam: controller, core and reconfig tests count live deployments after deploy/teardown/reconfigure",
 	"loadgen.FlowSet.Trace":             "differential oracle: TestFlowsVsCompiledTrace replays the compiled trace against the live flow app",
 	"netsim.Network.LinkIsDown":         "test seam: faults, reconfig and core tests assert every drained link is restored",
-	"openflow.MatchAll":                 "test fixture: the wildcard match the flow-table tests and the linear-scan oracle build entries from",
+	"openflow.MatchAll":                 "test fixture: the wildcard match the flow-table tests build entries from",
 	"projection.Allocation.UsedCounts":  "test seam: the controller's tests read the port ledger after a rollback or a Check",
 	"routing.FIB.Rule":                  "differential oracle's probe: FIB vs Routes.Lookup compared rule by rule (fib_test, FuzzFIBLookup)",
 	"workload.Trace.Validate":           "test oracle: every generator's trace has in-range peers and balanced sends/recvs",
@@ -560,68 +560,73 @@ func declsUsing(c *census, targets ...types.Object) []string {
 	return slices.Compact(callers)
 }
 
-// TestOneExecutionPath holds the module to one driver of the event
-// loop: outside bench/ and tests, core.runScenario is the only caller
-// of (*engine.Engine).Run (which netsim.Sim aliases), so every
-// validation rule, observer and cancellation reaches every simulation.
-func TestOneExecutionPath(t *testing.T) {
-	c := loadCensus(t)
-	eng, err := c.Import(censusModule + "/internal/engine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, _, _ := types.LookupFieldOrMethod(types.NewPointer(eng.Scope().Lookup("Engine").Type()), false, eng, "Run")
-	if run == nil {
-		t.Fatal("engine.Engine has no Run method")
-	}
-	if callers, want := declsUsing(c, run), []string{"core.runScenario"}; !slices.Equal(callers, want) {
-		t.Errorf("(*engine.Engine).Run is called from %v, want only from %v: drive a simulation through core.Run or core.Sweep", callers, want)
-	}
+// onePathRules are the "one path" rules: outside bench/ and tests,
+// only the allowed callers may reference the callees. A callee is a
+// name in pkg, "Func" or "Type.Method"; an allowed caller is a package
+// ("controller") or a top-level declaration ("core.runScenario"). The
+// first allowed caller must itself reference a callee, so a rule that
+// no longer sees its path fails too.
+var onePathRules = []struct {
+	name    string
+	pkg     string
+	callees []string
+	allowed []string
+	how     string // the way every other caller should take
+}{
+	// One driver of the event loop (netsim.Sim aliases the engine), so
+	// every validation rule, observer and cancellation reaches every
+	// simulation.
+	{"execution", "engine", []string{"Engine.Run"}, []string{"core.runScenario"},
+		"drive a simulation through core.Run or core.Sweep"},
+	// One deployer books physical ports, so every topology installed on
+	// the testbed, a mid-run reconfiguration's included, goes through
+	// controller.Deploy and controller.Reconfigure.
+	{"deploy", "projection", []string{"NewAllocation", "ProjectInto", "Plan.Acquire", "Plan.Release"}, []string{"controller", "projection"},
+		"deploy and reconfigure through a controller.Controller"},
 }
 
-// TestOneDeployPath holds the module to one deployer: outside
-// internal/projection, bench/ and tests, only package controller books
-// physical ports — calls projection.NewAllocation,
-// projection.ProjectInto, (*projection.Plan).Acquire or Release — so
-// every topology installed on the testbed, a mid-run reconfiguration's
-// included, goes through controller.Deploy and controller.Reconfigure.
-func TestOneDeployPath(t *testing.T) {
+// TestOnePath checks each of onePathRules on the census.
+func TestOnePath(t *testing.T) {
 	c := loadCensus(t)
-	proj, err := c.Import(censusModule + "/internal/projection")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := types.NewPointer(proj.Scope().Lookup("Plan").Type())
-	var booking []types.Object
-	for _, name := range []string{"NewAllocation", "ProjectInto"} {
-		obj := proj.Scope().Lookup(name)
-		if obj == nil {
-			t.Fatalf("projection has no %s", name)
-		}
-		booking = append(booking, obj)
-	}
-	for _, name := range []string{"Acquire", "Release"} {
-		obj, _, _ := types.LookupFieldOrMethod(plan, false, proj, name)
-		if obj == nil {
-			t.Fatalf("projection.Plan has no %s method", name)
-		}
-		booking = append(booking, obj)
-	}
-	var deployer, others []string
-	for _, caller := range declsUsing(c, booking...) {
-		switch pkg, _, _ := strings.Cut(caller, "."); pkg {
-		case "projection":
-		case "controller":
-			deployer = append(deployer, caller)
-		default:
-			others = append(others, caller)
-		}
-	}
-	if len(deployer) == 0 {
-		t.Error("package controller books no ports: the census no longer sees the deployer")
-	}
-	if len(others) > 0 {
-		t.Errorf("%v book physical ports, want only package controller: deploy and reconfigure through a controller.Controller", others)
+	for _, rule := range onePathRules {
+		t.Run(rule.name, func(t *testing.T) {
+			pkg, err := c.Import(censusModule + "/internal/" + rule.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var callees []types.Object
+			var names []string
+			for _, name := range rule.callees {
+				names = append(names, rule.pkg+"."+name)
+				typ, method, isMethod := strings.Cut(name, ".")
+				obj := pkg.Scope().Lookup(typ)
+				if isMethod && obj != nil {
+					obj, _, _ = types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, pkg, method)
+				}
+				if obj == nil {
+					t.Fatalf("%s has no %s", rule.pkg, name)
+				}
+				callees = append(callees, obj)
+			}
+			allowed := func(caller, by string) bool {
+				callerPkg, _, _ := strings.Cut(caller, ".")
+				return caller == by || callerPkg == by
+			}
+			seen := false
+			var others []string
+			for _, caller := range declsUsing(c, callees...) {
+				seen = seen || allowed(caller, rule.allowed[0])
+				if !slices.ContainsFunc(rule.allowed, func(by string) bool { return allowed(caller, by) }) {
+					others = append(others, caller)
+				}
+			}
+			if !seen {
+				t.Errorf("%s references none of %s: the census no longer sees the path", rule.allowed[0], strings.Join(names, ", "))
+			}
+			if len(others) > 0 {
+				t.Errorf("%v reference %s, want only %v: %s", others, strings.Join(names, ", "), rule.allowed, rule.how)
+			}
+		})
 	}
 }
 

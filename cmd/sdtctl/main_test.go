@@ -212,3 +212,21 @@ func TestNoSwitchesSaysSo(t *testing.T) {
 		}
 	}
 }
+
+// TestDeployDump pins what -deploy … -dump prints for a 4-switch ring:
+// the deploy line and every installed flow entry in match order, the
+// order Switch.Process scans. testdata/deploy-dump.txt is the
+// transcript; a change that moves it re-records it with
+//
+//	topogen -gen ring -params 4,1 -o ring.json && sdtctl -deploy ring.json -dump
+func TestDeployDump(t *testing.T) {
+	ring := generate(t, t.TempDir(), "ring", "4,1")
+	out, errOut, code := exe(t, "sdtctl", "-deploy", ring, "-dump")
+	want, err := os.ReadFile(filepath.Join("testdata", "deploy-dump.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 || errOut != "" || out != string(want) {
+		t.Errorf("exit %d\nstdout:\n%s\nstderr:\n%s\nwant stdout:\n%s", code, out, errOut, want)
+	}
+}

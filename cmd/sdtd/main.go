@@ -74,6 +74,15 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
+// listeningLine is the start-up log line. Workers, queue and cache are
+// read from the running server, not from the flags: service.New
+// replaces a zero flag with its default, and the line shows the value
+// in use.
+func listeningLine(addr, cacheDir string, st service.Stats) string {
+	return fmt.Sprintf("sdtd: listening on %s (workers=%d queue=%d cache=%dMiB dir=%q)",
+		addr, st.Workers, st.QueueCap, st.Cache.Budget>>20, cacheDir)
+}
+
 func main() {
 	os.Exit(run())
 }
@@ -104,8 +113,7 @@ func run() int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("sdtd: listening on %s (workers=%d queue=%d cache=%dMiB dir=%q)",
-		*addr, srv.Stats().Workers, *queue, *cacheMB, *cacheDir)
+	log.Print(listeningLine(*addr, *cacheDir, srv.Stats()))
 
 	select {
 	case err := <-errc:

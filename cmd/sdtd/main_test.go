@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // TestStalledHeaderIsClosed: a client that sends half a request line
@@ -56,5 +59,29 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < readHeaderTimeout/2 {
 		t.Errorf("connection closed after %v, before readHeaderTimeout (%v)", waited, readHeaderTimeout)
+	}
+}
+
+// TestListeningLineShowsSettingsInUse: the start-up line reports the
+// queue and cache the server runs with, so zero flags, which service.New
+// replaces with its defaults, log the defaults and not 0.
+func TestListeningLineShowsSettingsInUse(t *testing.T) {
+	for _, c := range []struct {
+		cfg  service.Config
+		want string
+	}{
+		{service.Config{Workers: 1}, `sdtd: listening on :7390 (workers=1 queue=64 cache=64MiB dir="")`},
+		{service.Config{Workers: 2, QueueCap: 8, CacheBytes: 3 << 20}, `sdtd: listening on :7390 (workers=2 queue=8 cache=3MiB dir="")`},
+	} {
+		srv, err := service.New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := listeningLine(":7390", "", srv.Stats()); got != c.want {
+			t.Errorf("%+v: %s\nwant %s", c.cfg, got, c.want)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -153,13 +153,10 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 		return nil, err
 	}
 	c.nextCookie = cookie
-	// The deployment's routes and the physical flow tables are shared
-	// read-only by every simulation of this topology; build the lookup
-	// index + FIB and the tables' dst indices before any of them race.
+	// The deployment's routes are shared read-only by every simulation
+	// of this topology; build their lookup index and FIB before any of
+	// them race.
 	routes.Prime()
-	for _, sw := range c.Physical {
-		sw.Table.Prime()
-	}
 	entries := 0
 	for _, sw := range switches {
 		for _, e := range sw.Table.Entries() {
@@ -258,7 +255,6 @@ func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*D
 		if rerr := sw.Table.Install(installed[i]); rerr != nil {
 			return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 		}
-		sw.Table.Prime()
 	}
 	c.deployments[old] = prev
 	return nil, err

@@ -11,9 +11,7 @@
 package openflow
 
 import (
-	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -140,45 +138,19 @@ func (e *ErrTableFull) Error() string {
 	return fmt.Sprintf("openflow: switch %s flow table full (capacity %d)", e.Switch, e.Capacity)
 }
 
-// Table is a capacity-bounded, priority-ordered flow table.
-//
-// entries is kept in match order (see before) at all times: Install
-// orders a batch of new entries with a counting sort by priority and
-// merges it in from the back — a binary search and one memmove per new
-// entry, every installed entry moved at most once, no re-sort of the
-// table — and RemoveCookie compacts in place, so Entries() is a plain
-// read and never a write.
-//
-// Lookup runs on an exact-match index: the entries with a concrete
-// DstHost in one flat list sorted by destination, each destination's
-// run in match order, and the fully dst-wildcarded entries in a shared
-// fallback list, also in match order. A lookup binary-searches its
-// destination's run and merge-scans it against the fallback list by
-// (priority, seq) instead of scanning every installed entry — the SDT
-// substrate installs per-(dst, sub-switch) entries almost exclusively,
-// so the scan shrinks from O(table) to O(rules for this destination).
-// Both lists keep their storage across rebuilds.
+// Table is a capacity-bounded, priority-ordered flow table: one list,
+// entries, in match order (see before) at all times. Install and
+// RemoveCookie are its only writers. Install orders a batch of new
+// entries with a counting sort by priority and merges it in from the
+// back — a binary search and one memmove per new entry, every installed
+// entry moved at most once, no re-sort of the table — and RemoveCookie
+// compacts in place. Entries and Lookup only read it, so goroutines may
+// share a table once its last mutation has returned.
 type Table struct {
 	Capacity int // 0 = unlimited
 	entries  []*FlowEntry
 	nextSeq  int
 	owner    string
-
-	// Lookup index, rebuilt lazily after mutations: byDst holds the
-	// entries with a concrete Match.DstHost, sorted by it; wild holds
-	// the DstHost==Any entries. Both keep the entries slice's match
-	// order within a destination.
-	byDst    []dstEntry
-	wild     []*FlowEntry
-	idxTmp   []dstEntry // buildIndex's sort buffer, cleared after use
-	idxDirty bool
-}
-
-// dstEntry is one entry of the destination index, with its DstHost
-// beside it so the binary search reads no entry.
-type dstEntry struct {
-	dst int
-	e   *FlowEntry
 }
 
 // Len reports the number of installed entries.
@@ -223,7 +195,6 @@ func (t *Table) Install(es []*FlowEntry) error {
 		t.entries[lo+j] = es[j]
 		hi = lo
 	}
-	t.idxDirty = true
 	return full
 }
 
@@ -245,88 +216,15 @@ func (t *Table) RemoveCookie(cookie uint64) int {
 	// happen to overwrite them.
 	clear(t.entries[len(kept):])
 	t.entries = kept
-	t.idxDirty = true
 	return removed
 }
 
-// Prime eagerly (re)builds the lookup index. Lookup otherwise builds
-// it lazily on first use after a mutation, which makes a first Lookup
-// a write: a Table shared read-only across goroutines must be Primed
-// after its last Add/RemoveCookie — the controller does this at deploy
-// time — exactly like routing.Routes.Prime. (The pre-index linear-scan
-// Lookup was safe for concurrent readers; the index is not, without
-// this.)
-func (t *Table) Prime() {
-	if t.idxDirty {
-		t.buildIndex()
-	}
-}
+// Prime does nothing: a table keeps no state for Lookup to build. It
+// is kept only because bench/ still calls it.
+func (t *Table) Prime() {}
 
-// buildIndex rebuilds the index from the (already match-ordered)
-// entries slice, in the storage of the last one. The old index is
-// cleared first, so it keeps no removed entry reachable.
-//
-// The destination list is put in order by a stable LSD radix sort on
-// dst − min(dst), radixBits at a time: each pass keeps equal digits in
-// their order, so each destination's run stays in match order, and a
-// table's destinations — endpoint IDs — take one or two passes. That is
-// O(entries) with no comparison; a comparison sort of the list took
-// about twice as long as the per-destination map it replaced.
-func (t *Table) buildIndex() {
-	clear(t.byDst)
-	clear(t.wild)
-	t.byDst, t.wild = t.byDst[:0], t.wild[:0]
-	var lo, hi int
-	for _, e := range t.entries {
-		d := e.Match.DstHost
-		if d == Any {
-			t.wild = append(t.wild, e)
-			continue
-		}
-		if len(t.byDst) == 0 {
-			lo, hi = d, d
-		}
-		lo, hi = min(lo, d), max(hi, d)
-		t.byDst = append(t.byDst, dstEntry{d, e})
-	}
-	span := uint64(hi) - uint64(lo) // no overflow: hi ≥ lo
-	src, tmp := t.byDst, slices.Grow(t.idxTmp[:0], len(t.byDst))[:len(t.byDst)]
-	for shift := 0; shift < bits.Len64(span); shift += radixBits {
-		var at [1<<radixBits + 1]int32 // digit → first slot of its run
-		for _, d := range src {
-			at[(uint64(d.dst)-uint64(lo))>>shift&(1<<radixBits-1)+1]++
-		}
-		for i := 1; i < len(at); i++ {
-			at[i] += at[i-1]
-		}
-		for _, d := range src {
-			k := (uint64(d.dst) - uint64(lo)) >> shift & (1<<radixBits - 1)
-			tmp[at[k]] = d
-			at[k]++
-		}
-		src, tmp = tmp, src
-	}
-	clear(tmp)
-	t.byDst, t.idxTmp = src, tmp
-	t.idxDirty = false
-}
-
-// radixBits is the digit width of buildIndex's radix sort.
-const radixBits = 11
-
-// dstRun returns dst's run of the destination index.
-func (t *Table) dstRun(dst int) []dstEntry {
-	lo, _ := slices.BinarySearchFunc(t.byDst, dst, func(d dstEntry, dst int) int { return cmp.Compare(d.dst, dst) })
-	hi := lo
-	for hi < len(t.byDst) && t.byDst[hi].dst == dst {
-		hi++
-	}
-	return t.byDst[lo:hi]
-}
-
-// before is THE match-order comparator — higher priority first, then
-// install order — shared by Install's merge and Lookup's bucket merge
-// so the two orderings cannot drift apart.
+// before is THE match-order comparator: higher priority first, then
+// install order.
 func before(a, b *FlowEntry) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
@@ -372,27 +270,11 @@ func matchOrdered(es []*FlowEntry) []*FlowEntry {
 	return out
 }
 
-// Lookup returns the highest-priority entry covering p, or nil. Only
-// the packet destination's run and the dst-wildcard fallback list are
-// scanned — an entry for any other destination cannot cover p — in
-// their merged match order, so the result is identical to a linear
-// scan of the full table. Lookup performs no allocation; the first call
-// after a mutation rebuilds the index (see Prime for the
-// concurrent-sharing contract).
+// Lookup returns the highest-priority entry covering p, or nil: the
+// first covering entry in match order. It writes nothing and allocates
+// nothing.
 func (t *Table) Lookup(p PacketMeta) *FlowEntry {
-	t.Prime()
-	bucket := t.dstRun(p.DstHost)
-	wild := t.wild
-	bi, wi := 0, 0
-	for bi < len(bucket) || wi < len(wild) {
-		var e *FlowEntry
-		if wi >= len(wild) || (bi < len(bucket) && before(bucket[bi].e, wild[wi])) {
-			e = bucket[bi].e
-			bi++
-		} else {
-			e = wild[wi]
-			wi++
-		}
+	for _, e := range t.entries {
 		if e.Match.Covers(p) {
 			return e
 		}

@@ -3,6 +3,7 @@ package openflow
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -62,6 +63,39 @@ func TestTableStableTieBreak(t *testing.T) {
 	e := tbl.Lookup(PacketMeta{})
 	if e.Actions[0].Port != 1 {
 		t.Errorf("tie broke to port %d, want earliest-installed (1)", e.Actions[0].Port)
+	}
+}
+
+// TestLookupWildcardAgainstExact: a higher-priority dst-wildcard entry
+// beats a lower-priority exact-destination entry, and at equal priority
+// the first-installed entry wins, whichever of the two it is.
+func TestLookupWildcardAgainstExact(t *testing.T) {
+	tab := &Table{}
+	exact := FlowEntry{Priority: 1, Match: Match{SrcHost: Any, DstHost: 5, Tag: Any},
+		Actions: []Action{{Type: Output, Port: 1}}}
+	wild := FlowEntry{Priority: 2, Match: Match{SrcHost: Any, DstHost: Any, Tag: Any},
+		Actions: []Action{{Type: Output, Port: 2}}}
+	if err := tab.Add(exact); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Add(wild); err != nil {
+		t.Fatal(err)
+	}
+	got := tab.Lookup(PacketMeta{DstHost: 5, SrcHost: 0})
+	if got == nil || got.Actions[0].Port != 2 {
+		t.Fatalf("high-priority wildcard should win, got %v", got)
+	}
+	tab2 := &Table{}
+	wild.Priority = 1
+	if err := tab2.Add(wild); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab2.Add(exact); err != nil {
+		t.Fatal(err)
+	}
+	got = tab2.Lookup(PacketMeta{DstHost: 5, SrcHost: 0})
+	if got == nil || got.Actions[0].Port != 2 {
+		t.Fatalf("first-installed tie-break broken, got %v", got)
 	}
 }
 
@@ -263,5 +297,81 @@ func BenchmarkLookup(b *testing.B) {
 		if tbl.Lookup(pkt) == nil {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// TestLookupNeedsNoPrime holds Lookup to a pure read: once the last
+// Install or RemoveCookie has returned, goroutines may share a table
+// with no further call, and each gets the answer a serial Lookup gave.
+// The race detector (CI's race step runs this package) fails it on any
+// write a lookup makes; a round of mutations precedes each round of
+// reads, so a write the detector misses once is caught in another.
+func TestLookupNeedsNoPrime(t *testing.T) {
+	sw := NewSwitch("s1", 8, 0)
+	entry := func(i int, cookie uint64) FlowEntry {
+		m := Match{InPort: i % 9, SrcHost: Any, DstHost: i % 40, Tag: Any}
+		if i%5 == 0 {
+			m.DstHost = Any
+			m.Tag = i % 3
+		}
+		return FlowEntry{Priority: []int{10, 14, 20}[i%3], Match: m,
+			Actions: []Action{{Type: SetTag, Tag: i % 4}, {Type: Output, Port: 1 + i%8}}, Cookie: cookie}
+	}
+	for i := 0; i < 300; i++ {
+		if err := sw.Table.Add(entry(i, uint64(i%2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var probes []PacketMeta
+	for dst := -1; dst <= 40; dst++ {
+		for inPort := 0; inPort <= 8; inPort++ {
+			for tag := 0; tag < 3; tag++ {
+				probes = append(probes, PacketMeta{InPort: inPort, DstHost: dst, Tag: tag})
+			}
+		}
+	}
+	want := make([]*FlowEntry, len(probes))
+	wantFwd := make([]Forwarding, len(probes))
+	for i, p := range probes {
+		want[i], wantFwd[i] = sw.Table.Lookup(p), sw.Process(p)
+	}
+	for round := 0; round < 8; round++ {
+		// Install a topology's entries and tear them down again: the
+		// table holds what it held, and the reads below are the first
+		// ones after a mutation.
+		for i := 0; i < 20; i++ {
+			if err := sw.Table.Add(entry(i, 9)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := sw.Table.RemoveCookie(9); n != 20 {
+			t.Fatalf("round %d: RemoveCookie removed %d entries, want 20", round, n)
+		}
+		// Every reader is running before any reads.
+		var ready, done sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			ready.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-start
+				for k := range probes {
+					i := (k + g*len(probes)/4) % len(probes) // each reader starts elsewhere
+					if got := sw.Table.Lookup(probes[i]); got != want[i] {
+						t.Errorf("round %d: Lookup(%+v) = %v, serial answer %v", round, probes[i], got, want[i])
+						return
+					}
+					if got := sw.Process(probes[i]); got != wantFwd[i] {
+						t.Errorf("round %d: Process(%+v) = %+v, serial answer %+v", round, probes[i], got, wantFwd[i])
+						return
+					}
+				}
+			}()
+		}
+		ready.Wait()
+		close(start)
+		done.Wait()
 	}
 }
