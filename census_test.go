@@ -36,12 +36,11 @@ var censusAllow = map[string]string{
 	"netsim.Network.LinkIsDown":         "test seam: faults, reconfig and core tests assert every drained link is restored",
 	"openflow.MatchAll":                 "test fixture: the wildcard match the flow-table tests build entries from",
 	"projection.Allocation.UsedCounts":  "test seam: the controller's tests read the port ledger after a rollback or a Check",
-	"routing.FIB.Rule":                  "differential oracle's probe: FIB vs Routes.Lookup compared rule by rule (fib_test, FuzzFIBLookup)",
 	"workload.Trace.Validate":           "test oracle: every generator's trace has in-range peers and balanced sends/recvs",
 }
 
 // censusAllowMax caps the allowlist: past it, delete code instead.
-const censusAllowMax = 8
+const censusAllowMax = 6
 
 const censusModule = "repro"
 
@@ -583,6 +582,12 @@ var onePathRules = []struct {
 	// controller.Deploy and controller.Reconfigure.
 	{"deploy", "projection", []string{"NewAllocation", "ProjectInto", "Plan.Acquire", "Plan.Release"}, []string{"controller", "projection"},
 		"deploy and reconfigure through a controller.Controller"},
+	// One hop-by-hop walk of the rules (Routes.Walk), so TracePath, the
+	// deadlock verifier and flowsim's paths share one loop bound and one
+	// set of errors. projection looks up one hop only: the injection
+	// rule a host's first switch applies.
+	{"walk", "routing", []string{"Routes.Lookup"}, []string{"routing", "projection"},
+		"walk a path with routing.Routes.Walk"},
 }
 
 // TestOnePath checks each of onePathRules on the census.

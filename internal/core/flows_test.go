@@ -135,6 +135,7 @@ func TestScenarioExclusivity(t *testing.T) {
 		{"negative flow source", netsim.Flow{Src: -1, Dst: 1, Bytes: 64}},
 		{"negative flow destination", netsim.Flow{Src: 0, Dst: -2, Bytes: 64}},
 		{"negative flow size", netsim.Flow{Src: 0, Dst: 1, Bytes: -1}},
+		{"duplicate flow", netsim.Flow{Src: 2, Dst: 3, Bytes: 128}},
 	} {
 		for _, fid := range []Fidelity{Packet, Flow} {
 			sc := Scenario{Topo: g, Flows: []netsim.Flow{{Src: 2, Dst: 3, Bytes: 64}, c.f}, Fidelity: fid}

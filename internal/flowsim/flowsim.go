@@ -8,10 +8,10 @@
 // loadgen-sweep-xl experiment reach 65k-host fat-trees.
 //
 // Fidelity contract: flows follow the exact routes the packet engine
-// forwards with (the walker resolves paths hop by hop through the same
-// rules, with Routes.Lookup, which FuzzFIBLookup holds equal to the
-// packet engine's FIB on every tuple), link capacity is the packet engine's effective
-// payload goodput (LinkBps derated by the MTU/(MTU+header) framing
+// forwards with (the walker resolves paths with Routes.Walk, hop by hop
+// through the same rules, which FuzzFIBLookup holds equal to the packet
+// engine's FIB on every tuple), link capacity is the packet engine's
+// effective payload goodput (LinkBps derated by the MTU/(MTU+header) framing
 // overhead), concurrent flows between one (src, dst) pair serialise in
 // schedule order exactly like the RoCE per-destination queue pair, and
 // completion times add the zero-load path latency the packet engine

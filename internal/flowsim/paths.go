@@ -1,8 +1,6 @@
 package flowsim
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -22,14 +20,14 @@ type pathInfo struct {
 	base float64
 }
 
-// walker resolves host-to-host paths by walking the route set's rules
-// hop by hop — the rules the packet engine forwards with, so flow-level
-// and packet-level runs cannot disagree about which links a flow
-// crosses. It looks each hop up with Routes.Lookup, which
-// FuzzFIBLookup holds equal to the packet engine's FIB.Forward on every
-// tuple. A run resolves each (src, dst) pair once — a few lookups per
-// pair — so compiling the FIB's switches × destinations slots would
-// cost more than the lookups it spares.
+// walker resolves host-to-host paths with Routes.Walk, which follows
+// the route set's rules hop by hop — the rules the packet engine
+// forwards with, so flow-level and packet-level runs cannot disagree
+// about which links a flow crosses. Walk looks each hop up with
+// Routes.Lookup, which FuzzFIBLookup holds equal to the packet engine's
+// FIB.Forward on every tuple. A run resolves each (src, dst) pair once
+// — a few lookups per pair — so compiling the FIB's switches ×
+// destinations slots would cost more than the lookups it spares.
 //
 // Resolved paths live in one slab: path i's links are
 // links[ends[i-1]:ends[i]] and its latency paths[i].base. Appending may
@@ -37,7 +35,6 @@ type pathInfo struct {
 // path is resolved.
 type walker struct {
 	g       *topology.Graph
-	csr     *topology.CSR
 	routes  *routing.Routes
 	paths   []pathInfo
 	ends    []int32
@@ -57,7 +54,6 @@ const linksPerPath = 8
 func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, maxPaths int) *walker {
 	return &walker{
 		g:       g,
-		csr:     g.CSR(),
 		routes:  routes,
 		paths:   make([]pathInfo, 0, maxPaths),
 		ends:    make([]int32, 0, maxPaths),
@@ -71,72 +67,25 @@ func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, ma
 
 // dirLink is the directed-link id for traversing edge eid out of vertex
 // `from`.
-func (w *walker) dirLink(eid int32, from int) int32 {
+func (w *walker) dirLink(eid, from int) int32 {
 	if w.g.Edges[eid].A == from {
-		return 2 * eid
+		return int32(2 * eid)
 	}
-	return 2*eid + 1
-}
-
-// edgeAt finds the edge behind a switch's logical out port (ports are
-// unique per vertex, so the first half-edge of the row carrying it is
-// the only one).
-func (w *walker) edgeAt(sw, port int) int32 {
-	lo, hi := w.csr.Row(sw)
-	for e := lo; e < hi; e++ {
-		if int(w.csr.Port[e]) == port {
-			return w.csr.Edge[e]
-		}
-	}
-	return -1
+	return int32(2*eid + 1)
 }
 
 // path resolves the route from host src to host dst into the slab's
 // next index.
 func (w *walker) path(src, dst int) error {
-	g := w.g
-	cur := g.HostSwitch(src)
-	if cur < 0 {
-		return fmt.Errorf("flowsim: host %d has no switch", src)
-	}
-	up := g.EdgeBetween(src, cur)
-	if up < 0 {
-		return fmt.Errorf("flowsim: host %d detached from switch %d", src, cur)
-	}
 	start := len(w.links)
-	w.links = append(w.links, w.dirLink(int32(up), src))
-	inPort := g.Edges[up].PortAt(cur)
-	tag := 0
-	nsw := 0
-	for {
-		if nsw > len(g.Vertices) {
-			return fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
-		}
-		nsw++
-		rule := w.routes.Lookup(cur, inPort, dst, tag)
-		if rule == nil {
-			return fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
-		}
-		if rule.NewTag >= 0 {
-			tag = rule.NewTag
-		}
-		eid := w.edgeAt(cur, rule.OutPort)
-		if eid < 0 {
-			return fmt.Errorf("flowsim: switch %d out port %d dangling", cur, rule.OutPort)
-		}
-		e := g.Edges[eid]
-		nxt := e.Other(cur)
-		w.links = append(w.links, w.dirLink(eid, cur))
-		if nxt == dst {
-			break
-		}
-		if g.Vertices[nxt].Kind != topology.Switch {
-			return fmt.Errorf("flowsim: path %d->%d delivered to wrong host %d", src, dst, nxt)
-		}
-		inPort = e.PortAt(nxt)
-		cur = nxt
+	err := w.routes.Walk(src, dst, func(from, edge, _ int) {
+		w.links = append(w.links, w.dirLink(edge, from))
+	})
+	if err != nil {
+		return err
 	}
 	hops := len(w.links) - start
+	nsw := hops - 1 // every link but the uplink leaves a switch
 	// Cut-through forwards once the header has arrived: each switch hop
 	// re-serialises only the header. Products are rounded explicitly
 	// (float64(x*y)) so that no architecture fuses them into the sums.

@@ -16,9 +16,10 @@ import (
 // fibPath is the path walk over the compiled FIB, the way the packet
 // engine forwards: the oracle TestWalkerMatchesFIB holds the
 // Lookup-based walker to. It finds each hop's edge among the switch's
-// incident edges rather than in its CSR row, and returns the walker's
-// errors word for word.
-func fibPath(g *topology.Graph, fib *routing.FIB, cfg *netsim.Config, src, dst int) (links []int32, base float64, err error) {
+// incident edges rather than in its CSR row, and returns Routes.Walk's
+// errors word for word, under the same hop bound.
+func fibPath(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, src, dst int) (links []int32, base float64, err error) {
+	fib := routes.FIB()
 	dirLink := func(eid, from int) int32 {
 		if g.Edges[eid].A == from {
 			return int32(2 * eid)
@@ -27,23 +28,21 @@ func fibPath(g *topology.Graph, fib *routing.FIB, cfg *netsim.Config, src, dst i
 	}
 	cur := g.HostSwitch(src)
 	if cur < 0 {
-		return nil, 0, fmt.Errorf("flowsim: host %d has no switch", src)
+		return nil, 0, fmt.Errorf("routing: %s: host %d unattached", routes.Strategy, src)
 	}
 	up := g.EdgeBetween(src, cur)
-	if up < 0 {
-		return nil, 0, fmt.Errorf("flowsim: host %d detached from switch %d", src, cur)
-	}
 	links = append(links, dirLink(up, src))
 	inPort := g.Edges[up].PortAt(cur)
 	tag, nsw := 0, 0
+	limit := len(g.Vertices)*max(routes.NumVCs, 1) + 2
 	for {
-		if nsw > len(g.Vertices) {
-			return nil, 0, fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
+		if nsw > limit {
+			return nil, 0, fmt.Errorf("routing: %s: path %d->%d exceeds %d hops (loop?)", routes.Strategy, src, dst, limit)
 		}
 		nsw++
 		out, newTag, ok := fib.Forward(cur, inPort, dst, tag)
 		if !ok {
-			return nil, 0, fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
+			return nil, 0, fmt.Errorf("routing: %s: no rule on switch %d for dst %d tag %d", routes.Strategy, cur, dst, tag)
 		}
 		tag = newTag
 		eid := -1
@@ -54,7 +53,7 @@ func fibPath(g *topology.Graph, fib *routing.FIB, cfg *netsim.Config, src, dst i
 			}
 		}
 		if eid < 0 {
-			return nil, 0, fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)
+			return nil, 0, fmt.Errorf("routing: %s: switch %d out port %d dangling", routes.Strategy, cur, out)
 		}
 		e := g.Edges[eid]
 		nxt := e.Other(cur)
@@ -63,7 +62,7 @@ func fibPath(g *topology.Graph, fib *routing.FIB, cfg *netsim.Config, src, dst i
 			break
 		}
 		if g.Vertices[nxt].Kind != topology.Switch {
-			return nil, 0, fmt.Errorf("flowsim: path %d->%d delivered to wrong host %d", src, dst, nxt)
+			return nil, 0, fmt.Errorf("routing: %s: path %d->%d delivered to wrong host %d", routes.Strategy, src, dst, nxt)
 		}
 		inPort = e.PortAt(nxt)
 		cur = nxt
@@ -81,7 +80,6 @@ func fibPath(g *topology.Graph, fib *routing.FIB, cfg *netsim.Config, src, dst i
 func checkWalker(t *testing.T, what string, g *topology.Graph, routes *routing.Routes, srcs, dsts []int) (paths, failed int) {
 	t.Helper()
 	cfg := netsim.DefaultConfig()
-	fib := routes.FIB()
 	for _, src := range srcs {
 		for _, dst := range dsts {
 			if src == dst {
@@ -89,7 +87,7 @@ func checkWalker(t *testing.T, what string, g *topology.Graph, routes *routing.R
 			}
 			w := newWalker(g, routes, &cfg, 1)
 			err := w.path(src, dst)
-			links, base, ferr := fibPath(g, fib, &cfg, src, dst)
+			links, base, ferr := fibPath(g, routes, &cfg, src, dst)
 			if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
 				t.Fatalf("%s, %d->%d: walker error %v, FIB walk error %v", what, src, dst, err, ferr)
 			}
@@ -171,11 +169,11 @@ func TestWalkerMatchesFIB(t *testing.T) {
 // TestRunSubsetBytesBounded is the bytes budget of a flow-level run on
 // a route subset, as core's flow path computes it: a FatTree(16) routed
 // toward the 64 ranks of a uniform 256-flow schedule, each run on a
-// fresh route set whose lookup index is already built. Measured: 116.8
-// kB per run on amd64; the budget adds 8.7 %. The walker looks its hops
+// fresh route set whose lookup index is already built. Measured: 116.7
+// kB per run on amd64; the budget adds 8.8 %. The walker looks its hops
 // up in the rule index, so a run that compiled the route set's FIB
-// (191 kB here: 321 switch rows × 65 destination columns of slots and
-// rule indices) fails it.
+// (101 kB here: 321 switch rows × 65 destination columns of slots)
+// fails it.
 func TestRunSubsetBytesBounded(t *testing.T) {
 	const budget = 127e3
 	g := topology.FatTree(16)

@@ -80,6 +80,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		}
 		return ref, nil
 	}
+	csr := g.CSR()
 	// outInfo resolves a rule's egress: physical port, whether it leads
 	// to a host, and the logical switch at the far end otherwise.
 	outInfo := func(rule routing.Rule) (ref PortRef, toHost bool, peer int, err error) {
@@ -87,18 +88,15 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		if err != nil {
 			return
 		}
-		for _, eid := range g.IncidentEdges(rule.Switch) {
-			e := g.Edges[eid]
-			if e.PortAt(rule.Switch) != rule.OutPort {
-				continue
-			}
-			o := e.Other(rule.Switch)
-			if g.Vertices[o].Kind == topology.Host {
-				return ref, true, 0, nil
-			}
-			return ref, false, o, nil
+		eid := csr.EdgeAt(rule.Switch, rule.OutPort)
+		if eid < 0 {
+			return ref, false, 0, fmt.Errorf("projection: rule egress port %d.%d dangling", rule.Switch, rule.OutPort)
 		}
-		return ref, false, 0, fmt.Errorf("projection: rule egress port %d.%d dangling", rule.Switch, rule.OutPort)
+		o := g.Edges[eid].Other(rule.Switch)
+		if g.Vertices[o].Kind == topology.Host {
+			return ref, true, 0, nil
+		}
+		return ref, false, o, nil
 	}
 
 	// Each switch's entries are collected in emission order and

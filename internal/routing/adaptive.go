@@ -47,6 +47,7 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 	}
 	numGroups := len(df.groups)
 	r := newRoutes(g, "dragonfly-ugal", 4)
+	csr := g.CSR()
 
 	for _, dst := range g.Hosts() {
 		D := g.HostSwitch(dst)
@@ -57,10 +58,10 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 		for _, s := range df.groups[gd] {
 			if s == D {
 				r.add(Rule{Switch: s, Dst: dst, Tag: openflow.Any,
-					OutPort: portTo(g, s, dst), NewTag: -1})
+					OutPort: csr.PortTo(s, dst), NewTag: -1})
 			} else {
 				r.add(Rule{Switch: s, Dst: dst, Tag: openflow.Any,
-					OutPort: portTo(g, s, D), NewTag: -1})
+					OutPort: csr.PortTo(s, D), NewTag: -1})
 			}
 		}
 
@@ -107,10 +108,10 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 					if s == gwMin {
 						peer := df.globalPeer(s, gd)
 						r.add(Rule{Switch: s, Dst: dst, Tag: 0,
-							OutPort: portTo(g, s, peer), NewTag: 1})
+							OutPort: csr.PortTo(s, peer), NewTag: 1})
 					} else {
 						r.add(Rule{Switch: s, Dst: dst, Tag: 0,
-							OutPort: portTo(g, s, gwMin), NewTag: -1})
+							OutPort: csr.PortTo(s, gwMin), NewTag: -1})
 					}
 				}
 				continue
@@ -123,12 +124,12 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 				if s == gw1 {
 					peer := df.globalPeer(s, bestMid)
 					r.add(Rule{Switch: s, Dst: dst, Tag: openflow.Any,
-						OutPort: portTo(g, s, peer), NewTag: 1})
+						OutPort: csr.PortTo(s, peer), NewTag: 1})
 				} else {
 					r.add(Rule{Switch: s, Dst: dst, Tag: 0,
-						OutPort: portTo(g, s, gw1), NewTag: 3})
+						OutPort: csr.PortTo(s, gw1), NewTag: 3})
 					r.add(Rule{Switch: s, Dst: dst, Tag: 3,
-						OutPort: portTo(g, s, gw1), NewTag: -1})
+						OutPort: csr.PortTo(s, gw1), NewTag: -1})
 				}
 			}
 			// Intermediate-group rules (tag 1): local to the gd gateway,
@@ -138,10 +139,10 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 				if s == gw2 {
 					peer := df.globalPeer(s, gd)
 					r.add(Rule{Switch: s, Dst: dst, Tag: 1,
-						OutPort: portTo(g, s, peer), NewTag: 2})
+						OutPort: csr.PortTo(s, peer), NewTag: 2})
 				} else {
 					r.add(Rule{Switch: s, Dst: dst, Tag: 1,
-						OutPort: portTo(g, s, gw2), NewTag: -1})
+						OutPort: csr.PortTo(s, gw2), NewTag: -1})
 				}
 			}
 		}

@@ -133,53 +133,21 @@ func BuildCDG(r *Routes) (*DependencyGraph, error) {
 	return d, nil
 }
 
-// traceChannels walks the path src->dst, returning the switch-switch
-// channels traversed (injection and ejection links are excluded, as
+// traceChannels returns the switch-to-switch channels of the path
+// src->dst in order (injection and ejection links are excluded, as
 // they cannot participate in routing deadlocks).
 func traceChannels(r *Routes, src, dst int) ([]Channel, error) {
 	g := r.Topo
-	cur := g.HostSwitch(src)
-	if cur < 0 {
-		return nil, fmt.Errorf("routing: host %d unattached", src)
-	}
-	tag := 0
-	inPort := portTo(g, cur, src)
 	var chans []Channel
-	limit := len(g.Vertices)*max(r.NumVCs, 1) + 2
-	for steps := 0; ; steps++ {
-		if steps > limit {
-			return nil, fmt.Errorf("routing: %s: loop tracing %d->%d", r.Strategy, src, dst)
+	err := r.Walk(src, dst, func(from, edge, tag int) {
+		if g.Vertices[from].Kind == topology.Switch && g.Vertices[g.Edges[edge].Other(from)].Kind == topology.Switch {
+			chans = append(chans, Channel{Edge: edge, From: from, VC: tag})
 		}
-		rule := r.Lookup(cur, inPort, dst, tag)
-		if rule == nil {
-			return nil, fmt.Errorf("routing: %s: no rule at switch %d for dst %d tag %d", r.Strategy, cur, dst, tag)
-		}
-		if rule.NewTag >= 0 {
-			tag = rule.NewTag
-		}
-		var edge topology.Edge
-		found := false
-		for _, eid := range g.IncidentEdges(cur) {
-			if g.Edges[eid].PortAt(cur) == rule.OutPort {
-				edge = g.Edges[eid]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("routing: %s: dangling out port %d on switch %d", r.Strategy, rule.OutPort, cur)
-		}
-		nxt := edge.Other(cur)
-		if nxt == dst {
-			return chans, nil
-		}
-		if g.Vertices[nxt].Kind != topology.Switch {
-			return nil, fmt.Errorf("routing: %s: misdelivery of %d->%d at host %d", r.Strategy, src, dst, nxt)
-		}
-		chans = append(chans, Channel{Edge: edge.ID, From: cur, VC: tag})
-		inPort = edge.PortAt(nxt)
-		cur = nxt
+	})
+	if err != nil {
+		return nil, err
 	}
+	return chans, nil
 }
 
 // VerifyDeadlockFree builds the CDG for r and returns an error naming a

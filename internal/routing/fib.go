@@ -35,20 +35,16 @@ import (
 // most-specific-first order. Forward is branch-light and
 // allocation-free on both paths.
 //
-// A FIB is immutable once compiled and safe for concurrent readers; it
-// must agree with Routes.Lookup on every (switch, inPort, dst, tag)
-// tuple — Lookup stays as the reference implementation and the
-// differential tests in fib_test.go enforce the equivalence.
+// A FIB is immutable once compiled and safe for concurrent readers; its
+// decision must agree with the one Routes.Lookup's rule implies on
+// every (switch, inPort, dst, tag) tuple — Lookup stays as the
+// reference implementation and the differential tests in fib_test.go
+// enforce the equivalence.
 type FIB struct {
-	routes  *Routes
+	routes  *Routes // for String's strategy name
 	rowBase []int32 // per vertex: row × columns, 0 = the sentinel row
 	col     []int32 // per vertex: column, 0 = the sentinel column
 	slots   []uint32
-	// ruleIdx mirrors slots for fast entries: the index into
-	// routes.Rules of the packed rule (-1 when empty or spilled), so
-	// Rule can return the matched *Rule, not just the action, for the
-	// differential tests against Routes.Lookup.
-	ruleIdx []int32
 	// Spill storage in CSR form: spill group k holds
 	// spillRules[spillOff[k]:spillOff[k+1]].
 	spillOff   []int32
@@ -66,7 +62,6 @@ type spillRule struct {
 	tag    int32 // openflow.Any = any
 	out    int32
 	newTag int32 // -1 = keep
-	rule   int32 // index into routes.Rules
 }
 
 const fibSpill = uint32(1) << 31
@@ -120,10 +115,6 @@ func (r *Routes) Compile() *FIB {
 		f.rowBase[s] *= cols
 	}
 	f.slots = make([]uint32, rows*cols)
-	f.ruleIdx = make([]int32, rows*cols)
-	for i := range f.ruleIdx {
-		f.ruleIdx[i] = -1
-	}
 	// Manual rule sets may reference switch/destination IDs beyond the
 	// vertex range; those groups go to the overflow map.
 	var outside [][2]int // index spans of the groups outside the range
@@ -141,7 +132,6 @@ func (r *Routes) Compile() *FIB {
 		// its action packs.
 		if fibPackable(first) {
 			f.slots[slot] = fibPack(first)
-			f.ruleIdx[slot] = r.indexed(lo)
 			continue
 		}
 		f.slots[slot] = f.spillGroup(r, lo, hi)
@@ -176,31 +166,24 @@ func number(marks []int32) int32 {
 func (f *FIB) spillGroup(r *Routes, lo, hi int) uint32 {
 	k := len(f.spillOff) - 1
 	for i := lo; i < hi; i++ {
-		ri := r.indexed(i)
-		rule := &r.Rules[ri]
+		rule := &r.Rules[r.indexed(i)]
 		f.spillRules = append(f.spillRules, spillRule{
 			inPort: int32(rule.InPort),
 			tag:    int32(rule.Tag),
 			out:    int32(rule.OutPort),
 			newTag: int32(rule.NewTag),
-			rule:   ri,
 		})
 	}
 	f.spillOff = append(f.spillOff, int32(len(f.spillRules)))
 	return fibSpill | uint32(k)
 }
 
-// slot returns the slot word of (sw, dst) and its index in slots, -1
-// for a pair outside the vertex range.
-func (f *FIB) slot(sw, dst int) (v uint32, at int) {
+// slot returns the slot word of (sw, dst).
+func (f *FIB) slot(sw, dst int) uint32 {
 	if uint(sw) < uint(len(f.rowBase)) && uint(dst) < uint(len(f.col)) {
-		at = int(f.rowBase[sw] + f.col[dst])
-		return f.slots[at], at
+		return f.slots[f.rowBase[sw]+f.col[dst]]
 	}
-	if f.extra != nil {
-		v = f.extra[[2]int{sw, dst}]
-	}
-	return v, -1
+	return f.extra[[2]int{sw, dst}]
 }
 
 // Forward returns the egress port and the packet's resulting tag for a
@@ -208,7 +191,7 @@ func (f *FIB) slot(sw, dst int) (v uint32, at int) {
 // current tag. ok is false on a table miss. It performs no allocation
 // and, on the fast path, three array loads.
 func (f *FIB) Forward(sw, inPort, dst, tag int) (outPort, newTag int, ok bool) {
-	v, _ := f.slot(sw, dst)
+	v := f.slot(sw, dst)
 	if v == 0 {
 		return 0, 0, false
 	}
@@ -229,8 +212,8 @@ func (f *FIB) Forward(sw, inPort, dst, tag int) (outPort, newTag int, ok bool) {
 }
 
 // spillMatch scans slot word v's spill group for the first entry —
-// they are stored most-specific-first — matching (inPort, tag). The
-// single match loop shared by Forward and Rule; allocation-free.
+// they are stored most-specific-first — matching (inPort, tag).
+// Allocation-free.
 func (f *FIB) spillMatch(v uint32, inPort, tag int) *spillRule {
 	k := v &^ fibSpill
 	rules := f.spillRules[f.spillOff[k]:f.spillOff[k+1]]
@@ -243,26 +226,6 @@ func (f *FIB) spillMatch(v uint32, inPort, tag int) *spillRule {
 			continue
 		}
 		return sr
-	}
-	return nil
-}
-
-// Rule returns the matched rule itself — the same *Rule Lookup would
-// return — so the differential tests can compare the compiled table
-// against Routes.Lookup rule by rule, not just decision by decision.
-// nil on a miss.
-func (f *FIB) Rule(sw, inPort, dst, tag int) *Rule {
-	v, at := f.slot(sw, dst)
-	if v == 0 {
-		return nil
-	}
-	if v&fibSpill == 0 {
-		// Fast-packed slots only exist in the slot array (overflow
-		// slots always spill), so ruleIdx is addressable here.
-		return &f.routes.Rules[f.ruleIdx[at]]
-	}
-	if sr := f.spillMatch(v, inPort, tag); sr != nil {
-		return &f.routes.Rules[sr.rule]
 	}
 	return nil
 }

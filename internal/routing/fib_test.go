@@ -40,11 +40,24 @@ func fibCases(t testing.TB) []*Routes {
 	return out
 }
 
-// TestFIBMatchesLookupExhaustive checks FIB.Forward and FIB.Rule
-// against the Routes.Lookup reference on EVERY (switch, inPort, dst,
-// tag) tuple: all switches, all logical ports (0 = injection, plus one
-// past the radix), all host destinations plus an unknown one, and all
-// tags 0..NumVCs (one past the used range included).
+// lookupForward is the forwarding decision the rule Routes.Lookup
+// matches implies — what FIB.Forward must return for the tuple.
+func lookupForward(r *Routes, sw, inPort, dst, tag int) (outPort, newTag int, ok bool) {
+	rule := r.Lookup(sw, inPort, dst, tag)
+	if rule == nil {
+		return 0, 0, false
+	}
+	if rule.NewTag >= 0 {
+		return rule.OutPort, rule.NewTag, true
+	}
+	return rule.OutPort, tag, true
+}
+
+// TestFIBMatchesLookupExhaustive checks FIB.Forward against the
+// Routes.Lookup reference on EVERY (switch, inPort, dst, tag) tuple:
+// all switches, all logical ports (0 = injection, plus one past the
+// radix), all host destinations plus an unknown one, and all tags
+// 0..NumVCs (one past the used range included).
 func TestFIBMatchesLookupExhaustive(t *testing.T) {
 	for _, r := range fibCases(t) {
 		g := r.Topo
@@ -57,27 +70,11 @@ func TestFIBMatchesLookupExhaustive(t *testing.T) {
 				for inPort := 0; inPort <= maxPort; inPort++ {
 					for tag := 0; tag <= r.NumVCs; tag++ {
 						tuples++
-						want := r.Lookup(sw, inPort, dst, tag)
-						gotRule := fib.Rule(sw, inPort, dst, tag)
-						if want != gotRule {
-							t.Fatalf("%s on %s: Rule(%d,%d,%d,%d) = %+v, Lookup = %+v",
-								r.Strategy, g.Name, sw, inPort, dst, tag, gotRule, want)
-						}
+						wantOut, wantTag, wantOK := lookupForward(r, sw, inPort, dst, tag)
 						out, newTag, ok := fib.Forward(sw, inPort, dst, tag)
-						if want == nil {
-							if ok {
-								t.Fatalf("%s on %s: Forward(%d,%d,%d,%d) hit (out=%d), Lookup missed",
-									r.Strategy, g.Name, sw, inPort, dst, tag, out)
-							}
-							continue
-						}
-						wantTag := tag
-						if want.NewTag >= 0 {
-							wantTag = want.NewTag
-						}
-						if !ok || out != want.OutPort || newTag != wantTag {
-							t.Fatalf("%s on %s: Forward(%d,%d,%d,%d) = (%d,%d,%v), want (%d,%d,true)",
-								r.Strategy, g.Name, sw, inPort, dst, tag, out, newTag, ok, want.OutPort, wantTag)
+						if out != wantOut || newTag != wantTag || ok != wantOK {
+							t.Fatalf("%s on %s: Forward(%d,%d,%d,%d) = (%d,%d,%v), Lookup's rule gives (%d,%d,%v)",
+								r.Strategy, g.Name, sw, inPort, dst, tag, out, newTag, ok, wantOut, wantTag, wantOK)
 						}
 					}
 				}
@@ -112,17 +109,10 @@ func TestFIBMatchesLookupOnSubset(t *testing.T) {
 	dsts := append(slices.Clone(g.Hosts()), -1, len(g.Vertices), g.Switches()[0])
 	for _, sw := range g.Switches() {
 		for _, dst := range dsts {
-			want := r.Lookup(sw, 1, dst, 0)
-			if got := fib.Rule(sw, 1, dst, 0); got != want {
-				t.Fatalf("Rule(%d, 1, %d, 0) = %+v, Lookup = %+v", sw, dst, got, want)
-			}
-			out, newTag, ok := fib.Forward(sw, 1, dst, 0)
-			if want == nil {
-				if ok {
-					t.Fatalf("Forward(%d, 1, %d, 0) hit port %d, Lookup missed", sw, dst, out)
-				}
-			} else if !ok || out != want.OutPort || newTag != 0 {
-				t.Fatalf("Forward(%d, 1, %d, 0) = (%d, %d, %v), Lookup %+v", sw, dst, out, newTag, ok, want)
+			wantOut, wantTag, wantOK := lookupForward(r, sw, 1, dst, 0)
+			if out, newTag, ok := fib.Forward(sw, 1, dst, 0); out != wantOut || newTag != wantTag || ok != wantOK {
+				t.Fatalf("Forward(%d, 1, %d, 0) = (%d, %d, %v), Lookup's rule gives (%d, %d, %v)",
+					sw, dst, out, newTag, ok, wantOut, wantTag, wantOK)
 			}
 		}
 	}
@@ -147,14 +137,10 @@ func TestFIBManualRoutesSpecificity(t *testing.T) {
 	for _, probe := range [][2]int{{1, 0}, {1, 1}, {3, 0}, {3, 1}, {2, 0}} {
 		inPort, tag := probe[0], probe[1]
 		for _, dst := range []int{98, 99, 97} {
-			want := r.Lookup(sw, inPort, dst, tag)
-			if got := fib.Rule(sw, inPort, dst, tag); got != want {
-				t.Errorf("Rule(%d,%d,%d,%d) = %+v, want %+v", sw, inPort, dst, tag, got, want)
-			}
-			out, _, ok := fib.Forward(sw, inPort, dst, tag)
-			if (want != nil) != ok || (want != nil && out != want.OutPort) {
-				t.Errorf("Forward(%d,%d,%d,%d) = (%d,%v) disagrees with Lookup %+v",
-					sw, inPort, dst, tag, out, ok, want)
+			wantOut, wantTag, wantOK := lookupForward(r, sw, inPort, dst, tag)
+			if out, newTag, ok := fib.Forward(sw, inPort, dst, tag); out != wantOut || newTag != wantTag || ok != wantOK {
+				t.Errorf("Forward(%d,%d,%d,%d) = (%d,%d,%v), Lookup's rule gives (%d,%d,%v)",
+					sw, inPort, dst, tag, out, newTag, ok, wantOut, wantTag, wantOK)
 			}
 		}
 	}

@@ -295,16 +295,6 @@ func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
 	return nil
 }
 
-// portTo returns the logical port on switch `from` that leads to
-// neighbour vertex `to`, or 0 if they are not adjacent.
-func portTo(g *topology.Graph, from, to int) int {
-	eid := g.EdgeBetween(from, to)
-	if eid < 0 {
-		return 0
-	}
-	return g.Edges[eid].PortAt(from)
-}
-
 // computeWorkers is the worker count for per-destination route builds
 // (0 = GOMAXPROCS, 1 = serial): on the one-shape path, the number of
 // block builders, each taking every computeWorkers-th block; on the
@@ -821,55 +811,74 @@ func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) erro
 	}, nil
 }
 
-// TracePath walks the rules from src host to dst host and returns the
-// sequence of (switch, vc) hops, verifying termination. It is the
-// loop/completeness checker used by tests and the deadlock verifier.
-func (r *Routes) TracePath(src, dst int) ([]int, error) {
+// Walk follows the rules from host src to host dst and calls link for
+// every directed link the packet crosses, in order: the uplink out of
+// src, then one link per switch hop, the last of which delivers to dst.
+// from is the vertex the link leaves, edge its ID and tag the VC tag
+// the packet carries on it (0 on the uplink: hosts send untagged).
+// A source with no switch, a switch with no rule, an out port with no
+// edge, a packet delivered to another host and a walk of more than
+// |V|·max(NumVCs, 1)+2 switch hops (a forwarding loop) are errors.
+// Walk keeps nothing of link, so a closure passed to it stays on the
+// caller's stack.
+//
+// It is the one hop-by-hop walk of the rules: TracePath, the deadlock
+// verifier's channel trace and flowsim's path resolution consume it.
+func (r *Routes) Walk(src, dst int, link func(from, edge, tag int)) error {
 	g := r.Topo
-	if src == dst {
-		return nil, nil
-	}
+	csr := g.CSR()
 	cur := g.HostSwitch(src)
 	if cur < 0 {
-		return nil, fmt.Errorf("routing: source host %d unattached", src)
+		return fmt.Errorf("routing: %s: host %d unattached", r.Strategy, src)
 	}
-	tag := 0
-	inPort := portTo(g, cur, src)
-	var path []int
-	limit := len(g.Vertices)*r.NumVCs + 2
+	up := g.EdgeBetween(src, cur)
+	link(src, up, 0)
+	inPort, tag := g.Edges[up].PortAt(cur), 0
+	limit := len(g.Vertices)*max(r.NumVCs, 1) + 2
 	for steps := 0; ; steps++ {
 		if steps > limit {
-			return nil, fmt.Errorf("routing: path %d->%d exceeds %d hops (loop?)", src, dst, limit)
+			return fmt.Errorf("routing: %s: path %d->%d exceeds %d hops (loop?)", r.Strategy, src, dst, limit)
 		}
-		path = append(path, cur)
 		rule := r.Lookup(cur, inPort, dst, tag)
 		if rule == nil {
-			return nil, fmt.Errorf("routing: no rule on switch %d for dst %d tag %d", cur, dst, tag)
+			return fmt.Errorf("routing: %s: no rule on switch %d for dst %d tag %d", r.Strategy, cur, dst, tag)
 		}
 		if rule.NewTag >= 0 {
 			tag = rule.NewTag
 		}
-		// Find what the out port leads to.
-		nxt := -1
-		nxtPort := 0
-		for _, eid := range g.IncidentEdges(cur) {
-			e := g.Edges[eid]
-			if e.PortAt(cur) == rule.OutPort {
-				nxt = e.Other(cur)
-				nxtPort = e.PortAt(nxt)
-				break
-			}
+		eid := csr.EdgeAt(cur, rule.OutPort)
+		if eid < 0 {
+			return fmt.Errorf("routing: %s: switch %d out port %d dangling", r.Strategy, cur, rule.OutPort)
 		}
-		if nxt < 0 {
-			return nil, fmt.Errorf("routing: switch %d out port %d dangling", cur, rule.OutPort)
-		}
+		link(cur, eid, tag)
+		e := &g.Edges[eid]
+		nxt := e.Other(cur)
 		if nxt == dst {
-			return path, nil
+			return nil
 		}
 		if g.Vertices[nxt].Kind != topology.Switch {
-			return nil, fmt.Errorf("routing: path %d->%d delivered to wrong host %d", src, dst, nxt)
+			return fmt.Errorf("routing: %s: path %d->%d delivered to wrong host %d", r.Strategy, src, dst, nxt)
 		}
-		cur = nxt
-		inPort = nxtPort
+		cur, inPort = nxt, e.PortAt(nxt)
 	}
+}
+
+// TracePath returns the switches a packet from host src to host dst
+// passes, in order (nil when src == dst), or Walk's error. fig12 labels
+// its streams' hops and congestion points with it, and the packet-fabric
+// benchmark counts its schedule's packet-hops with it.
+func (r *Routes) TracePath(src, dst int) ([]int, error) {
+	if src == dst {
+		return nil, nil
+	}
+	var path []int
+	err := r.Walk(src, dst, func(from, _, _ int) {
+		if from != src {
+			path = append(path, from)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return path, nil
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,30 +256,138 @@ func TestTorusClue3D(t *testing.T) {
 	}
 }
 
+// clockwiseRing routes every destination of a ring around it in one
+// direction: every packet is delivered, and the channels form a cycle.
+func clockwiseRing(g *topology.Graph) *Routes {
+	csr := g.CSR()
+	sw := g.Switches()
+	r := newRoutes(g, "clockwise-ring", 1)
+	for i, s := range sw {
+		next := sw[(i+1)%len(sw)]
+		for _, d := range g.Hosts() {
+			if g.HostSwitch(d) == s {
+				r.add(Rule{Switch: s, Dst: d, Tag: openflow.Any, OutPort: csr.PortTo(s, d), NewTag: -1})
+			} else {
+				r.add(Rule{Switch: s, Dst: d, Tag: openflow.Any, OutPort: csr.PortTo(s, next), NewTag: -1})
+			}
+		}
+	}
+	return r
+}
+
 func TestDeadlockDetectorFindsCycle(t *testing.T) {
 	// Hand-built cyclic routes on a 3-switch ring: everything forwarded
 	// clockwise, including to non-adjacent destinations — the canonical
 	// ring deadlock.
-	g := topology.Ring(3, 1)
-	sw := g.Switches()
-	hosts := g.Hosts()
-	r := newRoutes(g, "cyclic", 1)
-	for i, s := range sw {
-		next := sw[(i+1)%3]
-		for _, d := range hosts {
-			if g.HostSwitch(d) == s {
-				r.add(Rule{Switch: s, Dst: d, Tag: openflow.Any, OutPort: portTo(g, s, d), NewTag: -1})
-			} else {
-				r.add(Rule{Switch: s, Dst: d, Tag: openflow.Any, OutPort: portTo(g, s, next), NewTag: -1})
-			}
-		}
-	}
-	err := VerifyDeadlockFree(r)
+	err := VerifyDeadlockFree(clockwiseRing(topology.Ring(3, 1)))
 	if err == nil {
 		t.Fatal("cyclic clockwise ring routing passed the deadlock check")
 	}
 	if !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("error does not name the cycle: %v", err)
+	}
+}
+
+// fibWalk walks host src to host dst the way the packet engine
+// forwards, over the compiled FIB, finding each hop's edge among the
+// switch's incident edges. It returns the switches passed and the
+// switch-to-switch channels held; ok is false on a miss, a dangling
+// port, a misdelivery or a walk longer than every switch on every VC.
+func fibWalk(r *Routes, src, dst int) (switches []int, chans []Channel, ok bool) {
+	g := r.Topo
+	fib := r.FIB()
+	cur := g.HostSwitch(src)
+	if cur < 0 {
+		return nil, nil, false
+	}
+	inPort := g.Edges[g.EdgeBetween(src, cur)].PortAt(cur)
+	tag := 0
+	for range len(g.Vertices)*max(r.NumVCs, 1) + 1 {
+		switches = append(switches, cur)
+		out, newTag, hit := fib.Forward(cur, inPort, dst, tag)
+		if !hit {
+			return nil, nil, false
+		}
+		tag = newTag
+		eid := -1
+		for _, e := range g.IncidentEdges(cur) {
+			if g.Edges[e].PortAt(cur) == out {
+				eid = e
+				break
+			}
+		}
+		if eid < 0 {
+			return nil, nil, false
+		}
+		nxt := g.Edges[eid].Other(cur)
+		if nxt == dst {
+			return switches, chans, true
+		}
+		if g.Vertices[nxt].Kind != topology.Switch {
+			return nil, nil, false
+		}
+		chans = append(chans, Channel{Edge: eid, From: cur, VC: tag})
+		inPort = g.Edges[eid].PortAt(nxt)
+		cur = nxt
+	}
+	return nil, nil, false
+}
+
+// TestWalkConsumersMatchFIB holds the route walk's consumers to the
+// packet engine's walk over the FIB: for every host pair, TracePath's
+// switches and the deadlock verifier's channels must be fibWalk's. It
+// covers every generator's example fabric under its Table III
+// strategy, a dragonfly under UGAL with its group 0 <-> 1 global links
+// loaded (non-minimal paths that follow the tag), and the clockwise
+// ring, whose channels form the cycle the verifier reports.
+func TestWalkConsumersMatchFIB(t *testing.T) {
+	var sets []*Routes
+	for _, gen := range topology.Generators {
+		g, err := (&topology.Config{Generator: gen.Name, Params: gen.Example}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ForTopology(g).Compute(g)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		sets = append(sets, r)
+	}
+	df := topology.Dragonfly(4, 9, 2, 1)
+	loads := map[int]float64{}
+	for _, eid := range df.SwitchSwitchEdges() {
+		if e := df.Edges[eid]; df.Vertices[e.A].Coord[0]+df.Vertices[e.B].Coord[0] == 1 {
+			loads[eid] = 1e9
+		}
+	}
+	ugal, err := DragonflyUGAL{Loads: loads, Bias: 1}.Compute(df)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets = append(sets, ugal, clockwiseRing(topology.Ring(4, 1)))
+	for _, r := range sets {
+		hosts := r.Topo.Hosts()
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				if src == dst {
+					continue
+				}
+				wantSw, wantCh, ok := fibWalk(r, src, dst)
+				if !ok {
+					t.Fatalf("%s on %s: the FIB walk %d->%d fails", r.Strategy, r.Topo.Name, src, dst)
+				}
+				sw, err := r.TracePath(src, dst)
+				if err != nil || !slices.Equal(sw, wantSw) {
+					t.Fatalf("%s on %s: TracePath(%d, %d) = %v, %v; the FIB walk passes %v",
+						r.Strategy, r.Topo.Name, src, dst, sw, err, wantSw)
+				}
+				ch, err := traceChannels(r, src, dst)
+				if err != nil || !slices.Equal(ch, wantCh) {
+					t.Fatalf("%s on %s: traceChannels(%d, %d) = %v, %v; the FIB walk holds %v",
+						r.Strategy, r.Topo.Name, src, dst, ch, err, wantCh)
+				}
+			}
+		}
 	}
 }
 

@@ -342,6 +342,18 @@ func (c *CSR) PortTo(from, to int) int {
 	return 0
 }
 
+// EdgeAt returns the ID of the edge behind port `port` of v, or -1 if
+// no edge uses it. Ports are unique per vertex, so at most one
+// half-edge of the row carries it.
+func (c *CSR) EdgeAt(v, port int) int {
+	for e := c.Start[v]; e < c.Start[v+1]; e++ {
+		if int(c.Port[e]) == port {
+			return int(c.Edge[e])
+		}
+	}
+	return -1
+}
+
 // CSR returns the memoized compressed-sparse-row view, building it on
 // first use. The cache is an atomic pointer, so concurrent readers that
 // race on the first build each construct an identical view without a
