@@ -7,11 +7,9 @@ package core
 // one engine.StopStride of events, not merely between jobs.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -163,22 +161,9 @@ func validateScenario(sc Scenario, cfg *runConfig) error {
 			return fmt.Errorf("core: flow %d (%d->%d, %d bytes) needs two distinct ranks and a size >= 0", i, f.Src, f.Dst, f.Bytes)
 		}
 	}
-	// A receiver matches a flow by (src, tag): two flows with the same
-	// (src, dst, tag) would swap their completion records. Flow indices
-	// sorted by that key put any two such flows side by side, in 4
-	// bytes a flow where a map would take tens.
-	key := func(a, b *netsim.Flow) int {
-		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Tag, b.Tag))
-	}
-	byKey := make([]int32, len(sc.Flows))
-	for i := range byKey {
-		byKey[i] = int32(i)
-	}
-	slices.SortFunc(byKey, func(a, b int32) int { return cmp.Or(key(&sc.Flows[a], &sc.Flows[b]), cmp.Compare(a, b)) })
-	for k := 1; k < len(byKey); k++ {
-		if f := &sc.Flows[byKey[k]]; key(&sc.Flows[byKey[k-1]], f) == 0 {
-			return fmt.Errorf("core: flow %d repeats flow %d's (src, dst, tag) = (%d, %d, %d)", byKey[k], byKey[k-1], f.Src, f.Dst, f.Tag)
-		}
+	if j, i := netsim.DuplicateFlow(sc.Flows); j >= 0 {
+		f := &sc.Flows[j]
+		return fmt.Errorf("core: flow %d repeats flow %d's (src, dst, tag) = (%d, %d, %d)", j, i, f.Src, f.Dst, f.Tag)
 	}
 	if sc.Faults != nil && sc.Reconfig != nil {
 		// Both subsystems clone and swap the live route set mid-run;

@@ -1,6 +1,9 @@
 package flowsim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // fairShare is the slice-based entry point tests and the fuzz targets
 // exercise: caps[l] is link l's capacity, links[f] lists the links flow
@@ -34,16 +37,20 @@ func sliceTable(caps []float64, links [][]int32) (*fairTable, []int32) {
 }
 
 // xlShapedInput builds a fair-share input shaped like flow-xl's flows:
-// nf flows of six links, all at one capacity — a private first and last
-// link (the hosts' NIC links) and four fabric links drawn without
-// repeats from the pool of one of 48 pods, 24 links each. One flow in
-// four, as a flow between pods does, draws its last two fabric links
-// from a core pool of 128 that every pod shares. At 175 flows, one
-// recompute's active set, the flows fall into 41 link-disjoint
-// components, the largest holding 93 flows (flow-xl: ≈ 43 per
-// recompute, the largest ≈ 92).
+// nf flows of six links, all at one capacity, between 256 ranks spread
+// over 48 pods. A flow leaves its source rank's uplink and enters its
+// destination rank's downlink, which every flow of that rank shares,
+// and draws four fabric links without repeats: two from the pool of 64
+// links of the source's pod and two from the destination's pod, or, for
+// one flow in four, as a flow through the core, one of them from a
+// core pool of 128 that every pod shares. The first 175 flows, one
+// recompute's active set, fall into 29 components, the largest holding
+// 118 flows. In BenchmarkRecompute's cycle a refill walks 66 flows on
+// average, and 65 % of the flows walked are in components of 128 flows
+// or more (flow-xl: 58.6 flows a fill, 64 % of the work in components
+// of 128–255 flows, which the shared rank links make).
 func xlShapedInput(nf int) ([]float64, [][]int32) {
-	const pods, podLinks, core = 48, 24, 128
+	const ranks, pods, podLinks, core = 256, 48, 64, 128
 	const fabric = pods*podLinks + core
 	s := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
@@ -54,25 +61,30 @@ func xlShapedInput(nf int) ([]float64, [][]int32) {
 	}
 	links := make([][]int32, nf)
 	for f := range links {
-		pod := next() % pods
-		cross := next()%4 == 0
-		ls := []int32{int32(fabric + 2*f)}
-		for len(ls) < 5 {
-			l := int32(pod*podLinks + next()%podLinks)
-			if cross && len(ls) >= 3 {
-				l = int32(pods*podLinks + next()%core)
-			}
-			dup := false
-			for _, m := range ls[1:] {
-				dup = dup || m == l
-			}
-			if !dup {
-				ls = append(ls, l)
+		src := int(next() % ranks)
+		dst := int(next() % (ranks - 1))
+		if dst >= src {
+			dst++
+		}
+		ls := []int32{int32(fabric + 2*src)}
+		// draw appends a link from the n links at base until ls holds
+		// to links.
+		draw := func(to, base, n int) {
+			for len(ls) < to {
+				l := int32(base + int(next()%uint64(n)))
+				if !slices.Contains(ls, l) {
+					ls = append(ls, l)
+				}
 			}
 		}
-		links[f] = append(ls, int32(fabric+2*f+1))
+		draw(3, src*pods/ranks*podLinks, podLinks)
+		if next()%4 == 0 {
+			draw(4, pods*podLinks, core)
+		}
+		draw(5, dst*pods/ranks*podLinks, podLinks)
+		links[f] = append(ls, int32(fabric+2*dst+1))
 	}
-	caps := make([]float64, fabric+2*nf)
+	caps := make([]float64, fabric+2*ranks)
 	for l := range caps {
 		caps[l] = 1.0 / 64
 	}

@@ -121,8 +121,7 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 	// by framing overhead, in payload bytes per picosecond.
 	capacity := cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+netsim.HeaderBytes)
 
-	type matchKey struct{ src, dst, tag int }
-	seen := make(map[matchKey]struct{}, len(flows))
+	dup, _ := netsim.DuplicateFlow(flows)
 	for i := range flows {
 		f := &flows[i]
 		if f.Src < 0 || f.Src >= len(hosts) || f.Dst < 0 || f.Dst >= len(hosts) {
@@ -134,11 +133,9 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 		if f.Bytes < 0 {
 			return nil, fmt.Errorf("flowsim: flow %d has negative size %d", i, f.Bytes)
 		}
-		k := matchKey{f.Src, f.Dst, f.Tag}
-		if _, dup := seen[k]; dup {
+		if i == dup {
 			return nil, fmt.Errorf("flowsim: duplicate flow (src=%d dst=%d tag=%d)", f.Src, f.Dst, f.Tag)
 		}
-		seen[k] = struct{}{}
 		f.End, f.Completed = 0, false
 	}
 

@@ -387,6 +387,37 @@ func incrementalSeed(nOps int, seed uint64) []byte {
 	return ops
 }
 
+// rankSeed generates paths for FuzzRecomputeIncremental over 32 links
+// in which, as in flow-xl, flows share their ranks' links: each of 16
+// ranks has an uplink (links 0–15) and a downlink (16–31), and a flow
+// crosses its source's uplink and its destination's downlink. Of its
+// nOps ops, one in three completes the active flows at every fourth
+// position and the others admit one or two flows, so the active set
+// stays small: arrivals merge components through the shared links, and
+// completions split them.
+func rankSeed(nOps int, seed uint64) (path, ops []byte) {
+	s := seed*2654435761 + 1
+	next := func(n int) byte {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return byte(s % uint64(n))
+	}
+	for range nOps {
+		src, dst := next(16), next(15)
+		if dst >= src {
+			dst++
+		}
+		path = append(path, src, 0x80|(16+dst))
+		if next(3) == 0 {
+			ops = append(ops, 0x8c|next(4))
+		} else {
+			ops = append(ops, next(2))
+		}
+	}
+	return path, ops
+}
+
 // FuzzRecomputeIncremental drives the engine's admit, completeDue and
 // recompute through random sequences and requires, after every
 // recompute, the rates the kept table produced — some refilled now, the
@@ -400,7 +431,9 @@ func incrementalSeed(nOps int, seed uint64) []byte {
 // with the high bit set completes the active flows at positions i with
 // (i+b&3) % (1+b>>2&3) == 0. Bursts empty links and fill them again, so
 // local indices are recycled, and the active set falls to zero and grows
-// again. After every op, checkTable holds the table to the active set.
+// again. rankSeed's seeds keep the active set small over links that
+// many flows share, so arrivals merge components and completions split
+// them. After every op, checkTable holds the table to the active set.
 func FuzzRecomputeIncremental(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		_, p := oracleSeed(24, 200, seed)
@@ -411,6 +444,10 @@ func FuzzRecomputeIncremental(f *testing.F) {
 	caps, paths := lastUlpInput()
 	_, p = encodeOracleInput(caps, paths)
 	f.Add(uint8(len(caps)-1), uint8(0), p, []byte{byte(len(paths) - 1)})
+	for seed := uint64(6); seed <= 8; seed++ {
+		p, ops := rankSeed(128, seed)
+		f.Add(uint8(31), uint8(0), p, ops)
+	}
 	f.Fuzz(func(t *testing.T, nLinks, capIdx uint8, pathBytes, ops []byte) {
 		nl := 1 + int(nLinks)%32
 		capBytes := make([]byte, nl)

@@ -9,6 +9,7 @@ package netsim
 // per-flow completion times for FCT analysis.
 
 import (
+	"hash/maphash"
 	"sort"
 
 	"repro/internal/engine"
@@ -32,6 +33,36 @@ type Flow struct {
 	End Time
 	// Completed reports whether the flow finished delivery.
 	Completed bool
+}
+
+// DuplicateFlow returns the first flow, in schedule order, that repeats
+// an earlier flow's (Src, Dst, Tag), and the first flow with that key;
+// or -1, -1. A receiver matches a flow by (src, tag), so two such flows
+// would swap their completion records. It keeps each key's first flow
+// in an open-addressed table of flow indices, 8 to 16 bytes a flow
+// where a map would take about 80.
+func DuplicateFlow(flows []Flow) (dup, first int) {
+	if len(flows) < 2 {
+		return -1, -1
+	}
+	type key struct{ src, dst, tag int }
+	size := 1
+	for size < 2*len(flows) {
+		size <<= 1
+	}
+	table := make([]int32, size) // flow index + 1; 0 is empty
+	seed := maphash.MakeSeed()
+	for i := range flows {
+		f := &flows[i]
+		h := int(maphash.Comparable(seed, key{f.Src, f.Dst, f.Tag})) & (size - 1)
+		for ; table[h] != 0; h = (h + 1) & (size - 1) {
+			if g := &flows[table[h]-1]; g.Src == f.Src && g.Dst == f.Dst && g.Tag == f.Tag {
+				return i, int(table[h] - 1)
+			}
+		}
+		table[h] = int32(i + 1)
+	}
+	return -1, -1
 }
 
 // FCT returns the flow completion time, or -1 if incomplete.
@@ -62,8 +93,7 @@ type FlowApp struct {
 // is retained and its result fields are written during the run.
 func NewFlowApp(n *Network, hosts []int, flows []Flow, onDone func(last Time)) *FlowApp {
 	a := &FlowApp{net: n, hosts: hosts, flows: flows, onDone: onDone}
-	type matchKey struct{ src, dst, tag int }
-	seen := make(map[matchKey]struct{}, len(flows))
+	dup, _ := DuplicateFlow(flows)
 	for i := range flows {
 		f := &flows[i]
 		if f.Src < 0 || f.Src >= len(hosts) || f.Dst < 0 || f.Dst >= len(hosts) {
@@ -77,11 +107,9 @@ func NewFlowApp(n *Network, hosts []int, flows []Flow, onDone func(last Time)) *
 		}
 		// The receiver's mailbox matches on (src, tag): a duplicate
 		// would silently swap the two flows' completion records.
-		k := matchKey{f.Src, f.Dst, f.Tag}
-		if _, dup := seen[k]; dup {
+		if i == dup {
 			panic("netsim: duplicate flow (src, dst, tag)")
 		}
-		seen[k] = struct{}{}
 		f.End, f.Completed = 0, false
 	}
 	// Injection order is by start time; ties break by flow index so

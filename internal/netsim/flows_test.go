@@ -94,3 +94,24 @@ func TestFlowAppRejectsDuplicateMatchKey(t *testing.T) {
 		{Src: 0, Dst: 1, Bytes: 2, Tag: 7},
 	}, nil)
 }
+
+// DuplicateFlow names the first flow, in schedule order, that repeats an
+// earlier flow's (src, dst, tag), and the first flow with that key.
+func TestDuplicateFlow(t *testing.T) {
+	for _, c := range []struct {
+		flows      []Flow
+		dup, first int
+	}{
+		{nil, -1, -1},
+		{[]Flow{{Src: 0, Dst: 1, Tag: 7}, {Src: 1, Dst: 0, Tag: 7}, {Src: 0, Dst: 1, Tag: 8}}, -1, -1},
+		{[]Flow{{Src: 0, Dst: 1, Tag: 7}, {Src: 0, Dst: 1, Tag: 7}}, 1, 0},
+		// Flow 3 repeats flow 1 before flow 4 repeats flow 0.
+		{[]Flow{{Src: 2, Dst: 3}, {Src: 0, Dst: 1, Tag: 5}, {Src: 4, Dst: 5}, {Src: 0, Dst: 1, Tag: 5}, {Src: 2, Dst: 3}, {Src: 2, Dst: 3}}, 3, 1},
+		// Flow 2 is the first repeat of flow 0; flow 3 repeats it too.
+		{[]Flow{{Src: 2, Dst: 3}, {Src: 4, Dst: 5}, {Src: 2, Dst: 3}, {Src: 2, Dst: 3}}, 2, 0},
+	} {
+		if dup, first := DuplicateFlow(c.flows); dup != c.dup || first != c.first {
+			t.Errorf("DuplicateFlow(%v) = %d, %d; want %d, %d", c.flows, dup, first, c.dup, c.first)
+		}
+	}
+}
