@@ -51,6 +51,10 @@
 //
 // -cc restricts cc-shootout to one congestion-control policy (dcqcn,
 // timely, or pfabric); empty races all three.
+//
+// -cpuprofile and -memprofile write a CPU profile of the run and an
+// allocation profile as it ends, for `go tool pprof`; they change
+// nothing the run prints.
 package main
 
 import (
@@ -69,6 +73,10 @@ import (
 var flagNames = map[string]string{"dur_ms": "dur", "mtbf_ms": "mtbf", "workers": "parallel"}
 
 func main() {
+	os.Exit(run())
+}
+
+func run() (code int) {
 	names := experiments.Names()
 	exp := flag.String("exp", "all", "experiment (comma-separated): "+strings.Join(names, "|")+"|all")
 	spec := experiments.JobSpec{Workers: 1} // serial unless -parallel says otherwise
@@ -84,12 +92,13 @@ func main() {
 	}
 	jsonOut := flag.Bool("json", false, "with -list: emit the registry (names, descriptions, param schemas) as JSON")
 	list := flag.Bool("list", false, "list registered experiments with their descriptions and exit")
+	prof := cli.ProfileFlags()
 	flag.Parse()
 
 	if *jsonOut && !*list {
 		fmt.Fprintln(os.Stderr, "sdtbench: -json only modifies -list (to measure performance, see bench/README.md)")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 	if *list {
 		if *jsonOut {
@@ -98,14 +107,14 @@ func main() {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(experiments.All()); err != nil {
-				fatal("json", err)
+				return fatal("json", err)
 			}
-			return
+			return 0
 		}
 		for _, e := range experiments.All() {
 			fmt.Printf("%-16s %s\n", e.Name, e.Desc)
 		}
-		return
+		return 0
 	}
 
 	// -exp takes a comma-separated list: fig12,table4 runs both;
@@ -113,8 +122,17 @@ func main() {
 	selected, err := experiments.Select(*exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdtbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
+
+	if err := prof.Start(); err != nil {
+		return fatal("profile", err)
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil && code == 0 {
+			code = fatal("profile", err)
+		}
+	}()
 
 	// Ctrl-C (or SIGTERM) cancels the in-flight simulation mid-run (the
 	// engine polls the stop flag every StopStride events), not just
@@ -124,12 +142,14 @@ func main() {
 
 	for _, e := range selected {
 		if err := e.Run(ctx, spec, os.Stdout, os.Stdout); err != nil {
-			fatal(e.Name, err)
+			return fatal(e.Name, err)
 		}
 	}
+	return 0
 }
 
-func fatal(name string, err error) {
+// fatal reports a failed step and returns the exit code for its error.
+func fatal(name string, err error) int {
 	fmt.Fprintf(os.Stderr, "sdtbench: %s: %v\n", name, err)
-	os.Exit(cli.ExitCode(err))
+	return cli.ExitCode(err)
 }

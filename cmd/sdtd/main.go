@@ -26,6 +26,9 @@
 // queued backlog, and waits up to -grace for running simulations; when
 // the grace expires the survivors are cancelled engine-deep (they stop
 // within one event stride). A clean drain exits 0, a forced one 130.
+//
+// -cpuprofile and -memprofile write a CPU profile of the daemon's life
+// and an allocation profile as it exits, for `go tool pprof`.
 package main
 
 import (
@@ -87,14 +90,26 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	addr := flag.String("addr", ":7390", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = all cores)")
 	queue := flag.Int("queue", 64, "admission queue capacity (full queue rejects with 429)")
 	cacheMB := flag.Int("cache-mb", 64, "in-memory result cache budget in MiB")
 	cacheDir := flag.String("cache-dir", "", "on-disk result store (empty = memory only; survives restarts)")
 	grace := flag.Duration("grace", 30*time.Second, "drain grace for running jobs on shutdown")
+	prof := cli.ProfileFlags()
 	flag.Parse()
+
+	if err := prof.Start(); err != nil {
+		log.Printf("sdtd: %v", err)
+		return 1
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
+			log.Printf("sdtd: %v", err)
+			code = max(code, 1)
+		}
+	}()
 
 	srv, err := service.New(service.Config{
 		Workers:    *workers,

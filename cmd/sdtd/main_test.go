@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -84,4 +90,55 @@ func TestListeningLineShowsSettingsInUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestProfileFlags: a daemon started with -cpuprofile and -memprofile
+// writes both profiles as it drains and exits 0, and its stdout stays
+// what it is without them: empty.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "sdtd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building sdtd: %v\n%s", err, out)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	plain := serveOnce(t, bin, "-addr", "127.0.0.1:0")
+	profiled := serveOnce(t, bin, "-addr", "127.0.0.1:0", "-cpuprofile", cpu, "-memprofile", mem)
+	if profiled != plain {
+		t.Errorf("stdout with profiles %q, without %q", profiled, plain)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil {
+			t.Errorf("profile %s: %v", filepath.Base(p), err)
+		} else if fi.Size() == 0 {
+			t.Errorf("profile %s is empty", filepath.Base(p))
+		}
+	}
+}
+
+// serveOnce starts the daemon, sends it SIGTERM once it listens, and
+// returns its stdout; it fails the test unless the daemon exits 0.
+func serveOnce(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	var stdout bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bufio.NewScanner(stderr)
+	for lines.Scan() && !strings.Contains(lines.Text(), "sdtd: listening on") {
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, stderr)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("sdtd %v: %v", args, err)
+	}
+	return stdout.String()
 }

@@ -84,7 +84,11 @@ type RunResult struct {
 	// physical) time.
 	ACT netsim.Time
 	// Wall is the wall-clock time the engine burned — a software
-	// simulator's evaluation time.
+	// simulator's evaluation time. At packet fidelity it covers the
+	// event loop; at flow fidelity the whole flow-level run: grouping
+	// the schedule, building the routes toward its destinations,
+	// walking its paths and the fluid loop, since the route build and
+	// the walk interleave block by block.
 	Wall time.Duration
 	// Deploy is the modelled topology deployment time (SDT only); an
 	// SDT evaluation takes Deploy + ACT.

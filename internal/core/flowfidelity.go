@@ -7,6 +7,14 @@ package core
 // RunResult, same FCT result fields on the Flows slice — which is what
 // lets the differential harness and telemetry.MeasureFCT treat the two
 // fidelities interchangeably.
+//
+// The path keeps no route set. flowsim.New groups the schedule into
+// its (src, dst) host pairs; routing.ForEachBlock builds the rules
+// toward the schedule's destinations a block of them at a time, into
+// storage each worker reuses, and flowsim's walkers walk every pair
+// toward the block over them with Routes.Walk; then the block's rules
+// are dropped. A run's route memory is one block per worker, not
+// switches × destinations.
 
 import (
 	"context"
@@ -22,17 +30,24 @@ import (
 // runFlowScenario executes one Flow-fidelity scenario. hosts is the
 // resolved rank placement (hosts[i] = vertex of rank i). Everything
 // the fluid model cannot express was rejected by validateScenario.
+// The result's Wall covers the whole flow-level run — grouping the
+// schedule, building the routes toward its destinations, walking its
+// paths and the fluid loop — since the route build and the walk are
+// interleaved block by block.
 func runFlowScenario(ctx context.Context, sc Scenario, hosts []int, simCfg netsim.Config) (*RunResult, error) {
 	strat := sc.Strategy
 	if strat == nil {
 		strat = routing.ForTopology(sc.Topo)
 	}
-	routes, err := flowRoutes(sc.Topo, strat, hosts, sc.Flows)
+	wallStart := time.Now()
+	sim, err := flowsim.New(sc.Topo, simCfg, hosts, sc.Flows)
 	if err != nil {
 		return nil, err
 	}
-	wallStart := time.Now()
-	res, err := flowsim.Run(ctx, sc.Topo, routes, simCfg, hosts, sc.Flows)
+	if err := flowPaths(sim, sc.Topo, strat); err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -44,32 +59,25 @@ func runFlowScenario(ctx context.Context, sc Scenario, hosts []int, simCfg netsi
 	}, nil
 }
 
-// flowRoutes computes the route set a flow-level run resolves paths
-// over. Every Table III strategy supports per-destination subset
-// computation (routing.DstComputer), and a fluid run only needs rules
-// toward hosts that actually receive traffic — on a 10k-host fat-tree
-// the full route set alone would dwarf the simulation, so the subset
-// computation is what makes XL fabrics tractable. Strategies outside
-// the interface fall back to a full compute.
-func flowRoutes(g *topology.Graph, strat routing.Strategy, hosts []int, flows []netsim.Flow) (*routing.Routes, error) {
+// flowPaths walks the schedule's paths. A Table III strategy
+// (routing.DstComputer) builds the rules toward the schedule's
+// destinations a block at a time, and the walkers walk each block's
+// pairs and drop its rules: no route set is kept, so a run holds one
+// block of rules per worker where a subset route set would hold
+// switches × destinations (35 MB on a 27k-host fat-tree). Any other
+// strategy computes its full route set, which is walked the same way.
+func flowPaths(sim *flowsim.Sim, g *topology.Graph, strat routing.Strategy) error {
 	dc, ok := strat.(routing.DstComputer)
 	if !ok {
-		return strat.Compute(g)
-	}
-	seen := make(map[int]bool, len(hosts))
-	dsts := make([]int, 0, len(hosts))
-	for i := range flows {
-		d := flows[i].Dst
-		// Out-of-range ranks fall through to flowsim's validation,
-		// which names the offending flow.
-		if d >= 0 && d < len(hosts) && !seen[d] {
-			seen[d] = true
-			dsts = append(dsts, hosts[d])
+		routes, err := strat.Compute(g)
+		if err != nil {
+			return err
 		}
+		sim.Walker(1)(routes, sim.Dsts())
+		return nil
 	}
-	routes, err := dc.ComputeFor(g, dsts)
-	if err != nil {
-		return nil, fmt.Errorf("core: flow-fidelity route subset: %w", err)
+	if err := routing.ForEachBlock(g, dc, sim.Dsts(), sim.Walker); err != nil {
+		return fmt.Errorf("core: flow-fidelity route subset: %w", err)
 	}
-	return routes, nil
+	return nil
 }

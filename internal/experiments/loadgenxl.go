@@ -60,7 +60,8 @@ type LoadSweepXLResult struct {
 	Cells []LoadSweepXLCell
 	// The common-fabric speedup pair: one schedule on SmallTopo run at
 	// both fidelities. PacketWall/FlowWall/Speedup are wall-clock-
-	// derived.
+	// derived, from RunResult.Wall: the packet run's event loop, and
+	// the whole flow-level run, route build and path walk included.
 	SmallTopo  string
 	SmallHosts int
 	PacketWall time.Duration

@@ -87,40 +87,85 @@ func Run(ctx context.Context, g *topology.Graph, routes *routing.Routes, cfg net
 	if err != nil {
 		return nil, err
 	}
-	if err := e.run(ctx); err != nil {
-		return nil, err
-	}
-	return &Result{
-		ACT:        e.last,
-		Completed:  e.completed,
-		Recomputes: e.recomputes,
-		Pairs:      e.pairs,
-	}, nil
+	return e.result(ctx)
 }
 
-// newEngine validates Run's inputs, resolves every flow's path and
-// serialisation queue, and arms each queue's first injection.
+// newEngine validates Run's inputs, walks every pair's path over routes
+// and returns the engine ready to run.
 func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hosts []int, flows []netsim.Flow) (*engine, error) {
-	if g == nil || routes == nil {
-		return nil, errors.New("flowsim: nil topology or routes")
+	if g == nil {
+		return nil, errNilRoutes
+	}
+	if err := checkRoutes(g, routes); err != nil {
+		return nil, err
+	}
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	s, err := New(g, cfg, hosts, flows)
+	if err != nil {
+		return nil, err
+	}
+	s.Walker(1)(routes, s.dsts)
+	return s.engine()
+}
+
+var errNilRoutes = errors.New("flowsim: nil topology or routes")
+
+// checkRoutes rejects a route set computed for another graph than g:
+// rules name vertex IDs and ports of the graph they were computed for,
+// and walked over another graph's edges they resolve plausible wrong
+// paths.
+func checkRoutes(g *topology.Graph, routes *routing.Routes) error {
+	if routes == nil {
+		return errNilRoutes
 	}
 	if routes.Topo != g {
-		// Rules name vertex IDs and ports of the graph they were computed
-		// for; walked over another graph's edges they resolve plausible
-		// wrong paths.
 		from := "<nil>"
 		if routes.Topo != nil {
 			from = routes.Topo.Name
 		}
-		return nil, fmt.Errorf("flowsim: routes were computed for another graph (%q) than the one being run (%q)", from, g.Name)
+		return fmt.Errorf("flowsim: routes were computed for another graph (%q) than the one being run (%q)", from, g.Name)
 	}
-	if cfg.LinkBps <= 0 || cfg.MTU <= 0 {
-		return nil, fmt.Errorf("flowsim: invalid fabric config (LinkBps=%g MTU=%d)", cfg.LinkBps, cfg.MTU)
-	}
-	// Effective payload capacity of one directed link: line rate derated
-	// by framing overhead, in payload bytes per picosecond.
-	capacity := cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+netsim.HeaderBytes)
+	return nil
+}
 
+func checkConfig(cfg netsim.Config) error {
+	if cfg.LinkBps <= 0 || cfg.MTU <= 0 {
+		return fmt.Errorf("flowsim: invalid fabric config (LinkBps=%g MTU=%d)", cfg.LinkBps, cfg.MTU)
+	}
+	return nil
+}
+
+// Sim is a validated flow schedule whose paths are being resolved: New
+// groups its flows into (src, dst) host pairs, walkers from Walker write
+// each pair's path into the pair's slot, and Run runs the fluid engine
+// over them. It is how a caller that builds the routes a block of
+// destinations at a time (routing.ForEachBlock) feeds the walk without
+// holding a route set; Run over a held set walks it the same way.
+type Sim struct {
+	g     *topology.Graph
+	cfg   netsim.Config
+	hosts []int
+	flows []netsim.Flow
+	// Pair pid's flows are head[pid], nextInPair[head[pid]], ... in
+	// injection order. Pairs are numbered in (dst, src) host order, so
+	// the pairs toward dsts[i] are pids dstOff[i]:dstOff[i+1].
+	head       []int32
+	nextInPair []int32 // flow → the next flow of its pair queue, or -1
+	dsts       []int   // the distinct destination hosts, ascending
+	dstOff     []int32
+	paths      []pathInfo // per pair, written by the walkers
+	walkers    []*walker
+}
+
+// New validates a schedule as Run does, save the route set and the
+// fabric configuration, which Sim.Run checks, and groups its flows into
+// their (src, dst) serialisation queues.
+func New(g *topology.Graph, cfg netsim.Config, hosts []int, flows []netsim.Flow) (*Sim, error) {
+	if g == nil {
+		return nil, errNilRoutes
+	}
 	dup, _ := netsim.DuplicateFlow(flows)
 	for i := range flows {
 		f := &flows[i]
@@ -142,19 +187,20 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 	// Group the flows into their (src, dst) serialisation queues:
 	// sorted by host pair and then in injection order, each pair's
 	// flows are one run, which nextInPair chains.
+	dstOf := func(x int32) int { return hosts[flows[x].Dst] }
 	samePair := func(x, y int32) bool {
-		return hosts[flows[x].Src] == hosts[flows[y].Src] && hosts[flows[x].Dst] == hosts[flows[y].Dst]
+		return dstOf(x) == dstOf(y) && hosts[flows[x].Src] == hosts[flows[y].Src]
 	}
 	byPair := make([]int32, len(flows))
 	for i := range byPair {
 		byPair[i] = int32(i)
 	}
 	slices.SortFunc(byPair, func(x, y int32) int {
-		return cmp.Or(cmp.Compare(hosts[flows[x].Src], hosts[flows[y].Src]),
-			cmp.Compare(hosts[flows[x].Dst], hosts[flows[y].Dst]), injectionCmp(flows, x, y))
+		return cmp.Or(cmp.Compare(dstOf(x), dstOf(y)),
+			cmp.Compare(hosts[flows[x].Src], hosts[flows[y].Src]), injectionCmp(flows, x, y))
 	})
 	nextInPair := make([]int32, len(flows))
-	pairs := 0
+	pairs, ndst := 0, 0
 	for i, fi := range byPair {
 		nextInPair[fi] = -1
 		if i+1 < len(byPair) && samePair(fi, byPair[i+1]) {
@@ -163,44 +209,117 @@ func newEngine(g *topology.Graph, routes *routing.Routes, cfg netsim.Config, hos
 		if i == 0 || !samePair(byPair[i-1], fi) {
 			pairs++
 		}
+		if i == 0 || dstOf(byPair[i-1]) != dstOf(fi) {
+			ndst++
+		}
 	}
-	// head[pid] is pair pid's first flow. Pair ids, and the order the
-	// paths are resolved in, follow the pairs' first injections, so an
-	// unroutable schedule reports the first flow that would fail.
-	head := make([]int32, 0, pairs)
+	s := &Sim{g: g, cfg: cfg, hosts: hosts, flows: flows, nextInPair: nextInPair,
+		head:   make([]int32, 0, pairs),
+		dsts:   make([]int, 0, ndst),
+		dstOff: make([]int32, 0, ndst+1),
+		paths:  make([]pathInfo, pairs),
+	}
 	for i, fi := range byPair {
-		if i == 0 || !samePair(byPair[i-1], fi) {
-			head = append(head, fi)
+		if i > 0 && samePair(byPair[i-1], fi) {
+			continue
 		}
-	}
-	slices.SortFunc(head, func(x, y int32) int { return injectionCmp(flows, x, y) })
-	w := newWalker(g, routes, &cfg, pairs)
-	for _, fi := range head {
-		if err := w.path(hosts[flows[fi].Src], hosts[flows[fi].Dst]); err != nil {
-			return nil, err
+		if i == 0 || dstOf(byPair[i-1]) != dstOf(fi) {
+			s.dsts = append(s.dsts, dstOf(fi))
+			s.dstOff = append(s.dstOff, int32(len(s.head)))
 		}
+		s.head = append(s.head, fi)
 	}
-	paths := w.final()
-	st := make([]flowState, len(flows))
-	for pid, fi := range head {
-		for ; fi >= 0; fi = nextInPair[fi] {
-			st[fi] = flowState{path: &paths[pid], remaining: float64(flows[fi].Bytes)}
-		}
-	}
+	s.dstOff = append(s.dstOff, int32(pairs))
+	return s, nil
+}
 
+// Dsts returns the schedule's distinct destination hosts, ascending.
+func (s *Sim) Dsts() []int { return s.dsts }
+
+// Walker returns a path walker for one of workers workers, its slab
+// sized for an even share of the pairs. The walker resolves the paths of
+// every pair toward a block of destinations over a route set that holds
+// their rules, and may be called again and again with other blocks and
+// route sets; walkers of one Sim may run concurrently on distinct
+// blocks. Walker itself is not safe for concurrent use.
+func (s *Sim) Walker(workers int) func(r *routing.Routes, block []int) {
+	w := newWalker(s, (len(s.head)+workers-1)/max(workers, 1))
+	s.walkers = append(s.walkers, w)
+	return w.walk
+}
+
+// Run checks the walked paths and runs the fluid engine over them. A
+// route set for another graph, an invalid fabric configuration and a
+// pair that failed to walk, the one whose first flow injects earliest,
+// are errors, in that order.
+func (s *Sim) Run(ctx context.Context) (*Result, error) {
+	e, err := s.engine()
+	if err != nil {
+		return nil, err
+	}
+	return e.result(ctx)
+}
+
+// engine returns the engine over the walked paths, each pair queue's
+// first injection armed.
+func (s *Sim) engine() (*engine, error) {
+	for _, w := range s.walkers {
+		if w.foreign != nil {
+			return nil, w.foreign
+		}
+	}
+	if err := checkConfig(s.cfg); err != nil {
+		return nil, err
+	}
+	var failed *walker
+	for _, w := range s.walkers {
+		if w.err != nil && (failed == nil || injectionCmp(s.flows, w.errFlow, failed.errFlow) < 0) {
+			failed = w
+		}
+	}
+	if failed != nil {
+		return nil, failed.err
+	}
+	for _, w := range s.walkers {
+		w.final()
+	}
+	flows, pairs := s.flows, len(s.head)
+	st := make([]flowState, len(flows))
+	for pid, fi := range s.head {
+		for ; fi >= 0; fi = s.nextInPair[fi] {
+			st[fi] = flowState{path: &s.paths[pid], remaining: float64(flows[fi].Bytes)}
+		}
+	}
+	// Effective payload capacity of one directed link: line rate derated
+	// by framing overhead, in payload bytes per picosecond.
+	cfg := &s.cfg
+	capacity := cfg.LinkBps / 8 / float64(netsim.Second) * float64(cfg.MTU) / float64(cfg.MTU+netsim.HeaderBytes)
 	e := &engine{
 		flows:      flows,
 		st:         st,
-		nextInPair: nextInPair,
+		nextInPair: s.nextInPair,
 		pairs:      pairs,
 		pending:    make([]pendEntry, 0, pairs), // one entry per pair queue at most
-		fair:       newFairTable(st, 2*len(g.Edges), func(int32) float64 { return capacity }),
+		fair:       newFairTable(st, 2*len(s.g.Edges), func(int32) float64 { return capacity }),
 	}
 	// Arm each pair queue's first injection at its start time.
-	for _, fi := range head {
+	for _, fi := range s.head {
 		e.pushPending(pendEntry{ready: math.Max(0, float64(flows[fi].Start)), fi: fi})
 	}
 	return e, nil
+}
+
+// result runs the engine and summarises the run.
+func (e *engine) result(ctx context.Context) (*Result, error) {
+	if err := e.run(ctx); err != nil {
+		return nil, err
+	}
+	return &Result{
+		ACT:        e.last,
+		Completed:  e.completed,
+		Recomputes: e.recomputes,
+		Pairs:      e.pairs,
+	}, nil
 }
 
 // injectionCmp orders flows by start time, ties by index — the same

@@ -1,9 +1,10 @@
 package flowsim
 
 import (
+	"slices"
+
 	"repro/internal/netsim"
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // pathInfo is one resolved host-to-host route through the fabric.
@@ -29,35 +30,44 @@ type pathInfo struct {
 // — a few lookups per pair — so compiling the FIB's switches ×
 // destinations slots would cost more than the lookups it spares.
 //
-// Resolved paths live in one slab: path i's links are
-// links[ends[i-1]:ends[i]] and its latency paths[i].base. Appending may
-// move links, so the paths' links slices are taken by final, once every
-// path is resolved.
+// A walker is handed a block of destinations and a route set holding
+// their rules — Run's whole set, or one of routing.ForEachBlock's
+// blocks — and walks every pair toward the block. It writes each pair's
+// latency into the pair's slot of the Sim and its links into its own
+// slab: the pairs it walked are done[i].pid, in order, and pair
+// done[i].pid's links are links[done[i-1].end:done[i].end]. Appending
+// may move links, so final sets the slots' links once every walk is
+// done. A pair that fails to walk leaves no links; the walker keeps the
+// error of the one whose first flow injects earliest.
 type walker struct {
-	g       *topology.Graph
-	routes  *routing.Routes
-	paths   []pathInfo
-	ends    []int32
+	s       *Sim
 	links   []int32
+	done    []pairEnd
 	hdrSer  float64 // header serialisation time in ps (cut-through per-hop cost)
 	hostLat float64
 	swLat   float64
 	propLat float64
+
+	foreign error // a route set for another graph, which the walker did not walk
+	err     error // the failed walk whose first flow injects earliest
+	errFlow int32 // that pair's first flow
 }
+
+// pairEnd marks where a walked pair's links end in the walker's slab.
+type pairEnd struct{ pid, end int32 }
 
 // linksPerPath sizes the link array: a fat-tree path crosses at most 6
 // links, and a longer path only regrows the array.
 const linksPerPath = 8
 
-// newWalker returns a walker for maxPaths paths, its slab sized for
-// them so that resolving them allocates nothing more.
-func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, maxPaths int) *walker {
+// newWalker returns a walker for s, its slab sized for maxPaths paths
+// so that resolving them allocates nothing more.
+func newWalker(s *Sim, maxPaths int) *walker {
+	cfg := &s.cfg
 	return &walker{
-		g:       g,
-		routes:  routes,
-		paths:   make([]pathInfo, 0, maxPaths),
-		ends:    make([]int32, 0, maxPaths),
+		s:       s,
 		links:   make([]int32, 0, linksPerPath*maxPaths),
+		done:    make([]pairEnd, 0, maxPaths),
 		hdrSer:  float64(netsim.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
 		hostLat: float64(cfg.HostLatency),
 		swLat:   float64(cfg.SwitchLatency),
@@ -68,20 +78,45 @@ func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, ma
 // dirLink is the directed-link id for traversing edge eid out of vertex
 // `from`.
 func (w *walker) dirLink(eid, from int) int32 {
-	if w.g.Edges[eid].A == from {
+	if w.s.g.Edges[eid].A == from {
 		return int32(2 * eid)
 	}
 	return int32(2*eid + 1)
 }
 
-// path resolves the route from host src to host dst into the slab's
-// next index.
-func (w *walker) path(src, dst int) error {
+// walk resolves the path of every pair toward the destinations of block
+// over routes.
+func (w *walker) walk(routes *routing.Routes, block []int) {
+	s := w.s
+	if err := checkRoutes(s.g, routes); err != nil {
+		if w.foreign == nil {
+			w.foreign = err
+		}
+		return
+	}
+	for _, dst := range block {
+		i, ok := slices.BinarySearch(s.dsts, dst)
+		if !ok {
+			continue
+		}
+		for pid := s.dstOff[i]; pid < s.dstOff[i+1]; pid++ {
+			fi := s.head[pid]
+			if err := w.path(routes, pid, s.hosts[s.flows[fi].Src], dst); err != nil &&
+				(w.err == nil || injectionCmp(s.flows, fi, w.errFlow) < 0) {
+				w.err, w.errFlow = err, fi
+			}
+		}
+	}
+}
+
+// path resolves the route from host src to host dst, pair pid's.
+func (w *walker) path(routes *routing.Routes, pid int32, src, dst int) error {
 	start := len(w.links)
-	err := w.routes.Walk(src, dst, func(from, edge, _ int) {
+	err := routes.Walk(src, dst, func(from, edge, _ int) {
 		w.links = append(w.links, w.dirLink(edge, from))
 	})
 	if err != nil {
+		w.links = w.links[:start]
 		return err
 	}
 	hops := len(w.links) - start
@@ -89,20 +124,18 @@ func (w *walker) path(src, dst int) error {
 	// Cut-through forwards once the header has arrived: each switch hop
 	// re-serialises only the header. Products are rounded explicitly
 	// (float64(x*y)) so that no architecture fuses them into the sums.
-	base := 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(hops)*w.propLat) +
+	w.s.paths[pid].base = 2*w.hostLat + float64(float64(nsw)*w.swLat) + float64(float64(hops)*w.propLat) +
 		float64(float64(nsw)*w.hdrSer)
-	w.paths = append(w.paths, pathInfo{base: base})
-	w.ends = append(w.ends, int32(len(w.links)))
+	w.done = append(w.done, pairEnd{pid, int32(len(w.links))})
 	return nil
 }
 
-// final returns the resolved paths with their links set; the walker
-// resolves no more paths after it.
-func (w *walker) final() []pathInfo {
+// final sets the links of the pairs the walker resolved; it resolves no
+// more paths after it.
+func (w *walker) final() {
 	lo := int32(0)
-	for i, hi := range w.ends {
-		w.paths[i].links = w.links[lo:hi:hi]
-		lo = hi
+	for _, d := range w.done {
+		w.s.paths[d.pid].links = w.links[lo:d.end:d.end]
+		lo = d.end
 	}
-	return w.paths
 }

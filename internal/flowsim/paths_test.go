@@ -3,11 +3,11 @@ package flowsim
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
-	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -73,10 +73,9 @@ func fibPath(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, src,
 	return links, base, nil
 }
 
-// checkWalker resolves every (src, dst) pair with the walker, one
-// walker per pair so that a failed walk leaves nothing in the next
-// one's slab, and with fibPath; both must give the same links and base,
-// or the same error.
+// checkWalker resolves every (src, dst) pair with the walker, each as
+// the one pair of its own schedule, and with fibPath; both must give
+// the same links and base, or the same error.
 func checkWalker(t *testing.T, what string, g *topology.Graph, routes *routing.Routes, srcs, dsts []int) (paths, failed int) {
 	t.Helper()
 	cfg := netsim.DefaultConfig()
@@ -85,8 +84,13 @@ func checkWalker(t *testing.T, what string, g *topology.Graph, routes *routing.R
 			if src == dst {
 				continue
 			}
-			w := newWalker(g, routes, &cfg, 1)
-			err := w.path(src, dst)
+			s, err := New(g, cfg, []int{src, dst}, []netsim.Flow{{Src: 0, Dst: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Walker(1)(routes, s.Dsts())
+			w := s.walkers[0]
+			err = w.err
 			links, base, ferr := fibPath(g, routes, &cfg, src, dst)
 			if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
 				t.Fatalf("%s, %d->%d: walker error %v, FIB walk error %v", what, src, dst, err, ferr)
@@ -95,7 +99,8 @@ func checkWalker(t *testing.T, what string, g *topology.Graph, routes *routing.R
 				failed++
 				continue
 			}
-			got := w.final()[0]
+			w.final()
+			got := s.paths[0]
 			if !slices.Equal(got.links, links) || got.base != base {
 				t.Fatalf("%s, %d->%d: walker resolves links %v base %v, FIB walk links %v base %v",
 					what, src, dst, got.links, got.base, links, base)
@@ -166,62 +171,154 @@ func TestWalkerMatchesFIB(t *testing.T) {
 	}
 }
 
-// TestRunSubsetBytesBounded is the bytes budget of a flow-level run on
-// a route subset, as core's flow path computes it: a FatTree(16) routed
-// toward the 64 ranks of a uniform 256-flow schedule, each run on a
-// fresh route set whose lookup index is already built. Measured: 116.7
-// kB per run on amd64; the budget adds 8.8 %. The walker looks its hops
-// up in the rule index, so a run that compiled the route set's FIB
-// (101 kB here: 321 switch rows × 65 destination columns of slots)
-// fails it.
-func TestRunSubsetBytesBounded(t *testing.T) {
-	const budget = 127e3
-	g := topology.FatTree(16)
-	all := g.Hosts()
-	var hosts []int
-	for i := 0; i < len(all); i += 16 {
-		hosts = append(hosts, all[i])
+// FuzzFlowPaths holds the walk over routing.ForEachBlock's blocks —
+// the way core's flow path resolves a schedule's paths without a route
+// set — to ComputeFor's route set walked with Routes.Walk and to
+// fibPath: for every (src, dst) pair of a random schedule on a
+// generator's example fabric under its Table III strategy, the same
+// links and zero-load latency, and the same error for a pair or a
+// build that fails, at 1 and at 4 workers. mods adds two hosts with no
+// link: as the sources of every fourth flow, in turn (bit 0), pairs
+// that cannot be walked, of which the run must report the one injected
+// first; one as the last flow's destination (bit 2), a route build
+// that fails. Bit 1 sends the last flow to a rank past the placement, which
+// New must reject as Run does.
+//
+// CI runs this as a smoke (`go test -fuzz=FuzzFlowPaths -fuzztime=10s`).
+func FuzzFlowPaths(f *testing.F) {
+	row := func(name string) uint8 {
+		return uint8(slices.IndexFunc(topology.Generators, func(g topology.Generator) bool { return g.Name == name }))
 	}
-	cfg := netsim.DefaultConfig()
-	flows := loadgen.Spec{
-		Ranks: len(hosts), Pattern: loadgen.Uniform(),
-		Sizes: loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64),
-		Load:  0.5, Flows: 256, Seed: 1, LinkBps: cfg.LinkBps,
-	}.MustGenerate().Flows
-	sched := make([]netsim.Flow, len(flows))
-	// bytes returns what f allocates.
-	bytes := func(f func()) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc - before.TotalAlloc)
-	}
-	const runs = 3
-	var run, compile float64
-	for i := 0; i <= runs; i++ {
-		routes, err := routing.FatTreeDFS{}.ComputeFor(g, hosts)
+	f.Add(row("fattree"), int64(1), uint8(40), uint8(0))
+	f.Add(row("fattree"), int64(2), uint8(12), uint8(1))   // an unroutable pair
+	f.Add(row("dragonfly"), int64(3), uint8(63), uint8(2)) // a destination out of range
+	f.Add(row("torus2d"), int64(4), uint8(50), uint8(0))   // several run shapes
+	f.Add(row("torus3d"), int64(5), uint8(63), uint8(1))
+	f.Add(row("mesh2d"), int64(7), uint8(20), uint8(4)) // a failing route build
+	f.Add(row("bcube"), int64(6), uint8(30), uint8(0))
+	f.Fuzz(func(t *testing.T, gen uint8, seed int64, n uint8, mods uint8) {
+		g, err := (&topology.Config{
+			Generator: topology.Generators[int(gen)%len(topology.Generators)].Name,
+			Params:    topology.Generators[int(gen)%len(topology.Generators)].Example,
+		}).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes.Lookup(hosts[0], 1, hosts[1], 0)
-		copy(sched, flows)
-		b := bytes(func() {
-			if _, err := Run(context.Background(), g, routes, cfg, hosts, sched); err != nil {
+		if mods&5 != 0 {
+			c := g.ToConfig()
+			c.Hosts = append(c.Hosts, "orphan-a", "orphan-b")
+			if g, err = c.Build(); err != nil {
 				t.Fatal(err)
 			}
-		})
-		c := bytes(func() { routes.Compile() })
-		if i > 0 { // the first run warms up
-			run += b / runs
-			compile += c / runs
 		}
-	}
-	t.Logf("Run: %.0f bytes; a FIB compile of the same routes: %.0f", run, compile)
-	if run > budget {
-		t.Errorf("Run on subset routes allocates %.0f bytes, budget %.0f", run, budget)
-	}
-	if run+compile <= budget {
-		t.Errorf("a Run that compiled the FIB (%.0f + %.0f bytes) would fit the budget of %.0f", run, compile, budget)
-	}
+		// Random pairs join the fabric's linked hosts; the orphans, when
+		// there are any, are the last two ranks.
+		var hosts []int
+		for _, h := range g.Hosts() {
+			if g.HostSwitch(h) >= 0 {
+				hosts = append(hosts, h)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+		ranks := len(hosts)
+		if mods&5 != 0 {
+			hosts = append(hosts, len(g.Vertices)-2, len(g.Vertices)-1)
+		}
+		dc := routing.ForTopology(g).(routing.DstComputer)
+		flows := make([]netsim.Flow, int(n)%64+1)
+		for i := range flows {
+			src := rng.Intn(ranks)
+			dst := (src + 1 + rng.Intn(ranks-1)) % ranks
+			flows[i] = netsim.Flow{Src: src, Dst: dst, Bytes: 1000, Start: netsim.Time(rng.Intn(4)), Tag: i}
+		}
+		if mods&1 != 0 {
+			for i := 0; i < len(flows); i += 4 {
+				flows[i].Src = ranks + i/4%2
+			}
+		}
+		if last := &flows[len(flows)-1]; mods&4 != 0 && last.Src != ranks {
+			last.Dst = ranks
+		}
+		if mods&2 != 0 {
+			flows[len(flows)-1].Dst = len(hosts)
+		}
+		cfg := netsim.DefaultConfig()
+		// The routes toward the schedule's destinations, as ComputeFor
+		// builds them.
+		var dsts []int
+		for i := range flows {
+			if d := flows[i].Dst; d < len(hosts) {
+				dsts = append(dsts, hosts[d])
+			}
+		}
+		ref, refErr := dc.ComputeFor(g, dsts)
+
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, workers := range []int{1, 4} {
+			runtime.GOMAXPROCS(workers)
+			sched := slices.Clone(flows)
+			s, err := New(g, cfg, hosts, sched)
+			if mods&2 != 0 {
+				if refErr != nil {
+					return
+				}
+				_, want := Run(context.Background(), g, ref, cfg, hosts, slices.Clone(flows))
+				if err == nil || want == nil || err.Error() != want.Error() {
+					t.Fatalf("%d workers: New: %v, Run: %v", workers, err, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = routing.ForEachBlock(g, dc, s.Dsts(), s.Walker)
+			if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+				t.Fatalf("%d workers: %s: blocks fail with %v, ComputeFor with %v", workers, g.Name, err, refErr)
+			}
+			if err != nil {
+				return
+			}
+			for _, w := range s.walkers {
+				w.final()
+			}
+			// The error the run reports is the failed pair's whose first
+			// flow injects earliest.
+			var want error
+			var first int32
+			for pid, fi := range s.head {
+				src, dst := hosts[sched[fi].Src], hosts[sched[fi].Dst]
+				var links []int32
+				walkErr := ref.Walk(src, dst, func(from, edge, _ int) {
+					if g.Edges[edge].A == from {
+						links = append(links, int32(2*edge))
+					} else {
+						links = append(links, int32(2*edge+1))
+					}
+				})
+				fibLinks, base, fibErr := fibPath(g, ref, &cfg, src, dst)
+				if (walkErr == nil) != (fibErr == nil) || walkErr != nil && walkErr.Error() != fibErr.Error() {
+					t.Fatalf("%d->%d: Walk error %v, FIB walk error %v", src, dst, walkErr, fibErr)
+				}
+				got := s.paths[pid]
+				if walkErr != nil {
+					if got.links != nil {
+						t.Fatalf("%d workers: %d->%d resolved to %v, ComputeFor's set fails: %v", workers, src, dst, got.links, walkErr)
+					}
+					if want == nil || injectionCmp(sched, fi, first) < 0 {
+						want, first = walkErr, fi
+					}
+					continue
+				}
+				if !slices.Equal(got.links, links) || !slices.Equal(got.links, fibLinks) || got.base != base {
+					t.Fatalf("%d workers: %d->%d: blocks resolve %v base %v, ComputeFor + Walk %v, FIB walk %v base %v",
+						workers, src, dst, got.links, got.base, links, fibLinks, base)
+				}
+			}
+			_, err = s.engine()
+			if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+				t.Fatalf("%d workers: the run fails with %v, want %v", workers, err, want)
+			}
+		}
+	})
 }

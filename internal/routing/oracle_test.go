@@ -220,10 +220,10 @@ func checkPlacement(t *testing.T, rng *rand.Rand, what string, nv int, rules []R
 	t.Helper()
 	want := slices.Clone(rules)
 	sortRulesReference(want)
-	if got := placeRuns(nv, dstRuns(rng, rules, false)); !slices.Equal(got, want) {
+	if got := placeRuns(nil, make([]int, 2*nv), nv, dstRuns(rng, rules, false)); !slices.Equal(got, want) {
 		t.Errorf("%s: placeRuns differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
 	}
-	if got := placeRuns(nv, dstRuns(rng, rules, true)); !slices.Equal(got, want) {
+	if got := placeRuns(nil, make([]int, 2*nv), nv, dstRuns(rng, rules, true)); !slices.Equal(got, want) {
 		t.Errorf("%s: placeRuns over split runs differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
 	}
 }
@@ -295,7 +295,7 @@ func FuzzPlaceRuns(f *testing.F) {
 			}
 		}
 		sortRulesReference(want)
-		if got := placeRuns(nv, runs); !slices.Equal(got, want) {
+		if got := placeRuns(nil, make([]int, 2*nv), nv, runs); !slices.Equal(got, want) {
 			t.Fatalf("placeRuns(%d, %d runs) differs from the stable sort at rule %d of %d:\n got %v\nwant %v",
 				nv, len(runs), firstDiff(got, want), len(want), got, want)
 		}
@@ -400,7 +400,7 @@ func FuzzComputeForDsts(f *testing.F) {
 				t.Fatalf("build toward %d: %v %v", d, err, runs[j].err)
 			}
 		}
-		want := placeRuns(len(g.Vertices), runs)
+		want := placeRuns(nil, make([]int, 2*len(g.Vertices)), len(g.Vertices), runs)
 		defer func() { computeWorkers = 0 }()
 		for _, workers := range []int{1, 4} {
 			computeWorkers = workers

@@ -153,9 +153,15 @@ func compareGroup(a, b *Rule) int {
 // stable comparator sort of the permutation. Rule positions are int32,
 // as in the FIB.
 func (r *Routes) buildIndex() {
-	if r.rowOff != nil {
-		return
+	if r.rowOff == nil {
+		r.indexInto(nil, nil)
 	}
+}
+
+// indexInto builds the lookup index into the storage of order and
+// rowOff, grown where it is too small: a caller that replaces the rules
+// of one route set again and again rebuilds its index in place.
+func (r *Routes) indexInto(order, rowOff []int32) {
 	rules := r.Rules
 	grouped, ranked := true, true
 	for i := 1; i < len(rules) && grouped; i++ {
@@ -167,7 +173,7 @@ func (r *Routes) buildIndex() {
 	}
 	r.order = nil
 	if !grouped || !ranked {
-		order := make([]int32, len(rules))
+		order = resize(order, len(rules))
 		for i := range order {
 			order[i] = int32(i)
 		}
@@ -183,7 +189,8 @@ func (r *Routes) buildIndex() {
 		}
 	}
 	n := len(r.Topo.Vertices)
-	rowOff := make([]int32, n+1)
+	rowOff = resize(rowOff, n+1)
+	clear(rowOff)
 	for i := range rules {
 		if sw := rules[i].Switch; sw < 0 {
 			rowOff[0]++
@@ -195,6 +202,15 @@ func (r *Routes) buildIndex() {
 		rowOff[s] += rowOff[s-1]
 	}
 	r.rowOff = rowOff
+}
+
+// resize returns s with n elements, in its own storage when that holds
+// them; the elements keep whatever they held.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // indexed returns the position in Rules of the rule at index position i.
@@ -296,8 +312,9 @@ func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
 }
 
 // computeWorkers is the worker count for per-destination route builds
-// (0 = GOMAXPROCS, 1 = serial): on the one-shape path, the number of
-// block builders, each taking every computeWorkers-th block; on the
+// (0 = GOMAXPROCS, 1 = serial): on the one-shape path and in
+// ForEachBlock, the number of block builders, each taking every
+// computeWorkers-th block; on the
 // general path, par.For's workers, one job per destination. The
 // determinism test forces it above 1 so the fan-out is exercised under
 // -race even on single-CPU machines.
@@ -369,9 +386,20 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	if err != nil {
 		return err
 	}
-	r.Rules = placeRuns(nv, runs)
+	r.Rules = placeRuns(nil, make([]int, 2*nv), nv, runs)
 	r.invalidate()
 	return nil
+}
+
+// blockWorkers is the number of block builders for the given number of
+// blocks: computeWorkers, or GOMAXPROCS when it is 0, and never more
+// than the blocks or fewer than one.
+func blockWorkers(blocks int) int {
+	workers := computeWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, blocks), 1)
 }
 
 // blockBuilder builds the runs of a block of destinations one after
@@ -492,11 +520,7 @@ func (l *runLayout) fill(b *blockBuilder, head []dstRun, build func(dst int, emi
 	out := make([]Rule, len(l.shape)*len(l.dsts))
 	l.put(out, 0, head)
 	blocks := (len(l.dsts) - len(head) + shapeBlock - 1) / shapeBlock
-	workers := computeWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(min(workers, blocks), 1)
+	workers := blockWorkers(blocks)
 	var broken atomic.Bool
 	par.For(workers, workers, func(w int) error {
 		wb := b
@@ -597,7 +621,8 @@ func compareRules(a, b Rule) int {
 
 // placeRuns returns the rules of the runs, concatenated in order and
 // stably sorted by compareRules, in time linear in the rules for the
-// runs the strategies produce. A stable sort whose leading key is a
+// runs the strategies produce. It writes them into out's storage,
+// grown when it is too small, and takes buf, 2*nv ints, as scratch. A stable sort whose leading key is a
 // switch vertex ID is a stable bucketing by switch — count, prefix-sum,
 // scatter in input order — followed by a stable sort of every switch's
 // segment on the remaining keys. The count pass also proves segments
@@ -611,7 +636,7 @@ func compareRules(a, b Rule) int {
 // came out of (Tag, InPort) order. The scatter widens each rule once,
 // straight into the final array. Runs naming a switch outside [0, nv)
 // are concatenated and comparator-sorted whole.
-func placeRuns(nv int, runs []dstRun) []Rule {
+func placeRuns(out []Rule, buf []int, nv int, runs []dstRun) []Rule {
 	// next[s] counts switch s's rules, then is the position of its next
 	// rule, and after the scatter the end of its segment. last[s] is the
 	// destination of switch s's latest rule, or math.MaxInt once a
@@ -619,8 +644,8 @@ func placeRuns(nv int, runs []dstRun) []Rule {
 	// destination exceeds it, so the segment stays unproven. (A real
 	// destination of math.MaxInt reads as unproven too, which only costs
 	// its segment a check.)
-	buf := make([]int, 2*nv)
-	next, last := buf[:nv], buf[nv:]
+	next, last := buf[:nv], buf[nv:2*nv]
+	clear(next)
 	total := 0
 	inRange := true
 	for _, run := range runs {
@@ -639,7 +664,7 @@ func placeRuns(nv int, runs []dstRun) []Rule {
 			next[sw]++
 		}
 	}
-	out := make([]Rule, total)
+	out = resize(out, total)
 	if !inRange {
 		at := 0
 		for _, run := range runs {
@@ -676,17 +701,28 @@ func placeRuns(nv int, runs []dstRun) []Rule {
 // function per destination host — true of every Table III strategy —
 // letting callers compute rules for a *subset* of destinations.
 // ComputeFor(g, subset) returns exactly the full route set restricted
-// to those destinations (pinned by TestComputeForMatchesSubset); on
-// fabrics too large to route in full — route sets grow as
-// switches × hosts, ~GBs on a 10k-host fat-tree — a flow-level run
-// needs rules only for the hosts that actually receive traffic, which
-// is what keeps internal/flowsim's path resolution affordable there.
+// to those destinations (pinned by TestComputeForMatchesSubset); route
+// sets grow as switches × hosts, ~GBs on a 10k-host fat-tree, so a
+// caller that routes toward a few hosts computes only their rules.
+// ForEachBlock builds the same rules a block of destinations at a time
+// for a caller that reads each block once and keeps none: a flow-level
+// run, which walks its host pairs and drops the rules.
 type DstComputer interface {
 	Strategy
 	// ComputeFor computes routes toward the given destination hosts
 	// only. Destinations are deduplicated and sorted, so equal sets
 	// produce byte-identical rule lists regardless of input order.
 	ComputeFor(g *topology.Graph, dsts []int) (*Routes, error)
+	// plan returns the route build ComputeFor runs.
+	plan() dstPlan
+}
+
+// dstPlan is a DstComputer's route build: the route set's strategy name
+// and VC count, and the per-destination builder.
+type dstPlan struct {
+	name string
+	vcs  int
+	mk   dstBuilder
 }
 
 // dstBuilder is the per-strategy factory behind the shared compute
@@ -696,31 +732,41 @@ type dstBuilder func(g *topology.Graph) (build func(dst int, emit func(Rule)) er
 
 // computeStrategy runs one strategy's per-destination builder over the
 // given destinations (nil = every host) and finalises the route set.
-func computeStrategy(g *topology.Graph, name string, vcs int, dsts []int, mk dstBuilder) (*Routes, error) {
+func computeStrategy(g *topology.Graph, p dstPlan, dsts []int) (*Routes, error) {
+	dsts, build, err := p.prepare(g, dsts)
+	if err != nil {
+		return nil, err
+	}
+	r := newRoutes(g, p.name, p.vcs)
+	if err := computeForDsts(r, g, dsts, build); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// prepare validates the destinations (nil = every host) and returns
+// them canonical, with the per-destination build.
+func (p dstPlan) prepare(g *topology.Graph, dsts []int) ([]int, func(dst int, emit func(Rule)) error, error) {
 	if dsts == nil {
 		dsts = g.Hosts()
 	} else {
 		var err error
 		if dsts, err = canonicalDsts(g, dsts); err != nil {
-			return nil, fmt.Errorf("routing: %s: %w", name, err)
+			return nil, nil, fmt.Errorf("routing: %s: %w", p.name, err)
 		}
 	}
 	// A configuration file may hold a host with no link; no strategy
 	// can route to it.
 	for _, d := range dsts {
 		if g.HostSwitch(d) < 0 {
-			return nil, fmt.Errorf("routing: %s: host %d has no switch", name, d)
+			return nil, nil, fmt.Errorf("routing: %s: host %d has no switch", p.name, d)
 		}
 	}
-	build, err := mk(g)
+	build, err := p.mk(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r := newRoutes(g, name, vcs)
-	if err := computeForDsts(r, g, dsts, build); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return dsts, build, nil
 }
 
 // canonicalDsts validates a destination subset (host vertices of g) and
@@ -754,14 +800,16 @@ type ShortestPath struct{}
 func (ShortestPath) Name() string { return "shortest-path" }
 
 // Compute implements Strategy.
-func (ShortestPath) Compute(g *topology.Graph) (*Routes, error) {
-	return computeStrategy(g, "shortest-path", 1, nil, shortestPathBuilder)
+func (s ShortestPath) Compute(g *topology.Graph) (*Routes, error) {
+	return computeStrategy(g, s.plan(), nil)
 }
 
 // ComputeFor implements DstComputer.
-func (ShortestPath) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
-	return computeStrategy(g, "shortest-path", 1, dsts, shortestPathBuilder)
+func (s ShortestPath) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
+	return computeStrategy(g, s.plan(), dsts)
 }
+
+func (ShortestPath) plan() dstPlan { return dstPlan{"shortest-path", 1, shortestPathBuilder} }
 
 // shortestPathBuilder returns the per-destination BFS-tree rule build.
 func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, error) {

@@ -19,14 +19,16 @@ type FatTreeDFS struct{}
 func (FatTreeDFS) Name() string { return "fattree-dfs" }
 
 // Compute implements Strategy.
-func (FatTreeDFS) Compute(g *topology.Graph) (*Routes, error) {
-	return computeStrategy(g, "fattree-dfs", 1, nil, fatTreeBuilder)
+func (s FatTreeDFS) Compute(g *topology.Graph) (*Routes, error) {
+	return computeStrategy(g, s.plan(), nil)
 }
 
 // ComputeFor implements DstComputer.
-func (FatTreeDFS) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
-	return computeStrategy(g, "fattree-dfs", 1, dsts, fatTreeBuilder)
+func (s FatTreeDFS) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
+	return computeStrategy(g, s.plan(), dsts)
 }
+
+func (FatTreeDFS) plan() dstPlan { return dstPlan{"fattree-dfs", 1, fatTreeBuilder} }
 
 // fatTreeBuilder validates fat-tree coordinates once and returns the
 // per-destination up-down rule build.
@@ -151,14 +153,16 @@ type DragonflyMinimal struct{}
 func (DragonflyMinimal) Name() string { return "dragonfly-minimal" }
 
 // Compute implements Strategy.
-func (DragonflyMinimal) Compute(g *topology.Graph) (*Routes, error) {
-	return computeStrategy(g, "dragonfly-minimal", 2, nil, dragonflyBuilder)
+func (s DragonflyMinimal) Compute(g *topology.Graph) (*Routes, error) {
+	return computeStrategy(g, s.plan(), nil)
 }
 
 // ComputeFor implements DstComputer.
-func (DragonflyMinimal) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
-	return computeStrategy(g, "dragonfly-minimal", 2, dsts, dragonflyBuilder)
+func (s DragonflyMinimal) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
+	return computeStrategy(g, s.plan(), dsts)
 }
+
+func (DragonflyMinimal) plan() dstPlan { return dstPlan{"dragonfly-minimal", 2, dragonflyBuilder} }
 
 // dragonflyBuilder indexes the group structure once and returns the
 // per-destination minimal-path rule build.
@@ -269,14 +273,14 @@ type MeshXY struct{}
 func (MeshXY) Name() string { return "mesh-xy" }
 
 // Compute implements Strategy.
-func (MeshXY) Compute(g *topology.Graph) (*Routes, error) {
-	return dimensionOrder(g, 2, false, "mesh-xy", nil)
-}
+func (s MeshXY) Compute(g *topology.Graph) (*Routes, error) { return computeStrategy(g, s.plan(), nil) }
 
 // ComputeFor implements DstComputer.
-func (MeshXY) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
-	return dimensionOrder(g, 2, false, "mesh-xy", dsts)
+func (s MeshXY) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
+	return computeStrategy(g, s.plan(), dsts)
 }
+
+func (MeshXY) plan() dstPlan { return dimensionOrder(2, false, "mesh-xy") }
 
 // MeshXYZ is Table III's 3D-Mesh strategy: X-Y-Z dimension order.
 type MeshXYZ struct{}
@@ -285,14 +289,16 @@ type MeshXYZ struct{}
 func (MeshXYZ) Name() string { return "mesh-xyz" }
 
 // Compute implements Strategy.
-func (MeshXYZ) Compute(g *topology.Graph) (*Routes, error) {
-	return dimensionOrder(g, 3, false, "mesh-xyz", nil)
+func (s MeshXYZ) Compute(g *topology.Graph) (*Routes, error) {
+	return computeStrategy(g, s.plan(), nil)
 }
 
 // ComputeFor implements DstComputer.
-func (MeshXYZ) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
-	return dimensionOrder(g, 3, false, "mesh-xyz", dsts)
+func (s MeshXYZ) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
+	return computeStrategy(g, s.plan(), dsts)
 }
+
+func (MeshXYZ) plan() dstPlan { return dimensionOrder(3, false, "mesh-xyz") }
 
 // TorusClue is Table III's 2D/3D-Torus strategy, after Clue (Xiang &
 // Luo): dimension-order routing with shortest wrap-around direction and
@@ -315,25 +321,27 @@ func (t TorusClue) dims() int {
 
 // Compute implements Strategy.
 func (t TorusClue) Compute(g *topology.Graph) (*Routes, error) {
-	return dimensionOrder(g, t.dims(), true, t.Name(), nil)
+	return computeStrategy(g, t.plan(), nil)
 }
 
 // ComputeFor implements DstComputer.
 func (t TorusClue) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
-	return dimensionOrder(g, t.dims(), true, t.Name(), dsts)
+	return computeStrategy(g, t.plan(), dsts)
 }
 
-// dimensionOrder implements XY/XYZ (mesh) and dateline-VC dimension
-// order (torus) over the given destinations (nil = every host). Switch
-// coordinates must be dims-long grid positions.
-func dimensionOrder(g *topology.Graph, dims int, torus bool, name string, dsts []int) (*Routes, error) {
+func (t TorusClue) plan() dstPlan { return dimensionOrder(t.dims(), true, t.Name()) }
+
+// dimensionOrder is the plan of XY/XYZ (mesh) and dateline-VC dimension
+// order (torus) routing. Switch coordinates must be dims-long grid
+// positions.
+func dimensionOrder(dims int, torus bool, name string) dstPlan {
 	vcs := 1
 	if torus {
 		vcs = 2
 	}
-	return computeStrategy(g, name, vcs, dsts, func(g *topology.Graph) (func(dst int, emit func(Rule)) error, error) {
+	return dstPlan{name, vcs, func(g *topology.Graph) (func(dst int, emit func(Rule)) error, error) {
 		return dimensionOrderBuilder(g, dims, torus)
-	})
+	}}
 }
 
 // dimensionOrderBuilder validates grid coordinates and precomputes the

@@ -1,10 +1,14 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/openflow"
@@ -314,6 +318,106 @@ func BenchmarkComputeForXL(b *testing.B) {
 		}
 		if r.Lookup(g.Switches()[0], 1, dsts[0], 0) == nil {
 			b.Fatalf("no rule toward %d among %d", dsts[0], len(r.Rules))
+		}
+	}
+}
+
+// TestForEachBlockMatchesComputeFor: every block ForEachBlock hands a
+// visitor holds exactly ComputeFor's rules toward the block, in
+// ComputeFor's order, for every strategy, at one worker and at four,
+// and every destination is in one block.
+func TestForEachBlockMatchesComputeFor(t *testing.T) {
+	defer func() { computeWorkers = 0 }()
+	for _, tc := range subsetCases() {
+		hosts := tc.graph.Hosts()
+		for _, workers := range []int{1, 4} {
+			computeWorkers = workers
+			var mu sync.Mutex
+			seen := map[int]int{}
+			err := ForEachBlock(tc.graph, tc.strategy, hosts, func(int) func(*Routes, []int) {
+				return func(r *Routes, block []int) {
+					want, err := tc.strategy.ComputeFor(tc.graph, block)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if r.Strategy != want.Strategy || r.NumVCs != want.NumVCs || !slices.Equal(r.Rules, want.Rules) {
+						t.Errorf("%s, %d workers: the block toward %v holds %d rules, ComputeFor %d, or they differ",
+							tc.name, workers, block, len(r.Rules), len(want.Rules))
+					}
+					mu.Lock()
+					for _, d := range block {
+						seen[d]++
+					}
+					mu.Unlock()
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for _, h := range hosts {
+				if seen[h] != 1 {
+					t.Errorf("%s, %d workers: host %d is in %d blocks", tc.name, workers, h, seen[h])
+				}
+			}
+		}
+	}
+}
+
+// failingAt is shortest-path routing whose build fails toward the
+// hosts it names.
+type failingAt map[int]bool
+
+func (failingAt) Name() string { return "failing" }
+
+func (f failingAt) Compute(g *topology.Graph) (*Routes, error) {
+	return computeStrategy(g, f.plan(), nil)
+}
+
+func (f failingAt) ComputeFor(g *topology.Graph, dsts []int) (*Routes, error) {
+	return computeStrategy(g, f.plan(), dsts)
+}
+
+func (f failingAt) plan() dstPlan {
+	return dstPlan{"failing", 1, func(g *topology.Graph) (func(int, func(Rule)) error, error) {
+		build, err := shortestPathBuilder(g)
+		return func(dst int, emit func(Rule)) error {
+			if f[dst] {
+				return fmt.Errorf("no route toward %d", dst)
+			}
+			return build(dst, emit)
+		}, err
+	}}
+}
+
+// TestForEachBlockReportsLowestFailure: when builds fail in several
+// blocks, ForEachBlock returns ComputeFor's error, the lowest failing
+// destination's, at one worker and at four, and visits every block
+// below it.
+func TestForEachBlockReportsLowestFailure(t *testing.T) {
+	defer func() { computeWorkers = 0 }()
+	g := topology.FatTree(8)
+	hosts := g.Hosts()
+	strat := failingAt{hosts[100]: true, hosts[41]: true, hosts[43]: true, hosts[90]: true}
+	_, want := strat.ComputeFor(g, hosts)
+	if want == nil || want.Error() != fmt.Sprintf("no route toward %d", hosts[41]) {
+		t.Fatalf("ComputeFor: %v", want)
+	}
+	for _, workers := range []int{1, 4} {
+		computeWorkers = workers
+		var visited atomic.Int64
+		err := ForEachBlock(g, strat, hosts, func(int) func(*Routes, []int) {
+			return func(_ *Routes, block []int) {
+				if block[0] < hosts[41] {
+					visited.Add(1)
+				}
+			}
+		})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%d workers: %v, want %v", workers, err, want)
+		}
+		if got := visited.Load(); got != 41/shapeBlock {
+			t.Errorf("%d workers: %d blocks below the failure visited, want %d", workers, got, 41/shapeBlock)
 		}
 	}
 }
