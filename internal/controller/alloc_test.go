@@ -2,7 +2,9 @@ package controller
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/projection"
 	"repro/internal/topology"
@@ -40,16 +42,54 @@ func deployTeardown(tb testing.TB, c *Controller, g *topology.Graph) {
 // that has deployed it before. The round allocated 93 085 objects while
 // every flow entry and its action list were allocated one by one,
 // 10 322 once CompileFlowTables carved them from chunks of up to 256
-// entries, and about 5 250 since Cut's restarts, the tables' lookup
-// indices and the cable pickers work in reused storage (10 250 just
-// before); the rest is mostly route computation and the plan's maps.
+// entries, and about 5 250 once Cut's restarts, the tables' lookup
+// indices and the cable pickers worked in reused storage. It read about
+// 714 while Deploy built the route set's FIB and the compile grew its
+// per-switch batches by append, and reads 331–334 (at GOMAXPROCS 1 to
+// 8, and under -race) now that the compile sizes its storage once: the
+// rest is mostly route computation, the plan's maps and Cut.
 func TestDeployAllocsBounded(t *testing.T) {
 	g := topology.Torus3D(4, 4, 4, 1)
 	c := sizedController(t, g)
 	perRound := testing.AllocsPerRun(3, func() { deployTeardown(t, c, g) })
-	const limit = 6000
+	const limit = 400
 	if perRound > limit {
 		t.Errorf("Deploy+Teardown of %s allocates %.0f objects, limit %d", g.Name, perRound, limit)
+	}
+}
+
+// TestDeployBytesBounded is the bytes budget beside the allocation one,
+// per flow entry the round installs (28 352 for Torus3D(4,4,4,1)). The
+// compile allocates, per entry, the 64-byte entry, its two 12-byte
+// actions and its 8-byte place in its switch's batch, once, sized by a
+// count; route computation adds its 48-byte rules. Measured on amd64:
+// 143–145 bytes per entry; the budget adds about 10 %. The round read
+// 267 bytes per entry with 88-byte entries and 24-byte actions in
+// doubling chunks, batches grown by append and a FIB built by every
+// Deploy.
+func TestDeployBytesBounded(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the budget is set for 64-bit targets")
+	}
+	g := topology.Torus3D(4, 4, 4, 1)
+	c := sizedController(t, g)
+	deployTeardown(t, c, g) // the tables keep their storage from here on
+	const rounds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		deployTeardown(t, c, g)
+	}
+	runtime.ReadMemStats(&after)
+	d, err := c.Deploy(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / rounds / float64(d.Entries)
+	t.Logf("Deploy+Teardown of %s: %.1f bytes per installed entry", g.Name, perEntry)
+	const budget = 160.0
+	if perEntry > budget {
+		t.Errorf("Deploy+Teardown of %s: %.1f bytes per installed entry, budget %.0f", g.Name, perEntry, budget)
 	}
 }
 

@@ -138,7 +138,8 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 	}
 	cookie := c.nextCookie + 1
 	tagBase := c.tagBase(projection.TagSpace(plan, routes))
-	switches, err := projection.CompileFlowTables(plan, routes, projection.CompileOptions{
+	before := c.EntryCount()
+	_, err = projection.CompileFlowTables(plan, routes, projection.CompileOptions{
 		Encoding: projection.TagEncoded,
 		Cookie:   cookie,
 		TagBase:  tagBase,
@@ -153,18 +154,11 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 		return nil, err
 	}
 	c.nextCookie = cookie
-	// The deployment's routes are shared read-only by every simulation
-	// of this topology; build their lookup index and FIB before any of
-	// them race.
-	routes.Prime()
-	entries := 0
-	for _, sw := range switches {
-		for _, e := range sw.Table.Entries() {
-			if e.Cookie == cookie {
-				entries++
-			}
-		}
-	}
+	// Only this deployment's entries went in since before. Its routes
+	// get no FIB here: nothing in a deployment forwards a packet, and a
+	// simulation that does builds it (core primes the deployment it
+	// shares across runs).
+	entries := c.EntryCount() - before
 	req := projection.Requirement{Method: projection.MethodSDT}
 	d := &Deployment{
 		Name: g.Name, Topo: g, Plan: plan, Routes: routes,
@@ -231,14 +225,17 @@ func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*D
 		return nil, fmt.Errorf("controller: topology %q not deployed", old)
 	}
 	// Table order is match order, so re-installing a switch's entries in
-	// the order they are listed reproduces their relative order.
-	installed := make([][]*openflow.FlowEntry, len(c.Physical))
+	// the order they are listed reproduces their relative order. Switch
+	// i's are saved[ends[i-1]:ends[i]].
+	saved := make([]*openflow.FlowEntry, 0, prev.Entries)
+	ends := make([]int, len(c.Physical))
 	for i, sw := range c.Physical {
 		for _, e := range sw.Table.Entries() {
 			if e.Cookie == prev.Cookie {
-				installed[i] = append(installed[i], e)
+				saved = append(saved, e)
 			}
 		}
+		ends[i] = len(saved)
 	}
 	c.remove(prev)
 	d, err := c.Deploy(g, opt)
@@ -251,10 +248,12 @@ func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*D
 	if rerr := prev.Plan.Acquire(c.alloc); rerr != nil {
 		return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 	}
+	lo := 0
 	for i, sw := range c.Physical {
-		if rerr := sw.Table.Install(installed[i]); rerr != nil {
+		if rerr := sw.Table.Install(saved[lo:ends[i]]); rerr != nil {
 			return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 		}
+		lo = ends[i]
 	}
 	c.deployments[old] = prev
 	return nil, err

@@ -160,19 +160,30 @@ func TestCoHostedDeployments(t *testing.T) {
 	}
 }
 
+// TestEntriesMatchDirectCompile: a deployment's Entries is what its
+// compile installs, also when it lands beside a live deployment.
 func TestEntriesMatchDirectCompile(t *testing.T) {
-	ft := topology.FatTree(4)
-	c := testbed(t, ft)
-	d, err := c.Deploy(ft, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	switches, err := projection.CompileFlowTables(d.Plan, d.Routes, projection.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if projection.EntryCount(switches) != d.Entries {
-		t.Errorf("controller entries %d != direct compile %d", d.Entries, projection.EntryCount(switches))
+	for _, tc := range []struct {
+		planFor *topology.Graph
+		deploy  []*topology.Graph
+	}{
+		{topology.FatTree(4), []*topology.Graph{topology.FatTree(4)}},
+		{topology.Line(10, 4), []*topology.Graph{topology.Line(3, 1), topology.Ring(4, 1)}},
+	} {
+		c := testbed(t, tc.planFor)
+		for _, g := range tc.deploy {
+			d, err := c.Deploy(g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switches, err := projection.CompileFlowTables(d.Plan, d.Routes, projection.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if projection.EntryCount(switches) != d.Entries {
+				t.Errorf("%s: controller entries %d != direct compile %d", g.Name, d.Entries, projection.EntryCount(switches))
+			}
+		}
 	}
 }
 

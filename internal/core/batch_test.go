@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -55,6 +57,60 @@ func TestRunBatchMatchesSerialRuns(t *testing.T) {
 				got[i].Events != want[i].Events {
 				t.Errorf("workers=%d job %d: got %+v, want %+v", workers, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestConcurrentRunsShareFreshDeployment runs SDT scenarios of one
+// topology side by side, with no Sweep to set them up: once on a
+// testbed whose controller has just deployed the topology (Deploy
+// builds no FIB) and once on a testbed where the first run deploys it.
+// Every run must give the serial result; under -race (CI's race step
+// runs this package) a run that reads the shared route set's lazily
+// built FIB or index while another builds it fails the test.
+func TestConcurrentRunsShareFreshDeployment(t *testing.T) {
+	g := topology.FatTree(4)
+	sc := Scenario{Topo: g, Trace: workload.Alltoall(6, 16*1024, 1), Mode: SDT}
+	mk := func(deploy bool) *Testbed {
+		tb, err := PaperTestbed([]*topology.Graph{g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deploy {
+			if _, err := tb.Ctl.Deploy(g, controller.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	want, err := Run(context.Background(), mk(false), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, deployed := range []bool{true, false} {
+		tb := mk(deployed)
+		const runs = 4
+		got := make([]*RunResult, runs)
+		errs := make([]error, runs)
+		var wg sync.WaitGroup
+		for i := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = Run(context.Background(), tb, sc)
+			}()
+		}
+		wg.Wait()
+		for i := range runs {
+			if errs[i] != nil {
+				t.Fatalf("deployed=%v run %d: %v", deployed, i, errs[i])
+			}
+			if got[i].ACT != want.ACT || got[i].Events != want.Events || got[i].Deploy != want.Deploy {
+				t.Errorf("deployed=%v run %d: got %+v, want %+v", deployed, i, got[i], want)
+			}
+		}
+		if n := len(tb.Ctl.Deployments()); n != 1 {
+			t.Errorf("deployed=%v: %d deployments, want 1", deployed, n)
 		}
 	}
 }

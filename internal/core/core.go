@@ -17,6 +17,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/controller"
@@ -56,6 +57,8 @@ func (m Mode) String() string {
 type Testbed struct {
 	Ctl *controller.Controller
 	Cfg netsim.Config
+
+	deploying sync.Mutex // serialises ensureDeployment
 }
 
 // NewTestbed plans cabling for the given topologies over the switches
@@ -149,12 +152,12 @@ func (tb *Testbed) network(g *topology.Graph, strat routing.Strategy, mode Mode,
 		if routes, err = strat.Compute(g); err != nil {
 			return nil, nil, err
 		}
+		// Build the lazy lookup index and FIB before the fabric
+		// forwards. A Fixed strategy's set may be shared by concurrent
+		// runs, and is then primed before their fan-out (Routes.Prime);
+		// Prime is idempotent.
+		routes.Prime()
 	}
-	// The route set may be shared across concurrent simulations (sweep
-	// siblings); make sure its lazy lookup index and compiled FIB exist
-	// before any fabric starts forwarding. (No-op for SDT: Deploy
-	// already primed.)
-	routes.Prime()
 	net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), cfg, crossbarOf, sdtExtra)
 	if err != nil {
 		return nil, nil, err
@@ -163,14 +166,26 @@ func (tb *Testbed) network(g *topology.Graph, strat routing.Strategy, mode Mode,
 }
 
 // ensureDeployment returns the live SDT deployment for g, deploying it
-// first if needed. Deploying mutates the controller, so this must not
-// run concurrently — Sweep primes deployments serially before its
-// fan-out.
+// first if needed, with its routes primed: every simulation of g
+// forwards on the same route set, and Deploy builds no FIB, so its
+// lookup index and FIB are built here, under the testbed's lock, before
+// any run that shares them reads them (Prime is idempotent). The lock
+// makes concurrent runs on one testbed safe, whether g was deployed
+// before (by Ctl.Deploy) or is deployed by the first of them; Sweep
+// also calls this serially before its fan-out, so a sweep's deploy
+// errors come first.
 func (tb *Testbed) ensureDeployment(g *topology.Graph, strat routing.Strategy) (*controller.Deployment, error) {
-	if dep := tb.Ctl.Deployment(g.Name); dep != nil {
-		return dep, nil
+	tb.deploying.Lock()
+	defer tb.deploying.Unlock()
+	dep := tb.Ctl.Deployment(g.Name)
+	if dep == nil {
+		var err error
+		if dep, err = tb.Ctl.Deploy(g, controller.Options{Strategy: strat}); err != nil {
+			return nil, err
+		}
 	}
-	return tb.Ctl.Deploy(g, controller.Options{Strategy: strat})
+	dep.Routes.Prime()
+	return dep, nil
 }
 
 // PickSpread deterministically selects n hosts spread across the list

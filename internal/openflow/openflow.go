@@ -11,7 +11,9 @@
 package openflow
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -21,13 +23,15 @@ import (
 const Any = -1
 
 // Match selects packets. Fields set to Any match everything; InPort 0
-// means any ingress port (ports are numbered from 1).
+// means any ingress port (ports are numbered from 1). The fields are
+// int32, as a switch's match fields are fixed-width: a table keeps one
+// Match per installed entry.
 type Match struct {
-	InPort  int // physical ingress port; 0 = any
-	SrcHost int // source endpoint ID; Any = wildcard
-	DstHost int // destination endpoint ID; Any = wildcard
-	Tag     int // VLAN-style tag carrying the virtual channel; Any = wildcard
-	Proto   int // protocol/traffic class; 0 = any
+	InPort  int32 // physical ingress port; 0 = any
+	SrcHost int32 // source endpoint ID; Any = wildcard
+	DstHost int32 // destination endpoint ID; Any = wildcard
+	Tag     int32 // VLAN-style tag carrying the virtual channel; Any = wildcard
+	Proto   int32 // protocol/traffic class; 0 = any
 }
 
 // MatchAll is the fully wildcarded match.
@@ -35,19 +39,19 @@ var MatchAll = Match{InPort: 0, SrcHost: Any, DstHost: Any, Tag: Any, Proto: 0}
 
 // Covers reports whether m matches packet metadata p.
 func (m Match) Covers(p PacketMeta) bool {
-	if m.InPort != 0 && m.InPort != p.InPort {
+	if m.InPort != 0 && int(m.InPort) != p.InPort {
 		return false
 	}
-	if m.SrcHost != Any && m.SrcHost != p.SrcHost {
+	if m.SrcHost != Any && int(m.SrcHost) != p.SrcHost {
 		return false
 	}
-	if m.DstHost != Any && m.DstHost != p.DstHost {
+	if m.DstHost != Any && int(m.DstHost) != p.DstHost {
 		return false
 	}
-	if m.Tag != Any && m.Tag != p.Tag {
+	if m.Tag != Any && int(m.Tag) != p.Tag {
 		return false
 	}
-	if m.Proto != 0 && m.Proto != p.Proto {
+	if m.Proto != 0 && int(m.Proto) != p.Proto {
 		return false
 	}
 	return true
@@ -78,7 +82,7 @@ func (m Match) String() string {
 }
 
 // ActionType enumerates flow actions.
-type ActionType int
+type ActionType uint8
 
 const (
 	// Output forwards the packet out of Action.Port.
@@ -90,11 +94,11 @@ const (
 	Drop
 )
 
-// Action is one element of an entry's action list.
+// Action is one element of an entry's action list: 12 bytes.
 type Action struct {
 	Type ActionType
-	Port int // for Output
-	Tag  int // for SetTag
+	Port int32 // for Output
+	Tag  int32 // for SetTag
 }
 
 func (a Action) String() string {
@@ -108,15 +112,16 @@ func (a Action) String() string {
 	}
 }
 
-// FlowEntry is one row of a flow table. Higher Priority wins; among
-// equal priorities the earliest-installed entry wins (stable order).
+// FlowEntry is one row of a flow table: 64 bytes on 64-bit targets.
+// Higher Priority wins; among equal priorities the earliest-installed
+// entry wins (stable order).
 type FlowEntry struct {
-	Priority int
+	Priority int32
 	Match    Match
 	Actions  []Action
 	Cookie   uint64 // controller-assigned grouping ID (per logical topology)
 
-	seq int // install order for stable tie-breaking
+	seq int32 // install order for stable tie-breaking
 }
 
 func (e *FlowEntry) String() string {
@@ -149,7 +154,7 @@ func (e *ErrTableFull) Error() string {
 type Table struct {
 	Capacity int // 0 = unlimited
 	entries  []*FlowEntry
-	nextSeq  int
+	nextSeq  int32
 	owner    string
 }
 
@@ -177,6 +182,9 @@ func (t *Table) Install(es []*FlowEntry) error {
 	if len(es) == 0 {
 		return full
 	}
+	if int(t.nextSeq) > math.MaxInt32-len(es) {
+		t.renumber()
+	}
 	for _, e := range es {
 		e.seq = t.nextSeq
 		t.nextSeq++
@@ -196,6 +204,17 @@ func (t *Table) Install(es []*FlowEntry) error {
 		hi = lo
 	}
 	return full
+}
+
+// renumber gives the installed entries the seqs 0, 1, ... in match
+// order, which keeps their order, so that a table that has seen 2^31
+// installs keeps numbering new entries after the old ones instead of
+// wrapping.
+func (t *Table) renumber() {
+	for i, e := range t.entries {
+		e.seq = int32(i)
+	}
+	t.nextSeq = int32(len(t.entries))
 }
 
 // RemoveCookie deletes all entries with the given cookie and returns
@@ -235,11 +254,17 @@ func before(a, b *FlowEntry) bool {
 // matchOrdered returns es in match order. The seqs ascend along es, so
 // that is a stable sort by descending priority, done as a counting sort
 // over the batch's distinct priorities: O(len(es) · distinct), and a
-// batch carries few (CompileFlowTables emits at most four). A batch of one
-// priority is already in order and is returned as it is.
+// batch carries few (CompileFlowTables emits at most four). A batch
+// whose priorities never rise — one priority, or CompileFlowTables'
+// batches, which it groups by priority — is already in order and is
+// returned as it is.
 func matchOrdered(es []*FlowEntry) []*FlowEntry {
-	var buf [2][8]int
-	prios, next := buf[0][:0], buf[1][:0] // distinct priorities, descending; entries of each
+	if slices.IsSortedFunc(es, func(a, b *FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) }) {
+		return es
+	}
+	var pbuf [8]int32
+	var nbuf [8]int
+	prios, next := pbuf[:0], nbuf[:0] // distinct priorities, descending; entries of each
 	for _, e := range es {
 		i := 0
 		for i < len(prios) && prios[i] > e.Priority {
@@ -251,9 +276,6 @@ func matchOrdered(es []*FlowEntry) []*FlowEntry {
 		}
 		prios = slices.Insert(prios, i, e.Priority)
 		next = slices.Insert(next, i, 1)
-	}
-	if len(prios) == 1 {
-		return es
 	}
 	for i, at := 0, 0; i < len(next); i++ { // counts -> first slots
 		next[i], at = at, at+next[i]
@@ -333,9 +355,9 @@ func (s *Switch) Process(p PacketMeta) Forwarding {
 	for _, a := range e.Actions {
 		switch a.Type {
 		case SetTag:
-			fwd.Tag = a.Tag
+			fwd.Tag = int(a.Tag)
 		case Output:
-			fwd.OutPort = a.Port
+			fwd.OutPort = int(a.Port)
 		case Drop:
 			fwd.Dropped = true
 		}

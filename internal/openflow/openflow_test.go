@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -101,7 +102,7 @@ func TestLookupWildcardAgainstExact(t *testing.T) {
 
 func TestTableCapacity(t *testing.T) {
 	tbl := Table{Capacity: 2, owner: "sw1"}
-	for i := 0; i < 2; i++ {
+	for i := int32(0); i < 2; i++ {
 		if err := tbl.Add(FlowEntry{Priority: i, Match: MatchAll}); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestTableCapacity(t *testing.T) {
 
 func TestRemoveCookie(t *testing.T) {
 	var tbl Table
-	for i := 0; i < 5; i++ {
+	for i := int32(0); i < 5; i++ {
 		cookie := uint64(i % 2)
 		_ = tbl.Add(FlowEntry{Priority: i, Match: MatchAll, Cookie: cookie})
 	}
@@ -152,15 +153,46 @@ func TestSwitchProcessForwardAndCount(t *testing.T) {
 	}
 }
 
-// TestFlowEntrySize pins FlowEntry at 88 bytes on 64-bit targets: a
-// table keeps one per installed rule, so a field added to every entry
-// shows up in every deployment's footprint.
+// TestFlowEntrySize pins FlowEntry at 64 bytes on 64-bit targets (88
+// while its fields were int) and Action at 12: a table keeps one entry
+// per installed rule and about two actions per entry, so a field added
+// to either, or widened, shows up in every deployment's footprint.
 func TestFlowEntrySize(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the size is pinned for 64-bit targets")
+	if got := unsafe.Sizeof(Action{}); got != 12 {
+		t.Errorf("Action is %d bytes, want 12", got)
 	}
-	if got := unsafe.Sizeof(FlowEntry{}); got != 88 {
-		t.Errorf("FlowEntry is %d bytes, want 88", got)
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the entry size is pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(FlowEntry{}); got != 64 {
+		t.Errorf("FlowEntry is %d bytes, want 64", got)
+	}
+}
+
+// TestInstallRenumbersBeforeSeqWraps: a table whose install counter is
+// about to pass the int32 range renumbers its entries instead of
+// wrapping, so entries installed after that still sort after the
+// earlier ones of their priority.
+func TestInstallRenumbersBeforeSeqWraps(t *testing.T) {
+	var tbl Table
+	for i := int32(1); i <= 3; i++ {
+		if err := tbl.Add(FlowEntry{Priority: 10, Match: MatchAll, Actions: []Action{{Type: Output, Port: i}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.nextSeq = math.MaxInt32 - 1
+	for i := int32(4); i <= 6; i++ {
+		if err := tbl.Add(FlowEntry{Priority: 10, Match: MatchAll, Actions: []Action{{Type: Output, Port: i}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, e := range tbl.Entries() {
+		if e.Actions[0].Port != int32(i+1) {
+			t.Fatalf("Entries()[%d] is install #%d, want #%d", i, e.Actions[0].Port, i+1)
+		}
+	}
+	if got := tbl.Lookup(PacketMeta{}); got.Actions[0].Port != 1 {
+		t.Errorf("Lookup returns install #%d, want the first, #1", got.Actions[0].Port)
 	}
 }
 
@@ -232,13 +264,13 @@ func TestQuickLookupIsMaxPriority(t *testing.T) {
 		for _, p := range prios {
 			m := MatchAll
 			if p%3 == 0 {
-				m.InPort = int(p%4) + 1
+				m.InPort = int32(p%4) + 1
 			}
-			_ = tbl.Add(FlowEntry{Priority: int(p), Match: m})
+			_ = tbl.Add(FlowEntry{Priority: int32(p), Match: m})
 		}
 		pkt := PacketMeta{InPort: int(inPort%4) + 1}
 		got := tbl.Lookup(pkt)
-		best := -1
+		best := int32(-1)
 		for _, e := range tbl.Entries() {
 			if e.Match.Covers(pkt) && e.Priority > best {
 				best = e.Priority
@@ -258,17 +290,16 @@ func TestQuickLookupIsMaxPriority(t *testing.T) {
 // packet, widening any field to Any still covers it.
 func TestQuickWildcardMonotone(t *testing.T) {
 	f := func(in, src, dst, tag uint8) bool {
-		p := PacketMeta{InPort: int(in)%8 + 1, SrcHost: int(src), DstHost: int(dst), Tag: int(tag) % 4}
-		exact := Match{InPort: p.InPort, SrcHost: p.SrcHost, DstHost: p.DstHost, Tag: p.Tag}
+		exact := Match{InPort: int32(in)%8 + 1, SrcHost: int32(src), DstHost: int32(dst), Tag: int32(tag) % 4}
+		p := PacketMeta{InPort: int(exact.InPort), SrcHost: int(exact.SrcHost), DstHost: int(exact.DstHost), Tag: int(exact.Tag)}
 		if !exact.Covers(p) {
 			return false
 		}
-		widened := []Match{
-			{InPort: 0, SrcHost: p.SrcHost, DstHost: p.DstHost, Tag: p.Tag},
-			{InPort: p.InPort, SrcHost: Any, DstHost: p.DstHost, Tag: p.Tag},
-			{InPort: p.InPort, SrcHost: p.SrcHost, DstHost: Any, Tag: p.Tag},
-			{InPort: p.InPort, SrcHost: p.SrcHost, DstHost: p.DstHost, Tag: Any},
-		}
+		widened := []Match{exact, exact, exact, exact}
+		widened[0].InPort = 0
+		widened[1].SrcHost = Any
+		widened[2].DstHost = Any
+		widened[3].Tag = Any
 		for _, w := range widened {
 			if !w.Covers(p) {
 				return false
@@ -283,7 +314,7 @@ func TestQuickWildcardMonotone(t *testing.T) {
 
 func BenchmarkLookup(b *testing.B) {
 	var tbl Table
-	for i := 0; i < 300; i++ {
+	for i := int32(0); i < 300; i++ {
 		_ = tbl.Add(FlowEntry{
 			Priority: 10,
 			Match:    Match{InPort: i%32 + 1, SrcHost: Any, DstHost: i, Tag: Any},
@@ -308,16 +339,16 @@ func BenchmarkLookup(b *testing.B) {
 // reads, so a write the detector misses once is caught in another.
 func TestLookupNeedsNoPrime(t *testing.T) {
 	sw := NewSwitch("s1", 8, 0)
-	entry := func(i int, cookie uint64) FlowEntry {
+	entry := func(i int32, cookie uint64) FlowEntry {
 		m := Match{InPort: i % 9, SrcHost: Any, DstHost: i % 40, Tag: Any}
 		if i%5 == 0 {
 			m.DstHost = Any
 			m.Tag = i % 3
 		}
-		return FlowEntry{Priority: []int{10, 14, 20}[i%3], Match: m,
+		return FlowEntry{Priority: []int32{10, 14, 20}[i%3], Match: m,
 			Actions: []Action{{Type: SetTag, Tag: i % 4}, {Type: Output, Port: 1 + i%8}}, Cookie: cookie}
 	}
-	for i := 0; i < 300; i++ {
+	for i := int32(0); i < 300; i++ {
 		if err := sw.Table.Add(entry(i, uint64(i%2))); err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +370,7 @@ func TestLookupNeedsNoPrime(t *testing.T) {
 		// Install a topology's entries and tear them down again: the
 		// table holds what it held, and the reads below are the first
 		// ones after a mutation.
-		for i := 0; i < 20; i++ {
+		for i := int32(0); i < 20; i++ {
 			if err := sw.Table.Add(entry(i, 9)); err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,7 @@ import (
 // before) and a RemoveCookie that builds a fresh slice.
 type refTable struct {
 	entries []*FlowEntry
-	nextSeq int
+	nextSeq int32
 }
 
 func (r *refTable) add(e FlowEntry) {
@@ -47,7 +47,7 @@ func entryID(e *FlowEntry) int {
 	if e == nil {
 		return -1
 	}
-	return e.Actions[0].Port
+	return int(e.Actions[0].Port)
 }
 
 // TestAddRemoveMatchesStableSortReference drives random interleavings
@@ -91,18 +91,18 @@ func TestAddRemoveMatchesStableSortReference(t *testing.T) {
 			}
 			m := Match{SrcHost: Any, DstHost: Any, Tag: Any}
 			if rng.Intn(3) > 0 {
-				m.DstHost = rng.Intn(4)
+				m.DstHost = rng.Int31n(4)
 			}
 			if rng.Intn(3) == 0 {
-				m.InPort = 1 + rng.Intn(2)
+				m.InPort = 1 + rng.Int31n(2)
 			}
 			if rng.Intn(3) == 0 {
-				m.Tag = rng.Intn(2)
+				m.Tag = rng.Int31n(2)
 			}
 			e := FlowEntry{
-				Priority: []int{10, 14, 20, rng.Intn(30)}[rng.Intn(4)],
+				Priority: []int32{10, 14, 20, rng.Int31n(30)}[rng.Intn(4)],
 				Match:    m,
-				Actions:  []Action{{Type: Output, Port: id}},
+				Actions:  []Action{{Type: Output, Port: int32(id)}},
 				Cookie:   uint64(rng.Intn(3)),
 			}
 			id++
@@ -121,7 +121,7 @@ func TestAddRemoveMatchesStableSortReference(t *testing.T) {
 // later installs correctly.
 func TestRemoveCookieReleasesRemovedEntries(t *testing.T) {
 	var tab Table
-	for i := 0; i < 64; i++ {
+	for i := int32(0); i < 64; i++ {
 		if err := tab.Add(FlowEntry{Priority: 10 + i%3, Match: MatchAll, Cookie: uint64(i % 2)}); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestRemoveCookieReleasesRemovedEntries(t *testing.T) {
 			t.Fatalf("backing array slot len+%d still points at removed entry (cookie %d)", i, e.Cookie)
 		}
 	}
-	for _, prio := range []int{11, 12, 10, 11} {
+	for _, prio := range []int32{11, 12, 10, 11} {
 		if err := tab.Add(FlowEntry{Priority: prio, Match: MatchAll, Cookie: 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +156,8 @@ func TestRemoveCookieReleasesRemovedEntries(t *testing.T) {
 func BenchmarkTableAdd(b *testing.B) {
 	const n = 16384
 	entries := make([]FlowEntry, n)
-	for i := range entries {
-		prio := 20
+	for i := range int32(n) {
+		prio := int32(20)
 		if i < n*3/4 {
 			prio = 10
 			if i%4 == 0 {
@@ -208,18 +208,18 @@ func FuzzTableInstall(f *testing.F) {
 			for i := range es {
 				m := Match{SrcHost: Any, DstHost: Any, Tag: Any}
 				if rng.Intn(3) > 0 {
-					m.DstHost = rng.Intn(6)
+					m.DstHost = rng.Int31n(6)
 				}
 				if rng.Intn(3) == 0 {
-					m.InPort = 1 + rng.Intn(2)
+					m.InPort = 1 + rng.Int31n(2)
 				}
 				if rng.Intn(3) == 0 {
-					m.Tag = rng.Intn(2)
+					m.Tag = rng.Int31n(2)
 				}
 				es[i] = FlowEntry{
-					Priority: []int{10, 14, 20, rng.Intn(30)}[rng.Intn(4)],
+					Priority: []int32{10, 14, 20, rng.Int31n(30)}[rng.Intn(4)],
 					Match:    m,
-					Actions:  []Action{{Type: Output, Port: id}},
+					Actions:  []Action{{Type: Output, Port: int32(id)}},
 					Cookie:   uint64(rng.Intn(3)),
 				}
 				id++

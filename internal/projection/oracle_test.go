@@ -550,3 +550,22 @@ func TestRequirementsUnchanged(t *testing.T) {
 		t.Errorf("Requirements digest %s, want %s", got, want)
 	}
 }
+
+// subSwitchPortsReference is Plan.SubSwitchPorts as it was before
+// CompileFlowTables grouped the port map once per compile: a scan of
+// the whole map and an insertion sort, per call. It is the oracle for
+// groupPorts.
+func subSwitchPortsReference(p *Plan, v int) []PortRef {
+	var out []PortRef
+	for key, ref := range p.Ports {
+		if key.Vertex == v {
+			out = append(out, ref)
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && (out[j].Switch < out[j-1].Switch || (out[j].Switch == out[j-1].Switch && out[j].Port < out[j-1].Port)); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}

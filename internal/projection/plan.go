@@ -213,27 +213,6 @@ func (p *Plan) CrossbarOf(v int) int {
 	return p.PartToSwitch[p.Parts.Assign[v]]
 }
 
-// SubSwitchPorts returns the physical ports grouped into the sub-switch
-// of logical switch v (host-facing ports included), sorted.
-func (p *Plan) SubSwitchPorts(v int) []PortRef {
-	var out []PortRef
-	for key, ref := range p.Ports {
-		if key.Vertex == v {
-			out = append(out, ref)
-		}
-	}
-	sortPortRefs(out)
-	return out
-}
-
-func sortPortRefs(s []PortRef) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && (s[j].Switch < s[j-1].Switch || (s[j].Switch == s[j-1].Switch && s[j].Port < s[j-1].Port)); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Project runs SDT Link Projection of g onto cab using a fresh
 // allocation (the whole testbed dedicated to this topology).
 func Project(g *topology.Graph, cab *Cabling, opt partition.Options) (*Plan, error) {

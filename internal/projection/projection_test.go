@@ -433,7 +433,10 @@ func TestCompileOverflowStopsWhereAddWould(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type emit struct{ sw, prio int }
+	type emit struct {
+		sw   int
+		prio int32
+	}
 	var order []emit
 	for _, rule := range routes.Rules {
 		e := emit{plan.Ports[PortKey{rule.Switch, rule.OutPort}].Switch, 10}
@@ -460,8 +463,8 @@ func TestCompileOverflowStopsWhereAddWould(t *testing.T) {
 		}
 		return sw
 	}
-	byPrio := func(sw *openflow.Switch) map[int][]string {
-		m := map[int][]string{}
+	byPrio := func(sw *openflow.Switch) map[int32][]string {
+		m := map[int32][]string{}
 		for _, e := range sw.Table.Entries() {
 			m[e.Priority] = append(m[e.Priority], e.String())
 		}
@@ -478,9 +481,9 @@ func TestCompileOverflowStopsWhereAddWould(t *testing.T) {
 		for capacity := 1; capacity < all[small].Table.Len(); capacity++ {
 			caps := make([]int, len(all))
 			caps[small] = capacity
-			want := make([]map[int]int, len(all)) // per switch: priority -> entries installed
+			want := make([]map[int32]int, len(all)) // per switch: priority -> entries installed
 			for i := range want {
-				want[i] = map[int]int{}
+				want[i] = map[int32]int{}
 			}
 			lens := make([]int, len(all))
 			for _, e := range order {

@@ -1,7 +1,9 @@
 package projection
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/openflow"
 	"repro/internal/routing"
@@ -47,7 +49,9 @@ func TagSpace(p *Plan, r *routing.Routes) int {
 
 // CompileFlowTables converts a route set into flow entries on the
 // physical switches according to the plan's port mapping. The returned
-// slice has one switch per cabling switch (indices align).
+// slice has one switch per cabling switch (indices align). A value that
+// does not fit an entry's int32 fields (a tag, a host, a port) fails the
+// compile; nothing is truncated.
 func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openflow.Switch, error) {
 	g := p.Topo
 	if r.Topo != g {
@@ -99,120 +103,77 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		return ref, false, o, nil
 	}
 
-	// Each switch's entries are collected in emission order and
-	// installed with one merge (Table.Install) at the end. An entry that
-	// would overflow its table fails where one Add per entry would: what
-	// was emitted before it is installed first, then Add reports the
-	// same *ErrTableFull, so Deploy's roll-back starts from the same
-	// tables.
-	pending := make([][]*openflow.FlowEntry, len(switches))
-	flush := func() error {
-		for i, es := range pending {
-			if err := switches[i].Table.Install(es); err != nil {
-				return err
-			}
-			pending[i] = nil
-		}
-		return nil
+	var sub portGroups // PerInPort: the ports a wildcard-ingress rule expands over
+	if opt.Encoding == PerInPort {
+		sub = groupPorts(p)
 	}
-	var slab entrySlab
-	add := func(sw int, e openflow.FlowEntry) error {
-		e.Cookie = opt.Cookie
-		t := &switches[sw].Table
-		if t.Capacity > 0 && t.Len()+len(pending[sw]) >= t.Capacity {
-			if err := flush(); err != nil {
-				return err
-			}
-			return t.Add(e)
-		}
-		pending[sw] = append(pending[sw], slab.entry(e))
-		return nil
-	}
-
+	b := newEntryStore(p, r, opt, vcs, sub, switches)
 	for _, rule := range r.Rules {
 		ref, toHost, peer, err := outInfo(rule)
 		if err != nil {
 			return nil, err
 		}
-		outVC := func(inVC int) int {
-			if rule.NewTag >= 0 {
-				return rule.NewTag
-			}
-			return inVC
-		}
+		prio := rulePrio(opt.Encoding, &rule)
 		switch opt.Encoding {
 		case TagEncoded:
+			m := openflow.Match{SrcHost: openflow.Any, DstHost: b.i32(rule.Dst)}
+			if rule.InPort != 0 {
+				inRef, err := physPort(rule.Switch, rule.InPort)
+				if err != nil {
+					return nil, err
+				}
+				m.InPort = b.i32(inRef.Port)
+			}
 			vcLo, vcHi := 0, vcs // a wildcard rule covers every VC
 			if rule.Tag != openflow.Any {
 				vcLo, vcHi = rule.Tag, rule.Tag+1
 			}
 			for vc := vcLo; vc < vcHi; vc++ {
-				m := openflow.Match{
-					InPort:  0,
-					SrcHost: openflow.Any,
-					DstHost: rule.Dst,
-					Tag:     enc(rule.Switch, vc),
-				}
-				prio := 10
-				if rule.InPort != 0 {
-					inRef, err := physPort(rule.Switch, rule.InPort)
-					if err != nil {
-						return nil, err
+				m.Tag = b.i32(enc(rule.Switch, vc))
+				tag := 0 // a packet leaves toward a host untagged
+				if !toHost {
+					outVC := vc
+					if rule.NewTag >= 0 {
+						outVC = rule.NewTag
 					}
-					m.InPort = inRef.Port
-					prio += 4
+					tag = enc(peer, outVC)
 				}
-				var actions []openflow.Action
-				if toHost {
-					actions = slab.actions(openflow.Action{Type: openflow.SetTag, Tag: 0}, openflow.Action{Type: openflow.Output, Port: ref.Port})
-				} else {
-					actions = slab.actions(
-						openflow.Action{Type: openflow.SetTag, Tag: enc(peer, outVC(vc))},
-						openflow.Action{Type: openflow.Output, Port: ref.Port},
-					)
-				}
-				if err := add(ref.Switch, openflow.FlowEntry{Priority: prio, Match: m, Actions: actions}); err != nil {
+				err := b.add(ref.Switch, prio, m,
+					openflow.Action{Type: openflow.SetTag, Tag: b.i32(tag)},
+					openflow.Action{Type: openflow.Output, Port: b.i32(ref.Port)})
+				if err != nil {
 					return nil, err
 				}
 			}
 		case PerInPort:
-			var inPorts []PortRef
+			inPorts := sub.of(rule.Switch)
 			if rule.InPort != 0 {
 				inRef, err := physPort(rule.Switch, rule.InPort)
 				if err != nil {
 					return nil, err
 				}
 				inPorts = []PortRef{inRef}
-			} else {
-				inPorts = p.SubSwitchPorts(rule.Switch)
 			}
+			var buf [3]openflow.Action
+			actions := buf[:0]
+			if rule.NewTag >= 0 {
+				actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: b.i32(rule.NewTag)})
+			}
+			if toHost {
+				actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: 0})
+			}
+			actions = append(actions, openflow.Action{Type: openflow.Output, Port: b.i32(ref.Port)})
 			for _, inRef := range inPorts {
 				if inRef == ref {
 					continue // never hairpin back out the ingress port
 				}
 				m := openflow.Match{
-					InPort:  inRef.Port,
+					InPort:  b.i32(inRef.Port),
 					SrcHost: openflow.Any,
-					DstHost: rule.Dst,
-					Tag:     rule.Tag,
+					DstHost: b.i32(rule.Dst),
+					Tag:     b.i32(rule.Tag),
 				}
-				prio := 10
-				if rule.InPort != 0 {
-					prio += 4
-				}
-				if rule.Tag != openflow.Any {
-					prio += 2
-				}
-				var buf [3]openflow.Action
-				actions := buf[:0]
-				if rule.NewTag >= 0 {
-					actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: rule.NewTag})
-				}
-				if toHost {
-					actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: 0})
-				}
-				actions = append(actions, openflow.Action{Type: openflow.Output, Port: ref.Port})
-				if err := add(ref.Switch, openflow.FlowEntry{Priority: prio, Match: m, Actions: slab.actions(actions...)}); err != nil {
+				if err := b.add(ref.Switch, prio, m, actions...); err != nil {
 					return nil, err
 				}
 			}
@@ -243,74 +204,245 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 				if err != nil {
 					return nil, err
 				}
-				vcOut := 0
-				if rule.NewTag >= 0 {
-					vcOut = rule.NewTag
-				}
-				var actions []openflow.Action
+				m := openflow.Match{InPort: b.i32(attach.Port), SrcHost: openflow.Any, DstHost: b.i32(dst), Tag: 0}
+				out := openflow.Action{Type: openflow.Output, Port: b.i32(ref.Port)}
 				if toHost {
-					actions = slab.actions(openflow.Action{Type: openflow.Output, Port: ref.Port})
+					err = b.add(attach.Switch, prioInject, m, out)
 				} else {
-					actions = slab.actions(
-						openflow.Action{Type: openflow.SetTag, Tag: enc(peer, vcOut)},
-						openflow.Action{Type: openflow.Output, Port: ref.Port},
-					)
+					vcOut := 0
+					if rule.NewTag >= 0 {
+						vcOut = rule.NewTag
+					}
+					err = b.add(attach.Switch, prioInject, m, openflow.Action{Type: openflow.SetTag, Tag: b.i32(enc(peer, vcOut))}, out)
 				}
-				err = add(attach.Switch, openflow.FlowEntry{
-					Priority: 20,
-					Match: openflow.Match{
-						InPort:  attach.Port,
-						SrcHost: openflow.Any,
-						DstHost: dst,
-						Tag:     0,
-					},
-					Actions: actions,
-				})
 				if err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := b.install(); err != nil {
 		return nil, err
 	}
 	return switches, nil
 }
 
-// entrySlab carves a compile's entries and action lists out of chunks
-// instead of two allocations per entry. Chunks double from a small
-// first one up to slabChunk entries (and twice as many actions), so a
-// small compile allocates little, a large one leaves at most part of
-// one chunk unused, and every chunk stays below the runtime's 32 KB
-// large-object size. Every entry of a compile carries its cookie, so a
-// teardown frees the chunks whole.
-type entrySlab struct {
-	entries []openflow.FlowEntry
-	acts    []openflow.Action
-}
+// The priorities CompileFlowTables gives entries: a rule's entries get
+// rulePrio; TagEncoded's injection entries get prioInject, above them
+// all.
+const (
+	prioRule   = 10
+	prioInPort = 4
+	prioTag    = 2
+	prioInject = 20
+)
 
-const slabChunk = 256
+// prioSlots is the number of priority classes a switch's entries are
+// grouped in, one per even priority from prioInject down to prioRule;
+// prioSlot(prio) is prio's class, highest priority first.
+const prioSlots = (prioInject-prioRule)/2 + 1
 
-// entry returns a pointer to a slab copy of e.
-func (s *entrySlab) entry(e openflow.FlowEntry) *openflow.FlowEntry {
-	if len(s.entries) == cap(s.entries) {
-		s.entries = make([]openflow.FlowEntry, 0, min(slabChunk, max(16, 2*cap(s.entries))))
+func prioSlot(prio int) int { return (prioInject - prio) / 2 }
+
+// rulePrio is the priority of a rule's entries under enc: prioRule,
+// plus prioInPort when the rule names an ingress port and, under
+// PerInPort, plus prioTag when it requires a tag.
+func rulePrio(enc Encoding, rule *routing.Rule) int {
+	prio := prioRule
+	if rule.InPort != 0 {
+		prio += prioInPort
 	}
-	s.entries = append(s.entries, e)
-	return &s.entries[len(s.entries)-1]
+	if enc == PerInPort && rule.Tag != openflow.Any {
+		prio += prioTag
+	}
+	return prio
 }
 
-// actions returns a slab copy of a, capped so that an append to it
-// cannot reach a neighbour's actions.
-func (s *entrySlab) actions(a ...openflow.Action) []openflow.Action {
-	if cap(s.acts)-len(s.acts) < len(a) {
-		s.acts = make([]openflow.Action, 0, min(2*slabChunk, max(32, 2*cap(s.acts))))
-	}
-	lo := len(s.acts)
-	s.acts = append(s.acts, a...)
-	return s.acts[lo:len(s.acts):len(s.acts)]
+// entryStore holds a compile's entries from emission to install. It
+// is sized before the first entry is emitted, from a count of what the
+// compile will emit per physical switch and priority class, so every
+// entry, every action list and each switch's batch come out of one
+// allocation each, and a teardown (every entry carries the compile's
+// cookie) frees them whole.
+//
+// A switch's entries wait in batch, grouped by priority class, highest
+// first, each class in emission order: that is match order, so
+// Table.Install merges the batch without sorting it, and the table is
+// the one that installing the entries in emission order gives. Bucket
+// k = switch·prioSlots + class holds batch[at[k]:next[k]].
+//
+// The count places a rule's entries on the physical switch hosting its
+// logical switch (Plan.CrossbarOf) and an injection entry on its host's
+// attachment switch; every port of a sub-switch is on that switch, so
+// the count is what the compile emits, but for the per-in-port entries
+// it skips because they would hairpin on a port that is mapped twice.
+// add checks every bucket's bound, so a plan that breaks this fails the
+// compile instead of overrunning a neighbour's bucket.
+type entryStore struct {
+	switches []*openflow.Switch
+	cookie   uint64
+	entries  []openflow.FlowEntry // in emission order; cap is the count
+	acts     []openflow.Action    // the entries' action lists, back to back
+	batch    []*openflow.FlowEntry
+	at, next []int
+	queued   []int // per switch: entries waiting in batch
+	err      error // the first value that does not fit an int32 field
 }
+
+// newEntryStore counts what CompileFlowTables will emit for (p, r,
+// opt) and sizes a store for it.
+func newEntryStore(p *Plan, r *routing.Routes, opt CompileOptions, vcs int, sub portGroups, switches []*openflow.Switch) *entryStore {
+	g := p.Topo
+	buckets := len(switches) * prioSlots
+	at := make([]int, buckets+1) // first the count of bucket k at k+1
+	for i := range r.Rules {
+		rule := &r.Rules[i]
+		if rule.Switch < 0 || rule.Switch >= len(g.Vertices) {
+			continue // emission reports the rule
+		}
+		n := 1
+		switch opt.Encoding {
+		case TagEncoded:
+			if rule.Tag == openflow.Any {
+				n = vcs
+			}
+		case PerInPort:
+			if rule.InPort == 0 {
+				n = max(len(sub.of(rule.Switch))-1, 0) // every port but the egress
+			} else if rule.InPort == rule.OutPort {
+				n = 0
+			}
+		}
+		at[p.CrossbarOf(rule.Switch)*prioSlots+prioSlot(rulePrio(opt.Encoding, rule))+1] += n
+	}
+	if opt.Encoding == TagEncoded {
+		hosts := g.Hosts()
+		for _, h := range hosts {
+			if g.HostSwitch(h) >= 0 {
+				at[p.HostAttach[h].Switch*prioSlots+prioSlot(prioInject)+1] += len(hosts) - 1
+			}
+		}
+	}
+	for k := range buckets {
+		at[k+1] += at[k]
+	}
+	total := at[buckets]
+	acts := 2 // SetTag, Output
+	if opt.Encoding == PerInPort {
+		acts = 3 // SetTag(new tag), SetTag(0) toward a host, Output
+	}
+	return &entryStore{
+		switches: switches,
+		cookie:   opt.Cookie,
+		entries:  make([]openflow.FlowEntry, 0, total),
+		acts:     make([]openflow.Action, 0, acts*total),
+		batch:    make([]*openflow.FlowEntry, total),
+		at:       at,
+		next:     slices.Clone(at[:buckets]),
+		queued:   make([]int, len(switches)),
+	}
+}
+
+// i32 returns v as an int32. A value out of range is kept as b.err, and
+// the next add fails with it instead of installing a truncated entry.
+func (b *entryStore) i32(v int) int32 {
+	if v != int(int32(v)) {
+		b.tooWide(v)
+	}
+	return int32(v)
+}
+
+func (b *entryStore) tooWide(v int) {
+	if b.err == nil {
+		b.err = fmt.Errorf("projection: value %d does not fit a flow entry's 32-bit field", v)
+	}
+}
+
+// add queues an entry for switch sw. An entry that would overflow its
+// table fails where one Add per entry in emission order would: what was
+// emitted before it is installed first, then Add reports the same
+// *ErrTableFull, so Deploy's roll-back starts from the same tables.
+func (b *entryStore) add(sw, prio int, m openflow.Match, acts ...openflow.Action) error {
+	if b.err != nil {
+		return b.err
+	}
+	e := openflow.FlowEntry{Priority: int32(prio), Match: m, Cookie: b.cookie}
+	if t := &b.switches[sw].Table; t.Capacity > 0 && t.Len()+b.queued[sw] >= t.Capacity {
+		if err := b.install(); err != nil {
+			return err
+		}
+		e.Actions = slices.Clone(acts)
+		return t.Add(e)
+	}
+	k := sw*prioSlots + prioSlot(prio)
+	if b.next[k] == b.at[k+1] || cap(b.acts)-len(b.acts) < len(acts) {
+		return fmt.Errorf("projection: switch %s gets more flow entries than counted", b.switches[sw].ID)
+	}
+	lo := len(b.acts)
+	b.acts = append(b.acts, acts...)
+	e.Actions = b.acts[lo:len(b.acts):len(b.acts)]
+	b.entries = append(b.entries, e)
+	b.batch[b.next[k]] = &b.entries[len(b.entries)-1]
+	b.next[k]++
+	b.queued[sw]++
+	return nil
+}
+
+// install hands every switch its queued batch and empties the queues.
+func (b *entryStore) install() error {
+	for sw, s := range b.switches {
+		lo := b.at[sw*prioSlots]
+		end := lo
+		for k := sw * prioSlots; k < (sw+1)*prioSlots; k++ {
+			end += copy(b.batch[end:], b.batch[b.at[k]:b.next[k]])
+			b.next[k] = b.at[k]
+		}
+		b.queued[sw] = 0
+		if err := s.Table.Install(b.batch[lo:end]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// portGroups lists each logical switch's physical ports, host-facing
+// ones included — the sub-switch a wildcard-ingress rule expands over
+// under PerInPort — sorted by (switch, port).
+type portGroups struct {
+	off   []int32 // vertex v's ports are ports[off[v]:off[v+1]]
+	ports []PortRef
+}
+
+// groupPorts groups the plan's port map by logical switch in one pass.
+func groupPorts(p *Plan) portGroups {
+	n := len(p.Topo.Vertices)
+	off := make([]int32, n+1)
+	for key := range p.Ports {
+		if key.Vertex >= 0 && key.Vertex < n {
+			off[key.Vertex+1]++
+		}
+	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	ports := make([]PortRef, off[n])
+	next := slices.Clone(off[:n])
+	for key, ref := range p.Ports {
+		if v := key.Vertex; v >= 0 && v < n {
+			ports[next[v]] = ref
+			next[v]++
+		}
+	}
+	for v := range n {
+		slices.SortFunc(ports[off[v]:off[v+1]], func(a, b PortRef) int {
+			return cmp.Or(cmp.Compare(a.Switch, b.Switch), cmp.Compare(a.Port, b.Port))
+		})
+	}
+	return portGroups{off, ports}
+}
+
+// of returns logical switch v's ports.
+func (pg portGroups) of(v int) []PortRef { return pg.ports[pg.off[v]:pg.off[v+1]] }
 
 // EntryCount sums installed entries across switches — the §VII-C
 // resource metric.

@@ -770,18 +770,17 @@ func (p dstPlan) prepare(g *topology.Graph, dsts []int) ([]int, func(dst int, em
 }
 
 // canonicalDsts validates a destination subset (host vertices of g) and
-// returns it sorted and deduplicated.
+// returns it sorted and deduplicated. It validates in sorted order, so
+// a set with several bad destinations names the smallest, whatever the
+// order it came in.
 func canonicalDsts(g *topology.Graph, dsts []int) ([]int, error) {
-	out := make([]int, 0, len(dsts))
-	for _, d := range dsts {
-		if d < 0 || d >= len(g.Vertices) || g.Vertices[d].Kind != topology.Host {
-			return nil, fmt.Errorf("destination %d is not a host of %s", d, g.Name)
-		}
-		out = append(out, d)
-	}
+	out := slices.Clone(dsts)
 	sort.Ints(out)
 	n := 0
 	for i, d := range out {
+		if d < 0 || d >= len(g.Vertices) || g.Vertices[d].Kind != topology.Host {
+			return nil, fmt.Errorf("destination %d is not a host of %s", d, g.Name)
+		}
 		if i == 0 || d != out[i-1] {
 			out[n] = d
 			n++

@@ -111,6 +111,23 @@ func TestComputeForRejectsNonHosts(t *testing.T) {
 	}
 }
 
+// TestComputeForErrorIgnoresOrder: a destination set with several bad
+// entries fails with the same message in any order, naming the
+// smallest bad destination, as the result itself does not depend on
+// the order.
+func TestComputeForErrorIgnoresOrder(t *testing.T) {
+	g := topology.FatTree(4)
+	host, sw := g.Hosts()[0], g.Switches()[0]
+	orders := [][]int{{host, len(g.Vertices) + 3, sw}, {sw, len(g.Vertices) + 3, host}, {len(g.Vertices) + 3, host, sw}}
+	want := fmt.Sprintf("destination %d is not a host", sw)
+	for _, dsts := range orders {
+		_, err := (FatTreeDFS{}).ComputeFor(g, dsts)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ComputeFor(%v): error %v, want one naming %d", dsts, err, sw)
+		}
+	}
+}
+
 // TestComputeRejectsRulesRunsCannotHold: a destination's run keeps its
 // rules as int32 fields under the run's destination, so a build that
 // emits a rule toward another host, or one with a field int32 cannot
