@@ -156,8 +156,7 @@ func (c *Controller) Deploy(g *topology.Graph, opt Options) (*Deployment, error)
 	c.nextCookie = cookie
 	// Only this deployment's entries went in since before. Its routes
 	// get no FIB here: nothing in a deployment forwards a packet, and a
-	// simulation that does builds it (core primes the deployment it
-	// shares across runs).
+	// simulation that does builds it on first use.
 	entries := c.EntryCount() - before
 	req := projection.Requirement{Method: projection.MethodSDT}
 	d := &Deployment{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/controller"
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -61,16 +62,18 @@ func TestRunBatchMatchesSerialRuns(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsShareFreshDeployment runs SDT scenarios of one
-// topology side by side, with no Sweep to set them up: once on a
-// testbed whose controller has just deployed the topology (Deploy
-// builds no FIB) and once on a testbed where the first run deploys it.
-// Every run must give the serial result; under -race (CI's race step
-// runs this package) a run that reads the shared route set's lazily
-// built FIB or index while another builds it fails the test.
+// TestConcurrentRunsShareFreshDeployment runs scenarios of one topology
+// side by side over a route set nothing has read yet, four Runs and a
+// two-worker Sweep at once: SDT runs, once on a testbed whose
+// controller has just deployed the topology (Deploy builds no FIB) and
+// once on a testbed where the first run deploys it, and full-testbed
+// runs over one routing.Fixed set. Every run must give the serial
+// result; under -race (CI's race step runs this package) a run that
+// races another on the route set's first index or FIB build fails the
+// test.
 func TestConcurrentRunsShareFreshDeployment(t *testing.T) {
 	g := topology.FatTree(4)
-	sc := Scenario{Topo: g, Trace: workload.Alltoall(6, 16*1024, 1), Mode: SDT}
+	sdt := Scenario{Topo: g, Trace: workload.Alltoall(6, 16*1024, 1), Mode: SDT}
 	mk := func(deploy bool) *Testbed {
 		tb, err := PaperTestbed([]*topology.Graph{g})
 		if err != nil {
@@ -83,34 +86,61 @@ func TestConcurrentRunsShareFreshDeployment(t *testing.T) {
 		}
 		return tb
 	}
-	want, err := Run(context.Background(), mk(false), sc)
+	routes, err := routing.ForTopology(g).Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, deployed := range []bool{true, false} {
-		tb := mk(deployed)
+	fixed := sdt
+	fixed.Mode, fixed.Strategy = FullTestbed, routing.Fixed{Routes: routes}
+	cases := []struct {
+		name string
+		tb   *Testbed
+		sc   Scenario
+		deps int // deployments on tb afterwards
+	}{
+		{"deployed", mk(true), sdt, 1},
+		{"undeployed", mk(false), sdt, 1},
+		{"fixed", mk(false), fixed, 0},
+	}
+	for _, c := range cases {
+		// The serial run computes a route set of its own.
+		ref := c.sc
+		ref.Strategy = nil
+		want, err := Run(context.Background(), mk(false), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
 		const runs = 4
 		got := make([]*RunResult, runs)
-		errs := make([]error, runs)
+		errs := make([]error, runs+1)
+		var swept []*RunResult
 		var wg sync.WaitGroup
 		for i := range runs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = Run(context.Background(), tb, sc)
+				got[i], errs[i] = Run(context.Background(), c.tb, c.sc)
 			}()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs := []Job{{TB: c.tb, Scenario: c.sc}, {TB: c.tb, Scenario: c.sc}}
+			swept, errs[runs] = Sweep(context.Background(), jobs, WithWorkers(2))
+		}()
 		wg.Wait()
-		for i := range runs {
-			if errs[i] != nil {
-				t.Fatalf("deployed=%v run %d: %v", deployed, i, errs[i])
-			}
-			if got[i].ACT != want.ACT || got[i].Events != want.Events || got[i].Deploy != want.Deploy {
-				t.Errorf("deployed=%v run %d: got %+v, want %+v", deployed, i, got[i], want)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: run %d: %v", c.name, i, err)
 			}
 		}
-		if n := len(tb.Ctl.Deployments()); n != 1 {
-			t.Errorf("deployed=%v: %d deployments, want 1", deployed, n)
+		for i, res := range append(got, swept...) {
+			if res.ACT != want.ACT || res.Events != want.Events || res.Deploy != want.Deploy {
+				t.Errorf("%s: run %d: got %+v, want %+v", c.name, i, res, want)
+			}
+		}
+		if n := len(c.tb.Ctl.Deployments()); n != c.deps {
+			t.Errorf("%s: %d deployments, want %d", c.name, n, c.deps)
 		}
 	}
 }

@@ -152,11 +152,6 @@ func (tb *Testbed) network(g *topology.Graph, strat routing.Strategy, mode Mode,
 		if routes, err = strat.Compute(g); err != nil {
 			return nil, nil, err
 		}
-		// Build the lazy lookup index and FIB before the fabric
-		// forwards. A Fixed strategy's set may be shared by concurrent
-		// runs, and is then primed before their fan-out (Routes.Prime);
-		// Prime is idempotent.
-		routes.Prime()
 	}
 	net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), cfg, crossbarOf, sdtExtra)
 	if err != nil {
@@ -166,14 +161,10 @@ func (tb *Testbed) network(g *topology.Graph, strat routing.Strategy, mode Mode,
 }
 
 // ensureDeployment returns the live SDT deployment for g, deploying it
-// first if needed, with its routes primed: every simulation of g
-// forwards on the same route set, and Deploy builds no FIB, so its
-// lookup index and FIB are built here, under the testbed's lock, before
-// any run that shares them reads them (Prime is idempotent). The lock
-// makes concurrent runs on one testbed safe, whether g was deployed
-// before (by Ctl.Deploy) or is deployed by the first of them; Sweep
-// also calls this serially before its fan-out, so a sweep's deploy
-// errors come first.
+// first if needed. The testbed's lock serialises the deploys of
+// concurrent runs on one testbed, so g is deployed once; Sweep also
+// calls this serially before its fan-out, so a sweep's deploy errors
+// come first.
 func (tb *Testbed) ensureDeployment(g *topology.Graph, strat routing.Strategy) (*controller.Deployment, error) {
 	tb.deploying.Lock()
 	defer tb.deploying.Unlock()
@@ -184,7 +175,6 @@ func (tb *Testbed) ensureDeployment(g *topology.Graph, strat routing.Strategy) (
 			return nil, err
 		}
 	}
-	dep.Routes.Prime()
 	return dep, nil
 }
 

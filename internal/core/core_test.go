@@ -121,15 +121,52 @@ func TestRunTraceSDTReusesDeployment(t *testing.T) {
 	}
 }
 
+// TestRunTraceRejectsTooManyRanks: a trace that needs more hosts than
+// the topology has, or that is malformed (no rank, or a program count
+// other than its rank count), fails validation instead of panicking.
 func TestRunTraceRejectsTooManyRanks(t *testing.T) {
 	g := topology.Line(2, 1)
 	tb, err := PaperTestbed([]*topology.Graph{g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := workload.Alltoall(8, 1024, 1)
-	if _, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Mode: FullTestbed}); err == nil {
-		t.Error("8 ranks on 2 hosts accepted")
+	two := workload.Alltoall(2, 1024, 1)
+	for _, c := range []struct {
+		name string
+		tr   *workload.Trace
+	}{
+		{"8 ranks on 2 hosts", workload.Alltoall(8, 1024, 1)},
+		{"no rank", &workload.Trace{Name: "empty"}},
+		{"negative ranks", &workload.Trace{Name: "negative", Ranks: -1}},
+		{"more programs than ranks", &workload.Trace{Name: "extra", Ranks: 1, Programs: two.Programs}},
+		{"fewer programs than ranks", &workload.Trace{Name: "missing", Ranks: 2, Programs: two.Programs[:1]}},
+	} {
+		if _, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: c.tr, Mode: FullTestbed}); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestRunTraceOnMoreHostsThanRanks: a trace placed on a host list longer
+// than its rank count runs on the first hosts of the list, as a Flows
+// scenario does.
+func TestRunTraceOnMoreHostsThanRanks(t *testing.T) {
+	g := topology.FatTree(4)
+	tb, err := PaperTestbed([]*topology.Graph{g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := workload.Alltoall(8, 16*1024, 1)
+	want, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Hosts: g.Hosts()[:8]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Hosts: g.Hosts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ACT != want.ACT || got.Events != want.Events {
+		t.Errorf("all hosts: got %+v, want %+v", got, want)
 	}
 }
 

@@ -28,8 +28,10 @@ const (
 	// flow-level mode is differentially tested against.
 	Packet Fidelity = iota
 	// Flow is the flow-level fluid fast path (internal/flowsim): flows
-	// transmit at the max-min fair share of the compiled FIB paths they
-	// cross, with rates recomputed at arrivals and completions. Run
+	// transmit at the max-min fair share of the links they cross, with
+	// rates recomputed at arrivals and completions. Each path is found
+	// once, by walking its destination block's rules with Routes.Walk;
+	// no FIB is compiled. Run
 	// cost scales with flows rather than bytes × hops, reaching fabric
 	// sizes packet simulation cannot (~10k–100k hosts). Requires an
 	// open-loop Flows scenario; Trace, Faults, Reconfig, SDT mode, and

@@ -47,8 +47,8 @@ type Job struct {
 }
 
 // Sweep executes independent jobs one simulation per worker
-// (WithWorkers) and returns results in job order. SDT deployments and
-// the lazy topology caches are primed serially up front (deploying
+// (WithWorkers) and returns results in job order. Topologies are
+// validated and SDT deployments made serially up front (deploying
 // mutates the controller; a live deployment is read-only), after which
 // the simulations share only read-only state. Cancelling the context
 // stops in-flight simulations mid-run and prevents new jobs from
@@ -81,7 +81,6 @@ func Sweep(ctx context.Context, jobs []Job, opts ...Option) ([]*RunResult, error
 			if err := j.Topo.Validate(); err != nil {
 				return nil, err
 			}
-			j.Topo.Hosts() // build the lazy adjacency/kind caches
 		}
 		if j.Mode == SDT {
 			if _, err := j.TB.ensureDeployment(j.Topo, j.Strategy); err != nil {
@@ -147,6 +146,9 @@ func validateScenario(sc Scenario, cfg *runConfig) error {
 	}
 	if sc.Trace != nil && sc.Flows != nil || sc.Streams != nil && (sc.Trace != nil || sc.Flows != nil) {
 		return errors.New("core: scenario can carry only one of Trace, Flows and Streams")
+	}
+	if tr := sc.Trace; tr != nil && (tr.Ranks < 1 || tr.Ranks != len(tr.Programs)) {
+		return fmt.Errorf("core: trace %q has %d ranks and %d programs; it needs at least one rank and one program per rank", tr.Name, tr.Ranks, len(tr.Programs))
 	}
 	if (sc.Streams != nil && (len(sc.Streams) == 0 || sc.Until <= 0)) || (sc.Streams == nil && sc.Until != 0) {
 		return errors.New("core: a Streams scenario needs a stream and an Until > 0, and only Streams take an Until")
@@ -233,7 +235,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	var app workloadApp
 	switch {
 	case tr != nil:
-		app = netsim.NewApp(net, hosts, tr.Programs, nil)
+		app = netsim.NewApp(net, hosts[:ranks], tr.Programs, nil)
 	case sc.Streams != nil:
 		app = &streamApp{net: net, hosts: hosts, streams: sc.Streams, until: sc.Until}
 	default:
@@ -367,14 +369,13 @@ func armReconfig(net *netsim.Network, sc Scenario, g *topology.Graph, tb *Testbe
 	return rc, nil
 }
 
-// privateRoutes gives a run its own primed copy of the fabric's route
-// set and forwards on it. Fault repair and reconfiguration mutate the
+// privateRoutes gives a run its own copy of the fabric's route set and
+// forwards on it. Fault repair and reconfiguration mutate the
 // rules mid-run; SDT deployments and sweep siblings sharing the
 // original must stay untouched. Testbed.network always builds a
 // RouteForwarder.
 func privateRoutes(net *netsim.Network) *routing.Routes {
 	live := net.Fwd.(netsim.RouteForwarder).Routes.Clone()
-	live.Prime()
 	net.Fwd = netsim.NewRouteForwarder(live)
 	return live
 }

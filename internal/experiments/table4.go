@@ -61,9 +61,9 @@ func table4Topologies() []*topology.Graph {
 // (the paper uses up to 32; smaller values preserve the comparison and
 // run much faster). apps of nil means all Table IV applications. Every
 // (application, topology) cell contributes an SDT and a full-testbed
-// job to one core.Sweep — one simulation per worker; the per-topology
-// testbeds' SDT deployments are primed serially by Sweep (deploying
-// mutates the controller; afterwards it is read-only) — so the
+// job to one core.Sweep — one simulation per worker; Sweep makes the
+// per-topology testbeds' SDT deployments serially (deploying mutates
+// the controller; afterwards it is read-only) — so the
 // deterministic columns (ACTs, deviation, SDT evaluation time) are
 // identical at any worker count. The full-testbed job stands for the
 // simulator: same fabric, and its wall clock is the simulator's
@@ -81,7 +81,7 @@ func Table4(ctx context.Context, ranks int, apps []string, workers int) (*Table4
 	var jobs []core.Job
 	for _, g := range table4Topologies() {
 		n := ranks
-		if h := g.NumHosts(); n > h { // NumHosts also primes the lazy caches
+		if h := g.NumHosts(); n > h {
 			n = h
 		}
 		tb, err := testbedSizedFor(g)

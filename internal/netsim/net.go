@@ -305,11 +305,8 @@ type Forwarder interface {
 // Every Forward goes through the route set's memoized FIB accessor —
 // never a snapshot — so rules added later (the manual-strategy
 // workflow) invalidate and recompile transparently, exactly as the
-// Lookup-based forwarder behaved. Construct with NewRouteForwarder
-// where possible: it compiles the FIB eagerly, so a route set handed
-// to concurrent simulations afterwards is already built (an un-Primed
-// Routes shared across goroutines races on the lazy first build — see
-// routing.Prime).
+// Lookup-based forwarder behaved. Construct with NewRouteForwarder,
+// which compiles the FIB before the first packet.
 type RouteForwarder struct {
 	Routes *routing.Routes
 }

@@ -18,8 +18,8 @@ import (
 // claimed; the lowest-index error observed is returned.
 //
 // Jobs must be independent: callers satisfy this by giving every job
-// its own output slot and priming shared read-only structures
-// (topologies, route sets, SDT deployments) before the fan-out.
+// its own output slot and sharing only structures that are safe to
+// read concurrently.
 func For(workers, n int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

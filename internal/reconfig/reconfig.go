@@ -250,9 +250,7 @@ type Reconfigurer struct {
 // targets, overlapping windows) are errors.
 //
 // live must be private to the run (routing.Routes.Clone): patch and
-// restore mutate it mid-simulation. Target graphs must not be shared
-// with concurrent runs either — projection and route compilation build
-// their lazy caches.
+// restore mutate it mid-simulation.
 func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec *Spec) (*Reconfigurer, error) {
 	stages, err := spec.Schedule(g)
 	if err != nil {

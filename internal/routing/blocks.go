@@ -35,9 +35,6 @@ func ForEachBlock(g *topology.Graph, dc DstComputer, dsts []int, newVisitor func
 	if err != nil {
 		return err
 	}
-	// The builds read the graph's lazy caches concurrently.
-	g.CSR()
-	g.Hosts()
 	blocks := (len(dsts) + shapeBlock - 1) / shapeBlock
 	workers := blockWorkers(blocks)
 	visit := make([]func(*Routes, []int), workers)
@@ -75,12 +72,12 @@ func ForEachBlock(g *topology.Graph, dc DstComputer, dsts []int, newVisitor func
 
 // blockRoutes is one ForEachBlock worker's storage, reused from block
 // to block: the block builder, the route set the block's rules are
-// placed into, placeRuns' scratch and the spare lookup permutation.
+// placed into, its lookup index and placeRuns' scratch.
 type blockRoutes struct {
 	b       *blockBuilder
 	r       Routes
+	idx     routeIndex
 	scratch []int
-	order   []int32
 }
 
 func newBlockRoutes(g *topology.Graph, p dstPlan) *blockRoutes {
@@ -102,10 +99,8 @@ func (b *blockRoutes) build(block []int, build func(dst int, emit func(Rule)) er
 	}
 	r := &b.r
 	r.Rules = placeRuns(r.Rules, b.scratch, len(r.Topo.Vertices), runs)
-	r.fib = nil
-	r.indexInto(b.order, r.rowOff)
-	if r.order != nil {
-		b.order = r.order
-	}
+	r.fib.Store(nil)
+	b.idx.build(r.Rules, len(r.Topo.Vertices))
+	r.idx.Store(&b.idx)
 	return r, nil
 }

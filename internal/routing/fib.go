@@ -92,7 +92,7 @@ func fibPack(r *Rule) uint32 {
 // reproducible: spill groups are numbered in (switch, dst) order, those
 // of the slot array first and those outside the vertex range after.
 func (r *Routes) Compile() *FIB {
-	r.buildIndex()
+	x := r.index()
 	n := len(r.Topo.Vertices)
 	f := &FIB{
 		routes:   r,
@@ -119,8 +119,8 @@ func (r *Routes) Compile() *FIB {
 	// vertex range; those groups go to the overflow map.
 	var outside [][2]int // index spans of the groups outside the range
 	for lo, hi := 0, 0; lo < len(r.Rules); lo = hi {
-		hi = r.groupEnd(lo)
-		first := &r.Rules[r.indexed(lo)]
+		hi = x.groupEnd(r.Rules, lo)
+		first := &r.Rules[x.at(lo)]
 		if !inRange(first) {
 			outside = append(outside, [2]int{lo, hi})
 			continue
@@ -134,13 +134,13 @@ func (r *Routes) Compile() *FIB {
 			f.slots[slot] = fibPack(first)
 			continue
 		}
-		f.slots[slot] = f.spillGroup(r, lo, hi)
+		f.slots[slot] = f.spillGroup(r.Rules, x, lo, hi)
 	}
 	if len(outside) > 0 {
 		f.extra = make(map[[2]int]uint32, len(outside))
 		for _, span := range outside {
-			first := &r.Rules[r.indexed(span[0])]
-			f.extra[[2]int{first.Switch, first.Dst}] = f.spillGroup(r, span[0], span[1])
+			first := &r.Rules[x.at(span[0])]
+			f.extra[[2]int{first.Switch, first.Dst}] = f.spillGroup(r.Rules, x, span[0], span[1])
 		}
 	}
 	return f
@@ -163,10 +163,10 @@ func number(marks []int32) int32 {
 // spillGroup appends the rules at index positions lo..hi (one group,
 // already most-specific-first) as a new spill group and returns its
 // slot word.
-func (f *FIB) spillGroup(r *Routes, lo, hi int) uint32 {
+func (f *FIB) spillGroup(rules []Rule, x *routeIndex, lo, hi int) uint32 {
 	k := len(f.spillOff) - 1
 	for i := lo; i < hi; i++ {
-		rule := &r.Rules[r.indexed(i)]
+		rule := &rules[x.at(i)]
 		f.spillRules = append(f.spillRules, spillRule{
 			inPort: int32(rule.InPort),
 			tag:    int32(rule.Tag),

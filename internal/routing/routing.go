@@ -45,21 +45,30 @@ type Routes struct {
 	NumVCs   int // number of distinct VC tags used (>=1)
 	Rules    []Rule
 
-	// The lookup index, built lazily by buildIndex (rowOff == nil means
-	// not built). It puts the rules in index order, (Switch, Dst,
-	// specificity descending, position), so the rules of one
-	// (switch, dst) group are adjacent and most specific first: index
-	// position i holds Rules[r.indexed(i)]. order is that permutation of
-	// rule positions, or nil when Rules is already in index order, as
-	// every strategy-built set with one rule per group is. rowOff[s]
-	// counts the rules whose Switch is below s, for s in
-	// 0..len(Topo.Vertices), so switch vertex s owns index positions
-	// rowOff[s]:rowOff[s+1], rules on negative switch IDs sit before
-	// rowOff[0] and rules on IDs past the vertex range after
-	// rowOff[len(Topo.Vertices)].
+	// The lookup index and the compiled FIB are derived from Rules on
+	// first use and held behind atomic pointers, as a graph's CSR is:
+	// goroutines that race on a shared set's first Lookup, Walk or FIB
+	// each build an identical copy, and one of them fills the slot.
+	// Every rule mutation drops both; mutating a set while it is read
+	// is a caller error.
+	idx atomic.Pointer[routeIndex]
+	fib atomic.Pointer[FIB]
+}
+
+// routeIndex is a route set's lookup index. It puts the rules in index
+// order, (Switch, Dst, specificity descending, position), so the rules
+// of one (switch, dst) group are adjacent and most specific first:
+// index position i holds Rules[at(i)]. order is that permutation of
+// rule positions, or empty when Rules is already in index order, as
+// every strategy-built set with one rule per group is. rowOff[s]
+// counts the rules whose Switch is below s, for s in
+// 0..len(Topo.Vertices), so switch vertex s owns index positions
+// rowOff[s]:rowOff[s+1], rules on negative switch IDs sit before
+// rowOff[0] and rules on IDs past the vertex range after
+// rowOff[len(Topo.Vertices)].
+type routeIndex struct {
 	order  []int32
 	rowOff []int32
-	fib    *FIB // compiled fast path, memoized by FIB()
 }
 
 // Strategy computes routes for a topology.
@@ -116,9 +125,8 @@ func (r *Routes) add(rule Rule) {
 
 // invalidate drops the derived lookup structures after a rule mutation.
 func (r *Routes) invalidate() {
-	r.order = nil
-	r.rowOff = nil
-	r.fib = nil
+	r.idx.Store(nil)
+	r.fib.Store(nil)
 }
 
 // specificity ranks a rule among those of its (switch, dst) group: an
@@ -142,27 +150,36 @@ func compareGroup(a, b *Rule) int {
 	return cmp.Compare(a.Dst, b.Dst)
 }
 
-// buildIndex builds order and rowOff in O(rules) for any rule list that
-// is already grouped in (Switch, Dst) order — every strategy-built set.
-// It first checks the rules in place: a list that is grouped and has
-// each group most specific first, as every set with one rule per group
-// is, is its own index order and gets no permutation at all. A grouped
-// list that is not ranked (the strategies with several rules per group)
-// gets the identity with each group put most specific first, and a list
-// that is not grouped (manual sets, a repair's appended trees) pays one
-// stable comparator sort of the permutation. Rule positions are int32,
-// as in the FIB.
-func (r *Routes) buildIndex() {
-	if r.rowOff == nil {
-		r.indexInto(nil, nil)
+// index returns the lookup index, building it on first use.
+func (r *Routes) index() *routeIndex {
+	if x := r.idx.Load(); x != nil {
+		return x
 	}
+	return r.buildIndex()
 }
 
-// indexInto builds the lookup index into the storage of order and
-// rowOff, grown where it is too small: a caller that replaces the rules
-// of one route set again and again rebuilds its index in place.
-func (r *Routes) indexInto(order, rowOff []int32) {
-	rules := r.Rules
+// buildIndex builds the lookup index and fills its slot; index keeps
+// the already-built case, every Lookup's, small enough to inline.
+func (r *Routes) buildIndex() *routeIndex {
+	x := new(routeIndex)
+	x.build(r.Rules, len(r.Topo.Vertices))
+	r.idx.Store(x)
+	return x
+}
+
+// build indexes rules over n vertices in O(rules) for any rule list
+// that is already grouped in (Switch, Dst) order — every strategy-built
+// set — reusing x's storage where it holds the index: ForEachBlock's
+// workers reindex one routeIndex block after block. It first checks the
+// rules in place: a list that is grouped and has each group most
+// specific first, as every set with one rule per group is, is its own
+// index order and gets no permutation at all. A grouped list that is
+// not ranked (the strategies with several rules per group) gets the
+// identity with each group put most specific first, and a list that is
+// not grouped (manual sets, a repair's appended trees) pays one stable
+// comparator sort of the permutation. Rule positions are int32, as in
+// the FIB.
+func (x *routeIndex) build(rules []Rule, n int) {
 	grouped, ranked := true, true
 	for i := 1; i < len(rules) && grouped; i++ {
 		if c := compareGroup(&rules[i-1], &rules[i]); c > 0 {
@@ -171,25 +188,24 @@ func (r *Routes) indexInto(order, rowOff []int32) {
 			ranked = false
 		}
 	}
-	r.order = nil
+	x.order = x.order[:0]
 	if !grouped || !ranked {
-		order = resize(order, len(rules))
+		order := resize(x.order, len(rules))
 		for i := range order {
 			order[i] = int32(i)
 		}
 		if !grouped {
 			slices.SortStableFunc(order, func(a, b int32) int { return compareGroup(&rules[a], &rules[b]) })
 		}
-		r.order = order
+		x.order = order
 		bySpec := func(a, b int32) int { return specificity(&rules[b]) - specificity(&rules[a]) }
 		for lo, hi := 0, 0; lo < len(order); lo = hi {
-			if hi = r.groupEnd(lo); hi-lo > 1 {
+			if hi = x.groupEnd(rules, lo); hi-lo > 1 {
 				slices.SortStableFunc(order[lo:hi], bySpec)
 			}
 		}
 	}
-	n := len(r.Topo.Vertices)
-	rowOff = resize(rowOff, n+1)
+	rowOff := resize(x.rowOff, n+1)
 	clear(rowOff)
 	for i := range rules {
 		if sw := rules[i].Switch; sw < 0 {
@@ -201,7 +217,7 @@ func (r *Routes) indexInto(order, rowOff []int32) {
 	for s := 1; s <= n; s++ {
 		rowOff[s] += rowOff[s-1]
 	}
-	r.rowOff = rowOff
+	x.rowOff = rowOff
 }
 
 // resize returns s with n elements, in its own storage when that holds
@@ -213,48 +229,48 @@ func resize[E any](s []E, n int) []E {
 	return s[:n]
 }
 
-// indexed returns the position in Rules of the rule at index position i.
-func (r *Routes) indexed(i int) int32 {
-	if r.order == nil {
+// at returns the position in Rules of the rule at index position i.
+func (x *routeIndex) at(i int) int32 {
+	if len(x.order) == 0 {
 		return int32(i)
 	}
-	return r.order[i]
+	return x.order[i]
 }
 
-// groupEnd returns the end of the (switch, dst) group that starts at
-// index position lo.
-func (r *Routes) groupEnd(lo int) int {
-	first := &r.Rules[r.indexed(lo)]
+// groupEnd returns the end of the (switch, dst) group of rules that
+// starts at index position lo.
+func (x *routeIndex) groupEnd(rules []Rule, lo int) int {
+	first := &rules[x.at(lo)]
 	hi := lo + 1
-	for hi < len(r.Rules) && compareGroup(first, &r.Rules[r.indexed(hi)]) == 0 {
+	for hi < len(rules) && compareGroup(first, &rules[x.at(hi)]) == 0 {
 		hi++
 	}
 	return hi
 }
 
-// Prime eagerly builds the lookup index and the compiled FIB so the
-// route set can be shared read-only across concurrent simulations.
-// Lookup and FIB otherwise build their structures lazily on first use,
-// and two goroutines racing on that first build is a data race: a
-// Routes shared across goroutines MUST be Primed (or have FIB/Lookup
-// called once) before the fan-out. The parallel experiment sweeps do
-// this serially up front and the race-tested suite
-// (go test -race ./internal/core ./internal/experiments) runs every
-// sweep at multiple worker counts to keep that contract honest.
+// Prime builds the lookup index and the compiled FIB now rather than on
+// first use, so a caller can time the build apart from the first read.
+// No reader needs it: every accessor builds what it reads.
 func (r *Routes) Prime() {
-	r.buildIndex()
 	r.FIB()
 }
 
 // FIB returns the compiled forwarding table for this rule set, building
 // it on first use. The result is invalidated (and recompiled on next
-// call) whenever rules are added. See Prime for the concurrency
-// contract around the lazy build.
+// call) whenever rules are added.
 func (r *Routes) FIB() *FIB {
-	if r.fib == nil {
-		r.fib = r.Compile()
+	if f := r.fib.Load(); f != nil {
+		return f
 	}
-	return r.fib
+	return r.compileFIB()
+}
+
+// compileFIB compiles the FIB and fills its slot; FIB keeps the
+// already-compiled case, every forwarded hop's, small enough to inline.
+func (r *Routes) compileFIB() *FIB {
+	f := r.Compile()
+	r.fib.Store(f)
+	return f
 }
 
 // Lookup finds the most specific rule on switch sw for a packet
@@ -270,33 +286,28 @@ func (r *Routes) FIB() *FIB {
 // differential-tested against (and oracle_test.go holds the map-backed
 // index this one replaced, as Lookup's own reference). The per-packet
 // forwarding path uses FIB.Forward; a caller that resolves each path
-// once, like flowsim's walker, uses Lookup and compiles no FIB. The
-// built-check is inlined here (rather than left to buildIndex) so the
-// already-built case — every call after the first — pays no
-// function-call overhead.
+// once, like flowsim's walker, uses Lookup and compiles no FIB.
 func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
-	if r.rowOff == nil {
-		r.buildIndex()
-	}
+	x := r.index()
 	rules := r.Rules
 	lo, end := 0, len(rules)
-	if n := len(r.rowOff) - 1; sw < 0 {
-		end = int(r.rowOff[0])
+	if n := len(x.rowOff) - 1; sw < 0 {
+		end = int(x.rowOff[0])
 	} else if sw < n {
-		lo, end = int(r.rowOff[sw]), int(r.rowOff[sw+1])
+		lo, end = int(x.rowOff[sw]), int(x.rowOff[sw+1])
 	} else {
-		lo = int(r.rowOff[n])
+		lo = int(x.rowOff[n])
 	}
 	for hi := end; lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
-		if m := &rules[r.indexed(mid)]; m.Switch < sw || m.Switch == sw && m.Dst < dst {
+		if m := &rules[x.at(mid)]; m.Switch < sw || m.Switch == sw && m.Dst < dst {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	for ; lo < end; lo++ {
-		rule := &rules[r.indexed(lo)]
+		rule := &rules[x.at(lo)]
 		if rule.Switch != sw || rule.Dst != dst {
 			break
 		}
@@ -345,12 +356,8 @@ const shapeBlock = 8
 // a run per remaining destination go through placeRuns, which stays the
 // oracle for both paths (FuzzComputeForDsts).
 //
-// build runs concurrently and must only read shared state; the graph's
-// lazy caches (adjacency, CSR, host/switch lists) are primed here
-// before the fan-out.
+// build runs concurrently and must only read shared state.
 func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int, emit func(Rule)) error) error {
-	g.CSR()
-	g.Hosts()
 	// Every strategy emits at least one rule per switch it routes from,
 	// so a run of that size spares the first dozen append doublings.
 	nsw := g.NumSwitches()

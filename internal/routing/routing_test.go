@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -386,6 +387,120 @@ func TestWalkConsumersMatchFIB(t *testing.T) {
 					t.Fatalf("%s on %s: traceChannels(%d, %d) = %v, %v; the FIB walk holds %v",
 						r.Strategy, r.Topo.Name, src, dst, ch, err, wantCh)
 				}
+			}
+		}
+	}
+}
+
+// readAll returns every answer r gives a forwarding or path-finding
+// caller — each switch's Lookup and FIB.Forward toward each host on
+// each ingress port and tag, and each host pair's Walk — one section
+// per accessor, the sections read in turn from accessor first on
+// (0 Lookup, 1 Walk, 2 FIB).
+func readAll(r *Routes, first int) []int {
+	g := r.Topo
+	hosts := g.Hosts()
+	var parts [3][]int
+	for k := range parts {
+		acc := (first + k) % len(parts)
+		out := parts[acc]
+		if acc == 1 {
+			for _, src := range hosts {
+				for _, dst := range hosts {
+					if src == dst {
+						continue
+					}
+					err := r.Walk(src, dst, func(from, edge, tag int) { out = append(out, from, edge, tag) })
+					out = append(out, -1, boolInt(err == nil))
+				}
+			}
+			parts[acc] = out
+			continue
+		}
+		for _, sw := range g.Switches() {
+			for _, dst := range hosts {
+				for in := 0; in <= g.Radix(); in++ {
+					for tag := range max(r.NumVCs, 1) {
+						if acc == 2 {
+							port, nt, ok := r.FIB().Forward(sw, in, dst, tag)
+							out = append(out, port, nt, boolInt(ok))
+						} else if rule := r.Lookup(sw, in, dst, tag); rule != nil {
+							out = append(out, rule.Switch, rule.InPort, rule.Dst, rule.Tag, rule.OutPort, rule.NewTag)
+						} else {
+							out = append(out, -1)
+						}
+					}
+				}
+			}
+		}
+		parts[acc] = out
+	}
+	return slices.Concat(parts[:]...)
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestConcurrentFirstLookup runs the first reads of shared, never-read
+// route sets from several goroutines at once: under -race the lazy
+// lookup index and FIB builds must be race-free, and every reader must
+// get the answers of a serial read of a twin set. It covers every
+// generator's example fabric under its Table III strategy and a manual
+// set read once and then changed by AddRule, so its first read after
+// the change rebuilds both.
+func TestConcurrentFirstLookup(t *testing.T) {
+	type twins struct{ shared, ref *Routes }
+	var sets []twins
+	for _, gen := range topology.Generators {
+		g, err := (&topology.Config{Generator: gen.Name, Params: gen.Example}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pair [2]*Routes
+		for i := range pair {
+			if pair[i], err = ForTopology(g).Compute(g); err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+		}
+		sets = append(sets, twins{pair[0], pair[1]})
+	}
+	ring := topology.Ring(4, 1)
+	manual := func() *Routes {
+		r := NewManualRoutes(ring, "manual", 1)
+		for _, rule := range clockwiseRing(ring).Rules {
+			r.AddRule(rule)
+		}
+		r.Lookup(0, 0, ring.Hosts()[0], 0)
+		// Packets for the host two hops on that enter switch 0 from its
+		// host turn counter-clockwise: an ingress-port rule, which the
+		// FIB spills.
+		sw, h := ring.Switches(), ring.Hosts()[0]
+		csr := ring.CSR()
+		r.AddRule(Rule{Switch: sw[0], InPort: csr.PortTo(sw[0], h), Dst: ring.Hosts()[2], Tag: openflow.Any,
+			OutPort: csr.PortTo(sw[0], sw[3]), NewTag: -1})
+		return r
+	}
+	sets = append(sets, twins{manual(), manual()})
+	const readers = 4
+	for _, set := range sets {
+		want := readAll(set.ref, 0)
+		got := make([][]int, readers)
+		var wg sync.WaitGroup
+		for i := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = readAll(set.shared, i)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if !slices.Equal(got[i], want) {
+				t.Errorf("%s on %s: reader %d reads differently from a serial read", set.ref.Strategy, set.ref.Topo.Name, i)
 			}
 		}
 	}
