@@ -99,16 +99,17 @@ type ReconfigSweepResult struct {
 // shortest-path. Knobs: seed, flows (per cell), workers.
 func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error) {
 	seed, flows := p.Seed, p.Flows
-	// Graph constructors, not instances: every cell gets fresh graphs so
-	// no lazy topology cache is shared across the sweep's workers.
+	// A pair's two cells share its graphs: no run mutates a graph, and
+	// a graph's lazy indexes are safe to build on first read from the
+	// sweep's concurrent workers.
 	pairs := []struct {
-		src, dst func() *topology.Graph
+		src, dst *topology.Graph
 		inject   bool
 	}{
-		{func() *topology.Graph { return topology.FatTree(4) }, func() *topology.Graph { return topology.Dragonfly(4, 9, 2, 1) }, false},
-		{func() *topology.Graph { return topology.Dragonfly(4, 9, 2, 1) }, func() *topology.Graph { return topology.FatTree(4) }, false},
-		{func() *topology.Graph { return topology.Torus2D(4, 4, 1) }, func() *topology.Graph { return topology.Torus2D(4, 6, 1) }, false},
-		{func() *topology.Graph { return topology.FatTree(4) }, func() *topology.Graph { return topology.Torus2D(4, 4, 1) }, true},
+		{topology.FatTree(4), topology.Dragonfly(4, 9, 2, 1), false},
+		{topology.Dragonfly(4, 9, 2, 1), topology.FatTree(4), false},
+		{topology.Torus2D(4, 4, 1), topology.Torus2D(4, 6, 1), false},
+		{topology.FatTree(4), topology.Torus2D(4, 4, 1), true},
 	}
 	sizes := loadgen.ScaleSizes(loadgen.WebSearch(), 1.0/64)
 	const ranks = 16
@@ -118,7 +119,7 @@ func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error)
 	var jobs []core.Job
 	for _, pair := range pairs {
 		for _, generic := range []bool{false, true} {
-			g, target := pair.src(), pair.dst()
+			g, target := pair.src, pair.dst
 			tb, err := core.PaperTestbed([]*topology.Graph{g, target})
 			if err != nil {
 				return nil, err

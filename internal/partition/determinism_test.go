@@ -60,7 +60,7 @@ func TestCutSeedIsFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := g.Switches()
-	want := serialMultistart(newWorkGraph(g, sw), 4, 12345)
+	want := serialMultistart(newTestWorker().workGraph(g, sw), 4, 12345)
 	for i, s := range sw {
 		if r.Assign[s] != want[i] {
 			t.Fatalf("switch %d in part %d, the serial loop seeded with 12345 puts it in %d", s, r.Assign[s], want[i])
@@ -193,7 +193,7 @@ func serialMultistart(wg *workGraph, k int, seed int64) []int {
 func TestMultistartMatchesSerialLoop(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, g := range referenceGraphs()[:40] {
-		wg := newWorkGraph(g, g.Switches())
+		wg := newTestWorker().workGraph(g, g.Switches())
 		for k := 2; k <= 8 && k <= len(wg.vwgt); k++ {
 			got, want := multistart(wg, k), serialMultistart(wg, k, cutSeed)
 			if !slices.Equal(got, want) {

@@ -104,16 +104,20 @@ func Cut(g *topology.Graph, k int, _ Options) (*Result, error) {
 		return nil, fmt.Errorf("partition: k = %d exceeds switch count %d", k, len(switches))
 	}
 
-	wg := newWorkGraph(g, switches)
 	w := workers.Get().(*worker)
 	defer workers.Put(w)
+	wg := w.workGraph(g, switches)
 	part := w.multistart(wg, k)
 
+	// The Result owns its storage (a projection Plan keeps it), so it
+	// is allocated per Cut, in one piece.
+	nv := len(g.Vertices)
+	buf := make([]int, nv+2*k)
 	res := &Result{
 		K:            k,
-		Assign:       make([]int, len(g.Vertices)),
-		PartPorts:    make([]int, k),
-		PartSwitches: make([]int, k),
+		Assign:       buf[:nv:nv],
+		PartPorts:    buf[nv : nv+k : nv+k],
+		PartSwitches: buf[nv+k:],
 	}
 	for i := range res.Assign {
 		res.Assign[i] = -1
@@ -238,9 +242,10 @@ func (f *fanout) run(w *worker, r int) {
 // in, sized by the largest graph it has seen and reused by every later
 // restart, level and Cut, in the manner of METIS's per-call workspace.
 // Cut's calling goroutine and each of its helpers take one from workers
-// and put it back, so a Cut allocates only its work graph, its Result
-// and its helper goroutines. Nothing in a pooled
-// worker points at a caller's graph: the coarse levels are its own, and
+// and put it back; the calling goroutine's also builds the work graph,
+// which its helpers read. So a Cut allocates only its Result and its
+// helper goroutines. Nothing in a pooled worker points at a caller's
+// graph: the work graph and the coarse levels are its own, and
 // fanout.run and multistart drop the rest.
 type worker struct {
 	rf  refiner
@@ -248,9 +253,15 @@ type worker struct {
 	rng *rand.Rand
 	fan fanout // the Cut whose calling goroutine holds this worker
 
+	// The work graph, the array its rows are laid out in and
+	// workGraph's vertex-to-switch map, built by the Cut whose calling
+	// goroutine holds this worker.
+	wg     workGraph
+	wgFlat []nbr
+	idx    []int
 	// The coarsening chain below the work graph: levels[i] is level
 	// i+1, built into the same storage by every restart. perm and match
-	// are coarsen's, rows is its row builder.
+	// are coarsen's, rows is theirs and workGraph's row builder.
 	levels      []*level
 	perm, match []int
 	rows        adjRows
@@ -355,27 +366,28 @@ func (s *stream) Int63() int64 {
 	return s.tail.Int63()
 }
 
-// newWorkGraph builds the weighted switch-only graph Cut partitions:
-// one vertex per switch in ID order, weighted by its port count, with
-// parallel links merged into one weighted edge.
-func newWorkGraph(g *topology.Graph, switches []int) *workGraph {
+// workGraph builds the weighted switch-only graph Cut partitions into
+// w's storage: one vertex per switch in ID order, weighted by its port
+// count, with parallel links merged into one weighted edge. The graph
+// is valid until w builds another.
+func (w *worker) workGraph(g *topology.Graph, switches []int) *workGraph {
 	n := len(switches)
-	idx := make([]int, len(g.Vertices)) // vertex ID -> switch index, -1 for hosts
+	idx := resize(w.idx, len(g.Vertices)) // vertex ID -> switch index, -1 for hosts
+	w.idx = idx
 	for i := range idx {
 		idx[i] = -1
 	}
-	wg := &workGraph{
-		vwgt: make([]int, n),
-		xadj: make([][]nbr, n),
-	}
+	wg := &w.wg
+	wg.vwgt = resize(wg.vwgt, n)
+	wg.xadj = resize(wg.xadj, n)
 	half := 0
 	for i, s := range switches {
 		idx[s] = i
 		wg.vwgt[i] = g.Degree(s) // all ports, incl. host-facing (paper balances ports)
 		half += wg.vwgt[i]
 	}
-	var rows adjRows
-	rows.reset(nil, n, half)
+	rows := &w.rows
+	rows.reset(w.wgFlat, n, half)
 	for i, s := range switches {
 		for _, eid := range g.IncidentEdges(s) {
 			if j := idx[g.Edges[eid].Other(s)]; j >= 0 && j != i {
@@ -384,6 +396,7 @@ func newWorkGraph(g *topology.Graph, switches []int) *workGraph {
 		}
 		wg.xadj[i] = rows.end()
 	}
+	w.wgFlat = rows.flat
 	wg.sortAdj()
 	return wg
 }

@@ -242,7 +242,7 @@ func TestQuickBalance(t *testing.T) {
 	}
 }
 
-// mergedRows is the map-based merge newWorkGraph and coarsen used to
+// mergedRows is the map-based merge workGraph and coarsen used to
 // do: the weight between two distinct (mapped) vertices summed over
 // every fine half-edge, as sorted rows.
 func mergedRows(n int, halfEdges func(yield func(a, b, w int))) [][]nbr {
@@ -262,12 +262,12 @@ func mergedRows(n int, halfEdges func(yield func(a, b, w int))) [][]nbr {
 	return rows
 }
 
-// TestRowMergeMatchesMap checks the marker-array merge in newWorkGraph
+// TestRowMergeMatchesMap checks the marker-array merge in worker.workGraph
 // and worker.coarsen against mergedRows, on graphs with parallel links,
 // self loops and hosts.
 func TestRowMergeMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	w := newTestWorker() // one worker for every trial: its level is reused dirty
+	w := newTestWorker() // one worker for every trial: its work graph and level are reused dirty
 	w.src.Seed(9)
 	var lvl level
 	for trial := 0; trial < 200; trial++ {
@@ -283,7 +283,7 @@ func TestRowMergeMatchesMap(t *testing.T) {
 			g.Connect(rng.Intn(ns), rng.Intn(ns)) // parallel links and self loops too
 		}
 		sw := g.Switches()
-		wg := newWorkGraph(g, sw)
+		wg := w.workGraph(g, sw)
 		want := mergedRows(ns, func(yield func(a, b, w int)) {
 			for _, eid := range g.SwitchSwitchEdges() {
 				e := g.Edges[eid]
@@ -293,7 +293,7 @@ func TestRowMergeMatchesMap(t *testing.T) {
 		})
 		for v := range wg.xadj {
 			if !slices.Equal(wg.xadj[v], want[v]) {
-				t.Fatalf("trial %d: newWorkGraph row %d = %v, want %v", trial, v, wg.xadj[v], want[v])
+				t.Fatalf("trial %d: workGraph row %d = %v, want %v", trial, v, wg.xadj[v], want[v])
 			}
 		}
 		if !w.coarsen(wg, &lvl) {

@@ -59,21 +59,21 @@ type Requirement struct {
 // method m using switches of the given spec, considering at most
 // maxSwitches. It fails when the topology cannot fit.
 func Requirements(g *topology.Graph, spec PhysicalSwitch, m Method, maxSwitches int) (Requirement, error) {
-	req := Requirement{Method: m, BandwidthFactor: 1}
-	effSpec := spec
-	if m == MethodTurboNet {
-		// Each logical link is realised through loopback ports, which
-		// halves the switch's usable external port count and the
-		// per-port bandwidth available to the emulated topology [35].
-		effSpec.Ports = spec.Ports / 2
-		req.BandwidthFactor = 0.5
-	}
+	effSpec, bw := methodSpec(spec, m)
+	req := Requirement{Method: m, BandwidthFactor: bw}
 	if effSpec.Ports < 1 {
 		return req, fmt.Errorf("projection: %s: switch spec has no usable ports", m)
 	}
-	k, err := minSwitches(g, effSpec, maxSwitches)
-	if err != nil {
-		return req, fmt.Errorf("projection: %s: %w", m, err)
+	k, why := minSwitches(g, effSpec, maxSwitches)
+	if why.kind == cutFailed {
+		return req, fmt.Errorf("projection: %s: %w", m, why.err)
+	}
+	if k == 0 {
+		// minSwitches names its alike switches <ID>-0, <ID>-1, …, and
+		// a part that overflows one overflows the first.
+		alike := []PhysicalSwitch{{ID: effSpec.ID + "-0"}}
+		return req, fmt.Errorf("projection: %s: does not fit on %d switches of %d ports: %s",
+			m, max(maxSwitches, 1), effSpec.Ports, why.text(g, alike))
 	}
 	req.Switches = k
 	switch m {
@@ -89,44 +89,58 @@ func Requirements(g *topology.Graph, spec PhysicalSwitch, m Method, maxSwitches 
 	return req, nil
 }
 
+// methodSpec returns the switch as method m can use it and the fraction
+// of port bandwidth left to the experiment. TurboNet realises each
+// logical link through loopback ports, which halves the switch's usable
+// external port count and the per-port bandwidth available to the
+// emulated topology [35].
+func methodSpec(spec PhysicalSwitch, m Method) (PhysicalSwitch, float64) {
+	if m == MethodTurboNet {
+		spec.Ports /= 2
+		return spec, 0.5
+	}
+	return spec, 1
+}
+
 // minSwitches finds the smallest k <= maxSwitches such that a k-way
-// partition of g fits on k switches of the given spec.
-func minSwitches(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, error) {
-	if maxSwitches < 1 {
-		maxSwitches = 1
-	}
-	all := make([]PhysicalSwitch, min(maxSwitches, g.NumSwitches()))
-	for i := range all {
-		all[i] = spec
-		all[i].ID = fmt.Sprintf("%s-%d", spec.ID, i)
-	}
-	// The switches are alike, so the k largest are the first k.
-	var lastErr error
-	var short shortfall
-	need, swOrder := portsNeeded(g), switchOrder(all)
-	for k := 1; k <= len(all); k++ {
-		if s := portShortfall(need, all, swOrder, k); s.short() {
-			short, lastErr = s, &short
+// partition of g fits on k switches of the given spec, or returns 0 and
+// why the last k failed. The switches are alike, so the k of them have
+// k·spec.Ports ports and the parts fit when the heaviest does.
+func minSwitches(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, reason) {
+	var why reason
+	var d demands // allocated at the first Cut: large graphs skip every k
+	need, kMax := portsNeeded(g), min(max(maxSwitches, 1), g.NumSwitches())
+	for k := 1; k <= kMax; k++ {
+		if r, short := portShortfall(need, k*spec.Ports, k); short {
+			why = r
 			continue
 		}
 		parts, err := partition.Cut(g, k, partition.Options{})
 		if err != nil {
-			return 0, err
+			return 0, reason{kind: cutFailed, err: err}
 		}
-		d := demandsFor(g, parts)
-		if err := fitParts(d, all, swOrder[:k], partOrder(d)); err != nil {
-			lastErr = err
+		if d.self == nil {
+			d = newDemands(kMax)
+		}
+		d.of(g, parts)
+		if p := d.sortParts()[0]; d.ports[p] > spec.Ports { // the heaviest part, lowest on ties
+			why = reason{kind: partOverflows, part: p, need: d.ports[p], sw: 0, have: spec.Ports}
 			continue
 		}
-		return k, nil
+		return k, reason{}
 	}
-	return 0, fmt.Errorf("does not fit on %d switches of %d ports: %v", maxSwitches, spec.Ports, lastErr)
+	return 0, why
 }
 
 // Projectable reports whether method m can realise g with at most
 // maxSwitches switches of the given spec — the Table II scalability
-// metric over the topology zoo.
+// metric over the topology zoo. It is Requirements without the error,
+// which it never formats.
 func Projectable(g *topology.Graph, spec PhysicalSwitch, m Method, maxSwitches int) bool {
-	_, err := Requirements(g, spec, m, maxSwitches)
-	return err == nil
+	spec, _ = methodSpec(spec, m)
+	if spec.Ports < 1 {
+		return false
+	}
+	k, _ := minSwitches(g, spec, maxSwitches)
+	return k > 0
 }

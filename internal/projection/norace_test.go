@@ -1,0 +1,8 @@
+//go:build !race
+
+package projection
+
+// raceEnabled reports a -race build, where sync.Pool drops a random
+// quarter of what is put back, so the pooled reuse inside partition.Cut
+// cannot be counted.
+const raceEnabled = false

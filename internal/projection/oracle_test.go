@@ -1,6 +1,7 @@
 package projection
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -14,8 +15,127 @@ import (
 	"repro/internal/topology"
 )
 
-// minSwitchesReference is minSwitches without the pigeonhole bound:
-// every k pays its Cut. It is the oracle for Projectable's answers.
+// demandsReference is what one k-way partition of g asks of a cabling,
+// as demandsFor computed it before the k-searches kept their demands in
+// dense storage: per-part slices and a map over part pairs.
+type demandsReference struct {
+	K         int
+	Self      []int          // per part
+	Host      []int          // per part
+	Inter     map[[2]int]int // per unordered part pair
+	PartPorts []int          // total physical ports needed per part
+}
+
+// demandsFor is the reference for demands.of: link demands for a k-way
+// partition of g.
+func demandsFor(g *topology.Graph, parts *partition.Result) *demandsReference {
+	d := &demandsReference{
+		K:     parts.K,
+		Self:  make([]int, parts.K),
+		Host:  make([]int, parts.K),
+		Inter: map[[2]int]int{},
+	}
+	for _, e := range g.Edges {
+		if !g.IsSwitchSwitch(e) {
+			continue
+		}
+		pa, pb := parts.Assign[e.A], parts.Assign[e.B]
+		if pa == pb {
+			d.Self[pa]++
+		} else {
+			if pa > pb {
+				pa, pb = pb, pa
+			}
+			d.Inter[[2]int{pa, pb}]++
+		}
+	}
+	for _, h := range g.Hosts() {
+		if s := g.HostSwitch(h); s >= 0 {
+			d.Host[parts.Assign[s]]++
+		}
+	}
+	d.PartPorts = make([]int, parts.K)
+	for p := 0; p < parts.K; p++ {
+		d.PartPorts[p] = 2*d.Self[p] + d.Host[p]
+	}
+	for pair, n := range d.Inter {
+		d.PartPorts[pair[0]] += n
+		d.PartPorts[pair[1]] += n
+	}
+	return d
+}
+
+// partOrderReference returns part indices sorted by descending port
+// demand (stable on index).
+func partOrderReference(d *demandsReference) []int {
+	order := make([]int, d.K)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(d.PartPorts[b], d.PartPorts[a]) })
+	return order
+}
+
+// fitParts is the reference fit over a materialised switch list: it
+// checks the per-part port demand against switch port counts, pairing
+// the parts in order (heaviest first) with the switches in swOrder
+// (largest first).
+func fitParts(d *demandsReference, switches []PhysicalSwitch, swOrder, order []int) error {
+	for i, p := range order {
+		if i >= len(swOrder) {
+			return fmt.Errorf("more parts than switches")
+		}
+		sw := switches[swOrder[i]]
+		if d.PartPorts[p] > sw.Ports {
+			return fmt.Errorf("part %d needs %d ports, switch %s has %d", p, d.PartPorts[p], sw.ID, sw.Ports)
+		}
+	}
+	return nil
+}
+
+// mappedReference is mapDemands' per-switch demand as the map-based
+// mapping computed it: self-links and host ports per switch, inter-links
+// per unordered switch pair.
+type mappedReference struct {
+	partToSwitch []int
+	self, host   []int
+	inter        map[[2]int]int
+}
+
+func mapDemandsReference(g *topology.Graph, parts *partition.Result, switches []PhysicalSwitch) (*mappedReference, error) {
+	swOrder := switchOrder(switches)
+	d := demandsFor(g, parts)
+	order := partOrderReference(d)
+	if err := fitParts(d, switches, swOrder, order); err != nil {
+		return nil, err
+	}
+	md := &mappedReference{
+		partToSwitch: make([]int, d.K),
+		self:         make([]int, len(switches)),
+		host:         make([]int, len(switches)),
+		inter:        map[[2]int]int{},
+	}
+	for i, p := range order {
+		md.partToSwitch[p] = swOrder[i]
+	}
+	for p := 0; p < d.K; p++ {
+		s := md.partToSwitch[p]
+		md.self[s] += d.Self[p]
+		md.host[s] += d.Host[p]
+	}
+	for pair, n := range d.Inter {
+		a, b := md.partToSwitch[pair[0]], md.partToSwitch[pair[1]]
+		if a > b {
+			a, b = b, a
+		}
+		md.inter[[2]int{a, b}] += n
+	}
+	return md, nil
+}
+
+// minSwitchesReference is minSwitches without the pigeonhole bound and
+// with the switch list materialised: every k pays its Cut and fitParts.
+// It is the oracle for Projectable's answers.
 func minSwitchesReference(g *topology.Graph, spec PhysicalSwitch, maxSwitches int) (int, bool) {
 	for k := 1; k <= maxSwitches && k <= g.NumSwitches(); k++ {
 		specs := make([]PhysicalSwitch, k)
@@ -26,7 +146,7 @@ func minSwitchesReference(g *topology.Graph, spec PhysicalSwitch, maxSwitches in
 		if err != nil {
 			return 0, false
 		}
-		if d := demandsFor(g, parts); fitParts(d, specs, switchOrder(specs), partOrder(d)) == nil {
+		if d := demandsFor(g, parts); fitParts(d, specs, switchOrder(specs), partOrderReference(d)) == nil {
 			return k, true
 		}
 	}
@@ -94,18 +214,18 @@ func TestPortShortfallNeverChangesAnAnswer(t *testing.T) {
 					if len(sw) < k {
 						continue
 					}
-					swOrder := switchOrder(sw)
-					bound := portShortfall(portsNeeded(g), sw, swOrder, k)
-					if !bound.short() {
+					ks := newSearch(sw)
+					bound, short := portShortfall(portsNeeded(g), ks.top[k], k)
+					if !short {
 						paid++
 						continue
 					}
 					skipped++
-					if fitParts(d, sw, swOrder, partOrder(d)) == nil {
-						t.Fatalf("%s k=%d on %d switches: bound says %q but the partition fits", g.Name, k, len(sw), bound)
+					if fitParts(d, sw, switchOrder(sw), partOrderReference(d)) == nil {
+						t.Fatalf("%s k=%d on %d switches: bound says %q but the partition fits", g.Name, k, len(sw), bound.text(g, sw))
 					}
-					if _, err := mapDemands(g, sw, swOrder, k); err == nil {
-						t.Fatalf("%s k=%d on %d switches: bound says %q but mapDemands succeeds", g.Name, k, len(sw), bound)
+					if md, _ := ks.mapDemands(g, k); md != nil {
+						t.Fatalf("%s k=%d on %d switches: bound says %q but mapDemands succeeds", g.Name, k, len(sw), bound.text(g, sw))
 					}
 				}
 			}
@@ -126,10 +246,10 @@ func TestProjectableMatchesUnboundedSearch(t *testing.T) {
 		for _, g := range oracleGraphs() {
 			for _, maxSw := range []int{1, 3} {
 				wantK, wantOK := minSwitchesReference(g, spec, maxSw)
-				gotK, err := minSwitches(g, spec, maxSw)
-				if (err == nil) != wantOK || gotK != wantK {
-					t.Fatalf("%s on ≤%d × %d ports: minSwitches = %d, %v; oracle %d, %v",
-						g.Name, maxSw, spec.Ports, gotK, err, wantK, wantOK)
+				gotK, why := minSwitches(g, spec, maxSw)
+				if (gotK > 0) != wantOK || gotK != wantK {
+					t.Fatalf("%s on ≤%d × %d ports: minSwitches = %d, %+v; oracle %d, %v",
+						g.Name, maxSw, spec.Ports, gotK, why, wantK, wantOK)
 				}
 				if got := Projectable(g, spec, MethodSDT, maxSw); got != wantOK {
 					t.Fatalf("%s on ≤%d × %d ports: Projectable = %v, oracle %v", g.Name, maxSw, spec.Ports, got, wantOK)
@@ -137,6 +257,78 @@ func TestProjectableMatchesUnboundedSearch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDemandsMatchReference holds the dense demands and the per-switch
+// mapping to the map-based references on every oracle graph at k = 1…8:
+// each part's self-links, host ports and total ports, every part pair's
+// cut links, and — on a mixed switch list, with one search reused dirty
+// across every graph and k — whether the parts fit, the reason they do
+// not, and the part-to-switch map and each switch's and switch pair's
+// links when they do.
+func TestDemandsMatchReference(t *testing.T) {
+	switches := []PhysicalSwitch{
+		{ID: "m0", Ports: 24}, {ID: "m1", Ports: 88}, {ID: "m2", Ports: 48}, {ID: "m3", Ports: 64},
+		{ID: "m4", Ports: 256}, {ID: "m5", Ports: 32}, {ID: "m6", Ports: 88}, {ID: "m7", Ports: 128},
+	}
+	n := len(switches)
+	ks := newSearch(switches)
+	d := newDemands(n)
+	mapped, failed := 0, 0
+	for _, g := range oracleGraphs() {
+		for k := 1; k <= min(n, g.NumSwitches()); k++ {
+			parts, err := partition.Cut(g, k, partition.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := demandsFor(g, parts)
+			d.of(g, parts)
+			if !slices.Equal(d.self, want.Self) || !slices.Equal(d.host, want.Host) || !slices.Equal(d.ports, want.PartPorts) {
+				t.Fatalf("%s k=%d: self %v host %v ports %v, reference %v %v %v",
+					g.Name, k, d.self, d.host, d.ports, want.Self, want.Host, want.PartPorts)
+			}
+			for a := range k {
+				for b := a + 1; b < k; b++ {
+					if got, want := d.inter[a*k+b], want.Inter[[2]int{a, b}]; got != want {
+						t.Fatalf("%s k=%d: %d links between parts %d and %d, reference %d", g.Name, k, got, a, b, want)
+					}
+				}
+			}
+			if got := d.sortParts(); !slices.Equal(got, partOrderReference(want)) {
+				t.Fatalf("%s k=%d: part order %v, reference %v", g.Name, k, got, partOrderReference(want))
+			}
+
+			md, why := ks.mapDemands(g, k)
+			wantMD, werr := mapDemandsReference(g, parts, switches)
+			if got := why.text(g, switches); got != fmt.Sprint(werr) || (md == nil) != (wantMD == nil) {
+				t.Fatalf("%s k=%d: mapDemands says %q, the reference %v", g.Name, k, got, werr)
+			}
+			if md == nil {
+				failed++
+				continue
+			}
+			mapped++
+			if !slices.Equal(md.partToSwitch, wantMD.partToSwitch) || !slices.Equal(md.links.self, wantMD.self) || !slices.Equal(md.links.host, wantMD.host) {
+				t.Fatalf("%s k=%d: parts on %v, self %v, host %v; reference %v %v %v", g.Name, k,
+					md.partToSwitch, md.links.self, md.links.host, wantMD.partToSwitch, wantMD.self, wantMD.host)
+			}
+			for a := range n {
+				for b := range n {
+					got := 0
+					if a < b {
+						got = md.links.inter[a*n+b]
+					}
+					if want := wantMD.inter[[2]int{a, b}]; got != want {
+						t.Fatalf("%s k=%d: %d links between switches %d and %d, reference %d", g.Name, k, got, a, b, want)
+					}
+				}
+			}
+		}
+	}
+	if mapped == 0 || failed == 0 {
+		t.Fatalf("vacuous: %d mappings fit, %d did not", mapped, failed)
+	}
+	t.Logf("%d mappings fit, %d did not", mapped, failed)
 }
 
 // TestPortShortfallCountsHostsLikeDemandsFor pins the multi-homed-host
@@ -149,14 +341,14 @@ func TestPortShortfallCountsHostsLikeDemandsFor(t *testing.T) {
 	if got := g.HostFacingPorts(); got != 80 {
 		t.Fatalf("HostFacingPorts = %d, want 80 (the test's premise)", got)
 	}
-	if s := portShortfall(portsNeeded(g), []PhysicalSwitch{spec}, []int{0}, 1); s.short() {
-		t.Fatalf("bound skips k=1: %v", s)
+	if s, short := portShortfall(portsNeeded(g), spec.Ports, 1); short {
+		t.Fatalf("bound skips k=1: %s", s.text(g, nil))
 	}
 	if !Projectable(g, spec, MethodSDT, 1) {
 		t.Fatal("42-port switch should host 2 switches + 40 attached hosts")
 	}
 	spec.Ports = 41
-	if !portShortfall(portsNeeded(g), []PhysicalSwitch{spec}, []int{0}, 1).short() {
+	if _, short := portShortfall(portsNeeded(g), spec.Ports, 1); !short {
 		t.Fatal("bound admits k=1 on 41 ports for a 42-port demand")
 	}
 }
@@ -199,6 +391,38 @@ func BenchmarkProjectableZoo(b *testing.B) {
 		if fit == 0 {
 			b.Fatal("no zoo graph fits")
 		}
+	}
+}
+
+// TestProjectableAllocsBounded is the allocation budget of Table II's
+// zoo scan at GOMAXPROCS 1 (testing.AllocsPerRun's, where Cut starts no
+// helpers), the graphs' indexes warm from AllocsPerRun's first run. The
+// scan allocated 6 326 objects, about 24 per graph, while minSwitches
+// built a switch list per search, computed each Cut's demands into a
+// fresh map, formatted a reason per failed k and Cut built its work
+// graph per call. It allocates 663 now: per Cut its Result and the
+// Result's array, and per search that pays a Cut one demands array (221
+// of the 261 searches pay one Cut each).
+func TestProjectableAllocsBounded(t *testing.T) {
+	zoo := topology.Zoo(41)
+	spec := H3CS6861("s")
+	fit := 0
+	perScan := testing.AllocsPerRun(3, func() {
+		for _, g := range zoo {
+			if Projectable(g, spec, MethodSDT, 3) {
+				fit++
+			}
+		}
+	})
+	if fit == 0 {
+		t.Fatal("no zoo graph fits")
+	}
+	t.Logf("the zoo scan allocates %.0f objects", perScan)
+	const limit = 700
+	if raceEnabled {
+		t.Log("-race: the pool drops Cut's workers at random, so the count is not gated")
+	} else if perScan > limit {
+		t.Errorf("the zoo scan allocates %.0f objects, limit %d", perScan, limit)
 	}
 }
 
@@ -419,19 +643,20 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 			}
 			got, want := NewAllocation(cab), NewAllocation(cab)
 			project := func(g *topology.Graph) (gotPlan, wantPlan *Plan) {
+				ks := newSearch(cab.Switches) // wantPlan's PartToSwitch is its storage
 				for k := 1; k <= maxK(g, cab.Switches); k++ {
-					md, err := mapDemands(g, cab.Switches, switchOrder(cab.Switches), k)
-					if err != nil {
+					md, _ := ks.mapDemands(g, k)
+					if md == nil {
 						continue
 					}
 					how := fmt.Sprintf("set %d %s k=%d", si, g.Name, k)
-					gp, gerr := projectMapped(g, cab, got, md)
+					gp, why := projectMapped(g, cab, got, md)
 					wp, werr := projectMappedReference(g, cab, want, md)
-					if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(gp, wp) {
+					if gerr := why.text(g, cab.Switches); gerr != fmt.Sprint(werr) || !reflect.DeepEqual(gp, wp) {
 						t.Fatalf("%s: projectMapped = %v, the reference %v", how, gerr, werr)
 					}
 					sameAllocation(t, how, got, want)
-					if gerr == nil {
+					if gp != nil {
 						return gp, wp
 					}
 				}
@@ -548,6 +773,95 @@ func TestRequirementsUnchanged(t *testing.T) {
 	const want = "58f45b5effd460b9bbb6f999d588cfc67f5ab0e893114edd95e5e5cbee6ec06e"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("Requirements digest %s, want %s", got, want)
+	}
+}
+
+// TestRequirementsErrorsPinned pins the text of every kind of error
+// Requirements returns, recorded before the k-searches kept their
+// reasons as values and formatted only the one they return: the bound's
+// shortfall under each method, a part that overflows its switch (named
+// <ID>-0 whichever part it is), a spec with no usable ports and a graph
+// with no switches, whose search tries no k at all.
+func TestRequirementsErrorsPinned(t *testing.T) {
+	zoo := topology.Zoo(41)
+	hostsOnly := topology.New("hosts-only")
+	hostsOnly.AddHost("h0")
+	s6861, tiny := H3CS6861("s"), PhysicalSwitch{ID: "tiny", Ports: 16}
+	for _, c := range []struct {
+		g     *topology.Graph
+		spec  PhysicalSwitch
+		m     Method
+		maxSw int
+		want  string
+	}{
+		{topology.FatTree(8), s6861, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 88 ports: needs 640 ports, 3 switch(es) have 264"},
+		{topology.FatTree(8), s6861, MethodTurboNet, 3, "projection: TurboNet(PM): does not fit on 3 switches of 44 ports: needs 640 ports, 3 switch(es) have 132"},
+		{topology.FatTree(8), s6861, MethodSPOS, 3, "projection: SP-OS: does not fit on 3 switches of 88 ports: needs 640 ports, 3 switch(es) have 264"},
+		{topology.FatTree(8), s6861, MethodSP, 3, "projection: SP: does not fit on 3 switches of 88 ports: needs 640 ports, 3 switch(es) have 264"},
+		{zoo[7], s6861, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 88 ports: needs 345 ports, 3 switch(es) have 264"},
+		{zoo[47], s6861, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 88 ports: part 0 needs 90 ports, switch s-0 has 88"},
+		{zoo[90], s6861, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 88 ports: part 2 needs 89 ports, switch s-0 has 88"},
+		{zoo[27], tiny, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 16 ports: part 1 needs 18 ports, switch tiny-0 has 16"},
+		{topology.FatTree(4), tiny, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 16 ports: needs 80 ports, 3 switch(es) have 48"},
+		{topology.FatTree(4), tiny, MethodTurboNet, 3, "projection: TurboNet(PM): does not fit on 3 switches of 8 ports: needs 80 ports, 3 switch(es) have 24"},
+		{topology.Torus2D(4, 4, 1), PhysicalSwitch{ID: "none"}, MethodSDT, 3, "projection: SDT: switch spec has no usable ports"},
+		{topology.Torus2D(4, 4, 1), PhysicalSwitch{ID: "one", Ports: 1}, MethodTurboNet, 3, "projection: TurboNet(PM): switch spec has no usable ports"},
+		{hostsOnly, s6861, MethodSDT, 3, "projection: SDT: does not fit on 3 switches of 88 ports: <nil>"},
+		{hostsOnly, s6861, MethodSDT, 0, "projection: SDT: does not fit on 1 switches of 88 ports: <nil>"},
+	} {
+		_, err := Requirements(c.g, c.spec, c.m, c.maxSw)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Requirements(%s, %d ports, %s, %d) = %v\nwant %s", c.g.Name, c.spec.Ports, c.m, c.maxSw, err, c.want)
+		}
+		if Projectable(c.g, c.spec, c.m, c.maxSw) {
+			t.Errorf("Projectable(%s, %d ports, %s, %d) = true, Requirements fails", c.g.Name, c.spec.Ports, c.m, c.maxSw)
+		}
+	}
+}
+
+// TestSearchErrorsPinned does the same for PlanCabling's and
+// ProjectInto's errors: the last k's reason, of every kind those
+// searches overwrite — shortfall, overflow on a mixed switch list, a
+// reservation over budget, and each cable kind running out.
+func TestSearchErrorsPinned(t *testing.T) {
+	mixed := []PhysicalSwitch{{ID: "m0", Ports: 24}, {ID: "m1", Ports: 88}, {ID: "m2", Ports: 48}, {ID: "m3", Ports: 64}}
+	for _, c := range []struct {
+		switches []PhysicalSwitch
+		topos    []*topology.Graph
+		want     string
+	}{
+		{mixed, []*topology.Graph{topology.Torus2D(6, 6, 1)}, `projection: topology "torus2d-6x6" does not fit on 4 switch(es): part 3 needs 45 ports, switch m0 has 24`},
+		{mixed[1:3], []*topology.Graph{topology.Torus2D(6, 6, 1)}, `projection: topology "torus2d-6x6" does not fit on 2 switch(es): needs 180 ports, 2 switch(es) have 136`},
+		{mixed, []*topology.Graph{topology.Torus2D(5, 5, 1), topology.Zoo(41)[6]}, `projection: topology "zoo-006" does not fit on 4 switch(es): k=4 reservation exceeds port budget`},
+	} {
+		if _, err := PlanCabling(c.switches, c.topos, partition.Options{}); err == nil || err.Error() != c.want {
+			t.Errorf("PlanCabling(%s) = %v\nwant %s", c.topos[len(c.topos)-1].Name, err, c.want)
+		}
+	}
+	cab, err := PlanCabling(threeSwitches(), []*topology.Graph{topology.FatTree(4)}, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One switch, one self-link, one host port: line-2's link fits and
+	// its second host does not.
+	oneHost := &Cabling{
+		Switches:  []PhysicalSwitch{H3CS6861("solo")},
+		SelfLinks: []SelfLink{{Switch: 0, PortA: 1, PortB: 2}},
+		HostPorts: []HostPort{{Ref: PortRef{0, 3}}},
+	}
+	for _, c := range []struct {
+		g    *topology.Graph
+		cab  *Cabling
+		want string
+	}{
+		{topology.Dragonfly(4, 9, 2, 1), cab, `projection: cannot project "dragonfly-a4-g9-h2" onto cabling: projection: dragonfly-a4-g9-h2: out of self-links on switch s6861-b (edge 6); add cables or re-plan cabling`},
+		{topology.Torus3D(3, 3, 3, 1), cab, `projection: cannot project "torus3d-3x3x3" onto cabling: projection: torus3d-3x3x3: out of inter-switch links between s6861-a and s6861-b (edge 1); reserve more (§VII-A)`},
+		{topology.FatTree(8), cab, `projection: cannot project "fattree-k8" onto cabling: needs 640 ports, 3 switch(es) have 264`},
+		{topology.Line(2, 1), oneHost, `projection: cannot project "line-2" onto cabling: projection: line-2: out of host ports on switch solo for host "h1-0"`},
+	} {
+		if _, err := Project(c.g, c.cab, partition.Options{}); err == nil || err.Error() != c.want {
+			t.Errorf("Project(%s) = %v\nwant %s", c.g.Name, err, c.want)
+		}
 	}
 }
 

@@ -229,27 +229,26 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, _ partition
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("projection: invalid topology: %w", err)
 	}
-	var lastErr error
-	var short shortfall
-	need, swOrder := portsNeeded(g), switchOrder(cab.Switches)
+	var why reason
+	ks, need := newSearch(cab.Switches), portsNeeded(g)
 	for k := 1; k <= maxK(g, cab.Switches); k++ {
-		if s := portShortfall(need, cab.Switches, swOrder, k); s.short() {
-			short, lastErr = s, &short
+		if r, short := portShortfall(need, ks.top[k], k); short {
+			why = r
 			continue
 		}
-		md, err := mapDemands(g, cab.Switches, swOrder, k)
-		if err != nil {
-			lastErr = err
+		md, r := ks.mapDemands(g, k)
+		if md == nil {
+			why = r
 			continue
 		}
-		plan, err := projectMapped(g, cab, alloc, md)
-		if err != nil {
-			lastErr = err
+		plan, r := projectMapped(g, cab, alloc, md)
+		if plan == nil {
+			why = r
 			continue
 		}
 		return plan, nil
 	}
-	return nil, fmt.Errorf("projection: cannot project %q onto cabling: %v", g.Name, lastErr)
+	return nil, fmt.Errorf("projection: cannot project %q onto cabling: %s", g.Name, why.text(g, cab.Switches))
 }
 
 // projectMapped assigns physical links for one concrete part mapping,
@@ -261,19 +260,21 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, _ partition
 // alloc does not change during the call and a cable once taken stays
 // taken, so every cable before a cursor is held or taken, and a picker
 // resumes where it stopped instead of rescanning the cabling.
-func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappedDemands) (*Plan, error) {
+//
+// On failure it returns why. On success the plan owns its part-to-switch
+// map: md's is the k-search's storage.
+func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappedDemands) (*Plan, reason) {
 	parts := md.parts
 	partToSwitch := md.partToSwitch
 	links, hosts := g.NumSwitchSwitchEdges(), g.NumHosts()
 
 	plan := &Plan{
-		Topo:         g,
-		Cabling:      cab,
-		Parts:        parts,
-		PartToSwitch: partToSwitch,
-		Ports:        make(map[PortKey]PortRef, 2*links+hosts),
-		HostAttach:   make(map[int]PortRef, hosts),
-		EdgeLink:     make(map[int]PhysLink, links),
+		Topo:       g,
+		Cabling:    cab,
+		Parts:      parts,
+		Ports:      make(map[PortKey]PortRef, 2*links+hosts),
+		HostAttach: make(map[int]PortRef, hosts),
+		EdgeLink:   make(map[int]PhysLink, links),
 	}
 
 	// Stage the allocation in the cursors so failures leave alloc
@@ -292,8 +293,7 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 		if sa == sb {
 			idx, ok := ix.next(ix.selfList(sa), alloc.selfUsed)
 			if !ok {
-				return nil, fmt.Errorf("projection: %s: out of self-links on switch %s (edge %d); add cables or re-plan cabling",
-					g.Name, cab.Switches[sa].ID, eid)
+				return nil, reason{kind: noSelfLink, sw: sa, at: eid}
 			}
 			sl := cab.SelfLinks[idx]
 			plan.Ports[PortKey{e.A, e.APort}] = PortRef{sa, sl.PortA}
@@ -303,8 +303,7 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 		} else {
 			idx, ok := ix.next(ix.interList(sa, sb), alloc.interUsed)
 			if !ok {
-				return nil, fmt.Errorf("projection: %s: out of inter-switch links between %s and %s (edge %d); reserve more (§VII-A)",
-					g.Name, cab.Switches[sa].ID, cab.Switches[sb].ID, eid)
+				return nil, reason{kind: noInterLink, sw: sa, sw2: sb, at: eid}
 			}
 			il := cab.InterLinks[idx]
 			refA, refB := il.A, il.B
@@ -326,8 +325,7 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 		s := partToSwitch[parts.Assign[sw]]
 		idx, ok := ix.next(ix.hostList(s), alloc.hostUsed)
 		if !ok {
-			return nil, fmt.Errorf("projection: %s: out of host ports on switch %s for host %q",
-				g.Name, cab.Switches[s].ID, g.Vertices[h].Label)
+			return nil, reason{kind: noHostPort, sw: s, at: h}
 		}
 		ref := cab.HostPorts[idx].Ref
 		plan.HostAttach[h] = ref
@@ -336,7 +334,8 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 	}
 
 	ix.commit(alloc)
-	return plan, nil
+	plan.PartToSwitch = slices.Clone(partToSwitch)
+	return plan, reason{}
 }
 
 // Release returns the plan's physical links to the allocation (topology

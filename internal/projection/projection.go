@@ -161,98 +161,202 @@ func (c claimant) String() string {
 	return fmt.Sprintf("%s %d", [...]string{"", "self-link", "inter-link", "host port"}[c.kind], c.i)
 }
 
-// Demands summarises what one topology requires of a cabling after
-// partitioning: per-part self-links and host ports, and pairwise
-// inter-switch links (Eq. 1–2 of the paper).
-type Demands struct {
-	K         int
-	Self      []int          // per part
-	Host      []int          // per part
-	Inter     map[[2]int]int // per unordered part pair
-	PartPorts []int          // total physical ports needed per part
+// demands is what one k-way partition of g asks of the switches it is
+// projected onto (Eq. 1–2 of the paper): per part its self-links, host
+// ports and total ports, and per pair of parts a < b the links cut
+// between them, at inter[a·k+b]. A k-search computes every k's demands
+// into the same storage, sized once for its largest k.
+type demands struct {
+	self, host, ports []int
+	inter             []int
+	order             []int // sortParts' buffer
 }
 
-// demandsFor computes link demands for a k-way partition of g.
-func demandsFor(g *topology.Graph, parts *partition.Result) *Demands {
-	d := &Demands{
-		K:     parts.K,
-		Self:  make([]int, parts.K),
-		Host:  make([]int, parts.K),
-		Inter: map[[2]int]int{},
+// newDemands returns demands storage for up to maxK parts, in one array.
+func newDemands(maxK int) demands {
+	buf := make([]int, 4*maxK+maxK*maxK)
+	take := func(n int) []int {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
 	}
+	return demands{self: take(maxK), host: take(maxK), ports: take(maxK), order: take(maxK), inter: take(maxK * maxK)}
+}
+
+// of computes the demands of the partition parts of g.
+func (d *demands) of(g *topology.Graph, parts *partition.Result) {
+	k := parts.K
+	d.self, d.host, d.ports, d.inter = d.self[:k], d.host[:k], d.ports[:k], d.inter[:k*k]
+	clear(d.self)
+	clear(d.host)
+	clear(d.inter)
 	for _, e := range g.Edges {
 		if !g.IsSwitchSwitch(e) {
 			continue
 		}
 		pa, pb := parts.Assign[e.A], parts.Assign[e.B]
 		if pa == pb {
-			d.Self[pa]++
+			d.self[pa]++
 		} else {
-			if pa > pb {
-				pa, pb = pb, pa
-			}
-			d.Inter[[2]int{pa, pb}]++
+			d.inter[min(pa, pb)*k+max(pa, pb)]++
 		}
 	}
 	for _, h := range g.Hosts() {
 		if s := g.HostSwitch(h); s >= 0 {
-			d.Host[parts.Assign[s]]++
+			d.host[parts.Assign[s]]++
 		}
 	}
-	d.PartPorts = make([]int, parts.K)
-	for p := 0; p < parts.K; p++ {
-		d.PartPorts[p] = 2*d.Self[p] + d.Host[p]
+	for p := range k {
+		d.ports[p] = 2*d.self[p] + d.host[p]
 	}
-	for pair, n := range d.Inter {
-		d.PartPorts[pair[0]] += n
-		d.PartPorts[pair[1]] += n
+	for a := range k {
+		for b := a + 1; b < k; b++ {
+			n := d.inter[a*k+b]
+			d.ports[a] += n
+			d.ports[b] += n
+		}
 	}
-	return d
 }
 
-// mappedDemands partitions g into k parts and maps parts onto physical
-// switches (heaviest part to the largest switch), returning per-switch
-// self-link/host-port demand and per-switch-pair inter-link demand.
+// sortParts returns the parts by descending port demand (stable on
+// index), in d's buffer.
+func (d *demands) sortParts() []int {
+	order := d.order[:len(d.ports)]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(d.ports[b], d.ports[a]) })
+	return order
+}
+
+// switchLinks counts links by physical switch: the self-links and host
+// ports on each of n switches, and the inter-links between switches
+// a < b at inter[a·n+b], all three laid out in all. It is one part
+// mapping's demand and PlanCabling's running reservation.
+type switchLinks struct {
+	self, host, inter []int
+	all               []int
+}
+
+func newSwitchLinks(n int) switchLinks {
+	all := make([]int, 2*n+n*n)
+	return switchLinks{self: all[:n:n], host: all[n : 2*n : 2*n], inter: all[2*n:], all: all}
+}
+
+// union sets every count of l to the larger of a's and b's.
+func (l *switchLinks) union(a, b *switchLinks) {
+	for i := range l.all {
+		l.all[i] = max(a.all[i], b.all[i])
+	}
+}
+
+// ports returns the ports switch s's links take.
+func (l *switchLinks) ports(s int) int {
+	n := len(l.self)
+	used := 2*l.self[s] + l.host[s]
+	for t := range n {
+		if t != s {
+			used += l.inter[min(s, t)*n+max(s, t)]
+		}
+	}
+	return used
+}
+
+// fits reports whether every switch has the ports its links take.
+func (l *switchLinks) fits(switches []PhysicalSwitch) bool {
+	for s, sw := range switches {
+		if l.ports(s) > sw.Ports {
+			return false
+		}
+	}
+	return true
+}
+
+// total returns the ports all the links take.
+func (l *switchLinks) total() int {
+	t := 0
+	for s := range l.self {
+		t += 2*l.self[s] + l.host[s]
+	}
+	for _, n := range l.inter {
+		t += 2 * n
+	}
+	return t
+}
+
+// mappedDemands is one k-way partition of g mapped onto physical
+// switches (heaviest part to the largest switch): the partition, the
+// part-to-switch map and the links it asks of each switch.
 type mappedDemands struct {
 	parts        *partition.Result
 	partToSwitch []int
-	self, host   []int          // indexed by physical switch
-	inter        map[[2]int]int // unordered physical switch pair
+	links        switchLinks
 }
 
-func mapDemands(g *topology.Graph, switches []PhysicalSwitch, swOrder []int, k int) (*mappedDemands, error) {
+// search is what a k-search over a list of switches (PlanCabling,
+// ProjectInto) keeps for all of its k: the switches' order and port
+// totals, and the storage every k's demands and mapping are computed
+// into.
+type search struct {
+	switches []PhysicalSwitch
+	swOrder  []int // switchOrder(switches)
+	top      []int // top[k]: the ports of the k largest switches
+	d        demands
+	md       mappedDemands
+}
+
+func newSearch(switches []PhysicalSwitch) *search {
+	n := len(switches)
+	s := &search{
+		switches: switches,
+		swOrder:  switchOrder(switches),
+		top:      make([]int, n+1),
+		d:        newDemands(n),
+		md:       mappedDemands{partToSwitch: make([]int, n), links: newSwitchLinks(n)},
+	}
+	for i, sw := range s.swOrder {
+		s.top[i+1] = s.top[i] + switches[sw].Ports
+	}
+	return s
+}
+
+// mapDemands partitions g into k parts and pairs the parts, heaviest
+// first, with the switches, largest first. It returns the mapping,
+// valid until the next call, or why the pairing does not fit.
+func (s *search) mapDemands(g *topology.Graph, k int) (*mappedDemands, reason) {
 	parts, err := partition.Cut(g, k, partition.Options{})
 	if err != nil {
-		return nil, err
+		return nil, reason{kind: cutFailed, err: err}
 	}
-	d := demandsFor(g, parts)
-	order := partOrder(d)
-	if err := fitParts(d, switches, swOrder, order); err != nil {
-		return nil, err
-	}
-	md := &mappedDemands{
-		parts:        parts,
-		partToSwitch: make([]int, d.K),
-		self:         make([]int, len(switches)),
-		host:         make([]int, len(switches)),
-		inter:        map[[2]int]int{},
-	}
+	d := &s.d
+	d.of(g, parts)
+	order := d.sortParts()
 	for i, p := range order {
-		md.partToSwitch[p] = swOrder[i]
-	}
-	for p := 0; p < d.K; p++ {
-		s := md.partToSwitch[p]
-		md.self[s] += d.Self[p]
-		md.host[s] += d.Host[p]
-	}
-	for pair, n := range d.Inter {
-		a, b := md.partToSwitch[pair[0]], md.partToSwitch[pair[1]]
-		if a > b {
-			a, b = b, a
+		if sw := s.swOrder[i]; d.ports[p] > s.switches[sw].Ports {
+			return nil, reason{kind: partOverflows, part: p, need: d.ports[p], sw: sw, have: s.switches[sw].Ports}
 		}
-		md.inter[[2]int{a, b}] += n
 	}
-	return md, nil
+	md := &s.md
+	md.parts = parts
+	md.partToSwitch = md.partToSwitch[:k]
+	for i, p := range order {
+		md.partToSwitch[p] = s.swOrder[i]
+	}
+	l := &md.links
+	n := len(l.self)
+	clear(l.all)
+	for p := range k {
+		sw := md.partToSwitch[p]
+		l.self[sw] += d.self[p]
+		l.host[sw] += d.host[p]
+	}
+	for a := range k {
+		for b := a + 1; b < k; b++ {
+			sa, sb := md.partToSwitch[a], md.partToSwitch[b]
+			l.inter[min(sa, sb)*n+max(sa, sb)] += d.inter[a*k+b]
+		}
+	}
+	return md, reason{}
 }
 
 // maxK bounds the useful part count for g on the given switch set.
@@ -264,33 +368,17 @@ func maxK(g *topology.Graph, switches []PhysicalSwitch) int {
 	return k
 }
 
-// fitParts checks the per-part port demand against switch port counts,
-// pairing the parts in order (partOrder's, heaviest first) with the
-// switches in swOrder (switchOrder's, largest first).
-func fitParts(d *Demands, switches []PhysicalSwitch, swOrder, order []int) error {
-	for i, p := range order {
-		if i >= len(swOrder) {
-			return fmt.Errorf("more parts than switches")
-		}
-		sw := switches[swOrder[i]]
-		if d.PartPorts[p] > sw.Ports {
-			return fmt.Errorf("part %d needs %d ports, switch %s has %d", p, d.PartPorts[p], sw.ID, sw.Ports)
-		}
-	}
-	return nil
-}
-
 // portsNeeded is the total port demand of every partition of g, the
 // pigeonhole bound the three k-searches (minSwitches, PlanCabling,
-// ProjectInto) apply before paying for a Cut: Σ_p Demands.PartPorts[p]
-// does not depend on the partition — every switch-switch edge costs two
-// ports wherever its endpoints land (2·Self inside a part, one port on
-// each side of a cut) and every attached host costs one — and fitParts
-// pairs the k parts with the k largest switches, so if that sum exceeds
-// those switches' ports some part must exceed its switch. Hosts are
-// counted the way demandsFor counts them (once per attached host), not
-// with Graph.HostFacingPorts, which counts a multi-homed host once per
-// link.
+// ProjectInto) apply before paying for a Cut: Σ_p demands.ports[p] does
+// not depend on the partition — every switch-switch edge costs two
+// ports wherever its endpoints land (2·self inside a part, one port on
+// each side of a cut) and every attached host costs one — and the
+// searches pair the k parts with the k largest switches, so if that sum
+// exceeds those switches' ports some part must exceed its switch. Hosts
+// are counted the way demands.of counts them (once per attached host),
+// not with Graph.HostFacingPorts, which counts a multi-homed host once
+// per link.
 func portsNeeded(g *topology.Graph) int {
 	need := g.SwitchPortCount() // two per switch-switch edge
 	for _, h := range g.Hosts() {
@@ -301,39 +389,61 @@ func portsNeeded(g *topology.Graph) int {
 	return need
 }
 
-// shortfall is the bound's verdict on one k: the k largest switches
-// have have ports where the graph needs need.
-type shortfall struct{ need, have, k int }
-
-// short reports whether no k-way partition can pass fitParts.
-func (s shortfall) short() bool { return s.need > s.have }
-
-// Error describes a shortfall. A k-search keeps a pointer to its last
-// one as the reason a k failed, so the text is formatted only for the
-// k the search reports, if it reports one.
-func (s shortfall) Error() string {
-	return fmt.Sprintf("needs %d ports, %d switch(es) have %d", s.need, s.k, s.have)
+// portShortfall compares need (portsNeeded) with have, the ports of the
+// k largest switches, and reports whether no k-way partition can fit,
+// with the reason.
+func portShortfall(need, have, k int) (reason, bool) {
+	return reason{kind: shortOfPorts, k: k, need: need, have: have}, need > have
 }
 
-// portShortfall compares need (portsNeeded) with the ports of the k
-// largest switches, the first k of swOrder (switchOrder's).
-func portShortfall(need int, switches []PhysicalSwitch, swOrder []int, k int) shortfall {
-	have := 0
-	for _, s := range swOrder[:k] {
-		have += switches[s].Ports
-	}
-	return shortfall{need: need, have: have, k: k}
+// reason is why one k of a k-search failed, kept as plain values: a
+// search overwrites it on every k that fails and formats, with text,
+// only the one it reports, if it reports one.
+type reason struct {
+	kind       reasonKind
+	k, part    int   // the part count; the part that overflows its switch
+	need, have int   // ports needed and ports there
+	sw, sw2    int   // switches, as indices into the search's list
+	at         int   // the edge or host vertex that found no cable
+	err        error // Cut's
 }
 
-// partOrder returns part indices sorted by descending port demand
-// (stable on index).
-func partOrder(d *Demands) []int {
-	order := make([]int, d.K)
-	for i := range order {
-		order[i] = i
+type reasonKind uint8
+
+const (
+	noReason      reasonKind = iota
+	shortOfPorts             // the k largest switches have too few ports for any partition
+	partOverflows            // a part needs more ports than the switch it is paired with
+	overBudget               // PlanCabling: the mapping takes the reservation past a switch
+	cutFailed                // partition.Cut returned err
+	noSelfLink               // projectMapped: no free self-link on sw for edge at
+	noInterLink              // projectMapped: no free inter-link between sw and sw2 for edge at
+	noHostPort               // projectMapped: no free host port on sw for host at
+)
+
+// text formats r as found by a search over switches for g; the zero
+// reason reads as a nil error does.
+func (r reason) text(g *topology.Graph, switches []PhysicalSwitch) string {
+	switch r.kind {
+	case shortOfPorts:
+		return fmt.Sprintf("needs %d ports, %d switch(es) have %d", r.need, r.k, r.have)
+	case partOverflows:
+		return fmt.Sprintf("part %d needs %d ports, switch %s has %d", r.part, r.need, switches[r.sw].ID, r.have)
+	case overBudget:
+		return fmt.Sprintf("k=%d reservation exceeds port budget", r.k)
+	case cutFailed:
+		return r.err.Error()
+	case noSelfLink:
+		return fmt.Sprintf("projection: %s: out of self-links on switch %s (edge %d); add cables or re-plan cabling",
+			g.Name, switches[r.sw].ID, r.at)
+	case noInterLink:
+		return fmt.Sprintf("projection: %s: out of inter-switch links between %s and %s (edge %d); reserve more (§VII-A)",
+			g.Name, switches[r.sw].ID, switches[r.sw2].ID, r.at)
+	case noHostPort:
+		return fmt.Sprintf("projection: %s: out of host ports on switch %s for host %q",
+			g.Name, switches[r.sw].ID, g.Vertices[r.at].Label)
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(d.PartPorts[b], d.PartPorts[a]) })
-	return order
+	return "<nil>"
 }
 
 // switchOrder returns switch indices sorted by descending port count
@@ -345,72 +455,6 @@ func switchOrder(switches []PhysicalSwitch) []int {
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(switches[b].Ports, switches[a].Ports) })
 	return order
-}
-
-// reservation is the running union of link demands during cabling
-// planning.
-type reservation struct {
-	self, host []int
-	inter      map[[2]int]int
-}
-
-func newReservation(n int) *reservation {
-	return &reservation{self: make([]int, n), host: make([]int, n), inter: map[[2]int]int{}}
-}
-
-// union merges md into a copy of r.
-func (r *reservation) union(md *mappedDemands) *reservation {
-	out := newReservation(len(r.self))
-	copy(out.self, r.self)
-	copy(out.host, r.host)
-	for k, v := range r.inter {
-		out.inter[k] = v
-	}
-	for s := range md.self {
-		if md.self[s] > out.self[s] {
-			out.self[s] = md.self[s]
-		}
-		if md.host[s] > out.host[s] {
-			out.host[s] = md.host[s]
-		}
-	}
-	for pair, n := range md.inter {
-		if n > out.inter[pair] {
-			out.inter[pair] = n
-		}
-	}
-	return out
-}
-
-// portsUsed computes per-switch port consumption of the reservation.
-func (r *reservation) portsUsed(n int) []int {
-	used := make([]int, n)
-	for s := 0; s < n; s++ {
-		used[s] = 2*r.self[s] + r.host[s]
-	}
-	for pair, cnt := range r.inter {
-		used[pair[0]] += cnt
-		used[pair[1]] += cnt
-	}
-	return used
-}
-
-// fits reports whether the reservation stays within switch port counts.
-func (r *reservation) fits(switches []PhysicalSwitch) bool {
-	for s, used := range r.portsUsed(len(switches)) {
-		if used > switches[s].Ports {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *reservation) totalPorts(n int) int {
-	t := 0
-	for _, u := range r.portsUsed(n) {
-		t += u
-	}
-	return t
 }
 
 // PlanCabling computes a fixed physical wiring able to host every
@@ -439,48 +483,48 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, _ partition
 	sort.SliceStable(order, func(a, b int) bool {
 		return topos[order[a]].SwitchPortCount() > topos[order[b]].SwitchPortCount()
 	})
-	res := newReservation(n)
-	swOrder := switchOrder(switches)
+	// res is the reservation so far; cand is a k's union with it and
+	// best the cheapest union yet, swapped rather than copied.
+	res, cand, best := newSwitchLinks(n), newSwitchLinks(n), newSwitchLinks(n)
+	ks := newSearch(switches)
 	for _, ti := range order {
 		g := topos[ti]
 		if g.NumSwitches() == 0 {
 			return nil, fmt.Errorf("projection: topology %q has no switches to project", g.Name)
 		}
 		bestCost := -1
-		var bestRes *reservation
-		var lastErr error
-		var short shortfall
+		var why reason
 		need := portsNeeded(g)
 		for k := 1; k <= maxK(g, switches); k++ {
-			if s := portShortfall(need, switches, swOrder, k); s.short() {
-				short, lastErr = s, &short
+			if r, short := portShortfall(need, ks.top[k], k); short {
+				why = r
 				continue
 			}
-			md, err := mapDemands(g, switches, swOrder, k)
-			if err != nil {
-				lastErr = err
+			md, r := ks.mapDemands(g, k)
+			if md == nil {
+				why = r
 				continue
 			}
-			cand := res.union(md)
+			cand.union(&res, &md.links)
 			if !cand.fits(switches) {
-				lastErr = fmt.Errorf("k=%d reservation exceeds port budget", k)
+				why = reason{kind: overBudget, k: k}
 				continue
 			}
-			cost := cand.totalPorts(n) - res.totalPorts(n)
+			cost := cand.total() - res.total()
 			if bestCost < 0 || cost < bestCost {
-				bestCost, bestRes = cost, cand
+				bestCost = cost
+				best, cand = cand, best
 			}
 			if cost == 0 {
 				break // free under the existing reservation
 			}
 		}
-		if bestRes == nil {
-			return nil, fmt.Errorf("projection: topology %q does not fit on %d switch(es): %v",
-				g.Name, len(switches), lastErr)
+		if bestCost < 0 {
+			return nil, fmt.Errorf("projection: topology %q does not fit on %d switch(es): %s",
+				g.Name, len(switches), why.text(g, switches))
 		}
-		res = bestRes
+		res, best = best, res
 	}
-	maxSelf, maxHost, maxInter := res.self, res.host, res.inter
 	cab := &Cabling{Switches: append([]PhysicalSwitch(nil), switches...)}
 	next := make([]int, n) // next free port per switch
 	for i := range next {
@@ -495,14 +539,14 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, _ partition
 		return p, nil
 	}
 	for s := 0; s < n; s++ {
-		for i := 0; i < maxHost[s]; i++ {
+		for i := 0; i < res.host[s]; i++ {
 			p, err := take(s)
 			if err != nil {
 				return nil, err
 			}
 			cab.HostPorts = append(cab.HostPorts, HostPort{Ref: PortRef{s, p}})
 		}
-		for i := 0; i < maxSelf[s]; i++ {
+		for i := 0; i < res.self[s]; i++ {
 			pa, err := take(s)
 			if err != nil {
 				return nil, err
@@ -514,27 +558,20 @@ func PlanCabling(switches []PhysicalSwitch, topos []*topology.Graph, _ partition
 			cab.SelfLinks = append(cab.SelfLinks, SelfLink{Switch: s, PortA: pa, PortB: pb})
 		}
 	}
-	pairs := make([][2]int, 0, len(maxInter))
-	for pair := range maxInter {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pair := range pairs {
-		for i := 0; i < maxInter[pair]; i++ {
-			pa, err := take(pair[0])
-			if err != nil {
-				return nil, err
+	// Inter-links by switch pair in ascending (a, b) order.
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			for i := 0; i < res.inter[a*n+b]; i++ {
+				pa, err := take(a)
+				if err != nil {
+					return nil, err
+				}
+				pb, err := take(b)
+				if err != nil {
+					return nil, err
+				}
+				cab.InterLinks = append(cab.InterLinks, InterLink{A: PortRef{a, pa}, B: PortRef{b, pb}})
 			}
-			pb, err := take(pair[1])
-			if err != nil {
-				return nil, err
-			}
-			cab.InterLinks = append(cab.InterLinks, InterLink{A: PortRef{pair[0], pa}, B: PortRef{pair[1], pb}})
 		}
 	}
 	if err := cab.Validate(); err != nil {
