@@ -9,14 +9,24 @@ import (
 	"repro/internal/workload"
 )
 
+// cellLimit is a cell's budget of n objects, 30 % more under -race: a
+// partition.Cut whose pooled worker was dropped builds a new one, and
+// both cells, which count 630 objects, read 640 to 750 there.
+func cellLimit(n int) float64 {
+	if raceEnabled {
+		return 1.3 * float64(n)
+	}
+	return float64(n)
+}
+
 // TestTable4CellAllocsBounded is the allocation budget of one Table IV
 // cell: HPCG on 16 ranks of Dragonfly(4,9,2,1), the SDT and the
 // full-testbed job Table4 makes for it, on a fresh testbed, with the
 // trace built inside the cell. The cell allocated 15 785 objects while
 // the trace was copied phase by phase and every queue pair and packet
-// refill was an object of its own, and 5 558 with traces written in
-// place and the packet path in per-Network slabs; the limit leaves
-// 15 % over that.
+// refill was an object of its own, 2 640 with traces written in place
+// and the packet path in per-Network slabs, and 630 since each fabric
+// is laid out in per-Network storage; the limit leaves 15 % over that.
 func TestTable4CellAllocsBounded(t *testing.T) {
 	g := topology.Dragonfly(4, 9, 2, 1)
 	perCell := testing.AllocsPerRun(2, func() {
@@ -36,9 +46,8 @@ func TestTable4CellAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const limit = 6400
-	if perCell > limit {
-		t.Errorf("a table4 cell allocates %.0f objects, limit %d", perCell, limit)
+	if limit := cellLimit(725); perCell > limit {
+		t.Errorf("a table4 cell allocates %.0f objects, limit %.0f", perCell, limit)
 	}
 }
 
@@ -46,16 +55,15 @@ func TestTable4CellAllocsBounded(t *testing.T) {
 // point: IMB Alltoall on 8 nodes of Dragonfly(4,9,2,1), 64 KiB over 4
 // rounds, on the full testbed and on SDT, testbed included. It
 // allocated 6 018 objects before the packet path moved into
-// per-Network slabs and 5 321 after, most of them planning and
-// deployment; the limit leaves 15 % over that.
+// per-Network slabs, 2 507 after, and 630 since each fabric is laid
+// out in per-Network storage; the limit leaves 15 % over that.
 func TestFig13CellAllocsBounded(t *testing.T) {
 	perCell := testing.AllocsPerRun(2, func() {
 		if _, err := Fig13(context.Background(), []int{8}, 64*1024, 4, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const limit = 6100
-	if perCell > limit {
-		t.Errorf("a fig13 cell allocates %.0f objects, limit %d", perCell, limit)
+	if limit := cellLimit(725); perCell > limit {
+		t.Errorf("a fig13 cell allocates %.0f objects, limit %.0f", perCell, limit)
 	}
 }

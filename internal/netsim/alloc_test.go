@@ -153,3 +153,90 @@ func TestNewPairAllocsBounded(t *testing.T) {
 		}
 	}
 }
+
+// testFabric is a topology with its compiled routes and crossbar
+// grouping (nil: a crossbar per switch).
+type testFabric struct {
+	name       string
+	g          *topology.Graph
+	fwd        Forwarder
+	crossbarOf func(v int) int
+}
+
+// build makes the fabric, with the SDT per-hop overhead where switches
+// share crossbars.
+func (f testFabric) build() (*Network, error) {
+	return NewNetwork(f.g, f.fwd, DefaultConfig(), f.crossbarOf, f.crossbarOf != nil)
+}
+
+// newNetworkCases are the fabrics TestNewNetworkAllocsBounded and
+// BenchmarkNewNetwork build: two fat-trees of different sizes, and the
+// Dragonfly(4,9,2,1) of the paper's Table IV under SDT, each of its
+// groups sharing one crossbar.
+func newNetworkCases(tb testing.TB) []testFabric {
+	var cases []testFabric
+	for _, c := range []struct {
+		name  string
+		g     *topology.Graph
+		strat routing.Strategy
+		sdt   bool
+	}{
+		{"fattree4", topology.FatTree(4), routing.FatTreeDFS{}, false},
+		{"fattree8", topology.FatTree(8), routing.FatTreeDFS{}, false},
+		{"dragonfly-sdt", topology.Dragonfly(4, 9, 2, 1), routing.DragonflyMinimal{}, true},
+	} {
+		routes, err := c.strat.Compute(c.g)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		f := testFabric{name: c.name, g: c.g, fwd: NewRouteForwarder(routes)}
+		if c.sdt {
+			g := c.g
+			f.crossbarOf = func(v int) int { return g.Vertices[v].Coord[0] }
+		}
+		cases = append(cases, f)
+	}
+	return cases
+}
+
+// TestNewNetworkAllocsBounded pins a fabric build at the same handful
+// of allocations whatever the fabric's size: devices, links, ports,
+// crossbars and per-port state live in per-Network slabs, so one
+// allocation per device or port would fail it. Graph.Validate's
+// allocations, which vary a little with the graph, are not counted.
+func TestNewNetworkAllocsBounded(t *testing.T) {
+	const limit = 15
+	first := -1.0
+	for _, c := range newNetworkCases(t) {
+		build := testing.AllocsPerRun(5, func() {
+			if _, err := c.build(); err != nil {
+				t.Fatal(err)
+			}
+		}) - testing.AllocsPerRun(5, func() {
+			if err := c.g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s (%d vertices, %d edges): %.0f allocations", c.name, len(c.g.Vertices), len(c.g.Edges), build)
+		if first < 0 {
+			first = build
+		}
+		if build != first || build > limit {
+			t.Errorf("%s: NewNetwork makes %.0f allocations, want the %.0f of the smallest fabric, at most %d", c.name, build, first, limit)
+		}
+	}
+}
+
+// BenchmarkNewNetwork times a fabric build of the k=8 fat-tree and the
+// SDT Dragonfly(4,9,2,1); run it with -benchmem.
+func BenchmarkNewNetwork(b *testing.B) {
+	for _, c := range newNetworkCases(b)[1:] {
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := c.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -54,13 +54,15 @@ func NewApp(n *Network, hosts []int, programs [][]Op, onDone func(act Time)) *Ap
 	if len(hosts) != len(programs) {
 		panic("netsim: hosts/programs length mismatch")
 	}
-	app := &App{net: n, onDone: onDone}
+	app := &App{net: n, onDone: onDone, Ranks: make([]*Rank, len(hosts))}
+	ranks := make([]Rank, len(hosts))
 	for i, hv := range hosts {
 		h := n.Host(hv)
 		if h == nil {
 			panic("netsim: app host vertex is not a host")
 		}
-		app.Ranks = append(app.Ranks, &Rank{Index: i, host: h, prog: programs[i]})
+		ranks[i] = Rank{Index: i, host: h, prog: programs[i]}
+		app.Ranks[i] = &ranks[i]
 	}
 	return app
 }
@@ -94,7 +96,7 @@ func (a *App) step(r *Rank) {
 		case OpRecv:
 			src := a.hostOf(op.Peer)
 			cont := engine.Callback{H: a, Ev: engine.Event{Kind: evAppStep, Ref: int32(r.Index)}}
-			r.host.mailbox.recv(n.Sim, src, op.MTag, cont)
+			n.mail.recv(n.Sim, r.host.vertex, src, op.MTag, cont)
 			return
 		case OpCompute:
 			n.Sim.ScheduleAfter(op.Dur, a, engine.Event{Kind: evAppStep, Ref: int32(r.Index)})

@@ -245,7 +245,9 @@ func TestNICDrainKicksInCreationOrder(t *testing.T) {
 		}
 		stalls := 0
 		for net.Sim.Step() {
-			stalls += len(h.roce.stalled)
+			for s := h.roce.stalled; s != 0; s = net.qps[s-1].nextStalled {
+				stalls++
+			}
 			drain(h)
 		}
 		if len(h.roce.peers) != peers || len(net.qps) != peers {

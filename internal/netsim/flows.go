@@ -153,7 +153,7 @@ func (a *FlowApp) OnEvent(now Time, ev engine.Event) {
 		i := a.order[ev.A]
 		f := &a.flows[i]
 		cont := engine.Callback{H: a, Ev: engine.Event{Kind: evFlowDone, A: int64(i)}}
-		a.net.Host(a.hosts[f.Dst]).mailbox.recv(a.net.Sim, a.hosts[f.Src], f.Tag, cont)
+		a.net.mail.recv(a.net.Sim, a.hosts[f.Dst], a.hosts[f.Src], f.Tag, cont)
 		a.net.Host(a.hosts[f.Src]).Send(a.hosts[f.Dst], f.Tag, f.Bytes)
 		a.next++
 		a.armNext()

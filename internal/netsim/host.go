@@ -8,18 +8,21 @@ import (
 )
 
 // mailbox matches arrived messages with posted receives, MPI-style
-// (exact source + tag matching, FIFO per key). Continuations are stored
-// as typed engine callbacks, so the app layer stays closure-free.
-// Traces tag every phase afresh, so keys are short-lived: a drained key
-// is deleted, and a key's first waiter is held inline in the map.
+// (exact source + tag matching at the receiving host, FIFO per key).
+// Continuations are stored as typed engine callbacks, so the app layer
+// stays closure-free. One mailbox serves a whole fabric, its maps made
+// on first use. Traces tag every phase afresh, so keys are
+// short-lived: a drained key is deleted, and a key's first waiter is
+// held inline in the map.
 type mailbox struct {
 	arrived map[msgKey]int
 	waiting map[msgKey]waiters
 }
 
+// msgKey names a message by receiving host, source host and tag.
 type msgKey struct {
-	src int
-	tag int
+	dst, src int32
+	tag      int
 }
 
 // waiters is one key's posted receives in order: first, then more.
@@ -28,12 +31,8 @@ type waiters struct {
 	more  []engine.Callback
 }
 
-func newMailbox() mailbox {
-	return mailbox{arrived: map[msgKey]int{}, waiting: map[msgKey]waiters{}}
-}
-
-func (m *mailbox) deliver(sim *Sim, src, tag int) {
-	k := msgKey{src, tag}
+func (m *mailbox) deliver(sim *Sim, dst, src, tag int) {
+	k := msgKey{int32(dst), int32(src), tag}
 	if w, ok := m.waiting[k]; ok {
 		cont := w.first
 		if len(w.more) == 0 {
@@ -48,11 +47,14 @@ func (m *mailbox) deliver(sim *Sim, src, tag int) {
 		sim.Post(sim.Now(), cont)
 		return
 	}
+	if m.arrived == nil {
+		m.arrived = map[msgKey]int{}
+	}
 	m.arrived[k]++
 }
 
-func (m *mailbox) recv(sim *Sim, src, tag int, cont engine.Callback) {
-	k := msgKey{src, tag}
+func (m *mailbox) recv(sim *Sim, dst, src, tag int, cont engine.Callback) {
+	k := msgKey{int32(dst), int32(src), tag}
 	if c := m.arrived[k]; c > 0 {
 		if c == 1 {
 			delete(m.arrived, k)
@@ -66,6 +68,9 @@ func (m *mailbox) recv(sim *Sim, src, tag int, cont engine.Callback) {
 		w.more = append(w.more, cont)
 		m.waiting[k] = w
 		return
+	}
+	if m.waiting == nil {
+		m.waiting = map[msgKey]waiters{}
 	}
 	m.waiting[k] = waiters{first: cont}
 }
@@ -90,11 +95,12 @@ type roceMsg struct {
 // qps slab; its messages wait from head to tail, and its rate state is
 // at the same index in the policy's slab (see cc.go).
 type roceQP struct {
-	nextSendAt Time
-	src, dst   int32 // source host and destination vertices
-	head, tail int32 // message queue, 0 when empty
-	pumping    bool
-	stalled    bool // listed in its host's stalled set
+	nextSendAt  Time
+	src, dst    int32 // source host and destination vertices
+	head, tail  int32 // message queue, 0 when empty
+	nextStalled int32 // next QP + 1 on its host's stalled list, 0 ends
+	pumping     bool
+	stalled     bool // on its host's stalled list
 }
 
 // roceEngine is one host's share of the RoCE state: its QPs by
@@ -104,9 +110,10 @@ type roceEngine struct {
 	// peers holds the host's QPs sorted by destination; Send
 	// binary-searches it once per message.
 	peers []int32
-	// stalled lists the QPs whose pump stopped on NIC backlog, so a
-	// drain kicks only those; spare is the other buffer of the pair.
-	stalled, spare []int32
+	// stalled heads the list, linked through the QPs, of the QPs whose
+	// pump stopped on NIC backlog, so a drain kicks only those: QP
+	// index + 1, 0 when the list is empty.
+	stalled int32
 	// nextMsg allocates message IDs.
 	nextMsg int64
 }
@@ -184,8 +191,8 @@ func (n *Network) pump(qi int32) {
 	h := n.hosts[q.src]
 	if h.nicBacklogged() {
 		if !q.stalled { // resume on drain
-			q.stalled = true
-			h.roce.stalled = append(h.roce.stalled, qi)
+			q.stalled, q.nextStalled = true, h.roce.stalled
+			h.roce.stalled = qi + 1
 		}
 		return
 	}
@@ -240,7 +247,7 @@ func (h *Host) inject(pkt *Packet) {
 		pkt.Prio = pfcClass(pkt)
 	}
 	pkt.arrClass = pkt.Prio // NIC-originated: arrival class = wire class
-	h.out.queues[pkt.Prio].push(pkt)
+	h.out.queues[pkt.Prio].push(&h.net.rings, pkt)
 	h.net.tryTransmit(h.out)
 }
 
@@ -255,28 +262,34 @@ func (h *Host) nicBacklogged() bool {
 // Every other QP is pumping or has nothing to send, so pumping it
 // would do nothing. A pump that stalls again lists its QP for the
 // next drain.
+//
+// The kicked QPs are collected into the fabric's scratch, which no
+// other drain can touch meanwhile: a pump only schedules, so no queue
+// drains inside this loop.
 func (h *Host) nicDrained() {
 	e := &h.roce
-	if len(e.stalled) == 0 || h.nicBacklogged() {
+	if e.stalled == 0 || h.nicBacklogged() {
 		return
 	}
 	n := h.net
-	kick := e.stalled
-	e.stalled = e.spare[:0]
-	slices.Sort(kick) // slab order is creation order
-	for _, qi := range kick {
-		n.qps[qi].stalled = false
+	kick := n.kick[:0]
+	for s := e.stalled; s != 0; {
+		q := &n.qps[s-1]
+		kick = append(kick, s-1)
+		s, q.stalled, q.nextStalled = q.nextStalled, false, 0
 	}
+	e.stalled = 0
+	slices.Sort(kick) // slab order is creation order
 	for _, qi := range kick {
 		n.pump(qi)
 	}
-	e.spare = kick[:0]
+	n.kick = kick[:0]
 }
 
 // OnEvent dispatches host events (delayed application delivery).
 func (h *Host) OnEvent(now Time, ev engine.Event) {
 	if ev.Kind == evDeliver {
-		h.mailbox.deliver(h.net.Sim, int(ev.A), int(ev.B))
+		h.net.mail.deliver(h.net.Sim, h.vertex, int(ev.A), int(ev.B))
 	}
 }
 

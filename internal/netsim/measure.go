@@ -10,8 +10,8 @@ type GoodputSample struct {
 // directions summed) — the Network Monitor feed for adaptive routing.
 func (n *Network) LinkLoads() map[int]float64 {
 	out := map[int]float64{}
-	for _, l := range n.links {
-		out[l.EdgeID] += float64(l.TxBytes)
+	for i := range n.links {
+		out[n.links[i].EdgeID] += float64(n.links[i].TxBytes)
 	}
 	return out
 }

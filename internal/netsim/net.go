@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"cmp"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/routing"
@@ -142,7 +145,8 @@ type deviceRef struct {
 
 // fifo is a byte-accounted packet queue over a power-of-two ring
 // buffer: pops release the head slot immediately (no backing-array
-// retention) and steady-state push/pop allocates nothing.
+// retention) and steady-state push/pop allocates nothing. Its rings
+// come from, and an outgrown ring returns to, its Network's ringPool.
 type fifo struct {
 	ring  []*Packet // power-of-two capacity
 	head  int
@@ -150,23 +154,23 @@ type fifo struct {
 	bytes int
 }
 
-func (q *fifo) push(p *Packet) {
+func (q *fifo) push(rp *ringPool, p *Packet) {
 	if q.n == len(q.ring) {
-		q.grow()
+		q.grow(rp)
 	}
 	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
 	q.n++
 	q.bytes += p.Size
 }
 
-func (q *fifo) grow() {
-	ncap := len(q.ring) * 2
-	if ncap == 0 {
-		ncap = 8
-	}
-	next := make([]*Packet, ncap)
+func (q *fifo) grow(rp *ringPool) {
+	next := rp.get(max(2*len(q.ring), minRing))
 	for i := 0; i < q.n; i++ {
 		next[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	if q.ring != nil {
+		clear(q.ring)
+		rp.put(q.ring)
 	}
 	q.ring = next
 	q.head = 0
@@ -182,6 +186,62 @@ func (q *fifo) pop() *Packet {
 }
 
 func (q *fifo) empty() bool { return q.n == 0 }
+
+// minRing is the capacity of a queue's first ring, and ringChunk the
+// slot count of the chunks the pool carves rings of up to that size
+// from.
+const (
+	minRing   = 8
+	ringChunk = 512
+)
+
+// ringPool is a Network's storage for its queues' rings. free[c] lists
+// the idle rings of minRing<<c slots. A ring of up to ringChunk slots
+// is carved from the current chunk when its list is empty, and a
+// larger one is allocated alone. A queue that outgrows its ring puts
+// it back, cleared, so a fabric's rings cover about its queues'
+// high-water marks, and a ring handed out is held by one queue only.
+type ringPool struct {
+	free  [32][][]*Packet
+	chunk []*Packet // the current chunk's uncarved tail
+}
+
+// ringClass returns the free-list index of a ring of n slots, a power
+// of two no smaller than minRing.
+func ringClass(n int) int { return bits.Len(uint(n)) - bits.Len(minRing) }
+
+// get returns a ring of n slots, n a power of two no smaller than
+// minRing.
+func (rp *ringPool) get(n int) []*Packet {
+	c := ringClass(n)
+	if f := rp.free[c]; len(f) > 0 {
+		r := f[len(f)-1]
+		rp.free[c] = f[:len(f)-1]
+		return r
+	}
+	if n > ringChunk {
+		return make([]*Packet, n)
+	}
+	if len(rp.chunk) < n {
+		// The tail is a multiple of minRing slots: it goes to the free
+		// lists as power-of-two rings before a new chunk replaces it.
+		for len(rp.chunk) > 0 {
+			m := 1 << (bits.Len(uint(len(rp.chunk))) - 1)
+			rp.put(rp.chunk[:m:m])
+			rp.chunk = rp.chunk[m:]
+		}
+		rp.chunk = make([]*Packet, ringChunk)
+	}
+	r := rp.chunk[:n:n]
+	rp.chunk = rp.chunk[n:]
+	return r
+}
+
+// put returns an idle ring to its free list.
+func (rp *ringPool) put(r []*Packet) {
+	c := ringClass(len(r))
+	rp.free[c] = append(rp.free[c], r)
+}
 
 // nPrio is the number of PFC traffic classes. Data packets travel in
 // the class of their current VC tag (classes 0..nPrio-2) — on real
@@ -250,7 +310,8 @@ func (o *OutPort) queuedDataBytes() int {
 	return n
 }
 
-// SimSwitch is one logical switch in the simulated fabric.
+// SimSwitch is one logical switch in the simulated fabric. Its
+// per-port slices are windows of fabric-wide arrays.
 type SimSwitch struct {
 	vertex   int // topology vertex ID
 	net      *Network
@@ -283,8 +344,6 @@ type Host struct {
 
 	// DeliveredBytes counts payload bytes received (goodput).
 	DeliveredBytes int64
-	// deliver hooks message completions into the app layer.
-	mailbox mailbox
 }
 
 // Forwarder decides forwarding at a logical switch.
@@ -330,14 +389,23 @@ type Network struct {
 	Topo   *topology.Graph
 	Cfg    Config
 	Fwd    Forwarder
-	rng    *rand.Rand
 	nextID int64
 
-	// switches and hosts are dense slices indexed by topology vertex ID
-	// (nil where the vertex is the other kind).
+	// rng draws the ECN ramp's marks; ecnRand makes it on first use.
+	rng *rand.Rand
+
+	// switches and hosts index their slabs by topology vertex ID (nil
+	// where the vertex is the other kind); links is the directed-link
+	// slab. None of the slabs grows after NewNetwork.
 	switches []*SimSwitch
 	hosts    []*Host
-	links    []*DirLink
+	links    []DirLink
+
+	// rings holds the egress queues' ring buffers, mail the hosts'
+	// message matching, and kick is nicDrained's scratch.
+	rings ringPool
+	mail  mailbox
+	kick  []int32
 
 	// Stats
 	TotalDrops   int64
@@ -377,6 +445,11 @@ type Network struct {
 // each switch vertex to a crossbar group: identity for a full testbed,
 // the projection plan's physical switch for SDT. sdtExtra applies the
 // per-hop projection overhead to every switch in a shared group.
+//
+// The fabric takes the same handful of allocations whatever its size:
+// one slab each of switches, hosts, directed links, their egress ports
+// and crossbars, and four port-indexed arrays that each switch's
+// per-port slices are windows of.
 func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v int) int, sdtExtra bool) (*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -385,103 +458,124 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 	if err != nil {
 		return nil, err
 	}
-	switches := make([]*SimSwitch, len(g.Vertices))
-	hosts := make([]*Host, len(g.Vertices))
+	sws, hvs := g.Switches(), g.Hosts()
 	n := &Network{
 		Sim:      NewSim(),
 		Topo:     g,
 		Cfg:      cfg,
 		Fwd:      fwd,
 		cc:       cc,
-		rng:      rand.New(rand.NewSource(ecnSeed)),
-		switches: switches,
-		hosts:    hosts,
+		switches: make([]*SimSwitch, len(g.Vertices)),
+		hosts:    make([]*Host, len(g.Vertices)),
+		links:    make([]DirLink, 2*len(g.Edges)),
 		msgs:     make([]roceMsg, 1),
 	}
 
-	// Crossbars per group.
-	xbars := map[int]*Crossbar{}
-	extra := Time(0)
-	if sdtExtra {
-		extra = cfg.SDTPerHopExtra
-	}
-	getXbar := func(v int) *Crossbar {
-		gid := v
-		if crossbarOf != nil {
-			gid = crossbarOf(v)
-		}
-		if x, ok := xbars[gid]; ok {
-			return x
-		}
-		x := &Crossbar{bps: cfg.CrossbarBps, extra: extra}
-		xbars[gid] = x
-		return x
-	}
-
-	for _, v := range g.Switches() {
-		maxPort := 0
+	// Logical port p of a switch is slot p of its window; slot 0 is
+	// unused.
+	maxPort := func(v int) int {
+		m := 0
 		for _, eid := range g.IncidentEdges(v) {
-			if p := g.Edges[eid].PortAt(v); p > maxPort {
-				maxPort = p
-			}
+			m = max(m, g.Edges[eid].PortAt(v))
 		}
-		switches[v] = &SimSwitch{
+		return m
+	}
+	slots := 0
+	for _, v := range sws {
+		slots += maxPort(v) + 1
+	}
+	outPorts := make([]*OutPort, slots)
+	upstream := make([]*OutPort, slots)
+	ingressBytes := make([][nPrio]int, slots)
+	pfcSent := make([][nPrio]bool, slots)
+	swSlab := make([]SimSwitch, len(sws))
+	at := 0
+	for i, v := range sws {
+		end := at + maxPort(v) + 1
+		swSlab[i] = SimSwitch{
 			vertex:       v,
 			net:          n,
-			crossbar:     getXbar(v),
-			outPorts:     make([]*OutPort, maxPort+1),
-			upstream:     make([]*OutPort, maxPort+1),
-			ingressBytes: make([][nPrio]int, maxPort+1),
-			pfcSent:      make([][nPrio]bool, maxPort+1),
+			outPorts:     outPorts[at:end:end],
+			upstream:     upstream[at:end:end],
+			ingressBytes: ingressBytes[at:end:end],
+			pfcSent:      pfcSent[at:end:end],
 		}
+		n.switches[v] = &swSlab[i]
+		at = end
 	}
-	for _, v := range g.Hosts() {
-		hosts[v] = &Host{vertex: v, net: n, mailbox: newMailbox()}
+	xbar := Crossbar{bps: cfg.CrossbarBps}
+	if sdtExtra {
+		xbar.extra = cfg.SDTPerHopExtra
+	}
+	groupCrossbars(swSlab, crossbarOf, xbar)
+	hostSlab := make([]Host, len(hvs))
+	for i, v := range hvs {
+		hostSlab[i] = Host{vertex: v, net: n}
+		n.hosts[v] = &hostSlab[i]
 	}
 
-	// Links: two directed channels per edge.
-	for _, e := range g.Edges {
-		mk := func(from, fromPort, to, toPort int) *DirLink {
-			l := &DirLink{id: len(n.links), bps: cfg.LinkBps, prop: cfg.PropDelay, EdgeID: e.ID}
-			if h := hosts[to]; h != nil {
-				l.to = deviceRef{host: h, inPort: toPort}
-			} else {
-				l.to = deviceRef{sw: switches[to], inPort: toPort}
-			}
-			n.links = append(n.links, l)
-			op := &OutPort{link: l}
-			l.src = op
-			if h := hosts[from]; h != nil {
-				op.hostOwner = h
-				h.out = op
-			} else {
-				op.ownerCache = switches[from]
-				switches[from].outPorts[fromPort] = op
-			}
-			return l
-		}
-		mk(e.A, e.APort, e.B, e.BPort)
-		mk(e.B, e.BPort, e.A, e.APort)
+	// Links: two directed channels per edge, each fed by its port.
+	ports := make([]OutPort, len(n.links))
+	for i, e := range g.Edges {
+		n.wire(2*i, &ports[2*i], e.ID, e.A, e.APort, e.B, e.BPort)
+		n.wire(2*i+1, &ports[2*i+1], e.ID, e.B, e.BPort, e.A, e.APort)
 	}
-	// Wire upstream references for PFC.
-	for _, e := range g.Edges {
-		setUp := func(at, atPort, far, farPort int) {
-			var farOut *OutPort
-			if h := hosts[far]; h != nil {
-				farOut = h.out
-			} else {
-				farOut = switches[far].outPorts[farPort]
-			}
-			if sw := switches[at]; sw != nil {
-				sw.upstream[atPort] = farOut
-			} else {
-				hosts[at].upstream = farOut
-			}
+	// Wire upstream references for PFC: the port feeding a link is
+	// its receiving port's upstream.
+	for i := range n.links {
+		l := &n.links[i]
+		if sw := l.to.sw; sw != nil {
+			sw.upstream[l.to.inPort] = l.src
+		} else {
+			l.to.host.upstream = l.src
 		}
-		setUp(e.A, e.APort, e.B, e.BPort)
-		setUp(e.B, e.BPort, e.A, e.APort)
 	}
 	return n, nil
+}
+
+// groupCrossbars gives each switch the crossbar of its group, one per
+// distinct crossbarOf value (one per switch when crossbarOf is nil),
+// each a copy of proto in one slab.
+func groupCrossbars(sws []SimSwitch, crossbarOf func(v int) int, proto Crossbar) {
+	type member struct{ gid, sw int }
+	order := make([]member, len(sws))
+	for i := range sws {
+		gid := sws[i].vertex
+		if crossbarOf != nil {
+			gid = crossbarOf(gid)
+		}
+		order[i] = member{gid, i}
+	}
+	slices.SortFunc(order, func(a, b member) int { return cmp.Compare(a.gid, b.gid) })
+	xbars := make([]Crossbar, len(sws))
+	x := -1
+	for j, m := range order {
+		if j == 0 || m.gid != order[j-1].gid {
+			x++
+			xbars[x] = proto
+		}
+		sws[m.sw].crossbar = &xbars[x]
+	}
+}
+
+// wire sets up directed link i of logical edge eid, from port fromPort
+// of vertex from to port toPort of vertex to, fed by egress port op.
+func (n *Network) wire(i int, op *OutPort, eid, from, fromPort, to, toPort int) {
+	l := &n.links[i]
+	*l = DirLink{id: i, bps: n.Cfg.LinkBps, prop: n.Cfg.PropDelay, EdgeID: eid, src: op}
+	if h := n.hosts[to]; h != nil {
+		l.to = deviceRef{host: h, inPort: toPort}
+	} else {
+		l.to = deviceRef{sw: n.switches[to], inPort: toPort}
+	}
+	op.link = l
+	if h := n.hosts[from]; h != nil {
+		op.hostOwner = h
+		h.out = op
+	} else {
+		op.ownerCache = n.switches[from]
+		n.switches[from].outPorts[fromPort] = op
+	}
 }
 
 // Host returns the host device for a topology host vertex (nil when v
@@ -495,6 +589,16 @@ func (n *Network) Host(v int) *Host {
 
 func (n *Network) pktID() int64 { n.nextID++; return n.nextID }
 
+// ecnRand returns the ECN ramp's random source, seeding it on its
+// first draw: most fabrics never mark on the ramp, and the stream is
+// the same whenever it starts.
+func (n *Network) ecnRand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(ecnSeed))
+	}
+	return n.rng
+}
+
 // OnEvent dispatches fabric-level events: transmit completions, wire
 // arrivals, PFC pause/resume, and the queue pairs' paced sends and
 // rate timers.
@@ -507,7 +611,7 @@ func (n *Network) OnEvent(now Time, ev engine.Event) {
 		n.tryTransmit(o)
 	case evArrive:
 		pkt := n.pkts.at(ev.Ref)
-		l := n.links[ev.A]
+		l := &n.links[ev.A]
 		to := l.to
 		if l.down {
 			// The wire was cut while the packet was in flight.
@@ -648,7 +752,8 @@ func (n *Network) deliverAwaited() {
 // instant. It reports whether the edge exists in this fabric.
 func (n *Network) SetLinkDown(edge int, down bool) bool {
 	found := false
-	for _, l := range n.links {
+	for i := range n.links {
+		l := &n.links[i]
 		if l.EdgeID != edge {
 			continue
 		}
@@ -665,8 +770,8 @@ func (n *Network) SetLinkDown(edge int, down bool) bool {
 // LinkIsDown reports whether any direction of a logical edge is
 // currently failed.
 func (n *Network) LinkIsDown(edge int) bool {
-	for _, l := range n.links {
-		if l.EdgeID == edge && l.down {
+	for i := range n.links {
+		if l := &n.links[i]; l.EdgeID == edge && l.down {
 			return true
 		}
 	}

@@ -16,7 +16,7 @@ func (f closure) OnEvent(Time, engine.Event) { f() }
 // recvThen registers cont to run when a message with (src, tag)
 // completes delivery at h (matching is MPI-style, counted per key).
 func recvThen(h *Host, src, tag int, cont func()) {
-	h.mailbox.recv(h.net.Sim, src, tag, engine.Callback{H: closure(cont)})
+	h.net.mail.recv(h.net.Sim, h.vertex, src, tag, engine.Callback{H: closure(cont)})
 }
 
 // pingpongRTT runs an IMB-style Pingpong between hosts a and b — reps

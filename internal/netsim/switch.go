@@ -67,14 +67,14 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 			n.EcnMarks++
 		} else if q > ecnKmin {
 			p := ecnPmax * float64(q-ecnKmin) / float64(ecnKmax-ecnKmin)
-			if n.rng.Float64() < p {
+			if n.ecnRand().Float64() < p {
 				pkt.ECN = true
 				n.EcnMarks++
 			}
 		}
 	}
 	pkt.inPort = inPort
-	o.queues[pkt.Prio].push(pkt)
+	o.queues[pkt.Prio].push(&n.rings, pkt)
 	// PFC ingress accounting per (ingress port, arrival class): the
 	// pause frame names the class the upstream transmits.
 	if inPort > 0 && inPort < len(s.ingressBytes) {

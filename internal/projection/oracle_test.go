@@ -607,7 +607,8 @@ func sameAllocation(t *testing.T, how string, got, want *Allocation) {
 // k through projectMapped and the reference on two allocations kept in
 // lockstep, then releases a random half and projects the set again into
 // the holes left between the other plans' cables. Every Plan, error and
-// booking must match.
+// booking must match, and a mapping that runs out of cables must
+// allocate nothing.
 func TestProjectMappedMatchesReference(t *testing.T) {
 	zoo := topology.Zoo(41)
 	sets := [][]*topology.Graph{
@@ -634,7 +635,7 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 		{mixed, []*topology.Graph{topology.Torus3D(3, 3, 3, 1)}},
 	}
 	rng := rand.New(rand.NewSource(17))
-	projected, refilled := 0, 0
+	projected, refilled, failed := 0, 0, 0
 	for si, set := range sets {
 		for _, c := range cablings {
 			cab, err := PlanCabling(c.switches, c.plannedFor, partition.Options{})
@@ -659,6 +660,10 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 					if gp != nil {
 						return gp, wp
 					}
+					if allocs := testing.AllocsPerRun(1, func() { projectMapped(g, cab, got, md) }); allocs != 0 {
+						t.Fatalf("%s: projectMapped allocates %.0f objects on a mapping that runs out of cables", how, allocs)
+					}
+					failed++
 				}
 				return nil, nil
 			}
@@ -684,10 +689,10 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if projected < 20 || refilled < 5 {
-		t.Fatalf("vacuous: %d topologies projected, %d projected again into released cables", projected, refilled)
+	if projected < 20 || refilled < 5 || failed < 5 {
+		t.Fatalf("vacuous: %d topologies projected, %d projected again into released cables, %d mappings out of cables", projected, refilled, failed)
 	}
-	t.Logf("%d topologies projected, %d projected again into released cables", projected, refilled)
+	t.Logf("%d topologies projected, %d projected again into released cables, %d mappings out of cables", projected, refilled, failed)
 }
 
 // TestAcquireReportsLowestConflict books two of a released plan's

@@ -46,7 +46,8 @@ func NewAllocation(cab *Cabling) *Allocation {
 // hostAt[portBase[s]+port−1] is the index of the host port at that port
 // of switch s, or −1.
 //
-// cursor is projectMapped's scratch: one position per list.
+// cursor and picked are projectMapped's scratch: one position per
+// list, and the cable index chosen for each logical link and host.
 type cableIndex struct {
 	n        int
 	start    []int32
@@ -54,6 +55,7 @@ type cableIndex struct {
 	portBase []int32
 	hostAt   []int32
 	cursor   []int32
+	picked   []int32
 }
 
 func newCableIndex(cab *Cabling) cableIndex {
@@ -259,14 +261,57 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, _ partition
 // The pickers find it with a cursor per list of alloc's cable index:
 // alloc does not change during the call and a cable once taken stays
 // taken, so every cable before a cursor is held or taken, and a picker
-// resumes where it stopped instead of rescanning the cabling.
+// resumes where it stopped instead of rescanning the cabling. Every
+// link and host is given its cable before the plan is built, so a
+// mapping that runs out of cables allocates nothing.
 //
 // On failure it returns why. On success the plan owns its part-to-switch
 // map: md's is the k-search's storage.
 func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappedDemands) (*Plan, reason) {
 	parts := md.parts
 	partToSwitch := md.partToSwitch
+	switchOf := func(v int) int { return partToSwitch[parts.Assign[v]] }
 	links, hosts := g.NumSwitchSwitchEdges(), g.NumHosts()
+
+	// Stage the allocation in the cursors so failures leave alloc
+	// untouched. Links are picked for the logical switch-switch edges
+	// first (the LP step), then for the hosts, in the order the plan
+	// is built below.
+	ix := &alloc.idx
+	ix.rewind()
+	ix.picked = slices.Grow(ix.picked[:0], links+hosts)
+	picked := ix.picked
+	for _, e := range g.Edges {
+		if !g.IsSwitchSwitch(e) {
+			continue
+		}
+		sa, sb := switchOf(e.A), switchOf(e.B)
+		if sa == sb {
+			idx, ok := ix.next(ix.selfList(sa), alloc.selfUsed)
+			if !ok {
+				return nil, reason{kind: noSelfLink, sw: sa, at: e.ID}
+			}
+			picked = append(picked, int32(idx))
+		} else {
+			idx, ok := ix.next(ix.interList(sa, sb), alloc.interUsed)
+			if !ok {
+				return nil, reason{kind: noInterLink, sw: sa, sw2: sb, at: e.ID}
+			}
+			picked = append(picked, int32(idx))
+		}
+	}
+	for _, h := range g.Hosts() {
+		sw := g.HostSwitch(h)
+		if sw < 0 {
+			continue
+		}
+		s := switchOf(sw)
+		idx, ok := ix.next(ix.hostList(s), alloc.hostUsed)
+		if !ok {
+			return nil, reason{kind: noHostPort, sw: s, at: h}
+		}
+		picked = append(picked, int32(idx))
+	}
 
 	plan := &Plan{
 		Topo:       g,
@@ -276,35 +321,20 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 		HostAttach: make(map[int]PortRef, hosts),
 		EdgeLink:   make(map[int]PhysLink, links),
 	}
-
-	// Stage the allocation in the cursors so failures leave alloc
-	// untouched.
-	ix := &alloc.idx
-	ix.rewind()
-
-	// Project links (the LP step): logical switch-switch edges first.
 	for _, e := range g.Edges {
 		if !g.IsSwitchSwitch(e) {
 			continue
 		}
-		eid := e.ID
-		sa := partToSwitch[parts.Assign[e.A]]
-		sb := partToSwitch[parts.Assign[e.B]]
-		if sa == sb {
-			idx, ok := ix.next(ix.selfList(sa), alloc.selfUsed)
-			if !ok {
-				return nil, reason{kind: noSelfLink, sw: sa, at: eid}
-			}
+		idx := int(picked[0])
+		picked = picked[1:]
+		sa := switchOf(e.A)
+		if sa == switchOf(e.B) {
 			sl := cab.SelfLinks[idx]
 			plan.Ports[PortKey{e.A, e.APort}] = PortRef{sa, sl.PortA}
 			plan.Ports[PortKey{e.B, e.BPort}] = PortRef{sa, sl.PortB}
-			plan.EdgeLink[eid] = PhysLink{SelfLink: idx, InterLink: -1}
+			plan.EdgeLink[e.ID] = PhysLink{SelfLink: idx, InterLink: -1}
 			plan.SelfUsed++
 		} else {
-			idx, ok := ix.next(ix.interList(sa, sb), alloc.interUsed)
-			if !ok {
-				return nil, reason{kind: noInterLink, sw: sa, sw2: sb, at: eid}
-			}
 			il := cab.InterLinks[idx]
 			refA, refB := il.A, il.B
 			if refA.Switch != sa {
@@ -312,22 +342,17 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 			}
 			plan.Ports[PortKey{e.A, e.APort}] = refA
 			plan.Ports[PortKey{e.B, e.BPort}] = refB
-			plan.EdgeLink[eid] = PhysLink{SelfLink: -1, InterLink: idx}
+			plan.EdgeLink[e.ID] = PhysLink{SelfLink: -1, InterLink: idx}
 			plan.InterUsed++
 		}
 	}
-	// Attach hosts.
 	for _, h := range g.Hosts() {
 		sw := g.HostSwitch(h)
 		if sw < 0 {
 			continue
 		}
-		s := partToSwitch[parts.Assign[sw]]
-		idx, ok := ix.next(ix.hostList(s), alloc.hostUsed)
-		if !ok {
-			return nil, reason{kind: noHostPort, sw: s, at: h}
-		}
-		ref := cab.HostPorts[idx].Ref
+		ref := cab.HostPorts[picked[0]].Ref
+		picked = picked[1:]
 		plan.HostAttach[h] = ref
 		eid := g.EdgeBetween(sw, h)
 		plan.Ports[PortKey{sw, g.Edges[eid].PortAt(sw)}] = ref
