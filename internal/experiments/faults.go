@@ -256,13 +256,9 @@ func FaultFlap(ctx context.Context, p JobSpec) (*FaultFlapResult, error) {
 		victim := hosts[fs.Flows[0].Dst]
 		tor := g.HostSwitch(victim)
 		edge := -1
-		for _, eid := range g.IncidentEdges(tor) {
-			e := g.Edges[eid]
-			far := e.A
-			if far == tor {
-				far = e.B
-			}
-			if g.Vertices[far].Kind == topology.Switch && (edge < 0 || eid < edge) {
+		csr := g.CSR()
+		for i := csr.Start[tor]; i < csr.Start[tor+1]; i++ {
+			if eid := int(csr.Edge[i]); g.Vertices[csr.Nbr[i]].Kind == topology.Switch && (edge < 0 || eid < edge) {
 				edge = eid
 			}
 		}

@@ -15,11 +15,13 @@ import (
 
 // fibPath is the path walk over the compiled FIB, the way the packet
 // engine forwards: the oracle TestWalkerMatchesFIB holds the
-// Lookup-based walker to. It finds each hop's edge among the switch's
-// incident edges rather than in its CSR row, and returns Routes.Walk's
-// errors word for word, under the same hop bound.
+// Lookup-based walker to. It takes each hop's edge as the lowest edge
+// ID on the out port in the switch's CSR row rather than through
+// CSR.EdgeAt, and returns Routes.Walk's errors word for word, under the
+// same hop bound.
 func fibPath(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, src, dst int) (links []int32, base float64, err error) {
 	fib := routes.FIB()
+	csr := g.CSR()
 	dirLink := func(eid, from int) int32 {
 		if g.Edges[eid].A == from {
 			return int32(2 * eid)
@@ -45,11 +47,11 @@ func fibPath(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config, src,
 			return nil, 0, fmt.Errorf("routing: %s: no rule on switch %d for dst %d tag %d", routes.Strategy, cur, dst, tag)
 		}
 		tag = newTag
+		// The edge behind port out: of several, the lowest ID.
 		eid := -1
-		for _, e := range g.IncidentEdges(cur) {
-			if g.Edges[e].PortAt(cur) == out {
-				eid = e
-				break
+		for i := csr.Start[cur]; i < csr.Start[cur+1]; i++ {
+			if int(csr.Port[i]) == out && (eid < 0 || int(csr.Edge[i]) < eid) {
+				eid = int(csr.Edge[i])
 			}
 		}
 		if eid < 0 {

@@ -473,12 +473,13 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 
 	// Logical port p of a switch is slot p of its window; slot 0 is
 	// unused.
+	csr := g.CSR()
 	maxPort := func(v int) int {
-		m := 0
-		for _, eid := range g.IncidentEdges(v) {
-			m = max(m, g.Edges[eid].PortAt(v))
+		m := int32(0)
+		for _, p := range csr.Port[csr.Start[v]:csr.Start[v+1]] {
+			m = max(m, p)
 		}
-		return m
+		return int(m)
 	}
 	slots := 0
 	for _, v := range sws {

@@ -84,14 +84,15 @@ func (g *workGraph) sortAdj() {
 // switch count, output a partitioning that satisfies the objective.
 //
 // Cut is deterministic: all randomness flows from cutSeed, adjacency
-// lists are sorted so the result is independent of map iteration order,
-// and the restarts, which run on up to min(GOMAXPROCS, 8) workers, each
-// write their own slot and are reduced serially in restart order — the
-// same (g, k) always yields a byte-identical Result, regardless of
-// GOMAXPROCS, scheduling or rerun count. Downstream consumers rely on
-// this: projection plans and live reconfiguration derive their
-// sub-switch placement from the Result, so a nondeterministic Cut would
-// break the golden-pinned byte-identity of every SDT-mode run.
+// lists ascend by neighbour, which fixes the order coarsening breaks
+// ties in, and the restarts, which run on up to min(GOMAXPROCS, 8)
+// workers, each write their own slot and are reduced serially in
+// restart order — the same (g, k) always yields a byte-identical
+// Result, regardless of GOMAXPROCS, scheduling or rerun count.
+// Downstream consumers rely on this: projection plans and live
+// reconfiguration derive their sub-switch placement from the Result, so
+// a nondeterministic Cut would break the golden-pinned byte-identity of
+// every SDT-mode run.
 func Cut(g *topology.Graph, k int, _ Options) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k = %d must be >= 1", k)
@@ -369,7 +370,9 @@ func (s *stream) Int63() int64 {
 // workGraph builds the weighted switch-only graph Cut partitions into
 // w's storage: one vertex per switch in ID order, weighted by its port
 // count, with parallel links merged into one weighted edge. The graph
-// is valid until w builds another.
+// is valid until w builds another. Each row comes out sorted: switches
+// ascend, so idx is monotone over a CSR row's ascending neighbours, and
+// a parallel link merges into its first occurrence.
 func (w *worker) workGraph(g *topology.Graph, switches []int) *workGraph {
 	n := len(switches)
 	idx := resize(w.idx, len(g.Vertices)) // vertex ID -> switch index, -1 for hosts
@@ -388,16 +391,16 @@ func (w *worker) workGraph(g *topology.Graph, switches []int) *workGraph {
 	}
 	rows := &w.rows
 	rows.reset(w.wgFlat, n, half)
+	csr := g.CSR()
 	for i, s := range switches {
-		for _, eid := range g.IncidentEdges(s) {
-			if j := idx[g.Edges[eid].Other(s)]; j >= 0 && j != i {
+		for _, o := range csr.Nbr[csr.Start[s]:csr.Start[s+1]] {
+			if j := idx[o]; j >= 0 && j != i {
 				rows.add(j, 1)
 			}
 		}
 		wg.xadj[i] = rows.end()
 	}
 	w.wgFlat = rows.flat
-	wg.sortAdj()
 	return wg
 }
 

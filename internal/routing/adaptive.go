@@ -69,7 +69,7 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 			if gs == gd {
 				continue
 			}
-			gwMin, _, ok := df.gateway(gs, gd)
+			gwMin, ok := df.gateway(gs, gd)
 			if !ok {
 				return nil, fmt.Errorf("routing: ugal: no global link %d->%d", gs, gd)
 			}
@@ -87,8 +87,8 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 				if mid == gs || mid == gd {
 					continue
 				}
-				gw1, _, ok1 := df.gateway(gs, mid)
-				gw2, _, ok2 := df.gateway(mid, gd)
+				gw1, ok1 := df.gateway(gs, mid)
+				gw2, ok2 := df.gateway(mid, gd)
 				if !ok1 || !ok2 {
 					continue
 				}
@@ -117,7 +117,7 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 				continue
 			}
 
-			gw1, _, _ := df.gateway(gs, bestMid)
+			gw1, _ := df.gateway(gs, bestMid)
 			// Source-group rules: head for gw1 on the tag-3 class, then
 			// cross to the intermediate group on tag 1.
 			for _, s := range df.groups[gs] {
@@ -134,7 +134,7 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 			}
 			// Intermediate-group rules (tag 1): local to the gd gateway,
 			// then cross on tag 2.
-			gw2, _, _ := df.gateway(bestMid, gd)
+			gw2, _ := df.gateway(bestMid, gd)
 			for _, s := range df.groups[bestMid] {
 				if s == gw2 {
 					peer := df.globalPeer(s, gd)

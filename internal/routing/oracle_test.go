@@ -671,3 +671,77 @@ func TestLookupMatchesMapIndex(t *testing.T) {
 	empty := NewManualRoutes(g, "empty", 1)
 	checkLookup(t, "empty", empty, ids, ids, 1)
 }
+
+// dragonflyMapsReference is the map-backed group index indexDragonfly
+// replaced: for every switch-switch link between two groups, in edge
+// order, (srcGroup, dstGroup) -> gateway router and (router, dstGroup)
+// -> peer router, the last link written winning.
+func dragonflyMapsReference(g *topology.Graph) (gateRtr, gatePeer map[[2]int]int) {
+	gateRtr, gatePeer = map[[2]int]int{}, map[[2]int]int{}
+	for _, eid := range g.SwitchSwitchEdges() {
+		e := g.Edges[eid]
+		ga, gb := g.Vertices[e.A].Coord[0], g.Vertices[e.B].Coord[0]
+		if ga == gb {
+			continue
+		}
+		gateRtr[[2]int{ga, gb}] = e.A
+		gateRtr[[2]int{gb, ga}] = e.B
+		gatePeer[[2]int{e.A, gb}] = e.B
+		gatePeer[[2]int{e.B, ga}] = e.A
+	}
+	return gateRtr, gatePeer
+}
+
+// TestDragonflyIndexMatchesMaps holds indexDragonfly's group lists and
+// gate lists to the maps they replaced, on generated dragonflies (one
+// global link per pair of groups) and on one whose groups share several
+// global links, two of them between the same routers, and whose group
+// numbers leave a gap.
+func TestDragonflyIndexMatchesMaps(t *testing.T) {
+	extra := topology.Dragonfly(3, 4, 2, 1)
+	sw := extra.Switches() // routers[grp*3+r]
+	extra.Connect(sw[0], sw[3])
+	extra.Connect(sw[0], sw[3])
+	extra.Connect(sw[1], sw[10])
+	extra.Connect(sw[11], sw[2])
+	far := extra.AddSwitch("far", 6, 0)
+	extra.Connect(far, sw[4])
+	extra.Connect(sw[7], far)
+	for _, g := range []*topology.Graph{topology.Dragonfly(4, 9, 2, 1), topology.Dragonfly(2, 3, 1, 1), extra} {
+		df, err := indexDragonfly(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gateRtr, gatePeer := dragonflyMapsReference(g)
+		var wantGroups [][]int
+		for _, s := range g.Switches() {
+			grp := g.Vertices[s].Coord[0]
+			for len(wantGroups) <= grp {
+				wantGroups = append(wantGroups, nil)
+			}
+			wantGroups[grp] = append(wantGroups[grp], s)
+		}
+		if len(df.groups) != len(wantGroups) {
+			t.Fatalf("%s: %d groups, want %d", g.Name, len(df.groups), len(wantGroups))
+		}
+		for grp, want := range wantGroups {
+			if !slices.Equal(df.groups[grp], want) {
+				t.Errorf("%s: group %d routers %v, want %v", g.Name, grp, df.groups[grp], want)
+			}
+		}
+		for ga := range wantGroups {
+			for gb := range wantGroups {
+				r, ok := df.gateway(ga, gb)
+				wantR, wantOK := gateRtr[[2]int{ga, gb}]
+				if r != wantR || ok != wantOK {
+					t.Errorf("%s: gateway(%d, %d) = %d, %v, want %d, %v", g.Name, ga, gb, r, ok, wantR, wantOK)
+				}
+			}
+			for _, s := range g.Switches() {
+				if got, want := df.globalPeer(s, ga), gatePeer[[2]int{s, ga}]; got != want {
+					t.Errorf("%s: globalPeer(%d, %d) = %d, want %d", g.Name, s, ga, got, want)
+				}
+			}
+		}
+	}
+}

@@ -159,9 +159,9 @@ func TestRepairAvoidingIsolatedToRUnreachable(t *testing.T) {
 	hosts := g.Hosts()
 	tor := g.HostSwitch(hosts[0])
 	out := Outage{Edge: map[int]bool{}}
-	for _, eid := range g.IncidentEdges(tor) {
-		if e := g.Edges[eid]; g.Vertices[e.Other(tor)].Kind == topology.Switch {
-			out.Edge[eid] = true
+	for i := csr.Start[tor]; i < csr.Start[tor+1]; i++ {
+		if g.Vertices[csr.Nbr[i]].Kind == topology.Switch {
+			out.Edge[int(csr.Edge[i])] = true
 		}
 	}
 	behindToR := map[int]bool{}

@@ -296,6 +296,7 @@ func TestDeadlockDetectorFindsCycle(t *testing.T) {
 // port, a misdelivery or a walk longer than every switch on every VC.
 func fibWalk(r *Routes, src, dst int) (switches []int, chans []Channel, ok bool) {
 	g := r.Topo
+	csr := g.CSR()
 	fib := r.FIB()
 	cur := g.HostSwitch(src)
 	if cur < 0 {
@@ -310,11 +311,11 @@ func fibWalk(r *Routes, src, dst int) (switches []int, chans []Channel, ok bool)
 			return nil, nil, false
 		}
 		tag = newTag
+		// The edge behind port out: of several, the lowest ID.
 		eid := -1
-		for _, e := range g.IncidentEdges(cur) {
-			if g.Edges[e].PortAt(cur) == out {
-				eid = e
-				break
+		for i := csr.Start[cur]; i < csr.Start[cur+1]; i++ {
+			if int(csr.Port[i]) == out && (eid < 0 || int(csr.Edge[i]) < eid) {
+				eid = int(csr.Edge[i])
 			}
 		}
 		if eid < 0 {

@@ -190,7 +190,7 @@ func dragonflyBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, 
 				}
 				continue
 			}
-			gw, _, ok := df.gateway(gs, gd)
+			gw, ok := df.gateway(gs, gd)
 			if !ok {
 				return fmt.Errorf("routing: no global link %d->%d", gs, gd)
 			}
@@ -208,16 +208,23 @@ func dragonflyBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, 
 	}, nil
 }
 
-// dragonflyIndex caches group structure for dragonfly strategies.
+// dragonflyIndex caches group structure for dragonfly strategies. Its
+// lists are windows of two arrays sized once per index, so it takes a
+// fixed number of allocations whatever the fabric. Its storage grows
+// with the switches and global links, not with the square of the group
+// count, which a configuration file's sparse group numbers can make the
+// square of the switch count.
 type dragonflyIndex struct {
-	g        *topology.Graph
-	groups   [][]int        // group -> routers
-	gateRtr  map[[2]int]int // (srcGroup, dstGroup) -> gateway router in srcGroup
-	gatePeer map[[2]int]int // (router, dstGroup) -> peer router across the global link
+	g      *topology.Graph
+	groups [][]int  // group -> routers, ascending
+	gates  [][]gate // group -> its routers' global links, in edge order
 }
 
+// gate is one global link seen from one end: router, in the group
+// whose list holds the gate, reaches peer, in group dst.
+type gate struct{ dst, router, peer int }
+
 func indexDragonfly(g *topology.Graph) (*dragonflyIndex, error) {
-	df := &dragonflyIndex{g: g, gateRtr: map[[2]int]int{}, gatePeer: map[[2]int]int{}}
 	maxGroup := -1
 	for _, s := range g.Switches() {
 		c := g.Vertices[s].Coord
@@ -231,37 +238,65 @@ func indexDragonfly(g *topology.Graph) (*dragonflyIndex, error) {
 			maxGroup = c[0]
 		}
 	}
-	df.groups = make([][]int, maxGroup+1)
+	n := maxGroup + 1
+	group := func(v int) int { return g.Vertices[v].Coord[0] }
+	global := func(e topology.Edge) bool { return g.IsSwitchSwitch(e) && group(e.A) != group(e.B) }
+	// Count each group's routers (at count[grp]) and global links (at
+	// count[n+grp]), then hand each group a window of each array, with
+	// its count as capacity, for the appends below to fill in place.
+	count := make([]int, 2*n)
+	halfLinks := 0
 	for _, s := range g.Switches() {
-		grp := g.Vertices[s].Coord[0]
-		df.groups[grp] = append(df.groups[grp], s)
+		count[group(s)]++
 	}
-	for _, eid := range g.SwitchSwitchEdges() {
-		e := g.Edges[eid]
-		ga, gb := g.Vertices[e.A].Coord[0], g.Vertices[e.B].Coord[0]
-		if ga == gb {
-			continue
+	for _, e := range g.Edges {
+		if global(e) {
+			count[n+group(e.A)]++
+			count[n+group(e.B)]++
+			halfLinks += 2
 		}
-		df.gateRtr[[2]int{ga, gb}] = e.A
-		df.gateRtr[[2]int{gb, ga}] = e.B
-		df.gatePeer[[2]int{e.A, gb}] = e.B
-		df.gatePeer[[2]int{e.B, ga}] = e.A
+	}
+	df := &dragonflyIndex{g: g, groups: make([][]int, n), gates: make([][]gate, n)}
+	routers, gates := make([]int, len(g.Switches())), make([]gate, halfLinks)
+	for grp := range n {
+		df.groups[grp], routers = routers[:0:count[grp]], routers[count[grp]:]
+		df.gates[grp], gates = gates[:0:count[n+grp]], gates[count[n+grp]:]
+	}
+	for _, s := range g.Switches() {
+		df.groups[group(s)] = append(df.groups[group(s)], s)
+	}
+	for _, e := range g.Edges {
+		if global(e) {
+			ga, gb := group(e.A), group(e.B)
+			df.gates[ga] = append(df.gates[ga], gate{dst: gb, router: e.A, peer: e.B})
+			df.gates[gb] = append(df.gates[gb], gate{dst: ga, router: e.B, peer: e.A})
+		}
 	}
 	return df, nil
 }
 
 // gateway returns the router in srcGroup owning the global link toward
-// dstGroup.
-func (df *dragonflyIndex) gateway(srcGroup, dstGroup int) (router, peer int, ok bool) {
-	r, ok := df.gateRtr[[2]int{srcGroup, dstGroup}]
-	if !ok {
-		return 0, 0, false
+// dstGroup: of several, the last in edge order.
+func (df *dragonflyIndex) gateway(srcGroup, dstGroup int) (router int, ok bool) {
+	gates := df.gates[srcGroup]
+	for i := len(gates) - 1; i >= 0; i-- {
+		if gates[i].dst == dstGroup {
+			return gates[i].router, true
+		}
 	}
-	return r, df.gatePeer[[2]int{r, dstGroup}], true
+	return 0, false
 }
 
+// globalPeer returns the router across router's global link toward
+// dstGroup (of several, the last in edge order), or 0 if it has none.
 func (df *dragonflyIndex) globalPeer(router, dstGroup int) int {
-	return df.gatePeer[[2]int{router, dstGroup}]
+	gates := df.gates[df.g.Vertices[router].Coord[0]]
+	for i := len(gates) - 1; i >= 0; i-- {
+		if gates[i].router == router && gates[i].dst == dstGroup {
+			return gates[i].peer
+		}
+	}
+	return 0
 }
 
 // MeshXY is Table III's 2D-Mesh strategy: dimension-order X-Y routing,
@@ -499,15 +534,16 @@ type dimensionPorts struct {
 }
 
 // newDimensionPorts indexes g's switch ports by dimension in two passes
-// over the switches' incident edges: one counts each (switch,
-// dimension) row at start[row+2], so that after the prefix sum
-// start[row+1] is where the row begins, and one places the ports,
-// advancing start[row+1] to where the row ends.
+// over the switches' CSR rows: one counts each (switch, dimension) row
+// at start[row+2], so that after the prefix sum start[row+1] is where
+// the row begins, and one places the ports, advancing start[row+1] to
+// where the row ends.
 func newDimensionPorts(g *topology.Graph, dims int) dimensionPorts {
 	dp := dimensionPorts{dims: dims, start: make([]int32, len(g.Vertices)*dims+2)}
+	csr := g.CSR()
 	for _, s := range g.Switches() {
-		for _, eid := range g.IncidentEdges(s) {
-			if d := dimensionOf(g, s, eid, dims); d >= 0 {
+		for _, o := range csr.Nbr[csr.Start[s]:csr.Start[s+1]] {
+			if d := dimensionOf(g, s, int(o), dims); d >= 0 {
 				dp.start[s*dims+d+2]++
 			}
 		}
@@ -517,10 +553,10 @@ func newDimensionPorts(g *topology.Graph, dims int) dimensionPorts {
 	}
 	dp.ports = make([]int32, dp.start[len(dp.start)-1])
 	for _, s := range g.Switches() {
-		for _, eid := range g.IncidentEdges(s) {
-			if d := dimensionOf(g, s, eid, dims); d >= 0 {
+		for i := csr.Start[s]; i < csr.Start[s+1]; i++ {
+			if d := dimensionOf(g, s, int(csr.Nbr[i]), dims); d >= 0 {
 				row := s*dims + d
-				dp.ports[dp.start[row+1]] = int32(g.Edges[eid].PortAt(s))
+				dp.ports[dp.start[row+1]] = csr.Port[i]
 				dp.start[row+1]++
 			}
 		}
@@ -538,11 +574,10 @@ func (dp dimensionPorts) of(s, d int) []int32 {
 	return dp.ports[dp.start[row]:dp.start[row+1]]
 }
 
-// dimensionOf returns the dimension along which edge eid leaves switch
-// s — the one coordinate in which the far switch differs — or -1 if the
-// far end is a host or differs in no or several coordinates.
-func dimensionOf(g *topology.Graph, s, eid, dims int) int {
-	o := g.Edges[eid].Other(s)
+// dimensionOf returns the dimension along which a link from switch s to
+// its neighbour o runs — the one coordinate in which o differs — or -1
+// if o is a host or differs in no or several coordinates.
+func dimensionOf(g *topology.Graph, s, o, dims int) int {
 	if g.Vertices[o].Kind != topology.Switch {
 		return -1
 	}

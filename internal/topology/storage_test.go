@@ -16,7 +16,7 @@ import (
 
 // graphDigest writes everything a graph exposes of its storage — Name,
 // Family, every vertex's ID, Kind, Label and Coord, every edge, and the
-// incident edges of every vertex — into h.
+// incident edges of every vertex in edge-ID order — into h.
 func graphDigest(h io.Writer, g *Graph) {
 	fmt.Fprintf(h, "%q %q %d %d\n", g.Name, g.Family, len(g.Vertices), len(g.Edges))
 	for _, v := range g.Vertices {
@@ -26,7 +26,7 @@ func graphDigest(h io.Writer, g *Graph) {
 		fmt.Fprintf(h, "e %d %d %d %d %d\n", e.ID, e.A, e.APort, e.B, e.BPort)
 	}
 	for v := range g.Vertices {
-		fmt.Fprintf(h, "i %d %v\n", v, g.IncidentEdges(v))
+		fmt.Fprintf(h, "i %d %v\n", v, rowByEdgeID(g, v))
 	}
 }
 
@@ -65,9 +65,9 @@ func built(t *testing.T, json string) *Graph {
 }
 
 // TestGeneratorsUnchanged pins what every generator builds, byte for
-// byte: labels, coordinates, edges and incidence lists hash to the
-// constants below, which were computed from the per-vertex storage the
-// flat arrays replaced.
+// byte: labels, coordinates, edges and each vertex's incident edges
+// (its CSR row sorted by edge ID) hash to the constants below, which
+// were computed from the per-vertex storage the flat arrays replaced.
 func TestGeneratorsUnchanged(t *testing.T) {
 	cases := map[string]func() []*Graph{
 		"fattree-48":         func() []*Graph { return []*Graph{FatTree(48)} },
@@ -180,17 +180,14 @@ func TestGeneratorAllocsBounded(t *testing.T) {
 	check("RandomWAN(8) and RandomWAN(400)", func() { RandomWAN("w", 8, 4, 1) }, func() { RandomWAN("w", 400, 200, 1) })
 }
 
-// TestConcurrentFirstIncidence has goroutines make the first incidence
-// and CSR reads of one shared graph at once: under -race the lazy
-// builds must be race-free, and every reader must see the incidence
-// Edges defines.
-func TestConcurrentFirstIncidence(t *testing.T) {
+// TestConcurrentFirstAdjacency has goroutines make the first adjacency
+// reads of one shared graph at once: under -race the lazy CSR build
+// must be race-free, and every reader must see the adjacency Edges
+// defines.
+func TestConcurrentFirstAdjacency(t *testing.T) {
 	g := FatTree(8)
 	ref := FatTree(8)
-	want := make([][]int, len(ref.Vertices))
-	for v := range want {
-		want[v] = ref.IncidentEdges(v)
-	}
+	want := adjacencyOf(ref)
 	const readers = 8
 	errs := make(chan string, readers)
 	var wg sync.WaitGroup
@@ -204,9 +201,9 @@ func TestConcurrentFirstIncidence(t *testing.T) {
 				var ok bool
 				switch (i + r) % 4 {
 				case 0:
-					ok = slices.Equal(g.IncidentEdges(v), want[v])
+					ok = slices.Equal(rowByEdgeID(g, v), want[v])
 				case 1:
-					ok = g.Degree(v) == len(want[v])
+					ok = g.Degree(v) == len(want[v]) && g.HostSwitch(v) == ref.HostSwitch(v)
 				case 2:
 					lo, hi := g.CSR().Row(v)
 					ok = int(hi-lo) == len(want[v])

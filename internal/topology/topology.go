@@ -88,8 +88,8 @@ type Graph struct {
 	// nextPort, switchIDs and hostIDs are kept current by every mutation
 	// (AddSwitch, AddHost, ConnectPorts append to them), so their
 	// accessors are plain reads. Every vertex's Coord is a window of
-	// coords. The incidence index and the CSR are built from Edges on
-	// first use, and every mutation drops them.
+	// coords. The CSR, the graph's one adjacency index, is built from
+	// Edges on first use, and every mutation drops it.
 	nextPort  []int // next free port per vertex
 	switchIDs []int
 	hostIDs   []int
@@ -98,7 +98,6 @@ type Graph struct {
 	// building, until seal hands them to the vertices.
 	labels   []byte
 	labelEnd []int32
-	inc      atomic.Pointer[incidence]
 	csr      atomic.Pointer[CSR]
 }
 
@@ -144,7 +143,7 @@ func (g *Graph) addVertex(k Kind, label string, coord []int) int {
 	} else {
 		g.hostIDs = append(g.hostIDs, id)
 	}
-	g.dropIndexes()
+	g.csr.Store(nil)
 	return id
 }
 
@@ -211,12 +210,6 @@ func (g *Graph) reserve(switches, hosts, edges, coords, labelBytes int) {
 	g.labelEnd = slices.Grow(g.labelEnd, nv)
 }
 
-// dropIndexes forgets the incidence index and the CSR after a mutation.
-func (g *Graph) dropIndexes() {
-	g.inc.Store(nil)
-	g.csr.Store(nil)
-}
-
 // Connect adds an undirected edge between vertices a and b, assigning the
 // next free port on each side, and returns the edge ID.
 func (g *Graph) Connect(a, b int) int {
@@ -243,73 +236,16 @@ func (g *Graph) ConnectPorts(a, aPort, b, bPort int) int {
 	if bPort >= g.nextPort[b] {
 		g.nextPort[b] = bPort + 1
 	}
-	g.dropIndexes()
+	g.csr.Store(nil)
 	return id
 }
 
-// IncidentEdges returns the IDs of edges incident to vertex v, in
-// ascending edge-ID order (a self loop appears once). The slice is
-// shared; callers must not modify it.
-func (g *Graph) IncidentEdges(v int) []int {
-	x := g.incidence()
-	lo, hi := x.start[v], x.start[v+1]
-	return x.edge[lo:hi:hi]
-}
-
-// incidence is the vertex → incident edge IDs index: vertex v's edges
-// are edge[start[v]:start[v+1]], in edge-ID order. Like a CSR it is
-// immutable once built.
-type incidence struct {
-	start []int32
-	edge  []int
-}
-
-// incidence returns the memoized incidence index, building it on first
-// use; concurrent first calls race exactly as CSR's do, harmlessly.
-func (g *Graph) incidence() *incidence {
-	if x := g.inc.Load(); x != nil {
-		return x
-	}
-	x := newIncidence(len(g.Vertices), g.Edges)
-	g.inc.Store(x)
-	return x
-}
-
-// newIncidence indexes the given edges over n vertices in one counting
-// pass; every endpoint must be in [0, n). It counts vertex v's edges at
-// start[v+2], so that after the prefix sum start[v+1] is where row v
-// begins; placing each edge there and advancing start[v+1] leaves it
-// where row v ends, that is, where row v+1 begins.
-func newIncidence(n int, edges []Edge) *incidence {
-	start := make([]int32, n+2)
-	for _, e := range edges {
-		start[e.A+2]++
-		if e.B != e.A {
-			start[e.B+2]++
-		}
-	}
-	for i := 2; i < len(start); i++ {
-		start[i] += start[i-1]
-	}
-	edge := make([]int, start[n+1])
-	for _, e := range edges {
-		edge[start[e.A+1]] = e.ID
-		start[e.A+1]++
-		if e.B != e.A {
-			edge[start[e.B+1]] = e.ID
-			start[e.B+1]++
-		}
-	}
-	return &incidence{start: start[:n+1], edge: edge}
-}
-
-// CSR is a compressed-sparse-row adjacency view of a Graph: for vertex
-// v, the incident half-edges occupy positions Start[v]..Start[v+1]-1 of
-// the parallel Nbr/Port/Edge arrays, pre-sorted by neighbour vertex ID
-// (ties broken by edge ID, so parallel edges stay deterministic). The
-// route-computation hot paths iterate it instead of
-// Graph.IncidentEdges, whose rows are in edge-insertion order and carry
-// no neighbour or port.
+// CSR is the compressed-sparse-row adjacency of a Graph, its one
+// adjacency index: vertex v's incident half-edges occupy positions
+// Start[v]..Start[v+1]-1 of the parallel Nbr/Port/Edge arrays, sorted
+// by neighbour vertex ID, ties broken by edge ID (so parallel edges
+// stay deterministic). A self loop sits once in its vertex's row, with
+// its A port.
 //
 // A CSR is immutable once built; Graph.CSR memoizes it and any graph
 // mutation invalidates the cache.
@@ -323,10 +259,10 @@ type CSR struct {
 // Row returns the half-edge index range [lo, hi) for vertex v.
 func (c *CSR) Row(v int) (lo, hi int32) { return c.Start[v], c.Start[v+1] }
 
-// PortTo returns the port on `from` leading to neighbour `to`, or 0 if
-// they are not adjacent — the O(log deg) equivalent of scanning
-// IncidentEdges. With multiple parallel edges the lowest edge ID wins.
-func (c *CSR) PortTo(from, to int) int {
+// find returns the half-edge of from's row toward to with the lowest
+// edge ID, or -1 if they are not adjacent, by binary search over the
+// row's ascending neighbours.
+func (c *CSR) find(from, to int) int32 {
 	lo, hi := c.Start[from], c.Start[from+1]
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -337,7 +273,17 @@ func (c *CSR) PortTo(from, to int) int {
 		}
 	}
 	if lo < c.Start[from+1] && c.Nbr[lo] == int32(to) {
-		return int(c.Port[lo])
+		return lo
+	}
+	return -1
+}
+
+// PortTo returns the port on `from` leading to neighbour `to`, or 0 if
+// they are not adjacent, in O(log deg). With multiple parallel edges the
+// lowest edge ID wins.
+func (c *CSR) PortTo(from, to int) int {
+	if i := c.find(from, to); i >= 0 {
+		return int(c.Port[i])
 	}
 	return 0
 }
@@ -364,47 +310,55 @@ func (g *Graph) CSR() *CSR {
 	if c := g.csr.Load(); c != nil {
 		return c
 	}
-	c := newCSR(g.incidence(), g.Edges)
+	c := newCSR(len(g.Vertices), g.Edges)
 	g.csr.Store(c)
 	return c
 }
 
-// newCSR lays the compressed-sparse-row view out over x, an incidence
-// index of edges: it shares x's row offsets, fills each row in x's
-// edge-ID order and then sorts the rows whose neighbours do not
-// already ascend.
-func newCSR(x *incidence, edges []Edge) *CSR {
-	n := len(x.start) - 1
-	total := x.start[n]
-	c := &CSR{
-		Start: x.start,
-		Nbr:   make([]int32, total),
-		Port:  make([]int32, total),
-		Edge:  make([]int32, total),
-	}
-	for v := 0; v < n; v++ {
-		for i := x.start[v]; i < x.start[v+1]; i++ {
-			e := &edges[x.edge[i]]
-			c.Nbr[i], c.Port[i], c.Edge[i] = int32(e.Other(v)), int32(e.PortAt(v)), int32(e.ID)
+// newCSR indexes edges over n vertices; every endpoint must be in
+// [0, n) and every edge's ID its index in edges. One counting pass
+// sizes the rows: it counts vertex v's half-edges at start[v+2], so
+// that after the prefix sum start[v+1] is where row v begins, and
+// placing each half-edge there and advancing start[v+1] leaves it where
+// row v ends. The rows are filled in edge-ID order, out of one buffer
+// that Nbr, Port and Edge slice three ways, and then each row whose
+// neighbours do not already ascend is sorted in place.
+func newCSR(n int, edges []Edge) *CSR {
+	start := make([]int32, n+2)
+	for _, e := range edges {
+		start[e.A+2]++
+		if e.B != e.A {
+			start[e.B+2]++
 		}
 	}
-	var scratch []halfEdge
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	total := int(start[n+1])
+	buf := make([]int32, 3*total)
+	c := &CSR{
+		Start: start[:n+1],
+		Nbr:   buf[:total:total],
+		Port:  buf[total : 2*total : 2*total],
+		Edge:  buf[2*total:],
+	}
+	place := func(v, nbr, port, id int) {
+		i := start[v+1]
+		start[v+1]++
+		c.Nbr[i], c.Port[i], c.Edge[i] = int32(nbr), int32(port), int32(id)
+	}
+	for _, e := range edges {
+		place(e.A, e.B, e.APort, e.ID)
+		if e.B != e.A {
+			place(e.B, e.A, e.BPort, e.ID)
+		}
+	}
 	for v := 0; v < n; v++ {
-		if lo, hi := c.Start[v], c.Start[v+1]; !c.rowSorted(lo, hi) {
-			scratch = c.sortRow(lo, hi, scratch)
+		if lo, hi := c.Row(v); !c.rowSorted(lo, hi) {
+			c.sortRow(v, edges)
 		}
 	}
 	return c
-}
-
-// halfEdge is one CSR entry, gathered for sorting a row.
-type halfEdge struct{ nbr, edge, port int32 }
-
-func compareHalfEdges(a, b halfEdge) int {
-	if a.nbr != b.nbr {
-		return cmp.Compare(a.nbr, b.nbr)
-	}
-	return cmp.Compare(a.edge, b.edge)
 }
 
 // rowSorted reports whether half-edges [lo, hi) ascend by (neighbour,
@@ -418,26 +372,29 @@ func (c *CSR) rowSorted(lo, hi int32) bool {
 	return true
 }
 
-// sortRow sorts half-edges [lo, hi) by (neighbour, edge ID) through
-// scratch, which it returns for reuse. Edge IDs are distinct within a
-// row, so the order is total and the sort need not be stable.
-func (c *CSR) sortRow(lo, hi int32, scratch []halfEdge) []halfEdge {
-	scratch = scratch[:0]
+// sortRow sorts vertex v's half-edges by (neighbour, edge ID) without
+// allocating: it sorts the row's Edge window, reading each neighbour
+// from edges, and then rewrites Nbr and Port from the sorted edges.
+// Edge IDs are distinct within a row, so the order is total and the
+// sort need not be stable.
+func (c *CSR) sortRow(v int, edges []Edge) {
+	lo, hi := c.Row(v)
+	slices.SortFunc(c.Edge[lo:hi], func(a, b int32) int {
+		if na, nb := edges[a].Other(v), edges[b].Other(v); na != nb {
+			return cmp.Compare(na, nb)
+		}
+		return cmp.Compare(a, b)
+	})
 	for i := lo; i < hi; i++ {
-		scratch = append(scratch, halfEdge{c.Nbr[i], c.Edge[i], c.Port[i]})
+		e := &edges[c.Edge[i]]
+		c.Nbr[i], c.Port[i] = int32(e.Other(v)), int32(e.PortAt(v))
 	}
-	slices.SortFunc(scratch, compareHalfEdges)
-	for k, h := range scratch {
-		i := lo + int32(k)
-		c.Nbr[i], c.Edge[i], c.Port[i] = h.nbr, h.edge, h.port
-	}
-	return scratch
 }
 
 // Degree returns the number of edges incident to v.
 func (g *Graph) Degree(v int) int {
-	x := g.incidence()
-	return int(x.start[v+1] - x.start[v])
+	lo, hi := g.CSR().Row(v)
+	return int(hi - lo)
 }
 
 // Switches returns the IDs of all switch vertices in ascending order.
@@ -526,12 +483,12 @@ func (g *Graph) Radix() int {
 	return r
 }
 
-// EdgeBetween returns the ID of an edge joining a and b, or -1.
+// EdgeBetween returns the lowest ID of the edges joining a and b, or
+// -1.
 func (g *Graph) EdgeBetween(a, b int) int {
-	for _, eid := range g.IncidentEdges(a) {
-		if g.Edges[eid].Other(a) == b {
-			return eid
-		}
+	c := g.CSR()
+	if i := c.find(a, b); i >= 0 {
+		return int(c.Edge[i])
 	}
 	return -1
 }
@@ -573,7 +530,7 @@ func (g *Graph) Validate() error {
 	if edgeErr == nil {
 		c = g.CSR()
 	} else {
-		c = newCSR(newIncidence(len(g.Vertices), g.Edges[:sound]), g.Edges)
+		c = newCSR(len(g.Vertices), g.Edges[:sound])
 	}
 	if err := g.portClash(c); err != nil {
 		return err
@@ -687,15 +644,17 @@ func (g *Graph) portClash(c *CSR) error {
 }
 
 // HostSwitch returns the switch a host is attached to, or -1 for an
-// orphan host.
+// orphan host. Of a multi-homed host's switches it returns the one
+// behind the lowest edge ID.
 func (g *Graph) HostSwitch(h int) int {
-	for _, eid := range g.IncidentEdges(h) {
-		o := g.Edges[eid].Other(h)
-		if g.Vertices[o].Kind == Switch {
-			return o
+	c := g.CSR()
+	sw, edge := -1, int32(-1)
+	for i := c.Start[h]; i < c.Start[h+1]; i++ {
+		if o := int(c.Nbr[i]); g.Vertices[o].Kind == Switch && (edge < 0 || c.Edge[i] < edge) {
+			sw, edge = o, c.Edge[i]
 		}
 	}
-	return -1
+	return sw
 }
 
 // ShortestPaths runs BFS over the switch subgraph from switch src and
@@ -710,17 +669,17 @@ func (g *Graph) ShortestPaths(src int) []int {
 		return dist
 	}
 	dist[src] = 0
+	c := g.CSR()
 	queue := []int{src}
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, eid := range g.IncidentEdges(v) {
-			o := g.Edges[eid].Other(v)
+		for _, o := range c.Nbr[c.Start[v]:c.Start[v+1]] {
 			if g.Vertices[o].Kind != Switch || dist[o] >= 0 {
 				continue
 			}
 			dist[o] = dist[v] + 1
-			queue = append(queue, o)
+			queue = append(queue, int(o))
 		}
 	}
 	return dist

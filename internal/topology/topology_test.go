@@ -519,17 +519,12 @@ func TestIncrementalAdjacencyMatchesRebuild(t *testing.T) {
 	}
 }
 
-// checkAgainstRebuild compares IncidentEdges, Degree, Switches, Hosts
-// and EdgeBetween with their definitions over Vertices and Edges.
+// checkAgainstRebuild compares the CSR rows, Degree, Switches, Hosts,
+// EdgeBetween and HostSwitch with their definitions over Vertices and
+// Edges.
 func checkAgainstRebuild(t *testing.T, g *Graph) {
 	t.Helper()
-	adj := make([][]int, len(g.Vertices))
-	for _, e := range g.Edges {
-		adj[e.A] = append(adj[e.A], e.ID)
-		if e.B != e.A {
-			adj[e.B] = append(adj[e.B], e.ID)
-		}
-	}
+	adj := adjacencyOf(g)
 	var sw, hosts []int
 	for _, v := range g.Vertices {
 		if v.Kind == Switch {
@@ -542,8 +537,27 @@ func checkAgainstRebuild(t *testing.T, g *Graph) {
 		t.Fatalf("%s: Switches/Hosts = %v/%v, rebuild %v/%v", g.Name, g.Switches(), g.Hosts(), sw, hosts)
 	}
 	for v := range g.Vertices {
-		if !slices.Equal(g.IncidentEdges(v), adj[v]) || g.Degree(v) != len(adj[v]) {
-			t.Fatalf("%s: IncidentEdges(%d) = %v, rebuild %v", g.Name, v, g.IncidentEdges(v), adj[v])
+		if !slices.Equal(rowByEdgeID(g, v), adj[v]) || g.Degree(v) != len(adj[v]) {
+			t.Fatalf("%s: row %d holds edges %v, rebuild %v", g.Name, v, rowByEdgeID(g, v), adj[v])
+		}
+		c := g.CSR()
+		for i := c.Start[v]; i < c.Start[v+1]; i++ {
+			if e := g.Edges[c.Edge[i]]; int(c.Nbr[i]) != e.Other(v) || int(c.Port[i]) != e.PortAt(v) {
+				t.Fatalf("%s: row %d half-edge %d disagrees with edge %d", g.Name, v, i-c.Start[v], e.ID)
+			}
+			if i > c.Start[v] && (c.Nbr[i-1] > c.Nbr[i] || c.Nbr[i-1] == c.Nbr[i] && c.Edge[i-1] > c.Edge[i]) {
+				t.Fatalf("%s: row %d not in (neighbour, edge ID) order", g.Name, v)
+			}
+		}
+		wantSwitch := -1
+		for _, eid := range adj[v] {
+			if o := g.Edges[eid].Other(v); g.Vertices[o].Kind == Switch {
+				wantSwitch = o
+				break
+			}
+		}
+		if got := g.HostSwitch(v); got != wantSwitch {
+			t.Fatalf("%s: HostSwitch(%d) = %d, rebuild %d", g.Name, v, got, wantSwitch)
 		}
 		for o := range g.Vertices {
 			want := -1
