@@ -247,9 +247,11 @@ func (c *Controller) Reconfigure(old string, g *topology.Graph, opt Options) (*D
 	if rerr := prev.Plan.Acquire(c.alloc); rerr != nil {
 		return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 	}
+	// A table may adopt the window it is given, so each window is capped
+	// where the next switch's begins.
 	lo := 0
 	for i, sw := range c.Physical {
-		if rerr := sw.Table.Install(saved[lo:ends[i]]); rerr != nil {
+		if rerr := sw.Table.Install(saved[lo:ends[i]:ends[i]]); rerr != nil {
 			return nil, fmt.Errorf("%w (restoring %q failed: %v)", err, old, rerr)
 		}
 		lo = ends[i]

@@ -273,3 +273,27 @@ func TestNICDrainKicksInCreationOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfLoopBuilds: a self loop sits in its switch's CSR row once,
+// with its A port, and its B port is the switch's highest; a validated
+// graph with one must still build, with a port slot for both ends.
+func TestSelfLoopBuilds(t *testing.T) {
+	g := topology.Line(2, 1)
+	routes, err := routing.ShortestPath{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Switches()[0]
+	e := g.Edges[g.Connect(s, s)]
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	net, err := NewNetwork(g, NewRouteForwarder(routes), DefaultConfig(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := net.switches[s]
+	if len(sw.outPorts) <= e.BPort || sw.outPorts[e.APort] == nil || sw.outPorts[e.BPort] == nil {
+		t.Fatalf("switch %d: %d port slots, self loop on ports %d and %d", s, len(sw.outPorts), e.APort, e.BPort)
+	}
+}

@@ -472,14 +472,18 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 	}
 
 	// Logical port p of a switch is slot p of its window; slot 0 is
-	// unused.
+	// unused. A self loop sits in its vertex's CSR row once, with its A
+	// port, so its B port is read from the edge.
 	csr := g.CSR()
 	maxPort := func(v int) int {
-		m := int32(0)
-		for _, p := range csr.Port[csr.Start[v]:csr.Start[v+1]] {
-			m = max(m, p)
+		m := 0
+		for i := csr.Start[v]; i < csr.Start[v+1]; i++ {
+			m = max(m, int(csr.Port[i]))
+			if int(csr.Nbr[i]) == v {
+				m = max(m, g.Edges[csr.Edge[i]].BPort)
+			}
 		}
-		return int(m)
+		return m
 	}
 	slots := 0
 	for _, v := range sws {

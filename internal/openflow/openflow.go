@@ -171,8 +171,15 @@ func (t *Table) Add(e FlowEntry) error {
 // same install order, the same table, and when capacity runs out the
 // same prefix installed and the same *ErrTableFull — with one merge
 // instead of one memmove per entry. The table takes the entries
-// themselves, not copies, so the caller must not touch them afterwards;
-// es itself is neither kept nor reordered.
+// themselves, not copies, so the caller must not touch them afterwards.
+//
+// An empty table whose array is smaller than the batch adopts es as its
+// array instead of copying it: es's backing array, up to cap(es),
+// belongs to the table from then on, and later installs may write
+// anywhere in it. A caller that carves several tables' batches from one
+// array therefore hands each its window with a full slice expression
+// (es[lo:hi:hi]) and touches none of them again. Otherwise es is
+// neither kept nor written.
 func (t *Table) Install(es []*FlowEntry) error {
 	var full error
 	if t.Capacity > 0 && len(t.entries)+len(es) > t.Capacity {
@@ -190,6 +197,10 @@ func (t *Table) Install(es []*FlowEntry) error {
 		t.nextSeq++
 	}
 	es = matchOrdered(es)
+	if len(t.entries) == 0 && cap(t.entries) < len(es) {
+		t.entries = es
+		return full
+	}
 	// Every new entry carries a larger seq than every installed one, so
 	// it belongs after every installed entry of priority >= its own:
 	// from the batch's last entry back, find that slot by binary search

@@ -1,8 +1,10 @@
 package openflow
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -186,11 +188,15 @@ func BenchmarkTableAdd(b *testing.B) {
 // FuzzTableInstall drives rounds of random batches — mixed priorities,
 // concrete and wildcard destinations, entries of three co-hosted
 // cookies — through Install, through one Add per entry, and through the
-// re-sorting oracle, under a capacity limit (0 = unlimited), with a
-// RemoveCookie between rounds. After every step the three must list the
-// same entries in the same order with the same install numbers, answer
-// every Lookup alike, and fail an overflowing batch with the same error
-// after installing the same prefix.
+// re-sorting oracle, under a capacity limit (0 = unlimited), with one
+// more Add and a RemoveCookie after each round. Two more tables, left
+// and right, take each batch as adjacent windows of one array, as a
+// compile hands its switches their batches: an empty left table adopts
+// its window, and neither may write into the other's. After every step
+// all of them must list the same entries in the same order with the
+// same install numbers, answer every Lookup alike, and fail an
+// overflowing batch with the same error after installing the same
+// prefix.
 func FuzzTableInstall(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(0))
 	f.Add(int64(2), uint8(200), uint8(37))
@@ -201,63 +207,101 @@ func FuzzTableInstall(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		batch := &Table{Capacity: int(capacity), owner: "s1"}
 		seq := &Table{Capacity: int(capacity), owner: "s1"}
+		left := &Table{Capacity: int(capacity), owner: "s1"}
+		right := &Table{Capacity: int(capacity), owner: "s1"}
+		tables := []*Table{batch, seq, left, right}
+		names := []string{"Install", "Add", "left window", "right window"}
 		ref := &refTable{}
 		id := 0
+		entry := func() FlowEntry {
+			m := Match{SrcHost: Any, DstHost: Any, Tag: Any}
+			if rng.Intn(3) > 0 {
+				m.DstHost = rng.Int31n(6)
+			}
+			if rng.Intn(3) == 0 {
+				m.InPort = 1 + rng.Int31n(2)
+			}
+			if rng.Intn(3) == 0 {
+				m.Tag = rng.Int31n(2)
+			}
+			id++
+			return FlowEntry{
+				Priority: []int32{10, 14, 20, rng.Int31n(30)}[rng.Intn(4)],
+				Match:    m,
+				Actions:  []Action{{Type: Output, Port: int32(id - 1)}},
+				Cookie:   uint64(rng.Intn(3)),
+			}
+		}
+		// refAdd adds e to the oracle unless the capacity is exhausted,
+		// and reports whether it was.
+		refAdd := func(e FlowEntry) (full bool) {
+			if capacity > 0 && len(ref.entries) >= int(capacity) {
+				return true
+			}
+			ref.add(e)
+			return false
+		}
+		checkErrs := func(round int, how string, errs []error, wantFull bool) {
+			t.Helper()
+			for i, err := range errs {
+				var full *ErrTableFull
+				if (err != nil) != wantFull || (err != nil && (!errors.As(err, &full) || *full != ErrTableFull{Switch: "s1", Capacity: int(capacity)})) {
+					t.Fatalf("round %d, %s: %s table = %v, oracle full = %v", round, how, names[i], err, wantFull)
+				}
+			}
+		}
+		same := func(how string) {
+			t.Helper()
+			for i, tab := range tables {
+				sameAsOracle(t, tab, ref, names[i]+how)
+			}
+		}
 		for round := 0; round < 5; round++ {
 			es := make([]FlowEntry, 1+rng.Intn(1+int(size)))
 			for i := range es {
-				m := Match{SrcHost: Any, DstHost: Any, Tag: Any}
-				if rng.Intn(3) > 0 {
-					m.DstHost = rng.Int31n(6)
-				}
-				if rng.Intn(3) == 0 {
-					m.InPort = 1 + rng.Int31n(2)
-				}
-				if rng.Intn(3) == 0 {
-					m.Tag = rng.Int31n(2)
-				}
-				es[i] = FlowEntry{
-					Priority: []int32{10, 14, 20, rng.Int31n(30)}[rng.Intn(4)],
-					Match:    m,
-					Actions:  []Action{{Type: Output, Port: int32(id)}},
-					Cookie:   uint64(rng.Intn(3)),
-				}
-				id++
+				es[i] = entry()
 			}
-			fresh := make([]*FlowEntry, len(es)) // Install takes the entries themselves
+			// Install takes the entries themselves: each table gets its
+			// own copies, left and right theirs in adjacent windows.
+			n := len(es)
+			fresh := make([]*FlowEntry, n)
+			windows := make([]*FlowEntry, 2*n)
 			for i := range es {
-				e := es[i]
-				fresh[i] = &e
+				a, l, r := es[i], es[i], es[i]
+				fresh[i], windows[i], windows[n+i] = &a, &l, &r
 			}
-			errBatch := batch.Install(fresh)
-			var errSeq error
+			adopts := left.Len() == 0 && cap(left.entries) < n && (capacity == 0 || int(capacity) >= n) &&
+				slices.IsSortedFunc(es, func(a, b FlowEntry) int { return cmp.Compare(b.Priority, a.Priority) })
+			errs := []error{batch.Install(fresh), nil, left.Install(windows[:n:n]), right.Install(windows[n:])}
 			for _, e := range es {
-				if errSeq = seq.Add(e); errSeq != nil {
+				if errs[1] = seq.Add(e); errs[1] != nil {
 					break
 				}
 			}
 			wantFull := false
 			for _, e := range es {
-				if capacity > 0 && len(ref.entries) >= int(capacity) {
-					wantFull = true
+				if wantFull = refAdd(e); wantFull {
 					break
 				}
-				ref.add(e)
 			}
-			for _, err := range []error{errBatch, errSeq} {
-				var full *ErrTableFull
-				if (err != nil) != wantFull || (err != nil && (!errors.As(err, &full) || *full != ErrTableFull{Switch: "s1", Capacity: int(capacity)})) {
-					t.Fatalf("round %d: Install = %v, Add = %v, oracle full = %v", round, errBatch, errSeq, wantFull)
-				}
+			checkErrs(round, "batch", errs, wantFull)
+			if adopts && &left.entries[0] != &windows[0] {
+				t.Fatalf("round %d: an empty table with a smaller array did not adopt its window", round)
 			}
-			sameAsOracle(t, batch, ref, "Install")
-			sameAsOracle(t, seq, ref, "Add")
+			same(" after the batch")
+			e := entry()
+			errs = errs[:0]
+			for _, tab := range tables {
+				errs = append(errs, tab.Add(e))
+			}
+			checkErrs(round, "Add", errs, refAdd(e))
+			same(" after Add")
 			cookie := uint64(rng.Intn(3))
-			batch.RemoveCookie(cookie)
-			seq.RemoveCookie(cookie)
+			for _, tab := range tables {
+				tab.RemoveCookie(cookie)
+			}
 			ref.removeCookie(cookie)
-			sameAsOracle(t, batch, ref, "Install+RemoveCookie")
-			sameAsOracle(t, seq, ref, "Add+RemoveCookie")
+			same(" after RemoveCookie")
 		}
 	})
 }

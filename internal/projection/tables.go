@@ -138,10 +138,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 					}
 					tag = enc(peer, outVC)
 				}
-				err := b.add(ref.Switch, prio, m,
-					openflow.Action{Type: openflow.SetTag, Tag: b.i32(tag)},
-					openflow.Action{Type: openflow.Output, Port: b.i32(ref.Port)})
-				if err != nil {
+				if err := b.add(ref.Switch, prio, m, b.forward(true, tag, ref.Port)); err != nil {
 					return nil, err
 				}
 			}
@@ -163,6 +160,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 				actions = append(actions, openflow.Action{Type: openflow.SetTag, Tag: 0})
 			}
 			actions = append(actions, openflow.Action{Type: openflow.Output, Port: b.i32(ref.Port)})
+			list := b.list(actions) // one list for every in-port's entry
 			for _, inRef := range inPorts {
 				if inRef == ref {
 					continue // never hairpin back out the ingress port
@@ -173,7 +171,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 					DstHost: b.i32(rule.Dst),
 					Tag:     b.i32(rule.Tag),
 				}
-				if err := b.add(ref.Switch, prio, m, actions...); err != nil {
+				if err := b.add(ref.Switch, prio, m, list); err != nil {
 					return nil, err
 				}
 			}
@@ -205,17 +203,15 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 					return nil, err
 				}
 				m := openflow.Match{InPort: b.i32(attach.Port), SrcHost: openflow.Any, DstHost: b.i32(dst), Tag: 0}
-				out := openflow.Action{Type: openflow.Output, Port: b.i32(ref.Port)}
-				if toHost {
-					err = b.add(attach.Switch, prioInject, m, out)
-				} else {
+				tag := 0
+				if !toHost {
 					vcOut := 0
 					if rule.NewTag >= 0 {
 						vcOut = rule.NewTag
 					}
-					err = b.add(attach.Switch, prioInject, m, openflow.Action{Type: openflow.SetTag, Tag: b.i32(enc(peer, vcOut))}, out)
+					tag = enc(peer, vcOut)
 				}
-				if err != nil {
+				if err := b.add(attach.Switch, prioInject, m, b.forward(!toHost, tag, ref.Port)); err != nil {
 					return nil, err
 				}
 			}
@@ -260,16 +256,24 @@ func rulePrio(enc Encoding, rule *routing.Rule) int {
 
 // entryStore holds a compile's entries from emission to install. It
 // is sized before the first entry is emitted, from a count of what the
-// compile will emit per physical switch and priority class, so every
-// entry, every action list and each switch's batch come out of one
+// compile will emit per physical switch and priority class, so the
+// entries, the action lists and the switches' batches come out of one
 // allocation each, and a teardown (every entry carries the compile's
 // cookie) frees them whole.
+//
+// An action list is stored once and shared by every entry that carries
+// it, capped with a full slice expression so that nothing appends into
+// a neighbour: under TagEncoded there is one list per (tag, physical
+// port), found through listAt, and under PerInPort one per rule, shared
+// by its in-port expansions.
 //
 // A switch's entries wait in batch, grouped by priority class, highest
 // first, each class in emission order: that is match order, so
 // Table.Install merges the batch without sorting it, and the table is
 // the one that installing the entries in emission order gives. Bucket
-// k = switch·prioSlots + class holds batch[at[k]:next[k]].
+// k = switch·prioSlots + class holds batch[at[k]:next[k]]. install
+// hands each switch its own window of batch, which an empty table
+// adopts as its array.
 //
 // The count places a rule's entries on the physical switch hosting its
 // logical switch (Plan.CrossbarOf) and an injection entry on its host's
@@ -282,7 +286,14 @@ type entryStore struct {
 	switches []*openflow.Switch
 	cookie   uint64
 	entries  []openflow.FlowEntry // in emission order; cap is the count
-	acts     []openflow.Action    // the entries' action lists, back to back
+	pool     []openflow.Action    // the distinct action lists, back to back; cap bounds them
+	// listAt[slot·ports + port−1] is 1 + the pool offset of TagEncoded's
+	// list for (slot, port), 0 before it is stored. Slot 0 is (Output
+	// port), slot 1 (SetTag 0, Output port) and slot t−tagBase+1 (SetTag
+	// t, Output port) for an encoded tag t.
+	listAt   []int32
+	tagBase  int
+	ports    int // the highest port number of any switch
 	batch    []*openflow.FlowEntry
 	at, next []int
 	queued   []int // per switch: entries waiting in batch
@@ -294,7 +305,8 @@ type entryStore struct {
 func newEntryStore(p *Plan, r *routing.Routes, opt CompileOptions, vcs int, sub portGroups, switches []*openflow.Switch) *entryStore {
 	g := p.Topo
 	buckets := len(switches) * prioSlots
-	at := make([]int, buckets+1) // first the count of bucket k at k+1
+	ints := make([]int, 2*buckets+1+len(switches))
+	at := ints[: buckets+1 : buckets+1] // first the count of bucket k at k+1
 	for i := range r.Rules {
 		rule := &r.Rules[i]
 		if rule.Switch < 0 || rule.Switch >= len(g.Vertices) {
@@ -327,20 +339,32 @@ func newEntryStore(p *Plan, r *routing.Routes, opt CompileOptions, vcs int, sub 
 		at[k+1] += at[k]
 	}
 	total := at[buckets]
-	acts := 2 // SetTag, Output
-	if opt.Encoding == PerInPort {
-		acts = 3 // SetTag(new tag), SetTag(0) toward a host, Output
-	}
-	return &entryStore{
+	b := &entryStore{
 		switches: switches,
 		cookie:   opt.Cookie,
 		entries:  make([]openflow.FlowEntry, 0, total),
-		acts:     make([]openflow.Action, 0, acts*total),
 		batch:    make([]*openflow.FlowEntry, total),
 		at:       at,
-		next:     slices.Clone(at[:buckets]),
-		queued:   make([]int, len(switches)),
+		next:     ints[buckets+1 : 2*buckets+1 : 2*buckets+1],
+		queued:   ints[2*buckets+1:],
 	}
+	copy(b.next, at)
+	switch opt.Encoding {
+	case TagEncoded:
+		// A physical egress port leads to one logical peer, so it carries
+		// at most vcs lists (SetTag enc(peer, vc), Output), or two toward
+		// a host (SetTag 0, Output; Output alone).
+		lists := min(total, len(p.Ports)*max(vcs, 2))
+		b.pool = make([]openflow.Action, 0, 2*lists)
+		b.tagBase = opt.TagBase
+		for _, s := range switches {
+			b.ports = max(b.ports, s.NumPorts)
+		}
+		b.listAt = make([]int32, (TagSpace(p, r)+1)*b.ports)
+	case PerInPort:
+		b.pool = make([]openflow.Action, 0, 3*len(r.Rules)) // SetTag(new tag), SetTag(0) toward a host, Output
+	}
+	return b
 }
 
 // i32 returns v as an int32. A value out of range is kept as b.err, and
@@ -358,29 +382,71 @@ func (b *entryStore) tooWide(v int) {
 	}
 }
 
-// add queues an entry for switch sw. An entry that would overflow its
-// table fails where one Add per entry in emission order would: what was
-// emitted before it is installed first, then Add reports the same
-// *ErrTableFull, so Deploy's roll-back starts from the same tables.
-func (b *entryStore) add(sw, prio int, m openflow.Match, acts ...openflow.Action) error {
+// list stores acts in the pool and returns the stored list, capped. A
+// list past the pool's bound, which a plan that breaks the count's
+// premise could produce, gets an array of its own.
+func (b *entryStore) list(acts []openflow.Action) []openflow.Action {
+	if cap(b.pool)-len(b.pool) < len(acts) {
+		return slices.Clip(slices.Clone(acts))
+	}
+	lo := len(b.pool)
+	b.pool = append(b.pool, acts...)
+	return b.pool[lo:len(b.pool):len(b.pool)]
+}
+
+// forward returns TagEncoded's shared list for an egress on port:
+// (SetTag tag, Output port), or (Output port) alone when setTag is
+// false.
+func (b *entryStore) forward(setTag bool, tag, port int) []openflow.Action {
+	acts := [2]openflow.Action{
+		{Type: openflow.SetTag, Tag: b.i32(tag)},
+		{Type: openflow.Output, Port: b.i32(port)},
+	}
+	list, slot := acts[:], 1
+	switch {
+	case !setTag:
+		list, slot = acts[1:], 0
+	case tag != 0:
+		slot = tag - b.tagBase + 1
+		if slot < 2 {
+			slot = -1 // below the compile's tags: not indexed
+		}
+	}
+	k := slot*b.ports + port - 1
+	if slot < 0 || port < 1 || port > b.ports || k >= len(b.listAt) {
+		return b.list(list)
+	}
+	if at := int(b.listAt[k]); at > 0 {
+		return b.pool[at-1 : at-1+len(list) : at-1+len(list)]
+	}
+	lo := len(b.pool)
+	stored := b.list(list)
+	if len(b.pool) > lo {
+		b.listAt[k] = int32(lo + 1)
+	}
+	return stored
+}
+
+// add queues an entry for switch sw with the shared action list acts.
+// An entry that would overflow its table fails where one Add per entry
+// in emission order would: what was emitted before it is installed
+// first, then Add reports the same *ErrTableFull, so Deploy's roll-back
+// starts from the same tables.
+func (b *entryStore) add(sw, prio int, m openflow.Match, acts []openflow.Action) error {
 	if b.err != nil {
 		return b.err
 	}
-	e := openflow.FlowEntry{Priority: int32(prio), Match: m, Cookie: b.cookie}
+	e := openflow.FlowEntry{Priority: int32(prio), Match: m, Actions: acts, Cookie: b.cookie}
 	if t := &b.switches[sw].Table; t.Capacity > 0 && t.Len()+b.queued[sw] >= t.Capacity {
 		if err := b.install(); err != nil {
 			return err
 		}
-		e.Actions = slices.Clone(acts)
 		return t.Add(e)
 	}
 	k := sw*prioSlots + prioSlot(prio)
-	if b.next[k] == b.at[k+1] || cap(b.acts)-len(b.acts) < len(acts) {
+	if b.next[k] == b.at[k+1] {
 		return fmt.Errorf("projection: switch %s gets more flow entries than counted", b.switches[sw].ID)
 	}
-	lo := len(b.acts)
-	b.acts = append(b.acts, acts...)
-	e.Actions = b.acts[lo:len(b.acts):len(b.acts)]
 	b.entries = append(b.entries, e)
 	b.batch[b.next[k]] = &b.entries[len(b.entries)-1]
 	b.next[k]++
@@ -388,7 +454,8 @@ func (b *entryStore) add(sw, prio int, m openflow.Match, acts ...openflow.Action
 	return nil
 }
 
-// install hands every switch its queued batch and empties the queues.
+// install hands every switch its queued batch, in a window of batch
+// capped where the next switch's begins, and empties the queues.
 func (b *entryStore) install() error {
 	for sw, s := range b.switches {
 		lo := b.at[sw*prioSlots]
@@ -398,7 +465,7 @@ func (b *entryStore) install() error {
 			b.next[k] = b.at[k]
 		}
 		b.queued[sw] = 0
-		if err := s.Table.Install(b.batch[lo:end]); err != nil {
+		if err := s.Table.Install(b.batch[lo:end:end]); err != nil {
 			return err
 		}
 	}

@@ -51,6 +51,125 @@ func TestCompileCountsWhatItEmits(t *testing.T) {
 	}
 }
 
+// TestCompileSharesActionLists: every entry's action list is capped at
+// its length, so nothing appends into a neighbour; under TagEncoded the
+// entries with the same list, (SetTag t, Output p) or (Output p), share
+// one backing array, and under PerInPort a rule's in-port expansions
+// share one, so there are no more lists than rules.
+func TestCompileSharesActionLists(t *testing.T) {
+	type list struct {
+		n    int
+		acts [3]openflow.Action
+	}
+	for _, g := range compileCases() {
+		plan, _ := mustPlan(t, g, threeSwitches())
+		routes, err := routing.ForTopology(g).Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []Encoding{TagEncoded, PerInPort} {
+			switches, err := CompileFlowTables(plan, routes, CompileOptions{Encoding: enc, TagBase: 7})
+			if err != nil {
+				t.Fatalf("%s, encoding %d: %v", g.Name, enc, err)
+			}
+			backing := map[list]*openflow.Action{}
+			arrays := map[*openflow.Action]bool{}
+			for _, s := range switches {
+				for _, e := range s.Table.Entries() {
+					if cap(e.Actions) != len(e.Actions) {
+						t.Fatalf("%s, encoding %d: %v: list of %d has room for %d", g.Name, enc, e, len(e.Actions), cap(e.Actions))
+					}
+					arrays[&e.Actions[0]] = true
+					if enc != TagEncoded {
+						continue
+					}
+					k := list{n: len(e.Actions)}
+					copy(k.acts[:], e.Actions)
+					if first, ok := backing[k]; !ok {
+						backing[k] = &e.Actions[0]
+					} else if first != &e.Actions[0] {
+						t.Fatalf("%s: %v does not share its action list", g.Name, e)
+					}
+				}
+			}
+			if enc == PerInPort && len(arrays) > len(routes.Rules) {
+				t.Errorf("%s, PerInPort: %d action lists for %d rules", g.Name, len(arrays), len(routes.Rules))
+			}
+		}
+	}
+}
+
+// TestCompileAllocsFlat: a compile's allocations do not grow with its
+// rules or entries. Onto three fresh switches it allocates 11 objects
+// under TagEncoded and 13 under PerInPort: the switches, the store's
+// five arrays (four under PerInPort) and the per-compile indexes
+// (PerInPort's port groups among them).
+func TestCompileAllocsFlat(t *testing.T) {
+	for _, g := range compileCases() {
+		plan, _ := mustPlan(t, g, threeSwitches())
+		routes, err := routing.ForTopology(g).Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []Encoding{TagEncoded, PerInPort} {
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := CompileFlowTables(plan, routes, CompileOptions{Encoding: enc}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			const limit = 16
+			if allocs > limit {
+				t.Errorf("%s, encoding %d: %d rules compile in %.0f allocations, limit %d", g.Name, enc, len(routes.Rules), allocs, limit)
+			}
+		}
+	}
+}
+
+// TestCompileWindowsAreDisjoint: the switches of one compile take their
+// batches as adjacent windows of one array, and an empty table adopts
+// its window; an install into one switch afterwards must leave every
+// other switch's table as it was.
+func TestCompileWindowsAreDisjoint(t *testing.T) {
+	g := topology.Torus3D(3, 3, 3, 1) // 189 ports: all three switches carry entries
+	plan, _ := mustPlan(t, g, threeSwitches())
+	routes, err := routing.ForTopology(g).Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switches, err := CompileFlowTables(plan, routes, CompileOptions{Cookie: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() [][]*openflow.FlowEntry {
+		out := make([][]*openflow.FlowEntry, len(switches))
+		for i, s := range switches {
+			out[i] = slices.Clone(s.Table.Entries())
+		}
+		return out
+	}
+	for i, s := range switches {
+		if s.Table.Len() == 0 {
+			t.Fatalf("switch %s installed nothing", s.ID)
+		}
+		before := snapshot()
+		// A lowest-priority entry lands at the end of the table, where
+		// an uncapped window would run into the next switch's.
+		if err := s.Table.Add(openflow.FlowEntry{Priority: 0, Match: openflow.MatchAll, Cookie: 2}); err != nil {
+			t.Fatal(err)
+		}
+		for j, o := range switches {
+			if j != i && !slices.Equal(o.Table.Entries(), before[j]) {
+				t.Fatalf("an Add to switch %s changed switch %s's table", s.ID, o.ID)
+			}
+		}
+	}
+	for _, s := range switches {
+		if n := s.Table.RemoveCookie(2); n != 1 {
+			t.Fatalf("switch %s: removed %d added entries, want 1", s.ID, n)
+		}
+	}
+}
+
 // TestCompileRejectsValuesInt32CannotHold: a tag past the int32 range
 // fails the compile before any entry is installed, instead of
 // installing a truncated tag.

@@ -8,8 +8,10 @@ package telemetry
 // to mixing short and long flows in one distribution.
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/netsim"
@@ -55,42 +57,54 @@ func MeasureFCT(flows []netsim.Flow, linkBps float64, base netsim.Time, bounds [
 	if bounds == nil {
 		bounds = DefaultFCTBuckets()
 	}
-	rep := &FCTReport{Total: len(flows)}
-	type sample struct {
-		slow float64
-		fct  netsim.Time
+	rep := &FCTReport{Total: len(flows), Buckets: make([]FCTBucket, len(bounds)+1)}
+	for i := range flows {
+		if flows[i].Completed {
+			rep.Completed++
+		}
 	}
-	buckets := make([][]sample, len(bounds)+1)
+	// One array holds every bucket's samples; sorted by bucket first,
+	// bucket b's are the Count of them after the lower buckets'.
+	type sample struct {
+		bucket int
+		slow   float64
+		fct    netsim.Time
+	}
+	all := make([]sample, 0, rep.Completed)
 	for i := range flows {
 		f := &flows[i]
 		if !f.Completed {
 			continue
 		}
-		rep.Completed++
 		fct := f.FCT()
 		ideal := base + netsim.Time(float64(f.Bytes*8)/linkBps*float64(netsim.Second))
 		b := sort.SearchInts(bounds, f.Bytes+1)
-		buckets[b] = append(buckets[b], sample{slow: float64(fct) / float64(ideal), fct: fct})
+		rep.Buckets[b].Count++
+		all = append(all, sample{bucket: b, slow: float64(fct) / float64(ideal), fct: fct})
 	}
-	for b, ss := range buckets {
-		lo, hi := 0, 0
+	slices.SortFunc(all, func(x, y sample) int {
+		return cmp.Or(cmp.Compare(x.bucket, y.bucket), cmp.Compare(x.slow, y.slow))
+	})
+	lo := 0
+	for b := range rep.Buckets {
+		fb := &rep.Buckets[b]
 		if b > 0 {
-			lo = bounds[b-1]
+			fb.Lo = bounds[b-1]
 		}
 		if b < len(bounds) {
-			hi = bounds[b]
+			fb.Hi = bounds[b]
 		}
-		fb := FCTBucket{Lo: lo, Hi: hi, Count: len(ss)}
-		if len(ss) > 0 {
-			sort.Slice(ss, func(i, j int) bool { return ss[i].slow < ss[j].slow })
-			fb.P50 = ss[rank(len(ss), 0.50)].slow
-			fb.P95 = ss[rank(len(ss), 0.95)].slow
-			fb.P99 = ss[rank(len(ss), 0.99)].slow
-			sort.Slice(ss, func(i, j int) bool { return ss[i].fct < ss[j].fct })
-			fb.P50FCT = ss[rank(len(ss), 0.50)].fct
-			fb.P99FCT = ss[rank(len(ss), 0.99)].fct
+		ss := all[lo : lo+fb.Count]
+		lo += fb.Count
+		if len(ss) == 0 {
+			continue
 		}
-		rep.Buckets = append(rep.Buckets, fb)
+		fb.P50 = ss[rank(len(ss), 0.50)].slow
+		fb.P95 = ss[rank(len(ss), 0.95)].slow
+		fb.P99 = ss[rank(len(ss), 0.99)].slow
+		slices.SortFunc(ss, func(x, y sample) int { return cmp.Compare(x.fct, y.fct) })
+		fb.P50FCT = ss[rank(len(ss), 0.50)].fct
+		fb.P99FCT = ss[rank(len(ss), 0.99)].fct
 	}
 	return rep
 }

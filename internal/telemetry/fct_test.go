@@ -170,3 +170,19 @@ func TestNearestRank(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureFCTAllocsFlat: a call allocates the report, its buckets and
+// one array for every bucket's samples, however many flows it measures.
+func TestMeasureFCTAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		flows := make([]netsim.Flow, n)
+		for i := range flows {
+			flows[i] = mkflow(1+(i*7919)%(2<<20), netsim.Time(1+i%97)*netsim.Microsecond)
+		}
+		return testing.AllocsPerRun(5, func() { MeasureFCT(flows, 10e9, 0, nil) })
+	}
+	small, large := allocs(16), allocs(20000)
+	if small != large || large > 3 {
+		t.Errorf("MeasureFCT allocates %.0f objects for 16 flows and %.0f for 20000, want the same and at most 3", small, large)
+	}
+}
