@@ -49,15 +49,16 @@ func deployTeardown(tb testing.TB, c *Controller, g *topology.Graph) {
 // under -race) once the compile sized its storage once, and 306–309
 // (311–331 under -race) once ProjectInto's k-search kept its demands in
 // storage it reuses and Cut built its work graph in a pooled worker. It
-// reads 287–306 (309 under -race) now that the compile's store is five
-// allocations and a table keeps the window of the batch it adopted: the
-// rest is mostly route computation, the plan's maps and the Cut's
-// Result.
+// read 287–306 (309 under -race) once the compile's store was five
+// allocations and a table kept the window of the batch it adopted. It
+// reads 273–277 (GOMAXPROCS 1 to 8, and under -race) now that a plan is
+// one cable per logical link instead of three port maps; the limit adds
+// about 10 %. The rest is mostly route computation and the Cut's Result.
 func TestDeployAllocsBounded(t *testing.T) {
 	g := topology.Torus3D(4, 4, 4, 1)
 	c := sizedController(t, g)
 	perRound := testing.AllocsPerRun(3, func() { deployTeardown(t, c, g) })
-	const limit = 350
+	const limit = 305
 	if perRound > limit {
 		t.Errorf("Deploy+Teardown of %s allocates %.0f objects, limit %d", g.Name, perRound, limit)
 	}
@@ -70,8 +71,9 @@ func TestDeployAllocsBounded(t *testing.T) {
 // stored once per (tag, port), a few hundred for the whole compile, and
 // each table adopts its window of the batch as its array instead of
 // copying it. Route computation adds its 48-byte rules. Measured on
-// amd64: 121–124 bytes per entry (GOMAXPROCS 1 to 8, and under -race);
-// the budget adds about 10 %. The round read 143–145 bytes per entry
+// amd64: 120–123 bytes per entry (GOMAXPROCS 1 to 8, and under -race),
+// 121–124 while the plan kept three port maps (about 1 byte per entry);
+// the budget adds about 10 % to the higher reading. The round read 143–145 bytes per entry
 // while every entry carried its own copy of its two 12-byte actions and
 // each table grew an array of its own, and 267 with 88-byte entries and
 // 24-byte actions in doubling chunks, batches grown by append and a FIB

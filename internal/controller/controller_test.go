@@ -256,7 +256,7 @@ func TestReconfigureFailureRestoresOldDeployment(t *testing.T) {
 			// The restored deployment is a working one: it forwards…
 			h := ft.Hosts()
 			src, dst := h[0], h[len(h)-1]
-			at := old.Plan.HostAttach[src]
+			at, _ := old.Plan.HostPort(src)
 			if fwd := c.Physical[at.Switch].Process(openflow.PacketMeta{InPort: at.Port, SrcHost: src, DstHost: dst}); !fwd.Matched || fwd.Dropped {
 				t.Errorf("restored tables drop %d→%d at its ingress switch: %+v", src, dst, fwd)
 			}

@@ -86,7 +86,7 @@ func Isolation() (*IsolationResult, error) {
 	res.IntraBDelivered = walkTables(ctl.Physical, db.Plan, b.Hosts()[0], b.Hosts()[2]) > 0
 	// Cross-tenant: inject from tenant A's host port toward a tenant-B
 	// host ID. Any delivery is an isolation violation.
-	ref := da.Plan.HostAttach[a.Hosts()[0]]
+	ref, _ := da.Plan.HostPort(a.Hosts()[0])
 	fwd := ctl.Physical[ref.Switch].Process(openflow.PacketMeta{
 		InPort: ref.Port, SrcHost: a.Hosts()[0], DstHost: b.Hosts()[2] + 1_000_000, Tag: 0,
 	})
@@ -97,10 +97,11 @@ func Isolation() (*IsolationResult, error) {
 // walkTables pushes a packet through physical flow tables following
 // the plan's cables; returns crossbar hops to delivery, or -1.
 func walkTables(switches []*openflow.Switch, plan *projection.Plan, src, dst int) int {
-	ref, ok := plan.HostAttach[src]
+	ref, ok := plan.HostPort(src)
 	if !ok {
 		return -1
 	}
+	at, _ := plan.HostPort(dst)
 	tag := 0
 	for hops := 1; hops <= 64; hops++ {
 		fwd := switches[ref.Switch].Process(openflow.PacketMeta{
@@ -111,7 +112,7 @@ func walkTables(switches []*openflow.Switch, plan *projection.Plan, src, dst int
 		}
 		tag = fwd.Tag
 		out := projection.PortRef{Switch: ref.Switch, Port: fwd.OutPort}
-		if out == plan.HostAttach[dst] {
+		if out == at {
 			return hops
 		}
 		nxt, ok := plan.CableAt(out)

@@ -460,21 +460,95 @@ func hostPortsOnReference(c *Cabling, s int) []int {
 	return out
 }
 
+// refPlan is a plan as the references build it: the logical-to-physical
+// port mapping held three times over, in maps.
+type refPlan struct {
+	Topo    *topology.Graph
+	Cabling *Cabling
+	Parts   *partition.Result
+
+	// PartToSwitch maps partition parts to physical switch indices.
+	PartToSwitch []int
+	// Ports maps every logical switch port to its physical port.
+	Ports map[portKey]PortRef
+	// HostAttach maps each host vertex to the physical port its NIC
+	// plugs into.
+	HostAttach map[int]PortRef
+	// EdgeLink records, per logical switch-switch edge ID, the physical
+	// realisation: either a self-link or an inter-link.
+	EdgeLink map[int]physLink
+
+	SelfUsed, InterUsed int
+}
+
+// portKey names a logical port: vertex ID and 1-based port number.
+type portKey struct {
+	Vertex int
+	Port   int
+}
+
+// physLink is the physical realisation of one logical link.
+type physLink struct {
+	SelfLink  int // index into Cabling.SelfLinks, or -1
+	InterLink int // index into Cabling.InterLinks, or -1
+}
+
+// refMaps rebuilds a plan's maps, as the references build them, from
+// the plan's accessors; nil for nil.
+func refMaps(p *Plan) *refPlan {
+	if p == nil {
+		return nil
+	}
+	g := p.Topo
+	out := &refPlan{
+		Topo:         g,
+		Cabling:      p.Cabling,
+		Parts:        p.Parts,
+		PartToSwitch: p.PartToSwitch,
+		Ports:        map[portKey]PortRef{},
+		HostAttach:   map[int]PortRef{},
+		EdgeLink:     map[int]physLink{},
+	}
+	for eid, e := range g.Edges {
+		if ref, ok := p.portAt(eid, true); ok {
+			out.Ports[portKey{e.A, e.APort}] = ref
+		}
+		if ref, ok := p.portAt(eid, false); ok {
+			out.Ports[portKey{e.B, e.BPort}] = ref
+		}
+		if c := int(p.cable[eid]); c >= 0 && g.IsSwitchSwitch(e) {
+			if p.kindOf(e) == selfCable {
+				out.EdgeLink[eid] = physLink{SelfLink: c, InterLink: -1}
+				out.SelfUsed++
+			} else {
+				out.EdgeLink[eid] = physLink{SelfLink: -1, InterLink: c}
+				out.InterUsed++
+			}
+		}
+	}
+	for _, h := range g.Hosts() {
+		if ref, ok := p.HostPort(h); ok {
+			out.HostAttach[h] = ref
+		}
+	}
+	return out
+}
+
 // projectMappedReference is projectMapped as it was before the cable
 // index, kept verbatim (names aside) as its oracle: each pick rescans
 // its list for the first cable neither alloc nor the call holds.
-func projectMappedReference(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappedDemands) (*Plan, error) {
+func projectMappedReference(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappedDemands) (*refPlan, error) {
 	parts := md.parts
 	partToSwitch := md.partToSwitch
 
-	plan := &Plan{
+	plan := &refPlan{
 		Topo:         g,
 		Cabling:      cab,
 		Parts:        parts,
 		PartToSwitch: partToSwitch,
-		Ports:        map[PortKey]PortRef{},
+		Ports:        map[portKey]PortRef{},
 		HostAttach:   map[int]PortRef{},
-		EdgeLink:     map[int]PhysLink{},
+		EdgeLink:     map[int]physLink{},
 	}
 
 	// Stage the allocation so failures leave alloc untouched.
@@ -521,9 +595,9 @@ func projectMappedReference(g *topology.Graph, cab *Cabling, alloc *Allocation, 
 					g.Name, cab.Switches[sa].ID, eid)
 			}
 			sl := cab.SelfLinks[idx]
-			plan.Ports[PortKey{e.A, e.APort}] = PortRef{sa, sl.PortA}
-			plan.Ports[PortKey{e.B, e.BPort}] = PortRef{sa, sl.PortB}
-			plan.EdgeLink[eid] = PhysLink{SelfLink: idx, InterLink: -1}
+			plan.Ports[portKey{e.A, e.APort}] = PortRef{sa, sl.PortA}
+			plan.Ports[portKey{e.B, e.BPort}] = PortRef{sa, sl.PortB}
+			plan.EdgeLink[eid] = physLink{SelfLink: idx, InterLink: -1}
 			plan.SelfUsed++
 		} else {
 			idx, ok := nextInter(sa, sb)
@@ -536,9 +610,9 @@ func projectMappedReference(g *topology.Graph, cab *Cabling, alloc *Allocation, 
 			if refA.Switch != sa {
 				refA, refB = refB, refA
 			}
-			plan.Ports[PortKey{e.A, e.APort}] = refA
-			plan.Ports[PortKey{e.B, e.BPort}] = refB
-			plan.EdgeLink[eid] = PhysLink{SelfLink: -1, InterLink: idx}
+			plan.Ports[portKey{e.A, e.APort}] = refA
+			plan.Ports[portKey{e.B, e.BPort}] = refB
+			plan.EdgeLink[eid] = physLink{SelfLink: -1, InterLink: idx}
 			plan.InterUsed++
 		}
 	}
@@ -557,7 +631,7 @@ func projectMappedReference(g *topology.Graph, cab *Cabling, alloc *Allocation, 
 		ref := cab.HostPorts[idx].Ref
 		plan.HostAttach[h] = ref
 		eid := g.EdgeBetween(sw, h)
-		plan.Ports[PortKey{sw, g.Edges[eid].PortAt(sw)}] = ref
+		plan.Ports[portKey{sw, g.Edges[eid].PortAt(sw)}] = ref
 	}
 
 	// Commit.
@@ -575,7 +649,7 @@ func projectMappedReference(g *topology.Graph, cab *Cabling, alloc *Allocation, 
 
 // releaseReference is Release before the host-port index: a scan of
 // every host port per attached host.
-func releaseReference(p *Plan, alloc *Allocation) {
+func releaseReference(p *refPlan, alloc *Allocation) {
 	for _, pl := range p.EdgeLink {
 		if pl.SelfLink >= 0 {
 			alloc.selfUsed[pl.SelfLink] = false
@@ -643,7 +717,7 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, want := NewAllocation(cab), NewAllocation(cab)
-			project := func(g *topology.Graph) (gotPlan, wantPlan *Plan) {
+			project := func(g *topology.Graph) (gotPlan *Plan, wantPlan *refPlan) {
 				ks := newSearch(cab.Switches) // wantPlan's PartToSwitch is its storage
 				for k := 1; k <= maxK(g, cab.Switches); k++ {
 					md, _ := ks.mapDemands(g, k)
@@ -653,7 +727,7 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 					how := fmt.Sprintf("set %d %s k=%d", si, g.Name, k)
 					gp, why := projectMapped(g, cab, got, md)
 					wp, werr := projectMappedReference(g, cab, want, md)
-					if gerr := why.text(g, cab.Switches); gerr != fmt.Sprint(werr) || !reflect.DeepEqual(gp, wp) {
+					if gerr := why.text(g, cab.Switches); gerr != fmt.Sprint(werr) || !reflect.DeepEqual(refMaps(gp), wp) {
 						t.Fatalf("%s: projectMapped = %v, the reference %v", how, gerr, werr)
 					}
 					sameAllocation(t, how, got, want)
@@ -667,7 +741,8 @@ func TestProjectMappedMatchesReference(t *testing.T) {
 				}
 				return nil, nil
 			}
-			var gotPlans, wantPlans []*Plan
+			var gotPlans []*Plan
+			var wantPlans []*refPlan
 			for _, g := range set {
 				if gp, wp := project(g); gp != nil {
 					gotPlans, wantPlans = append(gotPlans, gp), append(wantPlans, wp)
@@ -714,12 +789,12 @@ func TestAcquireReportsLowestConflict(t *testing.T) {
 	plan.Release(alloc)
 	var inter, hosts []int // edge IDs on inter-links, host IDs, ascending
 	for _, e := range g.Edges {
-		if pl, ok := plan.EdgeLink[e.ID]; ok && pl.InterLink >= 0 {
+		if plan.cable[e.ID] >= 0 && plan.kindOf(e) == interCable {
 			inter = append(inter, e.ID)
 		}
 	}
 	for _, h := range g.Hosts() {
-		if _, ok := plan.HostAttach[h]; ok {
+		if eid := plan.attachment(h); eid >= 0 && plan.cable[eid] >= 0 {
 			hosts = append(hosts, h)
 		}
 	}
@@ -727,12 +802,11 @@ func TestAcquireReportsLowestConflict(t *testing.T) {
 		t.Fatalf("premise: %d cut edges and %d hosts, want 2 of each", len(inter), len(hosts))
 	}
 	for _, eid := range inter[len(inter)-2:] { // the two highest, then the lowest too
-		alloc.interUsed[plan.EdgeLink[eid].InterLink] = true
+		alloc.interUsed[plan.cable[eid]] = true
 	}
-	alloc.interUsed[plan.EdgeLink[inter[0]].InterLink] = true
+	alloc.interUsed[plan.cable[inter[0]]] = true
 	for _, h := range hosts[:2] {
-		i, _ := alloc.idx.hostPort(plan.HostAttach[h])
-		alloc.hostUsed[i] = true
+		alloc.hostUsed[plan.cable[plan.attachment(h)]] = true
 	}
 	check := func(want string) {
 		t.Helper()
@@ -874,7 +948,7 @@ func TestSearchErrorsPinned(t *testing.T) {
 // CompileFlowTables grouped the port map once per compile: a scan of
 // the whole map and an insertion sort, per call. It is the oracle for
 // groupPorts.
-func subSwitchPortsReference(p *Plan, v int) []PortRef {
+func subSwitchPortsReference(p *refPlan, v int) []PortRef {
 	var out []PortRef
 	for key, ref := range p.Ports {
 		if key.Vertex == v {

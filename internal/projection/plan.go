@@ -2,7 +2,6 @@ package projection
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/partition"
@@ -12,25 +11,26 @@ import (
 // Allocation tracks which physical links and ports of a cabling are in
 // use, so several logical topologies can be co-hosted on one testbed
 // (the hardware-isolation scenario of §VI-B). It also indexes the
-// cabling's cables by where they run, once, for the link pickers and
-// for Release and Acquire. The index lives here rather than on the
-// Cabling, a plain value type: an allocation's cabling is fixed for its
-// life.
+// cabling's cables by where they run, once, for the link pickers. The
+// index lives here rather than on the Cabling, a plain value type: an
+// allocation's cabling is fixed for its life.
 type Allocation struct {
-	cab       *Cabling
-	selfUsed  []bool
-	interUsed []bool
-	hostUsed  []bool
-	idx       cableIndex
+	// used books the cabling's cables by slot (see Plan.slot);
+	// selfUsed, interUsed and hostUsed are its windows on each kind.
+	used                          []bool
+	selfUsed, interUsed, hostUsed []bool
+	idx                           cableIndex
 }
 
 // NewAllocation returns an empty allocation over cab.
 func NewAllocation(cab *Cabling) *Allocation {
+	self, inter := len(cab.SelfLinks), len(cab.SelfLinks)+len(cab.InterLinks)
+	used := make([]bool, inter+len(cab.HostPorts))
 	return &Allocation{
-		cab:       cab,
-		selfUsed:  make([]bool, len(cab.SelfLinks)),
-		interUsed: make([]bool, len(cab.InterLinks)),
-		hostUsed:  make([]bool, len(cab.HostPorts)),
+		used:      used,
+		selfUsed:  used[:self:self],
+		interUsed: used[self:inter:inter],
+		hostUsed:  used[inter:],
 		idx:       newCableIndex(cab),
 	}
 }
@@ -42,20 +42,16 @@ func NewAllocation(cab *Cabling) *Allocation {
 // switch and 2n + a·n + b the inter-links between switches a < b, n
 // being the switch count (see selfList, hostList, interList). A cable
 // naming a switch out of range, or an inter-link with both ends on one
-// switch, is in no list. hostAt finds a host port by its port:
-// hostAt[portBase[s]+port−1] is the index of the host port at that port
-// of switch s, or −1.
+// switch, is in no list.
 //
 // cursor and picked are projectMapped's scratch: one position per
-// list, and the cable index chosen for each logical link and host.
+// list, and the cable index chosen for each logical edge.
 type cableIndex struct {
-	n        int
-	start    []int32
-	at       []int32
-	portBase []int32
-	hostAt   []int32
-	cursor   []int32
-	picked   []int32
+	n      int
+	start  []int32
+	at     []int32
+	cursor []int32
+	picked []int32
 }
 
 func newCableIndex(cab *Cabling) cableIndex {
@@ -92,44 +88,7 @@ func newCableIndex(cab *Cabling) cableIndex {
 		count[l]++
 	})
 	ix.cursor = make([]int32, lists)
-
-	ix.portBase = make([]int32, n+1)
-	for _, hp := range cab.HostPorts {
-		if r := hp.Ref; inRange(r.Switch) && r.Port > int(ix.portBase[r.Switch+1]) {
-			ix.portBase[r.Switch+1] = int32(r.Port)
-		}
-	}
-	for s := 0; s < n; s++ {
-		ix.portBase[s+1] += ix.portBase[s]
-	}
-	ix.hostAt = make([]int32, ix.portBase[n])
-	for i := range ix.hostAt {
-		ix.hostAt[i] = -1
-	}
-	for i, hp := range cab.HostPorts {
-		if at, ok := ix.hostSlot(hp.Ref); ok && ix.hostAt[at] < 0 {
-			ix.hostAt[at] = int32(i)
-		}
-	}
 	return ix
-}
-
-// hostSlot returns ref's slot in hostAt, if it has one.
-func (ix *cableIndex) hostSlot(ref PortRef) (int, bool) {
-	if ref.Switch < 0 || ref.Switch >= ix.n || ref.Port < 1 {
-		return 0, false
-	}
-	at := int(ix.portBase[ref.Switch]) + ref.Port - 1
-	return at, at < int(ix.portBase[ref.Switch+1])
-}
-
-// hostPort returns the index of the host port at ref, if there is one.
-func (ix *cableIndex) hostPort(ref PortRef) (int, bool) {
-	at, ok := ix.hostSlot(ref)
-	if !ok || ix.hostAt[at] < 0 {
-		return 0, false
-	}
-	return int(ix.hostAt[at]), true
 }
 
 // selfList, hostList and interList name the lists of the self-links
@@ -176,14 +135,14 @@ func (ix *cableIndex) commit(a *Allocation) {
 	}
 }
 
-// PortKey names a logical port: vertex ID and 1-based port number.
-type PortKey struct {
-	Vertex int
-	Port   int
-}
-
 // Plan is the result of projecting one logical topology onto a cabling:
-// the complete logical-to-physical port mapping.
+// the cable that realises each logical link. A switch–switch edge gets
+// a self-link when both its ends sit on one physical switch and an
+// inter-link between their two switches otherwise; a host's attachment,
+// its edge to its HostSwitch, gets a host port on the physical switch
+// of that logical switch. The kind of cable follows from the edge and
+// the partition, so the plan keeps only the cable's index in its kind's
+// list of the cabling, and every port mapping is read off that cable.
 type Plan struct {
 	Topo    *topology.Graph
 	Cabling *Cabling
@@ -191,28 +150,131 @@ type Plan struct {
 
 	// PartToSwitch maps partition parts to physical switch indices.
 	PartToSwitch []int
-	// Ports maps every logical switch port to its physical port.
-	Ports map[PortKey]PortRef
-	// HostAttach maps each host vertex to the physical port its NIC
-	// plugs into.
-	HostAttach map[int]PortRef
-	// EdgeLink records, per logical switch-switch edge ID, the physical
-	// realisation: either a self-link or an inter-link.
-	EdgeLink map[int]PhysLink
 
-	SelfUsed, InterUsed int
+	// cable[e] is the index of the cable that realises logical edge e
+	// in the list kindOf names, or −1 for an edge that takes no cable:
+	// a host's second link, or a link between hosts.
+	cable []int32
 }
 
-// PhysLink is the physical realisation of one logical link.
-type PhysLink struct {
-	SelfLink  int // index into Cabling.SelfLinks, or -1
-	InterLink int // index into Cabling.InterLinks, or -1
+// cableKind names the list of a cabling that a cable index points into.
+type cableKind uint8
+
+const (
+	selfCable cableKind = iota
+	interCable
+	hostCable
+)
+
+func (k cableKind) String() string {
+	return [...]string{"self-link", "inter-link", "host port"}[k]
 }
 
 // CrossbarOf returns the physical switch index hosting logical switch v
 // — the crossbar its sub-switch shares with co-projected sub-switches.
 func (p *Plan) CrossbarOf(v int) int {
 	return p.PartToSwitch[p.Parts.Assign[v]]
+}
+
+// kindOf returns the kind of cable that realises logical edge e, if it
+// takes one: a self-link or an inter-link for a switch–switch edge, by
+// where the partition puts its ends, and a host port otherwise.
+func (p *Plan) kindOf(e topology.Edge) cableKind {
+	switch {
+	case !p.Topo.IsSwitchSwitch(e):
+		return hostCable
+	case p.CrossbarOf(e.A) == p.CrossbarOf(e.B):
+		return selfCable
+	}
+	return interCable
+}
+
+// attachment returns host h's attachment, its edge to its HostSwitch,
+// or −1 when h is not a host on a switch.
+func (p *Plan) attachment(h int) int {
+	g := p.Topo
+	if h < 0 || h >= len(g.Vertices) || g.Vertices[h].Kind != topology.Host {
+		return -1
+	}
+	if sw := g.HostSwitch(h); sw >= 0 {
+		return g.EdgeBetween(sw, h)
+	}
+	return -1
+}
+
+// slot numbers the cable of logical edge eid among all the cabling's
+// cables: the self-links, then the inter-links, then the host ports. It
+// is −1 for an edge without a cable.
+func (p *Plan) slot(eid int) int {
+	c := int(p.cable[eid])
+	if c < 0 {
+		return -1
+	}
+	switch p.kindOf(p.Topo.Edges[eid]) {
+	case interCable:
+		return len(p.Cabling.SelfLinks) + c
+	case hostCable:
+		return len(p.Cabling.SelfLinks) + len(p.Cabling.InterLinks) + c
+	}
+	return c
+}
+
+// portAt returns the physical port that carries one end of logical edge
+// eid, its A end when aEnd is set: that end's port of the edge's cable.
+// A host's end has none, its NIC being what the host port is wired to,
+// and neither end of an edge without a cable has one.
+func (p *Plan) portAt(eid int, aEnd bool) (PortRef, bool) {
+	e := p.Topo.Edges[eid]
+	v := e.B
+	if aEnd {
+		v = e.A
+	}
+	c := p.cable[eid]
+	if c < 0 || p.Topo.Vertices[v].Kind != topology.Switch {
+		return PortRef{}, false
+	}
+	switch p.kindOf(e) {
+	case selfCable:
+		sl := p.Cabling.SelfLinks[c]
+		if aEnd {
+			return PortRef{sl.Switch, sl.PortA}, true
+		}
+		return PortRef{sl.Switch, sl.PortB}, true
+	case interCable:
+		il := p.Cabling.InterLinks[c]
+		if il.A.Switch != p.CrossbarOf(v) {
+			return il.B, true
+		}
+		return il.A, true
+	}
+	return p.Cabling.HostPorts[c].Ref, true
+}
+
+// HostPort returns the physical port that host h's NIC plugs into.
+func (p *Plan) HostPort(h int) (PortRef, bool) {
+	if eid := p.attachment(h); eid >= 0 && p.cable[eid] >= 0 {
+		return p.Cabling.HostPorts[p.cable[eid]].Ref, true
+	}
+	return PortRef{}, false
+}
+
+// EdgesClaimedBy returns, ascending, p's switch–switch edges whose
+// self-link or inter-link the plan probe also claims. Both plans must
+// be on one cabling.
+func (p *Plan) EdgesClaimedBy(probe *Plan) []int {
+	claimed := make([]bool, len(p.Cabling.SelfLinks)+len(p.Cabling.InterLinks)) // host ports' slots come after
+	for eid := range probe.cable {
+		if s := probe.slot(eid); s >= 0 && s < len(claimed) {
+			claimed[s] = true
+		}
+	}
+	var out []int
+	for eid := range p.cable {
+		if s := p.slot(eid); s >= 0 && s < len(claimed) && claimed[s] {
+			out = append(out, eid)
+		}
+	}
+	return out
 }
 
 // Project runs SDT Link Projection of g onto cab using a fresh
@@ -261,9 +323,10 @@ func ProjectInto(g *topology.Graph, cab *Cabling, alloc *Allocation, _ partition
 // The pickers find it with a cursor per list of alloc's cable index:
 // alloc does not change during the call and a cable once taken stays
 // taken, so every cable before a cursor is held or taken, and a picker
-// resumes where it stopped instead of rescanning the cabling. Every
-// link and host is given its cable before the plan is built, so a
-// mapping that runs out of cables allocates nothing.
+// resumes where it stopped instead of rescanning the cabling. The picks
+// are written into the index's scratch and copied into the plan only
+// once every link and host has its cable, so a mapping that runs out of
+// cables allocates nothing.
 //
 // On failure it returns why. On success the plan owns its part-to-switch
 // map: md's is the k-search's storage.
@@ -271,34 +334,31 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 	parts := md.parts
 	partToSwitch := md.partToSwitch
 	switchOf := func(v int) int { return partToSwitch[parts.Assign[v]] }
-	links, hosts := g.NumSwitchSwitchEdges(), g.NumHosts()
 
 	// Stage the allocation in the cursors so failures leave alloc
 	// untouched. Links are picked for the logical switch-switch edges
-	// first (the LP step), then for the hosts, in the order the plan
-	// is built below.
+	// first (the LP step), then for the hosts.
 	ix := &alloc.idx
 	ix.rewind()
-	ix.picked = slices.Grow(ix.picked[:0], links+hosts)
+	ix.picked = slices.Grow(ix.picked[:0], len(g.Edges))[:len(g.Edges)]
 	picked := ix.picked
+	for i := range picked {
+		picked[i] = -1
+	}
 	for _, e := range g.Edges {
 		if !g.IsSwitchSwitch(e) {
 			continue
 		}
 		sa, sb := switchOf(e.A), switchOf(e.B)
+		l, used, why := ix.interList(sa, sb), alloc.interUsed, reason{kind: noInterLink, sw: sa, sw2: sb, at: e.ID}
 		if sa == sb {
-			idx, ok := ix.next(ix.selfList(sa), alloc.selfUsed)
-			if !ok {
-				return nil, reason{kind: noSelfLink, sw: sa, at: e.ID}
-			}
-			picked = append(picked, int32(idx))
-		} else {
-			idx, ok := ix.next(ix.interList(sa, sb), alloc.interUsed)
-			if !ok {
-				return nil, reason{kind: noInterLink, sw: sa, sw2: sb, at: e.ID}
-			}
-			picked = append(picked, int32(idx))
+			l, used, why = ix.selfList(sa), alloc.selfUsed, reason{kind: noSelfLink, sw: sa, at: e.ID}
 		}
+		idx, ok := ix.next(l, used)
+		if !ok {
+			return nil, why
+		}
+		picked[e.ID] = int32(idx)
 	}
 	for _, h := range g.Hosts() {
 		sw := g.HostSwitch(h)
@@ -310,115 +370,51 @@ func projectMapped(g *topology.Graph, cab *Cabling, alloc *Allocation, md *mappe
 		if !ok {
 			return nil, reason{kind: noHostPort, sw: s, at: h}
 		}
-		picked = append(picked, int32(idx))
-	}
-
-	plan := &Plan{
-		Topo:       g,
-		Cabling:    cab,
-		Parts:      parts,
-		Ports:      make(map[PortKey]PortRef, 2*links+hosts),
-		HostAttach: make(map[int]PortRef, hosts),
-		EdgeLink:   make(map[int]PhysLink, links),
-	}
-	for _, e := range g.Edges {
-		if !g.IsSwitchSwitch(e) {
-			continue
-		}
-		idx := int(picked[0])
-		picked = picked[1:]
-		sa := switchOf(e.A)
-		if sa == switchOf(e.B) {
-			sl := cab.SelfLinks[idx]
-			plan.Ports[PortKey{e.A, e.APort}] = PortRef{sa, sl.PortA}
-			plan.Ports[PortKey{e.B, e.BPort}] = PortRef{sa, sl.PortB}
-			plan.EdgeLink[e.ID] = PhysLink{SelfLink: idx, InterLink: -1}
-			plan.SelfUsed++
-		} else {
-			il := cab.InterLinks[idx]
-			refA, refB := il.A, il.B
-			if refA.Switch != sa {
-				refA, refB = refB, refA
-			}
-			plan.Ports[PortKey{e.A, e.APort}] = refA
-			plan.Ports[PortKey{e.B, e.BPort}] = refB
-			plan.EdgeLink[e.ID] = PhysLink{SelfLink: -1, InterLink: idx}
-			plan.InterUsed++
-		}
-	}
-	for _, h := range g.Hosts() {
-		sw := g.HostSwitch(h)
-		if sw < 0 {
-			continue
-		}
-		ref := cab.HostPorts[picked[0]].Ref
-		picked = picked[1:]
-		plan.HostAttach[h] = ref
-		eid := g.EdgeBetween(sw, h)
-		plan.Ports[PortKey{sw, g.Edges[eid].PortAt(sw)}] = ref
+		picked[g.EdgeBetween(sw, h)] = int32(idx)
 	}
 
 	ix.commit(alloc)
-	plan.PartToSwitch = slices.Clone(partToSwitch)
-	return plan, reason{}
+	return &Plan{
+		Topo:         g,
+		Cabling:      cab,
+		Parts:        parts,
+		PartToSwitch: slices.Clone(partToSwitch),
+		cable:        slices.Clone(picked),
+	}, reason{}
+}
+
+// book marks every cable of the plan used, or free, in alloc.
+func (p *Plan) book(alloc *Allocation, used bool) {
+	for eid := range p.cable {
+		if s := p.slot(eid); s >= 0 {
+			alloc.used[s] = used
+		}
+	}
 }
 
 // Release returns the plan's physical links to the allocation (topology
 // teardown during reconfiguration).
-func (p *Plan) Release(alloc *Allocation) {
-	for _, pl := range p.EdgeLink {
-		if pl.SelfLink >= 0 {
-			alloc.selfUsed[pl.SelfLink] = false
-		}
-		if pl.InterLink >= 0 {
-			alloc.interUsed[pl.InterLink] = false
-		}
-	}
-	for _, ref := range p.HostAttach {
-		if i, ok := alloc.idx.hostPort(ref); ok {
-			alloc.hostUsed[i] = false
-		}
-	}
-}
+func (p *Plan) Release(alloc *Allocation) { p.book(alloc, false) }
 
 // Acquire marks the plan's physical links and host ports used in alloc
 // — the exact inverse of Release, used to restore a previously released
 // deployment during reconfiguration rollback. It fails without mutating
 // alloc if any of the plan's resources is already booked, so a rollback
 // can never double-book ports; the error names the booked resource of
-// the lowest edge ID, else of the lowest host ID, whatever the map
-// order.
+// the lowest switch–switch edge ID, else of the lowest host ID.
 func (p *Plan) Acquire(alloc *Allocation) error {
-	edges := slices.Sorted(maps.Keys(p.EdgeLink))
-	hosts := slices.Sorted(maps.Keys(p.HostAttach))
-	for _, eid := range edges {
-		pl := p.EdgeLink[eid]
-		if pl.SelfLink >= 0 && alloc.selfUsed[pl.SelfLink] {
-			return fmt.Errorf("projection: %s: self-link %d (edge %d) already in use", p.Topo.Name, pl.SelfLink, eid)
-		}
-		if pl.InterLink >= 0 && alloc.interUsed[pl.InterLink] {
-			return fmt.Errorf("projection: %s: inter-link %d (edge %d) already in use", p.Topo.Name, pl.InterLink, eid)
+	g := p.Topo
+	for eid, c := range p.cable {
+		if e := g.Edges[eid]; g.IsSwitchSwitch(e) && c >= 0 && alloc.used[p.slot(eid)] {
+			return fmt.Errorf("projection: %s: %v %d (edge %d) already in use", g.Name, p.kindOf(e), c, eid)
 		}
 	}
-	for _, h := range hosts {
-		ref := p.HostAttach[h]
-		if i, ok := alloc.idx.hostPort(ref); ok && alloc.hostUsed[i] {
-			return fmt.Errorf("projection: %s: host port %v (host %d) already in use", p.Topo.Name, ref, h)
+	for _, h := range g.Hosts() {
+		if eid := p.attachment(h); eid >= 0 && p.cable[eid] >= 0 && alloc.used[p.slot(eid)] {
+			return fmt.Errorf("projection: %s: host port %v (host %d) already in use", g.Name, p.Cabling.HostPorts[p.cable[eid]].Ref, h)
 		}
 	}
-	for _, pl := range p.EdgeLink {
-		if pl.SelfLink >= 0 {
-			alloc.selfUsed[pl.SelfLink] = true
-		}
-		if pl.InterLink >= 0 {
-			alloc.interUsed[pl.InterLink] = true
-		}
-	}
-	for _, ref := range p.HostAttach {
-		if i, ok := alloc.idx.hostPort(ref); ok {
-			alloc.hostUsed[i] = true
-		}
-	}
+	p.book(alloc, true)
 	return nil
 }
 
@@ -426,79 +422,80 @@ func (p *Plan) Acquire(alloc *Allocation) error {
 // the allocation currently has booked — the leak/double-book invariant
 // the reconfiguration fuzzer checks against the resident plan.
 func (a *Allocation) UsedCounts() (self, inter, host int) {
-	for _, u := range a.selfUsed {
-		if u {
-			self++
+	count := func(used []bool) (n int) {
+		for _, u := range used {
+			if u {
+				n++
+			}
 		}
+		return n
 	}
-	for _, u := range a.interUsed {
-		if u {
-			inter++
-		}
-	}
-	for _, u := range a.hostUsed {
-		if u {
-			host++
-		}
-	}
-	return self, inter, host
+	return count(a.selfUsed), count(a.interUsed), count(a.hostUsed)
 }
 
-// Check verifies the plan's internal consistency: every logical
-// switch-switch edge is realised by a physical cable whose two ports
-// map back to the edge's two logical ports, and no physical port is
-// used twice. This is the Topology Customization module's checking
-// function (§V-1) applied to the plan output.
+// Check verifies the plan against its topology, partition and cabling:
+// every switch–switch edge and every host's attachment has a cable in
+// range of its kind's list — a self-link on the physical switch hosting
+// both ends, an inter-link between the two switches hosting them, a
+// host port on the switch hosting the host's switch — no other edge has
+// one, and no cable realises two edges. On a valid cabling, where each
+// physical port is on one cable, no physical port then carries two
+// logical ones. It names the lowest edge at fault: one whose cable is
+// missing, out of range, in the wrong place, or an earlier edge's. This
+// is the Topology Customization module's checking function (§V-1)
+// applied to the plan output.
 func (p *Plan) Check() error {
-	g := p.Topo
-	seen := map[PortRef]PortKey{}
-	for key, ref := range p.Ports {
-		if prev, dup := seen[ref]; dup {
-			return fmt.Errorf("projection: physical port %v mapped to both %v and %v", ref, prev, key)
-		}
-		seen[ref] = key
+	g, cab := p.Topo, p.Cabling
+	if len(p.cable) != len(g.Edges) {
+		return fmt.Errorf("projection: %s: plan has cables for %d edges, topology %d", g.Name, len(p.cable), len(g.Edges))
 	}
-	for _, e := range g.Edges {
-		if !g.IsSwitchSwitch(e) {
+	lists := [...]int{selfCable: len(cab.SelfLinks), interCable: len(cab.InterLinks), hostCable: len(cab.HostPorts)}
+	owner := make([]int32, lists[selfCable]+lists[interCable]+lists[hostCable]) // by slot: 1 + the edge the cable realises
+	for eid, c := range p.cable {
+		e := g.Edges[eid]
+		if !g.IsSwitchSwitch(e) && p.attachment(e.A) != eid && p.attachment(e.B) != eid {
+			if c != -1 {
+				return p.fault(eid, "takes no cable but has %d", c)
+			}
 			continue
 		}
-		eid := e.ID
-		pl, ok := p.EdgeLink[eid]
-		if !ok {
-			return fmt.Errorf("projection: edge %d not realised", eid)
+		k := p.kindOf(e)
+		switch {
+		case c == -1:
+			return p.fault(eid, "not realised")
+		case c < 0 || int(c) >= lists[k]:
+			return p.fault(eid, "%v %d out of range (%d)", k, c, lists[k])
 		}
-		ra, okA := p.Ports[PortKey{e.A, e.APort}]
-		rb, okB := p.Ports[PortKey{e.B, e.BPort}]
-		if !okA || !okB {
-			return fmt.Errorf("projection: edge %d missing port mapping", eid)
+		var ca, cb int // the physical switches the cable joins
+		switch k {
+		case selfCable:
+			ca, cb = cab.SelfLinks[c].Switch, cab.SelfLinks[c].Switch
+		case interCable:
+			ca, cb = cab.InterLinks[c].A.Switch, cab.InterLinks[c].B.Switch
+		case hostCable:
+			ca, cb = cab.HostPorts[c].Ref.Switch, cab.HostPorts[c].Ref.Switch
 		}
-		var pa, pb PortRef
-		if pl.SelfLink >= 0 {
-			sl := p.Cabling.SelfLinks[pl.SelfLink]
-			pa, pb = PortRef{sl.Switch, sl.PortA}, PortRef{sl.Switch, sl.PortB}
-		} else {
-			il := p.Cabling.InterLinks[pl.InterLink]
-			pa, pb = il.A, il.B
+		// A host's part is its switch's (partition.Result.Assign).
+		if sa, sb := p.CrossbarOf(e.A), p.CrossbarOf(e.B); !(ca == sa && cb == sb) && !(ca == sb && cb == sa) {
+			return p.fault(eid, "%v %d joins switches %d and %d, its ends are on %d and %d", k, c, ca, cb, sa, sb)
 		}
-		if !((ra == pa && rb == pb) || (ra == pb && rb == pa)) {
-			return fmt.Errorf("projection: edge %d maps to %v/%v but cable is %v/%v", eid, ra, rb, pa, pb)
+		o := &owner[p.slot(eid)]
+		if *o != 0 {
+			return p.fault(eid, "%v %d also realises edge %d", k, c, *o-1)
 		}
-	}
-	for h, ref := range p.HostAttach {
-		sw := g.HostSwitch(h)
-		if sw < 0 {
-			return fmt.Errorf("projection: host %d unattached in topology", h)
-		}
-		if p.CrossbarOf(sw) != ref.Switch {
-			return fmt.Errorf("projection: host %d on switch %d but its logical switch is on %d",
-				h, ref.Switch, p.CrossbarOf(sw))
-		}
+		*o = int32(eid) + 1
 	}
 	return nil
 }
 
-// CableAt returns the physical port at the far end of the cable plugged
-// into ref, distinguishing self-links, inter-links and host ports.
+// fault is Check's error for logical edge eid.
+func (p *Plan) fault(eid int, format string, args ...any) error {
+	return fmt.Errorf("projection: %s: edge %d: %s", p.Topo.Name, eid, fmt.Sprintf(format, args...))
+}
+
+// CableAt returns the physical port at the other end of the self-link
+// or inter-link plugged into ref. It reports false for a host port,
+// whose far end is a NIC, and for a port no cable uses.
 func (p *Plan) CableAt(ref PortRef) (PortRef, bool) {
 	for _, sl := range p.Cabling.SelfLinks {
 		if sl.Switch == ref.Switch && sl.PortA == ref.Port {
@@ -533,10 +530,19 @@ func (p *Plan) Stats() PlanStats {
 	for _, s := range p.PartToSwitch {
 		used[s] = true
 	}
-	return PlanStats{
-		PhysicalSwitches: len(used),
-		SelfLinks:        p.SelfUsed,
-		InterLinks:       p.InterUsed,
-		Hosts:            len(p.HostAttach),
+	st := PlanStats{PhysicalSwitches: len(used)}
+	for eid, c := range p.cable {
+		if c < 0 {
+			continue
+		}
+		switch p.kindOf(p.Topo.Edges[eid]) {
+		case selfCable:
+			st.SelfLinks++
+		case interCable:
+			st.InterLinks++
+		default:
+			st.Hosts++
+		}
 	}
+	return st
 }

@@ -239,19 +239,20 @@ func TestCoHostedTopologiesShareCabling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No physical port shared between the two plans.
+	mapsA, mapsB := refMaps(planA), refMaps(planB)
 	used := map[PortRef]bool{}
-	for _, ref := range planA.Ports {
+	for _, ref := range mapsA.Ports {
 		used[ref] = true
 	}
-	for _, ref := range planA.HostAttach {
+	for _, ref := range mapsA.HostAttach {
 		used[ref] = true
 	}
-	for _, ref := range planB.Ports {
+	for _, ref := range mapsB.Ports {
 		if used[ref] {
 			t.Errorf("port %v used by both co-hosted plans", ref)
 		}
 	}
-	for _, ref := range planB.HostAttach {
+	for _, ref := range mapsB.HostAttach {
 		if used[ref] {
 			t.Errorf("host port %v used by both co-hosted plans", ref)
 		}
@@ -268,7 +269,8 @@ func TestCoHostedTopologiesShareCabling(t *testing.T) {
 // drop/loop.
 func walkPhysical(t *testing.T, plan *Plan, switches []*openflow.Switch, src, dst int) int {
 	t.Helper()
-	ref := plan.HostAttach[src]
+	ref, _ := plan.HostPort(src)
+	at, _ := plan.HostPort(dst)
 	tag := 0
 	hops := 0
 	for ; hops < 100; hops++ {
@@ -281,7 +283,10 @@ func walkPhysical(t *testing.T, plan *Plan, switches []*openflow.Switch, src, ds
 		}
 		tag = fwd.Tag
 		out := PortRef{ref.Switch, fwd.OutPort}
-		if out == plan.HostAttach[dst] {
+		if out == at {
+			if far, ok := plan.CableAt(out); ok {
+				t.Fatalf("CableAt(%v), host %d's port, = %v: a host port has no cable", out, dst, far)
+			}
 			return hops + 1
 		}
 		nxt, ok := plan.CableAt(out)
@@ -438,8 +443,9 @@ func TestCompileOverflowStopsWhereAddWould(t *testing.T) {
 		prio int32
 	}
 	var order []emit
+	maps := refMaps(plan)
 	for _, rule := range routes.Rules {
-		e := emit{plan.Ports[PortKey{rule.Switch, rule.OutPort}].Switch, 10}
+		e := emit{maps.Ports[portKey{rule.Switch, rule.OutPort}].Switch, 10}
 		if rule.InPort != 0 {
 			e.prio = 14
 		}
@@ -453,7 +459,7 @@ func TestCompileOverflowStopsWhereAddWould(t *testing.T) {
 	}
 	for _, h := range g.Hosts() {
 		for range g.NumHosts() - 1 {
-			order = append(order, emit{plan.HostAttach[h].Switch, 20})
+			order = append(order, emit{maps.HostAttach[h].Switch, 20})
 		}
 	}
 	fresh := func(caps []int) []*openflow.Switch {
@@ -567,7 +573,7 @@ func TestIsolationBetweenCoHostedTopologies(t *testing.T) {
 	}
 	// Cross-topology traffic must be dropped at the ingress switch:
 	// inject from an A host toward a B host ID.
-	refA := planA.HostAttach[a.Hosts()[0]]
+	refA, _ := planA.HostPort(a.Hosts()[0])
 	fwd := switches[refA.Switch].Process(openflow.PacketMeta{
 		InPort: refA.Port, SrcHost: a.Hosts()[0], DstHost: b.Hosts()[2] + 1000, Tag: 0,
 	})
@@ -659,7 +665,7 @@ func TestQuickProjectionSound(t *testing.T) {
 		if plan.Check() != nil {
 			return false
 		}
-		return len(plan.EdgeLink) == len(g.SwitchSwitchEdges())
+		return len(refMaps(plan).EdgeLink) == len(g.SwitchSwitchEdges())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

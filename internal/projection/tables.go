@@ -77,24 +77,26 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 	enc := func(logicalSwitch, vc int) int {
 		return opt.TagBase + 1 + subIdx[logicalSwitch]*vcs + vc
 	}
-	physPort := func(v, logicalPort int) (PortRef, error) {
-		ref, ok := p.Ports[PortKey{v, logicalPort}]
-		if !ok {
-			return PortRef{}, fmt.Errorf("projection: no physical port for logical %d.%d", v, logicalPort)
-		}
-		return ref, nil
-	}
 	csr := g.CSR()
+	// physPort resolves logical port logicalPort of switch v to the edge
+	// there and the physical port of that end of its cable.
+	physPort := func(v, logicalPort int) (int, PortRef, error) {
+		if v >= 0 && v < len(g.Vertices) {
+			if eid := csr.EdgeAt(v, logicalPort); eid >= 0 {
+				e := g.Edges[eid]
+				if ref, ok := p.portAt(eid, e.A == v && e.APort == logicalPort); ok {
+					return eid, ref, nil
+				}
+			}
+		}
+		return -1, PortRef{}, fmt.Errorf("projection: no physical port for logical %d.%d", v, logicalPort)
+	}
 	// outInfo resolves a rule's egress: physical port, whether it leads
 	// to a host, and the logical switch at the far end otherwise.
 	outInfo := func(rule routing.Rule) (ref PortRef, toHost bool, peer int, err error) {
-		ref, err = physPort(rule.Switch, rule.OutPort)
+		eid, ref, err := physPort(rule.Switch, rule.OutPort)
 		if err != nil {
 			return
-		}
-		eid := csr.EdgeAt(rule.Switch, rule.OutPort)
-		if eid < 0 {
-			return ref, false, 0, fmt.Errorf("projection: rule egress port %d.%d dangling", rule.Switch, rule.OutPort)
 		}
 		o := g.Edges[eid].Other(rule.Switch)
 		if g.Vertices[o].Kind == topology.Host {
@@ -118,7 +120,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		case TagEncoded:
 			m := openflow.Match{SrcHost: openflow.Any, DstHost: b.i32(rule.Dst)}
 			if rule.InPort != 0 {
-				inRef, err := physPort(rule.Switch, rule.InPort)
+				_, inRef, err := physPort(rule.Switch, rule.InPort)
 				if err != nil {
 					return nil, err
 				}
@@ -145,7 +147,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 		case PerInPort:
 			inPorts := sub.of(rule.Switch)
 			if rule.InPort != 0 {
-				inRef, err := physPort(rule.Switch, rule.InPort)
+				_, inRef, err := physPort(rule.Switch, rule.InPort)
 				if err != nil {
 					return nil, err
 				}
@@ -187,7 +189,7 @@ func CompileFlowTables(p *Plan, r *routing.Routes, opt CompileOptions) ([]*openf
 			if sw < 0 {
 				continue
 			}
-			attach := p.HostAttach[h]
+			attach, _ := p.HostPort(h)
 			hostEdge := g.EdgeBetween(sw, h)
 			logicalIn := g.Edges[hostEdge].PortAt(sw)
 			for _, dst := range g.Hosts() {
@@ -327,11 +329,13 @@ func newEntryStore(p *Plan, r *routing.Routes, opt CompileOptions, vcs int, sub 
 		}
 		at[p.CrossbarOf(rule.Switch)*prioSlots+prioSlot(rulePrio(opt.Encoding, rule))+1] += n
 	}
+	attached := 0
 	if opt.Encoding == TagEncoded {
 		hosts := g.Hosts()
 		for _, h := range hosts {
-			if g.HostSwitch(h) >= 0 {
-				at[p.HostAttach[h].Switch*prioSlots+prioSlot(prioInject)+1] += len(hosts) - 1
+			if ref, ok := p.HostPort(h); ok {
+				at[ref.Switch*prioSlots+prioSlot(prioInject)+1] += len(hosts) - 1
+				attached++
 			}
 		}
 	}
@@ -353,8 +357,10 @@ func newEntryStore(p *Plan, r *routing.Routes, opt CompileOptions, vcs int, sub 
 	case TagEncoded:
 		// A physical egress port leads to one logical peer, so it carries
 		// at most vcs lists (SetTag enc(peer, vc), Output), or two toward
-		// a host (SetTag 0, Output; Output alone).
-		lists := min(total, len(p.Ports)*max(vcs, 2))
+		// a host (SetTag 0, Output; Output alone). The plan maps both
+		// ends of every switch–switch edge and an attached host's switch
+		// end.
+		lists := min(total, (2*g.NumSwitchSwitchEdges()+attached)*max(vcs, 2))
 		b.pool = make([]openflow.Action, 0, 2*lists)
 		b.tagBase = opt.TagBase
 		for _, s := range switches {
@@ -480,26 +486,32 @@ type portGroups struct {
 	ports []PortRef
 }
 
-// groupPorts groups the plan's port map by logical switch in one pass.
+// groupPorts groups the physical ports of the plan's cables by the
+// logical switch whose end each one carries, in one pass over the edges.
 func groupPorts(p *Plan) portGroups {
-	n := len(p.Topo.Vertices)
-	off := make([]int32, n+1)
-	for key := range p.Ports {
-		if key.Vertex >= 0 && key.Vertex < n {
-			off[key.Vertex+1]++
+	g := p.Topo
+	n := len(g.Vertices)
+	each := func(visit func(v int, ref PortRef)) {
+		for eid, e := range g.Edges {
+			if ref, ok := p.portAt(eid, true); ok {
+				visit(e.A, ref)
+			}
+			if ref, ok := p.portAt(eid, false); ok {
+				visit(e.B, ref)
+			}
 		}
 	}
+	off := make([]int32, n+1)
+	each(func(v int, _ PortRef) { off[v+1]++ })
 	for v := range n {
 		off[v+1] += off[v]
 	}
 	ports := make([]PortRef, off[n])
 	next := slices.Clone(off[:n])
-	for key, ref := range p.Ports {
-		if v := key.Vertex; v >= 0 && v < n {
-			ports[next[v]] = ref
-			next[v]++
-		}
-	}
+	each(func(v int, ref PortRef) {
+		ports[next[v]] = ref
+		next[v]++
+	})
 	for v := range n {
 		slices.SortFunc(ports[off[v]:off[v+1]], func(a, b PortRef) int {
 			return cmp.Or(cmp.Compare(a.Switch, b.Switch), cmp.Compare(a.Port, b.Port))

@@ -214,9 +214,9 @@ func TestCompileRejectsValuesInt32CannotHold(t *testing.T) {
 func TestGroupPortsMatchesScan(t *testing.T) {
 	for _, g := range compileCases() {
 		plan, _ := mustPlan(t, g, threeSwitches())
-		sub := groupPorts(plan)
+		sub, maps := groupPorts(plan), refMaps(plan)
 		for v := range g.Vertices {
-			if got, want := sub.of(v), subSwitchPortsReference(plan, v); !slices.Equal(got, want) {
+			if got, want := sub.of(v), subSwitchPortsReference(maps, v); !slices.Equal(got, want) {
 				t.Fatalf("%s vertex %d: groupPorts %v, scan %v", g.Name, v, got, want)
 			}
 		}

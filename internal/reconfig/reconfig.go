@@ -42,7 +42,6 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/controller"
@@ -272,33 +271,9 @@ func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec 
 			st.Outcome = OutcomeRejected + ": " + perr.Error()
 			continue
 		}
-		st.Drained = drainSet(cur.Plan, probe)
+		st.Drained = cur.Plan.EdgesClaimedBy(probe)
 	}
 	return r, nil
-}
-
-// drainSet returns the running topology's logical edges (ascending)
-// whose physical self- or inter-links the probe plan claims — the links
-// that must be vacated before the target can be cabled in.
-func drainSet(base, probe *projection.Plan) []int {
-	self := map[int]bool{}
-	inter := map[int]bool{}
-	for _, pl := range probe.EdgeLink {
-		if pl.SelfLink >= 0 {
-			self[pl.SelfLink] = true
-		}
-		if pl.InterLink >= 0 {
-			inter[pl.InterLink] = true
-		}
-	}
-	var out []int
-	for eid, pl := range base.EdgeLink {
-		if (pl.SelfLink >= 0 && self[pl.SelfLink]) || (pl.InterLink >= 0 && inter[pl.InterLink]) {
-			out = append(out, eid)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Bind arms the stage schedule on a network. Call before the simulation

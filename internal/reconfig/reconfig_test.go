@@ -84,7 +84,7 @@ func noLeak(t testing.TB, r *Reconfigurer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Plan.Ports, fresh.Plan.Ports) {
+	if !reflect.DeepEqual(again.Plan, fresh.Plan) { // the same partition and the same cable per logical link
 		t.Fatalf("redeploying %q after teardown takes other ports than a fresh controller: the run leaked ports", d.Name)
 	}
 }
@@ -317,7 +317,7 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 		t.Fatalf("rollback record = %+v", st)
 	}
 	d := resident(t, rc, g)
-	if !reflect.DeepEqual(d.Plan.Ports, before.Plan.Ports) || d.Entries != before.Entries {
+	if !reflect.DeepEqual(d.Plan, before.Plan) || d.Entries != before.Entries {
 		t.Fatalf("restored deployment has %d entries on other ports than before the transition (%d entries)", d.Entries, before.Entries)
 	}
 	noLeak(t, rc)
