@@ -20,7 +20,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -173,8 +175,8 @@ func runDaemonAction(ctx context.Context, c *service.Client, jsonOut bool) error
 			st.Cache.Hits, st.Cache.DiskHits, st.Cache.Misses, st.Cache.Evictions,
 			st.Cache.Entries, st.Cache.Bytes, st.Cache.Budget)
 		fmt.Printf("jobs: submitted %d, deduped %d, rejected %d\n", st.Submitted, st.Deduped, st.Rejected)
-		for name, n := range st.RunsByScenario {
-			fmt.Printf("  runs %-20s %d\n", name, n)
+		for _, name := range slices.Sorted(maps.Keys(st.RunsByScenario)) {
+			fmt.Printf("  runs %-20s %d\n", name, st.RunsByScenario[name])
 		}
 		return nil
 

@@ -223,28 +223,29 @@ func (r *Record) Reconvergence() netsim.Time {
 // event in schedule order, which fill in as the simulation runs. Call
 // before the simulation runs.
 //
-// Each event flips the fabric state at its simulated time, then updates
-// the controller's outage view (the port-status notification). latency
-// later — detection, recompute, install — the repair patches live
-// around the outage as of then (routing.Routes.Reroute: a later fault
-// already folded in is re-confirmed with zero churn), stamps this
-// event's record and awaits the first delivery after it. A nil live
-// disables repair: routes stay stale and traffic toward dead links
-// keeps dropping. live must be private to the run, since repairs
-// mutate it mid-simulation; the fabric's RouteForwarder re-fetches the
-// memoized FIB, so a repair that changes rules recompiles it once.
+// Each event flips the fabric state at its simulated time (the
+// port-status change the controller reads); latency later — detection,
+// recompute, install — the repair patches live around the links the
+// fabric reports down as of then (routing.Routes.Reroute over
+// netsim.Network.LinkIsDown: a later fault already folded in is
+// re-confirmed with zero churn), stamps this event's record and awaits
+// the first delivery after it. A nil live disables repair: routes stay
+// stale and traffic toward dead links keeps dropping. live must be
+// private to the run, since repairs mutate it mid-simulation; the
+// fabric's RouteForwarder re-fetches the memoized FIB, so a repair that
+// changes rules recompiles it once.
 func Bind(net *netsim.Network, sched []Event, live *routing.Routes, latency netsim.Time) []Record {
 	recs := make([]Record, len(sched))
 	var orig []routing.Rule // the strategy's rules, the repair baseline
 	if live != nil {
 		orig = append([]routing.Rule(nil), live.Rules...)
 	}
-	down := routing.Outage{Edge: map[int]bool{}}
+	down := net.LinkIsDown
 	for i, ev := range sched {
 		rec := &recs[i]
 		*rec = Record{Event: ev, RepairAt: -1, FirstDeliveryAfter: -1}
 		net.Sim.At(ev.At, func() {
-			apply(net, down, ev)
+			net.SetLinkDown(ev.Elem, ev.Kind == LinkDown)
 			if live == nil {
 				return
 			}
@@ -258,33 +259,10 @@ func Bind(net *netsim.Network, sched []Event, live *routing.Routes, latency nets
 	return recs
 }
 
-// apply flips one link's state on the fabric, then in the outage view.
-func apply(net *netsim.Network, down routing.Outage, ev Event) {
-	net.SetLinkDown(ev.Elem, ev.Kind == LinkDown)
-	if ev.Kind == LinkDown {
-		down.Edge[ev.Elem] = true
-	} else {
-		delete(down.Edge, ev.Elem)
-	}
-}
-
-// CoreEdges returns the logical edges joining two switches (host
-// attachment links excluded) in edge-ID order — the candidate set for
-// random link faults that leave every destination attached.
-func CoreEdges(g *topology.Graph) []int {
-	var out []int
-	for _, e := range g.Edges {
-		if g.Vertices[e.A].Kind == topology.Switch && g.Vertices[e.B].Kind == topology.Switch {
-			out = append(out, e.ID)
-		}
-	}
-	return out
-}
-
 // PickCoreEdges deterministically samples k distinct switch-switch
 // edges using the seeded RNG (k is clamped to the candidate count).
 func PickCoreEdges(g *topology.Graph, k int, seed int64) []int {
-	cand := CoreEdges(g)
+	cand := g.SwitchSwitchEdges()
 	rng := loadgen.NewRNG(seed)
 	perm := rng.Perm(len(cand))
 	if k > len(cand) {

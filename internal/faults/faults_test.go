@@ -10,7 +10,7 @@ import (
 
 func TestScheduleDeterminism(t *testing.T) {
 	g := topology.FatTree(4)
-	edges := CoreEdges(g)
+	edges := g.SwitchSwitchEdges()
 	spec := &Spec{
 		Events: []Event{{At: 5 * netsim.Microsecond, Kind: LinkDown, Elem: edges[3]}},
 		Flaps: []Flap{
@@ -163,8 +163,8 @@ func TestPickCoreEdges(t *testing.T) {
 			t.Fatal("PickCoreEdges not deterministic")
 		}
 	}
-	if got := PickCoreEdges(g, 1<<20, 7); len(got) != len(CoreEdges(g)) {
-		t.Fatalf("overshoot clamp: got %d want %d", len(got), len(CoreEdges(g)))
+	if got := PickCoreEdges(g, 1<<20, 7); len(got) != len(g.SwitchSwitchEdges()) {
+		t.Fatalf("overshoot clamp: got %d want %d", len(got), len(g.SwitchSwitchEdges()))
 	}
 }
 

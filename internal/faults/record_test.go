@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
@@ -37,17 +38,12 @@ func schedule(t *testing.T, g *topology.Graph, evs ...Event) []Event {
 }
 
 // repairChurn is the churn of moving orig's repair from outage `from`
-// to outage `to` (edge IDs), computed without a fabric.
+// to outage `to` (edge IDs), computed without a fabric: a clone of orig
+// rerouted around each outage in turn.
 func repairChurn(orig *routing.Routes, from, to []int) int {
-	rules := func(edges []int) []routing.Rule {
-		down := routing.Outage{Edge: map[int]bool{}}
-		for _, e := range edges {
-			down.Edge[e] = true
-		}
-		r, _ := routing.RepairAvoiding(orig, down)
-		return r
-	}
-	return routing.Churn(rules(from), rules(to))
+	live := orig.Clone()
+	live.Reroute(orig.Rules, func(e int) bool { return slices.Contains(from, e) })
+	return live.Reroute(orig.Rules, func(e int) bool { return slices.Contains(to, e) })
 }
 
 // recordDeliveries collects every payload delivery time by re-arming

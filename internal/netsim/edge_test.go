@@ -297,3 +297,53 @@ func TestSelfLoopBuilds(t *testing.T) {
 		t.Fatalf("switch %d: %d port slots, self loop on ports %d and %d", s, len(sw.outPorts), e.APort, e.BPort)
 	}
 }
+
+// TestLinkStateByEdge: SetLinkDown and LinkIsDown address edge e's two
+// directed links directly; the reference is a scan of every link's
+// EdgeID and down flag. Cutting e downs both its directions and nothing
+// else, restoring it brings them back, and an edge outside the fabric
+// reports false and changes nothing.
+func TestLinkStateByEdge(t *testing.T) {
+	for _, g := range []*topology.Graph{topology.FatTree(4), topology.Dragonfly(4, 9, 2, 1)} {
+		net, err := NewNetwork(g, dropForwarder{}, DefaultConfig(), nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// downLinks scans the fabric: the edge IDs of its down links,
+		// one entry per direction.
+		downLinks := func() []int {
+			var out []int
+			for i := range net.links {
+				if l := &net.links[i]; l.down {
+					out = append(out, l.EdgeID)
+				}
+			}
+			return out
+		}
+		for e := range g.Edges {
+			if !net.SetLinkDown(e, true) {
+				t.Fatalf("%s: SetLinkDown(%d) reports no such edge", g.Name, e)
+			}
+			if got := downLinks(); len(got) != 2 || got[0] != e || got[1] != e {
+				t.Fatalf("%s: cutting edge %d downs links of edges %v", g.Name, e, got)
+			}
+			for f := range g.Edges {
+				if net.LinkIsDown(f) != (f == e) {
+					t.Fatalf("%s: edge %d cut, LinkIsDown(%d) = %v", g.Name, e, f, !(f == e))
+				}
+			}
+			net.SetLinkDown(e, false)
+			if got := downLinks(); len(got) != 0 || net.LinkIsDown(e) {
+				t.Fatalf("%s: restoring edge %d leaves links of edges %v down", g.Name, e, got)
+			}
+		}
+		for _, e := range []int{-1, len(g.Edges)} {
+			if net.SetLinkDown(e, true) || net.LinkIsDown(e) {
+				t.Fatalf("%s: edge %d outside the fabric reports present", g.Name, e)
+			}
+			if got := downLinks(); len(got) != 0 {
+				t.Fatalf("%s: cutting edge %d downs links of edges %v", g.Name, e, got)
+			}
+		}
+	}
+}

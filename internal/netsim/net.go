@@ -756,29 +756,25 @@ func (n *Network) deliverAwaited() {
 // drops into FaultDrops — and drops in-flight packets at their arrival
 // instant. It reports whether the edge exists in this fabric.
 func (n *Network) SetLinkDown(edge int, down bool) bool {
-	found := false
-	for i := range n.links {
+	if edge < 0 || 2*edge >= len(n.links) {
+		return false
+	}
+	// NewNetwork wires edge e's two directions at links[2e] and
+	// links[2e+1].
+	for i := 2 * edge; i < 2*edge+2; i++ {
 		l := &n.links[i]
-		if l.EdgeID != edge {
-			continue
-		}
-		found = true
 		l.down = down
 		// On a cut, drain the feeding queue as fault drops; on a
 		// restore, restart transmission (both are no-ops on an idle
 		// healthy port).
 		n.tryTransmit(l.src)
 	}
-	return found
+	return true
 }
 
-// LinkIsDown reports whether any direction of a logical edge is
-// currently failed.
+// LinkIsDown reports whether a logical edge is currently failed (false
+// for an edge outside the fabric). It is the one record of link state:
+// route repairs read it when they patch around the outage.
 func (n *Network) LinkIsDown(edge int) bool {
-	for i := range n.links {
-		if l := &n.links[i]; l.EdgeID == edge && l.down {
-			return true
-		}
-	}
-	return false
+	return edge >= 0 && 2*edge < len(n.links) && n.links[2*edge].down
 }

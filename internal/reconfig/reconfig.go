@@ -302,18 +302,12 @@ func (r *Reconfigurer) drain(st *Stage) {
 	}
 }
 
-// patch swaps degraded routes around the drained set: destinations
-// whose trees ride drained links move to shortest paths on the
-// surviving subgraph, everything else keeps its strategy rules.
+// patch swaps degraded routes around the links the fabric reports
+// down — the drained set: destinations whose trees ride drained links
+// move to shortest paths on the surviving subgraph, everything else
+// keeps its strategy rules.
 func (r *Reconfigurer) patch(st *Stage) {
-	if len(st.Drained) == 0 {
-		return // disjoint physical resources: nothing to route around
-	}
-	down := routing.Outage{Edge: map[int]bool{}}
-	for _, e := range st.Drained {
-		down.Edge[e] = true
-	}
-	st.PatchChurn = r.live.Reroute(r.orig, down)
+	st.PatchChurn = r.live.Reroute(r.orig, r.net.LinkIsDown)
 }
 
 // commit runs the control-plane switchover and either schedules the
@@ -373,7 +367,7 @@ func (r *Reconfigurer) restore(st *Stage) {
 	for _, e := range st.Drained {
 		r.net.SetLinkDown(e, false)
 	}
-	st.RestoreChurn = r.live.Reroute(r.orig, routing.Outage{})
+	st.RestoreChurn = r.live.Reroute(r.orig, nil)
 	st.Lost = r.net.FaultDrops - r.drops
 	r.net.AwaitDelivery(func(now netsim.Time) { st.FirstDeliveryAfter = now })
 }

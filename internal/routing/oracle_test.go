@@ -620,8 +620,7 @@ func TestLookupMatchesMapIndex(t *testing.T) {
 		// A repair's output is the healthy rules followed by appended
 		// trees: no longer grouped by (switch, dst).
 		dead := c.graph.SwitchSwitchEdges()[0]
-		down := Outage{Edge: map[int]bool{dead: true}}
-		patched, _ := RepairAvoiding(r, down)
+		patched, _ := repairAvoiding(c.graph, r.Rules, cut{dead: true}.down)
 		clone := r.Clone()
 		r.ReplaceRules(patched)
 		checkLookupOnGraph(t, c.String()+" repaired", r)

@@ -2,17 +2,17 @@ package routing
 
 // Fault repair: recompute forwarding around dead links.
 //
-// RepairAvoiding is the route computation behind every mid-run route
+// repairAvoiding is the route computation behind every mid-run route
 // patch — the reactive controller's fault repair (faults.Bind) and the
 // reconfiguration drain and restore (reconfig.Reconfigurer) — which all
 // apply it through one step, Routes.Reroute: given the original
-// strategy's rule set and the currently-down links, it returns a
-// patched rule list in which only the *broken* destinations — those
-// whose original tree traverses a dead link — are rerouted, via
-// per-destination BFS on the surviving subgraph. Healthy
-// destinations keep their strategy rules verbatim (including VC
-// transitions), so repair churn stays proportional to the blast radius
-// of the fault, and a link coming back up restores the original
+// strategy's rule set and the fabric's link state, it returns a patched
+// rule list in which only the *broken* destinations — those whose
+// original tree traverses a dead link — are rerouted, via
+// ShortestPath's per-destination BFS tree on the surviving subgraph.
+// Healthy destinations keep their strategy rules verbatim (including
+// VC transitions), so repair churn stays proportional to the blast
+// radius of the fault, and a link coming back up restores the original
 // strategy rules for the destinations it had broken.
 //
 // Repaired destinations run on single-VC shortest paths: the original
@@ -28,55 +28,38 @@ package routing
 import (
 	"sort"
 
-	"repro/internal/openflow"
 	"repro/internal/topology"
 )
 
-// Outage is the set of currently-failed links.
-type Outage struct {
-	// Edge marks down logical edge IDs.
-	Edge map[int]bool
-}
-
-// Empty reports whether nothing is down.
-func (o Outage) Empty() bool { return len(o.Edge) == 0 }
-
-// ruleBroken reports whether a rule's egress edge is cut.
-func ruleBroken(g *topology.Graph, csr *topology.CSR, r *Rule, down Outage) bool {
+// ruleBroken reports whether a rule's egress edge is down.
+func ruleBroken(g *topology.Graph, r *Rule, down func(edge int) bool) bool {
 	if r.Switch < 0 || r.Switch >= len(g.Vertices) {
 		return false // manual out-of-range rule; nothing to check
 	}
-	lo, hi := csr.Row(r.Switch)
-	for e := lo; e < hi; e++ {
-		if int(csr.Port[e]) == r.OutPort {
-			return down.Edge[int(csr.Edge[e])]
-		}
-	}
-	return false
+	e := g.CSR().EdgeAt(r.Switch, r.OutPort)
+	return e >= 0 && down(e)
 }
 
-// RepairAvoiding returns the patched rule list for the original route
-// set under the given outage, plus the destinations it rerouted (in
-// ascending order). With an empty outage it returns the original rules
-// unchanged (restoring the strategy exactly).
-func RepairAvoiding(orig *Routes, down Outage) (rules []Rule, patched []int) {
-	if down.Empty() {
-		return orig.Rules, nil
+// repairAvoiding returns the patched list of g's rules orig with the
+// edges down reports cut, plus the destinations it rerouted (in
+// ascending order). With down nil it returns orig unchanged (restoring
+// the strategy exactly).
+func repairAvoiding(g *topology.Graph, orig []Rule, down func(edge int) bool) (rules []Rule, patched []int) {
+	if down == nil {
+		return orig, nil
 	}
-	g := orig.Topo
-	csr := g.CSR()
 	broken := map[int]bool{}
-	for i := range orig.Rules {
-		r := &orig.Rules[i]
-		if !broken[r.Dst] && ruleBroken(g, csr, r, down) {
+	for i := range orig {
+		r := &orig[i]
+		if !broken[r.Dst] && ruleBroken(g, r, down) {
 			broken[r.Dst] = true
 		}
 	}
 	if len(broken) == 0 {
-		return orig.Rules, nil
+		return orig, nil
 	}
-	rules = make([]Rule, 0, len(orig.Rules))
-	for _, r := range orig.Rules {
+	rules = make([]Rule, 0, len(orig))
+	for _, r := range orig {
 		if !broken[r.Dst] {
 			rules = append(rules, r)
 		}
@@ -85,90 +68,14 @@ func RepairAvoiding(orig *Routes, down Outage) (rules []Rule, patched []int) {
 		patched = append(patched, dst)
 	}
 	sort.Ints(patched)
+	csr := g.CSR()
+	emit := func(r Rule) { rules = append(rules, r) }
 	for _, dst := range patched {
-		rules = appendDegradedTree(rules, g, csr, dst, down)
+		// A tree fails only on a port-0 edge, which the validated
+		// graph of a fabric does not hold.
+		_ = bfsTree(g, csr, dst, down, emit)
 	}
 	return rules, patched
-}
-
-// appendDegradedTree emits single-VC shortest-path rules toward dst on
-// the surviving subgraph (BFS rooted at dst's switch, skipping down
-// links; ties break by vertex ID as in ShortestPath). An unreachable
-// destination — its host link cut — emits nothing.
-func appendDegradedTree(rules []Rule, g *topology.Graph, csr *topology.CSR, dst int, down Outage) []Rule {
-	root := g.HostSwitch(dst)
-	if root < 0 {
-		return rules
-	}
-	// The host needs a surviving attachment edge (a multi-homed host
-	// may lose one of parallel attachments and keep another).
-	hostPort, _ := alivePortTo(csr, root, dst, down)
-	if hostPort == 0 {
-		return rules
-	}
-	nv := len(g.Vertices)
-	next := make([]int32, nv)
-	for i := range next {
-		next[i] = -1
-	}
-	queue := make([]int32, 1, nv)
-	next[root] = int32(root)
-	queue[0] = int32(root)
-	for qi := 0; qi < len(queue); qi++ {
-		v := int(queue[qi])
-		lo, hi := csr.Row(v)
-		for e := lo; e < hi; e++ {
-			o := csr.Nbr[e]
-			if g.Vertices[o].Kind != topology.Switch || next[o] >= 0 {
-				continue
-			}
-			if down.Edge[int(csr.Edge[e])] {
-				continue
-			}
-			next[o] = int32(v)
-			queue = append(queue, o)
-		}
-	}
-	for sw := 0; sw < nv; sw++ {
-		if next[sw] < 0 {
-			continue
-		}
-		var out int
-		if sw == root {
-			out = hostPort
-		} else {
-			// The port must ride an edge that is itself alive: with
-			// parallel edges the BFS may have admitted the neighbour
-			// via the healthy one while the lowest-ID edge is cut.
-			out, _ = alivePortTo(csr, sw, int(next[sw]), down)
-		}
-		if out == 0 {
-			continue
-		}
-		rules = append(rules, Rule{Switch: sw, Dst: dst, Tag: openflow.Any, OutPort: out, NewTag: -1})
-	}
-	return rules
-}
-
-// alivePortTo returns the port and edge ID of a half-edge from vertex
-// `from` to neighbour `to` (0, -1 when not adjacent), considering only
-// edges that survive the outage. With parallel healthy edges the
-// lowest edge ID wins, matching CSR.PortTo.
-func alivePortTo(csr *topology.CSR, from, to int, down Outage) (port, edge int) {
-	lo, hi := csr.Row(from)
-	best := int32(-1)
-	for e := lo; e < hi; e++ {
-		if int(csr.Nbr[e]) != to || down.Edge[int(csr.Edge[e])] {
-			continue
-		}
-		if best < 0 || csr.Edge[e] < csr.Edge[best] {
-			best = e
-		}
-	}
-	if best < 0 {
-		return 0, -1
-	}
-	return int(csr.Port[best]), int(csr.Edge[best])
 }
 
 // Churn counts the symmetric difference between two rule sets — the
@@ -210,13 +117,12 @@ func (r *Routes) Clone() *Routes {
 
 // Reroute is the one mid-run route-patch step: it swaps in the repair
 // of the original rules orig (this set's strategy on its topology)
-// under the outage — orig itself when nothing is down — and returns the
-// churn versus the rules live before. A patch that changes nothing
-// leaves the rules, and so the compiled FIB, untouched. orig is never
-// aliased.
-func (r *Routes) Reroute(orig []Rule, down Outage) (churn int) {
-	base := &Routes{Topo: r.Topo, Strategy: r.Strategy, NumVCs: r.NumVCs, Rules: orig}
-	rules, _ := RepairAvoiding(base, down)
+// with the edges down reports cut — orig itself when down is nil — and
+// returns the churn versus the rules live before. A patch that changes
+// nothing leaves the rules, and so the compiled FIB, untouched. orig is
+// never aliased.
+func (r *Routes) Reroute(orig []Rule, down func(edge int) bool) (churn int) {
+	rules, _ := repairAvoiding(r.Topo, orig, down)
 	if churn = Churn(r.Rules, rules); churn != 0 {
 		r.ReplaceRules(append([]Rule(nil), rules...))
 	}

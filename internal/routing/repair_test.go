@@ -1,6 +1,10 @@
 package routing
 
 import (
+	"cmp"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -20,6 +24,12 @@ func edgeOf(g *topology.Graph, csr *topology.CSR, r *Rule) int {
 	}
 	return -1
 }
+
+// cut is a test outage, the set of down edges; its down method is the
+// repair's predicate.
+type cut map[int]bool
+
+func (c cut) down(edge int) bool { return c[edge] }
 
 func TestRepairAvoidingReroutesAroundDeadEdge(t *testing.T) {
 	for _, g := range []*topology.Graph{
@@ -48,8 +58,8 @@ func TestRepairAvoidingReroutesAroundDeadEdge(t *testing.T) {
 		if dead < 0 {
 			t.Fatalf("%s: no core edge in use", g.Name)
 		}
-		out := Outage{Edge: map[int]bool{dead: true}}
-		rules, patched := RepairAvoiding(orig, out)
+		out := cut{dead: true}
+		rules, patched := repairAvoiding(g, orig.Rules, out.down)
 		if len(patched) == 0 {
 			t.Fatalf("%s: nothing patched for a used edge", g.Name)
 		}
@@ -93,7 +103,7 @@ func TestRepairAvoidingReroutesAroundDeadEdge(t *testing.T) {
 			}
 		}
 		// Recovery restores the original rules exactly.
-		restored, rp := RepairAvoiding(orig, Outage{})
+		restored, rp := repairAvoiding(g, orig.Rules, nil)
 		if len(rp) != 0 || len(restored) != len(orig.Rules) {
 			t.Fatalf("%s: empty outage did not restore", g.Name)
 		}
@@ -108,7 +118,7 @@ func TestRepairAvoidingReroutesAroundDeadEdge(t *testing.T) {
 // walkDelivers follows the rule set hop by hop from src's switch and
 // reports whether the packet reaches dst without loops, table misses,
 // or traversing a dead link.
-func walkDelivers(t *testing.T, g *topology.Graph, csr *topology.CSR, r *Routes, src, dst int, down Outage) bool {
+func walkDelivers(t *testing.T, g *topology.Graph, csr *topology.CSR, r *Routes, src, dst int, down cut) bool {
 	t.Helper()
 	sw := g.HostSwitch(src)
 	tag := 0
@@ -129,7 +139,7 @@ func walkDelivers(t *testing.T, g *topology.Graph, csr *topology.CSR, r *Routes,
 				break
 			}
 		}
-		if next < 0 || down.Edge[edge] {
+		if next < 0 || down[edge] {
 			return false
 		}
 		if next == dst {
@@ -158,10 +168,10 @@ func TestRepairAvoidingIsolatedToRUnreachable(t *testing.T) {
 	csr := g.CSR()
 	hosts := g.Hosts()
 	tor := g.HostSwitch(hosts[0])
-	out := Outage{Edge: map[int]bool{}}
+	out := cut{}
 	for i := csr.Start[tor]; i < csr.Start[tor+1]; i++ {
 		if g.Vertices[csr.Nbr[i]].Kind == topology.Switch {
-			out.Edge[int(csr.Edge[i])] = true
+			out[int(csr.Edge[i])] = true
 		}
 	}
 	behindToR := map[int]bool{}
@@ -175,9 +185,9 @@ func TestRepairAvoidingIsolatedToRUnreachable(t *testing.T) {
 	if behindToR[cutHost] {
 		t.Fatal("fixture: the last host sits behind the isolated ToR")
 	}
-	out.Edge[g.EdgeBetween(g.HostSwitch(cutHost), cutHost)] = true
+	out[g.EdgeBetween(g.HostSwitch(cutHost), cutHost)] = true
 
-	rules, patched := RepairAvoiding(orig, out)
+	rules, patched := repairAvoiding(g, orig.Rules, out.down)
 	if len(patched) == 0 {
 		t.Fatal("isolated ToR patched nothing")
 	}
@@ -215,8 +225,8 @@ func TestRepairAvoidingParallelEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr := g.CSR()
-	out := Outage{Edge: map[int]bool{eLow: true}}
-	rules, patched := RepairAvoiding(orig, out)
+	out := cut{eLow: true}
+	rules, patched := repairAvoiding(g, orig.Rules, out.down)
 	if len(patched) == 0 {
 		t.Fatal("cutting the in-use parallel edge patched nothing")
 	}
@@ -233,6 +243,94 @@ func TestRepairAvoidingParallelEdges(t *testing.T) {
 				pair[0], pair[1], eHigh)
 		}
 	}
+}
+
+// FuzzRepairMatchesSurvivorShortestPath holds the repair to
+// ShortestPath on the surviving graph. On a generator's example fabric
+// with 1–3 switch–switch edges down: ShortestPath's repaired rules are,
+// as a multiset, ShortestPath's rules on the graph rebuilt without those
+// edges (same vertices, same ports); and under the row's Table III
+// strategy the rerouted destinations' rules are that graph's
+// ShortestPath rules for those destinations.
+// CI runs this as a smoke (`go test -fuzz=FuzzRepairMatchesSurvivorShortestPath -fuzztime=10s`).
+func FuzzRepairMatchesSurvivorShortestPath(f *testing.F) {
+	for row := range topology.Generators {
+		f.Add(uint8(row), uint8(row), int64(row))
+	}
+	f.Fuzz(func(t *testing.T, row, n uint8, seed int64) {
+		gen := topology.Generators[int(row)%len(topology.Generators)]
+		g, err := (&topology.Config{Generator: gen.Name, Params: gen.Example}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand := g.SwitchSwitchEdges()
+		out := cut{}
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(len(cand))[:min(1+int(n)%3, len(cand))] {
+			out[cand[i]] = true
+		}
+		h := topology.New(g.Name + "-survivor")
+		for _, v := range g.Vertices {
+			if v.Kind == topology.Switch {
+				h.AddSwitch(v.Label)
+			} else {
+				h.AddHost(v.Label)
+			}
+		}
+		for _, e := range g.Edges {
+			if !out[e.ID] {
+				h.ConnectPorts(e.A, e.APort, e.B, e.BPort)
+			}
+		}
+
+		sp, err := ShortestPath{}.Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ShortestPath{}.Compute(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repaired, _ := repairAvoiding(g, sp.Rules, out.down)
+		if !sameRuleMultiset(repaired, want.Rules) {
+			t.Fatalf("%s with edges %v down: ShortestPath's repair is not ShortestPath on the survivors", g.Name, slices.Sorted(maps.Keys(out)))
+		}
+
+		orig, err := ForTopology(g).Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules, patched := repairAvoiding(g, orig.Rules, out.down)
+		if len(patched) == 0 {
+			return
+		}
+		want, err = ShortestPath{}.ComputeFor(h, patched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Rule
+		for _, r := range rules {
+			if _, ok := slices.BinarySearch(patched, r.Dst); ok {
+				got = append(got, r)
+			}
+		}
+		if !sameRuleMultiset(got, want.Rules) {
+			t.Fatalf("%s under %s with edges %v down: the rerouted destinations %v are not ShortestPath on the survivors",
+				g.Name, orig.Strategy, slices.Sorted(maps.Keys(out)), patched)
+		}
+	})
+}
+
+// sameRuleMultiset reports whether a and b hold the same rules, each
+// as many times, in any order.
+func sameRuleMultiset(a, b []Rule) bool {
+	byFields := func(x, y Rule) int {
+		return cmp.Or(cmp.Compare(x.Switch, y.Switch), cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.Tag, y.Tag),
+			cmp.Compare(x.InPort, y.InPort), cmp.Compare(x.OutPort, y.OutPort), cmp.Compare(x.NewTag, y.NewTag))
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, byFields)
+	slices.SortFunc(b, byFields)
+	return slices.Equal(a, b)
 }
 
 func TestCloneIsIndependent(t *testing.T) {

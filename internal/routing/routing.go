@@ -820,49 +820,76 @@ func (ShortestPath) plan() dstPlan { return dstPlan{"shortest-path", 1, shortest
 // shortestPathBuilder returns the per-destination BFS-tree rule build.
 func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) error, error) {
 	csr := g.CSR()
-	nv := len(g.Vertices)
 	return func(dst int, emit func(Rule)) error {
-		root := g.HostSwitch(dst)
-		// BFS from root over switches on the CSR view; next[v] = the
-		// neighbour of v one hop closer to root. CSR rows are pre-
-		// sorted by vertex ID, preserving the deterministic tie-break
-		// without the per-dequeue clone+sort of the neighbour slice.
-		next := make([]int32, nv)
-		for i := range next {
-			next[i] = -1
-		}
-		queue := make([]int32, 1, nv)
-		next[root] = int32(root)
-		queue[0] = int32(root)
-		for qi := 0; qi < len(queue); qi++ {
-			v := int(queue[qi])
-			lo, hi := csr.Row(v)
-			for e := lo; e < hi; e++ {
-				o := csr.Nbr[e]
-				if g.Vertices[o].Kind != topology.Switch || next[o] >= 0 {
-					continue
-				}
-				next[o] = int32(v)
-				queue = append(queue, o)
-			}
-		}
-		for sw := 0; sw < nv; sw++ {
-			if next[sw] < 0 {
+		return bfsTree(g, csr, dst, nil, emit)
+	}, nil
+}
+
+// bfsTree emits single-VC rules toward host dst along the BFS tree
+// rooted at dst's switch over the switches, skipping every edge down
+// reports (nil: nothing is down): ShortestPath's tree and a fault
+// repair's. next[v] is the neighbour of v one hop closer to the root;
+// CSR rows ascend by neighbour vertex ID, so ties break by vertex ID. A
+// destination whose every attachment is down gets no rules.
+func bfsTree(g *topology.Graph, csr *topology.CSR, dst int, down func(edge int) bool, emit func(Rule)) error {
+	root := g.HostSwitch(dst)
+	if root < 0 || alivePortTo(csr, root, dst, down) < 0 {
+		return nil
+	}
+	nv := len(g.Vertices)
+	next := make([]int32, nv)
+	for i := range next {
+		next[i] = -1
+	}
+	queue := make([]int32, 1, nv)
+	next[root] = int32(root)
+	queue[0] = int32(root)
+	for qi := 0; qi < len(queue); qi++ {
+		v := int(queue[qi])
+		lo, hi := csr.Row(v)
+		for e := lo; e < hi; e++ {
+			o := csr.Nbr[e]
+			if g.Vertices[o].Kind != topology.Switch || next[o] >= 0 {
 				continue
 			}
-			var out int
-			if sw == root {
-				out = csr.PortTo(sw, dst)
-			} else {
-				out = csr.PortTo(sw, int(next[sw]))
+			if down != nil && down(int(csr.Edge[e])) {
+				continue
 			}
-			if out == 0 {
-				return fmt.Errorf("routing: no port from %d toward %d", sw, dst)
-			}
-			emit(Rule{Switch: sw, Dst: dst, Tag: openflow.Any, OutPort: out, NewTag: -1})
+			next[o] = int32(v)
+			queue = append(queue, o)
 		}
-		return nil
-	}, nil
+	}
+	for sw := 0; sw < nv; sw++ {
+		if next[sw] < 0 {
+			continue
+		}
+		to := int(next[sw])
+		if sw == root {
+			to = dst
+		}
+		out := alivePortTo(csr, sw, to, down)
+		if out <= 0 {
+			return fmt.Errorf("routing: no port from %d toward %d", sw, dst)
+		}
+		emit(Rule{Switch: sw, Dst: dst, Tag: openflow.Any, OutPort: out, NewTag: -1})
+	}
+	return nil
+}
+
+// alivePortTo returns the port on `from` of the lowest-ID edge to
+// neighbour `to` that down does not report, or -1 when there is none.
+// With parallel edges the BFS may admit a neighbour over a surviving
+// edge while the lowest-ID one is cut, so the port must be looked up
+// among the survivors. CSR rows ascend by (neighbour, edge ID), so the
+// first match is the lowest ID: with nothing down it is CSR.PortTo.
+func alivePortTo(csr *topology.CSR, from, to int, down func(edge int) bool) int {
+	lo, hi := csr.Row(from)
+	for e := lo; e < hi && int(csr.Nbr[e]) <= to; e++ {
+		if int(csr.Nbr[e]) == to && (down == nil || !down(int(csr.Edge[e]))) {
+			return int(csr.Port[e])
+		}
+	}
+	return -1
 }
 
 // Walk follows the rules from host src to host dst and calls link for
