@@ -4,9 +4,11 @@ package sdt_test
 // files must point at a file that exists, and same-repo markdown
 // anchors must resolve to a real heading. This is the CI docs job's
 // teeth — WORKLOADS.md/DESIGN.md/EXPERIMENTS.md cross-reference each
-// other, and a rename must not rot them silently.
+// other, and a rename must not rot them silently. The same holds for
+// the tests, fuzz targets and benchmarks DESIGN.md names.
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -104,6 +106,56 @@ func TestDocCrossReferences(t *testing.T) {
 			if !strings.Contains(string(data), want) {
 				t.Errorf("%s does not reference %s", doc, want)
 			}
+		}
+	}
+}
+
+// docTestName matches a `Test…`, `Fuzz…` or `Benchmark…` name in
+// backticks, with an optional /subtest suffix; testFunc matches the
+// declaration of one.
+var (
+	docTestName = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_]\\w*)(?:/[^`]*)?`")
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// TestDesignNamesExistingTests: every test, fuzz target and benchmark
+// DESIGN.md names is declared in a _test.go file of the tree, so a
+// rename cannot leave the design doc pointing at nothing.
+func TestDesignNamesExistingTests(t *testing.T) {
+	funcs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(data), -1) {
+			funcs[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := docTestName.FindAllStringSubmatch(string(design), -1)
+	if len(names) == 0 {
+		t.Fatal("DESIGN.md names no test")
+	}
+	for _, m := range names {
+		if !funcs[m[1]] {
+			t.Errorf("DESIGN.md names %s, which no _test.go file declares", m[1])
 		}
 	}
 }

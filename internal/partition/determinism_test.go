@@ -159,12 +159,12 @@ func TestCutWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-// multistart runs worker.multistart on a pooled worker, as Cut does,
+// multistart runs worker.multistart on an idle worker, as Cut does,
 // and returns a copy of the winning candidate, which lives in the
 // worker's storage.
 func multistart(wg *workGraph, k int) []int {
-	w := workers.Get().(*worker)
-	defer workers.Put(w)
+	w := getWorker()
+	defer putWorker(w)
 	return slices.Clone(w.multistart(wg, k))
 }
 

@@ -105,8 +105,8 @@ func Cut(g *topology.Graph, k int, _ Options) (*Result, error) {
 		return nil, fmt.Errorf("partition: k = %d exceeds switch count %d", k, len(switches))
 	}
 
-	w := workers.Get().(*worker)
-	defer workers.Put(w)
+	w := getWorker()
+	defer putWorker(w)
 	wg := w.workGraph(g, switches)
 	part := w.multistart(wg, k)
 
@@ -166,7 +166,7 @@ const restarts = 8
 // going to the lowest restart, so the winner is the serial loop's
 // whatever the worker count or schedule. The returned slice is the
 // winner's slot of w's candidate buffer: it is valid until w goes back
-// to the pool.
+// to the idle list.
 func (w *worker) multistart(wg *workGraph, k int) []int {
 	n := len(wg.vwgt)
 	f := &w.fan
@@ -182,9 +182,9 @@ func (w *worker) multistart(wg *workGraph, k int) []int {
 		go func() {
 			defer f.done.Done()
 			if r := f.claim(); r >= 0 { // else the other workers took every restart
-				h := workers.Get().(*worker)
+				h := getWorker()
 				f.run(h, r)
-				workers.Put(h)
+				putWorker(h)
 			}
 		}()
 	}
@@ -192,7 +192,7 @@ func (w *worker) multistart(wg *workGraph, k int) []int {
 		f.run(w, r)
 	}
 	f.done.Wait()
-	f.wg = nil // pin no graph while pooled
+	f.wg = nil // pin no graph while idle
 	best := 0
 	for r := 1; r < restarts; r++ {
 		if f.scores[r] < f.scores[best] {
@@ -236,18 +236,18 @@ func (f *fanout) run(w *worker, r int) {
 		w.weight = resize(w.weight, f.k)
 		f.scores[r] = score(f.wg, cand, f.k, w.weight)
 	}
-	w.rf.g, w.rf.part = nil, nil // pin no graph while pooled
+	w.rf.g, w.rf.part = nil, nil // pin no graph while idle
 }
 
 // worker is one restart worker's storage: everything a restart works
 // in, sized by the largest graph it has seen and reused by every later
 // restart, level and Cut, in the manner of METIS's per-call workspace.
-// Cut's calling goroutine and each of its helpers take one from workers
-// and put it back; the calling goroutine's also builds the work graph,
-// which its helpers read. So a Cut allocates only its Result and its
-// helper goroutines. Nothing in a pooled worker points at a caller's
-// graph: the work graph and the coarse levels are its own, and
-// fanout.run and multistart drop the rest.
+// Cut's calling goroutine and each of its helpers take one from the
+// idle list and put it back; the calling goroutine's also builds the
+// work graph, which its helpers read. So a Cut allocates only its
+// Result and its helper goroutines. Nothing in an idle worker points at
+// a caller's graph: the work graph and the coarse levels are its own,
+// and fanout.run and multistart drop the rest.
 type worker struct {
 	rf  refiner
 	src stream
@@ -286,11 +286,39 @@ type level struct {
 	cmap []int
 }
 
-var workers = sync.Pool{New: func() any {
-	w := &worker{}
-	w.rng = rand.New(&w.src)
+// idle holds the workers no Cut holds, at most restarts of them: the
+// most one Cut holds at once. Unlike a sync.Pool's, its workers
+// survive a garbage collection, so a Cut's allocations do not depend
+// on when the last one ran.
+var idle struct {
+	sync.Mutex
+	ws []*worker
+}
+
+// getWorker takes an idle worker, or makes one when none is idle.
+func getWorker() *worker {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.ws)
+	if n == 0 {
+		w := &worker{}
+		w.rng = rand.New(&w.src)
+		return w
+	}
+	w := idle.ws[n-1]
+	idle.ws = idle.ws[:n-1]
 	return w
-}}
+}
+
+// putWorker makes w idle, or drops it when restarts workers already
+// are.
+func putWorker(w *worker) {
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.ws) < restarts {
+		idle.ws = append(idle.ws, w)
+	}
+}
 
 // restartSeed is the seed of a Cut's restart r.
 func restartSeed(r int) int64 { return cutSeed + int64(r)*7919 }

@@ -83,7 +83,7 @@ type blockRoutes struct {
 func newBlockRoutes(g *topology.Graph, p dstPlan) *blockRoutes {
 	nv := len(g.Vertices)
 	return &blockRoutes{
-		b:       newBlockBuilder(shapeBlock * g.NumSwitches()),
+		b:       newBlockBuilder(nv, shapeBlock*g.NumSwitches()),
 		r:       Routes{Topo: g, Strategy: p.name, NumVCs: p.vcs},
 		scratch: make([]int, 2*nv),
 	}

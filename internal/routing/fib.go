@@ -35,13 +35,15 @@ import (
 // most-specific-first order. Forward is branch-light and
 // allocation-free on both paths.
 //
+// A pair whose switch or destination is not a vertex misses, as it
+// does in Lookup.
+//
 // A FIB is immutable once compiled and safe for concurrent readers; its
 // decision must agree with the one Routes.Lookup's rule implies on
 // every (switch, inPort, dst, tag) tuple — Lookup stays as the
 // reference implementation and the differential tests in fib_test.go
 // enforce the equivalence.
 type FIB struct {
-	routes  *Routes // for String's strategy name
 	rowBase []int32 // per vertex: row × columns, 0 = the sentinel row
 	col     []int32 // per vertex: column, 0 = the sentinel column
 	slots   []uint32
@@ -49,10 +51,6 @@ type FIB struct {
 	// spillRules[spillOff[k]:spillOff[k+1]].
 	spillOff   []int32
 	spillRules []spillRule
-	// extra holds slots whose switch or destination ID falls outside
-	// the vertex range — only manual rule sets referencing such IDs
-	// produce these. Always compiled as spill groups.
-	extra map[[2]int]uint32
 }
 
 // spillRule is one qualified (or encoding-overflowing) rule in a spill
@@ -88,21 +86,19 @@ func fibPack(r *Rule) uint32 {
 //
 // It numbers the rows and columns in one pass over the rules, then
 // walks the lookup index's (switch, dst) groups once — O(rules) plus
-// the rows × columns slot array. The index order is what keeps the FIB
-// reproducible: spill groups are numbered in (switch, dst) order, those
-// of the slot array first and those outside the vertex range after.
+// the rows × columns slot array — skipping the groups off the graph,
+// which match nothing. The index order is what keeps the FIB
+// reproducible: spill groups are numbered in (switch, dst) order.
 func (r *Routes) Compile() *FIB {
 	x := r.index()
 	n := len(r.Topo.Vertices)
 	f := &FIB{
-		routes:   r,
 		rowBase:  make([]int32, n),
 		col:      make([]int32, n),
 		spillOff: []int32{0},
 	}
-	inRange := func(rule *Rule) bool { return uint(rule.Switch) < uint(n) && uint(rule.Dst) < uint(n) }
 	for i := range r.Rules {
-		if rule := &r.Rules[i]; inRange(rule) {
+		if rule := &r.Rules[i]; !offGraph(r.Topo, rule) {
 			f.rowBase[rule.Switch] = 1
 			f.col[rule.Dst] = 1
 		}
@@ -115,14 +111,10 @@ func (r *Routes) Compile() *FIB {
 		f.rowBase[s] *= cols
 	}
 	f.slots = make([]uint32, rows*cols)
-	// Manual rule sets may reference switch/destination IDs beyond the
-	// vertex range; those groups go to the overflow map.
-	var outside [][2]int // index spans of the groups outside the range
 	for lo, hi := 0, 0; lo < len(r.Rules); lo = hi {
 		hi = x.groupEnd(r.Rules, lo)
 		first := &r.Rules[x.at(lo)]
-		if !inRange(first) {
-			outside = append(outside, [2]int{lo, hi})
+		if offGraph(r.Topo, first) {
 			continue
 		}
 		slot := f.rowBase[first.Switch] + f.col[first.Dst]
@@ -135,13 +127,6 @@ func (r *Routes) Compile() *FIB {
 			continue
 		}
 		f.slots[slot] = f.spillGroup(r.Rules, x, lo, hi)
-	}
-	if len(outside) > 0 {
-		f.extra = make(map[[2]int]uint32, len(outside))
-		for _, span := range outside {
-			first := &r.Rules[x.at(span[0])]
-			f.extra[[2]int{first.Switch, first.Dst}] = f.spillGroup(r.Rules, x, span[0], span[1])
-		}
 	}
 	return f
 }
@@ -178,12 +163,12 @@ func (f *FIB) spillGroup(rules []Rule, x *routeIndex, lo, hi int) uint32 {
 	return fibSpill | uint32(k)
 }
 
-// slot returns the slot word of (sw, dst).
+// slot returns the slot word of (sw, dst), 0 off the graph.
 func (f *FIB) slot(sw, dst int) uint32 {
 	if uint(sw) < uint(len(f.rowBase)) && uint(dst) < uint(len(f.col)) {
 		return f.slots[f.rowBase[sw]+f.col[dst]]
 	}
-	return f.extra[[2]int{sw, dst}]
+	return 0
 }
 
 // Forward returns the egress port and the packet's resulting tag for a
@@ -228,26 +213,4 @@ func (f *FIB) spillMatch(v uint32, inPort, tag int) *spillRule {
 		return sr
 	}
 	return nil
-}
-
-// Stats summarises the compiled layout for dumps and DESIGN.md's
-// accounting: how many slots take the packed fast path vs a spill list.
-func (f *FIB) Stats() (fast, spilled, spillRules int) {
-	for _, v := range f.slots {
-		switch {
-		case v == 0:
-		case v&fibSpill == 0:
-			fast++
-		default:
-			spilled++
-		}
-	}
-	return fast, spilled, len(f.spillRules)
-}
-
-// String renders a one-line layout summary.
-func (f *FIB) String() string {
-	fast, spilled, rules := f.Stats()
-	return fmt.Sprintf("FIB{%s: %d fast slots, %d spill slots (%d rules)}",
-		f.routes.Strategy, fast, spilled, rules)
 }

@@ -40,6 +40,21 @@ func fibCases(t testing.TB) []*Routes {
 	return out
 }
 
+// countSlots counts the FIB's slots that take the packed fast path and
+// those that hold a spill list.
+func countSlots(f *FIB) (fast, spilled int) {
+	for _, v := range f.slots {
+		switch {
+		case v == 0:
+		case v&fibSpill == 0:
+			fast++
+		default:
+			spilled++
+		}
+	}
+	return fast, spilled
+}
+
 // lookupForward is the forwarding decision the rule Routes.Lookup
 // matches implies — what FIB.Forward must return for the tuple.
 func lookupForward(r *Routes, sw, inPort, dst, tag int) (outPort, newTag int, ok bool) {
@@ -103,8 +118,8 @@ func TestFIBMatchesLookupOnSubset(t *testing.T) {
 	if want := (g.NumSwitches() + 1) * (len(routed) + 1); len(fib.slots) != want {
 		t.Errorf("%d slots, want %d: (switches + 1) × (routed hosts + 1)", len(fib.slots), want)
 	}
-	if fast, spilled, _ := fib.Stats(); fast != len(r.Rules) || spilled != 0 {
-		t.Errorf("Stats = %d fast, %d spilled; want all %d rules fast", fast, spilled, len(r.Rules))
+	if fast, spilled := countSlots(fib); fast != len(r.Rules) || spilled != 0 {
+		t.Errorf("%d fast slots, %d spilled; want all %d rules fast", fast, spilled, len(r.Rules))
 	}
 	dsts := append(slices.Clone(g.Hosts()), -1, len(g.Vertices), g.Switches()[0])
 	for _, sw := range g.Switches() {
@@ -121,9 +136,10 @@ func TestFIBMatchesLookupOnSubset(t *testing.T) {
 // TestFIBManualRoutesSpecificity exercises the spill path directly:
 // overlapping wildcard shapes on one (switch, dst) slot must resolve in
 // Lookup's most-specific-first order, and out-of-encoding-range fields
-// must round-trip through the unpacked spill entries.
+// must round-trip through the unpacked spill entries. Line(2, 49) has
+// 100 vertices, so destinations 97–99 are hosts.
 func TestFIBManualRoutesSpecificity(t *testing.T) {
-	g := topology.Line(2, 1)
+	g := topology.Line(2, 49)
 	r := NewManualRoutes(g, "manual", 2)
 	sw := g.Switches()[0]
 	r.AddRule(Rule{Switch: sw, Dst: 99, Tag: openflow.Any, OutPort: 1, NewTag: -1})
@@ -155,6 +171,50 @@ func TestFIBManualRoutesSpecificity(t *testing.T) {
 	}
 }
 
+// TestOffGraphRulesMatchNothing: a manual set's rules whose switch or
+// destination is not a vertex match nothing — Lookup returns nil and
+// the FIB misses — and Reroute keeps them as they are, even one whose
+// out port rides a down edge, while it repairs the rules of the graph.
+func TestOffGraphRulesMatchNothing(t *testing.T) {
+	g := topology.Line(4, 1)
+	nv := len(g.Vertices)
+	sp, err := ShortestPath{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, s1 := g.Switches()[0], g.Switches()[1]
+	dead := g.EdgeBetween(s0, s1)
+	toS1 := g.Edges[dead].PortAt(s0)
+	off := []Rule{
+		{Switch: -1, Dst: g.Hosts()[0], Tag: openflow.Any, OutPort: 1, NewTag: -1},
+		{Switch: nv, Dst: g.Hosts()[0], Tag: openflow.Any, OutPort: 1, NewTag: -1},
+		{Switch: s0, Dst: -1, Tag: openflow.Any, OutPort: toS1, NewTag: -1},
+		{Switch: s0, Dst: nv, Tag: openflow.Any, OutPort: toS1, NewTag: -1},
+		{Switch: s1, InPort: 2, Dst: nv + 5, Tag: 1, OutPort: 2, NewTag: 0},
+	}
+	r := NewManualRoutes(g, "manual", 2)
+	for _, rule := range append(slices.Clone(sp.Rules), off...) {
+		r.AddRule(rule)
+	}
+	for _, rule := range off {
+		for _, probe := range [][2]int{{0, 0}, {2, 1}, {rule.InPort, rule.Tag}} {
+			if got := r.Lookup(rule.Switch, probe[0], rule.Dst, probe[1]); got != nil {
+				t.Errorf("Lookup(%d,%d,%d,%d) = %+v, want nil", rule.Switch, probe[0], rule.Dst, probe[1], *got)
+			}
+			if out, _, ok := r.FIB().Forward(rule.Switch, probe[0], rule.Dst, probe[1]); ok {
+				t.Errorf("Forward(%d,%d,%d,%d) hits port %d, want a miss", rule.Switch, probe[0], rule.Dst, probe[1], out)
+			}
+		}
+	}
+	orig := slices.Clone(r.Rules)
+	down := func(edge int) bool { return edge == dead }
+	r.Reroute(orig, down)
+	repaired, _ := repairAvoiding(g, sp.Rules, down)
+	if churn := Churn(r.Rules, append(slices.Clone(repaired), off...)); churn != 0 {
+		t.Errorf("Reroute: %d rules differ from the repaired graph rules plus the off-graph rules", churn)
+	}
+}
+
 // TestFIBStats sanity-checks the layout accounting: single-VC
 // strategies must compile entirely into fast slots, VC-transition
 // strategies must have spill slots exactly where qualified rules live.
@@ -163,7 +223,7 @@ func TestFIBStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, spilled, _ := sp.Compile().Stats()
+	fast, spilled := countSlots(sp.Compile())
 	if spilled != 0 || fast == 0 {
 		t.Errorf("shortest-path on fat-tree: fast=%d spilled=%d, want all fast", fast, spilled)
 	}
@@ -171,7 +231,7 @@ func TestFIBStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, spilled, _ = tor.Compile().Stats()
+	fast, spilled = countSlots(tor.Compile())
 	if spilled == 0 {
 		t.Error("torus dateline routing compiled with no spill slots; in-port rules lost?")
 	}

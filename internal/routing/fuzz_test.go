@@ -7,9 +7,9 @@ package routing
 // flat index — on EVERY (switch, inPort, dst, tag) tuple — including
 // hostile ones (negative IDs, out-of-range vertices, absurd tags) —
 // across every Table III strategy and a manual rule set exercising the
-// spill and overflow paths. The differential tests in fib_test.go and
-// oracle_test.go pin the reachable tuples; the fuzzer hunts the
-// unreachable corners.
+// spill path and rules off the graph, which all three must miss. The
+// differential tests in fib_test.go and oracle_test.go pin the
+// reachable tuples; the fuzzer hunts the unreachable corners.
 // CI runs this as a smoke (`go test -fuzz=FuzzFIBLookup -fuzztime=10s`).
 
 import (
@@ -46,10 +46,10 @@ func fuzzContexts(f *testing.F) []fuzzCtx {
 				f.Fatal(err)
 			}
 			r.Prime()
-			fuzzCtxs = append(fuzzCtxs, fuzzCtx{g.Name, r, buildIndexReference(r.Rules)})
+			fuzzCtxs = append(fuzzCtxs, fuzzCtx{g.Name, r, buildIndexReference(r.Rules, len(g.Vertices))})
 		}
 		// A manual set with qualified rules (spill path) and rules whose
-		// IDs fall outside the dense FIB array (overflow map).
+		// switch or destination is not a vertex (matching nothing).
 		g := topology.Line(4, 1)
 		m := NewManualRoutes(g, "fuzz-manual", 2)
 		m.AddRule(Rule{Switch: 0, Dst: 4, Tag: openflow.Any, OutPort: 1, NewTag: -1})
@@ -59,7 +59,7 @@ func fuzzContexts(f *testing.F) []fuzzCtx {
 		m.AddRule(Rule{Switch: 99, Dst: 120, Tag: openflow.Any, OutPort: 7, NewTag: -1})
 		m.AddRule(Rule{Switch: -3, Dst: 2, Tag: openflow.Any, OutPort: 9, NewTag: -1})
 		m.Prime()
-		fuzzCtxs = append(fuzzCtxs, fuzzCtx{"manual", m, buildIndexReference(m.Rules)})
+		fuzzCtxs = append(fuzzCtxs, fuzzCtx{"manual", m, buildIndexReference(m.Rules, len(g.Vertices))})
 	})
 	return fuzzCtxs
 }

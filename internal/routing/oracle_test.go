@@ -10,7 +10,6 @@ package routing
 
 import (
 	"cmp"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -74,9 +73,15 @@ func dedupeRulesReference(rules []Rule) []Rule {
 // (switch, dst) -> rule indices, most specific first.
 type mapIndex map[[2]int][]int
 
-func buildIndexReference(rules []Rule) mapIndex {
+// buildIndexReference indexes the rules of a graph of nv vertices. A
+// rule whose switch or destination is not a vertex matches nothing, so
+// it stays out of the index.
+func buildIndexReference(rules []Rule, nv int) mapIndex {
 	index := make(mapIndex)
 	for i := range rules {
+		if uint(rules[i].Switch) >= uint(nv) || uint(rules[i].Dst) >= uint(nv) {
+			continue
+		}
 		key := [2]int{rules[i].Switch, rules[i].Dst}
 		index[key] = append(index[key], i)
 	}
@@ -184,10 +189,10 @@ func randomSubset(rng *rand.Rand, hosts []int) []int {
 	return sub
 }
 
-// dstRuns cuts rules into consecutive per-destination runs: at every
-// change of destination and, with split, at random points too, leaving
-// some runs empty.
-func dstRuns(rng *rand.Rand, rules []Rule, split bool) []dstRun {
+// dstRuns cuts rules on a graph of nv vertices into consecutive
+// per-destination runs: at every change of destination and, with split,
+// at random points too, leaving some runs empty.
+func dstRuns(rng *rand.Rand, nv int, rules []Rule, split bool) []dstRun {
 	var runs []dstRun
 	for lo := 0; lo < len(rules); {
 		hi := lo + 1
@@ -197,7 +202,7 @@ func dstRuns(rng *rand.Rand, rules []Rule, split bool) []dstRun {
 		if split {
 			hi = lo + rng.Intn(hi-lo+1)
 		}
-		run := dstRun{dst: rules[lo].Dst}
+		run := dstRun{dst: rules[lo].Dst, nv: nv}
 		for _, r := range rules[lo:hi] {
 			run.emit(r)
 		}
@@ -220,22 +225,21 @@ func checkPlacement(t *testing.T, rng *rand.Rand, what string, nv int, rules []R
 	t.Helper()
 	want := slices.Clone(rules)
 	sortRulesReference(want)
-	if got := placeRuns(nil, make([]int, 2*nv), nv, dstRuns(rng, rules, false)); !slices.Equal(got, want) {
+	if got := placeRuns(nil, make([]int, 2*nv), nv, dstRuns(rng, nv, rules, false)); !slices.Equal(got, want) {
 		t.Errorf("%s: placeRuns differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
 	}
-	if got := placeRuns(nil, make([]int, 2*nv), nv, dstRuns(rng, rules, true)); !slices.Equal(got, want) {
+	if got := placeRuns(nil, make([]int, 2*nv), nv, dstRuns(rng, nv, rules, true)); !slices.Equal(got, want) {
 		t.Errorf("%s: placeRuns over split runs differs from the stable sort at rule %d of %d", what, firstDiff(got, want), len(want))
 	}
 }
 
 // fuzzRuns decodes per-destination runs from data, one byte per choice
-// (0 once data runs out): a vertex count of 0..7, then up to 7 runs,
+// (0 once data runs out): a vertex count of 1..8, then up to 7 runs,
 // each toward a destination of 0..5 — so destinations repeat and
-// descend — with up to 7 rules. A rule's switch is in the vertex range
-// but for one byte value in 16 each for -1 and nv, so a switch often
-// appears several times in a run; its ingress port is 0..2 and its tag
-// any, 0 or 1. OutPort numbers the rules, so an unstable placement
-// shows.
+// descend — with up to 7 rules. A rule's switch is a vertex, so a
+// switch often appears several times in a run; its ingress port is
+// 0..2 and its tag any, 0 or 1. OutPort numbers the rules, so an
+// unstable placement shows.
 func fuzzRuns(data []byte) (nv int, runs []dstRun) {
 	next := func() int {
 		if len(data) == 0 {
@@ -245,19 +249,12 @@ func fuzzRuns(data []byte) (nv int, runs []dstRun) {
 		data = data[1:]
 		return int(b)
 	}
-	nv = next() % 8
+	nv = next()%8 + 1
 	out := 0
 	for n := next() % 8; n > 0; n-- {
-		run := dstRun{dst: next() % 6}
+		run := dstRun{dst: next() % 6, nv: nv}
 		for k := next() % 8; k > 0; k-- {
-			c := next() % 16
-			sw := c % max(nv, 1)
-			switch c {
-			case 14:
-				sw = -1
-			case 15:
-				sw = nv
-			}
+			sw := next() % nv
 			out++
 			run.emit(Rule{Switch: sw, InPort: next() % 3, Dst: run.dst, Tag: next()%3 - 1, OutPort: out, NewTag: -1})
 		}
@@ -268,21 +265,22 @@ func fuzzRuns(data []byte) (nv int, runs []dstRun) {
 
 // FuzzPlaceRuns holds placeRuns to the reference stable sort on random
 // runs, including the ones no strategy emits: destinations repeated or
-// descending, a switch several times in one run, switch IDs outside the
-// vertex range. The segments the count pass proves sorted skip the
-// check; a proof that admits an unsorted segment fails here.
+// descending, a switch several times in one run. The segments the count
+// pass proves sorted skip the check; a proof that admits an unsorted
+// segment fails here.
 // CI runs this as a smoke (`go test -fuzz=FuzzPlaceRuns -fuzztime=10s`).
 func FuzzPlaceRuns(f *testing.F) {
 	// Layout: nv; runs; per run dst, rules; per rule switch, in port,
 	// tag+1.
 	for _, seed := range [][]byte{
 		{},
-		{3, 2, 2, 2, 0, 0, 0, 1, 0, 0, 4, 2, 0, 0, 0, 1, 0, 0},   // canonical: ascending, one rule per group
-		{3, 2, 4, 1, 1, 0, 0, 2, 1, 1, 0, 0},                     // a descending destination
-		{3, 2, 4, 1, 1, 0, 0, 4, 1, 1, 0, 2},                     // a repeated destination
-		{3, 1, 2, 2, 1, 0, 2, 1, 0, 1},                           // a switch twice in a run, tags descending
-		{3, 1, 2, 3, 1, 2, 0, 1, 1, 0, 1, 0, 0},                  // a switch three times, ports descending
-		{3, 2, 1, 2, 14, 0, 0, 1, 0, 0, 0, 2, 15, 0, 0, 2, 0, 0}, // switches outside the range
+		{3, 2, 2, 2, 0, 0, 0, 1, 0, 0, 4, 2, 0, 0, 0, 1, 0, 0}, // canonical: ascending, one rule per group
+		{3, 2, 4, 1, 1, 0, 0, 2, 1, 1, 0, 0},                   // a descending destination
+		{3, 2, 4, 1, 1, 0, 0, 4, 1, 1, 0, 2},                   // a repeated destination
+		{3, 1, 2, 2, 1, 0, 2, 1, 0, 1},                         // a switch twice in a run, tags descending
+		{3, 1, 2, 3, 1, 2, 0, 1, 1, 0, 1, 0, 0},                // a switch three times, ports descending
+		// The last of 8 vertices, destinations descending.
+		{7, 3, 5, 2, 7, 0, 0, 0, 1, 2, 3, 2, 7, 0, 0, 0, 1, 2, 1, 2, 7, 2, 1, 3, 0, 0},
 	} {
 		f.Add(seed)
 	}
@@ -308,10 +306,9 @@ func FuzzPlaceRuns(f *testing.F) {
 // (so they repeat and descend); a shape of up to 7 switches, a switch
 // often several times in it; a seed for the in ports and tags, which
 // vary with the destination so a group's tags come out of order; and a
-// break of the shape — none, another switch, a switch outside the
-// vertex range, a rule dropped or a rule repeated — at one destination
-// (every run toward it) and one rule. OutPort numbers a run's rules, so
-// an unstable placement shows.
+// break of the shape — none, another switch, a rule dropped or a rule
+// repeated — at one destination (every run toward it) and one rule.
+// OutPort numbers a run's rules, so an unstable placement shows.
 func fuzzBuilds(graphs []*topology.Graph, data []byte) (*topology.Graph, []int, func(dst int, emit func(Rule)) error) {
 	next := func() int {
 		if len(data) == 0 {
@@ -330,7 +327,7 @@ func fuzzBuilds(graphs []*topology.Graph, data []byte) (*topology.Graph, []int, 
 		shape[i] = next() % nv
 	}
 	seed := next()
-	kind, at, rule := next()%5, next(), next()
+	kind, at, rule := next()%4, next(), next()
 	for j := range dsts {
 		switch order {
 		case 0:
@@ -354,10 +351,8 @@ func fuzzBuilds(graphs []*topology.Graph, data []byte) (*topology.Graph, []int, 
 				case 1:
 					r.Switch = (sw + 1) % nv
 				case 2:
-					r.Switch = nv
-				case 3:
 					continue
-				case 4:
+				case 3:
 					emit(r)
 				}
 			}
@@ -385,9 +380,9 @@ func FuzzComputeForDsts(f *testing.F) {
 		{2, 30, 1, 3, 2, 0, 1, 1, 0, 0, 0},       // descending destinations
 		{1, 20, 2, 2, 1, 3, 2, 0, 0, 0, 5, 5, 1, 9, 3, 3, 0, 12, 7, 7, 2, 1, 4, 8, 8, 6, 15, 2, 2, 0},
 		{2, 40, 0, 4, 0, 1, 2, 3, 0, 1, 20, 2}, // another switch in a later block
-		{2, 40, 0, 4, 0, 1, 2, 3, 0, 2, 1, 0},  // a switch outside the range in the first block
-		{2, 40, 0, 4, 0, 1, 2, 3, 0, 3, 33, 1}, // a rule dropped in the last block
-		{2, 40, 0, 4, 0, 1, 2, 3, 0, 4, 17, 3}, // a rule repeated
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 1, 1, 0},  // another switch in the first block
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 2, 33, 1}, // a rule dropped in the last block
+		{2, 40, 0, 4, 0, 1, 2, 3, 0, 3, 17, 3}, // a rule repeated
 	} {
 		f.Add(seed)
 	}
@@ -395,7 +390,7 @@ func FuzzComputeForDsts(f *testing.F) {
 		g, dsts, build := fuzzBuilds(graphs, data)
 		runs := make([]dstRun, len(dsts))
 		for j, d := range dsts {
-			runs[j].dst = d
+			runs[j] = dstRun{dst: d, nv: len(g.Vertices)}
 			if err := build(d, runs[j].emit); err != nil || runs[j].err != nil {
 				t.Fatalf("build toward %d: %v %v", d, err, runs[j].err)
 			}
@@ -507,9 +502,8 @@ func TestSortRulesMatchesStableSort(t *testing.T) {
 		t.Errorf("dragonfly-ugal: deduplicating the doubled rules does not give back Rules")
 	}
 
-	// Hand-built lists: reverse-ordered, duplicates, ties on every key
-	// prefix (stability is visible in OutPort), and switch IDs outside
-	// the vertex range, which send the whole list to the comparator.
+	// Hand-built lists: reverse-ordered, duplicates and ties on every
+	// key prefix (stability is visible in OutPort).
 	const nv = 6
 	var hand []Rule
 	for sw := nv - 1; sw >= 0; sw-- {
@@ -523,12 +517,6 @@ func TestSortRulesMatchesStableSort(t *testing.T) {
 	}
 	checkPlacement(t, rng, "hand-built reversed", nv, hand)
 	checkPlacement(t, rng, "hand-built doubled", nv, append(slices.Clone(hand), hand...))
-	for _, sw := range []int{-1, -40, nv, nv + 100} {
-		outside := slices.Clone(hand)
-		outside[len(outside)/2].Switch = sw
-		outside = append(outside, Rule{Switch: sw, Dst: 8, Tag: openflow.Any, OutPort: 1, NewTag: -1})
-		checkPlacement(t, rng, fmt.Sprintf("hand-built with switch %d", sw), nv, outside)
-	}
 	checkPlacement(t, rng, "empty", nv, nil)
 	checkPlacement(t, rng, "empty graph", 0, nil)
 }
@@ -537,7 +525,7 @@ func TestSortRulesMatchesStableSort(t *testing.T) {
 // (switch, inPort, dst, tag) tuple over the given ID ranges.
 func checkLookup(t *testing.T, what string, r *Routes, switches, dsts []int, maxPort int) {
 	t.Helper()
-	index := buildIndexReference(r.Rules)
+	index := buildIndexReference(r.Rules, len(r.Topo.Vertices))
 	tags := []int{openflow.Any}
 	for tag := 0; tag <= r.NumVCs; tag++ {
 		tags = append(tags, tag)

@@ -33,8 +33,8 @@ import (
 
 // ruleBroken reports whether a rule's egress edge is down.
 func ruleBroken(g *topology.Graph, r *Rule, down func(edge int) bool) bool {
-	if r.Switch < 0 || r.Switch >= len(g.Vertices) {
-		return false // manual out-of-range rule; nothing to check
+	if offGraph(g, r) {
+		return false
 	}
 	e := g.CSR().EdgeAt(r.Switch, r.OutPort)
 	return e >= 0 && down(e)
@@ -60,7 +60,7 @@ func repairAvoiding(g *topology.Graph, orig []Rule, down func(edge int) bool) (r
 	}
 	rules = make([]Rule, 0, len(orig))
 	for _, r := range orig {
-		if !broken[r.Dst] {
+		if !broken[r.Dst] || offGraph(g, &r) {
 			rules = append(rules, r)
 		}
 	}

@@ -39,6 +39,12 @@ type Rule struct {
 }
 
 // Routes is the output of a Strategy.
+//
+// A rule whose Switch or Dst is not a vertex of Topo matches nothing:
+// Lookup and the compiled FIB miss on it and Reroute leaves it alone.
+// Only a manual set can hold one; every strategy, UGAL and repair emits
+// graph vertices, and a per-destination build that emits another switch
+// fails.
 type Routes struct {
 	Topo     *topology.Graph
 	Strategy string
@@ -55,6 +61,13 @@ type Routes struct {
 	fib atomic.Pointer[FIB]
 }
 
+// offGraph reports whether a rule's switch or destination is not a
+// vertex of g, so that the rule matches nothing.
+func offGraph(g *topology.Graph, r *Rule) bool {
+	n := uint(len(g.Vertices))
+	return uint(r.Switch) >= n || uint(r.Dst) >= n
+}
+
 // routeIndex is a route set's lookup index. It puts the rules in index
 // order, (Switch, Dst, specificity descending, position), so the rules
 // of one (switch, dst) group are adjacent and most specific first:
@@ -63,9 +76,8 @@ type Routes struct {
 // every strategy-built set with one rule per group is. rowOff[s]
 // counts the rules whose Switch is below s, for s in
 // 0..len(Topo.Vertices), so switch vertex s owns index positions
-// rowOff[s]:rowOff[s+1], rules on negative switch IDs sit before
-// rowOff[0] and rules on IDs past the vertex range after
-// rowOff[len(Topo.Vertices)].
+// rowOff[s]:rowOff[s+1]; the rules off the graph sit outside every
+// row, and nothing reads them.
 type routeIndex struct {
 	order  []int32
 	rowOff []int32
@@ -275,10 +287,10 @@ func (r *Routes) compileFIB() *FIB {
 
 // Lookup finds the most specific rule on switch sw for a packet
 // arriving on logical port inPort with the given destination and tag.
-// It returns nil when no rule applies.
+// It returns nil when no rule applies, and so whenever sw or dst is
+// not a vertex of Topo.
 //
-// It takes the switch's row of the index (the span before or after the
-// rows for an ID outside the vertex range), binary-searches the row for
+// It takes the switch's row of the index, binary-searches the row for
 // the first rule of the (sw, dst) group and scans the group, which is
 // stored most specific first.
 //
@@ -289,15 +301,11 @@ func (r *Routes) compileFIB() *FIB {
 // once, like flowsim's walker, uses Lookup and compiles no FIB.
 func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
 	x := r.index()
-	rules := r.Rules
-	lo, end := 0, len(rules)
-	if n := len(x.rowOff) - 1; sw < 0 {
-		end = int(x.rowOff[0])
-	} else if sw < n {
-		lo, end = int(x.rowOff[sw]), int(x.rowOff[sw+1])
-	} else {
-		lo = int(x.rowOff[n])
+	if n := uint(len(x.rowOff) - 1); uint(sw) >= n || uint(dst) >= n {
+		return nil
 	}
+	rules := r.Rules
+	lo, end := int(x.rowOff[sw]), int(x.rowOff[sw+1])
 	for hi := end; lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
 		if m := &rules[x.at(mid)]; m.Switch < sw || m.Switch == sw && m.Dst < dst {
@@ -363,7 +371,7 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	nsw := g.NumSwitches()
 	nv := len(g.Vertices)
 	n := min(len(dsts), shapeBlock)
-	first := newBlockBuilder(n * nsw)
+	first := newBlockBuilder(nv, n*nsw)
 	head, err := first.build(dsts[:n], build)
 	if err != nil {
 		return err
@@ -383,7 +391,7 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	err = par.For(computeWorkers, len(dsts)-done, func(i int) error {
 		// Each job owns exactly its destination's run.
 		run := &runs[done+i]
-		run.dst = dsts[done+i]
+		run.dst, run.nv = dsts[done+i], nv
 		run.rules = make([]runRule, 0, nsw)
 		if err := build(run.dst, run.emit); err != nil {
 			return err
@@ -418,8 +426,10 @@ type blockBuilder struct {
 	runs []dstRun // the block's runs, views of buf.rules
 }
 
-func newBlockBuilder(rules int) *blockBuilder {
-	b := &blockBuilder{buf: dstRun{rules: make([]runRule, 0, rules)}, runs: make([]dstRun, 0, shapeBlock)}
+// newBlockBuilder returns a block builder over nv vertices whose buffer
+// holds the given number of rules.
+func newBlockBuilder(nv, rules int) *blockBuilder {
+	b := &blockBuilder{buf: dstRun{nv: nv, rules: make([]runRule, 0, rules)}, runs: make([]dstRun, 0, shapeBlock)}
 	b.emit = b.buf.emit
 	return b
 }
@@ -460,18 +470,12 @@ type runLayout struct {
 	start     []int     // per vertex: where its segment begins
 }
 
-// newRunLayout returns the layout of the runs toward dsts when head,
-// the runs of its first destinations, have one shape naming switches
-// in [0, nv) only; otherwise it reports false, having allocated
-// nothing.
+// newRunLayout returns the layout over nv vertices of the runs toward
+// dsts when head, the runs of its first destinations, have one shape;
+// otherwise it reports false, having allocated nothing.
 func newRunLayout(nv int, head []dstRun, dsts []int) (runLayout, bool) {
 	if len(head) == 0 || !oneShape(head[1:], head[0].rules) {
 		return runLayout{}, false
-	}
-	for _, rr := range head[0].rules {
-		if uint(rr.sw) >= uint(nv) {
-			return runLayout{}, false
-		}
 	}
 	// The shape outlives head, whose buffer the first block builder
 	// reuses.
@@ -532,7 +536,7 @@ func (l *runLayout) fill(b *blockBuilder, head []dstRun, build func(dst int, emi
 	par.For(workers, workers, func(w int) error {
 		wb := b
 		if w > 0 {
-			wb = newBlockBuilder(shapeBlock * len(l.shape))
+			wb = newBlockBuilder(len(l.start), shapeBlock*len(l.shape))
 		}
 		for k := w; k < blocks && !broken.Load(); k += workers {
 			lo := len(head) + k*shapeBlock
@@ -578,12 +582,13 @@ type runRule struct {
 	sw, inPort, tag, out, newTag int32
 }
 
-// dstRun is the rules one strategy build emitted toward dst, in
-// emission order. err records the first rule that has no runRule form.
+// dstRun is the rules one strategy build emitted toward dst over a
+// graph of nv vertices, in emission order. err records the first rule
+// that has no runRule form or names a switch off the graph.
 type dstRun struct {
-	dst   int
-	rules []runRule
-	err   error
+	dst, nv int
+	rules   []runRule
+	err     error
 }
 
 // widen returns the Rule rr stands for in dst's run.
@@ -593,10 +598,12 @@ func (rr runRule) widen(dst int) Rule {
 }
 
 // emit appends a rule to the run. A rule toward another destination,
-// or with a field int32 cannot hold, is an error rather than a
-// truncation: the first is recorded, and such rules are dropped.
+// on a switch that is not a vertex, or with a field int32 cannot hold,
+// is an error rather than a truncation: the first is recorded, and
+// such rules are dropped. A vertex ID fits int32, as the graph's
+// adjacency index holds it.
 func (d *dstRun) emit(rule Rule) {
-	if (rule.Dst^d.dst)|narrowLoss(rule.Switch)|narrowLoss(rule.InPort)|narrowLoss(rule.Tag)|
+	if uint(rule.Switch) < uint(d.nv) && (rule.Dst^d.dst)|narrowLoss(rule.InPort)|narrowLoss(rule.Tag)|
 		narrowLoss(rule.OutPort)|narrowLoss(rule.NewTag) == 0 {
 		d.rules = append(d.rules, runRule{int32(rule.Switch), int32(rule.InPort),
 			int32(rule.Tag), int32(rule.OutPort), int32(rule.NewTag)})
@@ -607,6 +614,8 @@ func (d *dstRun) emit(rule Rule) {
 	}
 	if rule.Dst != d.dst {
 		d.err = fmt.Errorf("routing: rule %+v emitted while routing toward host %d", rule, d.dst)
+	} else if uint(rule.Switch) >= uint(d.nv) {
+		d.err = fmt.Errorf("routing: rule %+v names switch %d of a graph of %d vertices", rule, rule.Switch, d.nv)
 	} else {
 		d.err = fmt.Errorf("routing: rule %+v has a field outside the int32 range", rule)
 	}
@@ -641,8 +650,8 @@ func compareRules(a, b Rule) int {
 // rules per group, as the torus strategies do, or runs out of
 // destination order — pay a check, and a sort when the group's rules
 // came out of (Tag, InPort) order. The scatter widens each rule once,
-// straight into the final array. Runs naming a switch outside [0, nv)
-// are concatenated and comparator-sorted whole.
+// straight into the final array. Every run's switches are in [0, nv),
+// as emit keeps them.
 func placeRuns(out []Rule, buf []int, nv int, runs []dstRun) []Rule {
 	// next[s] counts switch s's rules, then is the position of its next
 	// rule, and after the scatter the end of its segment. last[s] is the
@@ -654,15 +663,10 @@ func placeRuns(out []Rule, buf []int, nv int, runs []dstRun) []Rule {
 	next, last := buf[:nv], buf[nv:2*nv]
 	clear(next)
 	total := 0
-	inRange := true
 	for _, run := range runs {
 		total += len(run.rules)
 		for _, rr := range run.rules {
 			sw := int(rr.sw)
-			if uint(sw) >= uint(nv) {
-				inRange = false
-				continue
-			}
 			if next[sw] > 0 && run.dst <= last[sw] {
 				last[sw] = math.MaxInt
 			} else {
@@ -672,17 +676,6 @@ func placeRuns(out []Rule, buf []int, nv int, runs []dstRun) []Rule {
 		}
 	}
 	out = resize(out, total)
-	if !inRange {
-		at := 0
-		for _, run := range runs {
-			for _, rr := range run.rules {
-				out[at] = rr.widen(run.dst)
-				at++
-			}
-		}
-		slices.SortStableFunc(out, compareRules)
-		return out
-	}
 	at := 0
 	for s, n := range next {
 		next[s] = at

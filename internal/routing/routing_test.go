@@ -698,8 +698,10 @@ func TestHostWithoutSwitchIsAnError(t *testing.T) {
 	}
 }
 
+// TestLookupSpecificity: the most specific rule of a group wins. In
+// Line(2, 49)'s 100 vertices, destinations 98 and 99 are hosts.
 func TestLookupSpecificity(t *testing.T) {
-	g := topology.Line(2, 1)
+	g := topology.Line(2, 49)
 	r := newRoutes(g, "test", 2)
 	sw := g.Switches()[0]
 	r.add(Rule{Switch: sw, Dst: 99, Tag: openflow.Any, OutPort: 1, NewTag: -1})

@@ -130,8 +130,9 @@ func TestComputeForErrorIgnoresOrder(t *testing.T) {
 
 // TestComputeRejectsRulesRunsCannotHold: a destination's run keeps its
 // rules as int32 fields under the run's destination, so a build that
-// emits a rule toward another host, or one with a field int32 cannot
-// hold, fails the compute instead of yielding a truncated rule.
+// emits a rule toward another host, on a switch that is not a vertex,
+// or with a field int32 cannot hold, fails the compute instead of
+// yielding a truncated rule or one that matches nothing.
 func TestComputeRejectsRulesRunsCannotHold(t *testing.T) {
 	g := topology.FatTree(4)
 	dsts := g.Hosts()[:3]
@@ -149,9 +150,15 @@ func TestComputeRejectsRulesRunsCannotHold(t *testing.T) {
 		{"wide negative switch", func(dst int) Rule {
 			return Rule{Switch: -int(wide) - 1, Dst: dst, Tag: openflow.Any, OutPort: 1, NewTag: -1}
 		}},
+		{"switch -1", func(dst int) Rule {
+			return Rule{Switch: -1, Dst: dst, Tag: openflow.Any, OutPort: 1, NewTag: -1}
+		}},
+		{"switch past the vertices", func(dst int) Rule {
+			return Rule{Switch: len(g.Vertices), Dst: dst, Tag: openflow.Any, OutPort: 1, NewTag: -1}
+		}},
 	}
 	for _, c := range cases {
-		if c.name != "foreign destination" && strconv.IntSize == 32 {
+		if strings.HasPrefix(c.name, "wide") && strconv.IntSize == 32 {
 			continue // every int fits int32
 		}
 		r := newRoutes(g, "test", 1)

@@ -1,14 +1,18 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/netsim"
 )
 
 // Validate checks structural sanity: peers in range, sends and recvs
 // pairwise balanced per (src, dst, tag) so replay cannot deadlock on a
-// missing message.
+// missing message. Of several unmatched messages it names the lowest
+// (src, dst, tag), so the error is the same on every call.
 func (t *Trace) Validate() error {
 	type key struct{ src, dst, tag int }
 	balance := map[key]int{}
@@ -31,8 +35,11 @@ func (t *Trace) Validate() error {
 			}
 		}
 	}
-	for k, v := range balance {
-		if v != 0 {
+	keys := slices.SortedFunc(maps.Keys(balance), func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.tag, b.tag))
+	})
+	for _, k := range keys {
+		if v := balance[k]; v != 0 {
 			return fmt.Errorf("workload %s: unmatched message src=%d dst=%d tag=%d (balance %+d)",
 				t.Name, k.src, k.dst, k.tag, v)
 		}

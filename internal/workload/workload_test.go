@@ -69,6 +69,23 @@ func TestValidateCatchesImbalance(t *testing.T) {
 	}
 }
 
+// TestValidateNamesLowestUnmatched: a trace with two unmatched
+// messages gets the same error on every call, naming the lowest
+// (src, dst, tag).
+func TestValidateNamesLowestUnmatched(t *testing.T) {
+	tr := &Trace{Name: "two", Ranks: 3, Programs: [][]netsim.Op{
+		{{Kind: netsim.OpSend, Peer: 2, Bytes: 10, MTag: 7}},
+		{{Kind: netsim.OpSend, Peer: 0, Bytes: 10, MTag: 3}},
+		{},
+	}}
+	const want = "workload two: unmatched message src=0 dst=2 tag=7 (balance +1)"
+	for range 20 {
+		if err := tr.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate() = %v, want %q", err, want)
+		}
+	}
+}
+
 // sentBytes sums the payload bytes every rank sends.
 func sentBytes(tr *Trace) int64 {
 	var s int64
