@@ -286,8 +286,9 @@ type level struct {
 	cmap []int
 }
 
-// idle holds the workers no Cut holds, at most restarts of them: the
-// most one Cut holds at once. Unlike a sync.Pool's, its workers
+// idle holds the workers no Cut holds. It never shrinks, so it holds as
+// many as the most that concurrent Cuts ever held at once, each sized
+// by the largest graph it has seen. Unlike a sync.Pool's, its workers
 // survive a garbage collection, so a Cut's allocations do not depend
 // on when the last one ran.
 var idle struct {
@@ -310,14 +311,11 @@ func getWorker() *worker {
 	return w
 }
 
-// putWorker makes w idle, or drops it when restarts workers already
-// are.
+// putWorker makes w idle.
 func putWorker(w *worker) {
 	idle.Lock()
 	defer idle.Unlock()
-	if len(idle.ws) < restarts {
-		idle.ws = append(idle.ws, w)
-	}
+	idle.ws = append(idle.ws, w)
 }
 
 // restartSeed is the seed of a Cut's restart r.

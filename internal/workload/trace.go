@@ -3,8 +3,6 @@ package workload
 import (
 	"cmp"
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/netsim"
 )
@@ -35,14 +33,16 @@ func (t *Trace) Validate() error {
 			}
 		}
 	}
-	keys := slices.SortedFunc(maps.Keys(balance), func(a, b key) int {
-		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.tag, b.tag))
-	})
-	for _, k := range keys {
-		if v := balance[k]; v != 0 {
-			return fmt.Errorf("workload %s: unmatched message src=%d dst=%d tag=%d (balance %+d)",
-				t.Name, k.src, k.dst, k.tag, v)
+	var low key
+	found := false
+	for k, v := range balance {
+		if v != 0 && (!found || cmp.Or(cmp.Compare(k.src, low.src), cmp.Compare(k.dst, low.dst), cmp.Compare(k.tag, low.tag)) < 0) {
+			low, found = k, true
 		}
 	}
-	return nil
+	if !found {
+		return nil
+	}
+	return fmt.Errorf("workload %s: unmatched message src=%d dst=%d tag=%d (balance %+d)",
+		t.Name, low.src, low.dst, low.tag, balance[low])
 }
