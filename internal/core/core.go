@@ -82,7 +82,6 @@ func PaperTestbed(topos []*topology.Graph) (*Testbed, error) {
 
 // RunResult reports one workload execution.
 type RunResult struct {
-	Mode Mode
 	// ACT is the application completion time in simulated (i.e.
 	// physical) time.
 	ACT netsim.Time

@@ -52,7 +52,6 @@ func runFlowScenario(ctx context.Context, sc Scenario, hosts []int, simCfg netsi
 		return nil, err
 	}
 	return &RunResult{
-		Mode:   sc.Mode,
 		ACT:    res.ACT,
 		Wall:   time.Since(wallStart),
 		Events: res.Recomputes,

@@ -281,7 +281,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		incomplete = fa.Outstanding()
 	}
 	res := &RunResult{
-		Mode: sc.Mode, ACT: act, Wall: wall,
+		ACT: act, Wall: wall,
 		Drops: net.TotalDrops, Pauses: net.PausesSent, EcnMarks: net.EcnMarks,
 		Events: net.Sim.Events(), FaultDrops: net.FaultDrops, Incomplete: incomplete,
 		Faults: records,

@@ -164,8 +164,8 @@ func TestRunTelemetryObserver(t *testing.T) {
 	if col.Epochs() == 0 {
 		t.Error("telemetry collector took no samples during the run")
 	}
-	if len(col.Series()) == 0 {
-		t.Error("telemetry collector recorded no link series")
+	if series := col.Series(); len(series) != len(g.Edges) || len(series[0].Bytes) != col.Epochs() {
+		t.Errorf("telemetry collector holds %d link series, want one per edge (%d) with a sample per epoch", len(series), len(g.Edges))
 	}
 }
 
@@ -238,11 +238,11 @@ func TestSweepSharedTelemetryCollector(t *testing.T) {
 		if col.Epochs() == 0 {
 			t.Fatalf("workers=%d: no samples", workers)
 		}
-		for _, s := range col.Series() {
+		for eid, s := range col.Series() {
 			for _, b := range s.Bytes {
 				if b < 0 {
 					t.Fatalf("workers=%d: negative delta %d on edge %d (baseline leaked across runs)",
-						workers, b, s.EdgeID)
+						workers, b, eid)
 				}
 			}
 		}

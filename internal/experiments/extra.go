@@ -167,7 +167,7 @@ func ActiveRouting(ctx context.Context, nodes, bytes int) (*ActiveRoutingResult,
 	}
 	sc.Strategy = routing.Fixed{Routes: minRoutes}
 	// The Network Monitor reads the minimal run's finished fabric.
-	var loads map[int]float64
+	var loads []float64
 	collect := core.Hooks{Finish: func(_ *core.RunResult, net *netsim.Network) { loads = net.LinkLoads() }}
 	minRes, err := core.Run(ctx, tb, sc, core.WithObserver(collect))
 	if err != nil {

@@ -72,8 +72,6 @@ func midWindowSpec(target *topology.Graph, fs *loadgen.FlowSet, inject bool) *re
 type ReconfigSweepCell struct {
 	Src, Dst string
 	Strategy string
-	Inject   bool
-	Flows    int
 	// Results.
 	flowOutcome
 	Outcome    string
@@ -139,7 +137,7 @@ func ReconfigSweep(ctx context.Context, p JobSpec) (*ReconfigSweepResult, error)
 				return nil, err
 			}
 			res.Cells = append(res.Cells, ReconfigSweepCell{
-				Src: g.Name, Dst: target.Name, Strategy: name, Inject: pair.inject, Flows: flows,
+				Src: g.Name, Dst: target.Name, Strategy: name,
 			})
 			jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 				Topo: g, Flows: fs.Flows, Mode: core.FullTestbed,
@@ -206,7 +204,6 @@ func (r *ReconfigSweepResult) Format(w io.Writer) {
 // ReconfigLoadRow is one (pattern, outcome) row of the under-load study.
 type ReconfigLoadRow struct {
 	Pattern string
-	Inject  bool
 	Flows   int
 	// Results.
 	Outcome    string
@@ -283,7 +280,7 @@ func ReconfigUnderLoad(ctx context.Context, p JobSpec) (*ReconfigUnderLoadResult
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = append(res.Rows, ReconfigLoadRow{Pattern: pt.name, Inject: inject, Flows: flows})
+			res.Rows = append(res.Rows, ReconfigLoadRow{Pattern: pt.name, Flows: flows})
 			jobs = append(jobs, core.Job{TB: tb, Scenario: core.Scenario{
 				Topo: g, Flows: fs.Flows, Mode: core.FullTestbed, Reconfig: midWindowSpec(target, fs, inject),
 			}})

@@ -138,7 +138,7 @@ func TestWalkerMatchesFIB(t *testing.T) {
 	}
 
 	df := topology.Dragonfly(4, 9, 2, 1)
-	loads := map[int]float64{}
+	loads := make([]float64, len(df.Edges))
 	for _, eid := range df.SwitchSwitchEdges() {
 		e := df.Edges[eid]
 		if ga, gb := df.Vertices[e.A].Coord[0], df.Vertices[e.B].Coord[0]; ga+gb == 1 {

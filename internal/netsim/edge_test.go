@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,21 +113,6 @@ func TestPFCHysteresis(t *testing.T) {
 	}
 	if got := net.Host(target).DeliveredBytes; got != sent {
 		t.Errorf("delivered %d of %d after pause/resume cycles", got, sent)
-	}
-}
-
-func TestCrossbarTransitsCounted(t *testing.T) {
-	net, g := buildLine(t, 3, 1, DefaultConfig())
-	hosts := g.Hosts()
-	net.Host(hosts[0]).Send(hosts[2], 1, 4096+100) // 2 packets
-	net.Sim.Run(0)
-	total := int64(0)
-	for _, v := range g.Switches() {
-		total += net.switches[v].crossbar.Transits
-	}
-	// 2 packets x 3 switches.
-	if total != 6 {
-		t.Errorf("crossbar transits = %d, want 6", total)
 	}
 }
 
@@ -300,32 +287,41 @@ func TestSelfLoopBuilds(t *testing.T) {
 
 // TestLinkStateByEdge: SetLinkDown and LinkIsDown address edge e's two
 // directed links directly; the reference is a scan of every link's
-// EdgeID and down flag. Cutting e downs both its directions and nothing
-// else, restoring it brings them back, and an edge outside the fabric
-// reports false and changes nothing.
+// receiving end and down flag. Cutting e downs both its directions and
+// nothing else, restoring it brings them back, and an edge outside the
+// fabric reports false and changes nothing.
 func TestLinkStateByEdge(t *testing.T) {
 	for _, g := range []*topology.Graph{topology.FatTree(4), topology.Dragonfly(4, 9, 2, 1)} {
 		net, err := NewNetwork(g, dropForwarder{}, DefaultConfig(), nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// downLinks scans the fabric: the edge IDs of its down links,
-		// one entry per direction.
-		downLinks := func() []int {
-			var out []int
+		byEnd := func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) }
+		// downLinks scans the fabric: the receiving ends (vertex and
+		// ingress port) of its down links, sorted, one per direction.
+		downLinks := func() [][2]int {
+			var out [][2]int
 			for i := range net.links {
 				if l := &net.links[i]; l.down {
-					out = append(out, l.EdgeID)
+					v := l.to.inPort
+					if l.to.sw != nil {
+						out = append(out, [2]int{l.to.sw.vertex, v})
+					} else {
+						out = append(out, [2]int{l.to.host.vertex, v})
+					}
 				}
 			}
+			slices.SortFunc(out, byEnd)
 			return out
 		}
-		for e := range g.Edges {
+		for e, edge := range g.Edges {
 			if !net.SetLinkDown(e, true) {
 				t.Fatalf("%s: SetLinkDown(%d) reports no such edge", g.Name, e)
 			}
-			if got := downLinks(); len(got) != 2 || got[0] != e || got[1] != e {
-				t.Fatalf("%s: cutting edge %d downs links of edges %v", g.Name, e, got)
+			want := [][2]int{{edge.A, edge.APort}, {edge.B, edge.BPort}}
+			slices.SortFunc(want, byEnd)
+			if got := downLinks(); !slices.Equal(got, want) {
+				t.Fatalf("%s: cutting edge %d downs the links into %v, want %v", g.Name, e, got, want)
 			}
 			for f := range g.Edges {
 				if net.LinkIsDown(f) != (f == e) {
@@ -334,7 +330,7 @@ func TestLinkStateByEdge(t *testing.T) {
 			}
 			net.SetLinkDown(e, false)
 			if got := downLinks(); len(got) != 0 || net.LinkIsDown(e) {
-				t.Fatalf("%s: restoring edge %d leaves links of edges %v down", g.Name, e, got)
+				t.Fatalf("%s: restoring edge %d leaves the links into %v down", g.Name, e, got)
 			}
 		}
 		for _, e := range []int{-1, len(g.Edges)} {
@@ -342,7 +338,7 @@ func TestLinkStateByEdge(t *testing.T) {
 				t.Fatalf("%s: edge %d outside the fabric reports present", g.Name, e)
 			}
 			if got := downLinks(); len(got) != 0 {
-				t.Fatalf("%s: cutting edge %d downs links of edges %v", g.Name, e, got)
+				t.Fatalf("%s: cutting edge %d downs the links into %v", g.Name, e, got)
 			}
 		}
 	}

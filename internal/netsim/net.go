@@ -101,8 +101,6 @@ type Crossbar struct {
 	bps       float64
 	extra     Time
 	busyUntil Time
-	// Transits counts crossbar passes (telemetry).
-	Transits int64
 }
 
 // delay returns the crossbar contribution for a packet of n bytes
@@ -114,7 +112,6 @@ func (x *Crossbar) delay(now Time, n int) Time {
 		start = x.busyUntil
 	}
 	x.busyUntil = start + svc
-	x.Transits++
 	return (start - now) + svc + x.extra
 }
 
@@ -127,8 +124,6 @@ type DirLink struct {
 	busyUntil Time
 	// TxBytes accumulates transmitted payloadful bytes (Network Monitor).
 	TxBytes int64
-	// EdgeID is the logical edge this link realises.
-	EdgeID int
 	// src is the OutPort feeding this link (flushed when the link is
 	// cut).
 	src *OutPort
@@ -287,8 +282,6 @@ type OutPort struct {
 	// ports); its QPs are kicked when the queue drains so DCQCN pacing
 	// is enforced at the wire, not just at enqueue.
 	hostOwner *Host
-	// Drops counts tail drops (PFC off).
-	Drops int64
 }
 
 func (o *OutPort) queuedBytes() int {
@@ -326,9 +319,6 @@ type SimSwitch struct {
 	ingressBytes [][nPrio]int
 	// pfcPaused remembers which upstream ports we paused.
 	pfcSent [][nPrio]bool
-
-	// Drops counts table-miss drops.
-	Drops int64
 }
 
 // Host is a simulated compute node: one NIC port plus transports.
@@ -336,9 +326,6 @@ type Host struct {
 	vertex int
 	net    *Network
 	out    *OutPort
-	// upstream is the switch-side OutPort feeding this host (for PFC
-	// from host; hosts also honour pause on their own out port).
-	upstream *OutPort
 
 	roce roceEngine
 
@@ -386,7 +373,6 @@ func (rf RouteForwarder) Forward(sw, inPort int, pkt *Packet) (int, int, bool) {
 // hosts joined by directed links.
 type Network struct {
 	Sim    *Sim
-	Topo   *topology.Graph
 	Cfg    Config
 	Fwd    Forwarder
 	nextID int64
@@ -461,7 +447,6 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 	sws, hvs := g.Switches(), g.Hosts()
 	n := &Network{
 		Sim:      NewSim(),
-		Topo:     g,
 		Cfg:      cfg,
 		Fwd:      fwd,
 		cc:       cc,
@@ -522,17 +507,14 @@ func NewNetwork(g *topology.Graph, fwd Forwarder, cfg Config, crossbarOf func(v 
 	// Links: two directed channels per edge, each fed by its port.
 	ports := make([]OutPort, len(n.links))
 	for i, e := range g.Edges {
-		n.wire(2*i, &ports[2*i], e.ID, e.A, e.APort, e.B, e.BPort)
-		n.wire(2*i+1, &ports[2*i+1], e.ID, e.B, e.BPort, e.A, e.APort)
+		n.wire(2*i, &ports[2*i], e.A, e.APort, e.B, e.BPort)
+		n.wire(2*i+1, &ports[2*i+1], e.B, e.BPort, e.A, e.APort)
 	}
 	// Wire upstream references for PFC: the port feeding a link is
-	// its receiving port's upstream.
+	// its receiving switch port's upstream. Hosts send no pause.
 	for i := range n.links {
-		l := &n.links[i]
-		if sw := l.to.sw; sw != nil {
-			sw.upstream[l.to.inPort] = l.src
-		} else {
-			l.to.host.upstream = l.src
+		if l := &n.links[i]; l.to.sw != nil {
+			l.to.sw.upstream[l.to.inPort] = l.src
 		}
 	}
 	return n, nil
@@ -563,11 +545,11 @@ func groupCrossbars(sws []SimSwitch, crossbarOf func(v int) int, proto Crossbar)
 	}
 }
 
-// wire sets up directed link i of logical edge eid, from port fromPort
-// of vertex from to port toPort of vertex to, fed by egress port op.
-func (n *Network) wire(i int, op *OutPort, eid, from, fromPort, to, toPort int) {
+// wire sets up directed link i, from port fromPort of vertex from to
+// port toPort of vertex to, fed by egress port op.
+func (n *Network) wire(i int, op *OutPort, from, fromPort, to, toPort int) {
 	l := &n.links[i]
-	*l = DirLink{id: i, bps: n.Cfg.LinkBps, prop: n.Cfg.PropDelay, EdgeID: eid, src: op}
+	*l = DirLink{id: i, bps: n.Cfg.LinkBps, prop: n.Cfg.PropDelay, src: op}
 	if h := n.hosts[to]; h != nil {
 		l.to = deviceRef{host: h, inPort: toPort}
 	} else {

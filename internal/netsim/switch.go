@@ -9,7 +9,6 @@ func (s *SimSwitch) receive(pkt *Packet) {
 	n := s.net
 	out, newTag, ok := n.Fwd.Forward(s.vertex, pkt.inPort, pkt)
 	if !ok || out <= 0 || out >= len(s.outPorts) || s.outPorts[out] == nil {
-		s.Drops++
 		n.TotalDrops++
 		n.pkts.release(pkt)
 		return
@@ -53,7 +52,6 @@ func (s *SimSwitch) enqueue(o *OutPort, inPort, arrCls int, pkt *Packet) {
 	}
 	pkt.arrClass = arrCls
 	if !n.Cfg.PFC && isData(pkt.Prio) && o.queuedBytes()+pkt.Size > queueCap {
-		o.Drops++
 		n.TotalDrops++
 		n.pkts.release(pkt)
 		return

@@ -223,8 +223,6 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Stage, error) {
 // owns a run-private controller over the testbed's cabling, so
 // concurrent sweep siblings never contend.
 type Reconfigurer struct {
-	// Spec is the validated input.
-	Spec *Spec
 	// Stages is the resolved schedule; each stage's record fills in as
 	// the run executes. Stages rejected at New time (target does not
 	// project onto the cabling) are complete up front.
@@ -261,7 +259,7 @@ func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec 
 		return nil, fmt.Errorf("reconfig: running topology: %w", err)
 	}
 	r := &Reconfigurer{
-		Spec: spec, Stages: stages, ctl: ctl, cur: cur,
+		Stages: stages, ctl: ctl, cur: cur,
 		live: live, orig: append([]routing.Rule(nil), live.Rules...),
 	}
 	for i := range r.Stages {

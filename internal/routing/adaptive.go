@@ -22,9 +22,10 @@ import (
 // Classes are strictly increasing along any path, so the CDG stays
 // acyclic (verified in tests).
 type DragonflyUGAL struct {
-	// Loads estimates per-logical-link load (e.g. bytes/s from the
-	// Network Monitor), keyed by edge ID. Missing entries mean idle.
-	Loads map[int]float64
+	// Loads estimates per-logical-link load (e.g. bytes from the
+	// Network Monitor), indexed by edge ID. A nil or short slice means
+	// idle links.
+	Loads []float64
 	// Bias is added to the non-minimal cost so minimal wins when the
 	// network is idle (UGAL's hysteresis).
 	Bias float64
@@ -40,10 +41,10 @@ func (u DragonflyUGAL) Compute(g *topology.Graph) (*Routes, error) {
 		return nil, err
 	}
 	load := func(eid int) float64 {
-		if u.Loads == nil {
-			return 0
+		if eid < len(u.Loads) {
+			return u.Loads[eid]
 		}
-		return u.Loads[eid]
+		return 0
 	}
 	numGroups := len(df.groups)
 	r := newRoutes(g, "dragonfly-ugal", 4)

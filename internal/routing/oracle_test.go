@@ -426,7 +426,7 @@ func firstDiff(a, b []Rule) int {
 func ugalRoutes(t testing.TB) *Routes {
 	t.Helper()
 	g := topology.Dragonfly(4, 9, 2, 1)
-	loads := map[int]float64{}
+	loads := make([]float64, len(g.Edges))
 	for _, eid := range g.SwitchSwitchEdges() {
 		e := g.Edges[eid]
 		if ga, gb := g.Vertices[e.A].Coord[0], g.Vertices[e.B].Coord[0]; ga+gb == 1 {

@@ -890,9 +890,10 @@ func alivePortTo(csr *topology.CSR, from, to int, down func(edge int) bool) int 
 // src, then one link per switch hop, the last of which delivers to dst.
 // from is the vertex the link leaves, edge its ID and tag the VC tag
 // the packet carries on it (0 on the uplink: hosts send untagged).
-// A source with no switch, a switch with no rule, an out port with no
-// edge, a packet delivered to another host and a walk of more than
-// |V|·max(NumVCs, 1)+2 switch hops (a forwarding loop) are errors.
+// A source that is not a host, a source with no switch, a switch with
+// no rule, an out port with no edge, a packet delivered to another
+// host and a walk of more than |V|·max(NumVCs, 1)+2 switch hops (a
+// forwarding loop) are errors.
 // Walk keeps nothing of link, so a closure passed to it stays on the
 // caller's stack.
 //
@@ -900,6 +901,9 @@ func alivePortTo(csr *topology.CSR, from, to int, down func(edge int) bool) int 
 // verifier's channel trace and flowsim's path resolution consume it.
 func (r *Routes) Walk(src, dst int, link func(from, edge, tag int)) error {
 	g := r.Topo
+	if src < 0 || src >= len(g.Vertices) || g.Vertices[src].Kind != topology.Host {
+		return fmt.Errorf("routing: %s: source %d is not a host of %s", r.Strategy, src, g.Name)
+	}
 	csr := g.CSR()
 	cur := g.HostSwitch(src)
 	if cur < 0 {

@@ -54,6 +54,22 @@ func TestShortestPathOnLine(t *testing.T) {
 	}
 }
 
+// TestTracePathRejectsNonHostSource holds Walk to its error for a
+// source that is not a host: out of range on either side, or a switch.
+func TestTracePathRejectsNonHostSource(t *testing.T) {
+	g := topology.Line(4, 1)
+	r, err := ShortestPath{}.Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.Hosts()[3]
+	for _, src := range []int{-1, len(g.Vertices), g.Switches()[0]} {
+		if path, err := r.TracePath(src, h); err == nil {
+			t.Errorf("TracePath(%d, %d) = %v, want an error: %d is not a host", src, h, path, src)
+		}
+	}
+}
+
 func TestShortestPathMinimality(t *testing.T) {
 	g := topology.Torus2D(4, 4, 1)
 	r, err := ShortestPath{}.Compute(g)
@@ -356,7 +372,7 @@ func TestWalkConsumersMatchFIB(t *testing.T) {
 		sets = append(sets, r)
 	}
 	df := topology.Dragonfly(4, 9, 2, 1)
-	loads := map[int]float64{}
+	loads := make([]float64, len(df.Edges))
 	for _, eid := range df.SwitchSwitchEdges() {
 		if e := df.Edges[eid]; df.Vertices[e.A].Coord[0]+df.Vertices[e.B].Coord[0] == 1 {
 			loads[eid] = 1e9
@@ -538,7 +554,7 @@ func TestUGALMinimalWhenIdle(t *testing.T) {
 func TestUGALDivertsUnderLoad(t *testing.T) {
 	g := topology.Dragonfly(4, 9, 2, 1)
 	// Saturate every global link out of group 0 toward group 1.
-	loads := map[int]float64{}
+	loads := make([]float64, len(g.Edges))
 	for _, eid := range g.SwitchSwitchEdges() {
 		e := g.Edges[eid]
 		ga, gb := g.Vertices[e.A].Coord[0], g.Vertices[e.B].Coord[0]

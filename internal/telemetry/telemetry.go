@@ -20,7 +20,6 @@ import (
 
 // LinkSeries is the sampled history of one logical link.
 type LinkSeries struct {
-	EdgeID int
 	// Labels of the link endpoints.
 	A, B string
 	// Samples of bytes transferred in each period (both directions).
@@ -46,10 +45,9 @@ type Collector struct {
 	Alpha float64
 
 	mu     sync.Mutex
-	topo   *topology.Graph
-	series map[int]*LinkSeries
+	series []LinkSeries // indexed by edge ID
 	epochs int
-	last   map[*netsim.Network]map[int]float64
+	last   map[*netsim.Network][]float64
 }
 
 // NewCollector builds a collector for a topology with the given period
@@ -61,14 +59,19 @@ func NewCollector(g *topology.Graph, period netsim.Time, alpha float64) *Collect
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.3
 	}
+	series := make([]LinkSeries, len(g.Edges))
+	for i, e := range g.Edges {
+		series[i] = LinkSeries{A: g.Vertices[e.A].Label, B: g.Vertices[e.B].Label}
+	}
 	return &Collector{
 		Period: period, Alpha: alpha,
-		topo: g, series: map[int]*LinkSeries{}, last: map[*netsim.Network]map[int]float64{},
+		series: series, last: map[*netsim.Network][]float64{},
 	}
 }
 
 // Collect takes one sample immediately (cumulative counters diffed
-// against this network's previous epoch).
+// against this network's previous epoch). A collector observes the
+// topology it was built for: net must be a fabric of that graph.
 func (c *Collector) Collect(net *netsim.Network) {
 	loads := net.LinkLoads()
 	c.mu.Lock()
@@ -76,20 +79,11 @@ func (c *Collector) Collect(net *netsim.Network) {
 	c.epochs++
 	last := c.last[net]
 	if last == nil {
-		last = map[int]float64{}
+		last = make([]float64, len(c.series))
 		c.last[net] = last
 	}
 	for eid, cum := range loads {
-		s := c.series[eid]
-		if s == nil {
-			s = &LinkSeries{EdgeID: eid}
-			if eid >= 0 && eid < len(c.topo.Edges) {
-				e := c.topo.Edges[eid]
-				s.A = c.topo.Vertices[e.A].Label
-				s.B = c.topo.Vertices[e.B].Label
-			}
-			c.series[eid] = s
-		}
+		s := &c.series[eid]
 		delta := int64(cum - last[eid])
 		last[eid] = cum
 		s.Bytes = append(s.Bytes, delta)
@@ -118,26 +112,23 @@ func (c *Collector) Epochs() int {
 	return c.epochs
 }
 
-// Series returns the recorded link series sorted by edge ID. The
-// returned values are the live series records; read them after the
-// runs feeding the collector have finished.
-func (c *Collector) Series() []*LinkSeries {
+// Series returns the link series, indexed by edge ID. They are the
+// collector's live records; read them after the runs feeding the
+// collector have finished.
+func (c *Collector) Series() []LinkSeries {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*LinkSeries, 0, len(c.series))
-	for _, s := range c.series {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].EdgeID < out[j].EdgeID })
-	return out
+	return c.series
 }
 
-// Hottest returns the n links with the highest EWMA load, descending.
+// Hottest returns the n links with the highest EWMA load, descending;
+// equal loads keep edge-ID order.
 func (c *Collector) Hottest(n int) []*LinkSeries {
-	all := c.Series()
-	sort.SliceStable(all, func(i, j int) bool { return all[i].EWMA > all[j].EWMA })
-	if n > len(all) {
-		n = len(all)
+	series := c.Series()
+	all := make([]*LinkSeries, len(series))
+	for i := range series {
+		all[i] = &series[i]
 	}
-	return all[:n]
+	sort.SliceStable(all, func(i, j int) bool { return all[i].EWMA > all[j].EWMA })
+	return all[:min(n, len(all))]
 }

@@ -91,9 +91,9 @@ func TestCollectorFeedsUGAL(t *testing.T) {
 	}
 	col := NewCollector(g, netsim.Millisecond, 0.5)
 	sample(net, col, 5)
-	loads := map[int]float64{}
-	for _, s := range col.Series() {
-		loads[s.EdgeID] = s.EWMA
+	loads := make([]float64, len(g.Edges))
+	for eid, s := range col.Series() {
+		loads[eid] = s.EWMA
 	}
 	ugal := routing.DragonflyUGAL{Loads: loads, Bias: 1}
 	r, err := ugal.Compute(g)

@@ -702,7 +702,6 @@ func (g *Graph) Diameter() int {
 // Stats is a compact structural summary used in reports and tests.
 type Stats struct {
 	Switches, Hosts, Links int
-	SwitchLinks, HostLinks int
 	Radix, Diameter        int
 	SwitchPortsUsed        int
 }
@@ -713,16 +712,14 @@ func (g *Graph) Summary() Stats {
 		Switches:        g.NumSwitches(),
 		Hosts:           g.NumHosts(),
 		Links:           len(g.Edges),
-		SwitchLinks:     g.NumSwitchSwitchEdges(),
-		HostLinks:       g.HostFacingPorts(),
 		Radix:           g.Radix(),
 		Diameter:        g.Diameter(),
 		SwitchPortsUsed: g.SwitchPortCount(),
 	}
 }
 
-// String implements fmt.Stringer with a one-line summary.
+// String implements fmt.Stringer with a one-line summary. It reads
+// the counts directly: Summary's diameter is a BFS from every switch.
 func (g *Graph) String() string {
-	s := g.Summary()
-	return fmt.Sprintf("%s{switches:%d hosts:%d links:%d radix:%d}", g.Name, s.Switches, s.Hosts, s.Links, s.Radix)
+	return fmt.Sprintf("%s{switches:%d hosts:%d links:%d radix:%d}", g.Name, g.NumSwitches(), g.NumHosts(), len(g.Edges), g.Radix())
 }

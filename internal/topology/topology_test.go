@@ -285,6 +285,22 @@ func TestHostSwitch(t *testing.T) {
 	}
 }
 
+// TestStringReadsCounts holds String to the four counts it prints: at
+// most one allocation per boxed count plus the string, where a
+// diameter behind it would be a BFS from every switch.
+func TestStringReadsCounts(t *testing.T) {
+	for _, g := range []*Graph{FatTree(8), FatTree(16)} {
+		s := g.Summary()
+		want := fmt.Sprintf("%s{switches:%d hosts:%d links:%d radix:%d}", g.Name, s.Switches, s.Hosts, s.Links, s.Radix)
+		if got := g.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = g.String() }); allocs > 5 {
+			t.Errorf("%s: String allocates %.0f objects, want at most 5", g.Name, allocs)
+		}
+	}
+}
+
 func TestShortestPathsAndDiameter(t *testing.T) {
 	g := Torus2D(4, 4, 0)
 	// Torus 4x4 diameter is 2+2 = 4.
